@@ -5,8 +5,8 @@
 //! verified on the way back (`data_errors` must stay zero):
 //!
 //! * **per-op vs batched** (plain region): an awaited `read_into` per op vs
-//!   [`Region::read_into_many`] rounds of 16 — one doorbell per
-//!   `max_batch` pieces instead of one per piece.
+//!   [`Region::read_into_many`] rounds of 16 — one doorbell per memory
+//!   server instead of one per piece.
 //! * **serial vs pipelined** (checksummed region, stripe = IO size): the
 //!   same verified read with `pipeline_depth` 1 vs 16 — post→await→post vs
 //!   a bounded in-flight window of stripes.

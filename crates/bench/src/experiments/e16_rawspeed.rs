@@ -3,10 +3,10 @@
 //!
 //! Three deterministic arms plus one wall-clock µ-bench:
 //!
-//! * **scatter-gather** (`ClientConfig::sge` off vs on): a 16-piece striped
-//!   IO posts one multi-element WR per QP instead of one WR per piece —
-//!   doorbells per IO drop from `pieces` to the QP count, and the saved
-//!   post overhead shows up directly in virtual-time latency.
+//! * **scatter-gather**: a 16-piece striped IO posts one multi-element WR
+//!   per QP, not one WR per piece — doorbells per IO equal the QP count,
+//!   and so does the number of `post_overhead` charges the ledger
+//!   attributes to posting.
 //! * **inline WRITEs** (`RdmaConfig::inline_max` 0 vs 256): a warm KV put's
 //!   slot publish rides in the WQE instead of a staged DMA buffer, paying
 //!   `inline_post_overhead` instead of `post_overhead` per WR.
@@ -38,18 +38,18 @@ const IO_BYTES: u64 = 64 << 10;
 const STRIPE: u64 = 4 << 10;
 /// Memory servers in the scatter-gather arms (= QPs a striped IO touches).
 const SERVERS: usize = 4;
-/// Timed ops per arm.
+/// Timed ops per direction in the scatter-gather arm.
 const OPS: u64 = 32;
 /// Warm puts timed in the inline arms.
 const PUTS: u64 = 64;
 
-/// One scatter-gather arm's measurements (per striped 16-piece IO).
+/// The scatter-gather arm's measurements (per striped 16-piece IO).
 ///
-/// Completion latency (`read_ns`/`write_ns`) is expected to be *unchanged*
-/// between arms: WQE-build costs of WRs posted in the same instant overlap
-/// in the NIC model. The saving shows up in the doorbell counters and in
-/// the ledger's post-layer attribution (`read_post_ns`/`write_post_ns`) —
-/// one `post_overhead` charge per WR chain instead of one per piece.
+/// Grouping does not shorten completion latency (`read_ns`/`write_ns`):
+/// WQE-build costs of WRs posted in the same instant overlap in the NIC
+/// model. What it buys shows up in the doorbell counters and in the
+/// ledger's post-layer attribution (`read_post_ns`/`write_post_ns`) — one
+/// `post_overhead` charge per WR instead of one per piece.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SgeArm {
     /// Doorbells rung per read IO.
@@ -64,7 +64,7 @@ pub struct SgeArm {
     pub read_post_ns: u64,
     /// Ledger post-layer ns attributed per write IO.
     pub write_post_ns: u64,
-    /// Multi-element WRs posted per read IO (0 without scatter-gather).
+    /// Multi-element WRs posted per read IO.
     pub sge_wrs_per_read: u64,
 }
 
@@ -76,12 +76,12 @@ pub struct RawSpeedStats {
     pub pieces: u64,
     /// Distinct QPs (= servers) a striped IO touches.
     pub qps: u64,
-    /// Per-piece posting: one WR + one doorbell per piece.
-    pub per_piece: SgeArm,
     /// Scatter-gather posting: one multi-element WR per QP.
     pub sge: SgeArm,
     /// Largest SGE list observed in the scatter-gather arm.
     pub sge_entries_max: u64,
+    /// `RdmaConfig::post_overhead` of the arm's devices, in ns.
+    pub post_overhead_ns: u64,
     /// Virtual ns per warm KV put, staged publish (`inline_max` 0).
     pub staged_put_ns: u64,
     /// Virtual ns per warm KV put, inline publish (`inline_max` 256).
@@ -90,17 +90,20 @@ pub struct RawSpeedStats {
     pub inline_writes: u64,
     /// Payload bytes those publishes carried in their WQEs.
     pub inline_bytes: u64,
-    /// Inline posts that fell back to the staged path (must be 0).
-    pub inline_fallbacks: u64,
     /// Read-backs that did not match the written pattern (must be 0).
     pub data_errors: u64,
 }
 
 impl RawSpeedStats {
-    /// Whether the scatter-gather arm rang at most one doorbell per QP per
-    /// striped IO — the headline posting-cost claim.
+    /// Whether a striped IO rang exactly one doorbell per QP in both
+    /// directions, and the ledger charged exactly one `post_overhead` per
+    /// QP to posting — the headline posting-cost claim.
     pub fn sge_one_doorbell_per_qp(&self) -> bool {
-        self.sge.read_doorbells <= self.qps && self.sge.write_doorbells <= self.qps
+        let post_ns = self.qps * self.post_overhead_ns;
+        self.sge.read_doorbells == self.qps
+            && self.sge.write_doorbells == self.qps
+            && self.sge.read_post_ns == post_ns
+            && self.sge.write_post_ns == post_ns
     }
 
     /// Virtual-ns saving per warm put from inline posting (expected:
@@ -132,32 +135,29 @@ fn verify(region: &Region, addr: u64, off: u64, len: u64) -> u64 {
 
 /// Runs all deterministic arms and collects the stats.
 pub fn measure() -> RawSpeedStats {
-    let (per_piece, _, _, mut data_errors) = measure_sge(false);
-    let (sge, qps, sge_entries_max, errs) = measure_sge(true);
+    let (sge, qps, sge_entries_max, mut data_errors) = measure_sge();
+    let (staged_put_ns, _, _, errs) = measure_inline(0);
     data_errors += errs;
-    let (staged_put_ns, _, _, _, errs) = measure_inline(0);
-    data_errors += errs;
-    let (inline_put_ns, inline_writes, inline_bytes, inline_fallbacks, errs) = measure_inline(256);
+    let (inline_put_ns, inline_writes, inline_bytes, errs) = measure_inline(256);
     data_errors += errs;
     RawSpeedStats {
         pieces: IO_BYTES / STRIPE,
         qps,
-        per_piece,
         sge,
         sge_entries_max,
+        post_overhead_ns: RdmaConfig::default().post_overhead.as_nanos() as u64,
         staged_put_ns,
         inline_put_ns,
         inline_writes,
         inline_bytes,
-        inline_fallbacks,
         data_errors,
     }
 }
 
-/// One scatter-gather arm: a 16-piece striped region, timed reads and
+/// The scatter-gather arm: a 16-piece striped region, timed reads and
 /// writes, doorbell/WR counts from the device counters. Returns
 /// `(arm, qps, sge_entries_max, data_errors)`.
-fn measure_sge(sge: bool) -> (SgeArm, u64, u64, u64) {
+fn measure_sge() -> (SgeArm, u64, u64, u64) {
     let cluster = Cluster::boot(ClusterConfig {
         clients: 1,
         ..ClusterConfig::with_servers(SERVERS)
@@ -172,7 +172,6 @@ fn measure_sge(sge: bool) -> (SgeArm, u64, u64, u64) {
                 .client_with(
                     0,
                     ClientConfig {
-                        sge,
                         ledger: true,
                         ..ClientConfig::default()
                     },
@@ -256,9 +255,9 @@ fn measure_sge(sge: bool) -> (SgeArm, u64, u64, u64) {
 }
 
 /// One inline arm: warm KV overwrites with `inline_max` as given. Returns
-/// `(put_ns, inline_writes, inline_bytes, fallbacks, data_errors)` where
-/// the inline counters are deltas over the timed window only.
-fn measure_inline(inline_max: u64) -> (u64, u64, u64, u64, u64) {
+/// `(put_ns, inline_writes, inline_bytes, data_errors)` where the inline
+/// counters are deltas over the timed window only.
+fn measure_inline(inline_max: u64) -> (u64, u64, u64, u64) {
     let cluster = Cluster::boot(ClusterConfig {
         clients: 1,
         rdma: RdmaConfig {
@@ -289,7 +288,6 @@ fn measure_inline(inline_max: u64) -> (u64, u64, u64, u64, u64) {
             let m = dev.metrics();
             let iw0 = m.counter("rstore.inline.writes");
             let ib0 = m.counter("rstore.inline.bytes");
-            let if0 = m.counter("rstore.inline.fallback");
             let t0 = sim.now();
             for round in 0..(PUTS / keys.len() as u64) {
                 for key in &keys {
@@ -299,7 +297,6 @@ fn measure_inline(inline_max: u64) -> (u64, u64, u64, u64, u64) {
             let put_ns = (sim.now() - t0).as_nanos() as u64 / PUTS;
             let inline_writes = m.counter("rstore.inline.writes") - iw0;
             let inline_bytes = m.counter("rstore.inline.bytes") - ib0;
-            let fallbacks = m.counter("rstore.inline.fallback") - if0;
 
             let last = (PUTS / keys.len() as u64 - 1) as u8;
             let mut errs = 0u64;
@@ -307,13 +304,13 @@ fn measure_inline(inline_max: u64) -> (u64, u64, u64, u64, u64) {
                 let got = table.get(key).await.expect("get");
                 errs += u64::from(got.as_deref() != Some(&[last; 32][..]));
             }
-            (put_ns, inline_writes, inline_bytes, fallbacks, errs)
+            (put_ns, inline_writes, inline_bytes, errs)
         }
     })
 }
 
 /// Per-op cost attribution for the full op set under the raw-speed
-/// configuration (scatter-gather on, inline publishes on, ledger enabled).
+/// configuration (inline publishes on, ledger enabled).
 ///
 /// Same shape as E12's profile — all-integer and [`Eq`], so two seeded runs
 /// must produce an identical profile; the report test asserts it, and the
@@ -332,8 +329,8 @@ impl OpsProfile {
             .expect("profiled op type")
     }
 
-    /// Whether the scatter-gather striped reads rang at most one doorbell
-    /// per QP (the `read` rows cover a 16-piece IO over [`SERVERS`] QPs).
+    /// Whether the striped reads rang at most one doorbell per QP (the
+    /// `read` rows cover a 16-piece IO over [`SERVERS`] QPs).
     pub fn read_doorbells_le_qps(&self) -> bool {
         self.row("read").doorbells_max <= SERVERS as u64
     }
@@ -358,7 +355,6 @@ pub fn ops_profile() -> OpsProfile {
                 0,
                 ClientConfig {
                     ledger: true,
-                    sge: true,
                     ..ClientConfig::default()
                 },
             )
@@ -485,11 +481,10 @@ pub fn run() -> Vec<Table> {
     let stats = measure();
     let mut t1 = Table::new(
         format!(
-            "E16a: scatter-gather WRs, {}-piece striped IO over {} QPs ({} ops/arm)",
+            "E16a: scatter-gather WRs, {}-piece striped IO over {} QPs ({} ops)",
             stats.pieces, stats.qps, OPS
         ),
         &[
-            "posting",
             "db/read",
             "db/write",
             "SGE WRs/read",
@@ -497,44 +492,32 @@ pub fn run() -> Vec<Table> {
             "read us",
         ],
     );
-    for (name, arm) in [
-        ("per-piece", &stats.per_piece),
-        ("scatter-gather", &stats.sge),
-    ] {
-        t1.row(vec![
-            name.to_string(),
-            arm.read_doorbells.to_string(),
-            arm.write_doorbells.to_string(),
-            arm.sge_wrs_per_read.to_string(),
-            arm.read_post_ns.to_string(),
-            format!("{:.2}", arm.read_ns as f64 / 1e3),
-        ]);
-    }
+    let arm = &stats.sge;
+    t1.row(vec![
+        arm.read_doorbells.to_string(),
+        arm.write_doorbells.to_string(),
+        arm.sge_wrs_per_read.to_string(),
+        arm.read_post_ns.to_string(),
+        format!("{:.2}", arm.read_ns as f64 / 1e3),
+    ]);
     t1.note(format!(
-        "one doorbell per QP with scatter-gather: {}; largest SGE list: {} entries; IO size {}",
+        "one doorbell and one post_overhead per QP: {}; largest SGE list: {} entries; IO size {}",
         stats.sge_one_doorbell_per_qp(),
         stats.sge_entries_max,
         fmt_bytes(IO_BYTES)
     ));
     t1.note(
-        "completion latency is unchanged by design: WQE-build costs of same-instant posts \
-         overlap in the NIC model; the saving is doorbells and posting-CPU attribution",
+        "grouping does not shorten completion latency: WQE-build costs of same-instant posts \
+         overlap in the NIC model; it saves doorbells and posting-CPU attribution",
     );
 
     let mut t2 = Table::new(
         format!("E16b: inline small WRITEs, {PUTS} warm KV puts (32 B values)"),
-        &[
-            "publish",
-            "ns/put",
-            "inline WRs",
-            "inline bytes",
-            "fallbacks",
-        ],
+        &["publish", "ns/put", "inline WRs", "inline bytes"],
     );
     t2.row(vec![
         "staged".to_string(),
         stats.staged_put_ns.to_string(),
-        "0".to_string(),
         "0".to_string(),
         "0".to_string(),
     ]);
@@ -543,7 +526,6 @@ pub fn run() -> Vec<Table> {
         stats.inline_put_ns.to_string(),
         stats.inline_writes.to_string(),
         stats.inline_bytes.to_string(),
-        stats.inline_fallbacks.to_string(),
     ]);
     t2.note(format!(
         "inline saves {} ns/put (post_overhead - inline_post_overhead per publish WR); data errors across all arms: {}",
@@ -553,7 +535,7 @@ pub fn run() -> Vec<Table> {
 
     let profile = ops_profile();
     let mut t3 = Table::new(
-        "E16c: raw-path per-op cost (SGE + inline + ledger, 4 servers)",
+        "E16c: raw-path per-op cost (inline + ledger, 4 servers)",
         &["op", "count", "RTTs p50", "db p50", "bytes p50", "retries"],
     );
     for s in &profile.ops {
@@ -593,47 +575,19 @@ mod tests {
         assert_eq!(stats.data_errors, 0, "read-back verification failed");
         assert_eq!(stats.pieces, 16, "arm must exercise a 16-piece IO");
         assert_eq!(stats.qps, SERVERS as u64, "striping must touch every QP");
-        // Per-piece posting rings one doorbell per piece; scatter-gather
-        // one per QP.
-        assert_eq!(stats.per_piece.read_doorbells, stats.pieces);
+        // One multi-element WR, one doorbell and one post_overhead charge
+        // per QP, in both directions.
         assert_eq!(stats.sge.read_doorbells, stats.qps);
-        assert!(
-            stats.sge_one_doorbell_per_qp(),
-            "sge arm rang {}/{} doorbells per IO over {} QPs",
-            stats.sge.read_doorbells,
-            stats.sge.write_doorbells,
-            stats.qps
-        );
+        assert_eq!(stats.sge.write_doorbells, stats.qps);
         assert_eq!(stats.sge.sge_wrs_per_read, stats.qps);
         assert!(stats.sge_entries_max >= stats.pieces / stats.qps);
-        // The posting-CPU attribution drops by the piece/QP ratio (one
-        // WQE-build charge per chain instead of per piece); completion
-        // latency must not regress (same-instant post costs overlap).
-        assert!(
-            stats.sge.read_post_ns * 2 <= stats.per_piece.read_post_ns,
-            "sge read post {} ns not well below per-piece {} ns",
-            stats.sge.read_post_ns,
-            stats.per_piece.read_post_ns
-        );
-        assert!(
-            stats.sge.write_post_ns * 2 <= stats.per_piece.write_post_ns,
-            "sge write post {} ns not well below per-piece {} ns",
-            stats.sge.write_post_ns,
-            stats.per_piece.write_post_ns
-        );
-        assert!(
-            stats.sge.read_ns <= stats.per_piece.read_ns
-                && stats.sge.write_ns <= stats.per_piece.write_ns,
-            "sge latency regressed: read {} vs {} ns, write {} vs {} ns",
-            stats.sge.read_ns,
-            stats.per_piece.read_ns,
-            stats.sge.write_ns,
-            stats.per_piece.write_ns
-        );
-        // Inline publishes: every timed put posts its publish inline and
-        // none falls back, saving post overhead per op.
+        assert!(stats.sge_entries_max <= rdma::MAX_SGE as u64);
+        assert_eq!(stats.sge.read_post_ns, stats.qps * stats.post_overhead_ns);
+        assert_eq!(stats.sge.write_post_ns, stats.qps * stats.post_overhead_ns);
+        assert!(stats.sge_one_doorbell_per_qp());
+        // Inline publishes: every timed put posts its publish inline,
+        // saving post overhead per op.
         assert_eq!(stats.inline_writes, PUTS);
-        assert_eq!(stats.inline_fallbacks, 0);
         assert!(
             stats.inline_delta_ns() > 0,
             "inline put {} ns not cheaper than staged {} ns",
@@ -667,7 +621,7 @@ mod tests {
         assert_eq!((get.rtts_p50, get.rtts_max), (1, 1), "warm get RTTs");
         assert!(
             a.read_doorbells_le_qps(),
-            "striped sge read rang {} doorbells",
+            "striped read rang {} doorbells",
             a.row("read").doorbells_max
         );
         for s in &a.ops {

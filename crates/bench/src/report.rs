@@ -514,7 +514,6 @@ pub fn experiment_json(id: &str) -> Json {
                     Json::obj([
                         ("pieces_per_io".to_string(), Json::int(s.pieces)),
                         ("qps".to_string(), Json::int(s.qps)),
-                        ("per_piece".to_string(), arm_json(&s.per_piece)),
                         ("scatter_gather".to_string(), arm_json(&s.sge)),
                         ("sge_entries_max".to_string(), Json::int(s.sge_entries_max)),
                         (
@@ -534,7 +533,6 @@ pub fn experiment_json(id: &str) -> Json {
                         ),
                         ("writes".to_string(), Json::int(s.inline_writes)),
                         ("bytes".to_string(), Json::int(s.inline_bytes)),
-                        ("fallbacks".to_string(), Json::int(s.inline_fallbacks)),
                     ]),
                 ),
                 ("data_errors".to_string(), Json::int(s.data_errors)),
@@ -760,13 +758,11 @@ mod tests {
             "\"rawspeed\"",
             "\"sge\"",
             "\"pieces_per_io\"",
-            "\"per_piece\"",
             "\"scatter_gather\"",
             "\"doorbells_per_read_io\"",
             "\"one_doorbell_per_qp\": true",
             "\"inline\"",
             "\"delta_ns_per_put\"",
-            "\"fallbacks\": 0",
             "\"data_errors\": 0",
             "\"rtts_per_op\"",
             "\"doorbells_per_op\"",

@@ -38,7 +38,9 @@ pub struct ClientConfig {
     /// flight at once. Depth 1 reproduces the strictly serial
     /// post→await→post behavior; larger depths overlap stripe round trips
     /// while preserving per-stripe failover semantics and the first-failing-
-    /// stripe error.
+    /// stripe error. This window is the only path checksummed IO takes;
+    /// plain IO is instead grouped into one WR per memory server (see
+    /// [`Region`]).
     pub pipeline_depth: usize,
     /// Enables per-operation cost ledgers ([`sim::OpLedger`]): every
     /// logical op (`get`/`put`/`read`/`write_ck`/…) records its round
@@ -58,14 +60,6 @@ pub struct ClientConfig {
     /// set it near their data-path timeout so a lost response costs one
     /// revalidation round, not a second of stalled retries.
     pub ctrl_response_timeout: Duration,
-    /// Posts striped region IO as scatter-gather WRs: all pieces of a read
-    /// (or all same-node replica writes) that land on one memory server
-    /// become ONE work request with one SGE per piece — one doorbell, one
-    /// CQE — instead of one WR per piece. Failover granularity is
-    /// unchanged: a failed SGE WR falls back to per-piece posting with the
-    /// usual reconnect-then-advance machinery. Off by default (the
-    /// per-piece path is the calibrated baseline E1–E15 pin).
-    pub sge: bool,
 }
 
 impl Default for ClientConfig {
@@ -78,7 +72,6 @@ impl Default for ClientConfig {
             ledger: false,
             kv_hint_capacity: 4096,
             ctrl_response_timeout: crate::rpc::RESPONSE_TIMEOUT,
-            sge: false,
         }
     }
 }

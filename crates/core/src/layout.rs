@@ -58,35 +58,43 @@ impl Layout {
     /// [`RStoreError::OutOfRange`] if the range exceeds the region. A
     /// zero-length range yields no pieces.
     pub fn pieces(&self, offset: u64, len: u64) -> Result<Vec<Piece>> {
+        Ok(self.piece_iter(offset, len)?.collect())
+    }
+
+    /// [`pieces`](Self::pieces) as an iterator, for callers that fold the
+    /// pieces into a plan of their own instead of keeping the `Vec`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`pieces`](Self::pieces).
+    pub fn piece_iter(&self, offset: u64, len: u64) -> Result<impl Iterator<Item = Piece> + '_> {
         let size = self.size();
         let end = offset
             .checked_add(len)
             .filter(|&e| e <= size)
             .ok_or(RStoreError::OutOfRange { offset, len, size })?;
-        if len == 0 {
-            return Ok(Vec::new());
-        }
         // Find the first group containing `offset` (starts is sorted).
         let mut group = match self.starts.binary_search(&offset) {
             Ok(i) => i,
             Err(i) => i - 1,
         };
-        let mut pieces = Vec::new();
         let mut cur = offset;
-        while cur < end {
+        Ok(std::iter::from_fn(move || {
+            if cur >= end {
+                return None;
+            }
             let gstart = self.starts[group];
             let gend = self.starts[group + 1];
-            let piece_len = (end - cur).min(gend - cur);
-            pieces.push(Piece {
+            let piece = Piece {
                 group,
                 offset_in_stripe: cur - gstart,
-                len: piece_len,
+                len: (end - cur).min(gend - cur),
                 buf_offset: cur - offset,
-            });
-            cur += piece_len;
+            };
+            cur += piece.len;
             group += 1;
-        }
-        Ok(pieces)
+            Some(piece)
+        }))
     }
 
     /// Resolves the single piece covering `[offset, offset + len)` without

@@ -335,15 +335,34 @@ mod tests {
     fn out_of_range_io_rejected() {
         let cluster = boot(2);
         let sim = cluster.sim.clone();
-        let err = sim.block_on(async move {
+        let (err, many_err, doorbells) = sim.block_on(async move {
             let client = cluster.client(0).await.unwrap();
             let region = client
                 .alloc("small", 4096, AllocOptions::default())
                 .await
                 .unwrap();
-            region.read(4000, 200).await.err().unwrap()
+            let err = region.read(4000, 200).await.err().unwrap();
+            // Every pair of a multi-read is planned before anything posts,
+            // on a checksummed region too: a bad last pair rings no doorbell.
+            let opts = AllocOptions {
+                checksums: true,
+                ..AllocOptions::default()
+            };
+            let ck = client.alloc("small_ck", 4096, opts).await.unwrap();
+            let dev = client.device();
+            let buf = dev.alloc(256).unwrap();
+            let rung = dev.metrics().counter("rdma.doorbells");
+            let ios = [(0, buf.slice(0, 128)), (4000, buf.slice(128, 128))];
+            let many_err = ck.read_into_many(&ios).await.err().unwrap();
+            (
+                err,
+                many_err,
+                dev.metrics().counter("rdma.doorbells") - rung,
+            )
         });
         assert!(matches!(err, RStoreError::OutOfRange { .. }));
+        assert!(matches!(many_err, RStoreError::OutOfRange { .. }));
+        assert_eq!(doorbells, 0, "a planned-out multi-read must post nothing");
     }
 
     #[test]

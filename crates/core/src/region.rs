@@ -5,12 +5,12 @@
 //! descriptor — no master involvement, no remote CPU.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeMap;
 use std::fmt;
+use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
-use rdma::{BatchWr, CqStatus, DmaBuf, RdmaError, Sge, SgeList, MAX_SGE};
+use rdma::{CqStatus, DmaBuf, RKey, RdmaError, RemoteAddr, Sge, SgeList, Wr, WrOp, MAX_SGE};
 use sim::channel::oneshot;
 use sim::sync::Semaphore;
 use sim::{OpLedger, Phase};
@@ -28,18 +28,23 @@ enum Dir {
     Write,
 }
 
-/// A posted read awaiting completion: `(piece, dst, replica, redialed, rx)`.
-/// The bool marks whether this replica has spent its one reconnect retry.
-type ReadWait = (Piece, DmaBuf, usize, bool, oneshot::Receiver<CqStatus>);
-/// A read that needs a failover pass: `(piece, dst, replica, redialed,
-/// status)`. The status is the completion that sent it here, preserved so a
-/// piece that exhausts its replicas surfaces *why* (e.g. `RemoteAccess` when
-/// every replica rejected the rkey — the signal a region was freed under the
-/// reader) instead of a generic timeout.
-type ReadRetry = (Piece, DmaBuf, usize, bool, CqStatus);
-/// One element of a scatter-gather posting group: `(piece, buffer, replica)`.
-/// Every element of a group resolves to the same memory server.
-type SgeItem = (Piece, DmaBuf, usize);
+/// One planned transfer: `piece` of the caller's `buf`, against replica
+/// `replica` of the piece's stripe.
+#[derive(Clone, Copy)]
+struct Xfer {
+    piece: Piece,
+    buf: DmaBuf,
+    replica: usize,
+    /// Read failover only: this replica has spent its one reconnect retry.
+    redialed: bool,
+}
+
+/// A transfer that did not complete, with the completion status that failed
+/// it (`Timeout` when its WR could not even be posted).
+type Failed = (Xfer, CqStatus);
+
+/// A posted WR: the transfers it covers and its completion receiver.
+type Posted<'p> = (&'p [Xfer], oneshot::Receiver<CqStatus>);
 
 /// Recycled IO scratch shared by all clones of a [`Region`] handle: staging
 /// `DmaBuf`s for checksummed stripe assembly/verification and a host-side
@@ -70,6 +75,13 @@ const POOL_CAP: usize = 32;
 ///   [`start_write`](Self::start_write) post IO directly between a local
 ///   [`DmaBuf`] and the region, returning an [`IoHandle`]; combine with
 ///   [`RStoreClient::sync`] for bulk pipelines.
+///
+/// Every call plans its stripe pieces first and posts them by one rule: two
+/// or more pieces on a plain region post as one multi-element WR per memory
+/// server (per [`MAX_SGE`] pieces); single-piece and checksummed IO post
+/// one WR per (stripe, replica). Checksummed reads and writes instead keep
+/// up to [`pipeline_depth`](crate::client::ClientConfig::pipeline_depth)
+/// stripes in flight, verifying each as it lands.
 #[derive(Clone)]
 pub struct Region {
     client: RStoreClient,
@@ -277,148 +289,106 @@ impl Region {
         }
     }
 
-    // --- convenience byte API -------------------------------------------------
+    /// Runs `io` on a pooled staging buffer of exactly `len` bytes.
+    async fn with_staging<T, Fut>(&self, len: u64, io: impl FnOnce(DmaBuf) -> Fut) -> Result<T>
+    where
+        Fut: Future<Output = Result<T>>,
+    {
+        let staging = self.take_staging(len.max(1))?;
+        let result = io(staging.slice(0, len)).await;
+        self.put_staging(staging);
+        result
+    }
 
-    /// Reads `len` bytes at `offset` into a fresh `Vec`.
-    ///
-    /// Performs replica failover: if the primary read of a stripe fails, the
-    /// next replica is tried.
+    /// Runs `round`; on the stale-descriptor signal (every replica some
+    /// piece touched answered `RemoteAccess`: the data was migrated away or
+    /// is sealed mid-migration) revalidates the descriptor and runs it once
+    /// more against the refreshed placement. Region writes are idempotent,
+    /// so re-writing replicas that already landed is safe.
+    async fn with_revalidate<Fut>(&self, ledger: &OpLedger, round: impl Fn() -> Fut) -> Result<()>
+    where
+        Fut: Future<Output = Result<()>>,
+    {
+        match round().await {
+            Err(e) if matches!(e, RStoreError::Io(CqStatus::RemoteAccess)) => {
+                // A failed refresh (e.g. the region was freed, so lookup says
+                // NotFound) keeps the original IO error: layered protocols —
+                // the KV generation machinery — key their own recovery on
+                // `RemoteAccess`, not on control-path lookup errors.
+                if self.revalidate(ledger).await.is_err() {
+                    return Err(e);
+                }
+                ledger.retry();
+                round().await
+            }
+            r => r,
+        }
+    }
+
+    // --- public IO API ----------------------------------------------------------
+
+    /// Reads `len` bytes at `offset` into a fresh `Vec`, with replica
+    /// failover: if the primary read of a stripe fails, the next replica is
+    /// tried.
     ///
     /// # Errors
     ///
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`] when all replicas
     /// of some stripe fail.
     pub async fn read(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let dev = self.client.shared.dev.clone();
-        let staging = self.take_staging(len.max(1))?;
-        let result = async {
-            self.read_into(offset, staging.slice(0, len)).await?;
-            Ok(dev.read_mem(staging.addr, len)?)
-        }
-        .await;
-        self.put_staging(staging);
+        let ledger = self.op_ledger(if self.checksums { "read_ck" } else { "read" });
+        let result = self.read_l(offset, len, &ledger).await;
+        self.finish_ledger_res(&ledger, &result);
         result
     }
 
-    /// [`read`](Self::read) charging an existing ledger. The destination
-    /// slice lets callers that already own a buffer (the KV probe loop)
-    /// receive the bytes without a fresh `Vec` per op.
+    /// [`read`](Self::read) charging an existing ledger instead of opening
+    /// a fresh one — for callers (the KV layer) that own the logical op.
     pub(crate) async fn read_l(&self, offset: u64, len: u64, ledger: &OpLedger) -> Result<Vec<u8>> {
-        let mut out = vec![0u8; len as usize];
-        self.read_into_vec_l(offset, &mut out, ledger).await?;
-        Ok(out)
+        self.with_staging(len, |staging| async move {
+            self.read_into_l(offset, staging, ledger).await?;
+            Ok(self.client.shared.dev.read_mem(staging.addr, len)?)
+        })
+        .await
     }
 
-    /// Reads `out.len()` bytes at `offset` into a caller-owned host slice,
-    /// charging `ledger` — the allocation-free sibling of
-    /// [`read_l`](Self::read_l).
-    pub(crate) async fn read_into_vec_l(
-        &self,
-        offset: u64,
-        out: &mut [u8],
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let dev = self.client.shared.dev.clone();
-        let len = out.len() as u64;
-        let staging = self.take_staging(len.max(1))?;
-        let result = async {
-            self.read_into_l(offset, staging.slice(0, len), ledger)
-                .await?;
-            Ok(dev.read_mem_into(staging.addr, out)?)
-        }
-        .await;
-        self.put_staging(staging);
-        result
-    }
-
-    /// [`write`](Self::write) charging an existing ledger.
-    pub(crate) async fn write_l(&self, offset: u64, data: &[u8], ledger: &OpLedger) -> Result<()> {
-        let dev = self.client.shared.dev.clone();
-        let staging = self.take_staging(data.len().max(1) as u64)?;
-        let result = async {
-            dev.write_mem(staging.addr, data)?;
-            self.write_from_l(offset, staging.slice(0, data.len() as u64), ledger)
-                .await
-        }
-        .await;
-        self.put_staging(staging);
-        result
-    }
-
-    /// [`write_l`](Self::write_l) for small host-resident images: posts the
-    /// payload as *inline* WRITE WRs ([`Qp::post_write_inline`](rdma::Qp::post_write_inline))
-    /// when the device's [`inline_max`](rdma::RdmaConfig::inline_max)
-    /// permits, so the publish needs no staging DMA buffer and pays the
-    /// cheaper inline post cost. Falls back to the staged path when inline
-    /// posting is disabled (the default), the image is too large, the
-    /// region carries stripe checksums, or any inline WR fails — region
-    /// writes are idempotent, so re-writing replicas that already landed
-    /// is safe.
-    pub(crate) async fn write_inline_l(
-        &self,
-        offset: u64,
-        bytes: &[u8],
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let s = &self.client.shared;
-        let len = bytes.len() as u64;
-        if self.checksums || len == 0 || len > s.dev.config().inline_max {
-            return self.write_l(offset, bytes, ledger).await;
-        }
-        let pieces = self.layout.borrow().pieces(offset, len)?;
-        let mut waits: Vec<oneshot::Receiver<CqStatus>> = Vec::new();
-        let mut ok = true;
-        'post: for piece in &pieces {
-            for r in 0..self.replicas(piece.group) {
-                match self.post_piece_inline(piece, bytes, r, ledger) {
-                    Ok(rx) => waits.push(rx),
-                    Err(_) => {
-                        ok = false;
-                        break 'post;
-                    }
-                }
-            }
-        }
-        if !waits.is_empty() {
-            ledger.rtt();
-        }
-        for rx in waits {
-            if !matches!(rx.await, Some(CqStatus::Success)) {
-                ok = false;
-            }
-        }
-        if ok {
-            s.dev.metrics().incr("rstore.inline.writes");
-            s.dev.metrics().add("rstore.inline.bytes", len);
-            return Ok(());
-        }
-        // Some replica refused or failed the inline post: one staged retry
-        // round re-writes the whole image through the ordinary recovery
-        // machinery (redial, replica repost, stale-descriptor revalidation).
-        s.dev.metrics().incr("rstore.inline.fallback");
-        ledger.retry();
-        self.write_l(offset, bytes, ledger).await
-    }
-
-    /// Writes `data` at `offset`.
+    /// Writes `data` at `offset` (to **all** replicas).
     ///
     /// # Errors
     ///
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let dev = self.client.shared.dev.clone();
-        let staging = self.take_staging(data.len().max(1) as u64)?;
-        let result = async {
-            dev.write_mem(staging.addr, data)?;
-            self.write_from(offset, staging.slice(0, data.len() as u64))
-                .await
-        }
-        .await;
-        self.put_staging(staging);
+        let ledger = self.op_ledger(if self.checksums { "write_ck" } else { "write" });
+        let result = self.write_l(offset, data, &ledger).await;
+        self.finish_ledger_res(&ledger, &result);
         result
     }
 
-    // --- zero-copy awaitable API ------------------------------------------------
+    /// [`write`](Self::write) charging an existing ledger. An image that
+    /// fits the device's [`inline_max`](rdma::RdmaConfig::inline_max) (0,
+    /// the default, fits nothing) and one stripe of a plain region posts as
+    /// *inline* WRITEs — the payload rides in the WQE, so no staging buffer
+    /// is filled and the doorbell is cheaper; anything else is staged.
+    pub(crate) async fn write_l(&self, offset: u64, data: &[u8], ledger: &OpLedger) -> Result<()> {
+        let dev = &self.client.shared.dev;
+        let len = data.len() as u64;
+        if !self.checksums
+            && len <= dev.config().inline_max
+            && self.layout.borrow().piece_at(offset, len).is_ok()
+        {
+            // The buffer only carries the length; inline WRs never read it.
+            let src = DmaBuf { addr: 0, len };
+            self.write_src(offset, src, Some(data), ledger).await?;
+            dev.metrics().incr("rstore.inline.writes");
+            dev.metrics().add("rstore.inline.bytes", len);
+            return Ok(());
+        }
+        self.with_staging(len, |staging| async move {
+            dev.write_mem(staging.addr, data)?;
+            self.write_src(offset, staging, None, ledger).await
+        })
+        .await
+    }
 
     /// Reads `dst.len` bytes at `offset` into local buffer `dst`, with
     /// replica failover, and waits for completion.
@@ -433,111 +403,23 @@ impl Region {
         result
     }
 
-    /// [`read_into`](Self::read_into) charging an existing ledger instead of
-    /// opening a fresh one — for callers (the KV layer, `read_into_many`)
-    /// that own the logical op. When every replica of some stripe answers
-    /// `RemoteAccess` the cached descriptor is stale (the data was migrated
-    /// away), so the read revalidates and retries once rather than erroring.
+    /// [`read_into`](Self::read_into) charging an existing ledger: a
+    /// [`read_into_many_l`](Self::read_into_many_l) of one pair.
     pub(crate) async fn read_into_l(
         &self,
         offset: u64,
         dst: DmaBuf,
         ledger: &OpLedger,
     ) -> Result<()> {
-        match self.read_into_raw(offset, dst, ledger).await {
-            Err(e) if is_stale(&e) => {
-                // A failed refresh (e.g. the region was freed, so lookup says
-                // NotFound) keeps the original IO error: layered protocols —
-                // the KV generation machinery — key their own recovery on
-                // `RemoteAccess`, not on control-path lookup errors.
-                if self.revalidate(ledger).await.is_err() {
-                    return Err(e);
-                }
-                ledger.retry();
-                self.read_into_raw(offset, dst, ledger).await
-            }
-            r => r,
-        }
+        self.read_into_many_l(&[(offset, dst)], ledger).await
     }
 
-    async fn read_into_raw(&self, offset: u64, dst: DmaBuf, ledger: &OpLedger) -> Result<()> {
-        let s = &self.client.shared;
-        let _span = s
-            .sim
-            .tracer()
-            .span_arg("core", "rstore.read", s.dev.node().0 as u64, dst.len);
-        if self.checksums {
-            return self.read_into_ck(offset, dst, ledger).await;
-        }
-        let pieces = self.layout.borrow().pieces(offset, dst.len)?;
-        if s.cfg.sge && pieces.len() > 1 {
-            let items = pieces.into_iter().map(|p| (p, dst)).collect();
-            return self.read_pieces_sge(items, ledger).await;
-        }
-        // Post every piece's primary read in parallel. The bool marks
-        // whether the replica has already spent its one reconnect retry.
-        let mut waits: Vec<ReadWait> = Vec::new();
-        let mut retry: Vec<ReadRetry> = Vec::new();
-        for piece in pieces {
-            match self.post_piece(&piece, dst, Dir::Read, 0, ledger) {
-                Ok(rx) => waits.push((piece, dst, 0, false, rx)),
-                Err(_) => retry.push((piece, dst, 0, false, CqStatus::Timeout)),
-            }
-        }
-        self.drain_reads(waits, retry, ledger).await
-    }
-
-    /// Scatter-gather read round ([`ClientConfig::sge`](crate::client::ClientConfig::sge)):
-    /// primary reads are grouped by memory server and each group posts as
-    /// ONE multi-element WR — one doorbell, one CQE — in chunks of
-    /// [`MAX_SGE`]. A group whose WR fails (the CQE folds the first failing
-    /// element's status over the whole WR) falls back to per-piece posting
-    /// through [`drain_reads`](Self::drain_reads), which grants the usual
-    /// reconnect-then-advance failover per piece.
-    async fn read_pieces_sge(&self, items: Vec<(Piece, DmaBuf)>, ledger: &OpLedger) -> Result<()> {
-        let mut by_node: BTreeMap<u32, Vec<SgeItem>> = BTreeMap::new();
-        for (piece, buf) in items {
-            let node = self.extent(piece.group, 0).node;
-            by_node.entry(node).or_default().push((piece, buf, 0));
-        }
-        let mut waits: Vec<(Vec<SgeItem>, oneshot::Receiver<CqStatus>)> = Vec::new();
-        let mut retry: Vec<ReadRetry> = Vec::new();
-        for group in by_node.into_values() {
-            for chunk in group.chunks(MAX_SGE) {
-                match self.post_piece_group(chunk, Dir::Read, ledger) {
-                    Ok(rx) => waits.push((chunk.to_vec(), rx)),
-                    Err(_) => retry.extend(
-                        chunk
-                            .iter()
-                            .map(|&(p, b, r)| (p, b, r, false, CqStatus::Timeout)),
-                    ),
-                }
-            }
-        }
-        if !waits.is_empty() {
-            ledger.rtt();
-        }
-        for (group, rx) in waits {
-            let status = rx.await.unwrap_or(CqStatus::Flushed);
-            if status != CqStatus::Success {
-                retry.extend(group.into_iter().map(|(p, b, r)| (p, b, r, false, status)));
-            }
-        }
-        self.drain_reads(Vec::new(), retry, ledger).await
-    }
-
-    /// Reads many `(offset, dst)` pairs as one posting round.
-    ///
-    /// Where [`read_into`](Self::read_into) rings one doorbell per stripe
-    /// piece, this groups every primary read by memory server and posts each
-    /// group with [`rdma::Qp::post_batch`] — one doorbell per
-    /// [`RdmaConfig::max_batch`](rdma::RdmaConfig::max_batch) pieces — before
-    /// awaiting any completion. Failover is still per piece with exactly
-    /// `read_into`'s reconnect-then-advance semantics; retry rounds post
-    /// individually (failures are rare and batching them buys nothing).
-    ///
-    /// On checksummed regions each pair takes the verified (pipelined) read
-    /// path instead; doorbell batching applies to plain regions only.
+    /// Reads many `(offset, dst)` pairs as one posting round: every pair is
+    /// planned before anything posts, and the whole plan shares one round —
+    /// on a plain region one WR per memory server, on a checksummed region
+    /// one pipelined stripe window (see the [`Region`] docs for the rule).
+    /// Failover is per piece with exactly [`read_into`](Self::read_into)'s
+    /// reconnect-then-advance semantics.
     ///
     /// # Errors
     ///
@@ -556,192 +438,13 @@ impl Region {
     }
 
     /// [`read_into_many`](Self::read_into_many) charging an existing ledger.
-    /// Stale-descriptor handling mirrors [`read_into_l`](Self::read_into_l):
-    /// one revalidate-and-retry on `RemoteAccess`.
     pub(crate) async fn read_into_many_l(
         &self,
         ios: &[(u64, DmaBuf)],
         ledger: &OpLedger,
     ) -> Result<()> {
-        match self.read_into_many_raw(ios, ledger).await {
-            Err(e) if is_stale(&e) => {
-                if self.revalidate(ledger).await.is_err() {
-                    return Err(e);
-                }
-                ledger.retry();
-                self.read_into_many_raw(ios, ledger).await
-            }
-            r => r,
-        }
-    }
-
-    async fn read_into_many_raw(&self, ios: &[(u64, DmaBuf)], ledger: &OpLedger) -> Result<()> {
-        let s = &self.client.shared;
-        let _span = s.sim.tracer().span_arg(
-            "core",
-            "rstore.read_many",
-            s.dev.node().0 as u64,
-            ios.len() as u64,
-        );
-        if self.checksums {
-            for &(offset, dst) in ios {
-                self.read_into_ck(offset, dst, ledger).await?;
-            }
-            return Ok(());
-        }
-        // Resolve every pair up front so an out-of-range IO fails the call
-        // before a single byte is posted.
-        let mut by_node: BTreeMap<u32, Vec<(Piece, DmaBuf)>> = BTreeMap::new();
-        for &(offset, dst) in ios {
-            for piece in self.layout.borrow().pieces(offset, dst.len)? {
-                let node = self.extent(piece.group, 0).node;
-                by_node.entry(node).or_default().push((piece, dst));
-            }
-        }
-        if s.cfg.sge {
-            // Scatter-gather mode: the same per-node grouping, but each
-            // group of up to MAX_SGE pieces becomes ONE WR instead of one
-            // WR per piece.
-            let items = by_node.into_values().flatten().collect();
-            return self.read_pieces_sge(items, ledger).await;
-        }
-        let mut waits: Vec<ReadWait> = Vec::new();
-        let mut retry: Vec<ReadRetry> = Vec::new();
-        for (node, items) in by_node {
-            let qp = s.conns.borrow().get(&node).cloned();
-            let Some(qp) = qp else {
-                // No connection: send the whole group through the failover
-                // path, which grants the usual re-dial retry.
-                retry.extend(
-                    items
-                        .into_iter()
-                        .map(|(p, b)| (p, b, 0, false, CqStatus::Timeout)),
-                );
-                continue;
-            };
-            let mut wrs = Vec::with_capacity(items.len());
-            let mut regs = Vec::with_capacity(items.len());
-            for (piece, buf) in &items {
-                let extent = self.extent(piece.group, 0);
-                let remote = rdma::RemoteAddr {
-                    addr: extent.addr + piece.offset_in_stripe,
-                    rkey: rdma::RKey(extent.rkey),
-                };
-                let wr_id = s.next_wr.get();
-                s.next_wr.set(wr_id + 1);
-                let (tx, rx) = oneshot::channel();
-                s.pending.borrow_mut().insert(wr_id, tx);
-                s.outstanding.add(1);
-                // Every WR stays signaled: the client's completion router
-                // accounts outstanding IO per CQE, so a suppressed success
-                // would leak an outstanding count and a pending waiter.
-                wrs.push(BatchWr::read(
-                    wr_id,
-                    buf.slice(piece.buf_offset, piece.len),
-                    remote,
-                ));
-                regs.push((wr_id, rx));
-            }
-            let posted = {
-                let _scope = s.dev.ledger_scope(ledger);
-                qp.post_batch(&wrs)
-            };
-            match posted {
-                Ok(()) => {
-                    for ((piece, buf), (wr_id, rx)) in items.into_iter().zip(regs) {
-                        self.arm_backstop(wr_id, piece.len);
-                        s.dev.metrics().add("rstore.read_bytes", piece.len);
-                        waits.push((piece, buf, 0, false, rx));
-                    }
-                }
-                Err(_) => {
-                    // Nothing posted (post_batch validates before posting,
-                    // and a QP error rejects the whole list): unwind the
-                    // registrations and retry piece-by-piece.
-                    for ((piece, buf), (wr_id, _rx)) in items.into_iter().zip(regs) {
-                        s.pending.borrow_mut().remove(&wr_id);
-                        s.outstanding.done();
-                        retry.push((piece, buf, 0, false, CqStatus::Timeout));
-                    }
-                }
-            }
-        }
-        self.drain_reads(waits, retry, ledger).await
-    }
-
-    /// Awaits a round of posted reads and runs the replica-failover loop
-    /// until every piece has landed or some piece exhausts its replicas.
-    ///
-    /// A failed replica is first granted one reconnect retry — its QP may be
-    /// broken while the server is fine — and only advances to the next
-    /// replica once that retry fails or the re-dial is refused (backoff
-    /// gate, dead node). A piece that exhausts its replicas fails the read.
-    async fn drain_reads(
-        &self,
-        mut waits: Vec<ReadWait>,
-        mut retry: Vec<ReadRetry>,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let sim = &self.client.shared.sim;
-        let trace = ledger.optrace();
-        // One retry span covers the whole recovery tail: opened at the first
-        // failed piece, closed when the op settles. Individual WR waits and
-        // failover marks nest inside it, so the span's self-time is exactly
-        // the recovery overhead (redials, reposts) not explained by wire.
-        let mut retry_span = None;
-        let result = 'outer: loop {
-            // Each pass that awaits at least one posted completion is one
-            // round trip for the logical op (pieces in a round fly in
-            // parallel).
-            if !waits.is_empty() {
-                ledger.rtt();
-            }
-            for (piece, buf, replica, redialed, rx) in waits.drain(..) {
-                match rx.await {
-                    Some(CqStatus::Success) => {}
-                    Some(status) => retry.push((piece, buf, replica, redialed, status)),
-                    None => retry.push((piece, buf, replica, redialed, CqStatus::Flushed)),
-                }
-            }
-            if retry.is_empty() {
-                break Ok(());
-            }
-            if retry_span.is_none() && trace.enabled() {
-                retry_span = Some(trace.begin(Phase::Retry, sim.now()));
-            }
-            let failed = std::mem::take(&mut retry);
-            let mut next_round = Vec::new();
-            for (piece, buf, replica, redialed, status) in failed {
-                if !redialed {
-                    let node = self.extent(piece.group, replica).node;
-                    if self.client.redial(node).await.is_ok() {
-                        if let Ok(rx) = self.post_piece(&piece, buf, Dir::Read, replica, ledger) {
-                            ledger.retry();
-                            next_round.push((piece, buf, replica, true, rx));
-                            continue;
-                        }
-                    }
-                    // The reconnect retry is spent; advance next pass.
-                    retry.push((piece, buf, replica, true, status));
-                    continue;
-                }
-                let next = replica + 1;
-                if next >= self.replicas(piece.group) {
-                    break 'outer Err(RStoreError::Io(status));
-                }
-                ledger.failover();
-                trace.mark(Phase::Failover, sim.now());
-                match self.post_piece(&piece, buf, Dir::Read, next, ledger) {
-                    Ok(rx) => next_round.push((piece, buf, next, false, rx)),
-                    Err(_) => retry.push((piece, buf, next, false, status)),
-                }
-            }
-            waits = next_round;
-        };
-        if let Some(tok) = retry_span {
-            trace.end(tok, sim.now());
-        }
-        result
+        self.with_revalidate(ledger, || self.read_round(ios, ledger))
+            .await
     }
 
     /// Writes local buffer `src` at `offset` (to **all** replicas) and waits
@@ -752,563 +455,9 @@ impl Region {
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn write_from(&self, offset: u64, src: DmaBuf) -> Result<()> {
         let ledger = self.op_ledger(if self.checksums { "write_ck" } else { "write" });
-        let result = self.write_from_l(offset, src, &ledger).await;
+        let result = self.write_src(offset, src, None, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
-    }
-
-    /// [`write_from`](Self::write_from) charging an existing ledger. A
-    /// replica that answers `RemoteAccess` was sealed or migrated away:
-    /// the write revalidates the descriptor and retries once against the
-    /// refreshed placement (region writes are idempotent, so re-writing the
-    /// replicas that already succeeded is safe).
-    pub(crate) async fn write_from_l(
-        &self,
-        offset: u64,
-        src: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        match self.write_from_raw(offset, src, ledger).await {
-            Err(e) if is_stale(&e) => {
-                if self.revalidate(ledger).await.is_err() {
-                    return Err(e);
-                }
-                ledger.retry();
-                self.write_from_raw(offset, src, ledger).await
-            }
-            r => r,
-        }
-    }
-
-    async fn write_from_raw(&self, offset: u64, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
-        let s = &self.client.shared;
-        let _span = s
-            .sim
-            .tracer()
-            .span_arg("core", "rstore.write", s.dev.node().0 as u64, src.len);
-        if self.checksums {
-            return self.write_from_ck(offset, src, ledger).await;
-        }
-        let pieces = self.layout.borrow().pieces(offset, src.len)?;
-        if s.cfg.sge {
-            let fanout: usize = pieces.iter().map(|p| self.replicas(p.group)).sum();
-            if fanout > 1 {
-                return self.write_pieces_sge(&pieces, src, ledger).await;
-            }
-        }
-        let mut waits: Vec<(Piece, usize, oneshot::Receiver<CqStatus>)> = Vec::new();
-        let mut failed: Vec<(Piece, usize)> = Vec::new();
-        for piece in &pieces {
-            for r in 0..self.replicas(piece.group) {
-                match self.post_piece(piece, src, Dir::Write, r, ledger) {
-                    Ok(rx) => waits.push((*piece, r, rx)),
-                    Err(_) => failed.push((*piece, r)),
-                }
-            }
-        }
-        // All replicas of all pieces fly in parallel: one round trip.
-        if !waits.is_empty() {
-            ledger.rtt();
-        }
-        for (piece, r, rx) in waits {
-            if !matches!(rx.await, Some(CqStatus::Success)) {
-                failed.push((piece, r));
-            }
-        }
-        self.recover_failed_writes(failed, src, ledger).await
-    }
-
-    /// Scatter-gather write round: every (piece, replica) pair landing on
-    /// one memory server posts as one multi-element WR. A failed WR drops
-    /// all its pairs into the per-piece recovery round (writes are
-    /// idempotent, so re-writing pairs that already landed is safe).
-    async fn write_pieces_sge(
-        &self,
-        pieces: &[Piece],
-        src: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let mut by_node: BTreeMap<u32, Vec<SgeItem>> = BTreeMap::new();
-        for piece in pieces {
-            for r in 0..self.replicas(piece.group) {
-                let node = self.extent(piece.group, r).node;
-                by_node.entry(node).or_default().push((*piece, src, r));
-            }
-        }
-        let mut waits: Vec<(Vec<SgeItem>, oneshot::Receiver<CqStatus>)> = Vec::new();
-        let mut failed: Vec<(Piece, usize)> = Vec::new();
-        for group in by_node.into_values() {
-            for chunk in group.chunks(MAX_SGE) {
-                match self.post_piece_group(chunk, Dir::Write, ledger) {
-                    Ok(rx) => waits.push((chunk.to_vec(), rx)),
-                    Err(_) => failed.extend(chunk.iter().map(|&(p, _, r)| (p, r))),
-                }
-            }
-        }
-        if !waits.is_empty() {
-            ledger.rtt();
-        }
-        for (group, rx) in waits {
-            if !matches!(rx.await, Some(CqStatus::Success)) {
-                failed.extend(group.into_iter().map(|(p, _, r)| (p, r)));
-            }
-        }
-        self.recover_failed_writes(failed, src, ledger).await
-    }
-
-    /// Recovery round shared by the per-piece and scatter-gather write
-    /// paths: a write must reach every replica, so each failed
-    /// (piece, replica) gets one re-dial plus repost; a replica that
-    /// stays unreachable fails the IO.
-    async fn recover_failed_writes(
-        &self,
-        failed: Vec<(Piece, usize)>,
-        src: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        if failed.is_empty() {
-            return Ok(());
-        }
-        let sim = &self.client.shared.sim;
-        let trace = ledger.optrace();
-        let span = trace.begin(Phase::Retry, sim.now());
-        let result = async {
-            for (piece, r) in failed {
-                let node = self.extent(piece.group, r).node;
-                if self.client.redial(node).await.is_err() {
-                    return Err(RStoreError::Io(CqStatus::Timeout));
-                }
-                let Ok(rx) = self.post_piece(&piece, src, Dir::Write, r, ledger) else {
-                    return Err(RStoreError::Io(CqStatus::Timeout));
-                };
-                ledger.retry();
-                ledger.rtt();
-                match rx.await {
-                    Some(CqStatus::Success) => {}
-                    Some(status) => return Err(RStoreError::Io(status)),
-                    None => return Err(RStoreError::Io(CqStatus::Flushed)),
-                }
-            }
-            Ok(())
-        }
-        .await;
-        trace.end(span, sim.now());
-        result
-    }
-
-    // --- verified (checksummed) paths -----------------------------------------
-
-    /// Verified read for checksummed regions: every touched stripe is read
-    /// in full (data + trailer) from one replica, its CRC32C re-verified
-    /// client-side, and only then is the requested sub-range copied into
-    /// `dst`. A replica that fails verification is treated like a failed
-    /// replica: the read fails over to the next one and the bad extent is
-    /// reported to the master in the background so the repair task can
-    /// re-replicate it.
-    ///
-    /// Stripes are verified in a pipeline: up to
-    /// [`ClientConfig::pipeline_depth`](crate::client::ClientConfig::pipeline_depth)
-    /// stripe reads are kept in flight at once, so verification of one
-    /// stripe overlaps the fabric round trip of the next instead of
-    /// post→await→post serialization.
-    async fn read_into_ck(&self, offset: u64, dst: DmaBuf, ledger: &OpLedger) -> Result<()> {
-        let pieces = self.layout.borrow().pieces(offset, dst.len)?;
-        if self.client.shared.cfg.sge && pieces.len() > 1 {
-            return self.read_into_ck_sge(pieces, dst, ledger).await;
-        }
-        let ledger = ledger.clone();
-        self.pipeline_ck(pieces, move |this, piece| {
-            let ledger = ledger.clone();
-            async move { this.read_piece_verified(&piece, dst, &ledger).await }
-        })
-        .await
-    }
-
-    /// Scatter-gather variant of the verified read: the full-stripe fetches
-    /// (data + trailer each) of all touched stripes are grouped by memory
-    /// server and posted as one multi-element WR per group — one doorbell
-    /// and one CQE where the pipelined path posts one WR per stripe.
-    /// Verification stays client-side per stripe; any stripe whose group WR
-    /// failed or whose CRC does not match falls back to
-    /// [`read_piece_verified`](Self::read_piece_verified), which re-reads
-    /// with the usual per-replica failover and corruption reporting.
-    async fn read_into_ck_sge(
-        &self,
-        pieces: Vec<Piece>,
-        dst: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let full: Vec<Piece> = pieces
-            .iter()
-            .map(|p| Piece {
-                group: p.group,
-                offset_in_stripe: 0,
-                len: self.stripe_len(p.group) + CK_BYTES,
-                buf_offset: 0,
-            })
-            .collect();
-        let mut stagings = Vec::with_capacity(pieces.len());
-        for f in &full {
-            stagings.push(self.take_staging(f.len)?);
-        }
-        let result = async {
-            let mut by_node: BTreeMap<u32, Vec<usize>> = BTreeMap::new();
-            for (i, p) in pieces.iter().enumerate() {
-                by_node
-                    .entry(self.extent(p.group, 0).node)
-                    .or_default()
-                    .push(i);
-            }
-            let mut waits: Vec<(Vec<usize>, oneshot::Receiver<CqStatus>)> = Vec::new();
-            let mut fallback: Vec<usize> = Vec::new();
-            for idxs in by_node.into_values() {
-                for chunk in idxs.chunks(MAX_SGE) {
-                    let items: Vec<SgeItem> =
-                        chunk.iter().map(|&i| (full[i], stagings[i], 0)).collect();
-                    match self.post_piece_group(&items, Dir::Read, ledger) {
-                        Ok(rx) => waits.push((chunk.to_vec(), rx)),
-                        Err(_) => fallback.extend_from_slice(chunk),
-                    }
-                }
-            }
-            if !waits.is_empty() {
-                ledger.rtt();
-            }
-            for (idxs, rx) in waits {
-                let status = rx.await.unwrap_or(CqStatus::Flushed);
-                for &i in &idxs {
-                    if status != CqStatus::Success
-                        || !self.verify_and_copy_stripe(&pieces[i], stagings[i], dst)?
-                    {
-                        fallback.push(i);
-                    }
-                }
-            }
-            // Fallback: the per-stripe verified read owns failover,
-            // corruption accounting, and master reporting.
-            for i in fallback {
-                ledger.retry();
-                self.read_piece_verified(&pieces[i], dst, ledger).await?;
-            }
-            Ok(())
-        }
-        .await;
-        for staging in stagings {
-            self.put_staging(staging);
-        }
-        result
-    }
-
-    /// Verifies a full stripe sitting in `staging` (data + trailer) and, on
-    /// a CRC match, copies the `want` sub-range into `dst`. Returns
-    /// `Ok(false)` on a mismatch — the caller decides how to recover.
-    fn verify_and_copy_stripe(&self, want: &Piece, staging: DmaBuf, dst: DmaBuf) -> Result<bool> {
-        let s = &self.client.shared;
-        let stripe_len = self.stripe_len(want.group) as usize;
-        let mut scratch = self.pool.scratch.borrow_mut();
-        scratch.resize(stripe_len + CK_BYTES as usize, 0);
-        s.dev.read_mem_into(staging.addr, &mut scratch[..])?;
-        let stored = u64::from_le_bytes(
-            scratch[stripe_len..]
-                .try_into()
-                .expect("trailer is 8 bytes"),
-        );
-        if crc32c(&scratch[..stripe_len]) as u64 != stored {
-            return Ok(false);
-        }
-        let lo = want.offset_in_stripe as usize;
-        s.dev.write_mem(
-            dst.addr + want.buf_offset,
-            &scratch[lo..lo + want.len as usize],
-        )?;
-        Ok(true)
-    }
-
-    /// Runs `op` once per stripe piece under a bounded in-flight window of
-    /// [`ClientConfig::pipeline_depth`](crate::client::ClientConfig::pipeline_depth)
-    /// stripes — the pipelining engine behind both verified paths. Pieces
-    /// are issued in order and a failure stops further issue, so at depth 1
-    /// this is exactly the serial post→await→post loop, including which
-    /// stripe's error surfaces: results are joined in piece order and the
-    /// first error wins.
-    async fn pipeline_ck<F, Fut>(&self, pieces: Vec<Piece>, op: F) -> Result<()>
-    where
-        F: Fn(Region, Piece) -> Fut + 'static,
-        Fut: std::future::Future<Output = Result<()>> + 'static,
-    {
-        let s = &self.client.shared;
-        let depth = s.cfg.pipeline_depth.max(1);
-        if pieces.len() <= 1 || depth == 1 {
-            for piece in pieces {
-                op(self.clone(), piece).await?;
-            }
-            return Ok(());
-        }
-        let sem = Semaphore::new(depth);
-        let failed = Rc::new(Cell::new(false));
-        let inflight = Rc::new(Cell::new(0u64));
-        let peak = Rc::new(Cell::new(0u64));
-        let op = Rc::new(op);
-        let mut handles = Vec::with_capacity(pieces.len());
-        for piece in pieces {
-            sem.acquire().await;
-            if failed.get() {
-                // A stripe already failed; issuing more work would be
-                // wasted. Joining below surfaces the in-order error.
-                sem.release();
-                break;
-            }
-            inflight.set(inflight.get() + 1);
-            peak.set(peak.get().max(inflight.get()));
-            let (sem, failed, inflight) = (sem.clone(), failed.clone(), inflight.clone());
-            let (op, this) = (op.clone(), self.clone());
-            handles.push(s.sim.spawn(async move {
-                let result = op(this, piece).await;
-                if result.is_err() {
-                    failed.set(true);
-                }
-                inflight.set(inflight.get() - 1);
-                sem.release();
-                result
-            }));
-        }
-        // Track the deepest window any pipelined IO reached this run.
-        let metrics = s.dev.metrics();
-        let seen = metrics.counter("rstore.pipeline.inflight_max");
-        if peak.get() > seen {
-            metrics.add("rstore.pipeline.inflight_max", peak.get() - seen);
-        }
-        for result in sim::join_all(handles).await {
-            result?;
-        }
-        Ok(())
-    }
-
-    /// Reads and verifies the stripe containing `want`, then copies the
-    /// requested sub-range into `dst`.
-    async fn read_piece_verified(
-        &self,
-        want: &Piece,
-        dst: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let stripe_len = self.stripe_len(want.group);
-        let staging = self.take_staging(stripe_len + CK_BYTES)?;
-        let result = self
-            .read_piece_verified_into(want, dst, staging, ledger)
-            .await;
-        self.put_staging(staging);
-        result
-    }
-
-    /// The failover loop behind [`read_piece_verified`](Self::read_piece_verified).
-    /// `staging` must hold the full stripe plus trailer; `dst` may alias it
-    /// (used by the read-modify-write path, where the verified stripe is
-    /// wanted in place).
-    async fn read_piece_verified_into(
-        &self,
-        want: &Piece,
-        dst: DmaBuf,
-        staging: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let s = &self.client.shared;
-        let stripe_len = self.stripe_len(want.group) as usize;
-        let full = Piece {
-            group: want.group,
-            offset_in_stripe: 0,
-            len: stripe_len as u64 + CK_BYTES,
-            buf_offset: 0,
-        };
-        let mut bad_node: Option<u32> = None;
-        // If any replica rejects the rkey, remember it: a read that then
-        // exhausts its replicas must surface `RemoteAccess` — the stale-
-        // descriptor signal the revalidation wrapper retries on — rather
-        // than a generic timeout (or, worse, a corruption misdiagnosis).
-        let mut access_denied = false;
-        let mut replica = 0usize;
-        let mut redialed = false;
-        while replica < self.replicas(want.group) {
-            let status = match self.post_piece(&full, staging, Dir::Read, replica, ledger) {
-                Ok(rx) => {
-                    ledger.rtt();
-                    rx.await.unwrap_or(CqStatus::Flushed)
-                }
-                Err(_) => CqStatus::Timeout,
-            };
-            access_denied |= status == CqStatus::RemoteAccess;
-            if status == CqStatus::Success {
-                if self.verify_and_copy_stripe(want, staging, dst)? {
-                    return Ok(());
-                }
-                // Checksum mismatch: treat like a replica failure — record
-                // it, tell the master (fire-and-forget; the data path must
-                // not block on the control path), and fail over.
-                let node = self.extent(want.group, replica).node;
-                ledger.verify_failure();
-                ledger.failover();
-                s.dev.metrics().incr("integrity.read_mismatch");
-                s.sim.tracer().instant(
-                    "core",
-                    "rstore.read.corrupt",
-                    node as u64,
-                    want.group as u64,
-                );
-                bad_node = Some(node);
-                let client = self.client.clone();
-                let name = self.name().to_owned();
-                let (g, r) = (want.group as u32, replica as u32);
-                s.sim.spawn(async move {
-                    let _ = client.report_corruption(&name, g, r, node).await;
-                });
-                replica += 1;
-                redialed = false;
-                continue;
-            }
-            // IO failure: one reconnect retry per replica, then advance.
-            if !redialed {
-                redialed = true;
-                let node = self.extent(want.group, replica).node;
-                if self.client.redial(node).await.is_ok() {
-                    ledger.retry();
-                    continue;
-                }
-            }
-            ledger.failover();
-            replica += 1;
-            redialed = false;
-        }
-        if access_denied {
-            return Err(RStoreError::Io(CqStatus::RemoteAccess));
-        }
-        match bad_node {
-            Some(node) => Err(RStoreError::CorruptionDetected {
-                node,
-                region: self.name().to_owned(),
-                stripe: want.group as u64,
-            }),
-            None => Err(RStoreError::Io(CqStatus::Timeout)),
-        }
-    }
-
-    /// Verified write for checksummed regions: each touched stripe is
-    /// assembled in full in a staging buffer (partial writes first read the
-    /// stripe's current content back through the verified read path), the
-    /// CRC32C is recomputed into the trailer, and the whole stripe plus
-    /// trailer is written to every replica. Concurrent writers to the same
-    /// stripe must be serialized by the application, as with any
-    /// non-transactional store. Distinct stripes of one call are pipelined
-    /// like verified reads (up to `pipeline_depth` in flight), so stripes
-    /// may commit in any order — unchanged from the API contract, which
-    /// never promised cross-stripe ordering within a write.
-    async fn write_from_ck(&self, offset: u64, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
-        let pieces = self.layout.borrow().pieces(offset, src.len)?;
-        let ledger = ledger.clone();
-        self.pipeline_ck(pieces, move |this, piece| {
-            let ledger = ledger.clone();
-            async move { this.write_piece_ck(&piece, src, &ledger).await }
-        })
-        .await
-    }
-
-    /// Assembles and replicates one checksummed stripe: optional verified
-    /// read-modify-write fill, overlay of the new bytes, trailer recompute,
-    /// then a write to every replica.
-    async fn write_piece_ck(&self, piece: &Piece, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
-        let dev = self.client.shared.dev.clone();
-        let stripe_len = self.stripe_len(piece.group);
-        let full = Piece {
-            group: piece.group,
-            offset_in_stripe: 0,
-            len: stripe_len + CK_BYTES,
-            buf_offset: 0,
-        };
-        let staging = self.take_staging(full.len)?;
-        let result = async {
-            if piece.len < stripe_len {
-                // Read-modify-write: fetch the stripe's current content
-                // (verified, with failover) to fill the bytes this
-                // write does not cover.
-                let cur = Piece {
-                    group: piece.group,
-                    offset_in_stripe: 0,
-                    len: stripe_len,
-                    buf_offset: 0,
-                };
-                self.read_piece_verified_into(&cur, staging, staging, ledger)
-                    .await?;
-            }
-            // Overlay the new data and recompute the trailer, bouncing
-            // through the pooled host scratch (no per-op allocation).
-            {
-                let mut scratch = self.pool.scratch.borrow_mut();
-                scratch.resize(piece.len as usize, 0);
-                dev.read_mem_into(src.addr + piece.buf_offset, &mut scratch[..])?;
-                dev.write_mem(staging.addr + piece.offset_in_stripe, &scratch[..])?;
-                scratch.resize(stripe_len as usize, 0);
-                dev.read_mem_into(staging.addr, &mut scratch[..])?;
-                let trailer = (crc32c(&scratch[..]) as u64).to_le_bytes();
-                dev.write_mem(staging.addr + stripe_len, &trailer)?;
-            }
-            self.write_piece_all_replicas(&full, staging, ledger).await
-        }
-        .await;
-        self.put_staging(staging);
-        result
-    }
-
-    /// Writes one (full-stripe) piece to every replica, mirroring
-    /// [`write_from`](Self::write_from)'s recovery round: each failed
-    /// replica gets one re-dial plus repost, and a replica that stays
-    /// unreachable fails the IO.
-    async fn write_piece_all_replicas(
-        &self,
-        piece: &Piece,
-        buf: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let mut waits = Vec::new();
-        let mut failed = Vec::new();
-        for r in 0..self.replicas(piece.group) {
-            match self.post_piece(piece, buf, Dir::Write, r, ledger) {
-                Ok(rx) => waits.push((r, rx)),
-                Err(_) => failed.push(r),
-            }
-        }
-        if !waits.is_empty() {
-            ledger.rtt();
-        }
-        for (r, rx) in waits {
-            if !matches!(rx.await, Some(CqStatus::Success)) {
-                failed.push(r);
-            }
-        }
-        // Repost to every failed replica before awaiting any of the
-        // reposts, so recovery of N replicas costs one round trip, not N.
-        // (Re-dials stay sequential — they are control path and rare.)
-        let mut reposts = Vec::new();
-        for r in failed {
-            let node = self.extent(piece.group, r).node;
-            if self.client.redial(node).await.is_err() {
-                return Err(RStoreError::Io(CqStatus::Timeout));
-            }
-            let Ok(rx) = self.post_piece(piece, buf, Dir::Write, r, ledger) else {
-                return Err(RStoreError::Io(CqStatus::Timeout));
-            };
-            ledger.retry();
-            reposts.push(rx);
-        }
-        if !reposts.is_empty() {
-            ledger.rtt();
-        }
-        for rx in reposts {
-            match rx.await {
-                Some(CqStatus::Success) => {}
-                Some(status) => return Err(RStoreError::Io(status)),
-                None => return Err(RStoreError::Io(CqStatus::Flushed)),
-            }
-        }
-        Ok(())
     }
 
     /// Posts a read without waiting (no failover, and — unlike
@@ -1341,159 +490,591 @@ impl Region {
                 "zero-copy writes bypass checksum maintenance on checksummed regions".into(),
             ));
         }
-        let pieces = self.layout.borrow().pieces(offset, buf.len)?;
-        let mut rxs = Vec::new();
-        let mut failed = false;
-        for piece in &pieces {
-            let replicas = match dir {
-                Dir::Read => 1,
-                Dir::Write => self.replicas(piece.group),
-            };
-            for r in 0..replicas {
-                // The zero-copy API has no logical-op boundary to attribute
-                // to; its WRs stay unledgered.
-                match self.post_piece(piece, buf, dir, r, &OpLedger::disabled()) {
-                    Ok(rx) => rxs.push(rx),
-                    Err(_) => failed = true,
-                }
-            }
-        }
+        let mut plan = self.plan(&[(offset, buf)], dir == Dir::Write)?;
+        // The zero-copy API has no logical-op boundary to attribute to; its
+        // WRs stay unledgered.
+        let (waits, failed) = self.post_plan(dir, &mut plan, None, &OpLedger::disabled());
         Ok(IoHandle {
-            rxs,
-            post_failed: failed,
+            rxs: waits.into_iter().map(|(_, rx)| rx).collect(),
+            post_failed: !failed.is_empty(),
         })
     }
 
-    /// Posts one piece against one replica, returning the completion
-    /// receiver.
-    fn post_piece(
-        &self,
-        piece: &Piece,
-        buf: DmaBuf,
-        dir: Dir,
-        replica: usize,
-        ledger: &OpLedger,
-    ) -> Result<oneshot::Receiver<CqStatus>> {
-        let s = &self.client.shared;
-        let extent = self.extent(piece.group, replica);
-        let conns = s.conns.borrow();
-        let qp = conns
-            .get(&extent.node)
-            .ok_or(RStoreError::Rdma(RdmaError::QpError))?;
+    // --- one round per direction --------------------------------------------------
 
-        let remote = rdma::RemoteAddr {
-            addr: extent.addr + piece.offset_in_stripe,
-            rkey: rdma::RKey(extent.rkey),
+    /// One read round: plan every pair, post, then run the replica-failover
+    /// loop over whatever failed.
+    async fn read_round(&self, ios: &[(u64, DmaBuf)], ledger: &OpLedger) -> Result<()> {
+        let s = &self.client.shared;
+        let (name, arg) = match ios {
+            [(_, dst)] => ("rstore.read", dst.len),
+            _ => ("rstore.read_many", ios.len() as u64),
         };
-        let local = buf.slice(piece.buf_offset, piece.len);
-        let wr_id = s.next_wr.get();
-        s.next_wr.set(wr_id + 1);
-        let (tx, rx) = oneshot::channel();
-        s.pending.borrow_mut().insert(wr_id, tx);
-        s.outstanding.add(1);
-        let posted = {
-            let _scope = s.dev.ledger_scope(ledger);
-            match dir {
-                Dir::Read => qp.post_read(wr_id, local, remote),
-                Dir::Write => qp.post_write(wr_id, local, remote),
+        let _span = s
+            .sim
+            .tracer()
+            .span_arg("core", name, s.dev.node().0 as u64, arg);
+        let plan = self.plan(ios, false)?;
+        if self.checksums {
+            let verify = |this: Region, x: Xfer, ledger: OpLedger| async move {
+                this.read_piece_verified(&x.piece, x.buf, &ledger).await
+            };
+            return self.pipeline_ck(plan, ledger, verify).await;
+        }
+        let failed = self.post_round(Dir::Read, plan, None, ledger).await;
+        self.drain_reads(failed, ledger).await
+    }
+
+    /// Writes `src` (or, for an inline write, the host bytes `inline`) at
+    /// `offset`: one write round under stale-descriptor revalidation.
+    async fn write_src(
+        &self,
+        offset: u64,
+        src: DmaBuf,
+        inline: Option<&[u8]>,
+        ledger: &OpLedger,
+    ) -> Result<()> {
+        self.with_revalidate(ledger, || self.write_round(offset, src, inline, ledger))
+            .await
+    }
+
+    /// One write round: plan every (piece, replica), post, then run the
+    /// recovery round over whatever failed.
+    async fn write_round(
+        &self,
+        offset: u64,
+        src: DmaBuf,
+        inline: Option<&[u8]>,
+        ledger: &OpLedger,
+    ) -> Result<()> {
+        let s = &self.client.shared;
+        let _span = s
+            .sim
+            .tracer()
+            .span_arg("core", "rstore.write", s.dev.node().0 as u64, src.len);
+        let plan = self.plan(&[(offset, src)], !self.checksums)?;
+        if self.checksums {
+            let assemble = |this: Region, x: Xfer, ledger: OpLedger| async move {
+                this.write_piece_ck(&x.piece, x.buf, &ledger).await
+            };
+            return self.pipeline_ck(plan, ledger, assemble).await;
+        }
+        self.write_xfers(plan, inline, ledger).await
+    }
+
+    /// Plans `ios` into per-stripe transfers, in logical order: against the
+    /// primary replica only, or (`all_replicas`, what a plain write needs)
+    /// against every replica of every touched stripe. An out-of-range pair
+    /// fails the whole plan, so nothing has posted yet.
+    fn plan(&self, ios: &[(u64, DmaBuf)], all_replicas: bool) -> Result<Vec<Xfer>> {
+        let layout = self.layout.borrow();
+        let mut plan = Vec::new();
+        for &(offset, buf) in ios {
+            for piece in layout.piece_iter(offset, buf.len)? {
+                let replicas = if all_replicas {
+                    self.replicas(piece.group)
+                } else {
+                    1
+                };
+                plan.extend((0..replicas).map(|replica| Xfer {
+                    piece,
+                    buf,
+                    replica,
+                    redialed: false,
+                }));
+            }
+        }
+        Ok(plan)
+    }
+
+    /// Posts a plan without waiting, returning the posted WRs (each with the
+    /// transfers it covers) and the transfers whose WR could not be posted.
+    ///
+    /// The one grouping rule lives here. A plan of two or more pieces on a
+    /// plain region is ordered by memory server and every server's
+    /// transfers post as ONE multi-element WR — one doorbell, one CQE — per
+    /// [`MAX_SGE`] of them. A single-piece plan (replicas of one stripe
+    /// never share a server, so there is nothing to group) and checksummed
+    /// IO post one WR per (stripe, replica), in plan order. Checksummed IO
+    /// is deliberately not grouped: its stripes are verified one by one as
+    /// they land, and the pipelined window measured faster than one grouped
+    /// fetch followed by verification (DESIGN.md, "Inline and
+    /// scatter-gather WRs").
+    fn post_plan<'p>(
+        &self,
+        dir: Dir,
+        plan: &'p mut [Xfer],
+        inline: Option<&[u8]>,
+        ledger: &OpLedger,
+    ) -> (Vec<Posted<'p>>, Vec<Failed>) {
+        let node = |x: &Xfer| self.extent(x.piece.group, x.replica).node;
+        let grouped = !self.checksums && plan.iter().filter(|x| x.replica == 0).count() >= 2;
+        if grouped {
+            plan.sort_by_key(node);
+        }
+        let plan: &'p [Xfer] = plan;
+        let mut waits = Vec::new();
+        let mut failed = Vec::new();
+        for run in plan.chunk_by(|a, b| grouped && node(a) == node(b)) {
+            for xfers in run.chunks(MAX_SGE) {
+                match self.post(dir, xfers, inline, ledger) {
+                    Ok(rx) => waits.push((xfers, rx)),
+                    // Nothing posted; the failover/recovery pass grants the
+                    // usual re-dial retry.
+                    Err(_) => failed.extend(xfers.iter().map(|&x| (x, CqStatus::Timeout))),
+                }
+            }
+        }
+        (waits, failed)
+    }
+
+    /// Posts a plan and awaits the round — one round trip for the logical
+    /// op, since everything in it flies in parallel. Returns the transfers
+    /// that failed, each with the status that failed it (a multi-element
+    /// WR's CQE folds the first failing element's status over all of them).
+    async fn post_round(
+        &self,
+        dir: Dir,
+        mut plan: Vec<Xfer>,
+        inline: Option<&[u8]>,
+        ledger: &OpLedger,
+    ) -> Vec<Failed> {
+        let (waits, mut failed) = self.post_plan(dir, &mut plan, inline, ledger);
+        if !waits.is_empty() {
+            ledger.rtt();
+        }
+        for (xfers, rx) in waits {
+            let status = rx.await.unwrap_or(CqStatus::Flushed);
+            if status != CqStatus::Success {
+                failed.extend(xfers.iter().map(|&x| (x, status)));
+            }
+        }
+        failed
+    }
+
+    /// The replica-failover loop behind every plain read: runs until every
+    /// failed piece has landed or some piece exhausts its replicas.
+    ///
+    /// A failed replica is first granted one reconnect retry — its QP may be
+    /// broken while the server is fine — and only advances to the next
+    /// replica once that retry fails or the re-dial is refused (backoff
+    /// gate, dead node). A piece that exhausts its replicas fails the read
+    /// with the status that sent it here, so the caller sees *why* (e.g.
+    /// `RemoteAccess` when every replica rejected the rkey — the signal a
+    /// region was freed under the reader) instead of a generic timeout.
+    async fn drain_reads(&self, mut failed: Vec<Failed>, ledger: &OpLedger) -> Result<()> {
+        if failed.is_empty() {
+            return Ok(());
+        }
+        let sim = &self.client.shared.sim;
+        let trace = ledger.optrace();
+        // One retry span covers the whole recovery tail. Individual WR waits
+        // and failover marks nest inside it, so the span's self-time is
+        // exactly the recovery overhead (redials, reposts) not explained by
+        // wire.
+        let retry_span = trace.begin(Phase::Retry, sim.now());
+        let result = 'outer: loop {
+            let mut waits = Vec::new();
+            for (mut x, status) in std::mem::take(&mut failed) {
+                if !x.redialed {
+                    x.redialed = true;
+                    let node = self.extent(x.piece.group, x.replica).node;
+                    if self.client.redial(node).await.is_ok() {
+                        if let Ok(rx) = self.post(Dir::Read, &[x], None, ledger) {
+                            ledger.retry();
+                            waits.push((x, rx));
+                            continue;
+                        }
+                    }
+                    // The reconnect retry is spent; advance next pass.
+                    failed.push((x, status));
+                    continue;
+                }
+                x.replica += 1;
+                x.redialed = false;
+                if x.replica >= self.replicas(x.piece.group) {
+                    break 'outer Err(RStoreError::Io(status));
+                }
+                ledger.failover();
+                trace.mark(Phase::Failover, sim.now());
+                match self.post(Dir::Read, &[x], None, ledger) {
+                    Ok(rx) => waits.push((x, rx)),
+                    Err(_) => failed.push((x, status)),
+                }
+            }
+            // Each pass that awaits at least one posted completion is one
+            // more round trip for the logical op.
+            if !waits.is_empty() {
+                ledger.rtt();
+            }
+            for (x, rx) in waits {
+                let status = rx.await.unwrap_or(CqStatus::Flushed);
+                if status != CqStatus::Success {
+                    failed.push((x, status));
+                }
+            }
+            if failed.is_empty() {
+                break Ok(());
             }
         };
-        if let Err(e) = posted {
-            s.pending.borrow_mut().remove(&wr_id);
-            s.outstanding.done();
-            return Err(e.into());
-        }
-        self.arm_backstop(wr_id, piece.len);
-        let metric = match dir {
-            Dir::Read => "rstore.read_bytes",
-            Dir::Write => "rstore.write_bytes",
-        };
-        s.dev.metrics().add(metric, piece.len);
-        Ok(rx)
+        trace.end(retry_span, sim.now());
+        result
     }
 
-    /// Posts one *inline* WRITE WR for `piece` of replica `replica`: the
-    /// payload sub-slice is copied into the WQE at post time, so no local
-    /// DMA buffer exists for the NIC to fetch.
-    fn post_piece_inline(
+    /// Posts a planned write round, then the recovery round: a write must
+    /// reach every replica, so each failed transfer gets one re-dial plus
+    /// repost, and a replica that stays unreachable fails the IO. Every
+    /// repost is in flight before any is awaited, so recovering N replicas
+    /// costs one round trip, not N. (Re-dials stay sequential — they are
+    /// control path and rare.)
+    async fn write_xfers(
         &self,
-        piece: &Piece,
-        bytes: &[u8],
-        replica: usize,
+        plan: Vec<Xfer>,
+        inline: Option<&[u8]>,
         ledger: &OpLedger,
-    ) -> Result<oneshot::Receiver<CqStatus>> {
-        let s = &self.client.shared;
-        let extent = self.extent(piece.group, replica);
-        let conns = s.conns.borrow();
-        let qp = conns
-            .get(&extent.node)
-            .ok_or(RStoreError::Rdma(RdmaError::QpError))?;
-        let remote = rdma::RemoteAddr {
-            addr: extent.addr + piece.offset_in_stripe,
-            rkey: rdma::RKey(extent.rkey),
-        };
-        let sub = &bytes[piece.buf_offset as usize..(piece.buf_offset + piece.len) as usize];
-        let wr_id = s.next_wr.get();
-        s.next_wr.set(wr_id + 1);
-        let (tx, rx) = oneshot::channel();
-        s.pending.borrow_mut().insert(wr_id, tx);
-        s.outstanding.add(1);
-        let posted = {
-            let _scope = s.dev.ledger_scope(ledger);
-            qp.post_write_inline(wr_id, sub, remote)
-        };
-        if let Err(e) = posted {
-            s.pending.borrow_mut().remove(&wr_id);
-            s.outstanding.done();
-            return Err(e.into());
+    ) -> Result<()> {
+        let failed = self.post_round(Dir::Write, plan, inline, ledger).await;
+        if failed.is_empty() {
+            return Ok(());
         }
-        self.arm_backstop(wr_id, piece.len);
-        s.dev.metrics().add("rstore.write_bytes", piece.len);
-        Ok(rx)
+        let sim = &self.client.shared.sim;
+        let trace = ledger.optrace();
+        let span = trace.begin(Phase::Retry, sim.now());
+        let result = async {
+            let mut reposts = Vec::new();
+            for (x, _) in failed {
+                let node = self.extent(x.piece.group, x.replica).node;
+                if self.client.redial(node).await.is_err() {
+                    return Err(RStoreError::Io(CqStatus::Timeout));
+                }
+                let Ok(rx) = self.post(Dir::Write, &[x], inline, ledger) else {
+                    return Err(RStoreError::Io(CqStatus::Timeout));
+                };
+                ledger.retry();
+                reposts.push(rx);
+            }
+            ledger.rtt();
+            for rx in reposts {
+                match rx.await.unwrap_or(CqStatus::Flushed) {
+                    CqStatus::Success => {}
+                    status => return Err(RStoreError::Io(status)),
+                }
+            }
+            Ok(())
+        }
+        .await;
+        trace.end(span, sim.now());
+        result
     }
 
-    /// Posts one scatter-gather WR covering every `(piece, buffer, replica)`
-    /// item — the caller guarantees all items resolve to the same memory
-    /// server. One wr_id, one completion receiver, one doorbell.
-    fn post_piece_group(
+    // --- verified (checksummed) paths -----------------------------------------
+
+    /// Verifies a full stripe sitting in `staging` (data + trailer) and, on
+    /// a CRC match, copies the `want` sub-range into `dst`. Returns
+    /// `Ok(false)` on a mismatch — the caller decides how to recover.
+    fn verify_and_copy_stripe(&self, want: &Piece, staging: DmaBuf, dst: DmaBuf) -> Result<bool> {
+        let s = &self.client.shared;
+        let stripe_len = self.stripe_len(want.group) as usize;
+        let mut scratch = self.pool.scratch.borrow_mut();
+        scratch.resize(stripe_len + CK_BYTES as usize, 0);
+        s.dev.read_mem_into(staging.addr, &mut scratch[..])?;
+        let stored = u64::from_le_bytes(
+            scratch[stripe_len..]
+                .try_into()
+                .expect("trailer is 8 bytes"),
+        );
+        if crc32c(&scratch[..stripe_len]) as u64 != stored {
+            return Ok(false);
+        }
+        let lo = want.offset_in_stripe as usize;
+        s.dev.write_mem(
+            dst.addr + want.buf_offset,
+            &scratch[lo..lo + want.len as usize],
+        )?;
+        Ok(true)
+    }
+
+    /// Runs `op` once per planned stripe piece under a bounded in-flight
+    /// window of
+    /// [`ClientConfig::pipeline_depth`](crate::client::ClientConfig::pipeline_depth)
+    /// stripes — the only path checksummed IO takes. Keeping several stripes
+    /// in flight overlaps the verification of one with the fabric round
+    /// trip of the next. Pieces are issued in order and a failure stops
+    /// further issue, so at depth 1 this is exactly the serial
+    /// post→await→post loop, including which stripe's error surfaces:
+    /// results are joined in piece order and the first error wins.
+    async fn pipeline_ck<F, Fut>(&self, plan: Vec<Xfer>, ledger: &OpLedger, op: F) -> Result<()>
+    where
+        F: Fn(Region, Xfer, OpLedger) -> Fut + 'static,
+        Fut: Future<Output = Result<()>> + 'static,
+    {
+        let s = &self.client.shared;
+        let depth = s.cfg.pipeline_depth.max(1);
+        if plan.len() <= 1 || depth == 1 {
+            for x in plan {
+                op(self.clone(), x, ledger.clone()).await?;
+            }
+            return Ok(());
+        }
+        let sem = Semaphore::new(depth);
+        let failed = Rc::new(Cell::new(false));
+        let inflight = Rc::new(Cell::new(0u64));
+        let peak = Rc::new(Cell::new(0u64));
+        let op = Rc::new(op);
+        let mut handles = Vec::with_capacity(plan.len());
+        for x in plan {
+            sem.acquire().await;
+            if failed.get() {
+                // A stripe already failed; issuing more work would be
+                // wasted. Joining below surfaces the in-order error.
+                sem.release();
+                break;
+            }
+            inflight.set(inflight.get() + 1);
+            peak.set(peak.get().max(inflight.get()));
+            let (sem, failed, inflight) = (sem.clone(), failed.clone(), inflight.clone());
+            let (op, this, ledger) = (op.clone(), self.clone(), ledger.clone());
+            handles.push(s.sim.spawn(async move {
+                let result = op(this, x, ledger).await;
+                if result.is_err() {
+                    failed.set(true);
+                }
+                inflight.set(inflight.get() - 1);
+                sem.release();
+                result
+            }));
+        }
+        // Track the deepest window any pipelined IO reached this run.
+        let metrics = s.dev.metrics();
+        let seen = metrics.counter("rstore.pipeline.inflight_max");
+        if peak.get() > seen {
+            metrics.add("rstore.pipeline.inflight_max", peak.get() - seen);
+        }
+        for result in sim::join_all(handles).await {
+            result?;
+        }
+        Ok(())
+    }
+
+    /// Verified read of one stripe: the stripe containing `want` is read in
+    /// full (data + trailer) from one replica, its CRC32C re-verified
+    /// client-side, and only then is the requested sub-range copied into
+    /// `dst`.
+    async fn read_piece_verified(
         &self,
-        items: &[SgeItem],
+        want: &Piece,
+        dst: DmaBuf,
+        ledger: &OpLedger,
+    ) -> Result<()> {
+        let len = self.stripe_len(want.group) + CK_BYTES;
+        self.with_staging(len, |staging| {
+            self.read_piece_verified_into(want, dst, staging, ledger)
+        })
+        .await
+    }
+
+    /// The failover loop behind [`read_piece_verified`](Self::read_piece_verified).
+    /// A replica that fails verification is treated like a failed replica:
+    /// the read fails over to the next one and the bad extent is reported to
+    /// the master in the background so the repair task can re-replicate it.
+    /// `staging` must hold the full stripe plus trailer; `dst` may alias it
+    /// (used by the read-modify-write path, where the verified stripe is
+    /// wanted in place).
+    async fn read_piece_verified_into(
+        &self,
+        want: &Piece,
+        dst: DmaBuf,
+        staging: DmaBuf,
+        ledger: &OpLedger,
+    ) -> Result<()> {
+        let s = &self.client.shared;
+        let mut full = Xfer {
+            piece: self.full_stripe(want.group),
+            buf: staging,
+            replica: 0,
+            redialed: false,
+        };
+        let mut bad_node: Option<u32> = None;
+        // If any replica rejects the rkey, remember it: a read that then
+        // exhausts its replicas must surface `RemoteAccess` — the stale-
+        // descriptor signal the revalidation wrapper retries on — rather
+        // than a generic timeout (or, worse, a corruption misdiagnosis).
+        let mut access_denied = false;
+        while full.replica < self.replicas(want.group) {
+            let status = match self.post(Dir::Read, &[full], None, ledger) {
+                Ok(rx) => {
+                    ledger.rtt();
+                    rx.await.unwrap_or(CqStatus::Flushed)
+                }
+                Err(_) => CqStatus::Timeout,
+            };
+            access_denied |= status == CqStatus::RemoteAccess;
+            let node = self.extent(want.group, full.replica).node;
+            if status == CqStatus::Success {
+                if self.verify_and_copy_stripe(want, staging, dst)? {
+                    return Ok(());
+                }
+                // Checksum mismatch: treat like a replica failure — record
+                // it, tell the master (fire-and-forget; the data path must
+                // not block on the control path), and fail over.
+                ledger.verify_failure();
+                s.dev.metrics().incr("integrity.read_mismatch");
+                s.sim.tracer().instant(
+                    "core",
+                    "rstore.read.corrupt",
+                    node as u64,
+                    want.group as u64,
+                );
+                bad_node = Some(node);
+                let client = self.client.clone();
+                let name = self.name().to_owned();
+                let (g, r) = (want.group as u32, full.replica as u32);
+                s.sim.spawn(async move {
+                    let _ = client.report_corruption(&name, g, r, node).await;
+                });
+            } else if !full.redialed {
+                // IO failure: one reconnect retry per replica, then advance.
+                full.redialed = true;
+                if self.client.redial(node).await.is_ok() {
+                    ledger.retry();
+                    continue;
+                }
+            }
+            ledger.failover();
+            full.replica += 1;
+            full.redialed = false;
+        }
+        if access_denied {
+            return Err(RStoreError::Io(CqStatus::RemoteAccess));
+        }
+        match bad_node {
+            Some(node) => Err(RStoreError::CorruptionDetected {
+                node,
+                region: self.name().to_owned(),
+                stripe: want.group as u64,
+            }),
+            None => Err(RStoreError::Io(CqStatus::Timeout)),
+        }
+    }
+
+    /// The piece covering all of stripe `group` plus its checksum trailer.
+    fn full_stripe(&self, group: usize) -> Piece {
+        Piece {
+            group,
+            offset_in_stripe: 0,
+            len: self.stripe_len(group) + CK_BYTES,
+            buf_offset: 0,
+        }
+    }
+
+    /// Verified write of one checksummed stripe: the stripe is assembled in
+    /// full in a staging buffer (a partial write first reads the stripe's
+    /// current content back through the verified read path), the CRC32C is
+    /// recomputed into the trailer, and the whole stripe plus trailer is
+    /// written to every replica. Concurrent writers to the same stripe must
+    /// be serialized by the application, as with any non-transactional
+    /// store; distinct stripes of one call are pipelined, so they may commit
+    /// in any order — the API never promised cross-stripe ordering within a
+    /// write.
+    async fn write_piece_ck(&self, piece: &Piece, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
+        let dev = &self.client.shared.dev;
+        let stripe_len = self.stripe_len(piece.group);
+        let full = self.full_stripe(piece.group);
+        self.with_staging(full.len, |staging| async move {
+            if piece.len < stripe_len {
+                // Read-modify-write: fetch the stripe's current content
+                // (verified, with failover) to fill the bytes this
+                // write does not cover.
+                let cur = Piece {
+                    len: stripe_len,
+                    ..full
+                };
+                self.read_piece_verified_into(&cur, staging, staging, ledger)
+                    .await?;
+            }
+            // Overlay the new data and recompute the trailer, bouncing
+            // through the pooled host scratch (no per-op allocation).
+            {
+                let mut scratch = self.pool.scratch.borrow_mut();
+                scratch.resize(piece.len as usize, 0);
+                dev.read_mem_into(src.addr + piece.buf_offset, &mut scratch[..])?;
+                dev.write_mem(staging.addr + piece.offset_in_stripe, &scratch[..])?;
+                scratch.resize(stripe_len as usize, 0);
+                dev.read_mem_into(staging.addr, &mut scratch[..])?;
+                let trailer = (crc32c(&scratch[..]) as u64).to_le_bytes();
+                dev.write_mem(staging.addr + stripe_len, &trailer)?;
+            }
+            let plan = (0..self.replicas(piece.group))
+                .map(|replica| Xfer {
+                    piece: full,
+                    buf: staging,
+                    replica,
+                    redialed: false,
+                })
+                .collect();
+            self.write_xfers(plan, None, ledger).await
+        })
+        .await
+    }
+
+    /// Posts one WR covering `xfers` — the caller guarantees they all
+    /// resolve to the same memory server — and returns its completion
+    /// receiver: one element per transfer, one wr_id, one doorbell. With
+    /// `inline`, a lone WRITE carries those host bytes in the WQE instead of
+    /// reading its buffer.
+    fn post(
+        &self,
         dir: Dir,
+        xfers: &[Xfer],
+        inline: Option<&[u8]>,
         ledger: &OpLedger,
     ) -> Result<oneshot::Receiver<CqStatus>> {
         let s = &self.client.shared;
-        let (first, first_replica) = (&items[0].0, items[0].2);
-        let node = self.extent(first.group, first_replica).node;
+        let node = self.extent(xfers[0].piece.group, xfers[0].replica).node;
         let conns = s.conns.borrow();
         let qp = conns
             .get(&node)
             .ok_or(RStoreError::Rdma(RdmaError::QpError))?;
-        let mut elems = Vec::with_capacity(items.len());
-        let mut total = 0u64;
-        for (piece, buf, replica) in items {
-            let extent = self.extent(piece.group, *replica);
-            debug_assert_eq!(extent.node, node, "SGE group spans servers");
-            elems.push(Sge {
-                local: buf.slice(piece.buf_offset, piece.len),
-                remote: rdma::RemoteAddr {
-                    addr: extent.addr + piece.offset_in_stripe,
-                    rkey: rdma::RKey(extent.rkey),
+        let sge = |x: &Xfer| {
+            let extent = self.extent(x.piece.group, x.replica);
+            debug_assert_eq!(extent.node, node, "WR spans servers");
+            Sge {
+                local: x.buf.slice(x.piece.buf_offset, x.piece.len),
+                remote: RemoteAddr {
+                    addr: extent.addr + x.piece.offset_in_stripe,
+                    rkey: RKey(extent.rkey),
                 },
-            });
-            total += piece.len;
+            }
+        };
+        let mut elems = [sge(&xfers[0]); MAX_SGE];
+        for (elem, x) in elems.iter_mut().zip(xfers).skip(1) {
+            *elem = sge(x);
         }
-        let sges = SgeList::new(&elems)?;
+        let total: u64 = xfers.iter().map(|x| x.piece.len).sum();
+        let op = match (dir, inline) {
+            (Dir::Read, _) => WrOp::Read(SgeList::new(&elems[..xfers.len()])?),
+            (Dir::Write, None) => WrOp::Write(SgeList::new(&elems[..xfers.len()])?),
+            (Dir::Write, Some(bytes)) => WrOp::WriteInline {
+                bytes,
+                remote: elems[0].remote,
+            },
+        };
         let wr_id = s.next_wr.get();
         s.next_wr.set(wr_id + 1);
         let (tx, rx) = oneshot::channel();
         s.pending.borrow_mut().insert(wr_id, tx);
         s.outstanding.add(1);
+        // Every WR stays signaled: the client's completion router accounts
+        // outstanding IO per CQE, so a suppressed success would leak an
+        // outstanding count and a pending waiter.
+        let wr = Wr {
+            wr_id,
+            op,
+            signaled: true,
+        };
         let posted = {
             let _scope = s.dev.ledger_scope(ledger);
-            match dir {
-                Dir::Read => qp.post_read_sge(wr_id, sges),
-                Dir::Write => qp.post_write_sge(wr_id, sges),
-            }
+            qp.post_batch(&[wr])
         };
         if let Err(e) = posted {
             s.pending.borrow_mut().remove(&wr_id);
@@ -1529,15 +1110,6 @@ impl Region {
             }
         });
     }
-}
-
-/// True when `e` is the stale-descriptor signal: every replica the op
-/// touched rejected the rkey (`RemoteAccess`), which happens exactly when
-/// the extent was migrated away (rkey deregistered) or sealed mid-migration
-/// (write rights revoked) — never for a crashed or unreachable server,
-/// which surfaces timeouts instead.
-fn is_stale(e: &RStoreError) -> bool {
-    matches!(e, RStoreError::Io(CqStatus::RemoteAccess))
 }
 
 /// Tracks a batch of posted one-sided operations.

@@ -20,27 +20,26 @@ pub struct RdmaConfig {
     pub base_timeout: Duration,
     /// Device arena capacity in bytes.
     pub mem_capacity: u64,
-    /// Maximum work requests charged to a single doorbell by a batched post
-    /// (`Qp::post_batch`); longer batches split into chunks of this size,
-    /// each ringing its own doorbell. Has no effect on the single-post
-    /// `post_*` calls, which always ring one doorbell per WR.
+    /// Maximum work requests charged to a single doorbell by
+    /// `Qp::post_batch`; longer chains split into chunks of this size, each
+    /// ringing its own doorbell.
     pub max_batch: usize,
-    /// Amortized CPU cost per *additional* WR in a batched post: the first
-    /// WR of each chunk pays the full [`post_overhead`](Self::post_overhead),
+    /// Amortized CPU cost per *additional* WR in a chain: the first WR of
+    /// each chunk pays the full [`post_overhead`](Self::post_overhead),
     /// linked-list successors only this. Models verbs `ibv_post_send` with a
     /// chained WR list, where WQE build cost is paid per WR but the doorbell
     /// (MMIO) is rung once.
     pub batch_wr_overhead: Duration,
-    /// Largest WRITE payload (bytes) `Qp::post_write_inline` accepts. `0`
-    /// (the default) disables inline posting entirely. Models verbs
+    /// Largest payload (bytes) an inline WRITE may carry. `0` (the default)
+    /// disables inline posting entirely. Models verbs
     /// `max_inline_data`: the payload is copied into the WQE at post time,
     /// so no local DMA buffer is registered or read back by the NIC.
     pub inline_max: u64,
-    /// CPU cost to build + ring a doorbell for one *inline* WRITE. Cheaper
-    /// than [`post_overhead`](Self::post_overhead) because the NIC never
-    /// fetches the payload by DMA and the lkey/translation checks on the
-    /// local buffer are skipped — the memcpy into the WQE rides the same
-    /// cache lines the CPU just wrote.
+    /// CPU cost to build + ring a doorbell for a chain headed by an *inline*
+    /// WRITE. Cheaper than [`post_overhead`](Self::post_overhead) because the
+    /// NIC never fetches the payload by DMA and the lkey/translation checks
+    /// on the local buffer are skipped — the memcpy into the WQE rides the
+    /// same cache lines the CPU just wrote.
     pub inline_post_overhead: Duration,
 }
 

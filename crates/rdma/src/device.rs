@@ -93,8 +93,6 @@ struct PendingWr {
     opcode: CqeOpcode,
     byte_len: u64,
     status: Option<CqStatus>,
-    /// Destination for READ data / atomic prior value.
-    local_dst: Option<DmaBuf>,
     /// Virtual time the WR was posted; start of its trace span.
     posted_at: SimTime,
     /// Virtual time every sub-response was in (the WR resolved); time from
@@ -109,16 +107,15 @@ struct PendingWr {
     /// Doorbell/WQE-build nanoseconds already charged to [`Layer::Post`]
     /// for this WR; subtracted when attributing completion latency.
     post_cost_ns: u64,
-    /// Scatter-gather fan-out: how many wire sub-requests this WR issued
-    /// (1 for plain WRs). Sub-requests occupy the consecutive sequence ids
+    /// How many wire sub-requests this WR issued: one per scatter-gather
+    /// element. Sub-requests occupy the consecutive sequence ids
     /// `[req_id, req_id + subs)`.
     subs: u64,
     /// Sub-responses still outstanding; the WR resolves when this hits 0.
     remaining: u64,
-    /// Per-element landing buffers for scatter-gather READs, indexed by
-    /// `response req_id - req_id`. Empty for plain WRs and SGE WRITEs
-    /// (`Vec::new` does not allocate).
-    sge_dsts: Vec<DmaBuf>,
+    /// Per-element landing buffers for READ data and atomic prior values,
+    /// indexed by `response req_id - req_id`.
+    dsts: [DmaBuf; MAX_SGE],
     /// Worst sub-response status folded so far (first failure wins); the
     /// WR's final status once every sub-response is in.
     folded: CqStatus,
@@ -799,8 +796,7 @@ impl RdmaDevice {
         let Some(qp) = inner.qps.get_mut(&qpn.0) else {
             return;
         };
-        // A plain WR answers to its own req_id; a scatter-gather WR owns the
-        // consecutive sub-request ids [req_id, req_id + subs).
+        // A WR owns the consecutive sub-request ids [req_id, req_id + subs).
         let Some(wr) = qp
             .sq
             .iter_mut()
@@ -815,11 +811,7 @@ impl RdmaDevice {
         if wr.folded == CqStatus::Success {
             wr.folded = wire_to_cq(status);
         }
-        let local_dst = if wr.subs == 1 {
-            wr.local_dst
-        } else {
-            wr.sge_dsts.get((req_id - wr.req_id) as usize).copied()
-        };
+        let dst = wr.dsts[(req_id - wr.req_id) as usize];
         wr.remaining = wr.remaining.saturating_sub(1);
         let resolved = wr.remaining == 0;
         if resolved {
@@ -828,7 +820,7 @@ impl RdmaDevice {
         }
         let cq = qp.cq.clone();
 
-        if let (Some(dst), Some(payload), WireStatus::Ok) = (local_dst, payload.as_ref(), status) {
+        if let (Some(payload), WireStatus::Ok) = (payload.as_ref(), status) {
             if let Err(e) = inner.arena.write_payload(dst.addr, payload) {
                 debug_assert!(false, "local landing buffer vanished: {e}");
             }
@@ -1176,106 +1168,35 @@ impl Qp {
     }
 
     /// Posts a one-sided RDMA READ of `dst.len` bytes from `remote` into the
-    /// local buffer `dst`.
+    /// local buffer `dst`: a chain of one through [`Qp::post_batch`], like
+    /// every `post_*` call below.
     ///
     /// # Errors
     ///
-    /// [`RdmaError::QpError`] if the QP is in the error state;
-    /// [`RdmaError::OutOfBounds`] if `dst` is not valid local memory.
+    /// As for [`Qp::post_batch`].
     pub fn post_read(&self, wr_id: u64, dst: DmaBuf, remote: RemoteAddr) -> Result<()> {
-        self.post_one_sided(wr_id, CqeOpcode::Read, dst.len, Some(dst), move |req_id| {
-            QpMsg::ReadReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                len: dst.len,
-            }
-        })
+        self.post_batch(&[Wr::read(wr_id, dst, remote)])
     }
 
     /// Posts a one-sided RDMA WRITE of the local buffer `src` to `remote`.
     ///
     /// # Errors
     ///
-    /// [`RdmaError::QpError`] if the QP is in the error state;
-    /// [`RdmaError::OutOfBounds`] if `src` is not valid local memory.
+    /// As for [`Qp::post_batch`].
     pub fn post_write(&self, wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> Result<()> {
-        let payload = self
-            .dev
-            .inner
-            .borrow()
-            .arena
-            .read_payload(src.addr, src.len)?;
-        self.post_one_sided(wr_id, CqeOpcode::Write, src.len, None, move |req_id| {
-            QpMsg::WriteReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                payload,
-            }
-        })
+        self.post_batch(&[Wr::write(wr_id, src, remote)])
     }
 
     /// Posts a one-sided RDMA WRITE whose payload is copied from the host
-    /// slice `bytes` into the WQE at post time, verbs `IBV_SEND_INLINE`
-    /// style: no local DmaBuf is staged or registered — the data travels
-    /// with the work request — and the modeled posting cost is the cheaper
-    /// [`RdmaConfig::inline_post_overhead`] (no lkey check or DMA readback
-    /// of the source buffer). Because the payload is captured at post time,
+    /// slice `bytes` into the WQE at post time (see [`WrOp::WriteInline`]);
     /// the caller may reuse `bytes` immediately.
     ///
     /// # Errors
     ///
-    /// * [`RdmaError::OutOfBounds`] — `bytes` exceeds
-    ///   [`RdmaConfig::inline_max`] (`inline_max == 0` disables inlining
-    ///   entirely, the default).
-    /// * [`RdmaError::QpError`] — the QP is in the error state.
+    /// As for [`Qp::post_batch`]; notably [`RdmaError::OutOfBounds`] when
+    /// `bytes` exceeds [`RdmaConfig::inline_max`].
     pub fn post_write_inline(&self, wr_id: u64, bytes: &[u8], remote: RemoteAddr) -> Result<()> {
-        let cfg = &self.dev.cfg;
-        let len = bytes.len() as u64;
-        if cfg.inline_max == 0 || len > cfg.inline_max {
-            return Err(RdmaError::OutOfBounds {
-                addr: remote.addr,
-                len,
-            });
-        }
-        let payload = Payload::Bytes(bytes.to_vec());
-        self.post_one_sided_costed(
-            wr_id,
-            CqeOpcode::Write,
-            len,
-            None,
-            cfg.inline_post_overhead,
-            move |req_id| QpMsg::WriteReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                payload,
-            },
-        )
-    }
-
-    /// Posts one scatter-gather READ WR: every element of `sges` is fetched
-    /// with a single WR, a single doorbell, and a single CQE (whose
-    /// `byte_len` is the sum of element lengths). Equivalent to
-    /// `post_batch(&[BatchWr::read_sge(..)])`, which is exactly how it is
-    /// implemented, so the batch-of-one accounting applies.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Qp::post_batch`].
-    pub fn post_read_sge(&self, wr_id: u64, sges: SgeList) -> Result<()> {
-        self.post_batch(&[BatchWr::read_sge(wr_id, sges)])
-    }
-
-    /// Posts one scatter-gather WRITE WR; the per-element payloads are
-    /// snapshotted at post time. See [`Qp::post_read_sge`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`Qp::post_batch`].
-    pub fn post_write_sge(&self, wr_id: u64, sges: SgeList) -> Result<()> {
-        self.post_batch(&[BatchWr::write_sge(wr_id, sges)])
+        self.post_batch(&[Wr::write_inline(wr_id, bytes, remote)])
     }
 
     /// Posts a compare-and-swap on a remote u64; the prior value lands in
@@ -1283,7 +1204,7 @@ impl Qp {
     ///
     /// # Errors
     ///
-    /// [`RdmaError::QpError`] / [`RdmaError::OutOfBounds`] as for reads.
+    /// As for [`Qp::post_batch`].
     pub fn post_cas(
         &self,
         wr_id: u64,
@@ -1292,14 +1213,8 @@ impl Qp {
         expect: u64,
         swap: u64,
     ) -> Result<()> {
-        self.post_one_sided(wr_id, CqeOpcode::CompSwap, 8, Some(result), move |req_id| {
-            QpMsg::AtomicReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                op: AtomicOp::CompareSwap { expect, swap },
-            }
-        })
+        let op = AtomicOp::CompareSwap { expect, swap };
+        self.post_batch(&[Wr::atomic(wr_id, result, remote, op)])
     }
 
     /// Posts a fetch-and-add on a remote u64; the prior value lands in
@@ -1307,16 +1222,14 @@ impl Qp {
     ///
     /// # Errors
     ///
-    /// [`RdmaError::QpError`] / [`RdmaError::OutOfBounds`] as for reads.
+    /// As for [`Qp::post_batch`].
     pub fn post_faa(&self, wr_id: u64, result: DmaBuf, remote: RemoteAddr, add: u64) -> Result<()> {
-        self.post_one_sided(wr_id, CqeOpcode::FetchAdd, 8, Some(result), move |req_id| {
-            QpMsg::AtomicReq {
-                req_id,
-                raddr: remote.addr,
-                rkey: remote.rkey,
-                op: AtomicOp::FetchAdd { add },
-            }
-        })
+        self.post_batch(&[Wr::atomic(
+            wr_id,
+            result,
+            remote,
+            AtomicOp::FetchAdd { add },
+        )])
     }
 
     /// Posts a two-sided SEND of the local buffer `src`, optionally carrying
@@ -1324,21 +1237,9 @@ impl Qp {
     ///
     /// # Errors
     ///
-    /// [`RdmaError::QpError`] / [`RdmaError::OutOfBounds`] as for writes.
+    /// As for [`Qp::post_batch`].
     pub fn post_send(&self, wr_id: u64, src: DmaBuf, imm: Option<u32>) -> Result<()> {
-        let payload = self
-            .dev
-            .inner
-            .borrow()
-            .arena
-            .read_payload(src.addr, src.len)?;
-        self.post_one_sided(wr_id, CqeOpcode::Send, src.len, None, move |req_id| {
-            QpMsg::Send {
-                req_id,
-                payload,
-                imm,
-            }
-        })
+        self.post_batch(&[Wr::send(wr_id, src, imm)])
     }
 
     /// Posts a receive buffer for an incoming SEND. If a SEND is already
@@ -1373,117 +1274,11 @@ impl Qp {
         Ok(())
     }
 
-    fn post_one_sided(
-        &self,
-        wr_id: u64,
-        opcode: CqeOpcode,
-        byte_len: u64,
-        local_dst: Option<DmaBuf>,
-        build: impl FnOnce(u64) -> QpMsg,
-    ) -> Result<()> {
-        self.post_one_sided_costed(
-            wr_id,
-            opcode,
-            byte_len,
-            local_dst,
-            self.dev.cfg.post_overhead,
-            build,
-        )
-    }
-
-    /// [`Qp::post_one_sided`] with an explicit WQE-build/doorbell cost; the
-    /// inline-WRITE path charges its cheaper
-    /// [`RdmaConfig::inline_post_overhead`] here.
-    fn post_one_sided_costed(
-        &self,
-        wr_id: u64,
-        opcode: CqeOpcode,
-        byte_len: u64,
-        local_dst: Option<DmaBuf>,
-        post_cost: std::time::Duration,
-        build: impl FnOnce(u64) -> QpMsg,
-    ) -> Result<()> {
-        let post_cost_ns = post_cost.as_nanos() as u64;
-        let (req_id, peer, peer_qpn, backlog, ledger) = {
-            let mut inner = self.dev.inner.borrow_mut();
-            // Validate the landing buffer up front.
-            if let Some(dst) = local_dst {
-                inner.arena.read_payload(dst.addr, dst.len)?;
-            }
-            let backlog = inner.outstanding_bytes;
-            inner.outstanding_bytes += byte_len;
-            let ledger = inner.current_ledger.clone();
-            let qp = inner
-                .qps
-                .get_mut(&self.qpn.0)
-                .ok_or(RdmaError::InvalidHandle)?;
-            if qp.error {
-                return Err(RdmaError::QpError);
-            }
-            let req_id = qp.next_req;
-            qp.next_req += 1;
-            qp.sq.push_back(PendingWr {
-                req_id,
-                wr_id,
-                opcode,
-                byte_len,
-                status: None,
-                local_dst,
-                posted_at: self.dev.sim.now(),
-                resolved_at: self.dev.sim.now(),
-                signaled: true,
-                ledger: ledger.clone(),
-                post_cost_ns,
-                subs: 1,
-                remaining: 1,
-                sge_dsts: Vec::new(),
-                folded: CqStatus::Success,
-            });
-            qp.stats.incr("posted");
-            qp.stats
-                .record_value("outstanding_depth", qp.sq.len() as u64);
-            (
-                req_id,
-                qp.remote_node,
-                qp.remote_qpn.expect("QP not connected"),
-                backlog,
-                ledger,
-            )
-        };
-        let metrics = self.dev.metrics();
-        metrics.incr("rdma.doorbells");
-        metrics.record_value("rdma.doorbell_bytes", byte_len);
-
-        let msg = NetMsg::Qp {
-            dst: peer_qpn,
-            msg: build(req_id),
-        };
-        let wire = msg.wire_bytes();
-        ledger.doorbell();
-        ledger.wire(wire);
-        ledger.layer_ns(Layer::Post, post_cost_ns);
-        let trace = ledger.optrace();
-        if trace.enabled() {
-            let now = self.dev.sim.now();
-            trace.mark(Phase::Doorbell, now);
-            trace.span_ns(Phase::Post, now.as_nanos(), post_cost_ns);
-        }
-        let dev = self.dev.clone();
-        let src_node = self.dev.node;
-        // Charge the doorbell/WQE-build CPU cost before the packet exists.
-        self.dev.sim.schedule(post_cost, move || {
-            dev.fabric.send(src_node, peer, wire, msg);
-        });
-
-        self.arm_op_timeout(req_id, byte_len, backlog, opcode);
-        Ok(())
-    }
-
     /// Arms the per-op timeout for a posted work request. Backlog-aware:
     /// everything this device already had in flight at post time drains
     /// ahead of (or interleaved with) this op, so it is granted wire time
     /// for that backlog too.
-    fn arm_op_timeout(&self, req_id: u64, byte_len: u64, backlog: u64, opcode: CqeOpcode) {
+    fn arm_op_timeout(&self, req_id: u64, byte_len: u64, backlog: u64) {
         let dev = self.dev.clone();
         let qpn = self.qpn;
         let timeout = self.dev.cfg.op_timeout(byte_len.saturating_add(backlog));
@@ -1494,273 +1289,199 @@ impl Qp {
                     .any(|w| w.req_id == req_id && w.status.is_none())
             });
             if still_pending {
-                if std::env::var_os("RDMA_DEBUG_TIMEOUT").is_some() {
-                    eprintln!(
-                        "[{}] op timeout: node={} qpn={} req={} bytes={} opcode={:?}",
-                        dev.sim.now(),
-                        dev.node,
-                        qpn,
-                        req_id,
-                        byte_len,
-                        opcode
-                    );
-                }
                 dev.fail_qp(qpn, req_id);
             }
         });
     }
 
-    /// Posts a linked list of work requests with **one doorbell per chunk**
-    /// of [`RdmaConfig::max_batch`] WRs, verbs `ibv_post_send`-style: the
-    /// first WR of a chunk pays [`RdmaConfig::post_overhead`], each linked
-    /// successor only the amortized [`RdmaConfig::batch_wr_overhead`].
-    /// Combined with unsignaled WRs (see [`BatchWr::unsignaled`]) this is
-    /// the Storm-style small-IO batching recipe: ring once, reap one CQE.
+    /// Posts a linked list of work requests — the one way anything enters
+    /// the send queue; a lone READ is a chain of one. Verbs
+    /// `ibv_post_send`-style, each chunk of [`RdmaConfig::max_batch`] WRs
+    /// rings **one doorbell**: its first WR pays
+    /// [`RdmaConfig::post_overhead`] ([`RdmaConfig::inline_post_overhead`]
+    /// when it is an inline WRITE), each linked successor only the amortized
+    /// [`RdmaConfig::batch_wr_overhead`]. Combined with unsignaled WRs (see
+    /// [`Wr::unsignaled`]) this is the Storm-style small-IO batching recipe:
+    /// ring once, reap one CQE.
     ///
-    /// The whole batch is validated before anything is posted, so an invalid
+    /// The whole chain is validated before anything is posted, so an invalid
     /// WR posts nothing. WRs enter the send queue (and the fabric) in slice
     /// order; completions release in the same order.
     ///
     /// # Errors
     ///
-    /// * [`RdmaError::InvalidHandle`] — empty batch (nothing to ring for).
+    /// * [`RdmaError::InvalidHandle`] — empty chain (nothing to ring for).
     /// * [`RdmaError::QpError`] — QP already in the error state.
-    /// * [`RdmaError::OutOfBounds`] — a WR's local buffer is invalid.
-    pub fn post_batch(&self, wrs: &[BatchWr]) -> Result<()> {
+    /// * [`RdmaError::OutOfBounds`] — a WR's local buffer is invalid, or an
+    ///   inline payload exceeds [`RdmaConfig::inline_max`] (`0`, the
+    ///   default, disables inlining entirely).
+    pub fn post_batch(&self, wrs: &[Wr<'_>]) -> Result<()> {
         if wrs.is_empty() {
             return Err(RdmaError::InvalidHandle);
         }
         let cfg = &self.dev.cfg;
-        let max_batch = cfg.max_batch.max(1);
-        // Validate every WR and snapshot WRITE payloads up front, before any
-        // state changes: a bad batch posts nothing. SGE WRs snapshot one
-        // payload per element.
-        enum WrSnap {
-            Plain(Option<Payload>),
-            Sge(Vec<Option<Payload>>),
-        }
-        let mut snaps: Vec<WrSnap> = Vec::with_capacity(wrs.len());
-        {
+        let ledger = {
             let inner = self.dev.inner.borrow();
             let qp = inner.qps.get(&self.qpn.0).ok_or(RdmaError::InvalidHandle)?;
             if qp.error {
                 return Err(RdmaError::QpError);
             }
             for wr in wrs {
-                snaps.push(match &wr.op {
-                    BatchOp::Read { dst, .. } => {
-                        inner.arena.read_payload(dst.addr, dst.len)?;
-                        WrSnap::Plain(None)
-                    }
-                    BatchOp::Write { src, .. } => {
-                        WrSnap::Plain(Some(inner.arena.read_payload(src.addr, src.len)?))
-                    }
-                    BatchOp::ReadSge { sges } => {
+                match &wr.op {
+                    WrOp::Read(sges) | WrOp::Write(sges) => {
                         for e in sges.entries() {
-                            inner.arena.read_payload(e.local.addr, e.local.len)?;
+                            inner.arena.check_range(e.local.addr, e.local.len)?;
                         }
-                        WrSnap::Sge(Vec::new())
                     }
-                    BatchOp::WriteSge { sges } => {
-                        let mut ps = Vec::with_capacity(sges.len());
-                        for e in sges.entries() {
-                            ps.push(Some(inner.arena.read_payload(e.local.addr, e.local.len)?));
+                    WrOp::WriteInline { bytes, remote } => {
+                        let len = bytes.len() as u64;
+                        if cfg.inline_max == 0 || len > cfg.inline_max {
+                            return Err(RdmaError::OutOfBounds {
+                                addr: remote.addr,
+                                len,
+                            });
                         }
-                        WrSnap::Sge(ps)
                     }
-                });
+                    WrOp::Atomic { result: buf, .. } | WrOp::Send { src: buf, .. } => {
+                        inner.arena.check_range(buf.addr, buf.len)?;
+                    }
+                }
             }
-        }
+            inner.current_ledger.clone()
+        };
         let metrics = self.dev.metrics();
-        let ledger = self.dev.inner.borrow().current_ledger.clone();
-        let first_wr_cost = cfg.post_overhead.as_nanos() as u64;
-        let linked_wr_cost = cfg.batch_wr_overhead.as_nanos() as u64;
-        let mut snaps = snaps.into_iter();
         // Cumulative WQE-build delay: chunk k's packets leave once every WQE
         // of chunks 0..=k is built.
         let mut build_delay = std::time::Duration::ZERO;
-        for chunk in wrs.chunks(max_batch) {
-            // (req_id, byte_len, backlog-at-post, opcode) per WR, for timeouts.
-            let mut meta = Vec::with_capacity(chunk.len());
-            let mut msgs = Vec::with_capacity(chunk.len());
-            let peer = {
-                let mut inner = self.dev.inner.borrow_mut();
+        for chunk in wrs.chunks(cfg.max_batch.max(1)) {
+            // The chunk's wire requests, handed to the doorbell timer below.
+            // The first rides outside the Vec so that a chain of one
+            // single-element WR — every small read, write and atomic —
+            // allocates nothing here.
+            let mut first = None;
+            let n_msgs: u64 = chunk.iter().map(|wr| wr.op.shape().2).sum();
+            let mut rest = Vec::with_capacity(n_msgs as usize - 1);
+            let mut chunk_post_ns = 0u64;
+            let (peer, first_req, backlog) = {
+                let mut guard = self.dev.inner.borrow_mut();
+                let inner = &mut *guard;
                 let now = self.dev.sim.now();
-                let mut backlog = inner.outstanding_bytes;
+                let backlog = inner.outstanding_bytes;
                 let qp = inner
                     .qps
                     .get_mut(&self.qpn.0)
                     .ok_or(RdmaError::InvalidHandle)?;
-                let peer = qp.remote_node;
                 let peer_qpn = qp.remote_qpn.expect("QP not connected");
+                let first_req = qp.next_req;
                 for (i, wr) in chunk.iter().enumerate() {
-                    let snap = snaps.next().expect("one snapshot per WR");
-                    let post_cost_ns = if i == 0 {
-                        first_wr_cost
+                    let (opcode, byte_len, subs) = wr.op.shape();
+                    let post_cost = if i > 0 {
+                        cfg.batch_wr_overhead
+                    } else if matches!(wr.op, WrOp::WriteInline { .. }) {
+                        cfg.inline_post_overhead
                     } else {
-                        linked_wr_cost
+                        cfg.post_overhead
                     };
-                    match (&wr.op, snap) {
-                        (&BatchOp::Read { dst, remote }, _) => {
-                            let req_id = qp.next_req;
-                            qp.next_req += 1;
-                            qp.sq.push_back(PendingWr {
-                                req_id,
-                                wr_id: wr.wr_id,
-                                opcode: CqeOpcode::Read,
-                                byte_len: dst.len,
-                                status: None,
-                                local_dst: Some(dst),
-                                posted_at: now,
-                                resolved_at: now,
-                                signaled: wr.signaled,
-                                ledger: ledger.clone(),
-                                post_cost_ns,
-                                subs: 1,
-                                remaining: 1,
-                                sge_dsts: Vec::new(),
-                                folded: CqStatus::Success,
-                            });
-                            metrics.record_value("rdma.doorbell_bytes", dst.len);
-                            meta.push((req_id, dst.len, backlog, CqeOpcode::Read));
-                            let msg = NetMsg::Qp {
-                                dst: peer_qpn,
-                                msg: QpMsg::ReadReq {
-                                    req_id,
-                                    raddr: remote.addr,
-                                    rkey: remote.rkey,
-                                    len: dst.len,
-                                },
-                            };
-                            let wire = msg.wire_bytes();
-                            ledger.wire(wire);
-                            msgs.push((wire, msg));
-                            backlog += dst.len;
+                    let post_cost_ns = post_cost.as_nanos() as u64;
+                    chunk_post_ns += post_cost_ns;
+                    let base = qp.next_req;
+                    qp.next_req += subs;
+                    let mut dsts = [DmaBuf { addr: 0, len: 0 }; MAX_SGE];
+                    let mut emit = |msg: QpMsg| {
+                        let msg = NetMsg::Qp { dst: peer_qpn, msg };
+                        let wire = msg.wire_bytes();
+                        ledger.wire(wire);
+                        match first {
+                            None => first = Some((wire, msg)),
+                            Some(_) => rest.push((wire, msg)),
                         }
-                        (&BatchOp::Write { src, remote }, snap) => {
-                            let WrSnap::Plain(Some(payload)) = snap else {
-                                unreachable!("write snapshot")
-                            };
-                            let req_id = qp.next_req;
-                            qp.next_req += 1;
-                            qp.sq.push_back(PendingWr {
-                                req_id,
-                                wr_id: wr.wr_id,
-                                opcode: CqeOpcode::Write,
-                                byte_len: src.len,
-                                status: None,
-                                local_dst: None,
-                                posted_at: now,
-                                resolved_at: now,
-                                signaled: wr.signaled,
-                                ledger: ledger.clone(),
-                                post_cost_ns,
-                                subs: 1,
-                                remaining: 1,
-                                sge_dsts: Vec::new(),
-                                folded: CqStatus::Success,
-                            });
-                            metrics.record_value("rdma.doorbell_bytes", src.len);
-                            meta.push((req_id, src.len, backlog, CqeOpcode::Write));
-                            let msg = NetMsg::Qp {
-                                dst: peer_qpn,
-                                msg: QpMsg::WriteReq {
+                    };
+                    // WRITE and SEND payloads are snapshotted here, at post
+                    // time; the ranges were validated above.
+                    let snapshot = |buf: &DmaBuf| {
+                        inner
+                            .arena
+                            .read_payload(buf.addr, buf.len)
+                            .expect("validated before posting")
+                    };
+                    // One wire request per element, on the consecutive
+                    // sub-ids `base..base + subs`.
+                    match &wr.op {
+                        WrOp::Read(sges) => {
+                            for (req_id, e) in (base..).zip(sges.entries()) {
+                                dsts[(req_id - base) as usize] = e.local;
+                                emit(QpMsg::ReadReq {
                                     req_id,
-                                    raddr: remote.addr,
-                                    rkey: remote.rkey,
-                                    payload,
-                                },
-                            };
-                            let wire = msg.wire_bytes();
-                            ledger.wire(wire);
-                            msgs.push((wire, msg));
-                            backlog += src.len;
-                        }
-                        // A scatter-gather WR: one WR (one chain slot, one
-                        // WQE-build charge, one CQE) fanning out to one wire
-                        // request per element, on consecutive sub-ids.
-                        (op @ (&BatchOp::ReadSge { sges } | &BatchOp::WriteSge { sges }), snap) => {
-                            let is_read = matches!(op, BatchOp::ReadSge { .. });
-                            let mut payloads = match snap {
-                                WrSnap::Sge(ps) => ps.into_iter(),
-                                WrSnap::Plain(_) => unreachable!("sge snapshot"),
-                            };
-                            let n = sges.len() as u64;
-                            let total = sges.total_bytes();
-                            let base = qp.next_req;
-                            qp.next_req += n;
-                            let opcode = if is_read {
-                                CqeOpcode::Read
-                            } else {
-                                CqeOpcode::Write
-                            };
-                            qp.sq.push_back(PendingWr {
-                                req_id: base,
-                                wr_id: wr.wr_id,
-                                opcode,
-                                byte_len: total,
-                                status: None,
-                                local_dst: None,
-                                posted_at: now,
-                                resolved_at: now,
-                                signaled: wr.signaled,
-                                ledger: ledger.clone(),
-                                post_cost_ns,
-                                subs: n,
-                                remaining: n,
-                                sge_dsts: if is_read {
-                                    sges.entries().iter().map(|e| e.local).collect()
-                                } else {
-                                    Vec::new()
-                                },
-                                folded: CqStatus::Success,
-                            });
-                            metrics.record_value("rdma.doorbell_bytes", total);
-                            metrics.incr("rdma.sge_wrs");
-                            metrics.record_value("rdma.sge_entries", n);
-                            meta.push((base, total, backlog, opcode));
-                            for (j, e) in sges.entries().iter().enumerate() {
-                                let req_id = base + j as u64;
-                                let msg = if is_read {
-                                    QpMsg::ReadReq {
-                                        req_id,
-                                        raddr: e.remote.addr,
-                                        rkey: e.remote.rkey,
-                                        len: e.local.len,
-                                    }
-                                } else {
-                                    QpMsg::WriteReq {
-                                        req_id,
-                                        raddr: e.remote.addr,
-                                        rkey: e.remote.rkey,
-                                        payload: payloads
-                                            .next()
-                                            .flatten()
-                                            .expect("one snapshot per element"),
-                                    }
-                                };
-                                let msg = NetMsg::Qp { dst: peer_qpn, msg };
-                                let wire = msg.wire_bytes();
-                                ledger.wire(wire);
-                                msgs.push((wire, msg));
+                                    raddr: e.remote.addr,
+                                    rkey: e.remote.rkey,
+                                    len: e.local.len,
+                                });
                             }
-                            backlog += total;
                         }
+                        WrOp::Write(sges) => {
+                            for (req_id, e) in (base..).zip(sges.entries()) {
+                                emit(QpMsg::WriteReq {
+                                    req_id,
+                                    raddr: e.remote.addr,
+                                    rkey: e.remote.rkey,
+                                    payload: snapshot(&e.local),
+                                });
+                            }
+                        }
+                        WrOp::WriteInline { bytes, remote } => emit(QpMsg::WriteReq {
+                            req_id: base,
+                            raddr: remote.addr,
+                            rkey: remote.rkey,
+                            payload: Payload::Bytes(bytes.to_vec()),
+                        }),
+                        WrOp::Atomic { result, remote, op } => {
+                            dsts[0] = *result;
+                            emit(QpMsg::AtomicReq {
+                                req_id: base,
+                                raddr: remote.addr,
+                                rkey: remote.rkey,
+                                op: *op,
+                            });
+                        }
+                        WrOp::Send { src, imm } => emit(QpMsg::Send {
+                            req_id: base,
+                            payload: snapshot(src),
+                            imm: *imm,
+                        }),
+                    }
+                    qp.sq.push_back(PendingWr {
+                        req_id: base,
+                        wr_id: wr.wr_id,
+                        opcode,
+                        byte_len,
+                        status: None,
+                        posted_at: now,
+                        resolved_at: now,
+                        signaled: wr.signaled,
+                        ledger: ledger.clone(),
+                        post_cost_ns,
+                        subs,
+                        remaining: subs,
+                        dsts,
+                        folded: CqStatus::Success,
+                    });
+                    inner.outstanding_bytes += byte_len;
+                    metrics.record_value("rdma.doorbell_bytes", byte_len);
+                    if subs > 1 {
+                        metrics.incr("rdma.sge_wrs");
+                        metrics.record_value("rdma.sge_entries", subs);
                     }
                     qp.stats.incr("posted");
                     qp.stats
                         .record_value("outstanding_depth", qp.sq.len() as u64);
                 }
-                inner.outstanding_bytes = backlog;
-                peer
+                (qp.remote_node, first_req, backlog)
             };
             // One doorbell for the whole chunk; per-WR bytes were recorded
             // above, and the ring size feeds the batching histogram.
             metrics.incr("rdma.doorbells");
             metrics.record_value("rdma.doorbell_wrs", chunk.len() as u64);
             ledger.doorbell();
-            let chunk_post_ns =
-                first_wr_cost + linked_wr_cost * chunk.len().saturating_sub(1) as u64;
             ledger.layer_ns(Layer::Post, chunk_post_ns);
             let trace = ledger.optrace();
             if trace.enabled() {
@@ -1768,32 +1489,38 @@ impl Qp {
                 trace.mark(Phase::Doorbell, now);
                 trace.span_ns(Phase::Post, now.as_nanos(), chunk_post_ns);
             }
-            build_delay += cfg.post_overhead
-                + cfg
-                    .batch_wr_overhead
-                    .saturating_mul(chunk.len().saturating_sub(1) as u32);
+            // Charge the doorbell/WQE-build CPU cost before the packets
+            // exist.
+            build_delay += std::time::Duration::from_nanos(chunk_post_ns);
             let dev = self.dev.clone();
             let src_node = self.dev.node;
             self.dev.sim.schedule(build_delay, move || {
-                for (wire, msg) in msgs {
+                for (wire, msg) in first.into_iter().chain(rest) {
                     dev.fabric.send(src_node, peer, wire, msg);
                 }
             });
-            for (req_id, byte_len, backlog, opcode) in meta {
-                self.arm_op_timeout(req_id, byte_len, backlog, opcode);
+            // Per-WR timeouts, each granted the backlog posted ahead of it.
+            let (mut req_id, mut backlog) = (first_req, backlog);
+            for wr in chunk {
+                let (_, byte_len, subs) = wr.op.shape();
+                self.arm_op_timeout(req_id, byte_len, backlog);
+                req_id += subs;
+                backlog += byte_len;
             }
         }
         Ok(())
     }
 }
 
-/// One work request in a [`Qp::post_batch`] call.
+/// One send-queue work request: what [`Qp::post_batch`] chains. The
+/// lifetime is that of an inline payload's host bytes; every other WR is a
+/// [`BatchWr`].
 #[derive(Clone, Copy, Debug)]
-pub struct BatchWr {
+pub struct Wr<'a> {
     /// Caller's completion correlation id.
     pub wr_id: u64,
-    /// The one-sided operation to perform.
-    pub op: BatchOp,
+    /// The operation to perform.
+    pub op: WrOp<'a>,
     /// Whether a *successful* completion generates a CQE. Error and flush
     /// completions are always delivered regardless. The canonical batch
     /// signals only its last WR: post-order completion release then makes
@@ -1801,79 +1528,114 @@ pub struct BatchWr {
     pub signaled: bool,
 }
 
-impl BatchWr {
-    /// A signaled RDMA READ of `dst.len` bytes from `remote` into `dst`.
-    pub fn read(wr_id: u64, dst: DmaBuf, remote: RemoteAddr) -> BatchWr {
-        BatchWr {
+/// A [`Wr`] that borrows no host bytes — anything but an inline WRITE.
+pub type BatchWr = Wr<'static>;
+
+impl<'a> Wr<'a> {
+    fn new(wr_id: u64, op: WrOp<'a>) -> Wr<'a> {
+        Wr {
             wr_id,
-            op: BatchOp::Read { dst, remote },
+            op,
             signaled: true,
         }
+    }
+
+    /// A signaled RDMA READ of `dst.len` bytes from `remote` into `dst`.
+    pub fn read(wr_id: u64, dst: DmaBuf, remote: RemoteAddr) -> Wr<'a> {
+        Wr::read_sge(wr_id, SgeList::one(dst, remote))
     }
 
     /// A signaled RDMA WRITE of `src` to `remote`.
-    pub fn write(wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> BatchWr {
-        BatchWr {
-            wr_id,
-            op: BatchOp::Write { src, remote },
-            signaled: true,
-        }
+    pub fn write(wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> Wr<'a> {
+        Wr::write_sge(wr_id, SgeList::one(src, remote))
     }
 
     /// A signaled scatter-gather READ: one WR/CQE covering every element.
-    pub fn read_sge(wr_id: u64, sges: SgeList) -> BatchWr {
-        BatchWr {
-            wr_id,
-            op: BatchOp::ReadSge { sges },
-            signaled: true,
-        }
+    pub fn read_sge(wr_id: u64, sges: SgeList) -> Wr<'a> {
+        Wr::new(wr_id, WrOp::Read(sges))
     }
 
     /// A signaled scatter-gather WRITE: one WR/CQE covering every element.
-    pub fn write_sge(wr_id: u64, sges: SgeList) -> BatchWr {
-        BatchWr {
-            wr_id,
-            op: BatchOp::WriteSge { sges },
-            signaled: true,
-        }
+    pub fn write_sge(wr_id: u64, sges: SgeList) -> Wr<'a> {
+        Wr::new(wr_id, WrOp::Write(sges))
+    }
+
+    /// A signaled inline RDMA WRITE of the host slice `bytes` to `remote`.
+    pub fn write_inline(wr_id: u64, bytes: &'a [u8], remote: RemoteAddr) -> Wr<'a> {
+        Wr::new(wr_id, WrOp::WriteInline { bytes, remote })
+    }
+
+    /// A signaled atomic on the remote u64 at `remote`; the prior value
+    /// lands in `result` (8 bytes).
+    pub fn atomic(wr_id: u64, result: DmaBuf, remote: RemoteAddr, op: AtomicOp) -> Wr<'a> {
+        Wr::new(wr_id, WrOp::Atomic { result, remote, op })
+    }
+
+    /// A signaled two-sided SEND of `src`, optionally with an immediate.
+    pub fn send(wr_id: u64, src: DmaBuf, imm: Option<u32>) -> Wr<'a> {
+        Wr::new(wr_id, WrOp::Send { src, imm })
     }
 
     /// Suppresses the success CQE for this WR.
-    pub fn unsignaled(mut self) -> BatchWr {
+    pub fn unsignaled(mut self) -> Wr<'a> {
         self.signaled = false;
         self
     }
 }
 
-/// Operation carried by a [`BatchWr`].
+/// Operation carried by a [`Wr`].
 #[derive(Clone, Copy, Debug)]
-pub enum BatchOp {
-    /// RDMA READ of `dst.len` bytes from `remote` into local `dst`.
-    Read {
-        /// Local landing buffer; its length is the read size.
-        dst: DmaBuf,
-        /// Remote source.
-        remote: RemoteAddr,
-    },
-    /// RDMA WRITE of local `src` to `remote`.
-    Write {
-        /// Local source buffer (snapshotted at post time).
-        src: DmaBuf,
+pub enum WrOp<'a> {
+    /// RDMA READ: one CQE, each element's remote extent lands in its own
+    /// local buffer (whose length is the element's read size).
+    Read(SgeList),
+    /// RDMA WRITE: one CQE, each element's local buffer (snapshotted at post
+    /// time) goes to its remote extent.
+    Write(SgeList),
+    /// RDMA WRITE whose payload is copied from host memory into the WQE at
+    /// post time, verbs `IBV_SEND_INLINE` style: no local DmaBuf is staged
+    /// or registered — the data travels with the work request — and a
+    /// doorbell rung for it costs the cheaper
+    /// [`RdmaConfig::inline_post_overhead`] (no lkey check or DMA readback
+    /// of the source buffer).
+    WriteInline {
+        /// The payload, at most [`RdmaConfig::inline_max`] bytes.
+        bytes: &'a [u8],
         /// Remote destination.
         remote: RemoteAddr,
     },
-    /// Scatter-gather READ: one WR, one CQE, one element per `(local,
-    /// remote)` pair. Each element lands in its own local buffer.
-    ReadSge {
-        /// The gather list (1..=[`MAX_SGE`] elements).
-        sges: SgeList,
+    /// Atomic on a remote u64, executed by the responder NIC.
+    Atomic {
+        /// Local 8-byte buffer receiving the prior value.
+        result: DmaBuf,
+        /// The remote word (8-byte aligned).
+        remote: RemoteAddr,
+        /// Compare-and-swap or fetch-and-add.
+        op: AtomicOp,
     },
-    /// Scatter-gather WRITE: one WR, one CQE, one element per `(local,
-    /// remote)` pair. Each element's payload is snapshotted at post time.
-    WriteSge {
-        /// The scatter list (1..=[`MAX_SGE`] elements).
-        sges: SgeList,
+    /// Two-sided SEND of a local buffer (snapshotted at post time).
+    Send {
+        /// Local source buffer.
+        src: DmaBuf,
+        /// Optional 32-bit immediate.
+        imm: Option<u32>,
     },
+}
+
+impl WrOp<'_> {
+    /// `(completion opcode, logical byte count, wire sub-requests)`.
+    fn shape(&self) -> (CqeOpcode, u64, u64) {
+        match self {
+            WrOp::Read(sges) => (CqeOpcode::Read, sges.total_bytes(), sges.len() as u64),
+            WrOp::Write(sges) => (CqeOpcode::Write, sges.total_bytes(), sges.len() as u64),
+            WrOp::WriteInline { bytes, .. } => (CqeOpcode::Write, bytes.len() as u64, 1),
+            WrOp::Atomic { op, .. } => match op {
+                AtomicOp::CompareSwap { .. } => (CqeOpcode::CompSwap, 8, 1),
+                AtomicOp::FetchAdd { .. } => (CqeOpcode::FetchAdd, 8, 1),
+            },
+            WrOp::Send { src, .. } => (CqeOpcode::Send, src.len, 1),
+        }
+    }
 }
 
 /// Maximum number of elements in an [`SgeList`] — the modeled
@@ -1896,7 +1658,7 @@ pub struct Sge {
 }
 
 /// A fixed-capacity scatter/gather list (1..=[`MAX_SGE`] elements), `Copy`
-/// so [`BatchWr`] stays `Copy`.
+/// so [`Wr`] stays `Copy`.
 #[derive(Clone, Copy, Debug)]
 pub struct SgeList {
     len: u8,
@@ -1914,18 +1676,20 @@ impl SgeList {
         if elems.is_empty() || elems.len() > MAX_SGE {
             return Err(RdmaError::InvalidHandle);
         }
-        let mut entries = [Sge {
-            local: DmaBuf { addr: 0, len: 0 },
-            remote: RemoteAddr {
-                addr: 0,
-                rkey: RKey(0),
-            },
-        }; MAX_SGE];
+        let mut entries = [elems[0]; MAX_SGE];
         entries[..elems.len()].copy_from_slice(elems);
         Ok(SgeList {
             len: elems.len() as u8,
             entries,
         })
+    }
+
+    /// The list of one element a plain READ or WRITE carries.
+    fn one(local: DmaBuf, remote: RemoteAddr) -> SgeList {
+        SgeList {
+            len: 1,
+            entries: [Sge { local, remote }; MAX_SGE],
+        }
     }
 
     /// The populated elements.
@@ -2255,6 +2019,9 @@ mod tests {
             assert!(cqp.is_errored());
             let err = cqp.post_read(3, dst, mr.token().at(0, 8).unwrap());
             assert_eq!(err, Err(RdmaError::QpError));
+            // The flush released both WRs' bytes, and the rejected post
+            // added none: the device backlog is empty again.
+            assert_eq!(a.op_deadline(0), a.config().op_timeout(0));
         });
     }
 
@@ -2522,7 +2289,8 @@ mod tests {
                     remote: mr.token().at(i as u64 * 4, 4).unwrap(),
                 })
                 .collect();
-            cqp.post_read_sge(7, SgeList::new(&elems).unwrap()).unwrap();
+            cqp.post_batch(&[BatchWr::read_sge(7, SgeList::new(&elems).unwrap())])
+                .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 7);
             assert_eq!(cqe.status, CqStatus::Success);
@@ -2553,7 +2321,7 @@ mod tests {
                     remote: mr.token().at(i as u64 * 4, 4).unwrap(),
                 })
                 .collect();
-            cqp.post_write_sge(8, SgeList::new(&elems).unwrap())
+            cqp.post_batch(&[BatchWr::write_sge(8, SgeList::new(&elems).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(
@@ -2611,7 +2379,8 @@ mod tests {
                     },
                 },
             ];
-            cqp.post_read_sge(9, SgeList::new(&elems).unwrap()).unwrap();
+            cqp.post_batch(&[BatchWr::read_sge(9, SgeList::new(&elems).unwrap())])
+                .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 9);
             assert_eq!(cqe.status, CqStatus::RemoteAccess);
@@ -2931,10 +2700,11 @@ mod tests {
                     }
                 } else {
                     for wr in &wrs {
-                        let BatchOp::Read { dst, remote } = wr.op else {
+                        let WrOp::Read(sges) = wr.op else {
                             unreachable!()
                         };
-                        cqp.post_read(wr.wr_id, dst, remote).unwrap();
+                        let Sge { local, remote } = sges.entries()[0];
+                        cqp.post_read(wr.wr_id, local, remote).unwrap();
                         assert!(ccq.next().await.status.is_ok());
                     }
                 }

@@ -6,8 +6,9 @@
 //! * **Setup/IO separation.** Memory must be allocated ([`RdmaDevice::alloc`])
 //!   and registered ([`RdmaDevice::reg_mr`]), and queue pairs connected
 //!   ([`RdmaDevice::connect`] / [`Listener::accept`]) before any IO — the
-//!   expensive control path. IO itself (`post_read`/`post_write`) is cheap
-//!   and asynchronous.
+//!   expensive control path. IO itself is cheap and asynchronous: every
+//!   send-queue work request is a [`Wr`] chained through
+//!   [`Qp::post_batch`], and `post_read`/`post_write`/… are chains of one.
 //! * **One-sided operations.** RDMA READ/WRITE/atomics execute on the remote
 //!   *device dispatcher* (the simulated NIC), never on a remote application
 //!   task — remote CPU involvement is structurally zero.
@@ -66,8 +67,8 @@ pub mod wire;
 pub use config::RdmaConfig;
 pub use cq::{CompletionQueue, CqStatus, Cqe, CqeOpcode};
 pub use device::{
-    BatchOp, BatchWr, Listener, Mr, Qp, RdmaDevice, RemoteAddr, RemoteMr, Sge, SgeList, MAX_SGE,
+    BatchWr, Listener, Mr, Qp, RdmaDevice, RemoteAddr, RemoteMr, Sge, SgeList, Wr, WrOp, MAX_SGE,
 };
 pub use memory::{Arena, DmaBuf};
 pub use types::{Access, Qpn, RKey, RdmaError, Result};
-pub use wire::NetMsg;
+pub use wire::{AtomicOp, NetMsg};

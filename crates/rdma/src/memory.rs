@@ -322,6 +322,17 @@ impl Arena {
         Ok((*baddr, block))
     }
 
+    /// Checks that `[addr, addr + len)` lies within one live allocation,
+    /// without touching its bytes — how the post path validates local
+    /// buffers.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
+    pub fn check_range(&self, addr: u64, len: u64) -> Result<()> {
+        self.containing_block(addr, len).map(|_| ())
+    }
+
     /// Copies bytes out of the arena. Synthetic allocations read as zeroes.
     ///
     /// # Errors

@@ -123,10 +123,16 @@ impl Metrics {
     pub fn record_value(&self, name: &str, value: u64) {
         let name = self.qualify(name);
         let mut reg = self.inner.borrow_mut();
-        reg.histograms
-            .entry(name.into_owned())
-            .or_default()
-            .record(value);
+        // Look up by `&str` first: only a histogram's first sample pays for
+        // an owned key.
+        match reg.histograms.get_mut(name.as_ref()) {
+            Some(h) => h.record(value),
+            None => reg
+                .histograms
+                .entry(name.into_owned())
+                .or_default()
+                .record(value),
+        }
     }
 
     /// Returns a snapshot of the named histogram, if any samples exist.

@@ -15,7 +15,7 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable};
+use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable};
 
 struct CountingAlloc;
 
@@ -80,15 +80,11 @@ macro_rules! steady {
 fn steady_state_ops_hold_allocation_floor() {
     let cluster = Cluster::boot(ClusterConfig {
         clients: 1,
-        // The raw-speed configuration: scatter-gather WRs for striped IO,
-        // inline posting for small slot publishes.
+        // The raw-speed configuration: inline posting for small slot
+        // publishes (striped IO groups into multi-element WRs by itself).
         rdma: rdma::RdmaConfig {
             inline_max: 256,
             ..rdma::RdmaConfig::default()
-        },
-        client: ClientConfig {
-            sge: true,
-            ..ClientConfig::default()
         },
         ..ClusterConfig::with_servers(3)
     })
@@ -124,8 +120,7 @@ fn steady_state_ops_hold_allocation_floor() {
             .await
             .unwrap();
 
-        // A 4-stripe IO buffer: the scatter-gather path groups its pieces
-        // into multi-element WRs.
+        // A 4-stripe IO buffer: its pieces group into multi-element WRs.
         let io = dev.alloc(16 * 1024).unwrap();
         dev.write_mem(io.addr, &vec![7u8; 16 * 1024]).unwrap();
         plain.write_from(0, io).await.unwrap();
@@ -158,5 +153,30 @@ fn steady_state_ops_hold_allocation_floor() {
         });
 
         dev.free(io).unwrap();
+    });
+
+    // Default configuration, single-piece IO: the chain-of-one every KV
+    // probe and small region op rides. Pinned at the count measured before
+    // single posts and batches shared one submit path, so a chain of one
+    // that starts allocating shows up here.
+    let cluster = Cluster::boot(ClusterConfig {
+        clients: 1,
+        ..ClusterConfig::with_servers(3)
+    })
+    .expect("boot");
+    let sim = cluster.sim.clone();
+    sim.block_on(async move {
+        let client = cluster.client(0).await.unwrap();
+        let dev = client.device().clone();
+        let opts = AllocOptions {
+            stripe_size: 4096,
+            ..AllocOptions::default()
+        };
+        let plain = client.alloc("raw/one", 64 * 1024, opts).await.unwrap();
+        let one = dev.alloc(4096).unwrap();
+        plain.write_from(0, one).await.unwrap();
+        steady!("default.write", 48, plain.write_from(0, one).await.unwrap());
+        steady!("default.read", 49, plain.read_into(0, one).await.unwrap());
+        dev.free(one).unwrap();
     });
 }

@@ -489,6 +489,99 @@ fn batched_and_pipelined_small_io_equivalent() {
     });
 }
 
+// --- region IO: the posting rule, against a model ---------------------------------
+
+/// Over stripe size × replicas × servers, seeded random reads and writes of
+/// a plain region agree with an in-memory model of it, and the op ledger
+/// shows every op ringing exactly the doorbells the posting rule predicts:
+/// one per distinct memory server for an IO of two or more pieces, one per
+/// replica for a single-piece write, one for a single-piece read.
+#[test]
+fn region_io_matches_model_and_doorbell_rule() {
+    use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig};
+    use std::collections::BTreeSet;
+    cases("region_io_matches_model_and_doorbell_rule", 2, |rng| {
+        for stripe in [1u64 << 10, 4 << 10, 16 << 10] {
+            for replicas in 1..=3u8 {
+                for servers in [3usize, 4, 6] {
+                    let size = stripe * 12;
+                    // (is_write, offset, len): up to six stripes per op, so
+                    // no server sees more than one WR's worth of pieces.
+                    let ops: Vec<(bool, u64, u64)> = (0..10)
+                        .map(|_| {
+                            let len = rng.range_u64(1, 6 * stripe + 1);
+                            (rng.chance(0.5), rng.range_u64(0, size - len + 1), len)
+                        })
+                        .collect();
+                    let mut fill = vec![0u8; size as usize];
+                    rng.fill_bytes(&mut fill);
+                    let cluster = Cluster::boot(ClusterConfig {
+                        clients: 1,
+                        ..ClusterConfig::with_servers(servers)
+                    })
+                    .expect("boot");
+                    let sim = cluster.sim.clone();
+                    sim.block_on(async move {
+                        let cfg = ClientConfig {
+                            ledger: true,
+                            ..ClientConfig::default()
+                        };
+                        let client = cluster.client_with(0, cfg).await.expect("client");
+                        let opts = AllocOptions {
+                            stripe_size: stripe,
+                            replicas,
+                            ..AllocOptions::default()
+                        };
+                        let region = client.alloc("prop_rule", size, opts).await.expect("alloc");
+                        let desc = region.desc();
+                        let layout = Layout::new(&desc);
+                        let metrics = client.device().metrics();
+                        let last_doorbells = |op: &str| {
+                            let h = metrics.histogram(&format!("ops.{op}.doorbells"));
+                            *h.expect("ledgered op").samples().last().expect("one op")
+                        };
+                        let mut model = fill.clone();
+                        region.write(0, &fill).await.expect("prefill");
+                        for (is_write, off, len) in ops {
+                            let pieces = layout.pieces(off, len).unwrap();
+                            let fanout = if is_write { replicas as usize } else { 1 };
+                            let nodes: BTreeSet<u32> = pieces
+                                .iter()
+                                .flat_map(|p| &desc.groups[p.group].replicas[..fanout])
+                                .map(|x| x.node)
+                                .collect();
+                            let want = if pieces.len() >= 2 {
+                                nodes.len()
+                            } else {
+                                fanout
+                            };
+                            let range = off as usize..(off + len) as usize;
+                            let op = if is_write {
+                                DetRng::new(off ^ len).fill_bytes(&mut model[range.clone()]);
+                                region.write(off, &model[range]).await.expect("write");
+                                "write"
+                            } else {
+                                let got = region.read(off, len).await.expect("read");
+                                assert_eq!(got, model[range], "read {off}+{len} vs model");
+                                "read"
+                            };
+                            assert_eq!(
+                                last_doorbells(op),
+                                want as u64,
+                                "{op} {off}+{len}: stripe {stripe}, {replicas} replicas, \
+                                 {servers} servers, {} pieces",
+                                pieces.len()
+                            );
+                        }
+                        let image = region.read(0, size).await.expect("read back");
+                        assert_eq!(image, model, "region image vs model");
+                    });
+                }
+            }
+        }
+    });
+}
+
 // --- KV table vs model ------------------------------------------------------------
 
 /// A random op sequence against the distributed KV table agrees with a
