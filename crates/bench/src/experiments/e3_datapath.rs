@@ -164,7 +164,7 @@ fn kv_latency() -> Table {
                 .await
                 .expect("create");
             let value = [7u8; 64];
-            // Warm: the key exists and the atomic QPs are connected.
+            // Warm: the key exists and its slot hint is cached.
             kv.put(b"bench-key", &value).await.expect("warm put");
             kv.get(b"bench-key").await.expect("warm get");
 

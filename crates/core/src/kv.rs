@@ -11,19 +11,48 @@
 //!
 //! All operations are one-sided, in the style of Pilaf/FaRM-era RDMA
 //! stores, with a client-side **cached index** (Outback/HiStore-style) so
-//! the warm path needs no probing at all:
+//! the warm path needs no probing at all. A table handle owns **no
+//! connections**: opening (or remapping after a resize) is its only
+//! control-path work, and every READ, WRITE and CAS it issues rides the
+//! owning client's cached data QPs through [`Region`] — so a handle inherits
+//! the client's re-dial after a server flap instead of needing a reopen
+//! (the paper's setup-once / one-sided-IO split, `DESIGN.md` claim C3).
+//!
+//! This module is an *extension* beyond the paper's abstract (flagged in
+//! `DESIGN.md`): the paper presents the memory-like API and two
+//! applications; a KV facade is the natural third.
+//!
+//! # The four pieces
+//!
+//! Every operation is assembled from the same four parts:
+//!
+//! 1. **The slot codec** (`SlotHdr`) — the only code that knows the slot
+//!    layout, and the one validation rule every path applies to an image
+//!    read back from the wire or a host copy of it.
+//! 2. **The probe walk** (`KvTable::walk`) — linear probing from the
+//!    key's home slot, one READ per visited slot, ending in the key's live
+//!    entry, the first reusable hole of its chain, or neither. `get`, `put`,
+//!    `delete` and `multi_get`'s chain fallback all drive it; it owns the
+//!    bounded lock wait and the orphaned-lock break.
+//! 3. **The locked mutation** (`KvTable::mutate`) — tagged-CAS lock →
+//!    publish an entry or a tombstone in one WRITE that also unlocks →
+//!    abort on a failed publish → read-back on an ambiguous CAS. `put` and
+//!    `delete` call it from both their hinted and their probed path.
+//! 4. **The generation plumbing** — one stale-generation retry wrapper
+//!    (`KvTable::retry_stale`) around every op, one meta poll loop
+//!    (`KvTable::poll_meta`) behind open, the write lease and
+//!    revalidation, one generation constructor (`TableGen::new`).
+//!
+//! On top of them:
 //!
 //! * **GET** — a hit in the hint cache reads the remembered slot directly:
 //!   **one RDMA READ**, regardless of probe-chain depth; the key embedded in
-//!   the slot self-validates the hint. A miss probes from the home slot (one
-//!   READ per probed bucket) and populates the cache. The slot's seqlock
-//!   version detects torn reads.
-//! * **PUT / DELETE** — lock the slot with a one-sided compare-and-swap on
-//!   its version (odd = locked), then publish the whole new slot image —
-//!   version word, header, key, and value — in **one WRITE** that also
-//!   releases the lock. A hinted put is CAS + WRITE = 2 round trips; a cold
-//!   put pays one extra probe READ. Writers from any client machine
-//!   serialize on the CAS; no server CPU is ever involved.
+//!   the slot self-validates the hint. A miss walks from the home slot and
+//!   populates the cache. The slot's seqlock version detects torn reads.
+//! * **PUT / DELETE** — a hinted mutation CASes directly on the cached
+//!   version: CAS + WRITE = 2 round trips. A cold one walks first (one READ
+//!   per visited slot). Writers from any client machine serialize on the
+//!   CAS; no server CPU is ever involved.
 //! * **RESIZE** — [`KvTable::grow`] rehashes into a fresh data region
 //!   without stopping readers: flip the epoch odd (CAS), wait a grace
 //!   period that outlasts every write lease, copy + rehash, publish the new
@@ -32,10 +61,6 @@
 //!   *write lease* instead of a meta read per op; readers react lazily to
 //!   the `RemoteAccess` faults that reads against a freed generation
 //!   surface, and remap.
-//!
-//! This module is an *extension* beyond the paper's abstract (flagged in
-//! `DESIGN.md`): the paper presents the memory-like API and two
-//! applications; a KV facade is the natural third.
 //!
 //! # Slot layout (`slot_bytes` total)
 //!
@@ -47,14 +72,24 @@
 //! tombstone is `version != 0 && klen == 0` (probing continues past it).
 //! Stable versions only grow, and a slot never repeats one within a
 //! generation — which is what lets a hinted put CAS directly on its cached
-//! version: success *proves* the slot still holds the hinted key. Slot
-//! images read back from the wire are structurally validated (`klen`/`vlen`
-//! against `slot_bytes`) before any slicing; corrupt images surface
-//! [`RStoreError::CorruptionDetected`], never a panic. `slot_bytes` must
-//! divide the region's stripe size so a slot image is always one WR —
-//! that single-WRITE publish is what makes it atomic against readers.
+//! version: success *proves* the slot still holds the hinted key. Every
+//! image of a live entry is structurally validated (`klen + vlen` against
+//! the slot payload) before any slicing, by readers and writers alike;
+//! corrupt images surface [`RStoreError::CorruptionDetected`], never a
+//! panic and never a silent overwrite. `slot_bytes` must divide the
+//! region's stripe size so a slot image is always one WR — that
+//! single-WRITE publish is what makes it atomic against readers.
 //!
 //! # Locks and failures
+//!
+//! A walk that meets a locked slot waits (`LOCK_BACKOFF`) and then reacts
+//! in one of two ways, and the difference is deliberate. A **reader**
+//! re-reads the *same* slot: nothing it has seen so far can be invalidated
+//! by the writer it is waiting for, so the walk resumes where it stood. A
+//! **writer** restarts from the *home* slot: it may already have chosen a
+//! hole earlier in the chain, and the lock holder may be inserting this very
+//! key — or freeing an earlier slot — so the hole it remembered can be
+//! stale by the time the lock clears.
 //!
 //! A writer that takes the slot lock and then hits an IO failure (its
 //! server crashed mid-write) **aborts** the slot before surfacing the
@@ -89,10 +124,11 @@
 //! the *same* tagged word for most of their wait budget ([`LockWatch`]) —
 //! orders of magnitude past a healthy hold time.
 
-use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RemoteAddr};
+use rdma::{CqStatus, DmaBuf, RdmaDevice};
 use sim::{OpLedger, Phase, SimTime};
 use std::cell::{Cell, RefCell};
 use std::collections::{HashMap, HashSet, VecDeque};
+use std::future::Future;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -101,9 +137,8 @@ use crate::error::{RStoreError, Result};
 use crate::layout::Layout;
 use crate::proto::AllocOptions;
 use crate::region::Region;
-use crate::DATA_SERVICE;
 
-const HDR_BYTES: u64 = 16;
+const HDR_BYTES: usize = 16;
 
 /// First 8 bytes of every meta region: "RSTOREKV".
 const KV_MAGIC: u64 = u64::from_le_bytes(*b"RSTOREKV");
@@ -191,12 +226,15 @@ fn pre_lock_version(lock: u64) -> u64 {
 /// sits unchanged this long has no owner left to release it.
 const ORPHAN_BREAK_AGE: Duration = Duration::from_millis(15);
 
-/// One op's view of the locked slots it has waited on. Feeding every
-/// observed `(slot, word)` pair into the watch lets the op tell a live
-/// writer (words change between waits) from an orphaned lock (the same
-/// tagged word across the whole budget) and break only the latter — see
-/// the module docs on migration-orphaned locks.
+/// One op's view of the locked slots it has waited on, and the deadline its
+/// waits share. Feeding every observed `(slot, word)` pair into the watch
+/// lets the op tell a live writer (words change between waits) from an
+/// orphaned lock (the same tagged word across the whole budget) and break
+/// only the latter — see the module docs on migration-orphaned locks.
 struct LockWatch {
+    /// When this op stops waiting on locks ([`LOCK_WAIT_BUDGET`] from its
+    /// start).
+    deadline: SimTime,
     /// First locked `(slot, word)` observed, and when.
     first: Option<(u64, u64, SimTime)>,
     /// False once a different slot or word has been seen (live writers).
@@ -206,8 +244,9 @@ struct LockWatch {
 }
 
 impl LockWatch {
-    fn new() -> LockWatch {
+    fn new(now: SimTime) -> LockWatch {
         LockWatch {
+            deadline: now + LOCK_WAIT_BUDGET,
             first: None,
             stable: true,
             spent: false,
@@ -244,21 +283,126 @@ fn gen_name(name: &str, generation: u64) -> String {
     format!("{name}@g{generation}")
 }
 
-/// What a stable slot image means for a particular key's lookup.
-enum SlotView {
-    /// Never-used slot: ends the probe chain.
-    Empty,
-    /// This key, with its value.
-    Hit(Vec<u8>),
-    /// Deleted entry: probing continues past it.
-    Tombstone,
-    /// A different key's entry.
-    Other,
+/// Maps `name`, tolerating degraded backing regions if `degraded`.
+async fn map_gen(client: &RStoreClient, name: &str, degraded: bool) -> Result<Region> {
+    if degraded {
+        client.map_degraded(name).await
+    } else {
+        client.map(name).await
+    }
 }
 
 /// Marker for a slot image whose header lengths do not fit the slot — a
 /// corrupt image that must surface as a structured error, never a panic.
 struct CorruptSlot;
+
+/// The slot codec: the decoded `[version | klen | vlen | pad]` header of a
+/// slot image, and the only code that knows where the header fields, the key
+/// and the value sit. Remote probes, `multi_get`, the publish and tombstone
+/// images and the host images built by `grow` and `bulk_load` all go
+/// through it, so they share one validation rule.
+#[derive(Clone, Copy, Debug)]
+struct SlotHdr {
+    version: u64,
+    klen: usize,
+    vlen: usize,
+}
+
+impl SlotHdr {
+    /// Decodes the header of the whole-slot image `img`. The one validation
+    /// rule: a live entry's `klen + vlen` must fit the slot payload, checked
+    /// here — before anyone slices the body. Never-used, locked and
+    /// tombstoned slots have no body to slice and decode as they are.
+    fn decode(img: &[u8]) -> std::result::Result<SlotHdr, CorruptSlot> {
+        let hdr = SlotHdr {
+            version: u64::from_le_bytes(img[..8].try_into().expect("8")),
+            klen: u16::from_le_bytes(img[8..10].try_into().expect("2")) as usize,
+            vlen: u16::from_le_bytes(img[10..12].try_into().expect("2")) as usize,
+        };
+        if hdr.live() && hdr.klen + hdr.vlen > img.len() - HDR_BYTES {
+            return Err(CorruptSlot);
+        }
+        Ok(hdr)
+    }
+
+    fn encode(&self) -> [u8; HDR_BYTES] {
+        let mut out = [0u8; HDR_BYTES];
+        out[..8].copy_from_slice(&self.version.to_le_bytes());
+        out[8..10].copy_from_slice(&(self.klen as u16).to_le_bytes());
+        out[10..12].copy_from_slice(&(self.vlen as u16).to_le_bytes());
+        out
+    }
+
+    /// The image a mutation publishes over stable `version` to delete the
+    /// entry (or abort a half-done mutation): header only, `klen == 0`.
+    fn tombstone(version: u64) -> [u8; HDR_BYTES] {
+        let hdr = SlotHdr {
+            version,
+            klen: 0,
+            vlen: 0,
+        };
+        hdr.encode()
+    }
+
+    /// Encodes the live entry `key → value` at the front of `out` and zeroes
+    /// whatever follows it (the tail a longer earlier entry left behind).
+    fn write_entry(out: &mut [u8], version: u64, key: &[u8], value: &[u8]) {
+        let (klen, vlen) = (key.len(), value.len());
+        let hdr = SlotHdr {
+            version,
+            klen,
+            vlen,
+        };
+        let (head, body) = out.split_at_mut(HDR_BYTES);
+        head.copy_from_slice(&hdr.encode());
+        body[..klen].copy_from_slice(key);
+        body[klen..klen + vlen].copy_from_slice(value);
+        body[klen + vlen..].fill(0);
+    }
+
+    /// Odd version word: a writer holds the slot.
+    fn locked(&self) -> bool {
+        self.version % 2 == 1
+    }
+
+    /// Stable, used and not a tombstone: the body holds an entry.
+    fn live(&self) -> bool {
+        self.version != 0 && !self.locked() && self.klen != 0
+    }
+
+    /// The key of the live entry in `img` (which this header was decoded
+    /// from, so the lengths are known to fit).
+    fn key<'a>(&self, img: &'a [u8]) -> &'a [u8] {
+        &img[HDR_BYTES..HDR_BYTES + self.klen]
+    }
+
+    /// The value of the live entry in `img`.
+    fn value<'a>(&self, img: &'a [u8]) -> &'a [u8] {
+        &img[HDR_BYTES + self.klen..HDR_BYTES + self.klen + self.vlen]
+    }
+}
+
+/// Where a probe walk ended for one key.
+enum Found {
+    /// The key's live entry: its slot and header. The image is still in the
+    /// table's probe scratch.
+    Hit(u64, SlotHdr),
+    /// The key is absent; the first reusable slot of its chain (a tombstone
+    /// or the never-used slot that ended the walk) and that slot's stable
+    /// version.
+    Hole(u64, u64),
+    /// The key is absent and its probe window holds no reusable slot.
+    Absent,
+}
+
+/// What a locked mutation publishes.
+#[derive(Clone, Copy)]
+enum Image<'a> {
+    /// `key → value`, over the key's own entry or a hole.
+    Entry(&'a [u8], &'a [u8]),
+    /// A tombstone, over the key's own entry only.
+    Tombstone,
+}
 
 /// The parsed meta block.
 #[derive(Clone, Copy, Debug)]
@@ -306,6 +450,24 @@ struct TableGen {
     /// `buckets - 1`, hoisted: probe positions are `(start + i) & mask`.
     mask: u64,
     data: Region,
+}
+
+impl TableGen {
+    /// The view of the generation `m` describes, backed by `data` — which
+    /// must be exactly the table the meta block says it is.
+    fn new(m: &TableMeta, data: Region) -> Result<TableGen> {
+        if !m.buckets.is_power_of_two() || data.size() != m.buckets * m.slot_bytes {
+            return Err(RStoreError::Protocol(
+                "kv meta block disagrees with the data region size".into(),
+            ));
+        }
+        Ok(TableGen {
+            generation: m.generation,
+            buckets: m.buckets,
+            mask: m.buckets - 1,
+            data,
+        })
+    }
 }
 
 /// A cached `key → slot` hint. `version` is the stable slot version the key
@@ -420,6 +582,8 @@ impl Default for KvConfig {
 /// [`KvTable::open`]. All clients see the same table; concurrent writers
 /// are safe (per-slot CAS locks), and [`KvTable::grow`] rehashes online —
 /// other handles notice the new generation and remap without reopening.
+/// The handle owns no connections of its own: all its IO, CAS included,
+/// uses the owning client's data QPs and their re-dial.
 pub struct KvTable {
     meta: Region,
     dev: RdmaDevice,
@@ -432,19 +596,17 @@ pub struct KvTable {
     /// mutation revalidates the epoch with one meta read.
     write_lease: Cell<SimTime>,
     hints: RefCell<HintCache>,
-    /// QPs for the atomics (one per server hosting slots), keyed by node.
-    atomic_qps: RefCell<HashMap<u32, Qp>>,
-    atomic_cq: CompletionQueue,
+    /// Landing buffer for the prior value of a CAS.
     scratch: DmaBuf,
-    /// Table-lifetime landing buffer for GET probes, so the hot path
+    /// Table-lifetime landing buffer for slot probes, so the hot path
     /// allocates nothing per probe. Like `scratch`, this assumes the table
     /// handle is not shared by concurrent tasks (each client opens its own).
     probe_buf: DmaBuf,
-    /// Reused slot-image copy backing `probe_buf` parsing.
+    /// Host copy of the slot image last decoded (from `probe_buf` or a
+    /// `multi_get` staging slice); a hit's value is sliced out of it.
     probe_scratch: RefCell<Vec<u8>>,
-    /// Reused slot-image assembly buffer for publishes (`write_and_unlock`),
-    /// taken/restored around the WRITE so a steady-state put allocates no
-    /// image Vec.
+    /// Reused image assembly buffer for publishes, taken/restored around
+    /// the WRITE so a steady-state put allocates no image Vec.
     img_scratch: RefCell<Vec<u8>>,
     /// Reused `(offset, dst)` list for `multi_get`'s batched first probes.
     ios_scratch: RefCell<Vec<(u64, DmaBuf)>>,
@@ -529,7 +691,7 @@ impl KvTable {
     /// Allocation failures, or [`RStoreError::Protocol`] for inconsistent
     /// configuration.
     pub async fn create(client: &RStoreClient, name: &str, cfg: KvConfig) -> Result<KvTable> {
-        if cfg.slot_bytes <= HDR_BYTES || !cfg.slot_bytes.is_multiple_of(8) {
+        if cfg.slot_bytes <= HDR_BYTES as u64 || !cfg.slot_bytes.is_multiple_of(8) {
             return Err(RStoreError::Protocol(
                 "slot_bytes must be a multiple of 8 and exceed the 16-byte header".into(),
             ));
@@ -621,43 +783,19 @@ impl KvTable {
         max_probe: u64,
         degraded: bool,
     ) -> Result<KvTable> {
-        let meta = if degraded {
-            client.map_degraded(name).await?
-        } else {
-            client.map(name).await?
-        };
+        let meta = map_gen(client, name, degraded).await?;
         let none = OpLedger::disabled();
-        let sim = client.device().sim().clone();
-        let deadline = sim.now() + RESIZE_WAIT_BUDGET;
-        // A resize may be publishing a new generation right now: wait out an
-        // odd epoch, and retry a map that loses the race with the flip.
-        loop {
-            let m = TableMeta::decode(&meta.read_l(0, META_BYTES, &none).await?)?;
-            if m.slot_bytes != slot_bytes {
-                return Err(RStoreError::Protocol(format!(
-                    "slot_bytes mismatch: table has {}, caller expects {slot_bytes}",
-                    m.slot_bytes
-                )));
+        // A resize may be publishing a new generation right now: the poll
+        // waits out an odd epoch and retries a map that loses the race with
+        // the flip.
+        let opened = Self::poll_meta(&meta, slot_bytes, &none, |m| {
+            let meta = meta.clone();
+            async move {
+                let data = map_gen(client, &gen_name(name, m.generation), degraded).await?;
+                Self::from_parts(client, meta, data, m, max_probe, degraded).map(Some)
             }
-            if m.epoch % 2 == 0 {
-                let mapped = if degraded {
-                    client.map_degraded(&gen_name(name, m.generation)).await
-                } else {
-                    client.map(&gen_name(name, m.generation)).await
-                };
-                match mapped {
-                    Ok(data) => {
-                        return Self::from_parts(client, meta, data, m, max_probe, degraded)
-                    }
-                    Err(RStoreError::NotFound(_)) => {} // raced a flip; re-read
-                    Err(e) => return Err(e),
-                }
-            }
-            if sim.now() >= deadline {
-                return Err(RStoreError::Io(CqStatus::Timeout));
-            }
-            sim.sleep(RESIZE_POLL).await;
-        }
+        });
+        opened.await?.ok_or(RStoreError::Io(CqStatus::Timeout))
     }
 
     fn from_parts(
@@ -669,12 +807,8 @@ impl KvTable {
         degraded: bool,
     ) -> Result<KvTable> {
         let dev = client.device().clone();
-        if !m.buckets.is_power_of_two() || data.size() != m.buckets * m.slot_bytes {
-            return Err(RStoreError::Protocol(
-                "kv meta block disagrees with the data region size".into(),
-            ));
-        }
-        if !data.desc().stripe_size.is_multiple_of(m.slot_bytes) {
+        let state = TableGen::new(&m, data)?;
+        if !state.data.desc().stripe_size.is_multiple_of(m.slot_bytes) {
             return Err(RStoreError::Protocol(
                 "stripe_size must be a multiple of slot_bytes (a slot image must be one WR)".into(),
             ));
@@ -684,7 +818,9 @@ impl KvTable {
         // and the client arena fragments onto odd offsets under load, so
         // plain `alloc` is not good enough here.
         let scratch = dev.alloc_aligned(m.slot_bytes.max(16), 8)?;
-        let probe_buf = dev.alloc_aligned(m.slot_bytes, 8)?;
+        let probe_buf = dev.alloc_aligned(m.slot_bytes, 8).inspect_err(|_| {
+            let _ = dev.free(scratch);
+        })?;
         let hint_cap = client.shared.cfg.kv_hint_capacity;
         // The meta block was just read (or written) and its epoch was even:
         // that read doubles as the first write lease.
@@ -695,16 +831,9 @@ impl KvTable {
             slot_bytes: m.slot_bytes,
             max_probe,
             degraded,
-            state: RefCell::new(TableGen {
-                generation: m.generation,
-                buckets: m.buckets,
-                mask: m.buckets - 1,
-                data,
-            }),
+            state: RefCell::new(state),
             write_lease: Cell::new(lease),
             hints: RefCell::new(HintCache::new(hint_cap)),
-            atomic_qps: RefCell::new(HashMap::new()),
-            atomic_cq: CompletionQueue::new(),
             scratch,
             probe_buf,
             probe_scratch: RefCell::new(vec![0u8; m.slot_bytes as usize]),
@@ -725,7 +854,7 @@ impl KvTable {
 
     /// Largest value length a slot can hold for a key of `klen` bytes.
     pub fn value_capacity(&self, klen: usize) -> u64 {
-        (self.slot_bytes - HDR_BYTES).saturating_sub(klen as u64)
+        (self.slot_bytes - HDR_BYTES as u64).saturating_sub(klen as u64)
     }
 
     /// `(generation, mask, data)` under the current mapping. The region
@@ -777,494 +906,109 @@ impl KvTable {
         }
     }
 
-    // --- reads ---------------------------------------------------------------
-
-    /// Looks up `key`, returning its value if present.
-    ///
-    /// Purely one-sided: a warm hint is **one RDMA READ**; a miss is one
-    /// READ per probed slot, with seqlock retry on torn reads.
-    ///
-    /// # Errors
-    ///
-    /// IO failures (including a bounded lock wait that times out);
-    /// [`RStoreError::Protocol`] if the key exceeds the slot;
-    /// [`RStoreError::CorruptionDetected`] for structurally invalid slots.
-    pub async fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let ledger = self.meta.op_ledger("get");
-        let result = self.get_l(key, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
-    }
-
-    /// [`get`](Self::get) charging an existing ledger (used by `multi_get`
-    /// fallbacks so chained probes stay attributed to the batch op).
-    async fn get_l(&self, key: &[u8], ledger: &OpLedger) -> Result<Option<Vec<u8>>> {
-        self.check_key(key)?;
-        let mut revalidated = false;
-        loop {
-            match self.get_once(key, ledger).await {
-                Err(e) if !revalidated && stale_generation_status(&e) => {
-                    revalidated = true;
-                    if !self.revalidate_generation(ledger).await? {
-                        return Err(e);
-                    }
+    /// Runs `once`; on the stale-generation signal (`RemoteAccess`: the data
+    /// region was freed or migrated under it) revalidates the generation and
+    /// runs it once more against the refreshed mapping.
+    async fn retry_stale<T, Fut>(&self, ledger: &OpLedger, once: impl Fn() -> Fut) -> Result<T>
+    where
+        Fut: Future<Output = Result<T>>,
+    {
+        match once().await {
+            Err(e) if stale_generation_status(&e) => {
+                if !self.revalidate_generation(ledger).await? {
+                    return Err(e);
                 }
-                r => return r,
+                once().await
             }
+            r => r,
         }
     }
 
-    async fn get_once(&self, key: &[u8], ledger: &OpLedger) -> Result<Option<Vec<u8>>> {
-        let (generation, mask, data) = self.snapshot();
-        let payload = (self.slot_bytes - HDR_BYTES) as usize;
+    // --- the probe walk ----------------------------------------------------------
 
-        // Hinted fast path: read the remembered slot directly. The key
-        // stored in the slot validates the hint — no version check needed
-        // for reads.
-        if let Some(h) = self.hint_for(generation, key) {
-            self.read_slot_into_probe_buf(&data, h.slot, ledger).await?;
-            let version = self.dev.read_u64(self.probe_buf.addr)?;
-            if version % 2 == 1 {
-                // A writer is mid-publish on this slot; the probing path
-                // below waits it out. Keep the hint: the slot is still the
-                // key's home as far as we know.
-            } else if version != 0 {
-                let view = {
-                    let mut img = self.probe_scratch.borrow_mut();
-                    self.dev.read_mem_into(self.probe_buf.addr, &mut img)?;
-                    Self::parse_slot(&img, key, payload)
-                };
-                match view {
-                    Ok(SlotView::Hit(v)) => {
-                        self.bump("kv.index.hit");
-                        self.install_hint(
-                            key,
-                            SlotHint {
-                                generation,
-                                slot: h.slot,
-                                version,
-                            },
-                        );
-                        return Ok(Some(v));
-                    }
-                    Ok(_) => self.drop_hint(key, "kv.index.stale"),
-                    Err(CorruptSlot) => return Err(self.corrupt_err(&data, h.slot)),
-                }
-            } else {
-                self.drop_hint(key, "kv.index.stale");
-            }
-        } else {
-            self.bump("kv.index.miss");
-        }
-
-        // Probe chain from the home slot.
-        let start = hash_key(key) & mask;
-        let deadline = self.dev.sim().now() + LOCK_WAIT_BUDGET;
-        let mut watch = LockWatch::new();
-        for probe in 0..self.max_probe.min(mask + 1) {
-            let slot = (start + probe) & mask;
-            loop {
-                // Land the slot image in the table-lifetime probe buffer
-                // (no staging alloc/free per probe) and peek the version
-                // word; the full parse below reads the same snapshot.
-                self.read_slot_into_probe_buf(&data, slot, ledger).await?;
-                let word = self.dev.read_u64(self.probe_buf.addr)?;
-                if word % 2 == 0 {
-                    break;
-                }
-                // Locked by a writer: brief virtual backoff, retry. Bounded
-                // so a lock orphaned by a crashed writer surfaces as an IO
-                // error rather than an infinite spin — unless the watch
-                // proves it orphaned, in which case it is broken in place.
-                ledger.retry();
-                self.lock_wait_on(&data, &mut watch, deadline, slot, word, ledger)
-                    .await?;
-            }
-            let view = {
-                let mut img = self.probe_scratch.borrow_mut();
-                self.dev.read_mem_into(self.probe_buf.addr, &mut img)?;
-                Self::parse_slot(&img, key, payload)
-            };
-            match view {
-                Ok(SlotView::Empty) => return Ok(None), // ends the probe chain
-                Ok(SlotView::Hit(v)) => {
-                    let version = self.dev.read_u64(self.probe_buf.addr)?;
-                    self.install_hint(
-                        key,
-                        SlotHint {
-                            generation,
-                            slot,
-                            version,
-                        },
-                    );
-                    return Ok(Some(v));
-                }
-                Ok(SlotView::Tombstone | SlotView::Other) => {} // keep probing
-                Err(CorruptSlot) => return Err(self.corrupt_err(&data, slot)),
-            }
-        }
-        Ok(None)
-    }
-
-    async fn read_slot_into_probe_buf(
+    /// Copies the slot image at local address `addr` (where slot `slot` of
+    /// `data` landed) into the probe scratch and decodes it against `key`:
+    /// the header, and whether the slot holds `key`'s live entry.
+    fn decode_landed(
         &self,
         data: &Region,
         slot: u64,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        data.read_into_l(slot * self.slot_bytes, self.probe_buf, ledger)
-            .await
-    }
-
-    /// Looks up many keys, batching the first probe of every key into one
-    /// posting round ([`Region::read_into_many`]) — one doorbell per memory
-    /// server instead of one per key. Keys whose first slot resolves the lookup (the
-    /// common case at sane load factors) are answered from the batch; a key
-    /// whose first slot is locked, tombstoned, or a colliding entry falls
-    /// back to [`get`](Self::get) for the full probe chain.
-    ///
-    /// Returns one entry per key, in input order.
-    ///
-    /// # Errors
-    ///
-    /// As for [`get`](Self::get); every key is validated before anything
-    /// posts.
-    pub async fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
-        for key in keys {
-            self.check_key(key)?;
-        }
-        if keys.is_empty() {
-            return Ok(Vec::new());
-        }
-        let ledger = self.meta.op_ledger("multi_get");
-        ledger.set_units(keys.len() as u64);
-        let mut revalidated = false;
-        let result = loop {
-            // Stage through the data region's buffer pool: a steady-state
-            // batch of the same size reuses one arena buffer instead of an
-            // alloc/free pair per call.
-            let data = self.snapshot().2;
-            let staging = match data.take_staging(self.slot_bytes * keys.len() as u64) {
-                Ok(b) => b,
-                Err(e) => break Err(e),
-            };
-            let r = self.multi_get_staged(keys, staging, &ledger).await;
-            data.put_staging(staging);
-            match r {
-                Err(e) if !revalidated && stale_generation_status(&e) => {
-                    revalidated = true;
-                    match self.revalidate_generation(&ledger).await {
-                        Ok(true) => continue,
-                        Ok(false) => break Err(e),
-                        Err(e2) => break Err(e2),
-                    }
-                }
-                r => break r,
-            }
-        };
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
-    }
-
-    async fn multi_get_staged(
-        &self,
-        keys: &[&[u8]],
-        staging: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<Vec<Option<Vec<u8>>>> {
-        let (generation, mask, data) = self.snapshot();
-        let payload = (self.slot_bytes - HDR_BYTES) as usize;
-        let mut ios = self.ios_scratch.take();
-        ios.clear();
-        for (i, key) in keys.iter().enumerate() {
-            let slot = hash_key(key) & mask;
-            ios.push((
-                slot * self.slot_bytes,
-                staging.slice(i as u64 * self.slot_bytes, self.slot_bytes),
-            ));
-        }
-        let posted = data.read_into_many_l(&ios, ledger).await;
-        *self.ios_scratch.borrow_mut() = ios;
-        posted?;
-        let mut out = Vec::with_capacity(keys.len());
-        for (i, key) in keys.iter().enumerate() {
-            // Copy the slot into the reused probe scratch (no Vec per key)
-            // and classify it; awaited fallbacks run outside the borrow.
-            enum First {
-                Hit(u64, Vec<u8>),
-                Empty,
-                Chain,
-            }
-            let first = {
-                let mut img = self.probe_scratch.borrow_mut();
-                self.dev
-                    .read_mem_into(staging.addr + i as u64 * self.slot_bytes, &mut img)?;
-                let version = u64::from_le_bytes(img[..8].try_into().expect("8"));
-                if version % 2 == 1 {
-                    // Locked by a writer mid-batch: take the retrying path,
-                    // charged to the batch op.
-                    First::Chain
-                } else {
-                    match Self::parse_slot(&img, key, payload) {
-                        Ok(SlotView::Empty) => First::Empty,
-                        Ok(SlotView::Hit(v)) => First::Hit(version, v),
-                        // Tombstone or a colliding entry: the answer lives
-                        // further down the probe chain.
-                        Ok(SlotView::Tombstone | SlotView::Other) => First::Chain,
-                        Err(CorruptSlot) => {
-                            return Err(self.corrupt_err(&data, hash_key(key) & mask))
-                        }
-                    }
-                }
-            };
-            match first {
-                First::Empty => out.push(None),
-                First::Hit(version, v) => {
-                    self.install_hint(
-                        key,
-                        SlotHint {
-                            generation,
-                            slot: hash_key(key) & mask,
-                            version,
-                        },
-                    );
-                    out.push(Some(v));
-                }
-                First::Chain => out.push(self.get_l(key, ledger).await?),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Classifies a stable (even-version) slot image against `key`,
-    /// validating the header lengths against the slot payload before any
-    /// slicing — a corrupt image must never panic the client.
-    fn parse_slot(
-        img: &[u8],
+        addr: u64,
         key: &[u8],
-        payload: usize,
-    ) -> std::result::Result<SlotView, CorruptSlot> {
-        let version = u64::from_le_bytes(img[..8].try_into().expect("8"));
-        if version == 0 {
-            return Ok(SlotView::Empty);
-        }
-        let klen = u16::from_le_bytes(img[8..10].try_into().expect("2")) as usize;
-        let vlen = u16::from_le_bytes(img[10..12].try_into().expect("2")) as usize;
-        if klen == 0 {
-            return Ok(SlotView::Tombstone);
-        }
-        if klen + vlen > payload {
-            return Err(CorruptSlot);
-        }
-        let base = HDR_BYTES as usize;
-        if keys_eq(&img[base..base + klen], key) {
-            Ok(SlotView::Hit(img[base + klen..base + klen + vlen].to_vec()))
-        } else {
-            Ok(SlotView::Other)
-        }
+    ) -> Result<(SlotHdr, bool)> {
+        let mut img = self.probe_scratch.borrow_mut();
+        self.dev.read_mem_into(addr, &mut img)?;
+        let hdr = SlotHdr::decode(&img).map_err(|CorruptSlot| self.corrupt_err(data, slot))?;
+        Ok((hdr, hdr.live() && keys_eq(hdr.key(&img), key)))
     }
 
-    // --- writes --------------------------------------------------------------
-
-    /// Inserts or overwrites `key` → `value`.
-    ///
-    /// A warm hint costs CAS + one full-slot WRITE (2 round trips); a cold
-    /// put pays one extra probe READ per visited slot.
-    ///
-    /// # Errors
-    ///
-    /// * [`RStoreError::Protocol`] if key+value exceed the slot size or
-    ///   either length exceeds the u16 header fields.
-    /// * [`RStoreError::InsufficientCapacity`] if the probe window is full.
-    /// * IO failures (including a bounded lock wait that times out).
-    pub async fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
-        self.check_key(key)?;
-        // The header stores lengths as u16: reject anything wider before it
-        // wraps into a corrupt entry (reachable once slot_bytes > 64 KiB).
-        if value.len() > u16::MAX as usize {
-            return Err(RStoreError::Protocol(format!(
-                "value of {} bytes exceeds the u16 length field",
-                value.len()
-            )));
-        }
-        if key.len() as u64 + value.len() as u64 > self.slot_bytes - HDR_BYTES {
-            return Err(RStoreError::Protocol(format!(
-                "entry of {} bytes exceeds slot payload of {}",
-                key.len() + value.len(),
-                self.slot_bytes - HDR_BYTES
-            )));
-        }
-        let ledger = self.meta.op_ledger("put");
-        let result = self.put_l(key, value, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
+    /// One probe: READs `slot` into the table-lifetime probe buffer (no
+    /// staging alloc/free per probe) and decodes it against `key`.
+    async fn probe(
+        &self,
+        data: &Region,
+        slot: u64,
+        key: &[u8],
+        ledger: &OpLedger,
+    ) -> Result<(SlotHdr, bool)> {
+        data.read_into_l(slot * self.slot_bytes, self.probe_buf, ledger)
+            .await?;
+        self.decode_landed(data, slot, self.probe_buf.addr, key)
     }
 
-    async fn put_l(&self, key: &[u8], value: &[u8], ledger: &OpLedger) -> Result<()> {
-        self.ensure_write_lease(ledger).await?;
-        let mut revalidated = false;
-        loop {
-            match self.put_once(key, value, ledger).await {
-                Err(e) if !revalidated && stale_generation_status(&e) => {
-                    revalidated = true;
-                    if !self.revalidate_generation(ledger).await? {
-                        return Err(e);
-                    }
-                }
-                r => return r,
-            }
-        }
+    /// The value of the entry last decoded as a hit.
+    fn landed_value(&self, hdr: &SlotHdr) -> Vec<u8> {
+        hdr.value(&self.probe_scratch.borrow()).to_vec()
     }
 
-    async fn put_once(&self, key: &[u8], value: &[u8], ledger: &OpLedger) -> Result<()> {
-        let (generation, mask, data) = self.snapshot();
-        let deadline = self.dev.sim().now() + LOCK_WAIT_BUDGET;
-
-        // Hinted fast path: CAS directly on the cached stable version. A
-        // slot never repeats a stable version within a generation, so CAS
-        // success proves the slot still holds this key at that version — no
-        // probe read needed.
-        if let Some(h) = self.hint_for(generation, key) {
-            let lock = lock_word(h.version, next_nonce());
-            match self
-                .cas_word(&data, h.slot * self.slot_bytes, h.version, lock, ledger)
-                .await
-            {
-                Ok(true) => {
-                    self.bump("kv.index.hit");
-                    if let Err(e) = self
-                        .write_and_unlock(&data, h.slot, h.version, key, value, ledger)
-                        .await
-                    {
-                        self.abort_locked_slot(&data, h.slot, h.version, ledger)
-                            .await;
-                        self.drop_hint(key, "kv.index.invalidate");
-                        return Err(e);
-                    }
-                    self.install_hint(
-                        key,
-                        SlotHint {
-                            generation,
-                            slot: h.slot,
-                            version: h.version + 2,
-                        },
-                    );
-                    return Ok(());
-                }
-                Ok(false) => {
-                    // The slot moved on (another writer, a delete, …): fall
-                    // back to the probing path.
-                    self.drop_hint(key, "kv.index.stale");
-                }
-                Err(e) => {
-                    self.recover_ambiguous_cas(&data, h.slot, h.version, lock, ledger)
-                        .await;
-                    self.drop_hint(key, "kv.index.invalidate");
-                    return Err(e);
-                }
-            }
-        } else {
-            self.bump("kv.index.miss");
-        }
-
-        let mut watch = LockWatch::new();
-        'retry: loop {
-            // First pass: find the key (overwrite) or the first reusable
-            // slot.
-            let start = hash_key(key) & mask;
-            let mut target: Option<(u64, u64)> = None; // (slot, observed version)
-            for probe in 0..self.max_probe.min(mask + 1) {
-                let slot = (start + probe) & mask;
-                // Land the slot in the table-lifetime probe buffer — no
-                // staging or Vec per probe — and classify it in one scoped
-                // pass over the host copy.
-                self.read_slot_into_probe_buf(&data, slot, ledger).await?;
-                let (version, klen, matched) = {
-                    let mut img = self.probe_scratch.borrow_mut();
-                    self.dev.read_mem_into(self.probe_buf.addr, &mut img)?;
-                    let version = u64::from_le_bytes(img[..8].try_into().expect("8"));
-                    let klen = u16::from_le_bytes(img[8..10].try_into().expect("2")) as usize;
-                    let matched = version % 2 == 0
-                        && klen != 0
-                        && HDR_BYTES as usize + klen <= self.slot_bytes as usize
-                        && keys_eq(&img[HDR_BYTES as usize..HDR_BYTES as usize + klen], key);
-                    (version, klen, matched)
-                };
-                if version == 0 || (version % 2 == 0 && klen == 0) {
-                    // Empty or tombstone: claim unless the key shows up later
-                    // in the chain (it cannot: inserts always take the first
-                    // hole).
-                    target.get_or_insert((slot, version));
-                    if version == 0 {
-                        break;
-                    }
-                } else if version % 2 == 0 {
-                    if HDR_BYTES as usize + klen > self.slot_bytes as usize {
-                        return Err(self.corrupt_err(&data, slot));
-                    }
-                    if matched {
-                        target = Some((slot, version));
-                        break;
-                    }
-                } else {
-                    // Locked: a writer is mutating this slot. If it could be
-                    // our key, retry the whole operation after a bounded
-                    // backoff (breaking the lock first if the watch proves
-                    // it orphaned).
-                    ledger.retry();
-                    self.lock_wait_on(&data, &mut watch, deadline, slot, version, ledger)
-                        .await?;
-                    continue 'retry;
-                }
-            }
-            let Some((slot, version)) = target else {
-                return Err(RStoreError::InsufficientCapacity {
-                    requested: self.slot_bytes,
-                });
-            };
-
-            // Lock: CAS version -> a tagged odd word. Losing the race
-            // retries; an ambiguous CAS (IO error) is resolved by read-back
-            // before the error surfaces, so it can never orphan the lock.
-            let lock = lock_word(version, next_nonce());
-            let won = match self
-                .cas_word(&data, slot * self.slot_bytes, version, lock, ledger)
-                .await
-            {
-                Ok(w) => w,
-                Err(e) => {
-                    self.recover_ambiguous_cas(&data, slot, version, lock, ledger)
-                        .await;
-                    return Err(e);
-                }
-            };
-            if !won {
+    /// The probe walk: linear probing from `key`'s home slot, one READ per
+    /// visited slot, until the key's live entry, a never-used slot (which
+    /// ends every chain) or the end of the probe window.
+    ///
+    /// A locked slot is waited out (bounded by `watch`, which also breaks a
+    /// lock it proves orphaned) and then the walk reacts as the module docs
+    /// describe: a reader (`restart_on_lock == false`) re-reads the locked
+    /// slot; a writer restarts from the home slot, because the hole it may
+    /// have chosen can be stale once the lock holder is done.
+    async fn walk(
+        &self,
+        data: &Region,
+        mask: u64,
+        key: &[u8],
+        restart_on_lock: bool,
+        watch: &mut LockWatch,
+        ledger: &OpLedger,
+    ) -> Result<Found> {
+        let start = hash_key(key) & mask;
+        let mut hole = None;
+        let mut probe = 0;
+        while probe < self.max_probe.min(mask + 1) {
+            let slot = (start + probe) & mask;
+            let (hdr, matched) = self.probe(data, slot, key, ledger).await?;
+            if hdr.locked() {
                 ledger.retry();
-                self.lock_wait(deadline).await?;
-                continue 'retry;
+                self.lock_wait_on(data, watch, slot, hdr.version, ledger)
+                    .await?;
+                if restart_on_lock {
+                    (probe, hole) = (0, None);
+                }
+                continue;
             }
-
-            // Publish: the whole slot image — new version word, header, key,
-            // value — in one WRITE, which is also the unlock.
-            if let Err(e) = self
-                .write_and_unlock(&data, slot, version, key, value, ledger)
-                .await
-            {
-                // The op was never acknowledged: abort the slot so the lock
-                // is not orphaned on the replicas that are still reachable.
-                self.abort_locked_slot(&data, slot, version, ledger).await;
-                return Err(e);
+            if matched {
+                return Ok(Found::Hit(slot, hdr));
             }
-            self.install_hint(
-                key,
-                SlotHint {
-                    generation,
-                    slot,
-                    version: version + 2,
-                },
-            );
-            return Ok(());
+            if !hdr.live() {
+                // Never-used or tombstone: the first one is where an insert
+                // goes (the key cannot show up later in the chain behind a
+                // never-used slot: inserts always take the first hole).
+                hole.get_or_insert((slot, hdr.version));
+                if hdr.version == 0 {
+                    break;
+                }
+            }
+            probe += 1;
         }
+        Ok(hole.map_or(Found::Absent, |(slot, version)| Found::Hole(slot, version)))
     }
 
     /// One bounded lock-wait backoff tick: errors once the op's virtual-time
@@ -1288,7 +1032,6 @@ impl KvTable {
         &self,
         data: &Region,
         watch: &mut LockWatch,
-        deadline: SimTime,
         slot: u64,
         word: u64,
         ledger: &OpLedger,
@@ -1296,7 +1039,7 @@ impl KvTable {
         let now = self.dev.sim().now();
         watch.observe(slot, word, now);
         let trace = ledger.optrace();
-        if now >= deadline {
+        if now >= watch.deadline {
             if let Some((slot, lock)) = watch.breakable(now) {
                 watch.spent = true;
                 let span = trace.begin(Phase::LockBreak, now);
@@ -1345,63 +1088,352 @@ impl KvTable {
         }
     }
 
-    /// Publishes a locked slot in one WRITE: the full image `[version + 2 |
-    /// header | key | value]` lands atomically (a slot never straddles a
-    /// stripe, so this is a single WR per replica), releasing the lock in
-    /// the same op. Readers either see the old locked word or the complete
-    /// new entry — never a torn body.
+    // --- reads ---------------------------------------------------------------
+
+    /// Looks up `key`, returning its value if present.
+    ///
+    /// Purely one-sided: a warm hint is **one RDMA READ**; a miss is one
+    /// READ per probed slot, with seqlock retry on torn reads.
+    ///
+    /// # Errors
+    ///
+    /// IO failures (including a bounded lock wait that times out);
+    /// [`RStoreError::Protocol`] if the key exceeds the slot;
+    /// [`RStoreError::CorruptionDetected`] for structurally invalid slots.
+    pub async fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
+        let ledger = self.meta.op_ledger("get");
+        let result = self.get_l(key, &ledger).await;
+        self.meta.finish_ledger_res(&ledger, &result);
+        result
+    }
+
+    /// [`get`](Self::get) charging an existing ledger (used by `multi_get`
+    /// fallbacks so chained probes stay attributed to the batch op).
+    async fn get_l(&self, key: &[u8], ledger: &OpLedger) -> Result<Option<Vec<u8>>> {
+        self.check_key(key)?;
+        self.retry_stale(ledger, || self.get_once(key, ledger))
+            .await
+    }
+
+    async fn get_once(&self, key: &[u8], ledger: &OpLedger) -> Result<Option<Vec<u8>>> {
+        let (generation, mask, data) = self.snapshot();
+
+        // Hinted fast path: read the remembered slot directly. The key
+        // stored in the slot validates the hint — no version check needed
+        // for reads.
+        if let Some(h) = self.hint_for(generation, key) {
+            let (hdr, matched) = self.probe(&data, h.slot, key, ledger).await?;
+            if matched {
+                self.bump("kv.index.hit");
+                let version = hdr.version;
+                self.install_hint(key, SlotHint { version, ..h });
+                return Ok(Some(self.landed_value(&hdr)));
+            }
+            // A writer mid-publish keeps the hint — the slot is still the
+            // key's home as far as we know, and the walk below waits the
+            // writer out. Anything else stable means the key moved on.
+            if !hdr.locked() {
+                self.drop_hint(key, "kv.index.stale");
+            }
+        } else {
+            self.bump("kv.index.miss");
+        }
+
+        let mut watch = LockWatch::new(self.dev.sim().now());
+        match self
+            .walk(&data, mask, key, false, &mut watch, ledger)
+            .await?
+        {
+            Found::Hit(slot, hdr) => {
+                let hint = SlotHint {
+                    generation,
+                    slot,
+                    version: hdr.version,
+                };
+                self.install_hint(key, hint);
+                Ok(Some(self.landed_value(&hdr)))
+            }
+            Found::Hole(..) | Found::Absent => Ok(None),
+        }
+    }
+
+    /// Looks up many keys, batching the first probe of every key into one
+    /// posting round ([`Region::read_into_many`]) — one doorbell per memory
+    /// server instead of one per key. Keys whose first slot resolves the lookup (the
+    /// common case at sane load factors) are answered from the batch; a key
+    /// whose first slot is locked, tombstoned, or a colliding entry falls
+    /// back to [`get`](Self::get) for the full probe chain.
+    ///
+    /// Returns one entry per key, in input order.
+    ///
+    /// # Errors
+    ///
+    /// As for [`get`](Self::get); every key is validated before anything
+    /// posts.
+    pub async fn multi_get(&self, keys: &[&[u8]]) -> Result<Vec<Option<Vec<u8>>>> {
+        for key in keys {
+            self.check_key(key)?;
+        }
+        if keys.is_empty() {
+            return Ok(Vec::new());
+        }
+        let ledger = self.meta.op_ledger("multi_get");
+        ledger.set_units(keys.len() as u64);
+        let result = self
+            .retry_stale(&ledger, || self.multi_get_once(keys, &ledger))
+            .await;
+        self.meta.finish_ledger_res(&ledger, &result);
+        result
+    }
+
+    async fn multi_get_once(
+        &self,
+        keys: &[&[u8]],
+        ledger: &OpLedger,
+    ) -> Result<Vec<Option<Vec<u8>>>> {
+        let (generation, mask, data) = self.snapshot();
+        let (data, sb) = (&data, self.slot_bytes);
+        // Stage through the data region's buffer pool: a steady-state batch
+        // of the same size reuses one arena buffer instead of an alloc/free
+        // pair per call.
+        data.with_staging(sb * keys.len() as u64, |staging| async move {
+            let mut ios = self.ios_scratch.take();
+            ios.clear();
+            ios.extend(keys.iter().enumerate().map(|(i, key)| {
+                let home = hash_key(key) & mask;
+                (home * sb, staging.slice(i as u64 * sb, sb))
+            }));
+            let landed = async {
+                data.read_into_many_l(&ios, ledger).await?;
+                let mut out = Vec::with_capacity(keys.len());
+                for (key, &(offset, dst)) in keys.iter().zip(&ios) {
+                    let slot = offset / sb;
+                    let (hdr, matched) = self.decode_landed(data, slot, dst.addr, key)?;
+                    out.push(if matched {
+                        let hint = SlotHint {
+                            generation,
+                            slot,
+                            version: hdr.version,
+                        };
+                        self.install_hint(key, hint);
+                        Some(self.landed_value(&hdr))
+                    } else if hdr.version == 0 {
+                        None
+                    } else {
+                        // Locked, tombstoned or a colliding entry: the answer
+                        // lives further down the probe chain. Take the
+                        // retrying path, charged to the batch op.
+                        self.get_l(key, ledger).await?
+                    });
+                }
+                Ok(out)
+            };
+            let result = landed.await;
+            *self.ios_scratch.borrow_mut() = ios;
+            result
+        })
+        .await
+    }
+
+    // --- the locked mutation -----------------------------------------------------
+
+    /// Inserts or overwrites `key` → `value`.
+    ///
+    /// A warm hint costs CAS + one full-slot WRITE (2 round trips); a cold
+    /// put pays one extra probe READ per visited slot.
+    ///
+    /// # Errors
+    ///
+    /// * [`RStoreError::Protocol`] if key+value exceed the slot size or
+    ///   either length exceeds the u16 header fields.
+    /// * [`RStoreError::InsufficientCapacity`] if the probe window is full.
+    /// * IO failures (including a bounded lock wait that times out).
+    pub async fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.check_entry(key, value)?;
+        let ledger = self.meta.op_ledger("put");
+        let result = self.put_l(key, value, &ledger).await;
+        self.meta.finish_ledger_res(&ledger, &result);
+        result
+    }
+
+    async fn put_l(&self, key: &[u8], value: &[u8], ledger: &OpLedger) -> Result<()> {
+        self.ensure_write_lease(ledger).await?;
+        let image = Image::Entry(key, value);
+        let placed = self.retry_stale(ledger, || self.mutate_key(key, image, ledger));
+        let Some(hint) = placed.await? else {
+            return Err(RStoreError::InsufficientCapacity {
+                requested: self.slot_bytes,
+            });
+        };
+        self.install_hint(key, hint);
+        Ok(())
+    }
+
+    /// Removes `key`, returning whether it was present.
+    ///
+    /// A warm hint costs CAS + one small WRITE (2 round trips).
+    ///
+    /// # Errors
+    ///
+    /// IO failures (including a bounded lock wait that times out).
+    pub async fn delete(&self, key: &[u8]) -> Result<bool> {
+        self.check_key(key)?;
+        let ledger = self.meta.op_ledger("delete");
+        let result = self.delete_l(key, &ledger).await;
+        self.meta.finish_ledger_res(&ledger, &result);
+        result
+    }
+
+    async fn delete_l(&self, key: &[u8], ledger: &OpLedger) -> Result<bool> {
+        self.ensure_write_lease(ledger).await?;
+        let tombstoned =
+            self.retry_stale(ledger, || self.mutate_key(key, Image::Tombstone, ledger));
+        let found = tombstoned.await?.is_some();
+        if found {
+            self.drop_hint(key, "kv.index.invalidate");
+        }
+        Ok(found)
+    }
+
+    /// Finds `key`'s slot — by hint, else by a writer's walk — and runs the
+    /// locked mutation on it. Returns where `image` was published — the
+    /// slot and its new stable version, which for an entry is the key's
+    /// fresh hint — or `None` if there is no slot to mutate: the key is
+    /// absent (tombstone) or its probe window is full (entry).
+    async fn mutate_key(
+        &self,
+        key: &[u8],
+        image: Image<'_>,
+        ledger: &OpLedger,
+    ) -> Result<Option<SlotHint>> {
+        let (generation, mask, data) = self.snapshot();
+        let mut watch = LockWatch::new(self.dev.sim().now());
+
+        // Hinted fast path: CAS directly on the cached stable version. A
+        // slot never repeats a stable version within a generation, so CAS
+        // success proves the slot still holds this key at that version — no
+        // probe read needed.
+        if let Some(h) = self.hint_for(generation, key) {
+            match self.mutate(&data, h.slot, h.version, image, ledger).await {
+                Ok(true) => {
+                    self.bump("kv.index.hit");
+                    let version = h.version + 2;
+                    return Ok(Some(SlotHint { version, ..h }));
+                }
+                // The slot moved on (another writer, a delete, …): fall
+                // back to the walk.
+                Ok(false) => self.drop_hint(key, "kv.index.stale"),
+                Err(e) => {
+                    self.drop_hint(key, "kv.index.invalidate");
+                    return Err(e);
+                }
+            }
+        } else {
+            self.bump("kv.index.miss");
+        }
+
+        loop {
+            let found = self.walk(&data, mask, key, true, &mut watch, ledger);
+            let (slot, version) = match (found.await?, image) {
+                (Found::Hit(slot, hdr), _) => (slot, hdr.version),
+                (Found::Hole(slot, version), Image::Entry(..)) => (slot, version),
+                _ => return Ok(None),
+            };
+            if self.mutate(&data, slot, version, image, ledger).await? {
+                return Ok(Some(SlotHint {
+                    generation,
+                    slot,
+                    version: version + 2,
+                }));
+            }
+            // Lost the lock race: the chain may have changed under the
+            // winner, so walk again.
+            ledger.retry();
+            self.lock_wait(watch.deadline).await?;
+        }
+    }
+
+    /// The locked mutation of one slot observed at stable `version`: lock it
+    /// with a tagged CAS, then publish `image` in one WRITE that also
+    /// releases the lock. Returns `false`, with nothing changed, if the CAS
+    /// lost — the slot is no longer at `version`.
+    ///
+    /// Every failure leaves the slot unlocked as far as this client can
+    /// reach it: a failed publish aborts the slot (the op was never
+    /// acknowledged), and an ambiguous CAS (IO error) is resolved by
+    /// read-back before the error surfaces, so it can never orphan the lock.
+    async fn mutate(
+        &self,
+        data: &Region,
+        slot: u64,
+        version: u64,
+        image: Image<'_>,
+        ledger: &OpLedger,
+    ) -> Result<bool> {
+        let lock = lock_word(version, next_nonce());
+        match self
+            .cas_word(data, slot * self.slot_bytes, version, lock, ledger)
+            .await
+        {
+            Ok(true) => {}
+            Ok(false) => return Ok(false),
+            Err(e) => {
+                self.recover_ambiguous_cas(data, slot, version, lock, ledger)
+                    .await;
+                return Err(e);
+            }
+        }
+        if let Err(e) = self.publish(data, slot, version, image, ledger).await {
+            self.abort_locked_slot(data, slot, version, ledger).await;
+            return Err(e);
+        }
+        Ok(true)
+    }
+
+    /// Publishes `image` over a slot this client holds locked over stable
+    /// `version`, in one WRITE: `[version + 2 | header | key | value]` (or
+    /// the 16-byte tombstone header) lands atomically — a slot never
+    /// straddles a stripe, so this is a single WR per replica — releasing
+    /// the lock in the same op. Readers either see the old locked word or
+    /// the complete new image, never a torn body.
     ///
     /// The image is assembled in the table-lifetime `img_scratch` buffer
     /// (taken for the duration of the WRITE, restored after — a concurrent
     /// publish on the same handle just allocates a fresh one);
     /// [`Region::write_l`] posts it inline when the device's `inline_max`
     /// covers it.
-    async fn write_and_unlock(
+    async fn publish(
         &self,
         data: &Region,
         slot: u64,
         version: u64,
-        key: &[u8],
-        value: &[u8],
+        image: Image<'_>,
         ledger: &OpLedger,
     ) -> Result<()> {
         let mut img = self.img_scratch.take();
         img.clear();
-        img.extend_from_slice(&(version + 2).to_le_bytes());
-        img.extend_from_slice(&(key.len() as u16).to_le_bytes());
-        img.extend_from_slice(&(value.len() as u16).to_le_bytes());
-        img.extend_from_slice(&[0u8; 4]);
-        img.extend_from_slice(key);
-        img.extend_from_slice(value);
+        match image {
+            Image::Entry(key, value) => {
+                img.resize(HDR_BYTES + key.len() + value.len(), 0);
+                SlotHdr::write_entry(&mut img, version + 2, key, value);
+            }
+            Image::Tombstone => img.extend_from_slice(&SlotHdr::tombstone(version + 2)),
+        }
         let result = data.write_l(slot * self.slot_bytes, &img, ledger).await;
         *self.img_scratch.borrow_mut() = img;
         result
     }
 
     /// Best-effort abort of a slot this client holds locked over stable
-    /// `version`: one 16-byte WRITE installs a tombstone header and releases
-    /// the lock (writing `version + 2` also clears the lock word's nonce
-    /// tag). Called when the mutation's IO failed mid-flight — the caller
-    /// surfaces that error, and errors here are deliberately swallowed (the
-    /// servers still reachable get unlocked; repair rebuilds the rest from
-    /// them).
+    /// `version`: a tombstone publish releases the lock (writing
+    /// `version + 2` also clears the lock word's nonce tag). Called when the
+    /// mutation's IO failed mid-flight — the caller surfaces that error, and
+    /// errors here are deliberately swallowed (the servers still reachable
+    /// get unlocked; repair rebuilds the rest from them).
     async fn abort_locked_slot(&self, data: &Region, slot: u64, version: u64, ledger: &OpLedger) {
-        let _ = self.tombstone_and_unlock(data, slot, version, ledger).await;
-    }
-
-    /// Tombstones a locked slot and releases the lock in one 16-byte WRITE:
-    /// `[version + 2 | klen = 0 | vlen = 0 | pad]`. Small enough to post
-    /// inline whenever the device allows it at all.
-    async fn tombstone_and_unlock(
-        &self,
-        data: &Region,
-        slot: u64,
-        version: u64,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let mut img = [0u8; HDR_BYTES as usize];
-        img[..8].copy_from_slice(&(version + 2).to_le_bytes());
-        data.write_l(slot * self.slot_bytes, &img, ledger).await
+        let _ = self
+            .publish(data, slot, version, Image::Tombstone, ledger)
+            .await;
     }
 
     /// Resolves a CAS whose completion was lost to an IO error. The swap may
@@ -1434,144 +1466,38 @@ impl KvTable {
         }
     }
 
-    /// Removes `key`, returning whether it was present.
+    /// One-sided CAS on an 8-byte word of `region` at byte `offset`, on the
+    /// client's data QP to the word's server like any READ or WRITE; true if
+    /// it won.
     ///
-    /// A warm hint costs CAS + one small WRITE (2 round trips).
-    ///
-    /// # Errors
-    ///
-    /// IO failures (including a bounded lock wait that times out).
-    pub async fn delete(&self, key: &[u8]) -> Result<bool> {
-        self.check_key(key)?;
-        let ledger = self.meta.op_ledger("delete");
-        let result = self.delete_l(key, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
-    }
-
-    async fn delete_l(&self, key: &[u8], ledger: &OpLedger) -> Result<bool> {
-        self.ensure_write_lease(ledger).await?;
-        let mut revalidated = false;
-        loop {
-            match self.delete_once(key, ledger).await {
-                Err(e) if !revalidated && stale_generation_status(&e) => {
-                    revalidated = true;
-                    if !self.revalidate_generation(ledger).await? {
-                        return Err(e);
-                    }
-                }
-                r => return r,
-            }
-        }
-    }
-
-    async fn delete_once(&self, key: &[u8], ledger: &OpLedger) -> Result<bool> {
-        let (generation, mask, data) = self.snapshot();
-        let deadline = self.dev.sim().now() + LOCK_WAIT_BUDGET;
-
-        // Hinted fast path: lock via CAS on the cached version, tombstone.
-        if let Some(h) = self.hint_for(generation, key) {
-            let lock = lock_word(h.version, next_nonce());
-            match self
-                .cas_word(&data, h.slot * self.slot_bytes, h.version, lock, ledger)
-                .await
-            {
-                Ok(true) => {
-                    self.bump("kv.index.hit");
-                    if let Err(e) = self
-                        .tombstone_and_unlock(&data, h.slot, h.version, ledger)
-                        .await
-                    {
-                        self.abort_locked_slot(&data, h.slot, h.version, ledger)
-                            .await;
-                        self.drop_hint(key, "kv.index.invalidate");
-                        return Err(e);
-                    }
-                    self.drop_hint(key, "kv.index.invalidate");
-                    return Ok(true);
-                }
-                Ok(false) => self.drop_hint(key, "kv.index.stale"),
-                Err(e) => {
-                    self.recover_ambiguous_cas(&data, h.slot, h.version, lock, ledger)
-                        .await;
-                    self.drop_hint(key, "kv.index.invalidate");
-                    return Err(e);
-                }
-            }
+    /// Records its own `cas` op ledger (when enabled), then folds the costs
+    /// into `parent` so the enclosing put/delete still accounts for the
+    /// whole logical mutation.
+    async fn cas_word(
+        &self,
+        region: &Region,
+        offset: u64,
+        expect: u64,
+        swap: u64,
+        parent: &OpLedger,
+    ) -> Result<bool> {
+        let cas_ledger = if parent.enabled() {
+            self.meta.op_ledger("cas")
         } else {
-            self.bump("kv.index.miss");
-        }
-
-        let mut watch = LockWatch::new();
-        'retry: loop {
-            let start = hash_key(key) & mask;
-            for probe in 0..self.max_probe.min(mask + 1) {
-                let slot = (start + probe) & mask;
-                self.read_slot_into_probe_buf(&data, slot, ledger).await?;
-                let (version, klen, matched) = {
-                    let mut img = self.probe_scratch.borrow_mut();
-                    self.dev.read_mem_into(self.probe_buf.addr, &mut img)?;
-                    let version = u64::from_le_bytes(img[..8].try_into().expect("8"));
-                    let klen = u16::from_le_bytes(img[8..10].try_into().expect("2")) as usize;
-                    let matched = version % 2 == 0
-                        && klen != 0
-                        && HDR_BYTES as usize + klen <= self.slot_bytes as usize
-                        && keys_eq(&img[HDR_BYTES as usize..HDR_BYTES as usize + klen], key);
-                    (version, klen, matched)
-                };
-                if version == 0 {
-                    return Ok(false);
-                }
-                if version % 2 == 1 {
-                    ledger.retry();
-                    self.lock_wait_on(&data, &mut watch, deadline, slot, version, ledger)
-                        .await?;
-                    continue 'retry;
-                }
-                if klen == 0 {
-                    continue; // tombstone
-                }
-                if HDR_BYTES as usize + klen > self.slot_bytes as usize {
-                    return Err(self.corrupt_err(&data, slot));
-                }
-                if matched {
-                    let lock = lock_word(version, next_nonce());
-                    let won = match self
-                        .cas_word(&data, slot * self.slot_bytes, version, lock, ledger)
-                        .await
-                    {
-                        Ok(w) => w,
-                        Err(e) => {
-                            self.recover_ambiguous_cas(&data, slot, version, lock, ledger)
-                                .await;
-                            return Err(e);
-                        }
-                    };
-                    if !won {
-                        ledger.retry();
-                        self.lock_wait(deadline).await?;
-                        continue 'retry;
-                    }
-                    // Tombstone + unlock in one WRITE; abort on IO failure
-                    // so the lock is not orphaned.
-                    if let Err(e) = self
-                        .tombstone_and_unlock(&data, slot, version, ledger)
-                        .await
-                    {
-                        self.abort_locked_slot(&data, slot, version, ledger).await;
-                        return Err(e);
-                    }
-                    self.drop_hint(key, "kv.index.invalidate");
-                    return Ok(true);
-                }
-            }
-            return Ok(false);
-        }
+            OpLedger::disabled()
+        };
+        let landing = self.scratch.slice(0, 8);
+        let result = region
+            .cas_word_l(offset, expect, swap, landing, &cas_ledger)
+            .await;
+        self.meta.finish_ledger_res(&cas_ledger, &result);
+        parent.absorb(&cas_ledger);
+        result
     }
 
     fn check_key(&self, key: &[u8]) -> Result<()> {
         if key.is_empty()
-            || key.len() as u64 > self.slot_bytes - HDR_BYTES
+            || key.len() as u64 > self.slot_bytes - HDR_BYTES as u64
             || key.len() > u16::MAX as usize
         {
             return Err(RStoreError::Protocol("bad key length".into()));
@@ -1579,46 +1505,85 @@ impl KvTable {
         Ok(())
     }
 
+    /// [`check_key`](Self::check_key) plus the value: the header stores
+    /// lengths as u16, so anything wider is rejected before it wraps into a
+    /// corrupt entry (reachable once slot_bytes > 64 KiB), and key + value
+    /// must fit the slot payload.
+    fn check_entry(&self, key: &[u8], value: &[u8]) -> Result<()> {
+        self.check_key(key)?;
+        let payload = self.slot_bytes as usize - HDR_BYTES;
+        if value.len() > u16::MAX as usize || key.len() + value.len() > payload {
+            return Err(RStoreError::Protocol(format!(
+                "entry of {} + {} bytes exceeds a u16 length field or the slot payload of {payload}",
+                key.len(),
+                value.len()
+            )));
+        }
+        Ok(())
+    }
+
     // --- epoch / generation maintenance --------------------------------------
 
-    /// Reads and validates the meta block.
-    async fn read_meta(&self, ledger: &OpLedger) -> Result<TableMeta> {
-        let m = TableMeta::decode(&self.meta.read_l(0, META_BYTES, ledger).await?)?;
-        if m.slot_bytes != self.slot_bytes {
-            return Err(RStoreError::Protocol(
-                "kv meta block changed slot_bytes under a live handle".into(),
-            ));
+    /// Reads and validates the meta block behind `meta`.
+    async fn read_meta(meta: &Region, slot_bytes: u64, ledger: &OpLedger) -> Result<TableMeta> {
+        let m = TableMeta::decode(&meta.read_l(0, META_BYTES, ledger).await?)?;
+        if m.slot_bytes != slot_bytes {
+            return Err(RStoreError::Protocol(format!(
+                "slot_bytes mismatch: table has {}, handle expects {slot_bytes}",
+                m.slot_bytes
+            )));
         }
         Ok(m)
+    }
+
+    /// The one meta poll loop: reads the meta block every [`RESIZE_POLL`]
+    /// and hands each stable (even-epoch) view to `settle` until it returns
+    /// `Some`, which ends the poll. `settle` returning `None` — or
+    /// `NotFound`, a map that raced a generation flip — keeps polling.
+    /// `Ok(None)` means [`RESIZE_WAIT_BUDGET`] ran out first.
+    async fn poll_meta<T, Fut>(
+        meta: &Region,
+        slot_bytes: u64,
+        ledger: &OpLedger,
+        settle: impl Fn(TableMeta) -> Fut,
+    ) -> Result<Option<T>>
+    where
+        Fut: Future<Output = Result<Option<T>>>,
+    {
+        let sim = meta.client().device().sim();
+        let deadline = sim.now() + RESIZE_WAIT_BUDGET;
+        loop {
+            let m = Self::read_meta(meta, slot_bytes, ledger).await?;
+            if m.epoch % 2 == 0 {
+                match settle(m).await {
+                    Ok(None) | Err(RStoreError::NotFound(_)) => {}
+                    settled => return settled,
+                }
+            }
+            if sim.now() >= deadline {
+                return Ok(None);
+            }
+            sim.sleep(RESIZE_POLL).await;
+        }
     }
 
     /// Admits a mutation: cheap no-op while the write lease is fresh; past
     /// it, one meta read revalidates the epoch (waiting out an in-flight
     /// resize) and renews the lease.
     async fn ensure_write_lease(&self, ledger: &OpLedger) -> Result<()> {
-        if self.dev.sim().now() < self.write_lease.get() {
+        let sim = self.dev.sim();
+        if sim.now() < self.write_lease.get() {
             return Ok(());
         }
-        let deadline = self.dev.sim().now() + RESIZE_WAIT_BUDGET;
-        loop {
-            let m = self.read_meta(ledger).await?;
-            if m.epoch % 2 == 0 {
-                if m.generation != self.state.borrow().generation {
-                    match self.remap(&m, ledger).await {
-                        Ok(()) => return Ok(()),
-                        Err(RStoreError::NotFound(_)) => {} // raced a flip
-                        Err(e) => return Err(e),
-                    }
-                } else {
-                    self.write_lease.set(self.dev.sim().now() + WRITE_LEASE);
-                    return Ok(());
-                }
+        let admitted = Self::poll_meta(&self.meta, self.slot_bytes, ledger, |m| async move {
+            if m.generation != self.generation() {
+                self.remap(&m).await?;
+            } else {
+                self.write_lease.set(sim.now() + WRITE_LEASE);
             }
-            if self.dev.sim().now() >= deadline {
-                return Err(RStoreError::Io(CqStatus::Timeout));
-            }
-            self.dev.sim().sleep(RESIZE_POLL).await;
-        }
+            Ok(Some(()))
+        });
+        admitted.await?.ok_or(RStoreError::Io(CqStatus::Timeout))
     }
 
     /// Reacts to a stale-generation fault (`RemoteAccess`: the data region
@@ -1631,35 +1596,23 @@ impl KvTable {
     /// the descriptor moved does this return `false` (surface the original
     /// error).
     async fn revalidate_generation(&self, ledger: &OpLedger) -> Result<bool> {
+        let sim = self.dev.sim();
         let trace = ledger.optrace();
-        let span = trace.begin(Phase::Reval, self.dev.sim().now());
-        let result = self.revalidate_generation_inner(ledger).await;
-        trace.end(span, self.dev.sim().now());
-        result
-    }
-
-    async fn revalidate_generation_inner(&self, ledger: &OpLedger) -> Result<bool> {
-        let now = self.dev.sim().now();
-        let same_gen_deadline = now + STALE_GEN_BUDGET;
-        let deadline = now + RESIZE_WAIT_BUDGET;
-        loop {
-            let m = self.read_meta(ledger).await?;
-            if m.epoch % 2 == 0 {
-                if m.generation != self.state.borrow().generation {
-                    match self.remap(&m, ledger).await {
-                        Ok(()) => return Ok(true),
-                        Err(RStoreError::NotFound(_)) => {} // raced a flip
-                        Err(e) => return Err(e),
-                    }
-                } else if self.dev.sim().now() >= same_gen_deadline {
-                    return self.revalidate_placement(ledger).await;
-                }
+        let span = trace.begin(Phase::Reval, sim.now());
+        let same_gen_deadline = sim.now() + STALE_GEN_BUDGET;
+        let moved = Self::poll_meta(&self.meta, self.slot_bytes, ledger, |m| async move {
+            if m.generation != self.generation() {
+                self.remap(&m).await?;
+                Ok(Some(true))
+            } else if sim.now() >= same_gen_deadline {
+                self.revalidate_placement(ledger).await.map(Some)
+            } else {
+                Ok(None)
             }
-            if self.dev.sim().now() >= deadline {
-                return Ok(false);
-            }
-            self.dev.sim().sleep(RESIZE_POLL).await;
-        }
+        })
+        .await;
+        trace.end(span, sim.now());
+        Ok(moved?.unwrap_or(false))
     }
 
     /// Same-generation fallback for a persistent `RemoteAccess` fault: the
@@ -1682,35 +1635,22 @@ impl KvTable {
         Ok(moved)
     }
 
-    /// Maps the generation named by `m` and swaps it in: hints die (they are
-    /// generation-scoped), the write lease renews (the epoch was just seen
-    /// even).
-    async fn remap(&self, m: &TableMeta, _ledger: &OpLedger) -> Result<()> {
-        if !m.buckets.is_power_of_two() {
-            return Err(RStoreError::Protocol("kv meta block corrupt".into()));
-        }
-        let client = self.meta.client().clone();
+    /// Maps the generation named by `m` and swaps it in.
+    async fn remap(&self, m: &TableMeta) -> Result<()> {
         let name = gen_name(self.meta.name(), m.generation);
-        let data = if self.degraded {
-            client.map_degraded(&name).await?
-        } else {
-            client.map(&name).await?
-        };
-        if data.size() != m.buckets * self.slot_bytes {
-            return Err(RStoreError::Protocol(
-                "kv meta block disagrees with the data region size".into(),
-            ));
-        }
-        *self.state.borrow_mut() = TableGen {
-            generation: m.generation,
-            buckets: m.buckets,
-            mask: m.buckets - 1,
-            data,
-        };
-        self.hints.borrow_mut().clear();
+        let data = map_gen(self.meta.client(), &name, self.degraded).await?;
+        self.install(TableGen::new(m, data)?);
         self.bump("kv.index.refresh");
-        self.write_lease.set(self.dev.sim().now() + WRITE_LEASE);
         Ok(())
+    }
+
+    /// Swaps in a generation whose meta block was just seen with an even
+    /// epoch: hints die (they are generation-scoped), the write lease
+    /// renews.
+    fn install(&self, state: TableGen) {
+        *self.state.borrow_mut() = state;
+        self.hints.borrow_mut().clear();
+        self.write_lease.set(self.dev.sim().now() + WRITE_LEASE);
     }
 
     // --- resize ---------------------------------------------------------------
@@ -1743,7 +1683,7 @@ impl KvTable {
 
     async fn grow_l(&self, new_buckets: u64, ledger: &OpLedger) -> Result<u64> {
         let new_buckets = new_buckets.next_power_of_two();
-        let m = self.read_meta(ledger).await?;
+        let m = Self::read_meta(&self.meta, self.slot_bytes, ledger).await?;
         if m.epoch % 2 == 1 {
             return Err(RStoreError::Protocol("resize already in progress".into()));
         }
@@ -1753,80 +1693,48 @@ impl KvTable {
                 m.buckets
             )));
         }
-        if m.generation != self.state.borrow().generation {
-            self.remap(&m, ledger).await?;
+        if m.generation != self.generation() {
+            self.remap(&m).await?;
         }
 
         // Claim the resize: CAS the epoch odd. One resizer wins; everyone
         // else sees "in progress".
         let odd = m.epoch + 1;
         if !self
-            .cas_word(&self.meta.clone(), META_EPOCH_OFF, m.epoch, odd, ledger)
+            .cas_word(&self.meta, META_EPOCH_OFF, m.epoch, odd, ledger)
             .await?
         {
             return Err(RStoreError::Protocol(
                 "lost the resize race to another client".into(),
             ));
         }
-        // Propagate the odd epoch to every meta replica (the CAS hit the
-        // primary only).
-        if let Err(e) = self
-            .meta
-            .write_l(META_EPOCH_OFF, &odd.to_le_bytes(), ledger)
-            .await
-        {
-            let _ = self
-                .meta
-                .write_l(META_EPOCH_OFF, &m.epoch.to_le_bytes(), ledger)
-                .await;
-            return Err(e);
-        }
-
-        match self.copy_generation(&m, new_buckets, ledger).await {
-            Ok((new_data, moved)) => {
-                let flipped = TableMeta {
-                    epoch: m.epoch + 2,
-                    generation: m.generation + 1,
-                    buckets: new_buckets,
-                    slot_bytes: self.slot_bytes,
-                };
-                // Publish: generation and even epoch in one small write —
-                // atomic per replica, so no client can observe a half-flip.
-                if let Err(e) = self.meta.write_l(0, &flipped.encode(), ledger).await {
-                    let client = self.meta.client().clone();
-                    let _ = client
-                        .free(&gen_name(self.meta.name(), m.generation + 1))
-                        .await;
-                    let _ = self
-                        .meta
-                        .write_l(META_EPOCH_OFF, &m.epoch.to_le_bytes(), ledger)
-                        .await;
-                    return Err(e);
-                }
-                // Retire the old generation. Readers mid-flight fault with
-                // RemoteAccess once this lands and revalidate against the
-                // already-published meta block. A failed free leaks the old
-                // region but is otherwise harmless.
-                let client = self.meta.client().clone();
-                if client
-                    .free(&gen_name(self.meta.name(), m.generation))
-                    .await
-                    .is_err()
-                {
-                    self.bump("kv.resize.free_failed");
-                }
-                *self.state.borrow_mut() = TableGen {
-                    generation: flipped.generation,
-                    buckets: new_buckets,
-                    mask: new_buckets - 1,
-                    data: new_data,
-                };
-                self.hints.borrow_mut().clear();
-                self.write_lease.set(self.dev.sim().now() + WRITE_LEASE);
-                self.bump("kv.resize.count");
-                self.dev.metrics().add("kv.resize.moved", moved);
-                Ok(moved)
+        let client = self.meta.client();
+        let flip = async {
+            // Propagate the odd epoch to every meta replica (the CAS hit the
+            // primary only).
+            self.meta
+                .write_l(META_EPOCH_OFF, &odd.to_le_bytes(), ledger)
+                .await?;
+            let (new_data, moved) = self.copy_generation(&m, new_buckets, ledger).await?;
+            let flipped = TableMeta {
+                epoch: m.epoch + 2,
+                generation: m.generation + 1,
+                buckets: new_buckets,
+                slot_bytes: self.slot_bytes,
+            };
+            let state = TableGen::new(&flipped, new_data)?;
+            // Publish: generation and even epoch in one small write —
+            // atomic per replica, so no client can observe a half-flip.
+            if let Err(e) = self.meta.write_l(0, &flipped.encode(), ledger).await {
+                let _ = client
+                    .free(&gen_name(self.meta.name(), flipped.generation))
+                    .await;
+                return Err(e);
             }
+            Ok((state, moved))
+        };
+        let (state, moved) = match flip.await {
+            Ok(flipped) => flipped,
             Err(e) => {
                 // Unwind: the old generation is untouched; restore the even
                 // epoch so writers unblock.
@@ -1834,9 +1742,24 @@ impl KvTable {
                     .meta
                     .write_l(META_EPOCH_OFF, &m.epoch.to_le_bytes(), ledger)
                     .await;
-                Err(e)
+                return Err(e);
             }
+        };
+        // Retire the old generation. Readers mid-flight fault with
+        // RemoteAccess once this lands and revalidate against the
+        // already-published meta block. A failed free leaks the old
+        // region but is otherwise harmless.
+        if client
+            .free(&gen_name(self.meta.name(), m.generation))
+            .await
+            .is_err()
+        {
+            self.bump("kv.resize.free_failed");
         }
+        self.install(state);
+        self.bump("kv.resize.count");
+        self.dev.metrics().add("kv.resize.moved", moved);
+        Ok(moved)
     }
 
     /// The copy phase of a resize: grace wait, bulk read of the old
@@ -1866,51 +1789,16 @@ impl KvTable {
         // Rehash live entries into the new image. A slot still locked after
         // the grace window is an orphaned lock from a crashed writer — its
         // op was never acknowledged, so dropping it is linearizable.
-        let payload = (self.slot_bytes - HDR_BYTES) as usize;
-        let new_mask = new_buckets - 1;
-        let sb = self.slot_bytes as usize;
         let mut img_new = vec![0u8; (new_buckets * self.slot_bytes) as usize];
         let mut moved = 0u64;
-        for slot in 0..m.buckets {
-            let base = slot as usize * sb;
-            let version = u64::from_le_bytes(img_old[base..base + 8].try_into().expect("8"));
-            if version == 0 || version % 2 == 1 {
-                continue;
+        let old_slots = img_old.chunks_exact(self.slot_bytes as usize);
+        for (slot, img) in old_slots.enumerate() {
+            let hdr =
+                SlotHdr::decode(img).map_err(|CorruptSlot| self.corrupt_err(&old, slot as u64))?;
+            if hdr.live() {
+                self.place(&mut img_new, new_buckets - 1, hdr.key(img), hdr.value(img))?;
+                moved += 1;
             }
-            let klen =
-                u16::from_le_bytes(img_old[base + 8..base + 10].try_into().expect("2")) as usize;
-            let vlen =
-                u16::from_le_bytes(img_old[base + 10..base + 12].try_into().expect("2")) as usize;
-            if klen == 0 {
-                continue; // tombstone
-            }
-            if klen + vlen > payload {
-                return Err(self.corrupt_err(&old, slot));
-            }
-            let entry =
-                &img_old[base + HDR_BYTES as usize..base + HDR_BYTES as usize + klen + vlen];
-            let key = &entry[..klen];
-            let home = hash_key(key) & new_mask;
-            let mut placed = false;
-            for probe in 0..self.max_probe.min(new_buckets) {
-                let dst = ((home + probe) & new_mask) as usize * sb;
-                if img_new[dst..dst + 8] != [0u8; 8] {
-                    continue;
-                }
-                img_new[dst..dst + 8].copy_from_slice(&2u64.to_le_bytes());
-                img_new[dst + 8..dst + 10].copy_from_slice(&(klen as u16).to_le_bytes());
-                img_new[dst + 10..dst + 12].copy_from_slice(&(vlen as u16).to_le_bytes());
-                img_new[dst + HDR_BYTES as usize..dst + HDR_BYTES as usize + klen + vlen]
-                    .copy_from_slice(entry);
-                placed = true;
-                break;
-            }
-            if !placed {
-                return Err(RStoreError::InsufficientCapacity {
-                    requested: self.slot_bytes,
-                });
-            }
-            moved += 1;
         }
 
         // Allocate the new generation with the old region's shape. A
@@ -1942,24 +1830,44 @@ impl KvTable {
             }
             Err(e) => return Err(e),
         };
-        let upload = async {
-            let total = new_buckets * self.slot_bytes;
-            let mut off = 0u64;
-            while off < total {
-                let n = COPY_CHUNK.min(total - off);
-                new_data
-                    .write_l(off, &img_new[off as usize..(off + n) as usize], ledger)
-                    .await?;
-                off += n;
-            }
-            Ok(())
-        }
-        .await;
-        if let Err(e) = upload {
+        if let Err(e) = self.upload(&new_data, &img_new, ledger).await {
             let _ = client.free(&new_name).await;
             return Err(e);
         }
         Ok((new_data, moved))
+    }
+
+    /// Places `key → value` in `img`, the host image of a whole generation
+    /// with bucket mask `mask`: over the key's own entry if the image
+    /// already holds it, else in the first never-used slot of its probe
+    /// window. Returns whether it overwrote.
+    fn place(&self, img: &mut [u8], mask: u64, key: &[u8], value: &[u8]) -> Result<bool> {
+        let sb = self.slot_bytes as usize;
+        let home = hash_key(key) & mask;
+        for probe in 0..self.max_probe.min(mask + 1) {
+            let slot = &mut img[((home + probe) & mask) as usize * sb..][..sb];
+            let Ok(hdr) = SlotHdr::decode(slot) else {
+                continue;
+            };
+            let overwrite = hdr.live();
+            if overwrite && !keys_eq(hdr.key(slot), key) {
+                continue;
+            }
+            SlotHdr::write_entry(slot, 2, key, value);
+            return Ok(overwrite);
+        }
+        Err(RStoreError::InsufficientCapacity {
+            requested: self.slot_bytes,
+        })
+    }
+
+    /// Uploads the whole-generation host image `img` to `data` in
+    /// [`COPY_CHUNK`] writes.
+    async fn upload(&self, data: &Region, img: &[u8], ledger: &OpLedger) -> Result<()> {
+        for (i, chunk) in img.chunks(COPY_CHUNK as usize).enumerate() {
+            data.write_l(i as u64 * COPY_CHUNK, chunk, ledger).await?;
+        }
+        Ok(())
     }
 
     // --- bulk load ------------------------------------------------------------
@@ -1997,134 +1905,19 @@ impl KvTable {
     {
         self.ensure_write_lease(ledger).await?;
         let (_, mask, data) = self.snapshot();
-        let buckets = mask + 1;
-        let payload = (self.slot_bytes - HDR_BYTES) as usize;
-        let sb = self.slot_bytes as usize;
-        let mut img = vec![0u8; (buckets * self.slot_bytes) as usize];
+        let mut img = vec![0u8; ((mask + 1) * self.slot_bytes) as usize];
         let mut count = 0u64;
         for (key, value) in entries {
             let (key, value) = (key.as_ref(), value.as_ref());
-            self.check_key(key)?;
-            if value.len() > u16::MAX as usize || key.len() + value.len() > payload {
-                return Err(RStoreError::Protocol(format!(
-                    "entry of {} bytes exceeds slot payload of {payload}",
-                    key.len() + value.len()
-                )));
+            self.check_entry(key, value)?;
+            if !self.place(&mut img, mask, key, value)? {
+                count += 1; // not an overwrite: a new key
             }
-            let home = hash_key(key) & mask;
-            let mut placed = false;
-            for probe in 0..self.max_probe.min(buckets) {
-                let dst = ((home + probe) & mask) as usize * sb;
-                if img[dst..dst + 8] != [0u8; 8] {
-                    let klen =
-                        u16::from_le_bytes(img[dst + 8..dst + 10].try_into().expect("2")) as usize;
-                    if &img[dst + HDR_BYTES as usize..dst + HDR_BYTES as usize + klen] != key {
-                        continue;
-                    }
-                    count -= 1; // overwrite: not a new key
-                }
-                img[dst..dst + 8].copy_from_slice(&2u64.to_le_bytes());
-                img[dst + 8..dst + 10].copy_from_slice(&(key.len() as u16).to_le_bytes());
-                img[dst + 10..dst + 12].copy_from_slice(&(value.len() as u16).to_le_bytes());
-                img[dst + 12..dst + 16].copy_from_slice(&[0u8; 4]);
-                img[dst + HDR_BYTES as usize..dst + HDR_BYTES as usize + key.len()]
-                    .copy_from_slice(key);
-                let vbase = dst + HDR_BYTES as usize + key.len();
-                img[vbase..vbase + value.len()].copy_from_slice(value);
-                // Zero any tail left over from a longer earlier value.
-                img[vbase + value.len()..dst + sb].fill(0);
-                placed = true;
-                break;
-            }
-            if !placed {
-                return Err(RStoreError::InsufficientCapacity {
-                    requested: self.slot_bytes,
-                });
-            }
-            count += 1;
         }
         ledger.set_units(count);
-        let total = buckets * self.slot_bytes;
-        let mut off = 0u64;
-        while off < total {
-            let n = COPY_CHUNK.min(total - off);
-            data.write_l(off, &img[off as usize..(off + n) as usize], ledger)
-                .await?;
-            off += n;
-        }
+        self.upload(&data, &img, ledger).await?;
         self.hints.borrow_mut().clear();
         Ok(count)
-    }
-
-    // --- atomics ---------------------------------------------------------------
-
-    /// One-sided CAS on an 8-byte word of `region` at byte `offset`; true if
-    /// it won.
-    ///
-    /// Records its own `cas` op ledger (when enabled), then folds the costs
-    /// into `parent` so the enclosing put/delete still accounts for the
-    /// whole logical mutation.
-    #[allow(clippy::await_holding_refcell_ref)] // single-threaded sim
-    async fn cas_word(
-        &self,
-        region: &Region,
-        offset: u64,
-        expect: u64,
-        swap: u64,
-        parent: &OpLedger,
-    ) -> Result<bool> {
-        // Locate the extent holding the word — straight from the cached
-        // layout, with no descriptor clone or piece vector per CAS.
-        let (extent, off_in_stripe) = region.word_extent(offset)?;
-
-        // Atomics need their own QP (the region's cached QPs route
-        // completions to the client's data router, which expects region
-        // wr_ids). Establish lazily per server: control path, once.
-        let qp = {
-            let cached = self.atomic_qps.borrow().get(&extent.node).cloned();
-            match cached {
-                Some(qp) => qp,
-                None => {
-                    let qp = self
-                        .dev
-                        .connect(fabric::NodeId(extent.node), DATA_SERVICE, &self.atomic_cq)
-                        .await?;
-                    self.atomic_qps.borrow_mut().insert(extent.node, qp.clone());
-                    qp
-                }
-            }
-        };
-        let remote = RemoteAddr {
-            addr: extent.addr + off_in_stripe,
-            rkey: rdma::RKey(extent.rkey),
-        };
-        let cas_ledger = if parent.enabled() {
-            self.meta.op_ledger("cas")
-        } else {
-            OpLedger::disabled()
-        };
-        let result = async {
-            {
-                let _scope = self.dev.ledger_scope(&cas_ledger);
-                qp.post_cas(1, self.scratch.slice(0, 8), remote, expect, swap)?;
-            }
-            loop {
-                let cqe = self.atomic_cq.next().await;
-                if cqe.opcode == CqeOpcode::CompSwap {
-                    cas_ledger.rtt();
-                    if cqe.status != CqStatus::Success {
-                        return Err(RStoreError::Io(cqe.status));
-                    }
-                    break;
-                }
-            }
-            let old = self.dev.read_u64(self.scratch.addr)?;
-            Ok(old == expect)
-        }
-        .await;
-        self.meta.finish_ledger_res(&cas_ledger, &result);
-        parent.absorb(&cas_ledger);
-        result
     }
 }
 
@@ -2678,53 +2471,59 @@ mod tests {
         // Regression (ISSUE 7 satellite): a slot image whose header lengths
         // exceed the slot used to panic the client with a slice
         // out-of-range. Every op touching it must instead surface
-        // CorruptionDetected.
+        // CorruptionDetected and count it — readers and writers alike,
+        // whether the key length is impossible too or only the value length
+        // is (ISSUE 13 satellite: the writers' probes used to check `klen`
+        // alone and overwrote, tombstoned or probed past the second image).
         let cluster = boot(1);
         let sim = cluster.sim.clone();
         sim.block_on(async move {
             let client = cluster.client(0).await.unwrap();
             let cfg = small_cfg();
-            let kv = KvTable::create(&client, "cr", cfg).await.unwrap();
-            kv.put(b"victim", b"v").await.unwrap();
-            // Smash the victim's home slot with an impossible header:
-            // stable version, klen = vlen = 0xFFFF.
-            let mask = cfg.buckets.next_power_of_two() - 1;
-            let slot = hash_key(b"victim") & mask;
-            let raw = client.map("cr@g1").await.unwrap();
-            let mut hdr = [0u8; 16];
-            hdr[..8].copy_from_slice(&2u64.to_le_bytes());
-            hdr[8..10].copy_from_slice(&0xFFFFu16.to_le_bytes());
-            hdr[10..12].copy_from_slice(&0xFFFFu16.to_le_bytes());
-            let none = OpLedger::disabled();
-            raw.write_l(slot * cfg.slot_bytes, &hdr, &none)
-                .await
-                .unwrap();
+            let metrics = client.device().metrics();
+            let intact = b"victim".len() as u16;
+            for (table, klen, vlen) in [("cr", 0xFFFF, 0xFFFF), ("cr2", intact, 0xFFFF)] {
+                let kv = KvTable::create(&client, table, cfg).await.unwrap();
+                kv.put(b"victim", b"v").await.unwrap();
+                // Smash the header of the victim's home slot: stable
+                // version, impossible lengths. The key bytes stay.
+                let mask = cfg.buckets.next_power_of_two() - 1;
+                let slot = hash_key(b"victim") & mask;
+                let raw = client.map(&gen_name(table, 1)).await.unwrap();
+                let hdr = SlotHdr {
+                    version: 2,
+                    klen: klen as usize,
+                    vlen: vlen as usize,
+                };
+                let none = OpLedger::disabled();
+                raw.write_l(slot * cfg.slot_bytes, &hdr.encode(), &none)
+                    .await
+                    .unwrap();
 
-            // Hinted read path.
-            let err = kv.get(b"victim").await.err().unwrap();
-            assert!(
-                matches!(err, RStoreError::CorruptionDetected { .. }),
-                "hinted get: {err}"
-            );
-            // Cold probe paths, on a handle with no hints.
-            let kv2 = KvTable::open(&client, "cr", cfg.slot_bytes, cfg.max_probe)
-                .await
-                .unwrap();
-            for (what, err) in [
-                ("get", kv2.get(b"victim").await.err().unwrap()),
-                ("put", kv2.put(b"victim", b"x").await.err().unwrap()),
-                ("delete", kv2.delete(b"victim").await.err().unwrap()),
-                (
-                    "multi_get",
-                    kv2.multi_get(&[b"victim"]).await.err().unwrap(),
-                ),
-            ] {
-                assert!(
-                    matches!(err, RStoreError::CorruptionDetected { .. }),
-                    "{what}: {err}"
-                );
+                let mut counted = metrics.counter("kv.slot_corrupt");
+                let mut check = |what: &str, err: RStoreError| {
+                    assert!(
+                        matches!(err, RStoreError::CorruptionDetected { .. }),
+                        "{table} {what}: {err}"
+                    );
+                    counted += 1;
+                    assert_eq!(
+                        metrics.counter("kv.slot_corrupt"),
+                        counted,
+                        "{table} {what}: not counted"
+                    );
+                };
+                check("hinted get", kv.get(b"victim").await.err().unwrap());
+                // Cold probe paths, on a handle with no hints.
+                let kv2 = KvTable::open(&client, table, cfg.slot_bytes, cfg.max_probe)
+                    .await
+                    .unwrap();
+                check("get", kv2.get(b"victim").await.err().unwrap());
+                check("put", kv2.put(b"victim", b"x").await.err().unwrap());
+                check("delete", kv2.delete(b"victim").await.err().unwrap());
+                let batch = kv2.multi_get(&[b"victim"]).await;
+                check("multi_get", batch.err().unwrap());
             }
-            assert!(client.device().metrics().counter("kv.slot_corrupt") >= 5);
         });
     }
 

@@ -10,7 +10,9 @@ use std::future::Future;
 use std::rc::Rc;
 use std::time::Duration;
 
-use rdma::{CqStatus, DmaBuf, RKey, RdmaError, RemoteAddr, Sge, SgeList, Wr, WrOp, MAX_SGE};
+use rdma::{
+    AtomicOp, CqStatus, DmaBuf, RKey, RdmaError, RemoteAddr, Sge, SgeList, Wr, WrOp, MAX_SGE,
+};
 use sim::channel::oneshot;
 use sim::sync::Semaphore;
 use sim::{OpLedger, Phase};
@@ -21,11 +23,17 @@ use crate::error::{RStoreError, Result};
 use crate::layout::{Layout, Piece};
 use crate::proto::{Extent, RegionDesc, CK_BYTES};
 
-/// Direction of a posted IO.
+/// What a posted WR does with its transfers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum Dir {
     Read,
     Write,
+    /// Compare-and-swap on the 8-byte word one transfer names; the prior
+    /// value lands in the transfer's buffer.
+    Cas {
+        expect: u64,
+        swap: u64,
+    },
 }
 
 /// One planned transfer: `piece` of the caller's `buf`, against replica
@@ -131,7 +139,7 @@ impl Region {
 
     /// Fetches a staging buffer of exactly `len` bytes from the pool, or
     /// allocates a fresh one. Pair with [`put_staging`](Self::put_staging).
-    pub(crate) fn take_staging(&self, len: u64) -> Result<DmaBuf> {
+    fn take_staging(&self, len: u64) -> Result<DmaBuf> {
         let mut pool = self.pool.staging.borrow_mut();
         if let Some(i) = pool.iter().rposition(|b| b.len == len) {
             return Ok(pool.swap_remove(i));
@@ -141,7 +149,7 @@ impl Region {
     }
 
     /// Returns a staging buffer to the pool (or frees it when full).
-    pub(crate) fn put_staging(&self, buf: DmaBuf) {
+    fn put_staging(&self, buf: DmaBuf) {
         let mut pool = self.pool.staging.borrow_mut();
         if pool.len() < POOL_CAP {
             pool.push(buf);
@@ -179,15 +187,6 @@ impl Region {
     /// Stripe length of `group`.
     fn stripe_len(&self, group: usize) -> u64 {
         self.desc.borrow().groups[group].len()
-    }
-
-    /// Resolves the primary-replica extent serving the 8-byte word at
-    /// `offset`, plus the word's offset within that stripe — the addressing
-    /// path for one-sided atomics, with no descriptor clone or piece-vector
-    /// allocation per call.
-    pub(crate) fn word_extent(&self, offset: u64) -> Result<(Extent, u64)> {
-        let piece = self.layout.borrow().piece_at(offset, 8)?;
-        Ok((self.extent(piece.group, 0), piece.offset_in_stripe))
     }
 
     /// Re-fetches the descriptor from the master because cached placement
@@ -290,7 +289,11 @@ impl Region {
     }
 
     /// Runs `io` on a pooled staging buffer of exactly `len` bytes.
-    async fn with_staging<T, Fut>(&self, len: u64, io: impl FnOnce(DmaBuf) -> Fut) -> Result<T>
+    pub(crate) async fn with_staging<T, Fut>(
+        &self,
+        len: u64,
+        io: impl FnOnce(DmaBuf) -> Fut,
+    ) -> Result<T>
     where
         Fut: Future<Output = Result<T>>,
     {
@@ -458,6 +461,36 @@ impl Region {
         let result = self.write_src(offset, src, None, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
+    }
+
+    /// One-sided compare-and-swap on the 8-byte word at `offset` of the
+    /// primary replica, on the client's data QP like any READ or WRITE; the
+    /// prior value lands in `landing` (8 bytes) and the result is whether the
+    /// swap won. Posted once: no re-dial, failover or descriptor
+    /// revalidation, because a CAS whose completion was lost may have
+    /// executed and must not be blindly repeated — every failure, the
+    /// stale-placement `RemoteAccess` included, goes to the caller (the KV
+    /// layer's read-back and generation machinery).
+    pub(crate) async fn cas_word_l(
+        &self,
+        offset: u64,
+        expect: u64,
+        swap: u64,
+        landing: DmaBuf,
+        ledger: &OpLedger,
+    ) -> Result<bool> {
+        let word = Xfer {
+            piece: self.layout.borrow().piece_at(offset, 8)?,
+            buf: landing,
+            replica: 0,
+            redialed: false,
+        };
+        let rx = self.post(Dir::Cas { expect, swap }, &[word], None, ledger)?;
+        ledger.rtt();
+        match rx.await.unwrap_or(CqStatus::Flushed) {
+            CqStatus::Success => Ok(self.client.shared.dev.read_u64(landing.addr)? == expect),
+            status => Err(RStoreError::Io(status)),
+        }
     }
 
     /// Posts a read without waiting (no failover, and — unlike
@@ -1021,7 +1054,8 @@ impl Region {
     /// resolve to the same memory server — and returns its completion
     /// receiver: one element per transfer, one wr_id, one doorbell. With
     /// `inline`, a lone WRITE carries those host bytes in the WQE instead of
-    /// reading its buffer.
+    /// reading its buffer. A [`Dir::Cas`] is one atomic on its one transfer's
+    /// word, routed by wr_id and backstopped like any READ or WRITE.
     fn post(
         &self,
         dir: Dir,
@@ -1058,6 +1092,11 @@ impl Region {
                 bytes,
                 remote: elems[0].remote,
             },
+            (Dir::Cas { expect, swap }, _) => WrOp::Atomic {
+                result: elems[0].local,
+                remote: elems[0].remote,
+                op: AtomicOp::CompareSwap { expect, swap },
+            },
         };
         let wr_id = s.next_wr.get();
         s.next_wr.set(wr_id + 1);
@@ -1082,11 +1121,11 @@ impl Region {
             return Err(e.into());
         }
         self.arm_backstop(wr_id, total);
-        let metric = match dir {
-            Dir::Read => "rstore.read_bytes",
-            Dir::Write => "rstore.write_bytes",
-        };
-        s.dev.metrics().add(metric, total);
+        match dir {
+            Dir::Read => s.dev.metrics().add("rstore.read_bytes", total),
+            Dir::Write => s.dev.metrics().add("rstore.write_bytes", total),
+            Dir::Cas { .. } => {}
+        }
         Ok(rx)
     }
 

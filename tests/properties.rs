@@ -585,25 +585,57 @@ fn region_io_matches_model_and_doorbell_rule() {
 // --- KV table vs model ------------------------------------------------------------
 
 /// A random op sequence against the distributed KV table agrees with a
-/// `HashMap` executed in lockstep.
+/// `HashMap` executed in lockstep — swept over the hint-cache size (0 forces
+/// the probe walk on every op, 2 forces eviction and stale hints), the table
+/// geometry (the crowded one fills up: tombstone reuse, chains as long as
+/// the table, and `InsufficientCapacity`, which the model must predict) and
+/// the replica count. Two handles on two clients take turns, so each one's
+/// hints go stale under the other's deletes and re-inserts, and one
+/// mid-sequence `grow` leaves the other handle on a freed generation.
 #[test]
 fn kv_table_matches_hashmap_model() {
-    cases("kv_table_matches_hashmap_model", 12, |rng| {
-        use rstore::{Cluster, ClusterConfig, KvConfig, KvTable};
-        use std::collections::HashMap;
+    use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable};
+    use rstore::{RStoreClient, RStoreError};
+    use std::collections::HashMap;
 
-        let n_ops = rng.range_u64(1, 60);
-        let ops: Vec<(u8, u8, Vec<u8>)> = (0..n_ops)
+    enum Op {
+        Put(u8, Vec<u8>),
+        Delete(u8),
+        Get(u8),
+        MultiGet(Vec<u8>),
+    }
+    const HINT_CAPS: [usize; 3] = [0, 2, 4096];
+    // (buckets, max_probe, buckets after the grow)
+    const GEOMETRIES: [(u64, u64, u64); 2] = [(64, 64, 256), (16, 16, 64)];
+    let key_of = |id: u8| format!("key-{id}").into_bytes();
+
+    let mut case = 0;
+    cases("kv_table_matches_hashmap_model", 24, |rng| {
+        let kv_hint_capacity = HINT_CAPS[case % 3];
+        let (buckets, max_probe, grown) = GEOMETRIES[case / 3 % 2];
+        let replicas = 1 + (case / 6 % 2) as u8;
+        case += 1;
+
+        let n_ops = rng.range_u64(1, 160);
+        let grow_at = rng.range_u64(0, n_ops);
+        let ops: Vec<Op> = (0..n_ops)
             .map(|_| {
-                let len = rng.index(40);
-                let mut value = vec![0u8; len];
-                rng.fill_bytes(&mut value);
-                (rng.index(3) as u8, rng.index(24) as u8, value)
+                let key = rng.index(32) as u8;
+                match rng.index(20) {
+                    0..=9 => {
+                        let mut value = vec![0u8; rng.index(40)];
+                        rng.fill_bytes(&mut value);
+                        Op::Put(key, value)
+                    }
+                    10..=12 => Op::Delete(key),
+                    13..=16 => Op::Get(key),
+                    _ => Op::MultiGet((0..=rng.index(8)).map(|_| rng.index(32) as u8).collect()),
+                }
             })
             .collect();
 
         let cluster = Cluster::boot(ClusterConfig {
-            clients: 1,
+            clients: 2,
             ..ClusterConfig::with_servers(2)
         })
         .expect("boot");
@@ -611,49 +643,92 @@ fn kv_table_matches_hashmap_model() {
         let devs = cluster.client_devs.clone();
         let master = cluster.master_node();
         let outcome: Result<(), String> = sim.block_on(async move {
-            let client = rstore::RStoreClient::connect(&devs[0], master)
-                .await
-                .map_err(|e| e.to_string())?;
-            let kv = KvTable::create(
-                &client,
-                "prop_kv",
-                KvConfig {
-                    buckets: 64,
-                    slot_bytes: 128,
-                    max_probe: 64,
-                    ..KvConfig::default()
+            let client_cfg = ClientConfig {
+                kv_hint_capacity,
+                ..ClientConfig::default()
+            };
+            let cfg = KvConfig {
+                buckets,
+                slot_bytes: 128,
+                max_probe,
+                opts: AllocOptions {
+                    replicas,
+                    ..AllocOptions::default()
                 },
-            )
-            .await
-            .map_err(|e| e.to_string())?;
+            };
+            let mut handles = Vec::new();
+            for (i, dev) in devs.iter().enumerate() {
+                let client = RStoreClient::connect_with(dev, master, client_cfg)
+                    .await
+                    .map_err(|e| e.to_string())?;
+                let kv = match i {
+                    0 => KvTable::create(&client, "prop_kv", cfg).await,
+                    _ => KvTable::open(&client, "prop_kv", cfg.slot_bytes, max_probe).await,
+                };
+                handles.push(kv.map_err(|e| e.to_string())?);
+            }
+
             let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
-            for (op, keyid, value) in ops {
-                let key = format!("key-{keyid}").into_bytes();
-                match op {
-                    0 => {
-                        kv.put(&key, &value).await.map_err(|e| e.to_string())?;
-                        model.insert(key, value);
+            for (i, op) in ops.into_iter().enumerate() {
+                let kv = &handles[i % 2];
+                if i as u64 == grow_at {
+                    let moved = handles[0].grow(grown).await.map_err(|e| e.to_string())?;
+                    if moved != model.len() as u64 {
+                        return Err(format!("grow moved {moved}, model has {}", model.len()));
                     }
-                    1 => {
+                }
+                match op {
+                    Op::Put(id, value) => {
+                        // The probe window covers the whole table until the
+                        // grow, so a new key fits iff some slot is not live.
+                        let window = max_probe.min(handles[0].buckets());
+                        let whole_table = window == handles[0].buckets();
+                        let key = key_of(id);
+                        let room = model.contains_key(&key) || (model.len() as u64) < window;
+                        match kv.put(&key, &value).await {
+                            Ok(()) if whole_table && !room => {
+                                return Err(format!("put of {key:?} fit a full table"));
+                            }
+                            Ok(()) => {
+                                model.insert(key, value);
+                            }
+                            Err(RStoreError::InsufficientCapacity { .. }) if !room => {}
+                            Err(e) => return Err(format!("put of {key:?}: {e}")),
+                        }
+                    }
+                    Op::Delete(id) => {
+                        let key = key_of(id);
                         let deleted = kv.delete(&key).await.map_err(|e| e.to_string())?;
                         let expected = model.remove(&key).is_some();
                         if deleted != expected {
                             return Err(format!("delete mismatch for {key:?}"));
                         }
                     }
-                    _ => {
+                    Op::Get(id) => {
+                        let key = key_of(id);
                         let got = kv.get(&key).await.map_err(|e| e.to_string())?;
                         if got.as_ref() != model.get(&key) {
                             return Err(format!("get mismatch for {key:?}"));
                         }
                     }
+                    Op::MultiGet(ids) => {
+                        let keys: Vec<Vec<u8>> = ids.into_iter().map(key_of).collect();
+                        let refs: Vec<&[u8]> = keys.iter().map(Vec::as_slice).collect();
+                        let got = kv.multi_get(&refs).await.map_err(|e| e.to_string())?;
+                        let want: Vec<_> = keys.iter().map(|k| model.get(k).cloned()).collect();
+                        if got != want {
+                            return Err(format!("multi_get mismatch for {keys:?}"));
+                        }
+                    }
                 }
             }
-            // Final full check.
-            for (key, value) in &model {
-                let got = kv.get(key).await.map_err(|e| e.to_string())?;
-                if got.as_deref() != Some(value.as_slice()) {
-                    return Err(format!("final state mismatch for {key:?}"));
+            // Final full check, through both handles.
+            for kv in &handles {
+                for (key, value) in &model {
+                    let got = kv.get(key).await.map_err(|e| e.to_string())?;
+                    if got.as_deref() != Some(value.as_slice()) {
+                        return Err(format!("final state mismatch for {key:?}"));
+                    }
                 }
             }
             Ok(())

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use fabric::FaultPlan;
 use rstore::{
-    AllocOptions, Cluster, ClusterConfig, MasterConfig, RStoreClient, RStoreError, RegionState,
-    ServerConfig,
+    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig, RStoreClient,
+    RStoreError, RegionState, ServerConfig,
 };
 
 fn boot(servers: usize, clients: usize) -> Cluster {
@@ -291,6 +291,62 @@ fn used_accounting_survives_reregistration() {
         );
         c.free("sticky").await.unwrap();
         assert_eq!(c.stats().await.unwrap().used, 0);
+    });
+}
+
+#[test]
+fn kv_handle_survives_a_server_flap_without_reopen() {
+    // A table handle owns no connections: its CAS rides the client's data
+    // QPs, so once the client has re-dialed a flapped server the *same*
+    // handle mutates that server's slots again. (A handle with an atomic QP
+    // of its own never re-dialed it: every key homed on the victim answered
+    // `Rdma(QpError)` until the table was reopened.)
+    let cluster = boot(2, 1);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let victim = cluster.servers[0].node();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        // 1 KiB stripes alternate between the two servers, so about half
+        // the keys are homed on the victim.
+        let cfg = KvConfig {
+            buckets: 256,
+            slot_bytes: 128,
+            max_probe: 16,
+            opts: AllocOptions {
+                stripe_size: 1024,
+                ..AllocOptions::default()
+            },
+        };
+        let kv = KvTable::create(&c, "flap", cfg).await.unwrap();
+        let key = |i: u32| format!("flap-{i}").into_bytes();
+        for i in 0..64 {
+            kv.put(&key(i), b"before").await.unwrap();
+        }
+
+        fabric.set_node_up(victim, false);
+        let mut failed = 0;
+        for i in 0..64 {
+            if kv.put(&key(i), b"during").await.is_err() {
+                failed += 1;
+            }
+        }
+        assert!(failed > 0, "puts homed on the downed server must fail");
+        fabric.set_node_up(victim, true);
+
+        for i in 0..64 {
+            let value = format!("after-{i}").into_bytes();
+            let mut attempts = 0;
+            while let Err(e) = kv.put(&key(i), &value).await {
+                attempts += 1;
+                assert!(attempts < 20, "key {i} stayed unwritable: {e:?}");
+                s.sleep(Duration::from_millis(20)).await;
+            }
+            assert_eq!(kv.get(&key(i)).await.unwrap().unwrap(), value);
+        }
     });
 }
 
