@@ -20,6 +20,7 @@ use crate::proto::{
 };
 use crate::region::Region;
 use crate::rpc::RpcClient;
+use crate::stats::ClientStats;
 use crate::{CTRL_SERVICE, DATA_SERVICE};
 
 /// Client-side data-path recovery tuning.
@@ -88,6 +89,7 @@ pub(crate) struct ClientShared {
     pub dev: RdmaDevice,
     pub sim: Sim,
     pub cfg: ClientConfig,
+    pub stats: ClientStats,
     master: NodeId,
     ctrl_sem: Semaphore,
     ctrl: RefCell<Option<RpcClient>>,
@@ -149,6 +151,7 @@ impl RStoreClient {
         let shared = Rc::new(ClientShared {
             dev: dev.clone(),
             sim: dev.sim().clone(),
+            stats: ClientStats::resolve(&dev.metrics(), cfg.ledger),
             cfg,
             master,
             ctrl_sem: Semaphore::new(1),
@@ -415,13 +418,13 @@ impl RStoreClient {
             slot.sem.release();
             return Err(RStoreError::Rdma(RdmaError::Timeout));
         }
-        s.dev.metrics().incr("rstore.redial.attempts");
+        s.stats.redial_attempts.incr();
         let result = s.dev.connect(NodeId(node), DATA_SERVICE, &s.data_cq).await;
         let out = match result {
             Ok(qp) => {
                 s.conns.borrow_mut().insert(node, qp.clone());
                 slot.attempts.set(0);
-                s.dev.metrics().incr("rstore.redial.ok");
+                s.stats.redial_ok.incr();
                 Ok(qp)
             }
             Err(e) => {

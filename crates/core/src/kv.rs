@@ -125,10 +125,11 @@
 //! orders of magnitude past a healthy hold time.
 
 use rdma::{CqStatus, DmaBuf, RdmaDevice};
-use sim::{OpLedger, Phase, SimTime};
+use sim::{Counter, OpLedger, Phase, SimTime};
 use std::cell::{Cell, RefCell};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::future::Future;
+use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -137,6 +138,7 @@ use crate::error::{RStoreError, Result};
 use crate::layout::Layout;
 use crate::proto::AllocOptions;
 use crate::region::Region;
+use crate::stats::{KvStats, OpKind};
 
 const HDR_BYTES: usize = 16;
 
@@ -486,8 +488,17 @@ struct SlotHint {
 /// sweeps, so the queue stays O(capacity)).
 struct HintCache {
     cap: usize,
-    map: HashMap<Vec<u8>, SlotHint>,
-    fifo: VecDeque<Vec<u8>>,
+    /// Each key's bytes live once, shared with its queue entries.
+    map: HashMap<Rc<[u8]>, CachedHint>,
+    fifo: VecDeque<Rc<[u8]>>,
+    /// Compactions so far; see [`CachedHint::sweep`].
+    sweeps: u64,
+}
+
+struct CachedHint {
+    hint: SlotHint,
+    /// The compaction that last kept a queue entry for this key.
+    sweep: u64,
 }
 
 impl HintCache {
@@ -496,11 +507,12 @@ impl HintCache {
             cap,
             map: HashMap::new(),
             fifo: VecDeque::new(),
+            sweeps: 0,
         }
     }
 
     fn lookup(&self, key: &[u8]) -> Option<SlotHint> {
-        self.map.get(key).copied()
+        self.map.get(key).map(|e| e.hint)
     }
 
     /// Inserts or refreshes a hint; returns how many entries were evicted.
@@ -509,7 +521,7 @@ impl HintCache {
             return 0;
         }
         if let Some(existing) = self.map.get_mut(key) {
-            *existing = hint;
+            existing.hint = hint;
             return 0;
         }
         let mut evicted = 0;
@@ -521,8 +533,10 @@ impl HintCache {
                 evicted += 1;
             }
         }
-        self.map.insert(key.to_vec(), hint);
-        self.fifo.push_back(key.to_vec());
+        let key: Rc<[u8]> = key.into();
+        let sweep = self.sweeps;
+        self.map.insert(key.clone(), CachedHint { hint, sweep });
+        self.fifo.push_back(key);
         if self.fifo.len() >= self.cap * 2 + 8 {
             self.compact();
         }
@@ -541,10 +555,15 @@ impl HintCache {
     /// Drops queue entries whose key is gone or duplicated (keeping each
     /// live key's earliest position, preserving FIFO age).
     fn compact(&mut self) {
-        let mut seen: HashSet<Vec<u8>> = HashSet::new();
-        let map = &self.map;
-        self.fifo
-            .retain(|k| map.contains_key(k) && seen.insert(k.clone()));
+        self.sweeps += 1;
+        let (map, sweep) = (&mut self.map, self.sweeps);
+        self.fifo.retain(|k| match map.get_mut(k) {
+            Some(e) if e.sweep != sweep => {
+                e.sweep = sweep;
+                true
+            }
+            _ => false,
+        });
     }
 }
 
@@ -596,6 +615,7 @@ pub struct KvTable {
     /// mutation revalidates the epoch with one meta read.
     write_lease: Cell<SimTime>,
     hints: RefCell<HintCache>,
+    stats: KvStats,
     /// Landing buffer for the prior value of a CAS.
     scratch: DmaBuf,
     /// Table-lifetime landing buffer for slot probes, so the hot path
@@ -827,6 +847,7 @@ impl KvTable {
         let lease = dev.sim().now() + WRITE_LEASE;
         Ok(KvTable {
             meta,
+            stats: KvStats::resolve(&dev.metrics()),
             dev,
             slot_bytes: m.slot_bytes,
             max_probe,
@@ -865,10 +886,6 @@ impl KvTable {
         (st.generation, st.mask, st.data.clone())
     }
 
-    fn bump(&self, counter: &str) {
-        self.dev.metrics().incr(counter);
-    }
-
     fn hint_for(&self, generation: u64, key: &[u8]) -> Option<SlotHint> {
         self.hints
             .borrow()
@@ -879,13 +896,13 @@ impl KvTable {
     fn install_hint(&self, key: &[u8], hint: SlotHint) {
         let evicted = self.hints.borrow_mut().insert(key, hint);
         if evicted > 0 {
-            self.dev.metrics().add("kv.index.evict", evicted);
+            self.stats.evict.add(evicted);
         }
     }
 
-    fn drop_hint(&self, key: &[u8], counter: &str) {
+    fn drop_hint(&self, key: &[u8], counter: &Counter) {
         if self.hints.borrow_mut().remove(key) {
-            self.bump(counter);
+            counter.incr();
         }
     }
 
@@ -898,7 +915,7 @@ impl KvTable {
             .ok()
             .and_then(|p| p.first().map(|p| desc.groups[p.group].replicas[0].node))
             .unwrap_or(0);
-        self.bump("kv.slot_corrupt");
+        self.stats.slot_corrupt.incr();
         RStoreError::CorruptionDetected {
             node,
             region: desc.name.clone(),
@@ -1078,7 +1095,7 @@ impl KvTable {
             .await
         {
             Ok(true) => {
-                self.bump("kv.lock.break");
+                self.stats.lock_break.incr();
                 true
             }
             // Lost the CAS (owner or another waiter resolved it first) or
@@ -1101,7 +1118,7 @@ impl KvTable {
     /// [`RStoreError::Protocol`] if the key exceeds the slot;
     /// [`RStoreError::CorruptionDetected`] for structurally invalid slots.
     pub async fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        let ledger = self.meta.op_ledger("get");
+        let ledger = self.meta.op_ledger(OpKind::Get);
         let result = self.get_l(key, &ledger).await;
         self.meta.finish_ledger_res(&ledger, &result);
         result
@@ -1124,7 +1141,7 @@ impl KvTable {
         if let Some(h) = self.hint_for(generation, key) {
             let (hdr, matched) = self.probe(&data, h.slot, key, ledger).await?;
             if matched {
-                self.bump("kv.index.hit");
+                self.stats.hit.incr();
                 let version = hdr.version;
                 self.install_hint(key, SlotHint { version, ..h });
                 return Ok(Some(self.landed_value(&hdr)));
@@ -1133,10 +1150,10 @@ impl KvTable {
             // key's home as far as we know, and the walk below waits the
             // writer out. Anything else stable means the key moved on.
             if !hdr.locked() {
-                self.drop_hint(key, "kv.index.stale");
+                self.drop_hint(key, &self.stats.stale);
             }
         } else {
-            self.bump("kv.index.miss");
+            self.stats.miss.incr();
         }
 
         let mut watch = LockWatch::new(self.dev.sim().now());
@@ -1177,7 +1194,7 @@ impl KvTable {
         if keys.is_empty() {
             return Ok(Vec::new());
         }
-        let ledger = self.meta.op_ledger("multi_get");
+        let ledger = self.meta.op_ledger(OpKind::MultiGet);
         ledger.set_units(keys.len() as u64);
         let result = self
             .retry_stale(&ledger, || self.multi_get_once(keys, &ledger))
@@ -1250,7 +1267,7 @@ impl KvTable {
     /// * IO failures (including a bounded lock wait that times out).
     pub async fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         self.check_entry(key, value)?;
-        let ledger = self.meta.op_ledger("put");
+        let ledger = self.meta.op_ledger(OpKind::Put);
         let result = self.put_l(key, value, &ledger).await;
         self.meta.finish_ledger_res(&ledger, &result);
         result
@@ -1278,7 +1295,7 @@ impl KvTable {
     /// IO failures (including a bounded lock wait that times out).
     pub async fn delete(&self, key: &[u8]) -> Result<bool> {
         self.check_key(key)?;
-        let ledger = self.meta.op_ledger("delete");
+        let ledger = self.meta.op_ledger(OpKind::Delete);
         let result = self.delete_l(key, &ledger).await;
         self.meta.finish_ledger_res(&ledger, &result);
         result
@@ -1290,7 +1307,7 @@ impl KvTable {
             self.retry_stale(ledger, || self.mutate_key(key, Image::Tombstone, ledger));
         let found = tombstoned.await?.is_some();
         if found {
-            self.drop_hint(key, "kv.index.invalidate");
+            self.drop_hint(key, &self.stats.invalidate);
         }
         Ok(found)
     }
@@ -1316,20 +1333,20 @@ impl KvTable {
         if let Some(h) = self.hint_for(generation, key) {
             match self.mutate(&data, h.slot, h.version, image, ledger).await {
                 Ok(true) => {
-                    self.bump("kv.index.hit");
+                    self.stats.hit.incr();
                     let version = h.version + 2;
                     return Ok(Some(SlotHint { version, ..h }));
                 }
                 // The slot moved on (another writer, a delete, …): fall
                 // back to the walk.
-                Ok(false) => self.drop_hint(key, "kv.index.stale"),
+                Ok(false) => self.drop_hint(key, &self.stats.stale),
                 Err(e) => {
-                    self.drop_hint(key, "kv.index.invalidate");
+                    self.drop_hint(key, &self.stats.invalidate);
                     return Err(e);
                 }
             }
         } else {
-            self.bump("kv.index.miss");
+            self.stats.miss.incr();
         }
 
         loop {
@@ -1482,7 +1499,7 @@ impl KvTable {
         parent: &OpLedger,
     ) -> Result<bool> {
         let cas_ledger = if parent.enabled() {
-            self.meta.op_ledger("cas")
+            self.meta.op_ledger(OpKind::Cas)
         } else {
             OpLedger::disabled()
         };
@@ -1630,7 +1647,7 @@ impl KvTable {
         }
         let moved = data.desc() != before;
         if moved {
-            self.bump("kv.index.refresh");
+            self.stats.refresh.incr();
         }
         Ok(moved)
     }
@@ -1640,7 +1657,7 @@ impl KvTable {
         let name = gen_name(self.meta.name(), m.generation);
         let data = map_gen(self.meta.client(), &name, self.degraded).await?;
         self.install(TableGen::new(m, data)?);
-        self.bump("kv.index.refresh");
+        self.stats.refresh.incr();
         Ok(())
     }
 
@@ -1675,7 +1692,7 @@ impl KvTable {
     /// allocation and IO failures. On error after the epoch flip, the
     /// epoch is restored even and the old generation stays live.
     pub async fn grow(&self, new_buckets: u64) -> Result<u64> {
-        let ledger = self.meta.op_ledger("resize");
+        let ledger = self.meta.op_ledger(OpKind::Resize);
         let result = self.grow_l(new_buckets, &ledger).await;
         self.meta.finish_ledger_res(&ledger, &result);
         result
@@ -1754,11 +1771,11 @@ impl KvTable {
             .await
             .is_err()
         {
-            self.bump("kv.resize.free_failed");
+            self.stats.resize_free_failed.incr();
         }
         self.install(state);
-        self.bump("kv.resize.count");
-        self.dev.metrics().add("kv.resize.moved", moved);
+        self.stats.resize_count.incr();
+        self.stats.resize_moved.add(moved);
         Ok(moved)
     }
 
@@ -1891,7 +1908,7 @@ impl KvTable {
         K: AsRef<[u8]>,
         V: AsRef<[u8]>,
     {
-        let ledger = self.meta.op_ledger("bulk_load");
+        let ledger = self.meta.op_ledger(OpKind::BulkLoad);
         let result = self.bulk_load_l(entries, &ledger).await;
         self.meta.finish_ledger_res(&ledger, &result);
         result

@@ -62,6 +62,7 @@ pub mod proto;
 pub mod region;
 pub mod rpc;
 pub mod server;
+mod stats;
 
 pub use client::{ClientConfig, RStoreClient};
 pub use cluster::{Cluster, ClusterConfig};

@@ -24,6 +24,7 @@ use crate::proto::{
     RegionDesc, RegionState, RegionStats, ServerStats, SrvReq, SrvResp, StripeGroup,
 };
 use crate::rpc::{spawn_rpc_server, RpcClient};
+use crate::stats::{MasterStats, MoveStats};
 use crate::{CTRL_SERVICE, SRV_SERVICE};
 
 /// Master configuration.
@@ -176,6 +177,7 @@ pub struct Master {
     sim: Sim,
     cfg: Rc<MasterConfig>,
     state: Rc<RefCell<MState>>,
+    stats: Rc<MasterStats>,
 }
 
 impl fmt::Debug for Master {
@@ -200,6 +202,7 @@ impl Master {
         let master = Master {
             dev: dev.clone(),
             sim: dev.sim().clone(),
+            stats: Rc::new(MasterStats::resolve(&dev.metrics())),
             state: Rc::new(RefCell::new(MState {
                 servers: BTreeMap::new(),
                 regions: HashMap::new(),
@@ -285,7 +288,7 @@ impl Master {
                 loop {
                     m.sim.sleep(m.cfg.scrub_interval).await;
                     m.scrub_sweep(&cq, &mut conns, &mut next_wr).await;
-                    m.dev.metrics().incr("integrity.scrub_passes");
+                    m.stats.scrub_passes.incr();
                 }
             });
         }
@@ -395,13 +398,12 @@ impl Master {
                 }
             })
             .collect();
-        let m = self.dev.metrics();
         ClusterReport {
             servers,
             regions,
-            corruption_detected: m.counter("integrity.detected"),
-            repaired_extents: m.counter("rstore.repair.extents"),
-            scrub_passes: m.counter("integrity.scrub_passes"),
+            corruption_detected: self.stats.detected.get(),
+            repaired_extents: self.stats.repair_extents.get(),
+            scrub_passes: self.stats.scrub_passes.get(),
         }
     }
 
@@ -536,7 +538,7 @@ impl Master {
     /// `(region, group, replica)` mark, no matter how many reads or scrub
     /// passes rediscover it.
     fn mark_detected(&self, group: u64, node: u64) {
-        self.dev.metrics().incr("integrity.detected");
+        self.stats.detected.incr();
         self.sim
             .tracer()
             .instant("core", "rstore.corrupt.mark", node, group);
@@ -1034,7 +1036,7 @@ impl Master {
             }
         }
         if repaired > 0 {
-            self.dev.metrics().add("rstore.repair.extents", repaired);
+            self.stats.repair_extents.add(repaired);
             self.sim
                 .forensics()
                 .note("repair", "extents_repaired", repaired);
@@ -1233,15 +1235,15 @@ impl Master {
     /// descriptor, and retry against the new home. Any mid-protocol failure
     /// rolls back exactly: the replacement is freed, the source unsealed,
     /// and the pending reservation returned. The caller must hold the
-    /// region's [`RegionGuard`]. `reason` ("drain" / "rebalance") names the
-    /// metric family charged for the move.
+    /// region's [`RegionGuard`]. `charge` is the metric family the move
+    /// counts under (drain or rebalance).
     async fn migrate_extent(
         &self,
         name: &str,
         gi: usize,
         ri: usize,
         old: &Extent,
-        reason: &'static str,
+        charge: &MoveStats,
     ) -> MigrateOutcome {
         let (synthetic, ck) = {
             let st = self.state.borrow();
@@ -1435,9 +1437,8 @@ impl Master {
                 },
             )
             .await;
-        let m = self.dev.metrics();
-        m.incr(&format!("{reason}.extents"));
-        m.add(&format!("{reason}.bytes"), phys);
+        charge.extents.incr();
+        charge.bytes.add(phys);
         self.sim
             .tracer()
             .instant("core", "rstore.migrate.extent", old.node as u64, phys);
@@ -1527,7 +1528,10 @@ impl Master {
                     let Some((gi, ri, old)) = found else {
                         break;
                     };
-                    match self.migrate_extent(&name, gi, ri, &old, "drain").await {
+                    match self
+                        .migrate_extent(&name, gi, ri, &old, &self.stats.drain)
+                        .await
+                    {
                         MigrateOutcome::Moved(b) => {
                             extents_moved += 1;
                             bytes_moved += b;
@@ -1579,10 +1583,9 @@ impl Master {
     /// ties on utilization are broken toward the server whose fabric link
     /// has been busier (`fabric.link<N>.{tx,rx}_busy_ns` gauges).
     async fn rebalance_sweep(&self) {
-        let metrics = self.dev.metrics();
         let link_busy = |n: u32| {
-            metrics.counter(&format!("fabric.link{n}.tx_busy_ns"))
-                + metrics.counter(&format!("fabric.link{n}.rx_busy_ns"))
+            let (tx, rx) = self.dev.fabric().link_busy_ns(NodeId(n));
+            tx + rx
         };
         let mut moved = 0u64;
         while moved < self.cfg.rebalance_budget {
@@ -1640,7 +1643,10 @@ impl Master {
             let Some(_guard) = self.try_guard_region(&name) else {
                 break;
             };
-            match self.migrate_extent(&name, gi, ri, &old, "rebalance").await {
+            match self
+                .migrate_extent(&name, gi, ri, &old, &self.stats.rebalance)
+                .await
+            {
                 MigrateOutcome::Moved(b) => moved += b,
                 MigrateOutcome::Gone => continue,
                 MigrateOutcome::NoCapacity | MigrateOutcome::Failed => break,
@@ -1775,7 +1781,7 @@ impl Master {
                         .insert((gi, ri))
             };
             if newly {
-                self.dev.metrics().incr("integrity.scrub.mismatch");
+                self.stats.scrub_mismatch.incr();
                 self.mark_detected(gi as u64, extent.node as u64);
             }
         }

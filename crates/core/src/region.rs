@@ -22,6 +22,7 @@ use crate::crc::crc32c;
 use crate::error::{RStoreError, Result};
 use crate::layout::{Layout, Piece};
 use crate::proto::{Extent, RegionDesc, CK_BYTES};
+use crate::stats::OpKind;
 
 /// What a posted WR does with its transfers.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -206,7 +207,7 @@ impl Region {
     /// recovery (the KV generation machinery) to work unchanged.
     pub(crate) async fn revalidate(&self, ledger: &OpLedger) -> Result<()> {
         let s = &self.client.shared;
-        s.dev.metrics().incr("rstore.desc.stale");
+        s.stats.desc_stale.incr();
         let trace = ledger.optrace();
         let reval = trace.begin(Phase::Reval, s.sim.now());
         let result = self.revalidate_inner(ledger).await;
@@ -221,7 +222,7 @@ impl Region {
         for attempt in 0u64..8 {
             let fresh = self.client.lookup(self.name()).await?;
             if fresh != *self.desc.borrow() {
-                s.dev.metrics().incr("rstore.desc.refresh");
+                s.stats.desc_refresh.incr();
                 s.sim.tracer().instant(
                     "core",
                     "rstore.desc.refresh",
@@ -260,18 +261,19 @@ impl Region {
     /// Starts a cost ledger for one logical `op` if the owning client has
     /// ledgers enabled ([`ClientConfig::ledger`](crate::client::ClientConfig::ledger)),
     /// otherwise the free disabled ledger.
-    pub(crate) fn op_ledger(&self, op: &'static str) -> OpLedger {
+    pub(crate) fn op_ledger(&self, op: OpKind) -> OpLedger {
         let s = &self.client.shared;
-        if s.cfg.ledger {
-            let now = s.sim.now();
-            // Causal forensics ride the ledger: when the simulation's
-            // forensics registry is enabled, the op also gets a phase span
-            // tree (otherwise the trace is the free disabled one).
-            let trace = s.sim.forensics().start(op, now);
-            OpLedger::start_traced(&s.dev.metrics(), op, now, trace)
-        } else {
-            OpLedger::disabled()
-        }
+        let op = if self.checksums { op.checksummed() } else { op };
+        // Resolved at connect iff ledgers are on.
+        let Some(metrics) = s.stats.ops.get(op as usize) else {
+            return OpLedger::disabled();
+        };
+        let now = s.sim.now();
+        // Causal forensics ride the ledger: when the simulation's
+        // forensics registry is enabled, the op also gets a phase span
+        // tree (otherwise the trace is the free disabled one).
+        let trace = s.sim.forensics().start(op.name(), now);
+        OpLedger::start_traced(metrics, now, trace)
     }
 
     /// Finishes `ledger` result-aware: a structured error (corruption,
@@ -339,7 +341,7 @@ impl Region {
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`] when all replicas
     /// of some stripe fail.
     pub async fn read(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let ledger = self.op_ledger(if self.checksums { "read_ck" } else { "read" });
+        let ledger = self.op_ledger(OpKind::Read);
         let result = self.read_l(offset, len, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
@@ -361,7 +363,7 @@ impl Region {
     ///
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let ledger = self.op_ledger(if self.checksums { "write_ck" } else { "write" });
+        let ledger = self.op_ledger(OpKind::Write);
         let result = self.write_l(offset, data, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
@@ -373,7 +375,8 @@ impl Region {
     /// *inline* WRITEs — the payload rides in the WQE, so no staging buffer
     /// is filled and the doorbell is cheaper; anything else is staged.
     pub(crate) async fn write_l(&self, offset: u64, data: &[u8], ledger: &OpLedger) -> Result<()> {
-        let dev = &self.client.shared.dev;
+        let s = &self.client.shared;
+        let dev = &s.dev;
         let len = data.len() as u64;
         if !self.checksums
             && len <= dev.config().inline_max
@@ -382,8 +385,8 @@ impl Region {
             // The buffer only carries the length; inline WRs never read it.
             let src = DmaBuf { addr: 0, len };
             self.write_src(offset, src, Some(data), ledger).await?;
-            dev.metrics().incr("rstore.inline.writes");
-            dev.metrics().add("rstore.inline.bytes", len);
+            s.stats.inline_writes.incr();
+            s.stats.inline_bytes.add(len);
             return Ok(());
         }
         self.with_staging(len, |staging| async move {
@@ -400,7 +403,7 @@ impl Region {
     ///
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn read_into(&self, offset: u64, dst: DmaBuf) -> Result<()> {
-        let ledger = self.op_ledger(if self.checksums { "read_ck" } else { "read" });
+        let ledger = self.op_ledger(OpKind::Read);
         let result = self.read_into_l(offset, dst, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
@@ -429,11 +432,7 @@ impl Region {
     /// [`RStoreError::OutOfRange`] (checked for every pair before anything
     /// posts) or [`RStoreError::Io`] when all replicas of some stripe fail.
     pub async fn read_into_many(&self, ios: &[(u64, DmaBuf)]) -> Result<()> {
-        let ledger = self.op_ledger(if self.checksums {
-            "read_ck"
-        } else {
-            "read_many"
-        });
+        let ledger = self.op_ledger(OpKind::ReadMany);
         ledger.set_units(ios.len() as u64);
         let result = self.read_into_many_l(ios, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
@@ -457,7 +456,7 @@ impl Region {
     ///
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn write_from(&self, offset: u64, src: DmaBuf) -> Result<()> {
-        let ledger = self.op_ledger(if self.checksums { "write_ck" } else { "write" });
+        let ledger = self.op_ledger(OpKind::Write);
         let result = self.write_src(offset, src, None, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
@@ -878,10 +877,9 @@ impl Region {
             }));
         }
         // Track the deepest window any pipelined IO reached this run.
-        let metrics = s.dev.metrics();
-        let seen = metrics.counter("rstore.pipeline.inflight_max");
+        let seen = s.stats.inflight_max.get();
         if peak.get() > seen {
-            metrics.add("rstore.pipeline.inflight_max", peak.get() - seen);
+            s.stats.inflight_max.add(peak.get() - seen);
         }
         for result in sim::join_all(handles).await {
             result?;
@@ -951,7 +949,7 @@ impl Region {
                 // it, tell the master (fire-and-forget; the data path must
                 // not block on the control path), and fail over.
                 ledger.verify_failure();
-                s.dev.metrics().incr("integrity.read_mismatch");
+                s.stats.read_mismatch.incr();
                 s.sim.tracer().instant(
                     "core",
                     "rstore.read.corrupt",
@@ -1122,8 +1120,8 @@ impl Region {
         }
         self.arm_backstop(wr_id, total);
         match dir {
-            Dir::Read => s.dev.metrics().add("rstore.read_bytes", total),
-            Dir::Write => s.dev.metrics().add("rstore.write_bytes", total),
+            Dir::Read => s.stats.read_bytes.add(total),
+            Dir::Write => s.stats.write_bytes.add(total),
             Dir::Cas { .. } => {}
         }
         Ok(rx)
@@ -1144,7 +1142,7 @@ impl Region {
         s.sim.schedule_at(deadline, move || {
             let sh = &client.shared;
             if let Some(tx) = sh.pending.borrow_mut().remove(&wr_id) {
-                sh.dev.metrics().incr("rstore.io_timeout");
+                sh.stats.io_timeout.incr();
                 tx.send(CqStatus::Timeout);
             }
         });

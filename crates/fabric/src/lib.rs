@@ -46,7 +46,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use sim::channel::{channel, Receiver, Sender};
-use sim::{DetRng, Metrics, Sim, SimTime, Tracer};
+use sim::{Counter, DetRng, Hist, Metrics, Sim, SimTime, Tracer};
 
 pub mod fault;
 
@@ -158,12 +158,66 @@ struct NodeState<M> {
     inbox: Option<Sender<Delivery<M>>>,
     tx_bytes: u64,
     rx_bytes: u64,
-    /// Registry handle scoped to this node's link (`fabric.link<N>.*`).
-    link: Metrics,
+    link: LinkStats,
+}
+
+/// One node's `fabric.link<N>.*` metrics, resolved when the node is added.
+struct LinkStats {
+    tx_bytes: Counter,
+    tx_msgs: Counter,
+    rx_bytes: Counter,
+    rx_msgs: Counter,
+    tx_busy_ns: Counter,
+    rx_busy_ns: Counter,
+    tx_queue_chunks: Hist,
+    rx_queue_delay: Hist,
+}
+
+impl LinkStats {
+    fn resolve(metrics: &Metrics, node: NodeId) -> Self {
+        let link = metrics.scoped(&format!("fabric.link{}", node.0));
+        LinkStats {
+            tx_bytes: link.counter_handle("tx_bytes"),
+            tx_msgs: link.counter_handle("tx_msgs"),
+            rx_bytes: link.counter_handle("rx_bytes"),
+            rx_msgs: link.counter_handle("rx_msgs"),
+            tx_busy_ns: link.counter_handle("tx_busy_ns"),
+            rx_busy_ns: link.counter_handle("rx_busy_ns"),
+            tx_queue_chunks: link.hist_handle("tx_queue_chunks"),
+            rx_queue_delay: link.hist_handle("rx_queue_delay"),
+        }
+    }
+}
+
+/// The fabric-wide metrics a message can touch, resolved in
+/// [`Fabric::new`]. (The fault-plan actions, `fabric.fault.{crash,join,…}`,
+/// are a handful of scheduled events per run and stay by name.)
+struct FabricStats {
+    tx_bytes: Counter,
+    rx_bytes: Counter,
+    dropped_endpoint_down: Counter,
+    dropped_injected: Counter,
+    dropped_dst_down: Counter,
+    dropped_no_inbox: Counter,
+    flip_injected: Counter,
+}
+
+impl FabricStats {
+    fn resolve(m: &Metrics) -> Self {
+        FabricStats {
+            tx_bytes: m.counter_handle("fabric.tx_bytes"),
+            rx_bytes: m.counter_handle("fabric.rx_bytes"),
+            dropped_endpoint_down: m.counter_handle("fabric.dropped.endpoint_down"),
+            dropped_injected: m.counter_handle("fabric.dropped.injected"),
+            dropped_dst_down: m.counter_handle("fabric.dropped.dst_down"),
+            dropped_no_inbox: m.counter_handle("fabric.dropped.no_inbox"),
+            flip_injected: m.counter_handle("fabric.fault.flip_injected"),
+        }
+    }
 }
 
 impl<M> NodeState<M> {
-    fn new(link: Metrics) -> Self {
+    fn new(link: LinkStats) -> Self {
         NodeState {
             tx_flows: std::collections::HashMap::new(),
             tx_rr: VecDeque::new(),
@@ -230,6 +284,7 @@ pub struct Fabric<M> {
     sim: Sim,
     inner: Rc<RefCell<Inner<M>>>,
     metrics: Metrics,
+    stats: Rc<FabricStats>,
     tracer: Tracer,
 }
 
@@ -239,6 +294,7 @@ impl<M> Clone for Fabric<M> {
             sim: self.sim.clone(),
             inner: self.inner.clone(),
             metrics: self.metrics.clone(),
+            stats: self.stats.clone(),
             tracer: self.tracer.clone(),
         }
     }
@@ -258,6 +314,7 @@ impl<M: 'static> Fabric<M> {
     /// Creates an empty fabric on the given simulation.
     pub fn new(sim: Sim, cfg: FabricConfig) -> Self {
         let tracer = sim.tracer();
+        let metrics = Metrics::new();
         Fabric {
             sim,
             inner: Rc::new(RefCell::new(Inner {
@@ -269,7 +326,8 @@ impl<M: 'static> Fabric<M> {
                 corruption_hooks: std::collections::HashMap::new(),
                 membership_hook: None,
             })),
-            metrics: Metrics::new(),
+            stats: Rc::new(FabricStats::resolve(&metrics)),
+            metrics,
             tracer,
         }
     }
@@ -278,8 +336,9 @@ impl<M: 'static> Fabric<M> {
     pub fn add_node(&self) -> NodeId {
         let mut inner = self.inner.borrow_mut();
         let id = NodeId(inner.nodes.len() as u32);
-        let link = self.metrics.scoped(&format!("fabric.link{}", id.0));
-        inner.nodes.push(NodeState::new(link));
+        inner
+            .nodes
+            .push(NodeState::new(LinkStats::resolve(&self.metrics, id)));
         id
     }
 
@@ -378,7 +437,7 @@ impl<M: 'static> Fabric<M> {
             }
             flip.rng.range_u64(0, payload_bits)
         };
-        self.metrics.incr("fabric.fault.flip_injected");
+        self.stats.flip_injected.incr();
         self.tracer.instant("fabric", "fabric.fault.flip", bit, 1);
         Some(bit)
     }
@@ -421,13 +480,17 @@ impl<M: 'static> Fabric<M> {
         if elapsed == 0.0 {
             return (0.0, 0.0);
         }
-        let tx = self
-            .metrics
-            .counter(&format!("fabric.link{}.tx_busy_ns", node.0)) as f64;
-        let rx = self
-            .metrics
-            .counter(&format!("fabric.link{}.rx_busy_ns", node.0)) as f64;
-        (tx / elapsed * 100.0, rx / elapsed * 100.0)
+        let (tx, rx) = self.link_busy_ns(node);
+        (tx as f64 / elapsed * 100.0, rx as f64 / elapsed * 100.0)
+    }
+
+    /// The `fabric.link<N>.tx_busy_ns` / `rx_busy_ns` gauges of `node`
+    /// (zeros for a node this fabric does not have).
+    pub fn link_busy_ns(&self, node: NodeId) -> (u64, u64) {
+        let inner = self.inner.borrow();
+        inner.nodes.get(node.0 as usize).map_or((0, 0), |st| {
+            (st.link.tx_busy_ns.get(), st.link.rx_busy_ns.get())
+        })
     }
 
     /// Total bytes a node has received off the wire.
@@ -455,7 +518,7 @@ impl<M: 'static> Fabric<M> {
             );
             if !inner.nodes[src.0 as usize].up || !inner.nodes[dst.0 as usize].up {
                 inner.dropped += 1;
-                self.metrics.incr("fabric.dropped.endpoint_down");
+                self.stats.dropped_endpoint_down.incr();
                 self.tracer.instant(
                     "fabric",
                     "fabric.drop.endpoint_down",
@@ -469,7 +532,7 @@ impl<M: 'static> Fabric<M> {
             if let Some(loss) = inner.loss.as_mut() {
                 if loss.rng.chance(loss.prob) {
                     inner.dropped += 1;
-                    self.metrics.incr("fabric.dropped.injected");
+                    self.stats.dropped_injected.incr();
                     self.tracer
                         .instant("fabric", "fabric.drop.injected", dst.0 as u64, wire_bytes);
                     return;
@@ -477,9 +540,9 @@ impl<M: 'static> Fabric<M> {
             }
             let st = &mut inner.nodes[src.0 as usize];
             st.tx_bytes += wire_bytes;
-            st.link.add("tx_bytes", wire_bytes);
-            st.link.incr("tx_msgs");
-            self.metrics.add("fabric.tx_bytes", wire_bytes);
+            st.link.tx_bytes.add(wire_bytes);
+            st.link.tx_msgs.incr();
+            self.stats.tx_bytes.add(wire_bytes);
         }
         self.tracer
             .instant("fabric", "fabric.tx", src.0 as u64, wire_bytes);
@@ -578,9 +641,9 @@ impl<M: 'static> Fabric<M> {
             // it is excluded from busy-until accounting), and queue
             // occupancy samples how many chunks remain queued behind this
             // one across all destinations.
-            st.link.add("tx_busy_ns", ser.as_nanos() as u64);
+            st.link.tx_busy_ns.add(ser.as_nanos() as u64);
             let queued: u64 = st.tx_flows.values().map(|f| f.len() as u64).sum();
-            st.link.record_value("tx_queue_chunks", queued);
+            st.link.tx_queue_chunks.record_value(queued);
             let now = self.sim.now();
             let tx_done = now + ser;
             // Cut-through into the receive link: the first bit arrives one
@@ -590,11 +653,12 @@ impl<M: 'static> Fabric<M> {
             let rx_start = (now + hop).max(rx.rx_busy_until);
             let rx_done = rx_start + ser;
             rx.rx_busy_until = rx_done;
-            rx.link.add("rx_busy_ns", ser.as_nanos() as u64);
+            rx.link.rx_busy_ns.add(ser.as_nanos() as u64);
             // Time this chunk spent waiting behind other arrivals on the
             // receive link (zero when the port is idle).
             rx.link
-                .record("rx_queue_delay", rx_start.saturating_since(now + hop));
+                .rx_queue_delay
+                .record(rx_start.saturating_since(now + hop));
             Some((tx_done, rx_done, chunk))
         };
         let Some((tx_done, rx_done, chunk)) = next else {
@@ -719,16 +783,16 @@ impl<M: 'static> Fabric<M> {
             let st = &mut inner.nodes[dst.0 as usize];
             if !st.up {
                 inner.dropped += 1;
-                fabric.metrics.incr("fabric.dropped.dst_down");
+                fabric.stats.dropped_dst_down.incr();
                 fabric
                     .tracer
                     .instant("fabric", "fabric.drop.dst_down", dst.0 as u64, wire_bytes);
                 return;
             }
             st.rx_bytes += wire_bytes;
-            st.link.add("rx_bytes", wire_bytes);
-            st.link.incr("rx_msgs");
-            fabric.metrics.add("fabric.rx_bytes", wire_bytes);
+            st.link.rx_bytes.add(wire_bytes);
+            st.link.rx_msgs.incr();
+            fabric.stats.rx_bytes.add(wire_bytes);
             let inbox = st.inbox.clone();
             drop(inner);
             fabric
@@ -747,7 +811,7 @@ impl<M: 'static> Fabric<M> {
             });
             if !delivered {
                 fabric.inner.borrow_mut().dropped += 1;
-                fabric.metrics.incr("fabric.dropped.no_inbox");
+                fabric.stats.dropped_no_inbox.incr();
                 fabric
                     .tracer
                     .instant("fabric", "fabric.drop.no_inbox", dst.0 as u64, wire_bytes);

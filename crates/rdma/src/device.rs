@@ -13,6 +13,7 @@ use sim::{Layer, Metrics, OpLedger, Phase, Sim, SimTime, Tracer};
 use crate::config::RdmaConfig;
 use crate::cq::{CompletionQueue, CqStatus, Cqe, CqeOpcode};
 use crate::memory::{Arena, DmaBuf, MrEntry};
+use crate::stats::{DevStats, QpStats};
 use crate::types::{Access, Qpn, RKey, RdmaError, Result};
 use crate::wire::{AtomicOp, CmMsg, NetMsg, Payload, QpMsg, WireStatus};
 
@@ -136,9 +137,12 @@ struct QpState {
     /// SENDs that arrived before a receive buffer was posted (RNR queue).
     unmatched: VecDeque<(u64, Payload, Option<u32>)>,
     error: bool,
-    /// Registry handle scoped to this QP (`rdma.n<node>.qp<qpn>.*`).
-    stats: Metrics,
+    stats: Rc<QpStats>,
 }
+
+/// A WR leaving the send queue in [`RdmaDevice::complete`]: its CQE, then
+/// `(posted_at, resolved_at, signaled, ledger, post_cost_ns)`.
+type Released = (Cqe, SimTime, SimTime, bool, OpLedger, u64);
 
 struct PendingConn {
     peer: NodeId,
@@ -160,6 +164,9 @@ struct DevInner {
     /// Ledger charged by work requests posted while a
     /// [`RdmaDevice::ledger_scope`] is active. Disabled by default.
     current_ledger: OpLedger,
+    /// Scratch for [`RdmaDevice::complete`]: the WRs one completion
+    /// releases, handed over empty-handed so the buffer is reused.
+    released: Vec<Released>,
 }
 
 /// A simulated RDMA NIC attached to one fabric node.
@@ -176,6 +183,7 @@ pub struct RdmaDevice {
     node: NodeId,
     cfg: Rc<RdmaConfig>,
     inner: Rc<RefCell<DevInner>>,
+    stats: Rc<DevStats>,
     tracer: Tracer,
 }
 
@@ -209,7 +217,9 @@ impl RdmaDevice {
                 next_conn: 1,
                 outstanding_bytes: 0,
                 current_ledger: OpLedger::disabled(),
+                released: Vec::new(),
             })),
+            stats: Rc::new(DevStats::resolve(fabric.metrics())),
             cfg: Rc::new(cfg),
         };
         // Register the corruption hook: a `CorruptRegion` fault on this node
@@ -228,9 +238,8 @@ impl RdmaDevice {
                         .arena
                         .corrupt_registered(&mut rng, bits)
                 };
-                let metrics = hook_dev.metrics();
                 for &(addr, bit) in &flips {
-                    metrics.incr("integrity.injected");
+                    hook_dev.stats.integrity_injected.incr();
                     hook_dev
                         .tracer
                         .instant("rdma", "rdma.corrupt.bit", addr, bit as u64);
@@ -250,6 +259,11 @@ impl RdmaDevice {
     /// The simulation driving this device.
     pub fn sim(&self) -> &Sim {
         &self.sim
+    }
+
+    /// The fabric this device is attached to.
+    pub fn fabric(&self) -> &Fabric<NetMsg> {
+        &self.fabric
     }
 
     /// Shared metrics (same registry as the fabric's).
@@ -288,10 +302,9 @@ impl RdmaDevice {
         self.cfg.op_timeout(bytes.saturating_add(backlog))
     }
 
-    /// Registry handle scoped to one of this device's queue pairs.
-    fn qp_stats(&self, qpn: Qpn) -> Metrics {
-        self.metrics()
-            .scoped(&format!("rdma.n{}.qp{}", self.node.0, qpn.0))
+    /// Resolves the metrics of one of this device's queue pairs.
+    fn qp_stats(&self, qpn: Qpn) -> Rc<QpStats> {
+        Rc::new(QpStats::resolve(&self.metrics(), self.node, qpn))
     }
 
     // --- memory ------------------------------------------------------------
@@ -644,7 +657,7 @@ impl RdmaDevice {
                 if let Payload::Bytes(bytes) = &mut payload {
                     if let Some(bit) = self.fabric.inflight_flip(bytes.len() as u64 * 8) {
                         bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
-                        self.metrics().incr("integrity.injected");
+                        self.stats.integrity_injected.incr();
                         self.tracer.instant(
                             "rdma",
                             "rdma.corrupt.inflight",
@@ -763,7 +776,7 @@ impl RdmaDevice {
     fn deliver_recv(
         &self,
         cq: &CompletionQueue,
-        stats: &Metrics,
+        stats: &QpStats,
         recv: RecvWr,
         payload: Payload,
         imm: Option<u32>,
@@ -785,7 +798,7 @@ impl RdmaDevice {
             byte_len: len,
             imm,
         });
-        stats.record_value("cq_backlog", cq.len() as u64);
+        stats.cq_backlog.record_value(cq.len() as u64);
         status
     }
 
@@ -832,9 +845,9 @@ impl RdmaDevice {
         }
 
         // Release completions strictly in post order.
+        let mut cqes = std::mem::take(&mut inner.released);
         let qp = inner.qps.get_mut(&qpn.0).expect("qp still present");
         let stats = qp.stats.clone();
-        let mut cqes = Vec::new();
         let mut released = 0u64;
         while qp.sq.front().is_some_and(|w| w.status.is_some()) {
             let w = qp.sq.pop_front().expect("front checked");
@@ -857,14 +870,10 @@ impl RdmaDevice {
         inner.outstanding_bytes = inner.outstanding_bytes.saturating_sub(released);
         drop(inner);
         let now = self.sim.now();
-        let metrics = self.metrics();
         let nic_ns = self.cfg.nic_delay.as_nanos() as u64;
-        for (cqe, posted_at, resolved_at, signaled, ledger, post_cost_ns) in cqes {
-            stats.incr("completed");
-            metrics.record(
-                opcode_latency_metric(cqe.opcode),
-                now.saturating_since(posted_at),
-            );
+        for (cqe, posted_at, resolved_at, signaled, ledger, post_cost_ns) in cqes.drain(..) {
+            stats.completed.incr();
+            self.stats.wr_latency[cqe.opcode as usize].record(now.saturating_since(posted_at));
             // Causal phase stamps for the op's forensics trace: the WR's
             // round trip split into wire / server residency / CQE settle
             // (resolved but held for in-order release); a failed attempt's
@@ -920,9 +929,10 @@ impl RdmaDevice {
                 cq.push(cqe);
             }
         }
+        self.inner.borrow_mut().released = cqes;
         // CQ backlog gauge: how many delivered-but-unpolled completions the
         // consumer has let accumulate at this completion instant.
-        stats.record_value("cq_backlog", cq.len() as u64);
+        stats.cq_backlog.record_value(cq.len() as u64);
     }
 
     /// Puts a QP in the error state, flushing every pending work request.
@@ -941,7 +951,7 @@ impl RdmaDevice {
         let now = self.sim.now();
         for w in qp.sq.drain(..) {
             released += w.byte_len;
-            stats.incr("flushed");
+            stats.flushed.incr();
             // The victim op spent its whole wait on an attempt that timed
             // out: blame that interval on the retry phase of its forensics
             // trace (flushed siblings shared the same wait; one span
@@ -985,7 +995,7 @@ impl RdmaDevice {
         for cqe in cqes {
             cq.push(cqe);
         }
-        stats.record_value("cq_backlog", cq.len() as u64);
+        stats.cq_backlog.record_value(cq.len() as u64);
     }
 }
 
@@ -1032,17 +1042,6 @@ fn opcode_trace_name(op: CqeOpcode) -> &'static str {
 }
 
 /// Latency histogram name for a completed work request, by opcode.
-fn opcode_latency_metric(op: CqeOpcode) -> &'static str {
-    match op {
-        CqeOpcode::Send => "rdma.wr_latency.send",
-        CqeOpcode::Recv => "rdma.wr_latency.recv",
-        CqeOpcode::Read => "rdma.wr_latency.read",
-        CqeOpcode::Write => "rdma.wr_latency.write",
-        CqeOpcode::CompSwap => "rdma.wr_latency.comp_swap",
-        CqeOpcode::FetchAdd => "rdma.wr_latency.fetch_add",
-    }
-}
-
 fn wire_to_cq(status: WireStatus) -> CqStatus {
     match status {
         WireStatus::Ok => CqStatus::Success,
@@ -1349,7 +1348,7 @@ impl Qp {
             }
             inner.current_ledger.clone()
         };
-        let metrics = self.dev.metrics();
+        let stats = &self.dev.stats;
         // Cumulative WQE-build delay: chunk k's packets leave once every WQE
         // of chunks 0..=k is built.
         let mut build_delay = std::time::Duration::ZERO;
@@ -1466,21 +1465,20 @@ impl Qp {
                         folded: CqStatus::Success,
                     });
                     inner.outstanding_bytes += byte_len;
-                    metrics.record_value("rdma.doorbell_bytes", byte_len);
+                    stats.doorbell_bytes.record_value(byte_len);
                     if subs > 1 {
-                        metrics.incr("rdma.sge_wrs");
-                        metrics.record_value("rdma.sge_entries", subs);
+                        stats.sge_wrs.incr();
+                        stats.sge_entries.record_value(subs);
                     }
-                    qp.stats.incr("posted");
-                    qp.stats
-                        .record_value("outstanding_depth", qp.sq.len() as u64);
+                    qp.stats.posted.incr();
+                    qp.stats.outstanding_depth.record_value(qp.sq.len() as u64);
                 }
                 (qp.remote_node, first_req, backlog)
             };
             // One doorbell for the whole chunk; per-WR bytes were recorded
             // above, and the ring size feeds the batching histogram.
-            metrics.incr("rdma.doorbells");
-            metrics.record_value("rdma.doorbell_wrs", chunk.len() as u64);
+            stats.doorbells.incr();
+            stats.doorbell_wrs.record_value(chunk.len() as u64);
             ledger.doorbell();
             ledger.layer_ns(Layer::Post, chunk_post_ns);
             let trace = ledger.optrace();

@@ -61,6 +61,7 @@ pub mod config;
 pub mod cq;
 pub mod device;
 pub mod memory;
+mod stats;
 pub mod types;
 pub mod wire;
 

@@ -10,6 +10,7 @@ use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
 
+use crate::optrace::Forensics;
 use crate::time::SimTime;
 use crate::trace::Tracer;
 
@@ -59,8 +60,10 @@ struct Core {
     ready: VecDeque<Rc<Task>>,
     next_task_id: u64,
     live_tasks: usize,
-    trace: Rc<RefCell<crate::trace::TraceBuf>>,
-    forensics: Rc<RefCell<crate::optrace::ForensicsBuf>>,
+    /// The handles [`Sim::tracer`] and [`Sim::forensics`] clone out; both
+    /// read the virtual clock through one closure built in [`Sim::new`].
+    tracer: Tracer,
+    forensics: Forensics,
 }
 
 struct Event {
@@ -251,16 +254,24 @@ impl Sim {
     /// Creates a new, empty simulation at time zero.
     pub fn new() -> Self {
         Sim {
-            core: Rc::new(RefCell::new(Core {
-                now: SimTime::ZERO,
-                seq: 0,
-                events: BinaryHeap::new(),
-                ready: VecDeque::new(),
-                next_task_id: 0,
-                live_tasks: 0,
-                trace: Tracer::new_buf(),
-                forensics: crate::optrace::Forensics::new_buf(),
-            })),
+            core: Rc::new_cyclic(|weak: &Weak<RefCell<Core>>| {
+                let weak = weak.clone();
+                let clock: Rc<dyn Fn() -> SimTime> = Rc::new(move || {
+                    weak.upgrade()
+                        .map(|core| core.borrow().now)
+                        .unwrap_or(SimTime::ZERO)
+                });
+                RefCell::new(Core {
+                    now: SimTime::ZERO,
+                    seq: 0,
+                    events: BinaryHeap::new(),
+                    ready: VecDeque::new(),
+                    next_task_id: 0,
+                    live_tasks: 0,
+                    tracer: Tracer::from_parts(Tracer::new_buf(), clock.clone()),
+                    forensics: Forensics::from_parts(Forensics::new_buf(), clock),
+                })
+            }),
         }
     }
 
@@ -273,33 +284,15 @@ impl Sim {
     /// one simulation share state; tracing starts disabled — call
     /// [`Tracer::enable`] to record.
     pub fn tracer(&self) -> Tracer {
-        let buf = self.core.borrow().trace.clone();
-        let weak = Rc::downgrade(&self.core);
-        Tracer::from_parts(
-            buf,
-            Rc::new(move || {
-                weak.upgrade()
-                    .map(|core| core.borrow().now)
-                    .unwrap_or(SimTime::ZERO)
-            }),
-        )
+        self.core.borrow().tracer.clone()
     }
 
     /// Returns a handle to this simulation's per-op forensics registry
     /// (span trees, tail exemplars, flight recorder). All handles for one
     /// simulation share state; forensics start disabled — call
     /// [`crate::optrace::Forensics::enable`] to record.
-    pub fn forensics(&self) -> crate::optrace::Forensics {
-        let buf = self.core.borrow().forensics.clone();
-        let weak = Rc::downgrade(&self.core);
-        crate::optrace::Forensics::from_parts(
-            buf,
-            Rc::new(move || {
-                weak.upgrade()
-                    .map(|core| core.borrow().now)
-                    .unwrap_or(SimTime::ZERO)
-            }),
-        )
+    pub fn forensics(&self) -> Forensics {
+        self.core.borrow().forensics.clone()
     }
 
     /// Number of spawned tasks that have not yet completed.

@@ -18,7 +18,8 @@
 //!
 //! When the ledger is finished the charges are folded into per-op-type
 //! histograms and counters under the `ops.<op>.*` namespace of a
-//! [`Metrics`] registry, from which [`summarize`] derives deterministic
+//! [`Metrics`] registry — through an [`OpMetrics`] handle set the owner
+//! resolves once per op type — from which [`summarize`] derives deterministic
 //! [`OpSummary`] rows (`rtts_per_op` p50/p99/max and friends) for the
 //! benchmark JSON and the CI perf gate.
 //!
@@ -28,7 +29,7 @@
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Hist, Metrics};
 use crate::optrace::OpTrace;
 use crate::time::SimTime;
 
@@ -69,8 +70,48 @@ pub enum Layer {
     Server,
 }
 
+/// The `ops.<op>.*` metrics of one op type, resolved once by whoever
+/// starts that op's ledgers, so that folding a finished ledger touches no
+/// name.
+#[derive(Debug)]
+pub struct OpMetrics {
+    count: Counter,
+    units: Counter,
+    rtts: Hist,
+    doorbells: Hist,
+    bytes: Hist,
+    retries: Counter,
+    failovers: Counter,
+    verify_failures: Counter,
+    client_ns: Counter,
+    post_ns: Counter,
+    wire_ns: Counter,
+    server_ns: Counter,
+}
+
+impl OpMetrics {
+    /// Resolves the `ops.<op>.*` names in `metrics`.
+    pub fn resolve(metrics: &Metrics, op: &str) -> Rc<OpMetrics> {
+        let m = metrics.scoped("ops").scoped(op);
+        Rc::new(OpMetrics {
+            count: m.counter_handle("count"),
+            units: m.counter_handle("units"),
+            rtts: m.hist_handle("rtts"),
+            doorbells: m.hist_handle("doorbells"),
+            bytes: m.hist_handle("bytes"),
+            retries: m.counter_handle("retries"),
+            failovers: m.counter_handle("failovers"),
+            verify_failures: m.counter_handle("verify_failures"),
+            client_ns: m.counter_handle("time.client_ns"),
+            post_ns: m.counter_handle("time.post_ns"),
+            wire_ns: m.counter_handle("time.wire_ns"),
+            server_ns: m.counter_handle("time.server_ns"),
+        })
+    }
+}
+
 struct Inner {
-    metrics: Metrics,
+    metrics: Rc<OpMetrics>,
     started: SimTime,
     costs: RefCell<OpCosts>,
     finished: Cell<bool>,
@@ -95,20 +136,19 @@ impl OpLedger {
         Self { inner: None }
     }
 
-    /// Starts an enabled ledger for one `op`-type operation at virtual time
-    /// `now`. Charges fold into `metrics` under `ops.<op>.*` on
-    /// [`OpLedger::finish`].
-    pub fn start(metrics: &Metrics, op: &str, now: SimTime) -> Self {
-        Self::start_traced(metrics, op, now, OpTrace::disabled())
+    /// Starts an enabled ledger for one operation of `op`'s type at virtual
+    /// time `now`. Charges fold into `op`'s metrics on [`OpLedger::finish`].
+    pub fn start(op: &Rc<OpMetrics>, now: SimTime) -> Self {
+        Self::start_traced(op, now, OpTrace::disabled())
     }
 
     /// [`OpLedger::start`] with an attached causal [`OpTrace`]: the trace
     /// rides inside the ledger so every layer holding a ledger clone can
     /// stamp phase spans, and [`OpLedger::finish`] finishes both.
-    pub fn start_traced(metrics: &Metrics, op: &str, now: SimTime, trace: OpTrace) -> Self {
+    pub fn start_traced(op: &Rc<OpMetrics>, now: SimTime, trace: OpTrace) -> Self {
         Self {
             inner: Some(Rc::new(Inner {
-                metrics: metrics.scoped("ops").scoped(op),
+                metrics: op.clone(),
                 started: now,
                 costs: RefCell::new(OpCosts {
                     units: 1,
@@ -236,18 +276,18 @@ impl OpLedger {
         let m = &inner.metrics;
         let elapsed = now.saturating_since(inner.started).as_nanos() as u64;
         let client_ns = elapsed.saturating_sub(c.post_ns + c.wire_ns + c.server_ns);
-        m.incr("count");
-        m.add("units", c.units);
-        m.record_value("rtts", c.rtts);
-        m.record_value("doorbells", c.doorbells);
-        m.record_value("bytes", c.wire_bytes);
-        m.add("retries", c.retries);
-        m.add("failovers", c.failovers);
-        m.add("verify_failures", c.verify_failures);
-        m.add("time.client_ns", client_ns);
-        m.add("time.post_ns", c.post_ns);
-        m.add("time.wire_ns", c.wire_ns);
-        m.add("time.server_ns", c.server_ns);
+        m.count.incr();
+        m.units.add(c.units);
+        m.rtts.record_value(c.rtts);
+        m.doorbells.record_value(c.doorbells);
+        m.bytes.record_value(c.wire_bytes);
+        m.retries.add(c.retries);
+        m.failovers.add(c.failovers);
+        m.verify_failures.add(c.verify_failures);
+        m.client_ns.add(client_ns);
+        m.post_ns.add(c.post_ns);
+        m.wire_ns.add(c.wire_ns);
+        m.server_ns.add(c.server_ns);
     }
 }
 
@@ -374,7 +414,7 @@ mod tests {
     #[test]
     fn charges_fold_into_metrics_on_finish() {
         let m = Metrics::new();
-        let l = OpLedger::start(&m, "get", SimTime::from_nanos(1_000));
+        let l = OpLedger::start(&OpMetrics::resolve(&m, "get"), SimTime::from_nanos(1_000));
         assert!(l.enabled());
         l.rtt();
         l.doorbell();
@@ -404,7 +444,7 @@ mod tests {
     #[test]
     fn clones_share_the_accumulator() {
         let m = Metrics::new();
-        let l = OpLedger::start(&m, "read", SimTime::ZERO);
+        let l = OpLedger::start(&OpMetrics::resolve(&m, "read"), SimTime::ZERO);
         let piece = l.clone();
         piece.rtt();
         piece.wire(100);
@@ -417,10 +457,10 @@ mod tests {
     #[test]
     fn absorb_adds_sub_op_costs() {
         let m = Metrics::new();
-        let put = OpLedger::start(&m, "put", SimTime::ZERO);
+        let put = OpLedger::start(&OpMetrics::resolve(&m, "put"), SimTime::ZERO);
         put.rtt();
         put.set_units(3);
-        let cas = OpLedger::start(&m, "cas", SimTime::ZERO);
+        let cas = OpLedger::start(&OpMetrics::resolve(&m, "cas"), SimTime::ZERO);
         cas.rtt();
         cas.wire(64);
         cas.finish(SimTime::from_nanos(10));
@@ -449,21 +489,27 @@ mod tests {
         f.enable(ForensicsConfig::default());
         let m = Metrics::new();
         let tr = f.start("get", SimTime::ZERO);
-        let l = OpLedger::start_traced(&m, "get", SimTime::ZERO, tr);
+        let l = OpLedger::start_traced(&OpMetrics::resolve(&m, "get"), SimTime::ZERO, tr);
         assert!(l.optrace().enabled());
         l.rtt();
         l.finish(SimTime::from_nanos(250));
         assert_eq!(f.finished(), 1);
         assert_eq!(f.ring()[0].elapsed_ns, 250);
         // An error finish on a fresh op dumps a triage bundle.
-        let l2 = OpLedger::start_traced(&m, "get", SimTime::ZERO, f.start("get", SimTime::ZERO));
+        let l2 = OpLedger::start_traced(
+            &OpMetrics::resolve(&m, "get"),
+            SimTime::ZERO,
+            f.start("get", SimTime::ZERO),
+        );
         l2.finish_err(SimTime::from_nanos(990), "timeout");
         assert_eq!(f.failed(), 1);
         assert!(f.last_bundle().is_some());
         // A plain ledger exposes a disabled trace.
-        assert!(!OpLedger::start(&m, "put", SimTime::ZERO)
-            .optrace()
-            .enabled());
+        assert!(
+            !OpLedger::start(&OpMetrics::resolve(&m, "put"), SimTime::ZERO)
+                .optrace()
+                .enabled()
+        );
         assert!(!OpLedger::disabled().optrace().enabled());
     }
 
@@ -471,7 +517,7 @@ mod tests {
     fn summarize_orders_ops_lexicographically_and_skips_nested() {
         let m = Metrics::new();
         for op in ["write", "get", "multi_get"] {
-            let l = OpLedger::start(&m, op, SimTime::ZERO);
+            let l = OpLedger::start(&OpMetrics::resolve(&m, op), SimTime::ZERO);
             l.rtt();
             l.finish(SimTime::from_nanos(5));
         }

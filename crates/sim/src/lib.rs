@@ -62,8 +62,8 @@ pub mod trace;
 pub use channel::{channel, oneshot, Receiver, Sender};
 pub use executor::{JoinHandle, Sim};
 pub use future_util::{join_all, yield_now};
-pub use ledger::{Layer, OpCosts, OpLedger, OpSummary};
-pub use metrics::{Histogram, Metrics};
+pub use ledger::{Layer, OpCosts, OpLedger, OpMetrics, OpSummary};
+pub use metrics::{Counter, Hist, Histogram, Metrics};
 pub use optrace::{
     BlameVec, EraNote, Exemplar, FlightRec, Forensics, ForensicsConfig, OpTrace, Phase, SpanRec,
 };

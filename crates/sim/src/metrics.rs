@@ -3,6 +3,12 @@
 //! The benchmark harness reads these to build the tables in
 //! `EXPERIMENTS.md`: byte counters for bandwidth figures and latency samples
 //! for percentile tables.
+//!
+//! Naming is set-up, updating is the data path. A name (scope prefix
+//! included) is interned once into a dense slot; a [`Counter`] or [`Hist`]
+//! handle is that slot's index, so an update through a handle touches no
+//! string. The by-name methods on [`Metrics`] resolve the name to the same
+//! slot and then index it: one registry, two ways in.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -10,10 +16,61 @@ use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
+/// One interned metric. `live` is "written since the last reset": readers
+/// only ever see live slots, so resolving a handle never surfaces a metric.
+#[derive(Default)]
+struct Slot<T> {
+    live: bool,
+    value: T,
+}
+
+/// Dense storage for one metric kind plus its name index. The index is
+/// ordered, which is what keeps exports sorted by full name.
+#[derive(Default)]
+struct Table<T> {
+    ids: BTreeMap<Rc<str>, usize>,
+    slots: Vec<Slot<T>>,
+}
+
+impl<T: Default> Table<T> {
+    fn intern(&mut self, name: &str) -> usize {
+        if let Some(&id) = self.ids.get(name) {
+            return id;
+        }
+        let id = self.slots.len();
+        self.slots.push(Slot::default());
+        self.ids.insert(name.into(), id);
+        id
+    }
+
+    /// The slot to write: marks it live.
+    fn touch(&mut self, id: usize) -> &mut T {
+        let slot = &mut self.slots[id];
+        slot.live = true;
+        &mut slot.value
+    }
+
+    /// The named metric, if it is live.
+    fn find(&self, name: &str) -> Option<&T> {
+        let slot = &self.slots[*self.ids.get(name)?];
+        slot.live.then_some(&slot.value)
+    }
+
+    fn live_names(&self) -> Vec<String> {
+        self.ids
+            .iter()
+            .filter(|(_, &id)| self.slots[id].live)
+            .map(|(name, _)| name.to_string())
+            .collect()
+    }
+}
+
 #[derive(Default)]
 struct Registry {
-    counters: BTreeMap<String, u64>,
-    histograms: BTreeMap<String, Histogram>,
+    counters: Table<u64>,
+    histograms: Table<Histogram>,
+    /// Reused buffer in which a scoped by-name call spells its full name.
+    scratch: String,
 }
 
 /// A clonable handle to a metrics registry.
@@ -21,6 +78,16 @@ struct Registry {
 /// Counters are monotonically increasing `u64`s; histograms store raw
 /// nanosecond samples (simulations are short enough that exact percentiles
 /// are affordable and preferable to bucketed approximations).
+///
+/// Code that updates a metric repeatedly resolves it once, at construction,
+/// with [`Metrics::counter_handle`] / [`Metrics::hist_handle`] and updates
+/// through the handle. The by-name methods are for set-up code, cold paths
+/// and readers.
+///
+/// A metric is visible to readers ([`Metrics::counter_names`],
+/// [`Metrics::histogram`], every export built on them) only once it has been
+/// written since the last [`Metrics::reset`]: resolving a handle reserves a
+/// slot but shows nothing.
 ///
 /// [`Metrics::scoped`] derives a handle that shares the registry but
 /// prefixes every name it touches, so per-instance stats (per-link,
@@ -30,8 +97,11 @@ struct Registry {
 /// use sim::Metrics;
 /// let m = Metrics::new();
 /// let link = m.scoped("fabric.link3");
+/// let tx_msgs = link.counter_handle("tx_msgs");
+/// assert!(m.counter_names().is_empty());
+/// tx_msgs.incr();
 /// link.incr("tx_msgs");
-/// assert_eq!(m.counter("fabric.link3.tx_msgs"), 1);
+/// assert_eq!(m.counter("fabric.link3.tx_msgs"), 2);
 /// ```
 #[derive(Clone, Default)]
 pub struct Metrics {
@@ -44,8 +114,8 @@ impl fmt::Debug for Metrics {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let reg = self.inner.borrow();
         f.debug_struct("Metrics")
-            .field("counters", &reg.counters.len())
-            .field("histograms", &reg.histograms.len())
+            .field("counters", &reg.counters.slots.len())
+            .field("histograms", &reg.histograms.slots.len())
             .finish()
     }
 }
@@ -78,24 +148,47 @@ impl Metrics {
         }
     }
 
-    /// Resolves `name` against this handle's scope prefix.
-    fn qualify<'a>(&self, name: &'a str) -> std::borrow::Cow<'a, str> {
-        match &self.prefix {
-            Some(p) => std::borrow::Cow::Owned(format!("{p}{name}")),
-            None => std::borrow::Cow::Borrowed(name),
+    /// Runs `f` on the registry and `name` resolved against this handle's
+    /// scope prefix. The full name is spelled into a buffer the registry
+    /// keeps, so resolving allocates nothing once that buffer has grown.
+    fn resolved<R>(&self, name: &str, f: impl FnOnce(&mut Registry, &str) -> R) -> R {
+        let mut reg = self.inner.borrow_mut();
+        let Some(prefix) = &self.prefix else {
+            return f(&mut reg, name);
+        };
+        let mut full = std::mem::take(&mut reg.scratch);
+        full.clear();
+        full.push_str(prefix);
+        full.push_str(name);
+        let out = f(&mut reg, &full);
+        reg.scratch = full;
+        out
+    }
+
+    /// Resolves the named counter to a handle. Nothing becomes visible to
+    /// readers until the handle is written.
+    pub fn counter_handle(&self, name: &str) -> Counter {
+        Counter {
+            reg: self.inner.clone(),
+            id: self.resolved(name, |reg, full| reg.counters.intern(full)),
+        }
+    }
+
+    /// Resolves the named histogram to a handle. Nothing becomes visible to
+    /// readers until the handle is written.
+    pub fn hist_handle(&self, name: &str) -> Hist {
+        Hist {
+            reg: self.inner.clone(),
+            id: self.resolved(name, |reg, full| reg.histograms.intern(full)),
         }
     }
 
     /// Adds `delta` to the named counter (creating it at zero).
     pub fn add(&self, name: &str, delta: u64) {
-        let name = self.qualify(name);
-        let mut reg = self.inner.borrow_mut();
-        match reg.counters.get_mut(name.as_ref()) {
-            Some(c) => *c += delta,
-            None => {
-                reg.counters.insert(name.into_owned(), delta);
-            }
-        }
+        self.resolved(name, |reg, full| {
+            let id = reg.counters.intern(full);
+            *reg.counters.touch(id) += delta;
+        });
     }
 
     /// Increments the named counter by one.
@@ -105,12 +198,9 @@ impl Metrics {
 
     /// Reads a counter (zero if it was never written).
     pub fn counter(&self, name: &str) -> u64 {
-        self.inner
-            .borrow()
-            .counters
-            .get(self.qualify(name).as_ref())
-            .copied()
-            .unwrap_or(0)
+        self.resolved(name, |reg, full| {
+            reg.counters.find(full).copied().unwrap_or(0)
+        })
     }
 
     /// Records a duration sample into the named histogram.
@@ -121,45 +211,106 @@ impl Metrics {
     /// Records a raw `u64` sample (queue depth, batch size, …) into the
     /// named histogram.
     pub fn record_value(&self, name: &str, value: u64) {
-        let name = self.qualify(name);
-        let mut reg = self.inner.borrow_mut();
-        // Look up by `&str` first: only a histogram's first sample pays for
-        // an owned key.
-        match reg.histograms.get_mut(name.as_ref()) {
-            Some(h) => h.record(value),
-            None => reg
-                .histograms
-                .entry(name.into_owned())
-                .or_default()
-                .record(value),
-        }
+        self.resolved(name, |reg, full| {
+            let id = reg.histograms.intern(full);
+            reg.histograms.touch(id).record(value);
+        });
     }
 
     /// Returns a snapshot of the named histogram, if any samples exist.
     pub fn histogram(&self, name: &str) -> Option<Histogram> {
-        self.inner
-            .borrow()
-            .histograms
-            .get(self.qualify(name).as_ref())
-            .cloned()
+        self.resolved(name, |reg, full| reg.histograms.find(full).cloned())
     }
 
-    /// All counter names currently registered (unscoped: the full registry,
-    /// regardless of this handle's prefix).
+    /// All counter names written since the last reset, sorted (unscoped:
+    /// the full registry, regardless of this handle's prefix).
     pub fn counter_names(&self) -> Vec<String> {
-        self.inner.borrow().counters.keys().cloned().collect()
+        self.inner.borrow().counters.live_names()
     }
 
-    /// All histogram names currently registered (unscoped).
+    /// All histogram names written since the last reset, sorted (unscoped).
     pub fn histogram_names(&self) -> Vec<String> {
-        self.inner.borrow().histograms.keys().cloned().collect()
+        self.inner.borrow().histograms.live_names()
     }
 
     /// Resets every counter and histogram (used between benchmark phases).
+    /// Handles stay valid; their metrics reappear when next written.
     pub fn reset(&self) {
         let mut reg = self.inner.borrow_mut();
-        reg.counters.clear();
-        reg.histograms.clear();
+        for slot in &mut reg.counters.slots {
+            *slot = Slot::default();
+        }
+        for slot in &mut reg.histograms.slots {
+            slot.live = false;
+            slot.value.clear();
+        }
+    }
+}
+
+/// A resolved counter: [`Counter::add`] is an index into the registry's
+/// dense storage. Cheap to clone; resolve with [`Metrics::counter_handle`].
+#[derive(Clone)]
+pub struct Counter {
+    reg: Rc<RefCell<Registry>>,
+    id: usize,
+}
+
+impl Counter {
+    /// Adds `delta` to the counter.
+    pub fn add(&self, delta: u64) {
+        *self.reg.borrow_mut().counters.touch(self.id) += delta;
+    }
+
+    /// Increments the counter by one.
+    pub fn incr(&self) {
+        self.add(1);
+    }
+
+    /// Current value (zero if not written since the last reset).
+    pub fn get(&self) -> u64 {
+        self.reg.borrow().counters.slots[self.id].value
+    }
+}
+
+impl fmt::Debug for Counter {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Counter").field(&self.id).finish()
+    }
+}
+
+/// A resolved histogram: [`Hist::record_value`] is an index plus a `Vec`
+/// push. Cheap to clone; resolve with [`Metrics::hist_handle`].
+#[derive(Clone)]
+pub struct Hist {
+    reg: Rc<RefCell<Registry>>,
+    id: usize,
+}
+
+impl Hist {
+    /// Records a duration sample.
+    pub fn record(&self, sample: Duration) {
+        self.record_value(sample.as_nanos() as u64);
+    }
+
+    /// Records a raw `u64` sample.
+    pub fn record_value(&self, value: u64) {
+        self.reg
+            .borrow_mut()
+            .histograms
+            .touch(self.id)
+            .record(value);
+    }
+
+    /// Reads the histogram in place (empty if not written since the last
+    /// reset), without the copy [`Metrics::histogram`] makes.
+    pub fn read<R>(&self, f: impl FnOnce(&Histogram) -> R) -> R {
+        f(&self.reg.borrow().histograms.slots[self.id].value)
+    }
+}
+
+impl fmt::Debug for Hist {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_tuple("Hist").field(&self.id).finish()
     }
 }
 
@@ -174,6 +325,13 @@ impl Histogram {
     /// Records one nanosecond sample.
     pub fn record(&mut self, nanos: u64) {
         self.samples.push(nanos);
+        self.sorted = false;
+    }
+
+    /// Drops the samples but keeps their buffer, so a histogram refilled
+    /// after a reset does not regrow it.
+    fn clear(&mut self) {
+        self.samples.clear();
         self.sorted = false;
     }
 
@@ -393,6 +551,44 @@ mod tests {
         let nested = m.scoped("rdma").scoped("");
         nested.incr("posted");
         assert_eq!(m.counter("rdma.posted"), 1);
+    }
+
+    #[test]
+    fn metrics_are_visible_once_written_since_reset() {
+        let m = Metrics::new();
+        let rx = m.scoped("fabric.link1").counter_handle("rx_msgs");
+        let lat = m.hist_handle("lat");
+        // Resolving reserves a slot and shows nothing.
+        assert!(m.counter_names().is_empty());
+        assert!(m.histogram_names().is_empty());
+        assert!(m.histogram("lat").is_none());
+        assert_eq!((rx.get(), m.counter("fabric.link1.rx_msgs")), (0, 0));
+
+        rx.incr();
+        m.add("zero", 0); // a write of nothing is still a write
+        m.add("fabric.link0.tx_msgs", 2);
+        lat.record_value(7);
+        m.record_value("depth", 3);
+        // Names come back sorted by full name, whichever way they got in.
+        assert_eq!(
+            m.counter_names(),
+            ["fabric.link0.tx_msgs", "fabric.link1.rx_msgs", "zero"]
+        );
+        assert_eq!(m.histogram_names(), ["depth", "lat"]);
+        assert_eq!(m.histogram("lat").unwrap().samples(), &[7]);
+
+        // A reset hides everything again; handles stay valid and their
+        // metrics reappear, from zero, when next written.
+        m.reset();
+        assert!(m.counter_names().is_empty());
+        assert!(m.histogram("lat").is_none());
+        assert_eq!(rx.get(), 0);
+        assert!(lat.read(Histogram::is_empty));
+        rx.add(5);
+        lat.record(Duration::from_nanos(9));
+        assert_eq!(m.counter_names(), ["fabric.link1.rx_msgs"]);
+        assert_eq!(m.counter("fabric.link1.rx_msgs"), 5);
+        assert_eq!(m.histogram("lat").unwrap().samples(), &[9]);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::rc::Rc;
 
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Metrics};
 use crate::time::SimTime;
 
 /// Number of [`Phase`] variants (the length of a [`BlameVec`]).
@@ -220,6 +220,15 @@ fn ex_order(a: &FlightRec, b: &FlightRec) -> std::cmp::Ordering {
         .then(a.id.cmp(&b.id))
 }
 
+/// The attached registry (snapshotted into triage bundles) and the
+/// `optrace.*` counters mirrored into it.
+struct Gauges {
+    metrics: Metrics,
+    finished: Counter,
+    failed: Counter,
+    bundles: Counter,
+}
+
 #[derive(Default)]
 pub(crate) struct ForensicsBuf {
     enabled: bool,
@@ -239,7 +248,7 @@ pub(crate) struct ForensicsBuf {
     era_notes: Vec<EraNote>,
     era_dropped: u64,
     span_pool: Vec<Vec<SpanRec>>,
-    metrics: Option<Metrics>,
+    metrics: Option<Gauges>,
     dump_dir: Option<std::path::PathBuf>,
 }
 
@@ -340,7 +349,7 @@ impl ForensicsBuf {
             );
         }
         out.push_str("],\n \"gauges\": {");
-        if let Some(m) = &self.metrics {
+        if let Some(Gauges { metrics: m, .. }) = &self.metrics {
             for (i, name) in m.counter_names().iter().enumerate() {
                 if i > 0 {
                     out.push_str(", ");
@@ -547,10 +556,10 @@ impl OpTrace {
         if error.is_some() {
             buf.failed += 1;
         }
-        if let Some(m) = &buf.metrics {
-            m.incr("optrace.finished");
+        if let Some(g) = &buf.metrics {
+            g.finished.incr();
             if error.is_some() {
-                m.incr("optrace.failed");
+                g.failed.incr();
             }
         }
         if error.is_some() {
@@ -563,8 +572,8 @@ impl OpTrace {
                 );
                 let _ = std::fs::write(dir.join(file), &bundle);
             }
-            if let Some(m) = &buf.metrics {
-                m.incr("optrace.bundles");
+            if let Some(g) = &buf.metrics {
+                g.bundles.incr();
             }
             buf.last_bundle = Some(bundle);
         }
@@ -679,7 +688,12 @@ impl Forensics {
     /// mirrored as `optrace.*` counters and triage bundles embed a snapshot
     /// of all counters.
     pub fn attach_metrics(&self, metrics: &Metrics) {
-        self.buf.borrow_mut().metrics = Some(metrics.clone());
+        self.buf.borrow_mut().metrics = Some(Gauges {
+            metrics: metrics.clone(),
+            finished: metrics.counter_handle("optrace.finished"),
+            failed: metrics.counter_handle("optrace.failed"),
+            bundles: metrics.counter_handle("optrace.bundles"),
+        });
     }
 
     /// Starts a trace for one `kind` op at `now`. Returns the free

@@ -45,7 +45,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use crate::executor::Sim;
-use crate::metrics::Metrics;
+use crate::metrics::{Counter, Hist, Histogram, Metrics};
 use crate::time::SimTime;
 
 /// Per-window summary of one histogram: exact percentiles over only the
@@ -78,15 +78,38 @@ pub struct Window {
     pub histograms: BTreeMap<String, WindowStats>,
 }
 
+/// One tracked metric: its registry name, the handle it resolves to on
+/// first use (the registry is only known once sampling starts), and the
+/// reading at the previous sample (counter value / histogram length).
+struct Series<H, P> {
+    name: String,
+    handle: Option<H>,
+    prev: P,
+}
+
+impl<H, P: Default> Series<H, P> {
+    fn track(list: &mut Vec<Self>, name: &str) {
+        if !list.iter().any(|s| s.name == name) {
+            list.push(Series {
+                name: name.to_string(),
+                handle: None,
+                prev: P::default(),
+            });
+        }
+    }
+
+    fn bind(&mut self, resolve: impl FnOnce(&str) -> H) -> &H {
+        self.handle.get_or_insert_with(|| resolve(&self.name))
+    }
+}
+
 #[derive(Default)]
 struct State {
     enabled: bool,
     interval: Duration,
     capacity: usize,
-    counters: Vec<String>,
-    histograms: Vec<String>,
-    prev_counters: BTreeMap<String, u64>,
-    prev_hist_len: BTreeMap<String, usize>,
+    counters: Vec<Series<Counter, u64>>,
+    histograms: Vec<Series<Hist, usize>>,
     last_sample_ns: u64,
     windows: Vec<Window>,
 }
@@ -140,36 +163,27 @@ impl Sampler {
     /// Tracks the counter `name` (fully-qualified registry name): each
     /// window records the counter's increment over that window.
     pub fn track_counter(&self, name: &str) {
-        let mut st = self.shared.borrow_mut();
-        if !st.counters.iter().any(|n| n == name) {
-            st.counters.push(name.to_string());
-        }
+        Series::track(&mut self.shared.borrow_mut().counters, name);
     }
 
     /// Tracks the histogram `name`: each window records count/p50/p99/max
     /// over only the samples that arrived inside that window.
     pub fn track_histogram(&self, name: &str) {
-        let mut st = self.shared.borrow_mut();
-        if !st.histograms.iter().any(|n| n == name) {
-            st.histograms.push(name.to_string());
-        }
+        Series::track(&mut self.shared.borrow_mut().histograms, name);
     }
 
     /// Re-baselines the delta tracking to the registry's current values, so
     /// the next window measures increments from *now* rather than from the
-    /// registry's whole history.
+    /// registry's whole history. A sampler reads one registry: the tracked
+    /// names resolve to handles in the first `metrics` it is given.
     pub fn baseline(&self, now: SimTime, metrics: &Metrics) {
         let mut st = self.shared.borrow_mut();
         st.last_sample_ns = now.as_nanos();
-        let counters = st.counters.clone();
-        for name in counters {
-            let v = metrics.counter(&name);
-            st.prev_counters.insert(name, v);
+        for c in &mut st.counters {
+            c.prev = c.bind(|n| metrics.counter_handle(n)).get();
         }
-        let histograms = st.histograms.clone();
-        for name in histograms {
-            let len = metrics.histogram(&name).map_or(0, |h| h.len());
-            st.prev_hist_len.insert(name, len);
+        for h in &mut st.histograms {
+            h.prev = h.bind(|n| metrics.hist_handle(n)).read(Histogram::len);
         }
     }
 
@@ -178,6 +192,7 @@ impl Sampler {
     /// baseline). No-op when disabled or when the series is full.
     pub fn sample(&self, now: SimTime, metrics: &Metrics) {
         let mut st = self.shared.borrow_mut();
+        let st = &mut *st;
         if !st.enabled || st.windows.len() >= st.capacity {
             return;
         }
@@ -188,35 +203,20 @@ impl Sampler {
             end_ns,
             ..Window::default()
         };
-        for name in &st.counters {
-            let v = metrics.counter(name);
-            let prev = st.prev_counters.get(name).copied().unwrap_or(0);
-            win.counters.insert(name.clone(), v.saturating_sub(prev));
+        for c in &mut st.counters {
+            let v = c.bind(|n| metrics.counter_handle(n)).get();
+            win.counters
+                .insert(c.name.clone(), v.saturating_sub(c.prev));
+            c.prev = v;
         }
-        for name in &st.histograms {
-            let prev_len = st.prev_hist_len.get(name).copied().unwrap_or(0);
-            let stats = match metrics.histogram(name) {
-                Some(h) => window_stats(&h.samples()[prev_len.min(h.len())..]),
-                None => WindowStats::default(),
-            };
-            win.histograms.insert(name.clone(), stats);
-        }
-        // Advance the baselines for the next window.
-        let updates: Vec<(String, u64)> = win
-            .counters
-            .keys()
-            .map(|n| (n.clone(), metrics.counter(n)))
-            .collect();
-        for (n, v) in updates {
-            st.prev_counters.insert(n, v);
-        }
-        let hist_updates: Vec<(String, usize)> = win
-            .histograms
-            .keys()
-            .map(|n| (n.clone(), metrics.histogram(n).map_or(0, |h| h.len())))
-            .collect();
-        for (n, l) in hist_updates {
-            st.prev_hist_len.insert(n, l);
+        for h in &mut st.histograms {
+            let prev = h.prev;
+            let (len, stats) = h.bind(|n| metrics.hist_handle(n)).read(|hist| {
+                let len = hist.len();
+                (len, window_stats(&hist.samples()[prev.min(len)..]))
+            });
+            win.histograms.insert(h.name.clone(), stats);
+            h.prev = len;
         }
         st.last_sample_ns = end_ns;
         st.windows.push(win);

@@ -46,7 +46,8 @@ fn disabled_tracing_does_not_allocate() {
     // (every op of a client with `ClientConfig::ledger` off) must charge,
     // clone, absorb, and finish without touching the heap. An enabled
     // ledger is allowed to allocate — but only when it is created and when
-    // its costs fold into the metrics registry, never per charge.
+    // its costs fold into the metrics registry (a histogram may grow), never
+    // per charge.
     let disabled = sim::OpLedger::disabled();
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..1000u64 {
@@ -67,7 +68,8 @@ fn disabled_tracing_does_not_allocate() {
     assert_eq!(after - before, 0, "disabled ledger must not touch the heap");
 
     let metrics = sim::Metrics::new();
-    let enabled = sim::OpLedger::start(&metrics, "get", sim::SimTime::ZERO);
+    let get = sim::OpMetrics::resolve(&metrics, "get");
+    let enabled = sim::OpLedger::start(&get, sim::SimTime::ZERO);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     for i in 0..1000u64 {
         enabled.rtt();
