@@ -609,9 +609,7 @@ pub fn bench_report_timed(ids: &[&str], run_id: &str) -> (Json, Json) {
     let mut selftime = SelfTime::new();
     let mut experiments = Vec::with_capacity(ids.len());
     for id in ids {
-        let t0 = std::time::Instant::now();
-        let doc = experiment_json(id);
-        selftime.record(id, t0.elapsed().as_nanos() as u64);
+        let doc = selftime.measure(id, || experiment_json(id));
         if *id == "e16" {
             // The checksum/hash µ-bench is host-side MB/s: nondeterministic
             // like wall-clock, so it rides in the selftime document rather

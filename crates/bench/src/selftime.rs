@@ -9,10 +9,12 @@
 //! by the `figures` binary.
 //!
 //! [`SelfTime`] collects how much *wall-clock* time each experiment cost
-//! the host while a report was built. Wall-clock is nondeterministic, so
-//! the series is written to its own `SELFTIME_<runid>.json` — never into
-//! `BENCH_*.json`, whose byte-identity across same-seed runs is asserted
-//! by CI.
+//! the host while a report was built, and how much executor work it was
+//! spent on (`events`, `events_cancelled`, `peak_pending_events`,
+//! `events_per_sec`: the simulator's thread totals, read and reset around
+//! each experiment). Wall-clock is nondeterministic, so the series is
+//! written to its own `SELFTIME_<runid>.json` — never into `BENCH_*.json`,
+//! whose byte-identity across same-seed runs is asserted by CI.
 
 use std::time::{Duration, Instant};
 
@@ -37,6 +39,28 @@ impl SelfTime {
     /// Appends one experiment's wall-clock cost, in document order.
     pub fn record(&mut self, id: &str, wall_ns: u64) {
         self.entries.push((id.to_string(), wall_ns));
+    }
+
+    /// Runs experiment `id` and records what it cost the host: wall clock,
+    /// and the executor events every simulation it ran fired, cancelled and
+    /// at most held pending.
+    pub fn measure<T>(&mut self, id: &str, run: impl FnOnce() -> T) -> T {
+        sim::take_exec_totals(); // whatever ran before is not this experiment's
+        let t0 = Instant::now();
+        let out = run();
+        let wall = t0.elapsed();
+        let exec = sim::take_exec_totals();
+        self.record(id, wall.as_nanos() as u64);
+        let per_sec = exec.events as f64 / wall.as_secs_f64().max(1e-9);
+        for (key, value) in [
+            ("events", Json::int(exec.events)),
+            ("events_cancelled", Json::int(exec.events_cancelled)),
+            ("peak_pending_events", Json::int(exec.peak_pending_events)),
+            ("events_per_sec", Json::float(per_sec)),
+        ] {
+            self.attach(id, key, value);
+        }
+        out
     }
 
     /// Attaches an extra key to experiment `id`'s object, after `wall_ns`
@@ -103,6 +127,25 @@ mod tests {
         assert!(doc.contains("rstore-selftime-v1"), "{doc}");
         assert!(doc.contains("\"wall_ns\": 100"), "{doc}");
         assert!(doc.contains("\"total_wall_ns\": 350"), "{doc}");
+    }
+
+    #[test]
+    fn measure_attaches_the_executor_totals_of_the_run() {
+        let mut st = SelfTime::new();
+        let ran = st.measure("e0", || {
+            let sim = sim::Sim::new();
+            let dead = sim.schedule(Duration::from_secs(1), || {});
+            sim.schedule(Duration::from_nanos(5), || {});
+            sim.cancel(dead);
+            sim.run()
+        });
+        assert_eq!(ran.as_nanos(), 5);
+        let doc = st.to_json("test").render();
+        crate::json::validate(&doc).expect("selftime must render valid JSON");
+        assert!(doc.contains("\"events\": 1"), "{doc}");
+        assert!(doc.contains("\"events_cancelled\": 1"), "{doc}");
+        assert!(doc.contains("\"peak_pending_events\": 2"), "{doc}");
+        assert!(doc.contains("\"events_per_sec\""), "{doc}");
     }
 
     #[test]

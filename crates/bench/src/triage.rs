@@ -1,13 +1,15 @@
 //! Renders forensics output for humans: the `bench triage` subcommand.
 //!
-//! Two input shapes are understood, distinguished by their `schema` field:
+//! Three input shapes are understood, distinguished by their `schema` field:
 //!
 //! - a `BENCH_*.json` report (`rstore-bench-v1`): every experiment carrying
 //!   an `exemplars` block gets its tail exemplars printed as a ranked blame
 //!   table, worst first;
 //! - a flight-recorder triage bundle (`rstore-triage-v1`), as dumped on a
 //!   structured error: the failing op's blame and span tree, the ring, and
-//!   the cluster-era notes.
+//!   the cluster-era notes;
+//! - a `SELFTIME_*.json` companion (`rstore-selftime-v1`): the host cost of
+//!   each experiment — wall clock and executor events — costliest first.
 
 use std::fmt::Write as _;
 
@@ -225,8 +227,53 @@ fn bundle_text(m: &std::collections::BTreeMap<String, Json>) -> String {
     out
 }
 
-/// Renders a parsed document — bench report or triage bundle — as ranked
-/// blame tables.
+/// Renders a selftime document: what each experiment cost the host, the
+/// costliest first. `-` marks a field the document does not carry.
+fn selftime_table(m: &std::collections::BTreeMap<String, Json>, top: usize) -> Table {
+    let mut t = Table::new(
+        format!(
+            "host cost per experiment, costliest first (total {} ms)",
+            as_u64(m.get("total_wall_ns")) / 1_000_000
+        ),
+        &[
+            "experiment",
+            "wall ms",
+            "events",
+            "cancelled",
+            "peak pending",
+            "events/s",
+        ],
+    );
+    let mut rows: Vec<(&String, &Json)> = match m.get("experiments") {
+        Some(Json::Obj(exps)) => exps.iter().collect(),
+        _ => Vec::new(),
+    };
+    rows.sort_by_key(|(id, e)| {
+        let Json::Obj(x) = e else {
+            return (0, (*id).clone());
+        };
+        (u64::MAX - as_u64(x.get("wall_ns")), (*id).clone())
+    });
+    for (id, e) in rows.into_iter().take(top) {
+        let Json::Obj(x) = e else { continue };
+        let count = |key: &str| match x.get(key) {
+            Some(v) => as_u64(Some(v)).to_string(),
+            None => "-".to_string(),
+        };
+        t.row(vec![
+            id.clone(),
+            format!("{}", as_u64(x.get("wall_ns")) / 1_000_000),
+            count("events"),
+            count("events_cancelled"),
+            count("peak_pending_events"),
+            count("events_per_sec"),
+        ]);
+    }
+    t
+}
+
+/// Renders a parsed document — bench report, triage bundle or selftime
+/// companion — as ranked tables.
 ///
 /// # Errors
 ///
@@ -239,6 +286,7 @@ pub fn triage_text(doc: &Json, top: usize) -> Result<String, String> {
     };
     match as_str(m.get("schema")) {
         "rstore-triage-v1" => Ok(bundle_text(m)),
+        "rstore-selftime-v1" => Ok(format!("{}\n", selftime_table(m, top))),
         "rstore-bench-v1" => {
             let Some(Json::Obj(exps)) = m.get("experiments") else {
                 return Err("bench report has no experiments object".into());
@@ -259,7 +307,7 @@ pub fn triage_text(doc: &Json, top: usize) -> Result<String, String> {
         }
         other => Err(format!(
             "unrecognised document schema {other:?} \
-             (expected rstore-bench-v1 or rstore-triage-v1)"
+             (expected rstore-bench-v1, rstore-triage-v1 or rstore-selftime-v1)"
         )),
     }
 }
@@ -346,6 +394,29 @@ mod tests {
         // indented one level deeper than its retry parent.
         assert!(text.contains("  retry ["), "{text}");
         assert!(text.contains("    wire ["), "{text}");
+    }
+
+    #[test]
+    fn selftime_triage_ranks_experiments_by_wall_clock() {
+        let doc = parse(
+            r#"{
+  "schema": "rstore-selftime-v1", "run_id": "t", "total_wall_ns": 9000000000,
+  "experiments": {
+    "e14": {"wall_ns": 2000000000, "events": 5000000, "events_cancelled": 3000000,
+            "peak_pending_events": 412, "events_per_sec": 2500000.0},
+    "e15": {"wall_ns": 7000000000}
+  }
+}"#,
+        )
+        .expect("selftime parses");
+        let text = triage_text(&doc, 10).expect("triage");
+        let slow = text.find("e15").expect("e15 listed");
+        let fast = text.find("e14").expect("e14 listed");
+        assert!(slow < fast, "costliest experiment first:\n{text}");
+        assert!(text.contains("total 9000 ms"), "{text}");
+        assert!(text.contains("3000000"), "cancelled events shown:\n{text}");
+        assert!(text.contains("412"), "peak pending shown:\n{text}");
+        assert!(text.contains("2500000"), "event rate shown:\n{text}");
     }
 
     #[test]

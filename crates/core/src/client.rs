@@ -12,7 +12,7 @@ use fabric::NodeId;
 use rdma::{CompletionQueue, CqStatus, Qp, RdmaDevice, RdmaError};
 use sim::channel::oneshot;
 use sim::sync::{Semaphore, WaitGroup};
-use sim::{Sim, SimTime};
+use sim::{EventSink, Sim, SimTime, TimerId};
 
 use crate::error::{RStoreError, Result};
 use crate::proto::{
@@ -94,11 +94,25 @@ pub(crate) struct ClientShared {
     ctrl_sem: Semaphore,
     ctrl: RefCell<Option<RpcClient>>,
     pub data_cq: CompletionQueue,
-    pub pending: RefCell<HashMap<u64, oneshot::Sender<CqStatus>>>,
+    /// Waiters of posted WRs by wr_id, each with its timeout backstop.
+    pub pending: RefCell<HashMap<u64, (oneshot::Sender<CqStatus>, TimerId)>>,
     pub next_wr: Cell<u64>,
     pub conns: RefCell<HashMap<u32, Qp>>,
     redial: RefCell<HashMap<u32, Rc<RedialSlot>>>,
     pub outstanding: WaitGroup,
+}
+
+impl EventSink for ClientShared {
+    /// The timeout backstop of work request `wr_id` expired with no
+    /// completion routed back: fail its waiter. Only the waiter is resolved
+    /// — the outstanding count is left to the completion router, which
+    /// drains the device-generated CQE (the verbs layer always produces one).
+    fn fire(self: Rc<Self>, wr_id: u64, _: u64) {
+        if let Some((tx, _)) = self.pending.borrow_mut().remove(&wr_id) {
+            self.stats.io_timeout.incr();
+            tx.send(CqStatus::Timeout);
+        }
+    }
 }
 
 /// A handle to the RStore service.
@@ -171,7 +185,9 @@ impl RStoreClient {
             loop {
                 let cqe = s.data_cq.next().await;
                 s.outstanding.done();
-                if let Some(tx) = s.pending.borrow_mut().remove(&cqe.wr_id) {
+                let waiter = s.pending.borrow_mut().remove(&cqe.wr_id);
+                if let Some((tx, backstop)) = waiter {
+                    s.sim.cancel(backstop);
                     tx.send(cqe.status);
                 }
             }

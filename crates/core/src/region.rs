@@ -7,6 +7,7 @@
 use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::future::Future;
+use std::ops::Range;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -52,21 +53,42 @@ struct Xfer {
 /// it (`Timeout` when its WR could not even be posted).
 type Failed = (Xfer, CqStatus);
 
-/// A posted WR: the transfers it covers and its completion receiver.
-type Posted<'p> = (&'p [Xfer], oneshot::Receiver<CqStatus>);
+/// A posted WR: the plan indices of the transfers it covers and its
+/// completion receiver.
+type Posted = (Range<usize>, oneshot::Receiver<CqStatus>);
 
 /// Recycled IO scratch shared by all clones of a [`Region`] handle: staging
-/// `DmaBuf`s for checksummed stripe assembly/verification and a host-side
-/// byte scratch for CRC work. Reuse keeps the steady-state op set
+/// `DmaBuf`s for checksummed stripe assembly/verification, a host-side byte
+/// scratch for CRC work, and the plan and posted-WR lists of a round (one of
+/// each per round in flight). Reuse keeps the steady-state op set
 /// allocation-free (arena allocation is zero virtual time, so pooling
 /// changes no wire traffic or timing — only host-heap churn).
+#[derive(Default)]
 struct IoPool {
     staging: RefCell<Vec<DmaBuf>>,
     scratch: RefCell<Vec<u8>>,
+    plans: RefCell<Vec<Vec<Xfer>>>,
+    waits: RefCell<Vec<Vec<Posted>>>,
 }
 
-/// Staging buffers kept for reuse; beyond this the excess is freed back to
-/// the arena (mixed-size workloads would otherwise grow the pool without
+impl IoPool {
+    /// An empty list from `spares`, with whatever capacity its last user grew.
+    fn take<T>(spares: &RefCell<Vec<Vec<T>>>) -> Vec<T> {
+        spares.borrow_mut().pop().unwrap_or_default()
+    }
+
+    /// Returns a list taken with [`take`](Self::take).
+    fn put<T>(spares: &RefCell<Vec<Vec<T>>>, mut list: Vec<T>) {
+        list.clear();
+        let mut spares = spares.borrow_mut();
+        if spares.len() < POOL_CAP {
+            spares.push(list);
+        }
+    }
+}
+
+/// Staging buffers (and spare lists) kept for reuse; beyond this the excess
+/// is freed (mixed-size workloads would otherwise grow the pool without
 /// bound).
 const POOL_CAP: usize = 32;
 
@@ -131,10 +153,7 @@ impl Region {
             layout: Rc::new(RefCell::new(layout)),
             name,
             checksums,
-            pool: Rc::new(IoPool {
-                staging: RefCell::new(Vec::new()),
-                scratch: RefCell::new(Vec::new()),
-            }),
+            pool: Rc::default(),
         }
     }
 
@@ -523,9 +542,11 @@ impl Region {
             ));
         }
         let mut plan = self.plan(&[(offset, buf)], dir == Dir::Write)?;
+        let mut waits = Vec::new();
         // The zero-copy API has no logical-op boundary to attribute to; its
         // WRs stay unledgered.
-        let (waits, failed) = self.post_plan(dir, &mut plan, None, &OpLedger::disabled());
+        let failed = self.post_plan(dir, &mut plan, None, &OpLedger::disabled(), &mut waits);
+        IoPool::put(&self.pool.plans, plan);
         Ok(IoHandle {
             rxs: waits.into_iter().map(|(_, rx)| rx).collect(),
             post_failed: !failed.is_empty(),
@@ -600,7 +621,7 @@ impl Region {
     /// fails the whole plan, so nothing has posted yet.
     fn plan(&self, ios: &[(u64, DmaBuf)], all_replicas: bool) -> Result<Vec<Xfer>> {
         let layout = self.layout.borrow();
-        let mut plan = Vec::new();
+        let mut plan = IoPool::take(&self.pool.plans);
         for &(offset, buf) in ios {
             for piece in layout.piece_iter(offset, buf.len)? {
                 let replicas = if all_replicas {
@@ -619,8 +640,9 @@ impl Region {
         Ok(plan)
     }
 
-    /// Posts a plan without waiting, returning the posted WRs (each with the
-    /// transfers it covers) and the transfers whose WR could not be posted.
+    /// Posts a plan without waiting: the posted WRs (each with the transfers
+    /// it covers) go on `waits`, the transfers whose WR could not be posted
+    /// are returned.
     ///
     /// The one grouping rule lives here. A plan of two or more pieces on a
     /// plain region is ordered by memory server and every server's
@@ -632,38 +654,41 @@ impl Region {
     /// they land, and the pipelined window measured faster than one grouped
     /// fetch followed by verification (DESIGN.md, "Inline and
     /// scatter-gather WRs").
-    fn post_plan<'p>(
+    fn post_plan(
         &self,
         dir: Dir,
-        plan: &'p mut [Xfer],
+        plan: &mut [Xfer],
         inline: Option<&[u8]>,
         ledger: &OpLedger,
-    ) -> (Vec<Posted<'p>>, Vec<Failed>) {
+        waits: &mut Vec<Posted>,
+    ) -> Vec<Failed> {
         let node = |x: &Xfer| self.extent(x.piece.group, x.replica).node;
         let grouped = !self.checksums && plan.iter().filter(|x| x.replica == 0).count() >= 2;
         if grouped {
             plan.sort_by_key(node);
         }
-        let plan: &'p [Xfer] = plan;
-        let mut waits = Vec::new();
         let mut failed = Vec::new();
+        let mut end = 0;
         for run in plan.chunk_by(|a, b| grouped && node(a) == node(b)) {
             for xfers in run.chunks(MAX_SGE) {
+                end += xfers.len();
                 match self.post(dir, xfers, inline, ledger) {
-                    Ok(rx) => waits.push((xfers, rx)),
+                    Ok(rx) => waits.push((end - xfers.len()..end, rx)),
                     // Nothing posted; the failover/recovery pass grants the
                     // usual re-dial retry.
                     Err(_) => failed.extend(xfers.iter().map(|&x| (x, CqStatus::Timeout))),
                 }
             }
         }
-        (waits, failed)
+        failed
     }
 
     /// Posts a plan and awaits the round — one round trip for the logical
     /// op, since everything in it flies in parallel. Returns the transfers
     /// that failed, each with the status that failed it (a multi-element
-    /// WR's CQE folds the first failing element's status over all of them).
+    /// WR's CQE folds the first failing element's status over all of them);
+    /// the plan and the posted-WR list go back to the pool before any
+    /// failover or recovery round runs.
     async fn post_round(
         &self,
         dir: Dir,
@@ -671,16 +696,19 @@ impl Region {
         inline: Option<&[u8]>,
         ledger: &OpLedger,
     ) -> Vec<Failed> {
-        let (waits, mut failed) = self.post_plan(dir, &mut plan, inline, ledger);
+        let mut waits = IoPool::take(&self.pool.waits);
+        let mut failed = self.post_plan(dir, &mut plan, inline, ledger, &mut waits);
         if !waits.is_empty() {
             ledger.rtt();
         }
-        for (xfers, rx) in waits {
+        for (xfers, rx) in waits.drain(..) {
             let status = rx.await.unwrap_or(CqStatus::Flushed);
             if status != CqStatus::Success {
-                failed.extend(xfers.iter().map(|&x| (x, status)));
+                failed.extend(plan[xfers].iter().map(|&x| (x, status)));
             }
         }
+        IoPool::put(&self.pool.waits, waits);
+        IoPool::put(&self.pool.plans, plan);
         failed
     }
 
@@ -843,9 +871,10 @@ impl Region {
         let s = &self.client.shared;
         let depth = s.cfg.pipeline_depth.max(1);
         if plan.len() <= 1 || depth == 1 {
-            for x in plan {
+            for &x in &plan {
                 op(self.clone(), x, ledger.clone()).await?;
             }
+            IoPool::put(&self.pool.plans, plan);
             return Ok(());
         }
         let sem = Semaphore::new(depth);
@@ -854,7 +883,7 @@ impl Region {
         let peak = Rc::new(Cell::new(0u64));
         let op = Rc::new(op);
         let mut handles = Vec::with_capacity(plan.len());
-        for x in plan {
+        for &x in &plan {
             sem.acquire().await;
             if failed.get() {
                 // A stripe already failed; issuing more work would be
@@ -876,6 +905,7 @@ impl Region {
                 result
             }));
         }
+        IoPool::put(&self.pool.plans, plan);
         // Track the deepest window any pipelined IO reached this run.
         let seen = s.stats.inflight_max.get();
         if peak.get() > seen {
@@ -1035,14 +1065,13 @@ impl Region {
                 let trailer = (crc32c(&scratch[..]) as u64).to_le_bytes();
                 dev.write_mem(staging.addr + stripe_len, &trailer)?;
             }
-            let plan = (0..self.replicas(piece.group))
-                .map(|replica| Xfer {
-                    piece: full,
-                    buf: staging,
-                    replica,
-                    redialed: false,
-                })
-                .collect();
+            let mut plan = IoPool::take(&self.pool.plans);
+            plan.extend((0..self.replicas(piece.group)).map(|replica| Xfer {
+                piece: full,
+                buf: staging,
+                replica,
+                redialed: false,
+            }));
             self.write_xfers(plan, None, ledger).await
         })
         .await
@@ -1098,9 +1127,6 @@ impl Region {
         };
         let wr_id = s.next_wr.get();
         s.next_wr.set(wr_id + 1);
-        let (tx, rx) = oneshot::channel();
-        s.pending.borrow_mut().insert(wr_id, tx);
-        s.outstanding.add(1);
         // Every WR stays signaled: the client's completion router accounts
         // outstanding IO per CQE, so a suppressed success would leak an
         // outstanding count and a pending waiter.
@@ -1109,43 +1135,28 @@ impl Region {
             op,
             signaled: true,
         };
-        let posted = {
+        {
             let _scope = s.dev.ledger_scope(ledger);
-            qp.post_batch(&[wr])
-        };
-        if let Err(e) = posted {
-            s.pending.borrow_mut().remove(&wr_id);
-            s.outstanding.done();
-            return Err(e.into());
+            qp.post_batch(&[wr])?;
         }
-        self.arm_backstop(wr_id, total);
+        // Per-IO timeout backstop: if no completion ever routes back for
+        // this work request, the client fails it (`ClientShared::fire`) so
+        // region IO is bounded in virtual time. The deadline must be the
+        // device's backlog-aware bound, not the isolated-op timeout: behind
+        // a deep backlog (e.g. a fluid-mode shuffle) an op legitimately
+        // outlives op_timeout of its own size. The completion router cancels
+        // the backstop when the CQE arrives.
+        let deadline = s.sim.now() + s.dev.op_deadline(total) + s.cfg.io_grace;
+        let backstop = s.sim.schedule_event(deadline, s, wr_id, 0);
+        let (tx, rx) = oneshot::channel();
+        s.pending.borrow_mut().insert(wr_id, (tx, backstop));
+        s.outstanding.add(1);
         match dir {
             Dir::Read => s.stats.read_bytes.add(total),
             Dir::Write => s.stats.write_bytes.add(total),
             Dir::Cas { .. } => {}
         }
         Ok(rx)
-    }
-
-    /// Per-IO timeout backstop: if no completion ever routes back for
-    /// this work request, fail it client-side so region IO is bounded in
-    /// virtual time. The deadline must be the device's backlog-aware
-    /// bound, not the isolated-op timeout: behind a deep backlog (e.g.
-    /// a fluid-mode shuffle) an op legitimately outlives op_timeout of
-    /// its own size. The guard only resolves the waiter — the
-    /// outstanding count is left to the completion router, which drains
-    /// the device-generated CQE (the verbs layer always produces one).
-    fn arm_backstop(&self, wr_id: u64, len: u64) {
-        let s = &self.client.shared;
-        let deadline = s.sim.now() + s.dev.op_deadline(len) + s.cfg.io_grace;
-        let client = self.client.clone();
-        s.sim.schedule_at(deadline, move || {
-            let sh = &client.shared;
-            if let Some(tx) = sh.pending.borrow_mut().remove(&wr_id) {
-                sh.stats.io_timeout.incr();
-                tx.send(CqStatus::Timeout);
-            }
-        });
     }
 }
 

@@ -165,25 +165,38 @@ impl Drop for RpcClient {
 }
 
 /// A one-shot virtual-time deadline that bounds waits on a completion queue.
+///
+/// The timer is deliberately left armed when the call returns early. When it
+/// fires it wakes the calling task once more, wherever that task is by then,
+/// and not every future is indifferent to an extra poll
+/// (`Semaphore::acquire` queues its waker again on each one): that wake-up
+/// is part of the schedule the committed E15 numbers were taken on, and
+/// disarming the timer on drop moves them (CHANGES.md, PR 15).
 struct Deadline {
-    fired: Rc<Cell<bool>>,
-    waker: Rc<RefCell<Option<Waker>>>,
+    state: Rc<DeadlineState>,
+}
+
+#[derive(Default)]
+struct DeadlineState {
+    fired: Cell<bool>,
+    waker: RefCell<Option<Waker>>,
+}
+
+impl sim::EventSink for DeadlineState {
+    fn fire(self: Rc<Self>, _: u64, _: u64) {
+        self.fired.set(true);
+        if let Some(w) = self.waker.borrow_mut().take() {
+            w.wake();
+        }
+    }
 }
 
 impl Deadline {
     /// Schedules the deadline `after` from now.
     fn arm(sim: &sim::Sim, after: Duration) -> Deadline {
-        let fired = Rc::new(Cell::new(false));
-        let waker: Rc<RefCell<Option<Waker>>> = Rc::new(RefCell::new(None));
-        let f = fired.clone();
-        let w = waker.clone();
-        sim.schedule(after, move || {
-            f.set(true);
-            if let Some(w) = w.borrow_mut().take() {
-                w.wake();
-            }
-        });
-        Deadline { fired, waker }
+        let state = Rc::new(DeadlineState::default());
+        sim.schedule_event(sim.now() + after, &state, 0, 0);
+        Deadline { state }
     }
 
     /// Waits for the next completion on `cq`, or `None` once the deadline
@@ -205,7 +218,7 @@ impl Future for NextBefore<'_> {
         if let Some(cqe) = self.cq.try_next() {
             return Poll::Ready(Some(cqe));
         }
-        if self.deadline.fired.get() {
+        if self.deadline.state.fired.get() {
             return Poll::Ready(None);
         }
         // Register with both wake sources: the CQ (via its own future) and
@@ -214,7 +227,7 @@ impl Future for NextBefore<'_> {
         if let Poll::Ready(cqe) = Pin::new(&mut next).poll(cx) {
             return Poll::Ready(Some(cqe));
         }
-        *self.deadline.waker.borrow_mut() = Some(cx.waker().clone());
+        *self.deadline.state.waker.borrow_mut() = Some(cx.waker().clone());
         Poll::Pending
     }
 }

@@ -46,7 +46,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use sim::channel::{channel, Receiver, Sender};
-use sim::{Counter, DetRng, Hist, Metrics, Sim, SimTime, Tracer};
+use sim::{Counter, DetRng, EventSink, Hist, Metrics, Sim, SimTime, Tracer};
 
 pub mod fault;
 
@@ -146,9 +146,13 @@ struct Chunk<M> {
 }
 
 struct NodeState<M> {
-    /// Per-destination transmit queues, drained round-robin (models NIC
-    /// queue-pair arbitration at packet granularity).
-    tx_flows: std::collections::HashMap<NodeId, VecDeque<Chunk<M>>>,
+    /// Per-destination transmit queues, indexed by destination node and
+    /// drained round-robin (models NIC queue-pair arbitration at packet
+    /// granularity). Grown on first use of a destination; a drained queue
+    /// keeps its buffer.
+    tx_flows: Vec<VecDeque<Chunk<M>>>,
+    /// Chunks queued across all of `tx_flows`.
+    tx_queued: u64,
     /// Round-robin order of destinations with queued chunks.
     tx_rr: VecDeque<NodeId>,
     /// Whether a pump event is scheduled for this node's transmit link.
@@ -219,7 +223,8 @@ impl FabricStats {
 impl<M> NodeState<M> {
     fn new(link: LinkStats) -> Self {
         NodeState {
-            tx_flows: std::collections::HashMap::new(),
+            tx_flows: Vec::new(),
+            tx_queued: 0,
             tx_rr: VecDeque::new(),
             tx_pumping: false,
             rx_busy_until: SimTime::ZERO,
@@ -267,9 +272,22 @@ pub enum MembershipEvent {
 /// membership (the master's host), which the fabric cannot reach itself.
 type MembershipHook = Rc<dyn Fn(MembershipEvent)>;
 
+/// A message between two of the fabric's own events: waiting out the
+/// sender's host overhead, or on its way to `dst`'s inbox.
+struct InFlight<M> {
+    src: NodeId,
+    dst: NodeId,
+    wire_bytes: u64,
+    msg: M,
+}
+
 struct Inner<M> {
     cfg: FabricConfig,
     nodes: Vec<NodeState<M>>,
+    /// Parked messages; an event's token is its message's index here.
+    in_flight: Vec<Option<InFlight<M>>>,
+    /// Vacant `in_flight` indices.
+    free_slots: Vec<usize>,
     dropped: u64,
     loss: Option<Loss>,
     flip: Option<Flip>,
@@ -277,32 +295,76 @@ struct Inner<M> {
     membership_hook: Option<MembershipHook>,
 }
 
+impl<M> Inner<M> {
+    /// Parks `msg` until the event scheduled with the returned token fires.
+    fn park(&mut self, msg: InFlight<M>) -> u64 {
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.in_flight.push(None);
+            self.in_flight.len() - 1
+        });
+        self.in_flight[slot] = Some(msg);
+        slot as u64
+    }
+
+    /// Takes the message parked in `slot`, freeing the slot.
+    fn unpark(&mut self, slot: usize) -> InFlight<M> {
+        self.free_slots.push(slot);
+        self.in_flight[slot]
+            .take()
+            .expect("a fabric event names a parked message")
+    }
+}
+
 /// The fabric: a single-switch network connecting [`NodeId`]s.
 ///
 /// Cheap to clone; all clones refer to the same network.
 pub struct Fabric<M> {
+    core: Rc<Core<M>>,
+}
+
+/// What every clone of a [`Fabric`] shares, and the [`EventSink`] its timed
+/// events fire on.
+struct Core<M> {
     sim: Sim,
-    inner: Rc<RefCell<Inner<M>>>,
+    inner: RefCell<Inner<M>>,
     metrics: Metrics,
-    stats: Rc<FabricStats>,
+    stats: FabricStats,
     tracer: Tracer,
+}
+
+/// Event kinds (the first token of a fabric event; the second is `kind`'s
+/// argument).
+/// A bulk message's host overhead has elapsed: queue its chunks. Argument:
+/// its `in_flight` slot.
+const STAGE: u64 = 0;
+/// A transmit link is free for its next chunk. Argument: the sending node.
+const PUMP: u64 = 1;
+/// A message's last bit has arrived. Argument: its `in_flight` slot.
+const DELIVER: u64 = 2;
+
+impl<M: 'static> EventSink for Core<M> {
+    fn fire(self: Rc<Self>, kind: u64, arg: u64) {
+        let fabric = Fabric { core: self };
+        match kind {
+            STAGE => fabric.stage(arg as usize),
+            PUMP => fabric.pump(NodeId(arg as u32)),
+            DELIVER => fabric.deliver(arg as usize),
+            _ => unreachable!("unknown fabric event kind {kind}"),
+        }
+    }
 }
 
 impl<M> Clone for Fabric<M> {
     fn clone(&self) -> Self {
         Fabric {
-            sim: self.sim.clone(),
-            inner: self.inner.clone(),
-            metrics: self.metrics.clone(),
-            stats: self.stats.clone(),
-            tracer: self.tracer.clone(),
+            core: self.core.clone(),
         }
     }
 }
 
 impl<M> fmt::Debug for Fabric<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.inner.borrow();
+        let inner = self.core.inner.borrow();
         f.debug_struct("Fabric")
             .field("nodes", &inner.nodes.len())
             .field("dropped", &inner.dropped)
@@ -316,50 +378,54 @@ impl<M: 'static> Fabric<M> {
         let tracer = sim.tracer();
         let metrics = Metrics::new();
         Fabric {
-            sim,
-            inner: Rc::new(RefCell::new(Inner {
-                cfg,
-                nodes: Vec::new(),
-                dropped: 0,
-                loss: None,
-                flip: None,
-                corruption_hooks: std::collections::HashMap::new(),
-                membership_hook: None,
-            })),
-            stats: Rc::new(FabricStats::resolve(&metrics)),
-            metrics,
-            tracer,
+            core: Rc::new(Core {
+                sim,
+                inner: RefCell::new(Inner {
+                    cfg,
+                    nodes: Vec::new(),
+                    in_flight: Vec::new(),
+                    free_slots: Vec::new(),
+                    dropped: 0,
+                    loss: None,
+                    flip: None,
+                    corruption_hooks: std::collections::HashMap::new(),
+                    membership_hook: None,
+                }),
+                stats: FabricStats::resolve(&metrics),
+                metrics,
+                tracer,
+            }),
         }
     }
 
     /// Adds a machine to the fabric and returns its id.
     pub fn add_node(&self) -> NodeId {
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
         let id = NodeId(inner.nodes.len() as u32);
         inner
             .nodes
-            .push(NodeState::new(LinkStats::resolve(&self.metrics, id)));
+            .push(NodeState::new(LinkStats::resolve(&self.core.metrics, id)));
         id
     }
 
     /// Number of machines attached.
     pub fn node_count(&self) -> usize {
-        self.inner.borrow().nodes.len()
+        self.core.inner.borrow().nodes.len()
     }
 
     /// The simulation this fabric runs on.
     pub fn sim(&self) -> &Sim {
-        &self.sim
+        &self.core.sim
     }
 
     /// The fabric's configuration.
     pub fn config(&self) -> FabricConfig {
-        self.inner.borrow().cfg.clone()
+        self.core.inner.borrow().cfg.clone()
     }
 
     /// Shared metrics registry (byte counters, drop counts).
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.core.metrics
     }
 
     /// Claims the inbox for `node`, returning the receiving end. Each node
@@ -371,7 +437,7 @@ impl<M: 'static> Fabric<M> {
     /// Panics if the node does not exist or was already attached.
     pub fn attach(&self, node: NodeId) -> Receiver<Delivery<M>> {
         let (tx, rx) = channel();
-        let mut inner = self.inner.borrow_mut();
+        let mut inner = self.core.inner.borrow_mut();
         let st = inner
             .nodes
             .get_mut(node.0 as usize)
@@ -384,19 +450,19 @@ impl<M: 'static> Fabric<M> {
     /// Marks a node as failed (`up = false`) or recovered. Messages to or
     /// from a failed node are silently dropped, like a pulled cable.
     pub fn set_node_up(&self, node: NodeId, up: bool) {
-        self.inner.borrow_mut().nodes[node.0 as usize].up = up;
+        self.core.inner.borrow_mut().nodes[node.0 as usize].up = up;
     }
 
     /// Whether a node is currently reachable.
     pub fn is_node_up(&self, node: NodeId) -> bool {
-        self.inner.borrow().nodes[node.0 as usize].up
+        self.core.inner.borrow().nodes[node.0 as usize].up
     }
 
     /// Starts dropping every subsequent message with probability `prob`,
     /// drawn from a [`DetRng`] seeded with `seed` so the same seed
     /// reproduces the exact drop pattern. Replaces any earlier setting.
     pub fn set_loss(&self, prob: f64, seed: u64) {
-        self.inner.borrow_mut().loss = Some(Loss {
+        self.core.inner.borrow_mut().loss = Some(Loss {
             prob,
             rng: DetRng::new(seed),
         });
@@ -404,7 +470,7 @@ impl<M: 'static> Fabric<M> {
 
     /// Stops probabilistic message loss.
     pub fn clear_loss(&self) {
-        self.inner.borrow_mut().loss = None;
+        self.core.inner.borrow_mut().loss = None;
     }
 
     /// Starts flipping one random bit in each in-flight WRITE payload with
@@ -413,7 +479,7 @@ impl<M: 'static> Fabric<M> {
     /// [`Fabric::inflight_flip`] to learn which bit to damage, because the
     /// fabric is payload-agnostic.
     pub fn set_flip(&self, prob: f64, seed: u64) {
-        self.inner.borrow_mut().flip = Some(Flip {
+        self.core.inner.borrow_mut().flip = Some(Flip {
             prob,
             rng: DetRng::new(seed),
         });
@@ -421,7 +487,7 @@ impl<M: 'static> Fabric<M> {
 
     /// Stops in-flight payload bit flips.
     pub fn clear_flip(&self) {
-        self.inner.borrow_mut().flip = None;
+        self.core.inner.borrow_mut().flip = None;
     }
 
     /// Rolls the in-flight flip dice for a payload of `payload_bits` bits.
@@ -430,15 +496,17 @@ impl<M: 'static> Fabric<M> {
     /// trace/metric event so every injected flip is attributable.
     pub fn inflight_flip(&self, payload_bits: u64) -> Option<u64> {
         let bit = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.core.inner.borrow_mut();
             let flip = inner.flip.as_mut()?;
             if payload_bits == 0 || !flip.rng.chance(flip.prob) {
                 return None;
             }
             flip.rng.range_u64(0, payload_bits)
         };
-        self.stats.flip_injected.incr();
-        self.tracer.instant("fabric", "fabric.fault.flip", bit, 1);
+        self.core.stats.flip_injected.incr();
+        self.core
+            .tracer
+            .instant("fabric", "fabric.fault.flip", bit, 1);
         Some(bit)
     }
 
@@ -447,7 +515,8 @@ impl<M: 'static> Fabric<M> {
     /// attached device registers one at creation; the fabric itself cannot
     /// reach node memory. Replaces any earlier hook.
     pub fn set_corruption_hook(&self, node: NodeId, hook: Rc<dyn Fn(u64, u32)>) {
-        self.inner
+        self.core
+            .inner
             .borrow_mut()
             .corruption_hooks
             .insert(node.0, hook);
@@ -457,17 +526,17 @@ impl<M: 'static> Fabric<M> {
     /// [`FaultAction::Join`] / [`FaultAction::Drain`] event invokes with the
     /// corresponding [`MembershipEvent`]. Replaces any earlier hook.
     pub fn set_membership_hook(&self, hook: Rc<dyn Fn(MembershipEvent)>) {
-        self.inner.borrow_mut().membership_hook = Some(hook);
+        self.core.inner.borrow_mut().membership_hook = Some(hook);
     }
 
     /// Count of messages dropped due to failed endpoints.
     pub fn dropped_messages(&self) -> u64 {
-        self.inner.borrow().dropped
+        self.core.inner.borrow().dropped
     }
 
     /// Total bytes a node has put on the wire.
     pub fn tx_bytes(&self, node: NodeId) -> u64 {
-        self.inner.borrow().nodes[node.0 as usize].tx_bytes
+        self.core.inner.borrow().nodes[node.0 as usize].tx_bytes
     }
 
     /// Live link utilization for `node` as `(tx_pct, rx_pct)`: the fraction
@@ -476,7 +545,7 @@ impl<M: 'static> Fabric<M> {
     /// / `rx_busy_ns` gauges. Priority-bypass messages are excluded, exactly
     /// as they are excluded from busy-until accounting.
     pub fn link_busy_pct(&self, node: NodeId) -> (f64, f64) {
-        let elapsed = self.sim.now().as_nanos() as f64;
+        let elapsed = self.core.sim.now().as_nanos() as f64;
         if elapsed == 0.0 {
             return (0.0, 0.0);
         }
@@ -487,7 +556,7 @@ impl<M: 'static> Fabric<M> {
     /// The `fabric.link<N>.tx_busy_ns` / `rx_busy_ns` gauges of `node`
     /// (zeros for a node this fabric does not have).
     pub fn link_busy_ns(&self, node: NodeId) -> (u64, u64) {
-        let inner = self.inner.borrow();
+        let inner = self.core.inner.borrow();
         inner.nodes.get(node.0 as usize).map_or((0, 0), |st| {
             (st.link.tx_busy_ns.get(), st.link.rx_busy_ns.get())
         })
@@ -495,7 +564,7 @@ impl<M: 'static> Fabric<M> {
 
     /// Total bytes a node has received off the wire.
     pub fn rx_bytes(&self, node: NodeId) -> u64 {
-        self.inner.borrow().nodes[node.0 as usize].rx_bytes
+        self.core.inner.borrow().nodes[node.0 as usize].rx_bytes
     }
 
     /// Sends `msg` of `wire_bytes` bytes from `src` to `dst`.
@@ -509,17 +578,17 @@ impl<M: 'static> Fabric<M> {
     /// Panics if either node does not exist or `wire_bytes == 0`.
     pub fn send(&self, src: NodeId, dst: NodeId, wire_bytes: u64, msg: M) {
         assert!(wire_bytes > 0, "messages must occupy wire");
-        let now = self.sim.now();
+        let now = self.core.sim.now();
         {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.core.inner.borrow_mut();
             assert!(
                 (src.0 as usize) < inner.nodes.len() && (dst.0 as usize) < inner.nodes.len(),
                 "send: unknown node"
             );
             if !inner.nodes[src.0 as usize].up || !inner.nodes[dst.0 as usize].up {
                 inner.dropped += 1;
-                self.stats.dropped_endpoint_down.incr();
-                self.tracer.instant(
+                self.core.stats.dropped_endpoint_down.incr();
+                self.core.tracer.instant(
                     "fabric",
                     "fabric.drop.endpoint_down",
                     dst.0 as u64,
@@ -532,9 +601,13 @@ impl<M: 'static> Fabric<M> {
             if let Some(loss) = inner.loss.as_mut() {
                 if loss.rng.chance(loss.prob) {
                     inner.dropped += 1;
-                    self.stats.dropped_injected.incr();
-                    self.tracer
-                        .instant("fabric", "fabric.drop.injected", dst.0 as u64, wire_bytes);
+                    self.core.stats.dropped_injected.incr();
+                    self.core.tracer.instant(
+                        "fabric",
+                        "fabric.drop.injected",
+                        dst.0 as u64,
+                        wire_bytes,
+                    );
                     return;
                 }
             }
@@ -542,19 +615,20 @@ impl<M: 'static> Fabric<M> {
             st.tx_bytes += wire_bytes;
             st.link.tx_bytes.add(wire_bytes);
             st.link.tx_msgs.incr();
-            self.stats.tx_bytes.add(wire_bytes);
+            self.core.stats.tx_bytes.add(wire_bytes);
         }
-        self.tracer
+        self.core
+            .tracer
             .instant("fabric", "fabric.tx", src.0 as u64, wire_bytes);
 
         if src == dst {
-            let deliver_at = now + self.inner.borrow().cfg.host_overhead;
+            let deliver_at = now + self.core.inner.borrow().cfg.host_overhead;
             self.schedule_delivery(src, dst, wire_bytes, msg, deliver_at);
             return;
         }
 
         let (bypass, host_overhead) = {
-            let inner = self.inner.borrow();
+            let inner = self.core.inner.borrow();
             (
                 wire_bytes <= inner.cfg.priority_cutoff as u64,
                 inner.cfg.host_overhead,
@@ -563,7 +637,7 @@ impl<M: 'static> Fabric<M> {
         if bypass {
             // Small-message priority bypass: see `FabricConfig::priority_cutoff`.
             let deliver_at = {
-                let inner = self.inner.borrow();
+                let inner = self.core.inner.borrow();
                 let cfg = &inner.cfg;
                 now + cfg.host_overhead
                     + cfg.link_latency
@@ -574,52 +648,69 @@ impl<M: 'static> Fabric<M> {
             return;
         }
 
-        // Bulk path: chunk the message onto the per-destination transmit
-        // queue and make sure the link pump is running. The host overhead is
-        // charged as a delay before the chunks become eligible.
-        let fabric = self.clone();
-        self.sim.schedule(host_overhead, move || {
-            let start_pump = {
-                let mut inner = fabric.inner.borrow_mut();
-                let quantum = inner.cfg.quantum as u64;
-                let st = &mut inner.nodes[src.0 as usize];
-                let flow = st.tx_flows.entry(dst).or_default();
-                if flow.is_empty() && !st.tx_rr.contains(&dst) {
-                    st.tx_rr.push_back(dst);
-                }
-                let mut remaining = wire_bytes;
-                let mut payload = Some(msg);
-                while remaining > 0 {
-                    let len = remaining.min(quantum);
-                    remaining -= len;
-                    flow.push_back(Chunk {
-                        dst,
-                        len,
-                        tail: if remaining == 0 {
-                            payload.take().map(|m| (m, wire_bytes))
-                        } else {
-                            None
-                        },
-                    });
-                }
-                if st.tx_pumping {
-                    false
-                } else {
-                    st.tx_pumping = true;
-                    true
-                }
-            };
-            if start_pump {
-                fabric.pump(src);
-            }
+        // Bulk path: the host overhead is charged as a delay before the
+        // message's chunks become eligible for the transmit link.
+        let slot = self.core.inner.borrow_mut().park(InFlight {
+            src,
+            dst,
+            wire_bytes,
+            msg,
         });
+        self.core
+            .sim
+            .schedule_event(now + host_overhead, &self.core, STAGE, slot);
+    }
+
+    /// Chunks a bulk message onto its per-destination transmit queue and
+    /// makes sure the link pump is running.
+    fn stage(&self, slot: usize) {
+        let (src, start_pump) = {
+            let mut inner = self.core.inner.borrow_mut();
+            let InFlight {
+                src,
+                dst,
+                wire_bytes,
+                msg,
+            } = inner.unpark(slot);
+            let quantum = inner.cfg.quantum as u64;
+            let st = &mut inner.nodes[src.0 as usize];
+            if st.tx_flows.len() <= dst.0 as usize {
+                st.tx_flows.resize_with(dst.0 as usize + 1, VecDeque::new);
+            }
+            let flow = &mut st.tx_flows[dst.0 as usize];
+            // A destination is in the round-robin exactly while its queue
+            // holds chunks.
+            if flow.is_empty() {
+                st.tx_rr.push_back(dst);
+            }
+            let mut remaining = wire_bytes;
+            let mut payload = Some(msg);
+            while remaining > 0 {
+                let len = remaining.min(quantum);
+                remaining -= len;
+                st.tx_queued += 1;
+                flow.push_back(Chunk {
+                    dst,
+                    len,
+                    tail: if remaining == 0 {
+                        payload.take().map(|m| (m, wire_bytes))
+                    } else {
+                        None
+                    },
+                });
+            }
+            (src, !std::mem::replace(&mut st.tx_pumping, true))
+        };
+        if start_pump {
+            self.pump(src);
+        }
     }
 
     /// Transmits the next chunk on `src`'s link (round-robin across
     /// destinations) and reschedules itself until the queues drain.
     fn pump(&self, src: NodeId) {
         let next = {
-            let mut inner = self.inner.borrow_mut();
+            let mut inner = self.core.inner.borrow_mut();
             let cfg = inner.cfg.clone();
             let hop = cfg.link_latency + cfg.switch_delay;
             let st = &mut inner.nodes[src.0 as usize];
@@ -627,11 +718,10 @@ impl<M: 'static> Fabric<M> {
                 st.tx_pumping = false;
                 return;
             };
-            let flow = st.tx_flows.get_mut(&dst).expect("rr entry has a flow");
+            let flow = &mut st.tx_flows[dst.0 as usize];
             let chunk = flow.pop_front().expect("rr entry is non-empty");
-            if flow.is_empty() {
-                st.tx_flows.remove(&dst);
-            } else {
+            st.tx_queued -= 1;
+            if !flow.is_empty() {
                 st.tx_rr.push_back(dst);
             }
             let ser = cfg.serialization_delay(chunk.len);
@@ -642,9 +732,8 @@ impl<M: 'static> Fabric<M> {
             // occupancy samples how many chunks remain queued behind this
             // one across all destinations.
             st.link.tx_busy_ns.add(ser.as_nanos() as u64);
-            let queued: u64 = st.tx_flows.values().map(|f| f.len() as u64).sum();
-            st.link.tx_queue_chunks.record_value(queued);
-            let now = self.sim.now();
+            st.link.tx_queue_chunks.record_value(st.tx_queued);
+            let now = self.core.sim.now();
             let tx_done = now + ser;
             // Cut-through into the receive link: the first bit arrives one
             // hop after transmission starts; the receive link serializes it
@@ -667,8 +756,9 @@ impl<M: 'static> Fabric<M> {
         if let Some((msg, wire_total)) = chunk.tail {
             self.schedule_delivery(src, chunk.dst, wire_total, msg, rx_done);
         }
-        let fabric = self.clone();
-        self.sim.schedule_at(tx_done, move || fabric.pump(src));
+        self.core
+            .sim
+            .schedule_event(tx_done, &self.core, PUMP, src.0 as u64);
     }
 
     /// Applies one scheduled fault action; `seed` salts the loss stream so a
@@ -677,98 +767,131 @@ impl<M: 'static> Fabric<M> {
         match action {
             FaultAction::Crash(node) => {
                 self.set_node_up(node, false);
-                self.metrics.incr("fabric.fault.crash");
-                self.tracer
+                self.core.metrics.incr("fabric.fault.crash");
+                self.core
+                    .tracer
                     .instant("fabric", "fabric.fault.crash", node.0 as u64, 0);
-                self.sim.forensics().note("fault", "crash", node.0 as u64);
+                self.core
+                    .sim
+                    .forensics()
+                    .note("fault", "crash", node.0 as u64);
             }
             FaultAction::Restart(node) => {
                 self.set_node_up(node, true);
-                self.metrics.incr("fabric.fault.restart");
-                self.tracer
+                self.core.metrics.incr("fabric.fault.restart");
+                self.core
+                    .tracer
                     .instant("fabric", "fabric.fault.restart", node.0 as u64, 0);
-                self.sim.forensics().note("fault", "restart", node.0 as u64);
+                self.core
+                    .sim
+                    .forensics()
+                    .note("fault", "restart", node.0 as u64);
             }
             FaultAction::LossStart(prob) => {
                 self.set_loss(prob, seed);
-                self.metrics.incr("fabric.fault.loss_start");
+                self.core.metrics.incr("fabric.fault.loss_start");
                 // Trace arg carries the probability in parts per million.
-                self.tracer.instant(
+                self.core.tracer.instant(
                     "fabric",
                     "fabric.fault.loss_start",
                     0,
                     (prob * 1_000_000.0) as u64,
                 );
-                self.sim
+                self.core
+                    .sim
                     .forensics()
                     .note("fault", "loss_start", (prob * 1_000_000.0) as u64);
             }
             FaultAction::LossStop => {
                 self.clear_loss();
-                self.metrics.incr("fabric.fault.loss_stop");
-                self.tracer
+                self.core.metrics.incr("fabric.fault.loss_stop");
+                self.core
+                    .tracer
                     .instant("fabric", "fabric.fault.loss_stop", 0, 0);
-                self.sim.forensics().note("fault", "loss_stop", 0);
+                self.core.sim.forensics().note("fault", "loss_stop", 0);
             }
             FaultAction::CorruptRegion { node, bits } => {
-                self.metrics.incr("fabric.fault.corrupt_region");
-                self.tracer.instant(
+                self.core.metrics.incr("fabric.fault.corrupt_region");
+                self.core.tracer.instant(
                     "fabric",
                     "fabric.fault.corrupt_region",
                     node.0 as u64,
                     bits as u64,
                 );
-                self.sim
+                self.core
+                    .sim
                     .forensics()
                     .note("fault", "corrupt_region", node.0 as u64);
                 // Salt the seed with the event's virtual time so repeated
                 // corruptions of one node under one plan flip distinct bits.
-                let salt = seed ^ self.sim.now().saturating_since(SimTime::ZERO).as_nanos() as u64;
+                let salt = seed
+                    ^ self
+                        .core
+                        .sim
+                        .now()
+                        .saturating_since(SimTime::ZERO)
+                        .as_nanos() as u64;
                 // Clone the hook out before invoking: it re-enters the
                 // device, which may call back into the fabric.
-                let hook = self.inner.borrow().corruption_hooks.get(&node.0).cloned();
+                let hook = self
+                    .core
+                    .inner
+                    .borrow()
+                    .corruption_hooks
+                    .get(&node.0)
+                    .cloned();
                 if let Some(hook) = hook {
                     hook(salt, bits);
                 }
             }
             FaultAction::FlipStart(prob) => {
                 self.set_flip(prob, seed);
-                self.metrics.incr("fabric.fault.flip_start");
-                self.tracer.instant(
+                self.core.metrics.incr("fabric.fault.flip_start");
+                self.core.tracer.instant(
                     "fabric",
                     "fabric.fault.flip_start",
                     0,
                     (prob * 1_000_000.0) as u64,
                 );
-                self.sim
+                self.core
+                    .sim
                     .forensics()
                     .note("fault", "flip_start", (prob * 1_000_000.0) as u64);
             }
             FaultAction::FlipStop => {
                 self.clear_flip();
-                self.metrics.incr("fabric.fault.flip_stop");
-                self.tracer
+                self.core.metrics.incr("fabric.fault.flip_stop");
+                self.core
+                    .tracer
                     .instant("fabric", "fabric.fault.flip_stop", 0, 0);
-                self.sim.forensics().note("fault", "flip_stop", 0);
+                self.core.sim.forensics().note("fault", "flip_stop", 0);
             }
             FaultAction::Join(node) => {
-                self.metrics.incr("fabric.fault.join");
-                self.tracer
+                self.core.metrics.incr("fabric.fault.join");
+                self.core
+                    .tracer
                     .instant("fabric", "fabric.fault.join", node.0 as u64, 0);
-                self.sim.forensics().note("fault", "join", node.0 as u64);
+                self.core
+                    .sim
+                    .forensics()
+                    .note("fault", "join", node.0 as u64);
                 // Clone the hook out before invoking: it re-enters cluster
                 // code, which calls back into the fabric.
-                let hook = self.inner.borrow().membership_hook.clone();
+                let hook = self.core.inner.borrow().membership_hook.clone();
                 if let Some(hook) = hook {
                     hook(MembershipEvent::Join(node));
                 }
             }
             FaultAction::Drain(node) => {
-                self.metrics.incr("fabric.fault.drain");
-                self.tracer
+                self.core.metrics.incr("fabric.fault.drain");
+                self.core
+                    .tracer
                     .instant("fabric", "fabric.fault.drain", node.0 as u64, 0);
-                self.sim.forensics().note("fault", "drain", node.0 as u64);
-                let hook = self.inner.borrow().membership_hook.clone();
+                self.core
+                    .sim
+                    .forensics()
+                    .note("fault", "drain", node.0 as u64);
+                let hook = self.core.inner.borrow().membership_hook.clone();
                 if let Some(hook) = hook {
                     hook(MembershipEvent::Drain(node));
                 }
@@ -777,46 +900,60 @@ impl<M: 'static> Fabric<M> {
     }
 
     fn schedule_delivery(&self, src: NodeId, dst: NodeId, wire_bytes: u64, msg: M, at: SimTime) {
-        let fabric = self.clone();
-        self.sim.schedule_at(at, move || {
-            let mut inner = fabric.inner.borrow_mut();
-            let st = &mut inner.nodes[dst.0 as usize];
-            if !st.up {
-                inner.dropped += 1;
-                fabric.stats.dropped_dst_down.incr();
-                fabric
-                    .tracer
-                    .instant("fabric", "fabric.drop.dst_down", dst.0 as u64, wire_bytes);
-                return;
-            }
-            st.rx_bytes += wire_bytes;
-            st.link.rx_bytes.add(wire_bytes);
-            st.link.rx_msgs.incr();
-            fabric.stats.rx_bytes.add(wire_bytes);
-            let inbox = st.inbox.clone();
-            drop(inner);
-            fabric
-                .tracer
-                .instant("fabric", "fabric.rx", dst.0 as u64, wire_bytes);
-            // A missing or dropped receiver means the node's device was never
-            // attached or was torn down; treat like a failed node.
-            let delivered = inbox.is_some_and(|inbox| {
-                inbox
-                    .send(Delivery {
-                        src,
-                        wire_bytes,
-                        msg,
-                    })
-                    .is_ok()
-            });
-            if !delivered {
-                fabric.inner.borrow_mut().dropped += 1;
-                fabric.stats.dropped_no_inbox.incr();
-                fabric
-                    .tracer
-                    .instant("fabric", "fabric.drop.no_inbox", dst.0 as u64, wire_bytes);
-            }
+        let slot = self.core.inner.borrow_mut().park(InFlight {
+            src,
+            dst,
+            wire_bytes,
+            msg,
         });
+        self.core.sim.schedule_event(at, &self.core, DELIVER, slot);
+    }
+
+    /// Hands the message parked in `slot` to its destination's inbox.
+    fn deliver(&self, slot: usize) {
+        let mut inner = self.core.inner.borrow_mut();
+        let InFlight {
+            src,
+            dst,
+            wire_bytes,
+            msg,
+        } = inner.unpark(slot);
+        let st = &mut inner.nodes[dst.0 as usize];
+        if !st.up {
+            inner.dropped += 1;
+            self.core.stats.dropped_dst_down.incr();
+            self.core
+                .tracer
+                .instant("fabric", "fabric.drop.dst_down", dst.0 as u64, wire_bytes);
+            return;
+        }
+        st.rx_bytes += wire_bytes;
+        st.link.rx_bytes.add(wire_bytes);
+        st.link.rx_msgs.incr();
+        self.core.stats.rx_bytes.add(wire_bytes);
+        let inbox = st.inbox.clone();
+        drop(inner);
+        self.core
+            .tracer
+            .instant("fabric", "fabric.rx", dst.0 as u64, wire_bytes);
+        // A missing or dropped receiver means the node's device was never
+        // attached or was torn down; treat like a failed node.
+        let delivered = inbox.is_some_and(|inbox| {
+            inbox
+                .send(Delivery {
+                    src,
+                    wire_bytes,
+                    msg,
+                })
+                .is_ok()
+        });
+        if !delivered {
+            self.core.inner.borrow_mut().dropped += 1;
+            self.core.stats.dropped_no_inbox.incr();
+            self.core
+                .tracer
+                .instant("fabric", "fabric.drop.no_inbox", dst.0 as u64, wire_bytes);
+        }
     }
 }
 

@@ -8,10 +8,11 @@ use std::rc::Rc;
 
 use fabric::{Delivery, Fabric, NodeId};
 use sim::channel::{channel, oneshot, Receiver, Sender};
-use sim::{Layer, Metrics, OpLedger, Phase, Sim, SimTime, Tracer};
+use sim::{EventSink, Layer, Metrics, OpLedger, Phase, Sim, SimTime, TimerId, Tracer};
 
 use crate::config::RdmaConfig;
 use crate::cq::{CompletionQueue, CqStatus, Cqe, CqeOpcode};
+use crate::doorbell::Doorbells;
 use crate::memory::{Arena, DmaBuf, MrEntry};
 use crate::stats::{DevStats, QpStats};
 use crate::types::{Access, Qpn, RKey, RdmaError, Result};
@@ -120,6 +121,8 @@ struct PendingWr {
     /// Worst sub-response status folded so far (first failure wins); the
     /// WR's final status once every sub-response is in.
     folded: CqStatus,
+    /// The per-op timeout, cancelled where the WR gets its status.
+    timeout: TimerId,
 }
 
 struct RecvWr {
@@ -185,6 +188,23 @@ pub struct RdmaDevice {
     inner: Rc<RefCell<DevInner>>,
     stats: Rc<DevStats>,
     tracer: Tracer,
+    doorbells: Rc<Doorbells>,
+    timeouts: Rc<OpTimeouts>,
+}
+
+/// The per-op timeouts of a device's work requests, fired with
+/// `(qpn, req_id)`. A WR's timer is cancelled the moment the WR gets a
+/// status, so one that fires names a WR still waiting: its QP fails.
+struct OpTimeouts {
+    sim: Sim,
+    inner: Rc<RefCell<DevInner>>,
+    tracer: Tracer,
+}
+
+impl EventSink for OpTimeouts {
+    fn fire(self: Rc<Self>, qpn: u64, req_id: u64) {
+        self.fail_qp(Qpn(qpn), req_id);
+    }
 }
 
 impl fmt::Debug for RdmaDevice {
@@ -203,22 +223,29 @@ impl RdmaDevice {
     pub fn new(fabric: &Fabric<NetMsg>, cfg: RdmaConfig) -> RdmaDevice {
         let node = fabric.add_node();
         let inbox = fabric.attach(node);
+        let inner = Rc::new(RefCell::new(DevInner {
+            arena: Arena::new(cfg.mem_capacity),
+            qps: HashMap::new(),
+            listeners: HashMap::new(),
+            connects: HashMap::new(),
+            next_qpn: 1,
+            next_conn: 1,
+            outstanding_bytes: 0,
+            current_ledger: OpLedger::disabled(),
+            released: Vec::new(),
+        }));
         let dev = RdmaDevice {
             sim: fabric.sim().clone(),
             tracer: fabric.sim().tracer(),
             fabric: fabric.clone(),
             node,
-            inner: Rc::new(RefCell::new(DevInner {
-                arena: Arena::new(cfg.mem_capacity),
-                qps: HashMap::new(),
-                listeners: HashMap::new(),
-                connects: HashMap::new(),
-                next_qpn: 1,
-                next_conn: 1,
-                outstanding_bytes: 0,
-                current_ledger: OpLedger::disabled(),
-                released: Vec::new(),
-            })),
+            doorbells: Doorbells::new(fabric, node),
+            timeouts: Rc::new(OpTimeouts {
+                sim: fabric.sim().clone(),
+                inner: inner.clone(),
+                tracer: fabric.sim().tracer(),
+            }),
+            inner,
             stats: Rc::new(DevStats::resolve(fabric.metrics())),
             cfg: Rc::new(cfg),
         };
@@ -510,13 +537,14 @@ impl RdmaDevice {
 
         // Arm a connect timeout: if no answer arrives, fail the oneshot.
         let dev = self.clone();
-        self.sim.schedule(self.cfg.base_timeout, move || {
+        let guard = self.sim.schedule(self.cfg.base_timeout, move || {
             if let Some(tx) = dev.inner.borrow_mut().connects.remove(&conn_id) {
                 tx.send(Err(RdmaError::Timeout));
             }
         });
-
-        match reply.await {
+        let reply = reply.await;
+        self.sim.cancel(guard);
+        match reply {
             Some(Ok((node, server_qpn))) => {
                 let mut inner = self.inner.borrow_mut();
                 let qp = inner.qps.get_mut(&qpn.0).expect("qp vanished");
@@ -830,6 +858,7 @@ impl RdmaDevice {
         if resolved {
             wr.status = Some(wr.folded);
             wr.resolved_at = self.sim.now();
+            self.sim.cancel(wr.timeout);
         }
         let cq = qp.cq.clone();
 
@@ -934,7 +963,9 @@ impl RdmaDevice {
         // consumer has let accumulate at this completion instant.
         stats.cq_backlog.record_value(cq.len() as u64);
     }
+}
 
+impl OpTimeouts {
     /// Puts a QP in the error state, flushing every pending work request.
     /// Flush CQEs are generated for unsignaled WRs too — error completions
     /// are never suppressed — and retain post order.
@@ -950,6 +981,7 @@ impl RdmaDevice {
         let mut released = 0u64;
         let now = self.sim.now();
         for w in qp.sq.drain(..) {
+            self.sim.cancel(w.timeout);
             released += w.byte_len;
             stats.flushed.incr();
             // The victim op spent its whole wait on an attempt that timed
@@ -1273,26 +1305,6 @@ impl Qp {
         Ok(())
     }
 
-    /// Arms the per-op timeout for a posted work request. Backlog-aware:
-    /// everything this device already had in flight at post time drains
-    /// ahead of (or interleaved with) this op, so it is granted wire time
-    /// for that backlog too.
-    fn arm_op_timeout(&self, req_id: u64, byte_len: u64, backlog: u64) {
-        let dev = self.dev.clone();
-        let qpn = self.qpn;
-        let timeout = self.dev.cfg.op_timeout(byte_len.saturating_add(backlog));
-        self.dev.sim.schedule(timeout, move || {
-            let still_pending = dev.inner.borrow().qps.get(&qpn.0).is_some_and(|qp| {
-                qp.sq
-                    .iter()
-                    .any(|w| w.req_id == req_id && w.status.is_none())
-            });
-            if still_pending {
-                dev.fail_qp(qpn, req_id);
-            }
-        });
-    }
-
     /// Posts a linked list of work requests — the one way anything enters
     /// the send queue; a lone READ is a chain of one. Verbs
     /// `ibv_post_send`-style, each chunk of [`RdmaConfig::max_batch`] WRs
@@ -1353,128 +1365,128 @@ impl Qp {
         // of chunks 0..=k is built.
         let mut build_delay = std::time::Duration::ZERO;
         for chunk in wrs.chunks(cfg.max_batch.max(1)) {
-            // The chunk's wire requests, handed to the doorbell timer below.
-            // The first rides outside the Vec so that a chain of one
-            // single-element WR — every small read, write and atomic —
-            // allocates nothing here.
-            let mut first = None;
-            let n_msgs: u64 = chunk.iter().map(|wr| wr.op.shape().2).sum();
-            let mut rest = Vec::with_capacity(n_msgs as usize - 1);
+            let mut guard = self.dev.inner.borrow_mut();
+            let inner = &mut *guard;
+            let now = self.dev.sim.now();
+            let qp = inner
+                .qps
+                .get_mut(&self.qpn.0)
+                .ok_or(RdmaError::InvalidHandle)?;
+            let peer_qpn = qp.remote_qpn.expect("QP not connected");
+            // The chunk's wire requests are staged in a doorbell slot and go
+            // on the wire when the chunk's doorbell timer, armed below, fires.
+            let (slot, mut chain) = self.dev.doorbells.reserve();
             let mut chunk_post_ns = 0u64;
-            let (peer, first_req, backlog) = {
-                let mut guard = self.dev.inner.borrow_mut();
-                let inner = &mut *guard;
-                let now = self.dev.sim.now();
-                let backlog = inner.outstanding_bytes;
-                let qp = inner
-                    .qps
-                    .get_mut(&self.qpn.0)
-                    .ok_or(RdmaError::InvalidHandle)?;
-                let peer_qpn = qp.remote_qpn.expect("QP not connected");
-                let first_req = qp.next_req;
-                for (i, wr) in chunk.iter().enumerate() {
-                    let (opcode, byte_len, subs) = wr.op.shape();
-                    let post_cost = if i > 0 {
-                        cfg.batch_wr_overhead
-                    } else if matches!(wr.op, WrOp::WriteInline { .. }) {
-                        cfg.inline_post_overhead
-                    } else {
-                        cfg.post_overhead
-                    };
-                    let post_cost_ns = post_cost.as_nanos() as u64;
-                    chunk_post_ns += post_cost_ns;
-                    let base = qp.next_req;
-                    qp.next_req += subs;
-                    let mut dsts = [DmaBuf { addr: 0, len: 0 }; MAX_SGE];
-                    let mut emit = |msg: QpMsg| {
-                        let msg = NetMsg::Qp { dst: peer_qpn, msg };
-                        let wire = msg.wire_bytes();
-                        ledger.wire(wire);
-                        match first {
-                            None => first = Some((wire, msg)),
-                            Some(_) => rest.push((wire, msg)),
+            for (i, wr) in chunk.iter().enumerate() {
+                let (opcode, byte_len, subs) = wr.op.shape();
+                let post_cost = if i > 0 {
+                    cfg.batch_wr_overhead
+                } else if matches!(wr.op, WrOp::WriteInline { .. }) {
+                    cfg.inline_post_overhead
+                } else {
+                    cfg.post_overhead
+                };
+                let post_cost_ns = post_cost.as_nanos() as u64;
+                chunk_post_ns += post_cost_ns;
+                let base = qp.next_req;
+                qp.next_req += subs;
+                let mut dsts = [DmaBuf { addr: 0, len: 0 }; MAX_SGE];
+                let mut emit = |msg: QpMsg| {
+                    let msg = NetMsg::Qp { dst: peer_qpn, msg };
+                    let wire = msg.wire_bytes();
+                    ledger.wire(wire);
+                    chain.push((wire, msg));
+                };
+                // WRITE and SEND payloads are snapshotted here, at post
+                // time; the ranges were validated above.
+                let snapshot = |buf: &DmaBuf| {
+                    inner
+                        .arena
+                        .read_payload(buf.addr, buf.len)
+                        .expect("validated before posting")
+                };
+                // One wire request per element, on the consecutive
+                // sub-ids `base..base + subs`.
+                match &wr.op {
+                    WrOp::Read(sges) => {
+                        for (req_id, e) in (base..).zip(sges.entries()) {
+                            dsts[(req_id - base) as usize] = e.local;
+                            emit(QpMsg::ReadReq {
+                                req_id,
+                                raddr: e.remote.addr,
+                                rkey: e.remote.rkey,
+                                len: e.local.len,
+                            });
                         }
-                    };
-                    // WRITE and SEND payloads are snapshotted here, at post
-                    // time; the ranges were validated above.
-                    let snapshot = |buf: &DmaBuf| {
-                        inner
-                            .arena
-                            .read_payload(buf.addr, buf.len)
-                            .expect("validated before posting")
-                    };
-                    // One wire request per element, on the consecutive
-                    // sub-ids `base..base + subs`.
-                    match &wr.op {
-                        WrOp::Read(sges) => {
-                            for (req_id, e) in (base..).zip(sges.entries()) {
-                                dsts[(req_id - base) as usize] = e.local;
-                                emit(QpMsg::ReadReq {
-                                    req_id,
-                                    raddr: e.remote.addr,
-                                    rkey: e.remote.rkey,
-                                    len: e.local.len,
-                                });
-                            }
+                    }
+                    WrOp::Write(sges) => {
+                        for (req_id, e) in (base..).zip(sges.entries()) {
+                            emit(QpMsg::WriteReq {
+                                req_id,
+                                raddr: e.remote.addr,
+                                rkey: e.remote.rkey,
+                                payload: snapshot(&e.local),
+                            });
                         }
-                        WrOp::Write(sges) => {
-                            for (req_id, e) in (base..).zip(sges.entries()) {
-                                emit(QpMsg::WriteReq {
-                                    req_id,
-                                    raddr: e.remote.addr,
-                                    rkey: e.remote.rkey,
-                                    payload: snapshot(&e.local),
-                                });
-                            }
-                        }
-                        WrOp::WriteInline { bytes, remote } => emit(QpMsg::WriteReq {
+                    }
+                    WrOp::WriteInline { bytes, remote } => emit(QpMsg::WriteReq {
+                        req_id: base,
+                        raddr: remote.addr,
+                        rkey: remote.rkey,
+                        payload: Payload::Bytes(bytes.to_vec()),
+                    }),
+                    WrOp::Atomic { result, remote, op } => {
+                        dsts[0] = *result;
+                        emit(QpMsg::AtomicReq {
                             req_id: base,
                             raddr: remote.addr,
                             rkey: remote.rkey,
-                            payload: Payload::Bytes(bytes.to_vec()),
-                        }),
-                        WrOp::Atomic { result, remote, op } => {
-                            dsts[0] = *result;
-                            emit(QpMsg::AtomicReq {
-                                req_id: base,
-                                raddr: remote.addr,
-                                rkey: remote.rkey,
-                                op: *op,
-                            });
-                        }
-                        WrOp::Send { src, imm } => emit(QpMsg::Send {
-                            req_id: base,
-                            payload: snapshot(src),
-                            imm: *imm,
-                        }),
+                            op: *op,
+                        });
                     }
-                    qp.sq.push_back(PendingWr {
+                    WrOp::Send { src, imm } => emit(QpMsg::Send {
                         req_id: base,
-                        wr_id: wr.wr_id,
-                        opcode,
-                        byte_len,
-                        status: None,
-                        posted_at: now,
-                        resolved_at: now,
-                        signaled: wr.signaled,
-                        ledger: ledger.clone(),
-                        post_cost_ns,
-                        subs,
-                        remaining: subs,
-                        dsts,
-                        folded: CqStatus::Success,
-                    });
-                    inner.outstanding_bytes += byte_len;
-                    stats.doorbell_bytes.record_value(byte_len);
-                    if subs > 1 {
-                        stats.sge_wrs.incr();
-                        stats.sge_entries.record_value(subs);
-                    }
-                    qp.stats.posted.incr();
-                    qp.stats.outstanding_depth.record_value(qp.sq.len() as u64);
+                        payload: snapshot(src),
+                        imm: *imm,
+                    }),
                 }
-                (qp.remote_node, first_req, backlog)
-            };
+                // The per-op timeout is backlog-aware: everything this
+                // device already had in flight drains ahead of (or
+                // interleaved with) this op, so it is granted wire time for
+                // that backlog too.
+                let budget = byte_len.saturating_add(inner.outstanding_bytes);
+                let timeout = self.dev.sim.schedule_event(
+                    now + cfg.op_timeout(budget),
+                    &self.dev.timeouts,
+                    self.qpn.0,
+                    base,
+                );
+                qp.sq.push_back(PendingWr {
+                    req_id: base,
+                    wr_id: wr.wr_id,
+                    opcode,
+                    byte_len,
+                    status: None,
+                    posted_at: now,
+                    resolved_at: now,
+                    signaled: wr.signaled,
+                    ledger: ledger.clone(),
+                    post_cost_ns,
+                    subs,
+                    remaining: subs,
+                    dsts,
+                    folded: CqStatus::Success,
+                    timeout,
+                });
+                inner.outstanding_bytes += byte_len;
+                stats.doorbell_bytes.record_value(byte_len);
+                if subs > 1 {
+                    stats.sge_wrs.incr();
+                    stats.sge_entries.record_value(subs);
+                }
+                qp.stats.posted.incr();
+                qp.stats.outstanding_depth.record_value(qp.sq.len() as u64);
+            }
             // One doorbell for the whole chunk; per-WR bytes were recorded
             // above, and the ring size feeds the batching histogram.
             stats.doorbells.incr();
@@ -1483,28 +1495,16 @@ impl Qp {
             ledger.layer_ns(Layer::Post, chunk_post_ns);
             let trace = ledger.optrace();
             if trace.enabled() {
-                let now = self.dev.sim.now();
                 trace.mark(Phase::Doorbell, now);
                 trace.span_ns(Phase::Post, now.as_nanos(), chunk_post_ns);
             }
             // Charge the doorbell/WQE-build CPU cost before the packets
             // exist.
             build_delay += std::time::Duration::from_nanos(chunk_post_ns);
-            let dev = self.dev.clone();
-            let src_node = self.dev.node;
-            self.dev.sim.schedule(build_delay, move || {
-                for (wire, msg) in first.into_iter().chain(rest) {
-                    dev.fabric.send(src_node, peer, wire, msg);
-                }
-            });
-            // Per-WR timeouts, each granted the backlog posted ahead of it.
-            let (mut req_id, mut backlog) = (first_req, backlog);
-            for wr in chunk {
-                let (_, byte_len, subs) = wr.op.shape();
-                self.arm_op_timeout(req_id, byte_len, backlog);
-                req_id += subs;
-                backlog += byte_len;
-            }
+            let (at, peer) = (now + build_delay, qp.remote_node.0 as u64);
+            self.dev
+                .sim
+                .schedule_event(at, &self.dev.doorbells, slot, peer);
         }
         Ok(())
     }

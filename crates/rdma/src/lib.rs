@@ -60,6 +60,7 @@
 pub mod config;
 pub mod cq;
 pub mod device;
+mod doorbell;
 pub mod memory;
 mod stats;
 pub mod types;

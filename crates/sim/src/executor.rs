@@ -1,8 +1,7 @@
 //! The simulation executor: tasks, events, and the virtual-time run loop.
 
 use std::cell::{Cell, RefCell};
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::VecDeque;
 use std::fmt;
 use std::future::Future;
 use std::pin::Pin;
@@ -11,6 +10,7 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
 
 use crate::optrace::Forensics;
+use crate::queue::{Action, EventQueue, EventSink, TimerId};
 use crate::time::SimTime;
 use crate::trace::Tracer;
 
@@ -27,6 +27,15 @@ use crate::trace::Tracer;
 ///   current virtual instant, and
 /// * a priority queue of *events* keyed by `(time, sequence)`; when no task is
 ///   ready the clock jumps to the earliest event.
+///
+/// An event is a task wake-up ([`Sim::sleep`]), a boxed closure
+/// ([`Sim::schedule`], for cold paths and tests) or a typed event delivered
+/// to an [`EventSink`] ([`Sim::schedule_event`], which allocates nothing).
+/// Every scheduling call returns a [`TimerId`]; [`Sim::cancel`] takes the
+/// event out of the queue, so the queue only ever holds events that can
+/// still fire. The sequence number is drawn when an event is scheduled,
+/// whether or not it is later cancelled: the events that do fire keep the
+/// order they would have had with no cancellation at all.
 ///
 /// ```rust
 /// use sim::{Sim, Duration};
@@ -56,7 +65,7 @@ impl fmt::Debug for Sim {
 struct Core {
     now: SimTime,
     seq: u64,
-    events: BinaryHeap<Reverse<Event>>,
+    events: EventQueue,
     ready: VecDeque<Rc<Task>>,
     next_task_id: u64,
     live_tasks: usize,
@@ -66,32 +75,40 @@ struct Core {
     forensics: Forensics,
 }
 
-struct Event {
-    at: SimTime,
-    seq: u64,
-    action: EventAction,
+/// Executor work done on one thread, summed over every [`Sim`] that ran on
+/// it: the host-time profile's view of the event queue.
+#[derive(Clone, Copy, PartialEq, Eq, Default, Debug)]
+pub struct ExecTotals {
+    /// Events fired.
+    pub events: u64,
+    /// Events cancelled before they could fire.
+    pub events_cancelled: u64,
+    /// The most events any one simulation had scheduled at once.
+    pub peak_pending_events: u64,
 }
 
-enum EventAction {
-    Wake(Waker),
-    Call(Box<dyn FnOnce()>),
+thread_local! {
+    static TOTALS: Cell<ExecTotals> = const {
+        Cell::new(ExecTotals {
+            events: 0,
+            events_cancelled: 0,
+            peak_pending_events: 0,
+        })
+    };
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
+fn update_totals(f: impl FnOnce(&mut ExecTotals)) {
+    TOTALS.with(|cell| {
+        let mut totals = cell.get();
+        f(&mut totals);
+        cell.set(totals);
+    });
 }
-impl Eq for Event {}
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+
+/// Returns this thread's [`ExecTotals`] since the previous call and resets
+/// them.
+pub fn take_exec_totals() -> ExecTotals {
+    TOTALS.with(Cell::take)
 }
 
 struct Task {
@@ -225,7 +242,8 @@ impl<T> Future for JoinHandle<T> {
 pub struct Sleep {
     sim: Sim,
     deadline: SimTime,
-    registered: bool,
+    /// The wake-up event, once the first poll has scheduled it.
+    timer: Option<TimerId>,
 }
 
 impl Future for Sleep {
@@ -235,12 +253,21 @@ impl Future for Sleep {
         if self.sim.now() >= self.deadline {
             return Poll::Ready(());
         }
-        if !self.registered {
-            self.registered = true;
-            let deadline = self.deadline;
-            self.sim.schedule_wake_at(deadline, cx.waker().clone());
+        if self.timer.is_none() {
+            let at = self.deadline;
+            self.timer = Some(self.sim.push_event(at, Action::Wake(cx.waker().clone())));
         }
         Poll::Pending
+    }
+}
+
+impl Drop for Sleep {
+    /// A sleep abandoned before its deadline (the losing arm of a timeout)
+    /// takes its wake-up out of the queue with it.
+    fn drop(&mut self) {
+        if let Some(timer) = self.timer {
+            self.sim.cancel(timer);
+        }
     }
 }
 
@@ -264,7 +291,7 @@ impl Sim {
                 RefCell::new(Core {
                     now: SimTime::ZERO,
                     seq: 0,
-                    events: BinaryHeap::new(),
+                    events: EventQueue::default(),
                     ready: VecDeque::new(),
                     next_task_id: 0,
                     live_tasks: 0,
@@ -345,19 +372,19 @@ impl Sim {
         Sleep {
             sim: self.clone(),
             deadline,
-            registered: false,
+            timer: None,
         }
     }
 
     /// Schedules `f` to run at `now + delay` as a standalone event (not a
-    /// task). Used by lower layers (e.g. the network fabric) to model
-    /// hardware actions.
-    pub fn schedule<F>(&self, delay: Duration, f: F)
+    /// task). The closure is boxed: this is the call for cold paths (fault
+    /// plans, connect guards, tests); hot paths use [`Sim::schedule_event`].
+    pub fn schedule<F>(&self, delay: Duration, f: F) -> TimerId
     where
         F: FnOnce() + 'static,
     {
         let at = self.now() + delay;
-        self.schedule_at(at, f);
+        self.schedule_at(at, f)
     }
 
     /// Schedules `f` at an absolute virtual instant.
@@ -365,31 +392,63 @@ impl Sim {
     /// # Panics
     ///
     /// Panics if `at` is before the current time.
-    pub fn schedule_at<F>(&self, at: SimTime, f: F)
+    pub fn schedule_at<F>(&self, at: SimTime, f: F) -> TimerId
     where
         F: FnOnce() + 'static,
     {
-        let mut core = self.core.borrow_mut();
-        assert!(at >= core.now, "cannot schedule into the past");
-        core.seq += 1;
-        let seq = core.seq;
-        core.events.push(Reverse(Event {
-            at,
-            seq,
-            action: EventAction::Call(Box::new(f)),
-        }));
+        self.push_event(at, Action::Call(Box::new(f)))
     }
 
-    fn schedule_wake_at(&self, at: SimTime, waker: Waker) {
+    /// Schedules `sink.fire(a, b)` at the absolute virtual instant `at`.
+    /// Nothing is allocated: the queue keeps a clone of the `Rc` and the two
+    /// tokens in the event's slot.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `at` is before the current time.
+    pub fn schedule_event<S>(&self, at: SimTime, sink: &Rc<S>, a: u64, b: u64) -> TimerId
+    where
+        S: EventSink + 'static,
+    {
+        self.push_event(at, Action::Sink(sink.clone(), a, b))
+    }
+
+    /// Takes a scheduled event out of the queue; it will not fire. Returns
+    /// whether there was anything to cancel: an id whose event already fired
+    /// or was already cancelled is stale, and cancelling it does nothing.
+    pub fn cancel(&self, timer: TimerId) -> bool {
+        let action = self.core.borrow_mut().events.cancel(timer);
+        // `action` (a waker, a closure's captures, a sink) drops at the end
+        // of this call, after the queue's borrow is released: its destructor
+        // may re-enter the simulation.
+        if action.is_some() {
+            update_totals(|t| t.events_cancelled += 1);
+        }
+        action.is_some()
+    }
+
+    /// Number of scheduled events that have neither fired nor been cancelled.
+    pub fn pending_events(&self) -> usize {
+        self.core.borrow().events.len()
+    }
+
+    fn push_event(&self, at: SimTime, action: Action) -> TimerId {
         let mut core = self.core.borrow_mut();
-        let at = at.max(core.now);
+        // A wake-up may be asked for in the past (a sleep polled late); it
+        // fires at once. Anything else scheduled into the past is a bug.
+        let at = match action {
+            Action::Wake(_) => at.max(core.now),
+            _ => {
+                assert!(at >= core.now, "cannot schedule into the past");
+                at
+            }
+        };
         core.seq += 1;
         let seq = core.seq;
-        core.events.push(Reverse(Event {
-            at,
-            seq,
-            action: EventAction::Wake(waker),
-        }));
+        let timer = core.events.push(at, seq, action);
+        let pending = core.events.len() as u64;
+        update_totals(|t| t.peak_pending_events = t.peak_pending_events.max(pending));
+        timer
     }
 
     /// Runs the simulation until no tasks are runnable and no events remain.
@@ -444,26 +503,23 @@ impl Sim {
         }
         let action = {
             let mut core = self.core.borrow_mut();
-            match core.events.pop() {
-                Some(Reverse(ev)) => {
-                    if let Some(d) = deadline {
-                        if ev.at > d {
-                            // Put it back; the caller may resume later.
-                            core.events.push(Reverse(ev));
-                            core.now = d.max(core.now);
-                            return false;
-                        }
-                    }
-                    debug_assert!(ev.at >= core.now, "event time went backwards");
-                    core.now = ev.at;
-                    ev.action
-                }
-                None => return false,
+            let Some(at) = core.events.next_at() else {
+                return false;
+            };
+            if let Some(d) = deadline.filter(|&d| at > d) {
+                // The event stays where it is; the caller may resume later.
+                core.now = d.max(core.now);
+                return false;
             }
+            debug_assert!(at >= core.now, "event time went backwards");
+            core.now = at;
+            core.events.pop().expect("peeked above").1
         };
+        update_totals(|t| t.events += 1);
         match action {
-            EventAction::Wake(w) => w.wake(),
-            EventAction::Call(f) => f(),
+            Action::Wake(w) => w.wake(),
+            Action::Call(f) => f(),
+            Action::Sink(sink, a, b) => sink.fire(a, b),
         }
         true
     }
@@ -565,6 +621,121 @@ mod tests {
         sim.run();
         assert!(h.is_finished());
         assert_eq!(sim.now().as_nanos(), 1000);
+    }
+
+    /// A sink that logs the tokens it is fired with.
+    #[derive(Default)]
+    struct Log(RefCell<Vec<(u64, u64)>>);
+
+    impl EventSink for Log {
+        fn fire(self: Rc<Self>, a: u64, b: u64) {
+            self.0.borrow_mut().push((a, b));
+        }
+    }
+
+    #[test]
+    fn cancelled_events_leave_the_queue_and_never_run() {
+        let sim = Sim::new();
+        let log = Rc::new(Log::default());
+        let ran = Rc::new(Cell::new(false));
+        let r = ran.clone();
+        let call = sim.schedule(Duration::from_nanos(10), move || r.set(true));
+        let dead = sim.schedule_event(SimTime::from_nanos(20), &log, 1, 1);
+        let live = sim.schedule_event(SimTime::from_nanos(30), &log, 2, 3);
+        assert_eq!(sim.pending_events(), 3);
+        assert!(sim.cancel(call));
+        assert!(sim.cancel(dead));
+        assert_eq!(sim.pending_events(), 1);
+        assert!(!sim.cancel(dead), "already cancelled");
+        // The freed slot goes to a newer event; the stale id must miss it.
+        let reuse = sim.schedule_event(SimTime::from_nanos(40), &log, 4, 5);
+        assert!(!sim.cancel(dead), "stale generation");
+        assert_eq!(sim.pending_events(), 2);
+        sim.run();
+        assert!(!ran.get());
+        assert_eq!(*log.0.borrow(), vec![(2, 3), (4, 5)]);
+        assert!(!sim.cancel(live), "already fired");
+        assert!(!sim.cancel(reuse), "already fired");
+        assert_eq!(sim.pending_events(), 0);
+    }
+
+    #[test]
+    fn survivors_fire_in_the_order_they_would_have_without_cancellation() {
+        let sim = Sim::new();
+        let log = Rc::new(Log::default());
+        let mut rng = crate::DetRng::new(15);
+        let mut live: Vec<(u64, u64, TimerId)> = Vec::new();
+        for call in 0..10_000u64 {
+            if !live.is_empty() && rng.chance(0.4) {
+                let victim = rng.range_u64(0, live.len() as u64) as usize;
+                assert!(sim.cancel(live.swap_remove(victim).2));
+            } else {
+                let at = rng.range_u64(0, 500);
+                let timer = sim.schedule_event(SimTime::from_nanos(at), &log, at, call);
+                live.push((at, call, timer));
+            }
+            assert_eq!(sim.pending_events(), live.len());
+        }
+        // Without cancellation everything fires by (time, schedule order);
+        // the survivors must keep exactly that relative order.
+        live.sort_unstable_by_key(|&(at, call, _)| (at, call));
+        let expect: Vec<_> = live.iter().map(|&(at, call, _)| (at, call)).collect();
+        sim.run();
+        assert_eq!(*log.0.borrow(), expect);
+    }
+
+    #[test]
+    fn run_ends_at_the_last_live_event() {
+        let sim = Sim::new();
+        sim.schedule(Duration::from_nanos(100), || {});
+        let late = sim.schedule(Duration::from_secs(2), || {});
+        sim.cancel(late);
+        assert_eq!(sim.run().as_nanos(), 100);
+    }
+
+    #[test]
+    fn run_until_leaves_later_events_in_order() {
+        let sim = Sim::new();
+        let log = Rc::new(Log::default());
+        for (i, at) in [700u64, 300, 700, 900, 300].into_iter().enumerate() {
+            sim.schedule_event(SimTime::from_nanos(at), &log, at, i as u64);
+        }
+        assert_eq!(sim.run_until(SimTime::from_nanos(500)).as_nanos(), 500);
+        assert_eq!(*log.0.borrow(), vec![(300, 1), (300, 4)]);
+        assert_eq!(sim.pending_events(), 3);
+        // Stopping twice short of the next event must not disturb it either.
+        assert_eq!(sim.run_until(SimTime::from_nanos(600)).as_nanos(), 600);
+        sim.run();
+        assert_eq!(log.0.borrow()[2..], [(700, 0), (700, 2), (900, 3)]);
+    }
+
+    #[test]
+    fn dropped_sleep_leaves_no_event() {
+        let sim = Sim::new();
+        let mut sleep = Box::pin(sim.sleep(Duration::from_secs(9)));
+        let mut cx = Context::from_waker(Waker::noop());
+        assert!(sleep.as_mut().poll(&mut cx).is_pending());
+        assert_eq!(sim.pending_events(), 1, "the sleep registered its wake");
+        drop(sleep);
+        assert_eq!(sim.pending_events(), 0);
+        assert_eq!(sim.run(), SimTime::ZERO);
+    }
+
+    #[test]
+    fn exec_totals_count_fired_and_cancelled_events() {
+        let _ = take_exec_totals();
+        let sim = Sim::new();
+        let timers: Vec<_> = (1..=5)
+            .map(|i| sim.schedule(Duration::from_nanos(i), || {}))
+            .collect();
+        sim.cancel(timers[0]);
+        sim.cancel(timers[3]);
+        sim.run();
+        let totals = take_exec_totals();
+        assert_eq!(totals.events, 3);
+        assert_eq!(totals.events_cancelled, 2);
+        assert_eq!(totals.peak_pending_events, 5);
+        assert_eq!(take_exec_totals(), ExecTotals::default());
     }
 
     #[test]

@@ -32,6 +32,9 @@
 //!
 //! * [`time`] — the [`SimTime`] virtual clock type.
 //! * [`executor`] — the [`Sim`] handle, task spawning, and the run loop.
+//!   Its event queue holds only live events: every scheduling call returns a
+//!   [`TimerId`] that [`Sim::cancel`] removes for good, and hot paths
+//!   schedule typed events on an [`EventSink`] instead of boxing a closure.
 //! * [`mod@channel`] — unbounded mpsc and oneshot channels usable inside tasks.
 //! * [`sync`] — semaphores, barriers and wait groups in virtual time.
 //! * [`rng`] — a seeded deterministic random number generator.
@@ -53,6 +56,7 @@ pub mod future_util;
 pub mod ledger;
 pub mod metrics;
 pub mod optrace;
+mod queue;
 pub mod rng;
 pub mod sync;
 pub mod time;
@@ -60,13 +64,14 @@ pub mod timeseries;
 pub mod trace;
 
 pub use channel::{channel, oneshot, Receiver, Sender};
-pub use executor::{JoinHandle, Sim};
+pub use executor::{take_exec_totals, ExecTotals, JoinHandle, Sim};
 pub use future_util::{join_all, yield_now};
 pub use ledger::{Layer, OpCosts, OpLedger, OpMetrics, OpSummary};
 pub use metrics::{Counter, Hist, Histogram, Metrics};
 pub use optrace::{
     BlameVec, EraNote, Exemplar, FlightRec, Forensics, ForensicsConfig, OpTrace, Phase, SpanRec,
 };
+pub use queue::{EventSink, TimerId};
 pub use rng::DetRng;
 pub use time::SimTime;
 pub use timeseries::{Sampler, Window, WindowStats};

@@ -1,6 +1,10 @@
 //! Cross-crate integration: full cluster lifecycle scenarios.
 
-use rstore::{AllocOptions, Cluster, ClusterConfig, Policy, RStoreClient, RStoreError};
+use std::time::Duration;
+
+use rstore::{
+    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, Policy, RStoreClient, RStoreError,
+};
 
 fn boot(servers: usize, clients: usize) -> Cluster {
     Cluster::boot(ClusterConfig {
@@ -206,5 +210,44 @@ fn io_throughput_accounting_matches_fabric() {
         assert_eq!(written, 512 * 1024);
         region.read(0, 128 * 1024).await.unwrap();
         assert_eq!(metrics.counter("rstore.read_bytes"), 128 * 1024);
+    });
+}
+
+#[test]
+fn data_path_ops_leave_no_events_behind() {
+    // Every WR arms a per-op timeout in the device and a backstop in the
+    // client; both are cancelled when the WR completes, so a run of healthy
+    // ops must not grow the simulator's event queue. (Two dead timers per WR
+    // used to stay queued for seconds of virtual time: this loop took the
+    // queue from 138 to 22 135 events.)
+    let cluster = boot(3, 1);
+    let sim = cluster.sim.clone();
+    sim.clone().block_on(async move {
+        let client = cluster.client(0).await.unwrap();
+        let region = client
+            .alloc("quiet/region", 64 * 1024, AllocOptions::default())
+            .await
+            .unwrap();
+        let kv = KvTable::create(&client, "quiet/kv", KvConfig::default())
+            .await
+            .unwrap();
+        kv.put(b"key", &[7u8; 64]).await.unwrap();
+        assert!(kv.get(b"key").await.unwrap().is_some());
+        region.write(0, &[1u8; 4096]).await.unwrap();
+        // Let the set-up's control RPCs run out their response deadlines:
+        // what stays queued is the servers' heartbeat cycle.
+        sim.sleep(Duration::from_secs(2)).await;
+        let before = sim.pending_events();
+        for _ in 0..10_000 {
+            assert!(kv.get(b"key").await.unwrap().is_some());
+        }
+        for _ in 0..1_000 {
+            region.write(0, &[1u8; 4096]).await.unwrap();
+        }
+        let after = sim.pending_events();
+        assert!(
+            after <= before,
+            "11 000 WRs grew the event queue from {before} to {after} events"
+        );
     });
 }
