@@ -318,7 +318,7 @@ fn faulty_case(seed: u64) -> FaultyOutcome {
     };
     let max = lats.iter().copied().max().unwrap_or(0);
 
-    FaultyOutcome {
+    let outcome = FaultyOutcome {
         injected_in_flight: TORN_BLOCKS,
         injected_at_rest: 2,
         detected: metrics.counter("integrity.detected"),
@@ -328,7 +328,11 @@ fn faulty_case(seed: u64) -> FaultyOutcome {
         detect_latency_mean_ns: mean,
         detect_latency_max_ns: max,
         healthy_after_repair,
-    }
+    };
+    // With the numbers taken: flipped payloads were copied out of their
+    // pins and corrupted stripes re-read, and no pin may outlive its message.
+    cluster.assert_pins_released();
+    outcome
 }
 
 /// A clean run: no faults, steady paced reads on a checksummed region.
@@ -378,6 +382,7 @@ fn clean_case(seed: u64, scrub: bool) -> (u64, u64) {
     let false_pos = metrics.counter("integrity.detected")
         + metrics.counter("integrity.read_mismatch")
         + metrics.counter("integrity.scrub.mismatch");
+    cluster.assert_pins_released();
     (p99, false_pos)
 }
 

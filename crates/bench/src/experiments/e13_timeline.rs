@@ -298,7 +298,7 @@ pub fn measure() -> TimelineStats {
         (t.ops, t.io_errors, t.value_errors, t.abandoned, healthy)
     });
 
-    TimelineStats {
+    let stats = TimelineStats {
         windows: sampler.windows(),
         ops_total,
         io_errors,
@@ -308,7 +308,11 @@ pub fn measure() -> TimelineStats {
         window_ns: WINDOW.as_nanos() as u64,
         healthy_after_repair: healthy,
         ops: sim::ledger::summarize(&metrics),
-    }
+    };
+    // With the numbers taken: the crash dropped messages mid-flight, and
+    // each must have released its payload pin.
+    cluster.assert_pins_released();
+    stats
 }
 
 /// Runs E13.

@@ -494,7 +494,7 @@ fn measure_scale(servers: usize) -> ScaleStats {
     let drain_extents = metrics.counter("drain.extents");
     let drain_min_bytes = *drain_min.borrow();
     let joined = *joined.borrow();
-    ScaleStats {
+    let stats = ScaleStats {
         servers: servers as u64,
         windows,
         plan_ns,
@@ -516,7 +516,12 @@ fn measure_scale(servers: usize) -> ScaleStats {
         healthy_after: healthy,
         consistent,
         ops: sim::ledger::summarize(&metrics),
-    }
+    };
+    // With the numbers taken: joins, a drain, a flap, a crash and a loss
+    // window each dropped or rerouted messages, and every one of them must
+    // have released its payload pin (the dark standbys' devices included).
+    cluster.assert_pins_released();
+    stats
 }
 
 /// Runs the elasticity scenario at every scale.

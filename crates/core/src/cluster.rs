@@ -1,6 +1,8 @@
 //! One-call cluster bootstrap for examples, tests, and benchmarks.
 
+use std::cell::RefCell;
 use std::fmt;
+use std::time::Duration;
 
 use fabric::{Fabric, FabricConfig, NodeId};
 use rdma::{NetMsg, RdmaConfig, RdmaDevice};
@@ -72,6 +74,8 @@ pub struct Cluster {
     client_cfg: ClientConfig,
     rdma_cfg: RdmaConfig,
     server_cfg: ServerConfig,
+    /// Every device created here: master, servers, clients, dark standbys.
+    devices: RefCell<Vec<RdmaDevice>>,
 }
 
 impl fmt::Debug for Cluster {
@@ -105,15 +109,18 @@ impl Cluster {
         let master_dev = RdmaDevice::new(&fabric, cfg.rdma.clone());
         let master = Master::spawn(&master_dev, cfg.master.clone())?;
 
+        let mut devices = vec![master_dev];
         let mut servers = Vec::with_capacity(cfg.servers);
         for _ in 0..cfg.servers {
             let dev = RdmaDevice::new(&fabric, cfg.rdma.clone());
             servers.push(MemServer::spawn(&dev, master.node(), cfg.server.clone())?);
+            devices.push(dev);
         }
 
-        let client_devs = (0..cfg.clients)
+        let client_devs: Vec<RdmaDevice> = (0..cfg.clients)
             .map(|_| RdmaDevice::new(&fabric, cfg.rdma.clone()))
             .collect();
+        devices.extend(client_devs.iter().cloned());
 
         let cluster = Cluster {
             sim: sim.clone(),
@@ -124,6 +131,7 @@ impl Cluster {
             client_cfg: cfg.client,
             rdma_cfg: cfg.rdma,
             server_cfg: cfg.server,
+            devices: RefCell::new(devices),
         };
 
         // Let registration traffic drain so callers start from a settled
@@ -171,7 +179,9 @@ impl Cluster {
     /// in a `join_at` event — but which donates nothing and serves nothing
     /// until [`start_server`](Self::start_server) brings it up.
     pub fn add_dark_server(&self) -> RdmaDevice {
-        RdmaDevice::new(&self.fabric, self.rdma_cfg.clone())
+        let dev = RdmaDevice::new(&self.fabric, self.rdma_cfg.clone());
+        self.devices.borrow_mut().push(dev.clone());
+        dev
     }
 
     /// Starts a memory server on a (dark) device with the cluster's boot-time
@@ -186,5 +196,30 @@ impl Cluster {
     /// this twice on one device).
     pub fn start_server(&self, dev: &RdmaDevice) -> Result<MemServer> {
         MemServer::spawn(dev, self.master.node(), self.server_cfg.clone())
+    }
+
+    /// Runs the simulation on until the messages still in flight have landed
+    /// (at most 10 ms of virtual time), then checks that no device of the
+    /// cluster holds a pinned payload ([`RdmaDevice::pin_stats`]): a pin is
+    /// released when its message is delivered or dropped, so one that stays
+    /// is a leak. Call it from outside `block_on`, after a run's numbers are
+    /// taken.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pin is still live after the wait.
+    pub fn assert_pins_released(&self) {
+        let live = || -> usize {
+            let devices = self.devices.borrow();
+            devices.iter().map(|d| d.pin_stats().0).sum()
+        };
+        for _ in 0..10_000 {
+            if live() == 0 {
+                return;
+            }
+            self.sim
+                .run_until(self.sim.now() + Duration::from_micros(1));
+        }
+        panic!("{} payload pins outlived their messages", live());
     }
 }

@@ -438,6 +438,12 @@ impl RdmaDevice {
         self.inner.borrow().arena.used()
     }
 
+    /// `(live, materialised)` for this device's memory: payloads still
+    /// pinned on it, and pins ever copied out (see [`Arena::pin_stats`]).
+    pub fn pin_stats(&self) -> (usize, u64) {
+        self.inner.borrow().arena.pin_stats()
+    }
+
     /// Registers `buf` for remote access and returns the region handle.
     ///
     /// # Errors
@@ -654,9 +660,9 @@ impl RdmaDevice {
                     match check(&inner.arena, rkey, raddr, len, Access::REMOTE_READ) {
                         Ok(()) => match inner.arena.read_payload(raddr, len) {
                             Ok(p) => (WireStatus::Ok, p),
-                            Err(_) => (WireStatus::OutOfBounds, Payload::Bytes(Vec::new())),
+                            Err(_) => (WireStatus::OutOfBounds, Payload::Synthetic(0)),
                         },
-                        Err(s) => (s, Payload::Bytes(Vec::new())),
+                        Err(s) => (s, Payload::Synthetic(0)),
                     };
                 drop(inner);
                 self.reply(
@@ -673,7 +679,7 @@ impl RdmaDevice {
                 req_id,
                 raddr,
                 rkey,
-                mut payload,
+                payload,
             } => {
                 let Some(reply_to) = self.reply_target(dst) else {
                     return;
@@ -682,9 +688,9 @@ impl RdmaDevice {
                 // commits, modeling DMA/wire corruption a CRC-less transport
                 // would write through silently. Synthetic payloads carry no
                 // bytes and cannot be damaged.
-                if let Payload::Bytes(bytes) = &mut payload {
-                    if let Some(bit) = self.fabric.inflight_flip(bytes.len() as u64 * 8) {
-                        bytes[(bit / 8) as usize] ^= 1 << (bit % 8);
+                if let Payload::Pinned(pin) = &payload {
+                    if let Some(bit) = self.fabric.inflight_flip(pin.len() * 8) {
+                        pin.flip_bit(bit);
                         self.stats.integrity_injected.incr();
                         self.tracer.instant(
                             "rdma",
@@ -765,6 +771,9 @@ impl RdmaDevice {
                 let Some(qp) = inner.qps.get_mut(&dst.0) else {
                     return; // stale message to a destroyed QP
                 };
+                if qp.error {
+                    return; // no receive can be posted any more: drop it
+                }
                 if let Some(recv) = qp.recvq.pop_front() {
                     let cq = qp.cq.clone();
                     let stats = qp.stats.clone();
@@ -790,12 +799,7 @@ impl RdmaDevice {
                 req_id,
                 status,
                 old,
-            } => self.complete(
-                dst,
-                req_id,
-                status,
-                Some(Payload::Bytes(old.to_le_bytes().to_vec())),
-            ),
+            } => self.complete(dst, req_id, status, Some(Payload::Word(old))),
         }
     }
 
@@ -1013,6 +1017,7 @@ impl OpTimeouts {
         }
         self.tracer
             .instant("rdma", "rdma.qp_error", qpn.0, victim_req);
+        qp.unmatched.clear(); // nothing can match them now; their pins go
         for r in qp.recvq.drain(..) {
             cqes.push(Cqe {
                 wr_id: r.wr_id,
@@ -1397,8 +1402,8 @@ impl Qp {
                     ledger.wire(wire);
                     chain.push((wire, msg));
                 };
-                // WRITE and SEND payloads are snapshotted here, at post
-                // time; the ranges were validated above.
+                // WRITE and SEND payloads are sampled here, at post time, by
+                // pinning the buffer; the ranges were validated above.
                 let snapshot = |buf: &DmaBuf| {
                     inner
                         .arena
@@ -1433,7 +1438,7 @@ impl Qp {
                         req_id: base,
                         raddr: remote.addr,
                         rkey: remote.rkey,
-                        payload: Payload::Bytes(bytes.to_vec()),
+                        payload: inner.arena.inline_payload(bytes),
                     }),
                     WrOp::Atomic { result, remote, op } => {
                         dsts[0] = *result;

@@ -7,9 +7,13 @@
 //! backing store — used for fluid-mode experiments at the 256 GB scale where
 //! only sizes and timing matter).
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::fmt;
+use std::rc::Rc;
 
 use crate::types::{Access, RKey, RdmaError, Result};
+use crate::wire::Payload;
 
 /// A handle to an allocation in a device arena.
 ///
@@ -78,24 +82,272 @@ struct Block {
     data: Option<Vec<u8>>,
 }
 
+/// What a [`Pin`] holds on its source arena until the payload is delivered
+/// or dropped.
+#[derive(Clone, Copy)]
+enum PinState {
+    /// Released; the slot is on the free list.
+    Free,
+    /// Still reads `[addr, addr + len)` of its block: nothing has written or
+    /// freed those bytes since the payload was sampled.
+    Live { addr: u64, len: u64 },
+    /// The bytes are in the slot's own buffer: a pin *materialised* just
+    /// before the first write to (or free of) its range, or an inline
+    /// WRITE's copy in its WQE.
+    Owned,
+}
+
+struct PinSlot {
+    /// Bumped on release, so a stale id names nothing (as `sim::TimerId`).
+    gen: u32,
+    state: PinState,
+    /// The payload while `Owned`. A small buffer stays with the slot for its
+    /// next tenant (see [`KEEP_BYTES`]).
+    buf: Vec<u8>,
+}
+
+impl PinSlot {
+    fn own(&mut self, bytes: &[u8]) {
+        self.buf.clear();
+        self.buf.extend_from_slice(bytes);
+        self.state = PinState::Owned;
+    }
+}
+
+/// The largest snapshot buffer a released slot keeps: the `max_inline_data`
+/// of HCAs of the modelled era, so an inline WRITE copies into its WQE
+/// without allocating once the table has warmed up, while a materialised
+/// stripe goes back to the heap.
+const KEEP_BYTES: usize = 1024;
+
+/// The pin table of one arena: a slab, so pinning allocates nothing once the
+/// device has warmed up.
+#[derive(Default)]
+struct Pins {
+    slots: Vec<PinSlot>,
+    free: Vec<u32>,
+    /// Pins not yet released.
+    held: usize,
+    /// Of those, the ones still `Live`: what a mutation has to look at.
+    live: usize,
+    /// Pins ever copied out.
+    materialised: u64,
+}
+
+impl Pins {
+    /// A slot for a new pin, in `state`.
+    fn pin(&mut self, state: PinState) -> (u32, &mut PinSlot) {
+        let slot = self.free.pop().unwrap_or_else(|| {
+            self.slots.push(PinSlot {
+                gen: 0,
+                state: PinState::Free,
+                buf: Vec::new(),
+            });
+            (self.slots.len() - 1) as u32
+        });
+        self.held += 1;
+        self.live += usize::from(matches!(state, PinState::Live { .. }));
+        let s = &mut self.slots[slot as usize];
+        s.state = state;
+        (slot, s)
+    }
+
+    fn release(&mut self, slot: u32, gen: u32) {
+        let s = &mut self.slots[slot as usize];
+        if s.gen != gen {
+            return;
+        }
+        self.live -= usize::from(matches!(s.state, PinState::Live { .. }));
+        self.held -= 1;
+        s.state = PinState::Free;
+        s.gen = s.gen.wrapping_add(1);
+        if s.buf.capacity() > KEEP_BYTES {
+            s.buf = Vec::new();
+        }
+        self.free.push(slot);
+    }
+
+    fn slot(&self, pin: &Pin) -> &PinSlot {
+        let s = &self.slots[pin.slot as usize];
+        assert_eq!(s.gen, pin.gen, "pin used after release");
+        s
+    }
+
+    /// Copies out every live pin that overlaps `[addr, addr + len)`, a range
+    /// of the block at `baddr` whose bytes are `data` and are about to change
+    /// or go away. A pin lies within one block, so an overlapping pin is a
+    /// pin on this block.
+    fn snapshot(&mut self, addr: u64, len: u64, baddr: u64, data: &[u8]) {
+        if self.live == 0 {
+            return;
+        }
+        for s in &mut self.slots {
+            if let PinState::Live { addr: a, len: l } = s.state {
+                if a < addr + len && addr < a + l {
+                    let off = (a - baddr) as usize;
+                    s.own(&data[off..off + l as usize]);
+                    self.live -= 1;
+                    self.materialised += 1;
+                }
+            }
+        }
+    }
+}
+
+/// An arena's bytes and the pins in-flight payloads hold on them — what a
+/// [`Pin`] shares with its source arena. The cell around it is borrowed only
+/// inside the [`Arena`] and [`Pin`] methods below and never across a call
+/// out of this module, so a payload may be dropped anywhere (a fabric loss
+/// window, an early return in the device) without finding it borrowed.
+#[derive(Default)]
+struct Mem {
+    /// Live allocations, keyed by start address.
+    blocks: BTreeMap<u64, Block>,
+    pins: Pins,
+}
+
+impl Mem {
+    fn block(&self, addr: u64, len: u64) -> Result<(u64, &Block)> {
+        let (baddr, block) = self
+            .blocks
+            .range(..=addr)
+            .next_back()
+            .ok_or(RdmaError::OutOfBounds { addr, len })?;
+        let end = addr
+            .checked_add(len)
+            .ok_or(RdmaError::OutOfBounds { addr, len })?;
+        if end > baddr + block.len {
+            return Err(RdmaError::OutOfBounds { addr, len });
+        }
+        Ok((*baddr, block))
+    }
+
+    /// The one way arena bytes are mutated: `[addr, addr + len)` as a
+    /// writable slice (`None` on a synthetic block), after every live pin on
+    /// those bytes has been copied out. The slice borrows `blocks` alone, so
+    /// the caller may still read an owned pin while filling it.
+    fn bytes_mut<'a>(
+        blocks: &'a mut BTreeMap<u64, Block>,
+        pins: &mut Pins,
+        addr: u64,
+        len: u64,
+    ) -> Result<Option<&'a mut [u8]>> {
+        let oob = || RdmaError::OutOfBounds { addr, len };
+        let (&baddr, block) = blocks.range_mut(..=addr).next_back().ok_or_else(oob)?;
+        if addr
+            .checked_add(len)
+            .is_none_or(|end| end > baddr + block.len)
+        {
+            return Err(oob());
+        }
+        let Some(data) = &mut block.data else {
+            return Ok(None);
+        };
+        pins.snapshot(addr, len, baddr, data);
+        let off = (addr - baddr) as usize;
+        Ok(Some(&mut data[off..off + len as usize]))
+    }
+
+    /// Makes `pin` an owned snapshot now.
+    fn materialise(&mut self, pin: &Pin) {
+        let s = &mut self.pins.slots[pin.slot as usize];
+        if let PinState::Live { addr, len } = s.state {
+            s.own(pinned_range(&self.blocks, addr, len));
+            self.pins.live -= 1;
+            self.pins.materialised += 1;
+        }
+    }
+
+    /// The bytes `pin` sampled.
+    fn pinned(&self, pin: &Pin) -> &[u8] {
+        let s = self.pins.slot(pin);
+        match s.state {
+            PinState::Owned => &s.buf,
+            PinState::Live { addr, len } => pinned_range(&self.blocks, addr, len),
+            PinState::Free => unreachable!("generation matched a free slot"),
+        }
+    }
+}
+
+/// The bytes under a live pin: its block is live and backed, because
+/// freeing a block copies its pins out first and synthetic blocks are never
+/// pinned.
+fn pinned_range(blocks: &BTreeMap<u64, Block>, addr: u64, len: u64) -> &[u8] {
+    let (baddr, block) = blocks.range(..=addr).next_back().expect("pinned block");
+    let data = block.data.as_ref().expect("pinned block is backed");
+    let off = (addr - baddr) as usize;
+    &data[off..off + len as usize]
+}
+
+/// A payload carried by reference: a pinned range of the arena it was
+/// sampled from. The bytes are copied once, into the destination arena at
+/// delivery ([`Arena::write_payload`]); until then the source arena copies
+/// the range out before anything writes or frees it, so the payload always
+/// reads as it did when it was pinned. Dropping it releases the pin.
+pub struct Pin {
+    mem: Rc<RefCell<Mem>>,
+    slot: u32,
+    gen: u32,
+    len: u64,
+}
+
+impl Pin {
+    /// Length of the pinned range in bytes.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// True for an empty range.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Flips one bit of the payload in flight: of its own snapshot, taken
+    /// now if need be, never of the sender's buffer.
+    pub(crate) fn flip_bit(&self, bit: u64) {
+        let mut mem = self.mem.borrow_mut();
+        mem.materialise(self);
+        mem.pins.slots[self.slot as usize].buf[(bit / 8) as usize] ^= 1 << (bit % 8);
+    }
+}
+
+impl Drop for Pin {
+    fn drop(&mut self) {
+        // `Mem` is never borrowed across a call out of this module; should
+        // that break, the pin leaks and `pin_stats` shows it.
+        if let Ok(mut mem) = self.mem.try_borrow_mut() {
+            mem.pins.release(self.slot, self.gen);
+        }
+    }
+}
+
+impl fmt::Debug for Pin {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Pin")
+            .field("slot", &self.slot)
+            .field("gen", &self.gen)
+            .field("len", &self.len)
+            .finish()
+    }
+}
+
 /// The arena: allocator + backing storage + MR table for one device.
 pub struct Arena {
     capacity: u64,
     used: u64,
     /// Free extents, keyed by start address.
     free: BTreeMap<u64, u64>,
-    /// Live allocations, keyed by start address.
-    blocks: BTreeMap<u64, Block>,
+    mem: Rc<RefCell<Mem>>,
     mrs: BTreeMap<RKey, MrEntry>,
     next_rkey: u64,
 }
 
-impl std::fmt::Debug for Arena {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+impl fmt::Debug for Arena {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Arena")
             .field("capacity", &self.capacity)
             .field("used", &self.used)
-            .field("blocks", &self.blocks.len())
+            .field("blocks", &self.mem.borrow().blocks.len())
             .field("mrs", &self.mrs.len())
             .finish()
     }
@@ -112,7 +364,7 @@ impl Arena {
             capacity,
             used: 0,
             free,
-            blocks: BTreeMap::new(),
+            mem: Rc::default(),
             mrs: BTreeMap::new(),
             next_rkey: 0x1000,
         }
@@ -191,22 +443,30 @@ impl Arena {
         } else {
             None
         };
-        self.blocks.insert(addr, Block { len, data });
+        self.mem
+            .borrow_mut()
+            .blocks
+            .insert(addr, Block { len, data });
         self.used += len;
         Ok(DmaBuf { addr, len })
     }
 
     /// Frees an allocation previously returned by an alloc call, coalescing
-    /// adjacent free extents. Any MRs covering it are deregistered.
+    /// adjacent free extents. Any MRs covering it are deregistered, and any
+    /// payload still pinned on it keeps the bytes it sampled.
     ///
     /// # Errors
     ///
     /// [`RdmaError::InvalidHandle`] if `addr` is not an allocation start.
     pub fn free(&mut self, buf: DmaBuf) -> Result<()> {
-        let block = self
-            .blocks
-            .remove(&buf.addr)
-            .ok_or(RdmaError::InvalidHandle)?;
+        let block = {
+            let Mem { blocks, pins } = &mut *self.mem.borrow_mut();
+            let block = blocks.remove(&buf.addr).ok_or(RdmaError::InvalidHandle)?;
+            if let Some(data) = &block.data {
+                pins.snapshot(buf.addr, block.len, buf.addr, data);
+            }
+            block
+        };
         debug_assert_eq!(block.len, buf.len, "free with mismatched length");
         self.used -= block.len;
         self.mrs
@@ -240,7 +500,7 @@ impl Arena {
     /// [`RdmaError::OutOfBounds`] if `buf` does not lie within a single live
     /// allocation.
     pub fn register(&mut self, buf: DmaBuf, access: Access) -> Result<MrEntry> {
-        self.containing_block(buf.addr, buf.len)?;
+        self.check_range(buf.addr, buf.len)?;
         self.next_rkey += 0x11;
         let rkey = RKey(self.next_rkey);
         let entry = MrEntry {
@@ -292,36 +552,6 @@ impl Arena {
         self.mrs.len()
     }
 
-    fn containing_block(&self, addr: u64, len: u64) -> Result<(u64, &Block)> {
-        let (baddr, block) = self
-            .blocks
-            .range(..=addr)
-            .next_back()
-            .ok_or(RdmaError::OutOfBounds { addr, len })?;
-        let end = addr
-            .checked_add(len)
-            .ok_or(RdmaError::OutOfBounds { addr, len })?;
-        if end > baddr + block.len {
-            return Err(RdmaError::OutOfBounds { addr, len });
-        }
-        Ok((*baddr, block))
-    }
-
-    fn containing_block_mut(&mut self, addr: u64, len: u64) -> Result<(u64, &mut Block)> {
-        let (baddr, block) = self
-            .blocks
-            .range_mut(..=addr)
-            .next_back()
-            .ok_or(RdmaError::OutOfBounds { addr, len })?;
-        let end = addr
-            .checked_add(len)
-            .ok_or(RdmaError::OutOfBounds { addr, len })?;
-        if end > *baddr + block.len {
-            return Err(RdmaError::OutOfBounds { addr, len });
-        }
-        Ok((*baddr, block))
-    }
-
     /// Checks that `[addr, addr + len)` lies within one live allocation,
     /// without touching its bytes — how the post path validates local
     /// buffers.
@@ -330,7 +560,7 @@ impl Arena {
     ///
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
     pub fn check_range(&self, addr: u64, len: u64) -> Result<()> {
-        self.containing_block(addr, len).map(|_| ())
+        self.mem.borrow().block(addr, len).map(|_| ())
     }
 
     /// Copies bytes out of the arena. Synthetic allocations read as zeroes.
@@ -339,7 +569,8 @@ impl Arena {
     ///
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
     pub fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>> {
-        let (baddr, block) = self.containing_block(addr, len)?;
+        let mem = self.mem.borrow();
+        let (baddr, block) = mem.block(addr, len)?;
         Ok(match &block.data {
             Some(data) => {
                 let off = (addr - baddr) as usize;
@@ -357,7 +588,8 @@ impl Arena {
     ///
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
     pub fn read_into(&self, addr: u64, dst: &mut [u8]) -> Result<()> {
-        let (baddr, block) = self.containing_block(addr, dst.len() as u64)?;
+        let mem = self.mem.borrow();
+        let (baddr, block) = mem.block(addr, dst.len() as u64)?;
         match &block.data {
             Some(data) => {
                 let off = (addr - baddr) as usize;
@@ -375,47 +607,95 @@ impl Arena {
     ///
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
-        let (baddr, block) = self.containing_block_mut(addr, bytes.len() as u64)?;
-        if let Some(data) = &mut block.data {
-            let off = (addr - baddr) as usize;
-            data[off..off + bytes.len()].copy_from_slice(bytes);
+        let Mem { blocks, pins } = &mut *self.mem.borrow_mut();
+        if let Some(dst) = Mem::bytes_mut(blocks, pins, addr, bytes.len() as u64)? {
+            dst.copy_from_slice(bytes);
         }
         Ok(())
     }
 
-    /// Reads a range as a [`Payload`](crate::wire::Payload): backed
-    /// allocations yield real bytes, synthetic ones a size-only payload —
-    /// crucially *without* materializing huge zero buffers.
+    /// Samples a range as a [`Payload`] without copying it: a backed
+    /// allocation yields a [`Pin`] on the range, which reads as the bytes do
+    /// *now* however the arena changes before delivery; a synthetic one a
+    /// size-only payload. Allocates nothing once the pin table has warmed
+    /// up.
     ///
     /// # Errors
     ///
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
-    pub fn read_payload(&self, addr: u64, len: u64) -> Result<crate::wire::Payload> {
-        let (baddr, block) = self.containing_block(addr, len)?;
-        Ok(match &block.data {
-            Some(data) => {
-                let off = (addr - baddr) as usize;
-                crate::wire::Payload::Bytes(data[off..off + len as usize].to_vec())
-            }
-            None => crate::wire::Payload::Synthetic(len),
+    pub fn read_payload(&self, addr: u64, len: u64) -> Result<Payload> {
+        let mut mem = self.mem.borrow_mut();
+        if mem.block(addr, len)?.1.data.is_none() {
+            return Ok(Payload::Synthetic(len));
+        }
+        if len == 0 {
+            // Nothing to pin: an empty range overlaps no write.
+            return Ok(Payload::Synthetic(0));
+        }
+        let (slot, s) = mem.pins.pin(PinState::Live { addr, len });
+        Ok(self.pinned(slot, s.gen, len))
+    }
+
+    fn pinned(&self, slot: u32, gen: u32, len: u64) -> Payload {
+        let mem = self.mem.clone();
+        Payload::Pinned(Pin {
+            mem,
+            slot,
+            gen,
+            len,
         })
     }
 
-    /// Writes a payload into the arena. Real bytes land in backed
+    /// An inline WRITE's payload: `bytes` copied into the work request, as a
+    /// pin that owns them from the start. It rides this arena's pin table so
+    /// that the copy reuses a slot's buffer instead of the heap.
+    pub fn inline_payload(&self, bytes: &[u8]) -> Payload {
+        let mut mem = self.mem.borrow_mut();
+        let (slot, s) = mem.pins.pin(PinState::Owned);
+        s.own(bytes);
+        self.pinned(slot, s.gen, bytes.len() as u64)
+    }
+
+    /// Writes a payload into the arena — the one copy a payload's bytes
+    /// make, source block to destination block. Real bytes land in backed
     /// allocations; synthetic payloads (or writes into synthetic blocks)
     /// affect timing and accounting only.
     ///
     /// # Errors
     ///
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
-    pub fn write_payload(&mut self, addr: u64, payload: &crate::wire::Payload) -> Result<()> {
-        let len = payload.len();
-        let (baddr, block) = self.containing_block_mut(addr, len)?;
-        if let (Some(data), crate::wire::Payload::Bytes(bytes)) = (&mut block.data, payload) {
-            let off = (addr - baddr) as usize;
-            data[off..off + bytes.len()].copy_from_slice(bytes);
+    pub fn write_payload(&mut self, addr: u64, payload: &Payload) -> Result<()> {
+        match payload {
+            Payload::Synthetic(len) => self.check_range(addr, *len),
+            Payload::Word(word) => self.write(addr, &word.to_le_bytes()),
+            Payload::Pinned(pin) if Rc::ptr_eq(&pin.mem, &self.mem) => {
+                // Source and destination share one cell (a QP looped back to
+                // its own device): copy from an owned snapshot.
+                let mem = &mut *self.mem.borrow_mut();
+                mem.materialise(pin);
+                let Mem { blocks, pins } = mem;
+                if let Some(dst) = Mem::bytes_mut(blocks, pins, addr, pin.len)? {
+                    dst.copy_from_slice(&pins.slot(pin).buf);
+                }
+                Ok(())
+            }
+            Payload::Pinned(pin) => {
+                let src = pin.mem.borrow();
+                let Mem { blocks, pins } = &mut *self.mem.borrow_mut();
+                if let Some(dst) = Mem::bytes_mut(blocks, pins, addr, pin.len)? {
+                    dst.copy_from_slice(src.pinned(pin));
+                }
+                Ok(())
+            }
         }
-        Ok(())
+    }
+
+    /// `(live, materialised)`: payloads still pinned on this arena, and how
+    /// many pins were ever copied out because their range was written or
+    /// freed before delivery.
+    pub fn pin_stats(&self) -> (usize, u64) {
+        let mem = self.mem.borrow();
+        (mem.pins.held, mem.pins.materialised)
     }
 
     /// Flips `bits` random bits inside registered, backed memory — the
@@ -434,9 +714,10 @@ impl Arena {
             .filter(|mr| {
                 mr.access.allows(Access::REMOTE_READ)
                     && self
-                        .containing_block(mr.addr, mr.len)
-                        .map(|(_, b)| b.data.is_some())
-                        .unwrap_or(false)
+                        .mem
+                        .borrow()
+                        .block(mr.addr, mr.len)
+                        .is_ok_and(|(_, b)| b.data.is_some())
             })
             .map(|mr| (mr.addr, mr.len))
             .collect();
@@ -445,6 +726,7 @@ impl Arena {
         if total_bits == 0 {
             return flips;
         }
+        let mem = &mut *self.mem.borrow_mut();
         for _ in 0..bits {
             let mut idx = rng.range_u64(0, total_bits);
             for &(addr, len) in &ranges {
@@ -452,10 +734,10 @@ impl Arena {
                 if idx < range_bits {
                     let byte_addr = addr + idx / 8;
                     let bit = (idx % 8) as u8;
-                    let mut byte = self.read(byte_addr, 1).expect("registered range readable");
+                    let byte = Mem::bytes_mut(&mut mem.blocks, &mut mem.pins, byte_addr, 1)
+                        .expect("registered range is live")
+                        .expect("registered range is backed");
                     byte[0] ^= 1 << bit;
-                    self.write(byte_addr, &byte)
-                        .expect("registered range writable");
                     flips.push((byte_addr, bit));
                     break;
                 }
@@ -474,8 +756,9 @@ impl Arena {
         if !addr.is_multiple_of(8) {
             return Err(RdmaError::OutOfBounds { addr, len: 8 });
         }
-        let bytes = self.read(addr, 8)?;
-        Ok(u64::from_le_bytes(bytes.try_into().expect("8 bytes")))
+        let mut word = [0u8; 8];
+        self.read_into(addr, &mut word)?;
+        Ok(u64::from_le_bytes(word))
     }
 
     /// Writes a u64 (little-endian) at an 8-byte-aligned address.
@@ -660,6 +943,111 @@ mod tests {
         a.register(synth, Access::REMOTE_ALL).unwrap();
         let mut rng = sim::DetRng::new(1);
         assert!(a.corrupt_registered(&mut rng, 16).is_empty());
+    }
+
+    #[test]
+    fn pin_is_copied_out_only_by_an_overlapping_write() {
+        let mut src = Arena::new(4096);
+        let mut dst = Arena::new(4096);
+        let buf = src.alloc(300).unwrap();
+        src.write(buf.addr, &[1u8; 300]).unwrap();
+        let payload = src.read_payload(buf.addr + 100, 100).unwrap();
+        assert_eq!(src.pin_stats(), (1, 0));
+        // The bytes on either side of the pinned range are not under it.
+        src.write(buf.addr, &[2u8; 100]).unwrap();
+        src.write(buf.addr + 200, &[2u8; 100]).unwrap();
+        assert_eq!(src.pin_stats(), (1, 0));
+        // One byte inside is; later writes find the pin already owned.
+        src.write(buf.addr + 199, &[3u8]).unwrap();
+        src.write_u64(buf.addr + 104, u64::MAX).unwrap();
+        assert_eq!(src.pin_stats(), (1, 1));
+        let land = dst.alloc(100).unwrap();
+        dst.write_payload(land.addr, &payload).unwrap();
+        assert_eq!(dst.read(land.addr, 100).unwrap(), vec![1u8; 100]);
+        drop(payload);
+        assert_eq!(src.pin_stats(), (0, 1));
+    }
+
+    #[test]
+    fn pin_outlives_its_block_and_its_arena() {
+        let mut src = Arena::new(4096);
+        let buf = src.alloc(64).unwrap();
+        src.write(buf.addr, &[5u8; 64]).unwrap();
+        let payload = src.read_payload(buf.addr, 64).unwrap();
+        let empty = src.read_payload(buf.addr + 64, 0).unwrap();
+        assert!(matches!(empty, Payload::Synthetic(0)));
+        src.free(buf).unwrap();
+        assert_eq!(src.pin_stats(), (1, 1));
+        drop(src);
+        let mut dst = Arena::new(4096);
+        let land = dst.alloc(64).unwrap();
+        dst.write_payload(land.addr, &payload).unwrap();
+        dst.write_payload(land.addr, &empty).unwrap();
+        assert_eq!(dst.read(land.addr, 64).unwrap(), vec![5u8; 64]);
+        // Delivery is bounds-checked like any write.
+        assert!(dst.write_payload(land.addr + 1, &payload).is_err());
+    }
+
+    #[test]
+    fn released_pin_id_is_stale() {
+        let mut a = Arena::new(4096);
+        let buf = a.alloc(64).unwrap();
+        let Payload::Pinned(first) = a.read_payload(buf.addr, 64).unwrap() else {
+            panic!("backed ranges are pinned");
+        };
+        let (slot, gen) = (first.slot, first.gen);
+        drop(first);
+        // The slot has a new tenant; the old id must not release it.
+        let second = a.read_payload(buf.addr, 8).unwrap();
+        a.mem.borrow_mut().pins.release(slot, gen);
+        assert_eq!(a.pin_stats(), (1, 0));
+        a.write(buf.addr, &[1]).unwrap();
+        assert_eq!(a.pin_stats(), (1, 1));
+        drop(second);
+        assert_eq!(a.pin_stats(), (0, 1));
+    }
+
+    #[test]
+    fn corruption_under_a_pin_spares_the_sampled_bytes() {
+        let mut a = Arena::new(1 << 20);
+        let buf = a.alloc(64).unwrap();
+        a.register(buf, Access::REMOTE_ALL).unwrap();
+        let payload = a.read_payload(buf.addr, 64).unwrap();
+        let flips = a.corrupt_registered(&mut sim::DetRng::new(7), 8);
+        assert_eq!(flips.len(), 8);
+        assert_eq!(a.pin_stats(), (1, 1));
+        assert_ne!(a.read(buf.addr, 64).unwrap(), vec![0u8; 64]);
+        let mut dst = Arena::new(4096);
+        let land = dst.alloc(64).unwrap();
+        dst.write(land.addr, &[9u8; 64]).unwrap();
+        dst.write_payload(land.addr, &payload).unwrap();
+        assert_eq!(dst.read(land.addr, 64).unwrap(), vec![0u8; 64]);
+    }
+
+    #[test]
+    fn synthetic_ranges_yield_sizes_not_pins() {
+        let mut a = Arena::new(1 << 40);
+        let fluid = a.alloc_synthetic(1 << 35).unwrap();
+        let backed = a.alloc(64).unwrap();
+        let payload = a.read_payload(fluid.addr, 1 << 35).unwrap();
+        assert!(matches!(payload, Payload::Synthetic(n) if n == 1 << 35));
+        assert_eq!(a.pin_stats(), (0, 0));
+        // A synthetic payload into backed memory, and a pinned one into
+        // synthetic memory, move no bytes.
+        a.write(backed.addr, &[4u8; 64]).unwrap();
+        a.write_payload(backed.addr, &Payload::Synthetic(64))
+            .unwrap();
+        assert_eq!(a.read(backed.addr, 64).unwrap(), vec![4u8; 64]);
+        let pinned = a.read_payload(backed.addr, 64).unwrap();
+        a.write_payload(fluid.addr, &pinned).unwrap();
+        assert_eq!(
+            a.pin_stats(),
+            (1, 1),
+            "same arena: delivered from a snapshot"
+        );
+        assert!(a
+            .write_payload(backed.addr + 1, &Payload::Synthetic(64))
+            .is_err());
     }
 
     #[test]

@@ -5,18 +5,28 @@
 //! rounded to 42 bytes) plus the payload length, so bandwidth figures include
 //! realistic protocol overhead.
 
+use crate::memory::Pin;
 use crate::types::{Qpn, RKey};
 
 /// Fixed per-message header cost in bytes.
 pub const HEADER_BYTES: u64 = 42;
 
-/// A message payload that either carries real bytes or merely represents
-/// `len` bytes (fluid mode — timing and accounting without data movement).
-#[derive(Clone, Debug)]
+/// A message payload: real bytes, or merely `len` of them (fluid mode —
+/// timing and accounting without data movement).
+///
+/// Real bytes travel by reference. The buffer of a WRITE or SEND and the
+/// source range of a READ response are *pinned* in the arena they are
+/// sampled from and copied once, into the destination arena at delivery (see
+/// DESIGN.md, "Payload sampling model").
+#[derive(Debug)]
 pub enum Payload {
-    /// Real bytes; they are copied into the destination arena on arrival.
-    Bytes(Vec<u8>),
-    /// Synthetic payload of the given length.
+    /// A pinned range of the source device's arena, or an inline WRITE's
+    /// copy in its WQE (a pin that owns its bytes from the start).
+    Pinned(Pin),
+    /// An atomic's prior value, eight little-endian bytes carried by value.
+    Word(u64),
+    /// Synthetic payload of the given length; `Synthetic(0)` is also the
+    /// empty payload of an error response.
     Synthetic(u64),
 }
 
@@ -24,7 +34,8 @@ impl Payload {
     /// Payload length in bytes.
     pub fn len(&self) -> u64 {
         match self {
-            Payload::Bytes(b) => b.len() as u64,
+            Payload::Pinned(pin) => pin.len(),
+            Payload::Word(_) => 8,
             Payload::Synthetic(n) => *n,
         }
     }
@@ -211,9 +222,11 @@ mod tests {
 
     #[test]
     fn payload_len() {
-        assert_eq!(Payload::Bytes(vec![1, 2, 3]).len(), 3);
+        assert_eq!(Payload::Word(7).len(), 8);
         assert_eq!(Payload::Synthetic(1 << 40).len(), 1 << 40);
-        assert!(Payload::Bytes(Vec::new()).is_empty());
+        assert!(Payload::Synthetic(0).is_empty());
+        let arena = crate::memory::Arena::new(64);
+        assert_eq!(arena.inline_payload(&[1, 2, 3]).len(), 3);
     }
 
     #[test]

@@ -5,17 +5,24 @@
 //! host-heap allocation count — the hoisted-buffer discipline means no
 //! per-op staging or scratch-`Vec` churn — and stay at or under a pinned
 //! ceiling. The remaining floor is the simulator's own machinery (oneshot
-//! completion channels, wire-message payload copies, the tasks a pipelined
-//! checksummed IO spawns), which a real verbs stack does not pay; the pins
-//! keep that floor from silently growing. A warm `kv.get` is 3: the
-//! completion `oneshot`, the server-side payload copy and the returned
-//! value. Neither metric updates nor events are part of the floor: every
-//! layer updates through handles resolved at construction (`sim::metrics`)
-//! and schedules its hot-path timers as typed events on an `EventSink`
-//! (`sim::executor`), so a per-update name `String` or a boxed closure per
-//! event coming back lifts every pin here by a multiple (the pins were 2–6x
-//! these values when every event was a `Box<dyn FnOnce>` and the plan lists
-//! of a region round were fresh `Vec`s).
+//! completion channels, the tasks a pipelined checksummed IO spawns), which
+//! a real verbs stack does not pay; the pins keep that floor from silently
+//! growing. A warm `kv.get` is 2: the completion `oneshot` and the returned
+//! value; a warm `kv.put` is 2: the `oneshot`s of its CAS and of its
+//! publishing WRITE. Payloads are not part of the floor: a READ response, a
+//! WRITE and a SEND travel as a pin on the arena they were sampled from and
+//! are copied once, block to block, at delivery (`rdma::memory`), an inline
+//! WRITE copies into a buffer its pin slot keeps, and an atomic's word
+//! travels by value — so a payload `Vec` per wire message coming back lifts
+//! every pin here by one per message, and the byte pin at the end (a 1 MiB
+//! striped IO asks the heap for under 4 KiB) by the IO size. Neither metric
+//! updates nor events are part of the floor either: every layer updates
+//! through handles resolved at construction (`sim::metrics`) and schedules
+//! its hot-path timers as typed events on an `EventSink` (`sim::executor`),
+//! so a per-update name `String` or a boxed closure per event coming back
+//! lifts every pin by a multiple (the pins were 2–6x their pre-pin values
+//! when every event was a `Box<dyn FnOnce>` and the plan lists of a region
+//! round were fresh `Vec`s).
 //!
 //! This is the only test in the binary so the counting global allocator
 //! sees no concurrent test threads.
@@ -28,10 +35,12 @@ use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable};
 struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -139,22 +148,22 @@ fn steady_state_ops_hold_allocation_floor() {
         let key_refs: Vec<&[u8]> = keys.iter().map(|k| k.as_slice()).collect();
 
         // Region ops (plain + checksummed), 4 stripes per IO.
-        steady!("region.write", 7, plain.write_from(0, io).await.unwrap());
-        steady!("region.read", 7, plain.read_into(0, io).await.unwrap());
-        steady!("region.write_ck", 32, ck.write_from(0, io).await.unwrap());
-        steady!("region.read_ck", 32, ck.read_into(0, io).await.unwrap());
+        steady!("region.write", 3, plain.write_from(0, io).await.unwrap());
+        steady!("region.read", 3, plain.read_into(0, io).await.unwrap());
+        steady!("region.write_ck", 28, ck.write_from(0, io).await.unwrap());
+        steady!("region.read_ck", 28, ck.read_into(0, io).await.unwrap());
 
         // KV ops. A warm put is CAS + inline WRITE, so this also pins the
         // one-sided CAS path's allocation floor.
-        steady!("kv.get", 3, {
+        steady!("kv.get", 2, {
             assert!(kv.get(&keys[0]).await.unwrap().is_some());
         });
-        steady!("kv.put", 6, kv.put(&keys[0], &[9u8; 32]).await.unwrap());
-        steady!("kv.multi_get", 18, {
+        steady!("kv.put", 2, kv.put(&keys[0], &[9u8; 32]).await.unwrap());
+        steady!("kv.multi_get", 10, {
             let vals = kv.multi_get(&key_refs).await.unwrap();
             assert!(vals.iter().all(Option::is_some));
         });
-        steady!("kv.delete+put", 17, {
+        steady!("kv.delete+put", 7, {
             assert!(kv.delete(&keys[1]).await.unwrap());
             kv.put(&keys[1], &[9u8; 32]).await.unwrap();
         });
@@ -181,8 +190,30 @@ fn steady_state_ops_hold_allocation_floor() {
         let plain = client.alloc("raw/one", 64 * 1024, opts).await.unwrap();
         let one = dev.alloc(4096).unwrap();
         plain.write_from(0, one).await.unwrap();
-        steady!("default.write", 2, plain.write_from(0, one).await.unwrap());
-        steady!("default.read", 2, plain.read_into(0, one).await.unwrap());
+        steady!("default.write", 1, plain.write_from(0, one).await.unwrap());
+        steady!("default.read", 1, plain.read_into(0, one).await.unwrap());
         dev.free(one).unwrap();
+
+        // Bytes, not counts: 1 MiB over sixteen 64 KiB stripes moves through
+        // pins, so what the heap is asked for per IO is bookkeeping alone.
+        let opts = AllocOptions {
+            stripe_size: 64 * 1024,
+            ..AllocOptions::default()
+        };
+        let wide = client.alloc("raw/wide", 1 << 20, opts).await.unwrap();
+        let mib = dev.alloc(1 << 20).unwrap();
+        let mut per_io = [0u64; 12];
+        for b in per_io.iter_mut() {
+            let before = BYTES.load(Ordering::Relaxed);
+            wide.write_from(0, mib).await.unwrap();
+            wide.read_into(0, mib).await.unwrap();
+            *b = (BYTES.load(Ordering::Relaxed) - before) / 2;
+        }
+        let lo = *per_io[6..].iter().min().expect("6 rounds");
+        assert!(
+            lo < 4096,
+            "a 1 MiB striped IO asked the heap for {lo} bytes (rounds: {per_io:?})"
+        );
+        dev.free(mib).unwrap();
     });
 }

@@ -50,6 +50,7 @@ fn many_regions_many_clients() {
         let stats = clients[0].stats().await.unwrap();
         assert_eq!(stats.regions, 12);
     });
+    cluster.assert_pins_released();
 }
 
 #[test]
@@ -76,6 +77,7 @@ fn free_then_reallocate_reuses_capacity() {
             assert_eq!(stats.used, 0, "round {round}");
         }
     });
+    cluster.assert_pins_released();
 }
 
 #[test]
@@ -118,6 +120,7 @@ fn placement_policies_differ_but_work() {
         nodes.dedup();
         assert_eq!(nodes.len(), 6);
     });
+    cluster.assert_pins_released();
 }
 
 #[test]
@@ -147,6 +150,7 @@ fn replicated_writes_visible_on_every_replica() {
         fabric.set_node_up(server_nodes[1], false);
         assert_eq!(region.read(0, 12).await.unwrap(), b"three copies");
     });
+    cluster.assert_pins_released();
 }
 
 #[test]
@@ -171,6 +175,7 @@ fn replication_factor_exceeding_servers_fails() {
             .unwrap();
         assert!(matches!(err, RStoreError::NotEnoughServers { .. }));
     });
+    cluster.assert_pins_released();
 }
 
 #[test]
@@ -189,6 +194,7 @@ fn region_descriptor_is_stable_across_lookups() {
         let d2 = b.lookup("stable").await.unwrap();
         assert_eq!(d1, d2, "all clients must see identical placement");
     });
+    cluster.assert_pins_released();
 }
 
 #[test]
@@ -211,6 +217,7 @@ fn io_throughput_accounting_matches_fabric() {
         region.read(0, 128 * 1024).await.unwrap();
         assert_eq!(metrics.counter("rstore.read_bytes"), 128 * 1024);
     });
+    cluster.assert_pins_released();
 }
 
 #[test]
@@ -222,8 +229,10 @@ fn data_path_ops_leave_no_events_behind() {
     // queue from 138 to 22 135 events.)
     let cluster = boot(3, 1);
     let sim = cluster.sim.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
     sim.clone().block_on(async move {
-        let client = cluster.client(0).await.unwrap();
+        let client = RStoreClient::connect(&devs[0], master).await.unwrap();
         let region = client
             .alloc("quiet/region", 64 * 1024, AllocOptions::default())
             .await
@@ -250,4 +259,5 @@ fn data_path_ops_leave_no_events_behind() {
             "11 000 WRs grew the event queue from {before} to {after} events"
         );
     });
+    cluster.assert_pins_released();
 }

@@ -86,6 +86,83 @@ fn mr_checks_bound_access() {
     });
 }
 
+/// Payloads by reference against an eager-copy oracle: under random
+/// interleavings of sample / write / free / re-alloc / deliver / drop, every
+/// payload lands as the bytes an eager `read` at its sampling instant
+/// returned, whether it was still a live pin or had been copied out, and
+/// `pin_stats` counts exactly the payloads not yet dropped.
+#[test]
+fn pinned_payloads_match_eager_copies() {
+    fn sub_range(rng: &mut DetRng, bufs: &[DmaBuf]) -> (u64, u64) {
+        let buf = bufs[rng.index(bufs.len())];
+        let off = rng.range_u64(0, buf.len);
+        (buf.addr + off, rng.range_u64(0, buf.len - off + 1))
+    }
+    cases("pinned_payloads_match_eager_copies", 96, |rng| {
+        let mut src = Arena::new(16 * 1024);
+        let mut dst = Arena::new(16 * 1024);
+        let landing = dst.alloc(2048).unwrap();
+        let mut bufs: Vec<DmaBuf> = Vec::new();
+        let mut in_flight: Vec<(rdma::wire::Payload, Vec<u8>)> = Vec::new();
+        for _ in 0..rng.range_u64(20, 200) {
+            match rng.index(7) {
+                0 => {
+                    if let Ok(buf) = src.alloc(rng.range_u64(1, 2048)) {
+                        let mut fill = vec![0u8; buf.len as usize];
+                        rng.fill_bytes(&mut fill);
+                        src.write(buf.addr, &fill).unwrap();
+                        bufs.push(buf);
+                    }
+                }
+                1 if !bufs.is_empty() => {
+                    let buf = bufs.swap_remove(rng.index(bufs.len()));
+                    src.free(buf).unwrap();
+                }
+                2 | 3 if !bufs.is_empty() => {
+                    let (addr, len) = sub_range(rng, &bufs);
+                    let eager = src.read(addr, len).unwrap();
+                    in_flight.push((src.read_payload(addr, len).unwrap(), eager));
+                }
+                4 if !bufs.is_empty() => {
+                    let (addr, len) = sub_range(rng, &bufs);
+                    let mut bytes = vec![0u8; len as usize];
+                    rng.fill_bytes(&mut bytes);
+                    src.write(addr, &bytes).unwrap();
+                }
+                5 if !in_flight.is_empty() => {
+                    let (payload, eager) = in_flight.swap_remove(rng.index(in_flight.len()));
+                    let len = eager.len() as u64;
+                    // Into the other arena, or back into the one it is
+                    // pinned on — itself a write under other pins.
+                    let home = bufs.iter().find(|b| b.len >= len).copied();
+                    match home.filter(|_| rng.chance(0.3)) {
+                        Some(buf) => {
+                            src.write_payload(buf.addr, &payload).unwrap();
+                            assert_eq!(src.read(buf.addr, len).unwrap(), eager);
+                        }
+                        None => {
+                            dst.write_payload(landing.addr, &payload).unwrap();
+                            assert_eq!(dst.read(landing.addr, len).unwrap(), eager);
+                        }
+                    }
+                }
+                6 if !in_flight.is_empty() => {
+                    in_flight.swap_remove(rng.index(in_flight.len()));
+                }
+                _ => {}
+            }
+            let pinned = in_flight
+                .iter()
+                .filter(|(p, _)| matches!(p, rdma::wire::Payload::Pinned(_)))
+                .count();
+            assert_eq!(src.pin_stats().0, pinned);
+        }
+        in_flight.clear();
+        assert_eq!(src.pin_stats().0, 0);
+        assert_eq!(dst.pin_stats(), (0, 0));
+    });
+}
+
 // --- stripe layout ---------------------------------------------------------------
 
 fn random_desc(rng: &mut DetRng) -> RegionDesc {
