@@ -187,7 +187,7 @@ const RESIZE_WAIT_BUDGET: Duration = Duration::from_secs(2);
 
 /// How long a client that hit a stale-generation fault keeps polling the
 /// meta block when the generation has *not* visibly changed, before
-/// concluding the fault had some other cause and surfacing it.
+/// concluding the fault has another cause: the region's placement.
 const STALE_GEN_BUDGET: Duration = Duration::from_millis(5);
 
 /// Chunk size for the resize copy and `bulk_load` image upload.
@@ -923,9 +923,13 @@ impl KvTable {
         }
     }
 
-    /// Runs `once`; on the stale-generation signal (`RemoteAccess`: the data
-    /// region was freed or migrated under it) revalidates the generation and
-    /// runs it once more against the refreshed mapping.
+    /// Runs `once`; on the stale-generation signal (`RemoteAccess`) revalidates
+    /// the generation and runs it once more against the refreshed mapping.
+    /// A generation that has not moved leaves the data region's placement:
+    /// its extents were moved within the generation (repair, drain,
+    /// rebalance), or a server is fenced without a lease — the region layer
+    /// reruns `once` as it revalidates that. Slot hints stay: the geometry is
+    /// unchanged, only their transport moved.
     async fn retry_stale<T, Fut>(&self, ledger: &OpLedger, once: impl Fn() -> Fut) -> Result<T>
     where
         Fut: Future<Output = Result<T>>,
@@ -933,7 +937,8 @@ impl KvTable {
         match once().await {
             Err(e) if stale_generation_status(&e) => {
                 if !self.revalidate_generation(ledger).await? {
-                    return Err(e);
+                    let data = self.state.borrow().data.clone();
+                    return data.with_revalidate(ledger, once).await;
                 }
                 once().await
             }
@@ -1605,13 +1610,9 @@ impl KvTable {
 
     /// Reacts to a stale-generation fault (`RemoteAccess`: the data region
     /// was freed under us). Polls the meta block; if the generation moved,
-    /// remaps and returns `true` (retry the op). If the generation is
-    /// unchanged after a short budget, the data may have been live-migrated
-    /// *within* the generation (extent swap, no generation bump): the cached
-    /// stripe descriptor is refreshed from the master, and a changed
-    /// placement also returns `true`. Only when neither the generation nor
-    /// the descriptor moved does this return `false` (surface the original
-    /// error).
+    /// remaps and returns `true` (retry the op). `false` means it is
+    /// unchanged after a short budget: whatever faulted is the placement of
+    /// this generation's region, not the generation.
     async fn revalidate_generation(&self, ledger: &OpLedger) -> Result<bool> {
         let sim = self.dev.sim();
         let trace = ledger.optrace();
@@ -1622,7 +1623,7 @@ impl KvTable {
                 self.remap(&m).await?;
                 Ok(Some(true))
             } else if sim.now() >= same_gen_deadline {
-                self.revalidate_placement(ledger).await.map(Some)
+                Ok(Some(false))
             } else {
                 Ok(None)
             }
@@ -1630,26 +1631,6 @@ impl KvTable {
         .await;
         trace.end(span, sim.now());
         Ok(moved?.unwrap_or(false))
-    }
-
-    /// Same-generation fallback for a persistent `RemoteAccess` fault: the
-    /// data region's extents may have moved (drain or rebalance migration).
-    /// Re-fetches the descriptor; a changed placement invalidates the slot
-    /// hints' transport (not their slot numbers — geometry is unchanged) and
-    /// is worth one retry.
-    async fn revalidate_placement(&self, ledger: &OpLedger) -> Result<bool> {
-        let data = self.state.borrow().data.clone();
-        let before = data.desc();
-        if data.revalidate(ledger).await.is_err() {
-            // Lookup failed (e.g. the generation region raced a free):
-            // nothing learned, surface the original fault.
-            return Ok(false);
-        }
-        let moved = data.desc() != before;
-        if moved {
-            self.stats.refresh.incr();
-        }
-        Ok(moved)
     }
 
     /// Maps the generation named by `m` and swaps it in.

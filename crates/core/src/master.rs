@@ -7,6 +7,7 @@
 //! "separation philosophy extended to a distributed setting" of the paper.
 
 use std::cell::RefCell;
+use std::cmp::Reverse;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::rc::Rc;
@@ -30,7 +31,10 @@ use crate::{CTRL_SERVICE, SRV_SERVICE};
 /// Master configuration.
 #[derive(Clone, Debug)]
 pub struct MasterConfig {
-    /// A server missing heartbeats for this long is declared dead.
+    /// A server missing heartbeats for this long is declared dead. Servers
+    /// learn it when they register and hold themselves to it: one that goes
+    /// this long without an acknowledged beat revokes all remote access to
+    /// its extents until it has registered again.
     pub lease: Duration,
     /// How often the liveness sweep runs.
     pub sweep_interval: Duration,
@@ -139,8 +143,78 @@ struct MState {
     /// other mover must skip it. Held via [`RegionGuard`] so a panicking or
     /// early-returning mover can never leak the lock.
     busy_regions: std::collections::HashSet<String>,
+    /// Extents no descriptor refers to any more whose server could not be
+    /// told so, per node: replaced by a move or freed with their region
+    /// while the server was out of reach. Handed back in the node's next
+    /// registration reply, which it acts on before it serves anything again.
+    retired: BTreeMap<u32, Retired>,
     rng: DetRng,
     conns: HashMap<u32, Rc<ConnSlot>>,
+}
+
+/// One node's entry in [`MState::retired`].
+#[derive(Default)]
+struct Retired {
+    /// `(addr, rkey)` per extent, in the order they were retired.
+    extents: Vec<(u64, u64)>,
+    /// How many of them the last registration reply carried. The node's next
+    /// accepted heartbeat proves it acted on that reply, and only then are
+    /// they forgotten: a reply lost on the way is simply sent again.
+    handed: usize,
+}
+
+impl MState {
+    /// Whether `node` is registered with a current lease.
+    fn alive(&self, node: u32) -> bool {
+        self.servers.get(&node).is_some_and(|s| s.alive)
+    }
+
+    /// Whether replica `ri` of group `gi` of region `name` is marked corrupt.
+    fn marked(&self, name: &str, gi: usize, ri: usize) -> bool {
+        self.corrupt
+            .get(name)
+            .is_some_and(|m| m.contains(&(gi, ri)))
+    }
+
+    /// `Some(t)` iff the master itself has seen `node`'s lease lapse, `t`
+    /// being the last beat it accepted from it. Any later registration moves
+    /// `t`, so two equal answers bracket a span in which the node — fenced by
+    /// its own lease timer before the master could notice — stayed fenced.
+    fn lapsed_since(&self, node: u32) -> Option<SimTime> {
+        let info = self.servers.get(&node)?;
+        (!info.alive).then_some(info.last_hb)
+    }
+
+    /// Health of `desc` as `Lookup` and the cluster report state it.
+    fn health(&self, desc: &RegionDesc) -> RegionState {
+        let clean = self.corrupt.get(&desc.name).is_none_or(|m| m.is_empty());
+        let mut replicas = desc.groups.iter().flat_map(|g| &g.replicas);
+        if clean && replicas.all(|x| self.alive(x.node)) {
+            RegionState::Healthy
+        } else {
+            RegionState::Degraded
+        }
+    }
+
+    /// The one extent scan behind every mover: `(region, group, replica,
+    /// extent)` for each extent `want` accepts, in sorted order — region
+    /// iteration is unseeded, and move order (with it every trace) must be
+    /// identical across runs.
+    fn extents<'a>(
+        &'a self,
+        want: impl Fn(&str, usize, usize, &Extent) -> bool + 'a,
+    ) -> impl Iterator<Item = (&'a str, usize, usize, Extent)> + 'a {
+        let mut names: Vec<&String> = self.regions.keys().collect();
+        names.sort();
+        let all = names.into_iter().flat_map(|name| {
+            let groups = self.regions[name].groups.iter().enumerate();
+            groups.flat_map(move |(gi, g)| {
+                let replicas = g.replicas.iter().enumerate();
+                replicas.map(move |(ri, x)| (name.as_str(), gi, ri, *x))
+            })
+        });
+        all.filter(move |(name, gi, ri, x)| want(name, *gi, *ri, x))
+    }
 }
 
 /// RAII holder of a `busy_regions` entry (see [`MState::busy_regions`]).
@@ -155,18 +229,19 @@ impl Drop for RegionGuard {
     }
 }
 
-/// Result of one planned extent migration attempt.
-enum MigrateOutcome {
-    /// Copied, swapped, and freed: the extent now lives elsewhere. Carries
+/// Result of one extent move attempt.
+enum MoveOutcome {
+    /// Copied, swapped, and retired: the extent now lives elsewhere. Carries
     /// the physical bytes moved.
     Moved(u64),
     /// The descriptor changed underneath us (region freed, slot swapped by
-    /// another mover) — nothing was migrated and nothing needs to be.
+    /// another mover, the lapsed host back in service) — nothing was moved
+    /// and nothing needs to be.
     Gone,
     /// No eligible target server has the capacity.
     NoCapacity,
     /// A server call failed mid-protocol; everything was rolled back
-    /// exactly (new extent freed, source unsealed, accounting restored).
+    /// exactly (new extent freed, old one unsealed, accounting restored).
     Failed,
 }
 
@@ -211,6 +286,7 @@ impl Master {
                 corrupt: BTreeMap::new(),
                 draining: BTreeSet::new(),
                 busy_regions: std::collections::HashSet::new(),
+                retired: BTreeMap::new(),
                 rng: DetRng::new(cfg.seed),
                 conns: HashMap::new(),
             })),
@@ -303,12 +379,8 @@ impl Master {
 
     /// Number of servers currently considered alive.
     pub fn live_servers(&self) -> usize {
-        self.state
-            .borrow()
-            .servers
-            .values()
-            .filter(|s| s.alive)
-            .count()
+        let st = self.state.borrow();
+        st.servers.values().filter(|s| s.alive).count()
     }
 
     /// Waits (in virtual time) until at least `n` servers have registered
@@ -321,7 +393,9 @@ impl Master {
 
     /// Drops `node` from the server registry, as if the master had restarted
     /// and lost its soft state. The server's next heartbeat is answered with
-    /// an error, prompting it to re-register. Admin/test hook.
+    /// an error, prompting it to re-register. A forgotten server has not
+    /// lapsed: it is reachable and still serving, so an extent moved off it
+    /// meanwhile is sealed like any live host's. Admin/test hook.
     pub fn forget_server(&self, node: NodeId) {
         let mut st = self.state.borrow_mut();
         st.servers.remove(&node.0);
@@ -378,24 +452,11 @@ impl Master {
         names.sort();
         let regions = names
             .into_iter()
-            .map(|name| {
-                let desc = &st.regions[name];
-                let all_alive = desc
-                    .groups
-                    .iter()
-                    .flat_map(|g| &g.replicas)
-                    .all(|x| st.servers.get(&x.node).is_some_and(|s| s.alive));
-                let corrupt = st.corrupt.get(name).map_or(0, |s| s.len() as u32);
-                RegionStats {
-                    name: name.clone(),
-                    size: desc.size,
-                    state: if all_alive && corrupt == 0 {
-                        RegionState::Healthy
-                    } else {
-                        RegionState::Degraded
-                    },
-                    corrupt_extents: corrupt,
-                }
+            .map(|name| RegionStats {
+                name: name.clone(),
+                size: st.regions[name].size,
+                state: st.health(&st.regions[name]),
+                corrupt_extents: st.corrupt.get(name).map_or(0, |s| s.len() as u32),
             })
             .collect();
         ClusterReport {
@@ -416,44 +477,48 @@ impl Master {
             CtrlReq::RegisterServer { node, capacity } => {
                 let now = self.sim.now();
                 let mut st = self.state.borrow_mut();
-                match st.servers.get_mut(&node) {
-                    // A re-register after a control-connection blip must not
-                    // reset `used`: the server's extents are still referenced
-                    // by live regions, and zeroing the accounting would let
-                    // the master over-allocate.
-                    Some(info) => {
-                        info.capacity = capacity;
-                        info.last_hb = now;
-                        info.alive = true;
-                    }
-                    None => {
-                        // An unknown node may still be referenced by live
-                        // descriptors (the master forgot it mid-flight, or
-                        // restarted): rebuild `used` from the descriptors
-                        // instead of assuming zero, or the books would
-                        // double-count every extent the repair task touches
-                        // afterwards and the master would over-allocate.
-                        let used = desc_usage(&st).get(&node).copied().unwrap_or(0);
-                        st.servers.insert(
-                            node,
-                            ServerInfo {
-                                capacity,
-                                used,
-                                pending: 0,
-                                last_hb: now,
-                                alive: true,
-                            },
-                        );
-                    }
+                // A node whose row is missing (the master forgot it
+                // mid-flight, or restarted) may still be referenced by live
+                // descriptors: `used` is rebuilt from them, never restarted
+                // at zero, or the master would over-allocate. A node that
+                // re-registers after a control blip keeps its books.
+                if !st.servers.contains_key(&node) {
+                    let info = ServerInfo {
+                        capacity,
+                        used: desc_usage(&st).get(&node).copied().unwrap_or(0),
+                        pending: 0,
+                        last_hb: now,
+                        alive: true,
+                    };
+                    st.servers.insert(node, info);
                 }
-                CtrlResp::Ok
+                let info = st.servers.get_mut(&node).expect("present or just inserted");
+                (info.capacity, info.last_hb, info.alive) = (capacity, now, true);
+                let retire = st.retired.get_mut(&node).map_or(Vec::new(), |r| {
+                    r.handed = r.extents.len();
+                    r.extents.clone()
+                });
+                CtrlResp::Registered {
+                    lease: self.cfg.lease,
+                    retire,
+                }
             }
             CtrlReq::Heartbeat { node } => {
                 let mut st = self.state.borrow_mut();
                 match st.servers.get_mut(&node) {
+                    // A node declared dead may have had extents replaced
+                    // under it: it gets its lease back only by registering,
+                    // which is where it learns what to free first.
+                    Some(info) if !info.alive => {
+                        CtrlResp::Err(format!("lease of server {node} expired"))
+                    }
                     Some(info) => {
                         info.last_hb = self.sim.now();
-                        info.alive = true;
+                        // It heartbeats, so it acted on its registration
+                        // reply: what that reply carried is settled.
+                        if let Some(r) = st.retired.get_mut(&node) {
+                            r.extents.drain(..std::mem::take(&mut r.handed));
+                        }
                         CtrlResp::Ok
                     }
                     None => CtrlResp::Err(format!("unknown server {node}")),
@@ -466,21 +531,10 @@ impl Master {
             CtrlReq::Lookup { name } => {
                 let st = self.state.borrow();
                 match st.regions.get(&name) {
-                    Some(desc) => {
-                        let mut desc = desc.clone();
-                        let all_alive = desc
-                            .groups
-                            .iter()
-                            .flat_map(|g| &g.replicas)
-                            .all(|x| st.servers.get(&x.node).is_some_and(|s| s.alive));
-                        let clean = st.corrupt.get(&name).is_none_or(|s| s.is_empty());
-                        desc.state = if all_alive && clean {
-                            RegionState::Healthy
-                        } else {
-                            RegionState::Degraded
-                        };
-                        CtrlResp::Region(desc)
-                    }
+                    Some(desc) => CtrlResp::Region(RegionDesc {
+                        state: st.health(desc),
+                        ..desc.clone()
+                    }),
                     None => CtrlResp::Err(RStoreError::NotFound(name).to_string()),
                 }
             }
@@ -828,17 +882,7 @@ impl Master {
                 }
             }
             for ((node, _len), extents) in granted {
-                let _ = self
-                    .server_call(
-                        node,
-                        SrvReq::FreeExtents {
-                            extents: extents
-                                .iter()
-                                .map(|x| (x.addr, extent_alloc_len(x.len, ck)))
-                                .collect(),
-                        },
-                    )
-                    .await;
+                self.retire(node, &extents, ck).await;
             }
             return Err(e);
         }
@@ -876,28 +920,24 @@ impl Master {
         Ok(())
     }
 
-    /// Frees the extents of `groups` on their servers (best effort, skipping
-    /// dead ones — a server dying loses the memory anyway) and returns the
-    /// reserved capacity to the accounting. `ck` selects the physical
+    /// Frees the extents of `groups` on their servers and returns the
+    /// reserved capacity to the accounting. A server that cannot be told now
+    /// — no current lease, or the call failed — is told when it next
+    /// registers ([`MState::retired`]). `ck` selects the physical
     /// (trailer-inclusive) extent length. `from_pending` picks which counter
     /// the bytes come back from: `pending` for extents that never reached a
     /// descriptor (grow rollback), `used` for published ones (free). The
     /// accounting is returned synchronously in one borrow — before any RPC —
     /// so the invariant holds at every await point.
     async fn release_groups(&self, groups: &[StripeGroup], ck: bool, from_pending: bool) {
-        let mut per_server: BTreeMap<u32, Vec<(u64, u64)>> = BTreeMap::new();
-        for g in groups {
-            for x in &g.replicas {
-                per_server
-                    .entry(x.node)
-                    .or_default()
-                    .push((x.addr, extent_alloc_len(x.len, ck)));
-            }
+        let mut per_server: BTreeMap<u32, Vec<Extent>> = BTreeMap::new();
+        for x in groups.iter().flat_map(|g| &g.replicas) {
+            per_server.entry(x.node).or_default().push(*x);
         }
         {
             let mut st = self.state.borrow_mut();
             for (&node, extents) in &per_server {
-                let bytes: u64 = extents.iter().map(|(_, l)| l).sum();
+                let bytes: u64 = extents.iter().map(|x| extent_alloc_len(x.len, ck)).sum();
                 if let Some(info) = st.servers.get_mut(&node) {
                     if from_pending {
                         info.pending = info.pending.saturating_sub(bytes);
@@ -908,17 +948,25 @@ impl Master {
             }
         }
         for (node, extents) in per_server {
-            let alive = self
-                .state
-                .borrow()
-                .servers
-                .get(&node)
-                .is_some_and(|s| s.alive);
-            if alive {
-                let _ = self
-                    .server_call(node, SrvReq::FreeExtents { extents })
-                    .await;
-            }
+            self.retire(node, &extents, ck).await;
+        }
+    }
+
+    /// Hands extents no descriptor refers to back to their server `node`:
+    /// freed now if it holds a lease and answers, otherwise remembered for
+    /// its next registration reply.
+    async fn retire(&self, node: u32, extents: &[Extent], ck: bool) {
+        let free = SrvReq::FreeExtents {
+            extents: extents
+                .iter()
+                .map(|x| (x.addr, extent_alloc_len(x.len, ck)))
+                .collect(),
+        };
+        let reachable = self.state.borrow().lapsed_since(node).is_none();
+        if !(reachable && matches!(self.server_call(node, free).await, Ok(SrvResp::Ok))) {
+            let mut st = self.state.borrow_mut();
+            let list = &mut st.retired.entry(node).or_default().extents;
+            list.extend(extents.iter().map(|x| (x.addr, x.rkey)));
         }
     }
 
@@ -928,31 +976,19 @@ impl Master {
     async fn repair_sweep(&self) {
         let mut names: Vec<String> = {
             let st = self.state.borrow();
-            st.regions
-                .iter()
-                .filter(|(name, d)| {
-                    d.groups
-                        .iter()
-                        .flat_map(|g| &g.replicas)
-                        .any(|x| !st.servers.get(&x.node).is_some_and(|s| s.alive))
-                        || st.corrupt.get(*name).is_some_and(|s| !s.is_empty())
-                })
-                .map(|(n, _)| n.clone())
-                .collect()
+            let bad = st.extents(|name, gi, ri, x| !st.alive(x.node) || st.marked(name, gi, ri));
+            bad.map(|(name, ..)| name.to_owned()).collect()
         };
-        // HashMap iteration order is not seeded; sort so repair order (and
-        // with it every trace) is identical across runs.
-        names.sort();
+        names.dedup();
         for name in names {
             self.repair_region(&name).await;
         }
     }
 
     /// Re-replicates every stripe group of `name` that has replicas on dead
-    /// servers or marked corrupt, copying from a surviving intact replica
-    /// and atomically swapping the descriptor entry. Groups with no live
-    /// intact replica are unrecoverable and left degraded; unreplicated
-    /// regions therefore stay `Degraded`.
+    /// servers or marked corrupt, copying from a surviving intact replica.
+    /// Groups with no live intact replica are unrecoverable and left
+    /// degraded; unreplicated regions therefore stay `Degraded`.
     async fn repair_region(&self, name: &str) {
         // One mover per region: if a drain or rebalance is mid-migration
         // here, skip — the next sweep revisits.
@@ -961,63 +997,45 @@ impl Master {
         };
         let groups = {
             let st = self.state.borrow();
-            match st.regions.get(name) {
-                Some(d) => d.groups.clone(),
-                None => return,
-            }
+            st.regions.get(name).map_or(0, |d| d.groups.len())
         };
         let span = self
             .sim
             .tracer()
             .span("core", "rstore.repair", self.dev.node().0 as u64);
         let mut repaired = 0u64;
-        for (gi, group) in groups.iter().enumerate() {
+        for gi in 0..groups {
             // A replica is usable as-is only if its server is alive AND it
             // has not been marked corrupt; both kinds need re-replication,
             // and a corrupt replica must never serve as the copy source.
-            let alive: Vec<bool> = {
+            let (bad, src) = {
                 let st = self.state.borrow();
-                group
-                    .replicas
-                    .iter()
-                    .enumerate()
-                    .map(|(ri, x)| {
-                        st.servers.get(&x.node).is_some_and(|s| s.alive)
-                            && !st
-                                .corrupt
-                                .get(name)
-                                .is_some_and(|marks| marks.contains(&(gi, ri)))
-                    })
-                    .collect()
+                let Some(group) = st.regions.get(name).and_then(|d| d.groups.get(gi)) else {
+                    break;
+                };
+                let replicas = group.replicas.iter().copied().enumerate();
+                let (bad, intact): (Vec<_>, Vec<_>) =
+                    replicas.partition(|(ri, x)| !st.alive(x.node) || st.marked(name, gi, *ri));
+                (bad, intact.first().map(|&(_, x)| x))
             };
-            if alive.iter().all(|&a| a) {
-                continue;
-            }
-            let Some(src_idx) = alive.iter().position(|&a| a) else {
+            let Some(src) = src else {
                 continue;
             };
-            let src = group.replicas[src_idx];
-            let mut group_fully_repaired = true;
-            for (ri, &replica_alive) in alive.iter().enumerate() {
-                if replica_alive {
-                    continue;
-                }
-                let old = group.replicas[ri];
-                if self.repair_extent(name, gi, ri, &src, &old).await {
-                    repaired += 1;
-                } else {
-                    group_fully_repaired = false;
+            let mut group_fully_repaired = !bad.is_empty();
+            for (ri, old) in bad {
+                match self.move_extent(name, gi, ri, old, src, None).await {
+                    MoveOutcome::Moved(_) => repaired += 1,
+                    _ => group_fully_repaired = false,
                 }
             }
-            // A replacement extent holds a point-in-time copy pulled from
-            // `src` while the region was taking traffic: writes issued under
-            // a degraded mapping (and per-slot lock words CASed by writers
-            // mid-episode) landed on the survivors only. Promote the copy
-            // source to replica 0 — the read/CAS primary — so clients keep
-            // seeing the authoritative image; the replacement converges as
-            // new writes land and is only read if the source fails later.
-            // Skipped while any replica of the group is still bad: corruption
-            // marks are keyed by replica index and must stay valid.
+            // A replacement holds a copy pulled from `src` while the region
+            // was degraded: writes issued under a degraded mapping (and
+            // per-slot lock words CASed by writers mid-episode) landed on
+            // the survivors only. Promote the copy source to replica 0 — the
+            // read/CAS primary — so clients keep seeing the authoritative
+            // image. Skipped while any replica of the group is still bad:
+            // corruption marks are keyed by replica index and must stay
+            // valid.
             if group_fully_repaired {
                 let mut st = self.state.borrow_mut();
                 let marked = st
@@ -1027,9 +1045,7 @@ impl Master {
                 if !marked {
                     if let Some(g) = st.regions.get_mut(name).and_then(|d| d.groups.get_mut(gi)) {
                         if let Some(pos) = g.replicas.iter().position(|x| *x == src) {
-                            if pos != 0 {
-                                g.replicas.swap(0, pos);
-                            }
+                            g.replicas.swap(0, pos);
                         }
                     }
                 }
@@ -1044,405 +1060,174 @@ impl Master {
         span.end();
     }
 
-    /// Repairs one dead replica: allocates a replacement extent on a live
-    /// server not already hosting the group, has that server pull the stripe
-    /// from the surviving replica `src` with a one-sided READ, and swaps the
-    /// descriptor entry — but only if the slot still holds `old` (the region
-    /// may have been freed or re-grown while we were copying). Returns
-    /// whether the swap happened.
-    async fn repair_extent(
+    /// The one extent-move protocol, behind repair, drain and rebalance
+    /// alike: replica `ri` of group `gi` of region `name` leaves `old` for
+    /// the best eligible server, **reserve → alloc → fence → copy → swap →
+    /// retire**. `src` is what gets copied: `old` itself for a planned move,
+    /// an intact survivor when `old` is dead or corrupt.
+    ///
+    /// `old` is made unwritable *before* the copy and stays so: a write needs
+    /// every replica, so a client still holding the old descriptor bounces
+    /// off it with `RemoteAccess`, revalidates, and retries onto the new
+    /// replica set — nothing can be acknowledged on extents about to leave
+    /// the descriptor. A host that answers is sealed read-only (same rkey, so
+    /// readers and the copy keep working). The seal is skipped only for a
+    /// host whose lease the master has itself seen lapse: that server
+    /// revoked all remote access on its own before the master could notice
+    /// (`server.rs`), and the swap is refused if it re-registered meanwhile.
+    ///
+    /// Any failure rolls back exactly: the replacement is freed, `old`
+    /// unsealed if this call sealed it, the reservation returned. The caller
+    /// holds the region's [`RegionGuard`]. `charge` is the metric family a
+    /// planned move counts under; repair (`None`) counts per region.
+    async fn move_extent(
         &self,
         name: &str,
         gi: usize,
         ri: usize,
-        src: &Extent,
-        old: &Extent,
-    ) -> bool {
-        let (synthetic, ck) = {
-            let st = self.state.borrow();
-            (
-                st.synthetic.contains(name),
-                st.regions.get(name).is_some_and(|d| d.checksums),
-            )
-        };
-        let phys = extent_alloc_len(old.len, ck);
-        // Pick the live server with the most free capacity that does not
-        // already host a replica of this group, and reserve the bytes.
-        let target = {
-            let mut st = self.state.borrow_mut();
-            let Some(group) = st.regions.get(name).and_then(|d| d.groups.get(gi)) else {
-                return false;
-            };
-            if group.replicas.get(ri) != Some(old) {
-                return false;
-            }
-            let hosts: Vec<u32> = group.replicas.iter().map(|x| x.node).collect();
-            let mut best: Option<(u64, u32)> = None;
-            for (&n, info) in &st.servers {
-                if !info.alive || hosts.contains(&n) || st.draining.contains(&n) {
-                    continue;
-                }
-                let free = info
-                    .capacity
-                    .saturating_sub(info.used)
-                    .saturating_sub(info.pending);
-                if free < phys {
-                    continue;
-                }
-                if best.is_none_or(|(bf, _)| free > bf) {
-                    best = Some((free, n));
-                }
-            }
-            let Some((_, n)) = best else {
-                return false;
-            };
-            st.servers.get_mut(&n).expect("alive server").pending += phys;
-            n
-        };
-        let unreserve = |node: u32, bytes: u64| {
-            let mut st = self.state.borrow_mut();
-            if let Some(info) = st.servers.get_mut(&node) {
-                info.pending = info.pending.saturating_sub(bytes);
-            }
-        };
-        let new_extent = match self
-            .server_call(
-                target,
-                SrvReq::AllocExtents {
-                    count: 1,
-                    len: old.len,
-                    synthetic,
-                    checksums: ck,
-                },
-            )
-            .await
-        {
-            Ok(SrvResp::Extents(v)) if v.len() == 1 => {
-                let (addr, rkey, len) = v[0];
-                Extent {
-                    node: target,
-                    addr,
-                    rkey,
-                    len,
-                }
-            }
-            _ => {
-                unreserve(target, phys);
-                return false;
-            }
-        };
-        let rollback_extent = |master: &Master| {
-            let master = master.clone();
-            async move {
-                let _ = master
-                    .server_call(
-                        target,
-                        SrvReq::FreeExtents {
-                            extents: vec![(new_extent.addr, extent_alloc_len(new_extent.len, ck))],
-                        },
-                    )
-                    .await;
-            }
-        };
-        // Copy the stripe (including the checksum trailer, which must travel
-        // with the data): the target server pulls from the surviving replica
-        // over the data path; the master only orchestrates.
-        let copied = matches!(
-            self.server_call(
-                target,
-                SrvReq::Replicate {
-                    src_node: src.node,
-                    src_addr: src.addr,
-                    src_rkey: src.rkey,
-                    dst_addr: new_extent.addr,
-                    len: phys,
-                },
-            )
-            .await,
-            Ok(SrvResp::Ok)
-        );
-        if !copied {
-            rollback_extent(self).await;
-            unreserve(target, phys);
-            return false;
-        }
-        // Atomic swap, guarded against the region changing underneath. On
-        // success the replaced replica's corruption mark (if any) is
-        // cleared: the slot no longer refers to the bad extent.
-        let (swapped, old_alive) = {
-            let mut st = self.state.borrow_mut();
-            match st
-                .regions
-                .get_mut(name)
-                .and_then(|d| d.groups.get_mut(gi))
-                .and_then(|g| g.replicas.get_mut(ri))
-            {
-                Some(slot) if slot == old => {
-                    *slot = new_extent;
-                    if let Some(marks) = st.corrupt.get_mut(name) {
-                        marks.remove(&(gi, ri));
-                        if marks.is_empty() {
-                            st.corrupt.remove(name);
-                        }
-                    }
-                    // Transfer the accounting in the same borrow as the
-                    // descriptor swap: the new extent becomes `used` on the
-                    // target, the old one stops being `used` on the source.
-                    if let Some(info) = st.servers.get_mut(&target) {
-                        info.pending = info.pending.saturating_sub(phys);
-                        info.used += phys;
-                    }
-                    if let Some(info) = st.servers.get_mut(&old.node) {
-                        info.used = info.used.saturating_sub(phys);
-                    }
-                    let old_alive = st.servers.get(&old.node).is_some_and(|s| s.alive);
-                    (true, old_alive)
-                }
-                _ => (false, false),
-            }
-        };
-        if !swapped {
-            rollback_extent(self).await;
-            unreserve(target, phys);
-            return false;
-        }
-        // A dead server's copy is abandoned with the server (if it flaps
-        // back, its arena is assumed lost wholesale, matching the
-        // volatile-DRAM failure model) — but a *corrupt* replica's server is
-        // alive and still holds the extent, so free it there. Either way the
-        // accounting is released so the capacity books stay balanced.
-        if old_alive {
-            let _ = self
-                .server_call(
-                    old.node,
-                    SrvReq::FreeExtents {
-                        extents: vec![(old.addr, phys)],
-                    },
-                )
-                .await;
-        }
-        self.sim
-            .tracer()
-            .instant("core", "rstore.repair.extent", old.node as u64, old.len);
-        true
-    }
-
-    /// Migrates one live extent off `old.node` onto the best eligible
-    /// server: **seal → copy → swap → free**. The source is first sealed
-    /// read-only (same rkey — readers keep serving), so no client WRITE/CAS
-    /// can land between the point-in-time copy and the descriptor swap;
-    /// sealed writers fault with `RemoteAccess`, revalidate their
-    /// descriptor, and retry against the new home. Any mid-protocol failure
-    /// rolls back exactly: the replacement is freed, the source unsealed,
-    /// and the pending reservation returned. The caller must hold the
-    /// region's [`RegionGuard`]. `charge` is the metric family the move
-    /// counts under (drain or rebalance).
-    async fn migrate_extent(
-        &self,
-        name: &str,
-        gi: usize,
-        ri: usize,
-        old: &Extent,
-        charge: &MoveStats,
-    ) -> MigrateOutcome {
-        let (synthetic, ck) = {
-            let st = self.state.borrow();
-            if st.corrupt.get(name).is_some_and(|m| m.contains(&(gi, ri))) {
-                // Corrupt replicas are the repair task's to rebuild (it
-                // copies from an intact source); migrating one would spread
-                // the bad bytes.
-                return MigrateOutcome::Gone;
-            }
-            (
-                st.synthetic.contains(name),
-                st.regions.get(name).is_some_and(|d| d.checksums),
-            )
-        };
-        let phys = extent_alloc_len(old.len, ck);
+        old: Extent,
+        src: Extent,
+        charge: Option<&MoveStats>,
+    ) -> MoveOutcome {
         // Pick the live, non-draining server with the most free capacity
         // that does not already host a replica of this group, and reserve.
-        let target = {
+        let (target, ck, alloc, lapsed) = {
             let mut st = self.state.borrow_mut();
-            let Some(group) = st.regions.get(name).and_then(|d| d.groups.get(gi)) else {
-                return MigrateOutcome::Gone;
+            let st = &mut *st;
+            let Some(desc) = st.regions.get(name) else {
+                return MoveOutcome::Gone;
             };
-            if group.replicas.get(ri) != Some(old) {
-                return MigrateOutcome::Gone;
-            }
-            let hosts: Vec<u32> = group.replicas.iter().map(|x| x.node).collect();
-            let mut best: Option<(u64, u32)> = None;
-            for (&n, info) in &st.servers {
-                if !info.alive || hosts.contains(&n) || st.draining.contains(&n) {
-                    continue;
+            let hosts: Vec<u32> = match desc.groups.get(gi) {
+                Some(g) if g.replicas.get(ri) == Some(&old) => {
+                    g.replicas.iter().map(|x| x.node).collect()
                 }
-                let free = info
-                    .capacity
-                    .saturating_sub(info.used)
-                    .saturating_sub(info.pending);
-                if free < phys {
-                    continue;
-                }
-                if best.is_none_or(|(bf, _)| free > bf) {
-                    best = Some((free, n));
-                }
-            }
-            let Some((_, n)) = best else {
-                return MigrateOutcome::NoCapacity;
+                _ => return MoveOutcome::Gone,
             };
-            st.servers.get_mut(&n).expect("alive server").pending += phys;
-            n
+            // Corrupt replicas are the repair task's to rebuild (it copies
+            // from an intact source); migrating one would spread bad bytes.
+            if src == old && st.marked(name, gi, ri) {
+                return MoveOutcome::Gone;
+            }
+            let phys = extent_alloc_len(old.len, desc.checksums);
+            let eligible = st
+                .servers
+                .iter()
+                .filter(|(n, info)| info.alive && !hosts.contains(n) && !st.draining.contains(n));
+            let roomiest = eligible
+                .map(|(&n, info)| (info.capacity.saturating_sub(info.used + info.pending), n))
+                .filter(|&(free, _)| free >= phys)
+                .max_by_key(|&(free, n)| (free, Reverse(n)));
+            let Some((_, target)) = roomiest else {
+                return MoveOutcome::NoCapacity;
+            };
+            let alloc = SrvReq::AllocExtents {
+                count: 1,
+                len: old.len,
+                synthetic: st.synthetic.contains(name),
+                checksums: desc.checksums,
+            };
+            st.servers.get_mut(&target).expect("alive server").pending += phys;
+            (target, desc.checksums, alloc, st.lapsed_since(old.node))
         };
-        let unreserve = |node: u32, bytes: u64| {
-            let mut st = self.state.borrow_mut();
-            if let Some(info) = st.servers.get_mut(&node) {
-                info.pending = info.pending.saturating_sub(bytes);
+        let phys = extent_alloc_len(old.len, ck);
+        let unreserve = || {
+            if let Some(info) = self.state.borrow_mut().servers.get_mut(&target) {
+                info.pending = info.pending.saturating_sub(phys);
             }
         };
-        let new_extent = match self
-            .server_call(
-                target,
-                SrvReq::AllocExtents {
-                    count: 1,
-                    len: old.len,
-                    synthetic,
-                    checksums: ck,
-                },
-            )
-            .await
-        {
-            Ok(SrvResp::Extents(v)) if v.len() == 1 => {
-                let (addr, rkey, len) = v[0];
-                Extent {
-                    node: target,
-                    addr,
-                    rkey,
-                    len,
-                }
-            }
+        let new = match self.server_call(target, alloc).await {
+            Ok(SrvResp::Extents(v)) if v.len() == 1 => Extent {
+                node: target,
+                addr: v[0].0,
+                rkey: v[0].1,
+                len: v[0].2,
+            },
             _ => {
-                unreserve(target, phys);
-                return MigrateOutcome::Failed;
+                unreserve();
+                return MoveOutcome::Failed;
             }
         };
-        let free_new = |master: &Master| {
-            let master = master.clone();
-            async move {
-                let _ = master
-                    .server_call(
-                        target,
-                        SrvReq::FreeExtents {
-                            extents: vec![(new_extent.addr, extent_alloc_len(new_extent.len, ck))],
-                        },
-                    )
-                    .await;
-            }
+        let set_writable = |writable: bool| {
+            let rkey = old.rkey;
+            self.server_call(old.node, SrvReq::SetAccess { rkey, writable })
         };
-        // Seal the source read-only before the copy. From here until the
-        // swap (or the rollback unseal), writers to this extent bounce.
-        let sealed = matches!(
-            self.server_call(
-                old.node,
-                SrvReq::SetAccess {
-                    rkey: old.rkey,
-                    writable: false,
-                },
-            )
-            .await,
-            Ok(SrvResp::Ok)
-        );
-        if !sealed {
-            free_new(self).await;
-            unreserve(target, phys);
-            return MigrateOutcome::Failed;
-        }
-        self.sim
-            .forensics()
-            .note("migrate", "extent_sealed", old.node as u64);
-        let unseal = |master: &Master| {
-            let master = master.clone();
-            async move {
-                let _ = master
-                    .server_call(
-                        old.node,
-                        SrvReq::SetAccess {
-                            rkey: old.rkey,
-                            writable: true,
-                        },
-                    )
-                    .await;
-            }
-        };
-        // Point-in-time copy over the data path: the target pulls the
-        // sealed source (stripe + trailer) with a one-sided READ.
-        let copied = matches!(
-            self.server_call(
-                target,
-                SrvReq::Replicate {
-                    src_node: old.node,
-                    src_addr: old.addr,
-                    src_rkey: old.rkey,
-                    dst_addr: new_extent.addr,
-                    len: phys,
-                },
-            )
-            .await,
-            Ok(SrvResp::Ok)
-        );
-        if !copied {
-            self.sim
-                .forensics()
-                .note("migrate", "extent_unsealed", old.node as u64);
-            unseal(self).await;
-            free_new(self).await;
-            unreserve(target, phys);
-            return MigrateOutcome::Failed;
-        }
-        // Atomic descriptor swap, guarded against the region changing
-        // underneath, with the accounting transferred in the same borrow.
-        let swapped = {
-            let mut st = self.state.borrow_mut();
-            match st
-                .regions
-                .get_mut(name)
-                .and_then(|d| d.groups.get_mut(gi))
-                .and_then(|g| g.replicas.get_mut(ri))
-            {
-                Some(slot) if slot == old => {
-                    *slot = new_extent;
-                    if let Some(info) = st.servers.get_mut(&target) {
-                        info.pending = info.pending.saturating_sub(phys);
-                        info.used += phys;
-                    }
-                    if let Some(info) = st.servers.get_mut(&old.node) {
-                        info.used = info.used.saturating_sub(phys);
-                    }
-                    true
+        let mut sealed = false;
+        let failed = 'protocol: {
+            // From here until the swap (or the rollback), writers to `old`
+            // bounce.
+            if lapsed.is_none() {
+                if !matches!(set_writable(false).await, Ok(SrvResp::Ok)) {
+                    break 'protocol Some(MoveOutcome::Failed);
                 }
-                _ => false,
+                sealed = true;
+                self.sim
+                    .forensics()
+                    .note("migrate", "extent_sealed", old.node as u64);
             }
+            // Point-in-time copy over the data path: the target pulls the
+            // stripe (trailer included — it must travel with the data) with
+            // a one-sided READ; the master only orchestrates.
+            let copy = SrvReq::Replicate {
+                src_node: src.node,
+                src_addr: src.addr,
+                src_rkey: src.rkey,
+                dst_addr: new.addr,
+                len: phys,
+            };
+            if !matches!(self.server_call(target, copy).await, Ok(SrvResp::Ok)) {
+                break 'protocol Some(MoveOutcome::Failed);
+            }
+            // Atomic descriptor swap, guarded against the region changing
+            // underneath — and, for an unsealed `old`, against its host
+            // having been back in service since — with the accounting and
+            // the corruption mark moved in the same borrow.
+            let mut st = self.state.borrow_mut();
+            let fenced = sealed || st.lapsed_since(old.node) == lapsed;
+            let slot = st.regions.get_mut(name).and_then(|d| d.groups.get_mut(gi));
+            match slot.and_then(|g| g.replicas.get_mut(ri)) {
+                Some(slot) if *slot == old && fenced => *slot = new,
+                _ => break 'protocol Some(MoveOutcome::Gone),
+            }
+            if src != old {
+                // The slot no longer refers to the bad extent.
+                if let Some(marks) = st.corrupt.get_mut(name) {
+                    marks.remove(&(gi, ri));
+                }
+            }
+            if let Some(info) = st.servers.get_mut(&target) {
+                info.pending = info.pending.saturating_sub(phys);
+                info.used += phys;
+            }
+            if let Some(info) = st.servers.get_mut(&old.node) {
+                info.used = info.used.saturating_sub(phys);
+            }
+            None
         };
-        if !swapped {
-            unseal(self).await;
-            free_new(self).await;
-            unreserve(target, phys);
-            return MigrateOutcome::Gone;
+        if let Some(outcome) = failed {
+            if sealed {
+                self.sim
+                    .forensics()
+                    .note("migrate", "extent_unsealed", old.node as u64);
+                let _ = set_writable(true).await;
+            }
+            self.retire(target, &[new], ck).await;
+            unreserve();
+            return outcome;
         }
-        // Free the source extent (dropping its MR — stale cached
-        // descriptors now fault RemoteAccess and revalidate).
-        let _ = self
-            .server_call(
-                old.node,
-                SrvReq::FreeExtents {
-                    extents: vec![(old.addr, phys)],
-                },
-            )
-            .await;
-        charge.extents.incr();
-        charge.bytes.add(phys);
-        self.sim
-            .tracer()
-            .instant("core", "rstore.migrate.extent", old.node as u64, phys);
-        MigrateOutcome::Moved(phys)
+        // Retire `old`: dropping its MR makes stale cached descriptors fault
+        // `RemoteAccess` and revalidate. A lapsed host frees it when it next
+        // registers, before it serves anything again.
+        self.retire(old.node, &[old], ck).await;
+        let tracer = self.sim.tracer();
+        match charge {
+            Some(charge) => {
+                charge.extents.incr();
+                charge.bytes.add(phys);
+                tracer.instant("core", "rstore.migrate.extent", old.node as u64, phys);
+            }
+            None => tracer.instant("core", "rstore.repair.extent", old.node as u64, old.len),
+        }
+        MoveOutcome::Moved(phys)
     }
 
     /// Gracefully drains `node`: migrates every extent it hosts onto other
@@ -1488,73 +1273,43 @@ impl Master {
         let mut extents_moved = 0u64;
         let mut bytes_moved = 0u64;
         let mut stalls = 0u32;
+        let remaining = || {
+            let st = self.state.borrow();
+            desc_usage(&st).get(&node).copied().unwrap_or(0)
+        };
         loop {
-            // Regions hosting extents on the node, in sorted order so drain
-            // order (and every trace) is identical across runs.
-            let mut names: Vec<String> = {
+            // Everything movable the node hosts (corrupt replicas are the
+            // repair task's), region by region.
+            let hosted: Vec<(String, usize, usize, Extent)> = {
                 let st = self.state.borrow();
-                st.regions
-                    .iter()
-                    .filter(|(_, d)| {
-                        d.groups
-                            .iter()
-                            .flat_map(|g| &g.replicas)
-                            .any(|x| x.node == node)
-                    })
-                    .map(|(n, _)| n.clone())
+                st.extents(|name, gi, ri, x| x.node == node && !st.marked(name, gi, ri))
+                    .map(|(name, gi, ri, x)| (name.to_owned(), gi, ri, x))
                     .collect()
             };
-            names.sort();
             let mut progressed = false;
-            for name in names {
-                let Some(_guard) = self.try_guard_region(&name) else {
+            for region in hosted.chunk_by(|a, b| a.0 == b.0) {
+                let Some(_guard) = self.try_guard_region(&region[0].0) else {
                     continue; // another mover owns it; next pass revisits
                 };
-                loop {
-                    let found = {
-                        let st = self.state.borrow();
-                        st.regions.get(&name).and_then(|d| {
-                            d.groups.iter().enumerate().find_map(|(gi, g)| {
-                                g.replicas.iter().enumerate().find_map(|(ri, x)| {
-                                    let corrupt = st
-                                        .corrupt
-                                        .get(&name)
-                                        .is_some_and(|m| m.contains(&(gi, ri)));
-                                    (x.node == node && !corrupt).then_some((gi, ri, *x))
-                                })
-                            })
-                        })
-                    };
-                    let Some((gi, ri, old)) = found else {
-                        break;
-                    };
-                    match self
-                        .migrate_extent(&name, gi, ri, &old, &self.stats.drain)
-                        .await
-                    {
-                        MigrateOutcome::Moved(b) => {
+                for &(ref name, gi, ri, old) in region {
+                    let charge = Some(&self.stats.drain);
+                    match self.move_extent(name, gi, ri, old, old, charge).await {
+                        MoveOutcome::Moved(b) => {
                             extents_moved += 1;
                             bytes_moved += b;
                             progressed = true;
                         }
-                        MigrateOutcome::Gone => break, // re-scan next pass
-                        MigrateOutcome::NoCapacity => {
-                            let remaining = {
-                                let st = self.state.borrow();
-                                desc_usage(&st).get(&node).copied().unwrap_or(0)
-                            };
+                        MoveOutcome::NoCapacity => {
                             return Err(RStoreError::InsufficientCapacity {
-                                requested: remaining,
+                                requested: remaining(),
                             });
                         }
-                        MigrateOutcome::Failed => break,
+                        // Re-scan next pass.
+                        MoveOutcome::Gone | MoveOutcome::Failed => break,
                     }
                 }
             }
-            let remaining = {
-                let st = self.state.borrow();
-                desc_usage(&st).get(&node).copied().unwrap_or(0)
-            };
+            let remaining = remaining();
             if remaining == 0 {
                 break;
             }
@@ -1612,30 +1367,15 @@ impl Master {
                     _ => break, // inside the hysteresis band: nothing to do
                 }
             };
-            // First migratable extent on the hot server, in sorted region
-            // order, skipping busy regions and corrupt replicas.
+            // First movable extent on the hot server, skipping busy regions
+            // and corrupt replicas.
             let found = {
                 let st = self.state.borrow();
-                let mut names: Vec<&String> = st.regions.keys().collect();
-                names.sort();
-                let mut found = None;
-                'outer: for name in names {
-                    if st.busy_regions.contains(name) {
-                        continue;
-                    }
-                    let desc = &st.regions[name];
-                    for (gi, g) in desc.groups.iter().enumerate() {
-                        for (ri, x) in g.replicas.iter().enumerate() {
-                            let corrupt =
-                                st.corrupt.get(name).is_some_and(|m| m.contains(&(gi, ri)));
-                            if x.node == src && !corrupt {
-                                found = Some((name.clone(), gi, ri, *x));
-                                break 'outer;
-                            }
-                        }
-                    }
-                }
-                found
+                let movable = |name: &str, gi, ri, x: &Extent| {
+                    x.node == src && !st.busy_regions.contains(name) && !st.marked(name, gi, ri)
+                };
+                let first = st.extents(movable).next();
+                first.map(|(name, gi, ri, x)| (name.to_owned(), gi, ri, x))
             };
             let Some((name, gi, ri, old)) = found else {
                 break;
@@ -1643,13 +1383,11 @@ impl Master {
             let Some(_guard) = self.try_guard_region(&name) else {
                 break;
             };
-            match self
-                .migrate_extent(&name, gi, ri, &old, &self.stats.rebalance)
-                .await
-            {
-                MigrateOutcome::Moved(b) => moved += b,
-                MigrateOutcome::Gone => continue,
-                MigrateOutcome::NoCapacity | MigrateOutcome::Failed => break,
+            let charge = Some(&self.stats.rebalance);
+            match self.move_extent(&name, gi, ri, old, old, charge).await {
+                MoveOutcome::Moved(b) => moved += b,
+                MoveOutcome::Gone => continue,
+                MoveOutcome::NoCapacity | MoveOutcome::Failed => break,
             }
         }
     }
@@ -1711,10 +1449,7 @@ impl Master {
     ) {
         {
             let st = self.state.borrow();
-            if !st.servers.get(&extent.node).is_some_and(|s| s.alive) {
-                return;
-            }
-            if st.corrupt.get(name).is_some_and(|m| m.contains(&(gi, ri))) {
+            if !st.alive(extent.node) || st.marked(name, gi, ri) {
                 return;
             }
         }

@@ -4,6 +4,8 @@
 //! clients, the master, and memory servers. Messages are encoded with a
 //! tiny hand-rolled little-endian format — no external serialization crates.
 
+use std::time::Duration;
+
 use crate::error::{RStoreError, Result};
 
 /// Bytes reserved after each stripe for its checksum trailer: a u64 slot
@@ -63,6 +65,15 @@ impl Enc {
         self
     }
 
+    /// Appends a count-prefixed list of u64 pairs.
+    pub fn pairs(&mut self, pairs: &[(u64, u64)]) -> &mut Self {
+        self.u32(pairs.len() as u32);
+        for (a, b) in pairs {
+            self.u64(*a).u64(*b);
+        }
+        self
+    }
+
     /// Finishes encoding.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -116,6 +127,14 @@ impl<'a> Dec<'a> {
         let bytes = self.take(n)?;
         String::from_utf8(bytes.to_vec())
             .map_err(|_| RStoreError::Protocol("invalid utf-8 in string".into()))
+    }
+
+    /// Reads a count-prefixed list of u64 pairs. Nothing is reserved from
+    /// the count: a truncated message fails at the first missing pair.
+    pub fn pairs(&mut self) -> Result<Vec<(u64, u64)>> {
+        (0..self.u32()?)
+            .map(|_| Ok((self.u64()?, self.u64()?)))
+            .collect()
     }
 
     /// Errors unless the whole buffer was consumed.
@@ -327,7 +346,10 @@ pub enum CtrlReq {
         /// Donated bytes.
         capacity: u64,
     },
-    /// Periodic liveness beacon from a memory server.
+    /// Periodic liveness beacon from a memory server; an acknowledged one
+    /// renews its lease. Answered with [`CtrlResp::Err`] once the master has
+    /// declared the server dead — or forgotten it — which sends the server
+    /// back to [`CtrlReq::RegisterServer`].
     Heartbeat {
         /// Fabric node of the server.
         node: u32,
@@ -591,6 +613,19 @@ pub enum CtrlResp {
         /// Physical bytes migrated away.
         bytes: u64,
     },
+    /// A [`CtrlReq::RegisterServer`] was accepted: the terms the server
+    /// serves under from now on.
+    Registered {
+        /// How long one acknowledged beat keeps the server's extents
+        /// remotely accessible, counted from when the server *sent* it. A
+        /// server that lets this pass unrenewed must revoke all remote
+        /// access itself: the master may by then be replacing its extents.
+        lease: Duration,
+        /// `(addr, rkey)` of extents the master replaced or freed while it
+        /// could not reach the server. The server frees these before it
+        /// restores any access.
+        retire: Vec<(u64, u64)>,
+    },
 }
 
 impl CtrlResp {
@@ -637,6 +672,9 @@ impl CtrlResp {
             }
             CtrlResp::Drained { extents, bytes } => {
                 e.u8(5).u64(*extents).u64(*bytes);
+            }
+            CtrlResp::Registered { lease, retire } => {
+                e.u8(6).u64(lease.as_nanos() as u64).pairs(retire);
             }
         }
         e.into_bytes()
@@ -699,6 +737,11 @@ impl CtrlResp {
                 extents: d.u64()?,
                 bytes: d.u64()?,
             },
+            6 => {
+                let lease = Duration::from_nanos(d.u64()?);
+                let retire = d.pairs()?;
+                CtrlResp::Registered { lease, retire }
+            }
             t => return Err(RStoreError::Protocol(format!("bad resp tag {t}"))),
         };
         d.finish()?;
@@ -730,11 +773,11 @@ pub enum SrvReq {
         /// length ([`extent_alloc_len`] of the granted logical length).
         extents: Vec<(u64, u64)>,
     },
-    /// Pull a remote extent into a local one over the data path (used by
-    /// the master's repair task to re-replicate a stripe): the receiving
-    /// server issues a one-sided READ from `src_node` into `dst_addr`.
+    /// Pull a remote extent into a local one over the data path (the copy
+    /// step of an extent move): the receiving server issues a one-sided READ
+    /// from `src_node` into `dst_addr`.
     Replicate {
-        /// Fabric node of the server holding the surviving replica.
+        /// Fabric node of the server holding the extent to copy.
         src_node: u32,
         /// Source extent start address.
         src_addr: u64,
@@ -746,11 +789,12 @@ pub enum SrvReq {
         len: u64,
     },
     /// Change the remote rights on a registered extent without invalidating
-    /// its rkey. Migration seals the source read-only (`writable: false`)
-    /// before the copy so no client WRITE/CAS can land between the
-    /// point-in-time copy and the descriptor swap — sealed writers fault
-    /// with `RemoteAccess`, refresh the descriptor, and retry on the new
-    /// home. `writable: true` restores full rights (rollback path).
+    /// its rkey. An extent move seals the extent it replaces read-only
+    /// (`writable: false`) before the copy so no client WRITE/CAS can be
+    /// acknowledged on it between the point-in-time copy and the descriptor
+    /// swap — sealed writers fault with `RemoteAccess`, refresh the
+    /// descriptor, and retry on the new replica set. `writable: true`
+    /// restores full rights (rollback path).
     SetAccess {
         /// rkey of the extent's registration.
         rkey: u64,
@@ -777,10 +821,7 @@ impl SrvReq {
                     .u8(*checksums as u8);
             }
             SrvReq::FreeExtents { extents } => {
-                e.u8(1).u32(extents.len() as u32);
-                for (a, l) in extents {
-                    e.u64(*a).u64(*l);
-                }
+                e.u8(1).pairs(extents);
             }
             SrvReq::Replicate {
                 src_node,
@@ -817,14 +858,9 @@ impl SrvReq {
                 synthetic: d.u8()? != 0,
                 checksums: d.u8()? != 0,
             },
-            1 => {
-                let n = d.u32()? as usize;
-                let mut extents = Vec::with_capacity(n);
-                for _ in 0..n {
-                    extents.push((d.u64()?, d.u64()?));
-                }
-                SrvReq::FreeExtents { extents }
-            }
+            1 => SrvReq::FreeExtents {
+                extents: d.pairs()?,
+            },
             2 => SrvReq::Replicate {
                 src_node: d.u32()?,
                 src_addr: d.u64()?,
@@ -1047,6 +1083,14 @@ mod tests {
                 scrub_passes: 7,
             }),
             CtrlResp::Report(ClusterReport::default()),
+            CtrlResp::Registered {
+                lease: Duration::from_millis(500),
+                retire: vec![],
+            },
+            CtrlResp::Registered {
+                lease: Duration::from_millis(50),
+                retire: vec![(0x1000, 7), (0x9000, 12)],
+            },
         ];
         for resp in resps {
             assert_eq!(CtrlResp::decode(&resp.encode()).unwrap(), resp);

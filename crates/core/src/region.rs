@@ -209,62 +209,6 @@ impl Region {
         self.desc.borrow().groups[group].len()
     }
 
-    /// Re-fetches the descriptor from the master because cached placement
-    /// went stale (an extent answered `RemoteAccess`: it was migrated away,
-    /// or is sealed mid-migration). Polls with bounded exponential backoff
-    /// until the master publishes a *different* descriptor, then installs it
-    /// for every clone of this handle. Returns `Ok` even if the descriptor
-    /// never changed within the budget — the caller's single retry then
-    /// surfaces the truth (a migration that rolled back unseals the original
-    /// extent, so the retry succeeds against the unchanged descriptor).
-    ///
-    /// # Errors
-    ///
-    /// Control-path failures, e.g. [`RStoreError::NotFound`] once the region
-    /// has been freed. Callers keep their original IO error in that case —
-    /// "the data is gone" must keep surfacing as `RemoteAccess` for layered
-    /// recovery (the KV generation machinery) to work unchanged.
-    pub(crate) async fn revalidate(&self, ledger: &OpLedger) -> Result<()> {
-        let s = &self.client.shared;
-        s.stats.desc_stale.incr();
-        let trace = ledger.optrace();
-        let reval = trace.begin(Phase::Reval, s.sim.now());
-        let result = self.revalidate_inner(ledger).await;
-        trace.end(reval, s.sim.now());
-        result
-    }
-
-    async fn revalidate_inner(&self, ledger: &OpLedger) -> Result<()> {
-        let s = &self.client.shared;
-        let trace = ledger.optrace();
-        let mut backoff = Duration::from_millis(1);
-        for attempt in 0u64..8 {
-            let fresh = self.client.lookup(self.name()).await?;
-            if fresh != *self.desc.borrow() {
-                s.stats.desc_refresh.incr();
-                s.sim.tracer().instant(
-                    "core",
-                    "rstore.desc.refresh",
-                    s.dev.node().0 as u64,
-                    attempt,
-                );
-                *self.layout.borrow_mut() = Layout::new(&fresh);
-                *self.desc.borrow_mut() = fresh;
-                return Ok(());
-            }
-            if attempt == 7 {
-                break;
-            }
-            // The descriptor has not moved: the extent is still sealed for a
-            // migration/repair in flight, so this backoff is a seal stall.
-            let seal = trace.begin(Phase::Seal, s.sim.now());
-            s.sim.sleep(backoff).await;
-            trace.end(seal, s.sim.now());
-            backoff = (backoff * 2).min(Duration::from_millis(50));
-        }
-        Ok(())
-    }
-
     /// The owning client.
     pub fn client(&self) -> &RStoreClient {
         &self.client
@@ -324,29 +268,68 @@ impl Region {
         result
     }
 
-    /// Runs `round`; on the stale-descriptor signal (every replica some
-    /// piece touched answered `RemoteAccess`: the data was migrated away or
-    /// is sealed mid-migration) revalidates the descriptor and runs it once
-    /// more against the refreshed placement. Region writes are idempotent,
-    /// so re-writing replicas that already landed is safe.
-    async fn with_revalidate<Fut>(&self, ledger: &OpLedger, round: impl Fn() -> Fut) -> Result<()>
+    /// Runs `round`; on the stale-placement signal (every replica some piece
+    /// touched answered `RemoteAccess`: the data was moved away, is sealed
+    /// for a move in flight, or sits on a server fenced for want of a lease)
+    /// re-fetches the descriptor and runs `round` again, up a bounded
+    /// backoff ladder. A changed descriptor is installed for every clone of
+    /// this handle. An unchanged one means a seal or a fence still holds:
+    /// the round is retried after each backoff step, not once at the end,
+    /// because a fence that ends leaves the descriptor as it was — only the
+    /// IO itself can tell (a bounced round costs microseconds). Region
+    /// writes are idempotent, so re-writing replicas that already landed is
+    /// safe.
+    ///
+    /// A failed lookup (e.g. `NotFound` once the region has been freed)
+    /// keeps the original IO error: layered protocols — the KV generation
+    /// machinery — key their own recovery on `RemoteAccess`, not on
+    /// control-path errors.
+    pub(crate) async fn with_revalidate<T, Fut>(
+        &self,
+        ledger: &OpLedger,
+        round: impl Fn() -> Fut,
+    ) -> Result<T>
     where
-        Fut: Future<Output = Result<()>>,
+        Fut: Future<Output = Result<T>>,
     {
-        match round().await {
-            Err(e) if matches!(e, RStoreError::Io(CqStatus::RemoteAccess)) => {
-                // A failed refresh (e.g. the region was freed, so lookup says
-                // NotFound) keeps the original IO error: layered protocols —
-                // the KV generation machinery — key their own recovery on
-                // `RemoteAccess`, not on control-path lookup errors.
-                if self.revalidate(ledger).await.is_err() {
-                    return Err(e);
-                }
-                ledger.retry();
-                round().await
+        let s = &self.client.shared;
+        let trace = ledger.optrace();
+        let mut result = round().await;
+        let mut backoff = Duration::from_millis(1);
+        for attempt in 0u64..7 {
+            if !matches!(result, Err(RStoreError::Io(CqStatus::RemoteAccess))) {
+                break;
             }
-            r => r,
+            if attempt == 0 {
+                s.stats.desc_stale.incr();
+            }
+            let reval = trace.begin(Phase::Reval, s.sim.now());
+            let moved = match self.client.lookup(self.name()).await {
+                Ok(fresh) if fresh != *self.desc.borrow() => {
+                    s.stats.desc_refresh.incr();
+                    let node = s.dev.node().0 as u64;
+                    let tracer = s.sim.tracer();
+                    tracer.instant("core", "rstore.desc.refresh", node, attempt);
+                    *self.layout.borrow_mut() = Layout::new(&fresh);
+                    *self.desc.borrow_mut() = fresh;
+                    Ok(true)
+                }
+                looked_up => looked_up.map(|_| false),
+            };
+            if let Ok(false) = moved {
+                let seal = trace.begin(Phase::Seal, s.sim.now());
+                s.sim.sleep(backoff).await;
+                trace.end(seal, s.sim.now());
+                backoff = (backoff * 2).min(Duration::from_millis(50));
+            }
+            trace.end(reval, s.sim.now());
+            if moved.is_err() {
+                break;
+            }
+            ledger.retry();
+            result = round().await;
         }
+        result
     }
 
     // --- public IO API ----------------------------------------------------------

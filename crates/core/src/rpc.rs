@@ -165,15 +165,17 @@ impl Drop for RpcClient {
 }
 
 /// A one-shot virtual-time deadline that bounds waits on a completion queue.
-///
-/// The timer is deliberately left armed when the call returns early. When it
-/// fires it wakes the calling task once more, wherever that task is by then,
-/// and not every future is indifferent to an extra poll
-/// (`Semaphore::acquire` queues its waker again on each one): that wake-up
-/// is part of the schedule the committed E15 numbers were taken on, and
-/// disarming the timer on drop moves them (CHANGES.md, PR 15).
+/// Disarmed when dropped: a call that returns early leaves no timer behind.
 struct Deadline {
+    sim: sim::Sim,
     state: Rc<DeadlineState>,
+    timer: sim::TimerId,
+}
+
+impl Drop for Deadline {
+    fn drop(&mut self) {
+        self.sim.cancel(self.timer);
+    }
 }
 
 #[derive(Default)]
@@ -195,8 +197,12 @@ impl Deadline {
     /// Schedules the deadline `after` from now.
     fn arm(sim: &sim::Sim, after: Duration) -> Deadline {
         let state = Rc::new(DeadlineState::default());
-        sim.schedule_event(sim.now() + after, &state, 0, 0);
-        Deadline { state }
+        let timer = sim.schedule_event(sim.now() + after, &state, 0, 0);
+        Deadline {
+            sim: sim.clone(),
+            state,
+            timer,
+        }
     }
 
     /// Waits for the next completion on `cq`, or `None` once the deadline

@@ -6,11 +6,14 @@
 //! data path its CPU does **nothing**: clients access its memory with
 //! one-sided RDMA handled entirely by the (simulated) NIC.
 
+use std::cell::{Cell, RefCell};
+use std::collections::{BTreeMap, HashMap};
 use std::fmt;
+use std::rc::Rc;
 use std::time::Duration;
 
-use rdma::{Access, CompletionQueue, CqStatus, DmaBuf, RKey, RdmaDevice, RemoteAddr};
-use sim::Sim;
+use rdma::{Access, CompletionQueue, CqStatus, DmaBuf, Qp, RKey, RdmaDevice, RemoteAddr};
+use sim::{EventSink, Sim, SimTime, TimerId};
 
 use crate::crc::crc32c;
 use crate::error::Result;
@@ -58,6 +61,91 @@ impl fmt::Debug for MemServer {
     }
 }
 
+/// One granted extent: what remote peers may do with it is a function of
+/// this record and of whether the server holds a lease, never set ad hoc.
+struct Grant {
+    rkey: RKey,
+    /// Physical length (trailer included).
+    len: u64,
+    /// Sealed read-only by the master for a move in flight.
+    sealed: bool,
+}
+
+/// What the server serves and on what terms: the extents it has granted, and
+/// the lease under which remote peers may touch them.
+///
+/// **A server without a lease serves nothing.** The lease runs from the
+/// instant the last acknowledged beat was *sent* — never later than the
+/// instant the master counts from — so by the time the master can declare
+/// this server dead and start replacing its extents, every one of them
+/// already answers `RemoteAccess`. The control path (heartbeats,
+/// registration, `SRV_SERVICE`) is SEND/RECV and needs no remotely
+/// accessible memory, so a fenced server can still win its lease back.
+struct Served {
+    dev: RdmaDevice,
+    grants: RefCell<BTreeMap<u64, Grant>>,
+    /// As the master's last registration reply named it.
+    lease: Cell<Duration>,
+    fenced: Cell<bool>,
+    /// When the lease runs out, and the event that fences the server then.
+    lease_end: Cell<SimTime>,
+    expiry: Cell<Option<TimerId>>,
+    /// One copy connection per source server, reused across
+    /// [`SrvReq::Replicate`] calls; taken out of the map while in use.
+    copy_qps: RefCell<HashMap<u32, (Qp, CompletionQueue)>>,
+}
+
+impl EventSink for Served {
+    /// The lease ran out unrenewed.
+    fn fire(self: Rc<Self>, _: u64, _: u64) {
+        self.set_fenced(true);
+    }
+}
+
+impl Served {
+    /// The remote rights of a grant right now.
+    fn access(&self, sealed: bool) -> Access {
+        match (self.fenced.get(), sealed) {
+            (true, _) => Access::LOCAL_ONLY,
+            (false, true) => Access::REMOTE_READ,
+            (false, false) => Access::REMOTE_ALL,
+        }
+    }
+
+    /// Revokes or restores remote access to every grant. Rkeys and sealed
+    /// flags are untouched, so an extent sealed before the fence is still
+    /// sealed after it.
+    fn set_fenced(&self, fenced: bool) {
+        if self.fenced.replace(fenced) != fenced {
+            for g in self.grants.borrow().values() {
+                let _ = self.dev.set_mr_access(g.rkey, self.access(g.sealed));
+            }
+        }
+    }
+
+    /// A beat sent at `sent` was acknowledged: the lease now runs from then.
+    fn renew(self: &Rc<Self>, sent: SimTime) {
+        let sim = self.dev.sim();
+        if let Some(old) = self.expiry.take() {
+            sim.cancel(old);
+        }
+        self.lease_end.set(sent + self.lease.get());
+        let at = self.lease_end.get().max(sim.now());
+        self.expiry.set(Some(sim.schedule_event(at, self, 0, 0)));
+        self.set_fenced(false);
+    }
+
+    /// Frees the extent at `addr` if it is still the grant `rkey` names (by
+    /// now the address may have been freed and granted again).
+    fn retire(&self, addr: u64, rkey: u64) {
+        let mut grants = self.grants.borrow_mut();
+        if grants.get(&addr).is_some_and(|g| g.rkey.0 == rkey) {
+            let g = grants.remove(&addr).expect("checked");
+            let _ = self.dev.free(DmaBuf { addr, len: g.len });
+        }
+    }
+}
+
 impl MemServer {
     /// Starts a memory server on `dev`: registers with the master at
     /// `master`, begins heartbeating, and serves allocation RPCs plus
@@ -72,19 +160,26 @@ impl MemServer {
             dev: dev.clone(),
             sim: dev.sim().clone(),
         };
+        let served = Rc::new(Served {
+            dev: dev.clone(),
+            grants: RefCell::default(),
+            lease: Cell::new(Duration::ZERO),
+            fenced: Cell::new(true),
+            lease_end: Cell::new(SimTime::ZERO),
+            expiry: Cell::new(None),
+            copy_qps: RefCell::default(),
+        });
 
         // Extent allocation service (master -> server).
-        let d = dev.clone();
-        let sim = server.sim.clone();
+        let sv = served.clone();
         let pin_per_mib = cfg.pin_per_mib;
         spawn_rpc_server(
             dev,
             SRV_SERVICE,
             cfg.rpc_cpu,
-            std::rc::Rc::new(move |_peer, req| {
-                let d = d.clone();
-                let sim = sim.clone();
-                Box::pin(async move { handle_srv_req(&d, &sim, pin_per_mib, &req).await.encode() })
+            Rc::new(move |_peer, req| {
+                let sv = sv.clone();
+                Box::pin(async move { handle_srv_req(&sv, pin_per_mib, &req).await.encode() })
             }),
         )?;
 
@@ -109,6 +204,8 @@ impl MemServer {
             let mut conn: Option<RpcClient> = None;
             let mut registered = false;
             loop {
+                let started = sim2.now();
+                let mut acked = false;
                 let req = if registered {
                     CtrlReq::Heartbeat { node }
                 } else {
@@ -117,40 +214,56 @@ impl MemServer {
                         capacity: donate,
                     }
                 };
-                let mut c = match conn.take() {
-                    Some(c) => c,
-                    None => match RpcClient::connect(&dev2, master, CTRL_SERVICE).await {
-                        Ok(mut c) => {
-                            // A dropped heartbeat *response* must cost one
-                            // beat, not the control-path default — the
-                            // master's lease keeps counting while we wait.
-                            c.set_response_timeout(heartbeat);
-                            c
-                        }
-                        Err(_) => {
-                            sim2.sleep(heartbeat).await;
-                            continue;
-                        }
-                    },
+                let dialed = match conn.take() {
+                    Some(c) => Ok(c),
+                    None => RpcClient::connect(&dev2, master, CTRL_SERVICE).await,
                 };
-                match c.call(&req.encode()).await {
-                    Ok(bytes) => {
-                        match CtrlResp::decode(&bytes) {
-                            Ok(CtrlResp::Ok) => registered = true,
-                            // An error response ("unknown server") means the
-                            // master lost its soft state: fall back to
-                            // registration on the next beat.
-                            _ => registered = false,
+                if let Ok(mut c) = dialed {
+                    // A dropped heartbeat *response* must cost one beat, not
+                    // the control-path default — the lease keeps running
+                    // while we wait.
+                    c.set_response_timeout(heartbeat);
+                    let reply = c.call(&req.encode()).await;
+                    let intact = reply.is_ok();
+                    match reply.and_then(|bytes| CtrlResp::decode(&bytes)) {
+                        Ok(CtrlResp::Ok) => acked = true,
+                        // Reconcile before unfence: what the master replaced
+                        // while it could not reach us goes first, so no
+                        // replaced extent is ever reachable again.
+                        Ok(CtrlResp::Registered { lease, retire }) => {
+                            for (addr, rkey) in retire {
+                                served.retire(addr, rkey);
+                            }
+                            served.lease.set(lease);
+                            (registered, acked) = (true, true);
                         }
+                        // An error response means the master does not count
+                        // us as a live server (it lost its soft state, or
+                        // saw our lease lapse); a failed call, that the
+                        // connection broke (master restart / partition) and
+                        // is redialed. Either way: register again.
+                        _ => registered = false,
+                    }
+                    if intact {
                         conn = Some(c);
                     }
-                    Err(_) => {
-                        // Connection broke (master restart / partition):
-                        // redial and re-register.
-                        registered = false;
-                    }
                 }
-                sim2.sleep(heartbeat).await;
+                // An acknowledged beat renews the lease from the instant it
+                // was sent. The next attempt follows a period later, whether
+                // this one was acknowledged or not — unless it failed and
+                // that wait would reach into the last period of the lease
+                // (or the lease is gone): then it follows a period after
+                // this one *started*, which after a time-out is at once.
+                if acked {
+                    served.renew(started);
+                }
+                let now = sim2.now();
+                let next = if acked || now + 2 * heartbeat <= served.lease_end.get() {
+                    now + heartbeat
+                } else {
+                    (started + heartbeat).max(now)
+                };
+                sim2.sleep_until(next).await;
             }
         });
 
@@ -168,7 +281,8 @@ impl MemServer {
     }
 }
 
-async fn handle_srv_req(dev: &RdmaDevice, sim: &Sim, pin_per_mib: Duration, req: &[u8]) -> SrvResp {
+async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> SrvResp {
+    let dev = &sv.dev;
     let req = match SrvReq::decode(req) {
         Ok(r) => r,
         Err(e) => return SrvResp::Err(e.to_string()),
@@ -187,10 +301,11 @@ async fn handle_srv_req(dev: &RdmaDevice, sim: &Sim, pin_per_mib: Duration, req:
             // Charge the pinning/registration cost: this is what makes the
             // control path "slow but once".
             let total_mib = (count as u64 * alloc_len) / (1024 * 1024);
-            sim.sleep(Duration::from_nanos(
-                pin_per_mib.as_nanos() as u64 * total_mib,
-            ))
-            .await;
+            dev.sim()
+                .sleep(Duration::from_nanos(
+                    pin_per_mib.as_nanos() as u64 * total_mib,
+                ))
+                .await;
 
             // A trailer initialized to the CRC of the zero-filled stripe
             // makes never-written stripes verify clean (no false positives).
@@ -225,7 +340,7 @@ async fn handle_srv_req(dev: &RdmaDevice, sim: &Sim, pin_per_mib: Duration, req:
                         return SrvResp::Err(e.to_string());
                     }
                 }
-                match dev.reg_mr(buf, Access::REMOTE_ALL) {
+                match dev.reg_mr(buf, sv.access(false)) {
                     Ok(mr) => {
                         // The granted length is the *logical* extent size;
                         // the trailer is an implementation detail the master
@@ -242,24 +357,36 @@ async fn handle_srv_req(dev: &RdmaDevice, sim: &Sim, pin_per_mib: Duration, req:
                     }
                 }
             }
+            let mut grants = sv.grants.borrow_mut();
+            for (buf, &(_, rkey, _)) in bufs.iter().zip(&granted) {
+                let grant = Grant {
+                    rkey: RKey(rkey),
+                    len: buf.len,
+                    sealed: false,
+                };
+                grants.insert(buf.addr, grant);
+            }
             SrvResp::Extents(granted)
         }
         SrvReq::FreeExtents { extents } => {
             for (addr, len) in extents {
+                sv.grants.borrow_mut().remove(&addr);
                 let _ = dev.free(DmaBuf { addr, len });
             }
             SrvResp::Ok
         }
         SrvReq::SetAccess { rkey, writable } => {
-            // Migration seal: flip the extent's rights in place, keeping the
-            // rkey clients hold. Sealed writers complete with RemoteAccess
-            // and revalidate their descriptor; readers are unaffected.
-            let access = if writable {
-                Access::REMOTE_ALL
-            } else {
-                Access::REMOTE_READ
+            // The seal of an extent move: flip the extent's rights in place,
+            // keeping the rkey clients hold. Sealed writers complete with
+            // RemoteAccess and revalidate their descriptor; readers are
+            // unaffected. Under a fence the flag is only recorded: it takes
+            // effect when access comes back.
+            let mut grants = sv.grants.borrow_mut();
+            let Some(g) = grants.values_mut().find(|g| g.rkey.0 == rkey) else {
+                return SrvResp::Err(rdma::RdmaError::InvalidHandle.to_string());
             };
-            match dev.set_mr_access(RKey(rkey), access) {
+            g.sealed = !writable;
+            match dev.set_mr_access(g.rkey, sv.access(g.sealed)) {
                 Ok(()) => SrvResp::Ok,
                 Err(e) => SrvResp::Err(e.to_string()),
             }
@@ -271,16 +398,20 @@ async fn handle_srv_req(dev: &RdmaDevice, sim: &Sim, pin_per_mib: Duration, req:
             dst_addr,
             len,
         } => {
-            // Repair copy: pull the surviving replica into the local extent
-            // with a one-sided READ over the data path. The source server's
-            // CPU stays idle — only its NIC serves the read.
-            let cq = CompletionQueue::new();
-            let qp = match dev
-                .connect(fabric::NodeId(src_node), DATA_SERVICE, &cq)
-                .await
-            {
-                Ok(qp) => qp,
-                Err(e) => return SrvResp::Err(e.to_string()),
+            // The copy of an extent move: pull the source into the local
+            // extent with a one-sided READ over the data path. The source
+            // server's CPU stays idle — only its NIC serves the read.
+            let cached = sv.copy_qps.borrow_mut().remove(&src_node);
+            let (qp, cq) = match cached.filter(|(qp, _)| !qp.is_errored()) {
+                Some(conn) => conn,
+                None => {
+                    let cq = CompletionQueue::new();
+                    let src = fabric::NodeId(src_node);
+                    match dev.connect(src, DATA_SERVICE, &cq).await {
+                        Ok(qp) => (qp, cq),
+                        Err(e) => return SrvResp::Err(e.to_string()),
+                    }
+                }
             };
             let dst = DmaBuf {
                 addr: dst_addr,
@@ -294,6 +425,7 @@ async fn handle_srv_req(dev: &RdmaDevice, sim: &Sim, pin_per_mib: Duration, req:
                 return SrvResp::Err(e.to_string());
             }
             let cqe = cq.next().await;
+            sv.copy_qps.borrow_mut().insert(src_node, (qp, cq));
             if cqe.status == CqStatus::Success {
                 SrvResp::Ok
             } else {

@@ -12,7 +12,36 @@ use std::task::{Context, Poll, Waker};
 
 struct SemState {
     permits: usize,
-    waiters: VecDeque<Waker>,
+    /// Parked `Acquire`s in arrival order, one entry each.
+    waiters: VecDeque<Waiter>,
+    next_id: u64,
+}
+
+/// The one queue entry of a parked [`Acquire`].
+struct Waiter {
+    id: u64,
+    waker: Waker,
+    /// A `release` has woken this waiter and it has not polled since: it
+    /// stands for a permit it has yet to take.
+    woken: bool,
+}
+
+impl SemState {
+    /// Wakes the longest-waiting waiter that no earlier `release` has
+    /// already woken.
+    fn wake_next(&mut self) {
+        if let Some(w) = self.waiters.iter_mut().find(|w| !w.woken) {
+            w.woken = true;
+            w.waker.wake_by_ref();
+        }
+    }
+
+    /// Takes the entry `id` names out of the queue, if it names one.
+    fn unpark(&mut self, id: &mut Option<u64>) -> Option<Waiter> {
+        let id = id.take()?;
+        let at = self.waiters.iter().position(|w| w.id == id)?;
+        self.waiters.remove(at)
+    }
 }
 
 /// A counting semaphore for limiting concurrency between simulated tasks
@@ -22,6 +51,12 @@ struct SemState {
 /// with [`Semaphore::release`] — no RAII guard is used, because simulated
 /// NIC pipelines often release a permit from a completion handler rather
 /// than from the acquiring task.
+///
+/// Waiters are woken in arrival order. A parked [`Acquire`] owns exactly one
+/// queue entry however often it is polled, keeps its place if the permit it
+/// was woken for is taken by a task that never waited, and hands its wake-up
+/// on when it is dropped — so every `release` reaches a waiter that is still
+/// there to use it.
 #[derive(Clone)]
 pub struct Semaphore {
     state: Rc<RefCell<SemState>>,
@@ -43,6 +78,7 @@ impl Semaphore {
             state: Rc::new(RefCell::new(SemState {
                 permits,
                 waiters: VecDeque::new(),
+                next_id: 0,
             })),
         }
     }
@@ -51,7 +87,7 @@ impl Semaphore {
     pub fn acquire(&self) -> Acquire {
         Acquire {
             sem: self.clone(),
-            queued: false,
+            id: None,
         }
     }
 
@@ -70,9 +106,7 @@ impl Semaphore {
     pub fn release(&self) {
         let mut st = self.state.borrow_mut();
         st.permits += 1;
-        if let Some(w) = st.waiters.pop_front() {
-            w.wake();
-        }
+        st.wake_next();
     }
 
     /// Current number of free permits.
@@ -85,25 +119,65 @@ impl Semaphore {
 #[derive(Debug)]
 pub struct Acquire {
     sem: Semaphore,
-    queued: bool,
+    /// This future's queue entry, while it is parked.
+    id: Option<u64>,
 }
 
 impl Future for Acquire {
     type Output = ();
 
-    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.sem.state.borrow_mut();
+    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
+        let this = self.get_mut();
+        let mut st = this.sem.state.borrow_mut();
         if st.permits > 0 {
             st.permits -= 1;
-            Poll::Ready(())
-        } else {
-            // Re-register each poll; the queue may hold stale wakers for this
-            // future, which is harmless (spurious wakeups re-check permits).
-            st.waiters.push_back(cx.waker().clone());
+            let entry = st.unpark(&mut this.id);
             drop(st);
-            self.queued = true;
-            Poll::Pending
+            drop(entry);
+            return Poll::Ready(());
         }
+        let parked = this
+            .id
+            .and_then(|id| st.waiters.iter_mut().find(|w| w.id == id));
+        match parked {
+            // Polled again with nothing to take (a wake-up meant for another
+            // future of this task, or a permit that went to a task that
+            // never waited): same entry, same place in the queue.
+            Some(w) => {
+                w.woken = false;
+                if !w.waker.will_wake(cx.waker()) {
+                    let stale = std::mem::replace(&mut w.waker, cx.waker().clone());
+                    drop(st);
+                    drop(stale);
+                }
+            }
+            None => {
+                let id = st.next_id;
+                st.next_id += 1;
+                st.waiters.push_back(Waiter {
+                    id,
+                    waker: cx.waker().clone(),
+                    woken: false,
+                });
+                this.id = Some(id);
+            }
+        }
+        Poll::Pending
+    }
+}
+
+impl Drop for Acquire {
+    /// A waiter that gives up leaves the queue, and one that had already
+    /// been woken passes the wake-up to the next in line: the permit it was
+    /// woken for is still there.
+    fn drop(&mut self) {
+        let mut st = self.sem.state.borrow_mut();
+        let entry = st.unpark(&mut self.id);
+        if entry.as_ref().is_some_and(|w| w.woken) && st.permits > 0 {
+            st.wake_next();
+        }
+        drop(st);
+        drop(entry);
     }
 }
 
@@ -343,6 +417,158 @@ mod tests {
         assert!(!sem.try_acquire());
         sem.release();
         assert!(sem.try_acquire());
+    }
+
+    /// A waker that counts its wake-ups, for polling futures by hand.
+    struct Flag(std::sync::atomic::AtomicUsize);
+
+    impl std::task::Wake for Flag {
+        fn wake(self: std::sync::Arc<Self>) {
+            self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    /// One hand-polled `acquire()`: the future, its waker, and how many
+    /// wake-ups the test has seen so far.
+    struct Hand {
+        fut: Pin<Box<Acquire>>,
+        flag: std::sync::Arc<Flag>,
+        seen: usize,
+    }
+
+    impl Hand {
+        fn new(sem: &Semaphore) -> Hand {
+            Hand {
+                fut: Box::pin(sem.acquire()),
+                flag: std::sync::Arc::new(Flag(Default::default())),
+                seen: 0,
+            }
+        }
+
+        fn poll(&mut self) -> bool {
+            let waker = Waker::from(self.flag.clone());
+            self.seen = self.flag.0.load(std::sync::atomic::Ordering::Relaxed);
+            self.fut
+                .as_mut()
+                .poll(&mut Context::from_waker(&waker))
+                .is_ready()
+        }
+
+        /// Whether a wake-up arrived since the last poll.
+        fn woken(&self) -> bool {
+            self.flag.0.load(std::sync::atomic::Ordering::Relaxed) > self.seen
+        }
+    }
+
+    #[test]
+    fn waiter_polled_twice_does_not_strand_the_third() {
+        // The holder releases twice; in between, the first waiter is polled a
+        // second time for an unrelated reason. Its stale queue entry used to
+        // absorb the second release, and the last waiter slept for ever.
+        let sem = Semaphore::new(1);
+        assert!(sem.try_acquire());
+        let (mut a, mut b) = (Hand::new(&sem), Hand::new(&sem));
+        assert!(!a.poll());
+        assert!(!a.poll(), "a spurious poll parks the same entry again");
+        assert!(!b.poll());
+        sem.release();
+        assert!(a.woken() && !b.woken(), "arrival order");
+        assert!(a.poll());
+        sem.release();
+        assert!(b.woken(), "the second release must reach the second waiter");
+        assert!(b.poll());
+        assert_eq!(sem.available(), 0);
+    }
+
+    #[test]
+    fn woken_waiter_dropped_passes_the_permit_on() {
+        let sem = Semaphore::new(1);
+        assert!(sem.try_acquire());
+        let (mut a, mut b) = (Hand::new(&sem), Hand::new(&sem));
+        assert!(!a.poll() && !b.poll());
+        sem.release();
+        assert!(a.woken() && !b.woken());
+        drop(a); // e.g. the losing arm of a timeout, after its wake-up
+        assert!(b.woken(), "the wake-up the dropped waiter held moves on");
+        assert!(b.poll());
+        // A waiter dropped before any wake-up just leaves the queue.
+        let (mut c, mut d) = (Hand::new(&sem), Hand::new(&sem));
+        assert!(!c.poll() && !d.poll());
+        drop(c);
+        sem.release();
+        assert!(d.woken() && d.poll());
+    }
+
+    #[test]
+    fn barged_waiter_keeps_its_place() {
+        // A permit released to waiter `a` is taken by a task that never
+        // waited; `a` finds nothing, and must still be first in line.
+        let sem = Semaphore::new(1);
+        assert!(sem.try_acquire());
+        let (mut a, mut b) = (Hand::new(&sem), Hand::new(&sem));
+        assert!(!a.poll() && !b.poll());
+        sem.release();
+        assert!(sem.try_acquire(), "barge");
+        assert!(!a.poll());
+        sem.release();
+        assert!(a.woken() && !b.woken(), "a is still ahead of b");
+    }
+
+    #[test]
+    fn seeded_mix_matches_a_counting_model() {
+        // 10 000 random steps — new waiter, release, drop, spurious poll,
+        // barge — against a model that only counts. After every step each
+        // woken waiter is polled (as the executor would), and then nobody
+        // may be parked while a permit is free: that is a lost wake-up.
+        const PERMITS: usize = 3;
+        let mut rng = crate::rng::DetRng::new(0x5E4A);
+        let sem = Semaphore::new(PERMITS);
+        let mut parked: Vec<Hand> = Vec::new();
+        let mut held = 0usize; // permits the model says are out
+        for step in 0..10_000 {
+            match rng.range_u64(0, 5) {
+                0 => {
+                    let mut h = Hand::new(&sem);
+                    if h.poll() {
+                        held += 1;
+                    } else {
+                        parked.push(h);
+                    }
+                }
+                1 if held > 0 => {
+                    sem.release();
+                    held -= 1;
+                }
+                2 if !parked.is_empty() => {
+                    let i = rng.range_u64(0, parked.len() as u64) as usize;
+                    drop(parked.remove(i));
+                }
+                3 if !parked.is_empty() => {
+                    let i = rng.range_u64(0, parked.len() as u64) as usize;
+                    if parked[i].poll() {
+                        held += 1;
+                        parked.remove(i);
+                    }
+                }
+                4 if sem.try_acquire() => held += 1,
+                _ => {}
+            }
+            // Run every woken waiter, oldest first, until none is left.
+            while let Some(i) = parked.iter().position(Hand::woken) {
+                if parked[i].poll() {
+                    held += 1;
+                    parked.remove(i);
+                }
+            }
+            assert_eq!(sem.available() + held, PERMITS, "step {step}");
+            assert!(
+                parked.is_empty() || sem.available() == 0,
+                "step {step}: {} waiters parked beside {} free permits",
+                parked.len(),
+                sem.available()
+            );
+        }
+        assert!(parked.len() + held > 0, "the mix must exercise contention");
     }
 
     #[test]

@@ -243,8 +243,8 @@ fn data_path_ops_leave_no_events_behind() {
         kv.put(b"key", &[7u8; 64]).await.unwrap();
         assert!(kv.get(b"key").await.unwrap().is_some());
         region.write(0, &[1u8; 4096]).await.unwrap();
-        // Let the set-up's control RPCs run out their response deadlines:
-        // what stays queued is the servers' heartbeat cycle.
+        // Let the set-up settle: what stays queued is the servers' heartbeat
+        // cycle.
         sim.sleep(Duration::from_secs(2)).await;
         let before = sim.pending_events();
         for _ in 0..10_000 {
@@ -257,6 +257,25 @@ fn data_path_ops_leave_no_events_behind() {
         assert!(
             after <= before,
             "11 000 WRs grew the event queue from {before} to {after} events"
+        );
+        // Control RPCs likewise: each arms a response deadline (1 s by
+        // default) and disarms it when the response arrives, so a thousand
+        // of them — a few milliseconds of virtual time — leave nothing
+        // queued behind them.
+        for _ in 0..1_000 {
+            client.lookup("quiet/region").await.unwrap();
+        }
+        // The servers' heartbeats keep running beside the lookups, and one
+        // in flight holds an event or two of its own for a few µs: take the
+        // least of a few samples.
+        let mut after = usize::MAX;
+        for _ in 0..20 {
+            after = after.min(sim.pending_events());
+            sim.sleep(Duration::from_micros(5)).await;
+        }
+        assert!(
+            after <= before,
+            "1 000 lookups grew the event queue from {before} to {after} events"
         );
     });
     cluster.assert_pins_released();

@@ -8,7 +8,7 @@ use std::time::Duration;
 
 use fabric::FaultPlan;
 use rstore::{
-    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig, RStoreClient,
+    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, Master, MasterConfig, RStoreClient,
     RStoreError, RegionState, ServerConfig,
 };
 
@@ -849,4 +849,459 @@ fn same_membership_plan_traces_identically() {
     let a = traced_membership_run();
     let b = traced_membership_run();
     assert_eq!(a, b, "join/drain/crash/loss under one seed must reproduce");
+}
+
+// --- one extent-move protocol, leases ---------------------------------------
+
+/// A raw one-sided READ of 8 bytes of `x` from `dev`, bypassing every
+/// descriptor: what the memory server's NIC says about that `(addr, rkey)`
+/// right now.
+async fn raw_read(dev: &rdma::RdmaDevice, x: &rstore::Extent) -> rdma::CqStatus {
+    let cq = rdma::CompletionQueue::new();
+    let qp = dev
+        .connect(fabric::NodeId(x.node), rstore::DATA_SERVICE, &cq)
+        .await
+        .expect("dial the data service");
+    let buf = dev.alloc(8).unwrap();
+    let remote = rdma::RemoteAddr {
+        addr: x.addr,
+        rkey: rdma::RKey(x.rkey),
+    };
+    qp.post_read(1, buf, remote).unwrap();
+    let status = cq.next().await.status;
+    dev.free(buf).unwrap();
+    status
+}
+
+/// Checks every server's arena against the master's books. RPC buffers are
+/// whole multiples of [`rstore::rpc::RPC_BUF_BYTES`] and the extents of these
+/// tests are far smaller, so what a server holds beyond such a multiple is
+/// what it has granted to extents: an extent replaced or rolled back but
+/// never freed shows as bytes the master does not know of.
+fn assert_no_server_holds_unbooked_bytes(cluster_servers: &[rstore::MemServer], master: &Master) {
+    let report = master.local_report();
+    for server in cluster_servers {
+        let node = server.node().0;
+        let booked = report.servers.iter().find(|r| r.node == node);
+        assert_eq!(
+            server.mem_used() % rstore::rpc::RPC_BUF_BYTES,
+            booked.map_or(0, |r| r.used),
+            "server {node} holds extent bytes the master has no record of"
+        );
+    }
+}
+
+/// Polls `lookup(name)` every 10 ms until the region is Healthy (bounded).
+async fn wait_healthy(c: &RStoreClient, name: &str) -> rstore::RegionDesc {
+    let sim = c.device().sim().clone();
+    for _ in 0..200 {
+        if let Ok(d) = c.lookup(name).await {
+            if d.state == RegionState::Healthy {
+                return d;
+            }
+        }
+        sim.sleep(Duration::from_millis(10)).await;
+    }
+    panic!("{name} did not return to Healthy");
+}
+
+/// Writes `data` at offset 0 through `region`, retrying a refused write
+/// every 10 ms as a caller would (bounded): refused is fine — the extent is
+/// fenced or sealed and the handle revalidates — parked for ever is not.
+async fn write_until_acked(region: &rstore::Region, data: &[u8], what: &str) {
+    let sim = region.client().device().sim().clone();
+    let mut tries = 0;
+    while let Err(e) = region.write(0, data).await {
+        tries += 1;
+        assert!(tries < 50, "{what}: the write never landed: {e:?}");
+        sim.sleep(Duration::from_millis(10)).await;
+    }
+}
+
+/// One cell of the flap sweep: a 2-replica stripe `[A, X]`, X's link down
+/// for `flap`, then — `delay` after it is back — a write through the handle
+/// that was mapped before the flap.
+fn stale_handle_write_after_flap(flap: Duration, delay: Duration) {
+    let cell = format!("flap {flap:?}, write {delay:?} after link-up");
+    let cluster = boot(4, 2);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let master_handle = cluster.master.clone();
+    let servers = cluster.servers.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let other = RStoreClient::connect(&devs[1], master).await.unwrap();
+        let len = 64 * 1024;
+        let stale = c.alloc("flapped", len, replicated()).await.unwrap();
+        stale.write(0, &vec![1u8; len as usize]).await.unwrap();
+        let before = stale.desc().groups[0].replicas.clone();
+        let x = before[1];
+
+        fabric.set_node_up(fabric::NodeId(x.node), false);
+        s.sleep(flap).await;
+        fabric.set_node_up(fabric::NodeId(x.node), true);
+        s.sleep(delay).await;
+
+        // The stale handle writes. Acknowledged on extents the descriptor
+        // no longer holds is what must not happen.
+        let two = vec![2u8; len as usize];
+        write_until_acked(&stale, &two, &cell).await;
+        let acked_on = stale.desc().groups[0].replicas.clone();
+        let now = other.lookup("flapped").await.unwrap().groups[0]
+            .replicas
+            .clone();
+        for extent in &acked_on {
+            assert!(
+                now.contains(extent),
+                "{cell}: write acknowledged on {extent:?}, descriptor holds {now:?}"
+            );
+        }
+
+        // Whatever repair still has in flight settles; X gets its lease back.
+        let settled = wait_healthy(&other, "flapped").await;
+        for _ in 0..100 {
+            let report = master_handle.local_report();
+            if report.servers.iter().all(|r| r.alive) {
+                break;
+            }
+            s.sleep(Duration::from_millis(10)).await;
+        }
+        assert!(master_handle.local_stats().consistent, "{cell}");
+        assert_no_server_holds_unbooked_bytes(&servers, &master_handle);
+
+        // A replaced extent was handed back to X and freed there: its old
+        // (addr, rkey) answers nothing, for ever.
+        let live = &settled.groups[0].replicas;
+        if !live.contains(&x) {
+            let status = raw_read(&devs[1], &x).await;
+            assert_eq!(
+                status,
+                rdma::CqStatus::RemoteAccess,
+                "{cell}: the replaced extent on X is still served"
+            );
+        }
+
+        // The acknowledged bytes are on every replica: take the primary
+        // down and read what is left through a fresh mapping.
+        let fresh = other.map("flapped").await.unwrap();
+        fabric.set_node_up(fabric::NodeId(live[0].node), false);
+        let got = fresh.read(0, len).await.unwrap();
+        assert!(
+            got == two,
+            "{cell}: after losing the primary the region reads {:#04x}, \
+             acknowledged was 0x02",
+            got[0]
+        );
+    });
+}
+
+#[test]
+fn stale_handle_after_a_flap_never_writes_a_replaced_extent() {
+    for flap in [20, 40, 60, 80, 120, 200] {
+        for delay in [0, 1, 5, 20, 100, 300] {
+            stale_handle_write_after_flap(
+                Duration::from_millis(flap),
+                Duration::from_millis(delay),
+            );
+        }
+    }
+}
+
+/// One run of the corrupt-replica repair schedule: a checksummed 2-replica
+/// stripe whose second replica is corrupted at rest, found by the scrubber
+/// and rebuilt by repair. With `write_at`, one full-stripe write is issued
+/// at exactly that instant and — once repair has settled — checked against
+/// the replacement alone. Returns when the stripe's `rstore.repair.extent`
+/// instant fired.
+fn corrupt_repair_run(write_at: Option<sim::SimTime>) -> sim::SimTime {
+    let cluster = boot(4, 2);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let tracer = sim.tracer();
+    tracer.enable(1 << 16);
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let other = RStoreClient::connect(&devs[1], master).await.unwrap();
+        let len = 64 * 1024;
+        let opts = AllocOptions {
+            checksums: true,
+            ..replicated()
+        };
+        let region = c.alloc("scrubbed", len, opts).await.unwrap();
+        region.write(0, &vec![1u8; len as usize]).await.unwrap();
+        let bad = region.desc().groups[0].replicas[1];
+        FaultPlan::new(0xBAD)
+            .corrupt_at(Duration::from_millis(1), fabric::NodeId(bad.node), 8)
+            .install(&fabric);
+
+        let two = vec![2u8; len as usize];
+        if let Some(at) = write_at {
+            s.sleep_until(at).await;
+            write_until_acked(&region, &two, &format!("write at {at:?}")).await;
+        }
+
+        // The scrubber marks the replica, repair replaces it.
+        let mut repaired_at = None;
+        for _ in 0..300 {
+            let instants = tracer.events();
+            let repair = instants.iter().find(|e| e.name == "rstore.repair.extent");
+            if let Some(e) = repair {
+                repaired_at = Some(e.start);
+                break;
+            }
+            s.sleep(Duration::from_millis(10)).await;
+        }
+        let repaired_at = repaired_at.expect("the scrubber must hand the replica to repair");
+        let settled = wait_healthy(&other, "scrubbed").await;
+        let live = &settled.groups[0].replicas;
+        assert!(!live.contains(&bad), "the corrupt replica was replaced");
+
+        if let Some(at) = write_at {
+            // Only the replacement is left to read from.
+            let fresh = other.map("scrubbed").await.unwrap();
+            fabric.set_node_up(fabric::NodeId(live[0].node), false);
+            let got = fresh.read(0, len).await.unwrap();
+            let lead = repaired_at.saturating_since(at);
+            assert!(
+                got == two,
+                "a write issued {lead:?} before the repair finished was acknowledged, \
+                 yet the replacement reads {:#04x}",
+                got[0]
+            );
+        }
+        repaired_at
+    })
+}
+
+#[test]
+fn write_racing_a_corrupt_replica_repair_reaches_the_replacement() {
+    // The schedule is deterministic: a dry run says when the repair of the
+    // stripe completes, and every 1 µs step of the 40 µs before that gets a
+    // run of its own with one write issued at that step — somewhere in
+    // there lies the window between the copy's READ and the swap.
+    let repaired_at = corrupt_repair_run(None);
+    for lead_us in 1..=40 {
+        let at = sim::SimTime::from_nanos(repaired_at.as_nanos() - lead_us * 1_000);
+        corrupt_repair_run(Some(at));
+    }
+}
+
+/// One run of the repair-rollback schedule on three servers donating 1 MiB
+/// each: the corrupt second replica `S` of a checksummed stripe `[P, S]` can
+/// only be rebuilt on the third server `N`. With `kill_at`, N's link goes
+/// down at that instant for 200 ms and the run checks the rollback and the
+/// books. Returns when the move's seal took effect.
+fn repair_rollback_run(kill_at: Option<sim::SimTime>) -> sim::SimTime {
+    const DONATE: u64 = 1 << 20;
+    let cluster = Cluster::boot(ClusterConfig {
+        clients: 2,
+        master: MasterConfig {
+            lease: Duration::from_millis(50),
+            sweep_interval: Duration::from_millis(20),
+            repair_interval: Duration::from_millis(40),
+            srv_response_timeout: Duration::from_millis(50),
+            ..MasterConfig::default()
+        },
+        server: ServerConfig {
+            donate: DONATE,
+            heartbeat: Duration::from_millis(10),
+            ..ServerConfig::default()
+        },
+        rdma: rdma::RdmaConfig {
+            base_timeout: Duration::from_millis(25),
+            ..rdma::RdmaConfig::default()
+        },
+        ..ClusterConfig::with_servers(3)
+    })
+    .expect("boot");
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let master_handle = cluster.master.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let servers = cluster.servers.clone();
+    let nodes: Vec<u32> = servers.iter().map(|s| s.node().0).collect();
+    let forensics = sim.forensics();
+    forensics.enable(sim::ForensicsConfig::default());
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let other = RStoreClient::connect(&devs[1], master).await.unwrap();
+        let len = 64 * 1024;
+        let opts = AllocOptions {
+            checksums: true,
+            ..replicated()
+        };
+        let region = c.alloc("rolled", len, opts).await.unwrap();
+        region.write(0, &vec![1u8; len as usize]).await.unwrap();
+        let before = region.desc().groups[0].replicas.clone();
+        let bad = before[1];
+        let spare = *nodes
+            .iter()
+            .find(|n| before.iter().all(|x| x.node != **n))
+            .expect("three servers, two replicas");
+        FaultPlan::new(0xBAD)
+            .corrupt_at(Duration::from_millis(1), fabric::NodeId(bad.node), 8)
+            .install(&fabric);
+
+        let two = vec![2u8; len as usize];
+        if let Some(at) = kill_at {
+            s.sleep_until(at).await;
+            fabric.set_node_up(fabric::NodeId(spare), false);
+            // The copy's RPC fails on the transport time-out (25 ms); by
+            // now the move has rolled back, and nothing can replace `S`
+            // while the only spare is away. `S` must take writes again: the
+            // handle's descriptor was never wrong.
+            s.sleep(Duration::from_millis(100)).await;
+            assert_eq!(region.desc().groups[0].replicas, before);
+            region
+                .write(0, &two)
+                .await
+                .expect("the rolled-back move must leave `old` writable");
+            assert_eq!(
+                other.lookup("rolled").await.unwrap().groups[0].replicas,
+                before
+            );
+            assert!(master_handle.local_stats().consistent);
+            s.sleep(Duration::from_millis(100)).await;
+            fabric.set_node_up(fabric::NodeId(spare), true);
+        }
+
+        // The next sweep that finds the spare alive succeeds.
+        let mut sealed_at = None;
+        for _ in 0..300 {
+            let replaced = other.lookup("rolled").await.is_ok_and(|d| {
+                d.state == RegionState::Healthy && !d.groups[0].replicas.contains(&bad)
+            });
+            if replaced {
+                let notes = forensics.era_notes();
+                let seal = notes.iter().find(|n| n.name == "extent_sealed");
+                sealed_at = seal.map(|n| sim::SimTime::from_nanos(n.at_ns));
+                break;
+            }
+            s.sleep(Duration::from_millis(10)).await;
+        }
+        let sealed_at =
+            sealed_at.expect("repair must replace the corrupt replica, sealing it first");
+        if kill_at.is_none() {
+            return sealed_at;
+        }
+        let fresh = other.map("rolled").await.unwrap();
+        assert_eq!(fresh.read(0, len).await.unwrap(), two);
+
+        // The books, to the byte. `S` is empty again; `P` and `N` hold one
+        // extent each. Three one-stripe regions sized to exactly what is
+        // left fit if and only if nothing is still reserved for the move
+        // that rolled back and nothing it granted was left behind.
+        let extent = len + 8;
+        let fill = |stripe_size: u64| AllocOptions {
+            stripe_size,
+            policy: rstore::Policy::CapacityWeighted,
+            ..AllocOptions::default()
+        };
+        c.alloc("fill/s", DONATE, fill(DONATE)).await.unwrap();
+        for name in ["fill/p", "fill/n"] {
+            let rest = DONATE - extent;
+            c.alloc(name, rest, fill(rest))
+                .await
+                .unwrap_or_else(|e| panic!("{name}: capacity leaked by the rollback: {e:?}"));
+        }
+        let st = c.stats().await.unwrap();
+        assert_eq!(st.used, 3 * DONATE, "every donated byte is accounted for");
+        assert!(st.consistent);
+        assert_no_server_holds_unbooked_bytes(&servers, &master_handle);
+        sealed_at
+    })
+}
+
+#[test]
+fn repair_whose_target_dies_before_the_copy_rolls_back_exactly() {
+    // Deterministic schedule: a dry run says when the seal took effect —
+    // `AllocExtents` has been answered, `Replicate` is about to be sent.
+    // The re-run takes the target's link down 1 µs before that.
+    let sealed_at = repair_rollback_run(None);
+    let kill_at = sim::SimTime::from_nanos(sealed_at.as_nanos() - 1_000);
+    let resealed_at = repair_rollback_run(Some(kill_at));
+    assert_eq!(
+        resealed_at, sealed_at,
+        "the first move sealed before it failed"
+    );
+}
+
+#[test]
+fn sixteen_tasks_sharing_one_client_survive_a_flap_on_the_control_gate() {
+    // Every control call of a client goes through one single-permit gate
+    // (`ctrl_sem`), and every call arms a response deadline. A deadline that
+    // outlived its call used to wake its task while that task was queued at
+    // the gate for a later call; the second poll queued a second waker, the
+    // stale one absorbed a `release`, and the workers behind it slept for
+    // ever. Sixteen tasks hammer the gate through a server flap for 400 ms
+    // of virtual time; the run is cut off 3 s later, so a stranded waiter
+    // is a failed assertion, not a hung test binary.
+    let cluster = boot(4, 1);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let dev = cluster.client_devs[0].clone();
+    let master = cluster.master_node();
+    let cfg = rstore::ClientConfig {
+        // Deadlines that come due while the traffic is still running.
+        ctrl_response_timeout: Duration::from_millis(50),
+        ..rstore::ClientConfig::default()
+    };
+    let kv_cfg = KvConfig {
+        buckets: 256,
+        slot_bytes: 128,
+        max_probe: 16,
+        opts: replicated(),
+    };
+    let s = sim.clone();
+    let (shared, victim) = sim.block_on(async move {
+        let c = RStoreClient::connect_with(&dev, master, cfg).await.unwrap();
+        let kv = KvTable::create(&c, "gate", kv_cfg).await.unwrap();
+        kv.put(b"k", b"v").await.unwrap();
+        let data = c.lookup("gate@g1").await.unwrap();
+        (c, fabric::NodeId(data.groups[0].replicas[0].node))
+    });
+
+    let until = sim.now() + Duration::from_millis(400);
+    let workers: Vec<_> = (0..16)
+        .map(|_| {
+            let (c, s) = (shared.clone(), s.clone());
+            sim.spawn(async move {
+                let mut calls = 0u64;
+                while s.now() < until {
+                    // Errors are expected mid-flap; being parked is not.
+                    let _ = c.lookup("gate@g1").await;
+                    let _ = KvTable::open_degraded(&c, "gate", 128, 16).await;
+                    calls += 1;
+                }
+                calls
+            })
+        })
+        .collect();
+    FaultPlan::new(5)
+        .flap(
+            Duration::from_millis(100),
+            victim,
+            Duration::from_millis(60),
+        )
+        .install(&fabric);
+    sim.run_until(until + Duration::from_secs(3));
+
+    let calls: Vec<Option<u64>> = workers.iter().map(|w| w.try_result()).collect();
+    let stranded = calls.iter().filter(|c| c.is_none()).count();
+    assert_eq!(
+        stranded, 0,
+        "{stranded} of 16 workers are still parked at the control gate: {calls:?}"
+    );
+    assert!(
+        calls.iter().flatten().all(|&n| n > 10),
+        "every worker kept making progress: {calls:?}"
+    );
 }
