@@ -4,6 +4,7 @@
 //! bench diff --baseline BENCH_seed.json --current BENCH_pr.json
 //! bench diff --baseline BENCH_seed.json --current BENCH_pr.json \
 //!     --tolerance 0.4 --tolerance gbps=0.6
+//! bench check --report BENCH_pr.json
 //! bench triage --report BENCH_pr.json [--top N]
 //! bench triage --report triage-0001-get-op42.json
 //! ```
@@ -15,15 +16,22 @@
 //! overrides it for every metric whose path contains `SUB`. On failure the
 //! findings are ranked worst-first by relative drift.
 //!
+//! `check` verifies the invariants a report asserts about itself: every
+//! `asserts[*].pass` of every experiment, and that each of E10–E17 present
+//! in the report has an `asserts` block at all. It lists every violation and
+//! exits nonzero if there is one — the step that replaced CI's `grep`s.
+//!
 //! `triage` renders forensics output as ranked blame tables: from a bench
 //! report it prints each experiment's tail exemplars (worst first), from a
 //! flight-recorder triage bundle it prints the failing op's blame, span
 //! tree, ring, and era notes.
 //!
-//! Exit status: 0 in-policy, 1 regression findings, 2 usage or I/O error.
+//! Exit status: 0 in-policy, 1 regression findings or failed asserts, 2
+//! usage or I/O error.
 
 use std::process::ExitCode;
 
+use bench::check::check_report;
 use bench::diff::{diff_reports, load_report, rank_findings, DiffOptions};
 use bench::triage::triage_text;
 
@@ -31,6 +39,7 @@ fn usage() -> ExitCode {
     eprintln!(
         "usage: bench diff --baseline FILE --current FILE \
          [--tolerance F | --tolerance METRIC=F]...\n\
+         \x20      bench check --report FILE\n\
          \x20      bench triage --report FILE [--top N]"
     );
     ExitCode::from(2)
@@ -40,9 +49,38 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("diff") => run_diff(&args[1..]),
+        Some("check") => run_check(&args[1..]),
         Some("triage") => run_triage(&args[1..]),
         _ => usage(),
     }
+}
+
+fn run_check(args: &[String]) -> ExitCode {
+    let [flag, report_path] = args else {
+        return usage();
+    };
+    if flag != "--report" {
+        return usage();
+    }
+    let violations = match load_report("check", report_path).and_then(|doc| check_report(&doc)) {
+        Ok(violations) => violations,
+        Err(e) => {
+            eprintln!("bench check: {report_path}: {e}");
+            return ExitCode::from(2);
+        }
+    };
+    if violations.is_empty() {
+        println!("bench check: every assert in {report_path} passed");
+        return ExitCode::SUCCESS;
+    }
+    println!(
+        "bench check: {} violation(s) in {report_path}:",
+        violations.len()
+    );
+    for v in &violations {
+        println!("  {v}");
+    }
+    ExitCode::FAILURE
 }
 
 fn run_triage(args: &[String]) -> ExitCode {

@@ -71,7 +71,7 @@ fn main() {
         let path = format!("TRACE_{run_id}.json");
         std::fs::write(&path, &trace).expect("write trace file");
         eprintln!("[wrote {path}]");
-        // The tracer ring drops the oldest events once full; the count is
+        // The event ring drops the oldest events once full; the count is
         // exported in the trace's top-level metadata. Warn so a truncated
         // trace isn't mistaken for the full lifecycle.
         if let json::Json::Obj(meta) = &doc {

@@ -10,7 +10,9 @@
 //!
 //! Counters that measure correctness rather than performance (for example
 //! `data_errors`) and boolean health flags are compared exactly: no
-//! tolerance makes a lost write acceptable.
+//! tolerance makes a lost write acceptable. That covers the `pass` flag of
+//! every entry of an experiment's `asserts` array (an assert's `observed`
+//! number keeps its tolerance; whether it passed does not).
 
 use crate::json::Json;
 
@@ -428,6 +430,28 @@ mod tests {
         // The max leaf drifted too (2 -> 3) but stays within tolerance: only
         // the median is pinned.
         assert_eq!(diff_reports(&base, &base, &loose), vec![]);
+    }
+
+    #[test]
+    fn an_assert_that_stops_passing_is_a_finding_at_any_tolerance() {
+        let asserts = |io_errors: u64| {
+            parse(&format!(
+                r#"{{"experiments": {{"e13": {{"asserts": [{{"name": "io_errors",
+                    "expected": "> 0", "observed": {io_errors}, "pass": {}}}]}}}}}}"#,
+                io_errors > 0
+            ))
+            .expect("fixture parses")
+        };
+        let loose = DiffOptions {
+            tolerance: 10.0,
+            overrides: Vec::new(),
+        };
+        // What was observed may drift; whether it passed may not.
+        assert_eq!(diff_reports(&asserts(40), &asserts(37), &loose), vec![]);
+        let findings = diff_reports(&asserts(40), &asserts(0), &loose);
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].path, "experiments.e13.asserts[0].pass");
+        assert!(findings[0].severity.is_infinite());
     }
 
     #[test]

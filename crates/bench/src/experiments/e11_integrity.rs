@@ -150,11 +150,11 @@ fn faulty_case(seed: u64) -> FaultyOutcome {
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
     let metrics = fabric.metrics().clone();
-    let tracer = sim.tracer();
+    let rec = sim.recorder();
 
     let s = sim.clone();
     let metrics_in = metrics.clone();
-    let tracer_in = tracer.clone();
+    let rec_in = rec.clone();
     let (data_errors, loud_errors, healthy_after_repair) = sim.block_on(async move {
         let sim = s;
         let client = RStoreClient::connect(&devs[0], master)
@@ -194,7 +194,7 @@ fn faulty_case(seed: u64) -> FaultyOutcome {
         }
 
         // Record injection/detection instants from here on.
-        tracer_in.enable(1 << 17);
+        rec_in.enable(sim::Level::Off, 1 << 17);
 
         // Phase 1 — in-flight: every WRITE payload in the window loses one
         // bit. Each torn stripe is written exactly once, so flips land in
@@ -292,7 +292,7 @@ fn faulty_case(seed: u64) -> FaultyOutcome {
 
     // Pair injection instants with master marks, oldest first. Counts are
     // structurally equal, so the sorted element-wise match is total.
-    let events = tracer.events();
+    let events = rec.events();
     let ts = |e: &sim::TraceEvent| e.start.saturating_since(sim::SimTime::ZERO).as_nanos() as u64;
     let mut injects: Vec<u64> = events
         .iter()

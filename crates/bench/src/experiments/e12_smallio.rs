@@ -18,7 +18,7 @@ use rdma::DmaBuf;
 use rstore::{
     AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable, RStoreClient, Region,
 };
-use sim::OpSummary;
+use sim::{Level, OpSummary};
 
 use crate::table::{fmt_bytes, Table};
 
@@ -250,18 +250,10 @@ pub fn ops_profile() -> OpsProfile {
     })
     .expect("boot");
     let sim = cluster.sim.clone();
+    sim.recorder().enable(Level::Costs, 0);
     let ops = sim.block_on(async move {
         let dev = cluster.client_devs[0].clone();
-        let client = cluster
-            .client_with(
-                0,
-                ClientConfig {
-                    ledger: true,
-                    ..ClientConfig::default()
-                },
-            )
-            .await
-            .expect("client");
+        let client = cluster.client(0).await.expect("client");
 
         // Plain region: write, per-op reads, one batched posting round.
         let opts = AllocOptions {

@@ -17,10 +17,10 @@ use std::time::Duration;
 
 use fabric::FaultPlan;
 use rstore::{
-    AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig,
-    RStoreClient, RegionState, ServerConfig,
+    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig, RStoreClient,
+    RegionState, ServerConfig,
 };
-use sim::{DetRng, OpSummary, Sampler, Window};
+use sim::{DetRng, Level, OpSummary, Sampler, Window};
 
 use crate::table::{fmt_dur, Table};
 
@@ -159,8 +159,8 @@ pub fn measure() -> TimelineStats {
         .install(&fabric);
 
     let metrics = devs[0].metrics();
-    let sampler = Sampler::new();
-    sampler.enable(WINDOW, WINDOW_CAP);
+    sim.recorder().enable(Level::Costs, 0);
+    let sampler = Sampler::new(WINDOW, WINDOW_CAP);
     for c in COUNTER_SERIES {
         sampler.track_counter(c);
     }
@@ -171,16 +171,9 @@ pub fn measure() -> TimelineStats {
     let m = metrics.clone();
     let (ops_total, io_errors, value_errors, abandoned, healthy) = sim.block_on(async move {
         let sim = s;
-        let client = RStoreClient::connect_with(
-            &devs[0],
-            master,
-            ClientConfig {
-                ledger: true,
-                ..ClientConfig::default()
-            },
-        )
-        .await
-        .expect("connect");
+        let client = RStoreClient::connect(&devs[0], master)
+            .await
+            .expect("connect");
         let cfg = KvConfig {
             buckets: 1024,
             slot_bytes: SLOT_BYTES,

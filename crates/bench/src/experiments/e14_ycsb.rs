@@ -28,8 +28,8 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
-use rstore::{ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable};
-use sim::{DetRng, OpSummary};
+use rstore::{Cluster, ClusterConfig, KvConfig, KvTable};
+use sim::{DetRng, Level, OpSummary};
 use workload::Zipf;
 
 use crate::table::Table;
@@ -155,14 +155,11 @@ fn key(k: u64) -> Vec<u8> {
 pub fn measure() -> YcsbStats {
     let cluster = Cluster::boot(ClusterConfig {
         clients: CLIENTS,
-        client: ClientConfig {
-            ledger: true,
-            ..ClientConfig::default()
-        },
         ..ClusterConfig::with_servers(4)
     })
     .expect("boot");
     let sim = cluster.sim.clone();
+    sim.recorder().enable(Level::Costs, 0);
     let metrics = cluster.client_devs[0].metrics();
     let seed = super::seed_mix(SEED);
 

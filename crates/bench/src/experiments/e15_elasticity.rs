@@ -33,7 +33,7 @@ use rstore::{
     AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig,
     RStoreClient, RegionState, ServerConfig,
 };
-use sim::{DetRng, OpSummary, Sampler, Window};
+use sim::{DetRng, Level, OpSummary, Sampler, Window};
 
 use crate::table::Table;
 
@@ -206,8 +206,8 @@ fn measure_scale(servers: usize) -> ScaleStats {
     let dark_nodes: Vec<fabric::NodeId> = darks.iter().map(|d| d.node()).collect();
 
     let metrics = devs[0].metrics();
-    let sampler = Sampler::new();
-    sampler.enable(WINDOW, WINDOW_CAP);
+    sim.recorder().enable(Level::Costs, 0);
+    let sampler = Sampler::new(WINDOW, WINDOW_CAP);
     for c in COUNTER_SERIES {
         sampler.track_counter(c);
     }
@@ -273,7 +273,6 @@ fn measure_scale(servers: usize) -> ScaleStats {
             &devs[0],
             master,
             ClientConfig {
-                ledger: true,
                 // Under the loss window a dropped master response must cost
                 // one short revalidation round, not the 1s control default —
                 // that second would dominate every op latency it touches.

@@ -27,8 +27,8 @@ use std::time::Instant;
 use rdma::{DmaBuf, RdmaConfig};
 use rstore::crc::{crc32c_scalar, Crc32c};
 use rstore::kv::{hash_key, keys_eq};
-use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable, Region};
-use sim::{DetRng, OpSummary};
+use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, Region};
+use sim::{DetRng, Level, OpSummary};
 
 use crate::table::{fmt_bytes, Table};
 
@@ -164,20 +164,12 @@ fn measure_sge() -> (SgeArm, u64, u64, u64) {
     })
     .expect("boot");
     let sim = cluster.sim.clone();
+    sim.recorder().enable(Level::Costs, 0);
     sim.block_on({
         let sim = sim.clone();
         async move {
             let dev = cluster.client_devs[0].clone();
-            let client = cluster
-                .client_with(
-                    0,
-                    ClientConfig {
-                        ledger: true,
-                        ..ClientConfig::default()
-                    },
-                )
-                .await
-                .expect("client");
+            let client = cluster.client(0).await.expect("client");
             let opts = AllocOptions {
                 stripe_size: STRIPE,
                 ..AllocOptions::default()
@@ -348,18 +340,10 @@ pub fn ops_profile() -> OpsProfile {
     })
     .expect("boot");
     let sim = cluster.sim.clone();
+    sim.recorder().enable(Level::Costs, 0);
     let ops = sim.block_on(async move {
         let dev = cluster.client_devs[0].clone();
-        let client = cluster
-            .client_with(
-                0,
-                ClientConfig {
-                    ledger: true,
-                    ..ClientConfig::default()
-                },
-            )
-            .await
-            .expect("client");
+        let client = cluster.client(0).await.expect("client");
 
         // Plain region: striped writes and reads (16 pieces per full IO),
         // plus one batched posting round.

@@ -25,10 +25,10 @@ use std::time::Duration;
 
 use fabric::FaultPlan;
 use rstore::{
-    AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig,
-    RStoreClient, RegionState, ServerConfig,
+    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig, RStoreClient,
+    RegionState, ServerConfig,
 };
-use sim::{DetRng, EraNote, Exemplar, FlightRec, ForensicsConfig, Phase};
+use sim::{DetRng, EraNote, Exemplar, FlightRec, ForensicsConfig, Level, Phase};
 
 use crate::table::Table;
 
@@ -182,10 +182,9 @@ pub fn measure() -> ForensicsStats {
     let master = cluster.master_node();
     let victim = cluster.servers[1].node();
 
-    let forensics = sim.forensics();
+    let recorder = sim.recorder();
     let fx_cfg = ForensicsConfig::default();
-    forensics.enable(fx_cfg);
-    forensics.attach_metrics(&devs[0].metrics());
+    recorder.enable(Level::Spans(fx_cfg), 0);
 
     let seed = super::seed_mix(SEED);
     FaultPlan::new(seed)
@@ -195,16 +194,9 @@ pub fn measure() -> ForensicsStats {
     let s = sim.clone();
     let (ops_total, io_errors, value_errors, abandoned, healthy) = sim.block_on(async move {
         let sim = s;
-        let client = RStoreClient::connect_with(
-            &devs[0],
-            master,
-            ClientConfig {
-                ledger: true,
-                ..ClientConfig::default()
-            },
-        )
-        .await
-        .expect("connect");
+        let client = RStoreClient::connect(&devs[0], master)
+            .await
+            .expect("connect");
         let cfg = KvConfig {
             buckets: 1024,
             slot_bytes: SLOT_BYTES,
@@ -306,9 +298,9 @@ pub fn measure() -> ForensicsStats {
     });
 
     ForensicsStats {
-        exemplars: forensics.exemplars(),
-        ring: forensics.ring(),
-        era_notes: forensics.era_notes(),
+        exemplars: recorder.exemplars(),
+        ring: recorder.ring(),
+        era_notes: recorder.era_notes(),
         ops_total,
         io_errors,
         value_errors,
@@ -316,10 +308,10 @@ pub fn measure() -> ForensicsStats {
         kill_ns: KILL_AT.as_nanos() as u64,
         window_ns: fx_cfg.window_ns,
         healthy_after_repair: healthy,
-        finished: forensics.finished(),
-        failed: forensics.failed(),
-        bundles: forensics.bundles(),
-        last_bundle: forensics.last_bundle(),
+        finished: recorder.finished(),
+        failed: recorder.failed(),
+        bundles: recorder.bundles(),
+        last_bundle: recorder.last_bundle(),
     }
 }
 

@@ -2,8 +2,9 @@
 //!
 //! [`experiments`] holds one module per reproduced table/figure (E1–E13,
 //! indexed in `DESIGN.md`); the `figures` binary prints them, and the
-//! `bench` binary compares exported reports (`bench diff`, the CI
-//! perf-regression gate):
+//! `bench` binary works on exported reports — `bench diff` (the CI
+//! perf-regression gate), `bench check` (the invariants a report asserts
+//! about itself) and `bench triage`:
 //!
 //! ```text
 //! cargo run -p bench --release --bin figures -- all
@@ -17,6 +18,7 @@
 //! themselves are measured in deterministic virtual time, so the benches'
 //! statistics apply to the engine, not the paper's claims).
 
+pub mod check;
 pub mod diff;
 pub mod experiments;
 pub mod json;

@@ -4,7 +4,12 @@
 //! module: every experiment's tables, plus structured extras where a table
 //! is too lossy (E3 gets a per-layer latency attribution with percentiles).
 //! `figures --trace` captures a representative cluster lifecycle with the
-//! simulator's tracer enabled and dumps it as Chrome trace-event JSON.
+//! simulator's event ring on and dumps it as Chrome trace-event JSON.
+//!
+//! E10–E17 are self-checking: each exports an `asserts` array — the
+//! invariants it claims, as `{name, expected, observed, pass}` built from
+//! the stats it already computes — which `bench check` verifies and
+//! `bench diff` compares exactly (see [`Asserts`]).
 
 use crate::experiments;
 use crate::experiments::e10_availability;
@@ -184,6 +189,45 @@ fn layer_stat_json(s: &LayerStat) -> Json {
     ])
 }
 
+/// The invariants one experiment asserts about its own run, for the
+/// `asserts` array of its report entry. `observed` stays a number or a flag
+/// so that `bench diff` still applies its tolerance to it; `pass` is a flag,
+/// which `bench diff` compares exactly.
+#[derive(Default)]
+struct Asserts(Vec<Json>);
+
+impl Asserts {
+    fn push(&mut self, name: &str, expected: String, observed: Json, pass: bool) {
+        self.0.push(Json::obj([
+            ("name".to_string(), Json::str(name)),
+            ("expected".to_string(), Json::str(expected)),
+            ("observed".to_string(), observed),
+            ("pass".to_string(), Json::Bool(pass)),
+        ]));
+    }
+
+    /// `observed == expected`.
+    fn eq(&mut self, name: &str, observed: u64, expected: u64) {
+        let pass = observed == expected;
+        self.push(name, format!("== {expected}"), Json::int(observed), pass);
+    }
+
+    /// `observed > 0`.
+    fn positive(&mut self, name: &str, observed: u64) {
+        self.push(name, "> 0".to_string(), Json::int(observed), observed > 0);
+    }
+
+    /// `observed` is true.
+    fn holds(&mut self, name: &str, observed: bool) {
+        self.push(name, "true".to_string(), Json::Bool(observed), observed);
+    }
+
+    /// The `ops` block is there: the run recorded per-op costs.
+    fn ops_recorded(&mut self, ops: &[OpSummary]) {
+        self.positive("ops_recorded", ops.len() as u64);
+    }
+}
+
 /// Runs experiment `id` and returns its JSON document: the same tables the
 /// text mode prints, plus structured extras for experiments that have them.
 pub fn experiment_json(id: &str) -> Json {
@@ -192,6 +236,7 @@ pub fn experiment_json(id: &str) -> Json {
         ("id".to_string(), Json::str(id)),
         ("tables".to_string(), Json::Arr(tables)),
     ];
+    let mut asserts = Asserts::default();
     if id == "e3" {
         let attr: Vec<Json> = e3_datapath::attribution()
             .iter()
@@ -201,6 +246,8 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e10" {
         let s = e10_availability::measure();
+        asserts.eq("data_errors", s.data_errors, 0);
+        asserts.holds("healthy_after_repair", s.healthy_after_repair);
         fields.push((
             "availability".to_string(),
             Json::obj([
@@ -223,6 +270,10 @@ pub fn experiment_json(id: &str) -> Json {
     if id == "e11" {
         let s = e11_integrity::measure();
         let injected = s.injected_in_flight + s.injected_at_rest;
+        asserts.eq("data_errors", s.data_errors, 0);
+        asserts.eq("false_positives", s.false_positives, 0);
+        asserts.eq("detected", s.detected, injected);
+        asserts.holds("healthy_after_repair", s.healthy_after_repair);
         fields.push((
             "integrity".to_string(),
             Json::obj([
@@ -318,6 +369,14 @@ pub fn experiment_json(id: &str) -> Json {
             ]),
         ));
         let profile = e12_smallio::ops_profile();
+        asserts.eq("data_errors", s.data_errors, 0);
+        asserts.holds("speedup_4k_ok", s.speedup_4k() >= 1.5);
+        asserts.holds("batched_doorbells_lt_one", s.batched_doorbells_4k() < 1.0);
+        asserts.holds(
+            "multi_get_doorbells_lt_one",
+            profile.multi_get_doorbells_lt_one(),
+        );
+        asserts.ops_recorded(&profile.ops);
         fields.push((
             "ops".to_string(),
             Json::obj([
@@ -331,6 +390,11 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e13" {
         let s = e13_timeline::measure();
+        asserts.eq("value_errors", s.value_errors, 0);
+        asserts.eq("abandoned", s.abandoned, 0);
+        asserts.positive("io_errors", s.io_errors);
+        asserts.holds("healthy_after_repair", s.healthy_after_repair);
+        asserts.ops_recorded(&s.ops);
         let windows: Vec<Json> = s.windows.iter().map(window_json).collect();
         fields.push((
             "timeline".to_string(),
@@ -362,6 +426,12 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e14" {
         let s = e14_ycsb::measure();
+        asserts.eq("data_errors", s.data_errors, 0);
+        asserts.eq("warm_get_rtts", s.warm.get_rtts, 1);
+        asserts.eq("warm_get_doorbells", s.warm.get_doorbells, 1);
+        asserts.eq("warm_put_rtts", s.warm.put_rtts, 2);
+        asserts.eq("warm_delete_rtts", s.warm.delete_rtts, 2);
+        asserts.eq("resize.reader_errors", s.resize.reader_errors, 0);
         let mixes: Vec<Json> = s
             .mixes
             .iter()
@@ -435,6 +505,15 @@ pub fn experiment_json(id: &str) -> Json {
     if id == "e15" {
         let s = e15_elasticity::measure();
         let data_errors: u64 = s.scales.iter().map(|x| x.value_errors + x.abandoned).sum();
+        asserts.eq("data_errors", data_errors, 0);
+        for x in &s.scales {
+            let at = |name: &str| format!("{name}@{}", x.servers);
+            asserts.positive(&at("drain.bytes"), x.drain_bytes);
+            asserts.eq(&at("drain.residual_bytes"), x.drained_residual_bytes, 0);
+            asserts.holds(&at("consistent"), x.consistent);
+            asserts.holds(&at("p99_bounded"), x.p99_bounded());
+            asserts.ops_recorded(&x.ops);
+        }
         let scales: Vec<Json> = s
             .scales
             .iter()
@@ -539,6 +618,10 @@ pub fn experiment_json(id: &str) -> Json {
             ]),
         ));
         let profile = e16_rawspeed::ops_profile();
+        asserts.eq("data_errors", s.data_errors, 0);
+        asserts.holds("one_doorbell_per_qp", s.sge_one_doorbell_per_qp());
+        asserts.holds("read_doorbells_le_qps", profile.read_doorbells_le_qps());
+        asserts.ops_recorded(&profile.ops);
         fields.push((
             "ops".to_string(),
             Json::obj([
@@ -552,6 +635,12 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e17" {
         let s = e17_forensics::measure();
+        asserts.holds("fault_blame_pins_on_stall", s.fault_blame_pins_on_stall());
+        asserts.eq("value_errors", s.value_errors, 0);
+        asserts.eq("abandoned", s.abandoned, 0);
+        asserts.holds("healthy_after_repair", s.healthy_after_repair);
+        asserts.positive("bundles", s.bundles);
+        asserts.positive("exemplars", s.exemplars.len() as u64);
         let spike = s.slowest_fault_exemplar();
         let mut spike_fields = match exemplar_json(spike) {
             Json::Obj(m) => m,
@@ -592,6 +681,9 @@ pub fn experiment_json(id: &str) -> Json {
                 ),
             ]),
         ));
+    }
+    if !asserts.0.is_empty() {
+        fields.push(("asserts".to_string(), Json::Arr(asserts.0)));
     }
     Json::obj(fields)
 }
@@ -643,8 +735,8 @@ pub fn trace_cluster_lifecycle() -> String {
     let cluster = Cluster::boot(ClusterConfig::with_servers(3)).expect("boot");
     let sim = cluster.sim.clone();
     let metrics = cluster.fabric.metrics().clone();
-    let tracer = sim.tracer();
-    tracer.enable(1 << 16);
+    let rec = sim.recorder();
+    rec.enable(sim::Level::Off, 1 << 16);
     sim.block_on(async move {
         let client = cluster.client(0).await.expect("client");
         let opts = AllocOptions {
@@ -664,8 +756,8 @@ pub fn trace_cluster_lifecycle() -> String {
     });
     // Surface ring overflow in the metrics namespace next to the export: any
     // spans the bounded ring evicted mid-run show up as `trace.evicted`.
-    tracer.publish_evicted(&metrics);
-    tracer.export_chrome_trace()
+    rec.publish_evicted(&metrics);
+    rec.export_chrome_trace()
 }
 
 #[cfg(test)]

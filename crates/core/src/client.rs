@@ -12,7 +12,7 @@ use fabric::NodeId;
 use rdma::{CompletionQueue, CqStatus, Qp, RdmaDevice, RdmaError};
 use sim::channel::oneshot;
 use sim::sync::{Semaphore, WaitGroup};
-use sim::{EventSink, Sim, SimTime, TimerId};
+use sim::{EventSink, Recorder, Sim, SimTime, TimerId};
 
 use crate::error::{RStoreError, Result};
 use crate::proto::{
@@ -43,12 +43,6 @@ pub struct ClientConfig {
     /// plain IO is instead grouped into one WR per memory server (see
     /// [`Region`]).
     pub pipeline_depth: usize,
-    /// Enables per-operation cost ledgers ([`sim::OpLedger`]): every
-    /// logical op (`get`/`put`/`read`/`write_ck`/…) records its round
-    /// trips, doorbells, wire bytes, retries/failovers and per-layer time
-    /// split under the `ops.*` metrics namespace. Off by default; a
-    /// disabled ledger costs one branch per charge and allocates nothing.
-    pub ledger: bool,
     /// Capacity of the per-table cached KV index (key → slot hints) that
     /// [`KvTable`](crate::kv::KvTable) handles opened through this client
     /// keep, in entries. A warm hint turns a `get` into a single one-sided
@@ -70,7 +64,6 @@ impl Default for ClientConfig {
             redial_backoff_max: Duration::from_millis(100),
             io_grace: Duration::from_millis(100),
             pipeline_depth: 8,
-            ledger: false,
             kv_hint_capacity: 4096,
             ctrl_response_timeout: crate::rpc::RESPONSE_TIMEOUT,
         }
@@ -88,6 +81,9 @@ struct RedialSlot {
 pub(crate) struct ClientShared {
     pub dev: RdmaDevice,
     pub sim: Sim,
+    /// The simulation's recorder: its level decides, per op, whether a
+    /// ledger is started at all.
+    pub rec: Recorder,
     pub cfg: ClientConfig,
     pub stats: ClientStats,
     master: NodeId,
@@ -162,10 +158,12 @@ impl RStoreClient {
     ) -> Result<RStoreClient> {
         let mut ctrl = RpcClient::connect(dev, master, CTRL_SERVICE).await?;
         ctrl.set_response_timeout(cfg.ctrl_response_timeout);
+        let rec = dev.sim().recorder();
         let shared = Rc::new(ClientShared {
             dev: dev.clone(),
             sim: dev.sim().clone(),
-            stats: ClientStats::resolve(&dev.metrics(), cfg.ledger),
+            stats: ClientStats::resolve(&dev.metrics(), &rec),
+            rec,
             cfg,
             master,
             ctrl_sem: Semaphore::new(1),
@@ -462,15 +460,10 @@ impl RStoreClient {
     #[allow(clippy::await_holding_refcell_ref)] // single-threaded sim; semaphore-guarded
     async fn ctrl_call(&self, req: CtrlReq) -> Result<CtrlResp> {
         let s = &self.shared;
-        let (span_name, latency_metric) = ctrl_op_names(&req);
         s.ctrl_sem.acquire().await;
-        // The span (and histogram) cover the RPC itself, not time queued
-        // behind this client's other control calls.
-        let span = s
-            .sim
-            .tracer()
-            .span("core", span_name, s.dev.node().0 as u64);
-        let t0 = s.sim.now();
+        // The span (and its latency histogram) cover the RPC itself, not
+        // time queued behind this client's other control calls.
+        let span = s.stats.ctrl(&req).span(s.dev.node().0 as u64, 0);
         let result = async {
             let mut conn = match s.ctrl.borrow_mut().take() {
                 Some(c) => c,
@@ -491,9 +484,6 @@ impl RStoreClient {
         .await;
         s.ctrl_sem.release();
         span.end();
-        s.dev
-            .metrics()
-            .record(latency_metric, s.sim.now().saturating_since(t0));
         result
     }
 
@@ -529,28 +519,6 @@ impl RStoreClient {
             }
         }
         Ok(Region::new(self.clone(), desc))
-    }
-}
-
-/// Trace span and latency histogram names for a control-path request.
-fn ctrl_op_names(req: &CtrlReq) -> (&'static str, &'static str) {
-    match req {
-        CtrlReq::Alloc { .. } => ("rstore.ctrl.alloc", "rstore.ctrl_latency.alloc"),
-        CtrlReq::Grow { .. } => ("rstore.ctrl.grow", "rstore.ctrl_latency.grow"),
-        CtrlReq::Lookup { .. } => ("rstore.ctrl.lookup", "rstore.ctrl_latency.lookup"),
-        CtrlReq::Free { .. } => ("rstore.ctrl.free", "rstore.ctrl_latency.free"),
-        CtrlReq::Stat => ("rstore.ctrl.stat", "rstore.ctrl_latency.stat"),
-        CtrlReq::ClusterStats => (
-            "rstore.ctrl.cluster_stats",
-            "rstore.ctrl_latency.cluster_stats",
-        ),
-        CtrlReq::RegisterServer { .. } => ("rstore.ctrl.register", "rstore.ctrl_latency.register"),
-        CtrlReq::Heartbeat { .. } => ("rstore.ctrl.heartbeat", "rstore.ctrl_latency.heartbeat"),
-        CtrlReq::ReportCorruption { .. } => (
-            "rstore.ctrl.report_corruption",
-            "rstore.ctrl_latency.report_corruption",
-        ),
-        CtrlReq::Drain { .. } => ("rstore.ctrl.drain", "rstore.ctrl_latency.drain"),
     }
 }
 

@@ -1060,22 +1060,21 @@ impl KvTable {
     ) -> Result<()> {
         let now = self.dev.sim().now();
         watch.observe(slot, word, now);
-        let trace = ledger.optrace();
         if now >= watch.deadline {
             if let Some((slot, lock)) = watch.breakable(now) {
                 watch.spent = true;
-                let span = trace.begin(Phase::LockBreak, now);
+                let span = ledger.begin(Phase::LockBreak, now);
                 let healed = self.break_orphaned_lock(data, slot, lock, ledger).await;
-                trace.end(span, self.dev.sim().now());
+                ledger.end(span, self.dev.sim().now());
                 if healed {
                     return Ok(());
                 }
             }
             return Err(RStoreError::Io(CqStatus::Timeout));
         }
-        let span = trace.begin(Phase::LockWait, now);
+        let span = ledger.begin(Phase::LockWait, now);
         self.dev.sim().sleep(LOCK_BACKOFF).await;
-        trace.end(span, self.dev.sim().now());
+        ledger.end(span, self.dev.sim().now());
         Ok(())
     }
 
@@ -1492,8 +1491,8 @@ impl KvTable {
     /// client's data QP to the word's server like any READ or WRITE; true if
     /// it won.
     ///
-    /// Records its own `cas` op ledger (when enabled), then folds the costs
-    /// into `parent` so the enclosing put/delete still accounts for the
+    /// Keeps its own `cas` op ledger (when `parent` records), then folds the
+    /// costs into `parent` so the enclosing put/delete still accounts for the
     /// whole logical mutation.
     async fn cas_word(
         &self,
@@ -1615,8 +1614,7 @@ impl KvTable {
     /// this generation's region, not the generation.
     async fn revalidate_generation(&self, ledger: &OpLedger) -> Result<bool> {
         let sim = self.dev.sim();
-        let trace = ledger.optrace();
-        let span = trace.begin(Phase::Reval, sim.now());
+        let span = ledger.begin(Phase::Reval, sim.now());
         let same_gen_deadline = sim.now() + STALE_GEN_BUDGET;
         let moved = Self::poll_meta(&self.meta, self.slot_bytes, ledger, |m| async move {
             if m.generation != self.generation() {
@@ -1629,7 +1627,7 @@ impl KvTable {
             }
         })
         .await;
-        trace.end(span, sim.now());
+        ledger.end(span, sim.now());
         Ok(moved?.unwrap_or(false))
     }
 
@@ -2100,17 +2098,9 @@ mod tests {
         // or DELETE is CAS + one write = 2 RTTs.
         let cluster = boot(1);
         let sim = cluster.sim.clone();
+        sim.recorder().enable(sim::Level::Costs, 0);
         sim.block_on(async move {
-            let client = cluster
-                .client_with(
-                    0,
-                    crate::client::ClientConfig {
-                        ledger: true,
-                        ..Default::default()
-                    },
-                )
-                .await
-                .unwrap();
+            let client = cluster.client(0).await.unwrap();
             let cfg = small_cfg();
             let kv = KvTable::create(&client, "rtt", cfg).await.unwrap();
             // Pick keys whose home slots are pairwise distinct, so every
@@ -2211,17 +2201,9 @@ mod tests {
         // repeat GET must still be exactly one READ.
         let cluster = boot(1);
         let sim = cluster.sim.clone();
+        sim.recorder().enable(sim::Level::Costs, 0);
         sim.block_on(async move {
-            let client = cluster
-                .client_with(
-                    0,
-                    crate::client::ClientConfig {
-                        ledger: true,
-                        ..Default::default()
-                    },
-                )
-                .await
-                .unwrap();
+            let client = cluster.client(0).await.unwrap();
             let cfg = KvConfig {
                 buckets: 8,
                 max_probe: 8,

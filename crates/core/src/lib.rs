@@ -553,8 +553,8 @@ mod tests {
     fn trace_spans_cover_control_and_data_path() {
         let cluster = boot(2);
         let sim = cluster.sim.clone();
-        let tracer = sim.tracer();
-        tracer.enable(4096);
+        let rec = sim.recorder();
+        rec.enable(sim::Level::Off, 4096);
         let metrics = sim.block_on(async move {
             let client = cluster.client(0).await.unwrap();
             let region = client
@@ -565,7 +565,7 @@ mod tests {
             region.read(0, 3).await.unwrap();
             client.device().metrics().clone()
         });
-        let names: Vec<&str> = tracer.events().iter().map(|e| e.name).collect();
+        let names: Vec<&str> = rec.events().iter().map(|e| e.name).collect();
         for expected in ["rstore.ctrl.alloc", "rstore.write", "rstore.read"] {
             assert!(names.contains(&expected), "missing span {expected}");
         }
@@ -573,11 +573,11 @@ mod tests {
         assert_eq!(alloc_lat.len(), 1);
         assert!(alloc_lat.min() > 0, "control RPC must take virtual time");
         // The data-path spans must enclose their constituent WR completions.
-        let read_span = tracer
+        let read_span = rec
             .events()
             .iter()
             .find(|e| e.name == "rstore.read")
-            .cloned()
+            .copied()
             .unwrap();
         assert!(read_span.dur.unwrap_or(0) > 0);
     }

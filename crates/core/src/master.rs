@@ -16,7 +16,7 @@ use std::time::Duration;
 use fabric::NodeId;
 use rdma::{CompletionQueue, CqStatus, Qp, RKey, RdmaDevice, RemoteAddr};
 use sim::sync::Semaphore;
-use sim::{DetRng, Sim, SimTime};
+use sim::{DetRng, Event, Sim, SimTime};
 
 use crate::crc::crc32c;
 use crate::error::{RStoreError, Result};
@@ -25,7 +25,7 @@ use crate::proto::{
     RegionDesc, RegionState, RegionStats, ServerStats, SrvReq, SrvResp, StripeGroup,
 };
 use crate::rpc::{spawn_rpc_server, RpcClient};
-use crate::stats::{MasterStats, MoveStats};
+use crate::stats::MasterStats;
 use crate::{CTRL_SERVICE, SRV_SERVICE};
 
 /// Master configuration.
@@ -277,7 +277,7 @@ impl Master {
         let master = Master {
             dev: dev.clone(),
             sim: dev.sim().clone(),
-            stats: Rc::new(MasterStats::resolve(&dev.metrics())),
+            stats: Rc::new(MasterStats::resolve(&dev.metrics(), &dev.sim().recorder())),
             state: Rc::new(RefCell::new(MState {
                 servers: BTreeMap::new(),
                 regions: HashMap::new(),
@@ -325,7 +325,7 @@ impl Master {
                 // are deterministic when several leases expire in one sweep.
                 expired.sort_unstable();
                 for n in expired {
-                    m.sim.forensics().note("lease", "server_expired", n as u64);
+                    m.stats.server_expired.fire(n as u64, 0);
                 }
             }
         });
@@ -592,10 +592,7 @@ impl Master {
     /// `(region, group, replica)` mark, no matter how many reads or scrub
     /// passes rediscover it.
     fn mark_detected(&self, group: u64, node: u64) {
-        self.stats.detected.incr();
-        self.sim
-            .tracer()
-            .instant("core", "rstore.corrupt.mark", node, group);
+        self.stats.corrupt_mark.fire(node, group);
     }
 
     /// Computes the per-stripe replica placement and reserves capacity.
@@ -999,10 +996,7 @@ impl Master {
             let st = self.state.borrow();
             st.regions.get(name).map_or(0, |d| d.groups.len())
         };
-        let span = self
-            .sim
-            .tracer()
-            .span("core", "rstore.repair", self.dev.node().0 as u64);
+        let span = self.stats.repair.span(self.dev.node().0 as u64, 0);
         let mut repaired = 0u64;
         for gi in 0..groups {
             // A replica is usable as-is only if its server is alive AND it
@@ -1052,10 +1046,7 @@ impl Master {
             }
         }
         if repaired > 0 {
-            self.stats.repair_extents.add(repaired);
-            self.sim
-                .forensics()
-                .note("repair", "extents_repaired", repaired);
+            self.stats.repaired.fire(0, repaired);
         }
         span.end();
     }
@@ -1078,8 +1069,8 @@ impl Master {
     ///
     /// Any failure rolls back exactly: the replacement is freed, `old`
     /// unsealed if this call sealed it, the reservation returned. The caller
-    /// holds the region's [`RegionGuard`]. `charge` is the metric family a
-    /// planned move counts under; repair (`None`) counts per region.
+    /// holds the region's [`RegionGuard`]. `charge` is the event a
+    /// planned move fires; repair (`None`) counts per region.
     async fn move_extent(
         &self,
         name: &str,
@@ -1087,7 +1078,7 @@ impl Master {
         ri: usize,
         old: Extent,
         src: Extent,
-        charge: Option<&MoveStats>,
+        charge: Option<&Event>,
     ) -> MoveOutcome {
         // Pick the live, non-draining server with the most free capacity
         // that does not already host a replica of this group, and reserve.
@@ -1160,9 +1151,7 @@ impl Master {
                     break 'protocol Some(MoveOutcome::Failed);
                 }
                 sealed = true;
-                self.sim
-                    .forensics()
-                    .note("migrate", "extent_sealed", old.node as u64);
+                self.stats.extent_sealed.fire(old.node as u64, 0);
             }
             // Point-in-time copy over the data path: the target pulls the
             // stripe (trailer included — it must travel with the data) with
@@ -1205,9 +1194,7 @@ impl Master {
         };
         if let Some(outcome) = failed {
             if sealed {
-                self.sim
-                    .forensics()
-                    .note("migrate", "extent_unsealed", old.node as u64);
+                self.stats.extent_unsealed.fire(old.node as u64, 0);
                 let _ = set_writable(true).await;
             }
             self.retire(target, &[new], ck).await;
@@ -1218,14 +1205,9 @@ impl Master {
         // `RemoteAccess` and revalidate. A lapsed host frees it when it next
         // registers, before it serves anything again.
         self.retire(old.node, &[old], ck).await;
-        let tracer = self.sim.tracer();
         match charge {
-            Some(charge) => {
-                charge.extents.incr();
-                charge.bytes.add(phys);
-                tracer.instant("core", "rstore.migrate.extent", old.node as u64, phys);
-            }
-            None => tracer.instant("core", "rstore.repair.extent", old.node as u64, old.len),
+            Some(charge) => charge.fire(old.node as u64, phys),
+            None => self.stats.repair_extent.fire(old.node as u64, old.len),
         }
         MoveOutcome::Moved(phys)
     }
@@ -1257,7 +1239,7 @@ impl Master {
                 )));
             }
         }
-        let span = self.sim.tracer().span("core", "rstore.drain", node as u64);
+        let span = self.stats.drain_span.span(node as u64, 0);
         let result = self.drain_inner(node).await;
         if result.is_err() {
             // Failed drains put the node back into normal service; a

@@ -16,7 +16,7 @@ use rdma::{
 };
 use sim::channel::oneshot;
 use sim::sync::Semaphore;
-use sim::{OpLedger, Phase};
+use sim::{Level, OpLedger, Phase};
 
 use crate::client::RStoreClient;
 use crate::crc::crc32c;
@@ -221,36 +221,27 @@ impl Region {
         self.client.sync().await;
     }
 
-    /// Starts a cost ledger for one logical `op` if the owning client has
-    /// ledgers enabled ([`ClientConfig::ledger`](crate::client::ClientConfig::ledger)),
-    /// otherwise the free disabled ledger.
+    /// Starts the ledger of one logical `op`, recording as much as the
+    /// simulation's recorder says ([`sim::Recorder::enable`]): with
+    /// recording off — one `Cell` read — the free disabled ledger.
     pub(crate) fn op_ledger(&self, op: OpKind) -> OpLedger {
         let s = &self.client.shared;
-        let op = if self.checksums { op.checksummed() } else { op };
-        // Resolved at connect iff ledgers are on.
-        let Some(metrics) = s.stats.ops.get(op as usize) else {
+        if matches!(s.rec.level(), Level::Off) {
             return OpLedger::disabled();
-        };
-        let now = s.sim.now();
-        // Causal forensics ride the ledger: when the simulation's
-        // forensics registry is enabled, the op also gets a phase span
-        // tree (otherwise the trace is the free disabled one).
-        let trace = s.sim.forensics().start(op.name(), now);
-        OpLedger::start_traced(metrics, now, trace)
+        }
+        let op = if self.checksums { op.checksummed() } else { op };
+        OpLedger::start(&s.rec, s.stats.op(op), s.sim.now())
     }
 
     /// Finishes `ledger` result-aware: a structured error (corruption,
-    /// timeout, failover exhaustion, capacity) is recorded on the op's
-    /// forensics trace, which makes the registry dump a triage bundle.
+    /// timeout, failover exhaustion, capacity) is recorded with the op,
+    /// which — when spans are recorded — dumps a triage bundle.
     pub(crate) fn finish_ledger_res<T>(&self, ledger: &OpLedger, result: &Result<T>) {
-        let now = self.client.shared.sim.now();
-        match result {
-            Err(e) => match crate::error::forensic_reason(e) {
-                Some(reason) => ledger.finish_err(now, reason),
-                None => ledger.finish(now),
-            },
-            Ok(_) => ledger.finish(now),
-        }
+        let reason = result
+            .as_ref()
+            .err()
+            .and_then(crate::error::forensic_reason);
+        ledger.finish(self.client.shared.sim.now(), reason);
     }
 
     /// Runs `io` on a pooled staging buffer of exactly `len` bytes.
@@ -293,7 +284,6 @@ impl Region {
         Fut: Future<Output = Result<T>>,
     {
         let s = &self.client.shared;
-        let trace = ledger.optrace();
         let mut result = round().await;
         let mut backoff = Duration::from_millis(1);
         for attempt in 0u64..7 {
@@ -303,13 +293,10 @@ impl Region {
             if attempt == 0 {
                 s.stats.desc_stale.incr();
             }
-            let reval = trace.begin(Phase::Reval, s.sim.now());
+            let reval = ledger.begin(Phase::Reval, s.sim.now());
             let moved = match self.client.lookup(self.name()).await {
                 Ok(fresh) if fresh != *self.desc.borrow() => {
-                    s.stats.desc_refresh.incr();
-                    let node = s.dev.node().0 as u64;
-                    let tracer = s.sim.tracer();
-                    tracer.instant("core", "rstore.desc.refresh", node, attempt);
+                    s.stats.desc_refresh.fire(s.dev.node().0 as u64, attempt);
                     *self.layout.borrow_mut() = Layout::new(&fresh);
                     *self.desc.borrow_mut() = fresh;
                     Ok(true)
@@ -317,12 +304,12 @@ impl Region {
                 looked_up => looked_up.map(|_| false),
             };
             if let Ok(false) = moved {
-                let seal = trace.begin(Phase::Seal, s.sim.now());
+                let seal = ledger.begin(Phase::Seal, s.sim.now());
                 s.sim.sleep(backoff).await;
-                trace.end(seal, s.sim.now());
+                ledger.end(seal, s.sim.now());
                 backoff = (backoff * 2).min(Duration::from_millis(50));
             }
-            trace.end(reval, s.sim.now());
+            ledger.end(reval, s.sim.now());
             if moved.is_err() {
                 break;
             }
@@ -527,7 +514,7 @@ impl Region {
         let mut plan = self.plan(&[(offset, buf)], dir == Dir::Write)?;
         let mut waits = Vec::new();
         // The zero-copy API has no logical-op boundary to attribute to; its
-        // WRs stay unledgered.
+        // WRs stay unrecorded.
         let failed = self.post_plan(dir, &mut plan, None, &OpLedger::disabled(), &mut waits);
         IoPool::put(&self.pool.plans, plan);
         Ok(IoHandle {
@@ -542,14 +529,11 @@ impl Region {
     /// loop over whatever failed.
     async fn read_round(&self, ios: &[(u64, DmaBuf)], ledger: &OpLedger) -> Result<()> {
         let s = &self.client.shared;
-        let (name, arg) = match ios {
-            [(_, dst)] => ("rstore.read", dst.len),
-            _ => ("rstore.read_many", ios.len() as u64),
+        let (event, arg) = match ios {
+            [(_, dst)] => (&s.stats.read, dst.len),
+            _ => (&s.stats.read_many, ios.len() as u64),
         };
-        let _span = s
-            .sim
-            .tracer()
-            .span_arg("core", name, s.dev.node().0 as u64, arg);
+        let _span = event.span(s.dev.node().0 as u64, arg);
         let plan = self.plan(ios, false)?;
         if self.checksums {
             let verify = |this: Region, x: Xfer, ledger: OpLedger| async move {
@@ -584,10 +568,7 @@ impl Region {
         ledger: &OpLedger,
     ) -> Result<()> {
         let s = &self.client.shared;
-        let _span = s
-            .sim
-            .tracer()
-            .span_arg("core", "rstore.write", s.dev.node().0 as u64, src.len);
+        let _span = s.stats.write.span(s.dev.node().0 as u64, src.len);
         let plan = self.plan(&[(offset, src)], !self.checksums)?;
         if self.checksums {
             let assemble = |this: Region, x: Xfer, ledger: OpLedger| async move {
@@ -710,12 +691,11 @@ impl Region {
             return Ok(());
         }
         let sim = &self.client.shared.sim;
-        let trace = ledger.optrace();
         // One retry span covers the whole recovery tail. Individual WR waits
         // and failover marks nest inside it, so the span's self-time is
         // exactly the recovery overhead (redials, reposts) not explained by
         // wire.
-        let retry_span = trace.begin(Phase::Retry, sim.now());
+        let retry_span = ledger.begin(Phase::Retry, sim.now());
         let result = 'outer: loop {
             let mut waits = Vec::new();
             for (mut x, status) in std::mem::take(&mut failed) {
@@ -738,8 +718,7 @@ impl Region {
                 if x.replica >= self.replicas(x.piece.group) {
                     break 'outer Err(RStoreError::Io(status));
                 }
-                ledger.failover();
-                trace.mark(Phase::Failover, sim.now());
+                ledger.failover(sim.now());
                 match self.post(Dir::Read, &[x], None, ledger) {
                     Ok(rx) => waits.push((x, rx)),
                     Err(_) => failed.push((x, status)),
@@ -760,7 +739,7 @@ impl Region {
                 break Ok(());
             }
         };
-        trace.end(retry_span, sim.now());
+        ledger.end(retry_span, sim.now());
         result
     }
 
@@ -781,8 +760,7 @@ impl Region {
             return Ok(());
         }
         let sim = &self.client.shared.sim;
-        let trace = ledger.optrace();
-        let span = trace.begin(Phase::Retry, sim.now());
+        let span = ledger.begin(Phase::Retry, sim.now());
         let result = async {
             let mut reposts = Vec::new();
             for (x, _) in failed {
@@ -806,7 +784,7 @@ impl Region {
             Ok(())
         }
         .await;
-        trace.end(span, sim.now());
+        ledger.end(span, sim.now());
         result
     }
 
@@ -962,13 +940,7 @@ impl Region {
                 // it, tell the master (fire-and-forget; the data path must
                 // not block on the control path), and fail over.
                 ledger.verify_failure();
-                s.stats.read_mismatch.incr();
-                s.sim.tracer().instant(
-                    "core",
-                    "rstore.read.corrupt",
-                    node as u64,
-                    want.group as u64,
-                );
+                s.stats.read_corrupt.fire(node as u64, want.group as u64);
                 bad_node = Some(node);
                 let client = self.client.clone();
                 let name = self.name().to_owned();
@@ -984,7 +956,7 @@ impl Region {
                     continue;
                 }
             }
-            ledger.failover();
+            ledger.failover(s.sim.now());
             full.replica += 1;
             full.redialed = false;
         }

@@ -1,14 +1,17 @@
-//! The core layer's metric handles: every `rstore.*`, `kv.*`, `integrity.*`
-//! and migration counter the client, the tables and the master write is
-//! spelled here, once, and resolved when its owner is built, so that the data
-//! path indexes the registry instead of naming it.
+//! The core layer's metric handles and events: every `rstore.*`, `kv.*`,
+//! `integrity.*` and migration name the client, the tables and the master
+//! write — counter, histogram, trace span or era note — is spelled here,
+//! once, and resolved when its owner is built, so that the data path indexes
+//! the registry instead of naming it and records each fact with one call.
 
+use std::cell::OnceCell;
 use std::rc::Rc;
 
-use sim::{Counter, Metrics, OpMetrics};
+use sim::{Counter, Event, Metrics, NoteArg, OpMetrics, Recorder};
 
-/// The op types a client starts cost ledgers for; indexes
-/// [`ClientStats::ops`].
+use crate::proto::CtrlReq;
+
+/// The op types a client starts ledgers for; indexes [`ClientStats::op`].
 #[derive(Clone, Copy, Debug)]
 pub(crate) enum OpKind {
     Read,
@@ -26,8 +29,8 @@ pub(crate) enum OpKind {
 }
 
 impl OpKind {
-    /// The `<op>` of each kind's `ops.<op>.*` metrics and forensics traces,
-    /// in declaration order.
+    /// The `<op>` of each kind's `ops.<op>.*` metrics and flight records, in
+    /// declaration order.
     const NAMES: [&'static str; 12] = [
         "read",
         "read_ck",
@@ -57,48 +60,107 @@ impl OpKind {
     }
 }
 
-/// The client's data-path metrics, resolved once in
-/// `RStoreClient::connect_with`. (Control RPC latencies stay by name:
-/// `ctrl_call` is the control path.)
+/// `(trace span, latency histogram)` of each control RPC, indexed by
+/// [`ctrl_op`].
+const CTRL_OPS: [(&str, &str); 10] = [
+    ("rstore.ctrl.alloc", "rstore.ctrl_latency.alloc"),
+    ("rstore.ctrl.grow", "rstore.ctrl_latency.grow"),
+    ("rstore.ctrl.lookup", "rstore.ctrl_latency.lookup"),
+    ("rstore.ctrl.free", "rstore.ctrl_latency.free"),
+    ("rstore.ctrl.stat", "rstore.ctrl_latency.stat"),
+    (
+        "rstore.ctrl.cluster_stats",
+        "rstore.ctrl_latency.cluster_stats",
+    ),
+    ("rstore.ctrl.register", "rstore.ctrl_latency.register"),
+    ("rstore.ctrl.heartbeat", "rstore.ctrl_latency.heartbeat"),
+    (
+        "rstore.ctrl.report_corruption",
+        "rstore.ctrl_latency.report_corruption",
+    ),
+    ("rstore.ctrl.drain", "rstore.ctrl_latency.drain"),
+];
+
+fn ctrl_op(req: &CtrlReq) -> usize {
+    match req {
+        CtrlReq::Alloc { .. } => 0,
+        CtrlReq::Grow { .. } => 1,
+        CtrlReq::Lookup { .. } => 2,
+        CtrlReq::Free { .. } => 3,
+        CtrlReq::Stat => 4,
+        CtrlReq::ClusterStats => 5,
+        CtrlReq::RegisterServer { .. } => 6,
+        CtrlReq::Heartbeat { .. } => 7,
+        CtrlReq::ReportCorruption { .. } => 8,
+        CtrlReq::Drain { .. } => 9,
+    }
+}
+
+/// The client's metrics and events, resolved once in
+/// `RStoreClient::connect_with`. Spans run on the client's node as track.
 pub(crate) struct ClientStats {
     pub redial_attempts: Counter,
     pub redial_ok: Counter,
     pub desc_stale: Counter,
-    pub desc_refresh: Counter,
+    /// A revalidation installed a changed descriptor (arg = attempt).
+    pub desc_refresh: Event,
     pub inline_writes: Counter,
     pub inline_bytes: Counter,
     pub inflight_max: Counter,
-    pub read_mismatch: Counter,
+    /// A stripe failed verification (track = its node, arg = its group).
+    pub read_corrupt: Event,
     pub read_bytes: Counter,
     pub write_bytes: Counter,
     pub io_timeout: Counter,
-    /// Ledger metrics per [`OpKind`]; empty unless `ClientConfig::ledger`.
-    pub ops: Vec<Rc<OpMetrics>>,
+    /// One read round of one pair (arg = bytes) / of many (arg = pairs).
+    pub read: Event,
+    pub read_many: Event,
+    /// One write round (arg = bytes).
+    pub write: Event,
+    /// One control RPC per [`CTRL_OPS`] row: its span, timed into its
+    /// latency histogram.
+    ctrl: [Event; 10],
+    /// What each [`OpKind`] folds into, resolved by its first recorded op:
+    /// with recording off (every benchmark workload) a connect resolves no
+    /// `ops.*` name.
+    ops: [OnceCell<Rc<OpMetrics>>; 12],
+    registry: Metrics,
 }
 
 impl ClientStats {
-    pub fn resolve(m: &Metrics, ledger: bool) -> Self {
+    pub fn resolve(m: &Metrics, rec: &Recorder) -> Self {
+        let event = |name| rec.event("core", name);
         ClientStats {
             redial_attempts: m.counter_handle("rstore.redial.attempts"),
             redial_ok: m.counter_handle("rstore.redial.ok"),
             desc_stale: m.counter_handle("rstore.desc.stale"),
-            desc_refresh: m.counter_handle("rstore.desc.refresh"),
+            desc_refresh: event("rstore.desc.refresh")
+                .counting(m.counter_handle("rstore.desc.refresh")),
             inline_writes: m.counter_handle("rstore.inline.writes"),
             inline_bytes: m.counter_handle("rstore.inline.bytes"),
             inflight_max: m.counter_handle("rstore.pipeline.inflight_max"),
-            read_mismatch: m.counter_handle("integrity.read_mismatch"),
+            read_corrupt: event("rstore.read.corrupt")
+                .counting(m.counter_handle("integrity.read_mismatch")),
             read_bytes: m.counter_handle("rstore.read_bytes"),
             write_bytes: m.counter_handle("rstore.write_bytes"),
             io_timeout: m.counter_handle("rstore.io_timeout"),
-            ops: if ledger {
-                OpKind::NAMES
-                    .iter()
-                    .map(|op| OpMetrics::resolve(m, op))
-                    .collect()
-            } else {
-                Vec::new()
-            },
+            read: event("rstore.read"),
+            read_many: event("rstore.read_many"),
+            write: event("rstore.write"),
+            ctrl: CTRL_OPS.map(|(span, latency)| event(span).timing(m.hist_handle(latency))),
+            ops: Default::default(),
+            registry: m.clone(),
         }
+    }
+
+    /// The event of control request `req`.
+    pub fn ctrl(&self, req: &CtrlReq) -> &Event {
+        &self.ctrl[ctrl_op(req)]
+    }
+
+    /// What ops of `kind` fold into.
+    pub fn op(&self, kind: OpKind) -> &Rc<OpMetrics> {
+        self.ops[kind as usize].get_or_init(|| OpMetrics::resolve(&self.registry, kind.name()))
     }
 }
 
@@ -135,48 +197,73 @@ impl KvStats {
     }
 }
 
-/// The metric family one kind of planned extent move is charged to.
-pub(crate) struct MoveStats {
-    pub extents: Counter,
-    pub bytes: Counter,
-}
-
-impl MoveStats {
-    pub fn resolve(m: &Metrics, reason: &str) -> Self {
-        let m = m.scoped(reason);
-        MoveStats {
-            extents: m.counter_handle("extents"),
-            bytes: m.counter_handle("bytes"),
-        }
-    }
-}
-
-/// The master's counters, resolved in `Master::spawn`.
+/// The master's counters and events, resolved in `Master::spawn`.
 pub(crate) struct MasterStats {
     pub scrub_passes: Counter,
     pub scrub_mismatch: Counter,
+    /// `integrity.detected`, which [`MasterStats::corrupt_mark`] counts.
     pub detected: Counter,
+    /// A replica was marked corrupt (track = its node, arg = its group).
+    pub corrupt_mark: Event,
+    /// `rstore.repair.extents`, which [`MasterStats::repaired`] grows.
     pub repair_extents: Counter,
-    pub drain: MoveStats,
-    pub rebalance: MoveStats,
+    /// One repair pass over a region (track = the master's node).
+    pub repair: Event,
+    /// Repair replaced one extent (track = the node it left, arg = bytes).
+    pub repair_extent: Event,
+    /// A repair pass replaced `arg` extents: the count and the era note.
+    pub repaired: Event,
+    /// One graceful drain (track = the drained node).
+    pub drain_span: Event,
+    /// Era notes only: a lease lapsed; a move sealed / unsealed the extent
+    /// it replaces (track = the node).
+    pub server_expired: Event,
+    pub extent_sealed: Event,
+    pub extent_unsealed: Event,
+    /// One extent moved by a planned move of that kind: the
+    /// `rstore.migrate.extent` instant (track = the node it left, arg =
+    /// physical bytes), counted in `<kind>.extents`, summed into
+    /// `<kind>.bytes`.
+    pub drain: Event,
+    pub rebalance: Event,
 }
 
 impl MasterStats {
-    pub fn resolve(m: &Metrics) -> Self {
+    pub fn resolve(m: &Metrics, rec: &Recorder) -> Self {
+        let moved = |kind| {
+            let m = m.scoped(kind);
+            rec.event("core", "rstore.migrate.extent")
+                .counting(m.counter_handle("extents"))
+                .adding(m.counter_handle("bytes"))
+        };
+        let detected = m.counter_handle("integrity.detected");
+        let repair_extents = m.counter_handle("rstore.repair.extents");
         MasterStats {
             scrub_passes: m.counter_handle("integrity.scrub_passes"),
             scrub_mismatch: m.counter_handle("integrity.scrub.mismatch"),
-            detected: m.counter_handle("integrity.detected"),
-            repair_extents: m.counter_handle("rstore.repair.extents"),
-            drain: MoveStats::resolve(m, "drain"),
-            rebalance: MoveStats::resolve(m, "rebalance"),
+            corrupt_mark: rec
+                .event("core", "rstore.corrupt.mark")
+                .counting(detected.clone()),
+            detected,
+            repair: rec.event("core", "rstore.repair"),
+            repair_extent: rec.event("core", "rstore.repair.extent"),
+            repaired: rec
+                .note("repair", "extents_repaired", NoteArg::Arg)
+                .adding(repair_extents.clone()),
+            repair_extents,
+            drain_span: rec.event("core", "rstore.drain"),
+            server_expired: rec.note("lease", "server_expired", NoteArg::Track),
+            extent_sealed: rec.note("migrate", "extent_sealed", NoteArg::Track),
+            extent_unsealed: rec.note("migrate", "extent_unsealed", NoteArg::Track),
+            drain: moved("drain"),
+            rebalance: moved("rebalance"),
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
-    use super::OpKind;
+    use super::*;
 
     #[test]
     fn op_kind_names_follow_declaration_order() {
@@ -185,5 +272,30 @@ mod tests {
         assert_eq!(OpKind::MultiGet.name(), "multi_get");
         assert_eq!(OpKind::BulkLoad.name(), "bulk_load");
         assert_eq!(OpKind::BulkLoad as usize + 1, OpKind::NAMES.len());
+    }
+    #[test]
+    fn every_control_request_indexes_the_row_that_names_it() {
+        let node = 0;
+        let (name, opts) = (String::new(), Default::default());
+        for (req, op) in [
+            (CtrlReq::Stat, "stat"),
+            (CtrlReq::ClusterStats, "cluster_stats"),
+            (CtrlReq::Heartbeat { node }, "heartbeat"),
+            (CtrlReq::Drain { node }, "drain"),
+            (CtrlReq::Lookup { name: name.clone() }, "lookup"),
+            (CtrlReq::Free { name: name.clone() }, "free"),
+            (
+                CtrlReq::Alloc {
+                    name,
+                    size: 0,
+                    opts,
+                },
+                "alloc",
+            ),
+        ] {
+            let (span, latency) = CTRL_OPS[ctrl_op(&req)];
+            assert_eq!(span, format!("rstore.ctrl.{op}"));
+            assert_eq!(latency, format!("rstore.ctrl_latency.{op}"));
+        }
     }
 }

@@ -46,7 +46,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use sim::channel::{channel, Receiver, Sender};
-use sim::{Counter, DetRng, EventSink, Hist, Metrics, Sim, SimTime, Tracer};
+use sim::{Counter, DetRng, Event, EventSink, Hist, Metrics, NoteArg, Recorder, Sim, SimTime};
 
 pub mod fault;
 
@@ -193,29 +193,67 @@ impl LinkStats {
     }
 }
 
-/// The fabric-wide metrics a message can touch, resolved in
-/// [`Fabric::new`]. (The fault-plan actions, `fabric.fault.{crash,join,…}`,
-/// are a handful of scheduled events per run and stay by name.)
+/// The fabric-wide facts, resolved in [`Fabric::new`]: one [`Event`] per
+/// fact, carrying the counter it bumps, its trace name and — for fault-plan
+/// actions — the era note it leaves. (Counters say `fabric.dropped.*`, trace
+/// instants `fabric.drop.*`; both spellings are read by name.)
 struct FabricStats {
-    tx_bytes: Counter,
-    rx_bytes: Counter,
-    dropped_endpoint_down: Counter,
-    dropped_injected: Counter,
-    dropped_dst_down: Counter,
-    dropped_no_inbox: Counter,
-    flip_injected: Counter,
+    /// `fabric.tx` / `fabric.rx`: track = node, arg = wire bytes, which the
+    /// `fabric.{tx,rx}_bytes` counters grow by.
+    tx: Event,
+    rx: Event,
+    drop_endpoint_down: Event,
+    drop_injected: Event,
+    drop_dst_down: Event,
+    drop_no_inbox: Event,
+    /// One in-flight bit flip: track = bit index.
+    flip: Event,
+    crash: Event,
+    restart: Event,
+    loss_start: Event,
+    loss_stop: Event,
+    corrupt_region: Event,
+    flip_start: Event,
+    flip_stop: Event,
+    join: Event,
+    drain: Event,
 }
 
 impl FabricStats {
-    fn resolve(m: &Metrics) -> Self {
+    fn resolve(m: &Metrics, rec: &Recorder) -> Self {
+        let event = |name| rec.event("fabric", name);
+        let counted = |name, counter| event(name).counting(m.counter_handle(counter));
+        // A fault-plan action: counter and instant share a name. Node-scoped
+        // faults note the node, rate changes the rate in ppm.
+        let fault = |name, note, payload| {
+            event(name)
+                .counting(m.counter_handle(name))
+                .noting("fault", note, payload)
+        };
         FabricStats {
-            tx_bytes: m.counter_handle("fabric.tx_bytes"),
-            rx_bytes: m.counter_handle("fabric.rx_bytes"),
-            dropped_endpoint_down: m.counter_handle("fabric.dropped.endpoint_down"),
-            dropped_injected: m.counter_handle("fabric.dropped.injected"),
-            dropped_dst_down: m.counter_handle("fabric.dropped.dst_down"),
-            dropped_no_inbox: m.counter_handle("fabric.dropped.no_inbox"),
-            flip_injected: m.counter_handle("fabric.fault.flip_injected"),
+            tx: event("fabric.tx").adding(m.counter_handle("fabric.tx_bytes")),
+            rx: event("fabric.rx").adding(m.counter_handle("fabric.rx_bytes")),
+            drop_endpoint_down: counted(
+                "fabric.drop.endpoint_down",
+                "fabric.dropped.endpoint_down",
+            ),
+            drop_injected: counted("fabric.drop.injected", "fabric.dropped.injected"),
+            drop_dst_down: counted("fabric.drop.dst_down", "fabric.dropped.dst_down"),
+            drop_no_inbox: counted("fabric.drop.no_inbox", "fabric.dropped.no_inbox"),
+            flip: counted("fabric.fault.flip", "fabric.fault.flip_injected"),
+            crash: fault("fabric.fault.crash", "crash", NoteArg::Track),
+            restart: fault("fabric.fault.restart", "restart", NoteArg::Track),
+            loss_start: fault("fabric.fault.loss_start", "loss_start", NoteArg::Arg),
+            loss_stop: fault("fabric.fault.loss_stop", "loss_stop", NoteArg::Arg),
+            corrupt_region: fault(
+                "fabric.fault.corrupt_region",
+                "corrupt_region",
+                NoteArg::Track,
+            ),
+            flip_start: fault("fabric.fault.flip_start", "flip_start", NoteArg::Arg),
+            flip_stop: fault("fabric.fault.flip_stop", "flip_stop", NoteArg::Arg),
+            join: fault("fabric.fault.join", "join", NoteArg::Track),
+            drain: fault("fabric.fault.drain", "drain", NoteArg::Track),
         }
     }
 }
@@ -329,7 +367,6 @@ struct Core<M> {
     inner: RefCell<Inner<M>>,
     metrics: Metrics,
     stats: FabricStats,
-    tracer: Tracer,
 }
 
 /// Event kinds (the first token of a fabric event; the second is `kind`'s
@@ -375,10 +412,10 @@ impl<M> fmt::Debug for Fabric<M> {
 impl<M: 'static> Fabric<M> {
     /// Creates an empty fabric on the given simulation.
     pub fn new(sim: Sim, cfg: FabricConfig) -> Self {
-        let tracer = sim.tracer();
         let metrics = Metrics::new();
         Fabric {
             core: Rc::new(Core {
+                stats: FabricStats::resolve(&metrics, &sim.recorder()),
                 sim,
                 inner: RefCell::new(Inner {
                     cfg,
@@ -391,9 +428,7 @@ impl<M: 'static> Fabric<M> {
                     corruption_hooks: std::collections::HashMap::new(),
                     membership_hook: None,
                 }),
-                stats: FabricStats::resolve(&metrics),
                 metrics,
-                tracer,
             }),
         }
     }
@@ -503,10 +538,7 @@ impl<M: 'static> Fabric<M> {
             }
             flip.rng.range_u64(0, payload_bits)
         };
-        self.core.stats.flip_injected.incr();
-        self.core
-            .tracer
-            .instant("fabric", "fabric.fault.flip", bit, 1);
+        self.core.stats.flip.fire(bit, 1);
         Some(bit)
     }
 
@@ -587,13 +619,10 @@ impl<M: 'static> Fabric<M> {
             );
             if !inner.nodes[src.0 as usize].up || !inner.nodes[dst.0 as usize].up {
                 inner.dropped += 1;
-                self.core.stats.dropped_endpoint_down.incr();
-                self.core.tracer.instant(
-                    "fabric",
-                    "fabric.drop.endpoint_down",
-                    dst.0 as u64,
-                    wire_bytes,
-                );
+                self.core
+                    .stats
+                    .drop_endpoint_down
+                    .fire(dst.0 as u64, wire_bytes);
                 return;
             }
             // Injected loss is decided at send time, before any wire
@@ -601,13 +630,7 @@ impl<M: 'static> Fabric<M> {
             if let Some(loss) = inner.loss.as_mut() {
                 if loss.rng.chance(loss.prob) {
                     inner.dropped += 1;
-                    self.core.stats.dropped_injected.incr();
-                    self.core.tracer.instant(
-                        "fabric",
-                        "fabric.drop.injected",
-                        dst.0 as u64,
-                        wire_bytes,
-                    );
+                    self.core.stats.drop_injected.fire(dst.0 as u64, wire_bytes);
                     return;
                 }
             }
@@ -615,11 +638,8 @@ impl<M: 'static> Fabric<M> {
             st.tx_bytes += wire_bytes;
             st.link.tx_bytes.add(wire_bytes);
             st.link.tx_msgs.incr();
-            self.core.stats.tx_bytes.add(wire_bytes);
         }
-        self.core
-            .tracer
-            .instant("fabric", "fabric.tx", src.0 as u64, wire_bytes);
+        self.core.stats.tx.fire(src.0 as u64, wire_bytes);
 
         if src == dst {
             let deliver_at = now + self.core.inner.borrow().cfg.host_overhead;
@@ -764,64 +784,28 @@ impl<M: 'static> Fabric<M> {
     /// Applies one scheduled fault action; `seed` salts the loss stream so a
     /// [`FaultPlan`]'s drop pattern is pinned by its seed.
     pub(crate) fn apply_fault(&self, action: FaultAction, seed: u64) {
+        let stats = &self.core.stats;
+        // Rates travel as the event's arg, in parts per million.
+        let ppm = |prob: f64| (prob * 1_000_000.0) as u64;
         match action {
             FaultAction::Crash(node) => {
                 self.set_node_up(node, false);
-                self.core.metrics.incr("fabric.fault.crash");
-                self.core
-                    .tracer
-                    .instant("fabric", "fabric.fault.crash", node.0 as u64, 0);
-                self.core
-                    .sim
-                    .forensics()
-                    .note("fault", "crash", node.0 as u64);
+                stats.crash.fire(node.0 as u64, 0);
             }
             FaultAction::Restart(node) => {
                 self.set_node_up(node, true);
-                self.core.metrics.incr("fabric.fault.restart");
-                self.core
-                    .tracer
-                    .instant("fabric", "fabric.fault.restart", node.0 as u64, 0);
-                self.core
-                    .sim
-                    .forensics()
-                    .note("fault", "restart", node.0 as u64);
+                stats.restart.fire(node.0 as u64, 0);
             }
             FaultAction::LossStart(prob) => {
                 self.set_loss(prob, seed);
-                self.core.metrics.incr("fabric.fault.loss_start");
-                // Trace arg carries the probability in parts per million.
-                self.core.tracer.instant(
-                    "fabric",
-                    "fabric.fault.loss_start",
-                    0,
-                    (prob * 1_000_000.0) as u64,
-                );
-                self.core
-                    .sim
-                    .forensics()
-                    .note("fault", "loss_start", (prob * 1_000_000.0) as u64);
+                stats.loss_start.fire(0, ppm(prob));
             }
             FaultAction::LossStop => {
                 self.clear_loss();
-                self.core.metrics.incr("fabric.fault.loss_stop");
-                self.core
-                    .tracer
-                    .instant("fabric", "fabric.fault.loss_stop", 0, 0);
-                self.core.sim.forensics().note("fault", "loss_stop", 0);
+                stats.loss_stop.fire(0, 0);
             }
             FaultAction::CorruptRegion { node, bits } => {
-                self.core.metrics.incr("fabric.fault.corrupt_region");
-                self.core.tracer.instant(
-                    "fabric",
-                    "fabric.fault.corrupt_region",
-                    node.0 as u64,
-                    bits as u64,
-                );
-                self.core
-                    .sim
-                    .forensics()
-                    .note("fault", "corrupt_region", node.0 as u64);
+                stats.corrupt_region.fire(node.0 as u64, bits as u64);
                 // Salt the seed with the event's virtual time so repeated
                 // corruptions of one node under one plan flip distinct bits.
                 let salt = seed
@@ -846,56 +830,29 @@ impl<M: 'static> Fabric<M> {
             }
             FaultAction::FlipStart(prob) => {
                 self.set_flip(prob, seed);
-                self.core.metrics.incr("fabric.fault.flip_start");
-                self.core.tracer.instant(
-                    "fabric",
-                    "fabric.fault.flip_start",
-                    0,
-                    (prob * 1_000_000.0) as u64,
-                );
-                self.core
-                    .sim
-                    .forensics()
-                    .note("fault", "flip_start", (prob * 1_000_000.0) as u64);
+                stats.flip_start.fire(0, ppm(prob));
             }
             FaultAction::FlipStop => {
                 self.clear_flip();
-                self.core.metrics.incr("fabric.fault.flip_stop");
-                self.core
-                    .tracer
-                    .instant("fabric", "fabric.fault.flip_stop", 0, 0);
-                self.core.sim.forensics().note("fault", "flip_stop", 0);
+                stats.flip_stop.fire(0, 0);
             }
             FaultAction::Join(node) => {
-                self.core.metrics.incr("fabric.fault.join");
-                self.core
-                    .tracer
-                    .instant("fabric", "fabric.fault.join", node.0 as u64, 0);
-                self.core
-                    .sim
-                    .forensics()
-                    .note("fault", "join", node.0 as u64);
-                // Clone the hook out before invoking: it re-enters cluster
-                // code, which calls back into the fabric.
-                let hook = self.core.inner.borrow().membership_hook.clone();
-                if let Some(hook) = hook {
-                    hook(MembershipEvent::Join(node));
-                }
+                stats.join.fire(node.0 as u64, 0);
+                self.membership(MembershipEvent::Join(node));
             }
             FaultAction::Drain(node) => {
-                self.core.metrics.incr("fabric.fault.drain");
-                self.core
-                    .tracer
-                    .instant("fabric", "fabric.fault.drain", node.0 as u64, 0);
-                self.core
-                    .sim
-                    .forensics()
-                    .note("fault", "drain", node.0 as u64);
-                let hook = self.core.inner.borrow().membership_hook.clone();
-                if let Some(hook) = hook {
-                    hook(MembershipEvent::Drain(node));
-                }
+                stats.drain.fire(node.0 as u64, 0);
+                self.membership(MembershipEvent::Drain(node));
             }
+        }
+    }
+
+    fn membership(&self, event: MembershipEvent) {
+        // Clone the hook out before invoking: it re-enters cluster code,
+        // which calls back into the fabric.
+        let hook = self.core.inner.borrow().membership_hook.clone();
+        if let Some(hook) = hook {
+            hook(event);
         }
     }
 
@@ -921,21 +878,15 @@ impl<M: 'static> Fabric<M> {
         let st = &mut inner.nodes[dst.0 as usize];
         if !st.up {
             inner.dropped += 1;
-            self.core.stats.dropped_dst_down.incr();
-            self.core
-                .tracer
-                .instant("fabric", "fabric.drop.dst_down", dst.0 as u64, wire_bytes);
+            self.core.stats.drop_dst_down.fire(dst.0 as u64, wire_bytes);
             return;
         }
         st.rx_bytes += wire_bytes;
         st.link.rx_bytes.add(wire_bytes);
         st.link.rx_msgs.incr();
-        self.core.stats.rx_bytes.add(wire_bytes);
         let inbox = st.inbox.clone();
         drop(inner);
-        self.core
-            .tracer
-            .instant("fabric", "fabric.rx", dst.0 as u64, wire_bytes);
+        self.core.stats.rx.fire(dst.0 as u64, wire_bytes);
         // A missing or dropped receiver means the node's device was never
         // attached or was torn down; treat like a failed node.
         let delivered = inbox.is_some_and(|inbox| {
@@ -949,10 +900,7 @@ impl<M: 'static> Fabric<M> {
         });
         if !delivered {
             self.core.inner.borrow_mut().dropped += 1;
-            self.core.stats.dropped_no_inbox.incr();
-            self.core
-                .tracer
-                .instant("fabric", "fabric.drop.no_inbox", dst.0 as u64, wire_bytes);
+            self.core.stats.drop_no_inbox.fire(dst.0 as u64, wire_bytes);
         }
     }
 }

@@ -8,7 +8,7 @@ use std::rc::Rc;
 
 use fabric::{Delivery, Fabric, NodeId};
 use sim::channel::{channel, oneshot, Receiver, Sender};
-use sim::{EventSink, Layer, Metrics, OpLedger, Phase, Sim, SimTime, TimerId, Tracer};
+use sim::{Completion, EventSink, Metrics, OpLedger, Sim, SimTime, TimerId};
 
 use crate::config::RdmaConfig;
 use crate::cq::{CompletionQueue, CqStatus, Cqe, CqeOpcode};
@@ -103,11 +103,11 @@ struct PendingWr {
     /// Whether a *successful* completion generates a CQE. Error and flush
     /// completions are always delivered, matching verbs hardware.
     signaled: bool,
-    /// Cost ledger of the logical op this WR belongs to (disabled unless a
+    /// Handle of the logical op this WR belongs to (disabled unless a
     /// [`RdmaDevice::ledger_scope`] was active at post time).
     ledger: OpLedger,
-    /// Doorbell/WQE-build nanoseconds already charged to [`Layer::Post`]
-    /// for this WR; subtracted when attributing completion latency.
+    /// Doorbell/WQE-build nanoseconds already charged to the op for this
+    /// WR; subtracted when attributing completion latency.
     post_cost_ns: u64,
     /// How many wire sub-requests this WR issued: one per scatter-gather
     /// element. Sub-requests occupy the consecutive sequence ids
@@ -187,7 +187,6 @@ pub struct RdmaDevice {
     cfg: Rc<RdmaConfig>,
     inner: Rc<RefCell<DevInner>>,
     stats: Rc<DevStats>,
-    tracer: Tracer,
     doorbells: Rc<Doorbells>,
     timeouts: Rc<OpTimeouts>,
 }
@@ -198,7 +197,7 @@ pub struct RdmaDevice {
 struct OpTimeouts {
     sim: Sim,
     inner: Rc<RefCell<DevInner>>,
-    tracer: Tracer,
+    stats: Rc<DevStats>,
 }
 
 impl EventSink for OpTimeouts {
@@ -234,19 +233,22 @@ impl RdmaDevice {
             current_ledger: OpLedger::disabled(),
             released: Vec::new(),
         }));
+        let stats = Rc::new(DevStats::resolve(
+            fabric.metrics(),
+            &fabric.sim().recorder(),
+        ));
         let dev = RdmaDevice {
             sim: fabric.sim().clone(),
-            tracer: fabric.sim().tracer(),
             fabric: fabric.clone(),
             node,
             doorbells: Doorbells::new(fabric, node),
             timeouts: Rc::new(OpTimeouts {
                 sim: fabric.sim().clone(),
                 inner: inner.clone(),
-                tracer: fabric.sim().tracer(),
+                stats: stats.clone(),
             }),
             inner,
-            stats: Rc::new(DevStats::resolve(fabric.metrics())),
+            stats,
             cfg: Rc::new(cfg),
         };
         // Register the corruption hook: a `CorruptRegion` fault on this node
@@ -266,10 +268,7 @@ impl RdmaDevice {
                         .corrupt_registered(&mut rng, bits)
                 };
                 for &(addr, bit) in &flips {
-                    hook_dev.stats.integrity_injected.incr();
-                    hook_dev
-                        .tracer
-                        .instant("rdma", "rdma.corrupt.bit", addr, bit as u64);
+                    hook_dev.stats.corrupt_bit.fire(addr, bit as u64);
                 }
             }),
         );
@@ -691,13 +690,7 @@ impl RdmaDevice {
                 if let Payload::Pinned(pin) = &payload {
                     if let Some(bit) = self.fabric.inflight_flip(pin.len() * 8) {
                         pin.flip_bit(bit);
-                        self.stats.integrity_injected.incr();
-                        self.tracer.instant(
-                            "rdma",
-                            "rdma.corrupt.inflight",
-                            raddr + bit / 8,
-                            bit % 8,
-                        );
+                        self.stats.corrupt_inflight.fire(raddr + bit / 8, bit % 8);
                     }
                 }
                 let mut inner = self.inner.borrow_mut();
@@ -906,59 +899,26 @@ impl RdmaDevice {
         let nic_ns = self.cfg.nic_delay.as_nanos() as u64;
         for (cqe, posted_at, resolved_at, signaled, ledger, post_cost_ns) in cqes.drain(..) {
             stats.completed.incr();
-            self.stats.wr_latency[cqe.opcode as usize].record(now.saturating_since(posted_at));
-            // Causal phase stamps for the op's forensics trace: the WR's
-            // round trip split into wire / server residency / CQE settle
-            // (resolved but held for in-order release); a failed attempt's
-            // whole wait is charged to the retry phase, since recovery is
-            // what follows it.
-            let trace = ledger.optrace();
-            if trace.enabled() {
-                let start_ns = posted_at.as_nanos() + post_cost_ns;
-                let elapsed = now.saturating_since(posted_at).as_nanos() as u64;
-                if cqe.status == CqStatus::Success {
-                    let settle = now.saturating_since(resolved_at).as_nanos() as u64;
-                    let active = elapsed.saturating_sub(post_cost_ns + settle);
-                    let server_ns = (2 * nic_ns).min(active);
-                    let wire_ns = active - server_ns;
-                    trace.span_ns(Phase::Wire, start_ns, wire_ns);
-                    trace.span_ns(Phase::Server, start_ns + wire_ns, server_ns);
-                    if settle > 0 {
-                        trace.span_ns(Phase::Cqe, resolved_at.as_nanos(), settle);
-                    }
-                } else {
-                    trace.span_ns(Phase::Retry, start_ns, elapsed.saturating_sub(post_cost_ns));
-                }
-            }
-            if cqe.status == CqStatus::Success {
-                // Reads and atomics carry a response payload back.
-                if matches!(
-                    cqe.opcode,
-                    CqeOpcode::Read | CqeOpcode::CompSwap | CqeOpcode::FetchAdd
-                ) {
-                    ledger.wire(cqe.byte_len);
-                }
-                // Attribution split for the WR's round trip: the NIC delay
-                // is paid once per direction; whatever remains after the
-                // already-charged posting cost is fabric wire time.
-                let elapsed = now.saturating_since(posted_at).as_nanos() as u64;
-                ledger.layer_ns(Layer::Server, 2 * nic_ns);
-                ledger.layer_ns(
-                    Layer::Wire,
-                    elapsed.saturating_sub(post_cost_ns + 2 * nic_ns),
-                );
-            }
-            self.tracer.complete_at(
-                "rdma",
-                opcode_trace_name(cqe.opcode),
-                qpn.0,
-                posted_at,
-                cqe.byte_len,
+            let ok = cqe.status == CqStatus::Success;
+            // Reads and atomics carry a response payload back.
+            let responds = matches!(
+                cqe.opcode,
+                CqeOpcode::Read | CqeOpcode::CompSwap | CqeOpcode::FetchAdd
             );
+            ledger.completed(Completion {
+                posted_at,
+                post_ns: post_cost_ns,
+                resolved_at,
+                now,
+                nic_ns,
+                ok,
+                response_bytes: if responds { cqe.byte_len } else { 0 },
+            });
+            self.stats.wr[cqe.opcode as usize].complete(qpn.0, posted_at, cqe.byte_len);
             // Selective signaling: an unsignaled WR that succeeded still had
             // every fabric side effect, but produces no CQE. Errors always
             // surface, so a suppressed batch cannot fail silently.
-            if signaled || cqe.status != CqStatus::Success {
+            if signaled || !ok {
                 cq.push(cqe);
             }
         }
@@ -989,19 +949,19 @@ impl OpTimeouts {
             released += w.byte_len;
             stats.flushed.incr();
             // The victim op spent its whole wait on an attempt that timed
-            // out: blame that interval on the retry phase of its forensics
-            // trace (flushed siblings shared the same wait; one span
+            // out: a failed completion, blamed on the retry phase of its
+            // span tree (flushed siblings shared the same wait; one span
             // suffices for the batch).
             if w.req_id == victim_req {
-                let trace = w.ledger.optrace();
-                if trace.enabled() {
-                    let start_ns = w.posted_at.as_nanos() + w.post_cost_ns;
-                    trace.span_ns(
-                        Phase::Retry,
-                        start_ns,
-                        now.as_nanos().saturating_sub(start_ns),
-                    );
-                }
+                w.ledger.completed(Completion {
+                    posted_at: w.posted_at,
+                    post_ns: w.post_cost_ns,
+                    resolved_at: now,
+                    now,
+                    nic_ns: 0,
+                    ok: false,
+                    response_bytes: 0,
+                });
             }
             cqes.push(Cqe {
                 wr_id: w.wr_id,
@@ -1015,8 +975,7 @@ impl OpTimeouts {
                 imm: None,
             });
         }
-        self.tracer
-            .instant("rdma", "rdma.qp_error", qpn.0, victim_req);
+        self.stats.qp_error.fire(qpn.0, victim_req);
         qp.unmatched.clear(); // nothing can match them now; their pins go
         for r in qp.recvq.drain(..) {
             cqes.push(Cqe {
@@ -1066,19 +1025,6 @@ fn check(
     }
 }
 
-/// Trace span name for a completed work request, by opcode.
-fn opcode_trace_name(op: CqeOpcode) -> &'static str {
-    match op {
-        CqeOpcode::Send => "rdma.wr.send",
-        CqeOpcode::Recv => "rdma.wr.recv",
-        CqeOpcode::Read => "rdma.wr.read",
-        CqeOpcode::Write => "rdma.wr.write",
-        CqeOpcode::CompSwap => "rdma.wr.comp_swap",
-        CqeOpcode::FetchAdd => "rdma.wr.fetch_add",
-    }
-}
-
-/// Latency histogram name for a completed work request, by opcode.
 fn wire_to_cq(status: WireStatus) -> CqStatus {
     match status {
         WireStatus::Ok => CqStatus::Success,
@@ -1496,13 +1442,7 @@ impl Qp {
             // above, and the ring size feeds the batching histogram.
             stats.doorbells.incr();
             stats.doorbell_wrs.record_value(chunk.len() as u64);
-            ledger.doorbell();
-            ledger.layer_ns(Layer::Post, chunk_post_ns);
-            let trace = ledger.optrace();
-            if trace.enabled() {
-                trace.mark(Phase::Doorbell, now);
-                trace.span_ns(Phase::Post, now.as_nanos(), chunk_post_ns);
-            }
+            ledger.posted(now, chunk_post_ns);
             // Charge the doorbell/WQE-build CPU cost before the packets
             // exist.
             build_delay += std::time::Duration::from_nanos(chunk_post_ns);

@@ -3,7 +3,7 @@
 //! completing work requests index the registry instead of naming it.
 
 use fabric::NodeId;
-use sim::{Counter, Hist, Metrics};
+use sim::{Counter, Event, Hist, Metrics, Recorder};
 
 use crate::cq::CqeOpcode;
 use crate::types::Qpn;
@@ -39,15 +39,25 @@ pub(crate) struct DevStats {
     pub doorbell_bytes: Hist,
     pub sge_wrs: Counter,
     pub sge_entries: Hist,
-    /// `rdma.wr_latency.<opcode>`, indexed by `CqeOpcode as usize`.
-    pub wr_latency: [Hist; 6],
-    pub integrity_injected: Counter,
+    /// One completed work request, indexed by `CqeOpcode as usize`: the
+    /// `rdma.wr.<opcode>` span, timed into `rdma.wr_latency.<opcode>`.
+    pub wr: [Event; 6],
+    /// One bit flipped at rest / in an in-flight WRITE payload (track =
+    /// byte address, arg = bit); both count as `integrity.injected`.
+    pub corrupt_bit: Event,
+    pub corrupt_inflight: Event,
+    /// A QP entered the error state (track = QP number, arg = victim WR).
+    pub qp_error: Event,
 }
 
 impl DevStats {
-    pub fn resolve(m: &Metrics) -> Self {
+    pub fn resolve(m: &Metrics, rec: &Recorder) -> Self {
+        let injected = |name| {
+            rec.event("rdma", name)
+                .counting(m.counter_handle("integrity.injected"))
+        };
         // In declaration order, so that `op as usize` indexes it.
-        let wr_latency = [
+        let wr = [
             CqeOpcode::Send,
             CqeOpcode::Recv,
             CqeOpcode::Read,
@@ -55,26 +65,33 @@ impl DevStats {
             CqeOpcode::CompSwap,
             CqeOpcode::FetchAdd,
         ]
-        .map(|op| m.hist_handle(opcode_latency_metric(op)));
+        .map(|op| {
+            let (span, latency) = opcode_names(op);
+            rec.event("rdma", span).timing(m.hist_handle(latency))
+        });
         DevStats {
             doorbells: m.counter_handle("rdma.doorbells"),
             doorbell_wrs: m.hist_handle("rdma.doorbell_wrs"),
             doorbell_bytes: m.hist_handle("rdma.doorbell_bytes"),
             sge_wrs: m.counter_handle("rdma.sge_wrs"),
             sge_entries: m.hist_handle("rdma.sge_entries"),
-            wr_latency,
-            integrity_injected: m.counter_handle("integrity.injected"),
+            wr,
+            corrupt_bit: injected("rdma.corrupt.bit"),
+            corrupt_inflight: injected("rdma.corrupt.inflight"),
+            qp_error: rec.event("rdma", "rdma.qp_error"),
         }
     }
 }
 
-fn opcode_latency_metric(op: CqeOpcode) -> &'static str {
+/// A completed work request's trace span name and latency histogram, by
+/// opcode.
+fn opcode_names(op: CqeOpcode) -> (&'static str, &'static str) {
     match op {
-        CqeOpcode::Send => "rdma.wr_latency.send",
-        CqeOpcode::Recv => "rdma.wr_latency.recv",
-        CqeOpcode::Read => "rdma.wr_latency.read",
-        CqeOpcode::Write => "rdma.wr_latency.write",
-        CqeOpcode::CompSwap => "rdma.wr_latency.comp_swap",
-        CqeOpcode::FetchAdd => "rdma.wr_latency.fetch_add",
+        CqeOpcode::Send => ("rdma.wr.send", "rdma.wr_latency.send"),
+        CqeOpcode::Recv => ("rdma.wr.recv", "rdma.wr_latency.recv"),
+        CqeOpcode::Read => ("rdma.wr.read", "rdma.wr_latency.read"),
+        CqeOpcode::Write => ("rdma.wr.write", "rdma.wr_latency.write"),
+        CqeOpcode::CompSwap => ("rdma.wr.comp_swap", "rdma.wr_latency.comp_swap"),
+        CqeOpcode::FetchAdd => ("rdma.wr.fetch_add", "rdma.wr_latency.fetch_add"),
     }
 }

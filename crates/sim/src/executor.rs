@@ -9,10 +9,9 @@ use std::rc::{Rc, Weak};
 use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 use std::time::Duration;
 
-use crate::optrace::Forensics;
 use crate::queue::{Action, EventQueue, EventSink, TimerId};
 use crate::time::SimTime;
-use crate::trace::Tracer;
+use crate::trace::Recorder;
 
 /// Handle to a running simulation.
 ///
@@ -69,10 +68,16 @@ struct Core {
     ready: VecDeque<Rc<Task>>,
     next_task_id: u64,
     live_tasks: usize,
-    /// The handles [`Sim::tracer`] and [`Sim::forensics`] clone out; both
-    /// read the virtual clock through one closure built in [`Sim::new`].
-    tracer: Tracer,
-    forensics: Forensics,
+    /// The handle [`Sim::recorder`] clones out; it is told the time
+    /// whenever the clock moves.
+    recorder: Recorder,
+}
+
+impl Core {
+    fn advance(&mut self, to: SimTime) {
+        self.now = to;
+        self.recorder.set_now(to);
+    }
 }
 
 /// Executor work done on one thread, summed over every [`Sim`] that ran on
@@ -281,24 +286,15 @@ impl Sim {
     /// Creates a new, empty simulation at time zero.
     pub fn new() -> Self {
         Sim {
-            core: Rc::new_cyclic(|weak: &Weak<RefCell<Core>>| {
-                let weak = weak.clone();
-                let clock: Rc<dyn Fn() -> SimTime> = Rc::new(move || {
-                    weak.upgrade()
-                        .map(|core| core.borrow().now)
-                        .unwrap_or(SimTime::ZERO)
-                });
-                RefCell::new(Core {
-                    now: SimTime::ZERO,
-                    seq: 0,
-                    events: EventQueue::default(),
-                    ready: VecDeque::new(),
-                    next_task_id: 0,
-                    live_tasks: 0,
-                    tracer: Tracer::from_parts(Tracer::new_buf(), clock.clone()),
-                    forensics: Forensics::from_parts(Forensics::new_buf(), clock),
-                })
-            }),
+            core: Rc::new(RefCell::new(Core {
+                now: SimTime::ZERO,
+                seq: 0,
+                events: EventQueue::default(),
+                ready: VecDeque::new(),
+                next_task_id: 0,
+                live_tasks: 0,
+                recorder: Recorder::default(),
+            })),
         }
     }
 
@@ -307,19 +303,12 @@ impl Sim {
         self.core.borrow().now
     }
 
-    /// Returns a handle to this simulation's trace buffer. All handles for
-    /// one simulation share state; tracing starts disabled — call
-    /// [`Tracer::enable`] to record.
-    pub fn tracer(&self) -> Tracer {
-        self.core.borrow().tracer.clone()
-    }
-
-    /// Returns a handle to this simulation's per-op forensics registry
-    /// (span trees, tail exemplars, flight recorder). All handles for one
-    /// simulation share state; forensics start disabled — call
-    /// [`crate::optrace::Forensics::enable`] to record.
-    pub fn forensics(&self) -> Forensics {
-        self.core.borrow().forensics.clone()
+    /// Returns a handle to this simulation's recorder: the event ring, the
+    /// per-op recording level, and what finished ops are filed into. All
+    /// handles for one simulation share state; recording starts off — call
+    /// [`Recorder::enable`].
+    pub fn recorder(&self) -> Recorder {
+        self.core.borrow().recorder.clone()
     }
 
     /// Number of spawned tasks that have not yet completed.
@@ -508,11 +497,12 @@ impl Sim {
             };
             if let Some(d) = deadline.filter(|&d| at > d) {
                 // The event stays where it is; the caller may resume later.
-                core.now = d.max(core.now);
+                let stop = d.max(core.now);
+                core.advance(stop);
                 return false;
             }
             debug_assert!(at >= core.now, "event time went backwards");
-            core.now = at;
+            core.advance(at);
             core.events.pop().expect("peeked above").1
         };
         update_totals(|t| t.events += 1);

@@ -39,14 +39,17 @@
 //! * [`sync`] — semaphores, barriers and wait groups in virtual time.
 //! * [`rng`] — a seeded deterministic random number generator.
 //! * [`metrics`] — counters and latency histograms shared between components.
-//! * [`ledger`] — per-operation cost attribution (RTTs, doorbells, wire
-//!   bytes, per-layer time split; zero-cost when disabled).
-//! * [`optrace`] — causal per-op forensics: phase span trees, critical-path
-//!   blame vectors, tail exemplars, and a black-box flight recorder
-//!   (zero-cost when disabled).
-//! * [`trace`] — deterministic span/instant tracing with Chrome-trace export.
-//! * [`timeseries`] — windowed counter-delta / percentile sampling on
-//!   virtual time (fixed-capacity, zero-cost when disabled).
+//! * [`trace`] — the recording spine: the simulation's one [`Recorder`]
+//!   (one switch with levels, one bounded ring), the [`Event`]s each
+//!   layer resolves and fires, and the Chrome-trace export.
+//! * [`ledger`] — the per-operation handle: RTTs, doorbells, wire bytes, a
+//!   per-layer time split and, at the spans level, the op's causal phase
+//!   tree (a `None` when recording is off).
+//! * [`optrace`] — what finished ops are filed into at the spans level:
+//!   critical-path blame vectors, tail exemplars, and a black-box flight
+//!   recorder with triage bundles.
+//! * [`timeseries`] — windowed counter-delta / percentile sampling of a
+//!   metrics registry on virtual time (fixed-capacity).
 //! * [`future_util`] — small `join_all` / `yield_now` helpers (no external
 //!   futures crate is used anywhere in the workspace).
 
@@ -66,16 +69,14 @@ pub mod trace;
 pub use channel::{channel, oneshot, Receiver, Sender};
 pub use executor::{take_exec_totals, ExecTotals, JoinHandle, Sim};
 pub use future_util::{join_all, yield_now};
-pub use ledger::{Layer, OpCosts, OpLedger, OpMetrics, OpSummary};
+pub use ledger::{Completion, OpCosts, OpLedger, OpMetrics, OpSummary, Phase, SpanRec};
 pub use metrics::{Counter, Hist, Histogram, Metrics};
-pub use optrace::{
-    BlameVec, EraNote, Exemplar, FlightRec, Forensics, ForensicsConfig, OpTrace, Phase, SpanRec,
-};
+pub use optrace::{BlameVec, EraNote, Exemplar, FlightRec, ForensicsConfig};
 pub use queue::{EventSink, TimerId};
 pub use rng::DetRng;
 pub use time::SimTime;
 pub use timeseries::{Sampler, Window, WindowStats};
-pub use trace::{Span, TraceEvent, Tracer};
+pub use trace::{Event, Level, NoteArg, Recorder, Span, TraceEvent};
 
 /// Re-export of [`std::time::Duration`]; all simulated delays use it.
 pub use std::time::Duration;

@@ -7,11 +7,12 @@
 //! *deltas* (throughput) and per-window *percentiles* (p50/p99 under a
 //! fault, queue depth during congestion) stored in a fixed-capacity series.
 //!
-//! The discipline mirrors [`crate::trace`]: a sampler starts disabled and
-//! costs nothing until [`Sampler::enable`] is called; the driver task is
-//! bounded (it exits once the series is full or the sampler is disabled),
-//! so enabling sampling never keeps a simulation alive forever; and because
-//! sampling is itself just virtual-time events on the deterministic
+//! A sampler is a consumer of [`Metrics`], not a recording switch: it costs
+//! nothing until [`Sampler::spawn_driver`] is called. Its series does not
+//! wrap like the recorder's rings — it *stops* when full, on purpose: the
+//! driver task must end so that [`Sim::run`] does, and a timeline wants its
+//! first windows (the steady state before the fault) as much as its last.
+//! Because sampling is itself just virtual-time events on the deterministic
 //! executor, two seeded runs produce byte-identical series.
 //!
 //! ```rust
@@ -20,8 +21,7 @@
 //!
 //! let sim = Sim::new();
 //! let m = Metrics::new();
-//! let ts = Sampler::new();
-//! ts.enable(Duration::from_millis(1), 8);
+//! let ts = Sampler::new(Duration::from_millis(1), 8);
 //! ts.track_counter("ops");
 //! ts.track_histogram("lat");
 //! ts.spawn_driver(&sim, &m);
@@ -103,9 +103,7 @@ impl<H, P: Default> Series<H, P> {
     }
 }
 
-#[derive(Default)]
 struct State {
-    enabled: bool,
     interval: Duration,
     capacity: usize,
     counters: Vec<Series<Counter, u64>>,
@@ -117,47 +115,32 @@ struct State {
 /// A deterministic windowed sampler over a shared [`Metrics`] registry.
 ///
 /// Clonable handle; all clones share state. See the module docs for the
-/// lifecycle (`enable` → `track_*` → `spawn_driver` → run → `windows`).
-#[derive(Clone, Default)]
+/// lifecycle (`new` → `track_*` → `spawn_driver` → run → `windows`).
+#[derive(Clone)]
 pub struct Sampler {
     shared: Rc<RefCell<State>>,
 }
 
 impl Sampler {
-    /// Creates a disabled sampler. Disabled samplers never allocate windows
-    /// and their driver task exits immediately.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Enables sampling every `interval` of virtual time into a series of at
-    /// most `capacity` windows, clearing any previous configuration and
-    /// recorded windows.
+    /// A sampler closing one window every `interval` of virtual time, into
+    /// a series of at most `capacity` windows.
     ///
     /// # Panics
     ///
     /// Panics if `interval` is zero or `capacity` is zero.
-    pub fn enable(&self, interval: Duration, capacity: usize) {
+    pub fn new(interval: Duration, capacity: usize) -> Self {
         assert!(!interval.is_zero(), "sampling interval must be > 0");
         assert!(capacity > 0, "sampling capacity must be > 0");
-        let mut st = self.shared.borrow_mut();
-        *st = State {
-            enabled: true,
-            interval,
-            capacity,
-            ..State::default()
-        };
-    }
-
-    /// Disables sampling; recorded windows remain readable. A running driver
-    /// task exits at its next tick.
-    pub fn disable(&self) {
-        self.shared.borrow_mut().enabled = false;
-    }
-
-    /// True while sampling is enabled.
-    pub fn is_enabled(&self) -> bool {
-        self.shared.borrow().enabled
+        Sampler {
+            shared: Rc::new(RefCell::new(State {
+                interval,
+                capacity,
+                counters: Vec::new(),
+                histograms: Vec::new(),
+                last_sample_ns: 0,
+                windows: Vec::new(),
+            })),
+        }
     }
 
     /// Tracks the counter `name` (fully-qualified registry name): each
@@ -189,11 +172,11 @@ impl Sampler {
 
     /// Closes one window ending at `now`: snapshots counter deltas and
     /// window-local histogram percentiles since the previous sample (or
-    /// baseline). No-op when disabled or when the series is full.
+    /// baseline). No-op when the series is full.
     pub fn sample(&self, now: SimTime, metrics: &Metrics) {
         let mut st = self.shared.borrow_mut();
         let st = &mut *st;
-        if !st.enabled || st.windows.len() >= st.capacity {
+        if st.windows.len() >= st.capacity {
             return;
         }
         let end_ns = now.as_nanos();
@@ -224,21 +207,18 @@ impl Sampler {
 
     /// Spawns the bounded driver task: starting from the current virtual
     /// instant it re-baselines, then closes one window per interval until the
-    /// series reaches capacity or the sampler is disabled. The task is finite,
-    /// so [`Sim::run`] still terminates with a driver attached.
+    /// series reaches capacity. The task is finite, so [`Sim::run`] still
+    /// terminates with a driver attached.
     pub fn spawn_driver(&self, sim: &Sim, metrics: &Metrics) {
         let ts = self.clone();
         let sim2 = sim.clone();
         let metrics = metrics.clone();
         sim.spawn(async move {
-            if !ts.is_enabled() {
-                return;
-            }
             ts.baseline(sim2.now(), &metrics);
             loop {
                 let interval = {
                     let st = ts.shared.borrow();
-                    if !st.enabled || st.windows.len() >= st.capacity {
+                    if st.windows.len() >= st.capacity {
                         return;
                     }
                     st.interval
@@ -286,28 +266,13 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_sampler_records_nothing() {
-        let sim = Sim::new();
-        let m = Metrics::new();
-        let ts = Sampler::new();
-        ts.track_counter("ops");
-        ts.spawn_driver(&sim, &m);
-        m.incr("ops");
-        ts.sample(sim.now(), &m);
-        sim.run();
-        assert!(ts.is_empty());
-        assert_eq!(sim.now(), SimTime::ZERO, "no driver events when disabled");
-    }
-
-    #[test]
     fn windows_hold_deltas_not_cumulative_values() {
         let sim = Sim::new();
         let m = Metrics::new();
         // Pre-existing history must not leak into the first window.
         m.add("ops", 1000);
         m.record_value("lat", 999_999);
-        let ts = Sampler::new();
-        ts.enable(Duration::from_millis(1), 4);
+        let ts = Sampler::new(Duration::from_millis(1), 4);
         ts.track_counter("ops");
         ts.track_histogram("lat");
         ts.spawn_driver(&sim, &m);
@@ -343,8 +308,7 @@ mod tests {
     fn driver_is_bounded_by_capacity() {
         let sim = Sim::new();
         let m = Metrics::new();
-        let ts = Sampler::new();
-        ts.enable(Duration::from_millis(1), 3);
+        let ts = Sampler::new(Duration::from_millis(1), 3);
         ts.track_counter("x");
         ts.spawn_driver(&sim, &m);
         // With no other tasks, run() must terminate after exactly `capacity`
@@ -358,8 +322,7 @@ mod tests {
     fn empty_windows_are_explicit_zeros() {
         let sim = Sim::new();
         let m = Metrics::new();
-        let ts = Sampler::new();
-        ts.enable(Duration::from_millis(1), 2);
+        let ts = Sampler::new(Duration::from_millis(1), 2);
         ts.track_counter("ops");
         ts.track_histogram("lat");
         ts.spawn_driver(&sim, &m);
@@ -375,8 +338,7 @@ mod tests {
         fn run_once() -> Vec<Window> {
             let sim = Sim::new();
             let m = Metrics::new();
-            let ts = Sampler::new();
-            ts.enable(Duration::from_micros(500), 6);
+            let ts = Sampler::new(Duration::from_micros(500), 6);
             ts.track_counter("ops");
             ts.track_histogram("lat");
             ts.spawn_driver(&sim, &m);
@@ -392,21 +354,5 @@ mod tests {
             ts.windows()
         }
         assert_eq!(run_once(), run_once());
-    }
-
-    #[test]
-    fn disable_stops_the_driver() {
-        let sim = Sim::new();
-        let m = Metrics::new();
-        let ts = Sampler::new();
-        ts.enable(Duration::from_millis(1), 100);
-        ts.track_counter("x");
-        ts.spawn_driver(&sim, &m);
-        let ts2 = ts.clone();
-        sim.schedule(Duration::from_micros(2500), move || ts2.disable());
-        let end = sim.run();
-        // Two full windows close before the disable lands mid-third-window.
-        assert_eq!(ts.len(), 2);
-        assert!(end.as_nanos() <= 3_000_000);
     }
 }

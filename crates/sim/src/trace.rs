@@ -1,39 +1,125 @@
-//! Deterministic virtual-time tracing.
+//! The recording spine: one [`Recorder`] per simulation, one switch, one
+//! event call.
 //!
-//! A [`Tracer`] collects typed span/instant events stamped with [`SimTime`]
-//! into a bounded ring buffer owned by the simulation core. Because the
-//! executor is single-threaded and all timestamps are virtual, two runs of
-//! the same seeded scenario produce **byte-identical** trace logs — the
-//! export is suitable both for golden-file tests and for loading into
-//! Perfetto / `chrome://tracing` via [`Tracer::export_chrome_trace`].
+//! What to record is decided once, on the control path. A layer resolves,
+//! next to its [`Counter`]/[`Hist`] handles, one [`Event`] per observable
+//! fact — the counters to bump (if any), the trace `cat`/`name`, the era
+//! note it leaves (if any) — and its call sites fire that event once with
+//! `(track, arg)`. [`Recorder::enable`] is the only switch: it sets the
+//! per-op [`Level`] (`Off < Costs < Spans`; see [`crate::ledger`]) and the
+//! capacity of the event ring. With everything off, firing an event is the
+//! counter bump it always was and an op handle is a `None`.
 //!
-//! Tracing is disabled by default and designed to cost nearly nothing when
-//! off: event names and categories are `&'static str`, events are
-//! fixed-size values in a preallocated ring, and the [`Span`] guard does no
-//! heap allocation on either path.
+//! Events land in a bounded ring of [`TraceEvent`]s stamped with
+//! [`SimTime`]. The executor is single-threaded and all timestamps are
+//! virtual, so two runs of the same seeded scenario produce
+//! **byte-identical** logs — suitable for golden-file tests and for loading
+//! into Perfetto / `chrome://tracing` via
+//! [`Recorder::export_chrome_trace`]. Names and categories are
+//! `&'static str`, events are fixed-size values in a preallocated ring, and
+//! the [`Span`] guard borrows its event: recording never allocates.
 //!
 //! ```rust
-//! use sim::{Sim, Duration};
+//! use sim::{Duration, Level, Sim};
 //!
 //! let sim = Sim::new();
-//! let tracer = sim.tracer();
-//! tracer.enable(1024);
+//! let rec = sim.recorder();
+//! rec.enable(Level::Off, 1024);
+//! let op = rec.event("core", "demo.op");
 //! let s = sim.clone();
 //! sim.block_on(async move {
-//!     let span = s.tracer().span("core", "demo.op", 0);
+//!     let span = op.span(0, 0);
 //!     s.sleep(Duration::from_nanos(500)).await;
 //!     span.end();
 //! });
-//! let events = tracer.events();
+//! let events = rec.events();
 //! assert_eq!(events.len(), 1);
 //! assert_eq!(events[0].dur, Some(500));
 //! ```
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt::Write as _;
 use std::rc::Rc;
 
+use crate::metrics::{Counter, Hist, Metrics};
+use crate::optrace::{EraNote, ForensicsConfig, OpLog};
 use crate::time::SimTime;
+
+/// A bounded buffer that overwrites its oldest entry once full and counts
+/// what it overwrote. The one retention policy behind trace events, flight
+/// records and era notes.
+#[derive(Debug)]
+pub(crate) struct Ring<T> {
+    slots: Vec<T>,
+    capacity: usize,
+    /// Index of the oldest entry once the ring has wrapped.
+    head: usize,
+    evicted: u64,
+}
+
+impl<T> Default for Ring<T> {
+    fn default() -> Self {
+        Ring::new(0)
+    }
+}
+
+impl<T> Ring<T> {
+    /// An empty ring holding at most `capacity` entries.
+    pub fn new(capacity: usize) -> Self {
+        Ring {
+            slots: Vec::with_capacity(capacity),
+            capacity,
+            head: 0,
+            evicted: 0,
+        }
+    }
+
+    /// Appends `value`, evicting the oldest entry if the ring is full (a
+    /// ring of capacity zero evicts everything it is given).
+    pub fn push(&mut self, value: T) {
+        if self.slots.len() < self.capacity {
+            self.slots.push(value);
+            return;
+        }
+        self.evicted += 1;
+        if self.capacity > 0 {
+            self.slots[self.head] = value;
+            self.head = (self.head + 1) % self.capacity;
+        }
+    }
+
+    /// Entries currently held (≤ capacity).
+    pub fn len(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Entries overwritten so far.
+    pub fn evicted(&self) -> u64 {
+        self.evicted
+    }
+
+    /// The held entries, oldest first.
+    pub fn iter(&self) -> impl Iterator<Item = &T> {
+        self.slots[self.head..]
+            .iter()
+            .chain(&self.slots[..self.head])
+    }
+}
+
+/// How much each logical operation records (see [`crate::ledger`]). The
+/// levels nest: recording spans implies recording costs.
+#[derive(Clone, Copy, Debug, Default)]
+pub enum Level {
+    /// Nothing: every op handle is the free disabled one.
+    #[default]
+    Off,
+    /// The cost ledger: RTTs, doorbells, wire bytes, recovery actions and
+    /// the per-layer time split, folded into `ops.<op>.*`.
+    Costs,
+    /// Costs plus the causal span tree: blame vectors, tail exemplars, the
+    /// flight recorder, era notes and triage bundles.
+    Spans(ForensicsConfig),
+}
 
 /// One trace record: a completed span (`dur = Some(..)`) or an instant
 /// (`dur = None`).
@@ -42,7 +128,7 @@ use crate::time::SimTime;
 /// `track` discriminates instances of the same component (QP number, link
 /// id, client id) and becomes the thread id in the Chrome export. `arg` is a
 /// free payload slot (byte count, WR id, …).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Layer the event belongs to (`"fabric"`, `"rdma"`, `"core"`, …).
     pub cat: &'static str,
@@ -60,210 +146,134 @@ pub struct TraceEvent {
     pub seq: u64,
 }
 
+/// What every handle to one simulation's recorder shares. The switches are
+/// `Cell`s so that the off path is a load, not a borrow; the two buffers are
+/// cells of their own (and the metrics registry a third, elsewhere), so
+/// nothing here calls out while borrowed.
 #[derive(Default)]
-pub(crate) struct TraceBuf {
-    enabled: bool,
-    capacity: usize,
-    /// Ring storage; once `capacity` is reached the oldest event is
-    /// overwritten (`head` marks the logical start).
-    events: Vec<TraceEvent>,
-    head: usize,
-    next_seq: u64,
-    evicted: u64,
-    published_evicted: u64,
+pub(crate) struct Shared {
+    pub level: Cell<Level>,
+    /// The event ring has capacity.
+    tracing: Cell<bool>,
+    /// The virtual clock, stamped by the executor whenever it moves.
+    pub now: Cell<SimTime>,
+    events: RefCell<Ring<TraceEvent>>,
+    published_evicted: Cell<u64>,
+    pub ops: RefCell<OpLog>,
 }
 
-impl TraceBuf {
-    fn push(&mut self, mut ev: TraceEvent) {
-        ev.seq = self.next_seq;
-        self.next_seq += 1;
-        if self.events.len() < self.capacity {
-            self.events.push(ev);
-        } else if self.capacity > 0 {
-            self.events[self.head] = ev;
-            self.head = (self.head + 1) % self.capacity;
-            self.evicted += 1;
-        }
-    }
-
-    fn snapshot(&self) -> Vec<TraceEvent> {
-        let mut out = Vec::with_capacity(self.events.len());
-        out.extend_from_slice(&self.events[self.head..]);
-        out.extend_from_slice(&self.events[..self.head]);
-        out
-    }
-}
-
-/// Clonable handle to the simulation's trace ring buffer.
+/// Clonable handle to the simulation's recorder: the event ring, the per-op
+/// level, and everything finished ops are filed into.
 ///
-/// Obtain one with [`crate::Sim::tracer`]; all clones for a given
-/// simulation share the same buffer and enabled flag.
-#[derive(Clone)]
-pub struct Tracer {
-    buf: Rc<RefCell<TraceBuf>>,
-    clock: Rc<dyn Fn() -> SimTime>,
+/// Obtain one with [`crate::Sim::recorder`]; all clones for a given
+/// simulation share state. Recording starts off — call
+/// [`Recorder::enable`].
+#[derive(Clone, Default)]
+pub struct Recorder {
+    pub(crate) shared: Rc<Shared>,
 }
 
-impl std::fmt::Debug for Tracer {
+impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let buf = self.buf.borrow();
-        f.debug_struct("Tracer")
-            .field("enabled", &buf.enabled)
-            .field("events", &buf.events.len())
-            .field("capacity", &buf.capacity)
+        f.debug_struct("Recorder")
+            .field("level", &self.shared.level.get())
+            .field("events", &self.shared.events.borrow().len())
             .finish()
     }
 }
 
-impl Tracer {
-    pub(crate) fn from_parts(buf: Rc<RefCell<TraceBuf>>, clock: Rc<dyn Fn() -> SimTime>) -> Self {
-        Tracer { buf, clock }
+impl Recorder {
+    /// Starts recording, clearing any previous recording: every op started
+    /// from now on records at `level`, and events are kept in a ring of at
+    /// most `events` entries (`0`: no event ring). With [`Level::Spans`],
+    /// era notes are retained too and, when the `RSTORE_TRIAGE_DIR`
+    /// environment variable is set, triage bundles are additionally written
+    /// there as JSON files.
+    pub fn enable(&self, level: Level, events: usize) {
+        let sh = &self.shared;
+        sh.level.set(level);
+        sh.tracing.set(events > 0);
+        *sh.events.borrow_mut() = Ring::new(events);
+        sh.published_evicted.set(0);
+        *sh.ops.borrow_mut() = match level {
+            Level::Spans(cfg) => OpLog::new(cfg),
+            Level::Off | Level::Costs => OpLog::default(),
+        };
     }
 
-    pub(crate) fn new_buf() -> Rc<RefCell<TraceBuf>> {
-        Rc::new(RefCell::new(TraceBuf::default()))
+    /// The per-op level currently in force.
+    pub fn level(&self) -> Level {
+        self.shared.level.get()
     }
 
-    /// Starts recording into a ring of at most `capacity` events (older
-    /// events are evicted once full). Clears any previous recording.
-    pub fn enable(&self, capacity: usize) {
-        let mut buf = self.buf.borrow_mut();
-        buf.enabled = true;
-        buf.capacity = capacity;
-        buf.events = Vec::with_capacity(capacity);
-        buf.head = 0;
-        buf.next_seq = 0;
-        buf.evicted = 0;
-        buf.published_evicted = 0;
+    /// True while the event ring records.
+    pub fn is_tracing(&self) -> bool {
+        self.shared.tracing.get()
     }
 
-    /// Stops recording (the collected events stay readable).
-    pub fn disable(&self) {
-        self.buf.borrow_mut().enabled = false;
+    pub(crate) fn set_now(&self, now: SimTime) {
+        self.shared.now.set(now);
     }
 
-    /// True while recording.
-    pub fn is_enabled(&self) -> bool {
-        self.buf.borrow().enabled
+    /// An event that shows as `name` under `cat` in the trace. Chain
+    /// [`Event::counting`] / [`Event::adding`] / [`Event::timing`] /
+    /// [`Event::noting`] for what else firing it does.
+    pub fn event(&self, cat: &'static str, name: &'static str) -> Event {
+        Event {
+            rec: self.clone(),
+            cat,
+            name: Some(name),
+            count: None,
+            sum: None,
+            hist: None,
+            note: None,
+        }
     }
 
-    /// Number of events currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.buf.borrow().events.len()
+    /// An event that leaves only the era note `cat`/`name` — no trace
+    /// instant.
+    pub fn note(&self, cat: &'static str, name: &'static str, payload: NoteArg) -> Event {
+        Event {
+            name: None,
+            ..self.event(cat, name).noting(cat, name, payload)
+        }
     }
 
-    /// True if no events have been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    fn push(&self, ev: &Event, track: u64, start: SimTime, dur: Option<u64>, arg: u64) {
+        let Some(name) = ev.name else { return };
+        let mut ring = self.shared.events.borrow_mut();
+        let seq = ring.len() as u64 + ring.evicted();
+        ring.push(TraceEvent {
+            cat: ev.cat,
+            name,
+            track,
+            start,
+            dur,
+            arg,
+            seq,
+        });
     }
 
     /// Number of events evicted by ring wraparound.
     pub fn evicted(&self) -> u64 {
-        self.buf.borrow().evicted
+        self.shared.events.borrow().evicted()
     }
 
     /// Mirrors ring evictions into `metrics` as the `trace.evicted`
     /// counter, adding only the evictions since the last publish so
     /// repeated calls keep the counter exact. Call wherever the trace is
     /// exported or the registry is dumped.
-    pub fn publish_evicted(&self, metrics: &crate::metrics::Metrics) {
-        let mut buf = self.buf.borrow_mut();
-        let delta = buf.evicted - buf.published_evicted;
+    pub fn publish_evicted(&self, metrics: &Metrics) {
+        let evicted = self.evicted();
+        let delta = evicted - self.shared.published_evicted.replace(evicted);
         if delta > 0 {
             metrics.add("trace.evicted", delta);
-            buf.published_evicted = buf.evicted;
         }
     }
 
     /// Copies the buffered events out, oldest first.
     pub fn events(&self) -> Vec<TraceEvent> {
-        self.buf.borrow().snapshot()
-    }
-
-    /// Opens a span; the span records a complete event when [`Span::end`]ed
-    /// or dropped. When tracing is disabled this is a no-op guard and costs
-    /// only the enabled check.
-    pub fn span(&self, cat: &'static str, name: &'static str, track: u64) -> Span {
-        self.span_arg(cat, name, track, 0)
-    }
-
-    /// [`Tracer::span`] with a payload value (byte count, WR id, …).
-    pub fn span_arg(&self, cat: &'static str, name: &'static str, track: u64, arg: u64) -> Span {
-        if !self.is_enabled() {
-            return Span { live: None };
-        }
-        Span {
-            live: Some(LiveSpan {
-                tracer: self.clone(),
-                cat,
-                name,
-                track,
-                arg,
-                start: (self.clock)(),
-            }),
-        }
-    }
-
-    /// Records a complete event spanning from `start` (captured earlier via
-    /// the simulation clock) to now. For event-driven code where a [`Span`]
-    /// guard cannot live across the operation (state machines, callbacks).
-    pub fn complete_at(
-        &self,
-        cat: &'static str,
-        name: &'static str,
-        track: u64,
-        start: SimTime,
-        arg: u64,
-    ) {
-        let mut buf = self.buf.borrow_mut();
-        if !buf.enabled {
-            return;
-        }
-        let end = (self.clock)();
-        buf.push(TraceEvent {
-            cat,
-            name,
-            track,
-            start,
-            dur: Some(end.saturating_since(start).as_nanos() as u64),
-            arg,
-            seq: 0,
-        });
-    }
-
-    /// Records an instant event at the current virtual time.
-    pub fn instant(&self, cat: &'static str, name: &'static str, track: u64, arg: u64) {
-        let mut buf = self.buf.borrow_mut();
-        if !buf.enabled {
-            return;
-        }
-        let at = (self.clock)();
-        buf.push(TraceEvent {
-            cat,
-            name,
-            track,
-            start: at,
-            dur: None,
-            arg,
-            seq: 0,
-        });
-    }
-
-    fn close_span(&self, span: &LiveSpan) {
-        let mut buf = self.buf.borrow_mut();
-        if !buf.enabled {
-            return;
-        }
-        let end = (self.clock)();
-        buf.push(TraceEvent {
-            cat: span.cat,
-            name: span.name,
-            track: span.track,
-            start: span.start,
-            dur: Some(end.saturating_since(span.start).as_nanos() as u64),
-            arg: span.arg,
-            seq: 0,
-        });
+        self.shared.events.borrow().iter().copied().collect()
     }
 
     /// Serialises the buffered events as Chrome trace-event JSON
@@ -315,6 +325,145 @@ impl Tracer {
     }
 }
 
+/// Which of an event's two values its era note keeps: node-scoped faults
+/// note the node (the instant's `track`), rate changes and totals the
+/// quantity (its `arg`).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum NoteArg {
+    /// The note's payload is the event's `track`.
+    Track,
+    /// The note's payload is the event's `arg`.
+    Arg,
+}
+
+/// One observable fact of a layer, resolved once at construction (see the
+/// module docs): firing it bumps its counter, and — only while something
+/// listens — pushes its trace instant and leaves its era note.
+pub struct Event {
+    rec: Recorder,
+    cat: &'static str,
+    /// `None`: the event has no trace record (a note-only event).
+    name: Option<&'static str>,
+    /// Grows by one per firing.
+    count: Option<Counter>,
+    /// Grows by the fired `arg`.
+    sum: Option<Counter>,
+    /// Where [`Event::span`] / [`Event::complete`] record their duration.
+    hist: Option<Hist>,
+    note: Option<(&'static str, &'static str, NoteArg)>,
+}
+
+impl Event {
+    /// Firing also increments `counter`.
+    pub fn counting(self, counter: Counter) -> Event {
+        Event {
+            count: Some(counter),
+            ..self
+        }
+    }
+
+    /// Firing also adds the fired `arg` to `counter`.
+    pub fn adding(self, counter: Counter) -> Event {
+        Event {
+            sum: Some(counter),
+            ..self
+        }
+    }
+
+    /// A span of this event also records its duration into `hist`, whether
+    /// or not the ring is on.
+    pub fn timing(self, hist: Hist) -> Event {
+        Event {
+            hist: Some(hist),
+            ..self
+        }
+    }
+
+    /// Firing also leaves the era note `cat`/`name` carrying `payload`,
+    /// retained while spans are recorded. Era notes have a ring of their
+    /// own: per-message events own the event ring within microseconds, and
+    /// a triage bundle wants the faults nearest the failure.
+    pub fn noting(self, cat: &'static str, name: &'static str, payload: NoteArg) -> Event {
+        Event {
+            note: Some((cat, name, payload)),
+            ..self
+        }
+    }
+
+    /// Records the fact once: an instant at the current virtual time.
+    pub fn fire(&self, track: u64, arg: u64) {
+        if let Some(count) = &self.count {
+            count.incr();
+        }
+        if let Some(sum) = &self.sum {
+            sum.add(arg);
+        }
+        let sh = &self.rec.shared;
+        if sh.tracing.get() {
+            self.rec.push(self, track, sh.now.get(), None, arg);
+        }
+        let Some((cat, name, payload)) = self.note else {
+            return;
+        };
+        if let Level::Spans(_) = sh.level.get() {
+            sh.ops.borrow_mut().notes.push(EraNote {
+                at_ns: sh.now.get().as_nanos(),
+                cat,
+                name,
+                arg: match payload {
+                    NoteArg::Track => track,
+                    NoteArg::Arg => arg,
+                },
+            });
+        }
+    }
+
+    /// Opens a span; it records a complete event when [`Span::end`]ed or
+    /// dropped. With the ring off and no histogram to feed this is an inert
+    /// guard and costs only the check.
+    pub fn span(&self, track: u64, arg: u64) -> Span<'_> {
+        let sh = &self.rec.shared;
+        let live = self.hist.is_some() || sh.tracing.get();
+        Span {
+            live: live.then(|| (self, track, arg, sh.now.get())),
+        }
+    }
+
+    /// Records a complete event spanning from `start` (captured earlier) to
+    /// now. For event-driven code where a [`Span`] guard cannot live across
+    /// the operation (state machines, callbacks).
+    pub fn complete(&self, track: u64, start: SimTime, arg: u64) {
+        let sh = &self.rec.shared;
+        let dur = sh.now.get().saturating_since(start);
+        if let Some(hist) = &self.hist {
+            hist.record(dur);
+        }
+        if sh.tracing.get() {
+            self.rec
+                .push(self, track, start, Some(dur.as_nanos() as u64), arg);
+        }
+    }
+}
+
+/// Guard for an in-progress span of an [`Event`]; completes it on drop.
+#[must_use = "a span measures until it is dropped or .end()ed"]
+pub struct Span<'a> {
+    live: Option<(&'a Event, u64, u64, SimTime)>,
+}
+
+impl Span<'_> {
+    /// Explicitly closes the span (equivalent to dropping it).
+    pub fn end(self) {}
+}
+
+impl Drop for Span<'_> {
+    fn drop(&mut self) {
+        if let Some((event, track, arg, start)) = self.live.take() {
+            event.complete(track, start, arg);
+        }
+    }
+}
+
 /// Fixed-point nanos → microseconds rendering (`1234` ns → `"1.234"`), so
 /// exports are exact and byte-stable.
 fn micros(nanos: u64) -> String {
@@ -342,82 +491,40 @@ pub(crate) fn push_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-struct LiveSpan {
-    tracer: Tracer,
-    cat: &'static str,
-    name: &'static str,
-    track: u64,
-    arg: u64,
-    start: SimTime,
-}
-
-/// Guard for an in-progress span; records a complete event on drop.
-///
-/// When tracing is disabled the guard is inert (`live: None`) and drop does
-/// nothing.
-#[must_use = "a span measures until it is dropped or .end()ed"]
-pub struct Span {
-    live: Option<LiveSpan>,
-}
-
-impl Span {
-    /// Explicitly closes the span (equivalent to dropping it).
-    pub fn end(self) {}
-
-    /// Updates the payload value recorded with the span (e.g. bytes moved,
-    /// determined mid-operation).
-    pub fn set_arg(&mut self, arg: u64) {
-        if let Some(live) = &mut self.live {
-            live.arg = arg;
-        }
-    }
-}
-
-impl Drop for Span {
-    fn drop(&mut self) {
-        if let Some(live) = self.live.take() {
-            live.tracer.clone().close_span(&live);
-        }
-    }
-}
-
-impl std::fmt::Debug for Span {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.live {
-            Some(l) => write!(f, "Span({}: {} @ {:?})", l.cat, l.name, l.start),
-            None => write!(f, "Span(disabled)"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
+    use super::*;
     use crate::{Duration, Sim};
 
     #[test]
     fn disabled_tracer_records_nothing() {
         let sim = Sim::new();
-        let t = sim.tracer();
-        t.instant("test", "x", 0, 0);
-        let span = t.span("test", "y", 0);
-        span.end();
-        assert!(t.is_empty());
-        assert!(!t.is_enabled());
+        let rec = sim.recorder();
+        let m = Metrics::new();
+        let x = rec.event("test", "x").counting(m.counter_handle("x"));
+        x.fire(0, 0);
+        x.span(0, 0).end();
+        x.complete(0, SimTime::ZERO, 0);
+        assert!(rec.events().is_empty());
+        assert!(!rec.is_tracing());
+        // Off, firing is still the counter bump.
+        assert_eq!(m.counter("x"), 1);
     }
 
     #[test]
     fn span_measures_virtual_time() {
         let sim = Sim::new();
-        let t = sim.tracer();
-        t.enable(16);
+        let rec = sim.recorder();
+        rec.enable(Level::Off, 16);
+        let m = Metrics::new();
+        let op = rec.event("test", "op").timing(m.hist_handle("op_latency"));
         let s = sim.clone();
         sim.block_on(async move {
-            let tr = s.tracer();
-            let span = tr.span_arg("test", "op", 3, 99);
+            let span = op.span(3, 99);
             s.sleep(Duration::from_nanos(250)).await;
             span.end();
         });
-        let events = t.events();
+        let events = rec.events();
         assert_eq!(events.len(), 1);
         let ev = &events[0];
         assert_eq!(ev.name, "op");
@@ -425,19 +532,22 @@ mod tests {
         assert_eq!(ev.arg, 99);
         assert_eq!(ev.start.as_nanos(), 0);
         assert_eq!(ev.dur, Some(250));
+        // One measurement, two views.
+        assert_eq!(m.histogram("op_latency").unwrap().samples(), &[250]);
     }
 
     #[test]
     fn ring_buffer_wraps_and_keeps_newest() {
         let sim = Sim::new();
-        let t = sim.tracer();
-        t.enable(4);
+        let rec = sim.recorder();
+        rec.enable(Level::Off, 4);
+        let tick = rec.event("test", "tick");
         for i in 0..10 {
-            t.instant("test", "tick", i, i);
+            tick.fire(i, i);
         }
-        let events = t.events();
+        let events = rec.events();
         assert_eq!(events.len(), 4);
-        assert_eq!(t.evicted(), 6);
+        assert_eq!(rec.evicted(), 6);
         // Oldest evicted: the survivors are the last four, in order.
         let tracks: Vec<u64> = events.iter().map(|e| e.track).collect();
         assert_eq!(tracks, vec![6, 7, 8, 9]);
@@ -448,77 +558,129 @@ mod tests {
     #[test]
     fn enable_clears_previous_recording() {
         let sim = Sim::new();
-        let t = sim.tracer();
-        t.enable(8);
-        t.instant("test", "a", 0, 0);
-        t.enable(8);
-        assert!(t.is_empty());
-        t.instant("test", "b", 0, 0);
-        assert_eq!(t.events()[0].seq, 0);
+        let rec = sim.recorder();
+        rec.enable(Level::Off, 8);
+        rec.event("test", "a").fire(0, 0);
+        rec.enable(Level::Off, 8);
+        assert!(rec.events().is_empty());
+        rec.event("test", "b").fire(0, 0);
+        assert_eq!(rec.events()[0].seq, 0);
+    }
+
+    #[test]
+    fn events_count_add_and_note_in_one_call() {
+        let sim = Sim::new();
+        let rec = sim.recorder();
+        let m = Metrics::new();
+        let crash = rec
+            .event("fabric", "fabric.fault.crash")
+            .counting(m.counter_handle("fabric.fault.crash"))
+            .noting("fault", "crash", NoteArg::Track);
+        let loss = rec.event("fabric", "fabric.fault.loss_start").noting(
+            "fault",
+            "loss_start",
+            NoteArg::Arg,
+        );
+        let tx = rec
+            .event("fabric", "fabric.tx")
+            .adding(m.counter_handle("fabric.tx_bytes"));
+        let repaired = rec.note("repair", "extents_repaired", NoteArg::Arg);
+        // Off: counters only.
+        crash.fire(3, 0);
+        tx.fire(1, 4096);
+        assert!(rec.events().is_empty() && rec.era_notes().is_empty());
+        rec.enable(Level::Spans(ForensicsConfig::default()), 8);
+        crash.fire(3, 0);
+        loss.fire(0, 20_000);
+        tx.fire(1, 4096);
+        repaired.fire(0, 2);
+        assert_eq!(m.counter("fabric.fault.crash"), 2);
+        assert_eq!(m.counter("fabric.tx_bytes"), 8192);
+        let names: Vec<_> = rec.events().iter().map(|e| e.name).collect();
+        assert_eq!(
+            names,
+            ["fabric.fault.crash", "fabric.fault.loss_start", "fabric.tx"]
+        );
+        // A note keeps the node or the quantity, as its event says.
+        let notes: Vec<_> = rec.era_notes().iter().map(|n| (n.name, n.arg)).collect();
+        assert_eq!(
+            notes,
+            [
+                ("crash", 3),
+                ("loss_start", 20_000),
+                ("extents_repaired", 2)
+            ]
+        );
+        // Costs alone keeps no notes: they exist for triage bundles.
+        rec.enable(Level::Costs, 0);
+        crash.fire(3, 0);
+        assert!(rec.era_notes().is_empty());
     }
 
     #[test]
     fn chrome_export_shape() {
         let sim = Sim::new();
-        let t = sim.tracer();
-        t.enable(16);
+        let rec = sim.recorder();
+        rec.enable(Level::Off, 16);
+        let (pkt, read) = (rec.event("fabric", "pkt"), rec.event("core", "read"));
         let s = sim.clone();
         sim.block_on(async move {
-            let tr = s.tracer();
-            tr.instant("fabric", "pkt", 1, 64);
-            let span = tr.span("core", "read", 2);
+            pkt.fire(1, 64);
+            let span = read.span(2, 0);
             s.sleep(Duration::from_nanos(1_500)).await;
             span.end();
         });
-        let json = t.export_chrome_trace();
+        let json = rec.export_chrome_trace();
         assert!(json.contains("\"traceEvents\""));
         assert!(json.contains("\"ph\": \"i\""));
         assert!(json.contains("\"ph\": \"X\""));
         assert!(json.contains("\"dur\": 1.500"));
         assert!(json.contains("\"evicted\": 0"));
         // Deterministic: exporting twice is byte-identical.
-        assert_eq!(json, t.export_chrome_trace());
+        assert_eq!(json, rec.export_chrome_trace());
     }
 
     #[test]
     fn chrome_export_reports_evictions() {
         let sim = Sim::new();
-        let t = sim.tracer();
-        t.enable(2);
+        let rec = sim.recorder();
+        rec.enable(Level::Off, 2);
+        let tick = rec.event("test", "tick");
         for i in 0..5 {
-            t.instant("test", "tick", i, i);
+            tick.fire(i, i);
         }
-        let json = t.export_chrome_trace();
+        let json = rec.export_chrome_trace();
         assert!(json.contains("\"evicted\": 3"));
     }
 
     #[test]
     fn publish_evicted_mirrors_ring_overflow_into_metrics() {
         let sim = Sim::new();
-        let m = crate::Metrics::new();
-        let t = sim.tracer();
-        t.enable(2);
+        let m = Metrics::new();
+        let rec = sim.recorder();
+        rec.enable(Level::Off, 2);
+        let tick = rec.event("test", "tick");
         for i in 0..7 {
-            t.instant("test", "tick", i, i);
+            tick.fire(i, i);
         }
-        t.publish_evicted(&m);
+        rec.publish_evicted(&m);
         assert_eq!(m.counter("trace.evicted"), 5);
         // Repeated publishing only adds the delta.
-        t.publish_evicted(&m);
+        rec.publish_evicted(&m);
         assert_eq!(m.counter("trace.evicted"), 5);
-        t.instant("test", "tick", 7, 7);
-        t.publish_evicted(&m);
+        tick.fire(7, 7);
+        rec.publish_evicted(&m);
         assert_eq!(m.counter("trace.evicted"), 6);
     }
 
     #[test]
     fn tracer_clones_share_state() {
         let sim = Sim::new();
-        let a = sim.tracer();
-        let b = sim.tracer();
-        a.enable(8);
-        assert!(b.is_enabled());
-        b.instant("test", "x", 0, 0);
-        assert_eq!(a.len(), 1);
+        let a = sim.recorder();
+        let b = sim.recorder();
+        a.enable(Level::Off, 8);
+        assert!(b.is_tracing());
+        b.event("test", "x").fire(0, 0);
+        assert_eq!(a.events().len(), 1);
     }
 }

@@ -22,7 +22,9 @@
 //! so a per-update name `String` or a boxed closure per event coming back
 //! lifts every pin by a multiple (the pins were 2–6x their pre-pin values
 //! when every event was a `Box<dyn FnOnce>` and the plan lists of a region
-//! round were fresh `Vec`s).
+//! round were fresh `Vec`s). All of that is with recording off, as the
+//! benchmark runs; the last KV pins switch the simulation's recorder on and
+//! hold what that costs to one allocation per op handle, at either level.
 //!
 //! This is the only test in the binary so the counting global allocator
 //! sees no concurrent test threads.
@@ -167,6 +169,25 @@ fn steady_state_ops_hold_allocation_floor() {
             assert!(kv.delete(&keys[1]).await.unwrap());
             kv.put(&keys[1], &[9u8; 32]).await.unwrap();
         });
+
+        // Recording on: what the switch costs per op, at either level, is
+        // the op's one handle — a get starts one, a put two (its own and
+        // its CAS's). The span tree rides in the same `Rc` and its list is
+        // pooled (an exemplar bucket full of slower ops keeps none of
+        // these), so spans cost what costs do.
+        let rec = cluster.sim.recorder();
+        let spans = sim::Level::Spans(sim::ForensicsConfig::default());
+        for (level, get, put) in [
+            (sim::Level::Costs, "kv.get @costs", "kv.put @costs"),
+            (spans, "kv.get @spans", "kv.put @spans"),
+        ] {
+            rec.enable(level, 0);
+            steady!(get, 3, {
+                assert!(kv.get(&keys[0]).await.unwrap().is_some());
+            });
+            steady!(put, 4, kv.put(&keys[0], &[9u8; 32]).await.unwrap());
+        }
+        rec.enable(sim::Level::Off, 0);
 
         dev.free(io).unwrap();
     });

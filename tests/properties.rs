@@ -575,7 +575,7 @@ fn batched_and_pipelined_small_io_equivalent() {
 /// replica for a single-piece write, one for a single-piece read.
 #[test]
 fn region_io_matches_model_and_doorbell_rule() {
-    use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig};
+    use rstore::{AllocOptions, Cluster, ClusterConfig};
     use std::collections::BTreeSet;
     cases("region_io_matches_model_and_doorbell_rule", 2, |rng| {
         for stripe in [1u64 << 10, 4 << 10, 16 << 10] {
@@ -598,12 +598,9 @@ fn region_io_matches_model_and_doorbell_rule() {
                     })
                     .expect("boot");
                     let sim = cluster.sim.clone();
+                    sim.recorder().enable(sim::Level::Costs, 0);
                     sim.block_on(async move {
-                        let cfg = ClientConfig {
-                            ledger: true,
-                            ..ClientConfig::default()
-                        };
-                        let client = cluster.client_with(0, cfg).await.expect("client");
+                        let client = cluster.client(0).await.expect("client");
                         let opts = AllocOptions {
                             stripe_size: stripe,
                             replicas,

@@ -206,8 +206,8 @@ fn traced_fault_run() -> String {
     let victim = cluster.servers[0].node();
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
-    let tracer = sim.tracer();
-    tracer.enable(1 << 16);
+    let rec = sim.recorder();
+    rec.enable(sim::Level::Off, 1 << 16);
     let s = sim.clone();
     sim.block_on(async move {
         let c = RStoreClient::connect(&devs[0], master).await.unwrap();
@@ -226,7 +226,7 @@ fn traced_fault_run() -> String {
         s.sleep(Duration::from_millis(400)).await;
         let _ = c.lookup("seeded").await;
     });
-    tracer.export_chrome_trace()
+    rec.export_chrome_trace()
 }
 
 #[test]
@@ -792,8 +792,8 @@ fn traced_membership_run() -> String {
     let master_handle = cluster.master.clone();
     let dark = cluster.add_dark_server();
     let dark_node = dark.node();
-    let tracer = sim.tracer();
-    tracer.enable(1 << 16);
+    let rec = sim.recorder();
+    rec.enable(sim::Level::Off, 1 << 16);
 
     // Wire membership events to the cluster: Join starts the dark server,
     // Drain asks the master to migrate the node empty (fire-and-forget,
@@ -841,7 +841,7 @@ fn traced_membership_run() -> String {
         let st = c.stats().await.unwrap();
         assert!(st.consistent, "chaos must not unbalance the books");
     });
-    tracer.export_chrome_trace()
+    rec.export_chrome_trace()
 }
 
 #[test]
@@ -1022,8 +1022,8 @@ fn corrupt_repair_run(write_at: Option<sim::SimTime>) -> sim::SimTime {
     let fabric = cluster.fabric.clone();
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
-    let tracer = sim.tracer();
-    tracer.enable(1 << 16);
+    let rec = sim.recorder();
+    rec.enable(sim::Level::Off, 1 << 16);
     let s = sim.clone();
     sim.block_on(async move {
         let c = RStoreClient::connect(&devs[0], master).await.unwrap();
@@ -1049,7 +1049,7 @@ fn corrupt_repair_run(write_at: Option<sim::SimTime>) -> sim::SimTime {
         // The scrubber marks the replica, repair replaces it.
         let mut repaired_at = None;
         for _ in 0..300 {
-            let instants = tracer.events();
+            let instants = rec.events();
             let repair = instants.iter().find(|e| e.name == "rstore.repair.extent");
             if let Some(e) = repair {
                 repaired_at = Some(e.start);
@@ -1127,8 +1127,8 @@ fn repair_rollback_run(kill_at: Option<sim::SimTime>) -> sim::SimTime {
     let master = cluster.master_node();
     let servers = cluster.servers.clone();
     let nodes: Vec<u32> = servers.iter().map(|s| s.node().0).collect();
-    let forensics = sim.forensics();
-    forensics.enable(sim::ForensicsConfig::default());
+    let rec = sim.recorder();
+    rec.enable(sim::Level::Spans(sim::ForensicsConfig::default()), 0);
     let s = sim.clone();
     sim.block_on(async move {
         let c = RStoreClient::connect(&devs[0], master).await.unwrap();
@@ -1180,7 +1180,7 @@ fn repair_rollback_run(kill_at: Option<sim::SimTime>) -> sim::SimTime {
                 d.state == RegionState::Healthy && !d.groups[0].replicas.contains(&bad)
             });
             if replaced {
-                let notes = forensics.era_notes();
+                let notes = rec.era_notes();
                 let seal = notes.iter().find(|n| n.name == "extent_sealed");
                 sealed_at = seal.map(|n| sim::SimTime::from_nanos(n.at_ns));
                 break;
@@ -1218,6 +1218,60 @@ fn repair_rollback_run(kill_at: Option<sim::SimTime>) -> sim::SimTime {
         assert_no_server_holds_unbooked_bytes(&servers, &master_handle);
         sealed_at
     })
+}
+
+/// The one recording switch needs no cooperation from the client's
+/// configuration and nothing attached in any order: spans enabled on a
+/// default-config cluster record every op, and an op that fails with a
+/// structured error dumps a bundle that snapshots the registry it folds
+/// into. (Recording used to ride a per-client `ledger` flag that was off by
+/// default — forensics alone recorded nothing — and a registry attached
+/// before the enable was dropped by it.)
+#[test]
+fn spans_on_a_default_config_cluster_record_ops_and_bundle_the_registry() {
+    let cluster = boot(3, 1);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let rec = sim.recorder();
+    rec.enable(sim::Level::Spans(sim::ForensicsConfig::default()), 0);
+    sim.block_on(async move {
+        let c = cluster.client(0).await.unwrap();
+        let region = c
+            .alloc("plain", 64 * 1024, AllocOptions::default())
+            .await
+            .unwrap();
+        for i in 0..10u64 {
+            region.write(i * 64, &[i as u8; 64]).await.unwrap();
+            assert_eq!(region.read(i * 64, 64).await.unwrap(), [i as u8; 64]);
+        }
+        // One replica, and its server is gone: the read exhausts its
+        // recovery and fails with a structured error.
+        let host = region.desc().groups[0].replicas[0].node;
+        fabric.set_node_up(fabric::NodeId(host), false);
+        assert!(region.read(0, 64).await.is_err());
+    });
+    assert_eq!((rec.finished(), rec.failed(), rec.bundles()), (21, 1, 1));
+    assert_eq!(rec.ring().len(), 21);
+    let exemplars = rec.exemplars();
+    assert!(exemplars.iter().any(|e| e.rec.kind == "write"));
+    let failed = exemplars
+        .iter()
+        .find(|e| e.rec.error.is_some())
+        .expect("the slowest read of its window is the one that failed");
+    assert!(failed.spans.iter().any(|s| s.phase == sim::Phase::Retry));
+    let bundle = rec
+        .last_bundle()
+        .expect("a structured error dumps a bundle");
+    let bench::json::Json::Obj(doc) = bench::json::parse(&bundle).expect("valid JSON") else {
+        panic!("a bundle is an object")
+    };
+    let Some(bench::json::Json::Obj(gauges)) = doc.get("gauges") else {
+        panic!("a bundle snapshots its registry")
+    };
+    // Written before this op folded: the 20 that succeeded are in it.
+    for (name, value) in [("ops.read.count", 10), ("optrace.failed", 1)] {
+        assert_eq!(gauges.get(name), Some(&bench::json::Json::int(value)));
+    }
 }
 
 #[test]

@@ -16,8 +16,8 @@ fn boot(servers: usize, clients: usize) -> Cluster {
 fn traced_run() -> String {
     let cluster = boot(3, 2);
     let sim = cluster.sim.clone();
-    let tracer = sim.tracer();
-    tracer.enable(1 << 15);
+    let rec = sim.recorder();
+    rec.enable(sim::Level::Off, 1 << 15);
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
     sim.block_on(async move {
@@ -41,7 +41,7 @@ fn traced_run() -> String {
         region.read(512 * 1024, 13).await.unwrap();
         a.free("det").await.unwrap();
     });
-    tracer.export_chrome_trace()
+    rec.export_chrome_trace()
 }
 
 #[test]
@@ -81,8 +81,8 @@ fn trace_ring_overflow_is_surfaced_in_metrics() {
     let cluster = boot(3, 1);
     let sim = cluster.sim.clone();
     let metrics = cluster.fabric.metrics().clone();
-    let tracer = sim.tracer();
-    tracer.enable(8); // far fewer slots than a lifecycle emits
+    let rec = sim.recorder();
+    rec.enable(sim::Level::Off, 8); // far fewer slots than a lifecycle emits
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
     sim.block_on(async move {
@@ -95,7 +95,7 @@ fn trace_ring_overflow_is_surfaced_in_metrics() {
         r.read(0, 256 * 1024).await.unwrap();
         c.free("ov").await.unwrap();
     });
-    tracer.publish_evicted(&metrics);
+    rec.publish_evicted(&metrics);
     assert!(
         metrics.counter("trace.evicted") > 0,
         "an overflowed ring must be visible in the metrics namespace"
@@ -103,7 +103,7 @@ fn trace_ring_overflow_is_surfaced_in_metrics() {
     // Publishing is delta-tracked: a second publish with no new evictions
     // must not double-count.
     let count = metrics.counter("trace.evicted");
-    tracer.publish_evicted(&metrics);
+    rec.publish_evicted(&metrics);
     assert_eq!(metrics.counter("trace.evicted"), count);
 }
 
