@@ -234,7 +234,11 @@ fn pattern(block: u64) -> Vec<u8> {
 
 /// Runs E10.
 pub fn run() -> Vec<Table> {
-    let s = measure();
+    tables(&measure())
+}
+
+/// Renders E10's tables from one measurement.
+pub fn tables(s: &AvailabilityStats) -> Vec<Table> {
     let mut t = Table::new(
         "E10: availability under a memory-server crash (4 servers, 2 replicas, repair on)",
         &["metric", "value"],

@@ -410,7 +410,11 @@ pub fn measure() -> IntegrityStats {
 
 /// Runs E11.
 pub fn run() -> Vec<Table> {
-    let s = measure();
+    tables(&measure())
+}
+
+/// Renders E11's tables from one measurement.
+pub fn tables(s: &IntegrityStats) -> Vec<Table> {
     let injected = s.injected_in_flight + s.injected_at_rest;
     let mut t = Table::new(
         "E11: end-to-end integrity under corruption (4 servers, checksummed stripes, scrub on)",

@@ -333,7 +333,11 @@ fn verify(region: &Region, addr: u64, off: u64, len: u64) -> u64 {
 
 /// Runs E12.
 pub fn run() -> Vec<Table> {
-    let stats = measure();
+    tables(&measure())
+}
+
+/// Renders E12's tables from one measurement.
+pub fn tables(stats: &SmallIoStats) -> Vec<Table> {
     let mut t1 = Table::new(
         "E12a: small-IO streaming, per-op vs batched posting (4 servers, 256 ops/size)",
         &[

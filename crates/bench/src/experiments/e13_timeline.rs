@@ -310,7 +310,11 @@ pub fn measure() -> TimelineStats {
 
 /// Runs E13.
 pub fn run() -> Vec<Table> {
-    let s = measure();
+    tables(&measure())
+}
+
+/// Renders E13's tables from one measurement.
+pub fn tables(s: &TimelineStats) -> Vec<Table> {
     let mut t = Table::new(
         "E13: telemetry timeline across a server crash (4 servers, 2 replicas, 50 ms windows)",
         &[

@@ -391,7 +391,11 @@ pub fn measure() -> YcsbStats {
 
 /// Runs E14.
 pub fn run() -> Vec<Table> {
-    let s = measure();
+    tables(&measure())
+}
+
+/// Renders E14's tables from one measurement.
+pub fn tables(s: &YcsbStats) -> Vec<Table> {
     let mut t = Table::new(
         "E14: YCSB zipfian mixes, 2^20 keys, 112 clients, cached index (warm passes)",
         &[

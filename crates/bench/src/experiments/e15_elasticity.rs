@@ -532,7 +532,11 @@ pub fn measure() -> ElasticityStats {
 
 /// Runs E15.
 pub fn run() -> Vec<Table> {
-    let s = measure();
+    tables(&measure())
+}
+
+/// Renders E15's tables from one measurement.
+pub fn tables(s: &ElasticityStats) -> Vec<Table> {
     let mut t = Table::new(
         "E15: elasticity — join x2 + graceful drain + crash/flap/loss under KV load (2 replicas)",
         &[

@@ -462,7 +462,11 @@ pub fn selftime_extras() -> RawSpeedSelfTime {
 
 /// Runs E16.
 pub fn run() -> Vec<Table> {
-    let stats = measure();
+    tables(&measure())
+}
+
+/// Renders E16's tables from one measurement.
+pub fn tables(stats: &RawSpeedStats) -> Vec<Table> {
     let mut t1 = Table::new(
         format!(
             "E16a: scatter-gather WRs, {}-piece striped IO over {} QPs ({} ops)",

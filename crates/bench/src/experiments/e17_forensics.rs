@@ -321,7 +321,11 @@ fn fmt_us(ns: u64) -> String {
 
 /// Runs E17.
 pub fn run() -> Vec<Table> {
-    let s = measure();
+    tables(&measure())
+}
+
+/// Renders E17's tables from one measurement.
+pub fn tables(s: &ForensicsStats) -> Vec<Table> {
     let mut t = Table::new(
         "E17: causal blame for the tail of a server-crash episode (4 servers, 2 replicas)",
         &[

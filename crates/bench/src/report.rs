@@ -231,11 +231,10 @@ impl Asserts {
 /// Runs experiment `id` and returns its JSON document: the same tables the
 /// text mode prints, plus structured extras for experiments that have them.
 pub fn experiment_json(id: &str) -> Json {
-    let tables: Vec<Json> = experiments::run(id).iter().map(table_json).collect();
-    let mut fields = vec![
-        ("id".to_string(), Json::str(id)),
-        ("tables".to_string(), Json::Arr(tables)),
-    ];
+    // E10–E17 are measured once and rendered twice: their tables come from
+    // the same stats as their structured block.
+    let mut tables = None;
+    let mut fields = vec![("id".to_string(), Json::str(id))];
     let mut asserts = Asserts::default();
     if id == "e3" {
         let attr: Vec<Json> = e3_datapath::attribution()
@@ -246,6 +245,7 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e10" {
         let s = e10_availability::measure();
+        tables = Some(e10_availability::tables(&s));
         asserts.eq("data_errors", s.data_errors, 0);
         asserts.holds("healthy_after_repair", s.healthy_after_repair);
         fields.push((
@@ -269,6 +269,7 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e11" {
         let s = e11_integrity::measure();
+        tables = Some(e11_integrity::tables(&s));
         let injected = s.injected_in_flight + s.injected_at_rest;
         asserts.eq("data_errors", s.data_errors, 0);
         asserts.eq("false_positives", s.false_positives, 0);
@@ -319,6 +320,7 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e12" {
         let s = e12_smallio::measure();
+        tables = Some(e12_smallio::tables(&s));
         let sizes: Vec<Json> = s
             .sizes
             .iter()
@@ -390,6 +392,7 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e13" {
         let s = e13_timeline::measure();
+        tables = Some(e13_timeline::tables(&s));
         asserts.eq("value_errors", s.value_errors, 0);
         asserts.eq("abandoned", s.abandoned, 0);
         asserts.positive("io_errors", s.io_errors);
@@ -426,6 +429,7 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e14" {
         let s = e14_ycsb::measure();
+        tables = Some(e14_ycsb::tables(&s));
         asserts.eq("data_errors", s.data_errors, 0);
         asserts.eq("warm_get_rtts", s.warm.get_rtts, 1);
         asserts.eq("warm_get_doorbells", s.warm.get_doorbells, 1);
@@ -504,6 +508,7 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e15" {
         let s = e15_elasticity::measure();
+        tables = Some(e15_elasticity::tables(&s));
         let data_errors: u64 = s.scales.iter().map(|x| x.value_errors + x.abandoned).sum();
         asserts.eq("data_errors", data_errors, 0);
         for x in &s.scales {
@@ -565,6 +570,7 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e16" {
         let s = e16_rawspeed::measure();
+        tables = Some(e16_rawspeed::tables(&s));
         let arm_json = |a: &e16_rawspeed::SgeArm| {
             Json::obj([
                 (
@@ -635,6 +641,7 @@ pub fn experiment_json(id: &str) -> Json {
     }
     if id == "e17" {
         let s = e17_forensics::measure();
+        tables = Some(e17_forensics::tables(&s));
         asserts.holds("fault_blame_pins_on_stall", s.fault_blame_pins_on_stall());
         asserts.eq("value_errors", s.value_errors, 0);
         asserts.eq("abandoned", s.abandoned, 0);
@@ -685,6 +692,9 @@ pub fn experiment_json(id: &str) -> Json {
     if !asserts.0.is_empty() {
         fields.push(("asserts".to_string(), Json::Arr(asserts.0)));
     }
+    let tables = tables.unwrap_or_else(|| experiments::run(id));
+    let tables = tables.iter().map(table_json).collect();
+    fields.push(("tables".to_string(), Json::Arr(tables)));
     Json::obj(fields)
 }
 

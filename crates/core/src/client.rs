@@ -19,7 +19,7 @@ use crate::proto::{
     AllocOptions, ClusterReport, ClusterStats, CtrlReq, CtrlResp, RegionDesc, RegionState,
 };
 use crate::region::Region;
-use crate::rpc::RpcClient;
+use crate::rpc::Channel;
 use crate::stats::ClientStats;
 use crate::{CTRL_SERVICE, DATA_SERVICE};
 
@@ -86,9 +86,8 @@ pub(crate) struct ClientShared {
     pub rec: Recorder,
     pub cfg: ClientConfig,
     pub stats: ClientStats,
-    master: NodeId,
-    ctrl_sem: Semaphore,
-    ctrl: RefCell<Option<RpcClient>>,
+    /// The control channel to the master.
+    ctrl: Channel,
     pub data_cq: CompletionQueue,
     /// Waiters of posted WRs by wr_id, each with its timeout backstop.
     pub pending: RefCell<HashMap<u64, (oneshot::Sender<CqStatus>, TimerId)>>,
@@ -121,6 +120,16 @@ impl EventSink for ClientShared {
 /// This is the paper's "memory-like API": [`alloc`](Self::alloc) a named
 /// region of distributed DRAM, [`map`](Self::map) it from any client, then
 /// read/write it like memory through [`Region`].
+///
+/// # Errors of control calls
+///
+/// What the master answers with arrives as the value it constructed, for
+/// every name: `NotFound(name)` and `NameExists(name)` carry exactly the
+/// name that was asked for. "Transport errors" below are this client's own
+/// [`RStoreError::Io`] / [`RStoreError::Rdma`]: the call did not complete
+/// and the control connection is redialed by the next one. A failure of the
+/// master's own calls to a memory server is not one of those — it arrives
+/// as [`RStoreError::Remote`].
 #[derive(Clone)]
 pub struct RStoreClient {
     pub(crate) shared: Rc<ClientShared>,
@@ -130,7 +139,7 @@ impl fmt::Debug for RStoreClient {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RStoreClient")
             .field("node", &self.shared.dev.node())
-            .field("master", &self.shared.master)
+            .field("ctrl", &self.shared.ctrl)
             .field("data_conns", &self.shared.conns.borrow().len())
             .finish()
     }
@@ -156,8 +165,8 @@ impl RStoreClient {
         master: NodeId,
         cfg: ClientConfig,
     ) -> Result<RStoreClient> {
-        let mut ctrl = RpcClient::connect(dev, master, CTRL_SERVICE).await?;
-        ctrl.set_response_timeout(cfg.ctrl_response_timeout);
+        let ctrl = Channel::new(dev, master, CTRL_SERVICE, cfg.ctrl_response_timeout);
+        ctrl.dial().await?;
         let rec = dev.sim().recorder();
         let shared = Rc::new(ClientShared {
             dev: dev.clone(),
@@ -165,9 +174,7 @@ impl RStoreClient {
             stats: ClientStats::resolve(&dev.metrics(), &rec),
             rec,
             cfg,
-            master,
-            ctrl_sem: Semaphore::new(1),
-            ctrl: RefCell::new(Some(ctrl)),
+            ctrl,
             data_cq: CompletionQueue::new(),
             pending: RefCell::new(HashMap::new()),
             next_wr: Cell::new(1),
@@ -210,18 +217,16 @@ impl RStoreClient {
     /// # Errors
     ///
     /// [`RStoreError::NameExists`], [`RStoreError::InsufficientCapacity`],
-    /// [`RStoreError::NotEnoughServers`], or transport errors.
+    /// [`RStoreError::NotEnoughServers`], [`RStoreError::Protocol`] for a zero
+    /// size, stripe size or replica count, or transport errors.
     pub async fn alloc(&self, name: &str, size: u64, opts: AllocOptions) -> Result<Region> {
-        let resp = self
-            .ctrl_call(CtrlReq::Alloc {
-                name: name.to_owned(),
-                size,
-                opts,
-            })
-            .await?;
-        match resp {
+        let req = CtrlReq::Alloc {
+            name: name.to_owned(),
+            size,
+            opts,
+        };
+        match self.ctrl_call(req).await? {
             CtrlResp::Region(desc) => self.region_from_desc(desc).await,
-            CtrlResp::Err(m) => Err(remap_err(m)),
             _ => Err(RStoreError::Protocol("unexpected alloc response".into())),
         }
     }
@@ -230,9 +235,9 @@ impl RStoreClient {
     ///
     /// # Errors
     ///
-    /// [`RStoreError::NotFound`] if the name is unknown and
+    /// [`RStoreError::NotFound`] if the name is unknown,
     /// [`RStoreError::Degraded`] if any of its memory servers is down (use
-    /// [`RStoreClient::map_degraded`] to map anyway).
+    /// [`RStoreClient::map_degraded`] to map anyway), or transport errors.
     pub async fn map(&self, name: &str) -> Result<Region> {
         let desc = self.lookup(name).await?;
         if desc.state == RegionState::Degraded {
@@ -246,7 +251,7 @@ impl RStoreClient {
     ///
     /// # Errors
     ///
-    /// [`RStoreError::NotFound`] if the name is unknown.
+    /// [`RStoreError::NotFound`] if the name is unknown, or transport errors.
     pub async fn map_degraded(&self, name: &str) -> Result<Region> {
         let desc = self.lookup(name).await?;
         self.region_from_desc(desc).await
@@ -261,19 +266,18 @@ impl RStoreClient {
     ///
     /// # Errors
     ///
-    /// [`RStoreError::NotFound`], [`RStoreError::InsufficientCapacity`], or
-    /// transport errors.
+    /// [`RStoreError::NotFound`], [`RStoreError::NameExists`] while another
+    /// grow of the region is in flight, [`RStoreError::InsufficientCapacity`],
+    /// [`RStoreError::NotEnoughServers`], [`RStoreError::Protocol`] for a
+    /// zero-sized grow, or transport errors.
     pub async fn grow(&self, name: &str, additional: u64, opts: AllocOptions) -> Result<Region> {
-        let resp = self
-            .ctrl_call(CtrlReq::Grow {
-                name: name.to_owned(),
-                additional,
-                opts,
-            })
-            .await?;
-        match resp {
+        let req = CtrlReq::Grow {
+            name: name.to_owned(),
+            additional,
+            opts,
+        };
+        match self.ctrl_call(req).await? {
             CtrlResp::Region(desc) => self.region_from_desc(desc).await,
-            CtrlResp::Err(m) => Err(remap_err(m)),
             _ => Err(RStoreError::Protocol("unexpected grow response".into())),
         }
     }
@@ -282,16 +286,11 @@ impl RStoreClient {
     ///
     /// # Errors
     ///
-    /// [`RStoreError::NotFound`] if the name is unknown.
+    /// [`RStoreError::NotFound`] if the name is unknown, or transport errors.
     pub async fn lookup(&self, name: &str) -> Result<RegionDesc> {
-        let resp = self
-            .ctrl_call(CtrlReq::Lookup {
-                name: name.to_owned(),
-            })
-            .await?;
-        match resp {
+        let name = name.to_owned();
+        match self.ctrl_call(CtrlReq::Lookup { name }).await? {
             CtrlResp::Region(desc) => Ok(desc),
-            CtrlResp::Err(m) => Err(remap_err(m)),
             _ => Err(RStoreError::Protocol("unexpected lookup response".into())),
         }
     }
@@ -301,16 +300,11 @@ impl RStoreClient {
     ///
     /// # Errors
     ///
-    /// [`RStoreError::NotFound`] if the name is unknown.
+    /// [`RStoreError::NotFound`] if the name is unknown, or transport errors.
     pub async fn free(&self, name: &str) -> Result<()> {
-        let resp = self
-            .ctrl_call(CtrlReq::Free {
-                name: name.to_owned(),
-            })
-            .await?;
-        match resp {
+        let name = name.to_owned();
+        match self.ctrl_call(CtrlReq::Free { name }).await? {
             CtrlResp::Ok => Ok(()),
-            CtrlResp::Err(m) => Err(remap_err(m)),
             _ => Err(RStoreError::Protocol("unexpected free response".into())),
         }
     }
@@ -323,7 +317,6 @@ impl RStoreClient {
     pub async fn stats(&self) -> Result<ClusterStats> {
         match self.ctrl_call(CtrlReq::Stat).await? {
             CtrlResp::Stats(s) => Ok(s),
-            CtrlResp::Err(m) => Err(remap_err(m)),
             _ => Err(RStoreError::Protocol("unexpected stat response".into())),
         }
     }
@@ -338,7 +331,6 @@ impl RStoreClient {
     pub async fn cluster_stats(&self) -> Result<ClusterReport> {
         match self.ctrl_call(CtrlReq::ClusterStats).await? {
             CtrlResp::Report(r) => Ok(r),
-            CtrlResp::Err(m) => Err(remap_err(m)),
             _ => Err(RStoreError::Protocol(
                 "unexpected cluster stats response".into(),
             )),
@@ -360,7 +352,6 @@ impl RStoreClient {
     pub async fn drain(&self, node: NodeId) -> Result<(u64, u64)> {
         match self.ctrl_call(CtrlReq::Drain { node: node.0 }).await? {
             CtrlResp::Drained { extents, bytes } => Ok((extents, bytes)),
-            CtrlResp::Err(m) => Err(remap_err(m)),
             _ => Err(RStoreError::Protocol("unexpected drain response".into())),
         }
     }
@@ -381,17 +372,14 @@ impl RStoreClient {
         replica: u32,
         node: u32,
     ) -> Result<()> {
-        let resp = self
-            .ctrl_call(CtrlReq::ReportCorruption {
-                name: name.to_owned(),
-                group,
-                replica,
-                node,
-            })
-            .await?;
-        match resp {
+        let req = CtrlReq::ReportCorruption {
+            name: name.to_owned(),
+            group,
+            replica,
+            node,
+        };
+        match self.ctrl_call(req).await? {
             CtrlResp::Ok => Ok(()),
-            CtrlResp::Err(m) => Err(remap_err(m)),
             _ => Err(RStoreError::Protocol("unexpected report response".into())),
         }
     }
@@ -457,32 +445,16 @@ impl RStoreClient {
         out
     }
 
-    #[allow(clippy::await_holding_refcell_ref)] // single-threaded sim; semaphore-guarded
+    /// One control RPC to the master. A remote error is the `Err` it
+    /// carries; the master's own answer is never `CtrlResp::Err`.
     async fn ctrl_call(&self, req: CtrlReq) -> Result<CtrlResp> {
         let s = &self.shared;
-        s.ctrl_sem.acquire().await;
+        let turn = s.ctrl.admit().await;
         // The span (and its latency histogram) cover the RPC itself, not
         // time queued behind this client's other control calls.
         let span = s.stats.ctrl(&req).span(s.dev.node().0 as u64, 0);
-        let result = async {
-            let mut conn = match s.ctrl.borrow_mut().take() {
-                Some(c) => c,
-                None => {
-                    let mut c = RpcClient::connect(&s.dev, s.master, CTRL_SERVICE).await?;
-                    c.set_response_timeout(s.cfg.ctrl_response_timeout);
-                    c
-                }
-            };
-            match conn.call(&req.encode()).await {
-                Ok(bytes) => {
-                    *s.ctrl.borrow_mut() = Some(conn);
-                    CtrlResp::decode(&bytes)
-                }
-                Err(e) => Err(e),
-            }
-        }
-        .await;
-        s.ctrl_sem.release();
+        let result = turn.call(&req).await;
+        drop(turn);
         span.end();
         result
     }
@@ -519,133 +491,5 @@ impl RStoreClient {
             }
         }
         Ok(Region::new(self.clone(), desc))
-    }
-}
-
-/// Maps an error string sent by the master back to a structured error where
-/// recognizable.
-fn remap_err(m: String) -> RStoreError {
-    if m.contains("already exists") {
-        // "region name already exists: \"x\""
-        RStoreError::NameExists(extract_quoted(&m))
-    } else if m.contains("no such region") {
-        RStoreError::NotFound(extract_quoted(&m))
-    } else if m.contains("cannot satisfy allocation") {
-        // "cluster cannot satisfy allocation of {requested} bytes"
-        RStoreError::InsufficientCapacity {
-            requested: extract_uints(&m).first().copied().unwrap_or(0),
-        }
-    } else if m.contains("corruption detected") {
-        // "corruption detected in region {name:?}: stripe {stripe}
-        //  unreadable (last replica on node {node})". The region name may
-        // itself contain digits, so only the text after the closing quote is
-        // scanned for the numeric fields.
-        let region = extract_quoted(&m);
-        let tail = m.rsplit('"').next().unwrap_or("");
-        let nums = extract_uints(tail);
-        RStoreError::CorruptionDetected {
-            stripe: nums.first().copied().unwrap_or(0),
-            node: nums.get(1).copied().unwrap_or(0) as u32,
-            region,
-        }
-    } else if m.contains("replication factor") {
-        // "replication factor {replicas} exceeds live servers ({available})"
-        let nums = extract_uints(&m);
-        RStoreError::NotEnoughServers {
-            replicas: nums.first().copied().unwrap_or(0) as usize,
-            available: nums.get(1).copied().unwrap_or(0) as usize,
-        }
-    } else {
-        RStoreError::Remote(m)
-    }
-}
-
-fn extract_quoted(m: &str) -> String {
-    m.split('"').nth(1).unwrap_or(m).to_owned()
-}
-
-/// Unsigned integers embedded in a message, in order of appearance.
-fn extract_uints(m: &str) -> Vec<u64> {
-    let mut out = Vec::new();
-    let mut cur: Option<u64> = None;
-    for c in m.chars() {
-        match c.to_digit(10) {
-            Some(d) => cur = Some(cur.unwrap_or(0).saturating_mul(10).saturating_add(d as u64)),
-            None => {
-                if let Some(v) = cur.take() {
-                    out.push(v);
-                }
-            }
-        }
-    }
-    if let Some(v) = cur {
-        out.push(v);
-    }
-    out
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn remap_recognizes_master_errors() {
-        assert_eq!(
-            remap_err("region name already exists: \"a\"".into()),
-            RStoreError::NameExists("a".into())
-        );
-        assert_eq!(
-            remap_err("no such region: \"b\"".into()),
-            RStoreError::NotFound("b".into())
-        );
-        assert_eq!(
-            remap_err("cluster cannot satisfy allocation of 5 bytes".into()),
-            RStoreError::InsufficientCapacity { requested: 5 }
-        );
-        assert_eq!(
-            remap_err("replication factor 3 exceeds live servers (1)".into()),
-            RStoreError::NotEnoughServers {
-                replicas: 3,
-                available: 1
-            }
-        );
-        assert!(matches!(remap_err("weird".into()), RStoreError::Remote(_)));
-    }
-
-    #[test]
-    fn remap_round_trips_structured_errors() {
-        // Every structured master error must survive the Display → remap
-        // round trip with its numbers and names intact.
-        let errs = [
-            RStoreError::NameExists("region-a".into()),
-            RStoreError::NotFound("region-b".into()),
-            RStoreError::InsufficientCapacity {
-                requested: 123_456_789,
-            },
-            RStoreError::NotEnoughServers {
-                replicas: 7,
-                available: 4,
-            },
-            RStoreError::CorruptionDetected {
-                node: 2,
-                region: "plain".into(),
-                stripe: 11,
-            },
-        ];
-        for e in errs {
-            assert_eq!(remap_err(e.to_string()), e);
-        }
-    }
-
-    #[test]
-    fn remap_corruption_survives_digits_in_region_name() {
-        // Digits inside the quoted region name must not pollute the numeric
-        // fields parsed from the rest of the message.
-        let e = RStoreError::CorruptionDetected {
-            node: 9,
-            region: "shard-12/gen3".into(),
-            stripe: 40,
-        };
-        assert_eq!(remap_err(e.to_string()), e);
     }
 }

@@ -5,6 +5,12 @@ use std::fmt;
 use rdma::RdmaError;
 
 /// Errors returned by RStore control- and data-path operations.
+///
+/// An error a master or memory server answers with crosses the wire as a
+/// value (`proto`): `NameExists`, `NotFound`, `InsufficientCapacity`,
+/// `NotEnoughServers`, `Protocol` and `Remote` arrive as themselves. The
+/// others are only ever constructed by the side that observed them; a peer
+/// hears of them as `Remote`. `Display` is for people — nothing parses it.
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub enum RStoreError {
     /// An underlying verbs-layer failure.
@@ -38,7 +44,8 @@ pub enum RStoreError {
     },
     /// A malformed control message (version skew or corruption).
     Protocol(String),
-    /// The remote side answered with an application-level error.
+    /// The remote side answered with an application-level error that has no
+    /// variant of its own — its own transport failing included.
     Remote(String),
     /// A data-path operation failed on the wire (timeout / flushed QP).
     Io(rdma::CqStatus),

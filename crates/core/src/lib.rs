@@ -45,9 +45,9 @@
 //! | [`client`] | control-path calls, connection cache, completion routing |
 //! | [`region`] | the memory-like data path: striped one-sided IO |
 //! | [`layout`] | stripe math |
-//! | [`proto`] | control-plane wire format |
+//! | [`proto`] | control-plane wire format: messages, errors as values, one list codec |
 //! | [`crc`] | CRC32C used by checksummed stripes and the scrubber |
-//! | [`rpc`] | two-sided RPC used by the control path |
+//! | [`rpc`] | two-sided RPC, and the one channel every control call goes through |
 //! | [`cluster`] | one-call bootstrap for tests and benchmarks |
 //! | [`kv`] | a key-value facade over regions (one-sided GET, CAS-locked PUT) |
 
@@ -205,6 +205,24 @@ mod tests {
             client.map("ghost").await.err().unwrap()
         });
         assert_eq!(err, RStoreError::NotFound("ghost".into()));
+    }
+
+    #[test]
+    fn remote_errors_carry_the_exact_name_whatever_it_says() {
+        // An error crosses the wire as a value, not as its message: a name
+        // that reads like another error, or holds a quote, changes nothing.
+        let cluster = boot(2);
+        let sim = cluster.sim.clone();
+        let (looked_up, mapped) = sim.block_on(async move {
+            let client = cluster.client(0).await.unwrap();
+            let looked_up = client.lookup("jobs already exists").await.err().unwrap();
+            (looked_up, client.map("a\"b").await.err().unwrap())
+        });
+        assert_eq!(
+            looked_up,
+            RStoreError::NotFound("jobs already exists".into())
+        );
+        assert_eq!(mapped, RStoreError::NotFound("a\"b".into()));
     }
 
     #[test]

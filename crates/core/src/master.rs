@@ -15,7 +15,6 @@ use std::time::Duration;
 
 use fabric::NodeId;
 use rdma::{CompletionQueue, CqStatus, Qp, RKey, RdmaDevice, RemoteAddr};
-use sim::sync::Semaphore;
 use sim::{DetRng, Event, Sim, SimTime};
 
 use crate::crc::crc32c;
@@ -24,7 +23,7 @@ use crate::proto::{
     extent_alloc_len, AllocOptions, ClusterReport, ClusterStats, CtrlReq, CtrlResp, Extent, Policy,
     RegionDesc, RegionState, RegionStats, ServerStats, SrvReq, SrvResp, StripeGroup,
 };
-use crate::rpc::{spawn_rpc_server, RpcClient};
+use crate::rpc::{spawn_rpc_server, Channel};
 use crate::stats::MasterStats;
 use crate::{CTRL_SERVICE, SRV_SERVICE};
 
@@ -115,11 +114,6 @@ struct ServerInfo {
     alive: bool,
 }
 
-struct ConnSlot {
-    sem: Semaphore,
-    conn: RefCell<Option<RpcClient>>,
-}
-
 struct MState {
     servers: BTreeMap<u32, ServerInfo>,
     regions: HashMap<String, RegionDesc>,
@@ -149,7 +143,8 @@ struct MState {
     /// registration reply, which it acts on before it serves anything again.
     retired: BTreeMap<u32, Retired>,
     rng: DetRng,
-    conns: HashMap<u32, Rc<ConnSlot>>,
+    /// The control channel to each memory server, made on first use.
+    conns: HashMap<u32, Rc<Channel>>,
 }
 
 /// One node's entry in [`MState::retired`].
@@ -300,7 +295,7 @@ impl Master {
             master.cfg.rpc_cpu,
             Rc::new(move |_peer, req| {
                 let m = m.clone();
-                Box::pin(async move { m.handle(req).await.encode() })
+                Box::pin(async move { m.handle(req).await.unwrap_or_else(CtrlResp::Err).encode() })
             }),
         )?;
 
@@ -468,12 +463,9 @@ impl Master {
         }
     }
 
-    async fn handle(&self, req: Vec<u8>) -> CtrlResp {
-        let req = match CtrlReq::decode(&req) {
-            Ok(r) => r,
-            Err(e) => return CtrlResp::Err(e.to_string()),
-        };
-        match req {
+    /// Serves one control request. An `Err` is sent back as the error reply.
+    async fn handle(&self, req: Vec<u8>) -> Result<CtrlResp> {
+        Ok(match CtrlReq::decode(&req)? {
             CtrlReq::RegisterServer { node, capacity } => {
                 let now = self.sim.now();
                 let mut st = self.state.borrow_mut();
@@ -510,7 +502,8 @@ impl Master {
                     // under it: it gets its lease back only by registering,
                     // which is where it learns what to free first.
                     Some(info) if !info.alive => {
-                        CtrlResp::Err(format!("lease of server {node} expired"))
+                        let why = format!("lease of server {node} expired");
+                        return Err(RStoreError::Remote(why));
                     }
                     Some(info) => {
                         info.last_hb = self.sim.now();
@@ -521,37 +514,33 @@ impl Master {
                         }
                         CtrlResp::Ok
                     }
-                    None => CtrlResp::Err(format!("unknown server {node}")),
+                    None => return Err(RStoreError::Remote(format!("unknown server {node}"))),
                 }
             }
-            CtrlReq::Alloc { name, size, opts } => match self.alloc(name, size, opts).await {
-                Ok(desc) => CtrlResp::Region(desc),
-                Err(e) => CtrlResp::Err(e.to_string()),
-            },
+            CtrlReq::Alloc { name, size, opts } => {
+                CtrlResp::Region(self.alloc(name, size, opts).await?)
+            }
             CtrlReq::Lookup { name } => {
                 let st = self.state.borrow();
-                match st.regions.get(&name) {
-                    Some(desc) => CtrlResp::Region(RegionDesc {
-                        state: st.health(desc),
-                        ..desc.clone()
-                    }),
-                    None => CtrlResp::Err(RStoreError::NotFound(name).to_string()),
-                }
+                let Some(desc) = st.regions.get(&name) else {
+                    return Err(RStoreError::NotFound(name));
+                };
+                CtrlResp::Region(RegionDesc {
+                    state: st.health(desc),
+                    ..desc.clone()
+                })
             }
-            CtrlReq::Free { name } => match self.free(name).await {
-                Ok(()) => CtrlResp::Ok,
-                Err(e) => CtrlResp::Err(e.to_string()),
-            },
+            CtrlReq::Free { name } => {
+                self.free(name).await?;
+                CtrlResp::Ok
+            }
             CtrlReq::Stat => CtrlResp::Stats(self.local_stats()),
             CtrlReq::ClusterStats => CtrlResp::Report(self.local_report()),
             CtrlReq::Grow {
                 name,
                 additional,
                 opts,
-            } => match self.grow(name, additional, opts).await {
-                Ok(desc) => CtrlResp::Region(desc),
-                Err(e) => CtrlResp::Err(e.to_string()),
-            },
+            } => CtrlResp::Region(self.grow(name, additional, opts).await?),
             CtrlReq::ReportCorruption {
                 name,
                 group,
@@ -560,7 +549,7 @@ impl Master {
             } => {
                 let mut st = self.state.borrow_mut();
                 let Some(desc) = st.regions.get(&name) else {
-                    return CtrlResp::Err(RStoreError::NotFound(name).to_string());
+                    return Err(RStoreError::NotFound(name));
                 };
                 // Only mark if the report still matches the descriptor — the
                 // replica may already have been repaired and swapped out.
@@ -581,11 +570,11 @@ impl Master {
                 }
                 CtrlResp::Ok
             }
-            CtrlReq::Drain { node } => match self.drain(NodeId(node)).await {
-                Ok((extents, bytes)) => CtrlResp::Drained { extents, bytes },
-                Err(e) => CtrlResp::Err(e.to_string()),
-            },
-        }
+            CtrlReq::Drain { node } => {
+                let (extents, bytes) = self.drain(NodeId(node)).await?;
+                CtrlResp::Drained { extents, bytes }
+            }
+        })
     }
 
     /// Records a newly discovered corrupt replica: one count per distinct
@@ -821,49 +810,30 @@ impl Master {
 
         // Ask each server for its extents; on failure, roll everything back.
         let mut granted: HashMap<(u32, u64), Vec<Extent>> = HashMap::new();
-        let mut failure: Option<RStoreError> = None;
-        for (&(node, len), &count) in &wanted {
-            let resp = self
-                .server_call(
-                    node,
-                    SrvReq::AllocExtents {
-                        count,
-                        len,
-                        synthetic: opts.synthetic,
-                        checksums: ck,
-                    },
-                )
-                .await;
-            match resp {
-                Ok(SrvResp::Extents(v)) if v.len() == count as usize => {
-                    granted.insert(
-                        (node, len),
-                        v.into_iter()
-                            .map(|(addr, rkey, elen)| Extent {
-                                node,
-                                addr,
-                                rkey,
-                                len: elen,
-                            })
-                            .collect(),
-                    );
-                }
-                Ok(SrvResp::Err(m)) => {
-                    failure = Some(RStoreError::Remote(m));
-                    break;
-                }
-                Ok(_) => {
-                    failure = Some(RStoreError::Protocol("bad server response".into()));
-                    break;
-                }
-                Err(e) => {
-                    failure = Some(e);
-                    break;
+        let asked = async {
+            for (&(node, len), &count) in &wanted {
+                let alloc = SrvReq::AllocExtents {
+                    count,
+                    len,
+                    synthetic: opts.synthetic,
+                    checksums: ck,
+                };
+                match self.server_call(node, alloc).await? {
+                    SrvResp::Extents(v) if v.len() == count as usize => {
+                        let extent = |(addr, rkey, elen)| Extent {
+                            node,
+                            addr,
+                            rkey,
+                            len: elen,
+                        };
+                        granted.insert((node, len), v.into_iter().map(extent).collect());
+                    }
+                    _ => return Err(RStoreError::Protocol("bad server response".into())),
                 }
             }
-        }
-
-        if let Some(e) = failure {
+            Ok(())
+        };
+        if let Err(e) = asked.await {
             // Roll back the pending reservation first (sync, one borrow),
             // then free granted extents best-effort.
             {
@@ -1531,42 +1501,17 @@ impl Master {
         }
     }
 
-    /// RPC to a memory server through a cached, serialized connection.
-    #[allow(clippy::await_holding_refcell_ref)] // single-threaded sim; semaphore-guarded
+    /// RPC to memory server `node` through its [`Channel`].
     async fn server_call(&self, node: u32, req: SrvReq) -> Result<SrvResp> {
-        let slot = {
+        let channel = {
             let mut st = self.state.borrow_mut();
-            st.conns
-                .entry(node)
-                .or_insert_with(|| {
-                    Rc::new(ConnSlot {
-                        sem: Semaphore::new(1),
-                        conn: RefCell::new(None),
-                    })
-                })
-                .clone()
-        };
-        slot.sem.acquire().await;
-        let result = async {
-            let mut conn = match slot.conn.borrow_mut().take() {
-                Some(c) => c,
-                None => {
-                    let mut c = RpcClient::connect(&self.dev, NodeId(node), SRV_SERVICE).await?;
-                    c.set_response_timeout(self.cfg.srv_response_timeout);
-                    c
-                }
+            let fresh = || {
+                let timeout = self.cfg.srv_response_timeout;
+                Rc::new(Channel::new(&self.dev, NodeId(node), SRV_SERVICE, timeout))
             };
-            match conn.call(&req.encode()).await {
-                Ok(bytes) => {
-                    *slot.conn.borrow_mut() = Some(conn);
-                    SrvResp::decode(&bytes)
-                }
-                Err(e) => Err(e), // drop the broken connection
-            }
-        }
-        .await;
-        slot.sem.release();
-        result
+            st.conns.entry(node).or_insert_with(fresh).clone()
+        };
+        channel.call(&req).await
     }
 }
 

@@ -3,6 +3,14 @@
 //! RStore's control path runs classic two-sided RPC (SEND/RECV) between
 //! clients, the master, and memory servers. Messages are encoded with a
 //! tiny hand-rolled little-endian format — no external serialization crates.
+//! A message's encoded length is its size on the simulated wire, so the
+//! format is an output: a field added to a request moves control-path
+//! latencies.
+//!
+//! An error reply carries an [`RStoreError`] as a value (a tag and the
+//! variant's fields), never its message; every counted list goes through
+//! [`Enc::list`] / [`Dec::list`], which reserve nothing from a count they
+//! have not seen the elements of.
 
 use std::time::Duration;
 
@@ -65,11 +73,11 @@ impl Enc {
         self
     }
 
-    /// Appends a count-prefixed list of u64 pairs.
-    pub fn pairs(&mut self, pairs: &[(u64, u64)]) -> &mut Self {
-        self.u32(pairs.len() as u32);
-        for (a, b) in pairs {
-            self.u64(*a).u64(*b);
+    /// Appends a count-prefixed list, each element written by `item`.
+    pub fn list<T>(&mut self, items: &[T], item: impl Fn(&mut Enc, &T)) -> &mut Self {
+        self.u32(items.len() as u32);
+        for x in items {
+            item(self, x);
         }
         self
     }
@@ -129,12 +137,12 @@ impl<'a> Dec<'a> {
             .map_err(|_| RStoreError::Protocol("invalid utf-8 in string".into()))
     }
 
-    /// Reads a count-prefixed list of u64 pairs. Nothing is reserved from
-    /// the count: a truncated message fails at the first missing pair.
-    pub fn pairs(&mut self) -> Result<Vec<(u64, u64)>> {
-        (0..self.u32()?)
-            .map(|_| Ok((self.u64()?, self.u64()?)))
-            .collect()
+    /// Reads a count-prefixed list, each element read by `item`. Nothing is
+    /// reserved from the count — it is four bytes anyone can send: the list
+    /// grows as elements decode, and a message shorter than its count claims
+    /// fails at the first missing element.
+    pub fn list<T>(&mut self, item: impl Fn(&mut Self) -> Result<T>) -> Result<Vec<T>> {
+        (0..self.u32()?).map(|_| item(self)).collect()
     }
 
     /// Errors unless the whole buffer was consumed.
@@ -147,6 +155,70 @@ impl<'a> Dec<'a> {
         }
         Ok(())
     }
+}
+
+// --- errors -------------------------------------------------------------------
+
+impl RStoreError {
+    /// The wire form of an error reply: a tag, then the variant's fields.
+    /// The variants a master or memory server constructs on purpose cross
+    /// as themselves. The rest describe the side that observed them — its
+    /// own transport (`Rdma`, `Io`), its own view of a region (`Degraded`,
+    /// `OutOfRange`, `CorruptionDetected`) — and mean something else in the
+    /// receiver's hands (a client retries on its *own* `Io`), so a peer is
+    /// told of them in words, as `Remote`.
+    fn encode_into(&self, e: &mut Enc) {
+        match self {
+            RStoreError::NameExists(name) => e.u8(0).str(name),
+            RStoreError::NotFound(name) => e.u8(1).str(name),
+            RStoreError::InsufficientCapacity { requested } => e.u8(2).u64(*requested),
+            RStoreError::NotEnoughServers {
+                replicas,
+                available,
+            } => e.u8(3).u32(*replicas as u32).u32(*available as u32),
+            RStoreError::Protocol(m) => e.u8(4).str(m),
+            RStoreError::Remote(m) => e.u8(5).str(m),
+            RStoreError::Rdma(_)
+            | RStoreError::Io(_)
+            | RStoreError::Degraded(_)
+            | RStoreError::OutOfRange { .. }
+            | RStoreError::CorruptionDetected { .. } => e.u8(5).str(&self.to_string()),
+        };
+    }
+
+    fn decode_from(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(match d.u8()? {
+            0 => RStoreError::NameExists(d.str()?),
+            1 => RStoreError::NotFound(d.str()?),
+            2 => RStoreError::InsufficientCapacity {
+                requested: d.u64()?,
+            },
+            3 => RStoreError::NotEnoughServers {
+                replicas: d.u32()? as usize,
+                available: d.u32()? as usize,
+            },
+            4 => RStoreError::Protocol(d.str()?),
+            5 => RStoreError::Remote(d.str()?),
+            t => return Err(RStoreError::Protocol(format!("bad error tag {t}"))),
+        })
+    }
+}
+
+/// A control-plane request: what [`Channel`](crate::rpc::Channel) sends and
+/// how the answer to it is read.
+pub trait Request {
+    /// The reply a peer answers with when it does not answer with an error.
+    type Reply;
+
+    /// Encodes the request.
+    fn encode(&self) -> Vec<u8>;
+
+    /// Decodes the answer. An error reply is the `Err` it carries.
+    ///
+    /// # Errors
+    ///
+    /// The peer's error, or [`RStoreError::Protocol`] on malformed input.
+    fn decode_reply(buf: &[u8]) -> Result<Self::Reply>;
 }
 
 // --- region descriptors -----------------------------------------------------
@@ -192,6 +264,23 @@ pub enum RegionState {
     Degraded,
 }
 
+impl RegionState {
+    fn encode_into(self, e: &mut Enc) {
+        e.u8(match self {
+            RegionState::Healthy => 0,
+            RegionState::Degraded => 1,
+        });
+    }
+
+    fn decode_from(d: &mut Dec<'_>) -> Result<Self> {
+        match d.u8()? {
+            0 => Ok(RegionState::Healthy),
+            1 => Ok(RegionState::Degraded),
+            v => Err(RStoreError::Protocol(format!("bad region state {v}"))),
+        }
+    }
+}
+
 /// The complete control-path description of a region: everything a client
 /// needs to perform one-sided IO without ever talking to the master again.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -213,58 +302,34 @@ pub struct RegionDesc {
 
 impl RegionDesc {
     fn encode_into(&self, e: &mut Enc) {
-        e.str(&self.name);
-        e.u64(self.size);
-        e.u64(self.stripe_size);
-        e.u8(match self.state {
-            RegionState::Healthy => 0,
-            RegionState::Degraded => 1,
-        });
+        e.str(&self.name).u64(self.size).u64(self.stripe_size);
+        self.state.encode_into(e);
         e.u8(self.checksums as u8);
-        e.u32(self.groups.len() as u32);
-        for g in &self.groups {
-            e.u32(g.replicas.len() as u32);
-            for x in &g.replicas {
-                e.u32(x.node);
-                e.u64(x.addr);
-                e.u64(x.rkey);
-                e.u64(x.len);
-            }
-        }
+        e.list(&self.groups, |e, g| {
+            e.list(&g.replicas, |e, x| {
+                e.u32(x.node).u64(x.addr).u64(x.rkey).u64(x.len);
+            });
+        });
     }
 
     fn decode_from(d: &mut Dec<'_>) -> Result<Self> {
-        let name = d.str()?;
-        let size = d.u64()?;
-        let stripe_size = d.u64()?;
-        let state = match d.u8()? {
-            0 => RegionState::Healthy,
-            1 => RegionState::Degraded,
-            v => return Err(RStoreError::Protocol(format!("bad region state {v}"))),
-        };
-        let checksums = d.u8()? != 0;
-        let ngroups = d.u32()? as usize;
-        let mut groups = Vec::with_capacity(ngroups);
-        for _ in 0..ngroups {
-            let nr = d.u32()? as usize;
-            let mut replicas = Vec::with_capacity(nr);
-            for _ in 0..nr {
-                replicas.push(Extent {
-                    node: d.u32()?,
-                    addr: d.u64()?,
-                    rkey: d.u64()?,
-                    len: d.u64()?,
-                });
-            }
-            groups.push(StripeGroup { replicas });
-        }
         Ok(RegionDesc {
-            name,
-            size,
-            stripe_size,
-            groups,
-            state,
-            checksums,
+            name: d.str()?,
+            size: d.u64()?,
+            stripe_size: d.u64()?,
+            state: RegionState::decode_from(d)?,
+            checksums: d.u8()? != 0,
+            groups: d.list(|d| {
+                let replicas = d.list(|d| {
+                    Ok(Extent {
+                        node: d.u32()?,
+                        addr: d.u64()?,
+                        rkey: d.u64()?,
+                        len: d.u64()?,
+                    })
+                })?;
+                Ok(StripeGroup { replicas })
+            })?,
         })
     }
 }
@@ -282,25 +347,6 @@ pub enum Policy {
     Random,
     /// Prefer the servers with the most free capacity.
     CapacityWeighted,
-}
-
-impl Policy {
-    fn to_u8(self) -> u8 {
-        match self {
-            Policy::RoundRobin => 0,
-            Policy::Random => 1,
-            Policy::CapacityWeighted => 2,
-        }
-    }
-
-    fn from_u8(v: u8) -> Result<Self> {
-        Ok(match v {
-            0 => Policy::RoundRobin,
-            1 => Policy::Random,
-            2 => Policy::CapacityWeighted,
-            _ => return Err(RStoreError::Protocol(format!("bad policy {v}"))),
-        })
-    }
 }
 
 /// Options for [`alloc`](crate::client::RStoreClient::alloc).
@@ -331,6 +377,33 @@ impl Default for AllocOptions {
             synthetic: false,
             checksums: false,
         }
+    }
+}
+
+impl AllocOptions {
+    fn encode_into(&self, e: &mut Enc) {
+        e.u64(self.stripe_size).u8(self.replicas);
+        e.u8(match self.policy {
+            Policy::RoundRobin => 0,
+            Policy::Random => 1,
+            Policy::CapacityWeighted => 2,
+        });
+        e.u8(self.synthetic as u8).u8(self.checksums as u8);
+    }
+
+    fn decode_from(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(AllocOptions {
+            stripe_size: d.u64()?,
+            replicas: d.u8()?,
+            policy: match d.u8()? {
+                0 => Policy::RoundRobin,
+                1 => Policy::Random,
+                2 => Policy::CapacityWeighted,
+                v => return Err(RStoreError::Protocol(format!("bad policy {v}"))),
+            },
+            synthetic: d.u8()? != 0,
+            checksums: d.u8()? != 0,
+        })
     }
 }
 
@@ -415,9 +488,10 @@ pub enum CtrlReq {
     },
 }
 
-impl CtrlReq {
-    /// Encodes the request.
-    pub fn encode(&self) -> Vec<u8> {
+impl Request for CtrlReq {
+    type Reply = CtrlResp;
+
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         match self {
             CtrlReq::RegisterServer { node, capacity } => {
@@ -427,14 +501,7 @@ impl CtrlReq {
                 e.u8(1).u32(*node);
             }
             CtrlReq::Alloc { name, size, opts } => {
-                e.u8(2)
-                    .str(name)
-                    .u64(*size)
-                    .u64(opts.stripe_size)
-                    .u8(opts.replicas)
-                    .u8(opts.policy.to_u8())
-                    .u8(opts.synthetic as u8)
-                    .u8(opts.checksums as u8);
+                opts.encode_into(e.u8(2).str(name).u64(*size));
             }
             CtrlReq::Lookup { name } => {
                 e.u8(3).str(name);
@@ -450,14 +517,7 @@ impl CtrlReq {
                 additional,
                 opts,
             } => {
-                e.u8(6)
-                    .str(name)
-                    .u64(*additional)
-                    .u64(opts.stripe_size)
-                    .u8(opts.replicas)
-                    .u8(opts.policy.to_u8())
-                    .u8(opts.synthetic as u8)
-                    .u8(opts.checksums as u8);
+                opts.encode_into(e.u8(6).str(name).u64(*additional));
             }
             CtrlReq::ReportCorruption {
                 name,
@@ -477,6 +537,15 @@ impl CtrlReq {
         e.into_bytes()
     }
 
+    fn decode_reply(buf: &[u8]) -> Result<CtrlResp> {
+        match CtrlResp::decode(buf)? {
+            CtrlResp::Err(e) => Err(e),
+            reply => Ok(reply),
+        }
+    }
+}
+
+impl CtrlReq {
     /// Decodes a request.
     ///
     /// # Errors
@@ -493,13 +562,7 @@ impl CtrlReq {
             2 => CtrlReq::Alloc {
                 name: d.str()?,
                 size: d.u64()?,
-                opts: AllocOptions {
-                    stripe_size: d.u64()?,
-                    replicas: d.u8()?,
-                    policy: Policy::from_u8(d.u8()?)?,
-                    synthetic: d.u8()? != 0,
-                    checksums: d.u8()? != 0,
-                },
+                opts: AllocOptions::decode_from(&mut d)?,
             },
             3 => CtrlReq::Lookup { name: d.str()? },
             4 => CtrlReq::Free { name: d.str()? },
@@ -507,13 +570,7 @@ impl CtrlReq {
             6 => CtrlReq::Grow {
                 name: d.str()?,
                 additional: d.u64()?,
-                opts: AllocOptions {
-                    stripe_size: d.u64()?,
-                    replicas: d.u8()?,
-                    policy: Policy::from_u8(d.u8()?)?,
-                    synthetic: d.u8()? != 0,
-                    checksums: d.u8()? != 0,
-                },
+                opts: AllocOptions::decode_from(&mut d)?,
             },
             7 => CtrlReq::ReportCorruption {
                 name: d.str()?,
@@ -597,8 +654,9 @@ pub struct ClusterReport {
 pub enum CtrlResp {
     /// Success without a payload.
     Ok,
-    /// Application-level failure with a human-readable reason.
-    Err(String),
+    /// Application-level failure, as a value: see
+    /// [`Request::decode_reply`].
+    Err(RStoreError),
     /// A region descriptor (for `Alloc` / `Lookup`).
     Region(RegionDesc),
     /// Statistics (for `Stat`).
@@ -636,8 +694,8 @@ impl CtrlResp {
             CtrlResp::Ok => {
                 e.u8(0);
             }
-            CtrlResp::Err(msg) => {
-                e.u8(1).str(msg);
+            CtrlResp::Err(err) => {
+                err.encode_into(e.u8(1));
             }
             CtrlResp::Region(desc) => {
                 e.u8(2);
@@ -652,20 +710,14 @@ impl CtrlResp {
                     .u8(s.consistent as u8);
             }
             CtrlResp::Report(r) => {
-                e.u8(4);
-                e.u32(r.servers.len() as u32);
-                for s in &r.servers {
+                e.u8(4).list(&r.servers, |e, s| {
                     e.u32(s.node).u64(s.capacity).u64(s.used).u8(s.alive as u8);
-                }
-                e.u32(r.regions.len() as u32);
-                for reg in &r.regions {
+                });
+                e.list(&r.regions, |e, reg| {
                     e.str(&reg.name).u64(reg.size);
-                    e.u8(match reg.state {
-                        RegionState::Healthy => 0,
-                        RegionState::Degraded => 1,
-                    });
+                    reg.state.encode_into(e);
                     e.u32(reg.corrupt_extents);
-                }
+                });
                 e.u64(r.corruption_detected)
                     .u64(r.repaired_extents)
                     .u64(r.scrub_passes);
@@ -674,7 +726,10 @@ impl CtrlResp {
                 e.u8(5).u64(*extents).u64(*bytes);
             }
             CtrlResp::Registered { lease, retire } => {
-                e.u8(6).u64(lease.as_nanos() as u64).pairs(retire);
+                e.u8(6).u64(lease.as_nanos() as u64);
+                e.list(retire, |e, &(addr, rkey)| {
+                    e.u64(addr).u64(rkey);
+                });
             }
         }
         e.into_bytes()
@@ -689,7 +744,7 @@ impl CtrlResp {
         let mut d = Dec::new(buf);
         let resp = match d.u8()? {
             0 => CtrlResp::Ok,
-            1 => CtrlResp::Err(d.str()?),
+            1 => CtrlResp::Err(RStoreError::decode_from(&mut d)?),
             2 => CtrlResp::Region(RegionDesc::decode_from(&mut d)?),
             3 => CtrlResp::Stats(ClusterStats {
                 servers: d.u32()?,
@@ -698,50 +753,35 @@ impl CtrlResp {
                 used: d.u64()?,
                 consistent: d.u8()? != 0,
             }),
-            4 => {
-                let ns = d.u32()? as usize;
-                let mut servers = Vec::with_capacity(ns);
-                for _ in 0..ns {
-                    servers.push(ServerStats {
+            4 => CtrlResp::Report(ClusterReport {
+                servers: d.list(|d| {
+                    Ok(ServerStats {
                         node: d.u32()?,
                         capacity: d.u64()?,
                         used: d.u64()?,
                         alive: d.u8()? != 0,
-                    });
-                }
-                let nr = d.u32()? as usize;
-                let mut regions = Vec::with_capacity(nr);
-                for _ in 0..nr {
-                    regions.push(RegionStats {
+                    })
+                })?,
+                regions: d.list(|d| {
+                    Ok(RegionStats {
                         name: d.str()?,
                         size: d.u64()?,
-                        state: match d.u8()? {
-                            0 => RegionState::Healthy,
-                            1 => RegionState::Degraded,
-                            v => {
-                                return Err(RStoreError::Protocol(format!("bad region state {v}")))
-                            }
-                        },
+                        state: RegionState::decode_from(d)?,
                         corrupt_extents: d.u32()?,
-                    });
-                }
-                CtrlResp::Report(ClusterReport {
-                    servers,
-                    regions,
-                    corruption_detected: d.u64()?,
-                    repaired_extents: d.u64()?,
-                    scrub_passes: d.u64()?,
-                })
-            }
+                    })
+                })?,
+                corruption_detected: d.u64()?,
+                repaired_extents: d.u64()?,
+                scrub_passes: d.u64()?,
+            }),
             5 => CtrlResp::Drained {
                 extents: d.u64()?,
                 bytes: d.u64()?,
             },
-            6 => {
-                let lease = Duration::from_nanos(d.u64()?);
-                let retire = d.pairs()?;
-                CtrlResp::Registered { lease, retire }
-            }
+            6 => CtrlResp::Registered {
+                lease: Duration::from_nanos(d.u64()?),
+                retire: d.list(|d| Ok((d.u64()?, d.u64()?)))?,
+            },
             t => return Err(RStoreError::Protocol(format!("bad resp tag {t}"))),
         };
         d.finish()?;
@@ -803,9 +843,10 @@ pub enum SrvReq {
     },
 }
 
-impl SrvReq {
-    /// Encodes the request.
-    pub fn encode(&self) -> Vec<u8> {
+impl Request for SrvReq {
+    type Reply = SrvResp;
+
+    fn encode(&self) -> Vec<u8> {
         let mut e = Enc::new();
         match self {
             SrvReq::AllocExtents {
@@ -821,7 +862,9 @@ impl SrvReq {
                     .u8(*checksums as u8);
             }
             SrvReq::FreeExtents { extents } => {
-                e.u8(1).pairs(extents);
+                e.u8(1).list(extents, |e, &(addr, len)| {
+                    e.u64(addr).u64(len);
+                });
             }
             SrvReq::Replicate {
                 src_node,
@@ -844,6 +887,15 @@ impl SrvReq {
         e.into_bytes()
     }
 
+    fn decode_reply(buf: &[u8]) -> Result<SrvResp> {
+        match SrvResp::decode(buf)? {
+            SrvResp::Err(e) => Err(e),
+            reply => Ok(reply),
+        }
+    }
+}
+
+impl SrvReq {
     /// Decodes a request.
     ///
     /// # Errors
@@ -859,7 +911,7 @@ impl SrvReq {
                 checksums: d.u8()? != 0,
             },
             1 => SrvReq::FreeExtents {
-                extents: d.pairs()?,
+                extents: d.list(|d| Ok((d.u64()?, d.u64()?)))?,
             },
             2 => SrvReq::Replicate {
                 src_node: d.u32()?,
@@ -886,8 +938,8 @@ pub enum SrvResp {
     Extents(Vec<(u64, u64, u64)>),
     /// Success without a payload.
     Ok,
-    /// Failure with a reason.
-    Err(String),
+    /// Failure, as a value: see [`Request::decode_reply`].
+    Err(RStoreError),
 }
 
 impl SrvResp {
@@ -896,16 +948,15 @@ impl SrvResp {
         let mut e = Enc::new();
         match self {
             SrvResp::Extents(v) => {
-                e.u8(0).u32(v.len() as u32);
-                for (a, k, l) in v {
-                    e.u64(*a).u64(*k).u64(*l);
-                }
+                e.u8(0).list(v, |e, &(addr, rkey, len)| {
+                    e.u64(addr).u64(rkey).u64(len);
+                });
             }
             SrvResp::Ok => {
                 e.u8(1);
             }
-            SrvResp::Err(m) => {
-                e.u8(2).str(m);
+            SrvResp::Err(err) => {
+                err.encode_into(e.u8(2));
             }
         }
         e.into_bytes()
@@ -919,16 +970,9 @@ impl SrvResp {
     pub fn decode(buf: &[u8]) -> Result<Self> {
         let mut d = Dec::new(buf);
         let resp = match d.u8()? {
-            0 => {
-                let n = d.u32()? as usize;
-                let mut v = Vec::with_capacity(n);
-                for _ in 0..n {
-                    v.push((d.u64()?, d.u64()?, d.u64()?));
-                }
-                SrvResp::Extents(v)
-            }
+            0 => SrvResp::Extents(d.list(|d| Ok((d.u64()?, d.u64()?, d.u64()?)))?),
             1 => SrvResp::Ok,
-            2 => SrvResp::Err(d.str()?),
+            2 => SrvResp::Err(RStoreError::decode_from(&mut d)?),
             t => return Err(RStoreError::Protocol(format!("bad srvresp tag {t}"))),
         };
         d.finish()?;
@@ -1029,7 +1073,7 @@ mod tests {
     fn ctrl_resp_round_trips() {
         let resps = vec![
             CtrlResp::Ok,
-            CtrlResp::Err("nope".into()),
+            CtrlResp::Err(RStoreError::Remote("nope".into())),
             CtrlResp::Region(desc()),
             CtrlResp::Stats(ClusterStats {
                 servers: 12,
@@ -1159,7 +1203,7 @@ mod tests {
         let resps = vec![
             SrvResp::Extents(vec![(1, 2, 3), (4, 5, 6)]),
             SrvResp::Ok,
-            SrvResp::Err("full".into()),
+            SrvResp::Err(RStoreError::Remote("full".into())),
         ];
         for resp in resps {
             assert_eq!(SrvResp::decode(&resp.encode()).unwrap(), resp);
@@ -1173,6 +1217,92 @@ mod tests {
             let r = CtrlResp::decode(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes must not decode");
         }
+    }
+
+    #[test]
+    fn counts_larger_than_the_message_error_not_abort() {
+        // A count is four bytes anyone can send: nothing may be reserved
+        // from it before the elements it claims have been seen.
+        let huge = [0xff, 0xff, 0xff, 0xff];
+        let report = [&[4u8][..], &huge].concat();
+        assert!(matches!(
+            CtrlResp::decode(&report),
+            Err(RStoreError::Protocol(_))
+        ));
+        let extents = [&[0u8][..], &huge].concat();
+        assert!(matches!(
+            SrvResp::decode(&extents),
+            Err(RStoreError::Protocol(_))
+        ));
+        let empty = RegionDesc {
+            groups: vec![],
+            ..desc()
+        };
+        let mut region = CtrlResp::Region(empty).encode();
+        let at = region.len() - 4;
+        region[at..].copy_from_slice(&huge);
+        assert!(matches!(
+            CtrlResp::decode(&region),
+            Err(RStoreError::Protocol(_))
+        ));
+    }
+
+    #[test]
+    fn wire_errors_round_trip() {
+        // What a peer constructs on purpose arrives as itself, whatever its
+        // strings hold: quotes, digits, or the wording of another variant.
+        let names = [
+            "region-a",
+            "a\"b",
+            "shard-12/gen3",
+            "jobs already exists",
+            "no such region",
+            "cannot satisfy allocation of 5 bytes",
+            "corruption detected",
+            "replication factor 3 exceeds live servers (1)",
+            "",
+        ];
+        let mut errs = vec![
+            RStoreError::InsufficientCapacity {
+                requested: 123_456_789,
+            },
+            RStoreError::NotEnoughServers {
+                replicas: 7,
+                available: 4,
+            },
+        ];
+        for name in names {
+            errs.push(RStoreError::NameExists(name.into()));
+            errs.push(RStoreError::NotFound(name.into()));
+            errs.push(RStoreError::Protocol(name.into()));
+            errs.push(RStoreError::Remote(name.into()));
+        }
+        for e in errs {
+            let bytes = CtrlResp::Err(e.clone()).encode();
+            assert_eq!(CtrlReq::decode_reply(&bytes), Err(e.clone()));
+            let bytes = SrvResp::Err(e.clone()).encode();
+            assert_eq!(SrvReq::decode_reply(&bytes), Err(e));
+        }
+        // What only its observer can construct is told in words: a client
+        // must not mistake the master's transport failure for its own.
+        let own = [
+            RStoreError::Io(rdma::CqStatus::Timeout),
+            RStoreError::Rdma(rdma::RdmaError::Timeout),
+            RStoreError::Degraded("r".into()),
+        ];
+        for e in own {
+            let bytes = CtrlResp::Err(e.clone()).encode();
+            assert_eq!(
+                CtrlReq::decode_reply(&bytes),
+                Err(RStoreError::Remote(e.to_string()))
+            );
+        }
+        // An answer that is not an error is the `Ok`.
+        assert_eq!(
+            CtrlReq::decode_reply(&CtrlResp::Ok.encode()),
+            Ok(CtrlResp::Ok)
+        );
+        assert_eq!(SrvReq::decode_reply(&SrvResp::Ok.encode()), Ok(SrvResp::Ok));
     }
 
     #[test]

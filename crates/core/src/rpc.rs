@@ -9,18 +9,24 @@
 //! The protocol is deliberately simple: one outstanding request per
 //! connection (callers hold the connection exclusively for the duration of a
 //! call), fixed-size message buffers.
+//!
+//! Two levels: [`RpcClient`] / [`spawn_rpc_server`] move bytes over one
+//! connection; [`Channel`] is what the control plane calls through — typed
+//! requests, one call at a time, a connection that is dialed when missing
+//! and dropped when it fails.
 
-use std::cell::{Cell, RefCell};
+use std::cell::Cell;
 use std::future::Future;
-use std::pin::Pin;
+use std::pin::{pin, Pin};
 use std::rc::Rc;
-use std::task::{Context, Poll, Waker};
 use std::time::Duration;
 
 use fabric::NodeId;
 use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RdmaError};
+use sim::sync::Semaphore;
 
 use crate::error::{RStoreError, Result};
+use crate::proto::Request;
 
 /// Maximum encoded message size (requests and responses).
 pub const RPC_BUF_BYTES: u64 = 4 * 1024 * 1024;
@@ -48,10 +54,8 @@ pub struct RpcClient {
     /// can no longer be trusted (a late response may still arrive), so every
     /// subsequent call fails fast and the owner reconnects.
     broken: bool,
-    /// Per-connection response deadline (defaults to [`RESPONSE_TIMEOUT`]).
-    /// Periodic callers whose liveness a peer judges — heartbeats against a
-    /// 50 ms lease, say — must lose at most one period to a dropped
-    /// response, not the generous control-path default.
+    /// Per-connection response deadline: [`RESPONSE_TIMEOUT`] unless a
+    /// [`Channel`] dialed it.
     response_timeout: Duration,
 }
 
@@ -91,16 +95,8 @@ impl RpcClient {
         self.peer
     }
 
-    /// Overrides the response deadline for every subsequent call on this
-    /// connection. Use a bound matched to the caller's cadence: a heartbeat
-    /// loop that waits [`RESPONSE_TIMEOUT`] for one lost response goes
-    /// silent long enough for the master to declare the server dead.
-    pub fn set_response_timeout(&mut self, timeout: Duration) {
-        self.response_timeout = timeout;
-    }
-
-    /// Issues one request and waits for the response, bounded by
-    /// [`RESPONSE_TIMEOUT`].
+    /// Issues one request and waits for the response, bounded by the
+    /// connection's response deadline.
     ///
     /// # Errors
     ///
@@ -129,27 +125,33 @@ impl RpcClient {
         self.qp
             .post_send(send_wr, self.send_buf.slice(0, req.len() as u64), None)?;
 
-        let deadline = Deadline::arm(dev.sim(), self.response_timeout);
-        let mut resp_len = None;
-        let mut send_done = false;
-        while resp_len.is_none() || !send_done {
-            let Some(cqe) = deadline.next_before(&self.cq).await else {
-                self.broken = true;
-                return Err(RStoreError::Io(CqStatus::Timeout));
-            };
-            if !cqe.status.is_ok() {
-                return Err(RStoreError::Io(cqe.status));
-            }
-            match cqe.opcode {
-                CqeOpcode::Recv => resp_len = Some(cqe.byte_len),
-                CqeOpcode::Send => send_done = true,
-                other => {
-                    debug_assert!(false, "unexpected completion {other:?} on RPC QP");
+        // One deadline over both completions. The timer is drawn at the
+        // first poll, right behind the SEND just posted.
+        let cq = &self.cq;
+        let completions = pin!(async {
+            let mut resp_len = None;
+            let mut send_done = false;
+            while resp_len.is_none() || !send_done {
+                let cqe = cq.next().await;
+                if !cqe.status.is_ok() {
+                    return Err(RStoreError::Io(cqe.status));
+                }
+                match cqe.opcode {
+                    CqeOpcode::Recv => resp_len = Some(cqe.byte_len),
+                    CqeOpcode::Send => send_done = true,
+                    other => {
+                        debug_assert!(false, "unexpected completion {other:?} on RPC QP");
+                    }
                 }
             }
-        }
-        let len = resp_len.expect("loop exit implies response");
-        Ok(dev.read_mem(self.recv_buf.addr, len)?)
+            Ok(resp_len.expect("loop exit implies response"))
+        });
+        let waited = dev.sim().timeout(self.response_timeout, completions).await;
+        let Some(len) = waited else {
+            self.broken = true;
+            return Err(RStoreError::Io(CqStatus::Timeout));
+        };
+        Ok(dev.read_mem(self.recv_buf.addr, len?)?)
     }
 }
 
@@ -164,77 +166,116 @@ impl Drop for RpcClient {
     }
 }
 
-/// A one-shot virtual-time deadline that bounds waits on a completion queue.
-/// Disarmed when dropped: a call that returns early leaves no timer behind.
-struct Deadline {
-    sim: sim::Sim,
-    state: Rc<DeadlineState>,
-    timer: sim::TimerId,
+/// The one owner of a control connection over time: client → master, master
+/// → each memory server, memory server → master all call through one of
+/// these.
+///
+/// * **Gate.** Calls are admitted one at a time, in arrival order
+///   ([`admit`](Self::admit)); the connection carries one request at a time.
+/// * **Dial points.** A call that finds no connection dials one, with this
+///   channel's response deadline; nothing is dialed earlier unless the owner
+///   asks ([`dial`](Self::dial)).
+/// * **What drops the connection.** A call that fails in transport — flushed
+///   QP, lost response (the timed-out [`RpcClient`] is broken) — so the next
+///   call redials. **What keeps it:** any answer, an error reply included.
+pub struct Channel {
+    dev: RdmaDevice,
+    peer: NodeId,
+    service: u16,
+    response_timeout: Duration,
+    gate: Semaphore,
+    conn: Cell<Option<RpcClient>>,
 }
 
-impl Drop for Deadline {
+impl std::fmt::Debug for Channel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Channel")
+            .field("peer", &self.peer)
+            .field("service", &self.service)
+            .finish()
+    }
+}
+
+impl Channel {
+    /// A channel to `service` on `peer` whose calls wait `response_timeout`
+    /// for their answer. Use a bound matched to the caller's cadence: a
+    /// heartbeat loop that waits [`RESPONSE_TIMEOUT`] for one lost response
+    /// goes silent long enough for the master to declare the server dead.
+    pub fn new(dev: &RdmaDevice, peer: NodeId, service: u16, response_timeout: Duration) -> Self {
+        Channel {
+            dev: dev.clone(),
+            peer,
+            service,
+            response_timeout,
+            gate: Semaphore::new(1),
+            conn: Cell::new(None),
+        }
+    }
+
+    /// Takes the connection out of the channel, dialing one if there is none.
+    async fn take(&self) -> Result<RpcClient> {
+        if let Some(conn) = self.conn.take() {
+            return Ok(conn);
+        }
+        let mut conn = RpcClient::connect(&self.dev, self.peer, self.service).await?;
+        conn.response_timeout = self.response_timeout;
+        Ok(conn)
+    }
+
+    /// Dials now, if there is no connection, instead of inside the next
+    /// call, so that a peer that is not there fails its owner's setup.
+    ///
+    /// # Errors
+    ///
+    /// Connection failures from the verbs layer.
+    pub async fn dial(&self) -> Result<()> {
+        let _turn = self.admit().await;
+        self.conn.set(Some(self.take().await?));
+        Ok(())
+    }
+
+    /// Waits for this channel's turn. The turn ends when the guard drops.
+    pub async fn admit(&self) -> Admitted<'_> {
+        self.gate.acquire().await;
+        Admitted(self)
+    }
+
+    /// [`admit`](Self::admit), then [`Admitted::call`].
+    ///
+    /// # Errors
+    ///
+    /// As [`Admitted::call`].
+    pub async fn call<Q: Request>(&self, req: &Q) -> Result<Q::Reply> {
+        self.admit().await.call(req).await
+    }
+}
+
+/// A turn on a [`Channel`]. Separate from the call so that a caller can
+/// start its clock after the queue.
+#[derive(Debug)]
+pub struct Admitted<'a>(&'a Channel);
+
+impl Drop for Admitted<'_> {
     fn drop(&mut self) {
-        self.sim.cancel(self.timer);
+        self.0.gate.release();
     }
 }
 
-#[derive(Default)]
-struct DeadlineState {
-    fired: Cell<bool>,
-    waker: RefCell<Option<Waker>>,
-}
-
-impl sim::EventSink for DeadlineState {
-    fn fire(self: Rc<Self>, _: u64, _: u64) {
-        self.fired.set(true);
-        if let Some(w) = self.waker.borrow_mut().take() {
-            w.wake();
-        }
-    }
-}
-
-impl Deadline {
-    /// Schedules the deadline `after` from now.
-    fn arm(sim: &sim::Sim, after: Duration) -> Deadline {
-        let state = Rc::new(DeadlineState::default());
-        let timer = sim.schedule_event(sim.now() + after, &state, 0, 0);
-        Deadline {
-            sim: sim.clone(),
-            state,
-            timer,
-        }
-    }
-
-    /// Waits for the next completion on `cq`, or `None` once the deadline
-    /// has passed.
-    fn next_before<'a>(&'a self, cq: &'a CompletionQueue) -> NextBefore<'a> {
-        NextBefore { deadline: self, cq }
-    }
-}
-
-struct NextBefore<'a> {
-    deadline: &'a Deadline,
-    cq: &'a CompletionQueue,
-}
-
-impl Future for NextBefore<'_> {
-    type Output = Option<rdma::Cqe>;
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
-        if let Some(cqe) = self.cq.try_next() {
-            return Poll::Ready(Some(cqe));
-        }
-        if self.deadline.state.fired.get() {
-            return Poll::Ready(None);
-        }
-        // Register with both wake sources: the CQ (via its own future) and
-        // the deadline timer.
-        let mut next = self.cq.next();
-        if let Poll::Ready(cqe) = Pin::new(&mut next).poll(cx) {
-            return Poll::Ready(Some(cqe));
-        }
-        *self.deadline.state.waker.borrow_mut() = Some(cx.waker().clone());
-        Poll::Pending
+impl Admitted<'_> {
+    /// Sends `req` and decodes its reply.
+    ///
+    /// # Errors
+    ///
+    /// * What the peer answered, if it answered with an error.
+    /// * [`RStoreError::Io`] / [`RStoreError::Rdma`] if the dial or the call
+    ///   failed in transport; the connection is gone and the next call
+    ///   redials.
+    /// * [`RStoreError::Protocol`] if the reply does not decode.
+    pub async fn call<Q: Request>(&self, req: &Q) -> Result<Q::Reply> {
+        let mut conn = self.0.take().await?;
+        let reply = conn.call(&req.encode()).await?;
+        self.0.conn.set(Some(conn));
+        Q::decode_reply(&reply)
     }
 }
 
@@ -442,6 +483,48 @@ mod tests {
             waited < RESPONSE_TIMEOUT + Duration::from_millis(100),
             "must not wait much past the deadline (got {waited:?})"
         );
+    }
+
+    #[test]
+    fn channel_keeps_its_connection_across_an_error_reply_and_redials_after_a_lost_one() {
+        use crate::proto::{CtrlReq, CtrlResp};
+        let (sim, fabric, server, client) = setup();
+        // Answers a lookup with an error and anything else with `Ok`, after
+        // 1 ms of CPU — so a loss window can drop a response alone.
+        let handler: RpcHandler = Rc::new(|_peer, req| {
+            Box::pin(async move {
+                match CtrlReq::decode(&req) {
+                    Ok(CtrlReq::Lookup { name }) => CtrlResp::Err(RStoreError::NotFound(name)),
+                    _ => CtrlResp::Ok,
+                }
+                .encode()
+            })
+        });
+        spawn_rpc_server(&server, 9, Duration::from_millis(1), handler).unwrap();
+        fabric::FaultPlan::new(7)
+            .loss_window(Duration::from_micros(3500), Duration::from_millis(20), 1.0)
+            .install(&fabric);
+        let peer = server.node();
+        // The serving end of a connection holds two buffers while it lives.
+        let dials = move || server.mem_used() / (2 * RPC_BUF_BYTES);
+        let sim2 = sim.clone();
+        sim.block_on(async move {
+            let ch = Channel::new(&client, peer, 9, Duration::from_millis(5));
+            assert_eq!(dials(), 0, "nothing is dialed before the first call");
+            assert_eq!(ch.call(&CtrlReq::Stat).await, Ok(CtrlResp::Ok));
+            let name = "no such region: \"x\"".to_owned();
+            let refused = ch.call(&CtrlReq::Lookup { name: name.clone() }).await;
+            assert_eq!(refused, Err(RStoreError::NotFound(name)));
+            assert_eq!(ch.call(&CtrlReq::Stat).await, Ok(CtrlResp::Ok));
+            assert_eq!(dials(), 1, "an error reply is an answer: same connection");
+            // This one's response falls into the loss window.
+            let lost = ch.call(&CtrlReq::Stat).await;
+            assert_eq!(lost, Err(RStoreError::Io(CqStatus::Timeout)));
+            sim2.sleep_until(sim::SimTime::ZERO + Duration::from_millis(21))
+                .await;
+            assert_eq!(ch.call(&CtrlReq::Stat).await, Ok(CtrlResp::Ok));
+            assert_eq!(dials(), 2, "a lost response drops the connection");
+        });
     }
 
     #[test]

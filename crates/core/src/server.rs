@@ -16,9 +16,9 @@ use rdma::{Access, CompletionQueue, CqStatus, DmaBuf, Qp, RKey, RdmaDevice, Remo
 use sim::{EventSink, Sim, SimTime, TimerId};
 
 use crate::crc::crc32c;
-use crate::error::Result;
+use crate::error::{RStoreError, Result};
 use crate::proto::{extent_alloc_len, CtrlReq, CtrlResp, SrvReq, SrvResp};
-use crate::rpc::{spawn_rpc_server, RpcClient};
+use crate::rpc::{spawn_rpc_server, Channel};
 use crate::{CTRL_SERVICE, DATA_SERVICE, SRV_SERVICE};
 
 /// Memory-server configuration.
@@ -179,7 +179,10 @@ impl MemServer {
             cfg.rpc_cpu,
             Rc::new(move |_peer, req| {
                 let sv = sv.clone();
-                Box::pin(async move { handle_srv_req(&sv, pin_per_mib, &req).await.encode() })
+                Box::pin(async move {
+                    let reply = handle_srv_req(&sv, pin_per_mib, &req).await;
+                    reply.unwrap_or_else(SrvResp::Err).encode()
+                })
             }),
         )?;
 
@@ -195,13 +198,14 @@ impl MemServer {
         });
 
         // Registration + heartbeat loop.
-        let dev2 = dev.clone();
         let sim2 = server.sim.clone();
         let node = dev.node().0;
         let donate = cfg.donate;
         let heartbeat = cfg.heartbeat;
+        // A dropped heartbeat *response* must cost one beat, not the
+        // control-path default — the lease keeps running while we wait.
+        let ctrl = Channel::new(dev, master, CTRL_SERVICE, heartbeat);
         server.sim.spawn(async move {
-            let mut conn: Option<RpcClient> = None;
             let mut registered = false;
             loop {
                 let started = sim2.now();
@@ -214,39 +218,26 @@ impl MemServer {
                         capacity: donate,
                     }
                 };
-                let dialed = match conn.take() {
-                    Some(c) => Ok(c),
-                    None => RpcClient::connect(&dev2, master, CTRL_SERVICE).await,
-                };
-                if let Ok(mut c) = dialed {
-                    // A dropped heartbeat *response* must cost one beat, not
-                    // the control-path default — the lease keeps running
-                    // while we wait.
-                    c.set_response_timeout(heartbeat);
-                    let reply = c.call(&req.encode()).await;
-                    let intact = reply.is_ok();
-                    match reply.and_then(|bytes| CtrlResp::decode(&bytes)) {
-                        Ok(CtrlResp::Ok) => acked = true,
-                        // Reconcile before unfence: what the master replaced
-                        // while it could not reach us goes first, so no
-                        // replaced extent is ever reachable again.
-                        Ok(CtrlResp::Registered { lease, retire }) => {
-                            for (addr, rkey) in retire {
-                                served.retire(addr, rkey);
-                            }
-                            served.lease.set(lease);
-                            (registered, acked) = (true, true);
+                match ctrl.call(&req).await {
+                    Ok(CtrlResp::Ok) => acked = true,
+                    // Reconcile before unfence: what the master replaced
+                    // while it could not reach us goes first, so no
+                    // replaced extent is ever reachable again.
+                    Ok(CtrlResp::Registered { lease, retire }) => {
+                        for (addr, rkey) in retire {
+                            served.retire(addr, rkey);
                         }
-                        // An error response means the master does not count
-                        // us as a live server (it lost its soft state, or
-                        // saw our lease lapse); a failed call, that the
-                        // connection broke (master restart / partition) and
-                        // is redialed. Either way: register again.
-                        _ => registered = false,
+                        served.lease.set(lease);
+                        (registered, acked) = (true, true);
                     }
-                    if intact {
-                        conn = Some(c);
-                    }
+                    // An error reply means the master does not count us as a
+                    // live server (it lost its soft state, or saw our lease
+                    // lapse); a failed call, that the connection broke
+                    // (master restart / partition) and the channel redials.
+                    // Either way: register again. (A dial that fails changes
+                    // nothing: there is no connection only before the first
+                    // registration and after a failed call.)
+                    _ => registered = false,
                 }
                 // An acknowledged beat renews the lease from the instant it
                 // was sent. The next attempt follows a period later, whether
@@ -281,13 +272,9 @@ impl MemServer {
     }
 }
 
-async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> SrvResp {
+async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> Result<SrvResp> {
     let dev = &sv.dev;
-    let req = match SrvReq::decode(req) {
-        Ok(r) => r,
-        Err(e) => return SrvResp::Err(e.to_string()),
-    };
-    match req {
+    match SrvReq::decode(req)? {
         SrvReq::AllocExtents {
             count,
             len,
@@ -314,48 +301,31 @@ async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> SrvRe
             } else {
                 [0u8; 8]
             };
-            let mut granted: Vec<(u64, u64, u64)> = Vec::with_capacity(count as usize);
-            let mut bufs: Vec<DmaBuf> = Vec::with_capacity(count as usize);
-            for _ in 0..count {
-                let alloc = if synthetic {
-                    dev.alloc_synthetic(alloc_len)
+            let mut granted: Vec<(u64, u64, u64)> = Vec::new();
+            let mut bufs: Vec<DmaBuf> = Vec::new();
+            let mut grant_next = || -> Result<()> {
+                let buf = if synthetic {
+                    dev.alloc_synthetic(alloc_len)?
                 } else {
-                    dev.alloc(alloc_len)
+                    dev.alloc(alloc_len)?
                 };
-                let buf = match alloc {
-                    Ok(b) => b,
-                    Err(e) => {
-                        for b in bufs {
-                            let _ = dev.free(b);
-                        }
-                        return SrvResp::Err(e.to_string());
-                    }
-                };
+                bufs.push(buf);
                 if checksums {
-                    if let Err(e) = dev.write_mem(buf.addr + len, &zero_crc) {
-                        let _ = dev.free(buf);
-                        for b in bufs {
-                            let _ = dev.free(b);
-                        }
-                        return SrvResp::Err(e.to_string());
-                    }
+                    dev.write_mem(buf.addr + len, &zero_crc)?;
                 }
-                match dev.reg_mr(buf, sv.access(false)) {
-                    Ok(mr) => {
-                        // The granted length is the *logical* extent size;
-                        // the trailer is an implementation detail the master
-                        // re-derives with `extent_alloc_len`.
-                        granted.push((buf.addr, mr.rkey.0, len));
-                        bufs.push(buf);
-                    }
-                    Err(e) => {
-                        let _ = dev.free(buf);
-                        for b in bufs {
-                            let _ = dev.free(b);
-                        }
-                        return SrvResp::Err(e.to_string());
-                    }
+                // The granted length is the *logical* extent size; the
+                // trailer is an implementation detail the master re-derives
+                // with `extent_alloc_len`.
+                let mr = dev.reg_mr(buf, sv.access(false))?;
+                granted.push((buf.addr, mr.rkey.0, len));
+                Ok(())
+            };
+            // All or nothing: one failure frees every buffer so far.
+            if let Err(e) = (0..count).try_for_each(|_| grant_next()) {
+                for b in bufs {
+                    let _ = dev.free(b);
                 }
+                return Err(e);
             }
             let mut grants = sv.grants.borrow_mut();
             for (buf, &(_, rkey, _)) in bufs.iter().zip(&granted) {
@@ -366,14 +336,14 @@ async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> SrvRe
                 };
                 grants.insert(buf.addr, grant);
             }
-            SrvResp::Extents(granted)
+            Ok(SrvResp::Extents(granted))
         }
         SrvReq::FreeExtents { extents } => {
             for (addr, len) in extents {
                 sv.grants.borrow_mut().remove(&addr);
                 let _ = dev.free(DmaBuf { addr, len });
             }
-            SrvResp::Ok
+            Ok(SrvResp::Ok)
         }
         SrvReq::SetAccess { rkey, writable } => {
             // The seal of an extent move: flip the extent's rights in place,
@@ -383,13 +353,11 @@ async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> SrvRe
             // effect when access comes back.
             let mut grants = sv.grants.borrow_mut();
             let Some(g) = grants.values_mut().find(|g| g.rkey.0 == rkey) else {
-                return SrvResp::Err(rdma::RdmaError::InvalidHandle.to_string());
+                return Err(rdma::RdmaError::InvalidHandle.into());
             };
             g.sealed = !writable;
-            match dev.set_mr_access(g.rkey, sv.access(g.sealed)) {
-                Ok(()) => SrvResp::Ok,
-                Err(e) => SrvResp::Err(e.to_string()),
-            }
+            dev.set_mr_access(g.rkey, sv.access(g.sealed))?;
+            Ok(SrvResp::Ok)
         }
         SrvReq::Replicate {
             src_node,
@@ -407,10 +375,7 @@ async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> SrvRe
                 None => {
                     let cq = CompletionQueue::new();
                     let src = fabric::NodeId(src_node);
-                    match dev.connect(src, DATA_SERVICE, &cq).await {
-                        Ok(qp) => (qp, cq),
-                        Err(e) => return SrvResp::Err(e.to_string()),
-                    }
+                    (dev.connect(src, DATA_SERVICE, &cq).await?, cq)
                 }
             };
             let dst = DmaBuf {
@@ -421,15 +386,14 @@ async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> SrvRe
                 addr: src_addr,
                 rkey: RKey(src_rkey),
             };
-            if let Err(e) = qp.post_read(1, dst, src) {
-                return SrvResp::Err(e.to_string());
-            }
+            qp.post_read(1, dst, src)?;
             let cqe = cq.next().await;
             sv.copy_qps.borrow_mut().insert(src_node, (qp, cq));
             if cqe.status == CqStatus::Success {
-                SrvResp::Ok
+                Ok(SrvResp::Ok)
             } else {
-                SrvResp::Err(format!("replicate read failed: {:?}", cqe.status))
+                let what = format!("replicate read failed: {:?}", cqe.status);
+                Err(RStoreError::Remote(what))
             }
         }
     }

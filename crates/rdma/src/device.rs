@@ -540,18 +540,12 @@ impl RdmaDevice {
         let wire = msg.wire_bytes();
         self.fabric.send(self.node, peer, wire, msg);
 
-        // Arm a connect timeout: if no answer arrives, fail the oneshot.
-        let dev = self.clone();
-        let guard = self.sim.schedule(self.cfg.base_timeout, move || {
-            if let Some(tx) = dev.inner.borrow_mut().connects.remove(&conn_id) {
-                tx.send(Err(RdmaError::Timeout));
-            }
-        });
-        let reply = reply.await;
-        self.sim.cancel(guard);
-        match reply {
-            Some(Ok((node, server_qpn))) => {
-                let mut inner = self.inner.borrow_mut();
+        // No answer in time — or none ever: the reply's sender is gone — is
+        // a timeout.
+        let reply = self.sim.timeout(self.cfg.base_timeout, reply).await;
+        let mut inner = self.inner.borrow_mut();
+        match reply.flatten().unwrap_or(Err(RdmaError::Timeout)) {
+            Ok((node, server_qpn)) => {
                 let qp = inner.qps.get_mut(&qpn.0).expect("qp vanished");
                 debug_assert_eq!(node, peer);
                 qp.remote_qpn = Some(server_qpn);
@@ -560,13 +554,10 @@ impl RdmaDevice {
                     qpn,
                 })
             }
-            Some(Err(e)) => {
-                self.inner.borrow_mut().qps.remove(&qpn.0);
+            Err(e) => {
+                inner.connects.remove(&conn_id);
+                inner.qps.remove(&qpn.0);
                 Err(e)
-            }
-            None => {
-                self.inner.borrow_mut().qps.remove(&qpn.0);
-                Err(RdmaError::Timeout)
             }
         }
     }

@@ -367,7 +367,7 @@ impl Sim {
 
     /// Schedules `f` to run at `now + delay` as a standalone event (not a
     /// task). The closure is boxed: this is the call for cold paths (fault
-    /// plans, connect guards, tests); hot paths use [`Sim::schedule_event`].
+    /// plans, tests); hot paths use [`Sim::schedule_event`].
     pub fn schedule<F>(&self, delay: Duration, f: F) -> TimerId
     where
         F: FnOnce() + 'static,

@@ -3,6 +3,9 @@
 use std::future::Future;
 use std::pin::Pin;
 use std::task::{Context, Poll};
+use std::time::Duration;
+
+use crate::executor::{Sim, Sleep};
 
 /// Polls a set of futures concurrently and resolves once all have finished,
 /// yielding their outputs in input order.
@@ -81,6 +84,54 @@ impl<F: Future> Future for JoinAll<F> {
     }
 }
 
+impl Sim {
+    /// Bounds `fut` in virtual time: resolves to its output, or to `None`
+    /// once `after` has passed. The loser is dropped with the returned
+    /// future — a [`Sleep`] that lost takes its timer out of the queue.
+    ///
+    /// Each poll tries `fut` first, so an output ready at the deadline wins,
+    /// and the timer's event sequence number is drawn on the first poll,
+    /// after whatever `fut` scheduled in its own. `fut` must be `Unpin`:
+    /// wrap an `async` block in [`std::pin::pin!`].
+    ///
+    /// ```rust
+    /// use sim::{Sim, Duration};
+    /// let sim = Sim::new();
+    /// let s = sim.clone();
+    /// let out = sim.block_on(async move {
+    ///     let slow = std::pin::pin!(s.sleep(Duration::from_micros(9)));
+    ///     let fast = std::pin::pin!(async { 7 });
+    ///     let us = Duration::from_micros(1);
+    ///     (s.timeout(us, slow).await, s.timeout(us, fast).await, s.now())
+    /// });
+    /// assert_eq!((out.0, out.1, out.2.as_nanos()), (None, Some(7), 1_000));
+    /// ```
+    pub fn timeout<F: Future + Unpin>(&self, after: Duration, fut: F) -> Timeout<F> {
+        Timeout {
+            fut,
+            sleep: self.sleep(after),
+        }
+    }
+}
+
+/// Future returned by [`Sim::timeout`].
+#[derive(Debug)]
+pub struct Timeout<F> {
+    fut: F,
+    sleep: Sleep,
+}
+
+impl<F: Future + Unpin> Future for Timeout<F> {
+    type Output = Option<F::Output>;
+
+    fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<Self::Output> {
+        if let Poll::Ready(v) = Pin::new(&mut self.fut).poll(cx) {
+            return Poll::Ready(Some(v));
+        }
+        Pin::new(&mut self.sleep).poll(cx).map(|()| None)
+    }
+}
+
 /// Yields control back to the executor once, letting other tasks runnable at
 /// the same virtual instant proceed.
 pub fn yield_now() -> YieldNow {
@@ -141,6 +192,22 @@ mod tests {
         let out: Vec<u32> =
             sim.block_on(async move { join_all(Vec::<std::future::Ready<u32>>::new()).await });
         assert!(out.is_empty());
+    }
+
+    #[test]
+    fn timeout_resolves_to_the_first_arm_and_cancels_the_loser() {
+        let sim = Sim::new();
+        let s = sim.clone();
+        let (won, lost) = sim.block_on(async move {
+            let us = Duration::from_micros;
+            let won = s.timeout(us(5), std::pin::pin!(s.sleep(us(2)))).await;
+            // The losing deadline is out of the queue, not left to fire.
+            assert_eq!((s.now().as_nanos(), s.pending_events()), (2_000, 0));
+            let lost = s.timeout(us(5), std::pin::pin!(s.sleep(us(9)))).await;
+            assert_eq!((s.now().as_nanos(), s.pending_events()), (7_000, 0));
+            (won, lost)
+        });
+        assert_eq!((won, lost), (Some(()), None));
     }
 
     #[test]

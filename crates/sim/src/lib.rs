@@ -50,8 +50,9 @@
 //!   recorder with triage bundles.
 //! * [`timeseries`] — windowed counter-delta / percentile sampling of a
 //!   metrics registry on virtual time (fixed-capacity).
-//! * [`future_util`] — small `join_all` / `yield_now` helpers (no external
-//!   futures crate is used anywhere in the workspace).
+//! * [`future_util`] — small `join_all` / `yield_now` helpers and
+//!   [`Sim::timeout`], the one way to bound a wait in virtual time (no
+//!   external futures crate is used anywhere in the workspace).
 
 pub mod channel;
 pub mod executor;
@@ -68,7 +69,7 @@ pub mod trace;
 
 pub use channel::{channel, oneshot, Receiver, Sender};
 pub use executor::{take_exec_totals, ExecTotals, JoinHandle, Sim};
-pub use future_util::{join_all, yield_now};
+pub use future_util::{join_all, yield_now, Timeout};
 pub use ledger::{Completion, OpCosts, OpLedger, OpMetrics, OpSummary, Phase, SpanRec};
 pub use metrics::{Counter, Hist, Histogram, Metrics};
 pub use optrace::{BlameVec, EraNote, Exemplar, FlightRec, ForensicsConfig};

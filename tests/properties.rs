@@ -12,7 +12,7 @@ use rdma::memory::Arena;
 use rdma::{Access, DmaBuf};
 use rsort::{choose_splitters, dest_of, partition_records, ShufflePlan};
 use rstore::layout::Layout;
-use rstore::proto::{CtrlReq, CtrlResp, Extent, RegionDesc, RegionState, StripeGroup};
+use rstore::proto::{CtrlReq, CtrlResp, Extent, RegionDesc, RegionState, Request, StripeGroup};
 use workload::{is_sorted, record_key, sort_records, teragen, KEY_BYTES, RECORD_BYTES};
 
 /// Runs `body` for `cases` seeded cases, labelling failures with the case
@@ -237,7 +237,7 @@ fn proto_round_trip_fuzzed() {
             },
         };
         assert_eq!(CtrlReq::decode(&req.encode()).unwrap(), req);
-        let resp = CtrlResp::Err(name);
+        let resp = CtrlResp::Err(rstore::RStoreError::NotFound(name));
         assert_eq!(CtrlResp::decode(&resp.encode()).unwrap(), resp);
     });
 }

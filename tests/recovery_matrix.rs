@@ -1291,7 +1291,7 @@ fn repair_whose_target_dies_before_the_copy_rolls_back_exactly() {
 #[test]
 fn sixteen_tasks_sharing_one_client_survive_a_flap_on_the_control_gate() {
     // Every control call of a client goes through one single-permit gate
-    // (`ctrl_sem`), and every call arms a response deadline. A deadline that
+    // (its `rpc::Channel`'s), and every call arms a response deadline. A deadline that
     // outlived its call used to wake its task while that task was queued at
     // the gate for a later call; the second poll queued a second waker, the
     // stale one absorbed a `release`, and the workers behind it slept for
