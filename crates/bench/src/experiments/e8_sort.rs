@@ -6,31 +6,61 @@
 //!    (identical code path, synthetic payloads), and
 //! 3. the Hadoop TeraSort **cost model** on 12 nodes for the ratio.
 
-use baseline::hadoop::{terasort_time, HadoopConfig};
+use baseline::hadoop::{terasort_time, HadoopConfig, TeraSortEstimate};
 use fabric::FabricConfig;
 use rsort::{distributed, SortConfig, SortMode, SortOutcome};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient, ServerConfig};
-use workload::{is_sorted, teragen};
+use sim::{Level, OpSummary};
+use workload::{sort_records, teragen};
 
 use crate::table::{fmt_dur, Table};
 
+/// One measurement of E8's three parts.
+#[derive(Clone, Debug)]
+pub struct SortStats {
+    /// The real 10 MB sort's output is exactly its sorted input.
+    pub verified: bool,
+    /// The 256 GB fluid run.
+    pub outcome: SortOutcome,
+    /// Per-op costs of the fluid run's region IO; `write_many` is the
+    /// workers' shuffles.
+    pub ops: Vec<OpSummary>,
+    /// The Hadoop TeraSort model at the same size.
+    pub hadoop: TeraSortEstimate,
+}
+
 /// Runs E8.
 pub fn run() -> Vec<Table> {
+    tables(&measure())
+}
+
+/// Measures the three parts once.
+pub fn measure() -> SortStats {
+    let (outcome, ops) = fluid_sort(256u64 << 30, 12);
+    SortStats {
+        verified: real_verified_sort(),
+        outcome,
+        ops,
+        hadoop: terasort_time(&HadoopConfig::default(), 256 << 30),
+    }
+}
+
+/// Renders E8's table from one measurement.
+pub fn tables(s: &SortStats) -> Vec<Table> {
     let mut t = Table::new(
         "E8: 256 GB Key-Value sort — RStore sorter vs Hadoop TeraSort model",
         &["system", "phase", "time"],
     );
 
     // Part 1: verified correctness at small scale.
-    let verified = real_verified_sort();
     t.row(vec![
         "rsort (real, 10 MB)".into(),
         "verified sorted".into(),
-        verified.to_string(),
+        s.verified.to_string(),
     ]);
 
     // Part 2: 256 GB fluid run.
-    let outcome = fluid_sort(256u64 << 30, 12);
+    let outcome = &s.outcome;
     t.row(vec![
         "rsort 256GB".into(),
         "sample".into(),
@@ -58,7 +88,7 @@ pub fn run() -> Vec<Table> {
     ]);
 
     // Part 3: Hadoop model.
-    let est = terasort_time(&HadoopConfig::default(), 256 << 30);
+    let est = &s.hadoop;
     t.row(vec![
         "hadoop 256GB".into(),
         "startup".into(),
@@ -96,7 +126,8 @@ pub fn run() -> Vec<Table> {
     vec![t]
 }
 
-/// Real small-scale sort; returns whether the output verified.
+/// Real small-scale sort; returns whether the output is exactly the sorted
+/// input (sorted, and a permutation of it).
 pub fn real_verified_sort() -> bool {
     let cluster = Cluster::boot(ClusterConfig {
         clients: 12,
@@ -122,12 +153,15 @@ pub fn real_verified_sort() -> bool {
         distributed::run(&devs, master, cfg).await.expect("sort");
         let out = loader.map("sort/output").await.expect("map");
         let bytes = out.read(0, out.size()).await.expect("read");
-        is_sorted(&bytes) && bytes.len() == input.len()
+        let mut expect = input;
+        sort_records(&mut expect);
+        bytes == expect
     })
 }
 
-/// Fluid-mode sort of `bytes` on `workers` workers (+ equal servers).
-pub fn fluid_sort(bytes: u64, workers: usize) -> SortOutcome {
+/// Fluid-mode sort of `bytes` on `workers` workers (+ equal servers), with
+/// the per-op costs of its region IO.
+pub fn fluid_sort(bytes: u64, workers: usize) -> (SortOutcome, Vec<OpSummary>) {
     let cluster = Cluster::boot(ClusterConfig {
         clients: workers,
         fabric: FabricConfig::fluid(),
@@ -140,6 +174,7 @@ pub fn fluid_sort(bytes: u64, workers: usize) -> SortOutcome {
     })
     .expect("boot");
     let sim = cluster.sim.clone();
+    sim.recorder().enable(Level::Costs, 0);
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
     sim.block_on(async move {
@@ -157,6 +192,7 @@ pub fn fluid_sort(bytes: u64, workers: usize) -> SortOutcome {
         distributed::create_fluid_input(&loader, &cfg, records)
             .await
             .expect("input");
-        distributed::run(&devs, master, cfg).await.expect("sort")
+        let outcome = distributed::run(&devs, master, cfg).await.expect("sort");
+        (outcome, sim::ledger::summarize(&devs[0].metrics()))
     })
 }

@@ -19,7 +19,7 @@ pub fn run() -> Vec<Table> {
     );
     for &gib in &[8u64, 32, 64, 128, 256] {
         let bytes = gib << 30;
-        let out = fluid_sort(bytes, 12);
+        let (out, _) = fluid_sort(bytes, 12);
         let rate = bytes as f64 / out.total.as_secs_f64() / 1e9;
         t.row(vec![
             fmt_bytes(bytes),

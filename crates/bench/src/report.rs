@@ -6,7 +6,7 @@
 //! `figures --trace` captures a representative cluster lifecycle with the
 //! simulator's event ring on and dumps it as Chrome trace-event JSON.
 //!
-//! E10–E17 are self-checking: each exports an `asserts` array — the
+//! E6, E8 and E10–E17 are self-checking: each exports an `asserts` array — the
 //! invariants it claims, as `{name, expected, observed, pass}` built from
 //! the stats it already computes — which `bench check` verifies and
 //! `bench diff` compares exactly (see [`Asserts`]).
@@ -21,6 +21,8 @@ use crate::experiments::e15_elasticity;
 use crate::experiments::e16_rawspeed;
 use crate::experiments::e17_forensics;
 use crate::experiments::e3_datapath::{self, LayerStat};
+use crate::experiments::e6_pagerank;
+use crate::experiments::e8_sort;
 use crate::json::Json;
 use crate::selftime::SelfTime;
 use crate::table::Table;
@@ -75,6 +77,15 @@ fn window_json(w: &sim::Window) -> Json {
         ("counters".to_string(), counters),
         ("histograms".to_string(), histograms),
     ])
+}
+
+/// Round trips of the median op of type `op` (0 if none was recorded).
+fn rtts_p50(ops: &[OpSummary], op: &str) -> u64 {
+    ops.iter().find(|s| s.op == op).map_or(0, |s| s.rtts_p50)
+}
+
+fn dur_ns(d: std::time::Duration) -> Json {
+    Json::int(d.as_nanos() as u64)
 }
 
 fn per_op_hist_json(p50: u64, p99: u64, max: u64, total: u64) -> Json {
@@ -231,8 +242,8 @@ impl Asserts {
 /// Runs experiment `id` and returns its JSON document: the same tables the
 /// text mode prints, plus structured extras for experiments that have them.
 pub fn experiment_json(id: &str) -> Json {
-    // E10–E17 are measured once and rendered twice: their tables come from
-    // the same stats as their structured block.
+    // E6, E8 and E10–E17 are measured once and rendered twice: their tables
+    // come from the same stats as their structured block.
     let mut tables = None;
     let mut fields = vec![("id".to_string(), Json::str(id))];
     let mut asserts = Asserts::default();
@@ -242,6 +253,56 @@ pub fn experiment_json(id: &str) -> Json {
             .map(layer_stat_json)
             .collect();
         fields.push(("read_latency_attribution".to_string(), Json::Arr(attr)));
+    }
+    if id == "e6" {
+        let rows = e6_pagerank::measure();
+        tables = Some(e6_pagerank::tables(&rows));
+        let rank_errors: u64 = rows.iter().map(|r| r.rstore.rank_errors).sum();
+        asserts.eq("data_errors", rank_errors, 0);
+        for r in &rows {
+            let name = format!("gather.rtts_per_op.p50@{}", r.name);
+            asserts.eq(&name, rtts_p50(&r.rstore.ops, "read_many"), 1);
+            asserts.ops_recorded(&r.rstore.ops);
+        }
+        let graphs = rows.iter().map(|r| {
+            Json::obj([
+                ("graph".to_string(), Json::str(r.name)),
+                ("rstore_ns".to_string(), dur_ns(r.rstore.total)),
+                ("msg_passing_ns".to_string(), dur_ns(r.msg_total)),
+                ("speedup".to_string(), Json::float(r.speedup())),
+                ("rank_errors".to_string(), Json::int(r.rstore.rank_errors)),
+                ("per_op".to_string(), ops_json(&r.rstore.ops)),
+            ])
+        });
+        fields.push((
+            "ops".to_string(),
+            Json::obj([("graphs".to_string(), Json::Arr(graphs.collect()))]),
+        ));
+    }
+    if id == "e8" {
+        let s = e8_sort::measure();
+        tables = Some(e8_sort::tables(&s));
+        asserts.eq("data_errors", !s.verified as u64, 0);
+        asserts.eq("shuffle.rtts_per_op.p50", rtts_p50(&s.ops, "write_many"), 1);
+        asserts.ops_recorded(&s.ops);
+        let p = &s.outcome.phases;
+        fields.push((
+            "sort".to_string(),
+            Json::obj([
+                ("verified".to_string(), Json::Bool(s.verified)),
+                ("records".to_string(), Json::int(s.outcome.records)),
+                ("total_ns".to_string(), dur_ns(s.outcome.total)),
+                ("sample_ns".to_string(), dur_ns(p.sample)),
+                ("partition_ns".to_string(), dur_ns(p.partition)),
+                ("shuffle_ns".to_string(), dur_ns(p.shuffle)),
+                ("local_sort_ns".to_string(), dur_ns(p.local_sort)),
+                ("hadoop_ns".to_string(), dur_ns(s.hadoop.total())),
+            ]),
+        ));
+        fields.push((
+            "ops".to_string(),
+            Json::obj([("per_op".to_string(), ops_json(&s.ops))]),
+        ));
     }
     if id == "e10" {
         let s = e10_availability::measure();

@@ -1,6 +1,6 @@
 //! The RStore client: control-path calls to the master, plus the machinery
 //! shared by all of a client's regions (data completion routing, connection
-//! cache, outstanding-IO accounting).
+//! cache).
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -11,7 +11,7 @@ use std::time::Duration;
 use fabric::NodeId;
 use rdma::{CompletionQueue, CqStatus, Qp, RdmaDevice, RdmaError};
 use sim::channel::oneshot;
-use sim::sync::{Semaphore, WaitGroup};
+use sim::sync::Semaphore;
 use sim::{EventSink, Recorder, Sim, SimTime, TimerId};
 
 use crate::error::{RStoreError, Result};
@@ -94,14 +94,13 @@ pub(crate) struct ClientShared {
     pub next_wr: Cell<u64>,
     pub conns: RefCell<HashMap<u32, Qp>>,
     redial: RefCell<HashMap<u32, Rc<RedialSlot>>>,
-    pub outstanding: WaitGroup,
 }
 
 impl EventSink for ClientShared {
     /// The timeout backstop of work request `wr_id` expired with no
-    /// completion routed back: fail its waiter. Only the waiter is resolved
-    /// — the outstanding count is left to the completion router, which
-    /// drains the device-generated CQE (the verbs layer always produces one).
+    /// completion routed back: fail its waiter. The device-generated CQE
+    /// (the verbs layer always produces one) then finds no waiter and is
+    /// dropped by the completion router.
     fn fire(self: Rc<Self>, wr_id: u64, _: u64) {
         if let Some((tx, _)) = self.pending.borrow_mut().remove(&wr_id) {
             self.stats.io_timeout.incr();
@@ -180,7 +179,6 @@ impl RStoreClient {
             next_wr: Cell::new(1),
             conns: RefCell::new(HashMap::new()),
             redial: RefCell::new(HashMap::new()),
-            outstanding: WaitGroup::new(),
         });
 
         // Completion router: forwards every data CQE to the waiter that
@@ -189,7 +187,6 @@ impl RStoreClient {
         shared.sim.spawn(async move {
             loop {
                 let cqe = s.data_cq.next().await;
-                s.outstanding.done();
                 let waiter = s.pending.borrow_mut().remove(&cqe.wr_id);
                 if let Some((tx, backstop)) = waiter {
                     s.sim.cancel(backstop);
@@ -201,8 +198,8 @@ impl RStoreClient {
         Ok(RStoreClient { shared })
     }
 
-    /// The client's RDMA device (for allocating IO buffers used with the
-    /// zero-copy region calls).
+    /// The client's RDMA device (for allocating the IO buffers of the
+    /// region's `_into` / `_from` calls).
     pub fn device(&self) -> &RdmaDevice {
         &self.shared.dev
     }
@@ -354,12 +351,6 @@ impl RStoreClient {
             CtrlResp::Drained { extents, bytes } => Ok((extents, bytes)),
             _ => Err(RStoreError::Protocol("unexpected drain response".into())),
         }
-    }
-
-    /// Waits until every outstanding asynchronous IO posted through this
-    /// client has completed (the paper's `r_sync`).
-    pub async fn sync(&self) {
-        self.shared.outstanding.wait().await;
     }
 
     /// Tells the master that a stripe replica failed checksum verification,

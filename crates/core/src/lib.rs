@@ -73,7 +73,7 @@ pub use proto::{
     AllocOptions, ClusterReport, ClusterStats, Extent, Policy, RegionDesc, RegionState,
     RegionStats, ServerStats,
 };
-pub use region::{IoHandle, Region};
+pub use region::Region;
 pub use server::{MemServer, ServerConfig};
 
 /// Service id of the master's control RPC endpoint.
@@ -314,55 +314,62 @@ mod tests {
     }
 
     #[test]
-    fn zero_copy_pipeline_with_sync() {
+    fn write_from_many_is_one_round_and_one_doorbell_per_server() {
         let cluster = boot(4);
         let sim = cluster.sim.clone();
-        let ok = sim.block_on(async move {
+        sim.recorder().enable(sim::Level::Costs, 0);
+        sim.block_on(async move {
             let client = cluster.client(0).await.unwrap();
             let dev = client.device().clone();
-            let region = client
-                .alloc(
-                    "pipe",
-                    1 << 20,
-                    AllocOptions {
-                        stripe_size: 64 * 1024,
-                        ..AllocOptions::default()
-                    },
-                )
-                .await
-                .unwrap();
-            // Post 8 non-blocking writes back to back, then one sync.
-            let mut bufs = Vec::new();
+            let opts = AllocOptions {
+                stripe_size: 64 * 1024,
+                ..AllocOptions::default()
+            };
+            let region = client.alloc("pipe", 1 << 20, opts).await.unwrap();
+            // Eight 64 KiB writes, one posting round.
+            let buf = dev.alloc(8 * 64 * 1024).unwrap();
+            let ios: Vec<(u64, DmaBuf)> = (0..8u64)
+                .map(|i| (i * 64 * 1024, buf.slice(i * 64 * 1024, 64 * 1024)))
+                .collect();
+            for (i, (_, src)) in ios.iter().enumerate() {
+                dev.write_mem(src.addr, &vec![i as u8; 64 * 1024]).unwrap();
+            }
+            let metrics = dev.metrics();
+            metrics.reset();
+            region.write_from_many(&ios).await.unwrap();
+            let ops = sim::ledger::summarize(&metrics);
+            assert_eq!(ops.len(), 1, "one write_many op recorded: {ops:?}");
+            let op = &ops[0];
+            assert_eq!((op.op.as_str(), op.count, op.units), ("write_many", 1, 8));
+            assert_eq!((op.rtts_p50, op.rtts_max), (1, 1), "one round trip");
+            let servers: std::collections::BTreeSet<u32> = region.desc().groups[..8]
+                .iter()
+                .map(|g| g.replicas[0].node)
+                .collect();
+            assert_eq!(op.doorbells_max, servers.len() as u64);
+            assert_eq!(op.retries + op.failovers, 0);
             for i in 0..8u64 {
-                let buf = dev.alloc(64 * 1024).unwrap();
-                dev.write_mem(buf.addr, &vec![i as u8; 64 * 1024]).unwrap();
-                region.start_write(i * 64 * 1024, buf).unwrap();
-                bufs.push(buf);
+                let back = region.read(i * 64 * 1024 + 100, 4).await.unwrap();
+                assert_eq!(back, vec![i as u8; 4]);
             }
-            client.sync().await;
-            // Verify one of them.
-            let back = region.read(5 * 64 * 1024, 4).await.unwrap();
-            for b in bufs {
-                dev.free(b).unwrap();
-            }
-            back == vec![5u8; 4]
+            dev.free(buf).unwrap();
         });
-        assert!(ok);
     }
 
     #[test]
     fn out_of_range_io_rejected() {
         let cluster = boot(2);
         let sim = cluster.sim.clone();
-        let (err, many_err, doorbells) = sim.block_on(async move {
+        let (err, many_errs, doorbells) = sim.block_on(async move {
             let client = cluster.client(0).await.unwrap();
             let region = client
                 .alloc("small", 4096, AllocOptions::default())
                 .await
                 .unwrap();
             let err = region.read(4000, 200).await.err().unwrap();
-            // Every pair of a multi-read is planned before anything posts,
-            // on a checksummed region too: a bad last pair rings no doorbell.
+            // Every pair of a multi-read or multi-write is planned before
+            // anything posts, on a checksummed region too: a bad last pair
+            // rings no doorbell.
             let opts = AllocOptions {
                 checksums: true,
                 ..AllocOptions::default()
@@ -372,16 +379,22 @@ mod tests {
             let buf = dev.alloc(256).unwrap();
             let rung = dev.metrics().counter("rdma.doorbells");
             let ios = [(0, buf.slice(0, 128)), (4000, buf.slice(128, 128))];
-            let many_err = ck.read_into_many(&ios).await.err().unwrap();
+            let many_errs = [
+                ck.read_into_many(&ios).await.err().unwrap(),
+                ck.write_from_many(&ios).await.err().unwrap(),
+                region.write_from_many(&ios).await.err().unwrap(),
+            ];
             (
                 err,
-                many_err,
+                many_errs,
                 dev.metrics().counter("rdma.doorbells") - rung,
             )
         });
         assert!(matches!(err, RStoreError::OutOfRange { .. }));
-        assert!(matches!(many_err, RStoreError::OutOfRange { .. }));
-        assert_eq!(doorbells, 0, "a planned-out multi-read must post nothing");
+        for many_err in many_errs {
+            assert!(matches!(many_err, RStoreError::OutOfRange { .. }));
+        }
+        assert_eq!(doorbells, 0, "a planned-out multi-IO must post nothing");
     }
 
     #[test]

@@ -16,7 +16,7 @@ use rdma::{
 };
 use sim::channel::oneshot;
 use sim::sync::Semaphore;
-use sim::{Level, OpLedger, Phase};
+use sim::{Event, Level, OpLedger, Phase, Span};
 
 use crate::client::RStoreClient;
 use crate::crc::crc32c;
@@ -97,15 +97,17 @@ const POOL_CAP: usize = 32;
 /// Obtained from [`RStoreClient::alloc`] or [`RStoreClient::map`]. Offsets
 /// are region-relative; striping and replication are transparent.
 ///
-/// Two API levels are offered:
-///
-/// * **Convenience** — [`read`](Self::read) / [`write`](Self::write) move
-///   `Vec<u8>`s through an internal staging buffer and perform read failover
-///   across replicas.
-/// * **Zero-copy** — [`start_read`](Self::start_read) /
-///   [`start_write`](Self::start_write) post IO directly between a local
-///   [`DmaBuf`] and the region, returning an [`IoHandle`]; combine with
-///   [`RStoreClient::sync`] for bulk pipelines.
+/// One IO form, at two levels of convenience: [`read`](Self::read) /
+/// [`write`](Self::write) move `Vec<u8>`s through a pooled staging buffer;
+/// [`read_into`](Self::read_into) / [`write_from`](Self::write_from) and
+/// their `_many` twins move bytes directly between caller-owned [`DmaBuf`]s
+/// and the region. Every call resolves when its IO is complete, and all of
+/// them recover alike: reads fail over across replicas, writes reach every
+/// replica, a broken QP is re-dialed once, a moved extent re-fetches the
+/// descriptor, and a checksummed region verifies (or re-seals) every stripe
+/// touched. There is no post-now-wait-later form: a caller that wants IO to
+/// overlap compute spawns the `_many` future ([`sim::Sim::spawn`]) and joins
+/// it when the bytes are needed.
 ///
 /// Every call plans its stripe pieces first and posts them by one rule: two
 /// or more pieces on a plain region post as one multi-element WR per memory
@@ -212,13 +214,6 @@ impl Region {
     /// The owning client.
     pub fn client(&self) -> &RStoreClient {
         &self.client
-    }
-
-    /// Waits for every outstanding asynchronous IO posted through this
-    /// region's client (the paper's `r_sync`). Alias for
-    /// [`RStoreClient::sync`].
-    pub async fn sync(&self) {
-        self.client.sync().await;
     }
 
     /// Starts the ledger of one logical `op`, recording as much as the
@@ -373,14 +368,14 @@ impl Region {
         {
             // The buffer only carries the length; inline WRs never read it.
             let src = DmaBuf { addr: 0, len };
-            self.write_src(offset, src, Some(data), ledger).await?;
+            self.write_src(&[(offset, src)], Some(data), ledger).await?;
             s.stats.inline_writes.incr();
             s.stats.inline_bytes.add(len);
             return Ok(());
         }
         self.with_staging(len, |staging| async move {
             dev.write_mem(staging.addr, data)?;
-            self.write_src(offset, staging, None, ledger).await
+            self.write_src(&[(offset, staging)], None, ledger).await
         })
         .await
     }
@@ -439,14 +434,36 @@ impl Region {
     }
 
     /// Writes local buffer `src` at `offset` (to **all** replicas) and waits
-    /// for every acknowledgement.
+    /// for every acknowledgement: a
+    /// [`write_from_many`](Self::write_from_many) of one pair.
     ///
     /// # Errors
     ///
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn write_from(&self, offset: u64, src: DmaBuf) -> Result<()> {
         let ledger = self.op_ledger(OpKind::Write);
-        let result = self.write_src(offset, src, None, &ledger).await;
+        let result = self.write_src(&[(offset, src)], None, &ledger).await;
+        self.finish_ledger_res(&ledger, &result);
+        result
+    }
+
+    /// Writes many `(offset, src)` pairs as one posting round, the twin of
+    /// [`read_into_many`](Self::read_into_many): every pair is planned
+    /// before anything posts and the whole plan — every piece to every
+    /// replica — shares one round, grouped by the same rule. A transfer
+    /// that fails gets [`write_from`](Self::write_from)'s one re-dial and
+    /// repost. On a checksummed region every touched stripe is re-sealed
+    /// as by [`write`](Self::write), and pairs that share a stripe are
+    /// applied in order. Pairs that overlap land in no defined order.
+    ///
+    /// # Errors
+    ///
+    /// [`RStoreError::OutOfRange`] (checked for every pair before anything
+    /// posts) or [`RStoreError::Io`] when some replica stays unreachable.
+    pub async fn write_from_many(&self, ios: &[(u64, DmaBuf)]) -> Result<()> {
+        let ledger = self.op_ledger(OpKind::WriteMany);
+        ledger.set_units(ios.len() as u64);
+        let result = self.write_src(ios, None, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
     }
@@ -481,102 +498,74 @@ impl Region {
         }
     }
 
-    /// Posts a read without waiting (no failover, and — unlike
-    /// [`read_into`](Self::read_into) — no checksum verification on
-    /// checksummed regions). Use [`IoHandle::wait`] or
-    /// [`RStoreClient::sync`].
-    ///
-    /// # Errors
-    ///
-    /// [`RStoreError::OutOfRange`]; post failures surface as
-    /// [`RStoreError::Io`] on wait.
-    pub fn start_read(&self, offset: u64, dst: DmaBuf) -> Result<IoHandle> {
-        self.start_io(offset, dst, Dir::Read)
-    }
-
-    /// Posts a write (all replicas) without waiting.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Region::start_read`]; additionally
-    /// [`RStoreError::Protocol`] on checksummed regions, where a raw write
-    /// would bypass trailer maintenance and make the stripe verify dirty.
-    pub fn start_write(&self, offset: u64, src: DmaBuf) -> Result<IoHandle> {
-        self.start_io(offset, src, Dir::Write)
-    }
-
-    fn start_io(&self, offset: u64, buf: DmaBuf, dir: Dir) -> Result<IoHandle> {
-        if self.checksums && dir == Dir::Write {
-            return Err(RStoreError::Protocol(
-                "zero-copy writes bypass checksum maintenance on checksummed regions".into(),
-            ));
-        }
-        let mut plan = self.plan(&[(offset, buf)], dir == Dir::Write)?;
-        let mut waits = Vec::new();
-        // The zero-copy API has no logical-op boundary to attribute to; its
-        // WRs stay unrecorded.
-        let failed = self.post_plan(dir, &mut plan, None, &OpLedger::disabled(), &mut waits);
-        IoPool::put(&self.pool.plans, plan);
-        Ok(IoHandle {
-            rxs: waits.into_iter().map(|(_, rx)| rx).collect(),
-            post_failed: !failed.is_empty(),
-        })
-    }
-
     // --- one round per direction --------------------------------------------------
 
     /// One read round: plan every pair, post, then run the replica-failover
     /// loop over whatever failed.
     async fn read_round(&self, ios: &[(u64, DmaBuf)], ledger: &OpLedger) -> Result<()> {
         let s = &self.client.shared;
-        let (event, arg) = match ios {
-            [(_, dst)] => (&s.stats.read, dst.len),
-            _ => (&s.stats.read_many, ios.len() as u64),
-        };
-        let _span = event.span(s.dev.node().0 as u64, arg);
+        let _span = self.round_span(ios, &s.stats.read, &s.stats.read_many);
         let plan = self.plan(ios, false)?;
         if self.checksums {
             let verify = |this: Region, x: Xfer, ledger: OpLedger| async move {
                 this.read_piece_verified(&x.piece, x.buf, &ledger).await
             };
-            return self.pipeline_ck(plan, ledger, verify).await;
+            return self
+                .pipeline_ck(plan, s.cfg.pipeline_depth, ledger, verify)
+                .await;
         }
         let failed = self.post_round(Dir::Read, plan, None, ledger).await;
         self.drain_reads(failed, ledger).await
     }
 
-    /// Writes `src` (or, for an inline write, the host bytes `inline`) at
-    /// `offset`: one write round under stale-descriptor revalidation.
+    /// Writes `ios` (or, for an inline write, the host bytes `inline` in
+    /// place of the one pair's buffer): one write round under
+    /// stale-descriptor revalidation.
     async fn write_src(
         &self,
-        offset: u64,
-        src: DmaBuf,
+        ios: &[(u64, DmaBuf)],
         inline: Option<&[u8]>,
         ledger: &OpLedger,
     ) -> Result<()> {
-        self.with_revalidate(ledger, || self.write_round(offset, src, inline, ledger))
+        self.with_revalidate(ledger, || self.write_round(ios, inline, ledger))
             .await
     }
 
-    /// One write round: plan every (piece, replica), post, then run the
-    /// recovery round over whatever failed.
+    /// One write round: plan every (piece, replica) of every pair, post,
+    /// then run the recovery round over whatever failed.
     async fn write_round(
         &self,
-        offset: u64,
-        src: DmaBuf,
+        ios: &[(u64, DmaBuf)],
         inline: Option<&[u8]>,
         ledger: &OpLedger,
     ) -> Result<()> {
         let s = &self.client.shared;
-        let _span = s.stats.write.span(s.dev.node().0 as u64, src.len);
-        let plan = self.plan(&[(offset, src)], !self.checksums)?;
+        let _span = self.round_span(ios, &s.stats.write, &s.stats.write_many);
+        let plan = self.plan(ios, !self.checksums)?;
         if self.checksums {
             let assemble = |this: Region, x: Xfer, ledger: OpLedger| async move {
                 this.write_piece_ck(&x.piece, x.buf, &ledger).await
             };
-            return self.pipeline_ck(plan, ledger, assemble).await;
+            // Pieces of two pairs in one stripe would each read-modify-write
+            // it and the later trailer would seal only its own bytes: such a
+            // plan runs in order.
+            let racing =
+                |(i, x): (usize, &Xfer)| plan[..i].iter().any(|y| y.piece.group == x.piece.group);
+            let serial = ios.len() > 1 && plan.iter().enumerate().any(racing);
+            let depth = if serial { 1 } else { s.cfg.pipeline_depth };
+            return self.pipeline_ck(plan, depth, ledger, assemble).await;
         }
         self.write_xfers(plan, inline, ledger).await
+    }
+
+    /// The trace span of one round over `ios`: `one`'s (arg = bytes) for a
+    /// single pair, `many`'s (arg = pairs) otherwise.
+    fn round_span<'e>(&self, ios: &[(u64, DmaBuf)], one: &'e Event, many: &'e Event) -> Span<'e> {
+        let (event, arg) = match ios {
+            [(_, buf)] => (one, buf.len),
+            _ => (many, ios.len() as u64),
+        };
+        event.span(self.client.shared.dev.node().0 as u64, arg)
     }
 
     /// Plans `ios` into per-stripe transfers, in logical order: against the
@@ -816,21 +805,27 @@ impl Region {
     }
 
     /// Runs `op` once per planned stripe piece under a bounded in-flight
-    /// window of
-    /// [`ClientConfig::pipeline_depth`](crate::client::ClientConfig::pipeline_depth)
-    /// stripes — the only path checksummed IO takes. Keeping several stripes
+    /// window of `depth` stripes
+    /// ([`ClientConfig::pipeline_depth`](crate::client::ClientConfig::pipeline_depth))
+    /// — the only path checksummed IO takes. Keeping several stripes
     /// in flight overlaps the verification of one with the fabric round
     /// trip of the next. Pieces are issued in order and a failure stops
     /// further issue, so at depth 1 this is exactly the serial
     /// post→await→post loop, including which stripe's error surfaces:
     /// results are joined in piece order and the first error wins.
-    async fn pipeline_ck<F, Fut>(&self, plan: Vec<Xfer>, ledger: &OpLedger, op: F) -> Result<()>
+    async fn pipeline_ck<F, Fut>(
+        &self,
+        plan: Vec<Xfer>,
+        depth: usize,
+        ledger: &OpLedger,
+        op: F,
+    ) -> Result<()>
     where
         F: Fn(Region, Xfer, OpLedger) -> Fut + 'static,
         Fut: Future<Output = Result<()>> + 'static,
     {
         let s = &self.client.shared;
-        let depth = s.cfg.pipeline_depth.max(1);
+        let depth = depth.max(1);
         if plan.len() <= 1 || depth == 1 {
             for &x in &plan {
                 op(self.clone(), x, ledger.clone()).await?;
@@ -1082,9 +1077,9 @@ impl Region {
         };
         let wr_id = s.next_wr.get();
         s.next_wr.set(wr_id + 1);
-        // Every WR stays signaled: the client's completion router accounts
-        // outstanding IO per CQE, so a suppressed success would leak an
-        // outstanding count and a pending waiter.
+        // Every WR stays signaled: its waiter resolves on the CQE the
+        // completion router forwards, so a suppressed success would leave
+        // the waiter to its timeout backstop.
         let wr = Wr {
             wr_id,
             op,
@@ -1105,60 +1100,11 @@ impl Region {
         let backstop = s.sim.schedule_event(deadline, s, wr_id, 0);
         let (tx, rx) = oneshot::channel();
         s.pending.borrow_mut().insert(wr_id, (tx, backstop));
-        s.outstanding.add(1);
         match dir {
             Dir::Read => s.stats.read_bytes.add(total),
             Dir::Write => s.stats.write_bytes.add(total),
             Dir::Cas { .. } => {}
         }
         Ok(rx)
-    }
-}
-
-/// Tracks a batch of posted one-sided operations.
-#[derive(Debug)]
-pub struct IoHandle {
-    rxs: Vec<oneshot::Receiver<CqStatus>>,
-    post_failed: bool,
-}
-
-impl IoHandle {
-    /// Waits for every operation in the batch; the first failure (after all
-    /// have finished) is returned.
-    ///
-    /// # Errors
-    ///
-    /// [`RStoreError::Io`] if any operation failed or failed to post.
-    pub async fn wait(self) -> Result<()> {
-        let mut first_err = if self.post_failed {
-            Some(RStoreError::Rdma(RdmaError::QpError))
-        } else {
-            None
-        };
-        for rx in self.rxs {
-            match rx.await {
-                Some(CqStatus::Success) => {}
-                Some(status) => {
-                    first_err.get_or_insert(RStoreError::Io(status));
-                }
-                None => {
-                    first_err.get_or_insert(RStoreError::Io(CqStatus::Flushed));
-                }
-            }
-        }
-        match first_err {
-            None => Ok(()),
-            Some(e) => Err(e),
-        }
-    }
-
-    /// Number of posted operations in the batch.
-    pub fn len(&self) -> usize {
-        self.rxs.len()
-    }
-
-    /// True if the batch posted nothing (zero-length IO).
-    pub fn is_empty(&self) -> bool {
-        self.rxs.is_empty()
     }
 }

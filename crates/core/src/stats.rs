@@ -19,6 +19,7 @@ pub(crate) enum OpKind {
     ReadMany,
     Write,
     WriteCk,
+    WriteMany,
     Get,
     MultiGet,
     Put,
@@ -31,12 +32,13 @@ pub(crate) enum OpKind {
 impl OpKind {
     /// The `<op>` of each kind's `ops.<op>.*` metrics and flight records, in
     /// declaration order.
-    const NAMES: [&'static str; 12] = [
+    const NAMES: [&'static str; 13] = [
         "read",
         "read_ck",
         "read_many",
         "write",
         "write_ck",
+        "write_many",
         "get",
         "multi_get",
         "put",
@@ -54,7 +56,7 @@ impl OpKind {
     pub fn checksummed(self) -> OpKind {
         match self {
             OpKind::Read | OpKind::ReadMany => OpKind::ReadCk,
-            OpKind::Write => OpKind::WriteCk,
+            OpKind::Write | OpKind::WriteMany => OpKind::WriteCk,
             other => other,
         }
     }
@@ -115,15 +117,16 @@ pub(crate) struct ClientStats {
     /// One read round of one pair (arg = bytes) / of many (arg = pairs).
     pub read: Event,
     pub read_many: Event,
-    /// One write round (arg = bytes).
+    /// One write round of one pair (arg = bytes) / of many (arg = pairs).
     pub write: Event,
+    pub write_many: Event,
     /// One control RPC per [`CTRL_OPS`] row: its span, timed into its
     /// latency histogram.
     ctrl: [Event; 10],
     /// What each [`OpKind`] folds into, resolved by its first recorded op:
     /// with recording off (every benchmark workload) a connect resolves no
     /// `ops.*` name.
-    ops: [OnceCell<Rc<OpMetrics>>; 12],
+    ops: [OnceCell<Rc<OpMetrics>>; 13],
     registry: Metrics,
 }
 
@@ -147,6 +150,7 @@ impl ClientStats {
             read: event("rstore.read"),
             read_many: event("rstore.read_many"),
             write: event("rstore.write"),
+            write_many: event("rstore.write_many"),
             ctrl: CTRL_OPS.map(|(span, latency)| event(span).timing(m.hist_handle(latency))),
             ops: Default::default(),
             registry: m.clone(),
@@ -269,6 +273,7 @@ mod tests {
     fn op_kind_names_follow_declaration_order() {
         assert_eq!(OpKind::Read.name(), "read");
         assert_eq!(OpKind::WriteCk.name(), "write_ck");
+        assert_eq!(OpKind::WriteMany.name(), "write_many");
         assert_eq!(OpKind::MultiGet.name(), "multi_get");
         assert_eq!(OpKind::BulkLoad.name(), "bulk_load");
         assert_eq!(OpKind::BulkLoad as usize + 1, OpKind::NAMES.len());

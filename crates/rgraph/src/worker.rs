@@ -5,8 +5,6 @@
 //! *setup once* (map regions, load static structure), then supersteps that
 //! touch remote memory only through batched one-sided reads and writes.
 
-use std::collections::HashMap;
-
 use rdma::DmaBuf;
 use rstore::{AllocOptions, RStoreClient, Region, Result};
 
@@ -75,22 +73,34 @@ impl CsrSlice {
 /// A reusable page-granular gather over a u64/f64 vector region.
 ///
 /// Built once from the set of element ids a worker needs every superstep
-/// (the in-neighbour closure); [`PageGather::fetch`] then issues one batched
-/// round of one-sided reads per superstep.
+/// (the in-neighbour closure); [`PageGather::fetch`] is then one
+/// [`Region::read_into_many`] per superstep — one round trip, one
+/// multi-element WR per memory server per [`rdma::MAX_SGE`] pages, with the
+/// region's replica failover, re-dial and checksum verification.
 pub struct PageGather {
     region: Region,
     page_elems: u64,
-    pages: Vec<u64>,
-    slot_of: HashMap<u64, usize>,
+    /// Slot in `buf` of every page of the region; [`NO_SLOT`] outside the plan.
+    slot_of: Vec<u32>,
+    /// One `(region offset, slot of buf)` pair per planned page. Adjacent
+    /// pages stay separate READs on purpose: merged into one large READ
+    /// each, every worker's gather completes at the end of the round
+    /// instead of spread over it, and E6's RMAT rows measured 6-29 % slower
+    /// (DESIGN.md, "Inline and scatter-gather WRs").
+    ios: Vec<(u64, DmaBuf)>,
     buf: DmaBuf,
+    /// Host image of `buf` and its decoded elements, kept across supersteps.
+    bytes: Vec<u8>,
     values: Vec<u64>,
-    total_elems: u64,
 }
+
+/// [`PageGather::slot_of`] of a page no planned id falls on.
+const NO_SLOT: u32 = u32::MAX;
 
 impl std::fmt::Debug for PageGather {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PageGather")
-            .field("pages", &self.pages.len())
+            .field("pages", &self.ios.len())
             .field("page_elems", &self.page_elems)
             .finish()
     }
@@ -106,7 +116,8 @@ impl PageGather {
     ///
     /// # Panics
     ///
-    /// Panics if `page_bytes` is not a multiple of 8 or zero.
+    /// Panics if `page_bytes` is not a multiple of 8 or zero, or if an id
+    /// lies outside the region.
     pub fn plan(
         region: Region,
         ids: impl IntoIterator<Item = u64>,
@@ -117,53 +128,51 @@ impl PageGather {
             "bad page size"
         );
         let page_elems = page_bytes / 8;
-        let total_elems = region.size() / 8;
+        let size = region.size() / 8 * 8;
         let mut pages: Vec<u64> = ids.into_iter().map(|id| id / page_elems).collect();
         pages.sort_unstable();
         pages.dedup();
-        let slot_of = pages
-            .iter()
-            .enumerate()
-            .map(|(slot, &p)| (p, slot))
-            .collect();
-        let dev = region.client().device().clone();
-        let buf = dev.alloc((pages.len() as u64 * page_bytes).max(8))?;
+        let buf_bytes = pages.len() as u64 * page_bytes;
+        let buf = region.client().device().alloc(buf_bytes.max(8))?;
+        let mut slot_of = vec![NO_SLOT; size.div_ceil(page_bytes) as usize];
+        let mut ios = Vec::with_capacity(pages.len());
+        for (slot, &p) in pages.iter().enumerate() {
+            slot_of[p as usize] = slot as u32;
+            let offset = p * page_bytes;
+            let len = page_bytes.min(size - offset);
+            ios.push((offset, buf.slice(slot as u64 * page_bytes, len)));
+        }
         Ok(PageGather {
             region,
             page_elems,
-            pages,
             slot_of,
+            ios,
             buf,
+            bytes: vec![0; buf_bytes as usize],
             values: Vec::new(),
-            total_elems,
         })
     }
 
     /// Number of pages fetched per superstep.
     pub fn page_count(&self) -> usize {
-        self.pages.len()
+        self.ios.len()
     }
 
-    /// Issues all page reads (pipelined) and waits for completion.
+    /// Reads every planned page in one round and waits for completion.
     ///
     /// # Errors
     ///
     /// IO failures.
     pub async fn fetch(&mut self) -> Result<()> {
-        let page_bytes = self.page_elems * 8;
-        let mut handles = Vec::with_capacity(self.pages.len());
-        for (slot, &p) in self.pages.iter().enumerate() {
-            let offset = p * page_bytes;
-            let len = page_bytes.min(self.total_elems * 8 - offset);
-            let dst = self.buf.slice(slot as u64 * page_bytes, len);
-            handles.push(self.region.start_read(offset, dst)?);
-        }
-        for h in handles {
-            h.wait().await?;
-        }
-        let dev = self.region.client().device().clone();
-        let bytes = dev.read_mem(self.buf.addr, self.pages.len() as u64 * page_bytes)?;
-        self.values = bytes_to_u64s(&bytes);
+        self.region.read_into_many(&self.ios).await?;
+        let dev = self.region.client().device();
+        dev.read_mem_into(self.buf.addr, &mut self.bytes)?;
+        self.values.clear();
+        self.values.extend(
+            self.bytes
+                .chunks_exact(8)
+                .map(|c| u64::from_le_bytes(c.try_into().expect("8 bytes"))),
+        );
         Ok(())
     }
 
@@ -174,9 +183,11 @@ impl PageGather {
     /// Panics if `id`'s page was not part of the plan or
     /// [`PageGather::fetch`] has not run.
     pub fn get(&self, id: u64) -> u64 {
-        let page = id / self.page_elems;
-        let slot = *self.slot_of.get(&page).expect("id not in gather plan");
-        self.values[slot * self.page_elems as usize + (id % self.page_elems) as usize]
+        let slot = match self.slot_of.get((id / self.page_elems) as usize) {
+            Some(&slot) if slot != NO_SLOT => slot as u64,
+            _ => panic!("id not in gather plan"),
+        };
+        self.values[(slot * self.page_elems + id % self.page_elems) as usize]
     }
 
     /// The fetched element `id`, as f64.

@@ -9,9 +9,10 @@
 //!    records by splitter, and posts its counts row to the shared counts
 //!    region; the full matrix gives every worker the exact output offset of
 //!    every chunk ([`ShufflePlan`]).
-//! 3. **Shuffle** — each worker RDMA-writes each bucket directly to its
-//!    final location in the output region. No receiver CPU, no
-//!    intermediate spooling.
+//! 3. **Shuffle** — each worker RDMA-writes every bucket directly to its
+//!    final location in the output region, all of them as one
+//!    [`Region::write_from_many`] round. No receiver CPU, no intermediate
+//!    spooling.
 //! 4. **Local sort** — each worker reads its output partition, sorts it in
 //!    memory, and writes it back. The output region is then globally
 //!    sorted.
@@ -24,7 +25,7 @@
 use std::time::Duration;
 
 use fabric::NodeId;
-use rdma::RdmaDevice;
+use rdma::{DmaBuf, RdmaDevice};
 use rstore::{AllocOptions, RStoreClient, Region, Result};
 use sim::sync::Barrier;
 use sim::{join_all, Sim};
@@ -387,30 +388,31 @@ async fn worker(
 
     // ---- phase 3: one-sided shuffle ------------------------------------------------
     let t = sim.now();
-    let mut shuffle_handles = Vec::new();
-    let mut staging = Vec::new();
-    for j in 0..k {
-        let bytes = plan.count(me, j) * RECORD_BYTES as u64;
-        if bytes == 0 {
-            continue;
+    // A worker's staging buffers are real only when its records are.
+    let alloc = |len: u64| match fluid {
+        true => dev.alloc_synthetic(len),
+        false => dev.alloc(len),
+    };
+    let mut shuffle: Vec<(u64, DmaBuf)> = Vec::new();
+    let staged = async {
+        for j in 0..k {
+            let bytes = plan.count(me, j) * RECORD_BYTES as u64;
+            if bytes == 0 {
+                continue;
+            }
+            let buf = alloc(bytes)?;
+            shuffle.push((plan.write_index(me, j) * RECORD_BYTES as u64, buf));
+            if !fluid {
+                dev.write_mem(buf.addr, &buckets[j])?;
+            }
         }
-        let offset = plan.write_index(me, j) * RECORD_BYTES as u64;
-        let buf = if fluid {
-            dev.alloc_synthetic(bytes)?
-        } else {
-            let b = dev.alloc(bytes)?;
-            dev.write_mem(b.addr, &buckets[j])?;
-            b
-        };
-        shuffle_handles.push(output.start_write(offset, buf)?);
-        staging.push(buf);
+        output.write_from_many(&shuffle).await
     }
-    for h in shuffle_handles {
-        h.wait().await?;
+    .await;
+    for (_, buf) in shuffle {
+        dev.free(buf)?;
     }
-    for b in staging {
-        dev.free(b)?;
-    }
+    staged?;
     drop(buckets);
     barrier.wait().await;
     phases.shuffle = sim.now() - t;
@@ -420,22 +422,21 @@ async fn worker(
     let (p_start, p_end) = plan.partition_range(me);
     let p_bytes = (p_end - p_start) * RECORD_BYTES as u64;
     if p_bytes > 0 {
-        if fluid {
-            let staging = dev.alloc_synthetic(p_bytes)?;
-            output
-                .read_into(p_start * RECORD_BYTES as u64, staging)
-                .await?;
+        let p_off = p_start * RECORD_BYTES as u64;
+        let staging = alloc(p_bytes)?;
+        let sorted = async {
+            output.read_into(p_off, staging).await?;
+            if !fluid {
+                let mut data = dev.read_mem(staging.addr, p_bytes)?;
+                sort_records(&mut data);
+                dev.write_mem(staging.addr, &data)?;
+            }
             sim.sleep(cpu_time(p_bytes, cfg.cost.sort_bps)).await;
-            output
-                .write_from(p_start * RECORD_BYTES as u64, staging)
-                .await?;
-            dev.free(staging)?;
-        } else {
-            let mut data = output.read(p_start * RECORD_BYTES as u64, p_bytes).await?;
-            sort_records(&mut data);
-            sim.sleep(cpu_time(p_bytes, cfg.cost.sort_bps)).await;
-            output.write(p_start * RECORD_BYTES as u64, &data).await?;
+            output.write_from(p_off, staging).await
         }
+        .await;
+        dev.free(staging)?;
+        sorted?;
     }
     barrier.wait().await;
     phases.local_sort = sim.now() - t;

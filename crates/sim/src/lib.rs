@@ -36,7 +36,7 @@
 //!   [`TimerId`] that [`Sim::cancel`] removes for good, and hot paths
 //!   schedule typed events on an [`EventSink`] instead of boxing a closure.
 //! * [`mod@channel`] — unbounded mpsc and oneshot channels usable inside tasks.
-//! * [`sync`] — semaphores, barriers and wait groups in virtual time.
+//! * [`sync`] — semaphores and barriers in virtual time.
 //! * [`rng`] — a seeded deterministic random number generator.
 //! * [`metrics`] — counters and latency histograms shared between components.
 //! * [`trace`] — the recording spine: the simulation's one [`Recorder`]

@@ -281,101 +281,6 @@ impl Future for BarrierWait {
     }
 }
 
-// --- WaitGroup ----------------------------------------------------------------
-
-struct WgState {
-    count: usize,
-    waiters: Vec<Waker>,
-}
-
-/// A Go-style wait group: tracks a count of outstanding operations and lets
-/// tasks wait until the count drops to zero (e.g. "all outstanding one-sided
-/// writes have completed").
-#[derive(Clone)]
-pub struct WaitGroup {
-    state: Rc<RefCell<WgState>>,
-}
-
-impl fmt::Debug for WaitGroup {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("WaitGroup")
-            .field("count", &self.state.borrow().count)
-            .finish()
-    }
-}
-
-impl Default for WaitGroup {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl WaitGroup {
-    /// Creates an empty wait group.
-    pub fn new() -> Self {
-        WaitGroup {
-            state: Rc::new(RefCell::new(WgState {
-                count: 0,
-                waiters: Vec::new(),
-            })),
-        }
-    }
-
-    /// Registers `n` additional outstanding operations.
-    pub fn add(&self, n: usize) {
-        self.state.borrow_mut().count += n;
-    }
-
-    /// Marks one operation as done.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called more times than [`WaitGroup::add`] registered.
-    pub fn done(&self) {
-        let mut st = self.state.borrow_mut();
-        st.count = st
-            .count
-            .checked_sub(1)
-            .expect("WaitGroup::done called with zero outstanding operations");
-        if st.count == 0 {
-            for w in st.waiters.drain(..) {
-                w.wake();
-            }
-        }
-    }
-
-    /// Current outstanding count.
-    pub fn count(&self) -> usize {
-        self.state.borrow().count
-    }
-
-    /// Waits until the count reaches zero (resolves immediately if it is
-    /// already zero).
-    pub fn wait(&self) -> WgWait {
-        WgWait { wg: self.clone() }
-    }
-}
-
-/// Future returned by [`WaitGroup::wait`].
-#[derive(Debug)]
-pub struct WgWait {
-    wg: WaitGroup,
-}
-
-impl Future for WgWait {
-    type Output = ();
-
-    fn poll(self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<()> {
-        let mut st = self.wg.state.borrow_mut();
-        if st.count == 0 {
-            Poll::Ready(())
-        } else {
-            st.waiters.push(cx.waker().clone());
-            Poll::Pending
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -616,35 +521,5 @@ mod tests {
         }
         sim.run();
         assert_eq!(*leaders.borrow(), 1);
-    }
-
-    #[test]
-    fn wait_group_waits_for_all() {
-        let sim = Sim::new();
-        let wg = WaitGroup::new();
-        wg.add(3);
-        for i in 0..3u64 {
-            let wg = wg.clone();
-            let s = sim.clone();
-            sim.spawn(async move {
-                s.sleep(Duration::from_nanos(i * 5 + 1)).await;
-                wg.done();
-            });
-        }
-        let s = sim.clone();
-        let wg2 = wg.clone();
-        let t = sim.block_on(async move {
-            wg2.wait().await;
-            s.now().as_nanos()
-        });
-        assert_eq!(t, 11);
-        assert_eq!(wg.count(), 0);
-    }
-
-    #[test]
-    fn wait_group_empty_resolves_immediately() {
-        let sim = Sim::new();
-        let wg = WaitGroup::new();
-        sim.block_on(async move { wg.wait().await });
     }
 }

@@ -74,15 +74,76 @@ fn checksummed_region_round_trips_partial_and_spanning_io() {
 
         assert_eq!(region.read(0, size).await.unwrap(), model);
 
-        // Raw zero-copy writes would bypass trailer maintenance.
-        let buf = devs[0].alloc(4096).unwrap();
-        let err = region.start_write(0, buf).err().unwrap();
-        assert!(matches!(err, RStoreError::Protocol(_)), "got {err:?}");
-        devs[0].free(buf).unwrap();
-
         // Freeing returns every physical byte, trailers included.
         c.free("ck").await.unwrap();
         assert_eq!(c.stats().await.unwrap().used, 0);
+    });
+}
+
+#[test]
+fn write_from_many_on_a_checksummed_region_seals_stripes_and_a_flip_is_detected() {
+    // Caller-buffer writes go through the same stripe assembly as `write`:
+    // trailers stay valid, so a later at-rest flip in one replica is caught
+    // by `read_into_many` and served from the other.
+    let cluster = boot(4, false);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let dev = &devs[0];
+        let (stripe, size) = (16 * 1024u64, 128 * 1024u64);
+        let opts = AllocOptions {
+            stripe_size: stripe,
+            replicas: 2,
+            checksums: true,
+            ..AllocOptions::default()
+        };
+        let region = c.alloc("ck_many", size, opts).await.unwrap();
+        let mut model = pattern(size as usize);
+        region.write(0, &model).await.unwrap();
+
+        // A whole stripe, two partial writes into one stripe (each a
+        // read-modify-write of it: neither may lose the other's bytes) and
+        // one pair spanning a stripe boundary.
+        let buf = dev.alloc(size).unwrap();
+        let pairs = [
+            (2 * stripe, stripe),
+            (300, 100),
+            (5 * stripe - 1000, 4096),
+            (9000, 50),
+        ];
+        let mut ios = Vec::new();
+        let mut at = 0;
+        for (i, &(offset, len)) in pairs.iter().enumerate() {
+            let bytes = vec![0xA0 + i as u8; len as usize];
+            dev.write_mem(buf.addr + at, &bytes).unwrap();
+            model[offset as usize..(offset + len) as usize].copy_from_slice(&bytes);
+            ios.push((offset, buf.slice(at, len)));
+            at += len;
+        }
+        region.write_from_many(&ios).await.unwrap();
+        assert_eq!(region.read(0, size).await.unwrap(), model);
+        let m = fabric.metrics();
+        assert_eq!(m.counter("integrity.read_mismatch"), 0, "trailers valid");
+
+        // Flip bits at rest under group 0's primary, then gather every
+        // stripe back in one round.
+        let victim = region.desc().groups[0].replicas[0].node;
+        FaultPlan::new(0xC7)
+            .corrupt_at(Duration::from_millis(1), NodeId(victim), 32)
+            .install(&fabric);
+        s.sleep(Duration::from_millis(5)).await;
+        assert_eq!(m.counter("integrity.injected"), 32);
+        let gather: Vec<_> = (0..size / stripe)
+            .map(|g| (g * stripe, buf.slice(g * stripe, stripe)))
+            .collect();
+        region.read_into_many(&gather).await.unwrap();
+        assert_eq!(dev.read_mem(buf.addr, size).unwrap(), model);
+        assert!(m.counter("integrity.read_mismatch") >= 1, "flip detected");
+        dev.free(buf).unwrap();
     });
 }
 

@@ -2,6 +2,7 @@
 //! on the same cluster, and cross-check everything against single-node
 //! references and the message-passing baseline.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use rgraph::{
@@ -53,9 +54,7 @@ fn full_suite_on_one_published_graph() {
         )
         .await
         .unwrap();
-        for (a, b) in pr.ranks.iter().zip(&expect_pr) {
-            assert!((a - b).abs() < 1e-12);
-        }
+        assert_eq!(pr.ranks, expect_pr, "bit-for-bit the single-node ranks");
 
         let b = bfs::run(&devs, master, "suite", 3, BfsConfig::default())
             .await
@@ -80,6 +79,82 @@ fn full_suite_on_one_published_graph() {
         .await
         .unwrap();
         assert_eq!(s.values, expect_sssp);
+    });
+}
+
+#[test]
+fn a_gather_is_one_round_trip_and_one_wr_per_sixteen_pages_per_server() {
+    // The communication cost of a superstep's gather, pinned in the op
+    // ledger: every worker's gather is one `read_many` op of exactly one
+    // round trip, ringing one doorbell per MAX_SGE pages per memory server.
+    let (workers, iters, page_bytes, stripe) = (4u64, 3usize, 256u64, 8 * 1024u64);
+    let cluster = Cluster::boot(ClusterConfig {
+        clients: workers as usize,
+        ..ClusterConfig::with_servers(4)
+    })
+    .expect("boot");
+    let g = rmat_graph(12, 8 * 4096, 31); // 32 KiB vectors: 4 stripes, 128 pages
+    let expect_pr = reference::pagerank(&g, iters, 0.85);
+    let sim = cluster.sim.clone();
+    sim.recorder().enable(sim::Level::Costs, 0);
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    sim.block_on(async move {
+        let loader = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let opts = AllocOptions {
+            stripe_size: stripe,
+            ..AllocOptions::default()
+        };
+        GraphStore::publish(&loader, "pinned", &g, opts)
+            .await
+            .unwrap();
+        let metrics = devs[0].metrics();
+        metrics.reset();
+        let cfg = PageRankConfig {
+            iters,
+            page_bytes,
+            ..PageRankConfig::default()
+        };
+        let pr = pagerank::run(&devs, master, "pinned", cfg).await.unwrap();
+        assert_eq!(pr.ranks, expect_pr, "bit-for-bit the single-node ranks");
+
+        // What the gathers must have cost, from the graph and the placement
+        // alone: worker w reads the pages its in-neighbours fall on, from
+        // val_a on even supersteps and val_b on odd ones.
+        let part = rgraph::VertexPartition::new(g.n, workers);
+        let mut doorbells = 0u64;
+        let mut pages_read = 0u64;
+        for it in 0..iters {
+            let vector = if it % 2 == 0 { "val_a" } else { "val_b" };
+            let desc = loader.lookup(&format!("pinned/{vector}")).await.unwrap();
+            for w in 0..workers {
+                let (start, end) = part.range(w);
+                let pages: BTreeSet<u64> = (start..end)
+                    .flat_map(|v| g.in_neighbors(v))
+                    .map(|u| u * 8 / page_bytes)
+                    .collect();
+                let mut per_server = BTreeMap::new();
+                for page in &pages {
+                    let group = (page * page_bytes / stripe) as usize;
+                    *per_server
+                        .entry(desc.groups[group].replicas[0].node)
+                        .or_insert(0u64) += 1;
+                }
+                assert!(per_server.values().any(|&n| n > rdma::MAX_SGE as u64));
+                doorbells += per_server
+                    .values()
+                    .map(|n| n.div_ceil(rdma::MAX_SGE as u64))
+                    .sum::<u64>();
+                pages_read += pages.len() as u64;
+            }
+        }
+        let ops = sim::ledger::summarize(&metrics);
+        let gather = ops.iter().find(|s| s.op == "read_many").expect("gathers");
+        assert_eq!(gather.count, workers * iters as u64);
+        assert_eq!(gather.units, pages_read);
+        assert_eq!((gather.rtts_p50, gather.rtts_max), (1, 1));
+        assert_eq!(gather.doorbells_total, doorbells);
+        assert_eq!(gather.retries + gather.failovers, 0);
     });
 }
 

@@ -857,20 +857,30 @@ fn same_membership_plan_traces_identically() {
 /// descriptor: what the memory server's NIC says about that `(addr, rkey)`
 /// right now.
 async fn raw_read(dev: &rdma::RdmaDevice, x: &rstore::Extent) -> rdma::CqStatus {
+    raw_read_bytes(dev, x, 8).await.0
+}
+
+/// [`raw_read`] of the first `len` bytes of `x`, with what landed.
+async fn raw_read_bytes(
+    dev: &rdma::RdmaDevice,
+    x: &rstore::Extent,
+    len: u64,
+) -> (rdma::CqStatus, Vec<u8>) {
     let cq = rdma::CompletionQueue::new();
     let qp = dev
         .connect(fabric::NodeId(x.node), rstore::DATA_SERVICE, &cq)
         .await
         .expect("dial the data service");
-    let buf = dev.alloc(8).unwrap();
+    let buf = dev.alloc(len).unwrap();
     let remote = rdma::RemoteAddr {
         addr: x.addr,
         rkey: rdma::RKey(x.rkey),
     };
     qp.post_read(1, buf, remote).unwrap();
     let status = cq.next().await.status;
+    let bytes = dev.read_mem(buf.addr, len).unwrap();
     dev.free(buf).unwrap();
-    status
+    (status, bytes)
 }
 
 /// Checks every server's arena against the master's books. RPC buffers are
@@ -1358,4 +1368,113 @@ fn sixteen_tasks_sharing_one_client_survive_a_flap_on_the_control_gate() {
         calls.iter().flatten().all(|&n| n > 10),
         "every worker kept making progress: {calls:?}"
     );
+}
+
+// --- the applications' IO form: gather and shuffle ----------------------------
+
+#[test]
+fn page_gather_fails_over_when_a_primary_is_down() {
+    // A superstep's gather is one `read_into_many`, so it inherits replica
+    // failover: with the primary of a stripe unreachable every page still
+    // lands, from the second replica. (The gather used to post raw
+    // per-page READs with no failover and surfaced `Io`.)
+    let cluster = boot(4, 1);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let n = 40_000u64; // 5 stripes of 64 KiB, the last one partial
+        let value = |id: u64| id.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xC4;
+        let image: Vec<u8> = (0..n).flat_map(|id| value(id).to_le_bytes()).collect();
+        let region = c.alloc("vector", n * 8, replicated()).await.unwrap();
+        region.write(0, &image).await.unwrap();
+
+        let ids: Vec<u64> = (0..n).step_by(3).collect();
+        let mut gather =
+            rgraph::worker::PageGather::plan(region.clone(), ids.iter().copied(), 4096).unwrap();
+        assert_eq!(gather.page_count() as u64, (n * 8).div_ceil(4096));
+
+        let victim = region.desc().groups[1].replicas[0].node;
+        fabric.set_node_up(fabric::NodeId(victim), false);
+        gather
+            .fetch()
+            .await
+            .expect("gather through replica failover");
+        for &id in &ids {
+            assert_eq!(gather.get(id), value(id), "element {id}");
+        }
+    });
+}
+
+#[test]
+fn write_from_many_redials_an_errored_qp_and_reaches_every_replica() {
+    // A link flap leaves the client's data QP to the flapped server in the
+    // error state. The next multi-pair write cannot post on it: the
+    // recovery round re-dials once, reposts what failed, and every replica
+    // of every stripe holds the new bytes. (A shuffle used to post raw
+    // WRITEs and surfaced the flush from its first wait.)
+    let cluster = boot(3, 1);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let dev = &devs[0];
+        let c = RStoreClient::connect(dev, master).await.unwrap();
+        let stripe = 64 * 1024u64;
+        let region = c.alloc("shuffled", 4 * stripe, replicated()).await.unwrap();
+        let mut model = payload(4 * stripe as usize);
+        region.write(0, &model).await.unwrap();
+
+        // Shorter than the lease: membership and placement do not change.
+        let victim = fabric::NodeId(region.desc().groups[0].replicas[1].node);
+        fabric.set_node_up(victim, false);
+        let err = region.write(0, &model[..100]).await.err().unwrap();
+        assert!(matches!(err, RStoreError::Io(_)), "got {err:?}");
+        fabric.set_node_up(victim, true);
+        // Past the re-dial backoff the failed write armed (1 ms).
+        s.sleep(Duration::from_millis(5)).await;
+        let desc = region.desc();
+        assert_eq!(desc, c.lookup("shuffled").await.unwrap(), "placement held");
+
+        let buf = dev.alloc(4 * stripe).unwrap();
+        let pairs = [
+            (0, stripe),
+            (stripe + 100, 1000),
+            (2 * stripe - 512, stripe),
+        ];
+        let mut ios = Vec::new();
+        let mut at = 0;
+        for (i, &(offset, len)) in pairs.iter().enumerate() {
+            let bytes = vec![0xB0 + i as u8; len as usize];
+            dev.write_mem(buf.addr + at, &bytes).unwrap();
+            model[offset as usize..(offset + len) as usize].copy_from_slice(&bytes);
+            ios.push((offset, buf.slice(at, len)));
+            at += len;
+        }
+        let redials = dev.metrics().counter("rstore.redial.ok");
+        region
+            .write_from_many(&ios)
+            .await
+            .expect("re-dial and repost");
+        assert_eq!(dev.metrics().counter("rstore.redial.ok"), redials + 1);
+        dev.free(buf).unwrap();
+
+        let nodes: std::collections::BTreeSet<u32> = desc.groups[..3]
+            .iter()
+            .flat_map(|g| g.replicas.iter().map(|x| x.node))
+            .collect();
+        assert!(nodes.len() >= 2, "the pairs span servers: {nodes:?}");
+        for (g, group) in desc.groups.iter().enumerate() {
+            let want = &model[g * stripe as usize..(g + 1) * stripe as usize];
+            for x in &group.replicas {
+                let (status, bytes) = raw_read_bytes(dev, x, stripe).await;
+                assert_eq!(status, rdma::CqStatus::Success);
+                assert!(bytes == want, "stripe {g} on node {}", x.node);
+            }
+        }
+    });
 }
