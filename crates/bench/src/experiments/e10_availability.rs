@@ -16,10 +16,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use fabric::FaultPlan;
-use rstore::{
-    AllocOptions, ClientConfig, Cluster, ClusterConfig, MasterConfig, RStoreClient, RegionState,
-    ServerConfig,
-};
+use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig, RStoreClient, RegionState};
 use sim::DetRng;
 
 use crate::table::{fmt_dur, Table};
@@ -54,21 +51,7 @@ pub struct AvailabilityStats {
 pub fn measure() -> AvailabilityStats {
     let cluster = Cluster::boot(ClusterConfig {
         clients: 1,
-        master: MasterConfig {
-            lease: Duration::from_millis(50),
-            sweep_interval: Duration::from_millis(20),
-            repair_interval: Duration::from_millis(40),
-            ..MasterConfig::default()
-        },
-        server: ServerConfig {
-            heartbeat: Duration::from_millis(10),
-            ..ServerConfig::default()
-        },
-        rdma: rdma::RdmaConfig {
-            base_timeout: Duration::from_millis(25),
-            ..rdma::RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(4)
+        ..ClusterConfig::fast_detection(4)
     })
     .expect("boot");
     let sim = cluster.sim.clone();

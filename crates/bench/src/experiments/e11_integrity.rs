@@ -27,7 +27,7 @@ use std::time::Duration;
 use fabric::{FaultPlan, NodeId};
 use rstore::{
     AllocOptions, Cluster, ClusterConfig, MasterConfig, RStoreClient, RStoreError, Region,
-    RegionState, ServerConfig,
+    RegionState,
 };
 use sim::DetRng;
 
@@ -73,25 +73,15 @@ pub struct IntegrityStats {
 }
 
 fn boot(scrub: bool, scrub_interval: Duration) -> Cluster {
+    let fast = ClusterConfig::fast_detection(4);
     Cluster::boot(ClusterConfig {
         clients: 1,
         master: MasterConfig {
-            lease: Duration::from_millis(50),
-            sweep_interval: Duration::from_millis(20),
-            repair_interval: Duration::from_millis(40),
             scrub,
             scrub_interval,
-            ..MasterConfig::default()
+            ..fast.master
         },
-        server: ServerConfig {
-            heartbeat: Duration::from_millis(10),
-            ..ServerConfig::default()
-        },
-        rdma: rdma::RdmaConfig {
-            base_timeout: Duration::from_millis(25),
-            ..rdma::RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(4)
+        ..fast
     })
     .expect("boot")
 }

@@ -2,7 +2,7 @@
 //!
 //! E10 reports a failure episode as aggregate numbers; E13 watches the same
 //! kind of episode *move through time*. A replicated KV table takes steady
-//! put/get traffic while a [`FaultPlan`] kills one memory server; a
+//! put/get traffic while one memory server is killed ([`crash_episode`]); a
 //! [`Sampler`] snapshots per-window op throughput, error counts, doorbell
 //! rate, and latency percentiles every 50 ms of virtual time. The exported
 //! timeline shows the p99 latency spike when the server dies and its
@@ -11,34 +11,16 @@
 //! The run is fully virtual-time and seeded: two runs produce byte-identical
 //! window series, which the report test asserts.
 
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::time::Duration;
 
-use fabric::FaultPlan;
-use rstore::{
-    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig, RStoreClient,
-    RegionState, ServerConfig,
-};
-use sim::{DetRng, Level, OpSummary, Sampler, Window};
+use sim::{Level, OpSummary, Sampler, Window};
 
+use crate::episode::{crash_episode, OpSeries, KILL_AT};
 use crate::table::{fmt_dur, Table};
 
 const SEED: u64 = 0xE13;
-const KILL_AT: Duration = Duration::from_millis(150);
-const WORKLOAD_END: Duration = Duration::from_millis(600);
-const COOLDOWN_END: Duration = Duration::from_millis(700);
 const WINDOW: Duration = Duration::from_millis(50);
 const WINDOW_CAP: usize = 16;
-const KEYS: u64 = 128;
-const VALUE_LEN: u64 = 64;
-const SLOT_BYTES: u64 = 256;
-const MAX_PROBE: u64 = 64;
-/// Concurrent workload tasks. Each owns a disjoint key slice, so idempotent
-/// puts never race a get on the same slot.
-const WORKERS: u64 = 8;
-/// Per-worker pacing between ops.
-const PACE: Duration = Duration::from_millis(2);
 
 /// The per-op latency histogram the sampler windows over.
 pub const LATENCY_SERIES: &str = "e13.op_latency_us";
@@ -114,197 +96,39 @@ impl TimelineStats {
     }
 }
 
-/// The deterministic value stored under key index `k`; rewrites are
-/// idempotent, so any replica interleaving of a repeated put converges.
-fn value(k: u64) -> Vec<u8> {
-    (0..VALUE_LEN)
-        .map(|i| ((k * 131 + i * 7 + 13) % 251) as u8)
-        .collect()
-}
-
-fn key(k: u64) -> Vec<u8> {
-    format!("k{k:04}").into_bytes()
-}
-
 /// Runs the telemetry scenario once and collects the timeline.
 pub fn measure() -> TimelineStats {
-    let cluster = Cluster::boot(ClusterConfig {
-        clients: 1,
-        master: MasterConfig {
-            lease: Duration::from_millis(50),
-            sweep_interval: Duration::from_millis(20),
-            repair_interval: Duration::from_millis(40),
-            ..MasterConfig::default()
-        },
-        server: ServerConfig {
-            heartbeat: Duration::from_millis(10),
-            ..ServerConfig::default()
-        },
-        rdma: rdma::RdmaConfig {
-            base_timeout: Duration::from_millis(25),
-            ..rdma::RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(4)
-    })
-    .expect("boot");
-    let sim = cluster.sim.clone();
-    let fabric = cluster.fabric.clone();
-    let devs = cluster.client_devs.clone();
-    let master = cluster.master_node();
-    let victim = cluster.servers[1].node();
-
-    let seed = super::seed_mix(SEED);
-    FaultPlan::new(seed)
-        .crash_at(KILL_AT, victim)
-        .install(&fabric);
-
-    let metrics = devs[0].metrics();
-    sim.recorder().enable(Level::Costs, 0);
-    let sampler = Sampler::new(WINDOW, WINDOW_CAP);
-    for c in COUNTER_SERIES {
-        sampler.track_counter(c);
-    }
-    sampler.track_histogram(LATENCY_SERIES);
-    sampler.spawn_driver(&sim, &metrics);
-
-    let s = sim.clone();
-    let m = metrics.clone();
-    let (ops_total, io_errors, value_errors, abandoned, healthy) = sim.block_on(async move {
-        let sim = s;
-        let client = RStoreClient::connect(&devs[0], master)
-            .await
-            .expect("connect");
-        let cfg = KvConfig {
-            buckets: 1024,
-            slot_bytes: SLOT_BYTES,
-            max_probe: MAX_PROBE,
-            opts: AllocOptions {
-                stripe_size: 128 * 1024,
-                replicas: 2,
-                ..AllocOptions::default()
-            },
-        };
-        let table = KvTable::create(&client, "tl", cfg).await.expect("create");
-        for k in 0..KEYS {
-            table.put(&key(k), &value(k)).await.expect("prefill put");
+    let series = OpSeries {
+        ops: "e13.ops",
+        errors: "e13.errors",
+        latency_us: LATENCY_SERIES,
+    };
+    let ep = crash_episode(SEED, "tl", Some(series), |cluster| {
+        let metrics = cluster.client_devs[0].metrics();
+        cluster.sim.recorder().enable(Level::Costs, 0);
+        let sampler = Sampler::new(WINDOW, WINDOW_CAP);
+        for c in COUNTER_SERIES {
+            sampler.track_counter(c);
         }
-        drop(table);
-
-        // Steady paced traffic across the kill, from WORKERS concurrent
-        // tasks over disjoint key slices. Each op retries (re-mapping the
-        // table on error) until it succeeds, so its recorded latency is the
-        // client-visible time to a good answer — exactly what spikes while
-        // the region is degraded and recovers once repair lands. Concurrent
-        // workers matter: they keep every fault-era window populated with
-        // enough samples that the spike shows up in the window p99, not
-        // just the max.
-        #[derive(Default)]
-        struct Totals {
-            ops: u64,
-            io_errors: u64,
-            value_errors: u64,
-            abandoned: u64,
-            done: u64,
-        }
-        let totals = Rc::new(RefCell::new(Totals::default()));
-        let keys_per_worker = KEYS / WORKERS;
-        for w in 0..WORKERS {
-            let sim2 = sim.clone();
-            let m = m.clone();
-            let client = client.clone();
-            let totals = totals.clone();
-            sim.spawn(async move {
-                let sim = sim2;
-                let now = |sim: &sim::Sim| sim.now().saturating_since(sim::SimTime::ZERO);
-                let mut table = KvTable::open(&client, "tl", SLOT_BYTES, MAX_PROBE)
-                    .await
-                    .expect("open");
-                let mut rng = DetRng::new(seed ^ (w + 1));
-                while now(&sim) < WORKLOAD_END {
-                    let k = w * keys_per_worker + rng.range_u64(0, keys_per_worker);
-                    let write = rng.chance(0.4);
-                    let t0 = now(&sim);
-                    let mut attempts = 0u32;
-                    loop {
-                        let result = if write {
-                            table.put(&key(k), &value(k)).await
-                        } else {
-                            match table.get(&key(k)).await {
-                                Ok(got) => {
-                                    if got.as_deref() != Some(&value(k)[..]) {
-                                        totals.borrow_mut().value_errors += 1;
-                                    }
-                                    Ok(())
-                                }
-                                Err(e) => Err(e),
-                            }
-                        };
-                        match result {
-                            Ok(()) => {
-                                let us = (now(&sim) - t0).as_micros() as u64;
-                                m.incr("e13.ops");
-                                m.record_value(LATENCY_SERIES, us);
-                                break;
-                            }
-                            Err(_) => {
-                                totals.borrow_mut().io_errors += 1;
-                                m.incr("e13.errors");
-                                // Refresh the mapping: after repair the
-                                // descriptor names the replacement replicas.
-                                if let Ok(t) =
-                                    KvTable::open_degraded(&client, "tl", SLOT_BYTES, MAX_PROBE)
-                                        .await
-                                {
-                                    table = t;
-                                }
-                                sim.sleep(Duration::from_millis(2)).await;
-                            }
-                        }
-                        attempts += 1;
-                        if attempts > 200 {
-                            totals.borrow_mut().abandoned += 1;
-                            break;
-                        }
-                    }
-                    totals.borrow_mut().ops += 1;
-                    sim.sleep(PACE).await;
-                }
-                totals.borrow_mut().done += 1;
-            });
-        }
-
-        let now = |sim: &sim::Sim| sim.now().saturating_since(sim::SimTime::ZERO);
-        while totals.borrow().done < WORKERS {
-            sim.sleep(Duration::from_millis(5)).await;
-        }
-        // Idle cooldown so the sampler closes the trailing windows before
-        // `block_on` returns and stops driving events.
-        while now(&sim) < COOLDOWN_END {
-            sim.sleep(Duration::from_millis(10)).await;
-        }
-        let healthy = client
-            .lookup("tl")
-            .await
-            .map(|d| d.state == RegionState::Healthy)
-            .unwrap_or(false);
-        let t = totals.borrow();
-        (t.ops, t.io_errors, t.value_errors, t.abandoned, healthy)
+        sampler.track_histogram(LATENCY_SERIES);
+        sampler.spawn_driver(&cluster.sim, &metrics);
+        (sampler, metrics)
     });
-
+    let (sampler, metrics) = &ep.recording;
     let stats = TimelineStats {
         windows: sampler.windows(),
-        ops_total,
-        io_errors,
-        value_errors,
-        abandoned,
+        ops_total: ep.totals.ops,
+        io_errors: ep.totals.io_errors,
+        value_errors: ep.totals.value_errors,
+        abandoned: ep.totals.abandoned,
         kill_ns: KILL_AT.as_nanos() as u64,
         window_ns: WINDOW.as_nanos() as u64,
-        healthy_after_repair: healthy,
-        ops: sim::ledger::summarize(&metrics),
+        healthy_after_repair: ep.healthy_after_repair,
+        ops: sim::ledger::summarize(metrics),
     };
     // With the numbers taken: the crash dropped messages mid-flight, and
     // each must have released its payload pin.
-    cluster.assert_pins_released();
+    ep.cluster.assert_pins_released();
     stats
 }
 

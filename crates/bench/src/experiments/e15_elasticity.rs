@@ -30,11 +30,12 @@ use std::time::Duration;
 
 use fabric::{FaultPlan, MembershipEvent};
 use rstore::{
-    AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig,
-    RStoreClient, RegionState, ServerConfig,
+    AllocOptions, ClientConfig, Cluster, ClusterConfig, MasterConfig, RStoreClient, RegionState,
+    ServerConfig,
 };
-use sim::{DetRng, Level, OpSummary, Sampler, Window};
+use sim::{Level, OpSummary, Sampler, Window};
 
+use crate::episode::{prefill, run_traffic, since_start, Keyspace, OpSeries, VALUE_LEN};
 use crate::table::Table;
 
 const SEED: u64 = 0xE15;
@@ -55,13 +56,8 @@ const WINDOW_CAP: usize = 24;
 pub const SCALES: [usize; 2] = [16, 64];
 const JOINERS: usize = 2;
 const KEYS: u64 = 256;
-const VALUE_LEN: u64 = 64;
-const SLOT_BYTES: u64 = 256;
 const BUCKETS: u64 = 8192;
 const STRIPE: u64 = 64 * 1024;
-const MAX_PROBE: u64 = 64;
-const WORKERS: u64 = 8;
-const PACE: Duration = Duration::from_millis(2);
 /// Per-server donation. Small on purpose: with ~4 MiB of table data on the
 /// cluster, utilization differences are large enough for the rebalancer's
 /// hysteresis band (`rebalance_spread` below) to trigger on a join yet
@@ -166,30 +162,23 @@ fn key(k: u64) -> Vec<u8> {
 
 /// Runs the episode once at `servers` memory servers.
 fn measure_scale(servers: usize) -> ScaleStats {
+    let fast = ClusterConfig::fast_detection(servers);
     let cluster = Cluster::boot(ClusterConfig {
         clients: 2,
         master: MasterConfig {
-            lease: Duration::from_millis(50),
-            sweep_interval: Duration::from_millis(20),
-            repair_interval: Duration::from_millis(40),
             rebalance: true,
             rebalance_interval: Duration::from_millis(50),
             rebalance_spread: 0.04,
             // A migration blocked on one lost server response must retry
             // within the repair cadence, not hold the seal for 1s.
             srv_response_timeout: Duration::from_millis(50),
-            ..MasterConfig::default()
+            ..fast.master
         },
         server: ServerConfig {
-            heartbeat: Duration::from_millis(10),
             donate: DONATE,
-            ..ServerConfig::default()
+            ..fast.server
         },
-        rdma: rdma::RdmaConfig {
-            base_timeout: Duration::from_millis(25),
-            ..rdma::RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(servers)
+        ..fast
     })
     .expect("boot");
     let sim = cluster.sim.clone();
@@ -264,7 +253,6 @@ fn measure_scale(servers: usize) -> ScaleStats {
     }
 
     let s = sim.clone();
-    let m = metrics.clone();
     let drain_min_w = drain_min.clone();
     let drain_done_w = drain_done.clone();
     let (totals_out, plan_ns, drained_residual, healthy, consistent) = sim.block_on(async move {
@@ -292,21 +280,18 @@ fn measure_scale(servers: usize) -> ScaleStats {
         )
         .await
         .expect("c2");
-        let cfg = KvConfig {
-            buckets: BUCKETS,
-            slot_bytes: SLOT_BYTES,
-            max_probe: MAX_PROBE,
-            opts: AllocOptions {
-                stripe_size: STRIPE,
-                replicas: 2,
-                ..AllocOptions::default()
-            },
+        let ks = Keyspace {
+            table: "el",
+            keys: KEYS,
+            key,
+            value,
         };
-        let table = KvTable::create(&client, "el", cfg).await.expect("create");
-        for k in 0..KEYS {
-            table.put(&key(k), &value(k)).await.expect("prefill put");
-        }
-        drop(table);
+        let opts = AllocOptions {
+            stripe_size: STRIPE,
+            replicas: 2,
+            ..AllocOptions::default()
+        };
+        prefill(&client, ks, BUCKETS, opts).await;
 
         // Drain a server that actually holds table data, so the episode
         // must move bytes; crash and flap two *other* incumbents.
@@ -319,7 +304,7 @@ fn measure_scale(servers: usize) -> ScaleStats {
         // Snapshot what the drained node hosts at the drain instant: the
         // minimum the drain must move. Scheduled before the plan is
         // installed, so at DRAIN_AT it fires ahead of the Drain event.
-        let plan_ns = sim.now().saturating_since(sim::SimTime::ZERO).as_nanos() as u64;
+        let plan_ns = since_start(&sim).as_nanos() as u64;
         {
             let m = master_handle.clone();
             let node = drained.0;
@@ -344,89 +329,24 @@ fn measure_scale(servers: usize) -> ScaleStats {
         }
         plan.install(&fabric);
 
-        #[derive(Default)]
-        struct Totals {
-            ops: u64,
-            io_errors: u64,
-            value_errors: u64,
-            abandoned: u64,
-            done: u64,
-        }
-        let totals = Rc::new(RefCell::new(Totals::default()));
-        let keys_per_worker = KEYS / WORKERS;
-        for w in 0..WORKERS {
-            let sim2 = sim.clone();
-            let m = m.clone();
-            // Split workers across the two client machines.
-            let client = if w % 2 == 0 {
-                client.clone()
-            } else {
-                client2.clone()
-            };
-            let totals = totals.clone();
-            sim.spawn(async move {
-                let sim = sim2;
-                let now = |sim: &sim::Sim| sim.now().saturating_since(sim::SimTime::ZERO);
-                let mut table = KvTable::open(&client, "el", SLOT_BYTES, MAX_PROBE)
-                    .await
-                    .expect("open");
-                let mut rng = DetRng::new(seed ^ (w + 1));
-                while now(&sim) < WORKLOAD_END {
-                    let k = w * keys_per_worker + rng.range_u64(0, keys_per_worker);
-                    let write = rng.chance(0.4);
-                    let t0 = now(&sim);
-                    let mut attempts = 0u32;
-                    loop {
-                        let result = if write {
-                            table.put(&key(k), &value(k)).await
-                        } else {
-                            match table.get(&key(k)).await {
-                                Ok(got) => {
-                                    if got.as_deref() != Some(&value(k)[..]) {
-                                        totals.borrow_mut().value_errors += 1;
-                                    }
-                                    Ok(())
-                                }
-                                Err(e) => Err(e),
-                            }
-                        };
-                        match result {
-                            Ok(()) => {
-                                let us = (now(&sim) - t0).as_micros() as u64;
-                                m.incr("e15.ops");
-                                m.record_value(LATENCY_SERIES, us);
-                                break;
-                            }
-                            Err(_) => {
-                                totals.borrow_mut().io_errors += 1;
-                                m.incr("e15.errors");
-                                if let Ok(t) =
-                                    KvTable::open_degraded(&client, "el", SLOT_BYTES, MAX_PROBE)
-                                        .await
-                                {
-                                    table = t;
-                                }
-                                sim.sleep(Duration::from_millis(2)).await;
-                            }
-                        }
-                        attempts += 1;
-                        if attempts > 200 {
-                            totals.borrow_mut().abandoned += 1;
-                            break;
-                        }
-                    }
-                    totals.borrow_mut().ops += 1;
-                    sim.sleep(PACE).await;
-                }
-                totals.borrow_mut().done += 1;
-            });
-        }
-
-        let now = |sim: &sim::Sim| sim.now().saturating_since(sim::SimTime::ZERO);
-        while totals.borrow().done < WORKERS || !*drain_done_w.borrow() {
+        let series = OpSeries {
+            ops: "e15.ops",
+            errors: "e15.errors",
+            latency_us: LATENCY_SERIES,
+        };
+        // Two clients: the workers split across the two client machines.
+        let totals = run_traffic(
+            &[client.clone(), client2],
+            ks,
+            seed,
+            WORKLOAD_END,
+            Some(series),
+        )
+        .await;
+        while !*drain_done_w.borrow() {
             sim.sleep(Duration::from_millis(5)).await;
         }
-        while now(&sim) < COOLDOWN_END {
+        while since_start(&sim) < COOLDOWN_END {
             sim.sleep(Duration::from_millis(10)).await;
         }
         // Let repair finish clearing the crashed node before the health
@@ -448,14 +368,7 @@ fn measure_scale(servers: usize) -> ScaleStats {
             .find(|r| r.node == drained.0)
             .map_or(0, |r| r.used);
         let consistent = client.stats().await.map(|s| s.consistent).unwrap_or(false);
-        let t = totals.borrow();
-        (
-            (t.ops, t.io_errors, t.value_errors, t.abandoned),
-            plan_ns,
-            drained_residual,
-            healthy,
-            consistent,
-        )
+        (totals, plan_ns, drained_residual, healthy, consistent)
     });
 
     let windows = sampler.windows();
@@ -497,10 +410,10 @@ fn measure_scale(servers: usize) -> ScaleStats {
         servers: servers as u64,
         windows,
         plan_ns,
-        ops_total: totals_out.0,
-        io_errors: totals_out.1,
-        value_errors: totals_out.2,
-        abandoned: totals_out.3,
+        ops_total: totals_out.ops,
+        io_errors: totals_out.io_errors,
+        value_errors: totals_out.value_errors,
+        abandoned: totals_out.abandoned,
         joined,
         drain_min_bytes,
         drain_bytes,

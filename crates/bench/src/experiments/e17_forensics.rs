@@ -1,11 +1,11 @@
 //! E17 — causal op forensics across a fault/repair episode.
 //!
 //! E13 shows *that* p99 spikes when a memory server dies; E17 shows *why*.
-//! The same kind of episode (replicated KV table, paced put/get traffic,
-//! one server killed, master repair) runs with the simulator's forensics
-//! registry enabled: every ledgered op carries a causal span tree (post,
-//! doorbell, wire, server residency, CQE settle, retry, failover rounds,
-//! lock wait/break, descriptor revalidation, migration seals), the
+//! The same episode ([`crash_episode`]: replicated KV table, paced put/get
+//! traffic, one server killed, master repair) runs with the simulator's
+//! forensics registry enabled: every ledgered op carries a causal span tree
+//! (post, doorbell, wire, server residency, CQE settle, retry, failover
+//! rounds, lock wait/break, descriptor revalidation, migration seals), the
 //! critical-path analyzer reduces each finished tree to a per-phase blame
 //! vector, and the registry keeps the K slowest exemplars per op kind per
 //! 50 ms window plus a flight-recorder ring of recent ops.
@@ -19,31 +19,12 @@
 //! The run is fully virtual-time and seeded: two runs produce
 //! byte-identical exemplars, blame vectors, and era notes.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-use std::time::Duration;
+use sim::{EraNote, Exemplar, FlightRec, ForensicsConfig, Level, Phase};
 
-use fabric::FaultPlan;
-use rstore::{
-    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig, RStoreClient,
-    RegionState, ServerConfig,
-};
-use sim::{DetRng, EraNote, Exemplar, FlightRec, ForensicsConfig, Level, Phase};
-
+use crate::episode::{crash_episode, KILL_AT};
 use crate::table::Table;
 
 const SEED: u64 = 0xE17;
-const KILL_AT: Duration = Duration::from_millis(150);
-const WORKLOAD_END: Duration = Duration::from_millis(600);
-const COOLDOWN_END: Duration = Duration::from_millis(700);
-const KEYS: u64 = 128;
-const VALUE_LEN: u64 = 64;
-const SLOT_BYTES: u64 = 256;
-const MAX_PROBE: u64 = 64;
-/// Concurrent workload tasks over disjoint key slices (as in E13).
-const WORKERS: u64 = 8;
-/// Per-worker pacing between ops.
-const PACE: Duration = Duration::from_millis(2);
 
 /// Phases that represent the op *stalling* (waiting out a fault era) rather
 /// than doing useful transfer work. The E17 claim is that fault-era tail
@@ -143,171 +124,26 @@ impl ForensicsStats {
     }
 }
 
-/// The deterministic value stored under key index `k` (idempotent rewrites,
-/// as in E13).
-fn value(k: u64) -> Vec<u8> {
-    (0..VALUE_LEN)
-        .map(|i| ((k * 131 + i * 7 + 13) % 251) as u8)
-        .collect()
-}
-
-fn key(k: u64) -> Vec<u8> {
-    format!("k{k:04}").into_bytes()
-}
-
 /// Runs the forensics scenario once and collects exemplars, ring, and notes.
 pub fn measure() -> ForensicsStats {
-    let cluster = Cluster::boot(ClusterConfig {
-        clients: 1,
-        master: MasterConfig {
-            lease: Duration::from_millis(50),
-            sweep_interval: Duration::from_millis(20),
-            repair_interval: Duration::from_millis(40),
-            ..MasterConfig::default()
-        },
-        server: ServerConfig {
-            heartbeat: Duration::from_millis(10),
-            ..ServerConfig::default()
-        },
-        rdma: rdma::RdmaConfig {
-            base_timeout: Duration::from_millis(25),
-            ..rdma::RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(4)
-    })
-    .expect("boot");
-    let sim = cluster.sim.clone();
-    let fabric = cluster.fabric.clone();
-    let devs = cluster.client_devs.clone();
-    let master = cluster.master_node();
-    let victim = cluster.servers[1].node();
-
-    let recorder = sim.recorder();
     let fx_cfg = ForensicsConfig::default();
-    recorder.enable(Level::Spans(fx_cfg), 0);
-
-    let seed = super::seed_mix(SEED);
-    FaultPlan::new(seed)
-        .crash_at(KILL_AT, victim)
-        .install(&fabric);
-
-    let s = sim.clone();
-    let (ops_total, io_errors, value_errors, abandoned, healthy) = sim.block_on(async move {
-        let sim = s;
-        let client = RStoreClient::connect(&devs[0], master)
-            .await
-            .expect("connect");
-        let cfg = KvConfig {
-            buckets: 1024,
-            slot_bytes: SLOT_BYTES,
-            max_probe: MAX_PROBE,
-            opts: AllocOptions {
-                stripe_size: 128 * 1024,
-                replicas: 2,
-                ..AllocOptions::default()
-            },
-        };
-        let table = KvTable::create(&client, "fx", cfg).await.expect("create");
-        for k in 0..KEYS {
-            table.put(&key(k), &value(k)).await.expect("prefill put");
-        }
-        drop(table);
-
-        // Steady paced traffic across the kill, as in E13: each op retries
-        // (re-mapping on error) until it succeeds, so the slow tail crosses
-        // the fault era with retry / failover / lock-wait phases on record.
-        #[derive(Default)]
-        struct Totals {
-            ops: u64,
-            io_errors: u64,
-            value_errors: u64,
-            abandoned: u64,
-            done: u64,
-        }
-        let totals = Rc::new(RefCell::new(Totals::default()));
-        let keys_per_worker = KEYS / WORKERS;
-        for w in 0..WORKERS {
-            let sim2 = sim.clone();
-            let client = client.clone();
-            let totals = totals.clone();
-            sim.spawn(async move {
-                let sim = sim2;
-                let now = |sim: &sim::Sim| sim.now().saturating_since(sim::SimTime::ZERO);
-                let mut table = KvTable::open(&client, "fx", SLOT_BYTES, MAX_PROBE)
-                    .await
-                    .expect("open");
-                let mut rng = DetRng::new(seed ^ (w + 1));
-                while now(&sim) < WORKLOAD_END {
-                    let k = w * keys_per_worker + rng.range_u64(0, keys_per_worker);
-                    let write = rng.chance(0.4);
-                    let mut attempts = 0u32;
-                    loop {
-                        let result = if write {
-                            table.put(&key(k), &value(k)).await
-                        } else {
-                            match table.get(&key(k)).await {
-                                Ok(got) => {
-                                    if got.as_deref() != Some(&value(k)[..]) {
-                                        totals.borrow_mut().value_errors += 1;
-                                    }
-                                    Ok(())
-                                }
-                                Err(e) => Err(e),
-                            }
-                        };
-                        match result {
-                            Ok(()) => break,
-                            Err(_) => {
-                                totals.borrow_mut().io_errors += 1;
-                                if let Ok(t) =
-                                    KvTable::open_degraded(&client, "fx", SLOT_BYTES, MAX_PROBE)
-                                        .await
-                                {
-                                    table = t;
-                                }
-                                sim.sleep(Duration::from_millis(2)).await;
-                            }
-                        }
-                        attempts += 1;
-                        if attempts > 200 {
-                            totals.borrow_mut().abandoned += 1;
-                            break;
-                        }
-                    }
-                    totals.borrow_mut().ops += 1;
-                    sim.sleep(PACE).await;
-                }
-                totals.borrow_mut().done += 1;
-            });
-        }
-
-        let now = |sim: &sim::Sim| sim.now().saturating_since(sim::SimTime::ZERO);
-        while totals.borrow().done < WORKERS {
-            sim.sleep(Duration::from_millis(5)).await;
-        }
-        while now(&sim) < COOLDOWN_END {
-            sim.sleep(Duration::from_millis(10)).await;
-        }
-        let healthy = client
-            .lookup("fx")
-            .await
-            .map(|d| d.state == RegionState::Healthy)
-            .unwrap_or(false);
-        let t = totals.borrow();
-        (t.ops, t.io_errors, t.value_errors, t.abandoned, healthy)
+    let ep = crash_episode(SEED, "fx", None, |cluster| {
+        let recorder = cluster.sim.recorder();
+        recorder.enable(Level::Spans(fx_cfg), 0);
+        recorder
     });
-
+    let recorder = &ep.recording;
     ForensicsStats {
         exemplars: recorder.exemplars(),
         ring: recorder.ring(),
         era_notes: recorder.era_notes(),
-        ops_total,
-        io_errors,
-        value_errors,
-        abandoned,
+        ops_total: ep.totals.ops,
+        io_errors: ep.totals.io_errors,
+        value_errors: ep.totals.value_errors,
+        abandoned: ep.totals.abandoned,
         kill_ns: KILL_AT.as_nanos() as u64,
         window_ns: fx_cfg.window_ns,
-        healthy_after_repair: healthy,
+        healthy_after_repair: ep.healthy_after_repair,
         finished: recorder.finished(),
         failed: recorder.failed(),
         bundles: recorder.bundles(),

@@ -23,14 +23,38 @@ pub mod e9_sort_scaling;
 
 use crate::table::Table;
 
+const SEED_VAR: &str = "RSTORE_BENCH_SEED";
+
+/// The value `RSTORE_BENCH_SEED` mixes into every base seed: `0` when the
+/// variable is unset, so committed outputs stay byte-identical on a default
+/// run, else its decimal `u64`.
+///
+/// # Errors
+///
+/// A message naming the variable when it is set to anything else. A typo
+/// must not fall back to the default seed: CI's seed matrix would run one
+/// seed three times and go green.
+pub fn parse_seed(raw: Option<&str>) -> Result<u64, String> {
+    match raw {
+        None => Ok(0),
+        Some(v) => v
+            .trim()
+            .parse()
+            .map_err(|e| format!("{SEED_VAR}={v:?} is not a decimal u64 seed: {e}")),
+    }
+}
+
 /// Mixes an experiment's base seed with `RSTORE_BENCH_SEED` from the
 /// environment, letting CI re-run the failure/integrity experiments across
-/// several seeds. Unset or unparsable values leave the base seed untouched,
-/// so committed outputs stay byte-identical on a default run.
+/// several seeds. Exits with status 2 when the variable does not parse.
 pub fn seed_mix(base: u64) -> u64 {
-    match std::env::var("RSTORE_BENCH_SEED") {
-        Ok(v) => base ^ v.trim().parse::<u64>().unwrap_or(0),
-        Err(_) => base,
+    let raw = std::env::var_os(SEED_VAR).map(|v| v.to_string_lossy().into_owned());
+    match parse_seed(raw.as_deref()) {
+        Ok(mix) => base ^ mix,
+        Err(msg) => {
+            eprintln!("bench: {msg}");
+            std::process::exit(2);
+        }
     }
 }
 
@@ -67,3 +91,19 @@ pub const ALL: [&str; 17] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
     "e16", "e17",
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::parse_seed;
+
+    #[test]
+    fn seed_is_absent_or_a_number_never_a_silent_default() {
+        assert_eq!(parse_seed(None), Ok(0), "unset leaves the base seed");
+        assert_eq!(parse_seed(Some("3")).map(|m| 0xE10 ^ m), Ok(0xE13));
+        assert_eq!(parse_seed(Some(" 3\n")), Ok(3), "as CI's YAML may pass it");
+        for bad in ["x3", "", "-1", "0x3"] {
+            let err = parse_seed(Some(bad)).expect_err(bad);
+            assert!(err.contains("RSTORE_BENCH_SEED"), "{err}");
+        }
+    }
+}

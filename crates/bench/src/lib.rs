@@ -1,10 +1,11 @@
 //! Benchmark harness for the RStore reproduction.
 //!
-//! [`experiments`] holds one module per reproduced table/figure (E1–E13,
-//! indexed in `DESIGN.md`); the `figures` binary prints them, and the
-//! `bench` binary works on exported reports — `bench diff` (the CI
-//! perf-regression gate), `bench check` (the invariants a report asserts
-//! about itself) and `bench triage`:
+//! [`experiments`] holds one module per reproduced table/figure (E1–E17,
+//! indexed in `DESIGN.md`) and [`episode`] the paced verified-KV traffic
+//! that E13, E15 and E17 run their faults under; the `figures` binary
+//! prints the experiments, and the `bench` binary works on exported reports
+//! — `bench diff` (the CI perf-regression gate), `bench check` (the
+//! invariants a report asserts about itself) and `bench triage`:
 //!
 //! ```text
 //! cargo run -p bench --release --bin figures -- all
@@ -20,6 +21,7 @@
 
 pub mod check;
 pub mod diff;
+pub mod episode;
 pub mod experiments;
 pub mod json;
 pub mod report;

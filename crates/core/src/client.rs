@@ -23,18 +23,10 @@ use crate::rpc::Channel;
 use crate::stats::ClientStats;
 use crate::{CTRL_SERVICE, DATA_SERVICE};
 
-/// Client-side data-path recovery tuning.
+/// Per-client tuning: the checksummed-IO window, the KV hint cache and the
+/// control-call deadline.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
-    /// Delay before the first QP re-dial retry to a node after a failed
-    /// attempt; doubles on each consecutive failure.
-    pub redial_backoff: Duration,
-    /// Cap on the re-dial backoff.
-    pub redial_backoff_max: Duration,
-    /// Extra grace added to the device's per-op timeout before a posted IO
-    /// is failed client-side with [`CqStatus::Timeout`] — a backstop that
-    /// bounds every region IO in virtual time.
-    pub io_grace: Duration,
     /// Bound on how many checksummed stripes a verified read/write keeps in
     /// flight at once. Depth 1 reproduces the strictly serial
     /// post→await→post behavior; larger depths overlap stripe round trips
@@ -60,15 +52,22 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            redial_backoff: Duration::from_millis(1),
-            redial_backoff_max: Duration::from_millis(100),
-            io_grace: Duration::from_millis(100),
             pipeline_depth: 8,
             kv_hint_capacity: 4096,
             ctrl_response_timeout: crate::rpc::RESPONSE_TIMEOUT,
         }
     }
 }
+
+/// Delay before the first QP re-dial retry to a node after a failed
+/// attempt; doubles on each consecutive failure.
+const REDIAL_BACKOFF: Duration = Duration::from_millis(1);
+/// Cap on the re-dial backoff.
+const REDIAL_BACKOFF_MAX: Duration = Duration::from_millis(100);
+/// Extra grace added to the device's per-op timeout before a posted IO is
+/// failed client-side with [`CqStatus::Timeout`] ([`ClientShared::fire`]) —
+/// a backstop that bounds every region IO in virtual time.
+pub(crate) const IO_GRACE: Duration = Duration::from_millis(100);
 
 /// Re-dial state for one memory server: a single-attempt gate plus the
 /// capped-exponential-backoff clock.
@@ -154,7 +153,7 @@ impl RStoreClient {
         Self::connect_with(dev, master, ClientConfig::default()).await
     }
 
-    /// Like [`connect`](Self::connect) with explicit recovery tuning.
+    /// Like [`connect`](Self::connect) with explicit tuning.
     ///
     /// # Errors
     ///
@@ -423,11 +422,9 @@ impl RStoreClient {
             Err(e) => {
                 let n = slot.attempts.get().saturating_add(1);
                 slot.attempts.set(n);
-                let backoff = s
-                    .cfg
-                    .redial_backoff
+                let backoff = REDIAL_BACKOFF
                     .saturating_mul(1u32 << (n - 1).min(16))
-                    .min(s.cfg.redial_backoff_max);
+                    .min(REDIAL_BACKOFF_MAX);
                 slot.next_at.set(s.sim.now() + backoff);
                 Err(e.into())
             }

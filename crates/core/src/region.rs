@@ -18,7 +18,7 @@ use sim::channel::oneshot;
 use sim::sync::Semaphore;
 use sim::{Event, Level, OpLedger, Phase, Span};
 
-use crate::client::RStoreClient;
+use crate::client::{RStoreClient, IO_GRACE};
 use crate::crc::crc32c;
 use crate::error::{RStoreError, Result};
 use crate::layout::{Layout, Piece};
@@ -1096,7 +1096,7 @@ impl Region {
         // a deep backlog (e.g. a fluid-mode shuffle) an op legitimately
         // outlives op_timeout of its own size. The completion router cancels
         // the backstop when the CQE arrives.
-        let deadline = s.sim.now() + s.dev.op_deadline(total) + s.cfg.io_grace;
+        let deadline = s.sim.now() + s.dev.op_deadline(total) + IO_GRACE;
         let backstop = s.sim.schedule_event(deadline, s, wr_id, 0);
         let (tx, rx) = oneshot::channel();
         s.pending.borrow_mut().insert(wr_id, (tx, backstop));

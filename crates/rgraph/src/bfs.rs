@@ -10,13 +10,12 @@ use std::time::Duration;
 use fabric::NodeId;
 use rdma::RdmaDevice;
 use rstore::{AllocOptions, RStoreClient, Result};
-use sim::join_all;
 use sim::sync::Barrier;
 
 use crate::config::CostModel;
 use crate::partition::VertexPartition;
 use crate::store::GraphStore;
-use crate::worker::{ConvBoard, CsrSlice, Mailboxes};
+use crate::worker::{run_partitions, ConvBoard, CsrSlice, Mailboxes};
 
 /// BFS parameters.
 #[derive(Clone, Copy, Debug)]
@@ -70,7 +69,6 @@ pub async fn run(
     assert!(!devs.is_empty(), "need at least one worker device");
     let k = devs.len() as u64;
     let sim = devs[0].sim().clone();
-    let barrier = Barrier::new(devs.len());
     let t0 = sim.now();
 
     // Job-scoped setup before spawning: a failure here must not strand
@@ -88,31 +86,10 @@ pub async fn run(
         .await?;
     }
 
-    let mut handles = Vec::with_capacity(devs.len());
-    for (i, dev) in devs.iter().enumerate() {
-        let dev = dev.clone();
-        let barrier = barrier.clone();
-        let graph = graph.to_owned();
-        handles.push(sim.spawn(async move {
-            worker(i as u64, k, dev, master, graph, src, cfg, barrier).await
-        }));
-    }
-    let outs = join_all(handles).await;
-
-    let mut n_total = 0u64;
-    for out in &outs {
-        match out {
-            Ok((start, levels, _)) => n_total = n_total.max(start + levels.len() as u64),
-            Err(e) => return Err(e.clone()),
-        }
-    }
-    let mut levels = vec![u64::MAX; n_total as usize];
-    let mut supersteps = 0;
-    for out in outs {
-        let (start, vals, steps) = out.expect("errors returned above");
-        levels[start as usize..start as usize + vals.len()].copy_from_slice(&vals);
-        supersteps = steps;
-    }
+    let (levels, supersteps) = run_partitions(devs, u64::MAX, |me, dev, barrier| {
+        worker(me, k, dev, master, graph.to_owned(), src, cfg, barrier)
+    })
+    .await?;
     Ok(BfsOutcome {
         levels,
         supersteps,

@@ -7,14 +7,13 @@ use std::time::Duration;
 use fabric::NodeId;
 use rdma::RdmaDevice;
 use rstore::{RStoreClient, Result};
-use sim::join_all;
 use sim::sync::Barrier;
 
 use crate::config::CostModel;
 use crate::partition::VertexPartition;
 use crate::reference::edge_weight;
 use crate::store::{u64s_to_bytes, GraphStore};
-use crate::worker::{ConvBoard, CsrSlice, PageGather};
+use crate::worker::{run_partitions, ConvBoard, CsrSlice, PageGather};
 
 /// Which fixpoint to run.
 #[derive(Clone, Copy, Debug)]
@@ -95,7 +94,6 @@ pub(crate) async fn run(
     assert!(!devs.is_empty(), "need at least one worker device");
     let k = devs.len() as u64;
     let sim = devs[0].sim().clone();
-    let barrier = Barrier::new(devs.len());
     let t0 = sim.now();
 
     // Job-scoped setup before spawning: a failure here must not strand
@@ -106,31 +104,10 @@ pub(crate) async fn run(
         ConvBoard::create(&setup, &board_name, k, rstore::AllocOptions::default()).await?;
     }
 
-    let mut handles = Vec::with_capacity(devs.len());
-    for (i, dev) in devs.iter().enumerate() {
-        let dev = dev.clone();
-        let barrier = barrier.clone();
-        let graph = graph.to_owned();
-        handles.push(sim.spawn(async move {
-            worker(i as u64, k, dev, master, graph, kind, cfg, barrier).await
-        }));
-    }
-    let outs = join_all(handles).await;
-
-    let mut n_total = 0u64;
-    for out in &outs {
-        match out {
-            Ok((start, vals, _steps)) => n_total = n_total.max(start + vals.len() as u64),
-            Err(e) => return Err(e.clone()),
-        }
-    }
-    let mut values = vec![0u64; n_total as usize];
-    let mut supersteps = 0;
-    for out in outs {
-        let (start, vals, steps) = out.expect("errors returned above");
-        values[start as usize..start as usize + vals.len()].copy_from_slice(&vals);
-        supersteps = steps;
-    }
+    let (values, supersteps) = run_partitions(devs, 0u64, |me, dev, barrier| {
+        worker(me, k, dev, master, graph.to_owned(), kind, cfg, barrier)
+    })
+    .await?;
     Ok(JacobiOutcome {
         values,
         supersteps,

@@ -15,12 +15,12 @@ use fabric::NodeId;
 use rdma::RdmaDevice;
 use rstore::{RStoreClient, Result};
 use sim::sync::Barrier;
-use sim::{join_all, SimTime};
+use sim::SimTime;
 
 use crate::config::CostModel;
 use crate::partition::VertexPartition;
 use crate::store::{u64s_to_bytes, GraphStore};
-use crate::worker::{CsrSlice, PageGather};
+use crate::worker::{run_partitions, CsrSlice, PageGather};
 
 /// PageRank parameters.
 #[derive(Clone, Copy, Debug)]
@@ -67,12 +67,6 @@ impl PageRankOutcome {
     }
 }
 
-struct WorkerOut {
-    start: u64,
-    ranks: Vec<f64>,
-    superstep_times: Vec<Duration>,
-}
-
 /// Runs distributed PageRank on a published graph, one worker per device.
 ///
 /// # Errors
@@ -91,37 +85,11 @@ pub async fn run(
     assert!(!devs.is_empty(), "need at least one worker device");
     let k = devs.len() as u64;
     let sim = devs[0].sim().clone();
-    let barrier = Barrier::new(devs.len());
     let t0 = sim.now();
-
-    let mut handles = Vec::with_capacity(devs.len());
-    for (i, dev) in devs.iter().enumerate() {
-        let dev = dev.clone();
-        let barrier = barrier.clone();
-        let graph = graph.to_owned();
-        let sim2 = sim.clone();
-        handles.push(sim.spawn(async move {
-            worker(i as u64, k, dev, master, graph, cfg, barrier, sim2).await
-        }));
-    }
-    let outs = join_all(handles).await;
-
-    let mut n_total = 0u64;
-    for out in &outs {
-        match out {
-            Ok(w) => n_total = n_total.max(w.start + w.ranks.len() as u64),
-            Err(e) => return Err(e.clone()),
-        }
-    }
-    let mut ranks = vec![0.0; n_total as usize];
-    let mut superstep_times = Vec::new();
-    for out in outs {
-        let w = out.expect("errors returned above");
-        ranks[w.start as usize..w.start as usize + w.ranks.len()].copy_from_slice(&w.ranks);
-        if !w.superstep_times.is_empty() {
-            superstep_times = w.superstep_times;
-        }
-    }
+    let (ranks, superstep_times) = run_partitions(devs, 0.0, |me, dev, barrier| {
+        worker(me, k, dev, master, graph.to_owned(), cfg, barrier)
+    })
+    .await?;
     Ok(PageRankOutcome {
         ranks,
         total: sim.now() - t0,
@@ -129,7 +97,6 @@ pub async fn run(
     })
 }
 
-#[allow(clippy::too_many_arguments)]
 async fn worker(
     me: u64,
     k: u64,
@@ -138,8 +105,8 @@ async fn worker(
     graph: String,
     cfg: PageRankConfig,
     barrier: Barrier,
-    sim: sim::Sim,
-) -> Result<WorkerOut> {
+) -> Result<(u64, Vec<f64>, Vec<Duration>)> {
+    let sim = dev.sim().clone();
     // ---- control path: setup, paid once -------------------------------------
     let client = RStoreClient::connect(&dev, master).await?;
     let store = GraphStore::open(&client, &graph).await?;
@@ -208,9 +175,5 @@ async fn worker(
     }
 
     let superstep_times = times.borrow().clone();
-    Ok(WorkerOut {
-        start: s,
-        ranks,
-        superstep_times,
-    })
+    Ok((s, ranks, superstep_times))
 }

@@ -5,11 +5,57 @@
 //! *setup once* (map regions, load static structure), then supersteps that
 //! touch remote memory only through batched one-sided reads and writes.
 
-use rdma::DmaBuf;
+use std::future::Future;
+
+use rdma::{DmaBuf, RdmaDevice};
 use rstore::{AllocOptions, RStoreClient, Region, Result};
+use sim::join_all;
+use sim::sync::Barrier;
 
 use crate::partition::VertexPartition;
 use crate::store::{bytes_to_u64s, u64s_to_bytes, GraphStore};
+
+/// Runs one `worker(me, device, barrier)` task per device — the barrier is
+/// the job's superstep barrier — and stitches the vertex slices they return,
+/// each as `(first vertex, values, extra)`, into one vector indexed by
+/// vertex, `fill` where no worker reported. Returns it with worker 0's
+/// `extra` (the job-wide facts every worker agrees on, or only worker 0
+/// keeps: supersteps run, their timings).
+///
+/// # Errors
+///
+/// The lowest-numbered failing worker's error, once all have finished.
+pub(crate) async fn run_partitions<T, X, Fut>(
+    devs: &[RdmaDevice],
+    fill: T,
+    worker: impl Fn(u64, RdmaDevice, Barrier) -> Fut,
+) -> Result<(Vec<T>, X)>
+where
+    T: Copy,
+    Fut: Future<Output = Result<(u64, Vec<T>, X)>> + 'static,
+{
+    let barrier = Barrier::new(devs.len());
+    let handles: Vec<_> = devs
+        .iter()
+        .enumerate()
+        .map(|(i, dev)| {
+            dev.sim()
+                .spawn(worker(i as u64, dev.clone(), barrier.clone()))
+        })
+        .collect();
+    let mut outs = join_all(handles)
+        .await
+        .into_iter()
+        .collect::<Result<Vec<_>>>()?;
+    let n = outs
+        .iter()
+        .map(|(start, vals, _)| start + vals.len() as u64);
+    let mut all = vec![fill; n.max().unwrap_or(0) as usize];
+    for (start, vals, _) in &outs {
+        all[*start as usize..*start as usize + vals.len()].copy_from_slice(vals);
+    }
+    Ok((all, outs.swap_remove(0).2))
+}
 
 /// The static, per-worker slice of a CSR index: the `adj` range of every
 /// owned vertex, loaded once at startup.

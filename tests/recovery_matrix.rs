@@ -13,26 +13,12 @@ use rstore::{
 };
 
 fn boot(servers: usize, clients: usize) -> Cluster {
+    // Short leases and an eager repair task so recovery converges quickly
+    // (virtual time); short RC timeouts so IO errors surface fast instead of
+    // after the default 2 s budget.
     Cluster::boot(ClusterConfig {
         clients,
-        // Short leases and an eager repair task so recovery converges
-        // quickly (virtual time); short RC timeouts so IO errors surface
-        // fast instead of after the default 2 s budget.
-        master: MasterConfig {
-            lease: Duration::from_millis(50),
-            sweep_interval: Duration::from_millis(20),
-            repair_interval: Duration::from_millis(40),
-            ..MasterConfig::default()
-        },
-        server: ServerConfig {
-            heartbeat: Duration::from_millis(10),
-            ..ServerConfig::default()
-        },
-        rdma: rdma::RdmaConfig {
-            base_timeout: Duration::from_millis(25),
-            ..rdma::RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(servers)
+        ..ClusterConfig::fast_detection(servers)
     })
     .expect("boot")
 }
@@ -1109,25 +1095,18 @@ fn write_racing_a_corrupt_replica_repair_reaches_the_replacement() {
 /// books. Returns when the move's seal took effect.
 fn repair_rollback_run(kill_at: Option<sim::SimTime>) -> sim::SimTime {
     const DONATE: u64 = 1 << 20;
+    let fast = ClusterConfig::fast_detection(3);
     let cluster = Cluster::boot(ClusterConfig {
         clients: 2,
         master: MasterConfig {
-            lease: Duration::from_millis(50),
-            sweep_interval: Duration::from_millis(20),
-            repair_interval: Duration::from_millis(40),
             srv_response_timeout: Duration::from_millis(50),
-            ..MasterConfig::default()
+            ..fast.master
         },
         server: ServerConfig {
             donate: DONATE,
-            heartbeat: Duration::from_millis(10),
-            ..ServerConfig::default()
+            ..fast.server
         },
-        rdma: rdma::RdmaConfig {
-            base_timeout: Duration::from_millis(25),
-            ..rdma::RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(3)
+        ..fast
     })
     .expect("boot");
     let sim = cluster.sim.clone();

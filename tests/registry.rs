@@ -112,31 +112,27 @@ fn emitted() -> BTreeMap<&'static str, BTreeSet<String>> {
     // From time zero, so registration is on record too; the ring must hold
     // the whole run (checked below), or a rare name could be evicted.
     rec.enable(sim::Level::Spans(sim::ForensicsConfig::default()), 1 << 19);
+    let fast = ClusterConfig::fast_detection(4);
     let cluster = Cluster::boot_on(
         sim.clone(),
         ClusterConfig {
             clients: 2,
             master: MasterConfig {
-                lease: Duration::from_millis(50),
-                sweep_interval: Duration::from_millis(20),
-                repair_interval: Duration::from_millis(40),
                 scrub: true,
                 scrub_interval: Duration::from_millis(30),
                 rebalance: true,
                 rebalance_interval: Duration::from_millis(50),
-                ..MasterConfig::default()
+                ..fast.master
             },
             server: ServerConfig {
                 donate: 256 << 10,
-                heartbeat: Duration::from_millis(10),
-                ..ServerConfig::default()
+                ..fast.server
             },
             rdma: rdma::RdmaConfig {
-                base_timeout: Duration::from_millis(25),
                 inline_max: 256,
-                ..rdma::RdmaConfig::default()
+                ..fast.rdma
             },
-            ..ClusterConfig::with_servers(4)
+            ..fast
         },
     )
     .expect("boot");
