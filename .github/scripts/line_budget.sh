@@ -6,8 +6,9 @@
 # plane (one channel, one error format: DESIGN.md "Control plane") and of the
 # recording spine in `sim` (one recorder, one per-op handle, one ring:
 # DESIGN.md "Recording spine") and of the fault-episode driver with its three
-# experiments (one worker loop: EXPERIMENTS.md "Fault episodes"), and fails
-# when one outgrows its ceiling.
+# experiments (one worker loop: EXPERIMENTS.md "Fault episodes") and of the
+# device arena (one backing form: DESIGN.md "Arena backing"), and fails when
+# one outgrows its ceiling.
 # Counted: non-blank, non-comment lines before the file's `#[cfg(test)]`
 # `mod tests` pair (a `#[cfg(test)]` on some other item does not end the
 # count).
@@ -53,6 +54,9 @@ fi
 # Outside the three-file total: a second mover beside `move_extent` would
 # not fit under this.
 check crates/core/src/master.rs 1201
+# Likewise: a block is one `Vec`, reserved at `alloc` and as long as what was
+# written; a chunk table beside it would not fit under this.
+check crates/rdma/src/memory.rs 533
 # The five files every control call passes through, as one total: a second
 # channel or a second error format beside the one would not fit under this.
 group 'control plane (5)' 1579 crates/core/src/{client,server,rpc,proto,error}.rs

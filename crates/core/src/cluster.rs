@@ -228,6 +228,17 @@ impl Cluster {
         MemServer::spawn(dev, self.master.node(), self.server_cfg.clone())
     }
 
+    /// `(booked, resident)` summed over every device of the cluster: the
+    /// bytes allocated in its arena ([`RdmaDevice::mem_used`]), and those of
+    /// them that hold stored data and so cost the host memory
+    /// ([`RdmaDevice::mem_resident`]).
+    pub fn mem_footprint(&self) -> (u64, u64) {
+        let devices = self.devices.borrow();
+        devices.iter().fold((0, 0), |(booked, resident), d| {
+            (booked + d.mem_used(), resident + d.mem_resident())
+        })
+    }
+
     /// Runs the simulation on until the messages still in flight have landed
     /// (at most 10 ms of virtual time), then checks that no device of the
     /// cluster holds a pinned payload ([`RdmaDevice::pin_stats`]): a pin is

@@ -28,8 +28,22 @@ use sim::sync::Semaphore;
 use crate::error::{RStoreError, Result};
 use crate::proto::Request;
 
-/// Maximum encoded message size (requests and responses).
+/// Maximum encoded message size (requests and responses). Each end of a
+/// connection books two buffers of this size in its device arena — a
+/// reservation, not a footprint: the arena backs a block only as far as it
+/// is written, so a buffer costs the host its longest message.
 pub const RPC_BUF_BYTES: u64 = 4 * 1024 * 1024;
+
+/// One connection end's two message buffers, or neither. Two blocks, never
+/// one: a first write at the second buffer's offset would zero-fill the
+/// whole first (DESIGN.md "Arena backing").
+fn alloc_bufs(dev: &RdmaDevice) -> std::result::Result<(DmaBuf, DmaBuf), RdmaError> {
+    let first = dev.alloc(RPC_BUF_BYTES)?;
+    let second = dev.alloc(RPC_BUF_BYTES).inspect_err(|_| {
+        let _ = dev.free(first);
+    })?;
+    Ok((first, second))
+}
 
 /// Application-level guard on the *response* wait. The verbs layer times out
 /// a SEND whose delivery is lost (the QP fails and the call errors), but a
@@ -76,8 +90,7 @@ impl RpcClient {
     pub async fn connect(dev: &RdmaDevice, peer: NodeId, service: u16) -> Result<RpcClient> {
         let cq = CompletionQueue::new();
         let qp = dev.connect(peer, service, &cq).await?;
-        let send_buf = dev.alloc(RPC_BUF_BYTES)?;
-        let recv_buf = dev.alloc(RPC_BUF_BYTES)?;
+        let (send_buf, recv_buf) = alloc_bufs(dev)?;
         Ok(RpcClient {
             qp,
             cq,
@@ -311,10 +324,8 @@ pub fn spawn_rpc_server(
             let handler = handler.clone();
             let sim2 = sim.clone();
             sim.spawn(async move {
-                if let Err(e) = serve_connection(dev, sim2, qp, cq, cpu_per_req, handler).await {
-                    // Peer death mid-request: the connection task just ends.
-                    let _ = e;
-                }
+                // Peer death mid-request: the connection task just ends.
+                let _ = serve_connection(dev, sim2, qp, cq, cpu_per_req, handler).await;
             });
         }
     });
@@ -329,33 +340,29 @@ async fn serve_connection(
     cpu_per_req: Duration,
     handler: RpcHandler,
 ) -> std::result::Result<(), RdmaError> {
-    let recv_buf = dev.alloc(RPC_BUF_BYTES)?;
-    let send_buf = dev.alloc(RPC_BUF_BYTES)?;
+    let (recv_buf, send_buf) = alloc_bufs(&dev)?;
     let peer = qp.peer();
     let mut wr = 1u64;
-    qp.post_recv(wr, recv_buf)?;
     let result = async {
+        qp.post_recv(wr, recv_buf)?;
         loop {
             let cqe = cq.next().await;
             if !cqe.status.is_ok() {
                 return Ok(());
             }
-            match cqe.opcode {
-                CqeOpcode::Recv => {
-                    let req = dev.read_mem(recv_buf.addr, cqe.byte_len)?;
-                    // Repost immediately so a back-to-back request can land
-                    // while the handler runs.
-                    wr += 1;
-                    qp.post_recv(wr, recv_buf)?;
-                    sim.sleep(cpu_per_req).await;
-                    let resp = handler(peer, req).await;
-                    debug_assert!(resp.len() as u64 <= RPC_BUF_BYTES, "oversized RPC response");
-                    dev.write_mem(send_buf.addr, &resp)?;
-                    wr += 1;
-                    qp.post_send(wr, send_buf.slice(0, resp.len() as u64), None)?;
-                }
-                CqeOpcode::Send => {}
-                _ => {}
+            // Anything else is a SEND's own completion.
+            if cqe.opcode == CqeOpcode::Recv {
+                let req = dev.read_mem(recv_buf.addr, cqe.byte_len)?;
+                // Repost immediately so a back-to-back request can land
+                // while the handler runs.
+                wr += 1;
+                qp.post_recv(wr, recv_buf)?;
+                sim.sleep(cpu_per_req).await;
+                let resp = handler(peer, req).await;
+                debug_assert!(resp.len() as u64 <= RPC_BUF_BYTES, "oversized RPC response");
+                dev.write_mem(send_buf.addr, &resp)?;
+                wr += 1;
+                qp.post_send(wr, send_buf.slice(0, resp.len() as u64), None)?;
             }
         }
     }
@@ -394,11 +401,38 @@ mod tests {
         let (sim, _fabric, server, client) = setup();
         spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
         let peer = server.node();
-        let out = sim.block_on(async move {
+        sim.block_on(async move {
             let mut rpc = RpcClient::connect(&client, peer, 9).await.unwrap();
-            rpc.call(b"abc").await.unwrap()
+            assert_eq!(rpc.call(b"abc").await.unwrap(), b"cba");
+            // Each end books its two buffers in full and backs them as far
+            // as the one message each has carried.
+            for dev in [&client, &server] {
+                assert_eq!(dev.mem_used(), 2 * RPC_BUF_BYTES);
+                assert_eq!(dev.mem_resident(), 2 * 3);
+            }
         });
-        assert_eq!(out, b"cba");
+    }
+
+    #[test]
+    fn failed_connect_frees_the_buffer_it_got() {
+        // Room for one message buffer but not two, at both ends.
+        let sim = Sim::new();
+        let fabric = Fabric::new(sim.clone(), FabricConfig::default());
+        let tight = RdmaConfig {
+            mem_capacity: RPC_BUF_BYTES * 3 / 2,
+            ..RdmaConfig::default()
+        };
+        let server = RdmaDevice::new(&fabric, tight.clone());
+        let client = RdmaDevice::new(&fabric, tight);
+        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
+        let (peer, dev) = (server.node(), client.clone());
+        let err = sim.block_on(async move { RpcClient::connect(&dev, peer, 9).await.err() });
+        assert!(matches!(
+            err,
+            Some(RStoreError::Rdma(RdmaError::OutOfMemory { .. }))
+        ));
+        sim.run();
+        assert_eq!((client.mem_used(), server.mem_used()), (0, 0));
     }
 
     #[test]

@@ -437,6 +437,12 @@ impl RdmaDevice {
         self.inner.borrow().arena.used()
     }
 
+    /// Of those, the bytes that hold stored data and so cost host memory
+    /// (see [`Arena::resident`]).
+    pub fn mem_resident(&self) -> u64 {
+        self.inner.borrow().arena.resident()
+    }
+
     /// `(live, materialised)` for this device's memory: payloads still
     /// pinned on it, and pins ever copied out (see [`Arena::pin_stats`]).
     pub fn pin_stats(&self) -> (usize, u64) {
@@ -1158,18 +1164,6 @@ impl Qp {
     /// As for [`Qp::post_batch`].
     pub fn post_write(&self, wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> Result<()> {
         self.post_batch(&[Wr::write(wr_id, src, remote)])
-    }
-
-    /// Posts a one-sided RDMA WRITE whose payload is copied from the host
-    /// slice `bytes` into the WQE at post time (see [`WrOp::WriteInline`]);
-    /// the caller may reuse `bytes` immediately.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Qp::post_batch`]; notably [`RdmaError::OutOfBounds`] when
-    /// `bytes` exceeds [`RdmaConfig::inline_max`].
-    pub fn post_write_inline(&self, wr_id: u64, bytes: &[u8], remote: RemoteAddr) -> Result<()> {
-        self.post_batch(&[Wr::write_inline(wr_id, bytes, remote)])
     }
 
     /// Posts a compare-and-swap on a remote u64; the prior value lands in
@@ -2391,8 +2385,12 @@ mod tests {
 
             // Inline write straight from a host slice: no DmaBuf involved.
             let t0 = a.sim().now();
-            cqp.post_write_inline(1, b"inline-hello", mr.token().at(0, 12).unwrap())
-                .unwrap();
+            cqp.post_batch(&[Wr::write_inline(
+                1,
+                b"inline-hello",
+                mr.token().at(0, 12).unwrap(),
+            )])
+            .unwrap();
             let cqe = ccq.next().await;
             let inline_rtt = a.sim().now() - t0;
             assert_eq!(
@@ -2426,7 +2424,7 @@ mod tests {
             let server_buf = b.alloc(8).unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
             let err = cqp
-                .post_write_inline(1, b"x", mr.token().at(0, 1).unwrap())
+                .post_batch(&[Wr::write_inline(1, b"x", mr.token().at(0, 1).unwrap())])
                 .unwrap_err();
             assert!(matches!(err, RdmaError::OutOfBounds { .. }));
         });
@@ -2440,15 +2438,23 @@ mod tests {
             let server_buf = b.alloc(16).unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
             let err = cqp
-                .post_write_inline(1, b"nine-bytes", mr.token().at(0, 10).unwrap())
+                .post_batch(&[Wr::write_inline(
+                    1,
+                    b"nine-bytes",
+                    mr.token().at(0, 10).unwrap(),
+                )])
                 .unwrap_err();
             assert!(matches!(err, RdmaError::OutOfBounds { len: 10, .. }));
             a.sim().sleep(Duration::from_micros(20)).await;
             assert!(ccq.is_empty());
             assert_eq!(a.metrics().counter("rdma.doorbells"), 0);
             // At the cap it goes through.
-            cqp.post_write_inline(2, b"88888888", mr.token().at(0, 8).unwrap())
-                .unwrap();
+            cqp.post_batch(&[Wr::write_inline(
+                2,
+                b"88888888",
+                mr.token().at(0, 8).unwrap(),
+            )])
+            .unwrap();
             assert_eq!(ccq.next().await.status, CqStatus::Success);
         });
     }

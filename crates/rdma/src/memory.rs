@@ -5,7 +5,11 @@
 //! space managed by a first-fit free-list allocator; each allocation may be
 //! *backed* (a real `Vec<u8>`, bytes actually move) or *synthetic* (no
 //! backing store — used for fluid-mode experiments at the 256 GB scale where
-//! only sizes and timing matter).
+//! only sizes and timing matter). A backed block's address range and its
+//! share of [`Arena::used`] are taken when it is allocated, its bytes when
+//! they are written: the `Vec` is reserved at the block's length and is as
+//! long as the highest byte ever written or pinned, and whatever lies above
+//! that reads as zeros without being touched (DESIGN.md "Arena backing").
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -78,8 +82,16 @@ impl MrEntry {
 
 struct Block {
     len: u64,
-    /// `Some` for backed allocations, `None` for synthetic ones.
+    /// `Some` for backed allocations, `None` for synthetic ones. Reserved at
+    /// `len` bytes, so it never reallocates; its length is the *written
+    /// prefix* of the block, and the bytes above it are zeros nobody stored.
     data: Option<Vec<u8>>,
+}
+
+/// The part of `[off, off + len)` that lies inside the written prefix
+/// `data`; the rest of the range reads as zeros.
+fn written(data: &[u8], off: usize, len: usize) -> &[u8] {
+    &data[off.min(data.len())..(off + len).min(data.len())]
 }
 
 /// What a [`Pin`] holds on its source arena until the payload is delivered
@@ -222,6 +234,32 @@ impl Mem {
         Ok((*baddr, block))
     }
 
+    /// The backing vector of the block holding `[addr, addr + len)` (`None`
+    /// on a synthetic block), with its written prefix extended — zero-filled
+    /// — to the end of that range, and the range's offset in it.
+    fn backed_mut(
+        blocks: &mut BTreeMap<u64, Block>,
+        addr: u64,
+        len: u64,
+    ) -> Result<Option<(usize, &mut Vec<u8>)>> {
+        let oob = || RdmaError::OutOfBounds { addr, len };
+        let (&baddr, block) = blocks.range_mut(..=addr).next_back().ok_or_else(oob)?;
+        if addr
+            .checked_add(len)
+            .is_none_or(|end| end > baddr + block.len)
+        {
+            return Err(oob());
+        }
+        let off = (addr - baddr) as usize;
+        let end = off + len as usize;
+        Ok(block.data.as_mut().map(|data| {
+            if data.len() < end {
+                data.resize(end, 0);
+            }
+            (off, data)
+        }))
+    }
+
     /// The one way arena bytes are mutated: `[addr, addr + len)` as a
     /// writable slice (`None` on a synthetic block), after every live pin on
     /// those bytes has been copied out. The slice borrows `blocks` alone, so
@@ -232,19 +270,11 @@ impl Mem {
         addr: u64,
         len: u64,
     ) -> Result<Option<&'a mut [u8]>> {
-        let oob = || RdmaError::OutOfBounds { addr, len };
-        let (&baddr, block) = blocks.range_mut(..=addr).next_back().ok_or_else(oob)?;
-        if addr
-            .checked_add(len)
-            .is_none_or(|end| end > baddr + block.len)
-        {
-            return Err(oob());
-        }
-        let Some(data) = &mut block.data else {
+        let Some((off, data)) = Mem::backed_mut(blocks, addr, len)? else {
             return Ok(None);
         };
-        pins.snapshot(addr, len, baddr, data);
-        let off = (addr - baddr) as usize;
+        // `addr - off` is where the block starts.
+        pins.snapshot(addr, len, addr - off as u64, data);
         Ok(Some(&mut data[off..off + len as usize]))
     }
 
@@ -271,7 +301,8 @@ impl Mem {
 
 /// The bytes under a live pin: its block is live and backed, because
 /// freeing a block copies its pins out first and synthetic blocks are never
-/// pinned.
+/// pinned, and the range is inside the written prefix, because pinning
+/// extends the prefix over it.
 fn pinned_range(blocks: &BTreeMap<u64, Block>, addr: u64, len: u64) -> &[u8] {
     let (baddr, block) = blocks.range(..=addr).next_back().expect("pinned block");
     let data = block.data.as_ref().expect("pinned block is backed");
@@ -380,7 +411,18 @@ impl Arena {
         self.used
     }
 
-    /// Allocates `len` bytes of backed memory (zero-initialized).
+    /// Bytes of backed blocks that hold stored data: the sum of their
+    /// written prefixes, at most [`used`](Self::used). Unlike the process's
+    /// peak RSS it is the same on every host, so it is what tests pin.
+    pub fn resident(&self) -> u64 {
+        let mem = self.mem.borrow();
+        let backed = mem.blocks.values().filter_map(|b| b.data.as_ref());
+        backed.map(|data| data.len() as u64).sum()
+    }
+
+    /// Allocates `len` bytes of backed memory. It reads as zeros; host
+    /// memory is reserved for it now and touched only as far as it is
+    /// written (see [`resident`](Self::resident)).
     ///
     /// # Errors
     ///
@@ -434,12 +476,9 @@ impl Arena {
             self.free.insert(addr + len, tail);
         }
         let data = if backed {
-            Some(vec![
-                0u8;
-                usize::try_from(len).map_err(|_| {
-                    RdmaError::OutOfMemory { requested: len }
-                })?
-            ])
+            let len =
+                usize::try_from(len).map_err(|_| RdmaError::OutOfMemory { requested: len })?;
+            Some(Vec::with_capacity(len))
         } else {
             None
         };
@@ -573,8 +612,12 @@ impl Arena {
         let (baddr, block) = mem.block(addr, len)?;
         Ok(match &block.data {
             Some(data) => {
-                let off = (addr - baddr) as usize;
-                data[off..off + len as usize].to_vec()
+                // One allocation of exactly `len`: `Region::read` hands this
+                // vector to its caller.
+                let mut out = Vec::with_capacity(len as usize);
+                out.extend_from_slice(written(data, (addr - baddr) as usize, len as usize));
+                out.resize(len as usize, 0);
+                out
             }
             None => vec![0u8; len as usize],
         })
@@ -590,13 +633,13 @@ impl Arena {
     pub fn read_into(&self, addr: u64, dst: &mut [u8]) -> Result<()> {
         let mem = self.mem.borrow();
         let (baddr, block) = mem.block(addr, dst.len() as u64)?;
-        match &block.data {
-            Some(data) => {
-                let off = (addr - baddr) as usize;
-                dst.copy_from_slice(&data[off..off + dst.len()]);
-            }
-            None => dst.fill(0),
-        }
+        let stored = match &block.data {
+            Some(data) => written(data, (addr - baddr) as usize, dst.len()),
+            None => &[],
+        };
+        let (head, tail) = dst.split_at_mut(stored.len());
+        head.copy_from_slice(stored);
+        tail.fill(0);
         Ok(())
     }
 
@@ -625,7 +668,9 @@ impl Arena {
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
     pub fn read_payload(&self, addr: u64, len: u64) -> Result<Payload> {
         let mut mem = self.mem.borrow_mut();
-        if mem.block(addr, len)?.1.data.is_none() {
+        // A pin reads a contiguous slice of its block, so the range joins
+        // the written prefix now, as the zeros it reads as.
+        if Mem::backed_mut(&mut mem.blocks, addr, len)?.is_none() {
             return Ok(Payload::Synthetic(len));
         }
         if len == 0 {
@@ -1048,6 +1093,98 @@ mod tests {
         assert!(a
             .write_payload(backed.addr + 1, &Payload::Synthetic(64))
             .is_err());
+    }
+
+    #[test]
+    fn unwritten_block_reads_zero_and_costs_nothing() {
+        let mut a = Arena::new(1 << 30);
+        let b = a.alloc_aligned(1 << 20, 8).unwrap();
+        assert_eq!((a.used(), a.resident()), (1 << 20, 0));
+        assert_eq!(a.read(b.addr + 5, 100).unwrap(), vec![0u8; 100]);
+        let mut dst = [7u8; 100];
+        a.read_into(b.addr + (1 << 20) - 100, &mut dst).unwrap();
+        assert_eq!(dst, [0u8; 100]);
+        assert_eq!(a.read_u64(b.addr + 4096).unwrap(), 0);
+        assert_eq!(a.resident(), 0, "reads back nothing");
+        // A pin is a slice of the block: it takes the range, and what lies
+        // below it, into the written prefix.
+        let payload = a.read_payload(b.addr + 1000, 24).unwrap();
+        assert_eq!(a.resident(), 1024);
+        let mut dst = Arena::new(4096);
+        let land = dst.alloc(24).unwrap();
+        dst.write(land.addr, &[9u8; 24]).unwrap();
+        dst.write_payload(land.addr, &payload).unwrap();
+        assert_eq!(dst.read(land.addr, 24).unwrap(), vec![0u8; 24]);
+        a.free(b).unwrap();
+        assert_eq!((a.used(), a.resident()), (0, 0));
+    }
+
+    #[test]
+    fn write_backs_the_block_up_to_its_end_only() {
+        let mut a = Arena::new(1 << 20);
+        let other = a.alloc(64).unwrap();
+        let b = a.alloc(4096).unwrap();
+        a.write(b.addr + 100, &[3u8; 28]).unwrap();
+        assert_eq!(a.resident(), 128, "k + n, and nothing for the other block");
+        assert_eq!(a.read(b.addr, 100).unwrap(), vec![0u8; 100]);
+        // A read that straddles the written prefix: prefix, then zeros.
+        let mut want = vec![3u8; 8];
+        want.resize(40, 0);
+        assert_eq!(a.read(b.addr + 120, 40).unwrap(), want);
+        let mut got = [1u8; 40];
+        a.read_into(b.addr + 120, &mut got).unwrap();
+        assert_eq!(got[..], want[..]);
+        // A write below the prefix leaves it where it is; the last byte of
+        // the block is as far as it goes.
+        a.write_u64(b.addr + 8, u64::MAX).unwrap();
+        assert_eq!(a.resident(), 128);
+        a.write(b.addr + 4095, &[1]).unwrap();
+        assert_eq!(a.resident(), 4096);
+        assert!(a.write(b.addr + 4095, &[1, 2]).is_err());
+        assert_eq!(a.read(other.addr, 64).unwrap(), vec![0u8; 64]);
+    }
+
+    #[test]
+    fn pin_on_an_unwritten_range_still_reads_zero_after_a_write_or_a_free() {
+        let mut src = Arena::new(1 << 20);
+        let mut dst = Arena::new(4096);
+        let land = dst.alloc(64).unwrap();
+        let buf = src.alloc(256).unwrap();
+        let written_later = src.read_payload(buf.addr + 64, 64).unwrap();
+        let freed_later = src.read_payload(buf.addr + 192, 64).unwrap();
+        assert_eq!(src.pin_stats(), (2, 0));
+        src.write(buf.addr + 64, &[6u8; 64]).unwrap();
+        assert_eq!(src.pin_stats(), (2, 1), "the copy-out still fires");
+        src.free(buf).unwrap();
+        assert_eq!(src.pin_stats(), (2, 2));
+        for payload in [written_later, freed_later] {
+            dst.write(land.addr, &[9u8; 64]).unwrap();
+            dst.write_payload(land.addr, &payload).unwrap();
+            assert_eq!(dst.read(land.addr, 64).unwrap(), vec![0u8; 64]);
+        }
+        assert_eq!(src.pin_stats(), (0, 2));
+    }
+
+    #[test]
+    fn corruption_of_an_unwritten_registration_flips_zeros() {
+        let flip = |seed| {
+            let mut a = Arena::new(1 << 20);
+            let buf = a.alloc(4096).unwrap();
+            a.register(buf, Access::REMOTE_ALL).unwrap();
+            let flips = a.corrupt_registered(&mut sim::DetRng::new(seed), 4);
+            let image = a.read(buf.addr, 4096).unwrap();
+            (flips, image, a.resident())
+        };
+        let (flips, image, resident) = flip(7);
+        assert_eq!(flips.len(), 4);
+        let mut want = vec![0u8; 4096];
+        for &(addr, bit) in &flips {
+            want[addr as usize] ^= 1 << bit;
+        }
+        assert_eq!(image, want);
+        let top = flips.iter().map(|&(addr, _)| addr).max().unwrap();
+        assert_eq!(resident, top + 1, "backed up to the highest flipped byte");
+        assert_eq!(flip(7), (flips, image, resident), "same seed, same flips");
     }
 
     #[test]

@@ -280,3 +280,33 @@ fn data_path_ops_leave_no_events_behind() {
     });
     cluster.assert_pins_released();
 }
+
+#[test]
+fn control_connections_book_gigabytes_and_back_kilobytes() {
+    // 64 heartbeating servers and 32 connected clients: every control
+    // connection books four message buffers, two at each end, and has
+    // carried a few hundred bytes. What the host pays for is the latter.
+    let cluster = Cluster::boot(ClusterConfig {
+        clients: 32,
+        ..ClusterConfig::fast_detection(64)
+    })
+    .expect("boot");
+    let sim = cluster.sim.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    // Held to the end: a dropped client frees its buffers.
+    let _clients = sim.clone().block_on(async move {
+        let mut clients = Vec::new();
+        for dev in &devs {
+            clients.push(RStoreClient::connect(dev, master).await.unwrap());
+        }
+        sim.sleep(Duration::from_millis(50)).await;
+        clients
+    });
+    let (booked, resident) = cluster.mem_footprint();
+    assert!(booked > 1 << 30, "{booked} bytes booked");
+    assert!(
+        resident < rstore::rpc::RPC_BUF_BYTES,
+        "{resident} of {booked} booked bytes are backed: less than one buffer should be"
+    );
+}

@@ -163,6 +163,113 @@ fn pinned_payloads_match_eager_copies() {
     });
 }
 
+/// Lazy backing against a shadow of eagerly zero-filled vectors, one per
+/// block: under random alloc / aligned alloc / write / word write / read /
+/// sample / deliver / free sequences on two arenas, every byte read and
+/// every payload delivered is what the shadow holds, `used` is the shadow's
+/// size, and `resident` never exceeds it.
+#[test]
+fn lazily_backed_blocks_match_an_eager_shadow() {
+    type Shadow = Vec<(DmaBuf, Vec<u8>)>;
+    /// A block of the shadow and a sub-range `(offset, len)` of it.
+    fn sub_range(rng: &mut DetRng, shadow: &Shadow) -> (usize, usize, usize) {
+        let i = rng.index(shadow.len());
+        let len = shadow[i].1.len();
+        let off = rng.index(len);
+        (i, off, rng.index(len - off + 1))
+    }
+    cases("lazily_backed_blocks_match_an_eager_shadow", 96, |rng| {
+        let mut arenas = [Arena::new(64 * 1024), Arena::new(64 * 1024)];
+        let mut shadows: [Shadow; 2] = [Vec::new(), Vec::new()];
+        let mut in_flight: Vec<(rdma::wire::Payload, Vec<u8>)> = Vec::new();
+        for _ in 0..rng.range_u64(20, 300) {
+            let side = rng.index(2);
+            let (arena, shadow) = (&mut arenas[side], &mut shadows[side]);
+            match rng.index(8) {
+                0 => {
+                    let len = rng.range_u64(1, 8192);
+                    let got = if rng.chance(0.5) {
+                        arena.alloc(len)
+                    } else {
+                        arena.alloc_aligned(len, 8)
+                    };
+                    if let Ok(buf) = got {
+                        shadow.push((buf, vec![0u8; len as usize]));
+                    }
+                }
+                1 if !shadow.is_empty() => {
+                    let (buf, _) = shadow.swap_remove(rng.index(shadow.len()));
+                    arena.free(buf).unwrap();
+                }
+                2 if !shadow.is_empty() => {
+                    let (i, off, len) = sub_range(rng, shadow);
+                    let (buf, bytes) = &mut shadow[i];
+                    rng.fill_bytes(&mut bytes[off..off + len]);
+                    let addr = buf.addr + off as u64;
+                    arena.write(addr, &bytes[off..off + len]).unwrap();
+                }
+                3 if !shadow.is_empty() => {
+                    let (i, off, _) = sub_range(rng, shadow);
+                    let (buf, bytes) = &mut shadow[i];
+                    let addr = (buf.addr + off as u64).next_multiple_of(8);
+                    let off = (addr - buf.addr) as usize;
+                    if off + 8 <= bytes.len() {
+                        let word = rng.next_u64();
+                        bytes[off..off + 8].copy_from_slice(&word.to_le_bytes());
+                        arena.write_u64(addr, word).unwrap();
+                        assert_eq!(arena.read_u64(addr).unwrap(), word);
+                    }
+                }
+                4 if !shadow.is_empty() => {
+                    let (i, off, len) = sub_range(rng, shadow);
+                    let (buf, bytes) = &shadow[i];
+                    let addr = buf.addr + off as u64;
+                    assert_eq!(arena.read(addr, len as u64).unwrap(), bytes[off..off + len]);
+                    let mut into = vec![0xAAu8; len];
+                    arena.read_into(addr, &mut into).unwrap();
+                    assert_eq!(into, bytes[off..off + len]);
+                }
+                5 if !shadow.is_empty() => {
+                    let (i, off, len) = sub_range(rng, shadow);
+                    let (buf, bytes) = &shadow[i];
+                    let payload = arena.read_payload(buf.addr + off as u64, len as u64);
+                    in_flight.push((payload.unwrap(), bytes[off..off + len].to_vec()));
+                }
+                6 if !in_flight.is_empty() => {
+                    // Onto the arena it was sampled from or the other one.
+                    let i = rng.index(in_flight.len());
+                    let fits = shadow
+                        .iter_mut()
+                        .find(|(_, b)| b.len() >= in_flight[i].1.len());
+                    if let Some((buf, bytes)) = fits {
+                        let (payload, sampled) = in_flight.swap_remove(i);
+                        let off = rng.index(bytes.len() - sampled.len() + 1);
+                        bytes[off..off + sampled.len()].copy_from_slice(&sampled);
+                        arena
+                            .write_payload(buf.addr + off as u64, &payload)
+                            .unwrap();
+                        assert_eq!(arena.read(buf.addr, buf.len).unwrap(), *bytes);
+                    }
+                }
+                7 if !in_flight.is_empty() => {
+                    in_flight.swap_remove(rng.index(in_flight.len()));
+                }
+                _ => {}
+            }
+            for (arena, shadow) in arenas.iter().zip(&shadows) {
+                let used: u64 = shadow.iter().map(|(buf, _)| buf.len).sum();
+                assert_eq!(arena.used(), used);
+                assert!(arena.resident() <= used);
+            }
+        }
+        for (arena, shadow) in arenas.iter().zip(&shadows) {
+            for (buf, bytes) in shadow {
+                assert_eq!(arena.read(buf.addr, buf.len).unwrap(), *bytes);
+            }
+        }
+    });
+}
+
 // --- stripe layout ---------------------------------------------------------------
 
 fn random_desc(rng: &mut DetRng) -> RegionDesc {
