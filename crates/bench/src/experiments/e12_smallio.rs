@@ -11,6 +11,11 @@
 //!   same verified read with `pipeline_depth` 1 vs 16 — post→await→post vs
 //!   a bounded in-flight window of stripes.
 //!
+//! And one arm that is about bytes, not speedups: **`ck_substripe`** — 4 KiB
+//! verified reads and writes on a 64 KiB-stripe checksummed region, where an
+//! IO is a sixteenth of its stripe. It must move its checksum block and the
+//! block's entry, not the stripe (`ck_substripe_no_amplification`).
+//!
 //! Everything is seeded and deterministic: two runs produce byte-identical
 //! tables and JSON.
 
@@ -50,11 +55,43 @@ pub struct SizeStats {
     pub ck_inflight_max: u64,
 }
 
+/// The sub-stripe arm: awaited 4 KiB verified reads and writes on a
+/// checksummed region whose stripe is sixteen times the IO.
+#[derive(Clone, Copy, Debug)]
+pub struct SubStripeStats {
+    /// Request size in bytes.
+    pub io_bytes: u64,
+    /// Stripe size of the region.
+    pub stripe_bytes: u64,
+    /// Replicas of every stripe (a write reaches each).
+    pub replicas: u64,
+    /// Throughput of the awaited verified reads.
+    pub read_gbps: f64,
+    /// Throughput of the awaited verified writes.
+    pub write_gbps: f64,
+    /// Wire bytes per read, requests and headers included (op ledger).
+    pub read_wire_bytes_per_op: f64,
+    /// Wire bytes per write, all replicas together (op ledger).
+    pub write_wire_bytes_per_op: f64,
+}
+
+impl SubStripeStats {
+    /// Whether an IO moved less than 1.05x its size per replica it touches:
+    /// its block and the block's entry, not its stripe.
+    pub fn no_amplification(&self) -> bool {
+        let bound = 1.05 * self.io_bytes as f64;
+        self.read_wire_bytes_per_op < bound
+            && self.write_wire_bytes_per_op < bound * self.replicas as f64
+    }
+}
+
 /// Aggregate E12 results.
 #[derive(Clone, Debug)]
 pub struct SmallIoStats {
     /// One entry per size in [`SIZES`] order.
     pub sizes: Vec<SizeStats>,
+    /// The sub-stripe verified-IO arm.
+    pub ck_substripe: SubStripeStats,
     /// Reads whose bytes did not match the prefilled pattern (must be 0).
     pub data_errors: u64,
 }
@@ -97,7 +134,87 @@ pub fn measure() -> SmallIoStats {
         sizes.push(stats);
         data_errors += errs;
     }
-    SmallIoStats { sizes, data_errors }
+    let (ck_substripe, errs) = measure_substripe();
+    SmallIoStats {
+        sizes,
+        ck_substripe,
+        data_errors: data_errors + errs,
+    }
+}
+
+/// The `ck_substripe` arm, on a cluster of its own with recording at
+/// `Level::Costs`: the per-op wire bytes are the op ledger's, so control
+/// traffic in the window is not in them.
+fn measure_substripe() -> (SubStripeStats, u64) {
+    const IO: u64 = 4 << 10;
+    const STRIPE: u64 = 64 << 10;
+    const REPLICAS: u64 = 2;
+    let cluster = Cluster::boot(ClusterConfig {
+        clients: 1,
+        ..ClusterConfig::with_servers(4)
+    })
+    .expect("boot");
+    let sim = cluster.sim.clone();
+    sim.recorder().enable(Level::Costs, 0);
+    sim.clone().block_on(async move {
+        let dev = cluster.client_devs[0].clone();
+        let client = cluster.client(0).await.expect("client");
+        let total = OPS * IO;
+        let opts = AllocOptions {
+            stripe_size: STRIPE,
+            replicas: REPLICAS as u8,
+            checksums: true,
+            ..AllocOptions::default()
+        };
+        let region = client.alloc("e12sub", total, opts).await.expect("alloc");
+        region.write(0, &pattern(0, total)).await.expect("prefill");
+        let buf = dev.alloc(IO).expect("buf");
+        region.read_into(0, buf).await.expect("warm");
+        let before = sim::ledger::summarize(&dev.metrics());
+        let mut errs = 0u64;
+
+        let t0 = sim.now();
+        for op in 0..OPS {
+            region.read_into(op * IO, buf).await.expect("read");
+            errs += verify(&region, buf.addr, op * IO, IO);
+        }
+        let read_secs = (sim.now() - t0).as_secs_f64();
+
+        // Every block is overwritten with the pattern of the block after it
+        // (the offsets are not a multiple of the pattern's period).
+        let t0 = sim.now();
+        for op in 0..OPS {
+            let fresh = pattern((op + 1) * IO, IO);
+            dev.write_mem(buf.addr, &fresh).expect("local write");
+            region.write_from(op * IO, buf).await.expect("write");
+        }
+        let write_secs = (sim.now() - t0).as_secs_f64();
+        let after = sim::ledger::summarize(&dev.metrics());
+        let shifted = region.read(0, total).await.expect("read back");
+        errs += u64::from(shifted != pattern(IO, total));
+        dev.free(buf).expect("free");
+
+        // Wire bytes per op over the timed loops alone.
+        let wire = |op: &str| {
+            let row = |rows: &[OpSummary]| {
+                let r = rows.iter().find(|r| r.op == op).expect("ledger row");
+                (r.bytes_total, r.count)
+            };
+            let ((b0, n0), (b1, n1)) = (row(&before), row(&after));
+            (b1 - b0) as f64 / (n1 - n0) as f64
+        };
+        let gbps = |secs: f64| total as f64 * 8.0 / secs / 1e9;
+        let stats = SubStripeStats {
+            io_bytes: IO,
+            stripe_bytes: STRIPE,
+            replicas: REPLICAS,
+            read_gbps: gbps(read_secs),
+            write_gbps: gbps(write_secs),
+            read_wire_bytes_per_op: wire("read_ck"),
+            write_wire_bytes_per_op: wire("write_ck"),
+        };
+        (stats, errs)
+    })
 }
 
 fn measure_size(size: u64) -> (SizeStats, u64) {
@@ -384,7 +501,29 @@ pub fn tables(stats: &SmallIoStats) -> Vec<Table> {
         "pipeline_depth 1 vs 16; data errors across all arms: {}",
         stats.data_errors
     ));
-    vec![t1, t2]
+
+    let z = &stats.ck_substripe;
+    let mut t3 = Table::new(
+        "E12c: sub-stripe verified IO (4 KiB ops, 64 KiB checksummed stripes, 2 replicas)",
+        &["op", "Gb/s", "wire B/op", "x IO size"],
+    );
+    for (op, gbps, wire) in [
+        ("read", z.read_gbps, z.read_wire_bytes_per_op),
+        ("write", z.write_gbps, z.write_wire_bytes_per_op),
+    ] {
+        t3.row(vec![
+            op.into(),
+            format!("{gbps:.2}"),
+            format!("{wire:.0}"),
+            format!("{:.3}", wire / z.io_bytes as f64),
+        ]);
+    }
+    t3.note(format!(
+        "awaited per-op; an IO moves its 4 KiB checksum block and the block's entry per replica, \
+         not its stripe: no amplification = {}",
+        z.no_amplification()
+    ));
+    vec![t1, t2, t3]
 }
 
 #[cfg(test)]
@@ -412,6 +551,10 @@ mod tests {
                 s.size
             );
         }
+        let z = &stats.ck_substripe;
+        assert!(z.no_amplification(), "sub-stripe IO moves stripes: {z:?}");
+        assert!(z.read_wire_bytes_per_op > z.io_bytes as f64);
+        assert!(z.write_wire_bytes_per_op > (z.replicas * z.io_bytes) as f64);
     }
 
     #[test]

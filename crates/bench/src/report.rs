@@ -419,6 +419,24 @@ pub fn experiment_json(id: &str) -> Json {
             "smallio".to_string(),
             Json::obj([
                 ("sizes".to_string(), Json::Arr(sizes)),
+                ("ck_substripe".to_string(), {
+                    let z = &s.ck_substripe;
+                    Json::obj([
+                        ("io_bytes".to_string(), Json::int(z.io_bytes)),
+                        ("stripe_bytes".to_string(), Json::int(z.stripe_bytes)),
+                        ("replicas".to_string(), Json::int(z.replicas)),
+                        ("read_gbps".to_string(), Json::float(z.read_gbps)),
+                        ("write_gbps".to_string(), Json::float(z.write_gbps)),
+                        (
+                            "read_wire_bytes_per_op".to_string(),
+                            Json::float(z.read_wire_bytes_per_op),
+                        ),
+                        (
+                            "write_wire_bytes_per_op".to_string(),
+                            Json::float(z.write_wire_bytes_per_op),
+                        ),
+                    ])
+                }),
                 ("data_errors".to_string(), Json::int(s.data_errors)),
                 ("speedup_4k".to_string(), Json::float(s.speedup_4k())),
                 (
@@ -435,6 +453,10 @@ pub fn experiment_json(id: &str) -> Json {
         asserts.eq("data_errors", s.data_errors, 0);
         asserts.holds("speedup_4k_ok", s.speedup_4k() >= 1.5);
         asserts.holds("batched_doorbells_lt_one", s.batched_doorbells_4k() < 1.0);
+        asserts.holds(
+            "ck_substripe_no_amplification",
+            s.ck_substripe.no_amplification(),
+        );
         asserts.holds(
             "multi_get_doorbells_lt_one",
             profile.multi_get_doorbells_lt_one(),

@@ -23,10 +23,67 @@
 //! (or once per `crc32c` call), never inside the byte loop; hot call sites
 //! that checksum many buffers hoist a `Crc32c` and pay the atomic load once.
 //!
-//! Stripe trailers store the CRC widened to a u64 (high 32 bits zero) so the
-//! trailer slot stays 8-byte sized and future algorithms have headroom.
+//! A checksummed stripe is guarded per [`CK_BLOCK`] of its data: its trailer
+//! holds one entry per block, the block's CRC widened to a u64 (high 32 bits
+//! zero) so the slot stays 8-byte sized and future algorithms have headroom.
+//! [`seal_blocks`] and [`verify_blocks`] are the one place that format is
+//! written and checked (DESIGN.md, "Checksum blocks").
 
 use std::sync::OnceLock;
+
+use crate::proto::CK_BYTES;
+
+/// Bytes of stripe data one trailer entry guards. A stripe's last block may
+/// be short; a stripe of at most one block has the single-CRC trailer.
+pub const CK_BLOCK: u64 = 4096;
+
+/// Bytes of trailer behind a stripe of `len` data bytes: one entry per block.
+pub fn trailer_len(len: u64) -> u64 {
+    CK_BYTES * len.div_ceil(CK_BLOCK)
+}
+
+/// One trailer entry: `block`'s CRC32C as a little-endian u64.
+fn entry(ck: &Crc32c, block: &[u8]) -> [u8; CK_BYTES as usize] {
+    (ck.checksum(block) as u64).to_le_bytes()
+}
+
+/// Seals `data` into `entries`, one entry per block. `data` starts on a
+/// block boundary of its stripe and runs whole blocks from there; only the
+/// stripe's last block may be short.
+pub fn seal_blocks(data: &[u8], entries: &mut [u8]) {
+    debug_assert_eq!(entries.len() as u64, trailer_len(data.len() as u64));
+    let ck = Crc32c::new();
+    let slots = entries.chunks_exact_mut(CK_BYTES as usize);
+    for (block, slot) in data.chunks(CK_BLOCK as usize).zip(slots) {
+        slot.copy_from_slice(&entry(&ck, block));
+    }
+}
+
+/// Checks `data` (laid out as for [`seal_blocks`]) against `entries`: the
+/// index of the first block whose CRC is not its entry, `None` when every
+/// block verifies.
+pub fn verify_blocks(data: &[u8], entries: &[u8]) -> Option<usize> {
+    debug_assert_eq!(entries.len() as u64, trailer_len(data.len() as u64));
+    let ck = Crc32c::new();
+    let slots = entries.chunks_exact(CK_BYTES as usize);
+    data.chunks(CK_BLOCK as usize)
+        .zip(slots)
+        .position(|(block, slot)| entry(&ck, block) != slot)
+}
+
+/// The trailer of a never-written (all-zero) stripe of `len` bytes, so that
+/// it verifies clean. Two CRCs whatever the length: a zero block's and the
+/// short tail's.
+pub fn zero_trailer(len: u64) -> Vec<u8> {
+    let zeros = [0u8; CK_BLOCK as usize];
+    let ck = Crc32c::new();
+    let mut trailer = entry(&ck, &zeros).repeat((len / CK_BLOCK) as usize);
+    let tail = (len % CK_BLOCK) as usize;
+    if tail > 0 {
+        trailer.extend(entry(&ck, &zeros[..tail]));
+    }
+    trailer
+}
 
 /// Reflected CRC32C polynomial.
 const POLY: u32 = 0x82F6_3B78;
@@ -192,6 +249,38 @@ mod tests {
         assert_eq!(crc32c(&[0xFFu8; 32]), 0x62A8_AB43);
         let ascending: Vec<u8> = (0..32u8).collect();
         assert_eq!(crc32c(&ascending), 0x46DD_794E);
+    }
+
+    /// The block codec: one entry per 4 KiB with a short tail, a one-block
+    /// stripe keeps the single-CRC trailer, a flip is pinned to its block,
+    /// and a zero stripe's trailer is what sealing the zeros gives.
+    #[test]
+    fn block_codec_seals_verifies_and_localizes() {
+        let mut rng = DetRng::new(0xB10C);
+        for len in [1usize, 1024, 4096, 4097, 6 << 10, 64 << 10] {
+            let mut data = vec![0u8; len];
+            let mut entries = vec![0u8; trailer_len(len as u64) as usize];
+            assert_eq!(entries.len(), len.div_ceil(4096) * 8);
+            seal_blocks(&data, &mut entries);
+            assert_eq!(entries, zero_trailer(len as u64), "len={len}");
+            rng.fill_bytes(&mut data);
+            seal_blocks(&data, &mut entries);
+            assert_eq!(verify_blocks(&data, &entries), None);
+            if len <= CK_BLOCK as usize {
+                assert_eq!(entries, (crc32c(&data) as u64).to_le_bytes());
+            }
+            let last = (len - 1) / 4096;
+            data[len - 1] ^= 0x10;
+            assert_eq!(verify_blocks(&data, &entries), Some(last), "len={len}");
+            data[len - 1] ^= 0x10;
+            entries[0] ^= 1;
+            assert_eq!(verify_blocks(&data, &entries), Some(0));
+            // A sub-range from a block boundary verifies on its own entries.
+            let tail = last * 4096;
+            assert_eq!(verify_blocks(&data[tail..], &entries[last * 8..]), {
+                (last == 0).then_some(0)
+            });
+        }
     }
 
     #[test]

@@ -1,7 +1,8 @@
 //! Striping math: mapping logical region offsets to stripe extents.
 
+use crate::crc::{trailer_len, CK_BLOCK};
 use crate::error::{RStoreError, Result};
-use crate::proto::RegionDesc;
+use crate::proto::{RegionDesc, CK_BYTES};
 
 /// One contiguous piece of an IO after striping: byte range `buf_offset ..
 /// buf_offset + len` of the caller's buffer maps to `offset_in_stripe ..` of
@@ -16,6 +17,72 @@ pub struct Piece {
     pub len: u64,
     /// Start offset within the caller's buffer.
     pub buf_offset: u64,
+}
+
+/// Checksum-block geometry (DESIGN.md, "Checksum blocks"): a checksummed
+/// stripe of `stripe_len` bytes is followed in its extent by one
+/// [`CK_BYTES`] entry per [`CK_BLOCK`] of data, and a verified IO moves
+/// whole blocks with their entries.
+impl Piece {
+    /// The frame of a verified IO on this piece: the two ranges of the
+    /// extent it moves — the blocks that cover the piece, and their trailer
+    /// entries (addressed past the stripe's end) — as pieces into one staging
+    /// image, the data at 0 and the entries behind it.
+    pub fn ck_frame(&self, stripe_len: u64) -> [Piece; 2] {
+        let b0 = self.offset_in_stripe / CK_BLOCK;
+        let b1 = (self.offset_in_stripe + self.len).div_ceil(CK_BLOCK);
+        let data = Piece {
+            offset_in_stripe: b0 * CK_BLOCK,
+            len: (b1 * CK_BLOCK).min(stripe_len) - b0 * CK_BLOCK,
+            buf_offset: 0,
+            ..*self
+        };
+        let entries = Piece {
+            offset_in_stripe: stripe_len + CK_BYTES * b0,
+            len: trailer_len(data.len),
+            buf_offset: data.len,
+            ..data
+        };
+        [data, entries]
+    }
+
+    /// The one piece covering this piece and `next`, when `next` continues
+    /// it both in the stripe and in the buffer. For a frame that is the
+    /// whole-stripe case: data and trailer are one range of the extent.
+    pub fn join(&self, next: &Piece) -> Option<Piece> {
+        let meets = self.group == next.group
+            && self.offset_in_stripe + self.len == next.offset_in_stripe
+            && self.buf_offset + self.len == next.buf_offset;
+        meets.then_some(Piece {
+            len: self.len + next.len,
+            ..*self
+        })
+    }
+
+    /// What a verified write of this piece must read before it can seal
+    /// `data`, the data piece of its frame: the first and the last block of
+    /// the frame where the write covers them only in part, as pieces into
+    /// the frame's image. A block the write covers whole (or to the stripe's
+    /// end) is not read and its piece is empty; when both are needed and are
+    /// the same block or neighbours, the first piece spans them and the
+    /// second is empty.
+    pub fn ck_partial(&self, data: &Piece) -> [Piece; 2] {
+        let lo = self.offset_in_stripe - data.offset_in_stripe;
+        let (head, tail) = (lo > 0, lo + self.len < data.len);
+        let last = (data.len - 1) / CK_BLOCK * CK_BLOCK;
+        let block = |from: u64, to: u64| Piece {
+            offset_in_stripe: data.offset_in_stripe + from,
+            len: to - from,
+            buf_offset: from,
+            ..*data
+        };
+        if head && tail && last <= CK_BLOCK {
+            return [block(0, data.len), block(0, 0)];
+        }
+        let head_end = if head { CK_BLOCK.min(data.len) } else { 0 };
+        let tail_start = if tail { last } else { data.len };
+        [block(0, head_end), block(tail_start, data.len)]
+    }
 }
 
 /// Precomputed logical-offset index over a region's stripes.
@@ -152,6 +219,73 @@ mod tests {
             state: RegionState::Healthy,
             checksums: false,
         }
+    }
+
+    fn piece(offset_in_stripe: u64, len: u64) -> Piece {
+        Piece {
+            group: 3,
+            offset_in_stripe,
+            len,
+            buf_offset: 77,
+        }
+    }
+
+    #[test]
+    fn ck_frame_covers_the_piece_with_whole_blocks_and_their_entries() {
+        let k = CK_BLOCK;
+        // An aligned block of a 64 KiB stripe: that block and its entry.
+        let [data, entries] = piece(5 * k, k).ck_frame(16 * k);
+        assert_eq!(
+            (data.offset_in_stripe, data.len, data.buf_offset),
+            (5 * k, k, 0)
+        );
+        assert_eq!((entries.offset_in_stripe, entries.len), (16 * k + 5 * 8, 8));
+        assert_eq!((entries.buf_offset, entries.group), (k, 3));
+        assert_eq!(data.join(&entries), None, "a gap of blocks and entries");
+        // 100 bytes across a block boundary: two blocks, two entries.
+        let [data, entries] = piece(2 * k - 50, 100).ck_frame(16 * k);
+        assert_eq!((data.offset_in_stripe, data.len), (k, 2 * k));
+        assert_eq!((entries.offset_in_stripe, entries.len), (16 * k + 8, 16));
+        // A short last block (6 KiB stripe = 4 KiB + 2 KiB).
+        let [data, entries] = piece(k + 10, 20).ck_frame(6 << 10);
+        assert_eq!((data.offset_in_stripe, data.len), (k, 2 << 10));
+        assert_eq!((entries.offset_in_stripe, entries.len), ((6 << 10) + 8, 8));
+        // A whole stripe is one range: data, then every entry.
+        let [data, entries] = piece(0, 6 << 10).ck_frame(6 << 10);
+        let whole = data.join(&entries).expect("whole stripe joins");
+        assert_eq!((whole.offset_in_stripe, whole.len), (0, (6 << 10) + 16));
+        // A stripe of at most one block keeps the single-CRC layout.
+        let [data, entries] = piece(100, 24).ck_frame(1 << 10);
+        assert_eq!(data.join(&entries).map(|p| p.len), Some((1 << 10) + 8));
+    }
+
+    #[test]
+    fn ck_partial_names_only_the_boundary_blocks() {
+        let k = CK_BLOCK;
+        let partial = |offset: u64, len: u64, stripe: u64| {
+            let p = piece(offset, len);
+            let [data, _] = p.ck_frame(stripe);
+            p.ck_partial(&data)
+                .map(|b| (b.offset_in_stripe, b.len, b.buf_offset))
+        };
+        // Block-aligned, or running to the stripe's end: nothing to read.
+        assert_eq!(partial(4 * k, 2 * k, 16 * k).map(|b| b.1), [0, 0]);
+        assert_eq!(partial(k, (6 << 10) - k, 6 << 10).map(|b| b.1), [0, 0]);
+        // Inside one block: that block, once.
+        assert_eq!(partial(300, 100, 16 * k), [(0, k, 0), (0, 0, 0)]);
+        // Across a boundary: the two neighbours as one fetch.
+        assert_eq!(partial(2 * k - 50, 100, 16 * k), [(k, 2 * k, 0), (k, 0, 0)]);
+        // Head only / tail only.
+        assert_eq!(partial(10, 2 * k - 10, 16 * k).map(|b| b.1), [k, 0]);
+        assert_eq!(partial(k, k + 5, 16 * k), [(k, 0, 0), (2 * k, k, k)]);
+        // Both ends partial, blocks apart: two fetches, the middle untouched.
+        assert_eq!(
+            partial(k + 1, 3 * k, 16 * k),
+            [(k, k, 0), (4 * k, k, 3 * k)]
+        );
+        // A short last block is fetched at its own length.
+        assert_eq!(partial(k + 1, 10, 6 << 10), [(k, 2 << 10, 0), (k, 0, 0)]);
+        assert_eq!(partial(0, k + 10, 6 << 10), [(0, 0, 0), (k, 2 << 10, k)]);
     }
 
     #[test]

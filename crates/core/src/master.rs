@@ -14,10 +14,10 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use fabric::NodeId;
-use rdma::{CompletionQueue, CqStatus, Qp, RKey, RdmaDevice, RemoteAddr};
+use rdma::{CompletionQueue, CqStatus, DmaBuf, Qp, RKey, RdmaDevice, RemoteAddr};
 use sim::{DetRng, Event, Sim, SimTime};
 
-use crate::crc::crc32c;
+use crate::crc::verify_blocks;
 use crate::error::{RStoreError, Result};
 use crate::proto::{
     extent_alloc_len, AllocOptions, ClusterReport, ClusterStats, CtrlReq, CtrlResp, Extent, Policy,
@@ -46,7 +46,7 @@ pub struct MasterConfig {
     pub repair: bool,
     /// How often the repair task scans for degraded regions.
     pub repair_interval: Duration,
-    /// Whether the background scrubber runs, re-verifying stripe checksums
+    /// Whether the background scrubber runs, re-verifying the checksum blocks
     /// of checksummed regions with one-sided READs and marking mismatching
     /// replicas corrupt (handing them to the repair task).
     pub scrub: bool,
@@ -348,17 +348,15 @@ impl Master {
             });
         }
 
-        // Scrubber: periodically re-verify stripe checksums of checksummed
+        // Scrubber: periodically re-verify the checksum blocks of checksummed
         // regions with one-sided READs, marking mismatches for repair.
         if master.cfg.scrub {
             let m = master.clone();
             master.sim.spawn(async move {
-                let cq = CompletionQueue::new();
-                let mut conns: HashMap<u32, Qp> = HashMap::new();
-                let mut next_wr = 1u64;
+                let mut scrub = Scrubber::default();
                 loop {
                     m.sim.sleep(m.cfg.scrub_interval).await;
-                    m.scrub_sweep(&cq, &mut conns, &mut next_wr).await;
+                    m.scrub_sweep(&mut scrub).await;
                     m.stats.scrub_passes.incr();
                 }
             });
@@ -1344,17 +1342,12 @@ impl Master {
         }
     }
 
-    /// One scrubber pass: re-verify the checksum of every replica of every
-    /// checksummed region with one-sided READs. Reads are sequential (one
-    /// outstanding at a time) — the scrubber is a background sweeper, not a
-    /// throughput path. IO errors are ignored: liveness is the lease
+    /// One scrubber pass: re-verify the checksum blocks of every replica of
+    /// every checksummed region with one-sided READs. Reads are sequential
+    /// (one outstanding at a time) — the scrubber is a background sweeper,
+    /// not a throughput path. IO errors are ignored: liveness is the lease
     /// sweep's job, and the extent will be revisited next pass.
-    async fn scrub_sweep(
-        &self,
-        cq: &CompletionQueue,
-        conns: &mut HashMap<u32, Qp>,
-        next_wr: &mut u64,
-    ) {
+    async fn scrub_sweep(&self, scrub: &mut Scrubber) {
         // Region iteration is sorted so scrub order (and every trace) is
         // identical across runs.
         let mut names: Vec<String> = {
@@ -1376,24 +1369,25 @@ impl Master {
             };
             for (gi, group) in groups.iter().enumerate() {
                 for (ri, extent) in group.replicas.iter().enumerate() {
-                    self.scrub_extent(cq, conns, next_wr, &name, gi, ri, extent)
-                        .await;
+                    self.scrub_extent(scrub, &name, gi, ri, extent).await;
                 }
             }
         }
+        // The landing buffer lives for one sweep; the host scratch is kept.
+        if let Some(buf) = scrub.buf.take() {
+            let _ = self.dev.free(buf);
+        }
     }
 
-    /// Verifies one replica's stripe + trailer. A mismatch is re-checked
-    /// once after a short delay — a concurrent writer updates the data and
-    /// the trailer with separate WRITEs, so a single torn observation is
-    /// not proof of corruption — and only a persistent mismatch marks the
-    /// replica corrupt for the repair task.
-    #[allow(clippy::too_many_arguments)]
+    /// Verifies every checksum block of one replica against its trailer
+    /// entry (`crc::verify_blocks`). A mismatch is re-checked once after a
+    /// short delay — a writer's WR carries the blocks and their entries as
+    /// two elements, which land as separate WRITEs, so a single torn
+    /// observation is not proof of corruption — and only a persistent
+    /// mismatch marks the replica corrupt for the repair task.
     async fn scrub_extent(
         &self,
-        cq: &CompletionQueue,
-        conns: &mut HashMap<u32, Qp>,
-        next_wr: &mut u64,
+        scrub: &mut Scrubber,
         name: &str,
         gi: usize,
         ri: usize,
@@ -1406,50 +1400,54 @@ impl Master {
             }
         }
         let phys = extent_alloc_len(extent.len, true);
-        let Ok(buf) = self.dev.alloc(phys) else {
+        // One landing buffer per sweep, grown to the largest extent it meets.
+        if scrub.buf.is_none_or(|b| b.len < phys) {
+            if let Some(small) = scrub.buf.take() {
+                let _ = self.dev.free(small);
+            }
+            scrub.buf = self.dev.alloc(phys).ok();
+        }
+        let Some(buf) = scrub.buf.map(|b| b.slice(0, phys)) else {
             return;
         };
+        scrub.bytes.resize(phys as usize, 0);
         let mut bad = false;
         for attempt in 0..2 {
-            let Some(qp) = self.scrub_conn(cq, conns, extent.node).await else {
+            let Some(qp) = self.scrub_conn(scrub, extent.node).await else {
                 break;
             };
-            let wr = *next_wr;
-            *next_wr += 1;
+            scrub.next_wr += 1;
+            let wr = scrub.next_wr;
             let remote = RemoteAddr {
                 addr: extent.addr,
                 rkey: RKey(extent.rkey),
             };
             if qp.post_read(wr, buf, remote).is_err() {
-                conns.remove(&extent.node);
+                scrub.conns.remove(&extent.node);
                 break;
             }
             let cqe = loop {
-                let c = cq.next().await;
+                let c = scrub.cq.next().await;
                 if c.wr_id == wr {
                     break c;
                 }
             };
             if cqe.status != CqStatus::Success {
-                conns.remove(&extent.node);
+                scrub.conns.remove(&extent.node);
                 break;
             }
-            let Ok(bytes) = self.dev.read_mem(buf.addr, phys) else {
-                break;
-            };
-            let logical = extent.len as usize;
-            let stored =
-                u64::from_le_bytes(bytes[logical..logical + 8].try_into().expect("trailer"));
-            if crc32c(&bytes[..logical]) as u64 == stored {
-                bad = false;
+            if self.dev.read_mem_into(buf.addr, &mut scrub.bytes).is_err() {
                 break;
             }
-            bad = true;
+            let (data, trailer) = scrub.bytes.split_at(extent.len as usize);
+            bad = verify_blocks(data, trailer).is_some();
+            if !bad {
+                break;
+            }
             if attempt == 0 {
                 self.sim.sleep(Duration::from_micros(500)).await;
             }
         }
-        let _ = self.dev.free(buf);
         if bad {
             let newly = {
                 let mut st = self.state.borrow_mut();
@@ -1476,29 +1474,19 @@ impl Master {
 
     /// Cached data-path QP to `node` for scrub reads, re-dialing missing or
     /// errored connections.
-    async fn scrub_conn(
-        &self,
-        cq: &CompletionQueue,
-        conns: &mut HashMap<u32, Qp>,
-        node: u32,
-    ) -> Option<Qp> {
-        if let Some(qp) = conns.get(&node) {
+    async fn scrub_conn(&self, scrub: &mut Scrubber, node: u32) -> Option<Qp> {
+        if let Some(qp) = scrub.conns.get(&node) {
             if !qp.is_errored() {
                 return Some(qp.clone());
             }
-            conns.remove(&node);
+            scrub.conns.remove(&node);
         }
-        match self
+        let dialed = self
             .dev
-            .connect(NodeId(node), crate::DATA_SERVICE, cq)
-            .await
-        {
-            Ok(qp) => {
-                conns.insert(node, qp.clone());
-                Some(qp)
-            }
-            Err(_) => None,
-        }
+            .connect(NodeId(node), crate::DATA_SERVICE, &scrub.cq);
+        let qp = dialed.await.ok()?;
+        scrub.conns.insert(node, qp.clone());
+        Some(qp)
     }
 
     /// RPC to memory server `node` through its [`Channel`].
@@ -1513,6 +1501,18 @@ impl Master {
         };
         channel.call(&req).await
     }
+}
+
+/// What the scrubber task keeps between sweeps: its completion queue and
+/// data-path QPs, the landing buffer of the sweep in progress and the host
+/// scratch extents are verified in.
+#[derive(Default)]
+struct Scrubber {
+    cq: CompletionQueue,
+    conns: HashMap<u32, Qp>,
+    next_wr: u64,
+    buf: Option<DmaBuf>,
+    bytes: Vec<u8>,
 }
 
 /// Per-node sum of physical extent allocation lengths over every region

@@ -16,19 +16,20 @@ use std::time::Duration;
 
 use crate::error::{RStoreError, Result};
 
-/// Bytes reserved after each stripe for its checksum trailer: a u64 slot
-/// holding the stripe's CRC32C (high 32 bits zero). Extents of checksummed
-/// regions are allocated and registered `CK_BYTES` longer than their logical
-/// length; descriptors carry the *logical* length so stripe math is
-/// unchanged.
+/// Bytes of one checksum-trailer entry: a u64 slot holding the CRC32C (high
+/// 32 bits zero) of one [`CK_BLOCK`](crate::crc::CK_BLOCK) of the stripe.
+/// Extents of checksummed regions are allocated and registered one entry per
+/// block longer than their logical length; descriptors carry the *logical*
+/// length so stripe math is unchanged.
 pub const CK_BYTES: u64 = 8;
 
 /// Physical bytes a server must allocate for an extent of logical length
-/// `len`: the stripe plus, for checksummed regions, its trailer. Capacity
-/// accounting, frees, and repair copies must all use this length.
+/// `len`: the stripe plus, for checksummed regions, its trailer
+/// ([`trailer_len`](crate::crc::trailer_len)). Capacity accounting, frees,
+/// and repair copies must all use this length.
 pub fn extent_alloc_len(len: u64, checksums: bool) -> u64 {
     if checksums {
-        len + CK_BYTES
+        len + crate::crc::trailer_len(len)
     } else {
         len
     }
@@ -295,8 +296,8 @@ pub struct RegionDesc {
     pub groups: Vec<StripeGroup>,
     /// Health as of when the descriptor was issued.
     pub state: RegionState,
-    /// Whether each stripe carries a [`CK_BYTES`] checksum trailer (extents
-    /// are physically that much longer than their logical `len`).
+    /// Whether each stripe carries a checksum trailer, one [`CK_BYTES`] entry
+    /// per block (extents are physically [`extent_alloc_len`] long).
     pub checksums: bool,
 }
 
@@ -361,10 +362,12 @@ pub struct AllocOptions {
     pub policy: Policy,
     /// Allocate synthetic (unbacked) memory on the servers — fluid mode.
     pub synthetic: bool,
-    /// Maintain a per-stripe CRC32C trailer: reads verify and fail over on
-    /// mismatch, the scrubber sweeps the region, and writes pay a
-    /// read-modify-write on partial stripes. Ignored (forced off) for
-    /// synthetic regions, which carry no real bytes to checksum.
+    /// Maintain a CRC32C trailer behind every stripe, one entry per
+    /// [`CK_BLOCK`](crate::crc::CK_BLOCK) of it: reads verify the blocks
+    /// they touch and fail over on mismatch, the scrubber sweeps the
+    /// region, and a write pays a read-modify-write only of the (at most
+    /// two) blocks it covers in part. Ignored (forced off) for synthetic
+    /// regions, which carry no real bytes to checksum.
     pub checksums: bool,
 }
 
@@ -799,12 +802,12 @@ pub enum SrvReq {
         /// Number of extents.
         count: u32,
         /// Logical bytes per extent (the physical allocation is
-        /// [`CK_BYTES`] longer when `checksums` is set).
+        /// [`extent_alloc_len`] when `checksums` is set).
         len: u64,
         /// Synthetic (unbacked) allocation for fluid-mode regions.
         synthetic: bool,
-        /// Append a checksum trailer, initialized to the CRC of the
-        /// zero-filled stripe so never-written stripes verify clean.
+        /// Append a checksum trailer, initialized to the CRCs of the
+        /// zero-filled blocks so never-written stripes verify clean.
         checksums: bool,
     },
     /// Free previously allocated extents by start address.
@@ -1319,6 +1322,9 @@ mod tests {
     fn extent_alloc_len_adds_trailer_only_with_checksums() {
         assert_eq!(extent_alloc_len(128, false), 128);
         assert_eq!(extent_alloc_len(128, true), 128 + CK_BYTES);
+        assert_eq!(extent_alloc_len(4096, true), 4096 + CK_BYTES);
+        assert_eq!(extent_alloc_len(6 << 10, true), (6 << 10) + 2 * CK_BYTES);
+        assert_eq!(extent_alloc_len(64 << 10, true), (64 << 10) + 16 * CK_BYTES);
     }
 
     #[test]

@@ -19,10 +19,10 @@ use sim::sync::Semaphore;
 use sim::{Event, Level, OpLedger, Phase, Span};
 
 use crate::client::{RStoreClient, IO_GRACE};
-use crate::crc::crc32c;
+use crate::crc::{seal_blocks, verify_blocks};
 use crate::error::{RStoreError, Result};
 use crate::layout::{Layout, Piece};
-use crate::proto::{Extent, RegionDesc, CK_BYTES};
+use crate::proto::{Extent, RegionDesc};
 use crate::stats::OpKind;
 
 /// What a posted WR does with its transfers.
@@ -49,6 +49,27 @@ struct Xfer {
     redialed: bool,
 }
 
+impl Xfer {
+    fn new(piece: Piece, buf: DmaBuf, replica: usize) -> Xfer {
+        Xfer {
+            piece,
+            buf,
+            replica,
+            redialed: false,
+        }
+    }
+
+    /// The transfers that move a verified IO's frame ([`Piece::ck_frame`])
+    /// between `replica` and its image in `buf`: the two elements of one WR
+    /// — or one, where the two ranges meet, which is a whole stripe (so a
+    /// one-block stripe moves exactly the bytes the single-CRC format did).
+    fn frame([data, entries]: [Piece; 2], buf: DmaBuf, replica: usize) -> ([Xfer; 2], usize) {
+        let x = |piece| Xfer::new(piece, buf, replica);
+        data.join(&entries)
+            .map_or(([x(data), x(entries)], 2), |whole| ([x(whole); 2], 1))
+    }
+}
+
 /// A transfer that did not complete, with the completion status that failed
 /// it (`Timeout` when its WR could not even be posted).
 type Failed = (Xfer, CqStatus);
@@ -58,7 +79,7 @@ type Failed = (Xfer, CqStatus);
 type Posted = (Range<usize>, oneshot::Receiver<CqStatus>);
 
 /// Recycled IO scratch shared by all clones of a [`Region`] handle: staging
-/// `DmaBuf`s for checksummed stripe assembly/verification, a host-side byte
+/// `DmaBuf`s for checksum-block assembly/verification, a host-side byte
 /// scratch for CRC work, and the plan and posted-WR lists of a round (one of
 /// each per round in flight). Reuse keeps the steady-state op set
 /// allocation-free (arena allocation is zero virtual time, so pooling
@@ -104,17 +125,21 @@ const POOL_CAP: usize = 32;
 /// and the region. Every call resolves when its IO is complete, and all of
 /// them recover alike: reads fail over across replicas, writes reach every
 /// replica, a broken QP is re-dialed once, a moved extent re-fetches the
-/// descriptor, and a checksummed region verifies (or re-seals) every stripe
-/// touched. There is no post-now-wait-later form: a caller that wants IO to
-/// overlap compute spawns the `_many` future ([`sim::Sim::spawn`]) and joins
-/// it when the bytes are needed.
+/// descriptor, and a checksummed region verifies (or re-seals) every
+/// checksum block touched — [`CK_BLOCK`](crate::crc::CK_BLOCK) bytes and
+/// their trailer entry, not the stripe around them. There is no
+/// post-now-wait-later form: a caller that wants IO to overlap compute
+/// spawns the `_many` future ([`sim::Sim::spawn`]) and joins it when the
+/// bytes are needed.
 ///
 /// Every call plans its stripe pieces first and posts them by one rule: two
 /// or more pieces on a plain region post as one multi-element WR per memory
 /// server (per [`MAX_SGE`] pieces); single-piece and checksummed IO post
-/// one WR per (stripe, replica). Checksummed reads and writes instead keep
-/// up to [`pipeline_depth`](crate::client::ClientConfig::pipeline_depth)
-/// stripes in flight, verifying each as it lands.
+/// one WR per (stripe, replica) — on a checksummed region that WR's two
+/// elements are the covering blocks and their entries. Checksummed reads
+/// and writes instead keep up to
+/// [`pipeline_depth`](crate::client::ClientConfig::pipeline_depth) stripe
+/// pieces in flight, verifying each as it lands.
 #[derive(Clone)]
 pub struct Region {
     client: RStoreClient,
@@ -318,12 +343,15 @@ impl Region {
 
     /// Reads `len` bytes at `offset` into a fresh `Vec`, with replica
     /// failover: if the primary read of a stripe fails, the next replica is
-    /// tried.
+    /// tried. On a checksummed region every returned byte lies under a
+    /// verified block CRC: the read fetches the checksum blocks covering the
+    /// range with their entries — a 4 KiB read moves 4 KiB and 8 bytes.
     ///
     /// # Errors
     ///
-    /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`] when all replicas
-    /// of some stripe fail.
+    /// [`RStoreError::OutOfRange`], [`RStoreError::Io`] when all replicas
+    /// of some stripe fail, or [`RStoreError::CorruptionDetected`] when a
+    /// touched block verifies on none.
     pub async fn read(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
         let ledger = self.op_ledger(OpKind::Read);
         let result = self.read_l(offset, len, &ledger).await;
@@ -341,11 +369,16 @@ impl Region {
         .await
     }
 
-    /// Writes `data` at `offset` (to **all** replicas).
+    /// Writes `data` at `offset` (to **all** replicas). On a checksummed
+    /// region a range that starts and ends on checksum-block boundaries is
+    /// sealed locally and written with no read at all; otherwise only the
+    /// (at most two per stripe) blocks it covers in part are
+    /// read-modify-written, through the verified read.
     ///
     /// # Errors
     ///
-    /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
+    /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`]; on a checksummed
+    /// region also what [`read`](Self::read) returns, for a boundary block.
     pub async fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
         let ledger = self.op_ledger(OpKind::Write);
         let result = self.write_l(offset, data, &ledger).await;
@@ -452,7 +485,7 @@ impl Region {
     /// before anything posts and the whole plan — every piece to every
     /// replica — shares one round, grouped by the same rule. A transfer
     /// that fails gets [`write_from`](Self::write_from)'s one re-dial and
-    /// repost. On a checksummed region every touched stripe is re-sealed
+    /// repost. On a checksummed region every touched block is re-sealed
     /// as by [`write`](Self::write), and pairs that share a stripe are
     /// applied in order. Pairs that overlap land in no defined order.
     ///
@@ -484,12 +517,7 @@ impl Region {
         landing: DmaBuf,
         ledger: &OpLedger,
     ) -> Result<bool> {
-        let word = Xfer {
-            piece: self.layout.borrow().piece_at(offset, 8)?,
-            buf: landing,
-            replica: 0,
-            redialed: false,
-        };
+        let word = Xfer::new(self.layout.borrow().piece_at(offset, 8)?, landing, 0);
         let rx = self.post(Dir::Cas { expect, swap }, &[word], None, ledger)?;
         ledger.rtt();
         match rx.await.unwrap_or(CqStatus::Flushed) {
@@ -546,9 +574,9 @@ impl Region {
             let assemble = |this: Region, x: Xfer, ledger: OpLedger| async move {
                 this.write_piece_ck(&x.piece, x.buf, &ledger).await
             };
-            // Pieces of two pairs in one stripe would each read-modify-write
-            // it and the later trailer would seal only its own bytes: such a
-            // plan runs in order.
+            // Pieces of two pairs in one stripe may each read-modify-write
+            // the same block, and the later entry would seal only its own
+            // bytes: such a plan runs in order.
             let racing =
                 |(i, x): (usize, &Xfer)| plan[..i].iter().any(|y| y.piece.group == x.piece.group);
             let serial = ios.len() > 1 && plan.iter().enumerate().any(racing);
@@ -582,12 +610,7 @@ impl Region {
                 } else {
                     1
                 };
-                plan.extend((0..replicas).map(|replica| Xfer {
-                    piece,
-                    buf,
-                    replica,
-                    redialed: false,
-                }));
+                plan.extend((0..replicas).map(|replica| Xfer::new(piece, buf, replica)));
             }
         }
         Ok(plan)
@@ -603,7 +626,7 @@ impl Region {
     /// [`MAX_SGE`] of them. A single-piece plan (replicas of one stripe
     /// never share a server, so there is nothing to group) and checksummed
     /// IO post one WR per (stripe, replica), in plan order. Checksummed IO
-    /// is deliberately not grouped: its stripes are verified one by one as
+    /// is deliberately not grouped: its pieces are verified one by one as
     /// they land, and the pipelined window measured faster than one grouped
     /// fetch followed by verification (DESIGN.md, "Inline and
     /// scatter-gather WRs").
@@ -622,7 +645,10 @@ impl Region {
         }
         let mut failed = Vec::new();
         let mut end = 0;
-        for run in plan.chunk_by(|a, b| grouped && node(a) == node(b)) {
+        // A checksummed write's plan is the blocks and the entries of one
+        // stripe per replica: two elements of one WR (replicas of a stripe
+        // never share a server).
+        for run in plan.chunk_by(|a, b| (grouped || self.checksums) && node(a) == node(b)) {
             for xfers in run.chunks(MAX_SGE) {
                 end += xfers.len();
                 match self.post(dir, xfers, inline, ledger) {
@@ -779,27 +805,29 @@ impl Region {
 
     // --- verified (checksummed) paths -----------------------------------------
 
-    /// Verifies a full stripe sitting in `staging` (data + trailer) and, on
-    /// a CRC match, copies the `want` sub-range into `dst`. Returns
-    /// `Ok(false)` on a mismatch — the caller decides how to recover.
-    fn verify_and_copy_stripe(&self, want: &Piece, staging: DmaBuf, dst: DmaBuf) -> Result<bool> {
+    /// Verifies a frame's image sitting in `staging` block by block and, when
+    /// every block matches its entry, copies the `want` sub-range into
+    /// `dst`. Returns `Ok(false)` on a mismatch — the caller decides how to
+    /// recover.
+    fn verify_and_copy(
+        &self,
+        want: &Piece,
+        [data, entries]: [Piece; 2],
+        staging: DmaBuf,
+        dst: DmaBuf,
+    ) -> Result<bool> {
         let s = &self.client.shared;
-        let stripe_len = self.stripe_len(want.group) as usize;
         let mut scratch = self.pool.scratch.borrow_mut();
-        scratch.resize(stripe_len + CK_BYTES as usize, 0);
+        scratch.resize((data.len + entries.len) as usize, 0);
         s.dev.read_mem_into(staging.addr, &mut scratch[..])?;
-        let stored = u64::from_le_bytes(
-            scratch[stripe_len..]
-                .try_into()
-                .expect("trailer is 8 bytes"),
-        );
-        if crc32c(&scratch[..stripe_len]) as u64 != stored {
+        let (blocks, trailer) = scratch.split_at(data.len as usize);
+        if verify_blocks(blocks, trailer).is_some() {
             return Ok(false);
         }
-        let lo = want.offset_in_stripe as usize;
+        let lo = (want.offset_in_stripe - data.offset_in_stripe) as usize;
         s.dev.write_mem(
             dst.addr + want.buf_offset,
-            &scratch[lo..lo + want.len as usize],
+            &blocks[lo..lo + want.len as usize],
         )?;
         Ok(true)
     }
@@ -873,52 +901,49 @@ impl Region {
         Ok(())
     }
 
-    /// Verified read of one stripe: the stripe containing `want` is read in
-    /// full (data + trailer) from one replica, its CRC32C re-verified
-    /// client-side, and only then is the requested sub-range copied into
-    /// `dst`.
+    /// Verified read of one stripe piece: the checksum blocks that cover
+    /// `want` are read with their trailer entries from one replica as one WR
+    /// — one doorbell, one CQE, one round trip — each block's CRC32C is
+    /// re-verified client-side, and only then is the requested sub-range
+    /// copied into `dst`.
+    ///
+    /// A replica that fails verification is treated like a failed replica:
+    /// the read fails over to the next one and the bad extent is reported to
+    /// the master in the background so the repair task can re-replicate it.
     async fn read_piece_verified(
         &self,
         want: &Piece,
         dst: DmaBuf,
         ledger: &OpLedger,
     ) -> Result<()> {
-        let len = self.stripe_len(want.group) + CK_BYTES;
-        self.with_staging(len, |staging| {
-            self.read_piece_verified_into(want, dst, staging, ledger)
-        })
-        .await
+        let frame @ [data, entries] = want.ck_frame(self.stripe_len(want.group));
+        let read = |staging| self.read_frame_verified(want, dst, frame, staging, ledger);
+        self.with_staging(data.len + entries.len, read).await
     }
 
     /// The failover loop behind [`read_piece_verified`](Self::read_piece_verified).
-    /// A replica that fails verification is treated like a failed replica:
-    /// the read fails over to the next one and the bad extent is reported to
-    /// the master in the background so the repair task can re-replicate it.
-    /// `staging` must hold the full stripe plus trailer; `dst` may alias it
-    /// (used by the read-modify-write path, where the verified stripe is
-    /// wanted in place).
-    async fn read_piece_verified_into(
+    async fn read_frame_verified(
         &self,
         want: &Piece,
         dst: DmaBuf,
+        frame: [Piece; 2],
         staging: DmaBuf,
         ledger: &OpLedger,
     ) -> Result<()> {
         let s = &self.client.shared;
-        let mut full = Xfer {
-            piece: self.full_stripe(want.group),
-            buf: staging,
-            replica: 0,
-            redialed: false,
-        };
+        let (mut replica, mut redialed) = (0, false);
         let mut bad_node: Option<u32> = None;
         // If any replica rejects the rkey, remember it: a read that then
         // exhausts its replicas must surface `RemoteAccess` — the stale-
         // descriptor signal the revalidation wrapper retries on — rather
         // than a generic timeout (or, worse, a corruption misdiagnosis).
         let mut access_denied = false;
-        while full.replica < self.replicas(want.group) {
-            let status = match self.post(Dir::Read, &[full], None, ledger) {
+        while replica < self.replicas(want.group) {
+            let posted = {
+                let (xfers, n) = Xfer::frame(frame, staging, replica);
+                self.post(Dir::Read, &xfers[..n], None, ledger)
+            };
+            let status = match posted {
                 Ok(rx) => {
                     ledger.rtt();
                     rx.await.unwrap_or(CqStatus::Flushed)
@@ -926,9 +951,9 @@ impl Region {
                 Err(_) => CqStatus::Timeout,
             };
             access_denied |= status == CqStatus::RemoteAccess;
-            let node = self.extent(want.group, full.replica).node;
+            let node = self.extent(want.group, replica).node;
             if status == CqStatus::Success {
-                if self.verify_and_copy_stripe(want, staging, dst)? {
+                if self.verify_and_copy(want, frame, staging, dst)? {
                     return Ok(());
                 }
                 // Checksum mismatch: treat like a replica failure — record
@@ -939,21 +964,21 @@ impl Region {
                 bad_node = Some(node);
                 let client = self.client.clone();
                 let name = self.name().to_owned();
-                let (g, r) = (want.group as u32, full.replica as u32);
+                let (g, r) = (want.group as u32, replica as u32);
                 s.sim.spawn(async move {
                     let _ = client.report_corruption(&name, g, r, node).await;
                 });
-            } else if !full.redialed {
+            } else if !redialed {
                 // IO failure: one reconnect retry per replica, then advance.
-                full.redialed = true;
+                redialed = true;
                 if self.client.redial(node).await.is_ok() {
                     ledger.retry();
                     continue;
                 }
             }
             ledger.failover(s.sim.now());
-            full.replica += 1;
-            full.redialed = false;
+            replica += 1;
+            redialed = false;
         }
         if access_denied {
             return Err(RStoreError::Io(CqStatus::RemoteAccess));
@@ -968,60 +993,52 @@ impl Region {
         }
     }
 
-    /// The piece covering all of stripe `group` plus its checksum trailer.
-    fn full_stripe(&self, group: usize) -> Piece {
-        Piece {
-            group,
-            offset_in_stripe: 0,
-            len: self.stripe_len(group) + CK_BYTES,
-            buf_offset: 0,
-        }
-    }
-
-    /// Verified write of one checksummed stripe: the stripe is assembled in
-    /// full in a staging buffer (a partial write first reads the stripe's
-    /// current content back through the verified read path), the CRC32C is
-    /// recomputed into the trailer, and the whole stripe plus trailer is
-    /// written to every replica. Concurrent writers to the same stripe must
-    /// be serialized by the application, as with any non-transactional
-    /// store; distinct stripes of one call are pipelined, so they may commit
-    /// in any order — the API never promised cross-stripe ordering within a
-    /// write.
+    /// Verified write of one piece of a checksummed stripe: the blocks that
+    /// cover it are assembled in a staging image, sealed locally, and written
+    /// with their entries to every replica as one WR each. A piece that
+    /// starts and ends on block boundaries (or at the stripe's end) reads
+    /// nothing; otherwise the boundary blocks it covers only in part — at
+    /// most two — are first fetched through the verified read path.
+    /// Concurrent writers to the same block must be serialized by the
+    /// application, as with any non-transactional store; distinct stripes of
+    /// one call are pipelined, so they may commit in any order — the API
+    /// never promised cross-stripe ordering within a write.
     async fn write_piece_ck(&self, piece: &Piece, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
         let dev = &self.client.shared.dev;
-        let stripe_len = self.stripe_len(piece.group);
-        let full = self.full_stripe(piece.group);
-        self.with_staging(full.len, |staging| async move {
-            if piece.len < stripe_len {
-                // Read-modify-write: fetch the stripe's current content
-                // (verified, with failover) to fill the bytes this
-                // write does not cover.
-                let cur = Piece {
-                    len: stripe_len,
-                    ..full
-                };
-                self.read_piece_verified_into(&cur, staging, staging, ledger)
-                    .await?;
+        let frame @ [data, entries] = piece.ck_frame(self.stripe_len(piece.group));
+        self.with_staging(data.len + entries.len, |staging| async move {
+            // Read-modify-write of the boundary blocks only
+            // ([`Piece::ck_partial`]): what the piece covers in part is
+            // fetched, verified, into its place in the image. (Boxed: the
+            // aligned write, which never runs it, should not carry the
+            // read's future in its own — sixteen are spawned per MiB.)
+            let partial = piece.ck_partial(&data);
+            for block in partial.iter().filter(|block| block.len > 0) {
+                Box::pin(self.read_piece_verified(block, staging, ledger)).await?;
             }
-            // Overlay the new data and recompute the trailer, bouncing
-            // through the pooled host scratch (no per-op allocation).
+            // Overlay the new data and seal every block of the image,
+            // bouncing through the pooled host scratch (no per-op
+            // allocation).
             {
                 let mut scratch = self.pool.scratch.borrow_mut();
-                scratch.resize(piece.len as usize, 0);
-                dev.read_mem_into(src.addr + piece.buf_offset, &mut scratch[..])?;
-                dev.write_mem(staging.addr + piece.offset_in_stripe, &scratch[..])?;
-                scratch.resize(stripe_len as usize, 0);
-                dev.read_mem_into(staging.addr, &mut scratch[..])?;
-                let trailer = (crc32c(&scratch[..]) as u64).to_le_bytes();
-                dev.write_mem(staging.addr + stripe_len, &trailer)?;
+                scratch.resize(staging.len as usize, 0);
+                if partial[0].len + partial[1].len > 0 {
+                    dev.read_mem_into(staging.addr, &mut scratch[..])?;
+                }
+                let (blocks, trailer) = scratch.split_at_mut(data.len as usize);
+                let lo = (piece.offset_in_stripe - data.offset_in_stripe) as usize;
+                dev.read_mem_into(
+                    src.addr + piece.buf_offset,
+                    &mut blocks[lo..lo + piece.len as usize],
+                )?;
+                seal_blocks(blocks, trailer);
+                dev.write_mem(staging.addr, &scratch[..])?;
             }
             let mut plan = IoPool::take(&self.pool.plans);
-            plan.extend((0..self.replicas(piece.group)).map(|replica| Xfer {
-                piece: full,
-                buf: staging,
-                replica,
-                redialed: false,
-            }));
+            for replica in 0..self.replicas(piece.group) {
+                let (xfers, n) = Xfer::frame(frame, staging, replica);
+                plan.extend_from_slice(&xfers[..n]);
+            }
             self.write_xfers(plan, None, ledger).await
         })
         .await

@@ -15,7 +15,7 @@ use std::time::Duration;
 use rdma::{Access, CompletionQueue, CqStatus, DmaBuf, Qp, RKey, RdmaDevice, RemoteAddr};
 use sim::{EventSink, Sim, SimTime, TimerId};
 
-use crate::crc::crc32c;
+use crate::crc::zero_trailer;
 use crate::error::{RStoreError, Result};
 use crate::proto::{extent_alloc_len, CtrlReq, CtrlResp, SrvReq, SrvResp};
 use crate::rpc::{spawn_rpc_server, Channel};
@@ -294,13 +294,11 @@ async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> Resul
                 ))
                 .await;
 
-            // A trailer initialized to the CRC of the zero-filled stripe
+            // A trailer initialized to the CRCs of the zero-filled blocks
             // makes never-written stripes verify clean (no false positives).
-            let zero_crc = if checksums {
-                (crc32c(&vec![0u8; len as usize]) as u64).to_le_bytes()
-            } else {
-                [0u8; 8]
-            };
+            // Writing it backs the extent's whole prefix: the documented
+            // cliff (DESIGN.md, "Arena backing").
+            let trailer = checksums.then(|| zero_trailer(len));
             let mut granted: Vec<(u64, u64, u64)> = Vec::new();
             let mut bufs: Vec<DmaBuf> = Vec::new();
             let mut grant_next = || -> Result<()> {
@@ -310,8 +308,8 @@ async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> Resul
                     dev.alloc(alloc_len)?
                 };
                 bufs.push(buf);
-                if checksums {
-                    dev.write_mem(buf.addr + len, &zero_crc)?;
+                if let Some(trailer) = &trailer {
+                    dev.write_mem(buf.addr + len, trailer)?;
                 }
                 // The granted length is the *logical* extent size; the
                 // trailer is an implementation detail the master re-derives

@@ -4,11 +4,12 @@
 use std::time::Duration;
 
 use fabric::{FaultPlan, NodeId};
+use rdma::{CompletionQueue, RKey, RdmaDevice, RemoteAddr};
 use rstore::{
-    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, MasterConfig, RStoreClient,
-    RStoreError, RegionState, ServerConfig,
+    AllocOptions, ClientConfig, Cluster, ClusterConfig, Extent, KvConfig, KvTable, MasterConfig,
+    RStoreClient, RStoreError, RegionState, ServerConfig,
 };
-use sim::DetRng;
+use sim::{DetRng, Metrics};
 
 fn boot(servers: usize, scrub: bool) -> Cluster {
     Cluster::boot(ClusterConfig {
@@ -486,4 +487,312 @@ fn clean_cluster_reports_zero_corruption() {
         assert_eq!(m.counter("integrity.detected"), 0);
         assert_eq!(c.lookup("clean").await.unwrap().state, RegionState::Healthy);
     });
+}
+
+// --- checksum blocks (DESIGN.md, "Checksum blocks") ---------------------------
+
+const CK_BLOCK: u64 = rstore::crc::CK_BLOCK;
+
+/// Flips the low bit of the byte at `offset` of `extent` at rest: a raw
+/// one-sided READ and WRITE on a QP of the test's own, so no checksum is
+/// kept up — what a DRAM fault does, at a chosen place. `offset` may lie in
+/// the trailer (at or past `extent.len`).
+async fn flip_at_rest(dev: &RdmaDevice, extent: &Extent, offset: u64) {
+    let cq = CompletionQueue::new();
+    let qp = dev
+        .connect(NodeId(extent.node), rstore::DATA_SERVICE, &cq)
+        .await
+        .expect("raw data QP");
+    let byte = dev.alloc(1).unwrap();
+    let remote = RemoteAddr {
+        addr: extent.addr + offset,
+        rkey: RKey(extent.rkey),
+    };
+    qp.post_read(1, byte, remote).unwrap();
+    assert_eq!(cq.next().await.status, rdma::CqStatus::Success);
+    let was = dev.read_mem(byte.addr, 1).unwrap()[0];
+    dev.write_mem(byte.addr, &[was ^ 1]).unwrap();
+    qp.post_write(2, byte, remote).unwrap();
+    assert_eq!(cq.next().await.status, rdma::CqStatus::Success);
+    dev.free(byte).unwrap();
+}
+
+#[test]
+fn a_flipped_block_or_entry_fails_only_the_reads_that_touch_it() {
+    // An unreplicated 64 KiB stripe, sixteen checksum blocks. A bit flipped
+    // at rest in block K — or in trailer entry K — is confined to it: reads
+    // of the stripe's other blocks verify and return their bytes, a read
+    // that touches K is `CorruptionDetected` (never wrong bytes), one scrub
+    // sweep marks the extent, and a block-aligned overwrite of K — which
+    // reads nothing — heals it.
+    const K: u64 = 5;
+    let stripe = 16 * CK_BLOCK;
+    for (case, in_trailer) in [("data", false), ("entry", true)] {
+        let cluster = boot(2, true);
+        let sim = cluster.sim.clone();
+        let metrics = cluster.fabric.metrics().clone();
+        let devs = cluster.client_devs.clone();
+        let master = cluster.master_node();
+        let s = sim.clone();
+        sim.block_on(async move {
+            let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+            let opts = AllocOptions {
+                stripe_size: stripe,
+                checksums: true,
+                ..AllocOptions::default()
+            };
+            let region = c.alloc("local", 2 * stripe, opts).await.unwrap();
+            let mut model = pattern(2 * stripe as usize);
+            region.write(0, &model).await.unwrap();
+
+            let extent = region.desc().groups[0].replicas[0];
+            let at = if in_trailer {
+                stripe + 8 * K + 1
+            } else {
+                K * CK_BLOCK + 1234
+            };
+            flip_at_rest(&devs[0], &extent, at).await;
+
+            // Every other block of the stripe, one by one and in runs up to
+            // K's edges, byte for byte; and the other stripe.
+            let expect = |offset: u64, len: u64| &model[offset as usize..(offset + len) as usize];
+            for b in (0..16).filter(|&b| b != K) {
+                let got = region.read(b * CK_BLOCK + 7, CK_BLOCK - 7).await;
+                assert_eq!(
+                    got.unwrap(),
+                    expect(b * CK_BLOCK + 7, CK_BLOCK - 7),
+                    "{case}"
+                );
+            }
+            let (below, above) = (K * CK_BLOCK, (K + 1) * CK_BLOCK);
+            assert_eq!(region.read(0, below).await.unwrap(), expect(0, below));
+            let rest = 2 * stripe - above;
+            assert_eq!(region.read(above, rest).await.unwrap(), expect(above, rest));
+            assert_eq!(metrics.counter("integrity.read_mismatch"), 0, "{case}");
+
+            // The scrubber needs no client read to find it: one sweep.
+            assert_eq!(metrics.counter("integrity.scrub.mismatch"), 0, "{case}");
+            let sweeps = metrics.counter("integrity.scrub_passes");
+            while metrics.counter("integrity.scrub_passes") == sweeps {
+                s.sleep(Duration::from_millis(10)).await;
+            }
+            assert_eq!(metrics.counter("integrity.scrub.mismatch"), 1, "{case}");
+            assert_eq!(metrics.counter("integrity.detected"), 1, "{case}");
+
+            // Anything that touches K — one byte of it, a range across it,
+            // the whole stripe — is loud.
+            for (offset, len) in [(below, 1), (above - 1, 1), (below - 10, 20), (0, stripe)] {
+                match region.read(offset, len).await {
+                    Err(RStoreError::CorruptionDetected { stripe: 0, .. }) => {}
+                    other => panic!("{case}: read({offset}, {len}) = {other:?}"),
+                }
+            }
+            // So is a write that would have to read K to re-seal it …
+            let patch = vec![0xEEu8; 100];
+            match region.write(below + 50, &patch).await {
+                Err(RStoreError::CorruptionDetected { .. }) => {}
+                other => panic!("{case}: partial write of the bad block = {other:?}"),
+            }
+            // … while an aligned overwrite reads nothing and heals it.
+            let fresh = vec![0x5Au8; CK_BLOCK as usize];
+            region.write(below, &fresh).await.unwrap();
+            model[below as usize..above as usize].copy_from_slice(&fresh);
+            assert_eq!(region.read(0, 2 * stripe).await.unwrap(), model, "{case}");
+        });
+    }
+}
+
+/// `(ops, round trips, doorbells, wire bytes)` the ledger has recorded for
+/// `op`, and the bytes region IO has READ so far.
+fn costs(m: &Metrics, op: &str) -> [u64; 5] {
+    let scope = m.scoped("ops").scoped(op);
+    let sum = |h: &str| scope.histogram(h).map_or(0, |h| h.sum());
+    [
+        scope.counter("count"),
+        sum("rtts"),
+        sum("doorbells"),
+        sum("bytes"),
+        m.counter("rstore.read_bytes"),
+    ]
+}
+
+#[test]
+fn a_sub_stripe_verified_io_moves_its_blocks_not_its_stripe() {
+    // Ledger pins on a 64 KiB-stripe, 2-replica checksummed region: what a
+    // 4 KiB IO costs is its block and the block's entry.
+    let cluster = boot(3, false);
+    let sim = cluster.sim.clone();
+    sim.recorder().enable(sim::Level::Costs, 0);
+    let metrics = cluster.fabric.metrics().clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let stripe = 16 * CK_BLOCK;
+        let opts = AllocOptions {
+            stripe_size: stripe,
+            replicas: 2,
+            checksums: true,
+            ..AllocOptions::default()
+        };
+        let region = c.alloc("costs", 4 * stripe, opts).await.unwrap();
+        let mut model = pattern(4 * stripe as usize);
+        region.write(0, &model).await.unwrap();
+        let delta = |before: [u64; 5], op: &str| {
+            let after = costs(&metrics, op);
+            std::array::from_fn::<u64, 5, _>(|i| after[i] - before[i])
+        };
+
+        // Aligned 4 KiB read: one WR of two elements to one replica.
+        let before = costs(&metrics, "read_ck");
+        let got = region.read(stripe + 3 * CK_BLOCK, CK_BLOCK).await.unwrap();
+        assert_eq!(
+            got,
+            model[(stripe + 3 * CK_BLOCK) as usize..][..CK_BLOCK as usize]
+        );
+        let [ops, rtts, doorbells, wire, read] = delta(before, "read_ck");
+        assert_eq!((ops, rtts, doorbells), (1, 1, 1), "aligned 4 KiB read");
+        assert_eq!(read, CK_BLOCK + 8, "one block and its entry");
+        assert!(wire < CK_BLOCK + 8 + 256, "{wire} B on the wire for 4 KiB");
+
+        // Aligned 4 KiB write: sealed locally, one WR per replica, no READ.
+        let before = costs(&metrics, "write_ck");
+        let block = vec![0xB7u8; CK_BLOCK as usize];
+        region
+            .write(2 * stripe + 9 * CK_BLOCK, &block)
+            .await
+            .unwrap();
+        model[(2 * stripe + 9 * CK_BLOCK) as usize..][..CK_BLOCK as usize].copy_from_slice(&block);
+        let [ops, rtts, doorbells, wire, read] = delta(before, "write_ck");
+        assert_eq!((ops, rtts, doorbells), (1, 1, 2), "aligned 4 KiB write");
+        assert_eq!(read, 0, "an aligned write posts no READ");
+        assert!(wire < 2 * (CK_BLOCK + 8 + 256), "{wire} B for 4 KiB x 2");
+
+        // 100 bytes across a block boundary: the two boundary blocks are
+        // fetched (verified) in one round trip, re-sealed, written back.
+        let before = costs(&metrics, "write_ck");
+        let patch = vec![0x11u8; 100];
+        region.write(7 * CK_BLOCK - 50, &patch).await.unwrap();
+        model[(7 * CK_BLOCK - 50) as usize..][..100].copy_from_slice(&patch);
+        let [ops, rtts, _, wire, read] = delta(before, "write_ck");
+        assert_eq!((ops, rtts), (1, 2), "unaligned write: fetch, then write");
+        assert_eq!(read, 2 * (CK_BLOCK + 8), "exactly the two boundary blocks");
+        assert!(wire < 3 * 2 * (CK_BLOCK + 8 + 256), "{wire} B");
+
+        // A whole stripe still moves as one element: stripe + 16 entries.
+        let before = costs(&metrics, "read_ck");
+        region.read(3 * stripe, stripe).await.unwrap();
+        let [_, rtts, doorbells, _, read] = delta(before, "read_ck");
+        assert_eq!((rtts, doorbells, read), (1, 1, stripe + 16 * 8));
+
+        assert_eq!(region.read(0, 4 * stripe).await.unwrap(), model);
+        assert_eq!(metrics.counter("integrity.read_mismatch"), 0);
+    });
+}
+
+/// One seeded script of unaligned reads and writes against a 2-replica
+/// checksummed region of `stripe`-byte stripes, checked against a host
+/// shadow as it goes; returns the region's final image.
+fn run_block_script(stripe: u64, depth: usize) -> Vec<u8> {
+    let cluster = boot(3, false);
+    let sim = cluster.sim.clone();
+    let metrics = cluster.fabric.metrics().clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    sim.block_on(async move {
+        let dev = &devs[0];
+        let cfg = ClientConfig {
+            pipeline_depth: depth,
+            ..ClientConfig::default()
+        };
+        let c = RStoreClient::connect_with(dev, master, cfg).await.unwrap();
+        // Four whole stripes and a half one, so the last stripe (and, at
+        // 6 KiB, every stripe) ends in a short block.
+        let size = 4 * stripe + stripe / 2;
+        let opts = AllocOptions {
+            stripe_size: stripe,
+            replicas: 2,
+            checksums: true,
+            ..AllocOptions::default()
+        };
+        let region = c.alloc("script", size, opts).await.unwrap();
+        let mut shadow = vec![0u8; size as usize];
+        // A never-written region verifies clean and reads as zeros.
+        assert_eq!(region.read(0, size).await.unwrap(), shadow);
+
+        let mut rng = DetRng::new(0xB10C ^ stripe);
+        let buf = dev.alloc(2 * CK_BLOCK).unwrap();
+        for step in 0..240u32 {
+            // A range: anywhere, or hugging a block / stripe boundary.
+            let (offset, len) = match rng.index(4) {
+                0 => {
+                    let unit = if rng.chance(0.5) { CK_BLOCK } else { stripe };
+                    let edge = rng.range_u64(0, size / unit + 1) * unit;
+                    (
+                        edge.saturating_sub(rng.range_u64(0, 100)),
+                        rng.range_u64(0, 200),
+                    )
+                }
+                1 => (rng.range_u64(0, size + 1), rng.range_u64(0, 2 * CK_BLOCK)),
+                2 => (rng.range_u64(0, size + 1), rng.range_u64(0, 5 * stripe / 2)),
+                _ => (rng.range_u64(0, size / 64) * 64, rng.range_u64(0, 64) * 64),
+            };
+            let len = len.min(size - offset.min(size));
+            let offset = offset.min(size);
+            let range = offset as usize..(offset + len) as usize;
+            match step % 5 {
+                0 | 1 => {
+                    let mut data = vec![0u8; len as usize];
+                    rng.fill_bytes(&mut data);
+                    region.write(offset, &data).await.unwrap();
+                    shadow[range].copy_from_slice(&data);
+                }
+                2 | 3 => {
+                    let got = region.read(offset, len).await.unwrap();
+                    assert_eq!(got, shadow[range], "step {step}: read({offset}, {len})");
+                }
+                _ => {
+                    // Two pairs of one `write_from_many` in one stripe: in
+                    // the same block, or (when it has two) in different ones.
+                    let base = rng.range_u64(0, 4) * stripe;
+                    let blocks = stripe.div_ceil(CK_BLOCK);
+                    let (b0, b1) = (rng.range_u64(0, blocks), rng.range_u64(0, blocks));
+                    let mut ios = Vec::new();
+                    for (i, b) in [b0, b1].into_iter().enumerate() {
+                        // Disjoint halves of a (possibly short) block, so
+                        // sharing one is well defined.
+                        let span = CK_BLOCK.min(stripe - b * CK_BLOCK) / 2;
+                        let at = base + b * CK_BLOCK + i as u64 * span;
+                        let at = at + rng.range_u64(0, span / 2);
+                        let len = rng.range_u64(1, span / 2);
+                        let mut data = vec![0u8; len as usize];
+                        rng.fill_bytes(&mut data);
+                        let src = buf.slice(i as u64 * CK_BLOCK, len);
+                        dev.write_mem(src.addr, &data).unwrap();
+                        shadow[at as usize..(at + len) as usize].copy_from_slice(&data);
+                        ios.push((at, src));
+                    }
+                    region.write_from_many(&ios).await.unwrap();
+                }
+            }
+        }
+        let image = region.read(0, size).await.unwrap();
+        assert_eq!(image, shadow, "stripe {stripe}, depth {depth}");
+        assert_eq!(metrics.counter("integrity.read_mismatch"), 0);
+        image
+    })
+}
+
+#[test]
+fn random_unaligned_io_matches_a_shadow_at_every_stripe_size_and_depth() {
+    // 1 KiB stripes are one short block each (the single-CRC layout), 6 KiB
+    // stripes a whole block and a 2 KiB one, 64 KiB stripes sixteen blocks.
+    for stripe in [1 << 10, 6 << 10, 64 << 10] {
+        let serial = run_block_script(stripe, 1);
+        let pipelined = run_block_script(stripe, 16);
+        assert_eq!(
+            serial, pipelined,
+            "stripe {stripe}: depth changed the bytes"
+        );
+    }
 }

@@ -1188,7 +1188,7 @@ fn repair_rollback_run(kill_at: Option<sim::SimTime>) -> sim::SimTime {
         // extent each. Three one-stripe regions sized to exactly what is
         // left fit if and only if nothing is still reserved for the move
         // that rolled back and nothing it granted was left behind.
-        let extent = len + 8;
+        let extent = rstore::proto::extent_alloc_len(len, true);
         let fill = |stripe_size: u64| AllocOptions {
             stripe_size,
             policy: rstore::Policy::CapacityWeighted,
