@@ -1,5 +1,5 @@
-//! E12 — small-IO streaming throughput: what doorbell batching and
-//! checksum-read pipelining buy at 4–64 KiB request sizes.
+//! E12 — small-IO streaming throughput: what doorbell batching buys at
+//! 4–64 KiB request sizes, and what one verified read of 256 stripes moves.
 //!
 //! Two comparisons, both over a prefilled region whose every byte is
 //! verified on the way back (`data_errors` must stay zero):
@@ -7,9 +7,10 @@
 //! * **per-op vs batched** (plain region): an awaited `read_into` per op vs
 //!   [`Region::read_into_many`] rounds of 16 — one doorbell per memory
 //!   server instead of one per piece.
-//! * **serial vs pipelined** (checksummed region, stripe = IO size): the
-//!   same verified read with `pipeline_depth` 1 vs 16 — post→await→post vs
-//!   a bounded in-flight window of stripes.
+//! * **one verified read** (checksummed region, stripe = IO size): one
+//!   `read_into` of all 256 stripes — in rounds of at most 4 MiB of frames
+//!   (1, 2 and 5 rounds at 4, 16 and 64 KiB), every frame of a round in
+//!   flight at once and verified once the round has landed.
 //!
 //! And one arm that is about bytes, not speedups: **`ck_substripe`** — 4 KiB
 //! verified reads and writes on a 64 KiB-stripe checksummed region, where an
@@ -20,9 +21,7 @@
 //! tables and JSON.
 
 use rdma::DmaBuf;
-use rstore::{
-    AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable, RStoreClient, Region,
-};
+use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, RStoreClient, Region};
 use sim::{Level, OpSummary};
 
 use crate::table::{fmt_bytes, Table};
@@ -47,12 +46,8 @@ pub struct SizeStats {
     pub per_op_doorbells: f64,
     /// Doorbells rung per op, batched arm.
     pub batched_doorbells: f64,
-    /// Verified-read throughput at `pipeline_depth` 1 (serial).
-    pub ck_serial_gbps: f64,
-    /// Verified-read throughput at `pipeline_depth` 16.
-    pub ck_pipelined_gbps: f64,
-    /// Deepest in-flight stripe window the pipelined run reached.
-    pub ck_inflight_max: u64,
+    /// Throughput of one verified read of all [`OPS`] stripes.
+    pub ck_gbps: f64,
 }
 
 /// The sub-stripe arm: awaited 4 KiB verified reads and writes on a
@@ -278,8 +273,8 @@ fn measure_size(size: u64) -> (SizeStats, u64) {
             let batched_doorbells = (m.counter("rdma.doorbells") - db0) as f64 / OPS as f64;
             dev.free(round_buf).expect("free");
 
-            // Checksummed arms: stripe = IO size, so one read spans OPS
-            // verified stripes; serial vs pipelined in-flight window.
+            // Checksummed arm: stripe = IO size, so one read spans OPS
+            // verified stripes, in rounds of at most 4 MiB of frames.
             let ck_opts = AllocOptions {
                 stripe_size: size,
                 checksums: true,
@@ -287,27 +282,13 @@ fn measure_size(size: u64) -> (SizeStats, u64) {
             };
             let ck = client.alloc("e12ck", total, ck_opts).await.expect("alloc");
             ck.write(0, &fill).await.expect("prefill");
-            let mut ck_secs = [0.0f64; 2];
-            for (i, depth) in [1usize, 16].into_iter().enumerate() {
-                let c = RStoreClient::connect_with(
-                    &dev,
-                    master,
-                    ClientConfig {
-                        pipeline_depth: depth,
-                        ..ClientConfig::default()
-                    },
-                )
-                .await
-                .expect("client");
-                let r = c.map("e12ck").await.expect("map");
-                let big = dev.alloc(total).expect("buf");
-                r.read_into(0, big).await.expect("warm");
-                let t0 = sim.now();
-                r.read_into(0, big).await.expect("read");
-                ck_secs[i] = (sim.now() - t0).as_secs_f64();
-                errs += verify(&r, big.addr, 0, total);
-                dev.free(big).expect("free");
-            }
+            let big = dev.alloc(total).expect("buf");
+            ck.read_into(0, big).await.expect("warm");
+            let t0 = sim.now();
+            ck.read_into(0, big).await.expect("read");
+            let ck_secs = (sim.now() - t0).as_secs_f64();
+            errs += verify(&ck, big.addr, 0, total);
+            dev.free(big).expect("free");
 
             let gbps = |secs: f64| total as f64 * 8.0 / secs / 1e9;
             (
@@ -317,9 +298,7 @@ fn measure_size(size: u64) -> (SizeStats, u64) {
                     batched_gbps: gbps(batched_secs),
                     per_op_doorbells,
                     batched_doorbells,
-                    ck_serial_gbps: gbps(ck_secs[0]),
-                    ck_pipelined_gbps: gbps(ck_secs[1]),
-                    ck_inflight_max: m.counter("rstore.pipeline.inflight_max"),
+                    ck_gbps: gbps(ck_secs),
                 },
                 errs,
             )
@@ -479,26 +458,14 @@ pub fn tables(stats: &SmallIoStats) -> Vec<Table> {
     t1.note("batched rounds post 16 ops per read_into_many call; every byte read-verified");
 
     let mut t2 = Table::new(
-        "E12b: checksummed reads, serial vs pipelined stripe window (stripe = IO size)",
-        &[
-            "IO size",
-            "serial Gb/s",
-            "pipelined Gb/s",
-            "speedup",
-            "max in-flight",
-        ],
+        "E12b: checksummed reads, one verified read_into of 256 stripes (stripe = IO size)",
+        &["IO size", "Gb/s"],
     );
     for s in &stats.sizes {
-        t2.row(vec![
-            fmt_bytes(s.size),
-            format!("{:.2}", s.ck_serial_gbps),
-            format!("{:.2}", s.ck_pipelined_gbps),
-            format!("{:.2}x", s.ck_pipelined_gbps / s.ck_serial_gbps),
-            s.ck_inflight_max.to_string(),
-        ]);
+        t2.row(vec![fmt_bytes(s.size), format!("{:.2}", s.ck_gbps)]);
     }
     t2.note(format!(
-        "pipeline_depth 1 vs 16; data errors across all arms: {}",
+        "rounds of <= 4 MiB of frames, each wholly in flight; data errors across all arms: {}",
         stats.data_errors
     ));
 
@@ -546,8 +513,8 @@ mod tests {
         );
         for s in &stats.sizes {
             assert!(
-                s.ck_pipelined_gbps > s.ck_serial_gbps,
-                "pipelining lost at {} bytes",
+                s.ck_gbps > s.per_op_gbps,
+                "one verified read slower than awaited plain reads at {} bytes",
                 s.size
             );
         }

@@ -402,16 +402,7 @@ pub fn experiment_json(id: &str) -> Json {
                         "batched_doorbells_per_op".to_string(),
                         Json::float(z.batched_doorbells),
                     ),
-                    ("ck_serial_gbps".to_string(), Json::float(z.ck_serial_gbps)),
-                    (
-                        "ck_pipelined_gbps".to_string(),
-                        Json::float(z.ck_pipelined_gbps),
-                    ),
-                    (
-                        "ck_pipeline_speedup".to_string(),
-                        Json::float(z.ck_pipelined_gbps / z.ck_serial_gbps),
-                    ),
-                    ("ck_inflight_max".to_string(), Json::int(z.ck_inflight_max)),
+                    ("ck_gbps".to_string(), Json::float(z.ck_gbps)),
                 ])
             })
             .collect();

@@ -23,18 +23,11 @@ use crate::rpc::Channel;
 use crate::stats::ClientStats;
 use crate::{CTRL_SERVICE, DATA_SERVICE};
 
-/// Per-client tuning: the checksummed-IO window, the KV hint cache and the
-/// control-call deadline.
+/// Per-client tuning: the KV hint cache and the control-call deadline. The
+/// data path has no knob: every [`Region`] IO, plain or checksummed, is one
+/// planned round.
 #[derive(Clone, Copy, Debug)]
 pub struct ClientConfig {
-    /// Bound on how many checksummed stripes a verified read/write keeps in
-    /// flight at once. Depth 1 reproduces the strictly serial
-    /// post→await→post behavior; larger depths overlap stripe round trips
-    /// while preserving per-stripe failover semantics and the first-failing-
-    /// stripe error. This window is the only path checksummed IO takes;
-    /// plain IO is instead grouped into one WR per memory server (see
-    /// [`Region`]).
-    pub pipeline_depth: usize,
     /// Capacity of the per-table cached KV index (key → slot hints) that
     /// [`KvTable`](crate::kv::KvTable) handles opened through this client
     /// keep, in entries. A warm hint turns a `get` into a single one-sided
@@ -52,7 +45,6 @@ pub struct ClientConfig {
 impl Default for ClientConfig {
     fn default() -> Self {
         ClientConfig {
-            pipeline_depth: 8,
             kv_hint_capacity: 4096,
             ctrl_response_timeout: crate::rpc::RESPONSE_TIMEOUT,
         }

@@ -59,6 +59,17 @@ impl Piece {
         })
     }
 
+    /// Whether this piece and `other` touch a common checksum block — the
+    /// frames of two verified writes that do cannot fly in one round.
+    pub fn shares_block(&self, other: &Piece) -> bool {
+        let blocks = |p: &Piece| {
+            let end = (p.offset_in_stripe + p.len).div_ceil(CK_BLOCK);
+            (p.offset_in_stripe / CK_BLOCK, end)
+        };
+        let ((a0, a1), (b0, b1)) = (blocks(self), blocks(other));
+        self.group == other.group && a0 < b1 && b0 < a1
+    }
+
     /// What a verified write of this piece must read before it can seal
     /// `data`, the data piece of its frame: the first and the last block of
     /// the frame where the write covers them only in part, as pieces into
@@ -286,6 +297,28 @@ mod tests {
         // A short last block is fetched at its own length.
         assert_eq!(partial(k + 1, 10, 6 << 10), [(k, 2 << 10, 0), (k, 0, 0)]);
         assert_eq!(partial(0, k + 10, 6 << 10), [(0, 0, 0), (k, 2 << 10, k)]);
+    }
+
+    #[test]
+    fn shares_block_is_per_block_and_per_stripe() {
+        let k = CK_BLOCK;
+        let other = |offset_in_stripe, len| Piece {
+            offset_in_stripe,
+            len,
+            ..piece(0, 0)
+        };
+        // Two halves of one block share it; neighbouring blocks do not.
+        assert!(piece(10, 100).shares_block(&other(k - 100, 50)));
+        assert!(!piece(10, 100).shares_block(&other(k, 50)));
+        assert!(!piece(k - 10, 10).shares_block(&other(k, k)));
+        // A range across a boundary shares both blocks it touches.
+        assert!(piece(k - 10, 20).shares_block(&other(0, 1)));
+        assert!(piece(k - 10, 20).shares_block(&other(2 * k - 1, 1)));
+        // The same offsets in another stripe share nothing.
+        assert!(!piece(10, 100).shares_block(&Piece {
+            group: 4,
+            ..other(10, 100)
+        }));
     }
 
     #[test]

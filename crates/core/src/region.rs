@@ -4,7 +4,7 @@
 //! pure one-sided RDMA against the memory servers named in the region's
 //! descriptor — no master involvement, no remote CPU.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::fmt;
 use std::future::Future;
 use std::ops::Range;
@@ -15,7 +15,6 @@ use rdma::{
     AtomicOp, CqStatus, DmaBuf, RKey, RdmaError, RemoteAddr, Sge, SgeList, Wr, WrOp, MAX_SGE,
 };
 use sim::channel::oneshot;
-use sim::sync::Semaphore;
 use sim::{Event, Level, OpLedger, Phase, Span};
 
 use crate::client::{RStoreClient, IO_GRACE};
@@ -45,8 +44,16 @@ struct Xfer {
     piece: Piece,
     buf: DmaBuf,
     replica: usize,
+    /// Checksummed IO only: the piece's frame image ([`Piece::ck_frame`]) in
+    /// the round's staging buffer — what its WR moves, in place of `buf`.
+    image: Option<DmaBuf>,
     /// Read failover only: this replica has spent its one reconnect retry.
     redialed: bool,
+    /// Read failover only: some replica refused the rkey.
+    refused: bool,
+    /// Read failover only: the node of the last replica whose frame landed
+    /// but did not verify.
+    corrupt: Option<u32>,
 }
 
 impl Xfer {
@@ -55,23 +62,17 @@ impl Xfer {
             piece,
             buf,
             replica,
+            image: None,
             redialed: false,
+            refused: false,
+            corrupt: None,
         }
-    }
-
-    /// The transfers that move a verified IO's frame ([`Piece::ck_frame`])
-    /// between `replica` and its image in `buf`: the two elements of one WR
-    /// — or one, where the two ranges meet, which is a whole stripe (so a
-    /// one-block stripe moves exactly the bytes the single-CRC format did).
-    fn frame([data, entries]: [Piece; 2], buf: DmaBuf, replica: usize) -> ([Xfer; 2], usize) {
-        let x = |piece| Xfer::new(piece, buf, replica);
-        data.join(&entries)
-            .map_or(([x(data), x(entries)], 2), |whole| ([x(whole); 2], 1))
     }
 }
 
-/// A transfer that did not complete, with the completion status that failed
-/// it (`Timeout` when its WR could not even be posted).
+/// A transfer that did not land, with the completion status that failed it
+/// (`Timeout` when its WR could not even be posted, `Success` when it is a
+/// checksummed read whose frame landed but did not verify).
 type Failed = (Xfer, CqStatus);
 
 /// A posted WR: the plan indices of the transfers it covers and its
@@ -113,6 +114,11 @@ impl IoPool {
 /// bound).
 const POOL_CAP: usize = 32;
 
+/// Most frame-image bytes one checksummed round stages (a round always
+/// takes one piece): a larger verified IO runs as successive rounds, so
+/// its staging stays bounded instead of matching the IO.
+const STAGING_MAX: u64 = 4 << 20;
+
 /// A mapped region of distributed memory.
 ///
 /// Obtained from [`RStoreClient::alloc`] or [`RStoreClient::map`]. Offsets
@@ -132,14 +138,15 @@ const POOL_CAP: usize = 32;
 /// spawns the `_many` future ([`sim::Sim::spawn`]) and joins it when the
 /// bytes are needed.
 ///
-/// Every call plans its stripe pieces first and posts them by one rule: two
-/// or more pieces on a plain region post as one multi-element WR per memory
-/// server (per [`MAX_SGE`] pieces); single-piece and checksummed IO post
-/// one WR per (stripe, replica) — on a checksummed region that WR's two
-/// elements are the covering blocks and their entries. Checksummed reads
-/// and writes instead keep up to
-/// [`pipeline_depth`](crate::client::ClientConfig::pipeline_depth) stripe
-/// pieces in flight, verifying each as it lands.
+/// Every call plans its stripe pieces first and posts them, all at once, by
+/// one rule: two or more pieces on a plain region post as one
+/// multi-element WR per memory server (per [`MAX_SGE`] pieces);
+/// single-piece and checksummed IO post one WR per (stripe, replica) — on
+/// a checksummed region that WR's two elements are the covering blocks and
+/// their entries, verified once the round has landed. A checksummed round
+/// stages its frames in one buffer of at most 4 MiB, so a larger verified
+/// IO runs as successive rounds. Both region kinds share one read round
+/// with one failover loop and one write round with one recovery round.
 #[derive(Clone)]
 pub struct Region {
     client: RStoreClient,
@@ -181,27 +188,6 @@ impl Region {
             name,
             checksums,
             pool: Rc::default(),
-        }
-    }
-
-    /// Fetches a staging buffer of exactly `len` bytes from the pool, or
-    /// allocates a fresh one. Pair with [`put_staging`](Self::put_staging).
-    fn take_staging(&self, len: u64) -> Result<DmaBuf> {
-        let mut pool = self.pool.staging.borrow_mut();
-        if let Some(i) = pool.iter().rposition(|b| b.len == len) {
-            return Ok(pool.swap_remove(i));
-        }
-        drop(pool);
-        Ok(self.client.shared.dev.alloc(len)?)
-    }
-
-    /// Returns a staging buffer to the pool (or frees it when full).
-    fn put_staging(&self, buf: DmaBuf) {
-        let mut pool = self.pool.staging.borrow_mut();
-        if pool.len() < POOL_CAP {
-            pool.push(buf);
-        } else {
-            let _ = self.client.shared.dev.free(buf);
         }
     }
 
@@ -264,7 +250,9 @@ impl Region {
         ledger.finish(self.client.shared.sim.now(), reason);
     }
 
-    /// Runs `io` on a pooled staging buffer of exactly `len` bytes.
+    /// Runs `io` on a staging buffer of exactly `len` bytes: one of the
+    /// pool's, or a fresh one, which goes back to the pool (or is freed
+    /// when the pool is full).
     pub(crate) async fn with_staging<T, Fut>(
         &self,
         len: u64,
@@ -273,9 +261,24 @@ impl Region {
     where
         Fut: Future<Output = Result<T>>,
     {
-        let staging = self.take_staging(len.max(1))?;
+        let (dev, size) = (&self.client.shared.dev, len.max(1));
+        let pooled = self
+            .pool
+            .staging
+            .borrow()
+            .iter()
+            .rposition(|b| b.len == size);
+        let staging = match pooled {
+            Some(i) => self.pool.staging.borrow_mut().swap_remove(i),
+            None => dev.alloc(size)?,
+        };
         let result = io(staging.slice(0, len)).await;
-        self.put_staging(staging);
+        let mut pool = self.pool.staging.borrow_mut();
+        if pool.len() < POOL_CAP {
+            pool.push(staging);
+        } else {
+            let _ = dev.free(staging);
+        }
         result
     }
 
@@ -440,7 +443,7 @@ impl Region {
     /// Reads many `(offset, dst)` pairs as one posting round: every pair is
     /// planned before anything posts, and the whole plan shares one round —
     /// on a plain region one WR per memory server, on a checksummed region
-    /// one pipelined stripe window (see the [`Region`] docs for the rule).
+    /// one per stripe piece (see the [`Region`] docs for the rule).
     /// Failover is per piece with exactly [`read_into`](Self::read_into)'s
     /// reconnect-then-advance semantics.
     ///
@@ -486,8 +489,9 @@ impl Region {
     /// replica — shares one round, grouped by the same rule. A transfer
     /// that fails gets [`write_from`](Self::write_from)'s one re-dial and
     /// repost. On a checksummed region every touched block is re-sealed
-    /// as by [`write`](Self::write), and pairs that share a stripe are
-    /// applied in order. Pairs that overlap land in no defined order.
+    /// as by [`write`](Self::write), and a pair that shares a checksum
+    /// block with an earlier one is applied in a later round. Pairs that
+    /// overlap land in no defined order.
     ///
     /// # Errors
     ///
@@ -528,22 +532,58 @@ impl Region {
 
     // --- one round per direction --------------------------------------------------
 
-    /// One read round: plan every pair, post, then run the replica-failover
-    /// loop over whatever failed.
+    /// One read round: plan every pair, then [`read_plan`](Self::read_plan).
     async fn read_round(&self, ios: &[(u64, DmaBuf)], ledger: &OpLedger) -> Result<()> {
         let s = &self.client.shared;
         let _span = self.round_span(ios, &s.stats.read, &s.stats.read_many);
-        let plan = self.plan(ios, false)?;
-        if self.checksums {
-            let verify = |this: Region, x: Xfer, ledger: OpLedger| async move {
-                this.read_piece_verified(&x.piece, x.buf, &ledger).await
-            };
-            return self
-                .pipeline_ck(plan, s.cfg.pipeline_depth, ledger, verify)
-                .await;
+        self.read_plan(self.plan(ios, false)?, ledger).await
+    }
+
+    /// Reads a plan: posts it as one round, then runs the replica-failover
+    /// loop over whatever did not land. On a checksummed region every piece
+    /// moves its frame into an image of the round's staging buffer, and is
+    /// verified and copied out once it has landed.
+    async fn read_plan(&self, plan: Vec<Xfer>, ledger: &OpLedger) -> Result<()> {
+        if !self.checksums {
+            let failed = self.post_round(Dir::Read, plan, None, ledger).await?;
+            return self.drain_reads(failed, ledger).await;
         }
-        let failed = self.post_round(Dir::Read, plan, None, ledger).await;
-        self.drain_reads(failed, ledger).await
+        self.ck_rounds(plan, false, |round| async move {
+            let failed = self.post_round(Dir::Read, round, None, ledger).await?;
+            self.drain_reads(failed, ledger).await
+        })
+        .await
+    }
+
+    /// Runs checksummed `plan` as successive rounds (see
+    /// [`frame_images`](Self::frame_images)), each `run` on a copy of its
+    /// transfers whose frame images lie in one staging buffer. An empty plan
+    /// runs none.
+    async fn ck_rounds<Fut>(
+        &self,
+        mut plan: Vec<Xfer>,
+        racing: bool,
+        run: impl Fn(Vec<Xfer>) -> Fut,
+    ) -> Result<()>
+    where
+        Fut: Future<Output = Result<()>>,
+    {
+        let (mut rest, mut result) = (&mut plan[..], Ok(()));
+        while !rest.is_empty() && result.is_ok() {
+            let (n, len) = self.frame_images(rest, racing, None);
+            let (round, next) = rest.split_at_mut(n);
+            result = self
+                .with_staging(len, |staging| {
+                    self.frame_images(round, racing, Some(staging));
+                    let mut plan = IoPool::take(&self.pool.plans);
+                    plan.extend_from_slice(round);
+                    run(plan)
+                })
+                .await;
+            rest = next;
+        }
+        IoPool::put(&self.pool.plans, plan);
+        result
     }
 
     /// Writes `ios` (or, for an inline write, the host bytes `inline` in
@@ -560,7 +600,8 @@ impl Region {
     }
 
     /// One write round: plan every (piece, replica) of every pair, post,
-    /// then run the recovery round over whatever failed.
+    /// then run the recovery round over whatever failed. A checksummed plan
+    /// runs as [`write_ck`](Self::write_ck) rounds.
     async fn write_round(
         &self,
         ios: &[(u64, DmaBuf)],
@@ -569,21 +610,33 @@ impl Region {
     ) -> Result<()> {
         let s = &self.client.shared;
         let _span = self.round_span(ios, &s.stats.write, &s.stats.write_many);
-        let plan = self.plan(ios, !self.checksums)?;
-        if self.checksums {
-            let assemble = |this: Region, x: Xfer, ledger: OpLedger| async move {
-                this.write_piece_ck(&x.piece, x.buf, &ledger).await
-            };
-            // Pieces of two pairs in one stripe may each read-modify-write
-            // the same block, and the later entry would seal only its own
-            // bytes: such a plan runs in order.
-            let racing =
-                |(i, x): (usize, &Xfer)| plan[..i].iter().any(|y| y.piece.group == x.piece.group);
-            let serial = ios.len() > 1 && plan.iter().enumerate().any(racing);
-            let depth = if serial { 1 } else { s.cfg.pipeline_depth };
-            return self.pipeline_ck(plan, depth, ledger, assemble).await;
+        let plan = self.plan(ios, true)?;
+        if !self.checksums {
+            return self.write_xfers(plan, inline, ledger).await;
         }
-        self.write_xfers(plan, inline, ledger).await
+        let racing = ios.len() > 1;
+        self.ck_rounds(plan, racing, |round| self.write_ck(round, ledger))
+            .await
+    }
+
+    /// One checksummed write round over framed pieces that share no block:
+    /// every boundary block they cover in part is fetched in one verified
+    /// read round into their images, every image is sealed on the host, and
+    /// every frame goes to every replica through
+    /// [`write_xfers`](Self::write_xfers). Pieces that start and end on
+    /// block boundaries (or at a stripe's end) read nothing.
+    async fn write_ck(&self, round: Vec<Xfer>, ledger: &OpLedger) -> Result<()> {
+        let mut fetch = IoPool::take(&self.pool.plans);
+        for x in round.iter().filter(|x| x.replica == 0) {
+            let ([data, _], image) = (self.frame(&x.piece), x.image.expect("framed"));
+            let partial = x.piece.ck_partial(&data).into_iter().filter(|b| b.len > 0);
+            fetch.extend(partial.map(|block| Xfer::new(block, image, 0)));
+        }
+        self.read_plan(fetch, ledger).await?;
+        for x in round.iter().filter(|x| x.replica == 0) {
+            self.seal(x)?;
+        }
+        self.write_xfers(round, None, ledger).await
     }
 
     /// The trace span of one round over `ios`: `one`'s (arg = bytes) for a
@@ -597,7 +650,7 @@ impl Region {
     }
 
     /// Plans `ios` into per-stripe transfers, in logical order: against the
-    /// primary replica only, or (`all_replicas`, what a plain write needs)
+    /// primary replica only, or (`all_replicas`, what a write needs)
     /// against every replica of every touched stripe. An out-of-range pair
     /// fails the whole plan, so nothing has posted yet.
     fn plan(&self, ios: &[(u64, DmaBuf)], all_replicas: bool) -> Result<Vec<Xfer>> {
@@ -605,15 +658,66 @@ impl Region {
         let mut plan = IoPool::take(&self.pool.plans);
         for &(offset, buf) in ios {
             for piece in layout.piece_iter(offset, buf.len)? {
-                let replicas = if all_replicas {
-                    self.replicas(piece.group)
-                } else {
-                    1
-                };
-                plan.extend((0..replicas).map(|replica| Xfer::new(piece, buf, replica)));
+                let replicas = (0..self.replicas(piece.group)).filter(|&r| all_replicas || r == 0);
+                plan.extend(replicas.map(|replica| Xfer::new(piece, buf, replica)));
             }
         }
         Ok(plan)
+    }
+
+    /// The frame ([`Piece::ck_frame`]) of `piece` in its stripe.
+    fn frame(&self, piece: &Piece) -> [Piece; 2] {
+        piece.ck_frame(self.stripe_len(piece.group))
+    }
+
+    /// Lays the frame images of the first round of checksummed `plan` out
+    /// back to back in `staging` — one per piece, which its replicas share —
+    /// and returns the round's transfer count and image bytes (with no
+    /// `staging`, only those). A round ends before the piece whose image
+    /// would take it past [`STAGING_MAX`] and, with `racing` (a write of
+    /// several pairs), before a piece that shares a checksum block with an
+    /// earlier piece of the round — another pair's, whose bytes its
+    /// read-modify-write must see.
+    fn frame_images(
+        &self,
+        plan: &mut [Xfer],
+        racing: bool,
+        staging: Option<DmaBuf>,
+    ) -> (usize, u64) {
+        let mut end = 0;
+        for i in 0..plan.len() {
+            let x = plan[i];
+            let [data, entries] = self.frame(&x.piece);
+            let len = data.len + entries.len;
+            if x.replica == 0 && i > 0 {
+                let shares = || plan[..i].iter().any(|y| y.piece.shares_block(&x.piece));
+                if end + len > STAGING_MAX || racing && shares() {
+                    return (i, end);
+                }
+            }
+            end += if x.replica == 0 { len } else { 0 };
+            plan[i].image = staging.map(|buf| buf.slice(end - len, len));
+        }
+        (plan.len(), end)
+    }
+
+    /// Seals the frame image of checksummed write `x`: its new bytes over
+    /// whatever boundary blocks were fetched into the image, then every
+    /// block's entry — bouncing through the pooled host scratch.
+    fn seal(&self, x: &Xfer) -> Result<()> {
+        let dev = &self.client.shared.dev;
+        let ([data, _], image) = (self.frame(&x.piece), x.image.expect("framed"));
+        let mut scratch = self.pool.scratch.borrow_mut();
+        scratch.resize(image.len as usize, 0);
+        if x.piece.ck_partial(&data).iter().any(|b| b.len > 0) {
+            dev.read_mem_into(image.addr, &mut scratch[..])?;
+        }
+        let (blocks, trailer) = scratch.split_at_mut(data.len as usize);
+        let lo = (x.piece.offset_in_stripe - data.offset_in_stripe) as usize;
+        let new = &mut blocks[lo..lo + x.piece.len as usize];
+        dev.read_mem_into(x.buf.addr + x.piece.buf_offset, new)?;
+        seal_blocks(blocks, trailer);
+        Ok(dev.write_mem(image.addr, &scratch)?)
     }
 
     /// Posts a plan without waiting: the posted WRs (each with the transfers
@@ -625,11 +729,9 @@ impl Region {
     /// transfers post as ONE multi-element WR — one doorbell, one CQE — per
     /// [`MAX_SGE`] of them. A single-piece plan (replicas of one stripe
     /// never share a server, so there is nothing to group) and checksummed
-    /// IO post one WR per (stripe, replica), in plan order. Checksummed IO
-    /// is deliberately not grouped: its pieces are verified one by one as
-    /// they land, and the pipelined window measured faster than one grouped
-    /// fetch followed by verification (DESIGN.md, "Inline and
-    /// scatter-gather WRs").
+    /// IO post one WR per (stripe, replica), in plan order: grouping a
+    /// checksummed round into one WR per server measured slower (DESIGN.md,
+    /// "Inline and scatter-gather WRs").
     fn post_plan(
         &self,
         dir: Dir,
@@ -645,10 +747,7 @@ impl Region {
         }
         let mut failed = Vec::new();
         let mut end = 0;
-        // A checksummed write's plan is the blocks and the entries of one
-        // stripe per replica: two elements of one WR (replicas of a stripe
-        // never share a server).
-        for run in plan.chunk_by(|a, b| (grouped || self.checksums) && node(a) == node(b)) {
+        for run in plan.chunk_by(|a, b| grouped && node(a) == node(b)) {
             for xfers in run.chunks(MAX_SGE) {
                 end += xfers.len();
                 match self.post(dir, xfers, inline, ledger) {
@@ -662,11 +761,8 @@ impl Region {
         failed
     }
 
-    /// Posts a plan and awaits the round — one round trip for the logical
-    /// op, since everything in it flies in parallel. Returns the transfers
-    /// that failed, each with the status that failed it (a multi-element
-    /// WR's CQE folds the first failing element's status over all of them);
-    /// the plan and the posted-WR list go back to the pool before any
+    /// Posts a plan and awaits the round. Returns the transfers that did not
+    /// land; the plan and the posted-WR list go back to the pool before any
     /// failover or recovery round runs.
     async fn post_round(
         &self,
@@ -674,88 +770,179 @@ impl Region {
         mut plan: Vec<Xfer>,
         inline: Option<&[u8]>,
         ledger: &OpLedger,
-    ) -> Vec<Failed> {
+    ) -> Result<Vec<Failed>> {
         let mut waits = IoPool::take(&self.pool.waits);
         let mut failed = self.post_plan(dir, &mut plan, inline, ledger, &mut waits);
+        let landed = self
+            .await_round(dir, &plan, &mut waits, &mut failed, ledger)
+            .await;
+        IoPool::put(&self.pool.waits, waits);
+        IoPool::put(&self.pool.plans, plan);
+        landed.map(|()| failed)
+    }
+
+    /// Awaits the posted WRs of `plan` — one round trip for the logical op,
+    /// since they all fly in parallel — and adds every transfer that did not
+    /// [land](Self::landed) to `failed`, with its WR's status (a
+    /// multi-element WR's CQE folds the first failing element's status over
+    /// all of them). An error copying verified bytes out is returned only
+    /// once every WR has completed, so no staging image is left in flight.
+    async fn await_round(
+        &self,
+        dir: Dir,
+        plan: &[Xfer],
+        waits: &mut Vec<Posted>,
+        failed: &mut Vec<Failed>,
+        ledger: &OpLedger,
+    ) -> Result<()> {
         if !waits.is_empty() {
             ledger.rtt();
         }
+        let mut copied = Ok(());
         for (xfers, rx) in waits.drain(..) {
             let status = rx.await.unwrap_or(CqStatus::Flushed);
-            if status != CqStatus::Success {
-                failed.extend(plan[xfers].iter().map(|&x| (x, status)));
+            for &x in &plan[xfers] {
+                match self.landed(dir, &x, status) {
+                    Ok(true) => {}
+                    Ok(false) => failed.push((x, status)),
+                    Err(e) => copied = Err(e),
+                }
             }
         }
-        IoPool::put(&self.pool.waits, waits);
-        IoPool::put(&self.pool.plans, plan);
-        failed
+        copied
     }
 
-    /// The replica-failover loop behind every plain read: runs until every
-    /// failed piece has landed or some piece exhausts its replicas.
+    /// Whether transfer `x`, whose WR completed with `status`, holds good
+    /// bytes. A checksummed read verifies its frame image block by block
+    /// and, when every block matches its entry, copies the wanted bytes into
+    /// `x.buf`; a frame that landed but did not verify has not.
+    fn landed(&self, dir: Dir, x: &Xfer, status: CqStatus) -> Result<bool> {
+        let (Dir::Read, Some(image), CqStatus::Success) = (dir, x.image, status) else {
+            return Ok(status == CqStatus::Success);
+        };
+        let dev = &self.client.shared.dev;
+        let [data, _] = self.frame(&x.piece);
+        let mut scratch = self.pool.scratch.borrow_mut();
+        scratch.resize(image.len as usize, 0);
+        dev.read_mem_into(image.addr, &mut scratch[..])?;
+        let (blocks, trailer) = scratch.split_at(data.len as usize);
+        if verify_blocks(blocks, trailer).is_some() {
+            return Ok(false);
+        }
+        let lo = (x.piece.offset_in_stripe - data.offset_in_stripe) as usize;
+        let want = &blocks[lo..lo + x.piece.len as usize];
+        dev.write_mem(x.buf.addr + x.piece.buf_offset, want)?;
+        Ok(true)
+    }
+
+    /// The replica-failover loop behind every read, plain or checksummed:
+    /// runs until every failed piece has landed or some piece exhausts its
+    /// replicas, and returns only once every WR it posted has completed.
     ///
-    /// A failed replica is first granted one reconnect retry — its QP may be
-    /// broken while the server is fine — and only advances to the next
-    /// replica once that retry fails or the re-dial is refused (backoff
-    /// gate, dead node). A piece that exhausts its replicas fails the read
-    /// with the status that sent it here, so the caller sees *why* (e.g.
-    /// `RemoteAccess` when every replica rejected the rkey — the signal a
-    /// region was freed under the reader) instead of a generic timeout.
+    /// A replica whose WR failed is first granted one reconnect retry — its
+    /// QP may be broken while the server is fine — and only advances to the
+    /// next replica once that retry fails or the re-dial is refused (backoff
+    /// gate, dead node). A checksummed frame that landed but did not verify
+    /// advances at once — the replica is bad, not its QP — and is reported
+    /// to the master in the background (the data path must not block on the
+    /// control path) so the repair task can re-replicate it. A piece that
+    /// exhausts its replicas fails the read with
+    /// [`exhausted`](Self::exhausted)'s error.
     async fn drain_reads(&self, mut failed: Vec<Failed>, ledger: &OpLedger) -> Result<()> {
         if failed.is_empty() {
             return Ok(());
         }
-        let sim = &self.client.shared.sim;
+        let s = &self.client.shared;
         // One retry span covers the whole recovery tail. Individual WR waits
         // and failover marks nest inside it, so the span's self-time is
         // exactly the recovery overhead (redials, reposts) not explained by
         // wire.
-        let retry_span = ledger.begin(Phase::Retry, sim.now());
-        let result = 'outer: loop {
-            let mut waits = Vec::new();
+        let retry_span = ledger.begin(Phase::Retry, s.sim.now());
+        let mut plan = IoPool::take(&self.pool.plans);
+        let mut waits = IoPool::take(&self.pool.waits);
+        let result = loop {
+            let mut exhausted = Ok(());
             for (mut x, status) in std::mem::take(&mut failed) {
-                if !x.redialed {
+                let node = self.extent(x.piece.group, x.replica).node;
+                x.refused |= status == CqStatus::RemoteAccess;
+                // Landed, did not verify: a bad replica, not a bad QP.
+                let corrupt = status == CqStatus::Success;
+                let retry = !corrupt && !x.redialed;
+                if corrupt {
+                    ledger.verify_failure();
+                    s.stats.read_corrupt.fire(node as u64, x.piece.group as u64);
+                    let (client, name) = (self.client.clone(), self.name().to_owned());
+                    let (g, r) = (x.piece.group as u32, x.replica as u32);
+                    s.sim.spawn(async move {
+                        let _ = client.report_corruption(&name, g, r, node).await;
+                    });
+                    x.corrupt = Some(node);
+                }
+                if retry {
                     x.redialed = true;
-                    let node = self.extent(x.piece.group, x.replica).node;
-                    if self.client.redial(node).await.is_ok() {
-                        if let Ok(rx) = self.post(Dir::Read, &[x], None, ledger) {
-                            ledger.retry();
-                            waits.push((x, rx));
-                            continue;
-                        }
+                    if self.client.redial(node).await.is_err() {
+                        // The reconnect retry is spent; advance next pass.
+                        failed.push((x, status));
+                        continue;
                     }
-                    // The reconnect retry is spent; advance next pass.
-                    failed.push((x, status));
-                    continue;
+                } else {
+                    x.replica += 1;
+                    x.redialed = false;
+                    if x.replica >= self.replicas(x.piece.group) {
+                        exhausted = Err(self.exhausted(&x, status));
+                        break;
+                    }
+                    ledger.failover(s.sim.now());
                 }
-                x.replica += 1;
-                x.redialed = false;
-                if x.replica >= self.replicas(x.piece.group) {
-                    break 'outer Err(RStoreError::Io(status));
-                }
-                ledger.failover(sim.now());
                 match self.post(Dir::Read, &[x], None, ledger) {
-                    Ok(rx) => waits.push((x, rx)),
-                    Err(_) => failed.push((x, status)),
+                    Ok(rx) => {
+                        if retry {
+                            ledger.retry();
+                        }
+                        waits.push((plan.len()..plan.len() + 1, rx));
+                        plan.push(x);
+                    }
+                    // Unpostable: next pass re-dials or advances — as a failed
+                    // WR (`post_plan`'s `Timeout`), never as the corrupt
+                    // replica it left.
+                    Err(_) => failed.push((x, if corrupt { CqStatus::Timeout } else { status })),
                 }
             }
             // Each pass that awaits at least one posted completion is one
             // more round trip for the logical op.
-            if !waits.is_empty() {
-                ledger.rtt();
-            }
-            for (x, rx) in waits {
-                let status = rx.await.unwrap_or(CqStatus::Flushed);
-                if status != CqStatus::Success {
-                    failed.push((x, status));
-                }
-            }
-            if failed.is_empty() {
-                break Ok(());
+            let landed = self
+                .await_round(Dir::Read, &plan, &mut waits, &mut failed, ledger)
+                .await;
+            plan.clear();
+            if exhausted.is_err() || landed.is_err() || failed.is_empty() {
+                break exhausted.and(landed);
             }
         };
-        ledger.end(retry_span, sim.now());
+        IoPool::put(&self.pool.waits, waits);
+        IoPool::put(&self.pool.plans, plan);
+        ledger.end(retry_span, s.sim.now());
         result
+    }
+
+    /// The error of a read piece that exhausted its replicas, the last on
+    /// `status`. A checksummed piece surfaces `RemoteAccess` if any replica
+    /// refused the rkey — the stale-descriptor signal
+    /// [`with_revalidate`](Self::with_revalidate) retries on, never a
+    /// corruption misdiagnosis — else `CorruptionDetected` if any replica's
+    /// frame did not verify. Otherwise the read fails with the status that
+    /// sent it here, so the caller sees *why* (e.g. `RemoteAccess` when
+    /// every replica rejected the rkey — the signal a region was freed under
+    /// the reader) instead of a generic timeout.
+    fn exhausted(&self, x: &Xfer, status: CqStatus) -> RStoreError {
+        match x.corrupt {
+            _ if x.refused && self.checksums => RStoreError::Io(CqStatus::RemoteAccess),
+            Some(node) => RStoreError::CorruptionDetected {
+                node,
+                region: self.name().to_owned(),
+                stripe: x.piece.group as u64,
+            },
+            None => RStoreError::Io(status),
+        }
     }
 
     /// Posts a planned write round, then the recovery round: a write must
@@ -770,7 +957,7 @@ impl Region {
         inline: Option<&[u8]>,
         ledger: &OpLedger,
     ) -> Result<()> {
-        let failed = self.post_round(Dir::Write, plan, inline, ledger).await;
+        let failed = self.post_round(Dir::Write, plan, inline, ledger).await?;
         if failed.is_empty() {
             return Ok(());
         }
@@ -803,250 +990,24 @@ impl Region {
         result
     }
 
-    // --- verified (checksummed) paths -----------------------------------------
-
-    /// Verifies a frame's image sitting in `staging` block by block and, when
-    /// every block matches its entry, copies the `want` sub-range into
-    /// `dst`. Returns `Ok(false)` on a mismatch — the caller decides how to
-    /// recover.
-    fn verify_and_copy(
-        &self,
-        want: &Piece,
-        [data, entries]: [Piece; 2],
-        staging: DmaBuf,
-        dst: DmaBuf,
-    ) -> Result<bool> {
-        let s = &self.client.shared;
-        let mut scratch = self.pool.scratch.borrow_mut();
-        scratch.resize((data.len + entries.len) as usize, 0);
-        s.dev.read_mem_into(staging.addr, &mut scratch[..])?;
-        let (blocks, trailer) = scratch.split_at(data.len as usize);
-        if verify_blocks(blocks, trailer).is_some() {
-            return Ok(false);
-        }
-        let lo = (want.offset_in_stripe - data.offset_in_stripe) as usize;
-        s.dev.write_mem(
-            dst.addr + want.buf_offset,
-            &blocks[lo..lo + want.len as usize],
-        )?;
-        Ok(true)
+    /// The elements of `x`'s WR: its piece of `buf`; or, checksummed, its
+    /// frame against its image — two ranges of the extent, or one where
+    /// they meet, which is a whole stripe (so a one-block stripe moves
+    /// exactly the bytes the single-CRC format did).
+    fn elements(&self, x: &Xfer) -> ([(Piece, DmaBuf); 2], usize) {
+        let Some(image) = x.image else {
+            return ([(x.piece, x.buf); 2], 1);
+        };
+        let [data, entries] = self.frame(&x.piece);
+        data.join(&entries)
+            .map_or(([(data, image), (entries, image)], 2), |whole| {
+                ([(whole, image); 2], 1)
+            })
     }
 
-    /// Runs `op` once per planned stripe piece under a bounded in-flight
-    /// window of `depth` stripes
-    /// ([`ClientConfig::pipeline_depth`](crate::client::ClientConfig::pipeline_depth))
-    /// — the only path checksummed IO takes. Keeping several stripes
-    /// in flight overlaps the verification of one with the fabric round
-    /// trip of the next. Pieces are issued in order and a failure stops
-    /// further issue, so at depth 1 this is exactly the serial
-    /// post→await→post loop, including which stripe's error surfaces:
-    /// results are joined in piece order and the first error wins.
-    async fn pipeline_ck<F, Fut>(
-        &self,
-        plan: Vec<Xfer>,
-        depth: usize,
-        ledger: &OpLedger,
-        op: F,
-    ) -> Result<()>
-    where
-        F: Fn(Region, Xfer, OpLedger) -> Fut + 'static,
-        Fut: Future<Output = Result<()>> + 'static,
-    {
-        let s = &self.client.shared;
-        let depth = depth.max(1);
-        if plan.len() <= 1 || depth == 1 {
-            for &x in &plan {
-                op(self.clone(), x, ledger.clone()).await?;
-            }
-            IoPool::put(&self.pool.plans, plan);
-            return Ok(());
-        }
-        let sem = Semaphore::new(depth);
-        let failed = Rc::new(Cell::new(false));
-        let inflight = Rc::new(Cell::new(0u64));
-        let peak = Rc::new(Cell::new(0u64));
-        let op = Rc::new(op);
-        let mut handles = Vec::with_capacity(plan.len());
-        for &x in &plan {
-            sem.acquire().await;
-            if failed.get() {
-                // A stripe already failed; issuing more work would be
-                // wasted. Joining below surfaces the in-order error.
-                sem.release();
-                break;
-            }
-            inflight.set(inflight.get() + 1);
-            peak.set(peak.get().max(inflight.get()));
-            let (sem, failed, inflight) = (sem.clone(), failed.clone(), inflight.clone());
-            let (op, this, ledger) = (op.clone(), self.clone(), ledger.clone());
-            handles.push(s.sim.spawn(async move {
-                let result = op(this, x, ledger).await;
-                if result.is_err() {
-                    failed.set(true);
-                }
-                inflight.set(inflight.get() - 1);
-                sem.release();
-                result
-            }));
-        }
-        IoPool::put(&self.pool.plans, plan);
-        // Track the deepest window any pipelined IO reached this run.
-        let seen = s.stats.inflight_max.get();
-        if peak.get() > seen {
-            s.stats.inflight_max.add(peak.get() - seen);
-        }
-        for result in sim::join_all(handles).await {
-            result?;
-        }
-        Ok(())
-    }
-
-    /// Verified read of one stripe piece: the checksum blocks that cover
-    /// `want` are read with their trailer entries from one replica as one WR
-    /// — one doorbell, one CQE, one round trip — each block's CRC32C is
-    /// re-verified client-side, and only then is the requested sub-range
-    /// copied into `dst`.
-    ///
-    /// A replica that fails verification is treated like a failed replica:
-    /// the read fails over to the next one and the bad extent is reported to
-    /// the master in the background so the repair task can re-replicate it.
-    async fn read_piece_verified(
-        &self,
-        want: &Piece,
-        dst: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let frame @ [data, entries] = want.ck_frame(self.stripe_len(want.group));
-        let read = |staging| self.read_frame_verified(want, dst, frame, staging, ledger);
-        self.with_staging(data.len + entries.len, read).await
-    }
-
-    /// The failover loop behind [`read_piece_verified`](Self::read_piece_verified).
-    async fn read_frame_verified(
-        &self,
-        want: &Piece,
-        dst: DmaBuf,
-        frame: [Piece; 2],
-        staging: DmaBuf,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let s = &self.client.shared;
-        let (mut replica, mut redialed) = (0, false);
-        let mut bad_node: Option<u32> = None;
-        // If any replica rejects the rkey, remember it: a read that then
-        // exhausts its replicas must surface `RemoteAccess` — the stale-
-        // descriptor signal the revalidation wrapper retries on — rather
-        // than a generic timeout (or, worse, a corruption misdiagnosis).
-        let mut access_denied = false;
-        while replica < self.replicas(want.group) {
-            let posted = {
-                let (xfers, n) = Xfer::frame(frame, staging, replica);
-                self.post(Dir::Read, &xfers[..n], None, ledger)
-            };
-            let status = match posted {
-                Ok(rx) => {
-                    ledger.rtt();
-                    rx.await.unwrap_or(CqStatus::Flushed)
-                }
-                Err(_) => CqStatus::Timeout,
-            };
-            access_denied |= status == CqStatus::RemoteAccess;
-            let node = self.extent(want.group, replica).node;
-            if status == CqStatus::Success {
-                if self.verify_and_copy(want, frame, staging, dst)? {
-                    return Ok(());
-                }
-                // Checksum mismatch: treat like a replica failure — record
-                // it, tell the master (fire-and-forget; the data path must
-                // not block on the control path), and fail over.
-                ledger.verify_failure();
-                s.stats.read_corrupt.fire(node as u64, want.group as u64);
-                bad_node = Some(node);
-                let client = self.client.clone();
-                let name = self.name().to_owned();
-                let (g, r) = (want.group as u32, replica as u32);
-                s.sim.spawn(async move {
-                    let _ = client.report_corruption(&name, g, r, node).await;
-                });
-            } else if !redialed {
-                // IO failure: one reconnect retry per replica, then advance.
-                redialed = true;
-                if self.client.redial(node).await.is_ok() {
-                    ledger.retry();
-                    continue;
-                }
-            }
-            ledger.failover(s.sim.now());
-            replica += 1;
-            redialed = false;
-        }
-        if access_denied {
-            return Err(RStoreError::Io(CqStatus::RemoteAccess));
-        }
-        match bad_node {
-            Some(node) => Err(RStoreError::CorruptionDetected {
-                node,
-                region: self.name().to_owned(),
-                stripe: want.group as u64,
-            }),
-            None => Err(RStoreError::Io(CqStatus::Timeout)),
-        }
-    }
-
-    /// Verified write of one piece of a checksummed stripe: the blocks that
-    /// cover it are assembled in a staging image, sealed locally, and written
-    /// with their entries to every replica as one WR each. A piece that
-    /// starts and ends on block boundaries (or at the stripe's end) reads
-    /// nothing; otherwise the boundary blocks it covers only in part — at
-    /// most two — are first fetched through the verified read path.
-    /// Concurrent writers to the same block must be serialized by the
-    /// application, as with any non-transactional store; distinct stripes of
-    /// one call are pipelined, so they may commit in any order — the API
-    /// never promised cross-stripe ordering within a write.
-    async fn write_piece_ck(&self, piece: &Piece, src: DmaBuf, ledger: &OpLedger) -> Result<()> {
-        let dev = &self.client.shared.dev;
-        let frame @ [data, entries] = piece.ck_frame(self.stripe_len(piece.group));
-        self.with_staging(data.len + entries.len, |staging| async move {
-            // Read-modify-write of the boundary blocks only
-            // ([`Piece::ck_partial`]): what the piece covers in part is
-            // fetched, verified, into its place in the image. (Boxed: the
-            // aligned write, which never runs it, should not carry the
-            // read's future in its own — sixteen are spawned per MiB.)
-            let partial = piece.ck_partial(&data);
-            for block in partial.iter().filter(|block| block.len > 0) {
-                Box::pin(self.read_piece_verified(block, staging, ledger)).await?;
-            }
-            // Overlay the new data and seal every block of the image,
-            // bouncing through the pooled host scratch (no per-op
-            // allocation).
-            {
-                let mut scratch = self.pool.scratch.borrow_mut();
-                scratch.resize(staging.len as usize, 0);
-                if partial[0].len + partial[1].len > 0 {
-                    dev.read_mem_into(staging.addr, &mut scratch[..])?;
-                }
-                let (blocks, trailer) = scratch.split_at_mut(data.len as usize);
-                let lo = (piece.offset_in_stripe - data.offset_in_stripe) as usize;
-                dev.read_mem_into(
-                    src.addr + piece.buf_offset,
-                    &mut blocks[lo..lo + piece.len as usize],
-                )?;
-                seal_blocks(blocks, trailer);
-                dev.write_mem(staging.addr, &scratch[..])?;
-            }
-            let mut plan = IoPool::take(&self.pool.plans);
-            for replica in 0..self.replicas(piece.group) {
-                let (xfers, n) = Xfer::frame(frame, staging, replica);
-                plan.extend_from_slice(&xfers[..n]);
-            }
-            self.write_xfers(plan, None, ledger).await
-        })
-        .await
-    }
-
-    /// Posts one WR covering `xfers` — the caller guarantees they all
-    /// resolve to the same memory server — and returns its completion
-    /// receiver: one element per transfer, one wr_id, one doorbell. With
+    /// Posts one WR covering the [`elements`](Self::elements) of `xfers` —
+    /// the caller guarantees they all resolve to the same memory server —
+    /// and returns its completion receiver: one wr_id, one doorbell. With
     /// `inline`, a lone WRITE carries those host bytes in the WQE instead of
     /// reading its buffer. A [`Dir::Cas`] is one atomic on its one transfer's
     /// word, routed by wr_id and backstopped like any READ or WRITE.
@@ -1063,25 +1024,30 @@ impl Region {
         let qp = conns
             .get(&node)
             .ok_or(RStoreError::Rdma(RdmaError::QpError))?;
-        let sge = |x: &Xfer| {
+        let sge = |x: &Xfer, (piece, buf): (Piece, DmaBuf)| {
             let extent = self.extent(x.piece.group, x.replica);
             debug_assert_eq!(extent.node, node, "WR spans servers");
             Sge {
-                local: x.buf.slice(x.piece.buf_offset, x.piece.len),
+                local: buf.slice(piece.buf_offset, piece.len),
                 remote: RemoteAddr {
-                    addr: extent.addr + x.piece.offset_in_stripe,
+                    addr: extent.addr + piece.offset_in_stripe,
                     rkey: RKey(extent.rkey),
                 },
             }
         };
-        let mut elems = [sge(&xfers[0]); MAX_SGE];
-        for (elem, x) in elems.iter_mut().zip(xfers).skip(1) {
-            *elem = sge(x);
+        let mut elems = [sge(&xfers[0], self.elements(&xfers[0]).0[0]); MAX_SGE];
+        let (mut n, mut total) = (0, 0);
+        for x in xfers {
+            let (parts, k) = self.elements(x);
+            for &part in &parts[..k] {
+                elems[n] = sge(x, part);
+                total += part.0.len;
+                n += 1;
+            }
         }
-        let total: u64 = xfers.iter().map(|x| x.piece.len).sum();
         let op = match (dir, inline) {
-            (Dir::Read, _) => WrOp::Read(SgeList::new(&elems[..xfers.len()])?),
-            (Dir::Write, None) => WrOp::Write(SgeList::new(&elems[..xfers.len()])?),
+            (Dir::Read, _) => WrOp::Read(SgeList::new(&elems[..n])?),
+            (Dir::Write, None) => WrOp::Write(SgeList::new(&elems[..n])?),
             (Dir::Write, Some(bytes)) => WrOp::WriteInline {
                 bytes,
                 remote: elems[0].remote,

@@ -108,7 +108,6 @@ pub(crate) struct ClientStats {
     pub desc_refresh: Event,
     pub inline_writes: Counter,
     pub inline_bytes: Counter,
-    pub inflight_max: Counter,
     /// A stripe failed verification (track = its node, arg = its group).
     pub read_corrupt: Event,
     pub read_bytes: Counter,
@@ -141,7 +140,6 @@ impl ClientStats {
                 .counting(m.counter_handle("rstore.desc.refresh")),
             inline_writes: m.counter_handle("rstore.inline.writes"),
             inline_bytes: m.counter_handle("rstore.inline.bytes"),
-            inflight_max: m.counter_handle("rstore.pipeline.inflight_max"),
             read_corrupt: event("rstore.read.corrupt")
                 .counting(m.counter_handle("integrity.read_mismatch")),
             read_bytes: m.counter_handle("rstore.read_bytes"),

@@ -4,10 +4,12 @@
 //! sized, QPs dialed), every data-path op must settle to a *flat* per-op
 //! host-heap allocation count — the hoisted-buffer discipline means no
 //! per-op staging or scratch-`Vec` churn — and stay at or under a pinned
-//! ceiling. The remaining floor is the simulator's own machinery (oneshot
-//! completion channels, the tasks a pipelined checksummed IO spawns), which
-//! a real verbs stack does not pay; the pins keep that floor from silently
-//! growing. A warm `kv.get` is 2: the completion `oneshot` and the returned
+//! ceiling. The remaining floor is the simulator's own machinery (one
+//! oneshot completion channel per WR), which a real verbs stack does not
+//! pay; the pins keep that floor from silently growing. A 4-stripe region
+//! IO is 3 on a plain region (one WR per server) and 4 on a checksummed one
+//! (one WR per stripe; it was 28 while checksummed IO spawned a task per
+//! stripe). A warm `kv.get` is 2: the completion `oneshot` and the returned
 //! value; a warm `kv.put` is 2: the `oneshot`s of its CAS and of its
 //! publishing WRITE. Payloads are not part of the floor: a READ response, a
 //! WRITE and a SEND travel as a pin on the arena they were sampled from and
@@ -152,8 +154,8 @@ fn steady_state_ops_hold_allocation_floor() {
         // Region ops (plain + checksummed), 4 stripes per IO.
         steady!("region.write", 3, plain.write_from(0, io).await.unwrap());
         steady!("region.read", 3, plain.read_into(0, io).await.unwrap());
-        steady!("region.write_ck", 28, ck.write_from(0, io).await.unwrap());
-        steady!("region.read_ck", 28, ck.read_into(0, io).await.unwrap());
+        steady!("region.write_ck", 4, ck.write_from(0, io).await.unwrap());
+        steady!("region.read_ck", 4, ck.read_into(0, io).await.unwrap());
 
         // KV ops. A warm put is CAS + inline WRITE, so this also pins the
         // one-sided CAS path's allocation floor.

@@ -6,8 +6,8 @@ use std::time::Duration;
 use fabric::{FaultPlan, NodeId};
 use rdma::{CompletionQueue, RKey, RdmaDevice, RemoteAddr};
 use rstore::{
-    AllocOptions, ClientConfig, Cluster, ClusterConfig, Extent, KvConfig, KvTable, MasterConfig,
-    RStoreClient, RStoreError, RegionState, ServerConfig,
+    AllocOptions, Cluster, ClusterConfig, Extent, KvConfig, KvTable, MasterConfig, RStoreClient,
+    RStoreError, RegionState, ServerConfig,
 };
 use sim::{DetRng, Metrics};
 
@@ -635,8 +635,8 @@ fn a_sub_stripe_verified_io_moves_its_blocks_not_its_stripe() {
             checksums: true,
             ..AllocOptions::default()
         };
-        let region = c.alloc("costs", 4 * stripe, opts).await.unwrap();
-        let mut model = pattern(4 * stripe as usize);
+        let region = c.alloc("costs", 8 * stripe, opts).await.unwrap();
+        let mut model = pattern(8 * stripe as usize);
         region.write(0, &model).await.unwrap();
         let delta = |before: [u64; 5], op: &str| {
             let after = costs(&metrics, op);
@@ -685,27 +685,262 @@ fn a_sub_stripe_verified_io_moves_its_blocks_not_its_stripe() {
         let [_, rtts, doorbells, _, read] = delta(before, "read_ck");
         assert_eq!((rtts, doorbells, read), (1, 1, stripe + 16 * 8));
 
-        assert_eq!(region.read(0, 4 * stripe).await.unwrap(), model);
+        // Eight stripes are one round each way: every frame is in flight at
+        // once, one WR per frame and replica (the stripe window charged 8).
+        let buf = devs[0].alloc(8 * stripe).unwrap();
+        let before = costs(&metrics, "write_ck");
+        let fresh = vec![0x3Cu8; 8 * stripe as usize];
+        devs[0].write_mem(buf.addr, &fresh).unwrap();
+        region.write_from(0, buf).await.unwrap();
+        model.copy_from_slice(&fresh);
+        let [ops, rtts, doorbells, _, read] = delta(before, "write_ck");
+        assert_eq!(
+            (ops, rtts, doorbells, read),
+            (1, 1, 8 * 2, 0),
+            "8-stripe write"
+        );
+        let before = costs(&metrics, "read_ck");
+        region.read_into(0, buf).await.unwrap();
+        let [ops, rtts, doorbells, _, read] = delta(before, "read_ck");
+        assert_eq!((ops, rtts, doorbells), (1, 1, 8), "8-stripe read");
+        assert_eq!(read, 8 * (stripe + 16 * 8));
+        devs[0].free(buf).unwrap();
+
+        assert_eq!(region.read(0, 8 * stripe).await.unwrap(), model);
+
+        // Past 4 MiB of frame images a round ends, so staging stays bounded:
+        // 80 frames of 64 KiB + 128 B are rounds of 63 and 17.
+        let big = c.alloc("costs.big", 80 * stripe, opts).await.unwrap();
+        let buf = devs[0].alloc(80 * stripe).unwrap();
+        let fresh = pattern(80 * stripe as usize);
+        devs[0].write_mem(buf.addr, &fresh).unwrap();
+        let before = costs(&metrics, "write_ck");
+        big.write_from(0, buf).await.unwrap();
+        let [_, rtts, doorbells, _, _] = delta(before, "write_ck");
+        assert_eq!((rtts, doorbells), (2, 80 * 2), "80-stripe write");
+        devs[0].write_mem(buf.addr, &vec![0; fresh.len()]).unwrap();
+        let before = costs(&metrics, "read_ck");
+        big.read_into(0, buf).await.unwrap();
+        let [_, rtts, doorbells, _, _] = delta(before, "read_ck");
+        assert_eq!((rtts, doorbells), (2, 80), "80-stripe read");
+        assert!(devs[0].read_mem(buf.addr, 80 * stripe).unwrap() == fresh);
+        devs[0].free(buf).unwrap();
         assert_eq!(metrics.counter("integrity.read_mismatch"), 0);
     });
 }
 
-/// One seeded script of unaligned reads and writes against a 2-replica
-/// checksummed region of `stripe`-byte stripes, checked against a host
-/// shadow as it goes; returns the region's final image.
-fn run_block_script(stripe: u64, depth: usize) -> Vec<u8> {
+/// `(retries, failovers, verify failures)` the ledger has charged to `op`.
+fn recovery(m: &Metrics, op: &str) -> [u64; 3] {
+    let scope = m.scoped("ops").scoped(op);
+    ["retries", "failovers", "verify_failures"].map(|c| scope.counter(c))
+}
+
+#[test]
+fn one_read_round_recovers_a_corrupt_piece_and_an_errored_qp_together() {
+    // One `read_into_many` of three pieces on a 2-replica, 3-server
+    // checksummed region, each in a stripe of its own: A's primary holds a
+    // block flipped at rest, B's primary sits behind an errored data QP, C
+    // is clean. The one failover loop takes each its own way — A fails over
+    // at once and is reported, B re-dials and reposts on its primary — and
+    // every byte comes back. Then the two failures stacked on one piece: A's
+    // corrupt primary fails over to a secondary behind the errored QP, which
+    // cannot even post — a re-dial retry, not a second corrupt replica.
+    for stacked in [false, true] {
+        one_mixed_failure_round(stacked);
+    }
+}
+
+fn one_mixed_failure_round(stacked: bool) {
+    let cluster = Cluster::boot(ClusterConfig {
+        clients: 1,
+        ..ClusterConfig::fast_detection(3)
+    })
+    .expect("boot");
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let metrics = fabric.metrics().clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let dev = &devs[0];
+        let c = RStoreClient::connect(dev, master).await.unwrap();
+        let stripe = 16 * CK_BLOCK;
+        let opts = AllocOptions {
+            stripe_size: stripe,
+            replicas: 2,
+            checksums: true,
+            ..AllocOptions::default()
+        };
+        let region = c.alloc("mixed", 3 * stripe, opts).await.unwrap();
+        let model = pattern(3 * stripe as usize);
+        region.write(0, &model).await.unwrap();
+        let desc = region.desc();
+        let nodes = |g: usize| {
+            desc.groups[g]
+                .replicas
+                .iter()
+                .map(|x| x.node)
+                .collect::<Vec<_>>()
+        };
+        // Stacked: A is B's stripe (other blocks) and the victim its
+        // secondary, so B's primary stays healthy.
+        let (b, victim) = (0, nodes(0)[stacked as usize]);
+        let a = match stacked {
+            true => b,
+            false => (1..3)
+                .find(|&g| !nodes(g).contains(&victim))
+                .expect("a stripe away from B's primary"),
+        };
+        let clean = (1..3)
+            .find(|&g| g != a && nodes(g)[0] != victim)
+            .expect("C reads through a healthy QP");
+
+        // The victim: a link flap, shorter than the lease, leaves the
+        // client's data QP to it in the error state (an aligned block write
+        // of the bytes already there cannot post on it).
+        fabric.set_node_up(NodeId(victim), false);
+        let block = &model[..CK_BLOCK as usize];
+        let err = region.write(b as u64 * stripe, block).await.err().unwrap();
+        assert!(matches!(err, RStoreError::Io(_)), "got {err:?}");
+        fabric.set_node_up(NodeId(victim), true);
+        // Past the re-dial backoff the failed write armed (1 ms).
+        s.sleep(Duration::from_millis(5)).await;
+        assert_eq!(desc, c.lookup("mixed").await.unwrap(), "placement held");
+        // A: one block of its primary flipped at rest.
+        flip_at_rest(dev, &desc.groups[a].replicas[0], 3 * CK_BLOCK + 5).await;
+
+        s.recorder().enable(sim::Level::Costs, 0);
+        let pieces = [
+            (a as u64 * stripe + 3 * CK_BLOCK - 100, 300),
+            (b as u64 * stripe + 1000, 5000),
+            (clean as u64 * stripe + 7, 2 * CK_BLOCK),
+        ];
+        let buf = dev.alloc(pieces.iter().map(|p| p.1).sum()).unwrap();
+        let mut at = 0;
+        let ios: Vec<_> = pieces
+            .iter()
+            .map(|&(offset, len)| {
+                at += len;
+                (offset, buf.slice(at - len, len))
+            })
+            .collect();
+        let mismatches = metrics.counter("integrity.read_mismatch");
+        let redials = metrics.counter("rstore.redial.ok");
+        let before = recovery(&metrics, "read_ck");
+        region
+            .read_into_many(&ios)
+            .await
+            .expect("every piece recovers");
+        for (&(offset, len), &(_, dst)) in pieces.iter().zip(&ios) {
+            let want = &model[offset as usize..(offset + len) as usize];
+            assert!(dev.read_mem(dst.addr, len).unwrap() == want, "at {offset}");
+        }
+        let mismatched = metrics.counter("integrity.read_mismatch") - mismatches;
+        assert_eq!(mismatched, 1, "stacked {stacked}");
+        assert_eq!(metrics.counter("rstore.redial.ok"), redials + 1);
+        let after = recovery(&metrics, "read_ck");
+        let charged: [u64; 3] = std::array::from_fn(|i| after[i] - before[i]);
+        // The repost after the re-dial (B's, or stacked A's on its
+        // secondary) is the retry, A's advance the failover.
+        assert_eq!(
+            charged,
+            [1, 1, 1],
+            "stacked {stacked}: (retries, failovers, verify failures)"
+        );
+        // The report runs in the background: exactly one, against A.
+        s.sleep(Duration::from_millis(5)).await;
+        let reports = metrics.histogram("rstore.ctrl_latency.report_corruption");
+        assert_eq!(reports.map_or(0, |h| h.len()), 1);
+        dev.free(buf).unwrap();
+    });
+}
+
+#[test]
+fn an_exhausted_verified_read_surfaces_the_error_that_explains_it() {
+    // Every replica corrupt: `CorruptionDetected`, naming the last replica
+    // that failed verification.
     let cluster = boot(3, false);
     let sim = cluster.sim.clone();
     let metrics = cluster.fabric.metrics().clone();
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
     sim.block_on(async move {
-        let dev = &devs[0];
-        let cfg = ClientConfig {
-            pipeline_depth: depth,
-            ..ClientConfig::default()
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let opts = AllocOptions {
+            stripe_size: 16 * CK_BLOCK,
+            replicas: 2,
+            checksums: true,
+            ..AllocOptions::default()
         };
-        let c = RStoreClient::connect_with(dev, master, cfg).await.unwrap();
+        let region = c.alloc("ruined", 32 * CK_BLOCK, opts).await.unwrap();
+        region
+            .write(0, &pattern(32 * CK_BLOCK as usize))
+            .await
+            .unwrap();
+        let group = region.desc().groups[1].clone();
+        for extent in &group.replicas {
+            flip_at_rest(&devs[0], extent, 2 * CK_BLOCK).await;
+        }
+        match region.read(18 * CK_BLOCK, 10).await {
+            Err(RStoreError::CorruptionDetected { node, stripe, .. }) => {
+                assert_eq!((node, stripe), (group.replicas[1].node, 1));
+            }
+            other => panic!("expected CorruptionDetected, got {other:?}"),
+        }
+        assert_eq!(metrics.counter("integrity.read_mismatch"), 2);
+    });
+
+    // A primary drained away under the reader's cached descriptor (it
+    // refuses the rkey) and a corrupt secondary: the refusal outranks the
+    // mismatch, so the read re-fetches the descriptor and returns the moved
+    // primary's bytes instead of reporting the region corrupt.
+    let cluster = boot(3, false);
+    let sim = cluster.sim.clone();
+    let metrics = cluster.fabric.metrics().clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let opts = AllocOptions {
+            stripe_size: 16 * CK_BLOCK,
+            replicas: 2,
+            checksums: true,
+            ..AllocOptions::default()
+        };
+        let region = c.alloc("moved", 16 * CK_BLOCK, opts).await.unwrap();
+        let model = pattern(16 * CK_BLOCK as usize);
+        region.write(0, &model).await.unwrap();
+        let [primary, secondary] = [0, 1].map(|r| region.desc().groups[0].replicas[r]);
+        flip_at_rest(&devs[0], &secondary, 5 * CK_BLOCK).await;
+        c.drain(NodeId(primary.node)).await.unwrap();
+        let got = region.read(4 * CK_BLOCK, 2 * CK_BLOCK).await;
+        assert_eq!(
+            got.unwrap(),
+            model[4 * CK_BLOCK as usize..6 * CK_BLOCK as usize]
+        );
+        assert_eq!(
+            metrics.counter("integrity.read_mismatch"),
+            1,
+            "the secondary"
+        );
+        assert!(metrics.counter("rstore.desc.refresh") >= 1);
+    });
+}
+
+/// One seeded script of unaligned reads and writes against a 2-replica
+/// checksummed region of `stripe`-byte stripes, checked against a host
+/// shadow as it goes.
+fn run_block_script(stripe: u64) {
+    let cluster = boot(3, false);
+    let sim = cluster.sim.clone();
+    sim.recorder().enable(sim::Level::Costs, 0);
+    let metrics = cluster.fabric.metrics().clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    sim.block_on(async move {
+        let dev = &devs[0];
+        let c = RStoreClient::connect(dev, master).await.unwrap();
         // Four whole stripes and a half one, so the last stripe (and, at
         // 6 KiB, every stripe) ends in a short block.
         let size = 4 * stripe + stripe / 2;
@@ -754,6 +989,9 @@ fn run_block_script(stripe: u64, depth: usize) -> Vec<u8> {
                 _ => {
                     // Two pairs of one `write_from_many` in one stripe: in
                     // the same block, or (when it has two) in different ones.
+                    // Each covers its block in part, so a round is a fetch
+                    // and a write: pairs in different blocks are one round,
+                    // pairs in one block two (the second must see the first).
                     let base = rng.range_u64(0, 4) * stripe;
                     let blocks = stripe.div_ceil(CK_BLOCK);
                     let (b0, b1) = (rng.range_u64(0, blocks), rng.range_u64(0, blocks));
@@ -772,27 +1010,28 @@ fn run_block_script(stripe: u64, depth: usize) -> Vec<u8> {
                         shadow[at as usize..(at + len) as usize].copy_from_slice(&data);
                         ios.push((at, src));
                     }
+                    let rtts = costs(&metrics, "write_ck")[1];
                     region.write_from_many(&ios).await.unwrap();
+                    let rounds = if b0 == b1 { 2 } else { 1 };
+                    let rtts = costs(&metrics, "write_ck")[1] - rtts;
+                    assert_eq!(rtts, 2 * rounds, "step {step}: blocks {b0} and {b1}");
                 }
             }
         }
-        let image = region.read(0, size).await.unwrap();
-        assert_eq!(image, shadow, "stripe {stripe}, depth {depth}");
+        assert_eq!(
+            region.read(0, size).await.unwrap(),
+            shadow,
+            "stripe {stripe}"
+        );
         assert_eq!(metrics.counter("integrity.read_mismatch"), 0);
-        image
     })
 }
 
 #[test]
-fn random_unaligned_io_matches_a_shadow_at_every_stripe_size_and_depth() {
+fn random_unaligned_io_matches_a_shadow_at_every_stripe_size() {
     // 1 KiB stripes are one short block each (the single-CRC layout), 6 KiB
     // stripes a whole block and a 2 KiB one, 64 KiB stripes sixteen blocks.
     for stripe in [1 << 10, 6 << 10, 64 << 10] {
-        let serial = run_block_script(stripe, 1);
-        let pipelined = run_block_script(stripe, 16);
-        assert_eq!(
-            serial, pipelined,
-            "stripe {stripe}: depth changed the bytes"
-        );
+        run_block_script(stripe);
     }
 }

@@ -514,14 +514,14 @@ fn fabric_conserves_bytes() {
     });
 }
 
-// --- small-IO batching / pipelining equivalence -----------------------------------
+// --- small-IO batching equivalence ------------------------------------------------
 
 /// Applies one seeded small-IO schedule against a fresh cluster and returns
 /// every op's bytes (plus, fault-free, the post-write region image), or the
 /// first error formatted. `batched` posts reads through
 /// `Region::read_into_many`; otherwise one awaited `read_into` per op.
-/// `depth` is the client's checksummed-stripe pipeline window. With `lossy`,
-/// a total-loss fault window covers the read phase and writes are skipped.
+/// With `lossy`, a total-loss fault window covers the read phase and writes
+/// are skipped.
 #[allow(clippy::too_many_arguments)]
 fn run_small_io(
     checksums: bool,
@@ -531,10 +531,9 @@ fn run_small_io(
     writes: &[(u64, Vec<u8>)],
     fill_seed: u64,
     batched: bool,
-    depth: usize,
     lossy: bool,
 ) -> Result<Vec<Vec<u8>>, String> {
-    use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig, RStoreClient};
+    use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
     let cluster = Cluster::boot(ClusterConfig {
         clients: 1,
         ..ClusterConfig::with_servers(3)
@@ -547,16 +546,9 @@ fn run_small_io(
     let schedule = schedule.to_vec();
     let writes = writes.to_vec();
     sim.block_on(async move {
-        let client = RStoreClient::connect_with(
-            &devs[0],
-            master,
-            ClientConfig {
-                pipeline_depth: depth,
-                ..ClientConfig::default()
-            },
-        )
-        .await
-        .expect("connect");
+        let client = RStoreClient::connect(&devs[0], master)
+            .await
+            .expect("connect");
         let opts = AllocOptions {
             stripe_size: stripe,
             checksums,
@@ -616,14 +608,14 @@ fn run_small_io(
     })
 }
 
-/// Doorbell batching and stripe pipelining are pure performance changes:
-/// for seeded random offset/len schedules, batch size 1 vs N and pipeline
-/// depth 1 vs N return byte-identical data (reads, and the region image
-/// after random writes) on both plain and checksummed regions — and under
-/// a total-loss fault window both configurations report the same error.
+/// Doorbell batching is a pure performance change: for seeded random
+/// offset/len schedules, one awaited read per op and one `read_into_many`
+/// round return byte-identical data (reads, and the region image after
+/// random writes) on both plain and checksummed regions — and under a
+/// total-loss fault window both forms report the same error.
 #[test]
-fn batched_and_pipelined_small_io_equivalent() {
-    cases("batched_and_pipelined_small_io_equivalent", 4, |rng| {
+fn batched_small_io_equivalent() {
+    cases("batched_small_io_equivalent", 4, |rng| {
         for checksums in [false, true] {
             let stripe = 1u64 << (10 + rng.index(3));
             let size = stripe * rng.range_u64(4, 13);
@@ -647,10 +639,10 @@ fn batched_and_pipelined_small_io_equivalent() {
             let fill_seed = rng.next_u64();
 
             let serial = run_small_io(
-                checksums, stripe, size, &schedule, &writes, fill_seed, false, 1, false,
+                checksums, stripe, size, &schedule, &writes, fill_seed, false, false,
             );
             let batched = run_small_io(
-                checksums, stripe, size, &schedule, &writes, fill_seed, true, 16, false,
+                checksums, stripe, size, &schedule, &writes, fill_seed, true, false,
             );
             assert!(serial.is_ok(), "fault-free run failed: {serial:?}");
             assert_eq!(
@@ -659,10 +651,10 @@ fn batched_and_pipelined_small_io_equivalent() {
             );
 
             let serial = run_small_io(
-                checksums, stripe, size, &schedule, &writes, fill_seed, false, 1, true,
+                checksums, stripe, size, &schedule, &writes, fill_seed, false, true,
             );
             let batched = run_small_io(
-                checksums, stripe, size, &schedule, &writes, fill_seed, true, 16, true,
+                checksums, stripe, size, &schedule, &writes, fill_seed, true, true,
             );
             assert!(serial.is_err(), "total loss must surface an IO error");
             assert_eq!(
