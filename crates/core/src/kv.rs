@@ -35,9 +35,9 @@
 //!    `delete` and `multi_get`'s chain fallback all drive it; it owns the
 //!    bounded lock wait and the orphaned-lock break.
 //! 3. **The locked mutation** (`KvTable::mutate`) — tagged-CAS lock →
-//!    publish an entry or a tombstone in one WRITE that also unlocks →
-//!    abort on a failed publish → read-back on an ambiguous CAS. `put` and
-//!    `delete` call it from both their hinted and their probed path.
+//!    publish an entry or a tombstone in one WRITE that also unlocks → on
+//!    any failure after the CAS, the one unlock (`KvTable::unlock`). `put`
+//!    and `delete` call it from both their hinted and their probed path.
 //! 4. **The generation plumbing** — one stale-generation retry wrapper
 //!    (`KvTable::retry_stale`) around every op, one meta poll loop
 //!    (`KvTable::poll_meta`) behind open, the write lease and
@@ -91,38 +91,38 @@
 //! key — or freeing an earlier slot — so the hole it remembered can be
 //! stale by the time the lock clears.
 //!
-//! A writer that takes the slot lock and then hits an IO failure (its
-//! server crashed mid-write) **aborts** the slot before surfacing the
-//! error: one small WRITE installs a tombstone header and releases the
-//! lock. The op was never acknowledged, so discarding the half-written
-//! entry is linearizable, and the lock is never orphaned on replicas that
-//! are still reachable. Every lock wait is bounded ([`LOCK_WAIT_BUDGET`] of
-//! virtual time per op) and then surfaces [`RStoreError::Io`] — a healthy
-//! writer releases within microseconds, so exceeding the budget means the
-//! holder crashed or the cluster is degraded, and the caller should retry
-//! (possibly after a remap) rather than spin.
+//! Every lock wait is bounded ([`LOCK_WAIT_BUDGET`] of virtual time per op)
+//! and then surfaces [`RStoreError::Io`] — a healthy writer releases within
+//! microseconds, so exceeding the budget means the holder crashed or the
+//! cluster is degraded, and the caller should retry (possibly after a
+//! remap) rather than spin.
 //!
-//! The locked word itself is tagged: the CAS swaps in `version + 1` with a
-//! unique nonce in the high 32 bits ([`lock_word`]). When a CAS surfaces an
-//! IO error the outcome is ambiguous — the swap can execute remotely while
-//! its completion is lost to a fault-era timeout — so the writer reads the
-//! word back, and only if it carries *its own* tag does it abort the slot.
-//! Without the tag, a lost-completion CAS would leave the slot locked with
-//! no owner, wedging every later writer that hashes to it.
+//! A lock that is not released by a publish is released by one rule,
+//! `KvTable::unlock`. The locked word is tagged: the CAS swaps in
+//! `version + 1` with a unique nonce in the high 32 bits ([`lock_word`]),
+//! and the body under an odd word is always the intact pre-lock image — the
+//! lock CAS touches only the version word, and the publish writes word +
+//! body in one WRITE. So CASing the exact tagged word back to the pre-lock
+//! stable version restores a state the slot already had. The nonce makes
+//! the word unique to one lock attempt (no ABA); a CAS is posted once and
+//! never re-posted, so nothing can replay an unlock, and it fails
+//! harmlessly once the word has moved on. Two callers use it:
 //!
-//! A lock can also be orphaned with no surviving owner to abort it: live
-//! migration copies extents byte-for-byte, and if a slot is locked at copy
-//! time the new extent inherits the odd word while the owner's unlock lands
-//! on the sealed, soon-freed source. The key observation is that the body
-//! under an odd word is always the intact pre-lock image — the lock CAS
-//! touches only the version word, and the publish writes word + body in one
-//! WRITE — so any waiter can *break* the lock by CASing the exact tagged
-//! word it observed back to the pre-lock stable version, restoring the slot
-//! to a state it already had. The nonce makes the observed word unique to
-//! one lock attempt (no ABA), and the CAS fails benignly if the owner turns
-//! out to be alive and releases first. Waiters only do this after watching
-//! the *same* tagged word for most of their wait budget ([`LockWatch`]) —
-//! orders of magnitude past a healthy hold time.
+//! * **The owner.** A mutation that fails after posting its lock CAS —
+//!   the CAS itself (it may have executed with its completion lost to a
+//!   fault-era timeout) or the publish (a server crashed mid-write) —
+//!   unlocks before it surfaces the error. A region write returns only
+//!   once every WRITE it posted has completed, so no copy of the failed
+//!   publish lands after the unlock. **A failed put or delete leaves the
+//!   key's old value or its new one**: the new one where the publish
+//!   reached the primary before failing elsewhere (then the unlock finds
+//!   the word moved on). It never erases the old one.
+//! * **A waiter.** A lock can be orphaned with no owner left to release
+//!   it: the owner's unlock failed too, or live migration copied the slot
+//!   while it was locked and the owner's release landed on the sealed,
+//!   soon-freed source. A waiter that has watched the *same* tagged word
+//!   for most of its wait budget ([`LockWatch`]) — orders of magnitude past
+//!   a healthy hold — breaks the lock with the same CAS (`kv.lock.break`).
 
 use rdma::{CqStatus, DmaBuf, RdmaDevice};
 use sim::{Counter, OpLedger, Phase, SimTime};
@@ -195,16 +195,16 @@ const COPY_CHUNK: u64 = 4 << 20;
 
 /// Monotonic source of lock-word nonces. Process-wide: tables opened by any
 /// client draw from the same counter, so two in-flight lock attempts never
-/// share a lock word and an ambiguous CAS can be attributed by a read-back.
+/// share a lock word and an unlock can only release its own attempt's lock.
 static NEXT_LOCK_NONCE: AtomicU64 = AtomicU64::new(0);
 
 /// The odd version word a locker CASes into a slot: `version + 1` tagged
 /// with a unique nonce in the high 32 bits. Stable versions are even and
 /// stay below 2^32 (a slot would need ~2 billion mutations to overflow), so
 /// the tag never collides with a stable version, and parity checks — all any
-/// reader does with a locked word — are unaffected. The nonce lets a writer
-/// whose CAS surfaced an IO error decide whether the swap actually executed
-/// remotely: only its own attempt can have produced this exact word.
+/// reader does with a locked word — are unaffected. The nonce makes the
+/// word unique to one lock attempt, so the unlock CAS from it succeeds only
+/// if that attempt's lock is still in place.
 fn lock_word(version: u64, nonce: u64) -> u64 {
     (version + 1) | (nonce << 32)
 }
@@ -223,16 +223,15 @@ fn pre_lock_version(lock: u64) -> u64 {
 /// Minimum time a waiter must have watched one unchanged tagged lock word
 /// before it may break the lock as orphaned. Healthy holds last
 /// microseconds and even a holder stalled behind a degraded-window timeout
-/// releases (or aborts) within tens of milliseconds — and its unlock WRITE
-/// either lands within wire latency of being posted or never. A word that
-/// sits unchanged this long has no owner left to release it.
+/// publishes or unlocks within tens of milliseconds. A word that sits
+/// unchanged this long has no owner left to release it.
 const ORPHAN_BREAK_AGE: Duration = Duration::from_millis(15);
 
 /// One op's view of the locked slots it has waited on, and the deadline its
 /// waits share. Feeding every observed `(slot, word)` pair into the watch
 /// lets the op tell a live writer (words change between waits) from an
 /// orphaned lock (the same tagged word across the whole budget) and break
-/// only the latter — see the module docs on migration-orphaned locks.
+/// only the latter — see the module docs, "Locks and failures".
 struct LockWatch {
     /// When this op stops waiting on locks ([`LOCK_WAIT_BUDGET`] from its
     /// start).
@@ -336,7 +335,7 @@ impl SlotHdr {
     }
 
     /// The image a mutation publishes over stable `version` to delete the
-    /// entry (or abort a half-done mutation): header only, `klen == 0`.
+    /// entry: header only, `klen == 0`.
     fn tombstone(version: u64) -> [u8; HDR_BYTES] {
         let hdr = SlotHdr {
             version,
@@ -1047,8 +1046,9 @@ impl KvTable {
 
     /// [`lock_wait`](Self::lock_wait) for waits where the blocking word is
     /// known: feeds the sighting into `watch`, and at the deadline — before
-    /// surfacing the timeout — breaks the lock if the watch proves it
-    /// orphaned. A successful break returns `Ok` so the caller re-probes the
+    /// surfacing the timeout — breaks the lock with [`unlock`](Self::unlock)
+    /// if the watch proves it orphaned (`kv.lock.break` counts these breaks
+    /// only). A successful break returns `Ok` so the caller re-probes the
     /// now-stable slot (its next wait past the deadline still errors).
     async fn lock_wait_on(
         &self,
@@ -1064,9 +1064,10 @@ impl KvTable {
             if let Some((slot, lock)) = watch.breakable(now) {
                 watch.spent = true;
                 let span = ledger.begin(Phase::LockBreak, now);
-                let healed = self.break_orphaned_lock(data, slot, lock, ledger).await;
+                let healed = self.unlock(data, slot, lock, ledger).await;
                 ledger.end(span, self.dev.sim().now());
                 if healed {
+                    self.stats.lock_break.incr();
                     return Ok(());
                 }
             }
@@ -1076,37 +1077,6 @@ impl KvTable {
         self.dev.sim().sleep(LOCK_BACKOFF).await;
         ledger.end(span, self.dev.sim().now());
         Ok(())
-    }
-
-    /// Breaks an orphaned slot lock by CASing the exact tagged word the
-    /// waiter observed back to its pre-lock stable version. Sound because
-    /// the body under an odd word is always the intact pre-lock image (the
-    /// lock CAS touches only the version word; publish is one WRITE of word
-    /// plus body), so success restores a state the slot already had — and
-    /// if the owner is somehow still alive, either its release already
-    /// landed (this CAS fails benignly) or its full-image publish supersedes
-    /// the restored word. Returns whether the slot was healed.
-    async fn break_orphaned_lock(
-        &self,
-        data: &Region,
-        slot: u64,
-        lock: u64,
-        ledger: &OpLedger,
-    ) -> bool {
-        let version = pre_lock_version(lock);
-        match self
-            .cas_word(data, slot * self.slot_bytes, lock, version, ledger)
-            .await
-        {
-            Ok(true) => {
-                self.stats.lock_break.incr();
-                true
-            }
-            // Lost the CAS (owner or another waiter resolved it first) or
-            // the IO failed: either way the caller falls back to the
-            // timeout error and the next op re-evaluates the slot.
-            _ => false,
-        }
     }
 
     // --- reads ---------------------------------------------------------------
@@ -1379,10 +1349,12 @@ impl KvTable {
     /// releases the lock. Returns `false`, with nothing changed, if the CAS
     /// lost — the slot is no longer at `version`.
     ///
-    /// Every failure leaves the slot unlocked as far as this client can
-    /// reach it: a failed publish aborts the slot (the op was never
-    /// acknowledged), and an ambiguous CAS (IO error) is resolved by
-    /// read-back before the error surfaces, so it can never orphan the lock.
+    /// Any error once the lock CAS was posted — the CAS's own, whose swap
+    /// may have executed, or the publish's — is surfaced after one
+    /// [`unlock`](Self::unlock) of this attempt's word. The op was never
+    /// acknowledged, and the slot is left holding its old image or, where
+    /// the publish reached the primary, the new one (module docs, "Locks
+    /// and failures").
     async fn mutate(
         &self,
         data: &Region,
@@ -1392,23 +1364,30 @@ impl KvTable {
         ledger: &OpLedger,
     ) -> Result<bool> {
         let lock = lock_word(version, next_nonce());
-        match self
-            .cas_word(data, slot * self.slot_bytes, version, lock, ledger)
-            .await
-        {
-            Ok(true) => {}
+        let locked = self.cas_word(data, slot * self.slot_bytes, version, lock, ledger);
+        let published = match locked.await {
+            Ok(true) => self.publish(data, slot, version, image, ledger).await,
             Ok(false) => return Ok(false),
-            Err(e) => {
-                self.recover_ambiguous_cas(data, slot, version, lock, ledger)
-                    .await;
-                return Err(e);
-            }
-        }
-        if let Err(e) = self.publish(data, slot, version, image, ledger).await {
-            self.abort_locked_slot(data, slot, version, ledger).await;
+            Err(e) => Err(e),
+        };
+        if let Err(e) = published {
+            self.unlock(data, slot, lock, ledger).await;
             return Err(e);
         }
         Ok(true)
+    }
+
+    /// The one way a slot lock is released without a publish: CAS the
+    /// exact tagged word `lock` back to the stable version it was taken
+    /// over. Sound because the body under an odd word is always the intact
+    /// pre-lock image, so success restores a state the slot already had.
+    /// The CAS is posted once, never re-posted, and changes nothing once
+    /// the word has moved on (a publish landed, another unlock won, or the
+    /// lock CAS never executed). Returns whether this CAS released the slot.
+    async fn unlock(&self, data: &Region, slot: u64, lock: u64, ledger: &OpLedger) -> bool {
+        let version = pre_lock_version(lock);
+        let released = self.cas_word(data, slot * self.slot_bytes, lock, version, ledger);
+        matches!(released.await, Ok(true))
     }
 
     /// Publishes `image` over a slot this client holds locked over stable
@@ -1443,48 +1422,6 @@ impl KvTable {
         let result = data.write_l(slot * self.slot_bytes, &img, ledger).await;
         *self.img_scratch.borrow_mut() = img;
         result
-    }
-
-    /// Best-effort abort of a slot this client holds locked over stable
-    /// `version`: a tombstone publish releases the lock (writing
-    /// `version + 2` also clears the lock word's nonce tag). Called when the
-    /// mutation's IO failed mid-flight — the caller surfaces that error, and
-    /// errors here are deliberately swallowed (the servers still reachable
-    /// get unlocked; repair rebuilds the rest from them).
-    async fn abort_locked_slot(&self, data: &Region, slot: u64, version: u64, ledger: &OpLedger) {
-        let _ = self
-            .publish(data, slot, version, Image::Tombstone, ledger)
-            .await;
-    }
-
-    /// Resolves a CAS whose completion was lost to an IO error. The swap may
-    /// still have executed remotely (a fault-era timeout can fire while the
-    /// op sits behind doomed traffic), which would leave the slot locked
-    /// with no owner — forever. Read the word back: only this attempt can
-    /// have produced exactly `lock`, so seeing it proves ownership and the
-    /// slot is aborted; any other value means the swap lost or another
-    /// writer holds a lock that its owner will release.
-    async fn recover_ambiguous_cas(
-        &self,
-        data: &Region,
-        slot: u64,
-        version: u64,
-        lock: u64,
-        ledger: &OpLedger,
-    ) {
-        if data
-            .read_into_l(slot * self.slot_bytes, self.probe_buf.slice(0, 8), ledger)
-            .await
-            .is_err()
-        {
-            return;
-        }
-        let Ok(word) = self.dev.read_u64(self.probe_buf.addr) else {
-            return;
-        };
-        if word == lock {
-            self.abort_locked_slot(data, slot, version, ledger).await;
-        }
     }
 
     /// One-sided CAS on an 8-byte word of `region` at byte `offset`, on the
@@ -1783,8 +1720,9 @@ impl KvTable {
         }
 
         // Rehash live entries into the new image. A slot still locked after
-        // the grace window is an orphaned lock from a crashed writer — its
-        // op was never acknowledged, so dropping it is linearizable.
+        // the grace window is an orphaned lock that no waiter broke; it is
+        // dropped with the pre-lock entry under it (DESIGN.md, "What a
+        // failed put leaves").
         let mut img_new = vec![0u8; (new_buckets * self.slot_bytes) as usize];
         let mut moved = 0u64;
         let old_slots = img_old.chunks_exact(self.slot_bytes as usize);

@@ -4,7 +4,7 @@
 //! pure one-sided RDMA against the memory servers named in the region's
 //! descriptor — no master involvement, no remote CPU.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::fmt;
 use std::future::Future;
 use std::ops::Range;
@@ -130,13 +130,13 @@ const STAGING_MAX: u64 = 4 << 20;
 /// their `_many` twins move bytes directly between caller-owned [`DmaBuf`]s
 /// and the region. Every call resolves when its IO is complete, and all of
 /// them recover alike: reads fail over across replicas, writes reach every
-/// replica, a broken QP is re-dialed once, a moved extent re-fetches the
-/// descriptor, and a checksummed region verifies (or re-seals) every
-/// checksum block touched — [`CK_BLOCK`](crate::crc::CK_BLOCK) bytes and
-/// their trailer entry, not the stripe around them. There is no
-/// post-now-wait-later form: a caller that wants IO to overlap compute
-/// spawns the `_many` future ([`sim::Sim::spawn`]) and joins it when the
-/// bytes are needed.
+/// replica, a broken QP is re-dialed once, a moved extent or a replica that
+/// stopped answering re-fetches the descriptor, and a checksummed region
+/// verifies (or re-seals) every checksum block touched —
+/// [`CK_BLOCK`](crate::crc::CK_BLOCK) bytes and their trailer entry, not
+/// the stripe around them. There is no post-now-wait-later form: a caller
+/// that wants IO to overlap compute spawns the `_many` future
+/// ([`sim::Sim::spawn`]) and joins it when the bytes are needed.
 ///
 /// Every call plans its stripe pieces first and posts them, all at once, by
 /// one rule: two or more pieces on a plain region post as one
@@ -163,6 +163,9 @@ pub struct Region {
     checksums: bool,
     /// Recycled staging/scratch buffers, shared by every clone.
     pool: Rc<IoPool>,
+    /// Set while a background descriptor refresh runs (one at a time for
+    /// all clones; see [`drain_reads`](Self::drain_reads)).
+    refreshing: Rc<Cell<bool>>,
 }
 
 impl fmt::Debug for Region {
@@ -178,16 +181,16 @@ impl fmt::Debug for Region {
 
 impl Region {
     pub(crate) fn new(client: RStoreClient, desc: RegionDesc) -> Region {
-        let layout = Layout::new(&desc);
-        let name = Rc::from(desc.name.as_str());
-        let checksums = desc.checksums;
+        // Fields initialize in the order written: everything that reads
+        // `desc` comes before the field that takes it.
         Region {
             client,
+            layout: Rc::new(RefCell::new(Layout::new(&desc))),
+            name: Rc::from(desc.name.as_str()),
+            checksums: desc.checksums,
             desc: Rc::new(RefCell::new(desc)),
-            layout: Rc::new(RefCell::new(layout)),
-            name,
-            checksums,
             pool: Rc::default(),
+            refreshing: Rc::default(),
         }
     }
 
@@ -215,11 +218,6 @@ impl Region {
     /// Replica count of stripe `group`.
     fn replicas(&self, group: usize) -> usize {
         self.desc.borrow().groups[group].replicas.len()
-    }
-
-    /// Stripe length of `group`.
-    fn stripe_len(&self, group: usize) -> u64 {
-        self.desc.borrow().groups[group].len()
     }
 
     /// The owning client.
@@ -317,15 +315,7 @@ impl Region {
                 s.stats.desc_stale.incr();
             }
             let reval = ledger.begin(Phase::Reval, s.sim.now());
-            let moved = match self.client.lookup(self.name()).await {
-                Ok(fresh) if fresh != *self.desc.borrow() => {
-                    s.stats.desc_refresh.fire(s.dev.node().0 as u64, attempt);
-                    *self.layout.borrow_mut() = Layout::new(&fresh);
-                    *self.desc.borrow_mut() = fresh;
-                    Ok(true)
-                }
-                looked_up => looked_up.map(|_| false),
-            };
+            let moved = self.refresh(attempt).await;
             if let Ok(false) = moved {
                 let seal = ledger.begin(Phase::Seal, s.sim.now());
                 s.sim.sleep(backoff).await;
@@ -340,6 +330,20 @@ impl Region {
             result = round().await;
         }
         result
+    }
+
+    /// Re-fetches the descriptor and, if it changed, installs it for every
+    /// clone of this handle. Returns whether it changed.
+    async fn refresh(&self, attempt: u64) -> Result<bool> {
+        let fresh = self.client.lookup(self.name()).await?;
+        if fresh == *self.desc.borrow() {
+            return Ok(false);
+        }
+        let s = &self.client.shared;
+        s.stats.desc_refresh.fire(s.dev.node().0 as u64, attempt);
+        *self.layout.borrow_mut() = Layout::new(&fresh);
+        *self.desc.borrow_mut() = fresh;
+        Ok(true)
     }
 
     // --- public IO API ----------------------------------------------------------
@@ -508,11 +512,12 @@ impl Region {
     /// One-sided compare-and-swap on the 8-byte word at `offset` of the
     /// primary replica, on the client's data QP like any READ or WRITE; the
     /// prior value lands in `landing` (8 bytes) and the result is whether the
-    /// swap won. Posted once: no re-dial, failover or descriptor
-    /// revalidation, because a CAS whose completion was lost may have
-    /// executed and must not be blindly repeated — every failure, the
-    /// stale-placement `RemoteAccess` included, goes to the caller (the KV
-    /// layer's read-back and generation machinery).
+    /// swap won. Re-dialed, never re-posted: an errored QP is re-dialed
+    /// before the one post (a no-op on a healthy QP), but there is no repost,
+    /// failover or descriptor revalidation, because a CAS whose completion
+    /// was lost may have executed and must not be blindly repeated — every
+    /// failure, the stale-placement `RemoteAccess` included, goes to the
+    /// caller (the KV layer's unlock and generation machinery).
     pub(crate) async fn cas_word_l(
         &self,
         offset: u64,
@@ -522,6 +527,8 @@ impl Region {
         ledger: &OpLedger,
     ) -> Result<bool> {
         let word = Xfer::new(self.layout.borrow().piece_at(offset, 8)?, landing, 0);
+        let node = self.extent(word.piece.group, 0).node;
+        self.client.redial(node).await?;
         let rx = self.post(Dir::Cas { expect, swap }, &[word], None, ledger)?;
         ledger.rtt();
         match rx.await.unwrap_or(CqStatus::Flushed) {
@@ -667,7 +674,7 @@ impl Region {
 
     /// The frame ([`Piece::ck_frame`]) of `piece` in its stripe.
     fn frame(&self, piece: &Piece) -> [Piece; 2] {
-        piece.ck_frame(self.stripe_len(piece.group))
+        piece.ck_frame(self.desc.borrow().groups[piece.group].len())
     }
 
     /// Lays the frame images of the first round of checksummed `plan` out
@@ -848,6 +855,15 @@ impl Region {
     /// control path) so the repair task can re-replicate it. A piece that
     /// exhausts its replicas fails the read with
     /// [`exhausted`](Self::exhausted)'s error.
+    ///
+    /// A read that advanced past a replica which did not answer (`Timeout`:
+    /// its server is down or cut off) re-fetches the descriptor in the
+    /// background, one refresh at a time per handle. Once the master has
+    /// replaced that server, every clone's IO goes to the replacement
+    /// instead of timing out against the dead one — a write, which must
+    /// reach every replica, would otherwise keep failing until the caller
+    /// re-maps. A replica that refused the rkey needs no such refresh: the
+    /// next write to it revalidates ([`with_revalidate`](Self::with_revalidate)).
     async fn drain_reads(&self, mut failed: Vec<Failed>, ledger: &OpLedger) -> Result<()> {
         if failed.is_empty() {
             return Ok(());
@@ -860,6 +876,7 @@ impl Region {
         let retry_span = ledger.begin(Phase::Retry, s.sim.now());
         let mut plan = IoPool::take(&self.pool.plans);
         let mut waits = IoPool::take(&self.pool.waits);
+        let mut unanswered = false;
         let result = loop {
             let mut exhausted = Ok(());
             for (mut x, status) in std::mem::take(&mut failed) {
@@ -886,6 +903,7 @@ impl Region {
                         continue;
                     }
                 } else {
+                    unanswered |= status == CqStatus::Timeout;
                     x.replica += 1;
                     x.redialed = false;
                     if x.replica >= self.replicas(x.piece.group) {
@@ -921,6 +939,13 @@ impl Region {
         IoPool::put(&self.pool.waits, waits);
         IoPool::put(&self.pool.plans, plan);
         ledger.end(retry_span, s.sim.now());
+        if unanswered && !self.refreshing.replace(true) {
+            let region = self.clone();
+            s.sim.spawn(async move {
+                let _ = region.refresh(0).await;
+                region.refreshing.set(false);
+            });
+        }
         result
     }
 
@@ -946,11 +971,13 @@ impl Region {
     }
 
     /// Posts a planned write round, then the recovery round: a write must
-    /// reach every replica, so each failed transfer gets one re-dial plus
-    /// repost, and a replica that stays unreachable fails the IO. Every
-    /// repost is in flight before any is awaited, so recovering N replicas
-    /// costs one round trip, not N. (Re-dials stay sequential — they are
-    /// control path and rare.)
+    /// reach every replica, so each failed transfer's QP is re-dialed once
+    /// (sequentially — control path, and rare) and what failed is posted
+    /// again as one round, so recovering N replicas costs one round trip,
+    /// not N. A replica that stays unreachable — its re-dial refused, which
+    /// leaves its repost unpostable, or its repost failed — fails the IO
+    /// with the first such status, and only once every repost has
+    /// completed: no WRITE of a failed IO lands after it returns.
     async fn write_xfers(
         &self,
         plan: Vec<Xfer>,
@@ -963,31 +990,19 @@ impl Region {
         }
         let sim = &self.client.shared.sim;
         let span = ledger.begin(Phase::Retry, sim.now());
-        let result = async {
-            let mut reposts = Vec::new();
-            for (x, _) in failed {
-                let node = self.extent(x.piece.group, x.replica).node;
-                if self.client.redial(node).await.is_err() {
-                    return Err(RStoreError::Io(CqStatus::Timeout));
-                }
-                let Ok(rx) = self.post(Dir::Write, &[x], inline, ledger) else {
-                    return Err(RStoreError::Io(CqStatus::Timeout));
-                };
-                ledger.retry();
-                reposts.push(rx);
-            }
-            ledger.rtt();
-            for rx in reposts {
-                match rx.await.unwrap_or(CqStatus::Flushed) {
-                    CqStatus::Success => {}
-                    status => return Err(RStoreError::Io(status)),
-                }
-            }
-            Ok(())
+        let mut retry = IoPool::take(&self.pool.plans);
+        for (x, _) in failed {
+            let node = self.extent(x.piece.group, x.replica).node;
+            let _ = self.client.redial(node).await;
+            ledger.retry();
+            retry.push(x);
         }
-        .await;
+        let lost = self.post_round(Dir::Write, retry, inline, ledger).await;
         ledger.end(span, sim.now());
-        result
+        match lost?.first() {
+            Some(&(_, status)) => Err(RStoreError::Io(status)),
+            None => Ok(()),
+        }
     }
 
     /// The elements of `x`'s WR: its piece of `buf`; or, checksummed, its
@@ -1089,5 +1104,79 @@ impl Region {
             Dir::Cas { .. } => {}
         }
         Ok(rx)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::time::Duration;
+
+    use fabric::{FaultPlan, NodeId};
+
+    use crate::cluster::{Cluster, ClusterConfig};
+    use crate::error::RStoreError;
+    use crate::proto::AllocOptions;
+
+    #[test]
+    fn a_write_failing_on_one_of_two_failed_replicas_leaves_no_repost_in_flight() {
+        // One 64 KiB stripe on two servers: primary on X, secondary on Y.
+        // The final write finds both QPs errored: X re-dials and its repost
+        // is posted, Y's re-dial is refused inside its backoff. The IO fails,
+        // and it must not return while X's repost is still in flight — a
+        // caller reacting to the error (the KV unlock) would be overtaken by
+        // it. (The recovery round used to return at the first refused
+        // re-dial, leaving that WRITE and its staging image in flight.)
+        let cluster = Cluster::boot(ClusterConfig {
+            clients: 1,
+            ..ClusterConfig::fast_detection(2)
+        })
+        .expect("boot");
+        let sim = cluster.sim.clone();
+        let fabric = cluster.fabric.clone();
+        sim.block_on(async move {
+            let c = cluster.client(0).await.unwrap();
+            let stripe = 64 * 1024u64;
+            let opts = AllocOptions {
+                stripe_size: stripe,
+                replicas: 2,
+                ..AllocOptions::default()
+            };
+            let region = c.alloc("reposted", stripe, opts).await.unwrap();
+            let replicas = region.desc().groups[0].replicas.clone();
+            let (x, y) = (NodeId(replicas[0].node), NodeId(replicas[1].node));
+            let fill = |b: u8| vec![b; stripe as usize];
+            region.write(0, &fill(1)).await.unwrap();
+
+            // Y stays down. Eight failed re-dials of it, each past the last
+            // one's backoff, push its backoff to the 100 ms cap.
+            let sim = &c.shared.sim;
+            fabric.set_node_up(y, false);
+            for _ in 0..8 {
+                sim.sleep(Duration::from_millis(110)).await;
+                assert!(region.write(0, &fill(2)).await.is_err());
+            }
+            // X drops off twice, well inside its lease: its WRITE is lost and
+            // times out (~28 ms), so its QP errors, and its re-dial — if one
+            // is tried — goes unanswered and arms a 1 ms backoff.
+            FaultPlan::new(1)
+                .flap(Duration::ZERO, x, Duration::from_millis(1))
+                .flap(Duration::from_millis(20), x, Duration::from_millis(15))
+                .install(&fabric);
+            assert!(region.write(0, &fill(3)).await.is_err());
+            // Past X's flap and backoff; still inside Y's.
+            sim.sleep(Duration::from_millis(10)).await;
+
+            let redials = c.shared.stats.redial_ok.get();
+            let err = region.write(0, &fill(4)).await.unwrap_err();
+            assert!(matches!(err, RStoreError::Io(_)), "got {err:?}");
+            assert_eq!(c.shared.stats.redial_ok.get(), redials + 1, "X re-dialed");
+            assert!(
+                c.shared.pending.borrow().is_empty(),
+                "the failed write returned with a WR still in flight"
+            );
+            // X's repost landed before the error did.
+            let fresh = c.map_degraded("reposted").await.unwrap();
+            assert_eq!(fresh.read(0, 8).await.unwrap(), [4u8; 8]);
+        });
     }
 }

@@ -8,8 +8,8 @@ use std::time::Duration;
 
 use fabric::FaultPlan;
 use rstore::{
-    AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, Master, MasterConfig, RStoreClient,
-    RStoreError, RegionState, ServerConfig,
+    AllocOptions, Cluster, ClusterConfig, Extent, KvConfig, KvTable, Master, MasterConfig,
+    RStoreClient, RStoreError, RegionState, ServerConfig,
 };
 
 fn boot(servers: usize, clients: usize) -> Cluster {
@@ -78,6 +78,55 @@ fn write_during_server_death_errors_then_recovers_after_repair() {
         assert_eq!(fresh.read(0, 512 * 1024).await.unwrap(), data);
         fresh.write(0, &data).await.unwrap();
         assert_eq!(fresh.read(0, 512 * 1024).await.unwrap(), data);
+    });
+}
+
+#[test]
+fn a_read_that_fails_over_from_a_dead_replica_moves_the_handle_to_its_replacement() {
+    // A 2-replica stripe [X, B] on three servers. X dies and the master
+    // rebuilds the stripe on the third server, but a handle mapped before
+    // the crash still names X. Its read times out on X, fails over to B
+    // and — X having stopped answering — re-fetches the descriptor in the
+    // background, so the next write through the same handle reaches the
+    // replacement. (The handle used to keep X until the caller re-mapped,
+    // and every write through it failed on X.)
+    let cluster = boot(3, 1);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = cluster.client(0).await.unwrap();
+        let len = 64 * 1024;
+        let region = c.alloc("replaced", len, replicated()).await.unwrap();
+        region.write(0, &vec![1u8; len as usize]).await.unwrap();
+        let x = region.desc().groups[0].replicas[0];
+
+        fabric.set_node_up(fabric::NodeId(x.node), false);
+        let mut repaired = None;
+        for _ in 0..100 {
+            s.sleep(Duration::from_millis(10)).await;
+            let d = c.lookup("replaced").await.unwrap();
+            if d.state == RegionState::Healthy && !d.groups[0].replicas.contains(&x) {
+                repaired = Some(d);
+                break;
+            }
+        }
+        let repaired = repaired.expect("repair rebuilds the stripe without X");
+        assert_eq!(
+            region.desc().groups[0].replicas[0],
+            x,
+            "the handle still names X"
+        );
+
+        assert_eq!(region.read(0, 8).await.unwrap(), [1u8; 8]);
+        s.sleep(Duration::from_millis(1)).await;
+        assert_eq!(
+            region.desc().groups,
+            repaired.groups,
+            "the read refreshed the handle"
+        );
+        region.write(0, &vec![2u8; len as usize]).await.unwrap();
+        assert_eq!(region.read(0, 8).await.unwrap(), [2u8; 8]);
     });
 }
 
@@ -1455,5 +1504,294 @@ fn write_from_many_redials_an_errored_qp_and_reaches_every_replica() {
                 assert!(bytes == want, "stripe {g} on node {}", x.node);
             }
         }
+    });
+}
+
+// --- slot locks: one unlock, two callers ----------------------------------------
+
+/// A table of 256 slots of 128 bytes in 1 KiB stripes, each stripe on both
+/// servers of a two-server cluster.
+fn two_replica_table() -> KvConfig {
+    KvConfig {
+        buckets: 256,
+        slot_bytes: 128,
+        max_probe: 16,
+        opts: AllocOptions {
+            stripe_size: 1024,
+            replicas: 2,
+            ..AllocOptions::default()
+        },
+    }
+}
+
+/// The primary and secondary extents of the stripe holding `key`'s home slot
+/// in the [`two_replica_table`] `name`, and the slot's offset in both.
+async fn home_slot(c: &RStoreClient, name: &str, key: &[u8]) -> (Extent, Extent, u64) {
+    let offset = (rstore::kv::hash_key(key) & 255) * 128;
+    let desc = c.lookup(&format!("{name}@g1")).await.unwrap();
+    let group = &desc.groups[(offset / 1024) as usize];
+    (group.replicas[0], group.replicas[1], offset % 1024)
+}
+
+/// The 8-byte word at `off` of extent `x`, by a raw one-sided READ from
+/// `dev` — after a raw one-sided WRITE of `plant` there, if given. Neither
+/// goes through a descriptor or takes a lock.
+async fn raw_word(dev: &rdma::RdmaDevice, x: &Extent, off: u64, plant: Option<u64>) -> u64 {
+    let cq = rdma::CompletionQueue::new();
+    let qp = dev
+        .connect(fabric::NodeId(x.node), rstore::DATA_SERVICE, &cq)
+        .await
+        .expect("dial the data service");
+    let buf = dev.alloc_aligned(8, 8).unwrap();
+    let remote = rdma::RemoteAddr {
+        addr: x.addr + off,
+        rkey: rdma::RKey(x.rkey),
+    };
+    if let Some(word) = plant {
+        dev.write_mem(buf.addr, &word.to_le_bytes()).unwrap();
+        qp.post_write(1, buf, remote).unwrap();
+        assert_eq!(cq.next().await.status, rdma::CqStatus::Success);
+    }
+    qp.post_read(2, buf, remote).unwrap();
+    assert_eq!(cq.next().await.status, rdma::CqStatus::Success);
+    let word = dev.read_u64(buf.addr).unwrap();
+    dev.free(buf).unwrap();
+    word
+}
+
+/// The stable version a slot's version word stands for: the word itself
+/// when even, the version it was locked over when odd (a lock word's low 32
+/// bits are `version + 1`, a nonce sits above them).
+fn stable_version(word: u64) -> u64 {
+    if word.is_multiple_of(2) {
+        word
+    } else {
+        (word & 0xFFFF_FFFF) - 1
+    }
+}
+
+/// How long a waiter watches one unchanged lock word before breaking it
+/// (`kv.rs`'s `ORPHAN_BREAK_AGE`).
+const ORPHAN_BREAK_AGE: Duration = Duration::from_millis(15);
+
+#[test]
+fn a_put_that_fails_after_its_lock_leaves_the_old_or_the_new_value() {
+    // The lock CAS lands on the primary and so does the publish, but the
+    // secondary is down: its copy times out and so does its re-dial, and
+    // the put fails. Releasing the lock must not take the key's
+    // acknowledged value with it. (The release was a tombstone WRITE over
+    // the slot: the key read back absent.)
+    let cluster = boot(2, 1);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = cluster.client(0).await.unwrap();
+        let kv = KvTable::create(&c, "failed-put", two_replica_table())
+            .await
+            .unwrap();
+        kv.put(b"k", b"v1").await.unwrap();
+        let (_, secondary, _) = home_slot(&c, "failed-put", b"k").await;
+        let secondary = fabric::NodeId(secondary.node);
+
+        fabric.set_node_up(secondary, false);
+        let err = kv.put(b"k", b"v2").await.unwrap_err();
+        assert!(matches!(err, RStoreError::Io(_)), "got {err:?}");
+        let left = kv.get(b"k").await.unwrap();
+        assert!(
+            matches!(left.as_deref(), Some(b"v1" | b"v2")),
+            "a failed put left {left:?}"
+        );
+
+        fabric.set_node_up(secondary, true);
+        let mut attempts = 0;
+        while let Err(e) = kv.put(b"k", b"v3").await {
+            attempts += 1;
+            assert!(attempts < 20, "the key stayed unwritable: {e:?}");
+            s.sleep(Duration::from_millis(20)).await;
+        }
+        assert_eq!(kv.get(b"k").await.unwrap().as_deref(), Some(&b"v3"[..]));
+    });
+}
+
+#[test]
+fn a_lost_release_completion_is_never_replayed_over_a_later_insert() {
+    // Defect (a). A put's publish fails, so the put releases its slot lock —
+    // and the release executes while its completion is lost. The release
+    // used to be a tombstone WRITE, which the region layer re-posts after a
+    // re-dial one transport time-out later; an insert acknowledged in
+    // between was erased by the copy and the slot's version went back.
+    //
+    // The schedule, in virtual time from the put's start (read off a trace
+    // of this run): the walk, the lock CAS and the publish's copy on the
+    // primary land; the secondary is down until +26 ms, so its copy times
+    // out (+25.005 ms) and its re-dial's connect request is lost too; the
+    // publish fails at +50.004 87 ms and the release leaves the owner's
+    // node at +50.005 02 ms. The owner's node is off the fabric from
+    // +50.005 4 ms for 1 ms, so the primary's answer (sent at +50.005 74 ms)
+    // is lost. At +51 ms another client inserts a second key whose home
+    // slot is the same.
+    let cluster = boot(2, 2);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let owner_node = cluster.client_devs[0].node();
+    let raw_dev = cluster.client_devs[1].clone();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let owner = cluster.client(0).await.unwrap();
+        let other = cluster.client(1).await.unwrap();
+        let kv = KvTable::create(&owner, "replay", two_replica_table())
+            .await
+            .unwrap();
+        let kv2 = KvTable::open(&other, "replay", 128, 16).await.unwrap();
+        let (k1, k2): (&[u8], &[u8]) = (b"d-0", b"d-154");
+        let home = |k: &[u8]| rstore::kv::hash_key(k) & 255;
+        assert_eq!(home(k1), home(k2), "one home slot");
+        let (primary, secondary, off) = home_slot(&owner, "replay", k1).await;
+        let secondary = fabric::NodeId(secondary.node);
+
+        fabric.set_node_up(secondary, false);
+        FaultPlan::new(1)
+            .restart_at(Duration::from_millis(26), secondary)
+            .flap(
+                Duration::from_nanos(50_005_400),
+                owner_node,
+                Duration::from_millis(1),
+            )
+            .install(&fabric);
+        let start = s.now();
+        let failed = s.spawn(async move { kv.put(k1, b"v1").await });
+        s.sleep(Duration::from_millis(51)).await;
+        kv2.put(k2, b"v2")
+            .await
+            .expect("the insert is acknowledged");
+        let acked = raw_word(&raw_dev, &primary, off, None).await;
+        assert!(failed.await.is_err(), "the put fails");
+        assert!(
+            s.now().saturating_since(start) >= Duration::from_millis(75),
+            "the release's completion was lost and waited out"
+        );
+
+        // Past any copy still in flight, the insert reads back and the
+        // slot's version has not gone back.
+        s.sleep(Duration::from_millis(50)).await;
+        assert_eq!(
+            kv2.get(k2).await.unwrap().as_deref(),
+            Some(&b"v2"[..]),
+            "an acknowledged insert was erased"
+        );
+        let later = raw_word(&raw_dev, &primary, off, None).await;
+        assert!(
+            stable_version(later) >= stable_version(acked),
+            "the slot's version went back: {acked:#x} -> {later:#x}"
+        );
+    });
+}
+
+#[test]
+fn a_writer_whose_lock_cas_completion_is_lost_releases_its_own_lock() {
+    // The owner release: the hinted put's lock CAS executes on the primary,
+    // but the answer is lost (the owner's node is off the fabric from
+    // 500 ns to 1 ms after the put starts; the CAS leaves at +150 ns and is
+    // answered at +870 ns). The CAS times out, and the writer CASes its own
+    // tagged word back before it surfaces the error: the old value stays,
+    // no waiter breaks anything, and the next writer gets in at once —
+    // not after a waiter's `ORPHAN_BREAK_AGE`.
+    let cluster = boot(2, 2);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let owner_node = cluster.client_devs[0].node();
+    let raw_dev = cluster.client_devs[1].clone();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let owner = cluster.client(0).await.unwrap();
+        let other = cluster.client(1).await.unwrap();
+        let kv = KvTable::create(&owner, "owner", two_replica_table())
+            .await
+            .unwrap();
+        let kv2 = KvTable::open(&other, "owner", 128, 16).await.unwrap();
+        kv.put(b"k", b"v1").await.unwrap();
+        let (primary, _, off) = home_slot(&owner, "owner", b"k").await;
+        let version = raw_word(&raw_dev, &primary, off, None).await;
+        assert_eq!(version % 2, 0, "stable");
+
+        FaultPlan::new(1)
+            .flap(
+                Duration::from_nanos(500),
+                owner_node,
+                Duration::from_millis(1),
+            )
+            .install(&fabric);
+        let failed = s.spawn(async move {
+            let result = kv.put(b"k", b"v2").await;
+            (result, kv)
+        });
+        s.sleep(Duration::from_millis(10)).await;
+        let held = raw_word(&raw_dev, &primary, off, None).await;
+        assert_eq!(
+            (held % 2, stable_version(held)),
+            (1, version),
+            "the lost CAS executed: {held:#x}"
+        );
+        let (result, kv) = failed.await;
+        assert!(result.is_err(), "the put surfaces the CAS's error");
+        assert_eq!(
+            raw_word(&raw_dev, &primary, off, None).await,
+            version,
+            "the owner put the pre-lock version back"
+        );
+        assert_eq!(kv.get(b"k").await.unwrap().as_deref(), Some(&b"v1"[..]));
+
+        let t = s.now();
+        kv2.put(b"k", b"v3").await.unwrap();
+        assert!(
+            s.now().saturating_since(t) < ORPHAN_BREAK_AGE / 10,
+            "the next writer waited {:?}",
+            s.now().saturating_since(t)
+        );
+        assert_eq!(kv2.get(b"k").await.unwrap().as_deref(), Some(&b"v3"[..]));
+        assert_eq!(
+            fabric.metrics().counter("kv.lock.break"),
+            0,
+            "no waiter broke it"
+        );
+    });
+}
+
+#[test]
+fn a_waiter_breaks_an_orphaned_lock_and_reads_the_pre_lock_value() {
+    // The waiter break: a tagged lock word with no owner — what a slot
+    // copied by a migration while locked holds — is planted on the primary
+    // by a raw one-sided WRITE. A reader waits on it, watches the same word
+    // for `ORPHAN_BREAK_AGE`, CASes it back to the pre-lock version and
+    // reads the value that was under it.
+    let cluster = boot(2, 2);
+    let sim = cluster.sim.clone();
+    let raw_dev = cluster.client_devs[1].clone();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let owner = cluster.client(0).await.unwrap();
+        let waiter = cluster.client(1).await.unwrap();
+        let kv = KvTable::create(&owner, "orphan", two_replica_table())
+            .await
+            .unwrap();
+        kv.put(b"k", b"v1").await.unwrap();
+        let (primary, _, off) = home_slot(&owner, "orphan", b"k").await;
+        let version = raw_word(&raw_dev, &primary, off, None).await;
+        // `lock_word(version, nonce)`: `version + 1` under a nonce.
+        let orphan = (version + 1) | (0x5EED << 32);
+        assert_eq!(
+            raw_word(&raw_dev, &primary, off, Some(orphan)).await,
+            orphan
+        );
+
+        let kv2 = KvTable::open(&waiter, "orphan", 128, 16).await.unwrap();
+        let t = s.now();
+        assert_eq!(kv2.get(b"k").await.unwrap().as_deref(), Some(&b"v1"[..]));
+        assert!(s.now().saturating_since(t) >= ORPHAN_BREAK_AGE);
+        assert_eq!(waiter.device().metrics().counter("kv.lock.break"), 1);
+        assert_eq!(raw_word(&raw_dev, &primary, off, None).await, version);
+        kv2.put(b"k", b"v2").await.unwrap();
+        assert_eq!(kv.get(b"k").await.unwrap().as_deref(), Some(&b"v2"[..]));
     });
 }
