@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Fails when non-test code of the data path schedules a boxed closure: a
 # `.schedule(` / `.schedule_at(` call in crates/fabric/src/lib.rs,
-# crates/rdma/src/device.rs or crates/core/src/region.rs. Those layers
+# crates/rdma/src/device.rs, crates/core/src/region.rs or
+# crates/core/src/client.rs (the data-QP dialer's IO backstop). Those layers
 # schedule typed events on a `sim::EventSink` (`Sim::schedule_event`), which
 # allocates nothing and hands back the `TimerId` their timeouts are cancelled
 # with; a closure per event is the allocation per message, per chunk and per
@@ -13,7 +14,7 @@ set -euo pipefail
 cd "$(dirname "$0")/../.."
 
 status=0
-for f in crates/fabric/src/lib.rs crates/rdma/src/device.rs crates/core/src/region.rs; do
+for f in crates/fabric/src/lib.rs crates/rdma/src/device.rs crates/core/src/{region,client}.rs; do
     awk -v file="$f" '
         /^#\[cfg\(test\)\]/ { exit }
         /^[[:space:]]*\/\// { next }

@@ -1,6 +1,6 @@
 //! The RStore client: control-path calls to the master, plus the machinery
-//! shared by all of a client's regions (data completion routing, connection
-//! cache).
+//! shared by all of a client's regions — and by the master's scrubber and a
+//! memory server's extent copies: the one data-QP dialer, `DataQps`.
 
 use std::cell::{Cell, RefCell};
 use std::collections::HashMap;
@@ -9,10 +9,10 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use fabric::NodeId;
-use rdma::{CompletionQueue, CqStatus, Qp, RdmaDevice, RdmaError};
-use sim::channel::oneshot;
+use rdma::{CompletionQueue, CqStatus, Qp, RdmaDevice, RdmaError, Wr};
+use sim::channel::oneshot::{self, Receiver};
 use sim::sync::Semaphore;
-use sim::{EventSink, Recorder, Sim, SimTime, TimerId};
+use sim::{Counter, EventSink, Recorder, Sim, SimTime, TimerId};
 
 use crate::error::{RStoreError, Result};
 use crate::proto::{
@@ -56,17 +56,159 @@ impl Default for ClientConfig {
 const REDIAL_BACKOFF: Duration = Duration::from_millis(1);
 /// Cap on the re-dial backoff.
 const REDIAL_BACKOFF_MAX: Duration = Duration::from_millis(100);
-/// Extra grace added to the device's per-op timeout before a posted IO is
-/// failed client-side with [`CqStatus::Timeout`] ([`ClientShared::fire`]) —
-/// a backstop that bounds every region IO in virtual time.
-pub(crate) const IO_GRACE: Duration = Duration::from_millis(100);
+/// Extra grace added to the device's per-op timeout before a posted WR is
+/// failed with [`CqStatus::Timeout`] ([`DataQps::fire`]) — a backstop that
+/// bounds every data-path wait in virtual time.
+const IO_GRACE: Duration = Duration::from_millis(100);
 
-/// Re-dial state for one memory server: a single-attempt gate plus the
-/// capped-exponential-backoff clock.
-struct RedialSlot {
-    sem: Semaphore,
-    attempts: Cell<u32>,
-    next_at: Cell<SimTime>,
+/// Re-dial state for one memory server: a single-attempt gate, and the
+/// capped-exponential-backoff clock — failed dials in a row, and the instant
+/// before which the next dial fails fast.
+struct RedialSlot(Semaphore, Cell<(u32, SimTime)>);
+
+/// The one data-QP dialer: how a one-sided WR gets its QP, its wr_id, its
+/// waiter and its deadline. A client, the master's scrubber and every memory
+/// server's extent copies each own one, so they dial, back off and time out
+/// by one policy:
+/// - one cached QP per node, replaced only by a dial;
+/// - at most one dial per node at a time, rate-limited by capped exponential
+///   backoff — a dial inside the backoff window fails fast instead of
+///   sleeping, so a reader fails over to another replica rather than stall;
+/// - one CQ whose router, spawned by the first dial, forwards each CQE to the
+///   waiter of its wr_id, and a backstop per WR that fails the waiter if no
+///   CQE comes.
+pub(crate) struct DataQps {
+    dev: RdmaDevice,
+    cq: CompletionQueue,
+    conns: RefCell<HashMap<u32, Qp>>,
+    gates: RefCell<HashMap<u32, Rc<RedialSlot>>>,
+    /// Waiters of posted WRs by wr_id, each with its timeout backstop.
+    pub(crate) pending: RefCell<HashMap<u64, (oneshot::Sender<CqStatus>, TimerId)>>,
+    next_wr: Cell<u64>,
+    routing: Cell<bool>,
+    attempts: Counter,
+    dialed: Counter,
+    timeouts: Counter,
+}
+
+impl EventSink for DataQps {
+    /// The timeout backstop of work request `wr_id` expired with no
+    /// completion routed back: fail its waiter. The device-generated CQE
+    /// (the verbs layer always produces one) then finds no waiter and is
+    /// dropped by the completion router.
+    fn fire(self: Rc<Self>, wr_id: u64, _: u64) {
+        if let Some((tx, _)) = self.pending.borrow_mut().remove(&wr_id) {
+            self.timeouts.incr();
+            tx.send(CqStatus::Timeout);
+        }
+    }
+}
+
+impl DataQps {
+    pub(crate) fn new(dev: &RdmaDevice) -> Rc<DataQps> {
+        let m = dev.metrics();
+        Rc::new(DataQps {
+            dev: dev.clone(),
+            cq: CompletionQueue::new(),
+            conns: RefCell::default(),
+            gates: RefCell::default(),
+            pending: RefCell::default(),
+            next_wr: Cell::new(1),
+            routing: Cell::new(false),
+            attempts: m.counter_handle("rstore.redial.attempts"),
+            dialed: m.counter_handle("rstore.redial.ok"),
+            timeouts: m.counter_handle("rstore.io_timeout"),
+        })
+    }
+
+    /// Makes sure a QP to `node` is cached: a healthy one, or with `heal`
+    /// false any one, errored or not (so a map never waits on a dial to a
+    /// node it already knows). Otherwise dials through the node's gate.
+    pub(crate) async fn dial(self: &Rc<Self>, node: u32, heal: bool) -> Result<()> {
+        let cached = || {
+            let conns = self.conns.borrow();
+            conns.get(&node).is_some_and(|qp| !heal || !qp.is_errored())
+        };
+        if cached() {
+            return Ok(());
+        }
+        let gate = self
+            .gates
+            .borrow_mut()
+            .entry(node)
+            .or_insert_with(|| Rc::new(RedialSlot(Semaphore::new(1), Cell::default())))
+            .clone();
+        let RedialSlot(sem, backoff) = &*gate;
+        sem.acquire().await;
+        let sim = self.dev.sim();
+        // Another task may have dialed while we queued on the gate.
+        let out = if cached() {
+            Ok(())
+        } else if sim.now() < backoff.get().1 {
+            Err(RStoreError::Rdma(RdmaError::Timeout))
+        } else {
+            if !self.routing.replace(true) {
+                sim.spawn(self.clone().route());
+            }
+            self.attempts.incr();
+            match self.dev.connect(NodeId(node), DATA_SERVICE, &self.cq).await {
+                Ok(qp) => {
+                    self.conns.borrow_mut().insert(node, qp);
+                    backoff.set((0, SimTime::ZERO));
+                    self.dialed.incr();
+                    Ok(())
+                }
+                Err(e) => {
+                    let n = backoff.get().0.saturating_add(1);
+                    let wait = REDIAL_BACKOFF.saturating_mul(1 << (n - 1).min(16));
+                    backoff.set((n, sim.now() + wait.min(REDIAL_BACKOFF_MAX)));
+                    Err(e.into())
+                }
+            }
+        };
+        sem.release();
+        out
+    }
+
+    /// Posts `wr` on the cached QP to `node` under a fresh wr_id and returns
+    /// the receiver of its completion status. Every WR stays signaled: its waiter resolves
+    /// on the CQE the router forwards, so a suppressed success would leave
+    /// the waiter to its backstop. The backstop's deadline is the device's
+    /// backlog-aware bound for `bytes`, not the isolated-op timeout — behind
+    /// a deep backlog (e.g. a fluid-mode shuffle) an op legitimately
+    /// outlives `op_timeout` of its own size — plus [`IO_GRACE`].
+    pub(crate) fn post(
+        self: &Rc<Self>,
+        node: u32,
+        mut wr: Wr<'_>,
+        bytes: u64,
+    ) -> Result<Receiver<CqStatus>> {
+        let conns = self.conns.borrow();
+        let qp = conns.get(&node).ok_or(RdmaError::QpError)?;
+        debug_assert!(wr.signaled, "an unsignaled WR would wait for its backstop");
+        wr.wr_id = self.next_wr.get();
+        self.next_wr.set(wr.wr_id + 1);
+        qp.post_batch(&[wr])?;
+        let sim = self.dev.sim();
+        let deadline = sim.now() + self.dev.op_deadline(bytes) + IO_GRACE;
+        let backstop = sim.schedule_event(deadline, self, wr.wr_id, 0);
+        let (tx, rx) = oneshot::channel();
+        self.pending.borrow_mut().insert(wr.wr_id, (tx, backstop));
+        Ok(rx)
+    }
+
+    /// The completion router: forwards every CQE to the waiter that posted
+    /// its WR, cancelling that WR's backstop.
+    async fn route(self: Rc<Self>) {
+        loop {
+            let cqe = self.cq.next().await;
+            let waiter = self.pending.borrow_mut().remove(&cqe.wr_id);
+            if let Some((tx, backstop)) = waiter {
+                self.dev.sim().cancel(backstop);
+                tx.send(cqe.status);
+            }
+        }
+    }
 }
 
 pub(crate) struct ClientShared {
@@ -79,25 +221,7 @@ pub(crate) struct ClientShared {
     pub stats: ClientStats,
     /// The control channel to the master.
     ctrl: Channel,
-    pub data_cq: CompletionQueue,
-    /// Waiters of posted WRs by wr_id, each with its timeout backstop.
-    pub pending: RefCell<HashMap<u64, (oneshot::Sender<CqStatus>, TimerId)>>,
-    pub next_wr: Cell<u64>,
-    pub conns: RefCell<HashMap<u32, Qp>>,
-    redial: RefCell<HashMap<u32, Rc<RedialSlot>>>,
-}
-
-impl EventSink for ClientShared {
-    /// The timeout backstop of work request `wr_id` expired with no
-    /// completion routed back: fail its waiter. The device-generated CQE
-    /// (the verbs layer always produces one) then finds no waiter and is
-    /// dropped by the completion router.
-    fn fire(self: Rc<Self>, wr_id: u64, _: u64) {
-        if let Some((tx, _)) = self.pending.borrow_mut().remove(&wr_id) {
-            self.stats.io_timeout.incr();
-            tx.send(CqStatus::Timeout);
-        }
-    }
+    pub qps: Rc<DataQps>,
 }
 
 /// A handle to the RStore service.
@@ -130,13 +254,13 @@ impl fmt::Debug for RStoreClient {
         f.debug_struct("RStoreClient")
             .field("node", &self.shared.dev.node())
             .field("ctrl", &self.shared.ctrl)
-            .field("data_conns", &self.shared.conns.borrow().len())
+            .field("data_conns", &self.shared.qps.conns.borrow().len())
             .finish()
     }
 }
 
 impl RStoreClient {
-    /// Connects to the master and starts the client's completion router.
+    /// Connects to the master.
     ///
     /// # Errors
     ///
@@ -165,27 +289,8 @@ impl RStoreClient {
             rec,
             cfg,
             ctrl,
-            data_cq: CompletionQueue::new(),
-            pending: RefCell::new(HashMap::new()),
-            next_wr: Cell::new(1),
-            conns: RefCell::new(HashMap::new()),
-            redial: RefCell::new(HashMap::new()),
+            qps: DataQps::new(dev),
         });
-
-        // Completion router: forwards every data CQE to the waiter that
-        // posted the work request.
-        let s = shared.clone();
-        shared.sim.spawn(async move {
-            loop {
-                let cqe = s.data_cq.next().await;
-                let waiter = s.pending.borrow_mut().remove(&cqe.wr_id);
-                if let Some((tx, backstop)) = waiter {
-                    s.sim.cancel(backstop);
-                    tx.send(cqe.status);
-                }
-            }
-        });
-
         Ok(RStoreClient { shared })
     }
 
@@ -366,65 +471,6 @@ impl RStoreClient {
         }
     }
 
-    /// Re-establishes the data QP to `node`, replacing a missing or errored
-    /// cached connection. At most one attempt runs per node at a time, and
-    /// attempts are rate-limited by capped exponential backoff — a call
-    /// inside the backoff window fails fast instead of sleeping, so read
-    /// callers fail over to another replica rather than stall.
-    pub(crate) async fn redial(&self, node: u32) -> Result<Qp> {
-        let s = &self.shared;
-        if let Some(qp) = s.conns.borrow().get(&node) {
-            if !qp.is_errored() {
-                return Ok(qp.clone());
-            }
-        }
-        let slot = s
-            .redial
-            .borrow_mut()
-            .entry(node)
-            .or_insert_with(|| {
-                Rc::new(RedialSlot {
-                    sem: Semaphore::new(1),
-                    attempts: Cell::new(0),
-                    next_at: Cell::new(SimTime::ZERO),
-                })
-            })
-            .clone();
-        slot.sem.acquire().await;
-        // Another task may have re-dialed while we queued on the gate.
-        if let Some(qp) = s.conns.borrow().get(&node) {
-            if !qp.is_errored() {
-                slot.sem.release();
-                return Ok(qp.clone());
-            }
-        }
-        if s.sim.now() < slot.next_at.get() {
-            slot.sem.release();
-            return Err(RStoreError::Rdma(RdmaError::Timeout));
-        }
-        s.stats.redial_attempts.incr();
-        let result = s.dev.connect(NodeId(node), DATA_SERVICE, &s.data_cq).await;
-        let out = match result {
-            Ok(qp) => {
-                s.conns.borrow_mut().insert(node, qp.clone());
-                slot.attempts.set(0);
-                s.stats.redial_ok.incr();
-                Ok(qp)
-            }
-            Err(e) => {
-                let n = slot.attempts.get().saturating_add(1);
-                slot.attempts.set(n);
-                let backoff = REDIAL_BACKOFF
-                    .saturating_mul(1u32 << (n - 1).min(16))
-                    .min(REDIAL_BACKOFF_MAX);
-                slot.next_at.set(s.sim.now() + backoff);
-                Err(e.into())
-            }
-        };
-        slot.sem.release();
-        out
-    }
-
     /// One control RPC to the master. A remote error is the `Err` it
     /// carries; the master's own answer is never `CtrlResp::Err`.
     async fn ctrl_call(&self, req: CtrlReq) -> Result<CtrlResp> {
@@ -439,8 +485,8 @@ impl RStoreClient {
         result
     }
 
-    /// Builds a [`Region`], eagerly connecting to every server in the
-    /// descriptor (setup!), so the data path never has to.
+    /// Builds a [`Region`], eagerly dialing every server in the descriptor
+    /// that has no QP cached (setup!), so the data path never has to.
     async fn region_from_desc(&self, desc: RegionDesc) -> Result<Region> {
         let nodes: std::collections::BTreeSet<u32> = desc
             .groups
@@ -449,25 +495,11 @@ impl RStoreClient {
             .map(|x| x.node)
             .collect();
         for node in nodes {
-            let missing = !self.shared.conns.borrow().contains_key(&node);
-            if missing {
-                match self
-                    .shared
-                    .dev
-                    .connect(NodeId(node), DATA_SERVICE, &self.shared.data_cq)
-                    .await
-                {
-                    Ok(qp) => {
-                        self.shared.conns.borrow_mut().insert(node, qp);
-                    }
-                    Err(e) => {
-                        // A dead server is tolerable for degraded maps; the
-                        // affected stripes will fail at IO time.
-                        if desc.state == RegionState::Healthy {
-                            return Err(e.into());
-                        }
-                    }
-                }
+            // A dead server is tolerable for degraded maps; the affected
+            // stripes will fail at IO time.
+            let dialed = self.shared.qps.dial(node, false).await;
+            if desc.state == RegionState::Healthy {
+                dialed?;
             }
         }
         Ok(Region::new(self.clone(), desc))

@@ -14,9 +14,10 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use fabric::NodeId;
-use rdma::{CompletionQueue, CqStatus, DmaBuf, Qp, RKey, RdmaDevice, RemoteAddr};
+use rdma::{CqStatus, DmaBuf, RKey, RdmaDevice, RemoteAddr, Wr};
 use sim::{DetRng, Event, Sim, SimTime};
 
+use crate::client::DataQps;
 use crate::crc::verify_blocks;
 use crate::error::{RStoreError, Result};
 use crate::proto::{
@@ -353,7 +354,11 @@ impl Master {
         if master.cfg.scrub {
             let m = master.clone();
             master.sim.spawn(async move {
-                let mut scrub = Scrubber::default();
+                let mut scrub = Scrubber {
+                    qps: DataQps::new(&m.dev),
+                    buf: None,
+                    bytes: Vec::new(),
+                };
                 loop {
                     m.sim.sleep(m.cfg.scrub_interval).await;
                     m.scrub_sweep(&mut scrub).await;
@@ -1411,32 +1416,21 @@ impl Master {
             return;
         };
         scrub.bytes.resize(phys as usize, 0);
+        let remote = RemoteAddr {
+            addr: extent.addr,
+            rkey: RKey(extent.rkey),
+        };
         let mut bad = false;
         for attempt in 0..2 {
-            let Some(qp) = self.scrub_conn(scrub, extent.node).await else {
-                break;
-            };
-            scrub.next_wr += 1;
-            let wr = scrub.next_wr;
-            let remote = RemoteAddr {
-                addr: extent.addr,
-                rkey: RKey(extent.rkey),
-            };
-            if qp.post_read(wr, buf, remote).is_err() {
-                scrub.conns.remove(&extent.node);
+            if scrub.qps.dial(extent.node, true).await.is_err() {
                 break;
             }
-            let cqe = loop {
-                let c = scrub.cq.next().await;
-                if c.wr_id == wr {
-                    break c;
-                }
-            };
-            if cqe.status != CqStatus::Success {
-                scrub.conns.remove(&extent.node);
+            let Ok(done) = scrub.qps.post(extent.node, Wr::read(0, buf, remote), phys) else {
                 break;
-            }
-            if self.dev.read_mem_into(buf.addr, &mut scrub.bytes).is_err() {
+            };
+            if done.await != Some(CqStatus::Success)
+                || self.dev.read_mem_into(buf.addr, &mut scrub.bytes).is_err()
+            {
                 break;
             }
             let (data, trailer) = scrub.bytes.split_at(extent.len as usize);
@@ -1472,23 +1466,6 @@ impl Master {
         }
     }
 
-    /// Cached data-path QP to `node` for scrub reads, re-dialing missing or
-    /// errored connections.
-    async fn scrub_conn(&self, scrub: &mut Scrubber, node: u32) -> Option<Qp> {
-        if let Some(qp) = scrub.conns.get(&node) {
-            if !qp.is_errored() {
-                return Some(qp.clone());
-            }
-            scrub.conns.remove(&node);
-        }
-        let dialed = self
-            .dev
-            .connect(NodeId(node), crate::DATA_SERVICE, &scrub.cq);
-        let qp = dialed.await.ok()?;
-        scrub.conns.insert(node, qp.clone());
-        Some(qp)
-    }
-
     /// RPC to memory server `node` through its [`Channel`].
     async fn server_call(&self, node: u32, req: SrvReq) -> Result<SrvResp> {
         let channel = {
@@ -1503,14 +1480,11 @@ impl Master {
     }
 }
 
-/// What the scrubber task keeps between sweeps: its completion queue and
-/// data-path QPs, the landing buffer of the sweep in progress and the host
-/// scratch extents are verified in.
-#[derive(Default)]
+/// What the scrubber task keeps between sweeps: its data-QP dialer, the
+/// landing buffer of the sweep in progress and the host scratch extents are
+/// verified in.
 struct Scrubber {
-    cq: CompletionQueue,
-    conns: HashMap<u32, Qp>,
-    next_wr: u64,
+    qps: Rc<DataQps>,
     buf: Option<DmaBuf>,
     bytes: Vec<u8>,
 }

@@ -11,13 +11,11 @@ use std::ops::Range;
 use std::rc::Rc;
 use std::time::Duration;
 
-use rdma::{
-    AtomicOp, CqStatus, DmaBuf, RKey, RdmaError, RemoteAddr, Sge, SgeList, Wr, WrOp, MAX_SGE,
-};
+use rdma::{AtomicOp, CqStatus, DmaBuf, RKey, RemoteAddr, Sge, SgeList, Wr, WrOp, MAX_SGE};
 use sim::channel::oneshot;
 use sim::{Event, Level, OpLedger, Phase, Span};
 
-use crate::client::{RStoreClient, IO_GRACE};
+use crate::client::RStoreClient;
 use crate::crc::{seal_blocks, verify_blocks};
 use crate::error::{RStoreError, Result};
 use crate::layout::{Layout, Piece};
@@ -528,7 +526,7 @@ impl Region {
     ) -> Result<bool> {
         let word = Xfer::new(self.layout.borrow().piece_at(offset, 8)?, landing, 0);
         let node = self.extent(word.piece.group, 0).node;
-        self.client.redial(node).await?;
+        self.client.shared.qps.dial(node, true).await?;
         let rx = self.post(Dir::Cas { expect, swap }, &[word], None, ledger)?;
         ledger.rtt();
         match rx.await.unwrap_or(CqStatus::Flushed) {
@@ -897,7 +895,7 @@ impl Region {
                 }
                 if retry {
                     x.redialed = true;
-                    if self.client.redial(node).await.is_err() {
+                    if s.qps.dial(node, true).await.is_err() {
                         // The reconnect retry is spent; advance next pass.
                         failed.push((x, status));
                         continue;
@@ -988,17 +986,17 @@ impl Region {
         if failed.is_empty() {
             return Ok(());
         }
-        let sim = &self.client.shared.sim;
-        let span = ledger.begin(Phase::Retry, sim.now());
+        let s = &self.client.shared;
+        let span = ledger.begin(Phase::Retry, s.sim.now());
         let mut retry = IoPool::take(&self.pool.plans);
         for (x, _) in failed {
             let node = self.extent(x.piece.group, x.replica).node;
-            let _ = self.client.redial(node).await;
+            let _ = s.qps.dial(node, true).await;
             ledger.retry();
             retry.push(x);
         }
         let lost = self.post_round(Dir::Write, retry, inline, ledger).await;
-        ledger.end(span, sim.now());
+        ledger.end(span, s.sim.now());
         match lost?.first() {
             Some(&(_, status)) => Err(RStoreError::Io(status)),
             None => Ok(()),
@@ -1022,10 +1020,10 @@ impl Region {
 
     /// Posts one WR covering the [`elements`](Self::elements) of `xfers` —
     /// the caller guarantees they all resolve to the same memory server —
-    /// and returns its completion receiver: one wr_id, one doorbell. With
-    /// `inline`, a lone WRITE carries those host bytes in the WQE instead of
-    /// reading its buffer. A [`Dir::Cas`] is one atomic on its one transfer's
-    /// word, routed by wr_id and backstopped like any READ or WRITE.
+    /// through the client's [`DataQps`](crate::client::DataQps) and returns
+    /// its completion receiver: one wr_id, one doorbell. With `inline`, a
+    /// lone WRITE carries those host bytes in the WQE instead of reading its
+    /// buffer. A [`Dir::Cas`] is one atomic on its one transfer's word.
     fn post(
         &self,
         dir: Dir,
@@ -1035,10 +1033,6 @@ impl Region {
     ) -> Result<oneshot::Receiver<CqStatus>> {
         let s = &self.client.shared;
         let node = self.extent(xfers[0].piece.group, xfers[0].replica).node;
-        let conns = s.conns.borrow();
-        let qp = conns
-            .get(&node)
-            .ok_or(RStoreError::Rdma(RdmaError::QpError))?;
         let sge = |x: &Xfer, (piece, buf): (Piece, DmaBuf)| {
             let extent = self.extent(x.piece.group, x.replica);
             debug_assert_eq!(extent.node, node, "WR spans servers");
@@ -1073,31 +1067,15 @@ impl Region {
                 op: AtomicOp::CompareSwap { expect, swap },
             },
         };
-        let wr_id = s.next_wr.get();
-        s.next_wr.set(wr_id + 1);
-        // Every WR stays signaled: its waiter resolves on the CQE the
-        // completion router forwards, so a suppressed success would leave
-        // the waiter to its timeout backstop.
         let wr = Wr {
-            wr_id,
+            wr_id: 0,
             op,
             signaled: true,
         };
-        {
+        let rx = {
             let _scope = s.dev.ledger_scope(ledger);
-            qp.post_batch(&[wr])?;
-        }
-        // Per-IO timeout backstop: if no completion ever routes back for
-        // this work request, the client fails it (`ClientShared::fire`) so
-        // region IO is bounded in virtual time. The deadline must be the
-        // device's backlog-aware bound, not the isolated-op timeout: behind
-        // a deep backlog (e.g. a fluid-mode shuffle) an op legitimately
-        // outlives op_timeout of its own size. The completion router cancels
-        // the backstop when the CQE arrives.
-        let deadline = s.sim.now() + s.dev.op_deadline(total) + IO_GRACE;
-        let backstop = s.sim.schedule_event(deadline, s, wr_id, 0);
-        let (tx, rx) = oneshot::channel();
-        s.pending.borrow_mut().insert(wr_id, (tx, backstop));
+            s.qps.post(node, wr, total)?
+        };
         match dir {
             Dir::Read => s.stats.read_bytes.add(total),
             Dir::Write => s.stats.write_bytes.add(total),
@@ -1166,12 +1144,13 @@ mod tests {
             // Past X's flap and backoff; still inside Y's.
             sim.sleep(Duration::from_millis(10)).await;
 
-            let redials = c.shared.stats.redial_ok.get();
+            let redials = || c.shared.dev.metrics().counter("rstore.redial.ok");
+            let before = redials();
             let err = region.write(0, &fill(4)).await.unwrap_err();
             assert!(matches!(err, RStoreError::Io(_)), "got {err:?}");
-            assert_eq!(c.shared.stats.redial_ok.get(), redials + 1, "X re-dialed");
+            assert_eq!(redials(), before + 1, "X re-dialed");
             assert!(
-                c.shared.pending.borrow().is_empty(),
+                c.shared.qps.pending.borrow().is_empty(),
                 "the failed write returned with a WR still in flight"
             );
             // X's repost landed before the error did.

@@ -7,14 +7,15 @@
 //! one-sided RDMA handled entirely by the (simulated) NIC.
 
 use std::cell::{Cell, RefCell};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt;
 use std::rc::Rc;
 use std::time::Duration;
 
-use rdma::{Access, CompletionQueue, CqStatus, DmaBuf, Qp, RKey, RdmaDevice, RemoteAddr};
+use rdma::{Access, CompletionQueue, CqStatus, DmaBuf, RKey, RdmaDevice, RemoteAddr, Wr};
 use sim::{EventSink, Sim, SimTime, TimerId};
 
+use crate::client::DataQps;
 use crate::crc::zero_trailer;
 use crate::error::{RStoreError, Result};
 use crate::proto::{extent_alloc_len, CtrlReq, CtrlResp, SrvReq, SrvResp};
@@ -90,9 +91,9 @@ struct Served {
     /// When the lease runs out, and the event that fences the server then.
     lease_end: Cell<SimTime>,
     expiry: Cell<Option<TimerId>>,
-    /// One copy connection per source server, reused across
-    /// [`SrvReq::Replicate`] calls; taken out of the map while in use.
-    copy_qps: RefCell<HashMap<u32, (Qp, CompletionQueue)>>,
+    /// The data-QP dialer of [`SrvReq::Replicate`]'s copy READs: one QP per
+    /// source server, shared by every copy from it.
+    qps: Rc<DataQps>,
 }
 
 impl EventSink for Served {
@@ -167,7 +168,7 @@ impl MemServer {
             fenced: Cell::new(true),
             lease_end: Cell::new(SimTime::ZERO),
             expiry: Cell::new(None),
-            copy_qps: RefCell::default(),
+            qps: DataQps::new(dev),
         });
 
         // Extent allocation service (master -> server).
@@ -186,15 +187,13 @@ impl MemServer {
             }),
         )?;
 
-        // Data-path listener: accept QPs and keep them alive. No receive
-        // processing — the QPs exist purely as targets of one-sided IO.
+        // Data-path listener: accept QPs. No receive processing — the QPs
+        // exist purely as targets of one-sided IO, and the device keeps
+        // their state, so the handles need not be kept.
         let mut data_listener = dev.listen(DATA_SERVICE)?;
         server.sim.spawn(async move {
             let cq = CompletionQueue::new();
-            let mut qps = Vec::new();
-            while let Ok(qp) = data_listener.accept(&cq).await {
-                qps.push(qp);
-            }
+            while data_listener.accept(&cq).await.is_ok() {}
         });
 
         // Registration + heartbeat loop.
@@ -361,37 +360,25 @@ async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> Resul
             src_node,
             src_addr,
             src_rkey,
-            dst_addr,
+            dst_addr: addr,
             len,
         } => {
             // The copy of an extent move: pull the source into the local
             // extent with a one-sided READ over the data path. The source
             // server's CPU stays idle — only its NIC serves the read.
-            let cached = sv.copy_qps.borrow_mut().remove(&src_node);
-            let (qp, cq) = match cached.filter(|(qp, _)| !qp.is_errored()) {
-                Some(conn) => conn,
-                None => {
-                    let cq = CompletionQueue::new();
-                    let src = fabric::NodeId(src_node);
-                    (dev.connect(src, DATA_SERVICE, &cq).await?, cq)
-                }
-            };
-            let dst = DmaBuf {
-                addr: dst_addr,
-                len,
-            };
             let src = RemoteAddr {
                 addr: src_addr,
                 rkey: RKey(src_rkey),
             };
-            qp.post_read(1, dst, src)?;
-            let cqe = cq.next().await;
-            sv.copy_qps.borrow_mut().insert(src_node, (qp, cq));
-            if cqe.status == CqStatus::Success {
-                Ok(SrvResp::Ok)
-            } else {
-                let what = format!("replicate read failed: {:?}", cqe.status);
-                Err(RStoreError::Remote(what))
+            sv.qps.dial(src_node, true).await?;
+            let read = Wr::read(0, DmaBuf { addr, len }, src);
+            let status = sv.qps.post(src_node, read, len)?.await;
+            match status.unwrap_or(CqStatus::Flushed) {
+                CqStatus::Success => Ok(SrvResp::Ok),
+                status => {
+                    let what = format!("replicate read failed: {status:?}");
+                    Err(RStoreError::Remote(what))
+                }
             }
         }
     }

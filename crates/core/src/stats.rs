@@ -101,8 +101,6 @@ fn ctrl_op(req: &CtrlReq) -> usize {
 /// The client's metrics and events, resolved once in
 /// `RStoreClient::connect_with`. Spans run on the client's node as track.
 pub(crate) struct ClientStats {
-    pub redial_attempts: Counter,
-    pub redial_ok: Counter,
     pub desc_stale: Counter,
     /// A revalidation installed a changed descriptor (arg = attempt).
     pub desc_refresh: Event,
@@ -112,7 +110,6 @@ pub(crate) struct ClientStats {
     pub read_corrupt: Event,
     pub read_bytes: Counter,
     pub write_bytes: Counter,
-    pub io_timeout: Counter,
     /// One read round of one pair (arg = bytes) / of many (arg = pairs).
     pub read: Event,
     pub read_many: Event,
@@ -133,8 +130,6 @@ impl ClientStats {
     pub fn resolve(m: &Metrics, rec: &Recorder) -> Self {
         let event = |name| rec.event("core", name);
         ClientStats {
-            redial_attempts: m.counter_handle("rstore.redial.attempts"),
-            redial_ok: m.counter_handle("rstore.redial.ok"),
             desc_stale: m.counter_handle("rstore.desc.stale"),
             desc_refresh: event("rstore.desc.refresh")
                 .counting(m.counter_handle("rstore.desc.refresh")),
@@ -144,7 +139,6 @@ impl ClientStats {
                 .counting(m.counter_handle("integrity.read_mismatch")),
             read_bytes: m.counter_handle("rstore.read_bytes"),
             write_bytes: m.counter_handle("rstore.write_bytes"),
-            io_timeout: m.counter_handle("rstore.io_timeout"),
             read: event("rstore.read"),
             read_many: event("rstore.read_many"),
             write: event("rstore.write"),

@@ -1184,21 +1184,6 @@ impl Qp {
         self.post_batch(&[Wr::atomic(wr_id, result, remote, op)])
     }
 
-    /// Posts a fetch-and-add on a remote u64; the prior value lands in
-    /// `result` (8 bytes) on completion.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Qp::post_batch`].
-    pub fn post_faa(&self, wr_id: u64, result: DmaBuf, remote: RemoteAddr, add: u64) -> Result<()> {
-        self.post_batch(&[Wr::atomic(
-            wr_id,
-            result,
-            remote,
-            AtomicOp::FetchAdd { add },
-        )])
-    }
-
     /// Posts a two-sided SEND of the local buffer `src`, optionally carrying
     /// a 32-bit immediate.
     ///
@@ -1885,7 +1870,8 @@ mod tests {
             let mr = b.reg_mr(counter, Access::REMOTE_ATOMIC).unwrap();
             let result = a.alloc(8).unwrap();
 
-            cqp.post_faa(1, result, mr.token().at(0, 8).unwrap(), 5)
+            let faa = AtomicOp::FetchAdd { add: 5 };
+            cqp.post_batch(&[Wr::atomic(1, result, mr.token().at(0, 8).unwrap(), faa)])
                 .unwrap();
             let cqe = ccq.next().await;
             assert!(cqe.status.is_ok());

@@ -7,7 +7,7 @@
 //! cargo run -p integration --release --example append_log
 //! ```
 
-use rdma::{CompletionQueue, CqeOpcode, RemoteMr};
+use rdma::{AtomicOp, CompletionQueue, CqeOpcode, RemoteMr, Wr};
 use rstore::{AllocOptions, Cluster, ClusterConfig};
 use sim::join_all;
 
@@ -60,7 +60,8 @@ fn main() -> rstore::Result<()> {
                 let entry_buf = dev.alloc(ENTRY)?;
                 for i in 0..ENTRIES_EACH {
                     // Reserve: one-sided fetch-and-add on the tail.
-                    qp.post_faa(1, result, counter.at(0, 8)?, ENTRY)?;
+                    let add = AtomicOp::FetchAdd { add: ENTRY };
+                    qp.post_batch(&[Wr::atomic(1, result, counter.at(0, 8)?, add)])?;
                     loop {
                         let cqe = cq.next().await;
                         if cqe.opcode == CqeOpcode::FetchAdd {

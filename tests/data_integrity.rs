@@ -248,6 +248,82 @@ fn scrubber_finds_corruption_without_any_reads() {
 }
 
 #[test]
+fn scrubber_redials_a_qp_a_flap_broke_and_still_finds_a_flip() {
+    // The scrubber reads through its own data-QP dialer. A flap of a
+    // replica's server across a sweep loses that sweep's READ to it, which
+    // errors the scrubber's QP; the scrubber re-dials it through the
+    // dialer's gate like any client, and its next sweep still finds the flip
+    // planted once the server is back.
+    let fast = ClusterConfig::fast_detection(3);
+    let cluster = Cluster::boot(ClusterConfig {
+        clients: 1,
+        master: MasterConfig {
+            scrub_interval: Duration::from_millis(50),
+            ..fast.master.clone()
+        },
+        ..fast
+    })
+    .expect("boot");
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let size = 128 * 1024u64;
+        let data = pattern(size as usize);
+        let opts = AllocOptions {
+            stripe_size: 32 * 1024,
+            replicas: 2,
+            checksums: true,
+            ..AllocOptions::default()
+        };
+        let region = c.alloc("swept", size, opts).await.unwrap();
+        region.write(0, &data).await.unwrap();
+        let victim = NodeId(region.desc().groups[0].replicas[0].node);
+
+        // A sweep has dialed every server; the next one starts 50 ms on.
+        let m = fabric.metrics();
+        while m.counter("integrity.scrub_passes") == 0 {
+            s.sleep(Duration::from_micros(100)).await;
+        }
+        let dials = || {
+            (
+                m.counter("rstore.redial.attempts"),
+                m.counter("rstore.redial.ok"),
+            )
+        };
+        let before = dials();
+        FaultPlan::new(0x5D)
+            .flap(Duration::from_millis(45), victim, Duration::from_millis(20))
+            .corrupt_at(Duration::from_millis(70), victim, 16)
+            .install(&fabric);
+
+        // No client IO at all: the detection is the scrubber's, and so is
+        // every dial until then (the repair it hands over to dials copies).
+        for _ in 0..500 {
+            if m.counter("integrity.scrub.mismatch") > 0 {
+                break;
+            }
+            s.sleep(Duration::from_millis(1)).await;
+        }
+        assert!(m.counter("integrity.detected") >= 1, "the flip is found");
+        let after = dials();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (1, 1),
+            "one re-dial"
+        );
+        assert_eq!(m.counter("integrity.read_mismatch"), 0);
+        s.sleep(Duration::from_millis(200)).await;
+        let desc = c.lookup("swept").await.unwrap();
+        assert_eq!(desc.state, RegionState::Healthy, "repair must complete");
+        assert_eq!(region.read(0, size).await.unwrap(), data);
+    });
+}
+
+#[test]
 fn all_replicas_corrupt_surfaces_structured_error() {
     let cluster = boot(2, false);
     let sim = cluster.sim.clone();

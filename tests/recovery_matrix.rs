@@ -1795,3 +1795,140 @@ fn a_waiter_breaks_an_orphaned_lock_and_reads_the_pre_lock_value() {
         assert_eq!(kv.get(b"k").await.unwrap().as_deref(), Some(&b"v2"[..]));
     });
 }
+
+// --- one data-QP dialer -----------------------------------------------------
+
+/// Queue pairs `dev` holds — connected, errored or orphaned alike — read from
+/// its `Debug` form, the one place the verbs layer reports the count.
+fn qps_held(dev: &rdma::RdmaDevice) -> usize {
+    let dbg = format!("{dev:?}");
+    let count = dbg.split("qps: ").nth(1).expect("the device reports qps");
+    count.split(',').next().unwrap().parse().unwrap()
+}
+
+#[test]
+fn concurrent_maps_share_one_dial_per_server_and_skip_errored_qps() {
+    // Two `map`s of one region on a fresh client race for every server's
+    // first dial: they must share it, one QP per server. (Each used to dial
+    // its own, and the later insert orphaned the other's QP for good.) A map
+    // never re-dials a cached QP, errored or not — that is the IO path's job.
+    let cluster = boot(3, 2);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let owner = RStoreClient::connect(&devs[1], master).await.unwrap();
+        let region = owner.alloc("raced", 3 * 64 * 1024, replicated());
+        let desc = region.await.unwrap().desc();
+        let replicas = desc.groups.iter().flat_map(|g| &g.replicas);
+        let servers: std::collections::BTreeSet<u32> = replicas.map(|x| x.node).collect();
+        assert_eq!(servers.len(), 3);
+
+        let dev = &devs[0];
+        let c = RStoreClient::connect(dev, master).await.unwrap();
+        let ctrl = qps_held(dev);
+        let maps = sim::join_all(vec![c.map("raced"), c.map("raced")]).await;
+        let region = maps.into_iter().map(Result::unwrap).next().unwrap();
+        assert_eq!(qps_held(dev), ctrl + servers.len(), "one QP per server");
+
+        // A flap shorter than the lease leaves one QP errored behind a
+        // failed write; mapping again dials nothing.
+        let victim = fabric::NodeId(desc.groups[0].replicas[1].node);
+        fabric.set_node_up(victim, false);
+        assert!(region.write(0, &[1; 100]).await.is_err());
+        fabric.set_node_up(victim, true);
+        c.map_degraded("raced").await.unwrap();
+        assert_eq!(
+            qps_held(dev),
+            ctrl + servers.len(),
+            "a map dials no errored QP"
+        );
+        // Past the re-dial backoff, the next write replaces it.
+        s.sleep(Duration::from_millis(5)).await;
+        region.write(0, &[2; 100]).await.unwrap();
+        assert_eq!(qps_held(dev), ctrl + servers.len() + 1);
+    });
+}
+
+#[test]
+fn a_drain_whose_source_flaps_between_copies_completes_intact() {
+    // An extent copy is a READ the target posts through its data-QP dialer.
+    // Two servers, one replica: every extent drained off X moves to Y. Right
+    // after the first move, X flaps — after the second move's seal, before
+    // its READ reaches X (half a millisecond of RPC CPU per server request
+    // holds that window open). The READ is lost, Y's QP to X errors and the
+    // move rolls back; the drain's next pass re-dials through the same
+    // dialer and completes. Every copy from X to Y shares Y's one QP to X:
+    // the whole drain dials X twice, once for the flap.
+    let fast = ClusterConfig::fast_detection(2);
+    let cluster = Cluster::boot(ClusterConfig {
+        clients: 1,
+        server: ServerConfig {
+            rpc_cpu: Duration::from_micros(500),
+            ..fast.server.clone()
+        },
+        ..fast
+    })
+    .expect("boot");
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let victim = cluster.servers[0].node();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let s = sim.clone();
+    sim.block_on(async move {
+        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
+        let stripe = 1024 * 1024u64;
+        let opts = AllocOptions {
+            stripe_size: stripe,
+            ..AllocOptions::default()
+        };
+        let data = payload(8 * stripe as usize);
+        let region = c.alloc("evac", 8 * stripe, opts).await.unwrap();
+        region.write(0, &data).await.unwrap();
+        let groups = region.desc().groups;
+        let hosted = groups.iter().filter(|g| g.replicas[0].node == victim.0);
+        assert!(hosted.count() >= 2, "two copies to flap between");
+
+        let m = fabric.metrics();
+        let dials = || {
+            (
+                m.counter("rstore.redial.attempts"),
+                m.counter("rstore.redial.ok"),
+            )
+        };
+        let before = dials();
+        let drain = {
+            let c = c.clone();
+            s.spawn(async move { c.drain(victim).await })
+        };
+        // The first move is done and the second has begun: its alloc on Y
+        // and its seal on X take ~1 ms, then Y's RPC CPU holds the READ back
+        // another 0.5 ms.
+        while m.counter("drain.extents") == 0 {
+            s.sleep(Duration::from_micros(10)).await;
+        }
+        FaultPlan::new(27)
+            .flap(
+                Duration::from_micros(1250),
+                victim,
+                Duration::from_millis(2),
+            )
+            .install(&fabric);
+        drain.await.expect("the drain completes");
+        let after = dials();
+        assert_eq!(
+            (after.0 - before.0, after.1 - before.1),
+            (2, 2),
+            "dials of X"
+        );
+
+        let fresh = c.map("evac").await.unwrap();
+        let mut replicas = fresh.desc().groups.into_iter().flat_map(|g| g.replicas);
+        assert!(replicas.all(|x| x.node != victim.0));
+        assert_eq!(fresh.read(0, 8 * stripe).await.unwrap(), data);
+        assert!(c.stats().await.unwrap().consistent);
+    });
+}
