@@ -12,7 +12,10 @@
 # backing"), and fails when one outgrows its ceiling. Every data-path QP —
 # a client's, the scrubber's, an extent copy's — comes from one dialer
 # (DESIGN.md "One data-QP dialer"): a second QP cache beside it would not fit
-# under the master, region and control-plane ceilings.
+# under the master, region and control-plane ceilings. The deterministic suite
+# is one `figures` run checked by one exact `bench diff` (EXPERIMENTS.md
+# "Baselines and the exact gate"): a tolerance path beside the exact
+# comparison would not fit under the baseline-gate ceiling.
 # Counted: non-blank, non-comment lines before the file's `#[cfg(test)]`
 # `mod tests` pair (a `#[cfg(test)]` on some other item does not end the
 # count).
@@ -57,7 +60,7 @@ if [ "$total" -gt 3058 ]; then
 fi
 # Outside the three-file total: a second mover beside `move_extent` would
 # not fit under this.
-check crates/core/src/master.rs 1171
+check crates/core/src/master.rs 1166
 # Likewise: a block is one `Vec`, reserved at `alloc` and as long as what was
 # written; a chunk table beside it would not fit under this.
 check crates/rdma/src/memory.rs 533
@@ -71,4 +74,8 @@ group 'sim recording spine (5)' 1454 crates/sim/src/{trace,ledger,optrace,timese
 # one total: a second copy of the worker loop would not fit under this.
 group 'fault episodes (4)' 881 crates/bench/src/episode.rs \
     crates/bench/src/experiments/{e13_timeline,e15_elasticity,e17_forensics}.rs
+# The comparison, the self-check and the two binaries that run and gate the
+# suite, as one total: a second comparison mode would not fit under this.
+group 'baseline gate (4)' 371 crates/bench/src/{diff,check}.rs \
+    crates/bench/src/bin/{bench,figures}.rs
 exit $status

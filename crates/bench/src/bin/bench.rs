@@ -2,19 +2,16 @@
 //!
 //! ```text
 //! bench diff --baseline BENCH_seed.json --current BENCH_pr.json
-//! bench diff --baseline BENCH_seed.json --current BENCH_pr.json \
-//!     --tolerance 0.4 --tolerance gbps=0.6
 //! bench check --report BENCH_pr.json
 //! bench triage --report BENCH_pr.json [--top N]
 //! bench triage --report triage-0001-get-op42.json
 //! ```
 //!
-//! `diff` compares every metric of the current `BENCH_*.json` against a
-//! committed baseline (see `EXPERIMENTS.md`, "Baselines") and exits nonzero
-//! when any metric drifts beyond tolerance — the CI perf-regression gate.
-//! `--tolerance F` sets the default relative tolerance; `--tolerance SUB=F`
-//! overrides it for every metric whose path contains `SUB`. On failure the
-//! findings are ranked worst-first by relative drift.
+//! `diff` compares every leaf of the current `BENCH_*.json` but its
+//! `run_id` — tables included — exactly against a committed baseline (see
+//! `EXPERIMENTS.md`, "Baselines and the exact gate"), lists the findings in
+//! document order and exits nonzero if there is one: CI's baseline gate.
+//! The simulator is deterministic, so any difference is code-induced.
 //!
 //! `check` verifies the invariants a report asserts about itself: every
 //! `asserts[*].pass` of every experiment, and that each of E6, E8 and E10–E17 present
@@ -26,19 +23,18 @@
 //! flight-recorder triage bundle it prints the failing op's blame, span
 //! tree, ring, and era notes.
 //!
-//! Exit status: 0 in-policy, 1 regression findings or failed asserts, 2
-//! usage or I/O error.
+//! Exit status: 0 in-policy, 1 diff findings or failed asserts, 2 usage or
+//! I/O error.
 
 use std::process::ExitCode;
 
 use bench::check::check_report;
-use bench::diff::{diff_reports, load_report, rank_findings, DiffOptions};
+use bench::diff::{diff_reports, load_report};
 use bench::triage::triage_text;
 
 fn usage() -> ExitCode {
     eprintln!(
-        "usage: bench diff --baseline FILE --current FILE \
-         [--tolerance F | --tolerance METRIC=F]...\n\
+        "usage: bench diff --baseline FILE --current FILE\n\
          \x20      bench check --report FILE\n\
          \x20      bench triage --report FILE [--top N]"
     );
@@ -128,27 +124,11 @@ fn run_triage(args: &[String]) -> ExitCode {
 fn run_diff(args: &[String]) -> ExitCode {
     let mut baseline_path = None;
     let mut current_path = None;
-    let mut opts = DiffOptions::default();
     let mut it = args.iter();
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--baseline" => baseline_path = it.next().cloned(),
             "--current" => current_path = it.next().cloned(),
-            "--tolerance" => {
-                let Some(spec) = it.next() else {
-                    return usage();
-                };
-                let parsed = match spec.split_once('=') {
-                    Some((metric, val)) => val
-                        .parse::<f64>()
-                        .map(|tol| opts.overrides.push((metric.to_string(), tol))),
-                    None => spec.parse::<f64>().map(|tol| opts.tolerance = tol),
-                };
-                if parsed.is_err() {
-                    eprintln!("bench diff: bad tolerance {spec:?}");
-                    return ExitCode::from(2);
-                }
-            }
             other => {
                 eprintln!("bench diff: unknown argument {other:?}");
                 return usage();
@@ -172,33 +152,19 @@ fn run_diff(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let mut findings = diff_reports(&baseline, &current, &opts);
+    let findings = diff_reports(&baseline, &current);
     if findings.is_empty() {
-        println!(
-            "bench diff: {current_path} within tolerance of {baseline_path} \
-             (default {:.0}%, {} override(s))",
-            opts.tolerance * 100.0,
-            opts.overrides.len()
-        );
+        println!("bench diff: {current_path} reproduces {baseline_path} exactly");
         return ExitCode::SUCCESS;
     }
-    // Worst first: exact/structural findings (infinite severity) lead,
-    // then numeric leaves by relative drift. Capped so one schema change
-    // does not scroll the real regressions off the screen.
+    // Capped so one schema change does not scroll the rest off the screen.
     const TOP: usize = 20;
-    rank_findings(&mut findings);
     println!(
-        "bench diff: {} regression finding(s) comparing {current_path} against {baseline_path}, \
-         worst first:",
+        "bench diff: {} finding(s) comparing {current_path} against {baseline_path}:",
         findings.len()
     );
     for f in findings.iter().take(TOP) {
-        let sev = if f.severity.is_finite() {
-            format!("{:5.1}%", f.severity * 100.0)
-        } else {
-            "exact".to_string()
-        };
-        println!("  [{sev}] {}: {}", f.path, f.detail);
+        println!("  {}: {}", f.path, f.detail);
     }
     if findings.len() > TOP {
         println!("  ... and {} more finding(s)", findings.len() - TOP);

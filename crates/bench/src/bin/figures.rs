@@ -3,20 +3,23 @@
 //! Usage:
 //!
 //! ```text
-//! figures all                  # every experiment, E1..E16, as text tables
+//! figures all                  # every experiment, E1..E17, as text tables
 //! figures e1 e4 e8             # a selection
 //! figures --json e3            # also write BENCH_<runid>.json
 //! figures --trace              # write TRACE_<runid>.json (Chrome trace)
-//! figures --json --runid ci e3 # fixed run id (stable filename)
+//! figures --json --runid seed all > figures_output.txt   # re-baseline
 //! ```
 //!
-//! `--json` writes per-experiment tables plus structured extras (E3 gains a
-//! per-layer READ-latency attribution, E12/E13 a per-op cost ledger, E13 a
-//! per-window fault/repair timeline) to `BENCH_<runid>.json`, and the
-//! wall-clock cost of each experiment to `SELFTIME_<runid>.json`. `--trace`
-//! runs a traced cluster lifecycle and writes Chrome trace-event JSON
-//! loadable in Perfetto / `chrome://tracing`. The run id defaults to the
-//! Unix timestamp; pass `--runid` to pin it.
+//! Each experiment is measured once per invocation, and its tables are
+//! printed to stdout from that measurement. `--json` also writes the same
+//! measurement to `BENCH_<runid>.json` — the tables plus structured extras
+//! (E3 gains a per-layer READ-latency attribution, E6, E8 and E12–E16 a
+//! per-op cost ledger, E13 and E15 per-window timelines) — and the
+//! wall-clock cost of each experiment to `SELFTIME_<runid>.json`, so one
+//! run regenerates all three committed baseline files. `--trace` runs a
+//! traced cluster lifecycle and writes Chrome trace-event JSON loadable in
+//! Perfetto / `chrome://tracing`. The run id defaults to the Unix
+//! timestamp; pass `--runid` to pin it.
 
 use bench::{experiments, json, report};
 
@@ -88,8 +91,13 @@ fn main() {
         }
     }
 
+    let (report, selftime) = report::run_suite(&ids, &run_id, |id, tables, wall| {
+        for t in tables {
+            println!("{t}");
+        }
+        eprintln!("[{id} took {:.1}s wall]", wall.as_secs_f64());
+    });
     if json_mode {
-        let (report, selftime) = report::bench_report_timed(&ids, &run_id);
         let doc = report.render();
         json::validate(&doc).expect("bench report must be valid JSON");
         let path = format!("BENCH_{run_id}.json");
@@ -103,14 +111,5 @@ fn main() {
         let st_path = format!("SELFTIME_{run_id}.json");
         std::fs::write(&st_path, &st_doc).expect("write selftime report");
         eprintln!("[wrote {st_path}]");
-        return;
-    }
-
-    for id in ids {
-        let start = std::time::Instant::now();
-        for t in experiments::run(id) {
-            println!("{t}");
-        }
-        eprintln!("[{id} took {:.1}s wall]", start.elapsed().as_secs_f64());
     }
 }

@@ -215,11 +215,6 @@ fn pattern(block: u64) -> Vec<u8> {
         .collect()
 }
 
-/// Runs E10.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
-}
-
 /// Renders E10's tables from one measurement.
 pub fn tables(s: &AvailabilityStats) -> Vec<Table> {
     let mut t = Table::new(

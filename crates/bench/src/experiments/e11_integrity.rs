@@ -398,11 +398,6 @@ pub fn measure() -> IntegrityStats {
     }
 }
 
-/// Runs E11.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
-}
-
 /// Renders E11's tables from one measurement.
 pub fn tables(s: &IntegrityStats) -> Vec<Table> {
     let injected = s.injected_in_flight + s.injected_at_rest;

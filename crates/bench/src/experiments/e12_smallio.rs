@@ -427,11 +427,6 @@ fn verify(region: &Region, addr: u64, off: u64, len: u64) -> u64 {
     u64::from(got != pattern(off, len))
 }
 
-/// Runs E12.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
-}
-
 /// Renders E12's tables from one measurement.
 pub fn tables(stats: &SmallIoStats) -> Vec<Table> {
     let mut t1 = Table::new(

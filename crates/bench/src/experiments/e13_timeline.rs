@@ -132,11 +132,6 @@ pub fn measure() -> TimelineStats {
     stats
 }
 
-/// Runs E13.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
-}
-
 /// Renders E13's tables from one measurement.
 pub fn tables(s: &TimelineStats) -> Vec<Table> {
     let mut t = Table::new(

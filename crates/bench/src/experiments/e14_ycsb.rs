@@ -389,11 +389,6 @@ pub fn measure() -> YcsbStats {
     })
 }
 
-/// Runs E14.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
-}
-
 /// Renders E14's tables from one measurement.
 pub fn tables(s: &YcsbStats) -> Vec<Table> {
     let mut t = Table::new(

@@ -22,7 +22,7 @@
 //!   churn and the data region ends Healthy.
 //!
 //! Fully virtual-time and seeded: two runs produce identical stats, which
-//! the determinism test and the CI smoke step assert.
+//! the determinism test and CI's exact baseline gate assert.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -441,11 +441,6 @@ pub fn measure() -> ElasticityStats {
     ElasticityStats {
         scales: SCALES.iter().map(|&n| measure_scale(n)).collect(),
     }
-}
-
-/// Runs E15.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
 }
 
 /// Renders E15's tables from one measurement.

@@ -13,13 +13,13 @@
 //! * **per-op cost ledger**: the full op set (`get`/`put`/`delete`/CAS/
 //!   `multi_get`/region read/write/read_ck/write_ck/read_many) run under
 //!   the raw-speed configuration with the [`sim::OpLedger`] enabled — the
-//!   E3/E12-shaped attribution the diff gate pins exactly.
+//!   E3/E12-shaped attribution the baseline gate pins exactly.
 //!
 //! The checksum/hash µ-bench ([`selftime_extras`]) measures *host* MB/s of
 //! the sliced CRC32C against the byte-at-a-time scalar fold, plus the KV
 //! hash and word-wise key compare. Wall-clock is nondeterministic, so those
-//! numbers go only to `SELFTIME_<runid>.json` (and stderr in text mode) —
-//! never into the byte-identical `BENCH_*.json` tables.
+//! numbers go only to `SELFTIME_<runid>.json` — never into the
+//! byte-identical `BENCH_*.json` tables.
 
 use std::hint::black_box;
 use std::time::Instant;
@@ -306,7 +306,7 @@ fn measure_inline(inline_max: u64) -> (u64, u64, u64, u64) {
 ///
 /// Same shape as E12's profile — all-integer and [`Eq`], so two seeded runs
 /// must produce an identical profile; the report test asserts it, and the
-/// diff gate pins every `rtts_per_op.p50` exactly.
+/// baseline gate pins every leaf of it exactly.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct OpsProfile {
     /// One row per op type, lexicographic (`cas`, `get`, `multi_get`, …).
@@ -405,7 +405,7 @@ pub fn ops_profile() -> OpsProfile {
 
 /// Host MB/s of the software kernels, measured with [`Instant`]. The only
 /// nondeterministic numbers E16 produces — exported to
-/// `SELFTIME_<runid>.json` and stderr, never to `BENCH_*.json`.
+/// `SELFTIME_<runid>.json`, never to `BENCH_*.json`.
 #[derive(Clone, Copy, Debug)]
 pub struct RawSpeedSelfTime {
     /// Slicing-by-8 CRC32C throughput.
@@ -458,11 +458,6 @@ pub fn selftime_extras() -> RawSpeedSelfTime {
         hash_mbps,
         keys_eq_mbps,
     }
-}
-
-/// Runs E16.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
 }
 
 /// Renders E16's tables from one measurement.
@@ -537,19 +532,6 @@ pub fn tables(stats: &RawSpeedStats) -> Vec<Table> {
         ]);
     }
     t3.note("full attribution (p99/max, per-layer time) in the BENCH JSON rawspeed block");
-
-    // The µ-bench is wall-clock and machine-dependent: stderr only, so the
-    // committed text output stays byte-identical.
-    let st = selftime_extras();
-    eprintln!(
-        "[e16 µ-bench: crc32c sliced {:.0} MB/s vs scalar {:.0} MB/s ({:.1}x); \
-         hash {:.0} MB/s; keys_eq {:.0} MB/s — see SELFTIME json]",
-        st.crc32c_sliced_mbps,
-        st.crc32c_scalar_mbps,
-        st.crc32c_speedup,
-        st.hash_mbps,
-        st.keys_eq_mbps
-    );
     vec![t1, t2, t3]
 }
 

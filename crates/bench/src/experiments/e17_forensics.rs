@@ -155,11 +155,6 @@ fn fmt_us(ns: u64) -> String {
     format!("{}", ns / 1_000)
 }
 
-/// Runs E17.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
-}
-
 /// Renders E17's tables from one measurement.
 pub fn tables(s: &ForensicsStats) -> Vec<Table> {
     let mut t = Table::new(

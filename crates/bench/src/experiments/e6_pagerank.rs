@@ -56,11 +56,6 @@ impl GraphRow {
     }
 }
 
-/// Runs E6.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
-}
-
 /// Measures every graph once.
 pub fn measure() -> Vec<GraphRow> {
     let graphs: Vec<(&str, CsrGraph)> = vec![

@@ -29,11 +29,6 @@ pub struct SortStats {
     pub hadoop: TeraSortEstimate,
 }
 
-/// Runs E8.
-pub fn run() -> Vec<Table> {
-    tables(&measure())
-}
-
 /// Measures the three parts once.
 pub fn measure() -> SortStats {
     let (outcome, ops) = fluid_sort(256u64 << 30, 12);

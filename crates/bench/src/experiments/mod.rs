@@ -1,7 +1,9 @@
 //! The seventeen experiments of the reproduction (see `DESIGN.md`'s
-//! per-experiment index). Each returns one or more [`Table`]s; the
-//! `figures` binary prints them, and `EXPERIMENTS.md` records
-//! paper-vs-measured.
+//! per-experiment index). E1–E5, E7 and E9 are a `run` that returns their
+//! [`Table`](crate::Table)s; E6, E8 and E10–E17 are a `measure` that
+//! returns their stats and a `tables` that renders them.
+//! [`crate::report::experiment`] dispatches on the id and renders each
+//! measurement as text and JSON; `EXPERIMENTS.md` records paper-vs-measured.
 
 pub mod e10_availability;
 pub mod e11_integrity;
@@ -20,8 +22,6 @@ pub mod e6_pagerank;
 pub mod e7_scaling;
 pub mod e8_sort;
 pub mod e9_sort_scaling;
-
-use crate::table::Table;
 
 const SEED_VAR: &str = "RSTORE_BENCH_SEED";
 
@@ -55,34 +55,6 @@ pub fn seed_mix(base: u64) -> u64 {
             eprintln!("bench: {msg}");
             std::process::exit(2);
         }
-    }
-}
-
-/// Runs one experiment by id (`"e1"`..`"e17"`), returning its tables.
-///
-/// # Panics
-///
-/// Panics on an unknown id.
-pub fn run(id: &str) -> Vec<Table> {
-    match id {
-        "e1" => e1_verbs::run(),
-        "e2" => e2_control::run(),
-        "e3" => e3_datapath::run(),
-        "e4" => e4_bandwidth::run(),
-        "e5" => e5_ablation::run(),
-        "e6" => e6_pagerank::run(),
-        "e7" => e7_scaling::run(),
-        "e8" => e8_sort::run(),
-        "e9" => e9_sort_scaling::run(),
-        "e10" => e10_availability::run(),
-        "e11" => e11_integrity::run(),
-        "e12" => e12_smallio::run(),
-        "e13" => e13_timeline::run(),
-        "e14" => e14_ycsb::run(),
-        "e15" => e15_elasticity::run(),
-        "e16" => e16_rawspeed::run(),
-        "e17" => e17_forensics::run(),
-        other => panic!("unknown experiment id {other:?} (expected e1..e17)"),
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! [`experiments`] holds one module per reproduced table/figure (E1–E17,
 //! indexed in `DESIGN.md`) and [`episode`] the paced verified-KV traffic
-//! that E13, E15 and E17 run their faults under; the `figures` binary
-//! prints the experiments, and the `bench` binary works on exported reports
-//! — `bench diff` (the CI perf-regression gate), `bench check` (the
+//! that E13, E15 and E17 run their faults under; [`report`] measures each
+//! experiment once and renders it as text and JSON, which the `figures`
+//! binary prints and exports. The `bench` binary works on exported reports
+//! — `bench diff` (CI's exact baseline gate), `bench check` (the
 //! invariants a report asserts about itself) and `bench triage`:
 //!
 //! ```text
@@ -14,10 +15,9 @@
 //!     --baseline BENCH_seed.json --current BENCH_pr.json
 //! ```
 //!
-//! The self-timed benches under `benches/` track the *real-time* cost of
-//! the simulator on representative experiment kernels (the experiments
-//! themselves are measured in deterministic virtual time, so the benches'
-//! statistics apply to the engine, not the paper's claims).
+//! The experiments are measured in deterministic virtual time; what they
+//! cost the host is recorded beside them in `SELFTIME_<runid>.json`
+//! ([`selftime`]).
 
 pub mod check;
 pub mod diff;

@@ -1,28 +1,26 @@
-//! Machine-readable benchmark output.
+//! One measurement per experiment, rendered as text and as JSON.
 //!
-//! `figures --json` builds a `BENCH_<runid>.json` document through this
-//! module: every experiment's tables, plus structured extras where a table
-//! is too lossy (E3 gets a per-layer latency attribution with percentiles).
-//! `figures --trace` captures a representative cluster lifecycle with the
-//! simulator's event ring on and dumps it as Chrome trace-event JSON.
+//! `figures` runs the suite through [`run_suite`]: each experiment is
+//! measured once, its tables are printed, and — with `--json` — the same
+//! measurement becomes its entry of the `BENCH_<runid>.json` document: the
+//! tables, plus structured extras where a table is too lossy (E3 gets a
+//! per-layer latency attribution with percentiles). `figures --trace`
+//! captures a representative cluster lifecycle with the simulator's event
+//! ring on and dumps it as Chrome trace-event JSON.
 //!
 //! E6, E8 and E10–E17 are self-checking: each exports an `asserts` array — the
 //! invariants it claims, as `{name, expected, observed, pass}` built from
-//! the stats it already computes — which `bench check` verifies and
-//! `bench diff` compares exactly (see [`Asserts`]).
+//! the stats it already computes — which `bench check` verifies (see
+//! [`Asserts`]).
 
-use crate::experiments;
-use crate::experiments::e10_availability;
-use crate::experiments::e11_integrity;
-use crate::experiments::e12_smallio;
-use crate::experiments::e13_timeline;
-use crate::experiments::e14_ycsb;
-use crate::experiments::e15_elasticity;
-use crate::experiments::e16_rawspeed;
-use crate::experiments::e17_forensics;
+use std::time::Duration;
+
 use crate::experiments::e3_datapath::{self, LayerStat};
-use crate::experiments::e6_pagerank;
-use crate::experiments::e8_sort;
+use crate::experiments::{
+    e10_availability, e11_integrity, e12_smallio, e13_timeline, e14_ycsb, e15_elasticity,
+    e16_rawspeed, e17_forensics, e1_verbs, e2_control, e4_bandwidth, e5_ablation, e6_pagerank,
+    e7_scaling, e8_sort, e9_sort_scaling,
+};
 use crate::json::Json;
 use crate::selftime::SelfTime;
 use crate::table::Table;
@@ -84,7 +82,7 @@ fn rtts_p50(ops: &[OpSummary], op: &str) -> u64 {
     ops.iter().find(|s| s.op == op).map_or(0, |s| s.rtts_p50)
 }
 
-fn dur_ns(d: std::time::Duration) -> Json {
+fn dur_ns(d: Duration) -> Json {
     Json::int(d.as_nanos() as u64)
 }
 
@@ -98,9 +96,10 @@ fn per_op_hist_json(p50: u64, p99: u64, max: u64, total: u64) -> Json {
 }
 
 /// Serialises a per-op cost attribution (one object per op type, in the
-/// summaries' deterministic order). RTT counts are load-bearing: the diff
-/// gate compares every `rtts_per_op.p50` exactly, so a clean-path op
-/// growing a posting round fails CI regardless of tolerance.
+/// summaries' deterministic order): the round trips, doorbells, bytes and
+/// per-layer time of each op type, every one of which the baseline gate
+/// compares exactly, so a clean-path op growing a posting round — or a
+/// nanosecond of wire time — fails CI.
 pub fn ops_json(ops: &[OpSummary]) -> Json {
     Json::Arr(
         ops.iter()
@@ -145,7 +144,7 @@ pub fn ops_json(ops: &[OpSummary]) -> Json {
 }
 
 /// Serialises a critical-path blame vector keyed by phase name, all twelve
-/// phases always present so the diff gate sees a stable shape.
+/// phases always present so the baseline gate sees a stable shape.
 fn blame_json(rec: &sim::FlightRec) -> Json {
     Json::obj(
         sim::Phase::ALL
@@ -201,9 +200,9 @@ fn layer_stat_json(s: &LayerStat) -> Json {
 }
 
 /// The invariants one experiment asserts about its own run, for the
-/// `asserts` array of its report entry. `observed` stays a number or a flag
-/// so that `bench diff` still applies its tolerance to it; `pass` is a flag,
-/// which `bench diff` compares exactly.
+/// `asserts` array of its report entry. `bench check` fails a report with
+/// a `pass` of false whatever the baseline says; `observed` stays a number
+/// or a flag, compared exactly like every other leaf by `bench diff`.
 #[derive(Default)]
 struct Asserts(Vec<Json>);
 
@@ -239,553 +238,566 @@ impl Asserts {
     }
 }
 
-/// Runs experiment `id` and returns its JSON document: the same tables the
-/// text mode prints, plus structured extras for experiments that have them.
-pub fn experiment_json(id: &str) -> Json {
-    // E6, E8 and E10–E17 are measured once and rendered twice: their tables
-    // come from the same stats as their structured block.
-    let mut tables = None;
+/// Runs experiment `id` once and renders that one measurement twice: as
+/// its text tables, and as its report entry — the same tables plus
+/// structured extras (and the `asserts` of E6, E8 and E10–E17).
+///
+/// # Panics
+///
+/// Panics on an unknown id.
+pub fn experiment(id: &str) -> (Vec<Table>, Json) {
     let mut fields = vec![("id".to_string(), Json::str(id))];
     let mut asserts = Asserts::default();
-    if id == "e3" {
-        let attr: Vec<Json> = e3_datapath::attribution()
-            .iter()
-            .map(layer_stat_json)
-            .collect();
-        fields.push(("read_latency_attribution".to_string(), Json::Arr(attr)));
-    }
-    if id == "e6" {
-        let rows = e6_pagerank::measure();
-        tables = Some(e6_pagerank::tables(&rows));
-        let rank_errors: u64 = rows.iter().map(|r| r.rstore.rank_errors).sum();
-        asserts.eq("data_errors", rank_errors, 0);
-        for r in &rows {
-            let name = format!("gather.rtts_per_op.p50@{}", r.name);
-            asserts.eq(&name, rtts_p50(&r.rstore.ops, "read_many"), 1);
-            asserts.ops_recorded(&r.rstore.ops);
+    let tables = match id {
+        "e1" => e1_verbs::run(),
+        "e2" => e2_control::run(),
+        "e3" => {
+            let attr: Vec<Json> = e3_datapath::attribution()
+                .iter()
+                .map(layer_stat_json)
+                .collect();
+            fields.push(("read_latency_attribution".to_string(), Json::Arr(attr)));
+            e3_datapath::run()
         }
-        let graphs = rows.iter().map(|r| {
-            Json::obj([
-                ("graph".to_string(), Json::str(r.name)),
-                ("rstore_ns".to_string(), dur_ns(r.rstore.total)),
-                ("msg_passing_ns".to_string(), dur_ns(r.msg_total)),
-                ("speedup".to_string(), Json::float(r.speedup())),
-                ("rank_errors".to_string(), Json::int(r.rstore.rank_errors)),
-                ("per_op".to_string(), ops_json(&r.rstore.ops)),
-            ])
-        });
-        fields.push((
-            "ops".to_string(),
-            Json::obj([("graphs".to_string(), Json::Arr(graphs.collect()))]),
-        ));
-    }
-    if id == "e8" {
-        let s = e8_sort::measure();
-        tables = Some(e8_sort::tables(&s));
-        asserts.eq("data_errors", !s.verified as u64, 0);
-        asserts.eq("shuffle.rtts_per_op.p50", rtts_p50(&s.ops, "write_many"), 1);
-        asserts.ops_recorded(&s.ops);
-        let p = &s.outcome.phases;
-        fields.push((
-            "sort".to_string(),
-            Json::obj([
-                ("verified".to_string(), Json::Bool(s.verified)),
-                ("records".to_string(), Json::int(s.outcome.records)),
-                ("total_ns".to_string(), dur_ns(s.outcome.total)),
-                ("sample_ns".to_string(), dur_ns(p.sample)),
-                ("partition_ns".to_string(), dur_ns(p.partition)),
-                ("shuffle_ns".to_string(), dur_ns(p.shuffle)),
-                ("local_sort_ns".to_string(), dur_ns(p.local_sort)),
-                ("hadoop_ns".to_string(), dur_ns(s.hadoop.total())),
-            ]),
-        ));
-        fields.push((
-            "ops".to_string(),
-            Json::obj([("per_op".to_string(), ops_json(&s.ops))]),
-        ));
-    }
-    if id == "e10" {
-        let s = e10_availability::measure();
-        tables = Some(e10_availability::tables(&s));
-        asserts.eq("data_errors", s.data_errors, 0);
-        asserts.holds("healthy_after_repair", s.healthy_after_repair);
-        fields.push((
-            "availability".to_string(),
-            Json::obj([
-                ("ops_total".to_string(), Json::int(s.ops_total)),
-                ("io_errors".to_string(), Json::int(s.io_errors)),
-                ("data_errors".to_string(), Json::int(s.data_errors)),
-                ("kill_ns".to_string(), Json::int(s.kill_ns)),
-                ("recovery_ns".to_string(), Json::int(s.recovery_ns)),
-                (
-                    "degraded_window_ns".to_string(),
-                    Json::int(s.degraded_window_ns),
-                ),
-                (
-                    "healthy_after_repair".to_string(),
-                    Json::Bool(s.healthy_after_repair),
-                ),
-            ]),
-        ));
-    }
-    if id == "e11" {
-        let s = e11_integrity::measure();
-        tables = Some(e11_integrity::tables(&s));
-        let injected = s.injected_in_flight + s.injected_at_rest;
-        asserts.eq("data_errors", s.data_errors, 0);
-        asserts.eq("false_positives", s.false_positives, 0);
-        asserts.eq("detected", s.detected, injected);
-        asserts.holds("healthy_after_repair", s.healthy_after_repair);
-        fields.push((
-            "integrity".to_string(),
-            Json::obj([
-                (
-                    "injected_in_flight".to_string(),
-                    Json::int(s.injected_in_flight),
-                ),
-                (
-                    "injected_at_rest".to_string(),
-                    Json::int(s.injected_at_rest),
-                ),
-                ("detected".to_string(), Json::int(s.detected)),
-                (
-                    "detection_complete".to_string(),
-                    Json::Bool(s.detected == injected),
-                ),
-                ("false_positives".to_string(), Json::int(s.false_positives)),
-                ("data_errors".to_string(), Json::int(s.data_errors)),
-                ("loud_errors".to_string(), Json::int(s.loud_errors)),
-                ("scrub_passes".to_string(), Json::int(s.scrub_passes)),
-                (
-                    "detect_latency_mean_ns".to_string(),
-                    Json::int(s.detect_latency_mean_ns),
-                ),
-                (
-                    "detect_latency_max_ns".to_string(),
-                    Json::int(s.detect_latency_max_ns),
-                ),
-                (
-                    "healthy_after_repair".to_string(),
-                    Json::Bool(s.healthy_after_repair),
-                ),
-                (
-                    "read_p99_scrub_off_ns".to_string(),
-                    Json::int(s.read_p99_scrub_off_ns),
-                ),
-                (
-                    "read_p99_scrub_on_ns".to_string(),
-                    Json::int(s.read_p99_scrub_on_ns),
-                ),
-            ]),
-        ));
-    }
-    if id == "e12" {
-        let s = e12_smallio::measure();
-        tables = Some(e12_smallio::tables(&s));
-        let sizes: Vec<Json> = s
-            .sizes
-            .iter()
-            .map(|z| {
+        "e4" => e4_bandwidth::run(),
+        "e5" => e5_ablation::run(),
+        "e6" => {
+            let rows = e6_pagerank::measure();
+            let rank_errors: u64 = rows.iter().map(|r| r.rstore.rank_errors).sum();
+            asserts.eq("data_errors", rank_errors, 0);
+            for r in &rows {
+                let name = format!("gather.rtts_per_op.p50@{}", r.name);
+                asserts.eq(&name, rtts_p50(&r.rstore.ops, "read_many"), 1);
+                asserts.ops_recorded(&r.rstore.ops);
+            }
+            let graphs = rows.iter().map(|r| {
                 Json::obj([
-                    ("size_bytes".to_string(), Json::int(z.size)),
-                    ("per_op_gbps".to_string(), Json::float(z.per_op_gbps)),
-                    ("batched_gbps".to_string(), Json::float(z.batched_gbps)),
-                    (
-                        "batched_speedup".to_string(),
-                        Json::float(z.batched_gbps / z.per_op_gbps),
-                    ),
-                    (
-                        "per_op_doorbells_per_op".to_string(),
-                        Json::float(z.per_op_doorbells),
-                    ),
-                    (
-                        "batched_doorbells_per_op".to_string(),
-                        Json::float(z.batched_doorbells),
-                    ),
-                    ("ck_gbps".to_string(), Json::float(z.ck_gbps)),
+                    ("graph".to_string(), Json::str(r.name)),
+                    ("rstore_ns".to_string(), dur_ns(r.rstore.total)),
+                    ("msg_passing_ns".to_string(), dur_ns(r.msg_total)),
+                    ("speedup".to_string(), Json::float(r.speedup())),
+                    ("rank_errors".to_string(), Json::int(r.rstore.rank_errors)),
+                    ("per_op".to_string(), ops_json(&r.rstore.ops)),
                 ])
-            })
-            .collect();
-        fields.push((
-            "smallio".to_string(),
-            Json::obj([
-                ("sizes".to_string(), Json::Arr(sizes)),
-                ("ck_substripe".to_string(), {
-                    let z = &s.ck_substripe;
+            });
+            fields.push((
+                "ops".to_string(),
+                Json::obj([("graphs".to_string(), Json::Arr(graphs.collect()))]),
+            ));
+            e6_pagerank::tables(&rows)
+        }
+        "e7" => e7_scaling::run(),
+        "e8" => {
+            let s = e8_sort::measure();
+            asserts.eq("data_errors", !s.verified as u64, 0);
+            asserts.eq("shuffle.rtts_per_op.p50", rtts_p50(&s.ops, "write_many"), 1);
+            asserts.ops_recorded(&s.ops);
+            let p = &s.outcome.phases;
+            fields.push((
+                "sort".to_string(),
+                Json::obj([
+                    ("verified".to_string(), Json::Bool(s.verified)),
+                    ("records".to_string(), Json::int(s.outcome.records)),
+                    ("total_ns".to_string(), dur_ns(s.outcome.total)),
+                    ("sample_ns".to_string(), dur_ns(p.sample)),
+                    ("partition_ns".to_string(), dur_ns(p.partition)),
+                    ("shuffle_ns".to_string(), dur_ns(p.shuffle)),
+                    ("local_sort_ns".to_string(), dur_ns(p.local_sort)),
+                    ("hadoop_ns".to_string(), dur_ns(s.hadoop.total())),
+                ]),
+            ));
+            fields.push((
+                "ops".to_string(),
+                Json::obj([("per_op".to_string(), ops_json(&s.ops))]),
+            ));
+            e8_sort::tables(&s)
+        }
+        "e9" => e9_sort_scaling::run(),
+        "e10" => {
+            let s = e10_availability::measure();
+            asserts.eq("data_errors", s.data_errors, 0);
+            asserts.holds("healthy_after_repair", s.healthy_after_repair);
+            fields.push((
+                "availability".to_string(),
+                Json::obj([
+                    ("ops_total".to_string(), Json::int(s.ops_total)),
+                    ("io_errors".to_string(), Json::int(s.io_errors)),
+                    ("data_errors".to_string(), Json::int(s.data_errors)),
+                    ("kill_ns".to_string(), Json::int(s.kill_ns)),
+                    ("recovery_ns".to_string(), Json::int(s.recovery_ns)),
+                    (
+                        "degraded_window_ns".to_string(),
+                        Json::int(s.degraded_window_ns),
+                    ),
+                    (
+                        "healthy_after_repair".to_string(),
+                        Json::Bool(s.healthy_after_repair),
+                    ),
+                ]),
+            ));
+            e10_availability::tables(&s)
+        }
+        "e11" => {
+            let s = e11_integrity::measure();
+            let injected = s.injected_in_flight + s.injected_at_rest;
+            asserts.eq("data_errors", s.data_errors, 0);
+            asserts.eq("false_positives", s.false_positives, 0);
+            asserts.eq("detected", s.detected, injected);
+            asserts.holds("healthy_after_repair", s.healthy_after_repair);
+            fields.push((
+                "integrity".to_string(),
+                Json::obj([
+                    (
+                        "injected_in_flight".to_string(),
+                        Json::int(s.injected_in_flight),
+                    ),
+                    (
+                        "injected_at_rest".to_string(),
+                        Json::int(s.injected_at_rest),
+                    ),
+                    ("detected".to_string(), Json::int(s.detected)),
+                    (
+                        "detection_complete".to_string(),
+                        Json::Bool(s.detected == injected),
+                    ),
+                    ("false_positives".to_string(), Json::int(s.false_positives)),
+                    ("data_errors".to_string(), Json::int(s.data_errors)),
+                    ("loud_errors".to_string(), Json::int(s.loud_errors)),
+                    ("scrub_passes".to_string(), Json::int(s.scrub_passes)),
+                    (
+                        "detect_latency_mean_ns".to_string(),
+                        Json::int(s.detect_latency_mean_ns),
+                    ),
+                    (
+                        "detect_latency_max_ns".to_string(),
+                        Json::int(s.detect_latency_max_ns),
+                    ),
+                    (
+                        "healthy_after_repair".to_string(),
+                        Json::Bool(s.healthy_after_repair),
+                    ),
+                    (
+                        "read_p99_scrub_off_ns".to_string(),
+                        Json::int(s.read_p99_scrub_off_ns),
+                    ),
+                    (
+                        "read_p99_scrub_on_ns".to_string(),
+                        Json::int(s.read_p99_scrub_on_ns),
+                    ),
+                ]),
+            ));
+            e11_integrity::tables(&s)
+        }
+        "e12" => {
+            let s = e12_smallio::measure();
+            let sizes: Vec<Json> = s
+                .sizes
+                .iter()
+                .map(|z| {
                     Json::obj([
-                        ("io_bytes".to_string(), Json::int(z.io_bytes)),
-                        ("stripe_bytes".to_string(), Json::int(z.stripe_bytes)),
-                        ("replicas".to_string(), Json::int(z.replicas)),
-                        ("read_gbps".to_string(), Json::float(z.read_gbps)),
-                        ("write_gbps".to_string(), Json::float(z.write_gbps)),
+                        ("size_bytes".to_string(), Json::int(z.size)),
+                        ("per_op_gbps".to_string(), Json::float(z.per_op_gbps)),
+                        ("batched_gbps".to_string(), Json::float(z.batched_gbps)),
                         (
-                            "read_wire_bytes_per_op".to_string(),
-                            Json::float(z.read_wire_bytes_per_op),
+                            "batched_speedup".to_string(),
+                            Json::float(z.batched_gbps / z.per_op_gbps),
                         ),
                         (
-                            "write_wire_bytes_per_op".to_string(),
-                            Json::float(z.write_wire_bytes_per_op),
+                            "per_op_doorbells_per_op".to_string(),
+                            Json::float(z.per_op_doorbells),
                         ),
+                        (
+                            "batched_doorbells_per_op".to_string(),
+                            Json::float(z.batched_doorbells),
+                        ),
+                        ("ck_gbps".to_string(), Json::float(z.ck_gbps)),
                     ])
-                }),
-                ("data_errors".to_string(), Json::int(s.data_errors)),
-                ("speedup_4k".to_string(), Json::float(s.speedup_4k())),
-                (
-                    "speedup_4k_ok".to_string(),
-                    Json::Bool(s.speedup_4k() >= 1.5),
-                ),
-                (
-                    "batched_doorbells_lt_one".to_string(),
-                    Json::Bool(s.batched_doorbells_4k() < 1.0),
-                ),
-            ]),
-        ));
-        let profile = e12_smallio::ops_profile();
-        asserts.eq("data_errors", s.data_errors, 0);
-        asserts.holds("speedup_4k_ok", s.speedup_4k() >= 1.5);
-        asserts.holds("batched_doorbells_lt_one", s.batched_doorbells_4k() < 1.0);
-        asserts.holds(
-            "ck_substripe_no_amplification",
-            s.ck_substripe.no_amplification(),
-        );
-        asserts.holds(
-            "multi_get_doorbells_lt_one",
-            profile.multi_get_doorbells_lt_one(),
-        );
-        asserts.ops_recorded(&profile.ops);
-        fields.push((
-            "ops".to_string(),
-            Json::obj([
-                ("per_op".to_string(), ops_json(&profile.ops)),
-                (
-                    "multi_get_doorbells_lt_one".to_string(),
-                    Json::Bool(profile.multi_get_doorbells_lt_one()),
-                ),
-            ]),
-        ));
-    }
-    if id == "e13" {
-        let s = e13_timeline::measure();
-        tables = Some(e13_timeline::tables(&s));
-        asserts.eq("value_errors", s.value_errors, 0);
-        asserts.eq("abandoned", s.abandoned, 0);
-        asserts.positive("io_errors", s.io_errors);
-        asserts.holds("healthy_after_repair", s.healthy_after_repair);
-        asserts.ops_recorded(&s.ops);
-        let windows: Vec<Json> = s.windows.iter().map(window_json).collect();
-        fields.push((
-            "timeline".to_string(),
-            Json::obj([
-                ("window_ns".to_string(), Json::int(s.window_ns)),
-                ("kill_ns".to_string(), Json::int(s.kill_ns)),
-                (
-                    "fault_window".to_string(),
-                    Json::int(s.fault_window() as u64),
-                ),
-                ("ops_total".to_string(), Json::int(s.ops_total)),
-                ("io_errors".to_string(), Json::int(s.io_errors)),
-                ("value_errors".to_string(), Json::int(s.value_errors)),
-                ("abandoned".to_string(), Json::int(s.abandoned)),
-                ("pre_fault_p99_us".to_string(), Json::int(s.pre_fault_p99())),
-                ("spike_p99_us".to_string(), Json::int(s.spike_p99())),
-                ("recovery_p99_us".to_string(), Json::int(s.recovery_p99())),
-                (
-                    "healthy_after_repair".to_string(),
-                    Json::Bool(s.healthy_after_repair),
-                ),
-                ("windows".to_string(), Json::Arr(windows)),
-            ]),
-        ));
-        fields.push((
-            "ops".to_string(),
-            Json::obj([("per_op".to_string(), ops_json(&s.ops))]),
-        ));
-    }
-    if id == "e14" {
-        let s = e14_ycsb::measure();
-        tables = Some(e14_ycsb::tables(&s));
-        asserts.eq("data_errors", s.data_errors, 0);
-        asserts.eq("warm_get_rtts", s.warm.get_rtts, 1);
-        asserts.eq("warm_get_doorbells", s.warm.get_doorbells, 1);
-        asserts.eq("warm_put_rtts", s.warm.put_rtts, 2);
-        asserts.eq("warm_delete_rtts", s.warm.delete_rtts, 2);
-        asserts.eq("resize.reader_errors", s.resize.reader_errors, 0);
-        let mixes: Vec<Json> = s
-            .mixes
-            .iter()
-            .map(|x| {
+                })
+                .collect();
+            fields.push((
+                "smallio".to_string(),
                 Json::obj([
-                    ("name".to_string(), Json::str(x.name)),
-                    ("read_fraction".to_string(), Json::float(x.read_fraction)),
-                    ("ops_total".to_string(), Json::int(x.ops_total)),
-                    ("value_errors".to_string(), Json::int(x.value_errors)),
-                    ("ops_per_sec".to_string(), Json::float(x.ops_per_sec)),
-                    (
-                        "index".to_string(),
+                    ("sizes".to_string(), Json::Arr(sizes)),
+                    ("ck_substripe".to_string(), {
+                        let z = &s.ck_substripe;
                         Json::obj([
-                            ("hit".to_string(), Json::int(x.index_hit)),
-                            ("miss".to_string(), Json::int(x.index_miss)),
-                            ("stale".to_string(), Json::int(x.index_stale)),
-                            ("invalidate".to_string(), Json::int(x.index_invalidate)),
-                            ("evict".to_string(), Json::int(x.index_evict)),
-                        ]),
-                    ),
-                    ("per_op".to_string(), ops_json(&x.ops)),
-                ])
-            })
-            .collect();
-        fields.push((
-            "ycsb".to_string(),
-            Json::obj([
-                ("keys".to_string(), Json::int(s.keys)),
-                ("clients".to_string(), Json::int(s.clients)),
-                ("ops_per_client".to_string(), Json::int(s.ops_per_client)),
-                ("mixes".to_string(), Json::Arr(mixes)),
-                (
-                    "warm_probe".to_string(),
-                    Json::obj([
-                        ("warm_get_rtts".to_string(), Json::int(s.warm.get_rtts)),
-                        (
-                            "warm_get_doorbells".to_string(),
-                            Json::int(s.warm.get_doorbells),
-                        ),
-                        ("warm_put_rtts".to_string(), Json::int(s.warm.put_rtts)),
-                        (
-                            "warm_put_doorbells".to_string(),
-                            Json::int(s.warm.put_doorbells),
-                        ),
-                        (
-                            "warm_delete_rtts".to_string(),
-                            Json::int(s.warm.delete_rtts),
-                        ),
-                    ]),
-                ),
-                (
-                    "resize".to_string(),
-                    Json::obj([
-                        ("keys".to_string(), Json::int(s.resize.keys)),
-                        ("moved".to_string(), Json::int(s.resize.moved)),
-                        (
-                            "reader_errors".to_string(),
-                            Json::int(s.resize.reader_errors),
-                        ),
-                        ("refreshes".to_string(), Json::int(s.resize.refreshes)),
-                        (
-                            "verify_errors".to_string(),
-                            Json::int(s.resize.verify_errors),
-                        ),
-                    ]),
-                ),
-                ("data_errors".to_string(), Json::int(s.data_errors)),
-            ]),
-        ));
-    }
-    if id == "e15" {
-        let s = e15_elasticity::measure();
-        tables = Some(e15_elasticity::tables(&s));
-        let data_errors: u64 = s.scales.iter().map(|x| x.value_errors + x.abandoned).sum();
-        asserts.eq("data_errors", data_errors, 0);
-        for x in &s.scales {
-            let at = |name: &str| format!("{name}@{}", x.servers);
-            asserts.positive(&at("drain.bytes"), x.drain_bytes);
-            asserts.eq(&at("drain.residual_bytes"), x.drained_residual_bytes, 0);
-            asserts.holds(&at("consistent"), x.consistent);
-            asserts.holds(&at("p99_bounded"), x.p99_bounded());
-            asserts.ops_recorded(&x.ops);
-        }
-        let scales: Vec<Json> = s
-            .scales
-            .iter()
-            .map(|x| {
-                Json::obj([
-                    ("servers".to_string(), Json::int(x.servers)),
-                    ("ops_total".to_string(), Json::int(x.ops_total)),
-                    ("io_errors".to_string(), Json::int(x.io_errors)),
-                    ("value_errors".to_string(), Json::int(x.value_errors)),
-                    ("abandoned".to_string(), Json::int(x.abandoned)),
-                    ("joined".to_string(), Json::int(x.joined)),
-                    (
-                        "drain".to_string(),
-                        Json::obj([
-                            ("ok".to_string(), Json::Bool(x.drain_ok)),
-                            ("min_bytes".to_string(), Json::int(x.drain_min_bytes)),
-                            ("bytes".to_string(), Json::int(x.drain_bytes)),
-                            ("extents".to_string(), Json::int(x.drain_extents)),
+                            ("io_bytes".to_string(), Json::int(z.io_bytes)),
+                            ("stripe_bytes".to_string(), Json::int(z.stripe_bytes)),
+                            ("replicas".to_string(), Json::int(z.replicas)),
+                            ("read_gbps".to_string(), Json::float(z.read_gbps)),
+                            ("write_gbps".to_string(), Json::float(z.write_gbps)),
                             (
-                                "residual_bytes".to_string(),
-                                Json::int(x.drained_residual_bytes),
+                                "read_wire_bytes_per_op".to_string(),
+                                Json::float(z.read_wire_bytes_per_op),
                             ),
-                            ("overhead".to_string(), Json::float(x.drain_overhead())),
+                            (
+                                "write_wire_bytes_per_op".to_string(),
+                                Json::float(z.write_wire_bytes_per_op),
+                            ),
+                        ])
+                    }),
+                    ("data_errors".to_string(), Json::int(s.data_errors)),
+                    ("speedup_4k".to_string(), Json::float(s.speedup_4k())),
+                    (
+                        "speedup_4k_ok".to_string(),
+                        Json::Bool(s.speedup_4k() >= 1.5),
+                    ),
+                    (
+                        "batched_doorbells_lt_one".to_string(),
+                        Json::Bool(s.batched_doorbells_4k() < 1.0),
+                    ),
+                ]),
+            ));
+            let profile = e12_smallio::ops_profile();
+            asserts.eq("data_errors", s.data_errors, 0);
+            asserts.holds("speedup_4k_ok", s.speedup_4k() >= 1.5);
+            asserts.holds("batched_doorbells_lt_one", s.batched_doorbells_4k() < 1.0);
+            asserts.holds(
+                "ck_substripe_no_amplification",
+                s.ck_substripe.no_amplification(),
+            );
+            asserts.holds(
+                "multi_get_doorbells_lt_one",
+                profile.multi_get_doorbells_lt_one(),
+            );
+            asserts.ops_recorded(&profile.ops);
+            fields.push((
+                "ops".to_string(),
+                Json::obj([
+                    ("per_op".to_string(), ops_json(&profile.ops)),
+                    (
+                        "multi_get_doorbells_lt_one".to_string(),
+                        Json::Bool(profile.multi_get_doorbells_lt_one()),
+                    ),
+                ]),
+            ));
+            e12_smallio::tables(&s)
+        }
+        "e13" => {
+            let s = e13_timeline::measure();
+            asserts.eq("value_errors", s.value_errors, 0);
+            asserts.eq("abandoned", s.abandoned, 0);
+            asserts.positive("io_errors", s.io_errors);
+            asserts.holds("healthy_after_repair", s.healthy_after_repair);
+            asserts.ops_recorded(&s.ops);
+            let windows: Vec<Json> = s.windows.iter().map(window_json).collect();
+            fields.push((
+                "timeline".to_string(),
+                Json::obj([
+                    ("window_ns".to_string(), Json::int(s.window_ns)),
+                    ("kill_ns".to_string(), Json::int(s.kill_ns)),
+                    (
+                        "fault_window".to_string(),
+                        Json::int(s.fault_window() as u64),
+                    ),
+                    ("ops_total".to_string(), Json::int(s.ops_total)),
+                    ("io_errors".to_string(), Json::int(s.io_errors)),
+                    ("value_errors".to_string(), Json::int(s.value_errors)),
+                    ("abandoned".to_string(), Json::int(s.abandoned)),
+                    ("pre_fault_p99_us".to_string(), Json::int(s.pre_fault_p99())),
+                    ("spike_p99_us".to_string(), Json::int(s.spike_p99())),
+                    ("recovery_p99_us".to_string(), Json::int(s.recovery_p99())),
+                    (
+                        "healthy_after_repair".to_string(),
+                        Json::Bool(s.healthy_after_repair),
+                    ),
+                    ("windows".to_string(), Json::Arr(windows)),
+                ]),
+            ));
+            fields.push((
+                "ops".to_string(),
+                Json::obj([("per_op".to_string(), ops_json(&s.ops))]),
+            ));
+            e13_timeline::tables(&s)
+        }
+        "e14" => {
+            let s = e14_ycsb::measure();
+            asserts.eq("data_errors", s.data_errors, 0);
+            asserts.eq("warm_get_rtts", s.warm.get_rtts, 1);
+            asserts.eq("warm_get_doorbells", s.warm.get_doorbells, 1);
+            asserts.eq("warm_put_rtts", s.warm.put_rtts, 2);
+            asserts.eq("warm_delete_rtts", s.warm.delete_rtts, 2);
+            asserts.eq("resize.reader_errors", s.resize.reader_errors, 0);
+            let mixes: Vec<Json> = s
+                .mixes
+                .iter()
+                .map(|x| {
+                    Json::obj([
+                        ("name".to_string(), Json::str(x.name)),
+                        ("read_fraction".to_string(), Json::float(x.read_fraction)),
+                        ("ops_total".to_string(), Json::int(x.ops_total)),
+                        ("value_errors".to_string(), Json::int(x.value_errors)),
+                        ("ops_per_sec".to_string(), Json::float(x.ops_per_sec)),
+                        (
+                            "index".to_string(),
+                            Json::obj([
+                                ("hit".to_string(), Json::int(x.index_hit)),
+                                ("miss".to_string(), Json::int(x.index_miss)),
+                                ("stale".to_string(), Json::int(x.index_stale)),
+                                ("invalidate".to_string(), Json::int(x.index_invalidate)),
+                                ("evict".to_string(), Json::int(x.index_evict)),
+                            ]),
+                        ),
+                        ("per_op".to_string(), ops_json(&x.ops)),
+                    ])
+                })
+                .collect();
+            fields.push((
+                "ycsb".to_string(),
+                Json::obj([
+                    ("keys".to_string(), Json::int(s.keys)),
+                    ("clients".to_string(), Json::int(s.clients)),
+                    ("ops_per_client".to_string(), Json::int(s.ops_per_client)),
+                    ("mixes".to_string(), Json::Arr(mixes)),
+                    (
+                        "warm_probe".to_string(),
+                        Json::obj([
+                            ("warm_get_rtts".to_string(), Json::int(s.warm.get_rtts)),
+                            (
+                                "warm_get_doorbells".to_string(),
+                                Json::int(s.warm.get_doorbells),
+                            ),
+                            ("warm_put_rtts".to_string(), Json::int(s.warm.put_rtts)),
+                            (
+                                "warm_put_doorbells".to_string(),
+                                Json::int(s.warm.put_doorbells),
+                            ),
+                            (
+                                "warm_delete_rtts".to_string(),
+                                Json::int(s.warm.delete_rtts),
+                            ),
                         ]),
                     ),
-                    ("rebalance_bytes".to_string(), Json::int(x.rebalance_bytes)),
-                    ("desc_refreshes".to_string(), Json::int(x.desc_refreshes)),
-                    ("pre_p99_us".to_string(), Json::int(x.pre_p99_us)),
-                    ("spike_p99_us".to_string(), Json::int(x.spike_p99_us)),
-                    ("final_p99_us".to_string(), Json::int(x.final_p99_us)),
-                    ("p99_bounded".to_string(), Json::Bool(x.p99_bounded())),
-                    ("healthy_after".to_string(), Json::Bool(x.healthy_after)),
-                    ("consistent".to_string(), Json::Bool(x.consistent)),
                     (
-                        "windows".to_string(),
-                        Json::Arr(x.windows.iter().map(window_json).collect()),
+                        "resize".to_string(),
+                        Json::obj([
+                            ("keys".to_string(), Json::int(s.resize.keys)),
+                            ("moved".to_string(), Json::int(s.resize.moved)),
+                            (
+                                "reader_errors".to_string(),
+                                Json::int(s.resize.reader_errors),
+                            ),
+                            ("refreshes".to_string(), Json::int(s.resize.refreshes)),
+                            (
+                                "verify_errors".to_string(),
+                                Json::int(s.resize.verify_errors),
+                            ),
+                        ]),
                     ),
-                    ("per_op".to_string(), ops_json(&x.ops)),
+                    ("data_errors".to_string(), Json::int(s.data_errors)),
+                ]),
+            ));
+            e14_ycsb::tables(&s)
+        }
+        "e15" => {
+            let s = e15_elasticity::measure();
+            let data_errors: u64 = s.scales.iter().map(|x| x.value_errors + x.abandoned).sum();
+            asserts.eq("data_errors", data_errors, 0);
+            for x in &s.scales {
+                let at = |name: &str| format!("{name}@{}", x.servers);
+                asserts.positive(&at("drain.bytes"), x.drain_bytes);
+                asserts.eq(&at("drain.residual_bytes"), x.drained_residual_bytes, 0);
+                asserts.holds(&at("consistent"), x.consistent);
+                asserts.holds(&at("p99_bounded"), x.p99_bounded());
+                asserts.ops_recorded(&x.ops);
+            }
+            let scales: Vec<Json> = s
+                .scales
+                .iter()
+                .map(|x| {
+                    Json::obj([
+                        ("servers".to_string(), Json::int(x.servers)),
+                        ("ops_total".to_string(), Json::int(x.ops_total)),
+                        ("io_errors".to_string(), Json::int(x.io_errors)),
+                        ("value_errors".to_string(), Json::int(x.value_errors)),
+                        ("abandoned".to_string(), Json::int(x.abandoned)),
+                        ("joined".to_string(), Json::int(x.joined)),
+                        (
+                            "drain".to_string(),
+                            Json::obj([
+                                ("ok".to_string(), Json::Bool(x.drain_ok)),
+                                ("min_bytes".to_string(), Json::int(x.drain_min_bytes)),
+                                ("bytes".to_string(), Json::int(x.drain_bytes)),
+                                ("extents".to_string(), Json::int(x.drain_extents)),
+                                (
+                                    "residual_bytes".to_string(),
+                                    Json::int(x.drained_residual_bytes),
+                                ),
+                                ("overhead".to_string(), Json::float(x.drain_overhead())),
+                            ]),
+                        ),
+                        ("rebalance_bytes".to_string(), Json::int(x.rebalance_bytes)),
+                        ("desc_refreshes".to_string(), Json::int(x.desc_refreshes)),
+                        ("pre_p99_us".to_string(), Json::int(x.pre_p99_us)),
+                        ("spike_p99_us".to_string(), Json::int(x.spike_p99_us)),
+                        ("final_p99_us".to_string(), Json::int(x.final_p99_us)),
+                        ("p99_bounded".to_string(), Json::Bool(x.p99_bounded())),
+                        ("healthy_after".to_string(), Json::Bool(x.healthy_after)),
+                        ("consistent".to_string(), Json::Bool(x.consistent)),
+                        (
+                            "windows".to_string(),
+                            Json::Arr(x.windows.iter().map(window_json).collect()),
+                        ),
+                        ("per_op".to_string(), ops_json(&x.ops)),
+                    ])
+                })
+                .collect();
+            fields.push((
+                "elasticity".to_string(),
+                Json::obj([
+                    ("scales".to_string(), Json::Arr(scales)),
+                    ("data_errors".to_string(), Json::int(data_errors)),
+                ]),
+            ));
+            e15_elasticity::tables(&s)
+        }
+        "e16" => {
+            let s = e16_rawspeed::measure();
+            let arm_json = |a: &e16_rawspeed::SgeArm| {
+                Json::obj([
+                    (
+                        "doorbells_per_read_io".to_string(),
+                        Json::int(a.read_doorbells),
+                    ),
+                    (
+                        "doorbells_per_write_io".to_string(),
+                        Json::int(a.write_doorbells),
+                    ),
+                    (
+                        "sge_wrs_per_read_io".to_string(),
+                        Json::int(a.sge_wrs_per_read),
+                    ),
+                    ("read_post_ns".to_string(), Json::int(a.read_post_ns)),
+                    ("write_post_ns".to_string(), Json::int(a.write_post_ns)),
+                    ("read_ns".to_string(), Json::int(a.read_ns)),
+                    ("write_ns".to_string(), Json::int(a.write_ns)),
                 ])
-            })
-            .collect();
-        fields.push((
-            "elasticity".to_string(),
-            Json::obj([
-                ("scales".to_string(), Json::Arr(scales)),
-                ("data_errors".to_string(), Json::int(data_errors)),
-            ]),
-        ));
-    }
-    if id == "e16" {
-        let s = e16_rawspeed::measure();
-        tables = Some(e16_rawspeed::tables(&s));
-        let arm_json = |a: &e16_rawspeed::SgeArm| {
-            Json::obj([
-                (
-                    "doorbells_per_read_io".to_string(),
-                    Json::int(a.read_doorbells),
-                ),
-                (
-                    "doorbells_per_write_io".to_string(),
-                    Json::int(a.write_doorbells),
-                ),
-                (
-                    "sge_wrs_per_read_io".to_string(),
-                    Json::int(a.sge_wrs_per_read),
-                ),
-                ("read_post_ns".to_string(), Json::int(a.read_post_ns)),
-                ("write_post_ns".to_string(), Json::int(a.write_post_ns)),
-                ("read_ns".to_string(), Json::int(a.read_ns)),
-                ("write_ns".to_string(), Json::int(a.write_ns)),
-            ])
-        };
-        fields.push((
-            "rawspeed".to_string(),
-            Json::obj([
-                (
-                    "sge".to_string(),
-                    Json::obj([
-                        ("pieces_per_io".to_string(), Json::int(s.pieces)),
-                        ("qps".to_string(), Json::int(s.qps)),
-                        ("scatter_gather".to_string(), arm_json(&s.sge)),
-                        ("sge_entries_max".to_string(), Json::int(s.sge_entries_max)),
-                        (
-                            "one_doorbell_per_qp".to_string(),
-                            Json::Bool(s.sge_one_doorbell_per_qp()),
-                        ),
-                    ]),
-                ),
-                (
-                    "inline".to_string(),
-                    Json::obj([
-                        ("staged_put_ns".to_string(), Json::int(s.staged_put_ns)),
-                        ("inline_put_ns".to_string(), Json::int(s.inline_put_ns)),
-                        (
-                            "delta_ns_per_put".to_string(),
-                            Json::int(s.inline_delta_ns().max(0) as u64),
-                        ),
-                        ("writes".to_string(), Json::int(s.inline_writes)),
-                        ("bytes".to_string(), Json::int(s.inline_bytes)),
-                    ]),
-                ),
-                ("data_errors".to_string(), Json::int(s.data_errors)),
-            ]),
-        ));
-        let profile = e16_rawspeed::ops_profile();
-        asserts.eq("data_errors", s.data_errors, 0);
-        asserts.holds("one_doorbell_per_qp", s.sge_one_doorbell_per_qp());
-        asserts.holds("read_doorbells_le_qps", profile.read_doorbells_le_qps());
-        asserts.ops_recorded(&profile.ops);
-        fields.push((
-            "ops".to_string(),
-            Json::obj([
-                ("per_op".to_string(), ops_json(&profile.ops)),
-                (
-                    "read_doorbells_le_qps".to_string(),
-                    Json::Bool(profile.read_doorbells_le_qps()),
-                ),
-            ]),
-        ));
-    }
-    if id == "e17" {
-        let s = e17_forensics::measure();
-        tables = Some(e17_forensics::tables(&s));
-        asserts.holds("fault_blame_pins_on_stall", s.fault_blame_pins_on_stall());
-        asserts.eq("value_errors", s.value_errors, 0);
-        asserts.eq("abandoned", s.abandoned, 0);
-        asserts.holds("healthy_after_repair", s.healthy_after_repair);
-        asserts.positive("bundles", s.bundles);
-        asserts.positive("exemplars", s.exemplars.len() as u64);
-        let spike = s.slowest_fault_exemplar();
-        let mut spike_fields = match exemplar_json(spike) {
-            Json::Obj(m) => m,
-            _ => unreachable!("exemplar_json returns an object"),
-        };
-        spike_fields.insert(
-            "spans".to_string(),
-            Json::Arr(spike.spans.iter().map(span_rec_json).collect()),
-        );
-        fields.push((
-            "exemplars".to_string(),
-            Json::obj([
-                ("window_ns".to_string(), Json::int(s.window_ns)),
-                ("kill_ns".to_string(), Json::int(s.kill_ns)),
-                ("fault_window".to_string(), Json::int(s.fault_window())),
-                ("ops_total".to_string(), Json::int(s.ops_total)),
-                ("io_errors".to_string(), Json::int(s.io_errors)),
-                ("value_errors".to_string(), Json::int(s.value_errors)),
-                ("abandoned".to_string(), Json::int(s.abandoned)),
-                (
-                    "healthy_after_repair".to_string(),
-                    Json::Bool(s.healthy_after_repair),
-                ),
-                ("finished".to_string(), Json::int(s.finished)),
-                ("failed".to_string(), Json::int(s.failed)),
-                ("bundles".to_string(), Json::int(s.bundles)),
-                ("ring_len".to_string(), Json::int(s.ring.len() as u64)),
-                ("era_notes".to_string(), Json::int(s.era_notes.len() as u64)),
-                ("count".to_string(), Json::int(s.exemplars.len() as u64)),
-                (
-                    "fault_blame_pins_on_stall".to_string(),
-                    Json::Bool(s.fault_blame_pins_on_stall()),
-                ),
-                ("slowest_fault".to_string(), Json::Obj(spike_fields)),
-                (
-                    "list".to_string(),
-                    Json::Arr(s.exemplars.iter().map(exemplar_json).collect()),
-                ),
-            ]),
-        ));
-    }
+            };
+            fields.push((
+                "rawspeed".to_string(),
+                Json::obj([
+                    (
+                        "sge".to_string(),
+                        Json::obj([
+                            ("pieces_per_io".to_string(), Json::int(s.pieces)),
+                            ("qps".to_string(), Json::int(s.qps)),
+                            ("scatter_gather".to_string(), arm_json(&s.sge)),
+                            ("sge_entries_max".to_string(), Json::int(s.sge_entries_max)),
+                            (
+                                "one_doorbell_per_qp".to_string(),
+                                Json::Bool(s.sge_one_doorbell_per_qp()),
+                            ),
+                        ]),
+                    ),
+                    (
+                        "inline".to_string(),
+                        Json::obj([
+                            ("staged_put_ns".to_string(), Json::int(s.staged_put_ns)),
+                            ("inline_put_ns".to_string(), Json::int(s.inline_put_ns)),
+                            (
+                                "delta_ns_per_put".to_string(),
+                                Json::int(s.inline_delta_ns().max(0) as u64),
+                            ),
+                            ("writes".to_string(), Json::int(s.inline_writes)),
+                            ("bytes".to_string(), Json::int(s.inline_bytes)),
+                        ]),
+                    ),
+                    ("data_errors".to_string(), Json::int(s.data_errors)),
+                ]),
+            ));
+            let profile = e16_rawspeed::ops_profile();
+            asserts.eq("data_errors", s.data_errors, 0);
+            asserts.holds("one_doorbell_per_qp", s.sge_one_doorbell_per_qp());
+            asserts.holds("read_doorbells_le_qps", profile.read_doorbells_le_qps());
+            asserts.ops_recorded(&profile.ops);
+            fields.push((
+                "ops".to_string(),
+                Json::obj([
+                    ("per_op".to_string(), ops_json(&profile.ops)),
+                    (
+                        "read_doorbells_le_qps".to_string(),
+                        Json::Bool(profile.read_doorbells_le_qps()),
+                    ),
+                ]),
+            ));
+            e16_rawspeed::tables(&s)
+        }
+        "e17" => {
+            let s = e17_forensics::measure();
+            asserts.holds("fault_blame_pins_on_stall", s.fault_blame_pins_on_stall());
+            asserts.eq("value_errors", s.value_errors, 0);
+            asserts.eq("abandoned", s.abandoned, 0);
+            asserts.holds("healthy_after_repair", s.healthy_after_repair);
+            asserts.positive("bundles", s.bundles);
+            asserts.positive("exemplars", s.exemplars.len() as u64);
+            let spike = s.slowest_fault_exemplar();
+            let mut spike_fields = match exemplar_json(spike) {
+                Json::Obj(m) => m,
+                _ => unreachable!("exemplar_json returns an object"),
+            };
+            spike_fields.insert(
+                "spans".to_string(),
+                Json::Arr(spike.spans.iter().map(span_rec_json).collect()),
+            );
+            fields.push((
+                "exemplars".to_string(),
+                Json::obj([
+                    ("window_ns".to_string(), Json::int(s.window_ns)),
+                    ("kill_ns".to_string(), Json::int(s.kill_ns)),
+                    ("fault_window".to_string(), Json::int(s.fault_window())),
+                    ("ops_total".to_string(), Json::int(s.ops_total)),
+                    ("io_errors".to_string(), Json::int(s.io_errors)),
+                    ("value_errors".to_string(), Json::int(s.value_errors)),
+                    ("abandoned".to_string(), Json::int(s.abandoned)),
+                    (
+                        "healthy_after_repair".to_string(),
+                        Json::Bool(s.healthy_after_repair),
+                    ),
+                    ("finished".to_string(), Json::int(s.finished)),
+                    ("failed".to_string(), Json::int(s.failed)),
+                    ("bundles".to_string(), Json::int(s.bundles)),
+                    ("ring_len".to_string(), Json::int(s.ring.len() as u64)),
+                    ("era_notes".to_string(), Json::int(s.era_notes.len() as u64)),
+                    ("count".to_string(), Json::int(s.exemplars.len() as u64)),
+                    (
+                        "fault_blame_pins_on_stall".to_string(),
+                        Json::Bool(s.fault_blame_pins_on_stall()),
+                    ),
+                    ("slowest_fault".to_string(), Json::Obj(spike_fields)),
+                    (
+                        "list".to_string(),
+                        Json::Arr(s.exemplars.iter().map(exemplar_json).collect()),
+                    ),
+                ]),
+            ));
+            e17_forensics::tables(&s)
+        }
+        other => panic!("unknown experiment id {other:?} (expected e1..e17)"),
+    };
     if !asserts.0.is_empty() {
         fields.push(("asserts".to_string(), Json::Arr(asserts.0)));
     }
-    let tables = tables.unwrap_or_else(|| experiments::run(id));
-    let tables = tables.iter().map(table_json).collect();
-    fields.push(("tables".to_string(), Json::Arr(tables)));
-    Json::obj(fields)
+    let rendered = tables.iter().map(table_json).collect();
+    fields.push(("tables".to_string(), Json::Arr(rendered)));
+    (tables, Json::obj(fields))
 }
 
-/// Builds the full `BENCH_*.json` document for a set of experiment ids.
-pub fn bench_report(ids: &[&str], run_id: &str) -> Json {
-    bench_report_timed(ids, run_id).0
-}
-
-/// Like [`bench_report`], but also collects the wall-clock cost of each
-/// experiment into a [`SelfTime`] series (the `SELFTIME_<runid>.json`
-/// companion document). The bench document itself stays deterministic —
-/// host-CPU time never leaks into it.
-pub fn bench_report_timed(ids: &[&str], run_id: &str) -> (Json, Json) {
+/// Runs each experiment of `ids` once, in order, handing its tables and
+/// the wall clock it took to `show` as soon as it finishes. Returns the
+/// `BENCH_<run_id>.json` document built from the same measurements, and
+/// its `SELFTIME_<run_id>.json` companion: the host-CPU cost of each
+/// experiment, which never leaks into the bench document, so that one
+/// stays byte-identical across same-seed runs.
+pub fn run_suite(
+    ids: &[&str],
+    run_id: &str,
+    mut show: impl FnMut(&str, &[Table], Duration),
+) -> (Json, Json) {
     let mut selftime = SelfTime::new();
     let mut experiments = Vec::with_capacity(ids.len());
     for id in ids {
-        let doc = selftime.measure(id, || experiment_json(id));
+        let ((tables, entry), wall) = selftime.measure(id, || experiment(id));
+        show(id, &tables, wall);
         if *id == "e16" {
             // The checksum/hash µ-bench is host-side MB/s: nondeterministic
             // like wall-clock, so it rides in the selftime document rather
@@ -801,7 +813,7 @@ pub fn bench_report_timed(ids: &[&str], run_id: &str) -> (Json, Json) {
                 selftime.attach(id, key, Json::float(value));
             }
         }
-        experiments.push(((*id).to_string(), doc));
+        experiments.push(((*id).to_string(), entry));
     }
     let report = Json::obj([
         ("schema".to_string(), Json::str("rstore-bench-v1")),
@@ -859,25 +871,25 @@ mod tests {
 
     #[test]
     fn e13_timeline_json_is_valid_and_deterministic() {
-        let a = experiment_json("e13").render();
+        let a = experiment("e13").1.render();
         validate(&a).expect("e13 report must be valid JSON");
         assert!(a.contains("\"timeline\""));
         assert!(a.contains("\"e13.op_latency_us\""));
         // The per-op cost ledger must be in the export, with the RTT series
-        // the diff gate pins exactly.
+        // the baseline gate pins exactly.
         assert!(a.contains("\"ops\""));
         assert!(a.contains("\"rtts_per_op\""));
         assert!(a.contains("\"doorbells_per_op\""));
-        let b = experiment_json("e13").render();
+        let b = experiment("e13").1.render();
         assert_eq!(a, b, "seeded timeline export must be byte-identical");
     }
 
     #[test]
     fn e14_ycsb_json_is_valid_and_complete() {
-        // Byte-identity across runs is enforced end-to-end by the CI smoke
-        // step (two `figures --json -- e14` runs diffed); here we pin the
-        // structure the diff gate and the greps depend on.
-        let a = experiment_json("e14").render();
+        // Byte-identity across runs is enforced end-to-end by CI's exact
+        // `bench diff` of the suite against BENCH_seed.json; here we pin
+        // the structure `bench check` and the ledger readers depend on.
+        let a = experiment("e14").1.render();
         validate(&a).expect("e14 report must be valid JSON");
         for field in [
             "\"ycsb\"",
@@ -896,10 +908,10 @@ mod tests {
 
     #[test]
     fn e15_elasticity_json_is_valid_and_complete() {
-        // Byte-identity across runs is enforced end-to-end by the CI smoke
-        // step (two `figures --json -- e15` runs diffed); here we pin the
-        // structure the diff gate and the greps depend on.
-        let a = experiment_json("e15").render();
+        // Byte-identity across runs is enforced end-to-end by CI's exact
+        // `bench diff` of the suite against BENCH_seed.json; here we pin
+        // the structure `bench check` and the ledger readers depend on.
+        let a = experiment("e15").1.render();
         validate(&a).expect("e15 report must be valid JSON");
         for field in [
             "\"elasticity\"",
@@ -923,10 +935,10 @@ mod tests {
 
     #[test]
     fn e16_rawspeed_json_is_valid_and_complete() {
-        // Byte-identity across runs is enforced end-to-end by the CI smoke
-        // step (two `figures --json -- e16` runs diffed); here we pin the
-        // structure the diff gate and the greps depend on.
-        let a = experiment_json("e16").render();
+        // Byte-identity across runs is enforced end-to-end by CI's exact
+        // `bench diff` of the suite against BENCH_seed.json; here we pin
+        // the structure `bench check` and the ledger readers depend on.
+        let a = experiment("e16").1.render();
         validate(&a).expect("e16 report must be valid JSON");
         for field in [
             "\"rawspeed\"",
@@ -947,7 +959,7 @@ mod tests {
 
     #[test]
     fn e17_exemplars_json_is_valid_and_deterministic() {
-        let a = experiment_json("e17").render();
+        let a = experiment("e17").1.render();
         validate(&a).expect("e17 report must be valid JSON");
         for field in [
             "\"exemplars\"",
@@ -962,7 +974,7 @@ mod tests {
         ] {
             assert!(a.contains(field), "e17 export must carry {field}");
         }
-        let b = experiment_json("e17").render();
+        let b = experiment("e17").1.render();
         assert_eq!(a, b, "seeded forensics export must be byte-identical");
     }
 

@@ -1,12 +1,4 @@
-//! Minimal self-timing harness for the `benches/` targets, plus the
-//! host-CPU per-experiment series exported by `figures --json`.
-//!
-//! The workspace builds without crates.io dependencies, so the benches are
-//! plain `harness = false` binaries that time their kernel with
-//! [`std::time::Instant`] and print min/median/mean wall-clock per
-//! iteration. These track the *real-time* cost of the simulator engine;
-//! the experiments themselves are measured in deterministic virtual time
-//! by the `figures` binary.
+//! The host-CPU per-experiment series exported by `figures --json`.
 //!
 //! [`SelfTime`] collects how much *wall-clock* time each experiment cost
 //! the host while a report was built, and how much executor work it was
@@ -14,7 +6,7 @@
 //! `events_per_sec`: the simulator's thread totals, read and reset around
 //! each experiment). Wall-clock is nondeterministic, so the series is
 //! written to its own `SELFTIME_<runid>.json` — never into `BENCH_*.json`,
-//! whose byte-identity across same-seed runs is asserted by CI.
+//! which CI compares exactly against the committed baseline.
 
 use std::time::{Duration, Instant};
 
@@ -43,8 +35,8 @@ impl SelfTime {
 
     /// Runs experiment `id` and records what it cost the host: wall clock,
     /// and the executor events every simulation it ran fired, cancelled and
-    /// at most held pending.
-    pub fn measure<T>(&mut self, id: &str, run: impl FnOnce() -> T) -> T {
+    /// at most held pending. Returns what `run` returned and the wall clock.
+    pub fn measure<T>(&mut self, id: &str, run: impl FnOnce() -> T) -> (T, Duration) {
         sim::take_exec_totals(); // whatever ran before is not this experiment's
         let t0 = Instant::now();
         let out = run();
@@ -60,7 +52,7 @@ impl SelfTime {
         ] {
             self.attach(id, key, value);
         }
-        out
+        (out, wall)
     }
 
     /// Attaches an extra key to experiment `id`'s object, after `wall_ns`
@@ -93,26 +85,6 @@ impl SelfTime {
     }
 }
 
-/// Times `iters` runs of `body` (after one untimed warmup) and prints a
-/// one-line summary.
-pub fn bench(name: &str, iters: u32, mut body: impl FnMut()) {
-    assert!(iters > 0, "bench({name:?}) needs iters > 0");
-    body(); // warmup
-    let mut samples: Vec<Duration> = Vec::with_capacity(iters as usize);
-    for _ in 0..iters {
-        let t0 = Instant::now();
-        body();
-        samples.push(t0.elapsed());
-    }
-    samples.sort_unstable();
-    let min = samples[0];
-    let median = samples[samples.len() / 2];
-    let mean = samples.iter().sum::<Duration>() / iters;
-    println!(
-        "{name:<28} iters={iters:<3} min={min:>12.3?} median={median:>12.3?} mean={mean:>12.3?}"
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -132,7 +104,7 @@ mod tests {
     #[test]
     fn measure_attaches_the_executor_totals_of_the_run() {
         let mut st = SelfTime::new();
-        let ran = st.measure("e0", || {
+        let (ran, _) = st.measure("e0", || {
             let sim = sim::Sim::new();
             let dead = sim.schedule(Duration::from_secs(1), || {});
             sim.schedule(Duration::from_nanos(5), || {});

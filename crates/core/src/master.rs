@@ -28,6 +28,11 @@ use crate::rpc::{spawn_rpc_server, Channel};
 use crate::stats::MasterStats;
 use crate::{CTRL_SERVICE, SRV_SERVICE};
 
+/// Bytes-moved budget per rebalance sweep: a sweep stops migrating once it
+/// has moved this many physical bytes, resuming next interval. Bounds the
+/// data-path interference of any single sweep.
+const REBALANCE_BUDGET: u64 = 64 << 20;
+
 /// Master configuration.
 #[derive(Clone, Debug)]
 pub struct MasterConfig {
@@ -42,10 +47,8 @@ pub struct MasterConfig {
     pub rpc_cpu: Duration,
     /// Seed for randomized placement.
     pub seed: u64,
-    /// Whether the background repair task runs, re-replicating stripe
-    /// groups whose replicas sit on dead servers.
-    pub repair: bool,
-    /// How often the repair task scans for degraded regions.
+    /// How often the repair task scans for degraded regions, re-replicating
+    /// stripe groups whose replicas sit on dead servers.
     pub repair_interval: Duration,
     /// Whether the background scrubber runs, re-verifying the checksum blocks
     /// of checksummed regions with one-sided READs and marking mismatching
@@ -65,10 +68,6 @@ pub struct MasterConfig {
     /// this fraction (utilization = (used + pending) / capacity). Keeps it
     /// from thrashing on noise-level imbalance.
     pub rebalance_spread: f64,
-    /// Bytes-moved budget per rebalance sweep: a sweep stops migrating once
-    /// it has moved this many physical bytes, resuming next interval. Bounds
-    /// the data-path interference of any single sweep.
-    pub rebalance_budget: u64,
     /// How long a server-facing RPC (extent alloc, replicate, seal) waits
     /// for its response before the connection is declared broken. The 1s
     /// default is safe for any alloc size; chaos-tolerant deployments
@@ -85,14 +84,12 @@ impl Default for MasterConfig {
             sweep_interval: Duration::from_millis(200),
             rpc_cpu: Duration::from_micros(2),
             seed: 0x5707E,
-            repair: true,
             repair_interval: Duration::from_millis(500),
             scrub: true,
             scrub_interval: Duration::from_millis(500),
             rebalance: false,
             rebalance_interval: Duration::from_millis(500),
             rebalance_spread: 0.15,
-            rebalance_budget: 64 << 20,
             srv_response_timeout: crate::rpc::RESPONSE_TIMEOUT,
         }
     }
@@ -327,15 +324,13 @@ impl Master {
         });
 
         // Repair task: re-replicate stripe groups stranded on dead servers.
-        if master.cfg.repair {
-            let m = master.clone();
-            master.sim.spawn(async move {
-                loop {
-                    m.sim.sleep(m.cfg.repair_interval).await;
-                    m.repair_sweep().await;
-                }
-            });
-        }
+        let m = master.clone();
+        master.sim.spawn(async move {
+            loop {
+                m.sim.sleep(m.cfg.repair_interval).await;
+                m.repair_sweep().await;
+            }
+        });
 
         // Rebalancer: migrate extents from the most- to the least-utilized
         // server while the utilization spread exceeds the hysteresis band.
@@ -1298,7 +1293,7 @@ impl Master {
             tx + rx
         };
         let mut moved = 0u64;
-        while moved < self.cfg.rebalance_budget {
+        while moved < REBALANCE_BUDGET {
             // Hottest eligible server, by (utilization, link busy).
             let src = {
                 let st = self.state.borrow();

@@ -31,7 +31,7 @@
 //! [`Metrics`] registry — through an [`OpMetrics`] handle set the owner
 //! resolves once per op type — from which [`summarize`] derives
 //! deterministic [`OpSummary`] rows (`rtts_per_op` p50/p99/max and friends)
-//! for the benchmark JSON and the CI perf gate.
+//! for the benchmark JSON and CI's exact baseline gate.
 
 use std::cell::{Cell, RefCell};
 use std::rc::Rc;

@@ -112,8 +112,8 @@ fn trace_ring_overflow_is_surfaced_in_metrics() {
 /// sampled windows, per-op ledgers, drain accounting and all.
 #[test]
 fn e15_elasticity_export_is_byte_identical_across_runs() {
-    let a = bench::report::experiment_json("e15").render();
-    let b = bench::report::experiment_json("e15").render();
+    let a = bench::report::experiment("e15").1.render();
+    let b = bench::report::experiment("e15").1.render();
     assert_eq!(a, b, "E15 export must be bit-for-bit reproducible");
     validate(&a).expect("E15 export must be well-formed JSON");
 }
@@ -123,8 +123,8 @@ fn e15_elasticity_export_is_byte_identical_across_runs() {
 /// not wander between runs.
 #[test]
 fn e16_rawspeed_export_is_byte_identical_across_runs() {
-    let a = bench::report::experiment_json("e16").render();
-    let b = bench::report::experiment_json("e16").render();
+    let a = bench::report::experiment("e16").1.render();
+    let b = bench::report::experiment("e16").1.render();
     assert_eq!(a, b, "E16 export must be bit-for-bit reproducible");
     validate(&a).expect("E16 export must be well-formed JSON");
 }
