@@ -15,7 +15,9 @@
 //!
 //! * **warm-probe**: a single client measures one hinted `get`, `put`, and
 //!   `delete` in isolation — the ledger must read exactly 1 RTT / 1
-//!   doorbell for the get and 2 RTTs for the mutations.
+//!   doorbell for the get and 2 RTTs for the mutations — and, on a cold
+//!   handle, one `get` of a key 6 slots past its home in a side table: the
+//!   home slot, then one READ window for the rest of the chain = 2 RTTs.
 //! * **resize**: a second 2^16-key table grows 4x while eight clients keep
 //!   reading through it — zero reader errors, every entry rehashed, and
 //!   the stale handles revalidate via the epoch/generation word.
@@ -28,6 +30,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
+use rstore::kv::hash_key;
 use rstore::{Cluster, ClusterConfig, KvConfig, KvTable};
 use sim::{DetRng, Level, OpSummary};
 use workload::Zipf;
@@ -104,6 +107,9 @@ pub struct WarmProbe {
     pub put_doorbells: u64,
     /// Round trips of one hinted delete (CAS + tombstone write). Must be 2.
     pub delete_rtts: u64,
+    /// Round trips of one cold get of a key 6 slots past its home: the home
+    /// slot alone, then one READ window that covers the rest. Must be 2.
+    pub cold_chain_get_rtts: u64,
 }
 
 /// The online-resize phase.
@@ -297,13 +303,6 @@ pub fn measure() -> YcsbStats {
         m.reset();
         assert!(wp.delete(b"warmprobe").await.expect("warm delete"));
         let d = one("delete");
-        let warm = WarmProbe {
-            get_rtts: g.rtts_max,
-            get_doorbells: g.doorbells_max,
-            put_rtts: p.rtts_max,
-            put_doorbells: p.doorbells_max,
-            delete_rtts: d.rtts_max,
-        };
 
         // Resize: readers keep verifying through a 4x grow.
         let g0 = KvTable::create(
@@ -376,6 +375,42 @@ pub fn measure() -> YcsbStats {
             verify_errors,
         };
 
+        // Cold chain: seven keys crafted to share home slot 0 of a side
+        // table, so the last one sits 6 slots past its home; a fresh handle
+        // has no hint for it.
+        let chain_cfg = KvConfig {
+            buckets: 64,
+            slot_bytes: SLOT_BYTES,
+            max_probe: MAX_PROBE,
+            ..KvConfig::default()
+        };
+        let chain = KvTable::create(&creator, "e14c", chain_cfg)
+            .await
+            .expect("create");
+        let chained: Vec<Vec<u8>> = (0u64..)
+            .map(key)
+            .filter(|k| hash_key(k) & 63 == 0)
+            .take(7)
+            .collect();
+        for k in &chained {
+            chain.put(k, b"chain").await.expect("put");
+        }
+        let cold = KvTable::open(&creator, "e14c", SLOT_BYTES, MAX_PROBE)
+            .await
+            .expect("open");
+        m.reset();
+        let got = cold.get(&chained[6]).await.expect("cold get");
+        assert_eq!(got.as_deref(), Some(&b"chain"[..]));
+        let c = one("get");
+        let warm = WarmProbe {
+            get_rtts: g.rtts_max,
+            get_doorbells: g.doorbells_max,
+            put_rtts: p.rtts_max,
+            put_doorbells: p.doorbells_max,
+            delete_rtts: d.rtts_max,
+            cold_chain_get_rtts: c.rtts_max,
+        };
+
         let data_errors = mixes.iter().map(|x| x.value_errors).sum::<u64>() + resize.verify_errors;
         YcsbStats {
             keys: KEYS,
@@ -421,8 +456,13 @@ pub fn tables(s: &YcsbStats) -> Vec<Table> {
     }
     t.note(format!(
         "warm probe (exact): get {} RTT / {} doorbell, put {} RTTs, delete {} RTTs; \
-         data errors {}",
-        s.warm.get_rtts, s.warm.get_doorbells, s.warm.put_rtts, s.warm.delete_rtts, s.data_errors
+         cold get 6 slots past home {} RTTs; data errors {}",
+        s.warm.get_rtts,
+        s.warm.get_doorbells,
+        s.warm.put_rtts,
+        s.warm.delete_rtts,
+        s.warm.cold_chain_get_rtts,
+        s.data_errors
     ));
     t.note(format!(
         "online grow 2^17 -> 2^18 buckets: {} entries rehashed, {} reader errors during \
@@ -451,6 +491,10 @@ mod tests {
             "warm put is CAS + publishing write"
         );
         assert_eq!(s.warm.delete_rtts, 2, "warm delete is CAS + tombstone");
+        assert_eq!(
+            s.warm.cold_chain_get_rtts, 2,
+            "a cold walk reads the home slot, then one window"
+        );
         assert_eq!(s.data_errors, 0, "verified reads must match the pattern");
 
         // Fleet-statistical invariants under zipfian contention: reads stay

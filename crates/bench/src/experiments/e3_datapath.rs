@@ -49,7 +49,7 @@ pub fn run() -> Vec<Table> {
         wtable.row(vec![fmt_bytes(size), fmt_dur(rw[i]), fmt_dur(tw[i])]);
     }
     kv_table
-        .note("KV facade (extension): GET = 1 one-sided read; PUT = probe + CAS lock + 1 publishing write (2 RTTs once the slot is hinted)");
+        .note("KV facade (extension): GET = 1 one-sided read; PUT = probe walk (home slot, then 1 KiB of chain per READ) + CAS lock + 1 publishing write (2 RTTs once the slot is hinted)");
     vec![table, wtable, kv_table]
 }
 

@@ -515,6 +515,7 @@ pub fn experiment(id: &str) -> (Vec<Table>, Json) {
             asserts.eq("data_errors", s.data_errors, 0);
             asserts.eq("warm_get_rtts", s.warm.get_rtts, 1);
             asserts.eq("warm_get_doorbells", s.warm.get_doorbells, 1);
+            asserts.eq("cold_chain_get_rtts", s.warm.cold_chain_get_rtts, 2);
             asserts.eq("warm_put_rtts", s.warm.put_rtts, 2);
             asserts.eq("warm_delete_rtts", s.warm.delete_rtts, 2);
             asserts.eq("resize.reader_errors", s.resize.reader_errors, 0);
@@ -565,6 +566,10 @@ pub fn experiment(id: &str) -> (Vec<Table>, Json) {
                             (
                                 "warm_delete_rtts".to_string(),
                                 Json::int(s.warm.delete_rtts),
+                            ),
+                            (
+                                "cold_chain_get_rtts".to_string(),
+                                Json::int(s.warm.cold_chain_get_rtts),
                             ),
                         ]),
                     ),
@@ -897,6 +902,7 @@ mod tests {
             "\"warm_probe\"",
             "\"warm_get_rtts\"",
             "\"warm_put_rtts\"",
+            "\"cold_chain_get_rtts\"",
             "\"resize\"",
             "\"data_errors\"",
             "\"rtts_per_op\"",

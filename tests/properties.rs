@@ -760,8 +760,9 @@ fn region_io_matches_model_and_doorbell_rule() {
 /// A random op sequence against the distributed KV table agrees with a
 /// `HashMap` executed in lockstep — swept over the hint-cache size (0 forces
 /// the probe walk on every op, 2 forces eviction and stale hints), the table
-/// geometry (the crowded one fills up: tombstone reuse, chains as long as
-/// the table, and `InsufficientCapacity`, which the model must predict) and
+/// geometry (the crowded ones fill up: tombstone reuse, chains as long as
+/// the table, and `InsufficientCapacity`, which the model must predict; one
+/// has stripes of three slots, so the walk's READ windows cross stripes) and
 /// the replica count. Two handles on two clients take turns, so each one's
 /// hints go stale under the other's deletes and re-inserts, and one
 /// mid-sequence `grow` leaves the other handle on a freed generation.
@@ -778,15 +779,22 @@ fn kv_table_matches_hashmap_model() {
         MultiGet(Vec<u8>),
     }
     const HINT_CAPS: [usize; 3] = [0, 2, 4096];
-    // (buckets, max_probe, buckets after the grow)
-    const GEOMETRIES: [(u64, u64, u64); 2] = [(64, 64, 256), (16, 16, 64)];
+    // (buckets, max_probe, buckets after the grow, stripe size). The third
+    // one aims at the walk's READ windows: its chains run past the last
+    // bucket, so a window is clipped at the table end, and its 3-slot
+    // stripes make every 8-slot window straddle stripe boundaries.
+    const GEOMETRIES: [(u64, u64, u64, u64); 3] = [
+        (64, 64, 256, 16 << 20),
+        (16, 16, 64, 16 << 20),
+        (32, 32, 128, 3 * 128),
+    ];
     let key_of = |id: u8| format!("key-{id}").into_bytes();
 
     let mut case = 0;
-    cases("kv_table_matches_hashmap_model", 24, |rng| {
+    cases("kv_table_matches_hashmap_model", 36, |rng| {
         let kv_hint_capacity = HINT_CAPS[case % 3];
-        let (buckets, max_probe, grown) = GEOMETRIES[case / 3 % 2];
-        let replicas = 1 + (case / 6 % 2) as u8;
+        let (buckets, max_probe, grown, stripe_size) = GEOMETRIES[case / 3 % 3];
+        let replicas = 1 + (case / 9 % 2) as u8;
         case += 1;
 
         let n_ops = rng.range_u64(1, 160);
@@ -825,6 +833,7 @@ fn kv_table_matches_hashmap_model() {
                 slot_bytes: 128,
                 max_probe,
                 opts: AllocOptions {
+                    stripe_size,
                     replicas,
                     ..AllocOptions::default()
                 },
