@@ -460,8 +460,8 @@ pub fn selftime_extras() -> RawSpeedSelfTime {
     }
 }
 
-/// Renders E16's tables from one measurement.
-pub fn tables(stats: &RawSpeedStats) -> Vec<Table> {
+/// Renders E16's tables from one measurement and its op profile.
+pub fn tables(stats: &RawSpeedStats, profile: &OpsProfile) -> Vec<Table> {
     let mut t1 = Table::new(
         format!(
             "E16a: scatter-gather WRs, {}-piece striped IO over {} QPs ({} ops)",
@@ -516,7 +516,6 @@ pub fn tables(stats: &RawSpeedStats) -> Vec<Table> {
         stats.data_errors
     ));
 
-    let profile = ops_profile();
     let mut t3 = Table::new(
         "E16c: raw-path per-op cost (inline + ledger, 4 servers)",
         &["op", "count", "RTTs p50", "db p50", "bytes p50", "retries"],

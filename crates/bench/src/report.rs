@@ -725,7 +725,7 @@ pub fn experiment(id: &str) -> (Vec<Table>, Json) {
                     ),
                 ]),
             ));
-            e16_rawspeed::tables(&s)
+            e16_rawspeed::tables(&s, &profile)
         }
         "e17" => {
             let s = e17_forensics::measure();

@@ -11,8 +11,8 @@
 //!   by their NICs.
 //! * **Clients** ([`RStoreClient`]) allocate and map named [`Region`]s of
 //!   distributed memory, then read and write them like memory — with
-//!   striping across servers for aggregate bandwidth, optional replication,
-//!   and asynchronous IO with an explicit sync.
+//!   striping across servers for aggregate bandwidth, optional replication
+//!   and checksums, and batched IO that posts many ranges in one round.
 //!
 //! # Quickstart
 //!
@@ -45,7 +45,7 @@
 //! | [`client`] | control-path calls, connection cache, completion routing |
 //! | [`region`] | the memory-like data path: striped one-sided IO |
 //! | [`layout`] | stripe math |
-//! | [`proto`] | control-plane wire format: messages, errors as values, one list codec |
+//! | [`proto`] | control-plane wire format: one field list per message, errors as values |
 //! | [`crc`] | CRC32C used by checksummed stripes and the scrubber |
 //! | [`rpc`] | two-sided RPC, and the one channel every control call goes through |
 //! | [`cluster`] | one-call bootstrap for tests and benchmarks |

@@ -22,7 +22,7 @@ use crate::crc::verify_blocks;
 use crate::error::{RStoreError, Result};
 use crate::proto::{
     extent_alloc_len, AllocOptions, ClusterReport, ClusterStats, CtrlReq, CtrlResp, Extent, Policy,
-    RegionDesc, RegionState, RegionStats, ServerStats, SrvReq, SrvResp, StripeGroup,
+    RegionDesc, RegionState, RegionStats, ServerStats, SrvReq, SrvResp, StripeGroup, Wire,
 };
 use crate::rpc::{spawn_rpc_server, Channel};
 use crate::stats::MasterStats;

@@ -7,10 +7,16 @@
 //! format is an output: a field added to a request moves control-path
 //! latencies.
 //!
+//! Everything on the wire is [`Wire`]. The field types — integers, `bool`,
+//! `String`, `Duration`, lists, pairs and triples — are coded by hand, once
+//! each. A message's wire form is one declaration listing its fields in
+//! wire order (`wire_struct!`, or `wire_enum!` with a tag byte per
+//! variant), and both its encoder and its decoder are generated from that
+//! list, so a layout is written down exactly once. A counted list reserves
+//! nothing from a count it has not seen the elements of.
+//!
 //! An error reply carries an [`RStoreError`] as a value (a tag and the
-//! variant's fields), never its message; every counted list goes through
-//! [`Enc::list`] / [`Dec::list`], which reserve nothing from a count they
-//! have not seen the elements of.
+//! variant's fields), never its message.
 
 use std::time::Duration;
 
@@ -35,61 +41,44 @@ pub fn extent_alloc_len(len: u64, checksums: bool) -> u64 {
     }
 }
 
-// --- primitive encoder / decoder -------------------------------------------
+// --- wire forms ---------------------------------------------------------------
 
-/// Append-only little-endian encoder.
-#[derive(Default, Debug)]
-pub struct Enc {
-    buf: Vec<u8>,
-}
+/// A value with a wire form, written by [`put`](Self::put) and read back by
+/// [`take`](Self::take).
+pub trait Wire: Sized {
+    /// Appends the wire form of `self`.
+    fn put(&self, out: &mut Vec<u8>);
 
-impl Enc {
-    /// Creates an empty encoder.
-    pub fn new() -> Self {
-        Self::default()
+    /// Reads one value.
+    ///
+    /// # Errors
+    ///
+    /// [`RStoreError::Protocol`] on malformed input.
+    fn take(d: &mut Dec<'_>) -> Result<Self>;
+
+    /// Encodes `self` as one message.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.put(&mut out);
+        out
     }
 
-    /// Appends a byte.
-    pub fn u8(&mut self, v: u8) -> &mut Self {
-        self.buf.push(v);
-        self
-    }
-
-    /// Appends a little-endian u32.
-    pub fn u32(&mut self, v: u32) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a little-endian u64.
-    pub fn u64(&mut self, v: u64) -> &mut Self {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-        self
-    }
-
-    /// Appends a length-prefixed UTF-8 string.
-    pub fn str(&mut self, s: &str) -> &mut Self {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
-        self
-    }
-
-    /// Appends a count-prefixed list, each element written by `item`.
-    pub fn list<T>(&mut self, items: &[T], item: impl Fn(&mut Enc, &T)) -> &mut Self {
-        self.u32(items.len() as u32);
-        for x in items {
-            item(self, x);
+    /// Decodes one message, which must be exactly one value long.
+    ///
+    /// # Errors
+    ///
+    /// [`RStoreError::Protocol`] on malformed input or trailing bytes.
+    fn decode(buf: &[u8]) -> Result<Self> {
+        let mut d = Dec { buf, pos: 0 };
+        let v = Self::take(&mut d)?;
+        match buf.len() - d.pos {
+            0 => Ok(v),
+            n => Err(RStoreError::Protocol(format!("{n} trailing bytes"))),
         }
-        self
-    }
-
-    /// Finishes encoding.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
     }
 }
 
-/// Cursor-based little-endian decoder.
+/// A read cursor over one message, handed to [`Wire::take`].
 #[derive(Debug)]
 pub struct Dec<'a> {
     buf: &'a [u8],
@@ -97,12 +86,7 @@ pub struct Dec<'a> {
 }
 
 impl<'a> Dec<'a> {
-    /// Wraps a byte slice.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Dec { buf, pos: 0 }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    fn bytes(&mut self, n: usize) -> Result<&'a [u8]> {
         if self.pos + n > self.buf.len() {
             return Err(RStoreError::Protocol(format!(
                 "truncated message: wanted {n} bytes at {}, have {}",
@@ -114,92 +98,202 @@ impl<'a> Dec<'a> {
         self.pos += n;
         Ok(s)
     }
+}
 
-    /// Reads a byte.
-    pub fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
+/// Little-endian integers.
+macro_rules! wire_int {
+    ($($t:ty),*) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn take(d: &mut Dec<'_>) -> Result<Self> {
+                let bytes = d.bytes(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(bytes.try_into().expect("width")))
+            }
+        }
+    )*};
+}
+
+wire_int!(u8, u32, u64);
+
+/// One byte; anything but 0 reads as `true`.
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self as u8);
     }
 
-    /// Reads a little-endian u32.
-    pub fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(u8::take(d)? != 0)
+    }
+}
+
+/// A `u32` byte length, then the UTF-8 bytes.
+impl Wire for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        out.extend_from_slice(self.as_bytes());
     }
 
-    /// Reads a little-endian u64.
-    pub fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
-    }
-
-    /// Reads a length-prefixed UTF-8 string.
-    pub fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        let n = u32::take(d)? as usize;
+        String::from_utf8(d.bytes(n)?.to_vec())
             .map_err(|_| RStoreError::Protocol("invalid utf-8 in string".into()))
     }
+}
 
-    /// Reads a count-prefixed list, each element read by `item`. Nothing is
-    /// reserved from the count — it is four bytes anyone can send: the list
-    /// grows as elements decode, and a message shorter than its count claims
-    /// fails at the first missing element.
-    pub fn list<T>(&mut self, item: impl Fn(&mut Self) -> Result<T>) -> Result<Vec<T>> {
-        (0..self.u32()?).map(|_| item(self)).collect()
+/// Whole nanoseconds, as a `u64`.
+impl Wire for Duration {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.as_nanos() as u64).put(out);
     }
 
-    /// Errors unless the whole buffer was consumed.
-    pub fn finish(&self) -> Result<()> {
-        if self.pos != self.buf.len() {
-            return Err(RStoreError::Protocol(format!(
-                "{} trailing bytes",
-                self.buf.len() - self.pos
-            )));
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(Duration::from_nanos(u64::take(d)?))
+    }
+}
+
+/// A `u32` count, then the elements. Nothing is reserved from the count — it
+/// is four bytes anyone can send, and `Vec::with_capacity` of it aborts the
+/// process: the list grows as elements decode, and a message shorter than
+/// its count claims fails at the first missing element.
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        (self.len() as u32).put(out);
+        for x in self {
+            x.put(out);
         }
-        Ok(())
     }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        (0..u32::take(d)?).map(|_| T::take(d)).collect()
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        Ok((A::take(d)?, B::take(d)?))
+    }
+}
+
+impl<A: Wire, B: Wire, C: Wire> Wire for (A, B, C) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+        self.2.put(out);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        Ok((A::take(d)?, B::take(d)?, C::take(d)?))
+    }
+}
+
+/// Declares a struct's wire form: its fields, in wire order.
+macro_rules! wire_struct {
+    ($t:ident: $($f:ident),* $(,)?) => {
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                $(self.$f.put(out);)*
+            }
+
+            fn take(d: &mut Dec<'_>) -> Result<Self> {
+                Ok($t { $($f: Wire::take(d)?),* })
+            }
+        }
+    };
+}
+
+/// Declares an enum's wire form: per variant, its tag byte, then its fields
+/// in wire order — `{ named, fields }`, `(one)` for a one-field tuple
+/// variant, or nothing.
+macro_rules! wire_enum {
+    ($t:ident { $($tag:literal => $v:ident $(($x:ident))? $({ $($f:ident),* })?),* $(,)? }) => {
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($t::$v $(($x))? $({ $($f),* })? => {
+                        out.push($tag);
+                        $($x.put(out);)?
+                        $($($f.put(out);)*)?
+                    })*
+                }
+            }
+
+            fn take(d: &mut Dec<'_>) -> Result<Self> {
+                Ok(match u8::take(d)? {
+                    $($tag => {
+                        $(let $x = Wire::take(d)?;)?
+                        $($(let $f = Wire::take(d)?;)*)?
+                        $t::$v $(($x))? $({ $($f),* })?
+                    })*
+                    t => {
+                        let msg = format!("bad {} tag {t}", stringify!($t));
+                        return Err(RStoreError::Protocol(msg));
+                    }
+                })
+            }
+        }
+    };
 }
 
 // --- errors -------------------------------------------------------------------
 
-impl RStoreError {
-    /// The wire form of an error reply: a tag, then the variant's fields.
-    /// The variants a master or memory server constructs on purpose cross
-    /// as themselves. The rest describe the side that observed them — its
-    /// own transport (`Rdma`, `Io`), its own view of a region (`Degraded`,
-    /// `OutOfRange`, `CorruptionDetected`) — and mean something else in the
-    /// receiver's hands (a client retries on its *own* `Io`), so a peer is
-    /// told of them in words, as `Remote`.
-    fn encode_into(&self, e: &mut Enc) {
+/// Appends `tag` for a variant's fields to follow.
+fn tagged(out: &mut Vec<u8>, tag: u8) -> &mut Vec<u8> {
+    out.push(tag);
+    out
+}
+
+/// The wire form of an error reply: a tag, then the variant's fields. The
+/// variants a master or memory server constructs on purpose cross as
+/// themselves. The rest describe the side that observed them — its own
+/// transport (`Rdma`, `Io`), its own view of a region (`Degraded`,
+/// `OutOfRange`, `CorruptionDetected`) — and mean something else in the
+/// receiver's hands (a client retries on its *own* `Io`), so a peer is told
+/// of them in words, as `Remote`. Written by hand: that fold is no field
+/// list.
+impl Wire for RStoreError {
+    fn put(&self, out: &mut Vec<u8>) {
         match self {
-            RStoreError::NameExists(name) => e.u8(0).str(name),
-            RStoreError::NotFound(name) => e.u8(1).str(name),
-            RStoreError::InsufficientCapacity { requested } => e.u8(2).u64(*requested),
+            RStoreError::NameExists(name) => name.put(tagged(out, 0)),
+            RStoreError::NotFound(name) => name.put(tagged(out, 1)),
+            RStoreError::InsufficientCapacity { requested } => requested.put(tagged(out, 2)),
             RStoreError::NotEnoughServers {
                 replicas,
                 available,
-            } => e.u8(3).u32(*replicas as u32).u32(*available as u32),
-            RStoreError::Protocol(m) => e.u8(4).str(m),
-            RStoreError::Remote(m) => e.u8(5).str(m),
+            } => (*replicas as u32, *available as u32).put(tagged(out, 3)),
+            RStoreError::Protocol(m) => m.put(tagged(out, 4)),
+            RStoreError::Remote(m) => m.put(tagged(out, 5)),
             RStoreError::Rdma(_)
             | RStoreError::Io(_)
             | RStoreError::Degraded(_)
             | RStoreError::OutOfRange { .. }
-            | RStoreError::CorruptionDetected { .. } => e.u8(5).str(&self.to_string()),
-        };
+            | RStoreError::CorruptionDetected { .. } => self.to_string().put(tagged(out, 5)),
+        }
     }
 
-    fn decode_from(d: &mut Dec<'_>) -> Result<Self> {
-        Ok(match d.u8()? {
-            0 => RStoreError::NameExists(d.str()?),
-            1 => RStoreError::NotFound(d.str()?),
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(match u8::take(d)? {
+            0 => RStoreError::NameExists(Wire::take(d)?),
+            1 => RStoreError::NotFound(Wire::take(d)?),
             2 => RStoreError::InsufficientCapacity {
-                requested: d.u64()?,
+                requested: Wire::take(d)?,
             },
-            3 => RStoreError::NotEnoughServers {
-                replicas: d.u32()? as usize,
-                available: d.u32()? as usize,
-            },
-            4 => RStoreError::Protocol(d.str()?),
-            5 => RStoreError::Remote(d.str()?),
+            3 => {
+                let (replicas, available) = <(u32, u32)>::take(d)?;
+                RStoreError::NotEnoughServers {
+                    replicas: replicas as usize,
+                    available: available as usize,
+                }
+            }
+            4 => RStoreError::Protocol(Wire::take(d)?),
+            5 => RStoreError::Remote(Wire::take(d)?),
             t => return Err(RStoreError::Protocol(format!("bad error tag {t}"))),
         })
     }
@@ -207,12 +301,9 @@ impl RStoreError {
 
 /// A control-plane request: what [`Channel`](crate::rpc::Channel) sends and
 /// how the answer to it is read.
-pub trait Request {
+pub trait Request: Wire {
     /// The reply a peer answers with when it does not answer with an error.
     type Reply;
-
-    /// Encodes the request.
-    fn encode(&self) -> Vec<u8>;
 
     /// Decodes the answer. An error reply is the `Err` it carries.
     ///
@@ -237,12 +328,16 @@ pub struct Extent {
     pub len: u64,
 }
 
+wire_struct!(Extent: node, addr, rkey, len);
+
 /// A stripe and its replicas (index 0 is the primary).
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct StripeGroup {
     /// One extent per replica; all the same length.
     pub replicas: Vec<Extent>,
 }
+
+wire_struct!(StripeGroup: replicas);
 
 impl StripeGroup {
     /// Length of the stripe (all replicas are equal-sized).
@@ -265,22 +360,10 @@ pub enum RegionState {
     Degraded,
 }
 
-impl RegionState {
-    fn encode_into(self, e: &mut Enc) {
-        e.u8(match self {
-            RegionState::Healthy => 0,
-            RegionState::Degraded => 1,
-        });
-    }
-
-    fn decode_from(d: &mut Dec<'_>) -> Result<Self> {
-        match d.u8()? {
-            0 => Ok(RegionState::Healthy),
-            1 => Ok(RegionState::Degraded),
-            v => Err(RStoreError::Protocol(format!("bad region state {v}"))),
-        }
-    }
-}
+wire_enum!(RegionState {
+    0 => Healthy,
+    1 => Degraded,
+});
 
 /// The complete control-path description of a region: everything a client
 /// needs to perform one-sided IO without ever talking to the master again.
@@ -301,39 +384,8 @@ pub struct RegionDesc {
     pub checksums: bool,
 }
 
-impl RegionDesc {
-    fn encode_into(&self, e: &mut Enc) {
-        e.str(&self.name).u64(self.size).u64(self.stripe_size);
-        self.state.encode_into(e);
-        e.u8(self.checksums as u8);
-        e.list(&self.groups, |e, g| {
-            e.list(&g.replicas, |e, x| {
-                e.u32(x.node).u64(x.addr).u64(x.rkey).u64(x.len);
-            });
-        });
-    }
-
-    fn decode_from(d: &mut Dec<'_>) -> Result<Self> {
-        Ok(RegionDesc {
-            name: d.str()?,
-            size: d.u64()?,
-            stripe_size: d.u64()?,
-            state: RegionState::decode_from(d)?,
-            checksums: d.u8()? != 0,
-            groups: d.list(|d| {
-                let replicas = d.list(|d| {
-                    Ok(Extent {
-                        node: d.u32()?,
-                        addr: d.u64()?,
-                        rkey: d.u64()?,
-                        len: d.u64()?,
-                    })
-                })?;
-                Ok(StripeGroup { replicas })
-            })?,
-        })
-    }
-}
+// Wire order is not declaration order: the groups go last.
+wire_struct!(RegionDesc: name, size, stripe_size, state, checksums, groups);
 
 // --- allocation options -----------------------------------------------------
 
@@ -349,6 +401,12 @@ pub enum Policy {
     /// Prefer the servers with the most free capacity.
     CapacityWeighted,
 }
+
+wire_enum!(Policy {
+    0 => RoundRobin,
+    1 => Random,
+    2 => CapacityWeighted,
+});
 
 /// Options for [`alloc`](crate::client::RStoreClient::alloc).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -371,6 +429,8 @@ pub struct AllocOptions {
     pub checksums: bool,
 }
 
+wire_struct!(AllocOptions: stripe_size, replicas, policy, synthetic, checksums);
+
 impl Default for AllocOptions {
     fn default() -> Self {
         AllocOptions {
@@ -380,33 +440,6 @@ impl Default for AllocOptions {
             synthetic: false,
             checksums: false,
         }
-    }
-}
-
-impl AllocOptions {
-    fn encode_into(&self, e: &mut Enc) {
-        e.u64(self.stripe_size).u8(self.replicas);
-        e.u8(match self.policy {
-            Policy::RoundRobin => 0,
-            Policy::Random => 1,
-            Policy::CapacityWeighted => 2,
-        });
-        e.u8(self.synthetic as u8).u8(self.checksums as u8);
-    }
-
-    fn decode_from(d: &mut Dec<'_>) -> Result<Self> {
-        Ok(AllocOptions {
-            stripe_size: d.u64()?,
-            replicas: d.u8()?,
-            policy: match d.u8()? {
-                0 => Policy::RoundRobin,
-                1 => Policy::Random,
-                2 => Policy::CapacityWeighted,
-                v => return Err(RStoreError::Protocol(format!("bad policy {v}"))),
-            },
-            synthetic: d.u8()? != 0,
-            checksums: d.u8()? != 0,
-        })
     }
 }
 
@@ -491,102 +524,27 @@ pub enum CtrlReq {
     },
 }
 
+wire_enum!(CtrlReq {
+    0 => RegisterServer { node, capacity },
+    1 => Heartbeat { node },
+    2 => Alloc { name, size, opts },
+    3 => Lookup { name },
+    4 => Free { name },
+    5 => Stat,
+    6 => Grow { name, additional, opts },
+    7 => ReportCorruption { name, group, replica, node },
+    8 => ClusterStats,
+    9 => Drain { node },
+});
+
 impl Request for CtrlReq {
     type Reply = CtrlResp;
-
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            CtrlReq::RegisterServer { node, capacity } => {
-                e.u8(0).u32(*node).u64(*capacity);
-            }
-            CtrlReq::Heartbeat { node } => {
-                e.u8(1).u32(*node);
-            }
-            CtrlReq::Alloc { name, size, opts } => {
-                opts.encode_into(e.u8(2).str(name).u64(*size));
-            }
-            CtrlReq::Lookup { name } => {
-                e.u8(3).str(name);
-            }
-            CtrlReq::Free { name } => {
-                e.u8(4).str(name);
-            }
-            CtrlReq::Stat => {
-                e.u8(5);
-            }
-            CtrlReq::Grow {
-                name,
-                additional,
-                opts,
-            } => {
-                opts.encode_into(e.u8(6).str(name).u64(*additional));
-            }
-            CtrlReq::ReportCorruption {
-                name,
-                group,
-                replica,
-                node,
-            } => {
-                e.u8(7).str(name).u32(*group).u32(*replica).u32(*node);
-            }
-            CtrlReq::ClusterStats => {
-                e.u8(8);
-            }
-            CtrlReq::Drain { node } => {
-                e.u8(9).u32(*node);
-            }
-        }
-        e.into_bytes()
-    }
 
     fn decode_reply(buf: &[u8]) -> Result<CtrlResp> {
         match CtrlResp::decode(buf)? {
             CtrlResp::Err(e) => Err(e),
             reply => Ok(reply),
         }
-    }
-}
-
-impl CtrlReq {
-    /// Decodes a request.
-    ///
-    /// # Errors
-    ///
-    /// [`RStoreError::Protocol`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut d = Dec::new(buf);
-        let req = match d.u8()? {
-            0 => CtrlReq::RegisterServer {
-                node: d.u32()?,
-                capacity: d.u64()?,
-            },
-            1 => CtrlReq::Heartbeat { node: d.u32()? },
-            2 => CtrlReq::Alloc {
-                name: d.str()?,
-                size: d.u64()?,
-                opts: AllocOptions::decode_from(&mut d)?,
-            },
-            3 => CtrlReq::Lookup { name: d.str()? },
-            4 => CtrlReq::Free { name: d.str()? },
-            5 => CtrlReq::Stat,
-            6 => CtrlReq::Grow {
-                name: d.str()?,
-                additional: d.u64()?,
-                opts: AllocOptions::decode_from(&mut d)?,
-            },
-            7 => CtrlReq::ReportCorruption {
-                name: d.str()?,
-                group: d.u32()?,
-                replica: d.u32()?,
-                node: d.u32()?,
-            },
-            8 => CtrlReq::ClusterStats,
-            9 => CtrlReq::Drain { node: d.u32()? },
-            t => return Err(RStoreError::Protocol(format!("bad ctrl tag {t}"))),
-        };
-        d.finish()?;
-        Ok(req)
     }
 }
 
@@ -608,6 +566,8 @@ pub struct ClusterStats {
     pub consistent: bool,
 }
 
+wire_struct!(ClusterStats: servers, regions, capacity, used, consistent);
+
 /// One memory server's row in a [`ClusterReport`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct ServerStats {
@@ -621,6 +581,8 @@ pub struct ServerStats {
     pub alive: bool,
 }
 
+wire_struct!(ServerStats: node, capacity, used, alive);
+
 /// One region's row in a [`ClusterReport`].
 #[derive(Clone, PartialEq, Eq, Debug)]
 pub struct RegionStats {
@@ -633,6 +595,8 @@ pub struct RegionStats {
     /// Extents currently marked corrupt and awaiting repair.
     pub corrupt_extents: u32,
 }
+
+wire_struct!(RegionStats: name, size, state, corrupt_extents);
 
 /// Full cluster introspection report, answered to
 /// [`CtrlReq::ClusterStats`]: a live view of per-server capacity, per-region
@@ -651,6 +615,8 @@ pub struct ClusterReport {
     /// Completed background scrub passes.
     pub scrub_passes: u64,
 }
+
+wire_struct!(ClusterReport: servers, regions, corruption_detected, repaired_extents, scrub_passes);
 
 /// Master responses.
 #[derive(Clone, PartialEq, Eq, Debug)]
@@ -689,108 +655,15 @@ pub enum CtrlResp {
     },
 }
 
-impl CtrlResp {
-    /// Encodes the response.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            CtrlResp::Ok => {
-                e.u8(0);
-            }
-            CtrlResp::Err(err) => {
-                err.encode_into(e.u8(1));
-            }
-            CtrlResp::Region(desc) => {
-                e.u8(2);
-                desc.encode_into(&mut e);
-            }
-            CtrlResp::Stats(s) => {
-                e.u8(3)
-                    .u32(s.servers)
-                    .u32(s.regions)
-                    .u64(s.capacity)
-                    .u64(s.used)
-                    .u8(s.consistent as u8);
-            }
-            CtrlResp::Report(r) => {
-                e.u8(4).list(&r.servers, |e, s| {
-                    e.u32(s.node).u64(s.capacity).u64(s.used).u8(s.alive as u8);
-                });
-                e.list(&r.regions, |e, reg| {
-                    e.str(&reg.name).u64(reg.size);
-                    reg.state.encode_into(e);
-                    e.u32(reg.corrupt_extents);
-                });
-                e.u64(r.corruption_detected)
-                    .u64(r.repaired_extents)
-                    .u64(r.scrub_passes);
-            }
-            CtrlResp::Drained { extents, bytes } => {
-                e.u8(5).u64(*extents).u64(*bytes);
-            }
-            CtrlResp::Registered { lease, retire } => {
-                e.u8(6).u64(lease.as_nanos() as u64);
-                e.list(retire, |e, &(addr, rkey)| {
-                    e.u64(addr).u64(rkey);
-                });
-            }
-        }
-        e.into_bytes()
-    }
-
-    /// Decodes a response.
-    ///
-    /// # Errors
-    ///
-    /// [`RStoreError::Protocol`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut d = Dec::new(buf);
-        let resp = match d.u8()? {
-            0 => CtrlResp::Ok,
-            1 => CtrlResp::Err(RStoreError::decode_from(&mut d)?),
-            2 => CtrlResp::Region(RegionDesc::decode_from(&mut d)?),
-            3 => CtrlResp::Stats(ClusterStats {
-                servers: d.u32()?,
-                regions: d.u32()?,
-                capacity: d.u64()?,
-                used: d.u64()?,
-                consistent: d.u8()? != 0,
-            }),
-            4 => CtrlResp::Report(ClusterReport {
-                servers: d.list(|d| {
-                    Ok(ServerStats {
-                        node: d.u32()?,
-                        capacity: d.u64()?,
-                        used: d.u64()?,
-                        alive: d.u8()? != 0,
-                    })
-                })?,
-                regions: d.list(|d| {
-                    Ok(RegionStats {
-                        name: d.str()?,
-                        size: d.u64()?,
-                        state: RegionState::decode_from(d)?,
-                        corrupt_extents: d.u32()?,
-                    })
-                })?,
-                corruption_detected: d.u64()?,
-                repaired_extents: d.u64()?,
-                scrub_passes: d.u64()?,
-            }),
-            5 => CtrlResp::Drained {
-                extents: d.u64()?,
-                bytes: d.u64()?,
-            },
-            6 => CtrlResp::Registered {
-                lease: Duration::from_nanos(d.u64()?),
-                retire: d.list(|d| Ok((d.u64()?, d.u64()?)))?,
-            },
-            t => return Err(RStoreError::Protocol(format!("bad resp tag {t}"))),
-        };
-        d.finish()?;
-        Ok(resp)
-    }
-}
+wire_enum!(CtrlResp {
+    0 => Ok,
+    1 => Err(e),
+    2 => Region(desc),
+    3 => Stats(s),
+    4 => Report(r),
+    5 => Drained { extents, bytes },
+    6 => Registered { lease, retire },
+});
 
 // --- master/server control messages -------------------------------------------
 
@@ -846,91 +719,21 @@ pub enum SrvReq {
     },
 }
 
+wire_enum!(SrvReq {
+    0 => AllocExtents { count, len, synthetic, checksums },
+    1 => FreeExtents { extents },
+    2 => Replicate { src_node, src_addr, src_rkey, dst_addr, len },
+    3 => SetAccess { rkey, writable },
+});
+
 impl Request for SrvReq {
     type Reply = SrvResp;
-
-    fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            SrvReq::AllocExtents {
-                count,
-                len,
-                synthetic,
-                checksums,
-            } => {
-                e.u8(0)
-                    .u32(*count)
-                    .u64(*len)
-                    .u8(*synthetic as u8)
-                    .u8(*checksums as u8);
-            }
-            SrvReq::FreeExtents { extents } => {
-                e.u8(1).list(extents, |e, &(addr, len)| {
-                    e.u64(addr).u64(len);
-                });
-            }
-            SrvReq::Replicate {
-                src_node,
-                src_addr,
-                src_rkey,
-                dst_addr,
-                len,
-            } => {
-                e.u8(2)
-                    .u32(*src_node)
-                    .u64(*src_addr)
-                    .u64(*src_rkey)
-                    .u64(*dst_addr)
-                    .u64(*len);
-            }
-            SrvReq::SetAccess { rkey, writable } => {
-                e.u8(3).u64(*rkey).u8(*writable as u8);
-            }
-        }
-        e.into_bytes()
-    }
 
     fn decode_reply(buf: &[u8]) -> Result<SrvResp> {
         match SrvResp::decode(buf)? {
             SrvResp::Err(e) => Err(e),
             reply => Ok(reply),
         }
-    }
-}
-
-impl SrvReq {
-    /// Decodes a request.
-    ///
-    /// # Errors
-    ///
-    /// [`RStoreError::Protocol`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut d = Dec::new(buf);
-        let req = match d.u8()? {
-            0 => SrvReq::AllocExtents {
-                count: d.u32()?,
-                len: d.u64()?,
-                synthetic: d.u8()? != 0,
-                checksums: d.u8()? != 0,
-            },
-            1 => SrvReq::FreeExtents {
-                extents: d.list(|d| Ok((d.u64()?, d.u64()?)))?,
-            },
-            2 => SrvReq::Replicate {
-                src_node: d.u32()?,
-                src_addr: d.u64()?,
-                src_rkey: d.u64()?,
-                dst_addr: d.u64()?,
-                len: d.u64()?,
-            },
-            3 => SrvReq::SetAccess {
-                rkey: d.u64()?,
-                writable: d.u8()? != 0,
-            },
-            t => return Err(RStoreError::Protocol(format!("bad srv tag {t}"))),
-        };
-        d.finish()?;
-        Ok(req)
     }
 }
 
@@ -945,43 +748,11 @@ pub enum SrvResp {
     Err(RStoreError),
 }
 
-impl SrvResp {
-    /// Encodes the response.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut e = Enc::new();
-        match self {
-            SrvResp::Extents(v) => {
-                e.u8(0).list(v, |e, &(addr, rkey, len)| {
-                    e.u64(addr).u64(rkey).u64(len);
-                });
-            }
-            SrvResp::Ok => {
-                e.u8(1);
-            }
-            SrvResp::Err(err) => {
-                err.encode_into(e.u8(2));
-            }
-        }
-        e.into_bytes()
-    }
-
-    /// Decodes a response.
-    ///
-    /// # Errors
-    ///
-    /// [`RStoreError::Protocol`] on malformed input.
-    pub fn decode(buf: &[u8]) -> Result<Self> {
-        let mut d = Dec::new(buf);
-        let resp = match d.u8()? {
-            0 => SrvResp::Extents(d.list(|d| Ok((d.u64()?, d.u64()?, d.u64()?)))?),
-            1 => SrvResp::Ok,
-            2 => SrvResp::Err(RStoreError::decode_from(&mut d)?),
-            t => return Err(RStoreError::Protocol(format!("bad srvresp tag {t}"))),
-        };
-        d.finish()?;
-        Ok(resp)
-    }
-}
+wire_enum!(SrvResp {
+    0 => Extents(extents),
+    1 => Ok,
+    2 => Err(e),
+});
 
 #[cfg(test)]
 mod tests {
@@ -1021,6 +792,223 @@ mod tests {
             state: RegionState::Healthy,
             checksums: true,
         }
+    }
+
+    /// One instance of every variant of the four messages, every wire error
+    /// and every error folded to `Remote`, encoded.
+    fn corpus() -> Vec<Vec<u8>> {
+        let opts = AllocOptions {
+            stripe_size: 1024,
+            replicas: 3,
+            policy: Policy::CapacityWeighted,
+            synthetic: true,
+            checksums: false,
+        };
+        let grow = AllocOptions {
+            policy: Policy::Random,
+            checksums: true,
+            ..AllocOptions::default()
+        };
+        let name = || String::from("régión/名");
+        let mut out = vec![
+            CtrlReq::RegisterServer {
+                node: 4,
+                capacity: 1 << 30,
+            }
+            .encode(),
+            CtrlReq::Heartbeat { node: 4 }.encode(),
+            CtrlReq::Alloc {
+                name: "a/b".into(),
+                size: 4096,
+                opts,
+            }
+            .encode(),
+            CtrlReq::Lookup { name: name() }.encode(),
+            CtrlReq::Free { name: "y".into() }.encode(),
+            CtrlReq::Stat.encode(),
+            CtrlReq::Grow {
+                name: "g".into(),
+                additional: 1 << 20,
+                opts: grow,
+            }
+            .encode(),
+            CtrlReq::ReportCorruption {
+                name: "bad".into(),
+                group: 3,
+                replica: 1,
+                node: 9,
+            }
+            .encode(),
+            CtrlReq::ClusterStats.encode(),
+            CtrlReq::Drain { node: 11 }.encode(),
+            CtrlResp::Ok.encode(),
+            CtrlResp::Region(desc()).encode(),
+            CtrlResp::Region(RegionDesc {
+                state: RegionState::Degraded,
+                checksums: false,
+                groups: vec![],
+                ..desc()
+            })
+            .encode(),
+            CtrlResp::Stats(ClusterStats {
+                servers: 12,
+                regions: 3,
+                capacity: 1 << 40,
+                used: 123,
+                consistent: true,
+            })
+            .encode(),
+            CtrlResp::Report(ClusterReport {
+                servers: vec![
+                    ServerStats {
+                        node: 1,
+                        capacity: 1 << 30,
+                        used: 4096,
+                        alive: true,
+                    },
+                    ServerStats {
+                        node: 2,
+                        capacity: 1 << 30,
+                        used: 0,
+                        alive: false,
+                    },
+                ],
+                regions: vec![
+                    RegionStats {
+                        name: name(),
+                        size: 1 << 20,
+                        state: RegionState::Healthy,
+                        corrupt_extents: 0,
+                    },
+                    RegionStats {
+                        name: "c".into(),
+                        size: 4096,
+                        state: RegionState::Degraded,
+                        corrupt_extents: 2,
+                    },
+                ],
+                corruption_detected: 5,
+                repaired_extents: 3,
+                scrub_passes: 7,
+            })
+            .encode(),
+            CtrlResp::Drained {
+                extents: 42,
+                bytes: 1 << 33,
+            }
+            .encode(),
+            CtrlResp::Registered {
+                lease: Duration::from_millis(50),
+                retire: vec![(0x1000, 7), (0x9000, 12)],
+            }
+            .encode(),
+            SrvReq::AllocExtents {
+                count: 5,
+                len: 1 << 20,
+                synthetic: false,
+                checksums: true,
+            }
+            .encode(),
+            SrvReq::FreeExtents {
+                extents: vec![(1, 2), (3, 4)],
+            }
+            .encode(),
+            SrvReq::Replicate {
+                src_node: 3,
+                src_addr: 0x1000,
+                src_rkey: 0xfeed,
+                dst_addr: 0x2000,
+                len: 1 << 16,
+            }
+            .encode(),
+            SrvReq::SetAccess {
+                rkey: 0xbeef,
+                writable: true,
+            }
+            .encode(),
+            SrvResp::Extents(vec![(1, 2, 3), (4, 5, 6)]).encode(),
+            SrvResp::Ok.encode(),
+            SrvResp::Err(RStoreError::NotFound(name())).encode(),
+            SrvResp::Err(RStoreError::Io(rdma::CqStatus::Flushed)).encode(),
+        ];
+        let errs = [
+            RStoreError::NameExists(name()),
+            RStoreError::NotFound("x".into()),
+            RStoreError::InsufficientCapacity {
+                requested: 123_456_789,
+            },
+            RStoreError::NotEnoughServers {
+                replicas: 7,
+                available: 4,
+            },
+            RStoreError::Protocol("p".into()),
+            RStoreError::Remote("r".into()),
+            RStoreError::Rdma(rdma::RdmaError::Timeout),
+            RStoreError::Io(rdma::CqStatus::Timeout),
+            RStoreError::Degraded("d".into()),
+            RStoreError::OutOfRange {
+                offset: 10,
+                len: 20,
+                size: 16,
+            },
+            RStoreError::CorruptionDetected {
+                node: 2,
+                region: "z".into(),
+                stripe: 5,
+            },
+        ];
+        out.extend(errs.into_iter().map(|e| CtrlResp::Err(e).encode()));
+        out
+    }
+
+    /// [`corpus`] in hex, pinned: a field reordered or resized in the
+    /// encoder and the decoder at once still round-trips, but fails here.
+    const GOLDEN: [&str; 36] = [
+        "00040000000000004000000000",
+        "0104000000",
+        "0203000000612f620010000000000000000400000000000003020100",
+        "030c00000072c3a96769c3b36e2fe5908d",
+        "040100000079",
+        "05",
+        "0601000000670000100000000000000000010000000001010001",
+        "0703000000626164030000000100000009000000",
+        "08",
+        "090b000000",
+        "00",
+        "020b000000646174612f6d61747269782c010000000000008000000000000000000102000000020000000100000000100000000000000700000000000000800000000000000002000000002000000000000008000000000000008000000000000000010000000300000000300000000000000900000000000000ac00000000000000",
+        "020b000000646174612f6d61747269782c010000000000008000000000000000010000000000",
+        "030c0000000300000000000000000100007b0000000000000001",
+        "0402000000010000000000004000000000001000000000000001020000000000004000000000000000000000000000020000000c00000072c3a96769c3b36e2fe5908d00001000000000000000000000010000006300100000000000000102000000050000000000000003000000000000000700000000000000",
+        "052a000000000000000000000002000000",
+        "0680f0fa0200000000020000000010000000000000070000000000000000900000000000000c00000000000000",
+        "000500000000001000000000000001",
+        "01020000000100000000000000020000000000000003000000000000000400000000000000",
+        "02030000000010000000000000edfe00000000000000200000000000000000010000000000",
+        "03efbe00000000000001",
+        "0002000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000",
+        "01",
+        "02010c00000072c3a96769c3b36e2fe5908d",
+        "020528000000696f206661696c6564207769746820636f6d706c6574696f6e2073746174757320466c7573686564",
+        "01000c00000072c3a96769c3b36e2fe5908d",
+        "01010100000078",
+        "010215cd5b0700000000",
+        "01030700000004000000",
+        "01040100000070",
+        "01050100000072",
+        "01051900000072646d613a206f7065726174696f6e2074696d6564206f7574",
+        "010528000000696f206661696c6564207769746820636f6d706c6574696f6e207374617475732054696d656f7574",
+        "01052b000000726567696f6e2022642220697320646567726164656420286d656d6f72792073657276657220646f776e29",
+        "01052b000000616363657373205b31302c202b323029206f75747369646520726567696f6e206f66203136206279746573",
+        "01054f000000636f7272757074696f6e20646574656374656420696e20726567696f6e20227a223a20737472697065203520756e7265616461626c6520286c617374207265706c696361206f6e206e6f6465203229",
+    ];
+
+    #[test]
+    fn wire_bytes_match_the_golden_corpus() {
+        let hex: Vec<String> = corpus()
+            .iter()
+            .map(|m| m.iter().map(|b| format!("{b:02x}")).collect())
+            .collect();
+        assert_eq!(hex, GOLDEN);
     }
 
     #[test]

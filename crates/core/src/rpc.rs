@@ -521,7 +521,7 @@ mod tests {
 
     #[test]
     fn channel_keeps_its_connection_across_an_error_reply_and_redials_after_a_lost_one() {
-        use crate::proto::{CtrlReq, CtrlResp};
+        use crate::proto::{CtrlReq, CtrlResp, Wire};
         let (sim, fabric, server, client) = setup();
         // Answers a lookup with an error and anything else with `Ok`, after
         // 1 ms of CPU — so a loss window can drop a response alone.

@@ -18,7 +18,7 @@ use sim::{EventSink, Sim, SimTime, TimerId};
 use crate::client::DataQps;
 use crate::crc::zero_trailer;
 use crate::error::{RStoreError, Result};
-use crate::proto::{extent_alloc_len, CtrlReq, CtrlResp, SrvReq, SrvResp};
+use crate::proto::{extent_alloc_len, CtrlReq, CtrlResp, SrvReq, SrvResp, Wire};
 use crate::rpc::{spawn_rpc_server, Channel};
 use crate::{CTRL_SERVICE, DATA_SERVICE, SRV_SERVICE};
 

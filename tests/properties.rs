@@ -6,13 +6,19 @@
 //! reproducible (re-run the same test; the case index is in the panic
 //! message).
 
+use std::time::Duration;
+
 use sim::DetRng;
 
 use rdma::memory::Arena;
 use rdma::{Access, DmaBuf};
 use rsort::{choose_splitters, dest_of, partition_records, ShufflePlan};
 use rstore::layout::Layout;
-use rstore::proto::{CtrlReq, CtrlResp, Extent, RegionDesc, RegionState, Request, StripeGroup};
+use rstore::proto::{
+    AllocOptions, ClusterReport, ClusterStats, CtrlReq, CtrlResp, Extent, Policy, RegionDesc,
+    RegionState, RegionStats, ServerStats, SrvReq, SrvResp, StripeGroup, Wire,
+};
+use rstore::RStoreError;
 use workload::{is_sorted, record_key, sort_records, teragen, KEY_BYTES, RECORD_BYTES};
 
 /// Runs `body` for `cases` seeded cases, labelling failures with the case
@@ -322,34 +328,195 @@ fn layout_pieces_tile_the_range() {
     });
 }
 
-/// Control-plane messages survive an encode/decode round trip.
+// --- control-plane wire format -----------------------------------------------------
+
+fn r32(rng: &mut DetRng) -> u32 {
+    rng.next_u64() as u32
+}
+
+/// Up to 20 characters, multi-byte UTF-8 among them.
+fn random_name(rng: &mut DetRng) -> String {
+    let alphabet = ['a', 'z', '/', '"', 'é', 'ß', '名', '🦀'];
+    (0..rng.index(21))
+        .map(|_| alphabet[rng.index(alphabet.len())])
+        .collect()
+}
+
+/// Up to four elements.
+fn random_list<T>(rng: &mut DetRng, mut item: impl FnMut(&mut DetRng) -> T) -> Vec<T> {
+    let n = rng.index(5);
+    (0..n).map(|_| item(rng)).collect()
+}
+
+fn random_state(rng: &mut DetRng) -> RegionState {
+    [RegionState::Healthy, RegionState::Degraded][rng.index(2)]
+}
+
+fn random_opts(rng: &mut DetRng) -> AllocOptions {
+    AllocOptions {
+        stripe_size: rng.next_u64(),
+        replicas: rng.next_u64() as u8,
+        policy: [Policy::RoundRobin, Policy::Random, Policy::CapacityWeighted][rng.index(3)],
+        synthetic: rng.chance(0.5),
+        checksums: rng.chance(0.5),
+    }
+}
+
+/// One of the errors that cross the wire as themselves.
+fn random_error(rng: &mut DetRng) -> RStoreError {
+    match rng.index(6) {
+        0 => RStoreError::NameExists(random_name(rng)),
+        1 => RStoreError::NotFound(random_name(rng)),
+        2 => RStoreError::InsufficientCapacity {
+            requested: rng.next_u64(),
+        },
+        3 => RStoreError::NotEnoughServers {
+            replicas: r32(rng) as usize,
+            available: r32(rng) as usize,
+        },
+        4 => RStoreError::Protocol(random_name(rng)),
+        _ => RStoreError::Remote(random_name(rng)),
+    }
+}
+
+/// Each message decodes back to itself, and no strict prefix of it decodes.
+fn round_trips<M: Wire + PartialEq + std::fmt::Debug>(msgs: &[M]) {
+    for m in msgs {
+        let bytes = m.encode();
+        assert_eq!(&M::decode(&bytes).unwrap(), m);
+        for cut in 0..bytes.len() {
+            assert!(
+                M::decode(&bytes[..cut]).is_err(),
+                "{cut}-byte prefix of {m:?} decoded"
+            );
+        }
+    }
+}
+
+/// A random instance of every variant of the four control messages
+/// survives an encode/decode round trip, and none decodes from less than
+/// all of its bytes.
 #[test]
 fn proto_round_trip_fuzzed() {
     cases("proto_round_trip_fuzzed", 128, |rng| {
-        let name_len = rng.index(21);
-        let name: String = (0..name_len)
-            .map(|_| {
-                let alphabet = b"abcdefghijklmnopqrstuvwxyz/";
-                alphabet[rng.index(alphabet.len())] as char
-            })
-            .collect();
-        let size = rng.next_u64();
-        let stripe = rng.range_u64(1, u64::MAX);
-        let req = CtrlReq::Alloc {
-            name: name.clone(),
-            size,
-            opts: rstore::AllocOptions {
-                stripe_size: stripe,
-                ..Default::default()
+        round_trips(&[
+            CtrlReq::RegisterServer {
+                node: r32(rng),
+                capacity: rng.next_u64(),
             },
-        };
-        assert_eq!(CtrlReq::decode(&req.encode()).unwrap(), req);
-        let resp = CtrlResp::Err(rstore::RStoreError::NotFound(name));
-        assert_eq!(CtrlResp::decode(&resp.encode()).unwrap(), resp);
+            CtrlReq::Heartbeat { node: r32(rng) },
+            CtrlReq::Alloc {
+                name: random_name(rng),
+                size: rng.next_u64(),
+                opts: random_opts(rng),
+            },
+            CtrlReq::Lookup {
+                name: random_name(rng),
+            },
+            CtrlReq::Free {
+                name: random_name(rng),
+            },
+            CtrlReq::Stat,
+            CtrlReq::Grow {
+                name: random_name(rng),
+                additional: rng.next_u64(),
+                opts: random_opts(rng),
+            },
+            CtrlReq::ReportCorruption {
+                name: random_name(rng),
+                group: r32(rng),
+                replica: r32(rng),
+                node: r32(rng),
+            },
+            CtrlReq::ClusterStats,
+            CtrlReq::Drain { node: r32(rng) },
+        ]);
+        let groups = random_list(rng, |rng| StripeGroup {
+            replicas: random_list(rng, |rng| Extent {
+                node: r32(rng),
+                addr: rng.next_u64(),
+                rkey: rng.next_u64(),
+                len: rng.next_u64(),
+            }),
+        });
+        round_trips(&[
+            CtrlResp::Ok,
+            CtrlResp::Err(random_error(rng)),
+            CtrlResp::Region(RegionDesc {
+                name: random_name(rng),
+                size: rng.next_u64(),
+                stripe_size: rng.next_u64(),
+                groups,
+                state: random_state(rng),
+                checksums: rng.chance(0.5),
+            }),
+            CtrlResp::Stats(ClusterStats {
+                servers: r32(rng),
+                regions: r32(rng),
+                capacity: rng.next_u64(),
+                used: rng.next_u64(),
+                consistent: rng.chance(0.5),
+            }),
+            CtrlResp::Report(ClusterReport {
+                servers: random_list(rng, |rng| ServerStats {
+                    node: r32(rng),
+                    capacity: rng.next_u64(),
+                    used: rng.next_u64(),
+                    alive: rng.chance(0.5),
+                }),
+                regions: random_list(rng, |rng| RegionStats {
+                    name: random_name(rng),
+                    size: rng.next_u64(),
+                    state: random_state(rng),
+                    corrupt_extents: r32(rng),
+                }),
+                corruption_detected: rng.next_u64(),
+                repaired_extents: rng.next_u64(),
+                scrub_passes: rng.next_u64(),
+            }),
+            CtrlResp::Drained {
+                extents: rng.next_u64(),
+                bytes: rng.next_u64(),
+            },
+            CtrlResp::Registered {
+                lease: Duration::from_nanos(rng.next_u64()),
+                retire: random_list(rng, |rng| (rng.next_u64(), rng.next_u64())),
+            },
+        ]);
+        round_trips(&[
+            SrvReq::AllocExtents {
+                count: r32(rng),
+                len: rng.next_u64(),
+                synthetic: rng.chance(0.5),
+                checksums: rng.chance(0.5),
+            },
+            SrvReq::FreeExtents {
+                extents: random_list(rng, |rng| (rng.next_u64(), rng.next_u64())),
+            },
+            SrvReq::Replicate {
+                src_node: r32(rng),
+                src_addr: rng.next_u64(),
+                src_rkey: rng.next_u64(),
+                dst_addr: rng.next_u64(),
+                len: rng.next_u64(),
+            },
+            SrvReq::SetAccess {
+                rkey: rng.next_u64(),
+                writable: rng.chance(0.5),
+            },
+        ]);
+        round_trips(&[
+            SrvResp::Extents(random_list(rng, |rng| {
+                (rng.next_u64(), rng.next_u64(), rng.next_u64())
+            })),
+            SrvResp::Ok,
+            SrvResp::Err(random_error(rng)),
+        ]);
     });
 }
 
-/// Arbitrary byte garbage never panics the decoder.
+/// Arbitrary byte garbage never panics a decoder, on either control
+/// connection.
 #[test]
 fn proto_decode_never_panics() {
     cases("proto_decode_never_panics", 256, |rng| {
@@ -358,6 +525,8 @@ fn proto_decode_never_panics() {
         rng.fill_bytes(&mut bytes);
         let _ = CtrlReq::decode(&bytes);
         let _ = CtrlResp::decode(&bytes);
+        let _ = SrvReq::decode(&bytes);
+        let _ = SrvResp::decode(&bytes);
     });
 }
 
