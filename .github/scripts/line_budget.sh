@@ -5,9 +5,9 @@
 # scatter-gather WRs" and "KV cached index and online resize"), of the
 # master (one extent-move protocol: DESIGN.md "Extent moves and leases"), of
 # the control plane (one channel, one error format, one wire form per
-# message: DESIGN.md "Control plane") and of the recording spine in `sim`
-# (one recorder, one per-op handle, one ring: DESIGN.md "Recording spine")
-# and of the fault-episode
+# message, one typed reply per request: DESIGN.md "Control plane") and of
+# the recording spine in `sim` (one recorder, one per-op handle, one ring:
+# DESIGN.md "Recording spine") and of the fault-episode
 # driver with its three experiments (one worker loop: EXPERIMENTS.md "Fault
 # episodes") and of the device arena (one backing form: DESIGN.md "Arena
 # backing"), and fails when one outgrows its ceiling. Every data-path QP —
@@ -61,15 +61,16 @@ if [ "$total" -gt 3058 ]; then
 fi
 # Outside the three-file total: a second mover beside `move_extent` would
 # not fit under this.
-check crates/core/src/master.rs 1166
+check crates/core/src/master.rs 1165
 # Likewise: a block is one `Vec`, reserved at `alloc` and as long as what was
 # written; a chunk table beside it would not fit under this.
 check crates/rdma/src/memory.rs 533
 # The five files every control call passes through, as one total: a second
 # channel or a second error format beside the one would not fit under this,
 # nor would a second encoder or decoder beside a message's field list (one
-# wire form per message: DESIGN.md "Control plane").
-group 'control plane (5)' 1340 crates/core/src/{client,server,rpc,proto,error}.rs
+# wire form per message), nor a second reply enum beside a request's `Reply`
+# (one RPC form: DESIGN.md "Control plane").
+group 'control plane (5)' 1326 crates/core/src/{client,server,rpc,proto,error}.rs
 # The recording spine and the registry it folds into, as one total: a second
 # per-op handle, recorder or ring beside the one would not fit under this.
 group 'sim recording spine (5)' 1454 crates/sim/src/{trace,ledger,optrace,timeseries,metrics}.rs

@@ -14,8 +14,9 @@ use std::time::Duration;
 
 use fabric::NodeId;
 use rdma::RdmaDevice;
-use rstore::rpc::{spawn_rpc_server, RpcClient};
-use rstore::Result;
+use rstore::proto::{error_reply, Dec, Request, Wire};
+use rstore::rpc::{spawn_rpc_server, Channel, RESPONSE_TIMEOUT};
+use rstore::{RStoreError, Result};
 use sim::sync::Barrier;
 use sim::{join_all, Sim};
 use workload::CsrGraph;
@@ -98,13 +99,40 @@ struct Accum {
     start: u64,
 }
 
-fn encode_batch(msgs: &[(u64, f64)]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(msgs.len() * 16);
-    for (v, c) in msgs {
-        out.extend_from_slice(&v.to_le_bytes());
-        out.extend_from_slice(&c.to_bits().to_le_bytes());
+impl Accum {
+    /// Adds `msgs` into the sums, or refuses the whole batch if it names a
+    /// vertex this worker does not own: the ids come off the wire.
+    fn apply(&mut self, msgs: &[(u64, f64)]) -> Result<()> {
+        let owned = self.start..self.start + self.sums.len() as u64;
+        if let Some(&(v, _)) = msgs.iter().find(|(v, _)| !owned.contains(v)) {
+            let why = format!("vertex {v} is not in this worker's range {owned:?}");
+            return Err(RStoreError::Protocol(why));
+        }
+        for &(v, c) in msgs {
+            self.sums[(v - self.start) as usize] += c;
+        }
+        Ok(())
     }
-    out
+}
+
+/// One batch of messages to one worker, `(target vertex, contribution)`
+/// each: on the wire, a count and then 16 bytes per message. Answered with
+/// `()` once the receiver has applied them.
+#[derive(Clone, PartialEq, Debug)]
+pub(crate) struct Contributions(pub Vec<(u64, f64)>);
+
+impl Wire for Contributions {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        Wire::take(d).map(Contributions)
+    }
+}
+
+impl Request for Contributions {
+    type Reply = ();
 }
 
 /// Runs message-passing PageRank, one worker per device. The graph is held
@@ -150,23 +178,14 @@ pub async fn run(
                 let accum = accum.clone();
                 let sim = sim2.clone();
                 Box::pin(async move {
-                    let msgs = req.len() / 16;
-                    sim.sleep(
-                        cost.per_batch
-                            + Duration::from_nanos(
-                                cost.per_message.as_nanos() as u64 * msgs as u64,
-                            ),
-                    )
-                    .await;
-                    let mut acc = accum.borrow_mut();
-                    let start = acc.start;
-                    for chunk in req.chunks_exact(16) {
-                        let v = u64::from_le_bytes(chunk[..8].try_into().expect("8"));
-                        let c =
-                            f64::from_bits(u64::from_le_bytes(chunk[8..].try_into().expect("8")));
-                        acc.sums[(v - start) as usize] += c;
-                    }
-                    vec![0u8]
+                    let msgs = match Contributions::decode(&req) {
+                        Ok(Contributions(msgs)) => msgs,
+                        Err(e) => return error_reply(e),
+                    };
+                    let per_message = cost.per_message.as_nanos() as u64 * msgs.len() as u64;
+                    sim.sleep(cost.per_batch + Duration::from_nanos(per_message))
+                        .await;
+                    Contributions::encode_reply(accum.borrow_mut().apply(&msgs))
                 })
             }),
         )?;
@@ -220,7 +239,6 @@ fn owner(n: u64, k: u64, v: u64) -> u64 {
     lo
 }
 
-#[allow(clippy::await_holding_refcell_ref)] // single-threaded sim; borrow is exclusive
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 async fn worker(
     me: u64,
@@ -238,14 +256,14 @@ async fn worker(
     let count = (e - s) as usize;
 
     // Setup: one RPC connection per peer.
-    let mut conns: Vec<Option<RefCell<RpcClient>>> = Vec::with_capacity(k as usize);
+    let mut conns = Vec::with_capacity(k as usize);
     for (j, &node) in nodes.iter().enumerate() {
         if j as u64 == me {
             conns.push(None);
         } else {
-            conns.push(Some(RefCell::new(
-                RpcClient::connect(&dev, node, MSG_GRAPH_SERVICE).await?,
-            )));
+            let conn = Channel::new(&dev, node, MSG_GRAPH_SERVICE, RESPONSE_TIMEOUT);
+            conn.dial().await?;
+            conns.push(Some(conn));
         }
     }
     barrier.wait().await;
@@ -279,17 +297,12 @@ async fn worker(
         for (j, msgs) in outgoing.iter().enumerate() {
             if j as u64 == me {
                 // Local delivery: still costs apply-time, no network.
-                let mut acc = accum.borrow_mut();
-                let start = acc.start;
-                for &(v, c) in msgs {
-                    acc.sums[(v - start) as usize] += c;
-                }
+                accum.borrow_mut().apply(msgs)?;
                 continue;
             }
             let conn = conns[j].as_ref().expect("peer connection");
             for chunk in msgs.chunks(cfg.batch_messages.max(1)) {
-                let payload = encode_batch(chunk);
-                conn.borrow_mut().call(&payload).await?;
+                conn.call(&Contributions(chunk.to_vec())).await?;
             }
         }
         barrier.wait().await;
@@ -353,6 +366,27 @@ mod tests {
             }
         }
         rank
+    }
+
+    #[test]
+    fn a_batch_naming_a_vertex_the_worker_does_not_own_is_refused_whole() {
+        let mut acc = Accum {
+            sums: vec![0.0; 4],
+            start: 10,
+        };
+        acc.apply(&[(10, 1.0), (13, 2.0)]).unwrap();
+        for bad in [9, 14, u64::MAX] {
+            let err = acc.apply(&[(11, 5.0), (bad, 1.0)]);
+            assert!(
+                matches!(err, Err(RStoreError::Protocol(_))),
+                "{bad}: {err:?}"
+            );
+        }
+        assert_eq!(
+            acc.sums,
+            [1.0, 0.0, 0.0, 2.0],
+            "a refused batch adds nothing"
+        );
     }
 
     #[test]

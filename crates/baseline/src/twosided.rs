@@ -6,13 +6,13 @@
 //! as RStore's *control* path — so the latency gap measured in experiment E3
 //! isolates precisely the cost of putting a CPU on the data path.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
 use fabric::NodeId;
 use rdma::{DmaBuf, RdmaDevice};
-use rstore::rpc::{spawn_rpc_server, RpcClient};
+use rstore::proto::{error_reply, Request, Wire};
+use rstore::rpc::{spawn_rpc_server, Channel, RESPONSE_TIMEOUT};
 use rstore::{RStoreError, Result};
 
 /// Service id of the two-sided store.
@@ -43,8 +43,71 @@ impl TwoSidedCost {
     }
 }
 
-// Request encoding: [0, offset u64, len u64] = read; [1, offset u64, data..] = write.
-// Response: [0, data..] = ok; [1] = error.
+// Messages are priced in the control plane's layout: a request is its tag
+// and its fields, a reply `Result<Reply>` (DESIGN.md "Control plane").
+rstore::wire_requests! {
+    /// A two-sided store request, as the server decodes it.
+    pub(crate) enum TwoSidedReq {
+        /// Read `len` bytes at `offset`; answered with the bytes.
+        0 => Read {
+            /// Store offset.
+            offset: u64,
+            /// Bytes to read.
+            len: u64,
+        } -> Vec<u8>,
+        /// Write `data` at `offset`.
+        1 => Write {
+            /// Store offset.
+            offset: u64,
+            /// Bytes to write.
+            data: Vec<u8>,
+        } -> (),
+    }
+}
+
+/// The server's side: the donated buffer and what serving costs.
+struct Store {
+    dev: RdmaDevice,
+    backing: DmaBuf,
+    cost: TwoSidedCost,
+}
+
+impl Store {
+    /// The address of `len` bytes at `offset`, if they lie in the store. Both
+    /// numbers come off the wire, so their sum is checked, never wrapped.
+    fn addr(&self, offset: u64, len: u64) -> Result<u64> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.backing.len => Ok(self.backing.addr + offset),
+            _ => Err(RStoreError::OutOfRange {
+                offset,
+                len,
+                size: self.backing.len,
+            }),
+        }
+    }
+
+    async fn read(&self, Read { offset, len }: Read) -> Result<Vec<u8>> {
+        let addr = self.addr(offset, len)?;
+        self.dev.sim().sleep(self.cost.request(len)).await;
+        Ok(self.dev.read_mem(addr, len)?)
+    }
+
+    async fn write(&self, Write { offset, data }: Write) -> Result<()> {
+        let len = data.len() as u64;
+        let addr = self.addr(offset, len)?;
+        self.dev.sim().sleep(self.cost.request(len)).await;
+        Ok(self.dev.write_mem(addr, &data)?)
+    }
+
+    /// Serves one request, answering with that request's reply.
+    async fn serve(&self, req: &[u8]) -> Vec<u8> {
+        match TwoSidedReq::decode(req) {
+            Ok(TwoSidedReq::Read(req)) => Read::encode_reply(self.read(req).await),
+            Ok(TwoSidedReq::Write(req)) => Write::encode_reply(self.write(req).await),
+            Err(e) => error_reply(e),
+        }
+    }
+}
 
 /// Starts a two-sided store server donating `capacity` bytes on `dev`.
 ///
@@ -52,87 +115,28 @@ impl TwoSidedCost {
 ///
 /// Service-id collisions or allocation failures.
 pub fn spawn_server(dev: &RdmaDevice, capacity: u64, cost: TwoSidedCost) -> Result<()> {
-    let backing = dev.alloc(capacity)?;
-    let sim = dev.sim().clone();
-    let dev2 = dev.clone();
+    let store = Rc::new(Store {
+        dev: dev.clone(),
+        backing: dev.alloc(capacity)?,
+        cost,
+    });
     spawn_rpc_server(
         dev,
         TWOSIDED_SERVICE,
         Duration::ZERO, // costs are charged per-op below, size-dependent
         Rc::new(move |_peer, req: Vec<u8>| {
-            let dev = dev2.clone();
-            let sim = sim.clone();
-            Box::pin(async move {
-                let reply = handle(&dev, backing, &sim, cost, &req).await;
-                match reply {
-                    Ok(mut data) => {
-                        let mut out = vec![0u8];
-                        out.append(&mut data);
-                        out
-                    }
-                    Err(_) => vec![1u8],
-                }
-            })
+            let store = store.clone();
+            Box::pin(async move { store.serve(&req).await })
         }),
     )
 }
 
-async fn handle(
-    dev: &RdmaDevice,
-    backing: DmaBuf,
-    sim: &sim::Sim,
-    cost: TwoSidedCost,
-    req: &[u8],
-) -> Result<Vec<u8>> {
-    let bad = || RStoreError::Protocol("malformed two-sided request".into());
-    if req.is_empty() {
-        return Err(bad());
-    }
-    match req[0] {
-        0 => {
-            if req.len() != 17 {
-                return Err(bad());
-            }
-            let offset = u64::from_le_bytes(req[1..9].try_into().expect("8"));
-            let len = u64::from_le_bytes(req[9..17].try_into().expect("8"));
-            if offset + len > backing.len {
-                return Err(bad());
-            }
-            sim.sleep(cost.request(len)).await;
-            Ok(dev.read_mem(backing.addr + offset, len)?)
-        }
-        1 => {
-            if req.len() < 9 {
-                return Err(bad());
-            }
-            let offset = u64::from_le_bytes(req[1..9].try_into().expect("8"));
-            let data = &req[9..];
-            if offset + data.len() as u64 > backing.len {
-                return Err(bad());
-            }
-            sim.sleep(cost.request(data.len() as u64)).await;
-            dev.write_mem(backing.addr + offset, data)?;
-            Ok(Vec::new())
-        }
-        _ => Err(bad()),
-    }
-}
-
 /// Client handle to a two-sided store server.
+#[derive(Debug)]
 pub struct TwoSidedClient {
-    rpc: RefCell<RpcClient>,
-    server: NodeId,
+    rpc: Channel,
 }
 
-impl std::fmt::Debug for TwoSidedClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("TwoSidedClient")
-            .field("server", &self.server)
-            .finish()
-    }
-}
-
-#[allow(clippy::await_holding_refcell_ref)] // single-threaded sim; one call at a time
 impl TwoSidedClient {
     /// Connects to the store on `server`.
     ///
@@ -140,27 +144,20 @@ impl TwoSidedClient {
     ///
     /// Connection failures.
     pub async fn connect(dev: &RdmaDevice, server: NodeId) -> Result<TwoSidedClient> {
-        Ok(TwoSidedClient {
-            rpc: RefCell::new(RpcClient::connect(dev, server, TWOSIDED_SERVICE).await?),
-            server,
-        })
+        let rpc = Channel::new(dev, server, TWOSIDED_SERVICE, RESPONSE_TIMEOUT);
+        rpc.dial().await?;
+        Ok(TwoSidedClient { rpc })
     }
 
     /// Reads `len` bytes at `offset`.
     ///
     /// # Errors
     ///
-    /// [`RStoreError::Remote`] on a server-side rejection, transport errors
-    /// otherwise.
+    /// The server's rejection as it sent it — an out-of-range access
+    /// arrives as [`RStoreError::Remote`], a reply too long for the RPC
+    /// buffer as [`RStoreError::Protocol`] — or transport errors.
     pub async fn read(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
-        let mut req = vec![0u8];
-        req.extend_from_slice(&offset.to_le_bytes());
-        req.extend_from_slice(&len.to_le_bytes());
-        let resp = self.rpc.borrow_mut().call(&req).await?;
-        match resp.first() {
-            Some(0) => Ok(resp[1..].to_vec()),
-            _ => Err(RStoreError::Remote("two-sided read rejected".into())),
-        }
+        self.rpc.call(&Read { offset, len }).await
     }
 
     /// Writes `data` at `offset`.
@@ -169,14 +166,8 @@ impl TwoSidedClient {
     ///
     /// As for [`TwoSidedClient::read`].
     pub async fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
-        let mut req = vec![1u8];
-        req.extend_from_slice(&offset.to_le_bytes());
-        req.extend_from_slice(data);
-        let resp = self.rpc.borrow_mut().call(&req).await?;
-        match resp.first() {
-            Some(0) => Ok(()),
-            _ => Err(RStoreError::Remote("two-sided write rejected".into())),
-        }
+        let data = data.to_vec();
+        self.rpc.call(&Write { offset, data }).await
     }
 }
 
@@ -218,6 +209,48 @@ mod tests {
             c.read(1000, 100).await.err().unwrap()
         });
         assert!(matches!(err, RStoreError::Remote(_)));
+    }
+
+    #[test]
+    fn ranges_that_overflow_are_refused_and_the_client_keeps_working() {
+        let (sim, server, client) = setup();
+        // The store does not start at address 0, so a wrapped range would
+        // land on real memory just before it.
+        server.alloc(4096).unwrap();
+        spawn_server(&server, 1024, TwoSidedCost::default()).unwrap();
+        let node = server.node();
+        let (read, write, after) = sim.block_on(async move {
+            let c = TwoSidedClient::connect(&client, node).await.unwrap();
+            let read = c.read(u64::MAX, 2).await;
+            let write = c.write(u64::MAX, b"x").await;
+            c.write(0, b"ok").await.unwrap();
+            (read, write, c.read(0, 2).await)
+        });
+        assert!(matches!(read, Err(RStoreError::Remote(_))), "{read:?}");
+        assert!(matches!(write, Err(RStoreError::Remote(_))), "{write:?}");
+        assert_eq!(after.unwrap(), b"ok");
+    }
+
+    #[test]
+    fn a_reply_too_long_for_the_buffer_is_an_error_not_a_hang() {
+        use rstore::rpc::RPC_BUF_BYTES;
+        let (sim, server, client) = setup();
+        spawn_server(&server, 16 << 20, TwoSidedCost::default()).unwrap();
+        let node = server.node();
+        let clock = sim.clone();
+        let (err, waited, after) = sim.block_on(async move {
+            let c = TwoSidedClient::connect(&client, node).await.unwrap();
+            let t0 = clock.now();
+            let err = c
+                .read(0, RPC_BUF_BYTES)
+                .await
+                .expect_err("reply outgrows the buffer");
+            let waited = clock.now().saturating_since(t0);
+            (err, waited, c.read(0, 4).await)
+        });
+        assert!(matches!(err, RStoreError::Protocol(_)), "{err:?}");
+        assert!(waited < RESPONSE_TIMEOUT / 10, "waited {waited:?}");
+        assert_eq!(after.unwrap(), [0; 4], "the connection still serves");
     }
 
     #[test]

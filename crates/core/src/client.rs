@@ -16,11 +16,12 @@ use sim::{Counter, EventSink, Recorder, Sim, SimTime, TimerId};
 
 use crate::error::{RStoreError, Result};
 use crate::proto::{
-    AllocOptions, ClusterReport, ClusterStats, CtrlReq, CtrlResp, RegionDesc, RegionState,
+    Alloc, AllocOptions, ClusterReport, ClusterStats, Drain, Free, Grow, Lookup, RegionDesc,
+    RegionState, Report, ReportCorruption, Stat,
 };
 use crate::region::Region;
 use crate::rpc::Channel;
-use crate::stats::ClientStats;
+use crate::stats::{ClientStats, CtrlOp};
 use crate::{CTRL_SERVICE, DATA_SERVICE};
 
 /// Per-client tuning: the KV hint cache and the control-call deadline. The
@@ -313,15 +314,9 @@ impl RStoreClient {
     /// [`RStoreError::NotEnoughServers`], [`RStoreError::Protocol`] for a zero
     /// size, stripe size or replica count, or transport errors.
     pub async fn alloc(&self, name: &str, size: u64, opts: AllocOptions) -> Result<Region> {
-        let req = CtrlReq::Alloc {
-            name: name.to_owned(),
-            size,
-            opts,
-        };
-        match self.ctrl_call(req).await? {
-            CtrlResp::Region(desc) => self.region_from_desc(desc).await,
-            _ => Err(RStoreError::Protocol("unexpected alloc response".into())),
-        }
+        let name = name.to_owned();
+        let desc = self.ctrl_call(Alloc { name, size, opts }).await?;
+        self.region_from_desc(desc).await
     }
 
     /// Maps an existing region by name.
@@ -364,15 +359,15 @@ impl RStoreClient {
     /// [`RStoreError::NotEnoughServers`], [`RStoreError::Protocol`] for a
     /// zero-sized grow, or transport errors.
     pub async fn grow(&self, name: &str, additional: u64, opts: AllocOptions) -> Result<Region> {
-        let req = CtrlReq::Grow {
-            name: name.to_owned(),
-            additional,
-            opts,
-        };
-        match self.ctrl_call(req).await? {
-            CtrlResp::Region(desc) => self.region_from_desc(desc).await,
-            _ => Err(RStoreError::Protocol("unexpected grow response".into())),
-        }
+        let name = name.to_owned();
+        let desc = self
+            .ctrl_call(Grow {
+                name,
+                additional,
+                opts,
+            })
+            .await?;
+        self.region_from_desc(desc).await
     }
 
     /// Fetches a region descriptor without establishing data connections.
@@ -382,10 +377,7 @@ impl RStoreClient {
     /// [`RStoreError::NotFound`] if the name is unknown, or transport errors.
     pub async fn lookup(&self, name: &str) -> Result<RegionDesc> {
         let name = name.to_owned();
-        match self.ctrl_call(CtrlReq::Lookup { name }).await? {
-            CtrlResp::Region(desc) => Ok(desc),
-            _ => Err(RStoreError::Protocol("unexpected lookup response".into())),
-        }
+        self.ctrl_call(Lookup { name }).await
     }
 
     /// Destroys a region, reclaiming server memory. Existing [`Region`]
@@ -396,10 +388,7 @@ impl RStoreClient {
     /// [`RStoreError::NotFound`] if the name is unknown, or transport errors.
     pub async fn free(&self, name: &str) -> Result<()> {
         let name = name.to_owned();
-        match self.ctrl_call(CtrlReq::Free { name }).await? {
-            CtrlResp::Ok => Ok(()),
-            _ => Err(RStoreError::Protocol("unexpected free response".into())),
-        }
+        self.ctrl_call(Free { name }).await
     }
 
     /// Cluster statistics from the master.
@@ -408,10 +397,7 @@ impl RStoreClient {
     ///
     /// Transport errors.
     pub async fn stats(&self) -> Result<ClusterStats> {
-        match self.ctrl_call(CtrlReq::Stat).await? {
-            CtrlResp::Stats(s) => Ok(s),
-            _ => Err(RStoreError::Protocol("unexpected stat response".into())),
-        }
+        self.ctrl_call(Stat {}).await
     }
 
     /// Full cluster introspection report from the master: per-server
@@ -422,12 +408,7 @@ impl RStoreClient {
     ///
     /// Transport errors.
     pub async fn cluster_stats(&self) -> Result<ClusterReport> {
-        match self.ctrl_call(CtrlReq::ClusterStats).await? {
-            CtrlResp::Report(r) => Ok(r),
-            _ => Err(RStoreError::Protocol(
-                "unexpected cluster stats response".into(),
-            )),
-        }
+        self.ctrl_call(Report {}).await
     }
 
     /// Gracefully drains a memory server: the master migrates every extent
@@ -443,10 +424,7 @@ impl RStoreClient {
     ///   stalled drain.
     /// * Transport errors.
     pub async fn drain(&self, node: NodeId) -> Result<(u64, u64)> {
-        match self.ctrl_call(CtrlReq::Drain { node: node.0 }).await? {
-            CtrlResp::Drained { extents, bytes } => Ok((extents, bytes)),
-            _ => Err(RStoreError::Protocol("unexpected drain response".into())),
-        }
+        self.ctrl_call(Drain { node: node.0 }).await
     }
 
     /// Tells the master that a stripe replica failed checksum verification,
@@ -459,26 +437,24 @@ impl RStoreClient {
         replica: u32,
         node: u32,
     ) -> Result<()> {
-        let req = CtrlReq::ReportCorruption {
-            name: name.to_owned(),
+        let name = name.to_owned();
+        self.ctrl_call(ReportCorruption {
+            name,
             group,
             replica,
             node,
-        };
-        match self.ctrl_call(req).await? {
-            CtrlResp::Ok => Ok(()),
-            _ => Err(RStoreError::Protocol("unexpected report response".into())),
-        }
+        })
+        .await
     }
 
-    /// One control RPC to the master. A remote error is the `Err` it
-    /// carries; the master's own answer is never `CtrlResp::Err`.
-    async fn ctrl_call(&self, req: CtrlReq) -> Result<CtrlResp> {
+    /// One control RPC to the master, answered with the request's reply or
+    /// the error the master answered with.
+    async fn ctrl_call<Q: CtrlOp>(&self, req: Q) -> Result<Q::Reply> {
         let s = &self.shared;
         let turn = s.ctrl.admit().await;
         // The span (and its latency histogram) cover the RPC itself, not
         // time queued behind this client's other control calls.
-        let span = s.stats.ctrl(&req).span(s.dev.node().0 as u64, 0);
+        let span = s.stats.ctrl::<Q>().span(s.dev.node().0 as u64, 0);
         let result = turn.call(&req).await;
         drop(turn);
         span.end();

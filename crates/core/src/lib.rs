@@ -45,9 +45,9 @@
 //! | [`client`] | control-path calls, connection cache, completion routing |
 //! | [`region`] | the memory-like data path: striped one-sided IO |
 //! | [`layout`] | stripe math |
-//! | [`proto`] | control-plane wire format: one field list per message, errors as values |
+//! | [`proto`] | control-plane wire format: one field list per message, one typed reply per request, errors as values |
 //! | [`crc`] | CRC32C used by checksummed stripes and the scrubber |
-//! | [`rpc`] | two-sided RPC, and the one channel every control call goes through |
+//! | [`rpc`] | two-sided RPC, and the one channel every call goes through |
 //! | [`cluster`] | one-call bootstrap for tests and benchmarks |
 //! | [`kv`] | a key-value facade over regions (one-sided GET, CAS-locked PUT) |
 

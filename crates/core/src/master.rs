@@ -21,8 +21,10 @@ use crate::client::DataQps;
 use crate::crc::verify_blocks;
 use crate::error::{RStoreError, Result};
 use crate::proto::{
-    extent_alloc_len, AllocOptions, ClusterReport, ClusterStats, CtrlReq, CtrlResp, Extent, Policy,
-    RegionDesc, RegionState, RegionStats, ServerStats, SrvReq, SrvResp, StripeGroup, Wire,
+    error_reply, extent_alloc_len, Alloc, AllocExtents, AllocOptions, ClusterReport, ClusterStats,
+    CtrlReq, Drain, Extent, Free, FreeExtents, Grow, Heartbeat, Lookup, Policy, RegionDesc,
+    RegionState, RegionStats, RegisterServer, Registration, Replicate, Report, ReportCorruption,
+    Request, ServerStats, SetAccess, Stat, StripeGroup, Wire,
 };
 use crate::rpc::{spawn_rpc_server, Channel};
 use crate::stats::MasterStats;
@@ -293,7 +295,12 @@ impl Master {
             master.cfg.rpc_cpu,
             Rc::new(move |_peer, req| {
                 let m = m.clone();
-                Box::pin(async move { m.handle(req).await.unwrap_or_else(CtrlResp::Err).encode() })
+                Box::pin(async move {
+                    match CtrlReq::decode(&req) {
+                        Ok(req) => m.handle(req).await,
+                        Err(e) => error_reply(e),
+                    }
+                })
             }),
         )?;
 
@@ -424,7 +431,7 @@ impl Master {
     }
 
     /// A local (non-RPC) snapshot of the full introspection report — the
-    /// same view [`CtrlReq::ClusterStats`] returns over the wire: per-server
+    /// same view [`Report`] returns over the wire: per-server
     /// capacity and liveness, per-region health (computed exactly like
     /// `Lookup`), and the corruption/repair counters at the current virtual
     /// time. Rows are ordered (node id, region name) so the report is
@@ -461,118 +468,125 @@ impl Master {
         }
     }
 
-    /// Serves one control request. An `Err` is sent back as the error reply.
-    async fn handle(&self, req: Vec<u8>) -> Result<CtrlResp> {
-        Ok(match CtrlReq::decode(&req)? {
-            CtrlReq::RegisterServer { node, capacity } => {
-                let now = self.sim.now();
-                let mut st = self.state.borrow_mut();
-                // A node whose row is missing (the master forgot it
-                // mid-flight, or restarted) may still be referenced by live
-                // descriptors: `used` is rebuilt from them, never restarted
-                // at zero, or the master would over-allocate. A node that
-                // re-registers after a control blip keeps its books.
-                if !st.servers.contains_key(&node) {
-                    let info = ServerInfo {
-                        capacity,
-                        used: desc_usage(&st).get(&node).copied().unwrap_or(0),
-                        pending: 0,
-                        last_hb: now,
-                        alive: true,
-                    };
-                    st.servers.insert(node, info);
-                }
-                let info = st.servers.get_mut(&node).expect("present or just inserted");
-                (info.capacity, info.last_hb, info.alive) = (capacity, now, true);
-                let retire = st.retired.get_mut(&node).map_or(Vec::new(), |r| {
-                    r.handed = r.extents.len();
-                    r.extents.clone()
-                });
-                CtrlResp::Registered {
-                    lease: self.cfg.lease,
-                    retire,
-                }
+    /// Serves one control request, answering with that request's reply.
+    async fn handle(&self, req: CtrlReq) -> Vec<u8> {
+        match req {
+            CtrlReq::RegisterServer(req) => RegisterServer::encode_reply(Ok(self.register(req))),
+            CtrlReq::Heartbeat(Heartbeat { node }) => Heartbeat::encode_reply(self.heartbeat(node)),
+            CtrlReq::Alloc(Alloc { name, size, opts }) => {
+                Alloc::encode_reply(self.alloc(name, size, opts).await)
             }
-            CtrlReq::Heartbeat { node } => {
-                let mut st = self.state.borrow_mut();
-                match st.servers.get_mut(&node) {
-                    // A node declared dead may have had extents replaced
-                    // under it: it gets its lease back only by registering,
-                    // which is where it learns what to free first.
-                    Some(info) if !info.alive => {
-                        let why = format!("lease of server {node} expired");
-                        return Err(RStoreError::Remote(why));
-                    }
-                    Some(info) => {
-                        info.last_hb = self.sim.now();
-                        // It heartbeats, so it acted on its registration
-                        // reply: what that reply carried is settled.
-                        if let Some(r) = st.retired.get_mut(&node) {
-                            r.extents.drain(..std::mem::take(&mut r.handed));
-                        }
-                        CtrlResp::Ok
-                    }
-                    None => return Err(RStoreError::Remote(format!("unknown server {node}"))),
-                }
-            }
-            CtrlReq::Alloc { name, size, opts } => {
-                CtrlResp::Region(self.alloc(name, size, opts).await?)
-            }
-            CtrlReq::Lookup { name } => {
-                let st = self.state.borrow();
-                let Some(desc) = st.regions.get(&name) else {
-                    return Err(RStoreError::NotFound(name));
-                };
-                CtrlResp::Region(RegionDesc {
-                    state: st.health(desc),
-                    ..desc.clone()
-                })
-            }
-            CtrlReq::Free { name } => {
-                self.free(name).await?;
-                CtrlResp::Ok
-            }
-            CtrlReq::Stat => CtrlResp::Stats(self.local_stats()),
-            CtrlReq::ClusterStats => CtrlResp::Report(self.local_report()),
-            CtrlReq::Grow {
+            CtrlReq::Lookup(Lookup { name }) => Lookup::encode_reply(self.lookup(name)),
+            CtrlReq::Free(Free { name }) => Free::encode_reply(self.free(name).await),
+            CtrlReq::Stat(_) => Stat::encode_reply(Ok(self.local_stats())),
+            CtrlReq::Report(_) => Report::encode_reply(Ok(self.local_report())),
+            CtrlReq::Grow(Grow {
                 name,
                 additional,
                 opts,
-            } => CtrlResp::Region(self.grow(name, additional, opts).await?),
-            CtrlReq::ReportCorruption {
-                name,
-                group,
-                replica,
-                node,
-            } => {
-                let mut st = self.state.borrow_mut();
-                let Some(desc) = st.regions.get(&name) else {
-                    return Err(RStoreError::NotFound(name));
-                };
-                // Only mark if the report still matches the descriptor — the
-                // replica may already have been repaired and swapped out.
-                let matches = desc.checksums
-                    && desc
-                        .groups
-                        .get(group as usize)
-                        .and_then(|g| g.replicas.get(replica as usize))
-                        .is_some_and(|x| x.node == node);
-                if matches
-                    && st
-                        .corrupt
-                        .entry(name.clone())
-                        .or_default()
-                        .insert((group as usize, replica as usize))
-                {
-                    self.mark_detected(group as u64, node as u64);
+            }) => Grow::encode_reply(self.grow(name, additional, opts).await),
+            CtrlReq::ReportCorruption(req) => {
+                ReportCorruption::encode_reply(self.report_corruption(req))
+            }
+            CtrlReq::Drain(Drain { node }) => Drain::encode_reply(self.drain(NodeId(node)).await),
+        }
+    }
+
+    /// A memory server (re-)registers: the terms it serves under, with what
+    /// it must free before it serves again.
+    fn register(&self, RegisterServer { node, capacity }: RegisterServer) -> Registration {
+        let now = self.sim.now();
+        let mut st = self.state.borrow_mut();
+        // A node whose row is missing (the master forgot it mid-flight, or
+        // restarted) may still be referenced by live descriptors: `used` is
+        // rebuilt from them, never restarted at zero, or the master would
+        // over-allocate. A node that re-registers after a control blip keeps
+        // its books.
+        if !st.servers.contains_key(&node) {
+            let info = ServerInfo {
+                capacity,
+                used: desc_usage(&st).get(&node).copied().unwrap_or(0),
+                pending: 0,
+                last_hb: now,
+                alive: true,
+            };
+            st.servers.insert(node, info);
+        }
+        let info = st.servers.get_mut(&node).expect("present or just inserted");
+        (info.capacity, info.last_hb, info.alive) = (capacity, now, true);
+        let retire = st.retired.get_mut(&node).map_or(Vec::new(), |r| {
+            r.handed = r.extents.len();
+            r.extents.clone()
+        });
+        Registration {
+            lease: self.cfg.lease,
+            retire,
+        }
+    }
+
+    /// A memory server's beat: renews its lease if it is a live server.
+    fn heartbeat(&self, node: u32) -> Result<()> {
+        let mut st = self.state.borrow_mut();
+        match st.servers.get_mut(&node) {
+            // A node declared dead may have had extents replaced under it:
+            // it gets its lease back only by registering, which is where it
+            // learns what to free first.
+            Some(info) if !info.alive => Err(RStoreError::Remote(format!(
+                "lease of server {node} expired"
+            ))),
+            Some(info) => {
+                info.last_hb = self.sim.now();
+                // It heartbeats, so it acted on its registration reply: what
+                // that reply carried is settled.
+                if let Some(r) = st.retired.get_mut(&node) {
+                    r.extents.drain(..std::mem::take(&mut r.handed));
                 }
-                CtrlResp::Ok
+                Ok(())
             }
-            CtrlReq::Drain { node } => {
-                let (extents, bytes) = self.drain(NodeId(node)).await?;
-                CtrlResp::Drained { extents, bytes }
-            }
+            None => Err(RStoreError::Remote(format!("unknown server {node}"))),
+        }
+    }
+
+    /// The descriptor of region `name`, with its health as of now.
+    fn lookup(&self, name: String) -> Result<RegionDesc> {
+        let st = self.state.borrow();
+        let desc = st.regions.get(&name).ok_or(RStoreError::NotFound(name))?;
+        Ok(RegionDesc {
+            state: st.health(desc),
+            ..desc.clone()
         })
+    }
+
+    /// Marks a replica a client found corrupt, if the report still matches
+    /// the descriptor — the replica may already have been repaired and
+    /// swapped out.
+    fn report_corruption(&self, req: ReportCorruption) -> Result<()> {
+        let ReportCorruption {
+            name,
+            group,
+            replica,
+            node,
+        } = req;
+        let mut st = self.state.borrow_mut();
+        let Some(desc) = st.regions.get(&name) else {
+            return Err(RStoreError::NotFound(name));
+        };
+        let matches = desc.checksums
+            && desc
+                .groups
+                .get(group as usize)
+                .and_then(|g| g.replicas.get(replica as usize))
+                .is_some_and(|x| x.node == node);
+        if matches
+            && st
+                .corrupt
+                .entry(name)
+                .or_default()
+                .insert((group as usize, replica as usize))
+        {
+            self.mark_detected(group as u64, node as u64);
+        }
+        Ok(())
     }
 
     /// Records a newly discovered corrupt replica: one count per distinct
@@ -810,24 +824,20 @@ impl Master {
         let mut granted: HashMap<(u32, u64), Vec<Extent>> = HashMap::new();
         let asked = async {
             for (&(node, len), &count) in &wanted {
-                let alloc = SrvReq::AllocExtents {
+                let alloc = AllocExtents {
                     count,
                     len,
                     synthetic: opts.synthetic,
                     checksums: ck,
                 };
-                match self.server_call(node, alloc).await? {
-                    SrvResp::Extents(v) if v.len() == count as usize => {
-                        let extent = |(addr, rkey, elen)| Extent {
-                            node,
-                            addr,
-                            rkey,
-                            len: elen,
-                        };
-                        granted.insert((node, len), v.into_iter().map(extent).collect());
-                    }
-                    _ => return Err(RStoreError::Protocol("bad server response".into())),
-                }
+                let extents = self.server_call(node, alloc).await?;
+                let extent = |(addr, rkey, elen)| Extent {
+                    node,
+                    addr,
+                    rkey,
+                    len: elen,
+                };
+                granted.insert((node, len), extents.into_iter().map(extent).collect());
             }
             Ok(())
         };
@@ -921,14 +931,14 @@ impl Master {
     /// freed now if it holds a lease and answers, otherwise remembered for
     /// its next registration reply.
     async fn retire(&self, node: u32, extents: &[Extent], ck: bool) {
-        let free = SrvReq::FreeExtents {
+        let free = FreeExtents {
             extents: extents
                 .iter()
                 .map(|x| (x.addr, extent_alloc_len(x.len, ck)))
                 .collect(),
         };
         let reachable = self.state.borrow().lapsed_since(node).is_none();
-        if !(reachable && matches!(self.server_call(node, free).await, Ok(SrvResp::Ok))) {
+        if !(reachable && self.server_call(node, free).await.is_ok()) {
             let mut st = self.state.borrow_mut();
             let list = &mut st.retired.entry(node).or_default().extents;
             list.extend(extents.iter().map(|x| (x.addr, x.rkey)));
@@ -1079,7 +1089,7 @@ impl Master {
             let Some((_, target)) = roomiest else {
                 return MoveOutcome::NoCapacity;
             };
-            let alloc = SrvReq::AllocExtents {
+            let alloc = AllocExtents {
                 count: 1,
                 len: old.len,
                 synthetic: st.synthetic.contains(name),
@@ -1094,28 +1104,26 @@ impl Master {
                 info.pending = info.pending.saturating_sub(phys);
             }
         };
-        let new = match self.server_call(target, alloc).await {
-            Ok(SrvResp::Extents(v)) if v.len() == 1 => Extent {
-                node: target,
-                addr: v[0].0,
-                rkey: v[0].1,
-                len: v[0].2,
-            },
-            _ => {
-                unreserve();
-                return MoveOutcome::Failed;
-            }
+        let Ok(&[(addr, rkey, len)]) = self.server_call(target, alloc).await.as_deref() else {
+            unreserve();
+            return MoveOutcome::Failed;
+        };
+        let new = Extent {
+            node: target,
+            addr,
+            rkey,
+            len,
         };
         let set_writable = |writable: bool| {
             let rkey = old.rkey;
-            self.server_call(old.node, SrvReq::SetAccess { rkey, writable })
+            self.server_call(old.node, SetAccess { rkey, writable })
         };
         let mut sealed = false;
         let failed = 'protocol: {
             // From here until the swap (or the rollback), writers to `old`
             // bounce.
             if lapsed.is_none() {
-                if !matches!(set_writable(false).await, Ok(SrvResp::Ok)) {
+                if set_writable(false).await.is_err() {
                     break 'protocol Some(MoveOutcome::Failed);
                 }
                 sealed = true;
@@ -1124,14 +1132,14 @@ impl Master {
             // Point-in-time copy over the data path: the target pulls the
             // stripe (trailer included — it must travel with the data) with
             // a one-sided READ; the master only orchestrates.
-            let copy = SrvReq::Replicate {
+            let copy = Replicate {
                 src_node: src.node,
                 src_addr: src.addr,
                 src_rkey: src.rkey,
                 dst_addr: new.addr,
                 len: phys,
             };
-            if !matches!(self.server_call(target, copy).await, Ok(SrvResp::Ok)) {
+            if self.server_call(target, copy).await.is_err() {
                 break 'protocol Some(MoveOutcome::Failed);
             }
             // Atomic descriptor swap, guarded against the region changing
@@ -1462,7 +1470,7 @@ impl Master {
     }
 
     /// RPC to memory server `node` through its [`Channel`].
-    async fn server_call(&self, node: u32, req: SrvReq) -> Result<SrvResp> {
+    async fn server_call<Q: Request>(&self, node: u32, req: Q) -> Result<Q::Reply> {
         let channel = {
             let mut st = self.state.borrow_mut();
             let fresh = || {

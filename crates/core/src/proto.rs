@@ -7,16 +7,19 @@
 //! format is an output: a field added to a request moves control-path
 //! latencies.
 //!
-//! Everything on the wire is [`Wire`]. The field types — integers, `bool`,
-//! `String`, `Duration`, lists, pairs and triples — are coded by hand, once
-//! each. A message's wire form is one declaration listing its fields in
-//! wire order (`wire_struct!`, or `wire_enum!` with a tag byte per
-//! variant), and both its encoder and its decoder are generated from that
-//! list, so a layout is written down exactly once. A counted list reserves
-//! nothing from a count it has not seen the elements of.
+//! Everything on the wire is [`Wire`]. The field types — numbers, `bool`,
+//! `()`, `String`, `Duration`, lists, pairs, triples and `Result` — are coded
+//! by hand, once each. A message's wire form is one declaration listing its
+//! fields in wire order (`wire_struct!`, or
+//! [`wire_requests!`](crate::wire_requests) for a service's requests), and
+//! both its encoder and its decoder are generated from that list, so a
+//! layout is written down exactly once. A counted list reserves nothing from
+//! a count it has not seen the elements of.
 //!
-//! An error reply carries an [`RStoreError`] as a value (a tag and the
-//! variant's fields), never its message.
+//! Every request is a type of its own whose [`Request`] impl names the one
+//! reply it is answered with. A reply crosses the wire as `Result<Reply>`:
+//! tag 0 and the value, or tag 1 and an [`RStoreError`] as a value (a tag
+//! and the variant's fields), never its message.
 
 use std::time::Duration;
 
@@ -55,6 +58,21 @@ pub trait Wire: Sized {
     ///
     /// [`RStoreError::Protocol`] on malformed input.
     fn take(d: &mut Dec<'_>) -> Result<Self>;
+
+    /// Appends the elements of a list: one at a time, unless the type has a
+    /// bulk form (bytes do).
+    fn put_list(xs: &[Self], out: &mut Vec<u8>) {
+        xs.iter().for_each(|x| x.put(out));
+    }
+
+    /// Reads the `n` elements of a list.
+    ///
+    /// # Errors
+    ///
+    /// [`RStoreError::Protocol`] on malformed input.
+    fn take_list(d: &mut Dec<'_>, n: usize) -> Result<Vec<Self>> {
+        (0..n).map(|_| Self::take(d)).collect()
+    }
 
     /// Encodes `self` as one message.
     fn encode(&self) -> Vec<u8> {
@@ -100,8 +118,8 @@ impl<'a> Dec<'a> {
     }
 }
 
-/// Little-endian integers.
-macro_rules! wire_int {
+/// Little-endian numbers.
+macro_rules! wire_num {
     ($($t:ty),*) => {$(
         impl Wire for $t {
             fn put(&self, out: &mut Vec<u8>) {
@@ -116,7 +134,26 @@ macro_rules! wire_int {
     )*};
 }
 
-wire_int!(u8, u32, u64);
+wire_num!(u32, u64, f64);
+
+/// One byte. A list of bytes is copied in bulk.
+impl Wire for u8 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(*self);
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        Ok(d.bytes(1)?[0])
+    }
+
+    fn put_list(xs: &[u8], out: &mut Vec<u8>) {
+        out.extend_from_slice(xs);
+    }
+
+    fn take_list(d: &mut Dec<'_>, n: usize) -> Result<Vec<u8>> {
+        Ok(d.bytes(n)?.to_vec())
+    }
+}
 
 /// One byte; anything but 0 reads as `true`.
 impl Wire for bool {
@@ -129,6 +166,15 @@ impl Wire for bool {
     }
 }
 
+/// Nothing: the reply of a request that can only succeed or fail.
+impl Wire for () {
+    fn put(&self, _: &mut Vec<u8>) {}
+
+    fn take(_: &mut Dec<'_>) -> Result<Self> {
+        Ok(())
+    }
+}
+
 /// A `u32` byte length, then the UTF-8 bytes.
 impl Wire for String {
     fn put(&self, out: &mut Vec<u8>) {
@@ -137,8 +183,7 @@ impl Wire for String {
     }
 
     fn take(d: &mut Dec<'_>) -> Result<Self> {
-        let n = u32::take(d)? as usize;
-        String::from_utf8(d.bytes(n)?.to_vec())
+        String::from_utf8(Vec::take(d)?)
             .map_err(|_| RStoreError::Protocol("invalid utf-8 in string".into()))
     }
 }
@@ -161,13 +206,12 @@ impl Wire for Duration {
 impl<T: Wire> Wire for Vec<T> {
     fn put(&self, out: &mut Vec<u8>) {
         (self.len() as u32).put(out);
-        for x in self {
-            x.put(out);
-        }
+        T::put_list(self, out);
     }
 
     fn take(d: &mut Dec<'_>) -> Result<Self> {
-        (0..u32::take(d)?).map(|_| T::take(d)).collect()
+        let n = u32::take(d)? as usize;
+        T::take_list(d, n)
     }
 }
 
@@ -209,40 +253,97 @@ macro_rules! wire_struct {
     };
 }
 
-/// Declares an enum's wire form: per variant, its tag byte, then its fields
-/// in wire order — `{ named, fields }`, `(one)` for a one-field tuple
-/// variant, or nothing.
+/// Declares a fieldless enum's wire form: a tag byte per variant.
 macro_rules! wire_enum {
-    ($t:ident { $($tag:literal => $v:ident $(($x:ident))? $({ $($f:ident),* })?),* $(,)? }) => {
+    ($t:ident { $($tag:literal => $v:ident),* $(,)? }) => {
         impl Wire for $t {
             fn put(&self, out: &mut Vec<u8>) {
-                match self {
-                    $($t::$v $(($x))? $({ $($f),* })? => {
-                        out.push($tag);
-                        $($x.put(out);)?
-                        $($($f.put(out);)*)?
-                    })*
-                }
+                out.push(match self {
+                    $($t::$v => $tag,)*
+                });
             }
 
             fn take(d: &mut Dec<'_>) -> Result<Self> {
                 Ok(match u8::take(d)? {
-                    $($tag => {
-                        $(let $x = Wire::take(d)?;)?
-                        $($(let $f = Wire::take(d)?;)*)?
-                        $t::$v $(($x))? $({ $($f),* })?
-                    })*
-                    t => {
-                        let msg = format!("bad {} tag {t}", stringify!($t));
-                        return Err(RStoreError::Protocol(msg));
-                    }
+                    $($tag => $t::$v,)*
+                    t => return Err(bad_tag(stringify!($t), t)),
                 })
             }
         }
     };
 }
 
-// --- errors -------------------------------------------------------------------
+/// Declares a service's requests and the enum the service decodes them as.
+/// Per request: its tag byte, its fields in wire order and its exact reply.
+/// A request is a struct of its own; it crosses the wire as its tag, then its
+/// fields, whether it is sent alone or read back as the enum's variant of the
+/// same name, which holds it.
+#[macro_export]
+macro_rules! wire_requests {
+    (
+        $(#[$m:meta])*
+        $vis:vis enum $t:ident {$(
+            $(#[$vm:meta])*
+            $tag:literal => $v:ident { $($(#[$fm:meta])* $f:ident: $ft:ty),* $(,)? } -> $reply:ty
+        ),* $(,)?}
+    ) => {
+        $(
+            $(#[$vm])*
+            #[derive(Clone, PartialEq, Eq, Debug)]
+            $vis struct $v {
+                $($(#[$fm])* pub $f: $ft,)*
+            }
+
+            impl $crate::proto::Wire for $v {
+                fn put(&self, out: &mut Vec<u8>) {
+                    out.push($tag);
+                    $($crate::proto::Wire::put(&self.$f, out);)*
+                }
+
+                fn take(d: &mut $crate::proto::Dec<'_>) -> $crate::Result<Self> {
+                    match <u8 as $crate::proto::Wire>::take(d)? {
+                        $tag => Ok($v { $($f: $crate::proto::Wire::take(d)?),* }),
+                        t => Err($crate::proto::bad_tag(stringify!($v), t)),
+                    }
+                }
+            }
+
+            impl $crate::proto::Request for $v {
+                type Reply = $reply;
+            }
+        )*
+
+        $(#[$m])*
+        #[derive(Clone, PartialEq, Eq, Debug)]
+        $vis enum $t {
+            $(#[doc = concat!("A [`", stringify!($v), "`].")]
+            $v($v),)*
+        }
+
+        impl $crate::proto::Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($t::$v(req) => $crate::proto::Wire::put(req, out),)*
+                }
+            }
+
+            fn take(d: &mut $crate::proto::Dec<'_>) -> $crate::Result<Self> {
+                Ok(match <u8 as $crate::proto::Wire>::take(d)? {
+                    $($tag => $t::$v($v { $($f: $crate::proto::Wire::take(d)?),* }),)*
+                    t => return Err($crate::proto::bad_tag(stringify!($t), t)),
+                })
+            }
+        }
+    };
+}
+
+/// The error a decoder meets at tag `t`, which no variant of `what` has.
+#[doc(hidden)]
+pub fn bad_tag(what: &str, t: u8) -> RStoreError {
+    RStoreError::Protocol(format!("bad {what} tag {t}"))
+}
+
+// --- errors and replies ---------------------------------------------------------
 
 /// Appends `tag` for a variant's fields to follow.
 fn tagged(out: &mut Vec<u8>, tag: u8) -> &mut Vec<u8> {
@@ -250,7 +351,7 @@ fn tagged(out: &mut Vec<u8>, tag: u8) -> &mut Vec<u8> {
     out
 }
 
-/// The wire form of an error reply: a tag, then the variant's fields. The
+/// The wire form of an error: a tag, then the variant's fields. The
 /// variants a master or memory server constructs on purpose cross as
 /// themselves. The rest describe the side that observed them — its own
 /// transport (`Rdma`, `Io`), its own view of a region (`Degraded`,
@@ -294,23 +395,57 @@ impl Wire for RStoreError {
             }
             4 => RStoreError::Protocol(Wire::take(d)?),
             5 => RStoreError::Remote(Wire::take(d)?),
-            t => return Err(RStoreError::Protocol(format!("bad error tag {t}"))),
+            t => return Err(bad_tag("error", t)),
         })
     }
 }
 
-/// A control-plane request: what [`Channel`](crate::rpc::Channel) sends and
-/// how the answer to it is read.
+/// A reply: tag 0 and the value, or tag 1 and the error the request failed
+/// with. The error form is the same bytes whatever the value's type.
+impl<T: Wire> Wire for Result<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Ok(v) => v.put(tagged(out, 0)),
+            Err(e) => e.put(tagged(out, 1)),
+        }
+    }
+
+    fn take(d: &mut Dec<'_>) -> Result<Self> {
+        match u8::take(d)? {
+            0 => T::take(d).map(Ok),
+            1 => RStoreError::take(d).map(Err),
+            t => Err(bad_tag("reply", t)),
+        }
+    }
+}
+
+/// A request: what [`Channel`](crate::rpc::Channel) sends, and the one type
+/// a peer answers it with.
 pub trait Request: Wire {
-    /// The reply a peer answers with when it does not answer with an error.
-    type Reply;
+    /// The answer to a request of this type that succeeded.
+    type Reply: Wire;
+
+    /// Encodes a handler's answer: the reply, or the error the request
+    /// failed with.
+    fn encode_reply(answer: Result<Self::Reply>) -> Vec<u8> {
+        answer.encode()
+    }
 
     /// Decodes the answer. An error reply is the `Err` it carries.
     ///
     /// # Errors
     ///
     /// The peer's error, or [`RStoreError::Protocol`] on malformed input.
-    fn decode_reply(buf: &[u8]) -> Result<Self::Reply>;
+    fn decode_reply(buf: &[u8]) -> Result<Self::Reply> {
+        Result::<Self::Reply>::decode(buf)?
+    }
+}
+
+/// The error reply, which reads the same whatever was asked: what a service
+/// answers a request that does not decode, or one whose reply outgrows the
+/// RPC buffer.
+pub fn error_reply(e: RStoreError) -> Vec<u8> {
+    Result::<()>::Err(e).encode()
 }
 
 // --- region descriptors -----------------------------------------------------
@@ -445,106 +580,101 @@ impl Default for AllocOptions {
 
 // --- client/master control messages ------------------------------------------
 
-/// Requests a client or memory server sends to the master.
+/// The reply to [`RegisterServer`]: the terms the server serves under from
+/// now on.
 #[derive(Clone, PartialEq, Eq, Debug)]
-pub enum CtrlReq {
-    /// A memory server announces itself and its donated capacity.
-    RegisterServer {
-        /// Fabric node of the server.
-        node: u32,
-        /// Donated bytes.
-        capacity: u64,
-    },
-    /// Periodic liveness beacon from a memory server; an acknowledged one
-    /// renews its lease. Answered with [`CtrlResp::Err`] once the master has
-    /// declared the server dead — or forgotten it — which sends the server
-    /// back to [`CtrlReq::RegisterServer`].
-    Heartbeat {
-        /// Fabric node of the server.
-        node: u32,
-    },
-    /// Allocate a named region.
-    Alloc {
-        /// Region name (must be fresh).
-        name: String,
-        /// Logical size in bytes.
-        size: u64,
-        /// Allocation options.
-        opts: AllocOptions,
-    },
-    /// Fetch the descriptor of an existing region.
-    Lookup {
-        /// Region name.
-        name: String,
-    },
-    /// Destroy a region and reclaim its memory.
-    Free {
-        /// Region name.
-        name: String,
-    },
-    /// Cluster statistics (for tooling and tests).
-    Stat,
-    /// Extend an existing region by `additional` bytes (new stripes are
-    /// appended; existing data and descriptors remain valid).
-    Grow {
-        /// Region name.
-        name: String,
-        /// Bytes to append.
-        additional: u64,
-        /// Placement options for the new stripes (stripe size is taken from
-        /// the existing region, not from here).
-        opts: AllocOptions,
-    },
-    /// A client's verified READ caught a checksum mismatch on one replica:
-    /// tell the master so repair can re-replicate the damaged extent.
-    ReportCorruption {
-        /// Region name.
-        name: String,
-        /// Stripe-group index of the bad extent.
-        group: u32,
-        /// Replica index within the group.
-        replica: u32,
-        /// Node the client observed the bad bytes on (validated against the
-        /// descriptor before the mark is accepted).
-        node: u32,
-    },
-    /// Live cluster introspection: per-server capacity and liveness,
-    /// per-region health, and corruption/repair counts as of the current
-    /// virtual time. Answered with [`CtrlResp::Report`]; the flat
-    /// [`CtrlReq::Stat`] totals remain for cheap checks.
-    ClusterStats,
-    /// Gracefully drain a memory server: migrate every extent it hosts onto
-    /// other servers, then deregister it. Answered with
-    /// [`CtrlResp::Drained`] on success or [`CtrlResp::Err`] (structured
-    /// `InsufficientCapacity`) when the remaining cluster cannot absorb the
-    /// data.
-    Drain {
-        /// Fabric node of the server to drain.
-        node: u32,
-    },
+pub struct Registration {
+    /// How long one acknowledged beat keeps the server's extents remotely
+    /// accessible, counted from when the server *sent* it. A server that
+    /// lets this pass unrenewed must revoke all remote access itself: the
+    /// master may by then be replacing its extents.
+    pub lease: Duration,
+    /// `(addr, rkey)` of extents the master replaced or freed while it could
+    /// not reach the server. The server frees these before it restores any
+    /// access.
+    pub retire: Vec<(u64, u64)>,
 }
 
-wire_enum!(CtrlReq {
-    0 => RegisterServer { node, capacity },
-    1 => Heartbeat { node },
-    2 => Alloc { name, size, opts },
-    3 => Lookup { name },
-    4 => Free { name },
-    5 => Stat,
-    6 => Grow { name, additional, opts },
-    7 => ReportCorruption { name, group, replica, node },
-    8 => ClusterStats,
-    9 => Drain { node },
-});
+wire_struct!(Registration: lease, retire);
 
-impl Request for CtrlReq {
-    type Reply = CtrlResp;
-
-    fn decode_reply(buf: &[u8]) -> Result<CtrlResp> {
-        match CtrlResp::decode(buf)? {
-            CtrlResp::Err(e) => Err(e),
-            reply => Ok(reply),
-        }
+wire_requests! {
+    /// Requests a client or memory server sends to the master, as the master
+    /// decodes them.
+    pub enum CtrlReq {
+        /// A memory server announces itself and its donated capacity.
+        0 => RegisterServer {
+            /// Fabric node of the server.
+            node: u32,
+            /// Donated bytes.
+            capacity: u64,
+        } -> Registration,
+        /// Periodic liveness beacon from a memory server; an acknowledged
+        /// one renews its lease. Answered with an error once the master has
+        /// declared the server dead — or forgotten it — which sends the
+        /// server back to [`RegisterServer`].
+        1 => Heartbeat {
+            /// Fabric node of the server.
+            node: u32,
+        } -> (),
+        /// Allocate a named region.
+        2 => Alloc {
+            /// Region name (must be fresh).
+            name: String,
+            /// Logical size in bytes.
+            size: u64,
+            /// Allocation options.
+            opts: AllocOptions,
+        } -> RegionDesc,
+        /// Fetch the descriptor of an existing region.
+        3 => Lookup {
+            /// Region name.
+            name: String,
+        } -> RegionDesc,
+        /// Destroy a region and reclaim its memory.
+        4 => Free {
+            /// Region name.
+            name: String,
+        } -> (),
+        /// Cluster statistics (for tooling and tests).
+        5 => Stat {} -> ClusterStats,
+        /// Extend an existing region by `additional` bytes (new stripes are
+        /// appended; existing data and descriptors remain valid).
+        6 => Grow {
+            /// Region name.
+            name: String,
+            /// Bytes to append.
+            additional: u64,
+            /// Placement options for the new stripes (stripe size is taken
+            /// from the existing region, not from here).
+            opts: AllocOptions,
+        } -> RegionDesc,
+        /// A client's verified READ caught a checksum mismatch on one
+        /// replica: tell the master so repair can re-replicate the damaged
+        /// extent.
+        7 => ReportCorruption {
+            /// Region name.
+            name: String,
+            /// Stripe-group index of the bad extent.
+            group: u32,
+            /// Replica index within the group.
+            replica: u32,
+            /// Node the client observed the bad bytes on (validated against
+            /// the descriptor before the mark is accepted).
+            node: u32,
+        } -> (),
+        /// Live cluster introspection: per-server capacity and liveness,
+        /// per-region health, and corruption/repair counts as of the current
+        /// virtual time. The flat [`Stat`] totals remain for cheap checks.
+        8 => Report {} -> ClusterReport,
+        /// Gracefully drain a memory server: migrate every extent it hosts
+        /// onto other servers, then deregister it. Answered with
+        /// `(extents, bytes)` migrated off it, or with a structured
+        /// `InsufficientCapacity` when the remaining cluster cannot absorb
+        /// the data.
+        9 => Drain {
+            /// Fabric node of the server to drain.
+            node: u32,
+        } -> (u64, u64),
     }
 }
 
@@ -598,10 +728,9 @@ pub struct RegionStats {
 
 wire_struct!(RegionStats: name, size, state, corrupt_extents);
 
-/// Full cluster introspection report, answered to
-/// [`CtrlReq::ClusterStats`]: a live view of per-server capacity, per-region
-/// health, and the master's corruption/repair counters at the current
-/// virtual time.
+/// Full cluster introspection report, the reply to [`Report`]: a live view
+/// of per-server capacity, per-region health, and the master's
+/// corruption/repair counters at the current virtual time.
 #[derive(Clone, PartialEq, Eq, Debug, Default)]
 pub struct ClusterReport {
     /// One row per registered server, ordered by node id.
@@ -618,141 +747,63 @@ pub struct ClusterReport {
 
 wire_struct!(ClusterReport: servers, regions, corruption_detected, repaired_extents, scrub_passes);
 
-/// Master responses.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum CtrlResp {
-    /// Success without a payload.
-    Ok,
-    /// Application-level failure, as a value: see
-    /// [`Request::decode_reply`].
-    Err(RStoreError),
-    /// A region descriptor (for `Alloc` / `Lookup`).
-    Region(RegionDesc),
-    /// Statistics (for `Stat`).
-    Stats(ClusterStats),
-    /// Full introspection report (for `ClusterStats`).
-    Report(ClusterReport),
-    /// A [`CtrlReq::Drain`] completed: how much data was migrated off the
-    /// drained server.
-    Drained {
-        /// Extents migrated away.
-        extents: u64,
-        /// Physical bytes migrated away.
-        bytes: u64,
-    },
-    /// A [`CtrlReq::RegisterServer`] was accepted: the terms the server
-    /// serves under from now on.
-    Registered {
-        /// How long one acknowledged beat keeps the server's extents
-        /// remotely accessible, counted from when the server *sent* it. A
-        /// server that lets this pass unrenewed must revoke all remote
-        /// access itself: the master may by then be replacing its extents.
-        lease: Duration,
-        /// `(addr, rkey)` of extents the master replaced or freed while it
-        /// could not reach the server. The server frees these before it
-        /// restores any access.
-        retire: Vec<(u64, u64)>,
-    },
-}
-
-wire_enum!(CtrlResp {
-    0 => Ok,
-    1 => Err(e),
-    2 => Region(desc),
-    3 => Stats(s),
-    4 => Report(r),
-    5 => Drained { extents, bytes },
-    6 => Registered { lease, retire },
-});
-
 // --- master/server control messages -------------------------------------------
 
-/// Requests the master sends to a memory server.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SrvReq {
-    /// Allocate and register `count` extents of `len` bytes each.
-    AllocExtents {
-        /// Number of extents.
-        count: u32,
-        /// Logical bytes per extent (the physical allocation is
-        /// [`extent_alloc_len`] when `checksums` is set).
-        len: u64,
-        /// Synthetic (unbacked) allocation for fluid-mode regions.
-        synthetic: bool,
-        /// Append a checksum trailer, initialized to the CRCs of the
-        /// zero-filled blocks so never-written stripes verify clean.
-        checksums: bool,
-    },
-    /// Free previously allocated extents by start address.
-    FreeExtents {
-        /// `(addr, len)` pairs, where `len` is the *physical* allocation
-        /// length ([`extent_alloc_len`] of the granted logical length).
-        extents: Vec<(u64, u64)>,
-    },
-    /// Pull a remote extent into a local one over the data path (the copy
-    /// step of an extent move): the receiving server issues a one-sided READ
-    /// from `src_node` into `dst_addr`.
-    Replicate {
-        /// Fabric node of the server holding the extent to copy.
-        src_node: u32,
-        /// Source extent start address.
-        src_addr: u64,
-        /// rkey authorizing the read of the source extent.
-        src_rkey: u64,
-        /// Destination extent start address on the receiving server.
-        dst_addr: u64,
-        /// Bytes to copy.
-        len: u64,
-    },
-    /// Change the remote rights on a registered extent without invalidating
-    /// its rkey. An extent move seals the extent it replaces read-only
-    /// (`writable: false`) before the copy so no client WRITE/CAS can be
-    /// acknowledged on it between the point-in-time copy and the descriptor
-    /// swap — sealed writers fault with `RemoteAccess`, refresh the
-    /// descriptor, and retry on the new replica set. `writable: true`
-    /// restores full rights (rollback path).
-    SetAccess {
-        /// rkey of the extent's registration.
-        rkey: u64,
-        /// `false` seals to read-only; `true` restores read/write/atomic.
-        writable: bool,
-    },
-}
-
-wire_enum!(SrvReq {
-    0 => AllocExtents { count, len, synthetic, checksums },
-    1 => FreeExtents { extents },
-    2 => Replicate { src_node, src_addr, src_rkey, dst_addr, len },
-    3 => SetAccess { rkey, writable },
-});
-
-impl Request for SrvReq {
-    type Reply = SrvResp;
-
-    fn decode_reply(buf: &[u8]) -> Result<SrvResp> {
-        match SrvResp::decode(buf)? {
-            SrvResp::Err(e) => Err(e),
-            reply => Ok(reply),
-        }
+wire_requests! {
+    /// Requests the master sends to a memory server, as the server decodes
+    /// them.
+    pub enum SrvReq {
+        /// Allocate and register `count` extents of `len` bytes each.
+        /// Answered with `(addr, rkey, len)` per extent.
+        0 => AllocExtents {
+            /// Number of extents.
+            count: u32,
+            /// Logical bytes per extent (the physical allocation is
+            /// [`extent_alloc_len`] when `checksums` is set).
+            len: u64,
+            /// Synthetic (unbacked) allocation for fluid-mode regions.
+            synthetic: bool,
+            /// Append a checksum trailer, initialized to the CRCs of the
+            /// zero-filled blocks so never-written stripes verify clean.
+            checksums: bool,
+        } -> Vec<(u64, u64, u64)>,
+        /// Free previously allocated extents by start address.
+        1 => FreeExtents {
+            /// `(addr, len)` pairs, where `len` is the *physical* allocation
+            /// length ([`extent_alloc_len`] of the granted logical length).
+            extents: Vec<(u64, u64)>,
+        } -> (),
+        /// Pull a remote extent into a local one over the data path (the
+        /// copy step of an extent move): the receiving server issues a
+        /// one-sided READ from `src_node` into `dst_addr`.
+        2 => Replicate {
+            /// Fabric node of the server holding the extent to copy.
+            src_node: u32,
+            /// Source extent start address.
+            src_addr: u64,
+            /// rkey authorizing the read of the source extent.
+            src_rkey: u64,
+            /// Destination extent start address on the receiving server.
+            dst_addr: u64,
+            /// Bytes to copy.
+            len: u64,
+        } -> (),
+        /// Change the remote rights on a registered extent without
+        /// invalidating its rkey. An extent move seals the extent it
+        /// replaces read-only (`writable: false`) before the copy so no
+        /// client WRITE/CAS can be acknowledged on it between the
+        /// point-in-time copy and the descriptor swap — sealed writers fault
+        /// with `RemoteAccess`, refresh the descriptor, and retry on the new
+        /// replica set. `writable: true` restores full rights (rollback
+        /// path).
+        3 => SetAccess {
+            /// rkey of the extent's registration.
+            rkey: u64,
+            /// `false` seals to read-only; `true` restores read/write/atomic.
+            writable: bool,
+        } -> (),
     }
 }
-
-/// Memory-server responses to the master.
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SrvResp {
-    /// Allocated extents: `(addr, rkey, len)` per extent.
-    Extents(Vec<(u64, u64, u64)>),
-    /// Success without a payload.
-    Ok,
-    /// Failure, as a value: see [`Request::decode_reply`].
-    Err(RStoreError),
-}
-
-wire_enum!(SrvResp {
-    0 => Extents(extents),
-    1 => Ok,
-    2 => Err(e),
-});
 
 #[cfg(test)]
 mod tests {
@@ -794,8 +845,44 @@ mod tests {
         }
     }
 
-    /// One instance of every variant of the four messages, every wire error
-    /// and every error folded to `Remote`, encoded.
+    fn report() -> ClusterReport {
+        ClusterReport {
+            servers: vec![
+                ServerStats {
+                    node: 1,
+                    capacity: 1 << 30,
+                    used: 4096,
+                    alive: true,
+                },
+                ServerStats {
+                    node: 2,
+                    capacity: 1 << 30,
+                    used: 0,
+                    alive: false,
+                },
+            ],
+            regions: vec![
+                RegionStats {
+                    name: "régión/名".into(),
+                    size: 1 << 20,
+                    state: RegionState::Healthy,
+                    corrupt_extents: 0,
+                },
+                RegionStats {
+                    name: "c".into(),
+                    size: 4096,
+                    state: RegionState::Degraded,
+                    corrupt_extents: 2,
+                },
+            ],
+            corruption_detected: 5,
+            repaired_extents: 3,
+            scrub_passes: 7,
+        }
+    }
+
+    /// One instance of every request, of every reply type, of every wire
+    /// error and of every error folded to `Remote`, encoded as it is sent.
     fn corpus() -> Vec<Vec<u8>> {
         let opts = AllocOptions {
             stripe_size: 1024,
@@ -811,109 +898,69 @@ mod tests {
         };
         let name = || String::from("régión/名");
         let mut out = vec![
-            CtrlReq::RegisterServer {
+            RegisterServer {
                 node: 4,
                 capacity: 1 << 30,
             }
             .encode(),
-            CtrlReq::Heartbeat { node: 4 }.encode(),
-            CtrlReq::Alloc {
+            Heartbeat { node: 4 }.encode(),
+            Alloc {
                 name: "a/b".into(),
                 size: 4096,
                 opts,
             }
             .encode(),
-            CtrlReq::Lookup { name: name() }.encode(),
-            CtrlReq::Free { name: "y".into() }.encode(),
-            CtrlReq::Stat.encode(),
-            CtrlReq::Grow {
+            Lookup { name: name() }.encode(),
+            Free { name: "y".into() }.encode(),
+            Stat {}.encode(),
+            Grow {
                 name: "g".into(),
                 additional: 1 << 20,
                 opts: grow,
             }
             .encode(),
-            CtrlReq::ReportCorruption {
+            ReportCorruption {
                 name: "bad".into(),
                 group: 3,
                 replica: 1,
                 node: 9,
             }
             .encode(),
-            CtrlReq::ClusterStats.encode(),
-            CtrlReq::Drain { node: 11 }.encode(),
-            CtrlResp::Ok.encode(),
-            CtrlResp::Region(desc()).encode(),
-            CtrlResp::Region(RegionDesc {
+            Report {}.encode(),
+            Drain { node: 11 }.encode(),
+            Free::encode_reply(Ok(())),
+            Alloc::encode_reply(Ok(desc())),
+            Lookup::encode_reply(Ok(RegionDesc {
                 state: RegionState::Degraded,
                 checksums: false,
                 groups: vec![],
                 ..desc()
-            })
-            .encode(),
-            CtrlResp::Stats(ClusterStats {
+            })),
+            Stat::encode_reply(Ok(ClusterStats {
                 servers: 12,
                 regions: 3,
                 capacity: 1 << 40,
                 used: 123,
                 consistent: true,
-            })
-            .encode(),
-            CtrlResp::Report(ClusterReport {
-                servers: vec![
-                    ServerStats {
-                        node: 1,
-                        capacity: 1 << 30,
-                        used: 4096,
-                        alive: true,
-                    },
-                    ServerStats {
-                        node: 2,
-                        capacity: 1 << 30,
-                        used: 0,
-                        alive: false,
-                    },
-                ],
-                regions: vec![
-                    RegionStats {
-                        name: name(),
-                        size: 1 << 20,
-                        state: RegionState::Healthy,
-                        corrupt_extents: 0,
-                    },
-                    RegionStats {
-                        name: "c".into(),
-                        size: 4096,
-                        state: RegionState::Degraded,
-                        corrupt_extents: 2,
-                    },
-                ],
-                corruption_detected: 5,
-                repaired_extents: 3,
-                scrub_passes: 7,
-            })
-            .encode(),
-            CtrlResp::Drained {
-                extents: 42,
-                bytes: 1 << 33,
-            }
-            .encode(),
-            CtrlResp::Registered {
+            })),
+            Report::encode_reply(Ok(report())),
+            Drain::encode_reply(Ok((42, 1 << 33))),
+            RegisterServer::encode_reply(Ok(Registration {
                 lease: Duration::from_millis(50),
                 retire: vec![(0x1000, 7), (0x9000, 12)],
-            }
-            .encode(),
-            SrvReq::AllocExtents {
+            })),
+            AllocExtents {
                 count: 5,
                 len: 1 << 20,
                 synthetic: false,
                 checksums: true,
             }
             .encode(),
-            SrvReq::FreeExtents {
+            FreeExtents {
                 extents: vec![(1, 2), (3, 4)],
             }
             .encode(),
-            SrvReq::Replicate {
+            Replicate {
                 src_node: 3,
                 src_addr: 0x1000,
                 src_rkey: 0xfeed,
@@ -921,15 +968,15 @@ mod tests {
                 len: 1 << 16,
             }
             .encode(),
-            SrvReq::SetAccess {
+            SetAccess {
                 rkey: 0xbeef,
                 writable: true,
             }
             .encode(),
-            SrvResp::Extents(vec![(1, 2, 3), (4, 5, 6)]).encode(),
-            SrvResp::Ok.encode(),
-            SrvResp::Err(RStoreError::NotFound(name())).encode(),
-            SrvResp::Err(RStoreError::Io(rdma::CqStatus::Flushed)).encode(),
+            AllocExtents::encode_reply(Ok(vec![(1, 2, 3), (4, 5, 6)])),
+            FreeExtents::encode_reply(Ok(())),
+            SetAccess::encode_reply(Err(RStoreError::NotFound(name()))),
+            Replicate::encode_reply(Err(RStoreError::Io(rdma::CqStatus::Flushed))),
         ];
         let errs = [
             RStoreError::NameExists(name()),
@@ -957,7 +1004,7 @@ mod tests {
                 stripe: 5,
             },
         ];
-        out.extend(errs.into_iter().map(|e| CtrlResp::Err(e).encode()));
+        out.extend(errs.into_iter().map(|e| Alloc::encode_reply(Err(e))));
         out
     }
 
@@ -975,20 +1022,20 @@ mod tests {
         "08",
         "090b000000",
         "00",
-        "020b000000646174612f6d61747269782c010000000000008000000000000000000102000000020000000100000000100000000000000700000000000000800000000000000002000000002000000000000008000000000000008000000000000000010000000300000000300000000000000900000000000000ac00000000000000",
-        "020b000000646174612f6d61747269782c010000000000008000000000000000010000000000",
-        "030c0000000300000000000000000100007b0000000000000001",
-        "0402000000010000000000004000000000001000000000000001020000000000004000000000000000000000000000020000000c00000072c3a96769c3b36e2fe5908d00001000000000000000000000010000006300100000000000000102000000050000000000000003000000000000000700000000000000",
-        "052a000000000000000000000002000000",
-        "0680f0fa0200000000020000000010000000000000070000000000000000900000000000000c00000000000000",
+        "000b000000646174612f6d61747269782c010000000000008000000000000000000102000000020000000100000000100000000000000700000000000000800000000000000002000000002000000000000008000000000000008000000000000000010000000300000000300000000000000900000000000000ac00000000000000",
+        "000b000000646174612f6d61747269782c010000000000008000000000000000010000000000",
+        "000c0000000300000000000000000100007b0000000000000001",
+        "0002000000010000000000004000000000001000000000000001020000000000004000000000000000000000000000020000000c00000072c3a96769c3b36e2fe5908d00001000000000000000000000010000006300100000000000000102000000050000000000000003000000000000000700000000000000",
+        "002a000000000000000000000002000000",
+        "0080f0fa0200000000020000000010000000000000070000000000000000900000000000000c00000000000000",
         "000500000000001000000000000001",
         "01020000000100000000000000020000000000000003000000000000000400000000000000",
         "02030000000010000000000000edfe00000000000000200000000000000000010000000000",
         "03efbe00000000000001",
         "0002000000010000000000000002000000000000000300000000000000040000000000000005000000000000000600000000000000",
-        "01",
-        "02010c00000072c3a96769c3b36e2fe5908d",
-        "020528000000696f206661696c6564207769746820636f6d706c6574696f6e2073746174757320466c7573686564",
+        "00",
+        "01010c00000072c3a96769c3b36e2fe5908d",
+        "010528000000696f206661696c6564207769746820636f6d706c6574696f6e2073746174757320466c7573686564",
         "01000c00000072c3a96769c3b36e2fe5908d",
         "01010100000078",
         "010215cd5b0700000000",
@@ -1014,12 +1061,12 @@ mod tests {
     #[test]
     fn ctrl_req_round_trips() {
         let reqs = vec![
-            CtrlReq::RegisterServer {
+            CtrlReq::RegisterServer(RegisterServer {
                 node: 4,
                 capacity: 1 << 30,
-            },
-            CtrlReq::Heartbeat { node: 4 },
-            CtrlReq::Alloc {
+            }),
+            CtrlReq::Heartbeat(Heartbeat { node: 4 }),
+            CtrlReq::Alloc(Alloc {
                 name: "a/b".into(),
                 size: 4096,
                 opts: AllocOptions {
@@ -1029,112 +1076,86 @@ mod tests {
                     synthetic: true,
                     checksums: false,
                 },
-            },
-            CtrlReq::Alloc {
+            }),
+            CtrlReq::Alloc(Alloc {
                 name: "ck".into(),
                 size: 4096,
                 opts: AllocOptions {
                     checksums: true,
                     ..AllocOptions::default()
                 },
-            },
-            CtrlReq::Lookup { name: "x".into() },
-            CtrlReq::Free { name: "y".into() },
-            CtrlReq::Stat,
-            CtrlReq::Grow {
+            }),
+            CtrlReq::Lookup(Lookup { name: "x".into() }),
+            CtrlReq::Free(Free { name: "y".into() }),
+            CtrlReq::Stat(Stat {}),
+            CtrlReq::Grow(Grow {
                 name: "g".into(),
                 additional: 1 << 20,
                 opts: AllocOptions::default(),
-            },
-            CtrlReq::ReportCorruption {
+            }),
+            CtrlReq::ReportCorruption(ReportCorruption {
                 name: "bad/region".into(),
                 group: 3,
                 replica: 1,
                 node: 9,
-            },
-            CtrlReq::ClusterStats,
-            CtrlReq::Drain { node: 11 },
+            }),
+            CtrlReq::Report(Report {}),
+            CtrlReq::Drain(Drain { node: 11 }),
         ];
         for req in reqs {
             assert_eq!(CtrlReq::decode(&req.encode()).unwrap(), req);
         }
+        // A request sent alone is the bytes of its variant, and reads back
+        // only as itself.
+        let alone = Lookup { name: "x".into() };
+        assert_eq!(alone.encode(), CtrlReq::Lookup(alone.clone()).encode());
+        assert_eq!(Lookup::decode(&alone.encode()), Ok(alone));
+        assert!(Free::decode(&Stat {}.encode()).is_err());
+    }
+
+    /// `Q`'s answer `answer` decodes back to itself.
+    fn reply_round_trips<Q: Request>(answer: Result<Q::Reply>)
+    where
+        Q::Reply: Clone + PartialEq + std::fmt::Debug,
+    {
+        assert_eq!(Q::decode_reply(&Q::encode_reply(answer.clone())), answer);
     }
 
     #[test]
     fn ctrl_resp_round_trips() {
-        let resps = vec![
-            CtrlResp::Ok,
-            CtrlResp::Err(RStoreError::Remote("nope".into())),
-            CtrlResp::Region(desc()),
-            CtrlResp::Stats(ClusterStats {
-                servers: 12,
-                regions: 3,
-                capacity: 1 << 40,
-                used: 123,
-                consistent: true,
-            }),
-            CtrlResp::Stats(ClusterStats {
-                servers: 1,
-                regions: 0,
-                capacity: 0,
-                used: 0,
-                consistent: false,
-            }),
-            CtrlResp::Drained {
-                extents: 42,
-                bytes: 1 << 33,
-            },
-            CtrlResp::Report(ClusterReport {
-                servers: vec![
-                    ServerStats {
-                        node: 1,
-                        capacity: 1 << 30,
-                        used: 4096,
-                        alive: true,
-                    },
-                    ServerStats {
-                        node: 2,
-                        capacity: 1 << 30,
-                        used: 0,
-                        alive: false,
-                    },
-                ],
-                regions: vec![
-                    RegionStats {
-                        name: "a/b".into(),
-                        size: 1 << 20,
-                        state: RegionState::Healthy,
-                        corrupt_extents: 0,
-                    },
-                    RegionStats {
-                        name: "c".into(),
-                        size: 4096,
-                        state: RegionState::Degraded,
-                        corrupt_extents: 2,
-                    },
-                ],
-                corruption_detected: 5,
-                repaired_extents: 3,
-                scrub_passes: 7,
-            }),
-            CtrlResp::Report(ClusterReport::default()),
-            CtrlResp::Registered {
-                lease: Duration::from_millis(500),
-                retire: vec![],
-            },
-            CtrlResp::Registered {
-                lease: Duration::from_millis(50),
-                retire: vec![(0x1000, 7), (0x9000, 12)],
-            },
-        ];
-        for resp in resps {
-            assert_eq!(CtrlResp::decode(&resp.encode()).unwrap(), resp);
-        }
+        reply_round_trips::<Free>(Ok(()));
+        reply_round_trips::<Lookup>(Err(RStoreError::Remote("nope".into())));
+        reply_round_trips::<Alloc>(Ok(desc()));
+        reply_round_trips::<Stat>(Ok(ClusterStats {
+            servers: 12,
+            regions: 3,
+            capacity: 1 << 40,
+            used: 123,
+            consistent: true,
+        }));
+        reply_round_trips::<Stat>(Ok(ClusterStats {
+            servers: 1,
+            regions: 0,
+            capacity: 0,
+            used: 0,
+            consistent: false,
+        }));
+        reply_round_trips::<Drain>(Ok((42, 1 << 33)));
+        reply_round_trips::<Report>(Ok(report()));
+        reply_round_trips::<Report>(Ok(ClusterReport::default()));
+        reply_round_trips::<RegisterServer>(Ok(Registration {
+            lease: Duration::from_millis(500),
+            retire: vec![],
+        }));
+        reply_round_trips::<RegisterServer>(Ok(Registration {
+            lease: Duration::from_millis(50),
+            retire: vec![(0x1000, 7), (0x9000, 12)],
+        }));
     }
 
     #[test]
     fn truncated_report_errors_not_panics() {
-        let bytes = CtrlResp::Report(ClusterReport {
+        let bytes = Report::encode_reply(Ok(ClusterReport {
             servers: vec![ServerStats {
                 node: 1,
                 capacity: 2,
@@ -1150,11 +1171,10 @@ mod tests {
             corruption_detected: 1,
             repaired_extents: 1,
             scrub_passes: 1,
-        })
-        .encode();
+        }));
         for cut in 0..bytes.len() {
             assert!(
-                CtrlResp::decode(&bytes[..cut]).is_err(),
+                Result::<ClusterReport>::decode(&bytes[..cut]).is_err(),
                 "prefix of {cut} bytes must not decode"
             );
         }
@@ -1163,49 +1183,44 @@ mod tests {
     #[test]
     fn srv_messages_round_trip() {
         let reqs = vec![
-            SrvReq::AllocExtents {
+            SrvReq::AllocExtents(AllocExtents {
                 count: 5,
                 len: 1 << 20,
                 synthetic: false,
                 checksums: true,
-            },
-            SrvReq::FreeExtents {
+            }),
+            SrvReq::FreeExtents(FreeExtents {
                 extents: vec![(1, 2), (3, 4)],
-            },
-            SrvReq::Replicate {
+            }),
+            SrvReq::Replicate(Replicate {
                 src_node: 3,
                 src_addr: 0x1000,
                 src_rkey: 0xfeed,
                 dst_addr: 0x2000,
                 len: 1 << 16,
-            },
-            SrvReq::SetAccess {
+            }),
+            SrvReq::SetAccess(SetAccess {
                 rkey: 0xbeef,
                 writable: false,
-            },
-            SrvReq::SetAccess {
+            }),
+            SrvReq::SetAccess(SetAccess {
                 rkey: 0x11,
                 writable: true,
-            },
+            }),
         ];
         for req in reqs {
             assert_eq!(SrvReq::decode(&req.encode()).unwrap(), req);
         }
-        let resps = vec![
-            SrvResp::Extents(vec![(1, 2, 3), (4, 5, 6)]),
-            SrvResp::Ok,
-            SrvResp::Err(RStoreError::Remote("full".into())),
-        ];
-        for resp in resps {
-            assert_eq!(SrvResp::decode(&resp.encode()).unwrap(), resp);
-        }
+        reply_round_trips::<AllocExtents>(Ok(vec![(1, 2, 3), (4, 5, 6)]));
+        reply_round_trips::<FreeExtents>(Ok(()));
+        reply_round_trips::<SetAccess>(Err(RStoreError::Remote("full".into())));
     }
 
     #[test]
     fn truncated_messages_error_not_panic() {
-        let bytes = CtrlResp::Region(desc()).encode();
+        let bytes = Alloc::encode_reply(Ok(desc()));
         for cut in 0..bytes.len() {
-            let r = CtrlResp::decode(&bytes[..cut]);
+            let r = Result::<RegionDesc>::decode(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes must not decode");
         }
     }
@@ -1215,25 +1230,31 @@ mod tests {
         // A count is four bytes anyone can send: nothing may be reserved
         // from it before the elements it claims have been seen.
         let huge = [0xff, 0xff, 0xff, 0xff];
-        let report = [&[4u8][..], &huge].concat();
+        let report = [&[0u8][..], &huge].concat();
         assert!(matches!(
-            CtrlResp::decode(&report),
+            Result::<ClusterReport>::decode(&report),
             Err(RStoreError::Protocol(_))
         ));
         let extents = [&[0u8][..], &huge].concat();
         assert!(matches!(
-            SrvResp::decode(&extents),
+            Result::<Vec<(u64, u64, u64)>>::decode(&extents),
             Err(RStoreError::Protocol(_))
         ));
         let empty = RegionDesc {
             groups: vec![],
             ..desc()
         };
-        let mut region = CtrlResp::Region(empty).encode();
+        let mut region = Alloc::encode_reply(Ok(empty));
         let at = region.len() - 4;
         region[at..].copy_from_slice(&huge);
         assert!(matches!(
-            CtrlResp::decode(&region),
+            Result::<RegionDesc>::decode(&region),
+            Err(RStoreError::Protocol(_))
+        ));
+        // Bytes are copied in bulk, never before the count is covered.
+        let bytes = [&huge[..], &[1, 2, 3]].concat();
+        assert!(matches!(
+            Vec::<u8>::decode(&bytes),
             Err(RStoreError::Protocol(_))
         ));
     }
@@ -1269,10 +1290,12 @@ mod tests {
             errs.push(RStoreError::Remote(name.into()));
         }
         for e in errs {
-            let bytes = CtrlResp::Err(e.clone()).encode();
-            assert_eq!(CtrlReq::decode_reply(&bytes), Err(e.clone()));
-            let bytes = SrvResp::Err(e.clone()).encode();
-            assert_eq!(SrvReq::decode_reply(&bytes), Err(e));
+            let bytes = Alloc::encode_reply(Err(e.clone()));
+            assert_eq!(Alloc::decode_reply(&bytes), Err(e.clone()));
+            // The error form does not depend on what was asked.
+            assert_eq!(bytes, error_reply(e.clone()));
+            let bytes = FreeExtents::encode_reply(Err(e.clone()));
+            assert_eq!(FreeExtents::decode_reply(&bytes), Err(e));
         }
         // What only its observer can construct is told in words: a client
         // must not mistake the master's transport failure for its own.
@@ -1282,23 +1305,21 @@ mod tests {
             RStoreError::Degraded("r".into()),
         ];
         for e in own {
-            let bytes = CtrlResp::Err(e.clone()).encode();
+            let bytes = Alloc::encode_reply(Err(e.clone()));
             assert_eq!(
-                CtrlReq::decode_reply(&bytes),
+                Alloc::decode_reply(&bytes),
                 Err(RStoreError::Remote(e.to_string()))
             );
         }
         // An answer that is not an error is the `Ok`.
-        assert_eq!(
-            CtrlReq::decode_reply(&CtrlResp::Ok.encode()),
-            Ok(CtrlResp::Ok)
-        );
-        assert_eq!(SrvReq::decode_reply(&SrvResp::Ok.encode()), Ok(SrvResp::Ok));
+        assert_eq!(Free::decode_reply(&Free::encode_reply(Ok(()))), Ok(()));
+        let ok = FreeExtents::encode_reply(Ok(()));
+        assert_eq!(FreeExtents::decode_reply(&ok), Ok(()));
     }
 
     #[test]
     fn trailing_bytes_rejected() {
-        let mut bytes = CtrlReq::Stat.encode();
+        let mut bytes = Stat {}.encode();
         bytes.push(0);
         assert!(matches!(
             CtrlReq::decode(&bytes),

@@ -10,10 +10,12 @@
 //! connection (callers hold the connection exclusively for the duration of a
 //! call), fixed-size message buffers.
 //!
-//! Two levels: [`RpcClient`] / [`spawn_rpc_server`] move bytes over one
-//! connection; [`Channel`] is what the control plane calls through — typed
-//! requests, one call at a time, a connection that is dialed when missing
-//! and dropped when it fails.
+//! One form for every service: a caller sends a typed [`Request`] through a
+//! [`Channel`] — one call at a time, over a connection that is dialed when
+//! missing and dropped when it fails — and gets back its exact reply or the
+//! error the peer answered with. A service is a [`spawn_rpc_server`] handler that decodes its
+//! request enum and answers each request with that request's reply. The
+//! byte-level connection under a channel is private to this module.
 
 use std::cell::Cell;
 use std::future::Future;
@@ -26,7 +28,7 @@ use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RdmaErr
 use sim::sync::Semaphore;
 
 use crate::error::{RStoreError, Result};
-use crate::proto::Request;
+use crate::proto::{error_reply, Request};
 
 /// Maximum encoded message size (requests and responses). Each end of a
 /// connection books two buffers of this size in its device arena — a
@@ -53,59 +55,43 @@ fn alloc_bufs(dev: &RdmaDevice) -> std::result::Result<(DmaBuf, DmaBuf), RdmaErr
 /// (a graceful drain migrates extents between its progress passes).
 pub const RESPONSE_TIMEOUT: Duration = Duration::from_secs(1);
 
-/// A connected RPC client endpoint.
+/// A connected RPC client endpoint: the connection a [`Channel`] holds.
 ///
 /// Holds a queue pair plus pre-allocated, pre-registered send/receive
 /// buffers — acquiring one is a control-path (setup) action.
-pub struct RpcClient {
+struct RpcClient {
     qp: Qp,
     cq: CompletionQueue,
     send_buf: DmaBuf,
     recv_buf: DmaBuf,
     next_wr: u64,
-    peer: NodeId,
     /// Set once a call times out: the connection's request/response pairing
     /// can no longer be trusted (a late response may still arrive), so every
     /// subsequent call fails fast and the owner reconnects.
     broken: bool,
-    /// Per-connection response deadline: [`RESPONSE_TIMEOUT`] unless a
-    /// [`Channel`] dialed it.
+    /// How long a call waits for its response.
     response_timeout: Duration,
 }
 
-impl std::fmt::Debug for RpcClient {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("RpcClient")
-            .field("peer", &self.peer)
-            .finish()
-    }
-}
-
 impl RpcClient {
-    /// Connects to the RPC service `service` on `peer`.
+    /// Connects to the service `ch` calls, with `ch`'s response deadline.
     ///
     /// # Errors
     ///
     /// Propagates connection and allocation failures from the verbs layer.
-    pub async fn connect(dev: &RdmaDevice, peer: NodeId, service: u16) -> Result<RpcClient> {
+    async fn connect(ch: &Channel) -> Result<RpcClient> {
         let cq = CompletionQueue::new();
-        let qp = dev.connect(peer, service, &cq).await?;
-        let (send_buf, recv_buf) = alloc_bufs(dev)?;
+        let qp = ch.dev.connect(ch.peer, ch.service, &cq).await?;
+        let (send_buf, recv_buf) = alloc_bufs(&ch.dev)?;
         Ok(RpcClient {
             qp,
             cq,
             send_buf,
             recv_buf,
             next_wr: 1,
-            peer,
             broken: false,
-            response_timeout: RESPONSE_TIMEOUT,
+            response_timeout: ch.response_timeout,
         })
-    }
-
-    /// The node this client is connected to.
-    pub fn peer(&self) -> NodeId {
-        self.peer
     }
 
     /// Issues one request and waits for the response, bounded by the
@@ -119,7 +105,7 @@ impl RpcClient {
     ///   fabric, partitioned or overloaded peer). A timed-out client is
     ///   *broken*: every later call fails the same way, so owners must
     ///   reconnect.
-    pub async fn call(&mut self, req: &[u8]) -> Result<Vec<u8>> {
+    async fn call(&mut self, req: &[u8]) -> Result<Vec<u8>> {
         if self.broken {
             return Err(RStoreError::Io(CqStatus::Timeout));
         }
@@ -189,7 +175,7 @@ impl Drop for RpcClient {
 ///   channel's response deadline; nothing is dialed earlier unless the owner
 ///   asks ([`dial`](Self::dial)).
 /// * **What drops the connection.** A call that fails in transport — flushed
-///   QP, lost response (the timed-out [`RpcClient`] is broken) — so the next
+///   QP, lost response (the timed-out connection is broken) — so the next
 ///   call redials. **What keeps it:** any answer, an error reply included.
 pub struct Channel {
     dev: RdmaDevice,
@@ -227,12 +213,10 @@ impl Channel {
 
     /// Takes the connection out of the channel, dialing one if there is none.
     async fn take(&self) -> Result<RpcClient> {
-        if let Some(conn) = self.conn.take() {
-            return Ok(conn);
+        match self.conn.take() {
+            Some(conn) => Ok(conn),
+            None => RpcClient::connect(self).await,
         }
-        let mut conn = RpcClient::connect(&self.dev, self.peer, self.service).await?;
-        conn.response_timeout = self.response_timeout;
-        Ok(conn)
     }
 
     /// Dials now, if there is no connection, instead of inside the next
@@ -299,7 +283,10 @@ pub type RpcHandler = Rc<dyn Fn(NodeId, Vec<u8>) -> Pin<Box<dyn Future<Output = 
 ///
 /// Every accepted connection gets its own task; each request costs
 /// `cpu_per_req` of simulated server CPU before the handler runs — this is
-/// the "server CPU on the critical path" that one-sided RStore IO avoids.
+/// the "server CPU on the critical path" that one-sided RStore IO avoids. A
+/// reply too long for the RPC buffer is answered with the error reply
+/// (`Protocol`) instead, so the caller hears at once rather than at its
+/// deadline.
 ///
 /// # Errors
 ///
@@ -358,8 +345,11 @@ async fn serve_connection(
                 wr += 1;
                 qp.post_recv(wr, recv_buf)?;
                 sim.sleep(cpu_per_req).await;
-                let resp = handler(peer, req).await;
-                debug_assert!(resp.len() as u64 <= RPC_BUF_BYTES, "oversized RPC response");
+                let mut resp = handler(peer, req).await;
+                if resp.len() as u64 > RPC_BUF_BYTES {
+                    let why = format!("reply of {} bytes exceeds RPC buffer", resp.len());
+                    resp = error_reply(RStoreError::Protocol(why));
+                }
                 dev.write_mem(send_buf.addr, &resp)?;
                 wr += 1;
                 qp.post_send(wr, send_buf.slice(0, resp.len() as u64), None)?;
@@ -387,6 +377,11 @@ mod tests {
         (sim, fabric, server, client)
     }
 
+    /// A connection to service 9 on `peer`, as a channel would dial it.
+    async fn connect(dev: &RdmaDevice, peer: NodeId) -> Result<RpcClient> {
+        RpcClient::connect(&Channel::new(dev, peer, 9, RESPONSE_TIMEOUT)).await
+    }
+
     fn echo_handler() -> RpcHandler {
         Rc::new(|_peer, mut req: Vec<u8>| {
             Box::pin(async move {
@@ -402,7 +397,7 @@ mod tests {
         spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
         let peer = server.node();
         sim.block_on(async move {
-            let mut rpc = RpcClient::connect(&client, peer, 9).await.unwrap();
+            let mut rpc = connect(&client, peer).await.unwrap();
             assert_eq!(rpc.call(b"abc").await.unwrap(), b"cba");
             // Each end books its two buffers in full and backs them as far
             // as the one message each has carried.
@@ -426,7 +421,7 @@ mod tests {
         let client = RdmaDevice::new(&fabric, tight);
         spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
         let (peer, dev) = (server.node(), client.clone());
-        let err = sim.block_on(async move { RpcClient::connect(&dev, peer, 9).await.err() });
+        let err = sim.block_on(async move { connect(&dev, peer).await.err() });
         assert!(matches!(
             err,
             Some(RStoreError::Rdma(RdmaError::OutOfMemory { .. }))
@@ -441,7 +436,7 @@ mod tests {
         spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
         let peer = server.node();
         let out = sim.block_on(async move {
-            let mut rpc = RpcClient::connect(&client, peer, 9).await.unwrap();
+            let mut rpc = connect(&client, peer).await.unwrap();
             let mut results = Vec::new();
             for i in 0..5u8 {
                 results.push(rpc.call(&[i, i + 1]).await.unwrap());
@@ -462,7 +457,7 @@ mod tests {
         for i in 0..3u8 {
             let dev = RdmaDevice::new(&fabric, RdmaConfig::default());
             let h = sim.spawn(async move {
-                let mut rpc = RpcClient::connect(&dev, peer, 9).await.unwrap();
+                let mut rpc = connect(&dev, peer).await.unwrap();
                 rpc.call(&[i]).await.unwrap()
             });
             handles.push(h);
@@ -479,7 +474,7 @@ mod tests {
         spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
         let peer = server.node();
         let err = sim.block_on(async move {
-            let mut rpc = RpcClient::connect(&client, peer, 9).await.unwrap();
+            let mut rpc = connect(&client, peer).await.unwrap();
             rpc.call(&vec![0u8; (RPC_BUF_BYTES + 1) as usize])
                 .await
                 .err()
@@ -501,7 +496,7 @@ mod tests {
             .install(&fabric);
         let sim2 = sim.clone();
         let (err, err2, waited) = sim.block_on(async move {
-            let mut rpc = RpcClient::connect(&client, peer, 9).await.unwrap();
+            let mut rpc = connect(&client, peer).await.unwrap();
             let t0 = sim2.now();
             let err = rpc.call(b"hi").await.expect_err("response was dropped");
             let waited = sim2.now().saturating_since(t0);
@@ -521,17 +516,18 @@ mod tests {
 
     #[test]
     fn channel_keeps_its_connection_across_an_error_reply_and_redials_after_a_lost_one() {
-        use crate::proto::{CtrlReq, CtrlResp, Wire};
+        use crate::proto::{CtrlReq, Free, Lookup, Wire};
         let (sim, fabric, server, client) = setup();
-        // Answers a lookup with an error and anything else with `Ok`, after
-        // 1 ms of CPU — so a loss window can drop a response alone.
+        // Answers a lookup with an error and a free with `Ok`, after 1 ms of
+        // CPU — so a loss window can drop a response alone.
         let handler: RpcHandler = Rc::new(|_peer, req| {
             Box::pin(async move {
                 match CtrlReq::decode(&req) {
-                    Ok(CtrlReq::Lookup { name }) => CtrlResp::Err(RStoreError::NotFound(name)),
-                    _ => CtrlResp::Ok,
+                    Ok(CtrlReq::Lookup(Lookup { name })) => {
+                        error_reply(RStoreError::NotFound(name))
+                    }
+                    _ => Free::encode_reply(Ok(())),
                 }
-                .encode()
             })
         });
         spawn_rpc_server(&server, 9, Duration::from_millis(1), handler).unwrap();
@@ -544,19 +540,20 @@ mod tests {
         let sim2 = sim.clone();
         sim.block_on(async move {
             let ch = Channel::new(&client, peer, 9, Duration::from_millis(5));
+            let free = Free { name: "y".into() };
             assert_eq!(dials(), 0, "nothing is dialed before the first call");
-            assert_eq!(ch.call(&CtrlReq::Stat).await, Ok(CtrlResp::Ok));
+            assert_eq!(ch.call(&free).await, Ok(()));
             let name = "no such region: \"x\"".to_owned();
-            let refused = ch.call(&CtrlReq::Lookup { name: name.clone() }).await;
+            let refused = ch.call(&Lookup { name: name.clone() }).await;
             assert_eq!(refused, Err(RStoreError::NotFound(name)));
-            assert_eq!(ch.call(&CtrlReq::Stat).await, Ok(CtrlResp::Ok));
+            assert_eq!(ch.call(&free).await, Ok(()));
             assert_eq!(dials(), 1, "an error reply is an answer: same connection");
             // This one's response falls into the loss window.
-            let lost = ch.call(&CtrlReq::Stat).await;
+            let lost = ch.call(&free).await;
             assert_eq!(lost, Err(RStoreError::Io(CqStatus::Timeout)));
             sim2.sleep_until(sim::SimTime::ZERO + Duration::from_millis(21))
                 .await;
-            assert_eq!(ch.call(&CtrlReq::Stat).await, Ok(CtrlResp::Ok));
+            assert_eq!(ch.call(&free).await, Ok(()));
             assert_eq!(dials(), 2, "a lost response drops the connection");
         });
     }
@@ -571,7 +568,7 @@ mod tests {
         let peer = server.node();
         let fabric2 = fabric.clone();
         let err = sim.block_on(async move {
-            let mut rpc = RpcClient::connect(&client, peer, 9).await.unwrap();
+            let mut rpc = connect(&client, peer).await.unwrap();
             fabric2.set_node_up(peer, false);
             rpc.call(b"hi").await.err().unwrap()
         });

@@ -18,7 +18,10 @@ use sim::{EventSink, Sim, SimTime, TimerId};
 use crate::client::DataQps;
 use crate::crc::zero_trailer;
 use crate::error::{RStoreError, Result};
-use crate::proto::{extent_alloc_len, CtrlReq, CtrlResp, SrvReq, SrvResp, Wire};
+use crate::proto::{
+    error_reply, extent_alloc_len, AllocExtents, FreeExtents, Heartbeat, RegisterServer,
+    Registration, Replicate, Request, SetAccess, SrvReq, Wire,
+};
 use crate::rpc::{spawn_rpc_server, Channel};
 use crate::{CTRL_SERVICE, DATA_SERVICE, SRV_SERVICE};
 
@@ -91,7 +94,9 @@ struct Served {
     /// When the lease runs out, and the event that fences the server then.
     lease_end: Cell<SimTime>,
     expiry: Cell<Option<TimerId>>,
-    /// The data-QP dialer of [`SrvReq::Replicate`]'s copy READs: one QP per
+    /// Simulated pinning cost per MiB of the extents [`AllocExtents`] grants.
+    pin_per_mib: Duration,
+    /// The data-QP dialer of [`Replicate`]'s copy READs: one QP per
     /// source server, shared by every copy from it.
     qps: Rc<DataQps>,
 }
@@ -168,12 +173,12 @@ impl MemServer {
             fenced: Cell::new(true),
             lease_end: Cell::new(SimTime::ZERO),
             expiry: Cell::new(None),
+            pin_per_mib: cfg.pin_per_mib,
             qps: DataQps::new(dev),
         });
 
         // Extent allocation service (master -> server).
         let sv = served.clone();
-        let pin_per_mib = cfg.pin_per_mib;
         spawn_rpc_server(
             dev,
             SRV_SERVICE,
@@ -181,8 +186,10 @@ impl MemServer {
             Rc::new(move |_peer, req| {
                 let sv = sv.clone();
                 Box::pin(async move {
-                    let reply = handle_srv_req(&sv, pin_per_mib, &req).await;
-                    reply.unwrap_or_else(SrvResp::Err).encode()
+                    match SrvReq::decode(&req) {
+                        Ok(req) => handle_srv_req(&sv, req).await,
+                        Err(e) => error_reply(e),
+                    }
                 })
             }),
         )?;
@@ -199,7 +206,7 @@ impl MemServer {
         // Registration + heartbeat loop.
         let sim2 = server.sim.clone();
         let node = dev.node().0;
-        let donate = cfg.donate;
+        let capacity = cfg.donate;
         let heartbeat = cfg.heartbeat;
         // A dropped heartbeat *response* must cost one beat, not the
         // control-path default — the lease keeps running while we wait.
@@ -208,36 +215,29 @@ impl MemServer {
             let mut registered = false;
             loop {
                 let started = sim2.now();
-                let mut acked = false;
-                let req = if registered {
-                    CtrlReq::Heartbeat { node }
+                let reply = if registered {
+                    ctrl.call(&Heartbeat { node }).await
                 } else {
-                    CtrlReq::RegisterServer {
-                        node,
-                        capacity: donate,
-                    }
-                };
-                match ctrl.call(&req).await {
-                    Ok(CtrlResp::Ok) => acked = true,
                     // Reconcile before unfence: what the master replaced
                     // while it could not reach us goes first, so no
                     // replaced extent is ever reachable again.
-                    Ok(CtrlResp::Registered { lease, retire }) => {
+                    let reply = ctrl.call(&RegisterServer { node, capacity }).await;
+                    reply.map(|Registration { lease, retire }| {
                         for (addr, rkey) in retire {
                             served.retire(addr, rkey);
                         }
                         served.lease.set(lease);
-                        (registered, acked) = (true, true);
-                    }
-                    // An error reply means the master does not count us as a
-                    // live server (it lost its soft state, or saw our lease
-                    // lapse); a failed call, that the connection broke
-                    // (master restart / partition) and the channel redials.
-                    // Either way: register again. (A dial that fails changes
-                    // nothing: there is no connection only before the first
-                    // registration and after a failed call.)
-                    _ => registered = false,
-                }
+                    })
+                };
+                // An error reply means the master does not count us as a
+                // live server (it lost its soft state, or saw our lease
+                // lapse); a failed call, that the connection broke (master
+                // restart / partition) and the channel redials. Either way:
+                // register again. (A dial that fails changes nothing: there
+                // is no connection only before the first registration and
+                // after a failed call.)
+                let acked = reply.is_ok();
+                registered = acked;
                 // An acknowledged beat renews the lease from the instant it
                 // was sent. The next attempt follows a period later, whether
                 // this one was acknowledged or not — unless it failed and
@@ -271,115 +271,112 @@ impl MemServer {
     }
 }
 
-async fn handle_srv_req(sv: &Served, pin_per_mib: Duration, req: &[u8]) -> Result<SrvResp> {
-    let dev = &sv.dev;
-    match SrvReq::decode(req)? {
-        SrvReq::AllocExtents {
-            count,
-            len,
-            synthetic,
-            checksums,
-        } => {
-            // Synthetic extents carry no bytes, so there is nothing to
-            // checksum; the master never asks for both, but normalize anyway.
-            let checksums = checksums && !synthetic;
-            let alloc_len = extent_alloc_len(len, checksums);
-            // Charge the pinning/registration cost: this is what makes the
-            // control path "slow but once".
-            let total_mib = (count as u64 * alloc_len) / (1024 * 1024);
-            dev.sim()
-                .sleep(Duration::from_nanos(
-                    pin_per_mib.as_nanos() as u64 * total_mib,
-                ))
-                .await;
-
-            // A trailer initialized to the CRCs of the zero-filled blocks
-            // makes never-written stripes verify clean (no false positives).
-            // Writing it backs the extent's whole prefix: the documented
-            // cliff (DESIGN.md, "Arena backing").
-            let trailer = checksums.then(|| zero_trailer(len));
-            let mut granted: Vec<(u64, u64, u64)> = Vec::new();
-            let mut bufs: Vec<DmaBuf> = Vec::new();
-            let mut grant_next = || -> Result<()> {
-                let buf = if synthetic {
-                    dev.alloc_synthetic(alloc_len)?
-                } else {
-                    dev.alloc(alloc_len)?
-                };
-                bufs.push(buf);
-                if let Some(trailer) = &trailer {
-                    dev.write_mem(buf.addr + len, trailer)?;
-                }
-                // The granted length is the *logical* extent size; the
-                // trailer is an implementation detail the master re-derives
-                // with `extent_alloc_len`.
-                let mr = dev.reg_mr(buf, sv.access(false))?;
-                granted.push((buf.addr, mr.rkey.0, len));
-                Ok(())
-            };
-            // All or nothing: one failure frees every buffer so far.
-            if let Err(e) = (0..count).try_for_each(|_| grant_next()) {
-                for b in bufs {
-                    let _ = dev.free(b);
-                }
-                return Err(e);
-            }
-            let mut grants = sv.grants.borrow_mut();
-            for (buf, &(_, rkey, _)) in bufs.iter().zip(&granted) {
-                let grant = Grant {
-                    rkey: RKey(rkey),
-                    len: buf.len,
-                    sealed: false,
-                };
-                grants.insert(buf.addr, grant);
-            }
-            Ok(SrvResp::Extents(granted))
-        }
-        SrvReq::FreeExtents { extents } => {
+/// Serves one request from the master, answering with that request's reply.
+async fn handle_srv_req(sv: &Served, req: SrvReq) -> Vec<u8> {
+    match req {
+        SrvReq::AllocExtents(req) => AllocExtents::encode_reply(alloc_extents(sv, req).await),
+        SrvReq::FreeExtents(FreeExtents { extents }) => {
             for (addr, len) in extents {
                 sv.grants.borrow_mut().remove(&addr);
-                let _ = dev.free(DmaBuf { addr, len });
+                let _ = sv.dev.free(DmaBuf { addr, len });
             }
-            Ok(SrvResp::Ok)
+            FreeExtents::encode_reply(Ok(()))
         }
-        SrvReq::SetAccess { rkey, writable } => {
-            // The seal of an extent move: flip the extent's rights in place,
-            // keeping the rkey clients hold. Sealed writers complete with
-            // RemoteAccess and revalidate their descriptor; readers are
-            // unaffected. Under a fence the flag is only recorded: it takes
-            // effect when access comes back.
-            let mut grants = sv.grants.borrow_mut();
-            let Some(g) = grants.values_mut().find(|g| g.rkey.0 == rkey) else {
-                return Err(rdma::RdmaError::InvalidHandle.into());
-            };
-            g.sealed = !writable;
-            dev.set_mr_access(g.rkey, sv.access(g.sealed))?;
-            Ok(SrvResp::Ok)
+        SrvReq::SetAccess(req) => SetAccess::encode_reply(set_access(sv, req)),
+        SrvReq::Replicate(req) => Replicate::encode_reply(replicate(sv, req).await),
+    }
+}
+
+async fn alloc_extents(sv: &Served, req: AllocExtents) -> Result<Vec<(u64, u64, u64)>> {
+    let (dev, len, synthetic) = (&sv.dev, req.len, req.synthetic);
+    // Synthetic extents carry no bytes, so there is nothing to
+    // checksum; the master never asks for both, but normalize anyway.
+    let checksums = req.checksums && !synthetic;
+    let alloc_len = extent_alloc_len(len, checksums);
+    // Charge the pinning/registration cost: this is what makes the
+    // control path "slow but once".
+    let total_mib = (req.count as u64 * alloc_len) / (1024 * 1024);
+    let pin = sv.pin_per_mib.as_nanos() as u64 * total_mib;
+    dev.sim().sleep(Duration::from_nanos(pin)).await;
+
+    // A trailer initialized to the CRCs of the zero-filled blocks
+    // makes never-written stripes verify clean (no false positives).
+    // Writing it backs the extent's whole prefix: the documented
+    // cliff (DESIGN.md, "Arena backing").
+    let trailer = checksums.then(|| zero_trailer(len));
+    let mut granted: Vec<(u64, u64, u64)> = Vec::new();
+    let mut bufs: Vec<DmaBuf> = Vec::new();
+    let mut grant_next = || -> Result<()> {
+        let buf = if synthetic {
+            dev.alloc_synthetic(alloc_len)?
+        } else {
+            dev.alloc(alloc_len)?
+        };
+        bufs.push(buf);
+        if let Some(trailer) = &trailer {
+            dev.write_mem(buf.addr + len, trailer)?;
         }
-        SrvReq::Replicate {
-            src_node,
-            src_addr,
-            src_rkey,
-            dst_addr: addr,
-            len,
-        } => {
-            // The copy of an extent move: pull the source into the local
-            // extent with a one-sided READ over the data path. The source
-            // server's CPU stays idle — only its NIC serves the read.
-            let src = RemoteAddr {
-                addr: src_addr,
-                rkey: RKey(src_rkey),
-            };
-            sv.qps.dial(src_node, true).await?;
-            let read = Wr::read(0, DmaBuf { addr, len }, src);
-            let status = sv.qps.post(src_node, read, len)?.await;
-            match status.unwrap_or(CqStatus::Flushed) {
-                CqStatus::Success => Ok(SrvResp::Ok),
-                status => {
-                    let what = format!("replicate read failed: {status:?}");
-                    Err(RStoreError::Remote(what))
-                }
-            }
+        // The granted length is the *logical* extent size; the
+        // trailer is an implementation detail the master re-derives
+        // with `extent_alloc_len`.
+        let mr = dev.reg_mr(buf, sv.access(false))?;
+        granted.push((buf.addr, mr.rkey.0, len));
+        Ok(())
+    };
+    // All or nothing: one failure frees every buffer so far.
+    if let Err(e) = (0..req.count).try_for_each(|_| grant_next()) {
+        for b in bufs {
+            let _ = dev.free(b);
+        }
+        return Err(e);
+    }
+    let mut grants = sv.grants.borrow_mut();
+    for (buf, &(_, rkey, _)) in bufs.iter().zip(&granted) {
+        let grant = Grant {
+            rkey: RKey(rkey),
+            len: buf.len,
+            sealed: false,
+        };
+        grants.insert(buf.addr, grant);
+    }
+    Ok(granted)
+}
+
+/// The seal of an extent move: flip the extent's rights in place, keeping
+/// the rkey clients hold. Sealed writers complete with RemoteAccess and
+/// revalidate their descriptor; readers are unaffected. Under a fence the
+/// flag is only recorded: it takes effect when access comes back.
+fn set_access(sv: &Served, req: SetAccess) -> Result<()> {
+    let mut grants = sv.grants.borrow_mut();
+    let Some(g) = grants.values_mut().find(|g| g.rkey.0 == req.rkey) else {
+        return Err(rdma::RdmaError::InvalidHandle.into());
+    };
+    g.sealed = !req.writable;
+    Ok(sv.dev.set_mr_access(g.rkey, sv.access(g.sealed))?)
+}
+
+/// The copy of an extent move: pull the source into the local extent with a
+/// one-sided READ over the data path. The source server's CPU stays idle —
+/// only its NIC serves the read.
+async fn replicate(sv: &Served, req: Replicate) -> Result<()> {
+    let src = RemoteAddr {
+        addr: req.src_addr,
+        rkey: RKey(req.src_rkey),
+    };
+    sv.qps.dial(req.src_node, true).await?;
+    let dst = DmaBuf {
+        addr: req.dst_addr,
+        len: req.len,
+    };
+    let status = sv
+        .qps
+        .post(req.src_node, Wr::read(0, dst, src), req.len)?
+        .await;
+    match status.unwrap_or(CqStatus::Flushed) {
+        CqStatus::Success => Ok(()),
+        status => {
+            let what = format!("replicate read failed: {status:?}");
+            Err(RStoreError::Remote(what))
         }
     }
 }

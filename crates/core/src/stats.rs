@@ -9,7 +9,10 @@ use std::rc::Rc;
 
 use sim::{Counter, Event, Metrics, NoteArg, OpMetrics, Recorder};
 
-use crate::proto::CtrlReq;
+use crate::proto::{
+    Alloc, Drain, Free, Grow, Heartbeat, Lookup, RegisterServer, Report, ReportCorruption, Request,
+    Stat,
+};
 
 /// The op types a client starts ledgers for; indexes [`ClientStats::op`].
 #[derive(Clone, Copy, Debug)]
@@ -63,7 +66,7 @@ impl OpKind {
 }
 
 /// `(trace span, latency histogram)` of each control RPC, indexed by
-/// [`ctrl_op`].
+/// [`CtrlOp::ROW`].
 const CTRL_OPS: [(&str, &str); 10] = [
     ("rstore.ctrl.alloc", "rstore.ctrl_latency.alloc"),
     ("rstore.ctrl.grow", "rstore.ctrl_latency.grow"),
@@ -83,20 +86,31 @@ const CTRL_OPS: [(&str, &str); 10] = [
     ("rstore.ctrl.drain", "rstore.ctrl_latency.drain"),
 ];
 
-fn ctrl_op(req: &CtrlReq) -> usize {
-    match req {
-        CtrlReq::Alloc { .. } => 0,
-        CtrlReq::Grow { .. } => 1,
-        CtrlReq::Lookup { .. } => 2,
-        CtrlReq::Free { .. } => 3,
-        CtrlReq::Stat => 4,
-        CtrlReq::ClusterStats => 5,
-        CtrlReq::RegisterServer { .. } => 6,
-        CtrlReq::Heartbeat { .. } => 7,
-        CtrlReq::ReportCorruption { .. } => 8,
-        CtrlReq::Drain { .. } => 9,
-    }
+/// A control request, timed under its row of [`CTRL_OPS`].
+pub(crate) trait CtrlOp: Request {
+    const ROW: usize;
 }
+
+macro_rules! ctrl_rows {
+    ($($req:ident => $row:literal),* $(,)?) => {$(
+        impl CtrlOp for $req {
+            const ROW: usize = $row;
+        }
+    )*};
+}
+
+ctrl_rows!(
+    Alloc => 0,
+    Grow => 1,
+    Lookup => 2,
+    Free => 3,
+    Stat => 4,
+    Report => 5,
+    RegisterServer => 6,
+    Heartbeat => 7,
+    ReportCorruption => 8,
+    Drain => 9,
+);
 
 /// The client's metrics and events, resolved once in
 /// `RStoreClient::connect_with`. Spans run on the client's node as track.
@@ -149,9 +163,9 @@ impl ClientStats {
         }
     }
 
-    /// The event of control request `req`.
-    pub fn ctrl(&self, req: &CtrlReq) -> &Event {
-        &self.ctrl[ctrl_op(req)]
+    /// The event of control requests of type `Q`.
+    pub fn ctrl<Q: CtrlOp>(&self) -> &Event {
+        &self.ctrl[Q::ROW]
     }
 
     /// What ops of `kind` fold into.
@@ -272,25 +286,19 @@ mod tests {
     }
     #[test]
     fn every_control_request_indexes_the_row_that_names_it() {
-        let node = 0;
-        let (name, opts) = (String::new(), Default::default());
-        for (req, op) in [
-            (CtrlReq::Stat, "stat"),
-            (CtrlReq::ClusterStats, "cluster_stats"),
-            (CtrlReq::Heartbeat { node }, "heartbeat"),
-            (CtrlReq::Drain { node }, "drain"),
-            (CtrlReq::Lookup { name: name.clone() }, "lookup"),
-            (CtrlReq::Free { name: name.clone() }, "free"),
-            (
-                CtrlReq::Alloc {
-                    name,
-                    size: 0,
-                    opts,
-                },
-                "alloc",
-            ),
+        for (row, op) in [
+            (Stat::ROW, "stat"),
+            (Report::ROW, "cluster_stats"),
+            (RegisterServer::ROW, "register"),
+            (Heartbeat::ROW, "heartbeat"),
+            (Drain::ROW, "drain"),
+            (Lookup::ROW, "lookup"),
+            (Free::ROW, "free"),
+            (Alloc::ROW, "alloc"),
+            (Grow::ROW, "grow"),
+            (ReportCorruption::ROW, "report_corruption"),
         ] {
-            let (span, latency) = CTRL_OPS[ctrl_op(&req)];
+            let (span, latency) = CTRL_OPS[row];
             assert_eq!(span, format!("rstore.ctrl.{op}"));
             assert_eq!(latency, format!("rstore.ctrl_latency.{op}"));
         }

@@ -15,8 +15,10 @@ use rdma::{Access, DmaBuf};
 use rsort::{choose_splitters, dest_of, partition_records, ShufflePlan};
 use rstore::layout::Layout;
 use rstore::proto::{
-    AllocOptions, ClusterReport, ClusterStats, CtrlReq, CtrlResp, Extent, Policy, RegionDesc,
-    RegionState, RegionStats, ServerStats, SrvReq, SrvResp, StripeGroup, Wire,
+    Alloc, AllocExtents, AllocOptions, ClusterReport, ClusterStats, CtrlReq, Drain, Extent, Free,
+    FreeExtents, Grow, Heartbeat, Lookup, Policy, RegionDesc, RegionState, RegionStats,
+    RegisterServer, Registration, Replicate, Report, ReportCorruption, ServerStats, SetAccess,
+    SrvReq, Stat, StripeGroup, Wire,
 };
 use rstore::RStoreError;
 use workload::{is_sorted, record_key, sort_records, teragen, KEY_BYTES, RECORD_BYTES};
@@ -393,130 +395,141 @@ fn round_trips<M: Wire + PartialEq + std::fmt::Debug>(msgs: &[M]) {
     }
 }
 
-/// A random instance of every variant of the four control messages
-/// survives an encode/decode round trip, and none decodes from less than
-/// all of its bytes.
-#[test]
-fn proto_round_trip_fuzzed() {
-    cases("proto_round_trip_fuzzed", 128, |rng| {
-        round_trips(&[
-            CtrlReq::RegisterServer {
-                node: r32(rng),
-                capacity: rng.next_u64(),
-            },
-            CtrlReq::Heartbeat { node: r32(rng) },
-            CtrlReq::Alloc {
-                name: random_name(rng),
-                size: rng.next_u64(),
-                opts: random_opts(rng),
-            },
-            CtrlReq::Lookup {
-                name: random_name(rng),
-            },
-            CtrlReq::Free {
-                name: random_name(rng),
-            },
-            CtrlReq::Stat,
-            CtrlReq::Grow {
-                name: random_name(rng),
-                additional: rng.next_u64(),
-                opts: random_opts(rng),
-            },
-            CtrlReq::ReportCorruption {
-                name: random_name(rng),
-                group: r32(rng),
-                replica: r32(rng),
-                node: r32(rng),
-            },
-            CtrlReq::ClusterStats,
-            CtrlReq::Drain { node: r32(rng) },
-        ]);
-        let groups = random_list(rng, |rng| StripeGroup {
+/// What a request is answered with: its reply, or the error it failed with.
+type Reply<T> = Result<T, RStoreError>;
+
+fn random_region(rng: &mut DetRng) -> RegionDesc {
+    RegionDesc {
+        name: random_name(rng),
+        size: rng.next_u64(),
+        stripe_size: rng.next_u64(),
+        groups: random_list(rng, |rng| StripeGroup {
             replicas: random_list(rng, |rng| Extent {
                 node: r32(rng),
                 addr: rng.next_u64(),
                 rkey: rng.next_u64(),
                 len: rng.next_u64(),
             }),
-        });
+        }),
+        state: random_state(rng),
+        checksums: rng.chance(0.5),
+    }
+}
+
+fn random_stats(rng: &mut DetRng) -> ClusterStats {
+    ClusterStats {
+        servers: r32(rng),
+        regions: r32(rng),
+        capacity: rng.next_u64(),
+        used: rng.next_u64(),
+        consistent: rng.chance(0.5),
+    }
+}
+
+fn random_report(rng: &mut DetRng) -> ClusterReport {
+    ClusterReport {
+        servers: random_list(rng, |rng| ServerStats {
+            node: r32(rng),
+            capacity: rng.next_u64(),
+            used: rng.next_u64(),
+            alive: rng.chance(0.5),
+        }),
+        regions: random_list(rng, |rng| RegionStats {
+            name: random_name(rng),
+            size: rng.next_u64(),
+            state: random_state(rng),
+            corrupt_extents: r32(rng),
+        }),
+        corruption_detected: rng.next_u64(),
+        repaired_extents: rng.next_u64(),
+        scrub_passes: rng.next_u64(),
+    }
+}
+
+fn random_registration(rng: &mut DetRng) -> Registration {
+    Registration {
+        lease: Duration::from_nanos(rng.next_u64()),
+        retire: random_list(rng, |rng| (rng.next_u64(), rng.next_u64())),
+    }
+}
+
+fn random_extents(rng: &mut DetRng) -> Vec<(u64, u64, u64)> {
+    random_list(rng, |rng| (rng.next_u64(), rng.next_u64(), rng.next_u64()))
+}
+
+/// A random instance of every request on both control connections survives
+/// an encode/decode round trip, and none decodes from less than all of its
+/// bytes; so does every reply type, ok and error.
+#[test]
+fn proto_round_trip_fuzzed() {
+    cases("proto_round_trip_fuzzed", 128, |rng| {
         round_trips(&[
-            CtrlResp::Ok,
-            CtrlResp::Err(random_error(rng)),
-            CtrlResp::Region(RegionDesc {
+            CtrlReq::RegisterServer(RegisterServer {
+                node: r32(rng),
+                capacity: rng.next_u64(),
+            }),
+            CtrlReq::Heartbeat(Heartbeat { node: r32(rng) }),
+            CtrlReq::Alloc(Alloc {
                 name: random_name(rng),
                 size: rng.next_u64(),
-                stripe_size: rng.next_u64(),
-                groups,
-                state: random_state(rng),
-                checksums: rng.chance(0.5),
+                opts: random_opts(rng),
             }),
-            CtrlResp::Stats(ClusterStats {
-                servers: r32(rng),
-                regions: r32(rng),
-                capacity: rng.next_u64(),
-                used: rng.next_u64(),
-                consistent: rng.chance(0.5),
+            CtrlReq::Lookup(Lookup {
+                name: random_name(rng),
             }),
-            CtrlResp::Report(ClusterReport {
-                servers: random_list(rng, |rng| ServerStats {
-                    node: r32(rng),
-                    capacity: rng.next_u64(),
-                    used: rng.next_u64(),
-                    alive: rng.chance(0.5),
-                }),
-                regions: random_list(rng, |rng| RegionStats {
-                    name: random_name(rng),
-                    size: rng.next_u64(),
-                    state: random_state(rng),
-                    corrupt_extents: r32(rng),
-                }),
-                corruption_detected: rng.next_u64(),
-                repaired_extents: rng.next_u64(),
-                scrub_passes: rng.next_u64(),
+            CtrlReq::Free(Free {
+                name: random_name(rng),
             }),
-            CtrlResp::Drained {
-                extents: rng.next_u64(),
-                bytes: rng.next_u64(),
-            },
-            CtrlResp::Registered {
-                lease: Duration::from_nanos(rng.next_u64()),
-                retire: random_list(rng, |rng| (rng.next_u64(), rng.next_u64())),
-            },
+            CtrlReq::Stat(Stat {}),
+            CtrlReq::Grow(Grow {
+                name: random_name(rng),
+                additional: rng.next_u64(),
+                opts: random_opts(rng),
+            }),
+            CtrlReq::ReportCorruption(ReportCorruption {
+                name: random_name(rng),
+                group: r32(rng),
+                replica: r32(rng),
+                node: r32(rng),
+            }),
+            CtrlReq::Report(Report {}),
+            CtrlReq::Drain(Drain { node: r32(rng) }),
         ]);
         round_trips(&[
-            SrvReq::AllocExtents {
+            SrvReq::AllocExtents(AllocExtents {
                 count: r32(rng),
                 len: rng.next_u64(),
                 synthetic: rng.chance(0.5),
                 checksums: rng.chance(0.5),
-            },
-            SrvReq::FreeExtents {
+            }),
+            SrvReq::FreeExtents(FreeExtents {
                 extents: random_list(rng, |rng| (rng.next_u64(), rng.next_u64())),
-            },
-            SrvReq::Replicate {
+            }),
+            SrvReq::Replicate(Replicate {
                 src_node: r32(rng),
                 src_addr: rng.next_u64(),
                 src_rkey: rng.next_u64(),
                 dst_addr: rng.next_u64(),
                 len: rng.next_u64(),
-            },
-            SrvReq::SetAccess {
+            }),
+            SrvReq::SetAccess(SetAccess {
                 rkey: rng.next_u64(),
                 writable: rng.chance(0.5),
-            },
+            }),
         ]);
-        round_trips(&[
-            SrvResp::Extents(random_list(rng, |rng| {
-                (rng.next_u64(), rng.next_u64(), rng.next_u64())
-            })),
-            SrvResp::Ok,
-            SrvResp::Err(random_error(rng)),
-        ]);
+        // Every reply type a request names, as its value and as an error.
+        round_trips(&[Ok(random_region(rng)), Err(random_error(rng))]);
+        round_trips(&[Ok(random_stats(rng)), Err(random_error(rng))]);
+        round_trips(&[Ok(random_report(rng)), Err(random_error(rng))]);
+        round_trips(&[Ok((rng.next_u64(), rng.next_u64())), Err(random_error(rng))]);
+        round_trips(&[Ok(random_registration(rng)), Err(random_error(rng))]);
+        round_trips(&[Ok(random_extents(rng)), Err(random_error(rng))]);
+        round_trips(&[Ok(()), Err(random_error(rng))]);
     });
 }
 
 /// Arbitrary byte garbage never panics a decoder, on either control
-/// connection.
+/// connection: no request and no reply type.
 #[test]
 fn proto_decode_never_panics() {
     cases("proto_decode_never_panics", 256, |rng| {
@@ -524,9 +537,14 @@ fn proto_decode_never_panics() {
         let mut bytes = vec![0u8; len];
         rng.fill_bytes(&mut bytes);
         let _ = CtrlReq::decode(&bytes);
-        let _ = CtrlResp::decode(&bytes);
         let _ = SrvReq::decode(&bytes);
-        let _ = SrvResp::decode(&bytes);
+        let _ = Reply::<RegionDesc>::decode(&bytes);
+        let _ = Reply::<ClusterStats>::decode(&bytes);
+        let _ = Reply::<ClusterReport>::decode(&bytes);
+        let _ = Reply::<(u64, u64)>::decode(&bytes);
+        let _ = Reply::<Registration>::decode(&bytes);
+        let _ = Reply::<Vec<(u64, u64, u64)>>::decode(&bytes);
+        let _ = Reply::<()>::decode(&bytes);
     });
 }
 
