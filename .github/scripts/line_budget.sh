@@ -52,10 +52,13 @@ check() { # <file> <ceiling>
     fi
 }
 check crates/rdma/src/device.rs 1163
-check crates/core/src/region.rs 710
-check crates/core/src/kv.rs 1185
-printf '%-28s %5d  (ceiling %d)\n' total "$total" 3058
-if [ "$total" -gt 3058 ]; then
+# A contended write chases inside the one mutation path, and a chase round's
+# read-back is an option of the one CAS: a second lock path beside `mutate`,
+# or a second CAS beside `cas_word_l`, would not fit under these.
+check crates/core/src/region.rs 724
+check crates/core/src/kv.rs 1222
+printf '%-28s %5d  (ceiling %d)\n' total "$total" 3109
+if [ "$total" -gt 3109 ]; then
     echo "FAIL: the three files together are over their line budget" >&2
     status=1
 fi

@@ -497,16 +497,16 @@ mod tests {
         );
         assert_eq!(s.data_errors, 0, "verified reads must match the pattern");
 
-        // Fleet-statistical invariants under zipfian contention: reads stay
-        // one RTT at the median in every mix, and the index absorbs the
-        // overwhelming majority of lookups.
+        // Fleet invariants under zipfian contention: every warmed read is
+        // one RTT in every mix — readers read through locks — and the index
+        // absorbs the overwhelming majority of lookups.
         for x in &s.mixes {
             assert_eq!(x.ops_total, (CLIENTS * OPS_PER_CLIENT) as u64);
             let get = x.row("get").expect("every mix reads");
-            assert_eq!(get.rtts_p50, 1, "mix {}: warm get p50", x.name);
+            assert_eq!(get.rtts_max, 1, "mix {}: every warmed get", x.name);
             // Hot-key hints legitimately go stale under write contention
-            // (another client's CAS bumps the slot version), so mix A pays
-            // some probe re-reads; the index must still absorb the bulk.
+            // (another client's CAS bumps the slot version), so mix A's puts
+            // chase; the index must still absorb the bulk.
             let looked = x.index_hit + x.index_miss + x.index_stale;
             assert!(
                 x.index_hit * 5 >= looked * 3,
@@ -517,7 +517,6 @@ mod tests {
             );
             if x.name == "C" {
                 assert!(x.row("put").is_none(), "mix C is read-only");
-                assert_eq!(get.rtts_max, 1, "mix C: every warmed get is 1 RTT");
                 assert_eq!(
                     (x.index_miss, x.index_stale),
                     (0, 0),

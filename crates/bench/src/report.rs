@@ -519,6 +519,11 @@ pub fn experiment(id: &str) -> (Vec<Table>, Json) {
             asserts.eq("warm_put_rtts", s.warm.put_rtts, 2);
             asserts.eq("warm_delete_rtts", s.warm.delete_rtts, 2);
             asserts.eq("resize.reader_errors", s.resize.reader_errors, 0);
+            // Readers read through locks: no warmed get waits on a writer.
+            for x in &s.mixes {
+                let get_max = x.row("get").map_or(0, |r| r.rtts_max);
+                asserts.eq(&format!("get.rtts_per_op.max@{}", x.name), get_max, 1);
+            }
             let mixes: Vec<Json> = s
                 .mixes
                 .iter()

@@ -28,16 +28,18 @@
 //!
 //! 1. **The slot codec** (`SlotHdr`) — the only code that knows the slot
 //!    layout, and the one validation rule every path applies to an image
-//!    read back from the wire or a host copy of it.
+//!    read back from the wire or a host copy of it. A locked slot decodes
+//!    to its committed view (see "Locks and failures").
 //! 2. **The probe walk** (`KvTable::walk`) — linear probing from the
 //!    key's home slot, ending in the key's live entry, the first reusable
 //!    hole of its chain, or neither. The home slot is one READ of its own;
 //!    each READ after it lands the next `PROBE_WINDOW_BYTES` (1 KiB) of the
 //!    chain. `get`, `put`, `delete` and `multi_get`'s chain fallback all
-//!    drive it; it owns the bounded lock wait and the orphaned-lock break.
+//!    drive it; a writer's walk owns the bounded lock wait.
 //! 3. **The locked mutation** (`KvTable::mutate`) — tagged-CAS lock →
 //!    publish an entry or a tombstone in one WRITE that also unlocks → on
-//!    any failure after the CAS, the one unlock (`KvTable::unlock`). `put`
+//!    any failure after the CAS, the one unlock (`KvTable::unlock`); a lost
+//!    CAS on a slot known to hold the key chases the word it returned. `put`
 //!    and `delete` call it from both their hinted and their probed path.
 //! 4. **The generation plumbing** — one stale-generation retry wrapper
 //!    (`KvTable::retry_stale`) around every op, one meta poll loop
@@ -49,11 +51,12 @@
 //! * **GET** — a hit in the hint cache reads the remembered slot directly:
 //!   **one RDMA READ**, regardless of probe-chain depth; the key embedded in
 //!   the slot self-validates the hint. A miss walks from the home slot and
-//!   populates the cache. The slot's seqlock version detects torn reads.
+//!   populates the cache. A get never waits on a writer.
 //! * **PUT / DELETE** — a hinted mutation CASes directly on the cached
-//!   version: CAS + WRITE = 2 round trips. A cold one walks first (one READ
-//!   for the home slot, then one per 1 KiB of chain past it). Writers from
-//!   any client machine serialize on the CAS; no server CPU is ever involved.
+//!   version: CAS + WRITE = 2 round trips, 3 when another writer moved the
+//!   slot on first. A cold one walks first (one READ for the home slot, then
+//!   one per 1 KiB of chain past it). Writers from any client machine
+//!   serialize on the CAS; no server CPU is ever involved.
 //! * **RESIZE** — [`KvTable::grow`] rehashes into a fresh data region
 //!   without stopping readers: flip the epoch odd (CAS), wait a grace
 //!   period that outlasts every write lease, copy + rehash, publish the new
@@ -83,14 +86,33 @@
 //!
 //! # Locks and failures
 //!
-//! A walk that meets a locked slot waits (`LOCK_BACKOFF`) and then reacts
-//! in one of two ways, and the difference is deliberate. A **reader**
-//! re-reads the *same* slot: nothing it has seen so far can be invalidated
-//! by the writer it is waiting for, so the walk resumes where it stood. A
-//! **writer** restarts from the *home* slot: it may already have chosen a
-//! hole earlier in the chain, and the lock holder may be inserting this very
-//! key — or freeing an earlier slot — so the hole it remembered can be
-//! stale by the time the lock clears.
+//! The locked word is tagged: the CAS swaps in `version + 1` with a unique
+//! nonce in the high 32 bits ([`lock_word`]), and the body under an odd
+//! word is always the intact pre-lock image — the lock CAS touches only the
+//! version word, and the publish writes word + body in one WRITE. So the
+//! slot codec decodes a locked slot to its **committed view**:
+//! `pre_lock_version(word)` and the body under it, the state the slot held
+//! at the READ's instant. **Readers read through locks**: `get`,
+//! `multi_get`, the hinted read and the reader's walk never wait on a
+//! writer, and a get that meets a lock is linearized before the in-flight
+//! mutation.
+//!
+//! **Writers chase.** A lock CAS that loses on a slot known to hold the key
+//! (a hinted put or delete, or a walk that hit) continues from the word the
+//! CAS returned instead of walking again. An even word is locked at once.
+//! An odd one is waited out (`LOCK_BACKOFF`, through the op's
+//! [`LockWatch`]), and then the writer locks `pre_lock_version(word) + 2`,
+//! the version the holder will publish; if the holder unlocks instead, that
+//! CAS returns the pre-lock version and the next round locks it. Only the
+//! first CAS's success proves the key (a slot never repeats a stable
+//! version), so every chase round's CAS carries a READ of the slot behind
+//! it on the same QP, which the responder runs after the swap: the writer
+//! publishes only if the image under its own lock holds the key, and
+//! otherwise unlocks and walks. A writer's walk that meets a locked slot
+//! waits it out and restarts from the *home* slot: it may already have
+//! chosen a hole earlier in the chain, and the lock holder may be inserting
+//! this very key — or freeing an earlier slot — so the hole it remembered
+//! can be stale by the time the lock clears.
 //!
 //! Every lock wait is bounded ([`LOCK_WAIT_BUDGET`] of virtual time per op)
 //! and then surfaces [`RStoreError::Io`] — a healthy writer releases within
@@ -99,11 +121,7 @@
 //! remap) rather than spin.
 //!
 //! A lock that is not released by a publish is released by one rule,
-//! `KvTable::unlock`. The locked word is tagged: the CAS swaps in
-//! `version + 1` with a unique nonce in the high 32 bits ([`lock_word`]),
-//! and the body under an odd word is always the intact pre-lock image — the
-//! lock CAS touches only the version word, and the publish writes word +
-//! body in one WRITE. So CASing the exact tagged word back to the pre-lock
+//! `KvTable::unlock`: CASing the exact tagged word back to the pre-lock
 //! stable version restores a state the slot already had. The nonce makes
 //! the word unique to one lock attempt (no ABA); a CAS is posted once and
 //! never re-posted, so nothing can replay an unlock, and it fails
@@ -121,9 +139,10 @@
 //! * **A waiter.** A lock can be orphaned with no owner left to release
 //!   it: the owner's unlock failed too, or live migration copied the slot
 //!   while it was locked and the owner's release landed on the sealed,
-//!   soon-freed source. A waiter that has watched the *same* tagged word
+//!   soon-freed source. A writer that has watched the *same* tagged word
 //!   for most of its wait budget ([`LockWatch`]) — orders of magnitude past
 //!   a healthy hold — breaks the lock with the same CAS (`kv.lock.break`).
+//!   Until then readers return the entry under it, and so does `grow`.
 
 use rdma::{CqStatus, DmaBuf, RdmaDevice};
 use sim::{Counter, OpLedger, Phase, SimTime};
@@ -157,7 +176,7 @@ const META_REGION_BYTES: u64 = 64;
 /// surfaces an IO timeout instead of spinning. A healthy writer holds a
 /// lock for microseconds; a holder stalled behind a degraded-window RDMA
 /// timeout (or crashed outright) keeps it for tens of milliseconds, and
-/// each wait round costs a remote re-read — so past this budget the caller
+/// each wait round costs a remote CAS or re-read — so past this budget the caller
 /// is better served by an error it can react to (remap, back off, retry).
 const LOCK_WAIT_BUDGET: Duration = Duration::from_millis(20);
 
@@ -210,8 +229,9 @@ static NEXT_LOCK_NONCE: AtomicU64 = AtomicU64::new(0);
 /// The odd version word a locker CASes into a slot: `version + 1` tagged
 /// with a unique nonce in the high 32 bits. Stable versions are even and
 /// stay below 2^32 (a slot would need ~2 billion mutations to overflow), so
-/// the tag never collides with a stable version, and parity checks — all any
-/// reader does with a locked word — are unaffected. The nonce makes the
+/// the tag never collides with a stable version, and the parity check and
+/// [`pre_lock_version`] — all a reader does with a locked word — are
+/// unaffected. The nonce makes the
 /// word unique to one lock attempt, so the unlock CAS from it succeeds only
 /// if that attempt's lock is still in place.
 fn lock_word(version: u64, nonce: u64) -> u64 {
@@ -236,8 +256,8 @@ fn pre_lock_version(lock: u64) -> u64 {
 /// unchanged this long has no owner left to release it.
 const ORPHAN_BREAK_AGE: Duration = Duration::from_millis(15);
 
-/// One op's view of the locked slots it has waited on, and the deadline its
-/// waits share. Feeding every observed `(slot, word)` pair into the watch
+/// One write's view of the locked slots it has waited on, and the deadline
+/// its waits share. Feeding every observed `(slot, word)` pair into the watch
 /// lets the op tell a live writer (words change between waits) from an
 /// orphaned lock (the same tagged word across the whole budget) and break
 /// only the latter — see the module docs, "Locks and failures".
@@ -313,19 +333,32 @@ struct CorruptSlot;
 /// through it, so they share one validation rule.
 #[derive(Clone, Copy, Debug)]
 struct SlotHdr {
+    /// The committed stable version: the word itself, or under a lock the
+    /// version the lock was taken over.
     version: u64,
+    /// The version word as it was read: odd while a writer holds the slot.
+    word: u64,
     klen: usize,
     vlen: usize,
 }
 
 impl SlotHdr {
-    /// Decodes the header of the whole-slot image `img`. The one validation
-    /// rule: a live entry's `klen + vlen` must fit the slot payload, checked
-    /// here — before anyone slices the body. Never-used, locked and
-    /// tombstoned slots have no body to slice and decode as they are.
+    /// Decodes the header of the whole-slot image `img` to the slot's
+    /// committed view: a locked slot decodes to its pre-lock version and
+    /// the intact body under the lock word. The one validation rule: a live
+    /// entry's `klen + vlen` must fit the slot payload, checked here —
+    /// before anyone slices the body. Never-used and tombstoned slots have
+    /// no body to slice and decode as they are.
     fn decode(img: &[u8]) -> std::result::Result<SlotHdr, CorruptSlot> {
+        let word = u64::from_le_bytes(img[..8].try_into().expect("8"));
+        let version = if word % 2 == 1 {
+            pre_lock_version(word)
+        } else {
+            word
+        };
         let hdr = SlotHdr {
-            version: u64::from_le_bytes(img[..8].try_into().expect("8")),
+            version,
+            word,
             klen: u16::from_le_bytes(img[8..10].try_into().expect("2")) as usize,
             vlen: u16::from_le_bytes(img[10..12].try_into().expect("2")) as usize,
         };
@@ -350,6 +383,7 @@ impl SlotHdr {
         let (klen, vlen) = (key.len(), value.len());
         let hdr = SlotHdr {
             version,
+            word: version,
             klen,
             vlen,
         };
@@ -362,12 +396,12 @@ impl SlotHdr {
 
     /// Odd version word: a writer holds the slot.
     fn locked(&self) -> bool {
-        self.version % 2 == 1
+        self.word % 2 == 1
     }
 
-    /// Stable, used and not a tombstone: the body holds an entry.
+    /// Used and not a tombstone: the committed body holds an entry.
     fn live(&self) -> bool {
-        self.version != 0 && !self.locked() && self.klen != 0
+        self.version != 0 && self.klen != 0
     }
 
     /// The key of the live entry in `img` (which this header was decoded
@@ -401,7 +435,15 @@ enum Image<'a> {
     /// `key → value`, over the key's own entry or a hole.
     Entry(&'a [u8], &'a [u8]),
     /// A tombstone, over the key's own entry only.
-    Tombstone,
+    Tombstone(&'a [u8]),
+}
+
+impl<'a> Image<'a> {
+    fn key(self) -> &'a [u8] {
+        match self {
+            Image::Entry(key, _) | Image::Tombstone(key) => key,
+        }
+    }
 }
 
 /// The parsed meta block.
@@ -987,19 +1029,18 @@ impl KvTable {
     /// clipped at `max_probe` and at the table end so that no READ wraps,
     /// whose slots the walk decodes in order.
     ///
-    /// A locked slot is waited out (bounded by `watch`, which also breaks a
-    /// lock it proves orphaned) and then the walk reacts as the module docs
-    /// describe: a reader (`restart_on_lock == false`) re-reads from the
-    /// locked slot; a writer restarts from the home slot, and reads it alone
-    /// again, because the hole it may have chosen can be stale once the lock
-    /// holder is done.
+    /// Every slot decodes to its committed view, so a reader (`writer` is
+    /// `None`) reads through locks. A writer's walk waits a locked slot out
+    /// (bounded by `writer`'s watch, which also breaks a lock it proves
+    /// orphaned) and restarts from the home slot, reading it alone again,
+    /// because the hole it may have chosen can be stale once the lock
+    /// holder is done (module docs, "Locks and failures").
     async fn walk(
         &self,
         data: &Region,
         mask: u64,
         key: &[u8],
-        restart_on_lock: bool,
-        watch: &mut LockWatch,
+        mut writer: Option<&mut LockWatch>,
         ledger: &OpLedger,
     ) -> Result<Found> {
         let (start, sb) = (hash_key(key) & mask, self.slot_bytes);
@@ -1017,14 +1058,11 @@ impl KvTable {
             }
             let at = self.probe_buf.addr + (probe - landed.start) * sb;
             let (hdr, matched) = self.decode_landed(data, slot, at, key)?;
-            if hdr.locked() {
+            if let (true, Some(watch)) = (hdr.locked(), writer.as_deref_mut()) {
                 ledger.retry();
-                self.lock_wait_on(data, watch, slot, hdr.version, ledger)
+                self.lock_wait_on(data, watch, slot, hdr.word, ledger)
                     .await?;
-                if restart_on_lock {
-                    (probe, hole) = (0, None);
-                }
-                landed = 0..0;
+                (probe, hole, landed) = (0, None, 0..0);
                 continue;
             }
             if matched {
@@ -1056,12 +1094,13 @@ impl KvTable {
         Ok(())
     }
 
-    /// [`lock_wait`](Self::lock_wait) for waits where the blocking word is
-    /// known: feeds the sighting into `watch`, and at the deadline — before
-    /// surfacing the timeout — breaks the lock with [`unlock`](Self::unlock)
-    /// if the watch proves it orphaned (`kv.lock.break` counts these breaks
-    /// only). A successful break returns `Ok` so the caller re-probes the
-    /// now-stable slot (its next wait past the deadline still errors).
+    /// [`lock_wait`](Self::lock_wait) for a writer's waits where the
+    /// blocking word is known: feeds the sighting into `watch`, and at the
+    /// deadline — before surfacing the timeout — breaks the lock with
+    /// [`unlock`](Self::unlock) if the watch proves it orphaned
+    /// (`kv.lock.break` counts these breaks only). A successful break
+    /// returns `Ok` so the caller re-probes or re-CASes the now-stable slot
+    /// (its next wait past the deadline still errors).
     async fn lock_wait_on(
         &self,
         data: &Region,
@@ -1097,12 +1136,12 @@ impl KvTable {
     ///
     /// Purely one-sided: a warm hint is **one RDMA READ**; a miss walks the
     /// chain — one READ for the home slot, then one per
-    /// [`PROBE_WINDOW_BYTES`] window — with seqlock retry on torn reads.
+    /// [`PROBE_WINDOW_BYTES`] window. A slot a writer holds is read through:
+    /// the value is the one under its lock.
     ///
     /// # Errors
     ///
-    /// IO failures (including a bounded lock wait that times out);
-    /// [`RStoreError::Protocol`] if the key exceeds the slot;
+    /// IO failures; [`RStoreError::Protocol`] if the key exceeds the slot;
     /// [`RStoreError::CorruptionDetected`] for structurally invalid slots.
     pub async fn get(&self, key: &[u8]) -> Result<Option<Vec<u8>>> {
         let ledger = self.meta.op_ledger(OpKind::Get);
@@ -1134,21 +1173,14 @@ impl KvTable {
                 self.install_hint(key, SlotHint { version, ..h });
                 return Ok(Some(self.landed_value(&hdr)));
             }
-            // A writer mid-publish keeps the hint — the slot is still the
-            // key's home as far as we know, and the walk below waits the
-            // writer out. Anything else stable means the key moved on.
-            if !hdr.locked() {
-                self.drop_hint(key, &self.stats.stale);
-            }
+            // The slot's committed view holds another key or none: the key
+            // moved on.
+            self.drop_hint(key, &self.stats.stale);
         } else {
             self.stats.miss.incr();
         }
 
-        let mut watch = LockWatch::new(self.dev.sim().now());
-        match self
-            .walk(&data, mask, key, false, &mut watch, ledger)
-            .await?
-        {
+        match self.walk(&data, mask, key, None, ledger).await? {
             Found::Hit(slot, hdr) => {
                 let hint = SlotHint {
                     generation,
@@ -1166,8 +1198,8 @@ impl KvTable {
     /// posting round ([`Region::read_into_many`]) — one doorbell per memory
     /// server instead of one per key. Keys whose first slot resolves the lookup (the
     /// common case at sane load factors) are answered from the batch; a key
-    /// whose first slot is locked, tombstoned, or a colliding entry falls
-    /// back to [`get`](Self::get) for the full probe chain.
+    /// whose first slot is a tombstone or a colliding entry falls back to
+    /// [`get`](Self::get) for the full probe chain.
     ///
     /// Returns one entry per key, in input order.
     ///
@@ -1225,9 +1257,9 @@ impl KvTable {
                     } else if hdr.version == 0 {
                         None
                     } else {
-                        // Locked, tombstoned or a colliding entry: the answer
-                        // lives further down the probe chain. Take the
-                        // retrying path, charged to the batch op.
+                        // A tombstone or a colliding entry: the answer lives
+                        // further down the probe chain. Take the retrying
+                        // path, charged to the batch op.
                         self.get_l(key, ledger).await?
                     });
                 }
@@ -1244,8 +1276,9 @@ impl KvTable {
 
     /// Inserts or overwrites `key` → `value`.
     ///
-    /// A warm hint costs CAS + one full-slot WRITE (2 round trips); a cold
-    /// put walks first — one READ for the home slot, then one per
+    /// A warm hint costs CAS + one full-slot WRITE (2 round trips), and one
+    /// more CAS round per writer that got there first; a cold put walks
+    /// first — one READ for the home slot, then one per
     /// [`PROBE_WINDOW_BYTES`] window of the chain past it.
     ///
     /// # Errors
@@ -1265,7 +1298,7 @@ impl KvTable {
     async fn put_l(&self, key: &[u8], value: &[u8], ledger: &OpLedger) -> Result<()> {
         self.ensure_write_lease(ledger).await?;
         let image = Image::Entry(key, value);
-        let placed = self.retry_stale(ledger, || self.mutate_key(key, image, ledger));
+        let placed = self.retry_stale(ledger, || self.mutate_key(image, ledger));
         let Some(hint) = placed.await? else {
             return Err(RStoreError::InsufficientCapacity {
                 requested: self.slot_bytes,
@@ -1292,8 +1325,8 @@ impl KvTable {
 
     async fn delete_l(&self, key: &[u8], ledger: &OpLedger) -> Result<bool> {
         self.ensure_write_lease(ledger).await?;
-        let tombstoned =
-            self.retry_stale(ledger, || self.mutate_key(key, Image::Tombstone, ledger));
+        let image = Image::Tombstone(key);
+        let tombstoned = self.retry_stale(ledger, || self.mutate_key(image, ledger));
         let found = tombstoned.await?.is_some();
         if found {
             self.drop_hint(key, &self.stats.invalidate);
@@ -1301,34 +1334,35 @@ impl KvTable {
         Ok(found)
     }
 
-    /// Finds `key`'s slot — by hint, else by a writer's walk — and runs the
-    /// locked mutation on it. Returns where `image` was published — the
+    /// Finds the key's slot — by hint, else by a writer's walk — and runs
+    /// the locked mutation on it. Returns where `image` was published — the
     /// slot and its new stable version, which for an entry is the key's
     /// fresh hint — or `None` if there is no slot to mutate: the key is
     /// absent (tombstone) or its probe window is full (entry).
-    async fn mutate_key(
-        &self,
-        key: &[u8],
-        image: Image<'_>,
-        ledger: &OpLedger,
-    ) -> Result<Option<SlotHint>> {
+    async fn mutate_key(&self, image: Image<'_>, ledger: &OpLedger) -> Result<Option<SlotHint>> {
         let (generation, mask, data) = self.snapshot();
+        let key = image.key();
         let mut watch = LockWatch::new(self.dev.sim().now());
 
         // Hinted fast path: CAS directly on the cached stable version. A
         // slot never repeats a stable version within a generation, so CAS
         // success proves the slot still holds this key at that version — no
-        // probe read needed.
+        // probe read needed. A CAS that lost chases, and its hint is stale
+        // whether or not the chase wins.
         if let Some(h) = self.hint_for(generation, key) {
-            match self.mutate(&data, h.slot, h.version, image, ledger).await {
-                Ok(true) => {
-                    self.stats.hit.incr();
-                    let version = h.version + 2;
+            let mutated = self.mutate(&data, h.slot, h.version, image, Some(&mut watch), ledger);
+            match mutated.await {
+                Ok(Some((version, chased))) => {
+                    if chased {
+                        self.drop_hint(key, &self.stats.stale);
+                    } else {
+                        self.stats.hit.incr();
+                    }
                     return Ok(Some(SlotHint { version, ..h }));
                 }
-                // The slot moved on (another writer, a delete, …): fall
-                // back to the walk.
-                Ok(false) => self.drop_hint(key, &self.stats.stale),
+                // The chase found the slot holding another key or none:
+                // fall back to the walk.
+                Ok(None) => self.drop_hint(key, &self.stats.stale),
                 Err(e) => {
                     self.drop_hint(key, &self.stats.invalidate);
                     return Err(e);
@@ -1339,32 +1373,42 @@ impl KvTable {
         }
 
         loop {
-            let found = self.walk(&data, mask, key, true, &mut watch, ledger);
-            let (slot, version) = match (found.await?, image) {
-                (Found::Hit(slot, hdr), _) => (slot, hdr.version),
-                (Found::Hole(slot, version), Image::Entry(..)) => (slot, version),
+            let found = self.walk(&data, mask, key, Some(&mut watch), ledger);
+            let (slot, version, hit) = match (found.await?, image) {
+                (Found::Hit(slot, hdr), _) => (slot, hdr.version, true),
+                (Found::Hole(slot, version), Image::Entry(..)) => (slot, version, false),
                 _ => return Ok(None),
             };
-            if self.mutate(&data, slot, version, image, ledger).await? {
+            let chase = hit.then_some(&mut watch);
+            let mutated = self.mutate(&data, slot, version, image, chase, ledger);
+            if let Some((version, _)) = mutated.await? {
                 return Ok(Some(SlotHint {
                     generation,
                     slot,
-                    version: version + 2,
+                    version,
                 }));
             }
-            // Lost the lock race: the chain may have changed under the
-            // winner, so walk again.
+            // Lost the lock race on a hole, or the chase found the key gone:
+            // the chain may have changed under the winner, so walk again.
             ledger.retry();
             self.lock_wait(watch.deadline).await?;
         }
     }
 
-    /// The locked mutation of one slot observed at stable `version`: lock it
-    /// with a tagged CAS, then publish `image` in one WRITE that also
-    /// releases the lock. Returns `false`, with nothing changed, if the CAS
-    /// lost — the slot is no longer at `version`.
+    /// The locked mutation of one slot observed at stable `version`: lock
+    /// it with a tagged CAS, then publish `image` in one WRITE that also
+    /// releases the lock. Returns the published stable version and whether
+    /// a chase round won the lock, or `None`, with nothing changed, if the
+    /// CAS lost on a hole (`chase` is `None`) or a chase found the key gone.
     ///
-    /// Any error once the lock CAS was posted — the CAS's own, whose swap
+    /// With `chase`, the slot is known to hold the key, and a CAS that
+    /// loses continues from the word it returned: an even word is locked
+    /// at once, an odd one is waited out through `chase` and then
+    /// `pre_lock_version(word) + 2` is locked. A chase round's CAS carries
+    /// the slot's read-back, and publishes only if the image under its own
+    /// lock holds the key (module docs, "Locks and failures").
+    ///
+    /// Any error once a lock CAS was posted — the CAS's own, whose swap
     /// may have executed, or the publish's — is surfaced after one
     /// [`unlock`](Self::unlock) of this attempt's word. The op was never
     /// acknowledged, and the slot is left holding its old image or, where
@@ -1376,20 +1420,50 @@ impl KvTable {
         slot: u64,
         version: u64,
         image: Image<'_>,
+        mut chase: Option<&mut LockWatch>,
         ledger: &OpLedger,
-    ) -> Result<bool> {
-        let lock = lock_word(version, next_nonce());
-        let locked = self.cas_word(data, slot * self.slot_bytes, version, lock, ledger);
-        let published = match locked.await {
-            Ok(true) => self.publish(data, slot, version, image, ledger).await,
-            Ok(false) => return Ok(false),
+    ) -> Result<Option<(u64, bool)>> {
+        let (sb, mut word, mut chased) = (self.slot_bytes, version, false);
+        let (lock, held) = loop {
+            if let (1, Some(watch)) = (word % 2, chase.as_deref_mut()) {
+                self.lock_wait_on(data, watch, slot, word, ledger).await?;
+                word = pre_lock_version(word) + 2;
+            }
+            if chased {
+                self.stats.chase.incr();
+            }
+            let lock = lock_word(word, next_nonce());
+            let read_back = chased.then(|| self.probe_buf.slice(0, sb));
+            let locked = self.cas_word(data, slot * sb, word, lock, read_back, ledger);
+            let prior = match locked.await {
+                Ok(prior) => prior,
+                Err(e) => break (lock, Err(e)),
+            };
+            if prior == word {
+                let held = read_back.map_or(Ok(true), |buf| {
+                    let landed = self.decode_landed(data, slot, buf.addr, image.key());
+                    landed.map(|(_, held)| held)
+                });
+                break (lock, held);
+            }
+            if chase.is_none() {
+                return Ok(None);
+            }
+            ledger.retry();
+            (word, chased) = (prior, true);
+        };
+        let published = match held {
+            Ok(true) => {
+                let written = self.publish(data, slot, word, image, ledger).await;
+                written.map(|()| Some((word + 2, chased)))
+            }
+            Ok(false) => Ok(None),
             Err(e) => Err(e),
         };
-        if let Err(e) = published {
+        if !matches!(published, Ok(Some(_))) {
             self.unlock(data, slot, lock, ledger).await;
-            return Err(e);
         }
-        Ok(true)
+        published
     }
 
     /// The one way a slot lock is released without a publish: CAS the
@@ -1401,8 +1475,8 @@ impl KvTable {
     /// lock CAS never executed). Returns whether this CAS released the slot.
     async fn unlock(&self, data: &Region, slot: u64, lock: u64, ledger: &OpLedger) -> bool {
         let version = pre_lock_version(lock);
-        let released = self.cas_word(data, slot * self.slot_bytes, lock, version, ledger);
-        matches!(released.await, Ok(true))
+        let released = self.cas_word(data, slot * self.slot_bytes, lock, version, None, ledger);
+        released.await.is_ok_and(|prior| prior == lock)
     }
 
     /// Publishes `image` over a slot this client holds locked over stable
@@ -1427,7 +1501,7 @@ impl KvTable {
     ) -> Result<()> {
         let (key, value) = match image {
             Image::Entry(key, value) => (key, value),
-            Image::Tombstone => (&[][..], &[][..]),
+            Image::Tombstone(_) => (&[][..], &[][..]),
         };
         let mut img = self.img_scratch.take();
         img.resize(HDR_BYTES + key.len() + value.len(), 0);
@@ -1438,8 +1512,10 @@ impl KvTable {
     }
 
     /// One-sided CAS on an 8-byte word of `region` at byte `offset`, on the
-    /// client's data QP to the word's server like any READ or WRITE; true if
-    /// it won.
+    /// client's data QP to the word's server like any READ or WRITE; returns
+    /// the word it found, so the swap won if that is `expect`. With
+    /// `read_back`, [`Region::cas_word_l`] reads that many bytes at `offset`
+    /// into it, after the swap and in the same round.
     ///
     /// Keeps its own `cas` op ledger (when `parent` records), then folds the
     /// costs into `parent` so the enclosing put/delete still accounts for the
@@ -1450,8 +1526,9 @@ impl KvTable {
         offset: u64,
         expect: u64,
         swap: u64,
+        read_back: Option<DmaBuf>,
         parent: &OpLedger,
-    ) -> Result<bool> {
+    ) -> Result<u64> {
         let cas_ledger = if parent.enabled() {
             self.meta.op_ledger(OpKind::Cas)
         } else {
@@ -1459,7 +1536,7 @@ impl KvTable {
         };
         let landing = self.scratch.slice(0, 8);
         let result = region
-            .cas_word_l(offset, expect, swap, landing, &cas_ledger)
+            .cas_word_l(offset, expect, swap, landing, read_back, &cas_ledger)
             .await;
         self.meta.finish_ledger_res(&cas_ledger, &result);
         parent.absorb(&cas_ledger);
@@ -1646,10 +1723,8 @@ impl KvTable {
         // Claim the resize: CAS the epoch odd. One resizer wins; everyone
         // else sees "in progress".
         let odd = m.epoch + 1;
-        if !self
-            .cas_word(&self.meta, META_EPOCH_OFF, m.epoch, odd, ledger)
-            .await?
-        {
+        let claimed = self.cas_word(&self.meta, META_EPOCH_OFF, m.epoch, odd, None, ledger);
+        if claimed.await? != m.epoch {
             return Err(RStoreError::Protocol(
                 "lost the resize race to another client".into(),
             ));
@@ -1732,10 +1807,10 @@ impl KvTable {
             off += n;
         }
 
-        // Rehash live entries into the new image. A slot still locked after
-        // the grace window is an orphaned lock that no waiter broke; it is
-        // dropped with the pre-lock entry under it (DESIGN.md, "What a
-        // failed put leaves").
+        // Rehash the committed view of every live entry into the new image.
+        // A slot still locked after the grace window is an orphaned lock
+        // that no writer broke, and the entry under it is the one readers
+        // have been returning: it moves like any other.
         let mut img_new = vec![0u8; (new_buckets * self.slot_bytes) as usize];
         let mut moved = 0u64;
         let old_slots = img_old.chunks_exact(self.slot_bytes as usize);
@@ -2205,9 +2280,9 @@ mod tests {
         // straddle the stripe boundary at slot 8 — then 12..=19. A get at
         // position p = 1, 2, 9, 10 costs 1, 2, 2, 3 RTTs; a put over
         // position 9 costs that walk's 2 plus CAS + publish. A reader that
-        // meets a slot locked mid-window waits, then re-reads from that slot
-        // (one READ per wait, never a restart from home) and still returns
-        // the right value.
+        // meets a slot locked mid-window reads through it: the same RTTs and
+        // virtual time as the unlocked walk, no retry, and the entry under
+        // the lock is still a hit.
         let cluster = boot(1);
         let sim = cluster.sim.clone();
         sim.recorder().enable(sim::Level::Costs, 0);
@@ -2231,12 +2306,17 @@ mod tests {
             };
             let cold = || KvTable::open(&client, "chain", cfg.slot_bytes, cfg.max_probe);
 
+            let mut unlocked = Duration::ZERO;
             for (p, rtts) in [(1, 1), (2, 2), (9, 2), (10, 3)] {
                 let kv = cold().await.unwrap();
                 metrics.reset();
+                let t = s.now();
                 let got = kv.get(keys[p - 1].as_bytes()).await.unwrap();
                 assert_eq!(got.as_deref(), Some(&[p as u8 - 1; 8][..]), "position {p}");
                 assert_eq!(row("get").rtts_max, rtts, "position {p}");
+                if p == 9 {
+                    unlocked = s.now().saturating_since(t);
+                }
             }
 
             let kv = cold().await.unwrap();
@@ -2246,8 +2326,7 @@ mod tests {
             assert_eq!(put.rtts_max, 4, "walk 2 + CAS + publish");
             assert_eq!(put.retries, 0);
 
-            // Lock position 5 (slot 7) under its intact entry; release it
-            // 5 µs into the get.
+            // Lock position 5 (slot 7) under its intact entry, for good.
             let raw = client.map(&gen_name("chain", 1)).await.unwrap();
             let none = OpLedger::disabled();
             let word = raw.read_l(7 * 128, 8, &none).await.unwrap();
@@ -2256,23 +2335,151 @@ mod tests {
             raw.write_l(7 * 128, &locked, &none).await.unwrap();
             let kv = cold().await.unwrap();
             metrics.reset();
-            let rsim = s.clone();
-            let unlocker = s.spawn(async move {
-                rsim.sleep(Duration::from_micros(5)).await;
-                let none = OpLedger::disabled();
-                raw.write_l(7 * 128, &version.to_le_bytes(), &none).await
-            });
+            let t = s.now();
             let got = kv.get(keys[8].as_bytes()).await.unwrap();
-            unlocker.await.unwrap();
             assert_eq!(got.as_deref(), Some(&b"fresh"[..]));
+            assert_eq!(s.now().saturating_since(t), unlocked, "no wait");
             let get = row("get");
-            assert!(get.retries >= 1, "the reader met the lock");
+            assert_eq!((get.rtts_max, get.retries), (2, 0), "read through");
+            let got = kv.get(keys[4].as_bytes()).await.unwrap();
             assert_eq!(
-                get.rtts_max,
-                2 + get.retries,
-                "each wait re-reads one window from the locked slot"
+                got.as_deref(),
+                Some(&[4u8; 8][..]),
+                "the entry under the lock"
             );
         });
+    }
+
+    #[test]
+    fn a_lost_hinted_cas_chases_the_word_it_returned() {
+        // (a) Another handle updated the key since this handle took its
+        // hint: the hinted CAS returns the new stable version, and one chase
+        // round locks it with the read-back — CAS, chase, publish = 3 RTTs.
+        // (b) Slot reuse: another handle deleted the key and inserted a
+        // colliding key into the same slot. The chase locks that slot's new
+        // version, but the read-back shows the foreign key, so it unlocks
+        // and walks; the colliding key's value stays intact.
+        let cluster = boot(2);
+        let sim = cluster.sim.clone();
+        sim.recorder().enable(sim::Level::Costs, 0);
+        sim.block_on(async move {
+            let (c0, c1) = (
+                cluster.client(0).await.unwrap(),
+                cluster.client(1).await.unwrap(),
+            );
+            let cfg = small_cfg();
+            let kv0 = KvTable::create(&c0, "stale", cfg).await.unwrap();
+            let kv1 = KvTable::open(&c1, "stale", cfg.slot_bytes, cfg.max_probe);
+            let kv1 = kv1.await.unwrap();
+            let metrics = c1.device().metrics();
+            let put = || {
+                let ops = sim::ledger::summarize(&metrics);
+                ops.into_iter().find(|s| s.op == "put").expect("a put")
+            };
+            let counters =
+                || ["kv.index.stale", "kv.index.hit", "kv.lock.chase"].map(|n| metrics.counter(n));
+
+            kv0.put(b"a", b"v1").await.unwrap();
+            assert_eq!(kv1.get(b"a").await.unwrap().as_deref(), Some(&b"v1"[..]));
+            kv0.put(b"a", b"v2").await.unwrap();
+            metrics.reset();
+            kv1.put(b"a", b"mine").await.unwrap();
+            assert_eq!(
+                (put().rtts_max, put().retries),
+                (3, 1),
+                "CAS, chase, publish"
+            );
+            assert_eq!(counters(), [1, 0, 1], "stale, not a hit");
+            assert_eq!(kv0.get(b"a").await.unwrap().as_deref(), Some(&b"mine"[..]));
+            metrics.reset();
+            kv1.put(b"a", b"again").await.unwrap();
+            assert_eq!(put().rtts_max, 2, "the chase left a fresh hint");
+
+            let mask = cfg.buckets - 1;
+            let home = hash_key(b"b") & mask;
+            assert_ne!(hash_key(b"a") & mask, home);
+            let other = (0u32..)
+                .map(|i| format!("o{i}").into_bytes())
+                .find(|o| hash_key(o) & mask == home)
+                .unwrap();
+            kv0.put(b"b", b"v1").await.unwrap();
+            assert_eq!(kv1.get(b"b").await.unwrap().as_deref(), Some(&b"v1"[..]));
+            assert!(kv0.delete(b"b").await.unwrap());
+            kv0.put(&other, b"theirs").await.unwrap();
+            metrics.reset();
+            kv1.put(b"b", b"mine").await.unwrap();
+            assert_eq!(counters(), [1, 0, 1]);
+            assert_eq!(
+                put().rtts_max,
+                7,
+                "CAS, chase, unlock, walk home + window, CAS, publish"
+            );
+            assert_eq!(
+                kv0.get(&other).await.unwrap().as_deref(),
+                Some(&b"theirs"[..])
+            );
+            assert_eq!(kv0.get(b"b").await.unwrap().as_deref(), Some(&b"mine"[..]));
+        });
+    }
+
+    #[test]
+    fn a_chase_locks_what_the_holder_leaves() {
+        // A holder has the key's slot locked over the hinted version and
+        // acts 5 µs into the put; the hinted CAS returns its lock word, and
+        // every chase round waits, then CASes with the read-back — never a
+        // walk. (c) The holder publishes: the chase's `pre + 2` CAS wins once
+        // the publish lands. (d) The holder unlocks instead: the `pre + 2`
+        // CAS loses to the restored pre-lock version, and the next round
+        // locks that.
+        for publishes in [true, false] {
+            let cluster = boot(1);
+            let sim = cluster.sim.clone();
+            sim.recorder().enable(sim::Level::Costs, 0);
+            let s = sim.clone();
+            sim.block_on(async move {
+                let client = cluster.client(0).await.unwrap();
+                let cfg = small_cfg();
+                let kv = KvTable::create(&client, "held", cfg).await.unwrap();
+                kv.put(b"k", b"v1").await.unwrap();
+                let off = (hash_key(b"k") & (cfg.buckets - 1)) * cfg.slot_bytes;
+                let raw = client.map(&gen_name("held", 1)).await.unwrap();
+                let none = OpLedger::disabled();
+                async fn word(raw: &Region, off: u64) -> u64 {
+                    u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
+                }
+                let version = word(&raw, off).await;
+                let locked = lock_word(version, 0x77).to_le_bytes();
+                raw.write_l(off, &locked, &none).await.unwrap();
+                let (holder, hsim) = (raw.clone(), s.clone());
+                let holder = s.spawn(async move {
+                    hsim.sleep(Duration::from_micros(5)).await;
+                    let mut img = vec![0u8; 128];
+                    let none = OpLedger::disabled();
+                    if publishes {
+                        SlotHdr::write_entry(&mut img, version + 2, b"k", b"held");
+                        holder.write_l(off, &img, &none).await
+                    } else {
+                        holder.write_l(off, &version.to_le_bytes(), &none).await
+                    }
+                });
+                let metrics = client.device().metrics();
+                metrics.reset();
+                kv.put(b"k", b"v2").await.unwrap();
+                holder.await.unwrap();
+                let ops = sim::ledger::summarize(&metrics);
+                let put = ops.iter().find(|s| s.op == "put").unwrap();
+                let chases = metrics.counter("kv.lock.chase");
+                assert!(chases >= 2, "publishes {publishes}: {chases} chase rounds");
+                assert_eq!(put.rtts_max, 2 + chases, "CAS, the chase rounds, publish");
+                let pre = if publishes { version + 2 } else { version };
+                assert_eq!(
+                    word(&raw, off).await,
+                    pre + 2,
+                    "locked the holder's version"
+                );
+                assert_eq!(kv.get(b"k").await.unwrap().as_deref(), Some(&b"v2"[..]));
+            });
+        }
     }
 
     #[test]
@@ -2501,6 +2708,7 @@ mod tests {
                 let raw = client.map(&gen_name(table, 1)).await.unwrap();
                 let hdr = SlotHdr {
                     version: 2,
+                    word: 2,
                     klen: klen as usize,
                     vlen: vlen as usize,
                 };
@@ -2605,6 +2813,34 @@ mod tests {
             let moved = kv0.grow(512).await.unwrap();
             assert_eq!(moved, 41);
             assert_eq!(kv0.buckets(), 512);
+        });
+    }
+
+    #[test]
+    fn grow_keeps_the_entry_under_an_orphaned_lock() {
+        // A lock no writer will ever release sits over an entry through the
+        // resize's grace window. Readers return the entry under it, so the
+        // rehash moves that committed view like any other live entry, and
+        // the value readers have seen survives the grow.
+        let cluster = boot(1);
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let client = cluster.client(0).await.unwrap();
+            let kv = KvTable::create(&client, "orphan", small_cfg())
+                .await
+                .unwrap();
+            kv.put(b"held", b"under").await.unwrap();
+            kv.put(b"free", b"v").await.unwrap();
+            let off = (hash_key(b"held") & 63) * 128;
+            let raw = client.map(&gen_name("orphan", 1)).await.unwrap();
+            let none = OpLedger::disabled();
+            let orphan = lock_word(2, 0x0D).to_le_bytes();
+            raw.write_l(off, &orphan, &none).await.unwrap();
+            assert_eq!(kv.get(b"held").await.unwrap().unwrap(), b"under");
+            assert_eq!(kv.grow(256).await.unwrap(), 2, "both entries moved");
+            assert_eq!(kv.generation(), 2);
+            assert_eq!(kv.get(b"held").await.unwrap().unwrap(), b"under");
+            assert_eq!(kv.get(b"free").await.unwrap().unwrap(), b"v");
         });
     }
 

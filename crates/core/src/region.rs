@@ -509,29 +509,47 @@ impl Region {
 
     /// One-sided compare-and-swap on the 8-byte word at `offset` of the
     /// primary replica, on the client's data QP like any READ or WRITE; the
-    /// prior value lands in `landing` (8 bytes) and the result is whether the
-    /// swap won. Re-dialed, never re-posted: an errored QP is re-dialed
-    /// before the one post (a no-op on a healthy QP), but there is no repost,
-    /// failover or descriptor revalidation, because a CAS whose completion
-    /// was lost may have executed and must not be blindly repeated — every
-    /// failure, the stale-placement `RemoteAccess` included, goes to the
-    /// caller (the KV layer's unlock and generation machinery).
+    /// prior value lands in `landing` (8 bytes) and is returned, so the swap
+    /// won if it equals `expect`. With `read_back`, a READ of
+    /// `read_back.len` bytes at `offset` is posted right behind the CAS on
+    /// the same QP, in the same round: the responder runs it after the swap,
+    /// so it lands what the word guards under the swapped-in value.
+    /// Re-dialed, never re-posted: an errored QP is re-dialed before the
+    /// post (a no-op on a healthy QP), but there is no repost, failover or
+    /// descriptor revalidation, because a CAS whose completion was lost may
+    /// have executed and must not be blindly repeated — every failure, the
+    /// stale-placement `RemoteAccess` included, goes to the caller (the KV
+    /// layer's unlock and generation machinery), once both WRs completed.
     pub(crate) async fn cas_word_l(
         &self,
         offset: u64,
         expect: u64,
         swap: u64,
         landing: DmaBuf,
+        read_back: Option<DmaBuf>,
         ledger: &OpLedger,
-    ) -> Result<bool> {
-        let word = Xfer::new(self.layout.borrow().piece_at(offset, 8)?, landing, 0);
+    ) -> Result<u64> {
+        let xfer = |buf: DmaBuf| {
+            let piece = self.layout.borrow().piece_at(offset, buf.len);
+            piece.map(|piece| Xfer::new(piece, buf, 0))
+        };
+        let (word, image) = (xfer(landing)?, read_back.map(xfer).transpose()?);
         let node = self.extent(word.piece.group, 0).node;
         self.client.shared.qps.dial(node, true).await?;
         let rx = self.post(Dir::Cas { expect, swap }, &[word], None, ledger)?;
+        let image = image.map(|x| self.post(Dir::Read, &[x], None, ledger));
         ledger.rtt();
-        match rx.await.unwrap_or(CqStatus::Flushed) {
-            CqStatus::Success => Ok(self.client.shared.dev.read_u64(landing.addr)? == expect),
-            status => Err(RStoreError::Io(status)),
+        let status = rx.await.unwrap_or(CqStatus::Flushed);
+        let image = match image {
+            Some(Ok(rx)) => rx.await.unwrap_or(CqStatus::Flushed),
+            Some(Err(_)) => CqStatus::Timeout,
+            None => CqStatus::Success,
+        };
+        match (status, image) {
+            (CqStatus::Success, CqStatus::Success) => {
+                Ok(self.client.shared.dev.read_u64(landing.addr)?)
+            }
+            (CqStatus::Success, status) | (status, _) => Err(RStoreError::Io(status)),
         }
     }
 

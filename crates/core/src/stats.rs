@@ -184,6 +184,7 @@ pub(crate) struct KvStats {
     pub refresh: Counter,
     pub slot_corrupt: Counter,
     pub lock_break: Counter,
+    pub chase: Counter,
     pub resize_count: Counter,
     pub resize_moved: Counter,
     pub resize_free_failed: Counter,
@@ -200,6 +201,7 @@ impl KvStats {
             refresh: m.counter_handle("kv.index.refresh"),
             slot_corrupt: m.counter_handle("kv.slot_corrupt"),
             lock_break: m.counter_handle("kv.lock.break"),
+            chase: m.counter_handle("kv.lock.chase"),
             resize_count: m.counter_handle("kv.resize.count"),
             resize_moved: m.counter_handle("kv.resize.moved"),
             resize_free_failed: m.counter_handle("kv.resize.free_failed"),

@@ -1762,11 +1762,13 @@ fn a_writer_whose_lock_cas_completion_is_lost_releases_its_own_lock() {
 fn a_waiter_breaks_an_orphaned_lock_and_reads_the_pre_lock_value() {
     // The waiter break: a tagged lock word with no owner — what a slot
     // copied by a migration while locked holds — is planted on the primary
-    // by a raw one-sided WRITE. A reader waits on it, watches the same word
-    // for `ORPHAN_BREAK_AGE`, CASes it back to the pre-lock version and
-    // reads the value that was under it.
+    // by a raw one-sided WRITE. A reader reads through it at once: the value
+    // under the lock, in one RTT, breaking nothing. A writer's chase waits
+    // on it, watches the same word for `ORPHAN_BREAK_AGE`, CASes it back to
+    // the pre-lock version and then publishes over it.
     let cluster = boot(2, 2);
     let sim = cluster.sim.clone();
+    sim.recorder().enable(sim::Level::Costs, 0);
     let raw_dev = cluster.client_devs[1].clone();
     let s = sim.clone();
     sim.block_on(async move {
@@ -1786,12 +1788,20 @@ fn a_waiter_breaks_an_orphaned_lock_and_reads_the_pre_lock_value() {
         );
 
         let kv2 = KvTable::open(&waiter, "orphan", 128, 16).await.unwrap();
-        let t = s.now();
+        let metrics = waiter.device().metrics();
+        metrics.reset();
         assert_eq!(kv2.get(b"k").await.unwrap().as_deref(), Some(&b"v1"[..]));
-        assert!(s.now().saturating_since(t) >= ORPHAN_BREAK_AGE);
-        assert_eq!(waiter.device().metrics().counter("kv.lock.break"), 1);
-        assert_eq!(raw_word(&raw_dev, &primary, off, None).await, version);
+        let ops = sim::ledger::summarize(&metrics);
+        assert_eq!(ops[0].op, "get");
+        assert_eq!(ops[0].rtts_max, 1, "read through the orphan");
+        assert_eq!(metrics.counter("kv.lock.break"), 0);
+        assert_eq!(raw_word(&raw_dev, &primary, off, None).await, orphan);
+
+        let t = s.now();
         kv2.put(b"k", b"v2").await.unwrap();
+        assert!(s.now().saturating_since(t) >= ORPHAN_BREAK_AGE);
+        assert_eq!(metrics.counter("kv.lock.break"), 1);
+        assert_eq!(raw_word(&raw_dev, &primary, off, None).await, version + 2);
         assert_eq!(kv.get(b"k").await.unwrap().as_deref(), Some(&b"v2"[..]));
     });
 }

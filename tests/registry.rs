@@ -209,7 +209,13 @@ fn emitted() -> BTreeMap<&'static str, BTreeSet<String>> {
         };
         let kv = KvTable::create(&a, "reg/kv", kv_cfg).await.unwrap();
         kv.grow(128).await.unwrap();
-        drop(kv);
+        // A hint that another handle's put made stale: its lost CAS chases.
+        let other = KvTable::open(&b, "reg/kv", 128, 16).await.unwrap();
+        kv.put(b"chased", b"1").await.unwrap();
+        other.get(b"chased").await.unwrap();
+        kv.put(b"chased", b"2").await.unwrap();
+        other.put(b"chased", b"3").await.unwrap();
+        drop((kv, other));
 
         // Two clients, every op type, errors ignored: mid-fault failures
         // are the point. Region handles are mapped once and kept, so that
@@ -291,6 +297,7 @@ fn every_emitted_name_is_documented() {
         (COUNTERS, "rebalance.extents"),
         (COUNTERS, "drain.bytes"),
         (COUNTERS, "optrace.bundles"),
+        (COUNTERS, "kv.lock.chase"),
         (HISTOGRAMS, "rstore.ctrl_latency.cluster_stats"),
         (TRACE_EVENTS, "fabric.fault.join"),
         (TRACE_EVENTS, "fabric.drop.injected"),
