@@ -10,7 +10,8 @@
 # DESIGN.md "Recording spine") and of the fault-episode
 # driver with its three experiments (one worker loop: EXPERIMENTS.md "Fault
 # episodes") and of the device arena (one backing form: DESIGN.md "Arena
-# backing"), and fails when one outgrows its ceiling. Every data-path QP —
+# backing") and of the sorter (one worker body for real and fluid runs),
+# and fails when one outgrows its ceiling. Every data-path QP —
 # a client's, the scrubber's, an extent copy's — comes from one dialer
 # (DESIGN.md "One data-QP dialer"): a second QP cache beside it would not fit
 # under the master, region and control-plane ceilings. The deterministic suite
@@ -81,6 +82,13 @@ group 'sim recording spine (5)' 1454 crates/sim/src/{trace,ledger,optrace,timese
 # one total: a second copy of the worker loop would not fit under this.
 group 'fault episodes (4)' 881 crates/bench/src/episode.rs \
     crates/bench/src/experiments/{e13_timeline,e15_elasticity,e17_forensics}.rs
+# The sorter's worker and its planning math, as one total: real and fluid
+# runs share one worker body, and the mode is consulted only at the five
+# `SortMode` steps that touch a record's bytes (DESIGN.md, the 256 GB
+# TeraSort substitution). A second phase structure for fluid runs would not
+# fit under this.
+check crates/rsort/src/distributed.rs 328
+group 'rsort (2)' 400 crates/rsort/src/{distributed,plan}.rs
 # The comparison, the self-check and the two binaries that run and gate the
 # suite, as one total: a second comparison mode would not fit under this.
 group 'baseline gate (4)' 371 crates/bench/src/{diff,check}.rs \

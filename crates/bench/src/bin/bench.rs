@@ -14,7 +14,7 @@
 //! The simulator is deterministic, so any difference is code-induced.
 //!
 //! `check` verifies the invariants a report asserts about itself: every
-//! `asserts[*].pass` of every experiment, and that each of E6, E8 and E10–E17 present
+//! `asserts[*].pass` of every experiment, and that each of E6 and E8–E17 present
 //! in the report has an `asserts` block at all. It lists every violation and
 //! exits nonzero if there is one — the step that replaced CI's `grep`s.
 //!

@@ -1,25 +1,34 @@
 //! E8 — the 256 GB sort (claim C5: 31.7 s, 8× better than Hadoop TeraSort).
 //!
 //! Three parts:
-//! 1. a **real, verified** sort at laptop scale (correctness anchor),
-//! 2. the **fluid-mode** 256 GB run on 12 workers + 12 memory servers
-//!    (identical code path, synthetic payloads), and
+//! 1. a **twin** at 64 MiB on 4 workers + 4 memory servers: a real sort of
+//!    `teragen(n, FLUID_SEED)`, verified byte for byte, and its fluid twin,
+//!    compared phase by phase (the correctness anchor, and the evidence
+//!    that fluid timing is the real code's timing),
+//! 2. the **fluid-mode** 256 GB run on 12 workers + 12 memory servers (the
+//!    same worker body, synthetic payloads), and
 //! 3. the Hadoop TeraSort **cost model** on 12 nodes for the ratio.
+
+use std::time::Duration;
 
 use baseline::hadoop::{terasort_time, HadoopConfig, TeraSortEstimate};
 use fabric::FabricConfig;
-use rsort::{distributed, SortConfig, SortMode, SortOutcome};
+use rsort::{distributed, twin, SortConfig, SortMode, SortOutcome, Twin, TWIN_TOLERANCE};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient, ServerConfig};
 use sim::{Level, OpSummary};
-use workload::{sort_records, teragen};
 
 use crate::table::{fmt_dur, Table};
+
+/// Size of E8's real/fluid twin.
+pub const TWIN_BYTES: u64 = 64 << 20;
+/// Workers (and memory servers) of E8's twin.
+pub const TWIN_WORKERS: usize = 4;
 
 /// One measurement of E8's three parts.
 #[derive(Clone, Debug)]
 pub struct SortStats {
-    /// The real 10 MB sort's output is exactly its sorted input.
-    pub verified: bool,
+    /// The 64 MiB real run and its fluid twin.
+    pub twin: Twin,
     /// The 256 GB fluid run.
     pub outcome: SortOutcome,
     /// Per-op costs of the fluid run's region IO; `write_many` is the
@@ -33,7 +42,7 @@ pub struct SortStats {
 pub fn measure() -> SortStats {
     let (outcome, ops) = fluid_sort(256u64 << 30, 12);
     SortStats {
-        verified: real_verified_sort(),
+        twin: twin_sort(),
         outcome,
         ops,
         hadoop: terasort_time(&HadoopConfig::default(), 256 << 30),
@@ -49,9 +58,9 @@ pub fn tables(s: &SortStats) -> Vec<Table> {
 
     // Part 1: verified correctness at small scale.
     t.row(vec![
-        "rsort (real, 10 MB)".into(),
+        "rsort (real, 64 MiB)".into(),
         "verified sorted".into(),
-        s.verified.to_string(),
+        s.twin.verified.to_string(),
     ]);
 
     // Part 2: 256 GB fluid run.
@@ -118,46 +127,30 @@ pub fn tables(s: &SortStats) -> Vec<Table> {
         format!("{ratio:.1}x"),
     ]);
     t.note("paper claim C5: 256 GB in 31.7 s, 8x better than Hadoop TeraSort");
-    vec![t]
+
+    let mut tw = Table::new(
+        "E8b: real sort vs its fluid twin — 64 MiB, 4 workers + 4 servers",
+        &["phase", "real", "fluid", "gap"],
+    );
+    for ((phase, real, fluid), (_, gap)) in s.twin.phases().into_iter().zip(s.twin.gaps()) {
+        tw.row(vec![
+            phase.into(),
+            fmt_dur(Duration::from_nanos(real)),
+            fmt_dur(Duration::from_nanos(fluid)),
+            format!("{:.3}%", gap * 100.0),
+        ]);
+    }
+    tw.note(format!(
+        "every phase within {:.0}%: the fluid run is the real run minus the bytes",
+        TWIN_TOLERANCE * 100.0
+    ));
+    vec![t, tw]
 }
 
-/// Real small-scale sort; returns whether the output is exactly the sorted
-/// input (sorted, and a permutation of it).
-pub fn real_verified_sort() -> bool {
-    let cluster = Cluster::boot(ClusterConfig {
-        clients: 12,
-        ..ClusterConfig::with_servers(4)
-    })
-    .expect("boot");
-    let sim = cluster.sim.clone();
-    let devs = cluster.client_devs.clone();
-    let master = cluster.master_node();
-    sim.block_on(async move {
-        let loader = RStoreClient::connect(&devs[0], master).await.expect("c");
-        let cfg = SortConfig {
-            opts: AllocOptions {
-                stripe_size: 1 << 20,
-                ..AllocOptions::default()
-            },
-            ..SortConfig::default()
-        };
-        let input = teragen(100_000, 42); // 10 MB
-        distributed::load_input(&loader, &cfg, &input)
-            .await
-            .expect("load");
-        distributed::run(&devs, master, cfg).await.expect("sort");
-        let out = loader.map("sort/output").await.expect("map");
-        let bytes = out.read(0, out.size()).await.expect("read");
-        let mut expect = input;
-        sort_records(&mut expect);
-        bytes == expect
-    })
-}
-
-/// Fluid-mode sort of `bytes` on `workers` workers (+ equal servers), with
-/// the per-op costs of its region IO.
-pub fn fluid_sort(bytes: u64, workers: usize) -> (SortOutcome, Vec<OpSummary>) {
-    let cluster = Cluster::boot(ClusterConfig {
+/// The cluster of every E8/E9 sort: one worker per client, as many memory
+/// servers, and the fluid fabric's coarse link quantum.
+fn sort_cluster(workers: usize) -> ClusterConfig {
+    ClusterConfig {
         clients: workers,
         fabric: FabricConfig::fluid(),
         server: ServerConfig {
@@ -166,8 +159,29 @@ pub fn fluid_sort(bytes: u64, workers: usize) -> (SortOutcome, Vec<OpSummary>) {
             ..ServerConfig::default()
         },
         ..ClusterConfig::with_servers(workers)
-    })
-    .expect("boot");
+    }
+}
+
+/// E8's twin: [`TWIN_BYTES`] sorted for real and verified, then as a fluid
+/// run, both on [`sort_cluster`]`(TWIN_WORKERS)` with 1 MiB stripes and
+/// IO chunks.
+fn twin_sort() -> Twin {
+    let cfg = SortConfig {
+        io_chunk: 1 << 20,
+        opts: AllocOptions {
+            stripe_size: 1 << 20,
+            ..AllocOptions::default()
+        },
+        ..SortConfig::default()
+    };
+    let records = TWIN_BYTES / workload::RECORD_BYTES as u64;
+    twin(&sort_cluster(TWIN_WORKERS), &cfg, records).expect("twin sort")
+}
+
+/// Fluid-mode sort of `bytes` on `workers` workers (+ equal servers), with
+/// the per-op costs of its region IO.
+pub fn fluid_sort(bytes: u64, workers: usize) -> (SortOutcome, Vec<OpSummary>) {
+    let cluster = Cluster::boot(sort_cluster(workers)).expect("boot");
     let sim = cluster.sim.clone();
     sim.recorder().enable(Level::Costs, 0);
     let devs = cluster.client_devs.clone();

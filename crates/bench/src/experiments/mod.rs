@@ -1,6 +1,6 @@
 //! The seventeen experiments of the reproduction (see `DESIGN.md`'s
 //! per-experiment index). E1–E5, E7 and E9 are a `run` that returns their
-//! [`Table`](crate::Table)s; E6, E8 and E10–E17 are a `measure` that
+//! [`Table`](crate::Table)s; E6 and E8–E17 are a `measure` that
 //! returns their stats and a `tables` that renders them.
 //! [`crate::report::experiment`] dispatches on the id and renders each
 //! measurement as text and JSON; `EXPERIMENTS.md` records paper-vs-measured.

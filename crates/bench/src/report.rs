@@ -8,7 +8,7 @@
 //! captures a representative cluster lifecycle with the simulator's event
 //! ring on and dumps it as Chrome trace-event JSON.
 //!
-//! E6, E8 and E10–E17 are self-checking: each exports an `asserts` array — the
+//! E6 and E8–E17 are self-checking: each exports an `asserts` array — the
 //! invariants it claims, as `{name, expected, observed, pass}` built from
 //! the stats it already computes — which `bench check` verifies (see
 //! [`Asserts`]).
@@ -232,6 +232,12 @@ impl Asserts {
         self.push(name, "true".to_string(), Json::Bool(observed), observed);
     }
 
+    /// `observed <= bound`.
+    fn at_most(&mut self, name: &str, observed: f64, bound: f64) {
+        let pass = observed <= bound;
+        self.push(name, format!("<= {bound}"), Json::float(observed), pass);
+    }
+
     /// The `ops` block is there: the run recorded per-op costs.
     fn ops_recorded(&mut self, ops: &[OpSummary]) {
         self.positive("ops_recorded", ops.len() as u64);
@@ -240,7 +246,7 @@ impl Asserts {
 
 /// Runs experiment `id` once and renders that one measurement twice: as
 /// its text tables, and as its report entry — the same tables plus
-/// structured extras (and the `asserts` of E6, E8 and E10–E17).
+/// structured extras (and the `asserts` of E6 and E8–E17).
 ///
 /// # Panics
 ///
@@ -289,14 +295,41 @@ pub fn experiment(id: &str) -> (Vec<Table>, Json) {
         "e7" => e7_scaling::run(),
         "e8" => {
             let s = e8_sort::measure();
-            asserts.eq("data_errors", !s.verified as u64, 0);
+            asserts.eq("data_errors", !s.twin.verified as u64, 0);
+            for (phase, gap) in s.twin.gaps() {
+                asserts.at_most(&format!("twin.gap@{phase}"), gap, rsort::TWIN_TOLERANCE);
+            }
             asserts.eq("shuffle.rtts_per_op.p50", rtts_p50(&s.ops, "write_many"), 1);
             asserts.ops_recorded(&s.ops);
             let p = &s.outcome.phases;
+            let twin = s.twin.phases().into_iter().zip(s.twin.gaps()).map(
+                |((phase, real, fluid), (_, gap))| {
+                    (
+                        phase.to_string(),
+                        Json::obj([
+                            ("real_ns".to_string(), Json::int(real)),
+                            ("fluid_ns".to_string(), Json::int(fluid)),
+                            ("gap".to_string(), Json::float(gap)),
+                        ]),
+                    )
+                },
+            );
+            fields.push((
+                "twin".to_string(),
+                Json::obj([
+                    ("bytes".to_string(), Json::int(e8_sort::TWIN_BYTES)),
+                    (
+                        "workers".to_string(),
+                        Json::int(e8_sort::TWIN_WORKERS as u64),
+                    ),
+                    ("records".to_string(), Json::int(s.twin.real.records)),
+                    ("verified".to_string(), Json::Bool(s.twin.verified)),
+                    ("phases".to_string(), Json::obj(twin)),
+                ]),
+            ));
             fields.push((
                 "sort".to_string(),
                 Json::obj([
-                    ("verified".to_string(), Json::Bool(s.verified)),
                     ("records".to_string(), Json::int(s.outcome.records)),
                     ("total_ns".to_string(), dur_ns(s.outcome.total)),
                     ("sample_ns".to_string(), dur_ns(p.sample)),
@@ -312,7 +345,30 @@ pub fn experiment(id: &str) -> (Vec<Table>, Json) {
             ));
             e8_sort::tables(&s)
         }
-        "e9" => e9_sort_scaling::run(),
+        "e9" => {
+            let rows = e9_sort_scaling::measure();
+            let sizes = rows.iter().map(|r| {
+                let (o, p) = (&r.outcome, &r.outcome.phases);
+                let size = format!("{}GiB", r.bytes >> 30);
+                asserts.eq(&format!("records@{size}"), o.records, r.bytes / 100);
+                asserts.holds(&format!("phases_le_total@{size}"), p.total() <= o.total);
+                Json::obj([
+                    ("bytes".to_string(), Json::int(r.bytes)),
+                    ("records".to_string(), Json::int(o.records)),
+                    ("total_ns".to_string(), dur_ns(o.total)),
+                    ("sample_ns".to_string(), dur_ns(p.sample)),
+                    ("partition_ns".to_string(), dur_ns(p.partition)),
+                    ("shuffle_ns".to_string(), dur_ns(p.shuffle)),
+                    ("local_sort_ns".to_string(), dur_ns(p.local_sort)),
+                ])
+            });
+            let sizes = Json::Arr(sizes.collect());
+            fields.push((
+                "scaling".to_string(),
+                Json::obj([("sizes".to_string(), sizes)]),
+            ));
+            e9_sort_scaling::tables(&rows)
+        }
         "e10" => {
             let s = e10_availability::measure();
             asserts.eq("data_errors", s.data_errors, 0);

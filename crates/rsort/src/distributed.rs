@@ -17,10 +17,13 @@
 //!    memory, and writes it back. The output region is then globally
 //!    sorted.
 //!
-//! The same code runs in two modes: [`SortMode::Real`] moves and sorts real
-//! TeraGen records (fully verifiable at laptop scale); [`SortMode::Fluid`]
-//! uses synthetic (unbacked) regions so the 256 GB headline experiment runs
-//! with exact timing but no data movement.
+//! Both modes run this one worker body. [`SortMode::Real`] moves and sorts
+//! real TeraGen records (fully verifiable at laptop scale);
+//! [`SortMode::Fluid`] runs on synthetic (unbacked) regions holding the
+//! sizes of `teragen(n, FLUID_SEED)`, so the 256 GB headline experiment
+//! runs with exact timing but no data movement. The worker consults the
+//! mode at five steps only, the ones that touch a record's bytes (see
+//! [`SortMode`]); every READ, WRITE, barrier and CPU charge is the same.
 
 use std::time::Duration;
 
@@ -29,17 +32,90 @@ use rdma::{DmaBuf, RdmaDevice};
 use rstore::{AllocOptions, RStoreClient, Region, Result};
 use sim::sync::Barrier;
 use sim::{join_all, Sim};
-use workload::{sort_records, KEY_BYTES, RECORD_BYTES};
+use workload::{key_at, sort_records, KEY_BYTES, RECORD_BYTES};
 
-use crate::plan::{choose_splitters, partition_records, Key, ShufflePlan};
+use crate::plan::{choose_splitters, partition_records, uniform_counts, Key, ShufflePlan};
 
-/// Whether the sort moves real bytes or synthetic sizes.
+/// The TeraGen seed a fluid run's input stands for: its records are
+/// `teragen(n, FLUID_SEED)` in size only, and its sample keys are that
+/// input's keys, computed from the record index.
+pub const FLUID_SEED: u64 = 42;
+
+/// Whether the sort moves real bytes or synthetic sizes — the one switch of
+/// the worker body. Its methods are the five steps where the modes differ;
+/// a worker's staging buffers are backed only when its records are.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SortMode {
     /// Real records; output is verifiable.
     Real,
-    /// Synthetic regions; timing only (for paper-scale runs).
+    /// Synthetic regions standing for `teragen(n, FLUID_SEED)`; timing only
+    /// (for paper-scale runs). Models TeraGen's uniform keys only.
     Fluid,
+}
+
+impl SortMode {
+    fn alloc(self, dev: &RdmaDevice, len: u64) -> Result<DmaBuf> {
+        Ok(match self {
+            SortMode::Real => dev.alloc(len)?,
+            SortMode::Fluid => dev.alloc_synthetic(len)?,
+        })
+    }
+
+    /// (1) The key of input record `rec`, whose first bytes were `read`.
+    fn sample_key(self, read: &[u8], rec: u64) -> Key {
+        match self {
+            SortMode::Real => read.try_into().expect("key size"),
+            SortMode::Fluid => key_at(FLUID_SEED, rec),
+        }
+    }
+
+    /// (2) The counts row of an `m`-record slice: the bucket sizes of a real
+    /// run, the expected sizes for TeraGen's uniform keys
+    /// ([`uniform_counts`]) of a fluid one. Either row sums to `m`.
+    fn counts(self, buckets: &[Vec<u8>], splitters: &[Key], m: u64) -> Vec<u64> {
+        match self {
+            SortMode::Real => buckets
+                .iter()
+                .map(|b| (b.len() / RECORD_BYTES) as u64)
+                .collect(),
+            SortMode::Fluid => uniform_counts(splitters, m),
+        }
+    }
+
+    /// (3) Appends the records of the chunk in `staging` to their buckets.
+    fn bucket(
+        self,
+        dev: &RdmaDevice,
+        staging: DmaBuf,
+        splitters: &[Key],
+        buckets: &mut [Vec<u8>],
+    ) -> Result<()> {
+        if self == SortMode::Real {
+            let bytes = dev.read_mem(staging.addr, staging.len)?;
+            for (bucket, part) in buckets.iter_mut().zip(partition_records(&bytes, splitters)) {
+                bucket.extend_from_slice(&part);
+            }
+        }
+        Ok(())
+    }
+
+    /// (4) Fills one shuffle staging buffer with its bucket.
+    fn stage(self, dev: &RdmaDevice, buf: DmaBuf, bucket: &[u8]) -> Result<()> {
+        if self == SortMode::Real {
+            dev.write_mem(buf.addr, bucket)?;
+        }
+        Ok(())
+    }
+
+    /// (5) Sorts the records in `staging` in place (the host sort).
+    fn sort(self, dev: &RdmaDevice, staging: DmaBuf) -> Result<()> {
+        if self == SortMode::Real {
+            let mut data = dev.read_mem(staging.addr, staging.len)?;
+            sort_records(&mut data);
+            dev.write_mem(staging.addr, &data)?;
+        }
+        Ok(())
+    }
 }
 
 /// CPU-throughput model for the sort's compute phases, representing all
@@ -134,24 +210,16 @@ pub struct SortOutcome {
 /// Panics if `records` is not a whole number of records.
 pub async fn load_input(client: &RStoreClient, cfg: &SortConfig, records: &[u8]) -> Result<Region> {
     assert_eq!(records.len() % RECORD_BYTES, 0, "ragged input");
-    let region = client
-        .alloc(
-            &format!("{}/input", cfg.job),
-            records.len() as u64,
-            cfg.opts,
-        )
-        .await?;
-    let mut off = 0usize;
-    while off < records.len() {
-        let end = (off + cfg.io_chunk as usize).min(records.len());
-        region.write(off as u64, &records[off..end]).await?;
-        off = end;
+    let name = format!("{}/input", cfg.job);
+    let region = client.alloc(&name, records.len() as u64, cfg.opts).await?;
+    for (i, chunk) in records.chunks(cfg.io_chunk as usize).enumerate() {
+        region.write(i as u64 * cfg.io_chunk, chunk).await?;
     }
     Ok(region)
 }
 
 /// Creates a synthetic input region of `records` records for
-/// [`SortMode::Fluid`] runs.
+/// [`SortMode::Fluid`] runs: the sizes of `teragen(records, FLUID_SEED)`.
 ///
 /// # Errors
 ///
@@ -165,12 +233,9 @@ pub async fn create_fluid_input(
         synthetic: true,
         ..cfg.opts
     };
+    let name = format!("{}/input", cfg.job);
     client
-        .alloc(
-            &format!("{}/input", cfg.job),
-            records * RECORD_BYTES as u64,
-            opts,
-        )
+        .alloc(&name, records * RECORD_BYTES as u64, opts)
         .await
 }
 
@@ -199,39 +264,19 @@ pub async fn run(devs: &[RdmaDevice], master: NodeId, cfg: SortConfig) -> Result
         let setup = RStoreClient::connect(&devs[0], master).await?;
         let input = setup.map(&format!("{}/input", cfg.job)).await?;
         let n = input.size() / RECORD_BYTES as u64;
-        let fluid = cfg.mode == SortMode::Fluid;
-        let out_opts = if fluid {
-            AllocOptions {
-                synthetic: true,
-                ..cfg.opts
-            }
-        } else {
-            cfg.opts
+        let out_opts = AllocOptions {
+            synthetic: cfg.mode == SortMode::Fluid,
+            ..cfg.opts
         };
-        setup
-            .alloc(
-                &format!("{}/samples", cfg.job),
-                (k * cfg.sample_per_worker * KEY_BYTES).max(8) as u64,
-                cfg.opts,
-            )
-            .await?;
-        setup
-            .alloc(
-                &format!("{}/splitters", cfg.job),
-                ((k - 1) * KEY_BYTES).max(8) as u64,
-                cfg.opts,
-            )
-            .await?;
-        setup
-            .alloc(&format!("{}/counts", cfg.job), (k * k * 8) as u64, cfg.opts)
-            .await?;
-        setup
-            .alloc(
-                &format!("{}/output", cfg.job),
-                n * RECORD_BYTES as u64,
-                out_opts,
-            )
-            .await?;
+        for (name, size, opts) in [
+            ("samples", k * cfg.sample_per_worker * KEY_BYTES, cfg.opts),
+            ("splitters", (k - 1) * KEY_BYTES, cfg.opts),
+            ("counts", k * k * 8, cfg.opts),
+            ("output", n as usize * RECORD_BYTES, out_opts),
+        ] {
+            let name = format!("{}/{name}", cfg.job);
+            setup.alloc(&name, size.max(8) as u64, opts).await?;
+        }
     }
 
     let mut handles = Vec::with_capacity(k);
@@ -267,6 +312,18 @@ fn cpu_time(bytes: u64, bps: u64) -> Duration {
     Duration::from_nanos((bytes as u128 * 1_000_000_000 / bps as u128) as u64)
 }
 
+/// Record range `[start, end)` of worker `w`'s input slice.
+fn slice(n: u64, k: usize, w: usize) -> (u64, u64) {
+    (w as u64 * n / k as u64, (w as u64 + 1) * n / k as u64)
+}
+
+fn keys(bytes: &[u8]) -> Vec<Key> {
+    bytes
+        .chunks_exact(KEY_BYTES)
+        .map(|c| c.try_into().expect("key size"))
+        .collect()
+}
+
 #[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
 async fn worker(
     me: usize,
@@ -277,14 +334,13 @@ async fn worker(
     barrier: Barrier,
     sim: Sim,
 ) -> Result<Option<(u64, PhaseTimes)>> {
-    let fluid = cfg.mode == SortMode::Fluid;
+    let mode = cfg.mode;
     // Stream in whole records.
     let io_chunk = (cfg.io_chunk / RECORD_BYTES as u64).max(1) * RECORD_BYTES as u64;
     let client = RStoreClient::connect(&dev, master).await?;
     let input = client.map(&format!("{}/input", cfg.job)).await?;
     let n = input.size() / RECORD_BYTES as u64;
-    let part_start = me as u64 * n / k as u64;
-    let part_end = (me as u64 + 1) * n / k as u64;
+    let (part_start, part_end) = slice(n, k, me);
     let my_records = part_end - part_start;
     let mut phases = PhaseTimes::default();
 
@@ -295,104 +351,75 @@ async fn worker(
 
     // ---- phase 1: sample ---------------------------------------------------------
     let t = sim.now();
-    let samples = cfg.sample_per_worker.min(my_records as usize);
+    let spw = cfg.sample_per_worker;
+    let samples = spw.min(my_records as usize);
     let mut my_sample = Vec::with_capacity(samples * KEY_BYTES);
     for s in 0..samples {
-        let rec = part_start + (s as u64 * my_records / samples.max(1) as u64);
-        let key = input
+        let rec = part_start + (s as u64 * my_records / samples as u64);
+        let read = input
             .read(rec * RECORD_BYTES as u64, KEY_BYTES as u64)
             .await?;
-        my_sample.extend_from_slice(&key);
+        my_sample.extend_from_slice(&mode.sample_key(&read, rec));
     }
     samples_r
-        .write((me * cfg.sample_per_worker * KEY_BYTES) as u64, &my_sample)
+        .write((me * spw * KEY_BYTES) as u64, &my_sample)
         .await?;
     barrier.wait().await;
 
-    if me == 0 && !fluid {
+    if me == 0 {
+        // Worker `w` wrote `min(spw, |slice w|)` keys; the rest of its
+        // `spw` slots is padding that must not become a splitter.
         let all = samples_r.read(0, samples_r.size()).await?;
-        let mut keys: Vec<Key> = all
-            .chunks_exact(KEY_BYTES)
-            .map(|c| c.try_into().expect("key size"))
+        let mut sample: Vec<Key> = (0..k)
+            .flat_map(|w| {
+                let (start, end) = slice(n, k, w);
+                let at = w * spw * KEY_BYTES;
+                keys(&all[at..at + spw.min((end - start) as usize) * KEY_BYTES])
+            })
             .collect();
-        let splitters = choose_splitters(&mut keys, k);
-        let flat: Vec<u8> = splitters.iter().flat_map(|s| s.iter().copied()).collect();
-        splitters_r.write(0, &flat).await?;
+        let splitters = choose_splitters(&mut sample, k);
+        splitters_r.write(0, &splitters.concat()).await?;
     }
     barrier.wait().await;
-    let splitters: Vec<Key> = if fluid {
-        Vec::new()
-    } else {
-        splitters_r
-            .read(0, ((k - 1) * KEY_BYTES) as u64)
-            .await?
-            .chunks_exact(KEY_BYTES)
-            .map(|c| c.try_into().expect("key size"))
-            .collect()
-    };
+    let splitters = keys(&splitters_r.read(0, ((k - 1) * KEY_BYTES) as u64).await?);
     phases.sample = sim.now() - t;
 
     // ---- phase 2: stream, partition, count ---------------------------------------
     let t = sim.now();
     let my_bytes = my_records * RECORD_BYTES as u64;
     let mut buckets: Vec<Vec<u8>> = vec![Vec::new(); k];
-    let mut read_off = part_start * RECORD_BYTES as u64;
-    let mut remaining = my_bytes;
-    while remaining > 0 {
-        let chunk = remaining.min(io_chunk);
-        if fluid {
-            // Timing-only read of the chunk.
-            let staging = dev.alloc_synthetic(chunk)?;
-            input.read_into(read_off, staging).await?;
-            dev.free(staging)?;
-        } else {
-            let bytes = input.read(read_off, chunk).await?;
-            for (d, part) in partition_records(&bytes, &splitters)
-                .into_iter()
-                .enumerate()
-            {
-                buckets[d].extend_from_slice(&part);
-            }
+    let staging = mode.alloc(&dev, io_chunk.min(my_bytes).max(1))?;
+    let streamed: Result<()> = async {
+        let mut off = 0;
+        while off < my_bytes {
+            let chunk = staging.slice(0, (my_bytes - off).min(io_chunk));
+            input
+                .read_into(part_start * RECORD_BYTES as u64 + off, chunk)
+                .await?;
+            mode.bucket(&dev, chunk, &splitters, &mut buckets)?;
+            off += chunk.len;
         }
-        read_off += chunk;
-        remaining -= chunk;
+        Ok(())
     }
+    .await;
+    dev.free(staging)?;
+    streamed?;
     sim.sleep(cpu_time(my_bytes, cfg.cost.partition_bps)).await;
 
-    let my_counts: Vec<u64> = if fluid {
-        // Uniform keys: an even split with the remainder on the last worker.
-        let mut c = vec![my_records / k as u64; k];
-        c[k - 1] += my_records % k as u64;
-        c
-    } else {
-        buckets
-            .iter()
-            .map(|b| (b.len() / RECORD_BYTES) as u64)
-            .collect()
-    };
+    let my_counts = mode.counts(&buckets, &splitters, my_records);
     let flat: Vec<u8> = my_counts.iter().flat_map(|c| c.to_le_bytes()).collect();
     counts_r.write((me * k * 8) as u64, &flat).await?;
     barrier.wait().await;
 
-    let all_counts = counts_r.read(0, (k * k * 8) as u64).await?;
-    let matrix: Vec<Vec<u64>> = all_counts
-        .chunks_exact(k * 8)
-        .map(|row| {
-            row.chunks_exact(8)
-                .map(|c| u64::from_le_bytes(c.try_into().expect("8")))
-                .collect()
-        })
+    let counts: Vec<u64> = (counts_r.read(0, (k * k * 8) as u64).await?)
+        .chunks_exact(8)
+        .map(|c| u64::from_le_bytes(c.try_into().expect("8")))
         .collect();
-    let plan = ShufflePlan::new(matrix);
+    let plan = ShufflePlan::new(counts.chunks(k).map(<[u64]>::to_vec).collect());
     phases.partition = sim.now() - t;
 
     // ---- phase 3: one-sided shuffle ------------------------------------------------
     let t = sim.now();
-    // A worker's staging buffers are real only when its records are.
-    let alloc = |len: u64| match fluid {
-        true => dev.alloc_synthetic(len),
-        false => dev.alloc(len),
-    };
     let mut shuffle: Vec<(u64, DmaBuf)> = Vec::new();
     let staged = async {
         for j in 0..k {
@@ -400,11 +427,9 @@ async fn worker(
             if bytes == 0 {
                 continue;
             }
-            let buf = alloc(bytes)?;
+            let buf = mode.alloc(&dev, bytes)?;
             shuffle.push((plan.write_index(me, j) * RECORD_BYTES as u64, buf));
-            if !fluid {
-                dev.write_mem(buf.addr, &buckets[j])?;
-            }
+            mode.stage(&dev, buf, &buckets[j])?;
         }
         output.write_from_many(&shuffle).await
     }
@@ -423,14 +448,10 @@ async fn worker(
     let p_bytes = (p_end - p_start) * RECORD_BYTES as u64;
     if p_bytes > 0 {
         let p_off = p_start * RECORD_BYTES as u64;
-        let staging = alloc(p_bytes)?;
+        let staging = mode.alloc(&dev, p_bytes)?;
         let sorted = async {
             output.read_into(p_off, staging).await?;
-            if !fluid {
-                let mut data = dev.read_mem(staging.addr, p_bytes)?;
-                sort_records(&mut data);
-                dev.write_mem(staging.addr, &data)?;
-            }
+            mode.sort(&dev, staging)?;
             sim.sleep(cpu_time(p_bytes, cfg.cost.sort_bps)).await;
             output.write_from(p_off, staging).await
         }

@@ -5,7 +5,13 @@
 //! pipeline: after splitter agreement, the entire shuffle is RDMA writes to
 //! *final* output locations — there is no receiving CPU, no re-spooling, no
 //! framework between a worker and remote DRAM. See [`distributed`] for the
-//! phase structure and [`plan`] for the routing math.
+//! phase structure, [`plan`] for the routing math and [`twin`] for how a
+//! fluid (sizes-only) run is tied to a real one.
+//!
+//! One worker body serves both modes: a real run sorts real records, a
+//! fluid run sorts the sizes of `teragen(n, FLUID_SEED)` through the same
+//! sample, splitter round, counts exchange and shuffle plan, computing the
+//! keys and counts that a real run would observe.
 //!
 //! # Example
 //!
@@ -38,12 +44,14 @@
 
 pub mod distributed;
 pub mod plan;
+pub mod twin;
 
 pub use distributed::{
     create_fluid_input, load_input, run, PhaseTimes, SortConfig, SortCostModel, SortMode,
-    SortOutcome,
+    SortOutcome, FLUID_SEED,
 };
-pub use plan::{choose_splitters, dest_of, partition_records, Key, ShufflePlan};
+pub use plan::{choose_splitters, dest_of, partition_records, uniform_counts, Key, ShufflePlan};
+pub use twin::{twin, Twin, TWIN_TOLERANCE};
 
 #[cfg(test)]
 mod tests {
@@ -72,7 +80,13 @@ mod tests {
             .fold(0u128, |acc, h| acc.wrapping_add(h))
     }
 
-    fn run_real_sort(workers: usize, records: u64, seed: u64) -> (Vec<u8>, Vec<u8>, SortOutcome) {
+    /// Sorts `teragen(records, seed)`: the input, the output, the outcome
+    /// and the splitters the workers published.
+    fn run_real_sort(
+        workers: usize,
+        records: u64,
+        seed: u64,
+    ) -> (Vec<u8>, Vec<u8>, SortOutcome, Vec<Key>) {
         let cl = cluster(3, workers);
         let sim = cl.sim.clone();
         let devs = cl.client_devs.clone();
@@ -94,13 +108,19 @@ mod tests {
             let outcome = distributed::run(&devs, master, cfg).await.unwrap();
             let out = loader.map("sort/output").await.unwrap();
             let bytes = out.read(0, out.size()).await.unwrap();
-            (input, bytes, outcome)
+            let s = loader.map("sort/splitters").await.unwrap();
+            let splitters = s.read(0, s.size()).await.unwrap();
+            let splitters = splitters
+                .chunks_exact(workload::KEY_BYTES)
+                .map(|c| c.try_into().unwrap())
+                .collect();
+            (input, bytes, outcome, splitters)
         })
     }
 
     #[test]
     fn sorts_correctly_with_multiple_workers() {
-        let (input, output, outcome) = run_real_sort(4, 2000, 11);
+        let (input, output, outcome, _) = run_real_sort(4, 2000, 11);
         assert_eq!(output.len(), input.len());
         assert!(is_sorted(&output), "output must be globally sorted");
         assert_eq!(
@@ -114,17 +134,35 @@ mod tests {
 
     #[test]
     fn single_worker_sort_works() {
-        let (_, output, outcome) = run_real_sort(1, 500, 3);
+        let (_, output, outcome, _) = run_real_sort(1, 500, 3);
         assert!(is_sorted(&output));
         assert_eq!(outcome.records, 500);
     }
 
     #[test]
     fn skewed_worker_counts_handle_remainders() {
-        // 7 workers over 1001 records: uneven slices everywhere.
-        let (input, output, _) = run_real_sort(7, 1001, 23);
+        // 7 workers over 1001 records: uneven slices everywhere, and each
+        // worker samples fewer keys than `sample_per_worker`.
+        let (input, output, _, splitters) = run_real_sort(7, 1001, 23);
         assert!(is_sorted(&output));
         assert_eq!(fingerprint(&input), fingerprint(&output));
+        // Only written sample keys may become splitters: zero padding in
+        // the sample would give empty partitions and overloaded ones.
+        let k = 7;
+        assert_eq!(splitters.len(), k - 1);
+        let mut sizes = vec![0u64; k];
+        for rec in output.chunks_exact(RECORD_BYTES) {
+            sizes[dest_of(&rec[..workload::KEY_BYTES], &splitters)] += 1;
+        }
+        let mean = 1001 / k as u64;
+        assert!(
+            sizes.iter().all(|&s| s > 0),
+            "every worker sorts: {sizes:?}"
+        );
+        assert!(
+            sizes.iter().all(|&s| s <= 2 * mean),
+            "no partition over 2x the mean: {sizes:?}"
+        );
     }
 
     #[test]
@@ -164,36 +202,27 @@ mod tests {
     }
 
     #[test]
-    fn fluid_and_real_phase_structure_agree() {
-        // At the same (small) size, fluid timing should approximate real
-        // timing: the model is the same machinery minus the memcpys.
-        let (.., real) = run_real_sort(2, 2000, 5);
-        let cl = cluster(3, 2);
-        let sim = cl.sim.clone();
-        let devs = cl.client_devs.clone();
-        let master = cl.master_node();
-        let fluid = sim.block_on(async move {
-            let loader = RStoreClient::connect(&devs[0], master).await.unwrap();
-            let cfg = SortConfig {
-                mode: SortMode::Fluid,
-                io_chunk: 64 * 1024,
-                job: "fsort2".into(),
-                opts: AllocOptions {
-                    stripe_size: 256 * 1024,
-                    ..AllocOptions::default()
-                },
-                ..SortConfig::default()
-            };
-            distributed::create_fluid_input(&loader, &cfg, 2000)
-                .await
-                .unwrap();
-            distributed::run(&devs, master, cfg).await.unwrap()
-        });
-        let r = real.total.as_secs_f64();
-        let f = fluid.total.as_secs_f64();
-        assert!(
-            (f / r) > 0.4 && (f / r) < 2.5,
-            "fluid ({f:.6}s) should approximate real ({r:.6}s)"
-        );
+    fn fluid_and_real_twins_agree_per_phase() {
+        // 16 MiB on 4 workers and 4 servers: the fluid twin of a verified
+        // real sort takes the same time in every phase, within E8's
+        // tolerance.
+        let cluster = ClusterConfig {
+            clients: 4,
+            fabric: fabric::FabricConfig::fluid(),
+            ..ClusterConfig::with_servers(4)
+        };
+        let cfg = SortConfig {
+            io_chunk: 1 << 20,
+            opts: AllocOptions {
+                stripe_size: 1 << 20,
+                ..AllocOptions::default()
+            },
+            ..SortConfig::default()
+        };
+        let t = twin(&cluster, &cfg, (16 << 20) / RECORD_BYTES as u64).unwrap();
+        assert!(t.verified, "the real run sorts its input exactly");
+        for (phase, gap) in t.gaps() {
+            assert!(gap <= TWIN_TOLERANCE, "{phase}: gap {gap:.4} ({t:?})");
+        }
     }
 }

@@ -31,6 +31,23 @@ pub fn dest_of(key: &[u8], splitters: &[Key]) -> usize {
     splitters.partition_point(|s| s.as_slice() <= key)
 }
 
+/// The expected counts row of an `m`-record slice of TeraGen's uniform keys:
+/// `⌊m·F(s_{j+1})⌋ − ⌊m·F(s_j)⌋` records for partition `j`, where `F` is a
+/// key's first 8 bytes read big-endian over 2^64, `F(s_0) = 0` and
+/// `F(s_k) = 1`. The row sums to exactly `m`.
+pub fn uniform_counts(splitters: &[Key], m: u64) -> Vec<u64> {
+    let below = |j: usize| match splitters.get(j) {
+        Some(s) => {
+            let f = u64::from_be_bytes(s[..8].try_into().expect("8 bytes"));
+            ((m as u128 * f as u128) >> 64) as u64
+        }
+        None => m,
+    };
+    (0..=splitters.len())
+        .map(|j| below(j) - j.checked_sub(1).map_or(0, below))
+        .collect()
+}
+
 /// Groups a flat record buffer by destination partition, returning one
 /// contiguous byte buffer per destination (records keep their order within a
 /// destination).
@@ -160,6 +177,18 @@ mod tests {
                 assert_eq!(dest_of(&rec[..KEY_BYTES], &s), d);
             }
         }
+    }
+
+    #[test]
+    fn uniform_counts_follow_the_splitters_and_sum_to_the_slice() {
+        let mut quarter = [0u8; KEY_BYTES];
+        quarter[0] = 0x40;
+        let mut half = [0u8; KEY_BYTES];
+        half[0] = 0x80;
+        assert_eq!(uniform_counts(&[quarter, half], 1001), vec![250, 250, 501]);
+        assert_eq!(uniform_counts(&[], 7), vec![7]);
+        let s = [key(0), key(0x55), key(0xAA), key(0xFF)];
+        assert_eq!(uniform_counts(&s, 12_345).iter().sum::<u64>(), 12_345);
     }
 
     #[test]

@@ -11,4 +11,6 @@ pub mod graph;
 pub mod records;
 
 pub use graph::{rmat_graph, uniform_graph, CsrGraph};
-pub use records::{is_sorted, record_key, sort_records, teragen, Zipf, KEY_BYTES, RECORD_BYTES};
+pub use records::{
+    is_sorted, key_at, record_key, sort_records, teragen, Zipf, KEY_BYTES, RECORD_BYTES,
+};

@@ -7,20 +7,28 @@ pub const RECORD_BYTES: usize = 100;
 /// Size of a record key.
 pub const KEY_BYTES: usize = 10;
 
+/// The key [`teragen`] writes at record index `i`: uniformly random, and a
+/// function of `(seed, i)` alone, so any record's key can be computed
+/// without generating the records before it.
+pub fn key_at(seed: u64, i: u64) -> [u8; KEY_BYTES] {
+    let mut key = [0u8; KEY_BYTES];
+    DetRng::new(seed).fork(i).fill_bytes(&mut key);
+    key
+}
+
 /// Generates `count` TeraGen-style records into a flat byte buffer
-/// (`count * 100` bytes). Keys are uniformly random; the value embeds the
-/// record index so corruption is detectable.
+/// (`count * 100` bytes). Record `i`'s key is [`key_at`]`(seed, i)`; the
+/// value embeds the record index so corruption is detectable.
 pub fn teragen(count: u64, seed: u64) -> Vec<u8> {
-    let mut rng = DetRng::new(seed);
-    let mut out = vec![0u8; count as usize * RECORD_BYTES];
-    for i in 0..count as usize {
-        let rec = &mut out[i * RECORD_BYTES..(i + 1) * RECORD_BYTES];
-        rng.fill_bytes(&mut rec[..KEY_BYTES]);
-        rec[KEY_BYTES..KEY_BYTES + 8].copy_from_slice(&(i as u64).to_le_bytes());
-        // The rest of the value is a fixed filler pattern.
-        for (j, b) in rec[KEY_BYTES + 8..].iter_mut().enumerate() {
-            *b = (j % 251) as u8;
-        }
+    // The rest of the value is a fixed filler pattern.
+    let filler: Vec<u8> = (0..RECORD_BYTES - KEY_BYTES - 8)
+        .map(|j| (j % 251) as u8)
+        .collect();
+    let mut out = Vec::with_capacity(count as usize * RECORD_BYTES);
+    for i in 0..count {
+        out.extend_from_slice(&key_at(seed, i));
+        out.extend_from_slice(&i.to_le_bytes());
+        out.extend_from_slice(&filler);
     }
     out
 }
@@ -41,15 +49,25 @@ pub fn is_sorted(buf: &[u8]) -> bool {
 }
 
 /// Sorts a flat record buffer in place by key (the "local sort" phase).
+/// Stable: records with equal keys keep their order.
 pub fn sort_records(buf: &mut [u8]) {
     debug_assert_eq!(buf.len() % RECORD_BYTES, 0);
-    let n = buf.len() / RECORD_BYTES;
-    let mut index: Vec<usize> = (0..n).collect();
-    index.sort_by(|&a, &b| record_key(buf, a).cmp(record_key(buf, b)));
-    let mut out = vec![0u8; buf.len()];
-    for (pos, &src) in index.iter().enumerate() {
-        out[pos * RECORD_BYTES..(pos + 1) * RECORD_BYTES]
-            .copy_from_slice(&buf[src * RECORD_BYTES..(src + 1) * RECORD_BYTES]);
+    // One u128 per record: the key in the top 80 bits and the record's
+    // index below it, so integer order is key order with ties by index.
+    let mut order: Vec<u128> = buf
+        .chunks_exact(RECORD_BYTES)
+        .enumerate()
+        .map(|(i, rec)| {
+            let mut word = [0u8; 16];
+            word[..KEY_BYTES].copy_from_slice(&rec[..KEY_BYTES]);
+            u128::from_be_bytes(word) | i as u128
+        })
+        .collect();
+    order.sort_unstable();
+    let mut out = Vec::with_capacity(buf.len());
+    for &w in &order {
+        let src = (w as u64 & 0xFFFF_FFFF_FFFF) as usize * RECORD_BYTES;
+        out.extend_from_slice(&buf[src..src + RECORD_BYTES]);
     }
     buf.copy_from_slice(&out);
 }
@@ -189,6 +207,15 @@ mod tests {
         assert_eq!(a, b);
         assert_eq!(a.len(), 100 * RECORD_BYTES);
         assert_ne!(a, teragen(100, 2));
+    }
+
+    #[test]
+    fn teragen_keys_are_key_at() {
+        let buf = teragen(200, 17);
+        for i in 0..200usize {
+            assert_eq!(record_key(&buf, i), key_at(17, i as u64));
+        }
+        assert_ne!(key_at(17, 3), key_at(18, 3));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The Key-Value sorter end to end: a real, verified sort at laptop scale,
-//! then a paper-scale fluid run against the Hadoop TeraSort model.
+//! The Key-Value sorter end to end: a real sort, verified, and its fluid
+//! twin compared phase by phase; then a paper-scale fluid run against the
+//! Hadoop TeraSort model.
 //!
 //! ```text
 //! cargo run -p integration --release --example terasort
@@ -7,41 +8,38 @@
 
 use baseline::hadoop::{terasort_time, HadoopConfig};
 use fabric::FabricConfig;
-use rsort::{distributed, SortConfig, SortMode};
+use rsort::{distributed, twin, SortConfig, SortMode};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
-use workload::{is_sorted, teragen, RECORD_BYTES};
+use workload::RECORD_BYTES;
 
 fn main() -> rstore::Result<()> {
-    // --- part 1: real data, fully verified --------------------------------
-    let cluster = Cluster::boot(ClusterConfig {
+    // --- part 1: 20 MB sorted for real, then its fluid twin -----------------
+    let cluster = ClusterConfig {
         clients: 8,
+        fabric: FabricConfig::fluid(),
         ..ClusterConfig::with_servers(4)
-    })?;
-    let sim = cluster.sim.clone();
-    let devs = cluster.client_devs.clone();
-    let master = cluster.master_node();
-    let (records, secs, sorted) = sim.block_on(async move {
-        let loader = RStoreClient::connect(&devs[0], master).await?;
-        let cfg = SortConfig {
-            opts: AllocOptions {
-                stripe_size: 1 << 20,
-                ..AllocOptions::default()
-            },
-            ..SortConfig::default()
-        };
-        let input = teragen(200_000, 7); // 20 MB of 100-byte records
-        distributed::load_input(&loader, &cfg, &input).await?;
-        let outcome = distributed::run(&devs, master, cfg).await?;
-        let out = loader.map("sort/output").await?;
-        let bytes = out.read(0, out.size()).await?;
-        Ok::<_, rstore::RStoreError>((
-            outcome.records,
-            outcome.total.as_secs_f64(),
-            is_sorted(&bytes),
-        ))
-    })?;
-    println!("real sort: {records} records in {secs:.4}s (virtual), sorted = {sorted}");
-    assert!(sorted);
+    };
+    let cfg = SortConfig {
+        opts: AllocOptions {
+            stripe_size: 1 << 20,
+            ..AllocOptions::default()
+        },
+        ..SortConfig::default()
+    };
+    let t = twin(&cluster, &cfg, 200_000)?; // 20 MB of 100-byte records
+    println!(
+        "real sort: {} records, output is the sorted input = {}",
+        t.real.records, t.verified
+    );
+    for ((phase, real, fluid), (_, gap)) in t.phases().into_iter().zip(t.gaps()) {
+        println!(
+            "  {phase:<10} real {:>9.3} ms   fluid twin {:>9.3} ms   gap {:.3}%",
+            real as f64 / 1e6,
+            fluid as f64 / 1e6,
+            gap * 100.0
+        );
+    }
+    assert!(t.verified && t.agrees());
 
     // --- part 2: 64 GiB fluid run vs Hadoop model ---------------------------
     let gib = 64u64;
