@@ -583,6 +583,11 @@ pub fn experiment(id: &str) -> (Vec<Table>, Json) {
                 asserts.eq(&format!("get.rtts_per_op.max@{}", x.name), get_max, 1);
                 asserts.eq(&format!("index.stale@{}", x.name), x.index_stale, 0);
             }
+            // Lost lock rounds back off by rounds lost: mix A's herd thins out.
+            let mix_a = s.mixes.iter().find(|x| x.name == "A");
+            let put_max = mix_a.and_then(|x| x.row("put")).map_or(0, |r| r.rtts_max);
+            let bound = e14_ycsb::PUT_RTTS_MAX_A as f64;
+            asserts.at_most("put.rtts_per_op.max@A", put_max as f64, bound);
             let mixes: Vec<Json> = s
                 .mixes
                 .iter()

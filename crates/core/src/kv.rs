@@ -107,17 +107,21 @@
 //! **Writers chase.** A lock CAS that loses on a slot known to hold the key
 //! (a hinted put or delete, or a walk that hit) continues from the word the
 //! CAS returned instead of walking again. An even word is locked at once.
-//! An odd one is waited out (`LOCK_BACKOFF`, through the op's
-//! [`LockWatch`]), and then the writer locks `pre_lock_version(word)`, the
-//! version a holder that updates the value or unlocks leaves behind; a
-//! holder that changed the key leaves a later one, which that CAS returns
-//! for the next round. A CAS over the version the key was seen at proves
+//! An odd one is waited out through the op's [`LockWatch`], which paces
+//! every wait of a writer by the locked words the op has seen: the first
+//! two re-CAS at once — a holder that locked before the CAS landed
+//! publishes one RTT later, when the retry lands — and from the third on
+//! the waits double from `LOCK_BACKOFF` (2 µs) to a 64 µs cap, so a herd
+//! on a hot slot thins out. Then the writer locks
+//! `pre_lock_version(word)`, the version a holder that updates the value
+//! or unlocks leaves behind; a holder that changed the key leaves a later
+//! one, which that CAS returns for the next round. A CAS over the version the key was seen at proves
 //! the key as the first one does. A CAS over any other version proves
 //! nothing, so it carries a READ of the slot behind it on the same QP,
 //! which the responder runs after the swap: the writer publishes only if
 //! the image under its own lock holds the key, and otherwise unlocks and
-//! walks. A writer's walk that meets a locked slot
-//! waits it out and restarts from the *home* slot: it may already have
+//! walks. A writer's walk that meets a locked slot waits it out on the same
+//! schedule and restarts from the *home* slot: it may already have
 //! chosen a hole earlier in the chain, and the lock holder may be inserting
 //! this very key — or freeing an earlier slot — so the hole it remembered
 //! can be stale by the time the lock clears.
@@ -198,7 +202,8 @@ const META_REGION_BYTES: u64 = 64;
 /// is better served by an error it can react to (remap, back off, retry).
 const LOCK_WAIT_BUDGET: Duration = Duration::from_millis(20);
 
-/// Backoff between lock-wait probe rounds.
+/// Unit of a writer's lock-wait schedule ([`LockWatch::pause`]): the sleep
+/// after its third locked-word sighting, doubling per sighting up to 32×.
 const LOCK_BACKOFF: Duration = Duration::from_micros(2);
 
 /// Backoff before a writer's walk whose READ failed over walks again: the
@@ -294,6 +299,8 @@ struct LockWatch {
     stable: bool,
     /// Set after one break attempt so an op never breaks twice.
     spent: bool,
+    /// Locked words observed so far, the same word counted every time.
+    sightings: u32,
 }
 
 impl LockWatch {
@@ -303,16 +310,29 @@ impl LockWatch {
             first: None,
             stable: true,
             spent: false,
+            sightings: 0,
         }
     }
 
     /// Records one locked-word sighting.
     fn observe(&mut self, slot: u64, word: u64, now: SimTime) {
+        self.sightings += 1;
         match self.first {
             None => self.first = Some((slot, word, now)),
             Some((s, w, _)) if (s, w) != (slot, word) => self.stable = false,
             _ => {}
         }
+    }
+
+    /// How long to wait after the latest sighting before the next CAS. The
+    /// first two re-CAS at once: a holder that locked before this op's CAS
+    /// landed publishes one RTT later, when the retry lands, and the second
+    /// covers losing that race to one other waiter. From the third on the
+    /// slot is contended, so waiters thin out: sighting k sleeps
+    /// [`LOCK_BACKOFF`] × 2^(k−3) — 2^k / 8 in integers, 0 below k = 3 —
+    /// capped at 32 × [`LOCK_BACKOFF`] from k = 8.
+    fn pause(&self) -> Duration {
+        LOCK_BACKOFF * ((1 << self.sightings.min(8)) / 8)
     }
 
     /// The `(slot, word)` to break, if this op has watched a single
@@ -1140,8 +1160,10 @@ impl KvTable {
     }
 
     /// [`lock_wait`](Self::lock_wait) for a writer's waits where the
-    /// blocking word is known: feeds the sighting into `watch`, and at the
-    /// deadline — before surfacing the timeout — breaks the lock with
+    /// blocking word is known: feeds the sighting into `watch` and sleeps
+    /// what its schedule says ([`LockWatch::pause`]: nothing for the first
+    /// two sightings). At the deadline — checked first, so a late waiter
+    /// takes no free round — it breaks the lock with
     /// [`unlock`](Self::unlock) if the watch proves it orphaned
     /// (`kv.lock.break` counts these breaks only). A successful break
     /// returns `Ok` so the caller re-probes or re-CASes the now-stable slot
@@ -1169,9 +1191,12 @@ impl KvTable {
             }
             return Err(RStoreError::Io(CqStatus::Timeout));
         }
-        let span = ledger.begin(Phase::LockWait, now);
-        self.dev.sim().sleep(LOCK_BACKOFF).await;
-        ledger.end(span, self.dev.sim().now());
+        let pause = watch.pause();
+        if !pause.is_zero() {
+            let span = ledger.begin(Phase::LockWait, now);
+            self.dev.sim().sleep(pause).await;
+            ledger.end(span, self.dev.sim().now());
+        }
         Ok(())
     }
 
@@ -2623,70 +2648,159 @@ mod tests {
     #[test]
     fn a_chase_locks_what_the_holder_leaves() {
         // A holder has the key's slot locked over the hinted version and
-        // acts 5 µs into the put; the hinted CAS returns its lock word, and
-        // every chase round waits, then CASes again — never a walk while
-        // the key stays. (c) The holder updates the value, or (d) unlocks:
-        // either leaves the pre-lock version, so the chase's CAS on it wins
-        // without a read-back and the version stays. (e) The holder deletes
+        // acts 1 µs (prompt: before the first chase CAS lands) or 5 µs (slow:
+        // after the second) into the put; the hinted CAS returns its lock
+        // word, and every chase round waits what the op's schedule says,
+        // then CASes again — never a walk while the key stays. (c) The
+        // holder updates the value, or (d) unlocks: either leaves the
+        // pre-lock version, so the chase's CAS on it wins without a
+        // read-back and the version stays. The first two sightings re-CAS
+        // at once, so the prompt case sleeps not at all and the slow one
+        // one `LOCK_BACKOFF`, at its third sighting. (e) The holder deletes
         // the key: the CAS returns the tombstone's version, the next round
         // locks it with the read-back, sees no key, unlocks and walks, and
         // the insert into the tombstone moves the version on again.
         for holder_does in ["update", "unlock", "delete"] {
-            let cluster = boot(1);
-            let sim = cluster.sim.clone();
-            sim.recorder().enable(sim::Level::Costs, 0);
-            let s = sim.clone();
-            sim.block_on(async move {
-                let client = cluster.client(0).await.unwrap();
-                let cfg = small_cfg();
-                let kv = KvTable::create(&client, "held", cfg).await.unwrap();
-                kv.put(b"k", b"v1").await.unwrap();
-                let off = (hash_key(b"k") & (cfg.buckets - 1)) * cfg.slot_bytes;
-                let raw = client.map(&gen_name("held", 1)).await.unwrap();
-                let none = OpLedger::disabled();
-                async fn word(raw: &Region, off: u64) -> u64 {
-                    u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
-                }
-                let version = word(&raw, off).await;
-                let locked = lock_word(version, 0x77).to_le_bytes();
-                raw.write_l(off, &locked, &none).await.unwrap();
-                let (holder, hsim) = (raw.clone(), s.clone());
-                let holder = s.spawn(async move {
-                    hsim.sleep(Duration::from_micros(5)).await;
-                    let mut img = vec![0u8; 128];
+            for acts_at in [1, 5] {
+                let cluster = boot(1);
+                let sim = cluster.sim.clone();
+                sim.recorder().enable(sim::Level::Costs, 0);
+                let s = sim.clone();
+                sim.block_on(async move {
+                    let client = cluster.client(0).await.unwrap();
+                    let cfg = small_cfg();
+                    let kv = KvTable::create(&client, "held", cfg).await.unwrap();
+                    kv.put(b"k", b"v1").await.unwrap();
+                    // A warm put is a CAS and a WRITE, one RTT each.
+                    let t = s.now();
+                    kv.put(b"k", b"v1").await.unwrap();
+                    let rtt = s.now().saturating_since(t) / 2;
+                    let off = (hash_key(b"k") & (cfg.buckets - 1)) * cfg.slot_bytes;
+                    let raw = client.map(&gen_name("held", 1)).await.unwrap();
                     let none = OpLedger::disabled();
-                    match holder_does {
-                        "update" => SlotHdr::write_entry(&mut img, version, b"k", b"held"),
-                        "delete" => SlotHdr::write_entry(&mut img, version + 2, b"", b""),
-                        _ => img = version.to_le_bytes().to_vec(),
+                    async fn word(raw: &Region, off: u64) -> u64 {
+                        u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
                     }
-                    holder.write_l(off, &img, &none).await
+                    let version = word(&raw, off).await;
+                    let locked = lock_word(version, 0x77).to_le_bytes();
+                    raw.write_l(off, &locked, &none).await.unwrap();
+                    let (holder, hsim) = (raw.clone(), s.clone());
+                    let holder = s.spawn(async move {
+                        hsim.sleep(Duration::from_micros(acts_at)).await;
+                        let mut img = vec![0u8; 128];
+                        let none = OpLedger::disabled();
+                        match holder_does {
+                            "update" => SlotHdr::write_entry(&mut img, version, b"k", b"held"),
+                            "delete" => SlotHdr::write_entry(&mut img, version + 2, b"", b""),
+                            _ => img = version.to_le_bytes().to_vec(),
+                        }
+                        holder.write_l(off, &img, &none).await
+                    });
+                    let metrics = client.device().metrics();
+                    metrics.reset();
+                    let t = s.now();
+                    kv.put(b"k", b"v2").await.unwrap();
+                    let latency = s.now().saturating_since(t);
+                    holder.await.unwrap();
+                    let ops = sim::ledger::summarize(&metrics);
+                    let put = ops.iter().find(|s| s.op == "put").unwrap();
+                    let chases = metrics.counter("kv.lock.chase");
+                    let wrs = metrics.histogram("rdma.doorbell_wrs").unwrap().sum();
+                    let stale = metrics.counter("kv.index.stale");
+                    let case = format!("{holder_does} at {acts_at} µs");
+                    if holder_does == "delete" {
+                        assert!(chases >= 2, "{case}: {chases} chase rounds");
+                        let walk = put.rtts_max - (2 + chases);
+                        assert_eq!(walk, 4, "unlock, walk home + window, CAS, publish");
+                        assert_eq!(stale, 1, "the key left its slot");
+                        assert_eq!(word(&raw, off).await, version + 4, "reinserted");
+                    } else {
+                        let (rounds, sleeps) = if acts_at == 1 { (1, 0) } else { (3, 1) };
+                        assert_eq!(chases, rounds, "{case}: chase rounds");
+                        assert_eq!(put.rtts_max, 2 + chases, "CAS, the chase rounds, publish");
+                        // One WR per RTT, no read-back, and the holder's WRITE.
+                        assert_eq!(wrs, put.rtts_max + 1, "{case}: WRs");
+                        assert_eq!(stale, 0, "{case}: the hint held");
+                        assert_eq!(word(&raw, off).await, version, "the version stays");
+                        let slept = latency.saturating_sub(rtt * put.rtts_max as u32);
+                        assert!(
+                            slept >= LOCK_BACKOFF * sleeps && slept < LOCK_BACKOFF * (sleeps + 1),
+                            "{case}: {latency:?} is {} RTTs of {rtt:?} and {sleeps} backoffs",
+                            put.rtts_max
+                        );
+                    }
+                    assert_eq!(kv.get(b"k").await.unwrap().as_deref(), Some(&b"v2"[..]));
                 });
-                let metrics = client.device().metrics();
-                metrics.reset();
-                kv.put(b"k", b"v2").await.unwrap();
-                holder.await.unwrap();
-                let ops = sim::ledger::summarize(&metrics);
-                let put = ops.iter().find(|s| s.op == "put").unwrap();
-                let chases = metrics.counter("kv.lock.chase");
-                let wrs = metrics.histogram("rdma.doorbell_wrs").unwrap().sum();
-                let stale = metrics.counter("kv.index.stale");
-                assert!(chases >= 2, "{holder_does}: {chases} chase rounds");
-                if holder_does == "delete" {
-                    let walk = put.rtts_max - (2 + chases);
-                    assert_eq!(walk, 4, "unlock, walk home + window, CAS, publish");
-                    assert_eq!(stale, 1, "the key left its slot");
-                    assert_eq!(word(&raw, off).await, version + 4, "reinserted");
-                } else {
-                    assert_eq!(put.rtts_max, 2 + chases, "CAS, the chase rounds, publish");
-                    // One WR per RTT, no read-back, and the holder's WRITE.
-                    assert_eq!(wrs, put.rtts_max + 1, "{holder_does}: WRs");
-                    assert_eq!(stale, 0, "{holder_does}: the hint held");
-                    assert_eq!(word(&raw, off).await, version, "the version stays");
-                }
-                assert_eq!(kv.get(b"k").await.unwrap().as_deref(), Some(&b"v2"[..]));
-            });
+            }
         }
+    }
+
+    #[test]
+    fn lock_waits_double_from_the_third_sighting_and_stop_at_the_deadline() {
+        // Sightings 1 and 2 re-CAS at once; from the third the wait doubles
+        // from `LOCK_BACKOFF` up to its 32× cap.
+        let mut watch = LockWatch::new(SimTime::ZERO);
+        let waits: Vec<u64> = (0..9)
+            .map(|_| {
+                watch.observe(7, lock_word(2, 1), SimTime::ZERO);
+                watch.pause().as_micros() as u64
+            })
+            .collect();
+        assert_eq!(waits, [0, 0, 2, 4, 8, 16, 32, 64, 64]);
+
+        // A waiter already past its deadline takes no free round, even on
+        // its first sighting: it errors, or breaks the lock it watched for
+        // `ORPHAN_BREAK_AGE` — and posts no lock CAS either way.
+        let cluster = boot(1);
+        let sim = cluster.sim.clone();
+        sim.recorder().enable(sim::Level::Costs, 0);
+        let s = sim.clone();
+        sim.block_on(async move {
+            let client = cluster.client(0).await.unwrap();
+            let cfg = small_cfg();
+            let kv = KvTable::create(&client, "late", cfg).await.unwrap();
+            kv.put(b"k", b"v1").await.unwrap();
+            let slot = hash_key(b"k") & (cfg.buckets - 1);
+            let raw = client.map(&gen_name("late", 1)).await.unwrap();
+            let (_, _, data) = kv.snapshot();
+            let none = OpLedger::disabled();
+            let read_word = || async {
+                let word = raw.read(slot * cfg.slot_bytes, 8).await.unwrap();
+                u64::from_le_bytes(word.try_into().unwrap())
+            };
+            let version = read_word().await;
+            let lock = lock_word(version, 0x55);
+            raw.write_l(slot * cfg.slot_bytes, &lock.to_le_bytes(), &none)
+                .await
+                .unwrap();
+            let metrics = client.device().metrics();
+            // First a waiter that never saw this word before (it errors),
+            // then one that has watched it since the op began (it breaks it).
+            for watched in [false, true] {
+                let mut watch = LockWatch::new(s.now());
+                if watched {
+                    watch.observe(slot, lock, s.now());
+                }
+                s.sleep(LOCK_WAIT_BUDGET).await;
+                metrics.reset();
+                let waited = kv.lock_wait_on(&data, &mut watch, slot, lock, &none);
+                let wrs = || {
+                    metrics
+                        .histogram("rdma.doorbell_wrs")
+                        .map_or(0, |h| h.sum())
+                };
+                if watched {
+                    waited.await.unwrap();
+                    assert_eq!(wrs(), 1, "the unlock CAS alone");
+                    assert_eq!(read_word().await, version, "the orphan is gone");
+                } else {
+                    let err = waited.await.unwrap_err();
+                    assert!(matches!(err, RStoreError::Io(CqStatus::Timeout)), "{err:?}");
+                    assert_eq!(wrs(), 0, "no CAS posted");
+                    assert_eq!(read_word().await, lock, "the lock stays");
+                }
+            }
+        });
     }
 
     #[test]

@@ -1109,11 +1109,14 @@ fn kv_table_matches_hashmap_model() {
 /// Seeded stress of contended writers on one probe chain: four handles on
 /// four clients put, delete and get three keys that share a home slot, so
 /// hinted CASes lose, chases meet held locks and read back slots that another
-/// key has reused, and readers read through locks. From the invoke/response
-/// history in virtual time, every get returns the value of a put to *its*
-/// key that was acknowledged or still in flight, never a value older than a
-/// write to that key acknowledged before the get began, and absent only
-/// where a delete may have come last.
+/// key has reused, and readers read through locks. One more case is a herd:
+/// eight handles put and get a single key, so writers queue on one lock and
+/// their lock-wait schedule (free first rounds, then doubling sleeps)
+/// decides which CAS wins. From the invoke/response history in virtual
+/// time, every get returns the value of a put to *its* key that was
+/// acknowledged or still in flight, never a value older than a write to
+/// that key acknowledged before the get began, and absent only where a
+/// delete may have come last.
 #[test]
 fn kv_chain_under_contention_reads_only_live_writes() {
     use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable};
@@ -1121,7 +1124,6 @@ fn kv_chain_under_contention_reads_only_live_writes() {
     use std::cell::RefCell;
     use std::rc::Rc;
 
-    const HANDLES: usize = 4;
     const OPS: usize = 40;
     /// A write (`tag` is `None` for a delete) or a read, with its invoke and
     /// response instants. Tags are unique across the run.
@@ -1147,106 +1149,118 @@ fn kv_chain_under_contention_reads_only_live_writes() {
         .take(3)
         .collect();
 
+    // One case: `handles` handles each run `OPS` ops drawn by `op` as
+    // (key index, kind, pause in ns): kinds 0..=4 put, 5 and 6 delete, the
+    // rest get.
+    let run = |rng: &mut DetRng, handles: usize, op: fn(&mut DetRng) -> (usize, u8, u64)| {
+        let scripts: Vec<Vec<(usize, u8, u64)>> = (0..handles)
+            .map(|_| (0..OPS).map(|_| op(rng)).collect())
+            .collect();
+        let cluster = Cluster::boot(ClusterConfig {
+            clients: handles,
+            ..ClusterConfig::with_servers(2)
+        })
+        .expect("boot");
+        let sim = cluster.sim.clone();
+        let history: Rc<RefCell<Vec<Op>>> = Rc::default();
+        let (keys, hist, s) = (keys.clone(), history.clone(), sim.clone());
+        sim.block_on(async move {
+            let creator = cluster.client(0).await.unwrap();
+            KvTable::create(&creator, "chain", cfg).await.unwrap();
+            let mut workers = Vec::new();
+            for (w, script) in scripts.into_iter().enumerate() {
+                let client = cluster.client(w).await.unwrap();
+                let (keys, hist, s) = (keys.clone(), hist.clone(), s.clone());
+                workers.push(s.clone().spawn(async move {
+                    let kv = KvTable::open(&client, "chain", 128, 16).await.unwrap();
+                    for (i, (key, kind, pause)) in script.into_iter().enumerate() {
+                        s.sleep(Duration::from_nanos(pause)).await;
+                        let k = &keys[key];
+                        let start = s.now();
+                        let tag = (w * OPS + i) as u32;
+                        let (write, tag) = match kind {
+                            0..=4 => {
+                                let value = format!("{key}:{tag}");
+                                kv.put(k, value.as_bytes()).await.unwrap();
+                                (true, Some(tag))
+                            }
+                            5 | 6 => {
+                                kv.delete(k).await.unwrap();
+                                (true, None)
+                            }
+                            _ => {
+                                let got = kv.get(k).await.unwrap();
+                                let tag = got.map(|v| {
+                                    let v = String::from_utf8(v).unwrap();
+                                    let (owner, tag) = v.split_once(':').unwrap();
+                                    assert_eq!(owner, key.to_string(), "another key's value");
+                                    tag.parse().unwrap()
+                                });
+                                (false, tag)
+                            }
+                        };
+                        let end = s.now();
+                        hist.borrow_mut().push(Op {
+                            key,
+                            write,
+                            tag,
+                            start,
+                            end,
+                        });
+                    }
+                }));
+            }
+            sim::join_all(workers).await;
+        });
+
+        let history = history.borrow();
+        let writes = || history.iter().filter(|o| o.write);
+        for read in history.iter().filter(|o| !o.write) {
+            let on_key = || writes().filter(|w| w.key == read.key);
+            // The writes to the key a get may return: every one that
+            // responded before the get began and has no such successor.
+            let done_before = |w: &&Op| w.end < read.start;
+            let superseded = |w: &Op| {
+                on_key()
+                    .filter(done_before)
+                    .any(|later| later.start > w.end)
+            };
+            match read.tag {
+                Some(tag) => {
+                    let put = on_key()
+                        .find(|w| w.tag == Some(tag))
+                        .expect("a put to this key");
+                    assert!(put.start <= read.end, "read a put from the future");
+                    assert!(!superseded(put), "stale value: put {tag}");
+                }
+                None => {
+                    let deleted_after = |put: &Op| {
+                        on_key().any(|d| d.tag.is_none() && d.end > put.start && d.start < read.end)
+                    };
+                    let puts = on_key().filter(|w| w.tag.is_some());
+                    let lost = puts.filter(done_before).find(|p| !deleted_after(p));
+                    assert!(lost.is_none(), "absent after put {:?}", lost.map(|p| p.tag));
+                }
+            }
+        }
+    };
     cases(
         "kv_chain_under_contention_reads_only_live_writes",
         6,
         |rng| {
-            let scripts: Vec<Vec<(usize, u8, u64)>> = (0..HANDLES)
-                .map(|_| {
-                    let op = |rng: &mut DetRng| {
-                        (rng.index(3), rng.index(10) as u8, rng.range_u64(0, 4000))
-                    };
-                    (0..OPS).map(|_| op(rng)).collect()
-                })
-                .collect();
-            let cluster = Cluster::boot(ClusterConfig {
-                clients: HANDLES,
-                ..ClusterConfig::with_servers(2)
+            run(rng, 4, |rng| {
+                (rng.index(3), rng.index(10) as u8, rng.range_u64(0, 4000))
             })
-            .expect("boot");
-            let sim = cluster.sim.clone();
-            let history: Rc<RefCell<Vec<Op>>> = Rc::default();
-            let (keys, hist, s) = (keys.clone(), history.clone(), sim.clone());
-            sim.block_on(async move {
-                let creator = cluster.client(0).await.unwrap();
-                KvTable::create(&creator, "chain", cfg).await.unwrap();
-                let mut workers = Vec::new();
-                for (w, script) in scripts.into_iter().enumerate() {
-                    let client = cluster.client(w).await.unwrap();
-                    let (keys, hist, s) = (keys.clone(), hist.clone(), s.clone());
-                    workers.push(s.clone().spawn(async move {
-                        let kv = KvTable::open(&client, "chain", 128, 16).await.unwrap();
-                        for (i, (key, kind, pause)) in script.into_iter().enumerate() {
-                            s.sleep(Duration::from_nanos(pause)).await;
-                            let k = &keys[key];
-                            let start = s.now();
-                            let tag = (w * OPS + i) as u32;
-                            let (write, tag) = match kind {
-                                0..=4 => {
-                                    let value = format!("{key}:{tag}");
-                                    kv.put(k, value.as_bytes()).await.unwrap();
-                                    (true, Some(tag))
-                                }
-                                5 | 6 => {
-                                    kv.delete(k).await.unwrap();
-                                    (true, None)
-                                }
-                                _ => {
-                                    let got = kv.get(k).await.unwrap();
-                                    let tag = got.map(|v| {
-                                        let v = String::from_utf8(v).unwrap();
-                                        let (owner, tag) = v.split_once(':').unwrap();
-                                        assert_eq!(owner, key.to_string(), "another key's value");
-                                        tag.parse().unwrap()
-                                    });
-                                    (false, tag)
-                                }
-                            };
-                            let end = s.now();
-                            hist.borrow_mut().push(Op {
-                                key,
-                                write,
-                                tag,
-                                start,
-                                end,
-                            });
-                        }
-                    }));
-                }
-                sim::join_all(workers).await;
-            });
-
-            let history = history.borrow();
-            let writes = || history.iter().filter(|o| o.write);
-            for read in history.iter().filter(|o| !o.write) {
-                let on_key = || writes().filter(|w| w.key == read.key);
-                // The writes to the key a get may return: every one that
-                // responded before the get began and has no such successor.
-                let done_before = |w: &&Op| w.end < read.start;
-                let superseded = |w: &Op| {
-                    on_key()
-                        .filter(done_before)
-                        .any(|later| later.start > w.end)
-                };
-                match read.tag {
-                    Some(tag) => {
-                        let put = on_key()
-                            .find(|w| w.tag == Some(tag))
-                            .expect("a put to this key");
-                        assert!(put.start <= read.end, "read a put from the future");
-                        assert!(!superseded(put), "stale value: put {tag}");
-                    }
-                    None => {
-                        let deleted_after = |put: &Op| {
-                            on_key()
-                                .any(|d| d.tag.is_none() && d.end > put.start && d.start < read.end)
-                        };
-                        let puts = on_key().filter(|w| w.tag.is_some());
-                        let lost = puts.filter(done_before).find(|p| !deleted_after(p));
-                        assert!(lost.is_none(), "absent after put {:?}", lost.map(|p| p.tag));
-                    }
-                }
-            }
+        },
+    );
+    cases(
+        "kv_chain_under_contention_reads_only_live_writes: herd",
+        1,
+        |rng| {
+            run(rng, 8, |rng| {
+                let kind = if rng.chance(0.5) { 0 } else { 9 };
+                (0, kind, rng.range_u64(0, 4000))
+            })
         },
     );
 }
