@@ -10,9 +10,8 @@ use std::time::Duration;
 
 use fabric::NodeId;
 use rdma::{CompletionQueue, CqStatus, Qp, RdmaDevice, RdmaError, Wr};
-use sim::channel::oneshot::{self, Receiver};
 use sim::sync::Semaphore;
-use sim::{Counter, EventSink, Recorder, Sim, SimTime, TimerId};
+use sim::{Counter, EventSink, Recorder, Rendezvous, Sim, SimTime, TimerId, Wait};
 
 use crate::error::{RStoreError, Result};
 use crate::proto::{
@@ -83,9 +82,9 @@ pub(crate) struct DataQps {
     cq: CompletionQueue,
     conns: RefCell<HashMap<u32, Qp>>,
     gates: RefCell<HashMap<u32, Rc<RedialSlot>>>,
-    /// Waiters of posted WRs by wr_id, each with its timeout backstop.
-    pub(crate) pending: RefCell<HashMap<u64, (oneshot::Sender<CqStatus>, TimerId)>>,
-    next_wr: Cell<u64>,
+    /// Waiters of posted WRs, each with its timeout backstop; a WR's wr_id
+    /// is its cell's ticket.
+    pub(crate) pending: Rendezvous<CqStatus, TimerId>,
     routing: Cell<bool>,
     attempts: Counter,
     dialed: Counter,
@@ -98,9 +97,8 @@ impl EventSink for DataQps {
     /// (the verbs layer always produces one) then finds no waiter and is
     /// dropped by the completion router.
     fn fire(self: Rc<Self>, wr_id: u64, _: u64) {
-        if let Some((tx, _)) = self.pending.borrow_mut().remove(&wr_id) {
+        if self.pending.fill(wr_id.into(), CqStatus::Timeout).is_some() {
             self.timeouts.incr();
-            tx.send(CqStatus::Timeout);
         }
     }
 }
@@ -113,8 +111,7 @@ impl DataQps {
             cq: CompletionQueue::new(),
             conns: RefCell::default(),
             gates: RefCell::default(),
-            pending: RefCell::default(),
-            next_wr: Cell::new(1),
+            pending: Rendezvous::new(),
             routing: Cell::new(false),
             attempts: m.counter_handle("rstore.redial.attempts"),
             dialed: m.counter_handle("rstore.redial.ok"),
@@ -171,8 +168,9 @@ impl DataQps {
         out
     }
 
-    /// Posts `wr` on the cached QP to `node` under a fresh wr_id and returns
-    /// the receiver of its completion status. Every WR stays signaled: its waiter resolves
+    /// Posts `wr` on the cached QP to `node` under a fresh wr_id — the
+    /// ticket of the `pending` cell it completes into — and returns that
+    /// cell's waiter. Every WR stays signaled: its waiter resolves
     /// on the CQE the router forwards, so a suppressed success would leave
     /// the waiter to its backstop. The backstop's deadline is the device's
     /// backlog-aware bound for `bytes`, not the isolated-op timeout — behind
@@ -183,19 +181,16 @@ impl DataQps {
         node: u32,
         mut wr: Wr<'_>,
         bytes: u64,
-    ) -> Result<Receiver<CqStatus>> {
+    ) -> Result<Wait<CqStatus, TimerId>> {
         let conns = self.conns.borrow();
         let qp = conns.get(&node).ok_or(RdmaError::QpError)?;
         debug_assert!(wr.signaled, "an unsignaled WR would wait for its backstop");
-        wr.wr_id = self.next_wr.get();
-        self.next_wr.set(wr.wr_id + 1);
+        wr.wr_id = self.pending.next_ticket().into();
         qp.post_batch(&[wr])?;
         let sim = self.dev.sim();
         let deadline = sim.now() + self.dev.op_deadline(bytes) + IO_GRACE;
         let backstop = sim.schedule_event(deadline, self, wr.wr_id, 0);
-        let (tx, rx) = oneshot::channel();
-        self.pending.borrow_mut().insert(wr.wr_id, (tx, backstop));
-        Ok(rx)
+        Ok(self.pending.open(backstop))
     }
 
     /// The completion router: forwards every CQE to the waiter that posted
@@ -203,10 +198,8 @@ impl DataQps {
     async fn route(self: Rc<Self>) {
         loop {
             let cqe = self.cq.next().await;
-            let waiter = self.pending.borrow_mut().remove(&cqe.wr_id);
-            if let Some((tx, backstop)) = waiter {
+            if let Some(backstop) = self.pending.fill(cqe.wr_id.into(), cqe.status) {
                 self.dev.sim().cancel(backstop);
-                tx.send(cqe.status);
             }
         }
     }

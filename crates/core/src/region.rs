@@ -12,8 +12,7 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use rdma::{AtomicOp, CqStatus, DmaBuf, RKey, RemoteAddr, Sge, SgeList, Wr, WrOp, MAX_SGE};
-use sim::channel::oneshot;
-use sim::{Event, Level, OpLedger, Phase, Span};
+use sim::{Event, Level, OpLedger, Phase, Span, TimerId, Wait};
 
 use crate::client::RStoreClient;
 use crate::crc::{seal_blocks, verify_blocks};
@@ -73,9 +72,9 @@ impl Xfer {
 /// checksummed read whose frame landed but did not verify).
 type Failed = (Xfer, CqStatus);
 
-/// A posted WR: the plan indices of the transfers it covers and its
-/// completion receiver.
-type Posted = (Range<usize>, oneshot::Receiver<CqStatus>);
+/// A posted WR: the plan indices of the transfers it covers and the waiter
+/// of its completion.
+type Posted = (Range<usize>, Wait<CqStatus, TimerId>);
 
 /// Recycled IO scratch shared by all clones of a [`Region`] handle: staging
 /// `DmaBuf`s for checksum-block assembly/verification, a host-side byte
@@ -1052,7 +1051,7 @@ impl Region {
     /// Posts one WR covering the [`elements`](Self::elements) of `xfers` —
     /// the caller guarantees they all resolve to the same memory server —
     /// through the client's [`DataQps`](crate::client::DataQps) and returns
-    /// its completion receiver: one wr_id, one doorbell. With `inline`, a
+    /// the waiter of its completion: one wr_id, one doorbell. With `inline`, a
     /// lone WRITE carries those host bytes in the WQE instead of reading its
     /// buffer. A [`Dir::Cas`] is one atomic on its one transfer's word.
     fn post(
@@ -1061,7 +1060,7 @@ impl Region {
         xfers: &[Xfer],
         inline: Option<&[u8]>,
         ledger: &OpLedger,
-    ) -> Result<oneshot::Receiver<CqStatus>> {
+    ) -> Result<Wait<CqStatus, TimerId>> {
         let s = &self.client.shared;
         let node = self.extent(xfers[0].piece.group, xfers[0].replica).node;
         let sge = |x: &Xfer, (piece, buf): (Piece, DmaBuf)| {
@@ -1127,6 +1126,40 @@ mod tests {
     use crate::proto::AllocOptions;
 
     #[test]
+    fn a_read_given_up_before_its_completion_frees_its_waiter_cell() {
+        // A READ against a crashed server, abandoned by its caller long
+        // before the device's 25 ms op timeout: its waiter is dropped with
+        // its WR in flight. The WR's CQE — or, were there none, its
+        // backstop — must free the cell the waiter left.
+        let cluster = Cluster::boot(ClusterConfig {
+            clients: 1,
+            ..ClusterConfig::fast_detection(1)
+        })
+        .expect("boot");
+        let sim = cluster.sim.clone();
+        let fabric = cluster.fabric.clone();
+        sim.block_on(async move {
+            let c = cluster.client(0).await.unwrap();
+            let opts = AllocOptions::default();
+            let region = c.alloc("abandoned", 4096, opts).await.unwrap();
+            region.write(0, &[1u8; 8]).await.unwrap();
+            let (sim, qps) = (&c.shared.sim, &c.shared.qps);
+            let timeouts = || c.shared.dev.metrics().counter("rstore.io_timeout");
+            let before = timeouts();
+
+            fabric.set_node_up(NodeId(region.desc().groups[0].replicas[0].node), false);
+            let read = Box::pin(region.read(0, 8));
+            assert!(sim.timeout(Duration::from_millis(1), read).await.is_none());
+            assert_eq!(qps.pending.len(), 1, "the abandoned cell awaits its WR");
+            // Past the op timeout and the backstop's grace.
+            sim.sleep(Duration::from_millis(200)).await;
+            assert!(qps.pending.is_empty(), "an abandoned cell outlived its WR");
+            // The device's CQE came first and cancelled the backstop.
+            assert_eq!(timeouts(), before);
+        });
+    }
+
+    #[test]
     fn a_write_failing_on_one_of_two_failed_replicas_leaves_no_repost_in_flight() {
         // One 64 KiB stripe on two servers: primary on X, secondary on Y.
         // The final write finds both QPs errored: X re-dials and its repost
@@ -1181,7 +1214,7 @@ mod tests {
             assert!(matches!(err, RStoreError::Io(_)), "got {err:?}");
             assert_eq!(redials(), before + 1, "X re-dialed");
             assert!(
-                c.shared.qps.pending.borrow().is_empty(),
+                c.shared.qps.pending.is_empty(),
                 "the failed write returned with a WR still in flight"
             );
             // X's repost landed before the error did.

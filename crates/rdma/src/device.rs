@@ -7,7 +7,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use fabric::{Delivery, Fabric, NodeId};
-use sim::channel::{channel, oneshot, Receiver, Sender};
+use sim::channel::{channel, Receiver, Rendezvous, Sender};
 use sim::{Completion, EventSink, Metrics, OpLedger, Sim, SimTime, TimerId};
 
 use crate::config::RdmaConfig;
@@ -157,9 +157,10 @@ struct DevInner {
     arena: Arena,
     qps: HashMap<u64, QpState>,
     listeners: HashMap<u16, Sender<PendingConn>>,
-    connects: HashMap<u64, oneshot::Sender<Result<(NodeId, Qpn)>>>,
+    /// Connects awaiting the peer's accept or reject; a connect's conn_id
+    /// is its cell's ticket.
+    connects: Rendezvous<Result<(NodeId, Qpn)>>,
     next_qpn: u64,
-    next_conn: u64,
     /// Sum of `byte_len` over every in-flight work request on this device;
     /// feeds the backlog-aware operation timeout (a device that just posted
     /// gigabytes must not expire ops queued behind its own backlog).
@@ -226,9 +227,8 @@ impl RdmaDevice {
             arena: Arena::new(cfg.mem_capacity),
             qps: HashMap::new(),
             listeners: HashMap::new(),
-            connects: HashMap::new(),
+            connects: Rendezvous::new(),
             next_qpn: 1,
-            next_conn: 1,
             outstanding_bytes: 0,
             current_ledger: OpLedger::disabled(),
             released: Vec::new(),
@@ -532,22 +532,18 @@ impl RdmaDevice {
                     stats: self.qp_stats(qpn),
                 },
             );
-            let conn_id = inner.next_conn;
-            inner.next_conn += 1;
-            let (tx, rx) = oneshot::channel();
-            inner.connects.insert(conn_id, tx);
-            (qpn, conn_id, rx)
+            let reply = inner.connects.open(());
+            (qpn, reply.ticket(), reply)
         };
         let msg = NetMsg::Cm(CmMsg::ConnReq {
-            conn_id,
+            conn_id: conn_id.into(),
             service,
             client_qpn: qpn,
         });
         let wire = msg.wire_bytes();
         self.fabric.send(self.node, peer, wire, msg);
 
-        // No answer in time — or none ever: the reply's sender is gone — is
-        // a timeout.
+        // No answer in time — or a cell closed without one — is a timeout.
         let reply = self.sim.timeout(self.cfg.base_timeout, reply).await;
         let mut inner = self.inner.borrow_mut();
         match reply.flatten().unwrap_or(Err(RdmaError::Timeout)) {
@@ -561,7 +557,9 @@ impl RdmaDevice {
                 })
             }
             Err(e) => {
-                inner.connects.remove(&conn_id);
+                // A timed-out connect dropped its waiter: free its cell, so
+                // a late accept or reject finds a stale conn_id.
+                inner.connects.close(conn_id);
                 inner.qps.remove(&qpn.0);
                 Err(e)
             }
@@ -617,14 +615,12 @@ impl RdmaDevice {
                 conn_id,
                 server_qpn,
             } => {
-                if let Some(tx) = self.inner.borrow_mut().connects.remove(&conn_id) {
-                    tx.send(Ok((src, server_qpn)));
-                }
+                let reply = Ok((src, server_qpn));
+                self.inner.borrow().connects.fill(conn_id.into(), reply);
             }
             CmMsg::ConnReject { conn_id } => {
-                if let Some(tx) = self.inner.borrow_mut().connects.remove(&conn_id) {
-                    tx.send(Err(RdmaError::ConnectionRefused));
-                }
+                let reply = Err(RdmaError::ConnectionRefused);
+                self.inner.borrow().connects.fill(conn_id.into(), reply);
             }
         }
     }
@@ -1899,7 +1895,12 @@ mod tests {
         let (sim, _fabric, a, b) = two_devices();
         let err = sim.block_on(async move {
             let cq = CompletionQueue::new();
-            a.connect(b.node(), 99, &cq).await.err().unwrap()
+            let err = a.connect(b.node(), 99, &cq).await.err().unwrap();
+            assert!(
+                a.inner.borrow().connects.is_empty(),
+                "a refused connect left its cell"
+            );
+            err
         });
         assert_eq!(err, RdmaError::ConnectionRefused);
     }
@@ -1910,7 +1911,13 @@ mod tests {
         fabric.set_node_up(b.node(), false);
         let err = sim.block_on(async move {
             let cq = CompletionQueue::new();
-            a.connect(b.node(), 7, &cq).await.err().unwrap()
+            let err = a.connect(b.node(), 7, &cq).await.err().unwrap();
+            // The timed-out waiter was dropped; the connect freed its cell.
+            assert!(
+                a.inner.borrow().connects.is_empty(),
+                "a timed-out connect left its cell"
+            );
+            err
         });
         assert_eq!(err, RdmaError::Timeout);
     }

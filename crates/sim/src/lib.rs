@@ -35,7 +35,8 @@
 //!   Its event queue holds only live events: every scheduling call returns a
 //!   [`TimerId`] that [`Sim::cancel`] removes for good, and hot paths
 //!   schedule typed events on an [`EventSink`] instead of boxing a closure.
-//! * [`mod@channel`] — unbounded mpsc and oneshot channels usable inside tasks.
+//! * [`mod@channel`] — unbounded mpsc channels usable inside tasks, and the
+//!   recycled [`Rendezvous`] table a request and its answer meet in.
 //! * [`sync`] — semaphores and barriers in virtual time.
 //! * [`rng`] — a seeded deterministic random number generator.
 //! * [`metrics`] — counters and latency histograms shared between components.
@@ -67,7 +68,7 @@ pub mod time;
 pub mod timeseries;
 pub mod trace;
 
-pub use channel::{channel, oneshot, Receiver, Sender};
+pub use channel::{channel, Receiver, Rendezvous, Sender, Ticket, Wait};
 pub use executor::{take_exec_totals, ExecTotals, JoinHandle, Sim};
 pub use future_util::{join_all, yield_now, Timeout};
 pub use ledger::{Completion, OpCosts, OpLedger, OpMetrics, OpSummary, Phase, SpanRec};
