@@ -10,7 +10,8 @@
 # DESIGN.md "Recording spine") and of the fault-episode
 # driver with its three experiments (one worker loop: EXPERIMENTS.md "Fault
 # episodes") and of the device arena (one backing form: DESIGN.md "Arena
-# backing") and of the sorter (one worker body for real and fluid runs),
+# backing") and of the sorter (one worker body for real and fluid runs)
+# and of the graph framework (one superstep worker for every kernel),
 # and fails when one outgrows its ceiling. Every data-path QP —
 # a client's, the scrubber's, an extent copy's — comes from one dialer
 # (DESIGN.md "One data-QP dialer"): a second QP cache beside it would not fit
@@ -104,4 +105,9 @@ group 'rsort (2)' 400 crates/rsort/src/{distributed,plan}.rs
 # suite, as one total: a second comparison mode would not fit under this.
 group 'baseline gate (4)' 371 crates/bench/src/{diff,check}.rs \
     crates/bench/src/bin/{bench,figures}.rs
+# The graph framework, as one total: PageRank, WCC and SSSP run one pull
+# superstep body, and BFS shares its job setup and convergence vote
+# (`rgraph::run`, DESIGN.md S5); the first worker to fail poisons the job's
+# barrier. A second superstep loop beside the one would not fit under this.
+group 'rgraph (7)' 812 crates/rgraph/src/*.rs
 exit $status

@@ -1,7 +1,7 @@
 //! Verifies the invariants a `BENCH_*.json` report asserts about itself.
 //!
 //! Backs the `bench check` CLI, which replaced CI's per-experiment `grep`s:
-//! every E6 and E8–E17 entry of a report carries an `asserts` array of
+//! every E6–E17 entry of a report carries an `asserts` array of
 //! `{name, expected, observed, pass}` built from the stats the experiment
 //! already computes ([`crate::report`]). A report is in policy when every
 //! such entry has the array and every assert in it passed.
@@ -10,8 +10,8 @@ use crate::json::Json;
 
 /// The experiments that must assert their invariants (the ones whose claims
 /// are correctness or cost invariants rather than curves).
-const SELF_CHECKING: [&str; 11] = [
-    "e6", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17",
+const SELF_CHECKING: [&str; 12] = [
+    "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17",
 ];
 
 /// Returns one line per violation in `report`: a failed assert, or a

@@ -12,7 +12,7 @@ use std::time::Duration;
 use baseline::msg_graph::{self, MsgPageRankConfig};
 use fabric::{Fabric, FabricConfig};
 use rdma::{RdmaConfig, RdmaDevice};
-use rgraph::{pagerank, reference, GraphStore, PageRankConfig};
+use rgraph::{reference, GraphStore, Kernel};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
 use sim::{Level, OpSummary, Sim};
 use workload::{rmat_graph, uniform_graph, CsrGraph};
@@ -116,7 +116,7 @@ pub fn run_rstore(g: &CsrGraph) -> RStoreRun {
     sim.recorder().enable(Level::Costs, 0);
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
-    let expect = reference::pagerank(g, ITERS, PageRankConfig::default().damping);
+    let expect = reference::pagerank(g, ITERS, rgraph::DAMPING);
     let g = g.clone();
     sim.block_on(async move {
         let loader = RStoreClient::connect(&devs[0], master).await.expect("c");
@@ -129,12 +129,9 @@ pub fn run_rstore(g: &CsrGraph) -> RStoreRun {
             .expect("publish");
         let metrics = devs[0].metrics();
         metrics.reset();
-        let cfg = PageRankConfig {
-            iters: ITERS,
-            ..PageRankConfig::default()
-        };
-        let out = pagerank::run(&devs, master, "e6", cfg).await.expect("run");
-        let wrong = out.ranks.iter().zip(&expect);
+        let job = Kernel::PageRank { iters: ITERS };
+        let out = rgraph::run(&devs, master, "e6", job, 0).await.expect("run");
+        let wrong = out.ranks().into_iter().zip(&expect);
         RStoreRun {
             total: out.total,
             rank_errors: wrong.filter(|(a, b)| a.to_bits() != b.to_bits()).count() as u64,

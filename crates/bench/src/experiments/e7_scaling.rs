@@ -2,16 +2,34 @@
 //!
 //! Table A: PageRank per-superstep time vs worker count (strong scaling).
 //! Table B: BFS / WCC / SSSP runtimes and superstep counts at 8 workers.
+//!
+//! Every run's output is checked bit for bit against the single-node
+//! reference of its kernel.
 
-use rgraph::{bfs, pagerank, sssp, wcc, BfsConfig, GraphStore, JacobiConfig, PageRankConfig};
+use rgraph::{reference, GraphStore, Kernel, Outcome};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
 use workload::{rmat_graph, uniform_graph, CsrGraph};
 
 use crate::table::{fmt_dur, Table};
 
-/// Runs E7.
-pub fn run() -> Vec<Table> {
-    vec![strong_scaling(), algorithm_suite()]
+/// Runs E7: its two tables, and the vertices whose value differs in any bit
+/// from the single-node reference, summed over every run.
+pub fn run() -> (Vec<Table>, u64) {
+    let (a, a_errors) = strong_scaling();
+    let (b, b_errors) = algorithm_suite();
+    (vec![a, b], a_errors + b_errors)
+}
+
+/// Vertices whose value differs from `expect` in any bit.
+fn errors(out: &Outcome, expect: &[u64]) -> u64 {
+    let wrong = out.values.iter().zip(expect).filter(|(a, b)| a != b);
+    (wrong.count() + out.values.len().abs_diff(expect.len())) as u64
+}
+
+/// A reference PageRank as the bits a run returns.
+fn pagerank_bits(g: &CsrGraph, iters: usize) -> Vec<u64> {
+    let ranks = reference::pagerank(g, iters, rgraph::DAMPING);
+    ranks.into_iter().map(f64::to_bits).collect()
 }
 
 fn boot(workers: usize) -> Cluster {
@@ -40,13 +58,14 @@ fn publish(cluster: &Cluster, name: &str, g: &CsrGraph) {
     });
 }
 
-fn strong_scaling() -> Table {
+fn strong_scaling() -> (Table, u64) {
     let mut t = Table::new(
         "E7a: PageRank superstep time vs workers (rmat-16, deg 24, 5 iters)",
         &["workers", "superstep mean", "total", "speedup"],
     );
     let g = rmat_graph(16, 24 * (1 << 16), 21);
-    let mut base = 0.0;
+    let expect = pagerank_bits(&g, 5);
+    let (mut base, mut data_errors) = (0.0, 0);
     for &workers in &[2usize, 4, 8, 12] {
         let cluster = boot(workers);
         publish(&cluster, "e7", &g);
@@ -54,12 +73,10 @@ fn strong_scaling() -> Table {
         let devs = cluster.client_devs.clone();
         let master = cluster.master_node();
         let out = sim.block_on(async move {
-            let cfg = PageRankConfig {
-                iters: 5,
-                ..PageRankConfig::default()
-            };
-            pagerank::run(&devs, master, "e7", cfg).await.expect("run")
+            let job = Kernel::PageRank { iters: 5 };
+            rgraph::run(&devs, master, "e7", job, 0).await.expect("run")
         });
+        data_errors += errors(&out, &expect);
         let mean = out.superstep_mean();
         if base == 0.0 {
             base = mean.as_secs_f64();
@@ -71,10 +88,10 @@ fn strong_scaling() -> Table {
             format!("{:.2}x", base / mean.as_secs_f64()),
         ]);
     }
-    t
+    (t, data_errors)
 }
 
-fn algorithm_suite() -> Table {
+fn algorithm_suite() -> (Table, u64) {
     let mut t = Table::new(
         "E7b: algorithm suite at 8 workers (uniform graph, 32k vertices, 256k edges)",
         &["algorithm", "supersteps", "total"],
@@ -85,49 +102,31 @@ fn algorithm_suite() -> Table {
     let sim = cluster.sim.clone();
     let devs = cluster.client_devs.clone();
     let master = cluster.master_node();
-    let rows = sim.block_on(async move {
-        let mut rows = Vec::new();
-        let pr = pagerank::run(
-            &devs,
-            master,
-            "suite",
-            PageRankConfig {
-                iters: 5,
-                ..PageRankConfig::default()
-            },
-        )
-        .await
-        .expect("pagerank");
-        rows.push(("pagerank(5)".to_string(), 5usize, pr.total));
-
-        let b = bfs::run(&devs, master, "suite", 0, BfsConfig::default())
-            .await
-            .expect("bfs");
-        rows.push(("bfs".to_string(), b.supersteps, b.total));
-
-        let w = wcc::run(&devs, master, "suite", JacobiConfig::default())
-            .await
-            .expect("wcc");
-        rows.push(("wcc".to_string(), w.supersteps, w.total));
-
-        let s = sssp::run(
-            &devs,
-            master,
-            "suite",
+    let jobs = [
+        (
+            "pagerank(5)",
+            Kernel::PageRank { iters: 5 },
             0,
-            JacobiConfig {
-                job_nonce: 1,
-                ..JacobiConfig::default()
-            },
-        )
-        .await
-        .expect("sssp");
-        rows.push(("sssp".to_string(), s.supersteps, s.total));
-        rows
+            pagerank_bits(&g, 5),
+        ),
+        ("bfs", Kernel::Bfs { src: 0 }, 0, reference::bfs(&g, 0)),
+        ("wcc", Kernel::Wcc, 0, reference::wcc(&g)),
+        ("sssp", Kernel::Sssp { src: 0 }, 1, reference::sssp(&g, 0)),
+    ];
+    let (rows, data_errors) = sim.block_on(async move {
+        let (mut rows, mut data_errors) = (Vec::new(), 0);
+        for (name, kernel, nonce, expect) in jobs {
+            let out = rgraph::run(&devs, master, "suite", kernel, nonce)
+                .await
+                .expect(name);
+            data_errors += errors(&out, &expect);
+            rows.push((name.to_string(), out.supersteps, out.total));
+        }
+        (rows, data_errors)
     });
     for (name, steps, total) in rows {
         t.row(vec![name, steps.to_string(), fmt_dur(total)]);
     }
-    t.note("all four kernels verified against single-node references in rgraph's tests");
-    t
+    t.note("every run here and in E7a is checked bit for bit against its single-node reference");
+    (t, data_errors)
 }

@@ -8,7 +8,7 @@
 //! captures a representative cluster lifecycle with the simulator's event
 //! ring on and dumps it as Chrome trace-event JSON.
 //!
-//! E6 and E8–E17 are self-checking: each exports an `asserts` array — the
+//! E6–E17 are self-checking: each exports an `asserts` array — the
 //! invariants it claims, as `{name, expected, observed, pass}` built from
 //! the stats it already computes — which `bench check` verifies (see
 //! [`Asserts`]).
@@ -246,7 +246,7 @@ impl Asserts {
 
 /// Runs experiment `id` once and renders that one measurement twice: as
 /// its text tables, and as its report entry — the same tables plus
-/// structured extras (and the `asserts` of E6 and E8–E17).
+/// structured extras (and the `asserts` of E6–E17).
 ///
 /// # Panics
 ///
@@ -292,7 +292,11 @@ pub fn experiment(id: &str) -> (Vec<Table>, Json) {
             ));
             e6_pagerank::tables(&rows)
         }
-        "e7" => e7_scaling::run(),
+        "e7" => {
+            let (tables, data_errors) = e7_scaling::run();
+            asserts.eq("data_errors", data_errors, 0);
+            tables
+        }
         "e8" => {
             let s = e8_sort::measure();
             asserts.eq("data_errors", !s.twin.verified as u64, 0);

@@ -1,138 +1,44 @@
 //! Distributed BFS using one-sided mailboxes.
 //!
-//! Unlike the pull-style kernels, BFS is frontier-driven: each superstep a
+//! Unlike the pull kernels, BFS is frontier-driven: each superstep a
 //! worker pushes the ids of newly reachable vertices directly into their
 //! owners' mailbox regions with one-sided writes — message passing that
-//! never wakes a remote CPU.
+//! never wakes a remote CPU. It shares the job setup and the convergence
+//! vote with the pull kernels ([`crate::job`]).
 
-use std::time::Duration;
+use rstore::Result;
 
-use fabric::NodeId;
-use rdma::RdmaDevice;
-use rstore::{AllocOptions, RStoreClient, Result};
-use sim::sync::Barrier;
+use crate::job::{compute_cost, Seat, Share};
+use crate::worker::{ConvBoard, CsrSlice, Mailboxes};
 
-use crate::config::CostModel;
-use crate::partition::VertexPartition;
-use crate::store::GraphStore;
-use crate::worker::{run_partitions, ConvBoard, CsrSlice, Mailboxes};
+/// Per-mailbox capacity in vertex ids. It bounds the unique vertices one
+/// worker can discover for one peer in a superstep.
+pub(crate) const MAILBOX_CAP: u64 = 64 * 1024;
 
-/// BFS parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct BfsConfig {
-    /// Per-mailbox capacity in vertex ids. Must bound the unique vertices a
-    /// single worker can discover for one peer in a superstep.
-    pub mailbox_cap: u64,
-    /// Compute-cost model.
-    pub cost: CostModel,
-    /// Distinguishes concurrent runs in the namespace.
-    pub job_nonce: u64,
+/// The region-name prefix of one BFS job's mailboxes and board.
+pub(crate) fn prefix(graph: &str, src: u64, nonce: u64) -> String {
+    format!("{graph}/bfs{src}_{nonce}")
 }
 
-impl Default for BfsConfig {
-    fn default() -> Self {
-        BfsConfig {
-            mailbox_cap: 64 * 1024,
-            cost: CostModel::default(),
-            job_nonce: 0,
-        }
-    }
-}
+/// One worker's BFS from `src`, over the job's mailboxes under `prefix`
+/// and its `board`.
+pub(crate) async fn push(seat: &Seat, src: u64, prefix: &str, board: &str) -> Result<Share> {
+    let (s, e) = (seat.s, seat.e);
+    let out_slice = CsrSlice::load(&seat.store, &seat.client, "out", s, e).await?;
+    let mbox = Mailboxes::open(&seat.client, prefix, seat.k, seat.me).await?;
+    let board = ConvBoard::open(&seat.client, board, seat.k).await?;
 
-/// Result of a BFS run.
-#[derive(Clone, Debug)]
-pub struct BfsOutcome {
-    /// BFS level per vertex (`u64::MAX` = unreachable).
-    pub levels: Vec<u64>,
-    /// Supersteps executed (= eccentricity of the source + 1).
-    pub supersteps: usize,
-    /// Total virtual time.
-    pub total: Duration,
-}
-
-/// Runs distributed BFS from `src`, one worker per device.
-///
-/// # Errors
-///
-/// Store or IO failures from any worker.
-///
-/// # Panics
-///
-/// Panics if `devs` is empty.
-pub async fn run(
-    devs: &[RdmaDevice],
-    master: NodeId,
-    graph: &str,
-    src: u64,
-    cfg: BfsConfig,
-) -> Result<BfsOutcome> {
-    assert!(!devs.is_empty(), "need at least one worker device");
-    let k = devs.len() as u64;
-    let sim = devs[0].sim().clone();
-    let t0 = sim.now();
-
-    // Job-scoped setup before spawning: a failure here must not strand
-    // workers at a barrier.
-    {
-        let setup = RStoreClient::connect(&devs[0], master).await?;
-        let prefix = format!("{graph}/bfs{src}_{}", cfg.job_nonce);
-        Mailboxes::create(&setup, &prefix, k, cfg.mailbox_cap, AllocOptions::default()).await?;
-        ConvBoard::create(
-            &setup,
-            &format!("{prefix}/conv"),
-            k,
-            AllocOptions::default(),
-        )
-        .await?;
-    }
-
-    let (levels, supersteps) = run_partitions(devs, u64::MAX, |me, dev, barrier| {
-        worker(me, k, dev, master, graph.to_owned(), src, cfg, barrier)
-    })
-    .await?;
-    Ok(BfsOutcome {
-        levels,
-        supersteps,
-        total: sim.now() - t0,
-    })
-}
-
-#[allow(clippy::too_many_arguments)]
-async fn worker(
-    me: u64,
-    k: u64,
-    dev: RdmaDevice,
-    master: NodeId,
-    graph: String,
-    src: u64,
-    cfg: BfsConfig,
-    barrier: Barrier,
-) -> Result<(u64, Vec<u64>, usize)> {
-    let sim = dev.sim().clone();
-    let client = RStoreClient::connect(&dev, master).await?;
-    let store = GraphStore::open(&client, &graph).await?;
-    let part = VertexPartition::new(store.n, k);
-    let (s, e) = part.range(me);
-    let count = (e - s) as usize;
-
-    let out_slice = CsrSlice::load(&store, &client, "out", s, e).await?;
-
-    let prefix = format!("{graph}/bfs{src}_{}", cfg.job_nonce);
-    let mbox = Mailboxes::open(&client, &prefix, k, me).await?;
-    let board = ConvBoard::open(&client, &format!("{prefix}/conv"), k).await?;
-
-    let mut levels = vec![u64::MAX; count];
+    let mut levels = vec![u64::MAX; (e - s) as usize];
     let mut frontier: Vec<u64> = Vec::new();
     if (s..e).contains(&src) {
         levels[(src - s) as usize] = 0;
         frontier.push(src);
     }
 
-    let mut depth = 0u64;
-    let mut steps = 0usize;
+    let (mut depth, mut times) = (0u64, Vec::new());
     loop {
+        let t = seat.sim.now();
         depth += 1;
-        steps += 1;
 
         // Push phase: every out-neighbour of the frontier, deduplicated,
         // routed to its owner's mailbox.
@@ -143,11 +49,12 @@ async fn worker(
         let edges_touched = targets.len() as u64;
         targets.sort_unstable();
         targets.dedup();
-        let outboxes = Mailboxes::route(&part, targets);
-        sim.sleep(cfg.cost.superstep(edges_touched, frontier.len() as u64))
+        let outboxes = Mailboxes::route(&seat.part, targets);
+        seat.sim
+            .sleep(compute_cost(edges_touched, frontier.len() as u64))
             .await;
         mbox.send_all(&outboxes).await?;
-        barrier.wait().await;
+        seat.sync().await?;
 
         // Pull phase: adopt newly discovered owned vertices.
         let mut discovered = 0u64;
@@ -162,14 +69,12 @@ async fn worker(
                 }
             }
         }
-        board.post(me, discovered).await?;
-        barrier.wait().await;
-        let total = board.total().await?;
-        barrier.wait().await;
-        if total == 0 {
-            break;
+        let done = seat.vote(&board, discovered).await?;
+        if seat.me == 0 {
+            times.push(seat.sim.now() - t);
+        }
+        if done {
+            return Ok((levels, depth as usize, times));
         }
     }
-
-    Ok((s, levels, steps))
 }

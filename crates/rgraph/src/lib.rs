@@ -4,14 +4,17 @@
 //! The graph (CSR arrays plus a double-buffered per-vertex value vector)
 //! lives in named RStore regions striped across the cluster. One worker per
 //! machine owns a contiguous vertex range. All coordination and data access
-//! is one-sided:
+//! is one-sided. A job is one [`run`] of one [`Kernel`]:
 //!
-//! * **PageRank / WCC / SSSP** pull neighbour values each superstep with
-//!   batched page-granular RDMA reads ([`worker::PageGather`]).
+//! * **PageRank / WCC / SSSP** share one pull superstep body: each superstep
+//!   gathers neighbour values with batched page-granular RDMA reads
+//!   ([`worker::PageGather`], pages of [`worker::PAGE_BYTES`]).
 //! * **BFS** pushes frontier discoveries straight into the owners' mailbox
 //!   regions ([`worker::Mailboxes`]) — message passing without receiver CPU.
-//! * Termination is decided through a shared scoreboard region
-//!   ([`worker::ConvBoard`]), not a coordinator.
+//! * Termination of the converging kernels is decided through a shared
+//!   scoreboard region ([`worker::ConvBoard`]), not a coordinator.
+//! * A worker that fails ends the job: the first failure poisons the
+//!   superstep barrier, and [`run`] returns that worker's error.
 //!
 //! Single-node [`mod@reference`] implementations verify every kernel.
 //!
@@ -19,7 +22,7 @@
 //!
 //! ```rust
 //! use rstore::{Cluster, ClusterConfig, AllocOptions};
-//! use rgraph::{GraphStore, pagerank, reference};
+//! use rgraph::{GraphStore, Kernel, reference};
 //! use workload::uniform_graph;
 //!
 //! # fn main() -> rstore::Result<()> {
@@ -29,17 +32,17 @@
 //! })?;
 //! let sim = cluster.sim.clone();
 //! let g = uniform_graph(200, 1000, 42);
-//! let expect = reference::pagerank(&g, 5, 0.85);
+//! let expect = reference::pagerank(&g, 5, rgraph::DAMPING);
 //! let ranks = sim.block_on(async move {
 //!     let loader = cluster.client(0).await.unwrap();
 //!     GraphStore::publish(&loader, "g", &g, AllocOptions::default())
 //!         .await
 //!         .unwrap();
-//!     let cfg = rgraph::PageRankConfig { iters: 5, ..Default::default() };
-//!     pagerank::run(&cluster.client_devs, cluster.master_node(), "g", cfg)
+//!     let job = Kernel::PageRank { iters: 5 };
+//!     rgraph::run(&cluster.client_devs, cluster.master_node(), "g", job, 0)
 //!         .await
 //!         .unwrap()
-//!         .ranks
+//!         .ranks()
 //! });
 //! for (a, b) in ranks.iter().zip(&expect) {
 //!     assert!((a - b).abs() < 1e-12);
@@ -48,21 +51,14 @@
 //! # }
 //! ```
 
-pub mod bfs;
-pub mod config;
-mod jacobi;
-pub mod pagerank;
+mod bfs;
+mod job;
 pub mod partition;
 pub mod reference;
-pub mod sssp;
 pub mod store;
-pub mod wcc;
 pub mod worker;
 
-pub use bfs::{BfsConfig, BfsOutcome};
-pub use config::CostModel;
-pub use jacobi::{JacobiConfig, JacobiOutcome};
-pub use pagerank::{PageRankConfig, PageRankOutcome};
+pub use job::{run, Kernel, Outcome, DAMPING};
 pub use partition::VertexPartition;
 pub use store::GraphStore;
 
@@ -107,15 +103,12 @@ mod tests {
             let devs = cl.client_devs.clone();
             let master = cl.master_node();
             async move {
-                let cfg = PageRankConfig {
-                    iters: 8,
-                    ..PageRankConfig::default()
-                };
-                pagerank::run(&devs, master, "pg", cfg).await.unwrap()
+                let job = Kernel::PageRank { iters: 8 };
+                run(&devs, master, "pg", job, 0).await.unwrap()
             }
         });
-        assert_eq!(outcome.ranks.len(), 500);
-        for (v, (a, b)) in outcome.ranks.iter().zip(&expect).enumerate() {
+        assert_eq!(outcome.values.len(), 500);
+        for (v, (a, b)) in outcome.ranks().iter().zip(&expect).enumerate() {
             assert!((a - b).abs() < 1e-12, "rank mismatch at {v}: {a} vs {b}");
         }
         assert_eq!(outcome.superstep_times.len(), 8);
@@ -133,14 +126,8 @@ mod tests {
             let devs = cl.client_devs.clone();
             let master = cl.master_node();
             async move {
-                let cfg = PageRankConfig {
-                    iters: 5,
-                    ..PageRankConfig::default()
-                };
-                pagerank::run(&devs, master, "rmat", cfg)
-                    .await
-                    .unwrap()
-                    .ranks
+                let job = Kernel::PageRank { iters: 5 };
+                run(&devs, master, "rmat", job, 0).await.unwrap().ranks()
             }
         });
         for (a, b) in ranks.iter().zip(&expect) {
@@ -159,12 +146,12 @@ mod tests {
             let devs = cl.client_devs.clone();
             let master = cl.master_node();
             async move {
-                bfs::run(&devs, master, "bg", 0, BfsConfig::default())
+                run(&devs, master, "bg", Kernel::Bfs { src: 0 }, 0)
                     .await
                     .unwrap()
             }
         });
-        assert_eq!(outcome.levels, expect);
+        assert_eq!(outcome.values, expect);
         assert!(outcome.supersteps > 0);
     }
 
@@ -179,11 +166,7 @@ mod tests {
         let outcome = sim.block_on({
             let devs = cl.client_devs.clone();
             let master = cl.master_node();
-            async move {
-                wcc::run(&devs, master, "wg", JacobiConfig::default())
-                    .await
-                    .unwrap()
-            }
+            async move { run(&devs, master, "wg", Kernel::Wcc, 0).await.unwrap() }
         });
         assert_eq!(outcome.values, expect);
     }
@@ -199,7 +182,7 @@ mod tests {
             let devs = cl.client_devs.clone();
             let master = cl.master_node();
             async move {
-                sssp::run(&devs, master, "sg", 5, JacobiConfig::default())
+                run(&devs, master, "sg", Kernel::Sssp { src: 5 }, 0)
                     .await
                     .unwrap()
             }
@@ -218,14 +201,8 @@ mod tests {
             let devs = cl.client_devs.clone();
             let master = cl.master_node();
             async move {
-                let cfg = PageRankConfig {
-                    iters: 4,
-                    ..PageRankConfig::default()
-                };
-                pagerank::run(&devs, master, "solo", cfg)
-                    .await
-                    .unwrap()
-                    .ranks
+                let job = Kernel::PageRank { iters: 4 };
+                run(&devs, master, "solo", job, 0).await.unwrap().ranks()
             }
         });
         for (a, b) in ranks.iter().zip(&expect) {
@@ -244,10 +221,10 @@ mod tests {
             let devs = cl.client_devs.clone();
             let master = cl.master_node();
             async move {
-                bfs::run(&devs, master, "tiny", 1, BfsConfig::default())
+                run(&devs, master, "tiny", Kernel::Bfs { src: 1 }, 0)
                     .await
                     .unwrap()
-                    .levels
+                    .values
             }
         });
         assert_eq!(levels, expect);
@@ -268,11 +245,8 @@ mod tests {
                     let devs = cl.client_devs.clone();
                     let master = cl.master_node();
                     async move {
-                        let cfg = PageRankConfig {
-                            iters: 3,
-                            ..PageRankConfig::default()
-                        };
-                        pagerank::run(&devs, master, "scale", cfg).await.unwrap()
+                        let job = Kernel::PageRank { iters: 3 };
+                        run(&devs, master, "scale", job, 0).await.unwrap()
                     }
                 });
                 outcome.superstep_mean().as_secs_f64()

@@ -5,57 +5,11 @@
 //! *setup once* (map regions, load static structure), then supersteps that
 //! touch remote memory only through batched one-sided reads and writes.
 
-use std::future::Future;
-
-use rdma::{DmaBuf, RdmaDevice};
+use rdma::DmaBuf;
 use rstore::{AllocOptions, RStoreClient, Region, Result};
-use sim::join_all;
-use sim::sync::Barrier;
 
 use crate::partition::VertexPartition;
 use crate::store::{bytes_to_u64s, u64s_to_bytes, GraphStore};
-
-/// Runs one `worker(me, device, barrier)` task per device — the barrier is
-/// the job's superstep barrier — and stitches the vertex slices they return,
-/// each as `(first vertex, values, extra)`, into one vector indexed by
-/// vertex, `fill` where no worker reported. Returns it with worker 0's
-/// `extra` (the job-wide facts every worker agrees on, or only worker 0
-/// keeps: supersteps run, their timings).
-///
-/// # Errors
-///
-/// The lowest-numbered failing worker's error, once all have finished.
-pub(crate) async fn run_partitions<T, X, Fut>(
-    devs: &[RdmaDevice],
-    fill: T,
-    worker: impl Fn(u64, RdmaDevice, Barrier) -> Fut,
-) -> Result<(Vec<T>, X)>
-where
-    T: Copy,
-    Fut: Future<Output = Result<(u64, Vec<T>, X)>> + 'static,
-{
-    let barrier = Barrier::new(devs.len());
-    let handles: Vec<_> = devs
-        .iter()
-        .enumerate()
-        .map(|(i, dev)| {
-            dev.sim()
-                .spawn(worker(i as u64, dev.clone(), barrier.clone()))
-        })
-        .collect();
-    let mut outs = join_all(handles)
-        .await
-        .into_iter()
-        .collect::<Result<Vec<_>>>()?;
-    let n = outs
-        .iter()
-        .map(|(start, vals, _)| start + vals.len() as u64);
-    let mut all = vec![fill; n.max().unwrap_or(0) as usize];
-    for (start, vals, _) in &outs {
-        all[*start as usize..*start as usize + vals.len()].copy_from_slice(vals);
-    }
-    Ok((all, outs.swap_remove(0).2))
-}
 
 /// The static, per-worker slice of a CSR index: the `adj` range of every
 /// owned vertex, loaded once at startup.
@@ -116,6 +70,9 @@ impl CsrSlice {
     }
 }
 
+/// `rgraph`'s page: the unit in which a superstep gathers remote values.
+pub const PAGE_BYTES: u64 = 4096;
+
 /// A reusable page-granular gather over a u64/f64 vector region.
 ///
 /// Built once from the set of element ids a worker needs every superstep
@@ -154,7 +111,7 @@ impl std::fmt::Debug for PageGather {
 
 impl PageGather {
     /// Plans a gather of the given element ids from `region` (a vector of
-    /// 8-byte elements), using pages of `page_bytes`.
+    /// 8-byte elements), in pages of [`PAGE_BYTES`].
     ///
     /// # Errors
     ///
@@ -162,31 +119,22 @@ impl PageGather {
     ///
     /// # Panics
     ///
-    /// Panics if `page_bytes` is not a multiple of 8 or zero, or if an id
-    /// lies outside the region.
-    pub fn plan(
-        region: Region,
-        ids: impl IntoIterator<Item = u64>,
-        page_bytes: u64,
-    ) -> Result<PageGather> {
-        assert!(
-            page_bytes >= 8 && page_bytes.is_multiple_of(8),
-            "bad page size"
-        );
-        let page_elems = page_bytes / 8;
+    /// Panics if an id lies outside the region.
+    pub fn plan(region: Region, ids: impl IntoIterator<Item = u64>) -> Result<PageGather> {
+        let page_elems = PAGE_BYTES / 8;
         let size = region.size() / 8 * 8;
         let mut pages: Vec<u64> = ids.into_iter().map(|id| id / page_elems).collect();
         pages.sort_unstable();
         pages.dedup();
-        let buf_bytes = pages.len() as u64 * page_bytes;
+        let buf_bytes = pages.len() as u64 * PAGE_BYTES;
         let buf = region.client().device().alloc(buf_bytes.max(8))?;
-        let mut slot_of = vec![NO_SLOT; size.div_ceil(page_bytes) as usize];
+        let mut slot_of = vec![NO_SLOT; size.div_ceil(PAGE_BYTES) as usize];
         let mut ios = Vec::with_capacity(pages.len());
         for (slot, &p) in pages.iter().enumerate() {
             slot_of[p as usize] = slot as u32;
-            let offset = p * page_bytes;
-            let len = page_bytes.min(size - offset);
-            ios.push((offset, buf.slice(slot as u64 * page_bytes, len)));
+            let offset = p * PAGE_BYTES;
+            let len = PAGE_BYTES.min(size - offset);
+            ios.push((offset, buf.slice(slot as u64 * PAGE_BYTES, len)));
         }
         Ok(PageGather {
             region,

@@ -188,11 +188,14 @@ struct BarrierState {
     arrived: usize,
     generation: u64,
     waiters: Vec<Waker>,
+    poisoned: bool,
 }
 
 /// A reusable barrier for superstep-style coordination (graph supersteps,
 /// sort phases). All `n` participants must call [`Barrier::wait`] before any
-/// of them proceeds; the barrier then resets for the next round.
+/// of them proceeds; the barrier then resets for the next round. A group
+/// that can no longer fill a round — one participant failed and will never
+/// arrive — is released for good by [`Barrier::poison`].
 #[derive(Clone)]
 pub struct Barrier {
     state: Rc<RefCell<BarrierState>>,
@@ -205,6 +208,7 @@ impl fmt::Debug for Barrier {
             .field("n", &st.n)
             .field("arrived", &st.arrived)
             .field("generation", &st.generation)
+            .field("poisoned", &st.poisoned)
             .finish()
     }
 }
@@ -223,8 +227,25 @@ impl Barrier {
                 arrived: 0,
                 generation: 0,
                 waiters: Vec::new(),
+                poisoned: false,
             })),
         }
+    }
+
+    /// Poisons the barrier: every parked [`Barrier::wait`] resolves now and
+    /// every later one at once, each to `false`. Participants tell a
+    /// poisoned release from a full round by [`Barrier::is_poisoned`].
+    pub fn poison(&self) {
+        let mut st = self.state.borrow_mut();
+        st.poisoned = true;
+        for w in st.waiters.drain(..) {
+            w.wake();
+        }
+    }
+
+    /// Whether [`Barrier::poison`] has been called.
+    pub fn is_poisoned(&self) -> bool {
+        self.state.borrow().poisoned
     }
 
     /// Arrives at the barrier and waits for the rest of the group.
@@ -251,6 +272,9 @@ impl Future for BarrierWait {
 
     fn poll(mut self: Pin<&mut Self>, cx: &mut Context<'_>) -> Poll<bool> {
         let mut st = self.barrier.state.borrow_mut();
+        if st.poisoned {
+            return Poll::Ready(false);
+        }
         match self.arrived_gen {
             None => {
                 st.arrived += 1;
@@ -521,5 +545,35 @@ mod tests {
         }
         sim.run();
         assert_eq!(*leaders.borrow(), 1);
+    }
+
+    #[test]
+    fn a_poisoned_barrier_releases_the_parked_and_the_late() {
+        // Two of three participants park; the third fails instead of
+        // arriving and poisons the barrier. Both parked waits resolve at the
+        // poison, and a wait that starts afterwards resolves at once.
+        let sim = Sim::new();
+        let barrier = Barrier::new(3);
+        let released = Rc::new(RefCell::new(Vec::new()));
+        for _ in 0..2 {
+            let (b, released, s) = (barrier.clone(), released.clone(), sim.clone());
+            sim.spawn(async move {
+                let leader = b.wait().await;
+                released
+                    .borrow_mut()
+                    .push((s.now(), leader, b.is_poisoned()));
+            });
+        }
+        let (b, s) = (barrier.clone(), sim.clone());
+        sim.spawn(async move {
+            s.sleep(Duration::from_nanos(50)).await;
+            b.poison();
+        });
+        sim.run();
+        let at = crate::time::SimTime::ZERO + Duration::from_nanos(50);
+        assert_eq!(*released.borrow(), vec![(at, false, true); 2]);
+        let late = sim.spawn(async move { barrier.wait().await });
+        sim.run();
+        assert_eq!(late.try_result(), Some(false));
     }
 }

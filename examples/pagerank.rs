@@ -10,7 +10,7 @@ use std::rc::Rc;
 use baseline::msg_graph::{self, MsgPageRankConfig};
 use fabric::{Fabric, FabricConfig};
 use rdma::{RdmaConfig, RdmaDevice};
-use rgraph::{pagerank, reference, GraphStore, PageRankConfig};
+use rgraph::{reference, GraphStore, Kernel};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
 use sim::Sim;
 use workload::rmat_graph;
@@ -43,16 +43,7 @@ fn main() -> rstore::Result<()> {
             },
         )
         .await?;
-        pagerank::run(
-            &devs,
-            master,
-            "pr",
-            PageRankConfig {
-                iters: ITERS,
-                ..PageRankConfig::default()
-            },
-        )
-        .await
+        rgraph::run(&devs, master, "pr", Kernel::PageRank { iters: ITERS }, 0).await
     })?;
     println!(
         "RStore framework : total {} | superstep mean {}",
@@ -61,9 +52,9 @@ fn main() -> rstore::Result<()> {
     );
 
     // Verify against the single-node reference.
-    let expect = reference::pagerank(&graph, ITERS, 0.85);
+    let expect = reference::pagerank(&graph, ITERS, rgraph::DAMPING);
     let max_err = outcome
-        .ranks
+        .ranks()
         .iter()
         .zip(&expect)
         .map(|(a, b)| (a - b).abs())

@@ -1421,8 +1421,9 @@ fn page_gather_fails_over_when_a_primary_is_down() {
 
         let ids: Vec<u64> = (0..n).step_by(3).collect();
         let mut gather =
-            rgraph::worker::PageGather::plan(region.clone(), ids.iter().copied(), 4096).unwrap();
-        assert_eq!(gather.page_count() as u64, (n * 8).div_ceil(4096));
+            rgraph::worker::PageGather::plan(region.clone(), ids.iter().copied()).unwrap();
+        let page = rgraph::worker::PAGE_BYTES;
+        assert_eq!(gather.page_count() as u64, (n * 8).div_ceil(page));
 
         let victim = region.desc().groups[1].replicas[0].node;
         fabric.set_node_up(fabric::NodeId(victim), false);
