@@ -11,8 +11,9 @@
 # driver with its three experiments (one worker loop: EXPERIMENTS.md "Fault
 # episodes") and of the device arena (one backing form: DESIGN.md "Arena
 # backing") and of the sorter (one worker body for real and fluid runs)
-# and of the graph framework (one superstep worker for every kernel),
-# and fails when one outgrows its ceiling. Every data-path QP —
+# and of the graph framework (one superstep worker for every kernel) and of
+# the message-passing baseline and the gang runner every multi-worker job
+# steps through, and fails when one outgrows its ceiling. Every data-path QP —
 # a client's, the scrubber's, an extent copy's — comes from one dialer
 # (DESIGN.md "One data-QP dialer"): a second QP cache beside it would not fit
 # under the master, region and control-plane ceilings. Every posted WR and
@@ -98,16 +99,22 @@ group 'fault episodes (4)' 881 crates/bench/src/episode.rs \
 # runs share one worker body, and the mode is consulted only at the five
 # `SortMode` steps that touch a record's bytes (DESIGN.md, the 256 GB
 # TeraSort substitution). A second phase structure for fluid runs would not
-# fit under this.
-check crates/rsort/src/distributed.rs 328
-group 'rsort (2)' 400 crates/rsort/src/{distributed,plan}.rs
+# fit under this, nor would a spawn-and-barrier loop beside the gang.
+check crates/rsort/src/distributed.rs 295
+group 'rsort (2)' 367 crates/rsort/src/{distributed,plan}.rs
 # The comparison, the self-check and the two binaries that run and gate the
 # suite, as one total: a second comparison mode would not fit under this.
 group 'baseline gate (4)' 371 crates/bench/src/{diff,check}.rs \
     crates/bench/src/bin/{bench,figures}.rs
 # The graph framework, as one total: PageRank, WCC and SSSP run one pull
 # superstep body, and BFS shares its job setup and convergence vote
-# (`rgraph::run`, DESIGN.md S5); the first worker to fail poisons the job's
-# barrier. A second superstep loop beside the one would not fit under this.
-group 'rgraph (7)' 812 crates/rgraph/src/*.rs
+# (`rgraph::run`, DESIGN.md S5); the workers run as one gang, and the first
+# to fail ends the job. A second superstep loop beside the one would not fit
+# under this.
+group 'rgraph (7)' 779 crates/rgraph/src/*.rs
+# Every multi-worker job (rgraph, rsort, the message-passing baseline) runs
+# its workers through the one gang in `sim::sync` (DESIGN.md S1): a second
+# spawn-and-barrier loop beside the gang would not fit under these.
+check crates/baseline/src/msg_graph.rs 188
+check crates/sim/src/sync.rs 285
 exit $status

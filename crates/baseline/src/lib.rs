@@ -17,7 +17,7 @@ pub mod msg_graph;
 pub mod twosided;
 
 pub use hadoop::{terasort_time, HadoopConfig, TeraSortEstimate};
-pub use msg_graph::{MsgGraphCost, MsgPageRankConfig, MsgPageRankOutcome};
+pub use msg_graph::MsgPageRankOutcome;
 pub use twosided::{TwoSidedClient, TwoSidedCost};
 
 #[cfg(test)]

@@ -13,64 +13,27 @@ use std::rc::Rc;
 use std::time::Duration;
 
 use fabric::NodeId;
-use rdma::RdmaDevice;
+use rdma::{CqStatus, RdmaDevice};
+use rgraph::{VertexPartition, DAMPING};
 use rstore::proto::{error_reply, Dec, Request, Wire};
 use rstore::rpc::{spawn_rpc_server, Channel, RESPONSE_TIMEOUT};
 use rstore::{RStoreError, Result};
-use sim::sync::Barrier;
-use sim::{join_all, Sim};
+use sim::sync::{gang, Gang};
 use workload::CsrGraph;
 
 /// Service id used by message-passing graph workers.
 pub const MSG_GRAPH_SERVICE: u16 = 11;
 
-/// Cost model for the message-passing framework.
-#[derive(Clone, Copy, Debug)]
-pub struct MsgGraphCost {
-    /// Receiver CPU per delivered message batch (RPC dispatch).
-    pub per_batch: Duration,
-    /// Receiver CPU per individual (vertex, contribution) message.
-    pub per_message: Duration,
-    /// Sender CPU per individual message (serialize + route).
-    pub per_send: Duration,
-    /// Compute per owned vertex per superstep.
-    pub per_vertex: Duration,
-}
-
-impl Default for MsgGraphCost {
-    fn default() -> Self {
-        MsgGraphCost {
-            per_batch: Duration::from_micros(3),
-            per_message: Duration::from_nanos(10),
-            per_send: Duration::from_nanos(5),
-            per_vertex: Duration::from_nanos(12),
-        }
-    }
-}
-
-/// PageRank parameters for the baseline.
-#[derive(Clone, Copy, Debug)]
-pub struct MsgPageRankConfig {
-    /// Iterations.
-    pub iters: usize,
-    /// Damping.
-    pub damping: f64,
-    /// Costs.
-    pub cost: MsgGraphCost,
-    /// Max messages per RPC batch (framing limit).
-    pub batch_messages: usize,
-}
-
-impl Default for MsgPageRankConfig {
-    fn default() -> Self {
-        MsgPageRankConfig {
-            iters: 10,
-            damping: 0.85,
-            cost: MsgGraphCost::default(),
-            batch_messages: 64 * 1024,
-        }
-    }
-}
+/// Receiver CPU per delivered message batch (RPC dispatch).
+const PER_BATCH: Duration = Duration::from_micros(3);
+/// Receiver CPU per individual (vertex, contribution) message.
+const PER_MESSAGE: Duration = Duration::from_nanos(10);
+/// Sender CPU per individual message (serialize + route).
+const PER_SEND: Duration = Duration::from_nanos(5);
+/// Compute per owned vertex per superstep.
+const PER_VERTEX: Duration = Duration::from_nanos(12);
+/// Max messages per RPC batch (framing limit).
+const BATCH_MESSAGES: usize = 64 * 1024;
 
 /// Result of a baseline PageRank run.
 #[derive(Clone, Debug)]
@@ -135,13 +98,16 @@ impl Request for Contributions {
     type Reply = ();
 }
 
-/// Runs message-passing PageRank, one worker per device. The graph is held
-/// in worker-local memory (partitioned by contiguous vertex ranges), as a
-/// Pregel-style system would.
+/// Runs `iters` iterations of message-passing PageRank, one worker per
+/// device. The graph is held in worker-local memory (partitioned by
+/// contiguous vertex ranges, as in [`VertexPartition`]), as a Pregel-style
+/// system would.
 ///
 /// # Errors
 ///
-/// Transport failures.
+/// Transport failures: the error of the first worker to fail. That failure
+/// ends the run: the others leave the superstep barrier instead of waiting
+/// there for it.
 ///
 /// # Panics
 ///
@@ -149,27 +115,24 @@ impl Request for Contributions {
 pub async fn run(
     devs: &[RdmaDevice],
     graph: Rc<CsrGraph>,
-    cfg: MsgPageRankConfig,
+    iters: usize,
 ) -> Result<MsgPageRankOutcome> {
     assert!(!devs.is_empty(), "need at least one worker device");
-    let k = devs.len() as u64;
-    let n = graph.n;
+    let part = VertexPartition::new(graph.n, devs.len() as u64);
     let sim = devs[0].sim().clone();
-    let barrier = Barrier::new(devs.len());
     let t0 = sim.now();
 
     // Per-worker accumulators, filled by the RPC handlers.
     let mut accums = Vec::with_capacity(devs.len());
     let nodes: Vec<NodeId> = devs.iter().map(|d| d.node()).collect();
     for (i, dev) in devs.iter().enumerate() {
-        let (s, e) = range(n, k, i as u64);
+        let (s, e) = part.range(i as u64);
         let accum = Rc::new(RefCell::new(Accum {
             sums: vec![0.0; (e - s) as usize],
             start: s,
         }));
         accums.push(accum.clone());
         let sim2 = sim.clone();
-        let cost = cfg.cost;
         spawn_rpc_server(
             dev,
             MSG_GRAPH_SERVICE,
@@ -182,8 +145,8 @@ pub async fn run(
                         Ok(Contributions(msgs)) => msgs,
                         Err(e) => return error_reply(e),
                     };
-                    let per_message = cost.per_message.as_nanos() as u64 * msgs.len() as u64;
-                    sim.sleep(cost.per_batch + Duration::from_nanos(per_message))
+                    let per_message = PER_MESSAGE.as_nanos() as u64 * msgs.len() as u64;
+                    sim.sleep(PER_BATCH + Duration::from_nanos(per_message))
                         .await;
                     Contributions::encode_reply(accum.borrow_mut().apply(&msgs))
                 })
@@ -191,29 +154,15 @@ pub async fn run(
         )?;
     }
 
-    let mut handles = Vec::with_capacity(devs.len());
-    for (i, dev) in devs.iter().enumerate() {
-        let dev = dev.clone();
-        let barrier = barrier.clone();
-        let graph = graph.clone();
-        let accum = accums[i].clone();
-        let nodes = nodes.clone();
-        let sim2 = sim.clone();
-        handles.push(sim.spawn(async move {
-            worker(i as u64, k, dev, graph, cfg, barrier, accum, nodes, sim2).await
-        }));
-    }
-    let outs = join_all(handles).await;
-
-    let mut ranks = vec![0.0; n as usize];
-    let mut superstep_times = Vec::new();
-    for out in outs {
-        let (start, vals, times) = out?;
-        ranks[start as usize..start as usize + vals.len()].copy_from_slice(&vals);
-        if !times.is_empty() {
-            superstep_times = times;
-        }
-    }
+    let flushed = || RStoreError::Io(CqStatus::Flushed);
+    let mut shares = gang(&sim, devs.len(), flushed, |me, gang| {
+        let (dev, accum) = (devs[me].clone(), accums[me].clone());
+        worker(me, dev, graph.clone(), iters, accum, nodes.clone(), gang)
+    })
+    .await?;
+    // Vertex ranges are contiguous in worker order; worker 0 keeps the times.
+    let ranks = shares.iter().flat_map(|(r, _)| r).copied().collect();
+    let superstep_times = shares.swap_remove(0).1;
     Ok(MsgPageRankOutcome {
         ranks,
         total: sim.now() - t0,
@@ -221,44 +170,25 @@ pub async fn run(
     })
 }
 
-fn range(n: u64, k: u64, i: u64) -> (u64, u64) {
-    (i * n / k, (i + 1) * n / k)
-}
-
-fn owner(n: u64, k: u64, v: u64) -> u64 {
-    // Contiguous balanced ranges; same binary search as the RStore framework.
-    let (mut lo, mut hi) = (0u64, k - 1);
-    while lo < hi {
-        let mid = (lo + hi) / 2;
-        if range(n, k, mid).1 <= v {
-            lo = mid + 1;
-        } else {
-            hi = mid;
-        }
-    }
-    lo
-}
-
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop)]
 async fn worker(
-    me: u64,
-    k: u64,
+    me: usize,
     dev: RdmaDevice,
     graph: Rc<CsrGraph>,
-    cfg: MsgPageRankConfig,
-    barrier: Barrier,
+    iters: usize,
     accum: Rc<RefCell<Accum>>,
     nodes: Vec<NodeId>,
-    sim: Sim,
-) -> Result<(u64, Vec<f64>, Vec<Duration>)> {
-    let n = graph.n;
-    let (s, e) = range(n, k, me);
+    gang: Gang<RStoreError>,
+) -> Result<(Vec<f64>, Vec<Duration>)> {
+    let (n, sim) = (graph.n, dev.sim().clone());
+    let part = VertexPartition::new(n, nodes.len() as u64);
+    let (s, e) = part.range(me as u64);
     let count = (e - s) as usize;
 
     // Setup: one RPC connection per peer.
-    let mut conns = Vec::with_capacity(k as usize);
+    let mut conns = Vec::with_capacity(nodes.len());
     for (j, &node) in nodes.iter().enumerate() {
-        if j as u64 == me {
+        if j == me {
             conns.push(None);
         } else {
             let conn = Channel::new(&dev, node, MSG_GRAPH_SERVICE, RESPONSE_TIMEOUT);
@@ -266,16 +196,16 @@ async fn worker(
             conns.push(Some(conn));
         }
     }
-    barrier.wait().await;
+    gang.sync().await?;
 
     let mut ranks = vec![1.0 / n as f64; count];
     let mut times = Vec::new();
 
-    for _ in 0..cfg.iters {
+    for _ in 0..iters {
         let t_start = sim.now();
 
         // Scatter: one message per out-edge, batched per destination.
-        let mut outgoing: Vec<Vec<(u64, f64)>> = vec![Vec::new(); k as usize];
+        let mut outgoing: Vec<Vec<(u64, f64)>> = vec![Vec::new(); nodes.len()];
         let mut sent = 0u64;
         for i in 0..count {
             let v = s + i as u64;
@@ -285,47 +215,45 @@ async fn worker(
             }
             let contrib = ranks[i] / deg as f64;
             for &u in graph.out_neighbors(v) {
-                outgoing[owner(n, k, u) as usize].push((u, contrib));
+                outgoing[part.owner(u) as usize].push((u, contrib));
                 sent += 1;
             }
         }
-        sim.sleep(Duration::from_nanos(
-            cfg.cost.per_send.as_nanos() as u64 * sent,
-        ))
-        .await;
+        sim.sleep(Duration::from_nanos(PER_SEND.as_nanos() as u64 * sent))
+            .await;
 
         for (j, msgs) in outgoing.iter().enumerate() {
-            if j as u64 == me {
+            if j == me {
                 // Local delivery: still costs apply-time, no network.
                 accum.borrow_mut().apply(msgs)?;
                 continue;
             }
             let conn = conns[j].as_ref().expect("peer connection");
-            for chunk in msgs.chunks(cfg.batch_messages.max(1)) {
+            for chunk in msgs.chunks(BATCH_MESSAGES) {
                 conn.call(&Contributions(chunk.to_vec())).await?;
             }
         }
-        barrier.wait().await;
+        gang.sync().await?;
 
         // Apply: fold accumulated sums into new ranks.
         {
             let mut acc = accum.borrow_mut();
             for i in 0..count {
-                ranks[i] = (1.0 - cfg.damping) / n as f64 + cfg.damping * acc.sums[i];
+                ranks[i] = (1.0 - DAMPING) / n as f64 + DAMPING * acc.sums[i];
                 acc.sums[i] = 0.0;
             }
         }
         sim.sleep(Duration::from_nanos(
-            cfg.cost.per_vertex.as_nanos() as u64 * count as u64,
+            PER_VERTEX.as_nanos() as u64 * count as u64,
         ))
         .await;
-        barrier.wait().await;
+        gang.sync().await?;
         if me == 0 {
             times.push(sim.now() - t_start);
         }
     }
 
-    Ok((s, ranks, times))
+    Ok((ranks, times))
 }
 
 #[cfg(test)]
@@ -333,6 +261,7 @@ mod tests {
     use super::*;
     use fabric::{Fabric, FabricConfig};
     use rdma::RdmaConfig;
+    use sim::Sim;
 
     fn devices(n: usize) -> (Sim, Vec<RdmaDevice>) {
         let sim = Sim::new();
@@ -390,30 +319,13 @@ mod tests {
     }
 
     #[test]
-    fn owner_covers_all_vertices() {
-        for (n, k) in [(10u64, 3u64), (100, 7), (5, 8)] {
-            for v in 0..n {
-                let o = owner(n, k, v);
-                let (s, e) = range(n, k, o);
-                assert!(s <= v && v < e);
-            }
-        }
-    }
-
-    #[test]
     fn msg_pagerank_matches_reference() {
         let (sim, devs) = devices(4);
         let g = Rc::new(workload::uniform_graph(300, 1800, 17));
-        let expect = push_reference(&g, 6, 0.85);
+        let expect = push_reference(&g, 6, DAMPING);
         let out = sim.block_on({
             let g = g.clone();
-            async move {
-                let cfg = MsgPageRankConfig {
-                    iters: 6,
-                    ..MsgPageRankConfig::default()
-                };
-                run(&devs, g, cfg).await.unwrap()
-            }
+            async move { run(&devs, g, 6).await.unwrap() }
         });
         for (v, (a, b)) in out.ranks.iter().zip(&expect).enumerate() {
             assert!(
@@ -426,19 +338,19 @@ mod tests {
 
     #[test]
     fn batching_limit_respected() {
+        // Every vertex of worker 0's half points at 160 of worker 1's: the
+        // pair's traffic is 80 Ki messages per superstep, two batches.
         let (sim, devs) = devices(2);
-        let g = Rc::new(workload::uniform_graph(100, 900, 8));
-        let expect = push_reference(&g, 3, 0.85);
+        let (n, fan) = (1024u64, 160u64);
+        let edges: Vec<(u64, u64)> = (0..n / 2)
+            .flat_map(|v| (0..fan).map(move |j| (v, n / 2 + (v + j) % (n / 2))))
+            .collect();
+        assert!(edges.len() > BATCH_MESSAGES, "{} messages", edges.len());
+        let g = Rc::new(CsrGraph::from_edges(n, &edges));
+        let expect = push_reference(&g, 3, DAMPING);
         let out = sim.block_on({
             let g = g.clone();
-            async move {
-                let cfg = MsgPageRankConfig {
-                    iters: 3,
-                    batch_messages: 7, // force many small batches
-                    ..MsgPageRankConfig::default()
-                };
-                run(&devs, g, cfg).await.unwrap()
-            }
+            async move { run(&devs, g, 3).await.unwrap() }
         });
         for (a, b) in out.ranks.iter().zip(&expect) {
             assert!((a - b).abs() < 1e-12 * (1.0 + b.abs()));

@@ -9,7 +9,7 @@
 use std::rc::Rc;
 use std::time::Duration;
 
-use baseline::msg_graph::{self, MsgPageRankConfig};
+use baseline::msg_graph;
 use fabric::{Fabric, FabricConfig};
 use rdma::{RdmaConfig, RdmaDevice};
 use rgraph::{reference, GraphStore, Kernel};
@@ -148,11 +148,5 @@ pub fn run_msg(g: &CsrGraph) -> std::time::Duration {
         .map(|_| RdmaDevice::new(&fabric, RdmaConfig::default()))
         .collect();
     let g = Rc::new(g.clone());
-    sim.block_on(async move {
-        let cfg = MsgPageRankConfig {
-            iters: ITERS,
-            ..MsgPageRankConfig::default()
-        };
-        msg_graph::run(&devs, g, cfg).await.expect("run").total
-    })
+    sim.block_on(async move { msg_graph::run(&devs, g, ITERS).await.expect("run").total })
 }

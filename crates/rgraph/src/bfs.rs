@@ -25,8 +25,8 @@ pub(crate) fn prefix(graph: &str, src: u64, nonce: u64) -> String {
 pub(crate) async fn push(seat: &Seat, src: u64, prefix: &str, board: &str) -> Result<Share> {
     let (s, e) = (seat.s, seat.e);
     let out_slice = CsrSlice::load(&seat.store, &seat.client, "out", s, e).await?;
-    let mbox = Mailboxes::open(&seat.client, prefix, seat.k, seat.me).await?;
-    let board = ConvBoard::open(&seat.client, board, seat.k).await?;
+    let mbox = Mailboxes::open(&seat.client, prefix, seat.part.k, seat.me).await?;
+    let board = ConvBoard::open(&seat.client, board, seat.part.k).await?;
 
     let mut levels = vec![u64::MAX; (e - s) as usize];
     let mut frontier: Vec<u64> = Vec::new();
@@ -54,7 +54,7 @@ pub(crate) async fn push(seat: &Seat, src: u64, prefix: &str, board: &str) -> Re
             .sleep(compute_cost(edges_touched, frontier.len() as u64))
             .await;
         mbox.send_all(&outboxes).await?;
-        seat.sync().await?;
+        seat.gang.sync().await?;
 
         // Pull phase: adopt newly discovered owned vertices.
         let mut discovered = 0u64;

@@ -15,8 +15,8 @@ use std::time::Duration;
 use fabric::NodeId;
 use rdma::{CqStatus, RdmaDevice};
 use rstore::{AllocOptions, RStoreClient, RStoreError, Result};
-use sim::sync::Barrier;
-use sim::{join_all, Sim};
+use sim::sync::{gang, Gang};
+use sim::Sim;
 
 use crate::bfs;
 use crate::partition::VertexPartition;
@@ -135,8 +135,7 @@ pub async fn run(
     let sim = devs[0].sim().clone();
     let t0 = sim.now();
     let board = kernel.board(graph, nonce);
-    // Job-scoped setup before spawning: a failure here must not strand
-    // workers at a barrier.
+    // Job-scoped setup, once, before the gang starts.
     if let Some(board) = &board {
         let setup = RStoreClient::connect(&devs[0], master).await?;
         if let Kernel::Bfs { src } = kernel {
@@ -153,52 +152,26 @@ pub async fn run(
         ConvBoard::create(&setup, board, k, AllocOptions::default()).await?;
     }
 
-    let barrier = Barrier::new(devs.len());
-    let handles: Vec<_> = (0..k)
-        .zip(devs)
-        .map(|(me, dev)| {
-            let (dev, graph, board, barrier) = (
-                dev.clone(),
-                graph.to_owned(),
-                board.clone(),
-                barrier.clone(),
-            );
-            sim.spawn(async move {
-                let out = async {
-                    let seat = Seat::join(me, k, &dev, master, &graph, barrier.clone()).await?;
-                    match (kernel, board.as_deref()) {
-                        (Kernel::Bfs { src }, Some(board)) => {
-                            bfs::push(&seat, src, &bfs::prefix(&graph, src, nonce), board).await
-                        }
-                        (_, board) => pull(&seat, kernel, board).await,
-                    }
+    let flushed = || RStoreError::Io(CqStatus::Flushed);
+    let shares = gang(&sim, devs.len(), flushed, |me, gang| {
+        let (dev, graph, board) = (devs[me].clone(), graph.to_owned(), board.clone());
+        async move {
+            let seat = Seat::join(me as u64, &dev, master, &graph, gang).await?;
+            match (kernel, board.as_deref()) {
+                (Kernel::Bfs { src }, Some(board)) => {
+                    bfs::push(&seat, src, &bfs::prefix(&graph, src, nonce), board).await
                 }
-                .await;
-                // The first worker to fail poisons the barrier: the rest
-                // leave it instead of waiting for an arrival that will
-                // never come.
-                let first = out.is_err() && !barrier.is_poisoned();
-                if out.is_err() {
-                    barrier.poison();
-                }
-                (out, first)
-            })
-        })
-        .collect();
-    // Vertex ranges are contiguous in worker order.
-    let mut values = Vec::new();
-    let mut steps = None;
-    for (out, first) in join_all(handles).await {
-        match out {
-            Ok((vals, supersteps, times)) => {
-                values.extend(vals);
-                steps.get_or_insert((supersteps, times));
+                (_, board) => pull(&seat, kernel, board).await,
             }
-            Err(e) if first => return Err(e),
-            Err(_) => {}
         }
+    })
+    .await?;
+    // Vertex ranges are contiguous in worker order; worker 0 keeps the times.
+    let mut shares = shares.into_iter();
+    let (mut values, supersteps, superstep_times) = shares.next().expect("one worker per device");
+    for (vals, _, _) in shares {
+        values.extend(vals);
     }
-    let (supersteps, superstep_times) = steps.expect("no failure, so worker 0 returned");
     Ok(Outcome {
         values,
         supersteps,
@@ -208,10 +181,9 @@ pub async fn run(
 }
 
 /// One worker's place in a job: its client, the graph, its vertex range and
-/// the job's superstep barrier.
+/// its seat in the job's gang.
 pub(crate) struct Seat {
     pub me: u64,
-    pub k: u64,
     pub sim: Sim,
     pub client: RStoreClient,
     pub store: GraphStore,
@@ -219,7 +191,9 @@ pub(crate) struct Seat {
     /// The owned vertex range `[s, e)`.
     pub s: u64,
     pub e: u64,
-    barrier: Barrier,
+    /// The job's superstep barrier: `sync` returns `Io(Flushed)` once
+    /// another worker has failed.
+    pub gang: Gang<RStoreError>,
 }
 
 impl Seat {
@@ -227,42 +201,25 @@ impl Seat {
     /// this worker's vertex range.
     async fn join(
         me: u64,
-        k: u64,
         dev: &RdmaDevice,
         master: NodeId,
         graph: &str,
-        barrier: Barrier,
+        gang: Gang<RStoreError>,
     ) -> Result<Seat> {
         let client = RStoreClient::connect(dev, master).await?;
         let store = GraphStore::open(&client, graph).await?;
-        let part = VertexPartition::new(store.n, k);
+        let part = VertexPartition::new(store.n, gang.size() as u64);
         let (s, e) = part.range(me);
         Ok(Seat {
             me,
-            k,
             sim: dev.sim().clone(),
             client,
             store,
             part,
             s,
             e,
-            barrier,
+            gang,
         })
-    }
-
-    /// Waits at the job's superstep barrier.
-    ///
-    /// # Errors
-    ///
-    /// `Io(Flushed)` once another worker has failed and poisoned the
-    /// barrier — the job is over, as a queue pair in the error state flushes
-    /// its work. [`run`] reports the failure itself, never this.
-    pub async fn sync(&self) -> Result<()> {
-        self.barrier.wait().await;
-        if self.barrier.is_poisoned() {
-            return Err(RStoreError::Io(CqStatus::Flushed));
-        }
-        Ok(())
     }
 
     /// The convergence vote: posts this worker's change count and, once
@@ -271,9 +228,9 @@ impl Seat {
     /// the board before everyone has read it.
     pub async fn vote(&self, board: &ConvBoard, changes: u64) -> Result<bool> {
         board.post(self.me, changes).await?;
-        self.sync().await?;
+        self.gang.sync().await?;
         let total = board.total().await?;
-        self.sync().await?;
+        self.gang.sync().await?;
         Ok(total == 0)
     }
 }
@@ -292,7 +249,7 @@ async fn pull(seat: &Seat, kernel: Kernel, board: Option<&str>) -> Result<Share>
         _ => {}
     }
     let board = match board {
-        Some(name) => Some(ConvBoard::open(client, name, seat.k).await?),
+        Some(name) => Some(ConvBoard::open(client, name, seat.part.k).await?),
         None => None,
     };
     let val_a = store.map(client, "val_a").await?;
@@ -319,7 +276,7 @@ async fn pull(seat: &Seat, kernel: Kernel, board: Option<&str>) -> Result<Share>
         _ => u64s_to_bytes(values),
     };
     val_a.write(s * 8, &published(&values)).await?;
-    seat.sync().await?;
+    seat.gang.sync().await?;
 
     let ids = || {
         let out = out_slice.iter().flat_map(|o| o.adj.iter());
@@ -369,7 +326,7 @@ async fn pull(seat: &Seat, kernel: Kernel, board: Option<&str>) -> Result<Share>
         done = match &board {
             Some(board) => seat.vote(board, changes).await?,
             None => {
-                seat.sync().await?;
+                seat.gang.sync().await?;
                 matches!(kernel, Kernel::PageRank { iters } if iters == step)
             }
         };

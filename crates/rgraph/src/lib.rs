@@ -13,8 +13,8 @@
 //!   regions ([`worker::Mailboxes`]) — message passing without receiver CPU.
 //! * Termination of the converging kernels is decided through a shared
 //!   scoreboard region ([`worker::ConvBoard`]), not a coordinator.
-//! * A worker that fails ends the job: the first failure poisons the
-//!   superstep barrier, and [`run`] returns that worker's error.
+//! * The workers run as one [`sim::sync::gang`]: the first to fail ends
+//!   the job, and [`run`] returns that worker's error.
 //!
 //! Single-node [`mod@reference`] implementations verify every kernel.
 //!

@@ -28,10 +28,9 @@
 use std::time::Duration;
 
 use fabric::NodeId;
-use rdma::{DmaBuf, RdmaDevice};
-use rstore::{AllocOptions, RStoreClient, Region, Result};
-use sim::sync::Barrier;
-use sim::{join_all, Sim};
+use rdma::{CqStatus, DmaBuf, RdmaDevice};
+use rstore::{AllocOptions, RStoreClient, RStoreError, Region, Result};
+use sim::sync::{gang, Gang};
 use workload::{key_at, sort_records, KEY_BYTES, RECORD_BYTES};
 
 use crate::plan::{choose_splitters, partition_records, uniform_counts, Key, ShufflePlan};
@@ -118,34 +117,20 @@ impl SortMode {
     }
 }
 
-/// CPU-throughput model for the sort's compute phases, representing all
-/// cores of a worker machine.
-#[derive(Clone, Copy, Debug)]
-pub struct SortCostModel {
-    /// Partitioning pass throughput (bytes/s).
-    pub partition_bps: u64,
-    /// In-memory sort throughput (bytes/s).
-    pub sort_bps: u64,
-}
+/// Keys each worker samples for splitter selection.
+const SAMPLE_PER_WORKER: usize = 256;
 
-impl Default for SortCostModel {
-    fn default() -> Self {
-        SortCostModel {
-            partition_bps: 4_000_000_000,
-            sort_bps: 2_500_000_000,
-        }
-    }
-}
+/// Partitioning throughput of a worker machine, all cores (bytes/s).
+const PARTITION_BPS: u64 = 4_000_000_000;
+
+/// In-memory sort throughput of a worker machine, all cores (bytes/s).
+const SORT_BPS: u64 = 2_500_000_000;
 
 /// Sort parameters.
 #[derive(Clone, Debug)]
 pub struct SortConfig {
-    /// Keys sampled per worker for splitter selection.
-    pub sample_per_worker: usize,
     /// Streaming IO chunk size in bytes (multiple of the record size).
     pub io_chunk: u64,
-    /// Compute model.
-    pub cost: SortCostModel,
     /// Region-name prefix for this job.
     pub job: String,
     /// Data or timing-only.
@@ -157,9 +142,7 @@ pub struct SortConfig {
 impl Default for SortConfig {
     fn default() -> Self {
         SortConfig {
-            sample_per_worker: 256,
             io_chunk: 8 * 1024 * 1024,
-            cost: SortCostModel::default(),
             job: "sort".into(),
             mode: SortMode::Real,
             opts: AllocOptions::default(),
@@ -244,7 +227,9 @@ pub async fn create_fluid_input(
 ///
 /// # Errors
 ///
-/// Store or IO failures from any worker.
+/// Store or IO failures: the error of the first worker to fail. That
+/// failure ends the sort: the others leave the phase barrier instead of
+/// waiting there for it.
 ///
 /// # Panics
 ///
@@ -253,13 +238,11 @@ pub async fn run(devs: &[RdmaDevice], master: NodeId, cfg: SortConfig) -> Result
     assert!(!devs.is_empty(), "need at least one worker device");
     let k = devs.len();
     let sim = devs[0].sim().clone();
-    let barrier = Barrier::new(k);
     let t0 = sim.now();
 
-    // Job-scoped region setup happens before any worker is spawned so that
-    // allocation failures (e.g. insufficient cluster capacity for the
-    // output region) surface as clean errors instead of stranding workers
-    // at the first barrier.
+    // The job's shared regions are allocated once, by one client, before
+    // the gang starts. The sort's total (E8's times) includes this setup in
+    // this order.
     {
         let setup = RStoreClient::connect(&devs[0], master).await?;
         let input = setup.map(&format!("{}/input", cfg.job)).await?;
@@ -269,7 +252,7 @@ pub async fn run(devs: &[RdmaDevice], master: NodeId, cfg: SortConfig) -> Result
             ..cfg.opts
         };
         for (name, size, opts) in [
-            ("samples", k * cfg.sample_per_worker * KEY_BYTES, cfg.opts),
+            ("samples", k * SAMPLE_PER_WORKER * KEY_BYTES, cfg.opts),
             ("splitters", (k - 1) * KEY_BYTES, cfg.opts),
             ("counts", k * k * 8, cfg.opts),
             ("output", n as usize * RECORD_BYTES, out_opts),
@@ -279,28 +262,13 @@ pub async fn run(devs: &[RdmaDevice], master: NodeId, cfg: SortConfig) -> Result
         }
     }
 
-    let mut handles = Vec::with_capacity(k);
-    for (i, dev) in devs.iter().enumerate() {
-        let dev = dev.clone();
-        let barrier = barrier.clone();
-        let cfg = cfg.clone();
-        let sim2 = sim.clone();
-        handles.push(sim.spawn(async move { worker(i, k, dev, master, cfg, barrier, sim2).await }));
-    }
-    let outs = join_all(handles).await;
-
-    let mut records = 0;
-    let mut phases = PhaseTimes::default();
-    for out in outs {
-        match out {
-            Ok(Some((r, p))) => {
-                records = r;
-                phases = p;
-            }
-            Ok(None) => {}
-            Err(e) => return Err(e),
-        }
-    }
+    let flushed = || RStoreError::Io(CqStatus::Flushed);
+    let outs = gang(&sim, k, flushed, |me, gang| {
+        worker(me, devs[me].clone(), master, cfg.clone(), gang)
+    })
+    .await?;
+    // Worker 0's view.
+    let (records, phases) = outs[0];
     Ok(SortOutcome {
         records,
         total: sim.now() - t0,
@@ -324,17 +292,15 @@ fn keys(bytes: &[u8]) -> Vec<Key> {
         .collect()
 }
 
-#[allow(clippy::too_many_arguments, clippy::needless_range_loop)]
+#[allow(clippy::needless_range_loop)]
 async fn worker(
     me: usize,
-    k: usize,
     dev: RdmaDevice,
     master: NodeId,
     cfg: SortConfig,
-    barrier: Barrier,
-    sim: Sim,
-) -> Result<Option<(u64, PhaseTimes)>> {
-    let mode = cfg.mode;
+    gang: Gang<RStoreError>,
+) -> Result<(u64, PhaseTimes)> {
+    let (k, sim, mode) = (gang.size(), dev.sim().clone(), cfg.mode);
     // Stream in whole records.
     let io_chunk = (cfg.io_chunk / RECORD_BYTES as u64).max(1) * RECORD_BYTES as u64;
     let client = RStoreClient::connect(&dev, master).await?;
@@ -351,7 +317,7 @@ async fn worker(
 
     // ---- phase 1: sample ---------------------------------------------------------
     let t = sim.now();
-    let spw = cfg.sample_per_worker;
+    let spw = SAMPLE_PER_WORKER;
     let samples = spw.min(my_records as usize);
     let mut my_sample = Vec::with_capacity(samples * KEY_BYTES);
     for s in 0..samples {
@@ -364,7 +330,7 @@ async fn worker(
     samples_r
         .write((me * spw * KEY_BYTES) as u64, &my_sample)
         .await?;
-    barrier.wait().await;
+    gang.sync().await?;
 
     if me == 0 {
         // Worker `w` wrote `min(spw, |slice w|)` keys; the rest of its
@@ -380,7 +346,7 @@ async fn worker(
         let splitters = choose_splitters(&mut sample, k);
         splitters_r.write(0, &splitters.concat()).await?;
     }
-    barrier.wait().await;
+    gang.sync().await?;
     let splitters = keys(&splitters_r.read(0, ((k - 1) * KEY_BYTES) as u64).await?);
     phases.sample = sim.now() - t;
 
@@ -404,12 +370,12 @@ async fn worker(
     .await;
     dev.free(staging)?;
     streamed?;
-    sim.sleep(cpu_time(my_bytes, cfg.cost.partition_bps)).await;
+    sim.sleep(cpu_time(my_bytes, PARTITION_BPS)).await;
 
     let my_counts = mode.counts(&buckets, &splitters, my_records);
     let flat: Vec<u8> = my_counts.iter().flat_map(|c| c.to_le_bytes()).collect();
     counts_r.write((me * k * 8) as u64, &flat).await?;
-    barrier.wait().await;
+    gang.sync().await?;
 
     let counts: Vec<u64> = (counts_r.read(0, (k * k * 8) as u64).await?)
         .chunks_exact(8)
@@ -439,7 +405,7 @@ async fn worker(
     }
     staged?;
     drop(buckets);
-    barrier.wait().await;
+    gang.sync().await?;
     phases.shuffle = sim.now() - t;
 
     // ---- phase 4: local sort ---------------------------------------------------------
@@ -452,15 +418,15 @@ async fn worker(
         let sorted = async {
             output.read_into(p_off, staging).await?;
             mode.sort(&dev, staging)?;
-            sim.sleep(cpu_time(p_bytes, cfg.cost.sort_bps)).await;
+            sim.sleep(cpu_time(p_bytes, SORT_BPS)).await;
             output.write_from(p_off, staging).await
         }
         .await;
         dev.free(staging)?;
         sorted?;
     }
-    barrier.wait().await;
+    gang.sync().await?;
     phases.local_sort = sim.now() - t;
 
-    Ok(if me == 0 { Some((n, phases)) } else { None })
+    Ok((n, phases))
 }

@@ -11,7 +11,8 @@
 //! One worker body serves both modes: a real run sorts real records, a
 //! fluid run sorts the sizes of `teragen(n, FLUID_SEED)` through the same
 //! sample, splitter round, counts exchange and shuffle plan, computing the
-//! keys and counts that a real run would observe.
+//! keys and counts that a real run would observe. The workers run as one
+//! [`sim::sync::gang`]: the first to fail ends the sort with its error.
 //!
 //! # Example
 //!
@@ -47,8 +48,7 @@ pub mod plan;
 pub mod twin;
 
 pub use distributed::{
-    create_fluid_input, load_input, run, PhaseTimes, SortConfig, SortCostModel, SortMode,
-    SortOutcome, FLUID_SEED,
+    create_fluid_input, load_input, run, PhaseTimes, SortConfig, SortMode, SortOutcome, FLUID_SEED,
 };
 pub use plan::{choose_splitters, dest_of, partition_records, uniform_counts, Key, ShufflePlan};
 pub use twin::{twin, Twin, TWIN_TOLERANCE};
@@ -142,7 +142,7 @@ mod tests {
     #[test]
     fn skewed_worker_counts_handle_remainders() {
         // 7 workers over 1001 records: uneven slices everywhere, and each
-        // worker samples fewer keys than `sample_per_worker`.
+        // worker samples fewer keys than `SAMPLE_PER_WORKER`.
         let (input, output, _, splitters) = run_real_sort(7, 1001, 23);
         assert!(is_sorted(&output));
         assert_eq!(fingerprint(&input), fingerprint(&output));

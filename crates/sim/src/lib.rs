@@ -37,7 +37,8 @@
 //!   schedule typed events on an [`EventSink`] instead of boxing a closure.
 //! * [`mod@channel`] — unbounded mpsc channels usable inside tasks, and the
 //!   recycled [`Rendezvous`] table a request and its answer meet in.
-//! * [`sync`] — semaphores and barriers in virtual time.
+//! * [`sync`] — semaphores, barriers and the [`gang`](sync::gang) runner
+//!   every multi-worker job steps through, in virtual time.
 //! * [`rng`] — a seeded deterministic random number generator.
 //! * [`metrics`] — counters and latency histograms shared between components.
 //! * [`trace`] — the recording spine: the simulation's one [`Recorder`]

@@ -8,6 +8,9 @@ use std::pin::Pin;
 use std::rc::Rc;
 use std::task::{Context, Poll, Waker};
 
+use crate::executor::Sim;
+use crate::future_util::join_all;
+
 // --- Semaphore --------------------------------------------------------------
 
 struct SemState {
@@ -193,9 +196,9 @@ struct BarrierState {
 
 /// A reusable barrier for superstep-style coordination (graph supersteps,
 /// sort phases). All `n` participants must call [`Barrier::wait`] before any
-/// of them proceeds; the barrier then resets for the next round. A group
-/// that can no longer fill a round — one participant failed and will never
-/// arrive — is released for good by [`Barrier::poison`].
+/// of them proceeds; the barrier then resets for the next round. A [`gang`]
+/// whose round can no longer fill — one member failed and will never
+/// arrive — releases its barrier for good.
 #[derive(Clone)]
 pub struct Barrier {
     state: Rc<RefCell<BarrierState>>,
@@ -235,7 +238,7 @@ impl Barrier {
     /// Poisons the barrier: every parked [`Barrier::wait`] resolves now and
     /// every later one at once, each to `false`. Participants tell a
     /// poisoned release from a full round by [`Barrier::is_poisoned`].
-    pub fn poison(&self) {
+    pub(crate) fn poison(&self) {
         let mut st = self.state.borrow_mut();
         st.poisoned = true;
         for w in st.waiters.drain(..) {
@@ -244,7 +247,7 @@ impl Barrier {
     }
 
     /// Whether [`Barrier::poison`] has been called.
-    pub fn is_poisoned(&self) -> bool {
+    pub(crate) fn is_poisoned(&self) -> bool {
         self.state.borrow().poisoned
     }
 
@@ -305,10 +308,98 @@ impl Future for BarrierWait {
     }
 }
 
+// --- Gang --------------------------------------------------------------------
+
+/// One member's place in a [`gang`]: its handle on the gang's barrier.
+#[derive(Debug)]
+pub struct Gang<E> {
+    barrier: Barrier,
+    survivor: fn() -> E,
+}
+
+impl<E> Gang<E> {
+    /// The number of members.
+    pub fn size(&self) -> usize {
+        self.barrier.state.borrow().n
+    }
+
+    /// Waits until every member has arrived.
+    ///
+    /// # Errors
+    ///
+    /// The gang's survivor error once a member has failed: the round can
+    /// never fill, and the gang is over. [`gang`] reports the failure
+    /// itself, never this.
+    pub async fn sync(&self) -> Result<(), E> {
+        self.barrier.wait().await;
+        if self.barrier.is_poisoned() {
+            return Err((self.survivor)());
+        }
+        Ok(())
+    }
+}
+
+/// Runs a gang of `n` workers that step through one shared barrier: spawns
+/// `worker(i, gang)` for each `i` in `0..n`, in index order, and waits for
+/// them all. The first worker to fail poisons the barrier, so every other
+/// member's [`Gang::sync`], parked or later, returns `survivor()` instead of
+/// waiting for an arrival that will never come. A healthy gang only reads a
+/// flag at each sync.
+///
+/// # Errors
+///
+/// The error of the worker that failed first, never a survivor's.
+///
+/// # Panics
+///
+/// Panics if `n == 0`.
+pub async fn gang<T, E, F, Fut>(
+    sim: &Sim,
+    n: usize,
+    survivor: fn() -> E,
+    mut worker: F,
+) -> Result<Vec<T>, E>
+where
+    F: FnMut(usize, Gang<E>) -> Fut,
+    Fut: Future<Output = Result<T, E>> + 'static,
+    T: 'static,
+    E: 'static,
+{
+    let barrier = Barrier::new(n);
+    let handles: Vec<_> = (0..n)
+        .map(|i| {
+            let member = worker(
+                i,
+                Gang {
+                    barrier: barrier.clone(),
+                    survivor,
+                },
+            );
+            let barrier = barrier.clone();
+            sim.spawn(async move {
+                let out = member.await;
+                let first = out.is_err() && !barrier.is_poisoned();
+                if first {
+                    barrier.poison();
+                }
+                (out, first)
+            })
+        })
+        .collect();
+    let mut values = Vec::with_capacity(n);
+    for (out, first) in join_all(handles).await {
+        match out {
+            Ok(v) => values.push(v),
+            Err(e) if first => return Err(e),
+            Err(_) => {}
+        }
+    }
+    Ok(values)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::executor::Sim;
     use std::time::Duration;
 
     #[test]
@@ -575,5 +666,47 @@ mod tests {
         let late = sim.spawn(async move { barrier.wait().await });
         sim.run();
         assert_eq!(late.try_result(), Some(false));
+    }
+
+    #[test]
+    fn a_gang_returns_the_first_failure_and_releases_the_rest() {
+        // Member 1 fails at 50 ns while 0 and 2 wait at the barrier, and 3
+        // fails with its own error later. Every survivor's sync returns the
+        // survivor error, and the gang returns member 1's error at once.
+        let sim = Sim::new();
+        let synced = Rc::new(RefCell::new(Vec::new()));
+        let (s, log) = (sim.clone(), synced.clone());
+        let job = sim.spawn(async move {
+            let out = gang(
+                &s,
+                4,
+                || "flushed",
+                |me, gang| {
+                    let (s, log) = (s.clone(), log.clone());
+                    async move {
+                        s.sleep(Duration::from_nanos(50 * me as u64)).await;
+                        match me {
+                            1 => return Err("first"),
+                            3 => return Err("late"),
+                            _ => {}
+                        }
+                        let r = gang.sync().await;
+                        log.borrow_mut().push((me, s.now(), r));
+                        r.map(|()| me)
+                    }
+                },
+            )
+            .await;
+            (out, s.now())
+        });
+        sim.run();
+        let at = crate::time::SimTime::ZERO + Duration::from_nanos(50);
+        let end = crate::time::SimTime::ZERO + Duration::from_nanos(150);
+        assert_eq!(job.try_result(), Some((Err("first"), end)));
+        let late = crate::time::SimTime::ZERO + Duration::from_nanos(100);
+        assert_eq!(
+            *synced.borrow(),
+            vec![(0, at, Err("flushed")), (2, late, Err("flushed"))]
+        );
     }
 }

@@ -7,7 +7,7 @@
 
 use std::rc::Rc;
 
-use baseline::msg_graph::{self, MsgPageRankConfig};
+use baseline::msg_graph;
 use fabric::{Fabric, FabricConfig};
 use rdma::{RdmaConfig, RdmaDevice};
 use rgraph::{reference, GraphStore, Kernel};
@@ -69,17 +69,7 @@ fn main() -> rstore::Result<()> {
         .map(|_| RdmaDevice::new(&fabric, RdmaConfig::default()))
         .collect();
     let g = Rc::new(graph);
-    let msg = sim.block_on(async move {
-        msg_graph::run(
-            &devs,
-            g,
-            MsgPageRankConfig {
-                iters: ITERS,
-                ..MsgPageRankConfig::default()
-            },
-        )
-        .await
-    })?;
+    let msg = sim.block_on(async move { msg_graph::run(&devs, g, ITERS).await })?;
     println!(
         "message-passing  : total {} | superstep mean {}",
         bench_fmt(msg.total),

@@ -191,14 +191,18 @@ fn a_failed_worker_fails_the_job_instead_of_stranding_the_rest() {
     // BFS, the server of worker 0's mailbox for worker 1. Every region
     // starts its stripes on the same server, so every mailbox and the board
     // are there, and every BFS worker fails — that case covers the push
-    // loop's error path, not a strand.
+    // loop's error path, not a strand. The fourth case (`None`) is the
+    // message-passing baseline: on a path only worker 2 sends to worker 3,
+    // so downing worker 3's node fails worker 2's RPC while the others wait
+    // at the superstep barrier.
     let n = 2048u64;
     let path: Vec<(u64, u64)> = (1..n).map(|v| (v - 1, v)).collect();
     let g = CsrGraph::from_edges(n, &path); // thousands of supersteps to converge
     let jobs = [
-        (Kernel::PageRank { iters: 400 }, "line/val_a", 0),
-        (Kernel::Wcc, "line/val_a", 2),
-        (Kernel::Bfs { src: 0 }, "line/bfs0_0/mbox_0_1", 0),
+        (Some(Kernel::PageRank { iters: 400 }), "line/val_a", 0),
+        (Some(Kernel::Wcc), "line/val_a", 2),
+        (Some(Kernel::Bfs { src: 0 }), "line/bfs0_0/mbox_0_1", 0),
+        (None, "", 0),
     ];
     for (kernel, victim_region, group) in jobs {
         let cluster = Cluster::boot(ClusterConfig {
@@ -210,6 +214,7 @@ fn a_failed_worker_fails_the_job_instead_of_stranding_the_rest() {
         let fabric = cluster.fabric.clone();
         let devs = cluster.client_devs.clone();
         let master = cluster.master_node();
+        let line = Rc::new(g.clone());
         let g = g.clone();
         let loader = sim.block_on(async move {
             let loader = RStoreClient::connect(&devs[0], master).await.unwrap();
@@ -223,12 +228,25 @@ fn a_failed_worker_fails_the_job_instead_of_stranding_the_rest() {
             loader
         });
         let devs = cluster.client_devs.clone();
-        let job = sim.spawn(async move { rgraph::run(&devs, master, "line", kernel, 0).await });
+        let last = devs[3].node();
+        let job = sim.spawn(async move {
+            match kernel {
+                Some(kernel) => rgraph::run(&devs, master, "line", kernel, 0)
+                    .await
+                    .map(drop),
+                None => baseline::msg_graph::run(&devs, line, 400).await.map(drop),
+            }
+        });
         let s = sim.clone();
         sim.spawn(async move {
             s.sleep(Duration::from_millis(1)).await;
-            let desc = loader.lookup(victim_region).await.unwrap();
-            let victim = fabric::NodeId(desc.groups[group].replicas[0].node);
+            let victim = match kernel {
+                Some(_) => {
+                    let desc = loader.lookup(victim_region).await.unwrap();
+                    fabric::NodeId(desc.groups[group].replicas[0].node)
+                }
+                None => last,
+            };
             fabric.set_node_up(victim, false);
         });
         sim.run_until(sim.now() + Duration::from_secs(10));
@@ -270,19 +288,8 @@ fn rstore_framework_beats_message_passing_on_powerlaw() {
         .map(|_| rdma::RdmaDevice::new(&fabric, rdma::RdmaConfig::default()))
         .collect();
     let g = Rc::new(g);
-    let msg_total = sim.block_on(async move {
-        baseline::msg_graph::run(
-            &devs,
-            g,
-            baseline::msg_graph::MsgPageRankConfig {
-                iters: 3,
-                ..Default::default()
-            },
-        )
-        .await
-        .unwrap()
-        .total
-    });
+    let msg_total =
+        sim.block_on(async move { baseline::msg_graph::run(&devs, g, 3).await.unwrap().total });
 
     let speedup = msg_total.as_secs_f64() / rstore_total.as_secs_f64();
     assert!(

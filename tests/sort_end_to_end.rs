@@ -1,8 +1,11 @@
 //! End-to-end sorting: correctness under varied worker counts, data
 //! skews, and repeat runs.
 
-use rsort::{distributed, SortConfig, SortCostModel, SortMode};
-use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
+use std::time::Duration;
+
+use rdma::CqStatus;
+use rsort::{distributed, SortConfig, SortMode};
+use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient, RStoreError};
 use workload::{is_sorted, record_key, teragen, RECORD_BYTES};
 
 fn boot(workers: usize) -> Cluster {
@@ -137,12 +140,10 @@ fn fluid_mode_matches_paper_scaling_shape() {
                 mode: SortMode::Fluid,
                 job,
                 io_chunk: 16 << 20,
-                cost: SortCostModel::default(),
                 opts: AllocOptions {
                     stripe_size: 16 << 20,
                     ..AllocOptions::default()
                 },
-                ..SortConfig::default()
             };
             distributed::create_fluid_input(&loader, &cfg, (gib << 30) / RECORD_BYTES as u64)
                 .await
@@ -161,4 +162,70 @@ fn fluid_mode_matches_paper_scaling_shape() {
         (1.6..2.4).contains(&ratio),
         "expected ~2x for 2x data, got {ratio:.2}"
     );
+}
+
+#[test]
+fn a_failed_sort_worker_fails_the_job_instead_of_stranding_the_rest() {
+    // Unreplicated 4 MiB stripes over four servers, four workers, 16 MiB of
+    // input: worker w's input slice lies on the w-th server (bar worker 3's
+    // first record, read before the failure), and the small shared regions
+    // (samples, splitters, counts) on the first. A little over 1 ms into
+    // the sort, while the workers stream their slices, the third server
+    // goes down for good. Worker 2 fails with the IO timeout; the others
+    // finish the phase and must not wait at its barrier for it. The
+    // cluster's heartbeats never let the simulation run dry, so a stranded
+    // worker would leave the sort pending past the deadline instead of
+    // returning.
+    let records = (16 << 20) / RECORD_BYTES as u64;
+    for mode in [SortMode::Real, SortMode::Fluid] {
+        let cluster = Cluster::boot(ClusterConfig {
+            clients: 4,
+            ..ClusterConfig::with_servers(4)
+        })
+        .expect("boot");
+        let sim = cluster.sim.clone();
+        let fabric = cluster.fabric.clone();
+        let devs = cluster.client_devs.clone();
+        let master = cluster.master_node();
+        let cfg = SortConfig {
+            job: "down".into(),
+            io_chunk: 64 * 1024,
+            mode,
+            opts: AllocOptions {
+                stripe_size: 4 << 20,
+                ..AllocOptions::default()
+            },
+        };
+        let loader = sim.block_on({
+            let cfg = cfg.clone();
+            async move {
+                let loader = RStoreClient::connect(&devs[0], master).await.expect("c");
+                match mode {
+                    SortMode::Real => {
+                        let input = teragen(records, 3);
+                        distributed::load_input(&loader, &cfg, &input).await
+                    }
+                    SortMode::Fluid => {
+                        distributed::create_fluid_input(&loader, &cfg, records).await
+                    }
+                }
+                .expect("input");
+                loader
+            }
+        });
+        let devs = cluster.client_devs.clone();
+        let job = sim.spawn(async move { distributed::run(&devs, master, cfg).await });
+        let s = sim.clone();
+        sim.spawn(async move {
+            s.sleep(Duration::from_millis(1)).await;
+            let desc = loader.lookup("down/input").await.expect("lookup");
+            let victim = fabric::NodeId(desc.groups[2].replicas[0].node);
+            fabric.set_node_up(victim, false);
+        });
+        sim.run_until(sim.now() + Duration::from_secs(10));
+        match job.try_result() {
+            Some(Err(e)) => assert_eq!(e, RStoreError::Io(CqStatus::Timeout), "{mode:?}"),
+            other => panic!("{mode:?}: expected the failing worker's error, got {other:?}"),
+        }
+    }
 }
