@@ -10,38 +10,18 @@
 
 use std::time::Duration;
 
-/// Cluster parameters for the Hadoop model.
-#[derive(Clone, Copy, Debug)]
-pub struct HadoopConfig {
-    /// Worker nodes.
-    pub nodes: u32,
-    /// Aggregate disk bandwidth per node, bytes/s (several spindles).
-    pub disk_bps: u64,
-    /// Network bandwidth per node, bytes/s (10 GbE NIC).
-    pub net_bps: u64,
-    /// Framework + (de)serialization CPU throughput per node, bytes/s.
-    pub cpu_bps: u64,
-    /// In-memory sort/merge throughput per node, bytes/s.
-    pub sort_bps: u64,
-    /// HDFS replication factor for the output.
-    pub replication: u32,
-    /// Fixed job start-up cost (JVM launch, scheduling).
-    pub startup: Duration,
-}
-
-impl Default for HadoopConfig {
-    fn default() -> Self {
-        HadoopConfig {
-            nodes: 12,
-            disk_bps: 900_000_000,  // 6 spindles x 150 MB/s
-            net_bps: 1_250_000_000, // 10 GbE
-            cpu_bps: 1_500_000_000,
-            sort_bps: 2_500_000_000,
-            replication: 3,
-            startup: Duration::from_secs(8),
-        }
-    }
-}
+/// Aggregate disk bandwidth per node, bytes/s: 6 spindles x 150 MB/s.
+const DISK_BPS: u64 = 900_000_000;
+/// Network bandwidth per node, bytes/s: a 10 GbE NIC.
+const NET_BPS: u64 = 1_250_000_000;
+/// Framework + (de)serialization CPU throughput per node, bytes/s.
+const CPU_BPS: u64 = 1_500_000_000;
+/// In-memory sort/merge throughput per node, bytes/s.
+const SORT_BPS: u64 = 2_500_000_000;
+/// HDFS replication factor for the output.
+const REPLICATION: u32 = 3;
+/// Fixed job start-up cost (JVM launch, scheduling).
+const STARTUP: Duration = Duration::from_secs(8);
 
 /// Phase breakdown of a modeled TeraSort run.
 #[derive(Clone, Copy, Debug)]
@@ -54,8 +34,8 @@ pub struct TeraSortEstimate {
     pub shuffle: Duration,
     /// Reduce: merge passes + in-memory sort.
     pub reduce: Duration,
-    /// Output: replicated HDFS write (disk on `replication` nodes + network
-    /// for the remote copies).
+    /// Output: replicated HDFS write (disk on three nodes + network for the
+    /// remote copies).
     pub output: Duration,
 }
 
@@ -70,36 +50,33 @@ fn t(bytes: f64, bps: u64) -> Duration {
     Duration::from_secs_f64(bytes / bps as f64)
 }
 
-/// Estimates a TeraSort of `total_bytes` on the configured cluster.
-pub fn terasort_time(cfg: &HadoopConfig, total_bytes: u64) -> TeraSortEstimate {
-    let per_node = total_bytes as f64 / cfg.nodes as f64;
+/// Estimates a TeraSort of `total_bytes` on a cluster of `nodes` workers.
+pub fn terasort_time(nodes: u32, total_bytes: u64) -> TeraSortEstimate {
+    let per_node = total_bytes as f64 / nodes as f64;
 
     // Map: read input from HDFS (local disk), run it through the framework,
     // write the partitioned spill back to disk.
-    let map = t(per_node, cfg.disk_bps) + t(per_node, cfg.cpu_bps) + t(per_node, cfg.disk_bps);
+    let map = t(per_node, DISK_BPS) + t(per_node, CPU_BPS) + t(per_node, DISK_BPS);
 
     // Shuffle: re-read the spill, move (nodes-1)/nodes of it across the
     // network (disk and network overlap poorly in stock Hadoop; charge the
     // max plus the non-overlapped remainder ~ sum of halves).
-    let remote_frac = (cfg.nodes.saturating_sub(1)) as f64 / cfg.nodes as f64;
-    let shuffle_disk = t(per_node, cfg.disk_bps);
-    let shuffle_net = t(per_node * remote_frac, cfg.net_bps);
+    let remote_frac = (nodes.saturating_sub(1)) as f64 / nodes as f64;
+    let shuffle_disk = t(per_node, DISK_BPS);
+    let shuffle_net = t(per_node * remote_frac, NET_BPS);
     let shuffle = shuffle_disk.max(shuffle_net) + shuffle_disk.min(shuffle_net) / 2;
 
     // Reduce: merge pass over disk plus the in-memory sort.
-    let reduce = t(per_node, cfg.disk_bps) + t(per_node, cfg.sort_bps);
+    let reduce = t(per_node, DISK_BPS) + t(per_node, SORT_BPS);
 
-    // Output: each node writes its partition `replication` times cluster-wide
-    // (disk), with (replication - 1) copies crossing the network.
-    let output_disk = t(per_node * cfg.replication as f64, cfg.disk_bps);
-    let output_net = t(
-        per_node * (cfg.replication.saturating_sub(1)) as f64,
-        cfg.net_bps,
-    );
+    // Output: each node writes its partition `REPLICATION` times
+    // cluster-wide (disk), with (REPLICATION - 1) copies crossing the network.
+    let output_disk = t(per_node * REPLICATION as f64, DISK_BPS);
+    let output_net = t(per_node * (REPLICATION - 1) as f64, NET_BPS);
     let output = output_disk.max(output_net);
 
     TeraSortEstimate {
-        startup: cfg.startup,
+        startup: STARTUP,
         map,
         shuffle,
         reduce,
@@ -117,7 +94,7 @@ mod tests {
         // end for well-tuned clusters; stock clusters considerably slower.
         // The paper reports Hadoop at ~8x RStore's 31.7 s for 256 GB, i.e.
         // ~250 s on 12 machines.
-        let est = terasort_time(&HadoopConfig::default(), 256 << 30);
+        let est = terasort_time(12, 256 << 30);
         let secs = est.total().as_secs_f64();
         assert!(
             (180.0..350.0).contains(&secs),
@@ -127,35 +104,22 @@ mod tests {
 
     #[test]
     fn scales_roughly_linearly_in_data() {
-        let cfg = HadoopConfig::default();
-        let t1 = terasort_time(&cfg, 64 << 30).total().as_secs_f64();
-        let t4 = terasort_time(&cfg, 256 << 30).total().as_secs_f64();
-        let ratio = (t4 - cfg.startup.as_secs_f64()) / (t1 - cfg.startup.as_secs_f64());
+        let t1 = terasort_time(12, 64 << 30).total().as_secs_f64();
+        let t4 = terasort_time(12, 256 << 30).total().as_secs_f64();
+        let ratio = (t4 - STARTUP.as_secs_f64()) / (t1 - STARTUP.as_secs_f64());
         assert!((3.5..4.5).contains(&ratio), "ratio {ratio:.2}");
     }
 
     #[test]
     fn more_nodes_speed_it_up() {
-        let small = terasort_time(
-            &HadoopConfig {
-                nodes: 6,
-                ..HadoopConfig::default()
-            },
-            64 << 30,
-        );
-        let big = terasort_time(
-            &HadoopConfig {
-                nodes: 24,
-                ..HadoopConfig::default()
-            },
-            64 << 30,
-        );
+        let small = terasort_time(6, 64 << 30);
+        let big = terasort_time(24, 64 << 30);
         assert!(big.total() < small.total());
     }
 
     #[test]
     fn phases_are_all_positive() {
-        let est = terasort_time(&HadoopConfig::default(), 1 << 30);
+        let est = terasort_time(12, 1 << 30);
         assert!(est.map > Duration::ZERO);
         assert!(est.shuffle > Duration::ZERO);
         assert!(est.reduce > Duration::ZERO);

@@ -16,9 +16,9 @@ pub mod hadoop;
 pub mod msg_graph;
 pub mod twosided;
 
-pub use hadoop::{terasort_time, HadoopConfig, TeraSortEstimate};
+pub use hadoop::{terasort_time, TeraSortEstimate};
 pub use msg_graph::MsgPageRankOutcome;
-pub use twosided::{TwoSidedClient, TwoSidedCost};
+pub use twosided::TwoSidedClient;
 
 #[cfg(test)]
 mod tests {

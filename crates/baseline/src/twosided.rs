@@ -18,29 +18,15 @@ use rstore::{RStoreError, Result};
 /// Service id of the two-sided store.
 pub const TWOSIDED_SERVICE: u16 = 10;
 
-/// Server-side CPU cost model.
-#[derive(Clone, Copy, Debug)]
-pub struct TwoSidedCost {
-    /// Fixed cost per request (dispatch, parse, respond).
-    pub per_request: Duration,
-    /// Copy cost per KiB moved (request parsing + memcpy into/out of the
-    /// store).
-    pub per_kib: Duration,
-}
+/// Server CPU cost per request (dispatch, parse, respond).
+const PER_REQUEST: Duration = Duration::from_micros(2);
+/// Server CPU cost per KiB moved (request parsing + memcpy into/out of the
+/// store).
+const PER_KIB: Duration = Duration::from_nanos(30);
 
-impl Default for TwoSidedCost {
-    fn default() -> Self {
-        TwoSidedCost {
-            per_request: Duration::from_micros(2),
-            per_kib: Duration::from_nanos(30),
-        }
-    }
-}
-
-impl TwoSidedCost {
-    fn request(&self, bytes: u64) -> Duration {
-        self.per_request + Duration::from_nanos(self.per_kib.as_nanos() as u64 * bytes / 1024)
-    }
+/// The server CPU time one request moving `bytes` costs.
+fn request_cost(bytes: u64) -> Duration {
+    PER_REQUEST + Duration::from_nanos(PER_KIB.as_nanos() as u64 * bytes / 1024)
 }
 
 // Messages are priced in the control plane's layout: a request is its tag
@@ -65,11 +51,10 @@ rstore::wire_requests! {
     }
 }
 
-/// The server's side: the donated buffer and what serving costs.
+/// The server's side: the donated buffer.
 struct Store {
     dev: RdmaDevice,
     backing: DmaBuf,
-    cost: TwoSidedCost,
 }
 
 impl Store {
@@ -88,14 +73,14 @@ impl Store {
 
     async fn read(&self, Read { offset, len }: Read) -> Result<Vec<u8>> {
         let addr = self.addr(offset, len)?;
-        self.dev.sim().sleep(self.cost.request(len)).await;
+        self.dev.sim().sleep(request_cost(len)).await;
         Ok(self.dev.read_mem(addr, len)?)
     }
 
     async fn write(&self, Write { offset, data }: Write) -> Result<()> {
         let len = data.len() as u64;
         let addr = self.addr(offset, len)?;
-        self.dev.sim().sleep(self.cost.request(len)).await;
+        self.dev.sim().sleep(request_cost(len)).await;
         Ok(self.dev.write_mem(addr, &data)?)
     }
 
@@ -114,11 +99,10 @@ impl Store {
 /// # Errors
 ///
 /// Service-id collisions or allocation failures.
-pub fn spawn_server(dev: &RdmaDevice, capacity: u64, cost: TwoSidedCost) -> Result<()> {
+pub fn spawn_server(dev: &RdmaDevice, capacity: u64) -> Result<()> {
     let store = Rc::new(Store {
         dev: dev.clone(),
         backing: dev.alloc(capacity)?,
-        cost,
     });
     spawn_rpc_server(
         dev,
@@ -189,7 +173,7 @@ mod tests {
     #[test]
     fn read_write_round_trip() {
         let (sim, server, client) = setup();
-        spawn_server(&server, 1 << 20, TwoSidedCost::default()).unwrap();
+        spawn_server(&server, 1 << 20).unwrap();
         let node = server.node();
         let out = sim.block_on(async move {
             let c = TwoSidedClient::connect(&client, node).await.unwrap();
@@ -202,7 +186,7 @@ mod tests {
     #[test]
     fn out_of_bounds_rejected() {
         let (sim, server, client) = setup();
-        spawn_server(&server, 1024, TwoSidedCost::default()).unwrap();
+        spawn_server(&server, 1024).unwrap();
         let node = server.node();
         let err = sim.block_on(async move {
             let c = TwoSidedClient::connect(&client, node).await.unwrap();
@@ -217,7 +201,7 @@ mod tests {
         // The store does not start at address 0, so a wrapped range would
         // land on real memory just before it.
         server.alloc(4096).unwrap();
-        spawn_server(&server, 1024, TwoSidedCost::default()).unwrap();
+        spawn_server(&server, 1024).unwrap();
         let node = server.node();
         let (read, write, after) = sim.block_on(async move {
             let c = TwoSidedClient::connect(&client, node).await.unwrap();
@@ -235,7 +219,7 @@ mod tests {
     fn a_reply_too_long_for_the_buffer_is_an_error_not_a_hang() {
         use rstore::rpc::RPC_BUF_BYTES;
         let (sim, server, client) = setup();
-        spawn_server(&server, 16 << 20, TwoSidedCost::default()).unwrap();
+        spawn_server(&server, 16 << 20).unwrap();
         let node = server.node();
         let clock = sim.clone();
         let (err, waited, after) = sim.block_on(async move {
@@ -258,7 +242,7 @@ mod tests {
         // The E3 effect in miniature: same fabric, same NICs; the two-sided
         // read pays server CPU + two-sided protocol.
         let (sim, server, client) = setup();
-        spawn_server(&server, 1 << 20, TwoSidedCost::default()).unwrap();
+        spawn_server(&server, 1 << 20).unwrap();
         let node = server.node();
         let two_sided = sim.block_on({
             let sim = sim.clone();

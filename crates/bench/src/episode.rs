@@ -82,7 +82,7 @@ pub struct Totals {
     pub io_errors: u64,
     /// Gets that returned something other than the key's value.
     pub value_errors: u64,
-    /// Ops given up after [`MAX_ATTEMPTS`] failures.
+    /// Ops given up after `MAX_ATTEMPTS` failures.
     pub abandoned: u64,
 }
 

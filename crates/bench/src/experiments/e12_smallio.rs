@@ -46,7 +46,7 @@ pub struct SizeStats {
     pub per_op_doorbells: f64,
     /// Doorbells rung per op, batched arm.
     pub batched_doorbells: f64,
-    /// Throughput of one verified read of all [`OPS`] stripes.
+    /// Throughput of one verified read of all `OPS` stripes.
     pub ck_gbps: f64,
 }
 
@@ -83,7 +83,7 @@ impl SubStripeStats {
 /// Aggregate E12 results.
 #[derive(Clone, Debug)]
 pub struct SmallIoStats {
-    /// One entry per size in [`SIZES`] order.
+    /// One entry per size in `SIZES` order.
     pub sizes: Vec<SizeStats>,
     /// The sub-stripe verified-IO arm.
     pub ck_substripe: SubStripeStats,

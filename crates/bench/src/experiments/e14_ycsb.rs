@@ -141,7 +141,7 @@ pub struct YcsbStats {
     pub clients: u64,
     /// Ops per client per mix.
     pub ops_per_client: u64,
-    /// One entry per mix in [`MIXES`] order.
+    /// One entry per mix in `MIXES` order.
     pub mixes: Vec<MixStats>,
     /// The exact warm-path costs.
     pub warm: WarmProbe,

@@ -5,11 +5,11 @@
 //!
 //! * **scatter-gather**: a 16-piece striped IO posts one multi-element WR
 //!   per QP, not one WR per piece — doorbells per IO equal the QP count,
-//!   and so does the number of `post_overhead` charges the ledger
+//!   and so does the number of [`rdma::POST_OVERHEAD`] charges the ledger
 //!   attributes to posting.
 //! * **inline WRITEs** (`RdmaConfig::inline_max` 0 vs 256): a warm KV put's
 //!   slot publish rides in the WQE instead of a staged DMA buffer, paying
-//!   `inline_post_overhead` instead of `post_overhead` per WR.
+//!   [`rdma::INLINE_POST_OVERHEAD`] instead of `POST_OVERHEAD` per WR.
 //! * **per-op cost ledger**: the full op set (`get`/`put`/`delete`/CAS/
 //!   `multi_get`/region read/write/read_ck/write_ck/read_many) run under
 //!   the raw-speed configuration with the [`sim::OpLedger`] enabled — the
@@ -49,7 +49,7 @@ const PUTS: u64 = 64;
 /// WQE-build costs of WRs posted in the same instant overlap in the NIC
 /// model. What it buys shows up in the doorbell counters and in the
 /// ledger's post-layer attribution (`read_post_ns`/`write_post_ns`) — one
-/// `post_overhead` charge per WR instead of one per piece.
+/// `POST_OVERHEAD` charge per WR instead of one per piece.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct SgeArm {
     /// Doorbells rung per read IO.
@@ -80,7 +80,7 @@ pub struct RawSpeedStats {
     pub sge: SgeArm,
     /// Largest SGE list observed in the scatter-gather arm.
     pub sge_entries_max: u64,
-    /// `RdmaConfig::post_overhead` of the arm's devices, in ns.
+    /// [`rdma::POST_OVERHEAD`], in ns.
     pub post_overhead_ns: u64,
     /// Virtual ns per warm KV put, staged publish (`inline_max` 0).
     pub staged_put_ns: u64,
@@ -96,7 +96,7 @@ pub struct RawSpeedStats {
 
 impl RawSpeedStats {
     /// Whether a striped IO rang exactly one doorbell per QP in both
-    /// directions, and the ledger charged exactly one `post_overhead` per
+    /// directions, and the ledger charged exactly one `POST_OVERHEAD` per
     /// QP to posting — the headline posting-cost claim.
     pub fn sge_one_doorbell_per_qp(&self) -> bool {
         let post_ns = self.qps * self.post_overhead_ns;
@@ -107,7 +107,7 @@ impl RawSpeedStats {
     }
 
     /// Virtual-ns saving per warm put from inline posting (expected:
-    /// `post_overhead - inline_post_overhead` per publish WR).
+    /// `POST_OVERHEAD - INLINE_POST_OVERHEAD` per publish WR).
     pub fn inline_delta_ns(&self) -> i64 {
         self.staged_put_ns as i64 - self.inline_put_ns as i64
     }
@@ -145,7 +145,7 @@ pub fn measure() -> RawSpeedStats {
         qps,
         sge,
         sge_entries_max,
-        post_overhead_ns: RdmaConfig::default().post_overhead.as_nanos() as u64,
+        post_overhead_ns: rdma::POST_OVERHEAD.as_nanos() as u64,
         staged_put_ns,
         inline_put_ns,
         inline_writes,
@@ -322,7 +322,7 @@ impl OpsProfile {
     }
 
     /// Whether the striped reads rang at most one doorbell per QP (the
-    /// `read` rows cover a 16-piece IO over [`SERVERS`] QPs).
+    /// `read` rows cover a 16-piece IO over `SERVERS` QPs).
     pub fn read_doorbells_le_qps(&self) -> bool {
         self.row("read").doorbells_max <= SERVERS as u64
     }
@@ -544,7 +544,7 @@ mod tests {
         assert_eq!(stats.data_errors, 0, "read-back verification failed");
         assert_eq!(stats.pieces, 16, "arm must exercise a 16-piece IO");
         assert_eq!(stats.qps, SERVERS as u64, "striping must touch every QP");
-        // One multi-element WR, one doorbell and one post_overhead charge
+        // One multi-element WR, one doorbell and one `POST_OVERHEAD` charge
         // per QP, in both directions.
         assert_eq!(stats.sge.read_doorbells, stats.qps);
         assert_eq!(stats.sge.write_doorbells, stats.qps);

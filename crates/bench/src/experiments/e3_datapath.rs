@@ -7,9 +7,9 @@
 
 use std::time::Duration;
 
-use baseline::twosided::{spawn_server, TwoSidedClient, TwoSidedCost};
+use baseline::twosided::{spawn_server, TwoSidedClient};
 use fabric::{Fabric, FabricConfig};
-use rdma::{Access, CompletionQueue, RdmaConfig, RdmaDevice};
+use rdma::{Access, CompletionQueue, RdmaConfig, RdmaDevice, NIC_DELAY, POST_OVERHEAD};
 use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, RStoreClient};
 use sim::Sim;
 
@@ -83,15 +83,13 @@ pub struct LayerStat {
 /// Measures RStore READ latency per size and decomposes it into
 /// doorbell / NIC / wire / software layers.
 pub fn attribution() -> Vec<LayerStat> {
-    let rdma_cfg = RdmaConfig::default();
-    let fab_cfg = FabricConfig::default();
-    let doorbell_ns = rdma_cfg.post_overhead.as_nanos() as u64;
-    let nic_ns = 2 * rdma_cfg.nic_delay.as_nanos() as u64;
+    let doorbell_ns = POST_OVERHEAD.as_nanos() as u64;
+    let nic_ns = 2 * NIC_DELAY.as_nanos() as u64;
     // One cut-through switched hop each way: sender host overhead,
     // propagation and switch forwarding, paid for the (tiny) request and
     // again for the payload-bearing response.
     let hop_ns =
-        (fab_cfg.host_overhead + fab_cfg.link_latency + fab_cfg.switch_delay).as_nanos() as u64;
+        (fabric::HOST_OVERHEAD + fabric::LINK_LATENCY + fabric::SWITCH_DELAY).as_nanos() as u64;
 
     let (cluster, sim) = rstore_cluster();
     let devs = cluster.client_devs.clone();
@@ -131,7 +129,7 @@ pub fn attribution() -> Vec<LayerStat> {
     totals
         .into_iter()
         .map(|(size, total_ns, p50_ns, p99_ns)| {
-            let ser_ns = size * 8 * 1_000_000_000 / fab_cfg.link_bps;
+            let ser_ns = size * 8 * 1_000_000_000 / FabricConfig::default().link_bps;
             let wire_ns = 2 * hop_ns + ser_ns;
             let software_ns = total_ns.saturating_sub(doorbell_ns + nic_ns + wire_ns);
             LayerStat {
@@ -312,7 +310,7 @@ fn twosided_pair() -> (Sim, RdmaDevice, RdmaDevice) {
     let fabric = Fabric::new(sim.clone(), FabricConfig::default());
     let server = RdmaDevice::new(&fabric, RdmaConfig::default());
     let client = RdmaDevice::new(&fabric, RdmaConfig::default());
-    spawn_server(&server, 16 << 20, TwoSidedCost::default()).expect("spawn");
+    spawn_server(&server, 16 << 20).expect("spawn");
     (sim, server, client)
 }
 

@@ -10,7 +10,7 @@
 
 use std::time::Duration;
 
-use baseline::twosided::{spawn_server, TwoSidedClient, TwoSidedCost};
+use baseline::twosided::{spawn_server, TwoSidedClient};
 use fabric::{Fabric, FabricConfig};
 use rdma::{RdmaConfig, RdmaDevice};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
@@ -170,7 +170,7 @@ fn amortization() -> Table {
     let fabric = Fabric::new(sim.clone(), FabricConfig::default());
     let server = RdmaDevice::new(&fabric, RdmaConfig::default());
     let client = RdmaDevice::new(&fabric, RdmaConfig::default());
-    spawn_server(&server, 64 << 20, TwoSidedCost::default()).expect("spawn");
+    spawn_server(&server, 64 << 20).expect("spawn");
     let node = server.node();
     let two_io = sim.block_on({
         let sim = sim.clone();

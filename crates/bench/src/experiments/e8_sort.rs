@@ -11,7 +11,7 @@
 
 use std::time::Duration;
 
-use baseline::hadoop::{terasort_time, HadoopConfig, TeraSortEstimate};
+use baseline::hadoop::{terasort_time, TeraSortEstimate};
 use fabric::FabricConfig;
 use rsort::{distributed, twin, SortConfig, SortMode, SortOutcome, Twin, TWIN_TOLERANCE};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient, ServerConfig};
@@ -40,12 +40,13 @@ pub struct SortStats {
 
 /// Measures the three parts once.
 pub fn measure() -> SortStats {
-    let (outcome, ops) = fluid_sort(256u64 << 30, 12);
+    let machines = 12;
+    let (outcome, ops) = fluid_sort(256u64 << 30, machines);
     SortStats {
         twin: twin_sort(),
         outcome,
         ops,
-        hadoop: terasort_time(&HadoopConfig::default(), 256 << 30),
+        hadoop: terasort_time(machines as u32, 256 << 30),
     }
 }
 

@@ -11,7 +11,7 @@
 //! E6–E17 are self-checking: each exports an `asserts` array — the
 //! invariants it claims, as `{name, expected, observed, pass}` built from
 //! the stats it already computes — which `bench check` verifies (see
-//! [`Asserts`]).
+//! `Asserts`).
 
 use std::time::Duration;
 

@@ -94,7 +94,7 @@
 //! # Locks and failures
 //!
 //! The locked word is tagged: the CAS swaps in `version + 1` with a unique
-//! nonce in the high 32 bits ([`lock_word`]), and the body under an odd
+//! nonce in the high 32 bits (`lock_word`), and the body under an odd
 //! word is always the intact pre-lock image — the lock CAS touches only the
 //! version word, and the publish writes word + body in one WRITE. So the
 //! slot codec decodes a locked slot to its **committed view**:
@@ -107,7 +107,7 @@
 //! **Writers chase.** A lock CAS that loses on a slot known to hold the key
 //! (a hinted put or delete, or a walk that hit) continues from the word the
 //! CAS returned instead of walking again. An even word is locked at once.
-//! An odd one is waited out through the op's [`LockWatch`], which paces
+//! An odd one is waited out through the op's `LockWatch`, which paces
 //! every wait of a writer by the locked words the op has seen: the first
 //! two re-CAS at once — a holder that locked before the CAS landed
 //! publishes one RTT later, when the retry lands — and from the third on
@@ -136,7 +136,7 @@
 //! replaced primary. A writer whose primary stays down fails, as its CAS
 //! would have.
 //!
-//! Every lock wait is bounded ([`LOCK_WAIT_BUDGET`] of virtual time per op)
+//! Every lock wait is bounded (`LOCK_WAIT_BUDGET` of virtual time per op)
 //! and then surfaces [`RStoreError::Io`] — a healthy writer releases within
 //! microseconds, so exceeding the budget means the holder crashed or the
 //! cluster is degraded, and the caller should retry (possibly after a
@@ -162,7 +162,7 @@
 //!   it: the owner's unlock failed too, or live migration copied the slot
 //!   while it was locked and the owner's release landed on the sealed,
 //!   soon-freed source. A writer that has watched the *same* tagged word
-//!   for most of its wait budget ([`LockWatch`]) — orders of magnitude past
+//!   for most of its wait budget (`LockWatch`) — orders of magnitude past
 //!   a healthy hold — breaks the lock with the same CAS (`kv.lock.break`).
 //!   Until then readers return the entry under it, and so does `grow`.
 
@@ -1206,7 +1206,7 @@ impl KvTable {
     ///
     /// Purely one-sided: a warm hint is **one RDMA READ**; a miss walks the
     /// chain — one READ for the home slot, then one per
-    /// [`PROBE_WINDOW_BYTES`] window. A slot a writer holds is read through:
+    /// `PROBE_WINDOW_BYTES` window. A slot a writer holds is read through:
     /// the value is the one under its lock.
     ///
     /// # Errors
@@ -1361,7 +1361,7 @@ impl KvTable {
     /// after other clients updated the key, and one more CAS round per
     /// writer that holds the slot when this one arrives; a cold put walks
     /// first — one READ for the home slot, then one per
-    /// [`PROBE_WINDOW_BYTES`] window of the chain past it.
+    /// `PROBE_WINDOW_BYTES` window of the chain past it.
     ///
     /// # Errors
     ///
@@ -1783,7 +1783,7 @@ impl KvTable {
     /// stopping readers. Returns the number of entries moved.
     ///
     /// The protocol: CAS the meta epoch odd (one resizer wins), wait
-    /// [`RESIZE_GRACE`] so every admitted mutation finishes, copy + rehash
+    /// `RESIZE_GRACE` so every admitted mutation finishes, copy + rehash
     /// into `{name}@g{generation + 1}`, publish the new generation and an
     /// even epoch in one atomic meta write, then free the old region.
     /// Readers keep reading the old region until the free lands and then

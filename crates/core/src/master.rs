@@ -35,6 +35,12 @@ use crate::{CTRL_SERVICE, SRV_SERVICE};
 /// data-path interference of any single sweep.
 const REBALANCE_BUDGET: u64 = 64 << 20;
 
+/// CPU cost per control RPC at the master.
+const RPC_CPU: Duration = Duration::from_micros(2);
+
+/// Seed for randomized placement.
+const PLACEMENT_SEED: u64 = 0x5707E;
+
 /// Master configuration.
 #[derive(Clone, Debug)]
 pub struct MasterConfig {
@@ -45,10 +51,6 @@ pub struct MasterConfig {
     pub lease: Duration,
     /// How often the liveness sweep runs.
     pub sweep_interval: Duration,
-    /// CPU cost per control RPC at the master.
-    pub rpc_cpu: Duration,
-    /// Seed for randomized placement.
-    pub seed: u64,
     /// How often the repair task scans for degraded regions, re-replicating
     /// stripe groups whose replicas sit on dead servers.
     pub repair_interval: Duration,
@@ -84,8 +86,6 @@ impl Default for MasterConfig {
         MasterConfig {
             lease: Duration::from_millis(500),
             sweep_interval: Duration::from_millis(200),
-            rpc_cpu: Duration::from_micros(2),
-            seed: 0x5707E,
             repair_interval: Duration::from_millis(500),
             scrub: true,
             scrub_interval: Duration::from_millis(500),
@@ -282,7 +282,7 @@ impl Master {
                 draining: BTreeSet::new(),
                 busy_regions: std::collections::HashSet::new(),
                 retired: BTreeMap::new(),
-                rng: DetRng::new(cfg.seed),
+                rng: DetRng::new(PLACEMENT_SEED),
                 conns: HashMap::new(),
             })),
             cfg: Rc::new(cfg),
@@ -292,7 +292,7 @@ impl Master {
         spawn_rpc_server(
             dev,
             CTRL_SERVICE,
-            master.cfg.rpc_cpu,
+            RPC_CPU,
             Rc::new(move |_peer, req| {
                 let m = m.clone();
                 Box::pin(async move {

@@ -25,6 +25,10 @@ use crate::proto::{
 use crate::rpc::{spawn_rpc_server, Channel};
 use crate::{CTRL_SERVICE, DATA_SERVICE, SRV_SERVICE};
 
+/// Simulated memory-registration (pinning) cost per MiB of the extents
+/// [`AllocExtents`] grants.
+const PIN_PER_MIB: Duration = Duration::from_micros(3);
+
 /// Memory-server configuration.
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
@@ -34,8 +38,6 @@ pub struct ServerConfig {
     pub heartbeat: Duration,
     /// CPU cost per control RPC.
     pub rpc_cpu: Duration,
-    /// Simulated memory-registration (pinning) cost per MiB of extent.
-    pub pin_per_mib: Duration,
 }
 
 impl Default for ServerConfig {
@@ -44,7 +46,6 @@ impl Default for ServerConfig {
             donate: 32 * 1024 * 1024 * 1024,
             heartbeat: Duration::from_millis(100),
             rpc_cpu: Duration::from_micros(2),
-            pin_per_mib: Duration::from_micros(3),
         }
     }
 }
@@ -94,8 +95,6 @@ struct Served {
     /// When the lease runs out, and the event that fences the server then.
     lease_end: Cell<SimTime>,
     expiry: Cell<Option<TimerId>>,
-    /// Simulated pinning cost per MiB of the extents [`AllocExtents`] grants.
-    pin_per_mib: Duration,
     /// The data-QP dialer of [`Replicate`]'s copy READs: one QP per
     /// source server, shared by every copy from it.
     qps: Rc<DataQps>,
@@ -173,7 +172,6 @@ impl MemServer {
             fenced: Cell::new(true),
             lease_end: Cell::new(SimTime::ZERO),
             expiry: Cell::new(None),
-            pin_per_mib: cfg.pin_per_mib,
             qps: DataQps::new(dev),
         });
 
@@ -296,7 +294,7 @@ async fn alloc_extents(sv: &Served, req: AllocExtents) -> Result<Vec<(u64, u64, 
     // Charge the pinning/registration cost: this is what makes the
     // control path "slow but once".
     let total_mib = (req.count as u64 * alloc_len) / (1024 * 1024);
-    let pin = sv.pin_per_mib.as_nanos() as u64 * total_mib;
+    let pin = PIN_PER_MIB.as_nanos() as u64 * total_mib;
     dev.sim().sleep(Duration::from_nanos(pin)).await;
 
     // A trailer initialized to the CRCs of the zero-filled blocks

@@ -16,7 +16,7 @@
 //! receive bandwidth, and one sender splitting across `k` receivers feeds
 //! them all concurrently — the effects behind the paper's
 //! aggregate-bandwidth scaling figure. Messages up to
-//! [`FabricConfig::priority_cutoff`] bypass the queues entirely, modeling
+//! [`PRIORITY_CUTOFF`] bypass the queues entirely, modeling
 //! how small control packets interleave into bulk streams.
 //!
 //! The fabric is *payload-agnostic*: it carries any message type `M` and is
@@ -62,7 +62,23 @@ impl fmt::Display for NodeId {
     }
 }
 
-/// Timing and topology parameters of the fabric.
+/// One-way propagation delay (cable + PHY).
+pub const LINK_LATENCY: Duration = Duration::from_nanos(160);
+/// Switch forwarding delay.
+pub const SWITCH_DELAY: Duration = Duration::from_nanos(200);
+/// Fixed per-message initiation overhead at the sender (DMA engine
+/// start-up); *not* per-chunk.
+pub const HOST_OVERHEAD: Duration = Duration::from_nanos(100);
+/// Messages of at most this many wire bytes bypass link queues: they are
+/// delivered after serialization + hop latency without waiting for (or
+/// contributing to) the busy-until accounting. This models how RDMA NICs
+/// round-robin queue pairs at packet granularity — a heartbeat or ACK
+/// interleaves into a bulk stream within microseconds instead of waiting
+/// behind gigabytes of queued payload.
+pub const PRIORITY_CUTOFF: u64 = 4096;
+
+/// The settable parameters of the fabric; its fixed timing is the constants
+/// above.
 ///
 /// The defaults model FDR InfiniBand (4× 14 Gb/s lanes): 54.3 Gb/s of
 /// goodput per direction after 64/66b encoding and transport headers, sub-µs
@@ -71,34 +87,16 @@ impl fmt::Display for NodeId {
 pub struct FabricConfig {
     /// Per-direction link goodput in bits per second.
     pub link_bps: u64,
-    /// One-way propagation delay (cable + PHY).
-    pub link_latency: Duration,
-    /// Switch forwarding delay.
-    pub switch_delay: Duration,
-    /// Fixed per-message initiation overhead at the sender (DMA engine
-    /// start-up); *not* per-chunk.
-    pub host_overhead: Duration,
     /// Chunk size in bytes used for link-sharing interleaving. Larger quanta
     /// mean fewer simulation events but coarser fairness.
     pub quantum: u32,
-    /// Messages of at most this many wire bytes bypass link queues: they are
-    /// delivered after serialization + hop latency without waiting for (or
-    /// contributing to) the busy-until accounting. This models how RDMA NICs
-    /// round-robin queue pairs at packet granularity — a heartbeat or ACK
-    /// interleaves into a bulk stream within microseconds instead of waiting
-    /// behind gigabytes of queued payload.
-    pub priority_cutoff: u32,
 }
 
 impl Default for FabricConfig {
     fn default() -> Self {
         FabricConfig {
             link_bps: 54_300_000_000,
-            link_latency: Duration::from_nanos(160),
-            switch_delay: Duration::from_nanos(200),
-            host_overhead: Duration::from_nanos(100),
             quantum: 64 * 1024,
-            priority_cutoff: 4096,
         }
     }
 }
@@ -160,8 +158,6 @@ struct NodeState<M> {
     rx_busy_until: SimTime,
     up: bool,
     inbox: Option<Sender<Delivery<M>>>,
-    tx_bytes: u64,
-    rx_bytes: u64,
     link: LinkStats,
 }
 
@@ -268,8 +264,6 @@ impl<M> NodeState<M> {
             rx_busy_until: SimTime::ZERO,
             up: true,
             inbox: None,
-            tx_bytes: 0,
-            rx_bytes: 0,
             link,
         }
     }
@@ -326,7 +320,6 @@ struct Inner<M> {
     in_flight: Vec<Option<InFlight<M>>>,
     /// Vacant `in_flight` indices.
     free_slots: Vec<usize>,
-    dropped: u64,
     loss: Option<Loss>,
     flip: Option<Flip>,
     corruption_hooks: std::collections::HashMap<u32, CorruptionHook>,
@@ -399,12 +392,11 @@ impl<M> Clone for Fabric<M> {
     }
 }
 
-impl<M> fmt::Debug for Fabric<M> {
+impl<M: 'static> fmt::Debug for Fabric<M> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let inner = self.core.inner.borrow();
         f.debug_struct("Fabric")
-            .field("nodes", &inner.nodes.len())
-            .field("dropped", &inner.dropped)
+            .field("nodes", &self.node_count())
+            .field("dropped", &self.dropped_messages())
             .finish()
     }
 }
@@ -422,7 +414,6 @@ impl<M: 'static> Fabric<M> {
                     nodes: Vec::new(),
                     in_flight: Vec::new(),
                     free_slots: Vec::new(),
-                    dropped: 0,
                     loss: None,
                     flip: None,
                     corruption_hooks: std::collections::HashMap::new(),
@@ -561,14 +552,24 @@ impl<M: 'static> Fabric<M> {
         self.core.inner.borrow_mut().membership_hook = Some(hook);
     }
 
-    /// Count of messages dropped due to failed endpoints.
+    /// Count of messages dropped for any reason: the sum of the four
+    /// `fabric.dropped.*` counters.
     pub fn dropped_messages(&self) -> u64 {
-        self.core.inner.borrow().dropped
+        [
+            "fabric.dropped.endpoint_down",
+            "fabric.dropped.injected",
+            "fabric.dropped.dst_down",
+            "fabric.dropped.no_inbox",
+        ]
+        .iter()
+        .map(|name| self.core.metrics.counter(name))
+        .sum()
     }
 
-    /// Total bytes a node has put on the wire.
+    /// Total bytes a node has put on the wire (`fabric.link<N>.tx_bytes`).
     pub fn tx_bytes(&self, node: NodeId) -> u64 {
-        self.core.inner.borrow().nodes[node.0 as usize].tx_bytes
+        let inner = self.core.inner.borrow();
+        inner.nodes[node.0 as usize].link.tx_bytes.get()
     }
 
     /// Live link utilization for `node` as `(tx_pct, rx_pct)`: the fraction
@@ -594,16 +595,18 @@ impl<M: 'static> Fabric<M> {
         })
     }
 
-    /// Total bytes a node has received off the wire.
+    /// Total bytes a node has received off the wire
+    /// (`fabric.link<N>.rx_bytes`).
     pub fn rx_bytes(&self, node: NodeId) -> u64 {
-        self.core.inner.borrow().nodes[node.0 as usize].rx_bytes
+        let inner = self.core.inner.borrow();
+        inner.nodes[node.0 as usize].link.rx_bytes.get()
     }
 
     /// Sends `msg` of `wire_bytes` bytes from `src` to `dst`.
     ///
     /// Non-blocking: timing is computed with busy-until accounting and the
     /// delivery is scheduled as a simulation event. Loopback (`src == dst`)
-    /// bypasses the links and is delivered after `host_overhead` only.
+    /// bypasses the links and is delivered after [`HOST_OVERHEAD`] only.
     ///
     /// # Panics
     ///
@@ -618,7 +621,6 @@ impl<M: 'static> Fabric<M> {
                 "send: unknown node"
             );
             if !inner.nodes[src.0 as usize].up || !inner.nodes[dst.0 as usize].up {
-                inner.dropped += 1;
                 self.core
                     .stats
                     .drop_endpoint_down
@@ -629,41 +631,24 @@ impl<M: 'static> Fabric<M> {
             // accounting: a dropped message never occupied the link.
             if let Some(loss) = inner.loss.as_mut() {
                 if loss.rng.chance(loss.prob) {
-                    inner.dropped += 1;
                     self.core.stats.drop_injected.fire(dst.0 as u64, wire_bytes);
                     return;
                 }
             }
             let st = &mut inner.nodes[src.0 as usize];
-            st.tx_bytes += wire_bytes;
             st.link.tx_bytes.add(wire_bytes);
             st.link.tx_msgs.incr();
         }
         self.core.stats.tx.fire(src.0 as u64, wire_bytes);
 
         if src == dst {
-            let deliver_at = now + self.core.inner.borrow().cfg.host_overhead;
-            self.schedule_delivery(src, dst, wire_bytes, msg, deliver_at);
+            self.schedule_delivery(src, dst, wire_bytes, msg, now + HOST_OVERHEAD);
             return;
         }
-
-        let (bypass, host_overhead) = {
-            let inner = self.core.inner.borrow();
-            (
-                wire_bytes <= inner.cfg.priority_cutoff as u64,
-                inner.cfg.host_overhead,
-            )
-        };
-        if bypass {
-            // Small-message priority bypass: see `FabricConfig::priority_cutoff`.
-            let deliver_at = {
-                let inner = self.core.inner.borrow();
-                let cfg = &inner.cfg;
-                now + cfg.host_overhead
-                    + cfg.link_latency
-                    + cfg.switch_delay
-                    + cfg.serialization_delay(wire_bytes)
-            };
+        if wire_bytes <= PRIORITY_CUTOFF {
+            // Small-message priority bypass: see `PRIORITY_CUTOFF`.
+            let ser = self.core.inner.borrow().cfg.serialization_delay(wire_bytes);
+            let deliver_at = now + HOST_OVERHEAD + LINK_LATENCY + SWITCH_DELAY + ser;
             self.schedule_delivery(src, dst, wire_bytes, msg, deliver_at);
             return;
         }
@@ -678,7 +663,7 @@ impl<M: 'static> Fabric<M> {
         });
         self.core
             .sim
-            .schedule_event(now + host_overhead, &self.core, STAGE, slot);
+            .schedule_event(now + HOST_OVERHEAD, &self.core, STAGE, slot);
     }
 
     /// Chunks a bulk message onto its per-destination transmit queue and
@@ -732,7 +717,7 @@ impl<M: 'static> Fabric<M> {
         let next = {
             let mut inner = self.core.inner.borrow_mut();
             let cfg = inner.cfg.clone();
-            let hop = cfg.link_latency + cfg.switch_delay;
+            let hop = LINK_LATENCY + SWITCH_DELAY;
             let st = &mut inner.nodes[src.0 as usize];
             let Some(dst) = st.tx_rr.pop_front() else {
                 st.tx_pumping = false;
@@ -877,11 +862,9 @@ impl<M: 'static> Fabric<M> {
         } = inner.unpark(slot);
         let st = &mut inner.nodes[dst.0 as usize];
         if !st.up {
-            inner.dropped += 1;
             self.core.stats.drop_dst_down.fire(dst.0 as u64, wire_bytes);
             return;
         }
-        st.rx_bytes += wire_bytes;
         st.link.rx_bytes.add(wire_bytes);
         st.link.rx_msgs.incr();
         let inbox = st.inbox.clone();
@@ -899,7 +882,6 @@ impl<M: 'static> Fabric<M> {
                 .is_ok()
         });
         if !delivered {
-            self.core.inner.borrow_mut().dropped += 1;
             self.core.stats.drop_no_inbox.fire(dst.0 as u64, wire_bytes);
         }
     }
@@ -927,10 +909,7 @@ mod tests {
         let h = sim.spawn(async move { rx.recv().await.map(|d| d.msg) });
         let end = sim.run();
         assert_eq!(h.try_result().unwrap(), Some(7));
-        let expect = cfg.host_overhead
-            + cfg.link_latency
-            + cfg.switch_delay
-            + cfg.serialization_delay(bytes);
+        let expect = HOST_OVERHEAD + LINK_LATENCY + SWITCH_DELAY + cfg.serialization_delay(bytes);
         assert_eq!(end - SimTime::ZERO, expect);
     }
 
@@ -1018,7 +997,7 @@ mod tests {
             rx.recv().await;
         });
         let end = sim.run();
-        assert_eq!(end - SimTime::ZERO, cfg.host_overhead);
+        assert_eq!(end - SimTime::ZERO, HOST_OVERHEAD);
     }
 
     #[test]

@@ -10,7 +10,9 @@ use fabric::{Delivery, Fabric, NodeId};
 use sim::channel::{channel, Receiver, Rendezvous, Sender};
 use sim::{Completion, EventSink, Metrics, OpLedger, Sim, SimTime, TimerId};
 
-use crate::config::RdmaConfig;
+use crate::config::{
+    RdmaConfig, BATCH_WR_OVERHEAD, INLINE_POST_OVERHEAD, MAX_BATCH, NIC_DELAY, POST_OVERHEAD,
+};
 use crate::cq::{CompletionQueue, CqStatus, Cqe, CqeOpcode};
 use crate::doorbell::Doorbells;
 use crate::memory::{Arena, DmaBuf, MrEntry};
@@ -571,7 +573,7 @@ impl RdmaDevice {
     async fn dispatch(self, mut inbox: Receiver<Delivery<NetMsg>>) {
         while let Some(delivery) = inbox.recv().await {
             // Model per-packet NIC processing latency.
-            self.sim.sleep(self.cfg.nic_delay).await;
+            self.sim.sleep(NIC_DELAY).await;
             self.handle(delivery.src, delivery.msg);
         }
     }
@@ -889,7 +891,7 @@ impl RdmaDevice {
         inner.outstanding_bytes = inner.outstanding_bytes.saturating_sub(released);
         drop(inner);
         let now = self.sim.now();
-        let nic_ns = self.cfg.nic_delay.as_nanos() as u64;
+        let nic_ns = NIC_DELAY.as_nanos() as u64;
         for (cqe, posted_at, resolved_at, signaled, ledger, post_cost_ns) in cqes.drain(..) {
             stats.completed.incr();
             let ok = cqe.status == CqStatus::Success;
@@ -1224,11 +1226,10 @@ impl Qp {
 
     /// Posts a linked list of work requests — the one way anything enters
     /// the send queue; a lone READ is a chain of one. Verbs
-    /// `ibv_post_send`-style, each chunk of [`RdmaConfig::max_batch`] WRs
-    /// rings **one doorbell**: its first WR pays
-    /// [`RdmaConfig::post_overhead`] ([`RdmaConfig::inline_post_overhead`]
-    /// when it is an inline WRITE), each linked successor only the amortized
-    /// [`RdmaConfig::batch_wr_overhead`]. Combined with unsignaled WRs (see
+    /// `ibv_post_send`-style, each chunk of [`MAX_BATCH`] WRs rings **one
+    /// doorbell**: its first WR pays [`POST_OVERHEAD`]
+    /// ([`INLINE_POST_OVERHEAD`] when it is an inline WRITE), each linked
+    /// successor only the amortized [`BATCH_WR_OVERHEAD`]. Combined with unsignaled WRs (see
     /// [`Wr::unsignaled`]) this is the Storm-style small-IO batching recipe:
     /// ring once, reap one CQE.
     ///
@@ -1281,7 +1282,7 @@ impl Qp {
         // Cumulative WQE-build delay: chunk k's packets leave once every WQE
         // of chunks 0..=k is built.
         let mut build_delay = std::time::Duration::ZERO;
-        for chunk in wrs.chunks(cfg.max_batch.max(1)) {
+        for chunk in wrs.chunks(MAX_BATCH) {
             let mut guard = self.dev.inner.borrow_mut();
             let inner = &mut *guard;
             let now = self.dev.sim.now();
@@ -1296,12 +1297,10 @@ impl Qp {
             let mut chunk_post_ns = 0u64;
             for (i, wr) in chunk.iter().enumerate() {
                 let (opcode, byte_len, subs) = wr.op.shape();
-                let post_cost = if i > 0 {
-                    cfg.batch_wr_overhead
-                } else if matches!(wr.op, WrOp::WriteInline { .. }) {
-                    cfg.inline_post_overhead
-                } else {
-                    cfg.post_overhead
+                let post_cost = match (i, &wr.op) {
+                    (0, WrOp::WriteInline { .. }) => INLINE_POST_OVERHEAD,
+                    (0, _) => POST_OVERHEAD,
+                    _ => BATCH_WR_OVERHEAD,
                 };
                 let post_cost_ns = post_cost.as_nanos() as u64;
                 chunk_post_ns += post_cost_ns;
@@ -1504,9 +1503,8 @@ pub enum WrOp<'a> {
     /// RDMA WRITE whose payload is copied from host memory into the WQE at
     /// post time, verbs `IBV_SEND_INLINE` style: no local DmaBuf is staged
     /// or registered — the data travels with the work request — and a
-    /// doorbell rung for it costs the cheaper
-    /// [`RdmaConfig::inline_post_overhead`] (no lkey check or DMA readback
-    /// of the source buffer).
+    /// doorbell rung for it costs the cheaper [`INLINE_POST_OVERHEAD`] (no
+    /// lkey check or DMA readback of the source buffer).
     WriteInline {
         /// The payload, at most [`RdmaConfig::inline_max`] bytes.
         bytes: &'a [u8],
@@ -1708,6 +1706,48 @@ mod tests {
             "suspiciously fast: {lat:?}"
         );
         assert!(lat <= Duration::from_micros(4), "too slow: {lat:?}");
+    }
+
+    /// The virtual time from the doorbell of an idle `len`-byte READ to its
+    /// CQE: per direction the sender's fabric hop (both messages are under
+    /// the priority cutoff, so nothing queues), then the receiving NIC.
+    fn idle_read_rtt(len: u64) -> Duration {
+        let direction = |msg: QpMsg| {
+            let wire = NetMsg::Qp { dst: Qpn(1), msg }.wire_bytes();
+            fabric::HOST_OVERHEAD
+                + fabric::LINK_LATENCY
+                + fabric::SWITCH_DELAY
+                + FabricConfig::default().serialization_delay(wire)
+                + NIC_DELAY
+        };
+        direction(QpMsg::ReadReq {
+            req_id: 0,
+            raddr: 0,
+            rkey: RKey(1),
+            len,
+        }) + direction(QpMsg::ReadResp {
+            req_id: 0,
+            status: WireStatus::Ok,
+            payload: Payload::Synthetic(len),
+        })
+    }
+
+    #[test]
+    fn small_read_rtt_is_the_sum_of_the_calibration_constants() {
+        let lat = connected(|a, b, cqp, ccq, _sqp, _scq| async move {
+            let server_buf = b.alloc(8).unwrap();
+            let mr = b.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
+            let dst = a.alloc(8).unwrap();
+            let t0 = a.sim().now();
+            cqp.post_read(1, dst, mr.token().at(0, 8).unwrap()).unwrap();
+            ccq.next().await;
+            a.sim().now() - t0
+        });
+        let sum = POST_OVERHEAD + idle_read_rtt(8);
+        assert_eq!(lat, sum);
+        // The figure DESIGN.md "Calibration constants" states: a changed
+        // constant must change that table too.
+        assert_eq!(sum, Duration::from_nanos(1585));
     }
 
     #[test]
@@ -2393,17 +2433,16 @@ mod tests {
             assert_eq!(b.read_mem(server_buf.addr, 12).unwrap(), b"inline-hello");
 
             // The same write via the registered-buffer path takes longer:
-            // the full post_overhead is charged instead of the inline cost.
+            // the full `POST_OVERHEAD` is charged instead of the inline cost.
             let src = a.alloc_init(b"regular-hullo").unwrap();
             let t1 = a.sim().now();
             cqp.post_write(2, src, mr.token().at(0, 13).unwrap())
                 .unwrap();
             ccq.next().await;
             let regular_rtt = a.sim().now() - t1;
-            let cfg = a.config().clone();
             assert_eq!(
                 regular_rtt - inline_rtt,
-                cfg.post_overhead - cfg.inline_post_overhead,
+                POST_OVERHEAD - INLINE_POST_OVERHEAD,
                 "inline saves exactly the WQE-build delta \
                  (inline {inline_rtt:?} vs regular {regular_rtt:?})"
             );
@@ -2525,7 +2564,7 @@ mod tests {
                 .spawn(async move { listener.accept(&scq2).await.unwrap() });
             let cqp = a.connect(b2.node(), 7, &ccq).await.unwrap();
             let _sqp = accept.await;
-            // Default max_batch is 16: 20 reads ring exactly two doorbells.
+            // `MAX_BATCH` is 16: 20 reads ring exactly two doorbells.
             let server_buf = b2.alloc(20 * 4).unwrap();
             let mr = b2.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
             let wrs: Vec<BatchWr> = (0..20u64)
@@ -2534,11 +2573,19 @@ mod tests {
                     BatchWr::read(i, dst, mr.token().at(i * 4, 4).unwrap())
                 })
                 .collect();
+            let t0 = a.sim().now();
             cqp.post_batch(&wrs).unwrap();
             for i in 0..20u64 {
                 let cqe = ccq.next().await;
                 assert_eq!(cqe.wr_id, i);
                 assert!(cqe.status.is_ok());
+                if i == 0 {
+                    // The first doorbell waits for its whole chunk's WQEs:
+                    // the head's post overhead and 15 linked WRs.
+                    let build = POST_OVERHEAD + 15 * BATCH_WR_OVERHEAD;
+                    assert_eq!(a.sim().now() - t0, build + idle_read_rtt(4));
+                    assert_eq!(build, Duration::from_nanos(750));
+                }
             }
             assert_eq!(a.metrics().counter("rdma.doorbells"), 2);
             let h = a.metrics().histogram("rdma.doorbell_wrs").unwrap();

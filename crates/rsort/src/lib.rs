@@ -5,7 +5,7 @@
 //! pipeline: after splitter agreement, the entire shuffle is RDMA writes to
 //! *final* output locations — there is no receiving CPU, no re-spooling, no
 //! framework between a worker and remote DRAM. See [`distributed`] for the
-//! phase structure, [`plan`] for the routing math and [`twin`] for how a
+//! phase structure, [`plan`] for the routing math and [`twin`](mod@twin) for how a
 //! fluid (sizes-only) run is tied to a real one.
 //!
 //! One worker body serves both modes: a real run sorts real records, a

@@ -6,7 +6,7 @@
 //! cargo run -p integration --release --example terasort
 //! ```
 
-use baseline::hadoop::{terasort_time, HadoopConfig};
+use baseline::hadoop::terasort_time;
 use fabric::FabricConfig;
 use rsort::{distributed, twin, SortConfig, SortMode};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
@@ -42,11 +42,11 @@ fn main() -> rstore::Result<()> {
     assert!(t.verified && t.agrees());
 
     // --- part 2: 64 GiB fluid run vs Hadoop model ---------------------------
-    let gib = 64u64;
+    let (gib, machines) = (64u64, 12);
     let cluster = Cluster::boot(ClusterConfig {
-        clients: 12,
+        clients: machines,
         fabric: FabricConfig::fluid(),
-        ..ClusterConfig::with_servers(12)
+        ..ClusterConfig::with_servers(machines)
     })?;
     let sim = cluster.sim.clone();
     let devs = cluster.client_devs.clone();
@@ -65,7 +65,7 @@ fn main() -> rstore::Result<()> {
         distributed::create_fluid_input(&loader, &cfg, (gib << 30) / RECORD_BYTES as u64).await?;
         distributed::run(&devs, master, cfg).await
     })?;
-    let hadoop = terasort_time(&HadoopConfig::default(), gib << 30);
+    let hadoop = terasort_time(machines as u32, gib << 30);
     println!(
         "rsort  {gib} GiB on 12 machines: {:.1}s  (partition {:.1}s, shuffle {:.1}s, sort {:.1}s)",
         outcome.total.as_secs_f64(),
