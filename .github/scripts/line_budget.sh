@@ -14,8 +14,10 @@
 # and of the graph framework (one superstep worker for every kernel) and of
 # the message-passing baseline and the gang runner every multi-worker job
 # steps through and of the timing model's calibration (one named constant
-# per value no caller varies: DESIGN.md "Calibration constants"), and fails
-# when one outgrows its ceiling. Every data-path QP —
+# per value no caller varies: DESIGN.md "Calibration constants") and of the
+# bench report (one entry form per experiment, built by its own module, and
+# one registry of ids: EXPERIMENTS.md "Baselines and the exact gate"), and
+# fails when one outgrows its ceiling. Every data-path QP —
 # a client's, the scrubber's, an extent copy's — comes from one dialer
 # (DESIGN.md "One data-QP dialer"): a second QP cache beside it would not fit
 # under the master, region and control-plane ceilings. Every posted WR and
@@ -95,7 +97,7 @@ group 'control plane (5)' 1314 crates/core/src/{client,server,rpc,proto,error}.r
 group 'sim recording spine (5)' 1454 crates/sim/src/{trace,ledger,optrace,timeseries,metrics}.rs
 # The paced verified-KV driver and the three experiments that run on it, as
 # one total: a second copy of the worker loop would not fit under this.
-group 'fault episodes (4)' 881 crates/bench/src/episode.rs \
+group 'fault episodes (4)' 878 crates/bench/src/episode.rs \
     crates/bench/src/experiments/{e13_timeline,e15_elasticity,e17_forensics}.rs
 # The sorter's worker and its planning math, as one total: real and fluid
 # runs share one worker body, and the mode is consulted only at the five
@@ -106,8 +108,14 @@ check crates/rsort/src/distributed.rs 295
 group 'rsort (2)' 367 crates/rsort/src/{distributed,plan}.rs
 # The comparison, the self-check and the two binaries that run and gate the
 # suite, as one total: a second comparison mode would not fit under this.
-group 'baseline gate (4)' 371 crates/bench/src/{diff,check}.rs \
+group 'baseline gate (4)' 370 crates/bench/src/{diff,check}.rs \
     crates/bench/src/bin/{bench,figures}.rs
+# Every experiment's report entry, as one total: each module builds its own
+# entry from its one measurement, a stats struct's block is its field list
+# (`export_fields!`) and `report::EXPERIMENTS` is the one list of ids. A
+# second per-experiment export path beside the registry would not fit under
+# this, and neither would a key restated by hand beside a field list.
+group 'bench report (18)' 4008 crates/bench/src/report.rs crates/bench/src/experiments/*.rs
 # The graph framework, as one total: PageRank, WCC and SSSP run one pull
 # superstep body, and BFS shares its job setup and convergence vote
 # (`rgraph::run`, DESIGN.md S5); the workers run as one gang, and the first

@@ -10,6 +10,9 @@
 //! figures --json --runid seed all > figures_output.txt   # re-baseline
 //! ```
 //!
+//! Every argument is checked before anything runs: one that is neither a
+//! flag, `all` nor an experiment id is a usage error (exit status 2).
+//!
 //! Each experiment is measured once per invocation, and its tables are
 //! printed to stdout from that measurement. `--json` also writes the same
 //! measurement to `BENCH_<runid>.json` — the tables plus structured extras
@@ -21,7 +24,7 @@
 //! Perfetto / `chrome://tracing`. The run id defaults to the Unix
 //! timestamp; pass `--runid` to pin it.
 
-use bench::{experiments, json, report};
+use bench::{json, report};
 
 /// Run ids are embedded in output filenames (`BENCH_<runid>.json`), so they
 /// must not contain path separators or shell metacharacters.
@@ -52,12 +55,13 @@ fn main() {
                 )),
                 None => usage_error("--runid needs a value"),
             },
-            other => ids.push(other.to_string()),
+            id if id == "all" || report::registered(id).is_some() => ids.push(arg),
+            other => usage_error(&format!("unknown argument {other:?}")),
         }
     }
     let explicit_ids = !ids.is_empty();
     let ids: Vec<&str> = if ids.is_empty() || ids.iter().any(|a| a == "all") {
-        experiments::ALL.to_vec()
+        report::EXPERIMENTS.iter().map(|e| e.0).collect()
     } else {
         ids.iter().map(String::as_str).collect()
     };

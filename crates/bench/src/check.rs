@@ -1,18 +1,14 @@
 //! Verifies the invariants a `BENCH_*.json` report asserts about itself.
 //!
 //! Backs the `bench check` CLI, which replaced CI's per-experiment `grep`s:
-//! every E6–E17 entry of a report carries an `asserts` array of
+//! every entry of a self-checking experiment (E6–E17, flagged in
+//! [`crate::report::EXPERIMENTS`]) carries an `asserts` array of
 //! `{name, expected, observed, pass}` built from the stats the experiment
-//! already computes ([`crate::report`]). A report is in policy when every
-//! such entry has the array and every assert in it passed.
+//! already computes. A report is in policy when every such entry has the
+//! array and every assert in it passed.
 
 use crate::json::Json;
-
-/// The experiments that must assert their invariants (the ones whose claims
-/// are correctness or cost invariants rather than curves).
-const SELF_CHECKING: [&str; 12] = [
-    "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15", "e16", "e17",
-];
+use crate::report::registered;
 
 /// Returns one line per violation in `report`: a failed assert, or a
 /// self-checking experiment without an `asserts` array. Empty means the
@@ -36,7 +32,7 @@ pub fn check_report(report: &Json) -> Result<Vec<String>, String> {
             _ => None,
         };
         let Some(Json::Arr(asserts)) = asserts else {
-            if SELF_CHECKING.contains(&id.as_str()) {
+            if registered(id).is_some_and(|e| e.2) {
                 violations.push(format!("{id}: no `asserts` block"));
             }
             continue;

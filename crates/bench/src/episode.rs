@@ -14,7 +14,9 @@ use std::time::Duration;
 
 use fabric::FaultPlan;
 use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, RStoreClient, RegionState};
-use sim::{DetRng, Sim, SimTime};
+use sim::{DetRng, Sim, SimTime, Window};
+
+use crate::report::export_fields;
 
 /// Concurrent workers. Each owns a disjoint slice of the keys, so a put
 /// never races a get on the same slot; there are several so that every
@@ -84,6 +86,24 @@ pub struct Totals {
     pub value_errors: u64,
     /// Ops given up after `MAX_ATTEMPTS` failures.
     pub abandoned: u64,
+}
+
+export_fields!(Totals: ops, io_errors, value_errors, abandoned);
+
+/// The p99 of the histogram `series` around the virtual instant `at_ns` of
+/// a sampled run: the index of the window holding `at_ns` (0 when none
+/// does), the p99 of the window before it, the highest p99 from it on, and
+/// the p99 of the last window that carried traffic (0 where there is no
+/// such window).
+pub fn p99_around(windows: &[Window], series: &str, at_ns: u64) -> (usize, u64, u64, u64) {
+    let p99 = |w: &Window| w.histograms[series].p99;
+    let holds = |w: &Window| (w.start_ns..w.end_ns).contains(&at_ns);
+    let busy = |w: &&Window| w.histograms[series].count > 0;
+    let at = windows.iter().position(holds).unwrap_or(0);
+    let pre = at.checked_sub(1).map_or(0, |i| p99(&windows[i]));
+    let spike = windows[at..].iter().map(p99).max().unwrap_or(0);
+    let last = windows.iter().rev().find(busy).map_or(0, p99);
+    (at, pre, spike, last)
 }
 
 /// Virtual time elapsed since the simulation began.

@@ -9,7 +9,7 @@
 //! claim) zero data errors end to end.
 //!
 //! The run is fully virtual-time and seeded, so two runs produce identical
-//! numbers — the report test asserts exactly that.
+//! numbers — the module test asserts exactly that.
 
 use std::cell::Cell;
 use std::rc::Rc;
@@ -19,6 +19,7 @@ use fabric::FaultPlan;
 use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig, RStoreClient, RegionState};
 use sim::DetRng;
 
+use crate::report::{export_fields, Entry};
 use crate::table::{fmt_dur, Table};
 
 const SEED: u64 = 0xE10;
@@ -46,6 +47,9 @@ pub struct AvailabilityStats {
     /// Whether the final lookup after repair reported `Healthy`.
     pub healthy_after_repair: bool,
 }
+
+export_fields!(AvailabilityStats: ops_total, io_errors, data_errors, kill_ns, recovery_ns,
+    degraded_window_ns, healthy_after_repair);
 
 /// Runs the availability scenario once and collects its metrics.
 pub fn measure() -> AvailabilityStats {
@@ -213,6 +217,18 @@ fn pattern(block: u64) -> Vec<u8> {
     (0..BLOCK as usize)
         .map(|i| ((block * 131 + i as u64 * 7 + 13) % 251) as u8)
         .collect()
+}
+
+/// E10's report entry from one measurement: the `availability` block, and
+/// the asserts that no read returned wrong bytes and that repair restored
+/// health.
+pub fn entry(s: &AvailabilityStats) -> Entry {
+    let mut e = Entry::new(tables(s));
+    e.block("availability", s);
+    let a = &mut e.asserts;
+    a.eq("data_errors", s.data_errors, 0);
+    a.holds("healthy_after_repair", s.healthy_after_repair);
+    e
 }
 
 /// Renders E10's tables from one measurement.

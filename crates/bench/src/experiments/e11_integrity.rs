@@ -31,6 +31,7 @@ use rstore::{
 };
 use sim::DetRng;
 
+use crate::report::{export_fields, Entry};
 use crate::table::{fmt_dur, Table};
 
 const SEED: u64 = 0xE11;
@@ -71,6 +72,10 @@ pub struct IntegrityStats {
     /// Clean-run data-path read p99 with the scrubber sweeping, ns.
     pub read_p99_scrub_on_ns: u64,
 }
+
+export_fields!(IntegrityStats: injected_in_flight, injected_at_rest, detected, false_positives,
+    data_errors, loud_errors, scrub_passes, detect_latency_mean_ns, detect_latency_max_ns,
+    healthy_after_repair, read_p99_scrub_off_ns, read_p99_scrub_on_ns);
 
 fn boot(scrub: bool, scrub_interval: Duration) -> Cluster {
     let fast = ClusterConfig::fast_detection(4);
@@ -396,6 +401,22 @@ pub fn measure() -> IntegrityStats {
         read_p99_scrub_off_ns: p99_off,
         read_p99_scrub_on_ns: p99_on,
     }
+}
+
+/// E11's report entry from one measurement: the `integrity` block, and the
+/// asserts that no read returned wrong bytes, that the clean runs stayed
+/// silent, that every injected flip was detected and that repair restored
+/// health.
+pub fn entry(s: &IntegrityStats) -> Entry {
+    let mut e = Entry::new(tables(s));
+    e.block("integrity", s);
+    let a = &mut e.asserts;
+    a.eq("data_errors", s.data_errors, 0);
+    a.eq("false_positives", s.false_positives, 0);
+    let injected = s.injected_in_flight + s.injected_at_rest;
+    a.eq("detected", s.detected, injected);
+    a.holds("healthy_after_repair", s.healthy_after_repair);
+    e
 }
 
 /// Renders E11's tables from one measurement.

@@ -24,6 +24,7 @@ use rdma::DmaBuf;
 use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, RStoreClient, Region};
 use sim::{Level, OpSummary};
 
+use crate::report::{export_fields, op_row, Entry};
 use crate::table::{fmt_bytes, Table};
 
 /// Ops per size and arm.
@@ -37,7 +38,7 @@ const SIZES: [u64; 3] = [4 << 10, 16 << 10, 64 << 10];
 #[derive(Clone, Copy, Debug)]
 pub struct SizeStats {
     /// Request size in bytes.
-    pub size: u64,
+    pub size_bytes: u64,
     /// Streaming throughput of awaited per-op reads.
     pub per_op_gbps: f64,
     /// Streaming throughput of batched posting rounds.
@@ -49,6 +50,16 @@ pub struct SizeStats {
     /// Throughput of one verified read of all `OPS` stripes.
     pub ck_gbps: f64,
 }
+
+impl SizeStats {
+    /// Batched-over-per-op throughput.
+    pub fn batched_speedup(&self) -> f64 {
+        self.batched_gbps / self.per_op_gbps
+    }
+}
+
+export_fields!(SizeStats: size_bytes, per_op_gbps, batched_gbps, per_op_doorbells,
+    batched_doorbells, ck_gbps; batched_speedup());
 
 /// The sub-stripe arm: awaited 4 KiB verified reads and writes on a
 /// checksummed region whose stripe is sixteen times the IO.
@@ -80,6 +91,9 @@ impl SubStripeStats {
     }
 }
 
+export_fields!(SubStripeStats: io_bytes, stripe_bytes, replicas, read_gbps, write_gbps,
+    read_wire_bytes_per_op, write_wire_bytes_per_op);
+
 /// Aggregate E12 results.
 #[derive(Clone, Debug)]
 pub struct SmallIoStats {
@@ -89,35 +103,43 @@ pub struct SmallIoStats {
     pub ck_substripe: SubStripeStats,
     /// Reads whose bytes did not match the prefilled pattern (must be 0).
     pub data_errors: u64,
+    /// The per-op cost profile (`ops_profile`), on a cluster of its own.
+    pub ops: Vec<OpSummary>,
 }
+
+export_fields!(SmallIoStats: sizes, ck_substripe, data_errors; speedup_4k());
 
 impl SmallIoStats {
     fn at(&self, size: u64) -> &SizeStats {
         self.sizes
             .iter()
-            .find(|s| s.size == size)
+            .find(|s| s.size_bytes == size)
             .expect("measured size")
     }
 
     /// Batched-over-per-op speedup at 4 KiB — the headline claim.
     pub fn speedup_4k(&self) -> f64 {
-        let s = self.at(4 << 10);
-        s.batched_gbps / s.per_op_gbps
+        self.at(4 << 10).batched_speedup()
     }
 
     /// Doorbells per op in the batched arm at 4 KiB.
     pub fn batched_doorbells_4k(&self) -> f64 {
         self.at(4 << 10).batched_doorbells
     }
+
+    /// Whether the profile's batched `multi_get` rang fewer doorbells than
+    /// it looked up keys — the whole point of doorbell-batched multi-key
+    /// reads.
+    pub fn multi_get_doorbells_lt_one(&self) -> bool {
+        op_row(&self.ops, "multi_get").is_some_and(|s| s.doorbells_total < s.units)
+    }
 }
 
-/// The deterministic byte at region offset `off`.
-fn pattern_byte(off: u64) -> u8 {
-    ((off.wrapping_mul(31) + 7) % 251) as u8
-}
-
-fn pattern(off: u64, len: u64) -> Vec<u8> {
-    (0..len).map(|i| pattern_byte(off + i)).collect()
+/// The deterministic bytes at region offset `off`, the same for every
+/// experiment that verifies what it reads back.
+pub(crate) fn pattern(off: u64, len: u64) -> Vec<u8> {
+    let byte = |at: u64| ((at.wrapping_mul(37) + 11) % 251) as u8;
+    (off..off + len).map(byte).collect()
 }
 
 /// Runs all arms for every size and collects the stats.
@@ -134,7 +156,41 @@ pub fn measure() -> SmallIoStats {
         sizes,
         ck_substripe,
         data_errors: data_errors + errs,
+        ops: profile(),
     }
+}
+
+/// E12's ops profile: 4 servers, eight 4 KiB reads of a 1 MiB region
+/// striped at 64 KiB whose first 256 KiB are written.
+fn profile() -> Vec<OpSummary> {
+    let cluster = ClusterConfig {
+        clients: 1,
+        ..ClusterConfig::with_servers(4)
+    };
+    let io = IoShape {
+        region: 1 << 20,
+        stripe: 64 << 10,
+        fill: 256 << 10,
+        read: 4 << 10,
+        reads: 8,
+    };
+    ops_profile(cluster, io, "e12")
+}
+
+/// E12's report entry from one measurement: the `smallio` block and the
+/// profile's `ops` ledger, and the asserts behind the headline claims.
+pub fn entry(s: &SmallIoStats) -> Entry {
+    let mut e = Entry::new(tables(s));
+    e.block("smallio", s);
+    let a = &mut e.asserts;
+    a.eq("data_errors", s.data_errors, 0);
+    a.holds("speedup_4k_ok", s.speedup_4k() >= 1.5);
+    a.holds("batched_doorbells_lt_one", s.batched_doorbells_4k() < 1.0);
+    let no_amplification = s.ck_substripe.no_amplification();
+    a.holds("ck_substripe_no_amplification", no_amplification);
+    a.holds("multi_get_doorbells_lt_one", s.multi_get_doorbells_lt_one());
+    e.ops(&s.ops);
+    e
 }
 
 /// The `ck_substripe` arm, on a cluster of its own with recording at
@@ -192,7 +248,7 @@ fn measure_substripe() -> (SubStripeStats, u64) {
         // Wire bytes per op over the timed loops alone.
         let wire = |op: &str| {
             let row = |rows: &[OpSummary]| {
-                let r = rows.iter().find(|r| r.op == op).expect("ledger row");
+                let r = op_row(rows, op).expect("ledger row");
                 (r.bytes_total, r.count)
             };
             let ((b0, n0), (b1, n1)) = (row(&before), row(&after));
@@ -293,7 +349,7 @@ fn measure_size(size: u64) -> (SizeStats, u64) {
             let gbps = |secs: f64| total as f64 * 8.0 / secs / 1e9;
             (
                 SizeStats {
-                    size,
+                    size_bytes: size,
                     per_op_gbps: gbps(per_op_secs),
                     batched_gbps: gbps(batched_secs),
                     per_op_doorbells,
@@ -309,58 +365,45 @@ fn measure_size(size: u64) -> (SizeStats, u64) {
 /// Keys in the per-op cost profile's KV phase.
 const PROFILE_KEYS: u64 = 32;
 
+/// The plain-region half of an ops profile: a region of `region` bytes
+/// striped at `stripe`, its first `fill` bytes written, then `reads` reads
+/// of `read` bytes, one after another through the region.
+pub(crate) struct IoShape {
+    pub region: u64,
+    pub stripe: u64,
+    pub fill: u64,
+    pub read: u64,
+    pub reads: u64,
+}
+
 /// Per-op cost attribution for one representative burst of every data-path
-/// op type, measured with the client's [`sim::OpLedger`] enabled.
+/// op type, on a fresh cluster booted from `cluster` with recording at
+/// `Level::Costs`: the plain-region IO of `io` and one batched round of
+/// sixteen 4 KiB reads, a verified write and read of 128 KiB on a
+/// checksummed region, and on a KV table puts, warm gets, one batched
+/// `multi_get` and deletes. Its regions and table are named after
+/// `prefix`.
 ///
-/// Derived from the same deterministic simulation as the throughput arms
-/// but on its own fresh cluster, so enabling the ledger cannot perturb the
-/// timed runs. All-integer ([`OpSummary`] is `Eq`), so two seeded runs must
-/// produce an identical profile — the report test asserts it.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct OpsProfile {
-    /// One row per op type, lexicographic (`cas`, `get`, `multi_get`, …).
-    pub ops: Vec<OpSummary>,
-}
-
-impl OpsProfile {
-    fn row(&self, op: &str) -> &OpSummary {
-        self.ops
-            .iter()
-            .find(|s| s.op == op)
-            .expect("profiled op type")
-    }
-
-    /// Whether the batched `multi_get` rang fewer doorbells than it looked
-    /// up keys — the whole point of doorbell-batched multi-key reads.
-    pub fn multi_get_doorbells_lt_one(&self) -> bool {
-        let s = self.row("multi_get");
-        s.doorbells_total < s.units
-    }
-}
-
-/// Runs the ledger-enabled op burst and summarises its cost attribution.
-pub fn ops_profile() -> OpsProfile {
-    let cluster = Cluster::boot(ClusterConfig {
-        clients: 1,
-        ..ClusterConfig::with_servers(4)
-    })
-    .expect("boot");
+/// On its own cluster, so recording cannot perturb timed runs; all-integer
+/// ([`OpSummary`] is `Eq`), so two seeded runs produce an identical profile.
+pub(crate) fn ops_profile(cluster: ClusterConfig, io: IoShape, prefix: &str) -> Vec<OpSummary> {
+    let cluster = Cluster::boot(cluster).expect("boot");
     let sim = cluster.sim.clone();
     sim.recorder().enable(Level::Costs, 0);
-    let ops = sim.block_on(async move {
+    let prefix = prefix.to_string();
+    sim.block_on(async move {
         let dev = cluster.client_devs[0].clone();
         let client = cluster.client(0).await.expect("client");
-
-        // Plain region: write, per-op reads, one batched posting round.
         let opts = AllocOptions {
-            stripe_size: 64 << 10,
+            stripe_size: io.stripe,
             ..AllocOptions::default()
         };
-        let region = client.alloc("e12ops", 1 << 20, opts).await.expect("alloc");
-        let fill = pattern(0, 256 << 10);
-        region.write(0, &fill).await.expect("write");
-        for op in 0..8u64 {
-            region.read(op * (4 << 10), 4 << 10).await.expect("read");
+        let name = format!("{prefix}ops");
+        let region = client.alloc(&name, io.region, opts).await.expect("alloc");
+        region.write(0, &pattern(0, io.fill)).await.expect("write");
+        for op in 0..io.reads {
+            let off = (op * io.read) % io.region;
+            region.read(off, io.read).await.expect("read");
         }
         let batch_buf = dev.alloc(BATCH * (4 << 10)).expect("buf");
         let ios: Vec<(u64, DmaBuf)> = (0..BATCH)
@@ -369,37 +412,28 @@ pub fn ops_profile() -> OpsProfile {
         region.read_into_many(&ios).await.expect("read_many");
         dev.free(batch_buf).expect("free");
 
-        // Checksummed region: verified write and read (`write_ck`/`read_ck`).
         let ck_opts = AllocOptions {
             stripe_size: 16 << 10,
             checksums: true,
             ..AllocOptions::default()
         };
+        let name = format!("{prefix}opsck");
         let ck = client
-            .alloc("e12opsck", 256 << 10, ck_opts)
+            .alloc(&name, 256 << 10, ck_opts)
             .await
             .expect("alloc ck");
-        ck.write(0, &fill[..128 << 10]).await.expect("write ck");
+        ck.write(0, &pattern(0, 128 << 10)).await.expect("write ck");
         ck.read(0, 128 << 10).await.expect("read ck");
 
-        // KV: puts, warm gets, one batched multi_get, deletes.
-        let cfg = KvConfig {
-            buckets: 4096,
-            slot_bytes: 256,
-            max_probe: 64,
-            opts: AllocOptions {
-                stripe_size: 128 << 10,
-                ..AllocOptions::default()
-            },
-        };
-        let table = KvTable::create(&client, "e12kv", cfg)
+        let name = format!("{prefix}opskv");
+        let table = KvTable::create(&client, &name, KvConfig::default())
             .await
             .expect("create");
         let keys: Vec<Vec<u8>> = (0..PROFILE_KEYS)
-            .map(|k| format!("op{k:03}").into_bytes())
+            .map(|k| format!("raw{k:03}").into_bytes())
             .collect();
         for key in &keys {
-            table.put(key, b"profiled-value").await.expect("put");
+            table.put(key, b"raw-speed-value").await.expect("put");
         }
         for key in &keys[..8] {
             table.get(key).await.expect("get");
@@ -410,15 +444,13 @@ pub fn ops_profile() -> OpsProfile {
         for key in &keys[..4] {
             table.delete(key).await.expect("delete");
         }
-
         sim::ledger::summarize(&dev.metrics())
-    });
-    OpsProfile { ops }
+    })
 }
 
 /// Compares `len` bytes of local memory at `addr` against the pattern for
 /// region offset `off`; returns 1 on mismatch.
-fn verify(region: &Region, addr: u64, off: u64, len: u64) -> u64 {
+pub(crate) fn verify(region: &Region, addr: u64, off: u64, len: u64) -> u64 {
     let got = region
         .client()
         .device()
@@ -442,10 +474,10 @@ pub fn tables(stats: &SmallIoStats) -> Vec<Table> {
     );
     for s in &stats.sizes {
         t1.row(vec![
-            fmt_bytes(s.size),
+            fmt_bytes(s.size_bytes),
             format!("{:.2}", s.per_op_gbps),
             format!("{:.2}", s.batched_gbps),
-            format!("{:.2}x", s.batched_gbps / s.per_op_gbps),
+            format!("{:.2}x", s.batched_speedup()),
             format!("{:.2}", s.per_op_doorbells),
             format!("{:.3}", s.batched_doorbells),
         ]);
@@ -457,7 +489,7 @@ pub fn tables(stats: &SmallIoStats) -> Vec<Table> {
         &["IO size", "Gb/s"],
     );
     for s in &stats.sizes {
-        t2.row(vec![fmt_bytes(s.size), format!("{:.2}", s.ck_gbps)]);
+        t2.row(vec![fmt_bytes(s.size_bytes), format!("{:.2}", s.ck_gbps)]);
     }
     t2.note(format!(
         "rounds of <= 4 MiB of frames, each wholly in flight; data errors across all arms: {}",
@@ -510,7 +542,7 @@ mod tests {
             assert!(
                 s.ck_gbps > s.per_op_gbps,
                 "one verified read slower than awaited plain reads at {} bytes",
-                s.size
+                s.size_bytes
             );
         }
         let z = &stats.ck_substripe;
@@ -521,8 +553,8 @@ mod tests {
 
     #[test]
     fn ops_profile_is_deterministic_and_batched() {
-        let a = ops_profile();
-        let names: Vec<&str> = a.ops.iter().map(|s| s.op.as_str()).collect();
+        let a = profile();
+        let names: Vec<&str> = a.iter().map(|s| s.op.as_str()).collect();
         for op in [
             "cas",
             "delete",
@@ -542,25 +574,26 @@ mod tests {
         // timing: a warm first-probe get is exactly one posting round, a
         // cold put is probe + CAS + single publishing write, and the batched
         // multi_get amortises its doorbells across keys.
-        let get = a.row("get");
+        let row = |op: &str| op_row(&a, op).expect("profiled op type");
+        let get = row("get");
         assert_eq!((get.rtts_p50, get.rtts_max), (1, 1), "warm get RTTs");
         assert_eq!(get.retries + get.failovers, 0, "warm gets must be clean");
-        let put = a.row("put");
+        let put = row("put");
         assert_eq!((put.rtts_p50, put.rtts_max), (3, 3), "cold put RTTs");
-        let mg = a.row("multi_get");
+        let mg = row("multi_get");
         assert_eq!(mg.units, PROFILE_KEYS, "multi_get must cover every key");
         assert!(
-            a.multi_get_doorbells_lt_one(),
+            mg.doorbells_total < mg.units,
             "multi_get rang {} doorbells for {} keys",
             mg.doorbells_total,
             mg.units
         );
-        for s in &a.ops {
+        for s in &a {
             assert_eq!(s.verify_failures, 0, "{}: clean run verify failures", s.op);
             assert!(s.bytes_total > 0, "{}: ops must move wire bytes", s.op);
         }
 
-        let b = ops_profile();
+        let b = profile();
         assert_eq!(a, b, "seeded op profile must be identical across runs");
     }
 }

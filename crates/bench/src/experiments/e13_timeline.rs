@@ -9,13 +9,14 @@
 //! collapse back to baseline once the master's repair lands.
 //!
 //! The run is fully virtual-time and seeded: two runs produce byte-identical
-//! window series, which the report test asserts.
+//! window series and exports, which the module test asserts.
 
 use std::time::Duration;
 
 use sim::{Level, OpSummary, Sampler, Window};
 
-use crate::episode::{crash_episode, OpSeries, KILL_AT};
+use crate::episode::{crash_episode, p99_around, OpSeries, Totals, KILL_AT};
+use crate::report::{export_fields, Entry};
 use crate::table::{fmt_dur, Table};
 
 const SEED: u64 = 0xE13;
@@ -32,14 +33,8 @@ pub const COUNTER_SERIES: [&str; 3] = ["e13.ops", "e13.errors", "rdma.doorbells"
 pub struct TimelineStats {
     /// Sampled windows, in virtual-time order.
     pub windows: Vec<Window>,
-    /// Workload operations completed (each op retries until it succeeds).
-    pub ops_total: u64,
-    /// Transient op attempts that surfaced an IO error to the client.
-    pub io_errors: u64,
-    /// Gets whose value did not match the expected pattern. Must be 0.
-    pub value_errors: u64,
-    /// Ops abandoned after exhausting their retry budget. Must be 0.
-    pub abandoned: u64,
+    /// The traffic's op and error counts.
+    pub totals: Totals,
     /// Virtual time of the server kill, ns.
     pub kill_ns: u64,
     /// Sampling window length, ns.
@@ -51,49 +46,34 @@ pub struct TimelineStats {
     /// Unlike E12's clean-path profile, this one crosses a server crash, so
     /// the retry/failover columns are the episode's fingerprint.
     pub ops: Vec<OpSummary>,
-}
-
-impl TimelineStats {
     /// Index of the window containing the kill instant.
-    pub fn fault_window(&self) -> usize {
-        self.windows
-            .iter()
-            .position(|w| w.start_ns <= self.kill_ns && self.kill_ns < w.end_ns)
-            .expect("kill instant must land inside the sampled timeline")
-    }
-
-    fn latency(&self, w: &Window) -> (u64, u64) {
-        let h = &w.histograms[LATENCY_SERIES];
-        (h.count, h.p99)
-    }
-
-    /// p99 of the last full window before the fault (steady-state baseline).
-    pub fn pre_fault_p99(&self) -> u64 {
-        let (count, p99) = self.latency(&self.windows[self.fault_window() - 1]);
-        assert!(count > 0, "pre-fault window must carry traffic");
-        p99
-    }
-
+    pub fault_window: usize,
+    /// p99 of the last window before the fault (steady-state baseline).
+    pub pre_fault_p99_us: u64,
     /// Highest window p99 from the fault window onward — the spike.
-    pub fn spike_p99(&self) -> u64 {
-        self.windows[self.fault_window()..]
-            .iter()
-            .map(|w| self.latency(w).1)
-            .max()
-            .unwrap_or(0)
-    }
-
+    pub spike_p99_us: u64,
     /// p99 of the last window that carried traffic — after repair, this is
     /// back at steady state.
-    pub fn recovery_p99(&self) -> u64 {
-        self.windows
-            .iter()
-            .rev()
-            .map(|w| self.latency(w))
-            .find(|&(count, _)| count > 0)
-            .expect("some window must carry traffic")
-            .1
-    }
+    pub recovery_p99_us: u64,
+}
+
+export_fields!(TimelineStats: window_ns, kill_ns, totals, healthy_after_repair, windows,
+    fault_window, pre_fault_p99_us, spike_p99_us, recovery_p99_us);
+
+/// E13's report entry from one measurement: the `timeline` block and the
+/// episode's `ops` ledger, and the asserts that no op read wrong data or
+/// was abandoned, that the kill was client-visible and that repair
+/// restored health.
+pub fn entry(s: &TimelineStats) -> Entry {
+    let mut e = Entry::new(tables(s));
+    e.block("timeline", s);
+    let a = &mut e.asserts;
+    a.eq("value_errors", s.totals.value_errors, 0);
+    a.eq("abandoned", s.totals.abandoned, 0);
+    a.positive("io_errors", s.totals.io_errors);
+    a.holds("healthy_after_repair", s.healthy_after_repair);
+    e.ops(&s.ops);
+    e
 }
 
 /// Runs the telemetry scenario once and collects the timeline.
@@ -115,16 +95,20 @@ pub fn measure() -> TimelineStats {
         (sampler, metrics)
     });
     let (sampler, metrics) = &ep.recording;
+    let (windows, kill_ns) = (sampler.windows(), KILL_AT.as_nanos() as u64);
+    let (fault_window, pre_fault_p99_us, spike_p99_us, recovery_p99_us) =
+        p99_around(&windows, LATENCY_SERIES, kill_ns);
     let stats = TimelineStats {
-        windows: sampler.windows(),
-        ops_total: ep.totals.ops,
-        io_errors: ep.totals.io_errors,
-        value_errors: ep.totals.value_errors,
-        abandoned: ep.totals.abandoned,
-        kill_ns: KILL_AT.as_nanos() as u64,
+        windows,
+        totals: ep.totals,
+        kill_ns,
         window_ns: WINDOW.as_nanos() as u64,
         healthy_after_repair: ep.healthy_after_repair,
         ops: sim::ledger::summarize(metrics),
+        fault_window,
+        pre_fault_p99_us,
+        spike_p99_us,
+        recovery_p99_us,
     };
     // With the numbers taken: the crash dropped messages mid-flight, and
     // each must have released its payload pin.
@@ -170,12 +154,12 @@ pub fn tables(s: &TimelineStats) -> Vec<Table> {
     t.note(format!(
         "p99 spike {}x over pre-fault baseline, recovery p99 {} us vs baseline {} us; \
          {} ops, {} transient errors, {} value errors, post-episode lookup {}",
-        s.spike_p99() / s.pre_fault_p99().max(1),
-        s.recovery_p99(),
-        s.pre_fault_p99(),
-        s.ops_total,
-        s.io_errors,
-        s.value_errors,
+        s.spike_p99_us / s.pre_fault_p99_us.max(1),
+        s.recovery_p99_us,
+        s.pre_fault_p99_us,
+        s.totals.ops,
+        s.totals.io_errors,
+        s.totals.value_errors,
         if s.healthy_after_repair {
             "Healthy"
         } else {
@@ -192,26 +176,39 @@ mod tests {
     #[test]
     fn timeline_shows_spike_and_recovery_and_is_deterministic() {
         let a = measure();
-        assert_eq!(a.value_errors, 0, "KV reads must never return wrong data");
-        assert_eq!(a.abandoned, 0, "every op must eventually succeed");
-        assert!(a.io_errors > 0, "the kill must be client-visible");
+        assert_eq!(
+            a.totals.value_errors, 0,
+            "KV reads must never return wrong data"
+        );
+        assert_eq!(a.totals.abandoned, 0, "every op must eventually succeed");
+        assert!(a.totals.io_errors > 0, "the kill must be client-visible");
         assert!(a.healthy_after_repair, "repair must restore health");
-        assert!(a.fault_window() >= 1, "need a pre-fault baseline window");
+        assert!(a.fault_window >= 1, "need a pre-fault baseline window");
+        let fault = &a.windows[a.fault_window];
+        let killed = fault.start_ns <= a.kill_ns && a.kill_ns < fault.end_ns;
+        assert!(killed, "kill instant must land inside the sampled timeline");
+        let carried = |w: &Window| w.histograms[LATENCY_SERIES].count > 0;
+        let pre_window = &a.windows[a.fault_window - 1];
+        assert!(carried(pre_window), "pre-fault window must carry traffic");
+        assert!(
+            a.windows.iter().any(carried),
+            "some window must carry traffic"
+        );
 
         // The timeline must visibly show the episode: p99 spikes by at
         // least an order of magnitude in the fault era, then the last
         // traffic-carrying window is back near the pre-fault baseline.
-        let pre = a.pre_fault_p99();
+        let pre = a.pre_fault_p99_us;
         assert!(
-            a.spike_p99() > 10 * pre,
+            a.spike_p99_us > 10 * pre,
             "fault-era p99 {} must dwarf pre-fault p99 {}",
-            a.spike_p99(),
+            a.spike_p99_us,
             pre
         );
         assert!(
-            a.recovery_p99() < 5 * pre.max(1),
+            a.recovery_p99_us < 5 * pre.max(1),
             "recovery p99 {} must return near baseline {}",
-            a.recovery_p99(),
+            a.recovery_p99_us,
             pre
         );
 
@@ -224,7 +221,26 @@ mod tests {
         let disturbed: u64 = a.ops.iter().map(|s| s.retries + s.failovers).sum();
         assert!(disturbed > 0, "the kill must be visible in the op ledger");
 
+        // The report entry: the per-window series and the per-op cost
+        // ledger with the RTT series the baseline gate pins exactly, every
+        // assert passing, byte-identical across seeded runs.
+        let json = entry(&a).json("e13").render();
+        crate::json::validate(&json).expect("e13 report must be valid JSON");
+        for field in [
+            "\"timeline\"",
+            "\"e13.op_latency_us\"",
+            "\"ops\"",
+            "\"rtts_per_op\"",
+            "\"doorbells_per_op\"",
+        ] {
+            assert!(json.contains(field), "e13 export must carry {field}");
+        }
+        assert!(
+            !json.contains("\"pass\": false"),
+            "an E13 assert failed:\n{json}"
+        );
         let b = measure();
         assert_eq!(a, b, "same seed must reproduce an identical timeline");
+        assert_eq!(json, entry(&b).json("e13").render(), "the export too");
     }
 }

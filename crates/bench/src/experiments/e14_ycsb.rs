@@ -35,6 +35,7 @@ use rstore::{Cluster, ClusterConfig, KvConfig, KvTable};
 use sim::{DetRng, Level, OpSummary};
 use workload::Zipf;
 
+use crate::report::{export_fields, op_row, Entry};
 use crate::table::Table;
 
 const SEED: u64 = 0xE14;
@@ -78,26 +79,37 @@ pub struct MixStats {
     pub value_errors: u64,
     /// Fleet throughput over the measured pass, ops per virtual second.
     pub ops_per_sec: f64,
-    /// Cached-index hits (hint led straight to the entry).
-    pub index_hit: u64,
-    /// Ops that started without a usable hint.
-    pub index_miss: u64,
-    /// Hints found stale (the slot's key changed) and dropped.
-    pub index_stale: u64,
-    /// Hints dropped by delete/error invalidation.
-    pub index_invalidate: u64,
-    /// Hints evicted by capacity pressure.
-    pub index_evict: u64,
+    /// The cached index's counters over the measured pass.
+    pub index: IndexCounts,
     /// Fleet-wide per-op cost attribution for the measured pass.
-    pub ops: Vec<OpSummary>,
+    pub per_op: Vec<OpSummary>,
 }
+
+export_fields!(MixStats: name, read_fraction, ops_total, value_errors, ops_per_sec, index, per_op);
 
 impl MixStats {
     /// The ledger row for `op`, if the mix issued any.
     pub fn row(&self, op: &str) -> Option<&OpSummary> {
-        self.ops.iter().find(|s| s.op == op)
+        op_row(&self.per_op, op)
     }
 }
+
+/// The `kv.index.*` counters of one pass.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct IndexCounts {
+    /// Cached-index hits (hint led straight to the entry).
+    pub hit: u64,
+    /// Ops that started without a usable hint.
+    pub miss: u64,
+    /// Hints found stale (the slot's key changed) and dropped.
+    pub stale: u64,
+    /// Hints dropped by delete/error invalidation.
+    pub invalidate: u64,
+    /// Hints evicted by capacity pressure.
+    pub evict: u64,
+}
+
+export_fields!(IndexCounts: hit, miss, stale, invalidate, evict);
 
 /// The isolated warm-path measurement (exact, not statistical).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -117,6 +129,9 @@ pub struct WarmProbe {
     pub cold_chain_get_rtts: u64,
 }
 
+export_fields!(WarmProbe: get_rtts, get_doorbells, put_rtts, put_doorbells, delete_rtts,
+    cold_chain_get_rtts);
+
 /// The online-resize phase.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ResizeStats {
@@ -132,6 +147,8 @@ pub struct ResizeStats {
     pub verify_errors: u64,
 }
 
+export_fields!(ResizeStats: keys, moved, reader_errors, refreshes, verify_errors);
+
 /// Aggregate E14 results.
 #[derive(Clone, Debug, PartialEq)]
 pub struct YcsbStats {
@@ -144,11 +161,43 @@ pub struct YcsbStats {
     /// One entry per mix in `MIXES` order.
     pub mixes: Vec<MixStats>,
     /// The exact warm-path costs.
-    pub warm: WarmProbe,
+    pub warm_probe: WarmProbe,
     /// The online-resize phase.
     pub resize: ResizeStats,
     /// Total verified-read mismatches across all phases. Must be 0.
     pub data_errors: u64,
+}
+
+export_fields!(YcsbStats: keys, clients, ops_per_client, mixes, warm_probe, resize, data_errors);
+
+/// E14's report entry from one measurement: the `ycsb` block, and the
+/// asserts that every read was exact, that the warm paths cost the paper's
+/// round trips and that the online grow failed no reader.
+pub fn entry(s: &YcsbStats) -> Entry {
+    let mut e = Entry::new(tables(s));
+    e.block("ycsb", s);
+    let a = &mut e.asserts;
+    a.eq("data_errors", s.data_errors, 0);
+    a.eq("warm_get_rtts", s.warm_probe.get_rtts, 1);
+    a.eq("warm_get_doorbells", s.warm_probe.get_doorbells, 1);
+    a.eq("cold_chain_get_rtts", s.warm_probe.cold_chain_get_rtts, 2);
+    a.eq("warm_put_rtts", s.warm_probe.put_rtts, 2);
+    a.eq("warm_delete_rtts", s.warm_probe.delete_rtts, 2);
+    a.eq("resize.reader_errors", s.resize.reader_errors, 0);
+    // Readers read through locks: no warmed get waits on a writer. A slot's
+    // version moves only when its key changes, and the mixes only update:
+    // no warmed hint goes stale, however hot its key.
+    for x in &s.mixes {
+        let get_max = x.row("get").map_or(0, |r| r.rtts_max);
+        a.eq(&format!("get.rtts_per_op.max@{}", x.name), get_max, 1);
+        a.eq(&format!("index.stale@{}", x.name), x.index.stale, 0);
+    }
+    // Lost lock rounds back off by rounds lost: mix A's herd thins out.
+    let mix_a = s.mixes.iter().find(|x| x.name == "A");
+    let put_max = mix_a.and_then(|x| x.row("put")).map_or(0, |r| r.rtts_max);
+    let bound = PUT_RTTS_MAX_A as f64;
+    a.at_most("put.rtts_per_op.max@A", put_max as f64, bound);
+    e
 }
 
 /// The deterministic value stored under key index `k`.
@@ -266,12 +315,14 @@ pub fn measure() -> YcsbStats {
                         ops_total,
                         value_errors: *errors.borrow(),
                         ops_per_sec: ops_total as f64 / elapsed,
-                        index_hit: m.counter("kv.index.hit"),
-                        index_miss: m.counter("kv.index.miss"),
-                        index_stale: m.counter("kv.index.stale"),
-                        index_invalidate: m.counter("kv.index.invalidate"),
-                        index_evict: m.counter("kv.index.evict"),
-                        ops: sim::ledger::summarize(&m),
+                        index: IndexCounts {
+                            hit: m.counter("kv.index.hit"),
+                            miss: m.counter("kv.index.miss"),
+                            stale: m.counter("kv.index.stale"),
+                            invalidate: m.counter("kv.index.invalidate"),
+                            evict: m.counter("kv.index.evict"),
+                        },
+                        per_op: sim::ledger::summarize(&m),
                     });
                 }
             }
@@ -407,7 +458,7 @@ pub fn measure() -> YcsbStats {
         let got = cold.get(&chained[6]).await.expect("cold get");
         assert_eq!(got.as_deref(), Some(&b"chain"[..]));
         let c = one("get");
-        let warm = WarmProbe {
+        let warm_probe = WarmProbe {
             get_rtts: g.rtts_max,
             get_doorbells: g.doorbells_max,
             put_rtts: p.rtts_max,
@@ -422,7 +473,7 @@ pub fn measure() -> YcsbStats {
             clients: CLIENTS as u64,
             ops_per_client: OPS_PER_CLIENT as u64,
             mixes,
-            warm,
+            warm_probe,
             resize,
             data_errors,
         }
@@ -448,7 +499,7 @@ pub fn tables(s: &YcsbStats) -> Vec<Table> {
             Some(r) => format!("{}/{}", r.rtts_p50, r.rtts_max),
             None => "-".to_string(),
         };
-        let looked = x.index_hit + x.index_miss + x.index_stale;
+        let looked = x.index.hit + x.index.miss + x.index.stale;
         t.row(vec![
             x.name.to_string(),
             format!("{:.0}%", x.read_fraction * 100.0),
@@ -456,17 +507,17 @@ pub fn tables(s: &YcsbStats) -> Vec<Table> {
             format!("{:.0}", x.ops_per_sec / 1e3),
             fmt_op(x.row("get")),
             fmt_op(x.row("put")),
-            format!("{:.1}%", x.index_hit as f64 / looked.max(1) as f64 * 100.0),
+            format!("{:.1}%", x.index.hit as f64 / looked.max(1) as f64 * 100.0),
         ]);
     }
     t.note(format!(
         "warm probe (exact): get {} RTT / {} doorbell, put {} RTTs, delete {} RTTs; \
          cold get 6 slots past home {} RTTs; data errors {}",
-        s.warm.get_rtts,
-        s.warm.get_doorbells,
-        s.warm.put_rtts,
-        s.warm.delete_rtts,
-        s.warm.cold_chain_get_rtts,
+        s.warm_probe.get_rtts,
+        s.warm_probe.get_doorbells,
+        s.warm_probe.put_rtts,
+        s.warm_probe.delete_rtts,
+        s.warm_probe.cold_chain_get_rtts,
         s.data_errors
     ));
     t.note(format!(
@@ -486,18 +537,21 @@ mod tests {
         let s = measure();
         // The headline invariants, exact by construction.
         assert_eq!(
-            (s.warm.get_rtts, s.warm.get_doorbells),
+            (s.warm_probe.get_rtts, s.warm_probe.get_doorbells),
             (1, 1),
             "warm cached-index get must be one one-sided READ"
         );
         assert_eq!(
-            (s.warm.put_rtts, s.warm.put_doorbells),
+            (s.warm_probe.put_rtts, s.warm_probe.put_doorbells),
             (2, 2),
             "warm put is CAS + publishing write"
         );
-        assert_eq!(s.warm.delete_rtts, 2, "warm delete is CAS + tombstone");
         assert_eq!(
-            s.warm.cold_chain_get_rtts, 2,
+            s.warm_probe.delete_rtts, 2,
+            "warm delete is CAS + tombstone"
+        );
+        assert_eq!(
+            s.warm_probe.cold_chain_get_rtts, 2,
             "a cold walk reads the home slot, then one window"
         );
         assert_eq!(s.data_errors, 0, "verified reads must match the pattern");
@@ -513,7 +567,7 @@ mod tests {
             // mixes only update: another client's update leaves a hot key's
             // hint valid, so a warmed pass never misses the index.
             assert_eq!(
-                (x.index_miss, x.index_stale),
+                (x.index.miss, x.index.stale),
                 (0, 0),
                 "mix {}: a warmed pass never misses the index",
                 x.name
@@ -545,6 +599,31 @@ mod tests {
         assert!(
             s.resize.refreshes >= 1,
             "stale handles must revalidate via the epoch word"
+        );
+
+        // The report entry carries the structure `bench check` and the
+        // ledger readers depend on, and every assert in it passes. Its
+        // byte-identity across runs is CI's exact `bench diff` of the suite
+        // against BENCH_seed.json.
+        let json = entry(&s).json("e14").render();
+        crate::json::validate(&json).expect("e14 report must be valid JSON");
+        for field in [
+            "\"ycsb\"",
+            "\"mixes\"",
+            "\"warm_probe\"",
+            "\"get_rtts\"",
+            "\"put_rtts\"",
+            "\"cold_chain_get_rtts\"",
+            "\"resize\"",
+            "\"data_errors\"",
+            "\"rtts_per_op\"",
+            "\"doorbells_per_op\"",
+        ] {
+            assert!(json.contains(field), "e14 export must carry {field}");
+        }
+        assert!(
+            !json.contains("\"pass\": false"),
+            "an E14 assert failed:\n{json}"
         );
     }
 }

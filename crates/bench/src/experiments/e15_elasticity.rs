@@ -24,7 +24,7 @@
 //! Fully virtual-time and seeded: two runs produce identical stats, which
 //! the determinism test and CI's exact baseline gate assert.
 
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -35,7 +35,10 @@ use rstore::{
 };
 use sim::{Level, OpSummary, Sampler, Window};
 
-use crate::episode::{prefill, run_traffic, since_start, Keyspace, OpSeries, VALUE_LEN};
+use crate::episode::{
+    p99_around, prefill, run_traffic, since_start, Keyspace, OpSeries, Totals, VALUE_LEN,
+};
+use crate::report::{export_fields, Entry};
 use crate::table::Table;
 
 const SEED: u64 = 0xE15;
@@ -64,12 +67,6 @@ const STRIPE: u64 = 64 * 1024;
 /// still quiesce once extents spread out — so the episode shows movement
 /// *and* convergence, not endless churn.
 const DONATE: u64 = 4 << 20;
-/// One extent of accounting slack (stripe + checksum trailer headroom) for
-/// the bytes-moved lower bound: a rebalancer migration already in flight
-/// at the drain instant can legitimately carry one extent off the node
-/// between the snapshot and the drain's first move.
-#[cfg(test)]
-const EXTENT_SLACK: u64 = 2 * STRIPE;
 
 /// The per-op latency histogram the sampler windows over.
 pub const LATENCY_SERIES: &str = "e15.op_latency_us";
@@ -84,33 +81,12 @@ pub struct ScaleStats {
     pub servers: u64,
     /// Sampled windows, in virtual-time order.
     pub windows: Vec<Window>,
-    /// Virtual time the fault plan was installed at, ns (all episode
-    /// offsets are relative to this instant).
-    pub plan_ns: u64,
-    /// Workload operations completed.
-    pub ops_total: u64,
-    /// Transient op attempts that surfaced an IO error.
-    pub io_errors: u64,
-    /// Gets whose value did not match the expected pattern. Must be 0.
-    pub value_errors: u64,
-    /// Ops abandoned after exhausting their retry budget. Must be 0.
-    pub abandoned: u64,
+    /// The traffic's op and error counts.
+    pub totals: Totals,
     /// Standby servers that joined mid-run.
     pub joined: u64,
-    /// Physical bytes the drained server hosted at the drain instant — the
-    /// minimum the drain had to move.
-    pub drain_min_bytes: u64,
-    /// Physical bytes the drain actually moved, from the `drain.bytes`
-    /// counter — the sum over *all* attempts, because an attempt that
-    /// stalls under chaos after moving two of three extents still paid for
-    /// those two (the retry only has the remainder left).
-    pub drain_bytes: u64,
-    /// Extents the drain moved (all attempts, `drain.extents`).
-    pub drain_extents: u64,
-    /// Whether the drain completed (possibly after operator-style retries).
-    pub drain_ok: bool,
-    /// Physical bytes the drained node still hosted at the end. Must be 0.
-    pub drained_residual_bytes: u64,
+    /// The graceful drain.
+    pub drain: DrainStats,
     /// Physical bytes the background rebalancer moved during the episode.
     pub rebalance_bytes: u64,
     /// Client-side region-descriptor refreshes: stale placements that were
@@ -128,8 +104,39 @@ pub struct ScaleStats {
     pub consistent: bool,
     /// Per-op cost attribution for the whole episode (ledger-enabled
     /// client): the movement era shows up as retries/failovers.
-    pub ops: Vec<OpSummary>,
+    pub per_op: Vec<OpSummary>,
 }
+
+export_fields!(ScaleStats: servers, totals, joined, drain, rebalance_bytes, desc_refreshes,
+    pre_p99_us, spike_p99_us, final_p99_us, healthy_after, consistent, windows, per_op);
+
+/// One scale's graceful drain.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct DrainStats {
+    /// Whether the drain completed (possibly after operator-style retries).
+    pub ok: bool,
+    /// Physical bytes the drained server hosted at the drain instant — the
+    /// minimum the drain had to move.
+    pub min_bytes: u64,
+    /// Physical bytes the drain actually moved, from the `drain.bytes`
+    /// counter — the sum over *all* attempts, because an attempt that
+    /// stalls under chaos after moving two of three extents still paid for
+    /// those two (the retry only has the remainder left).
+    pub bytes: u64,
+    /// Extents the drain moved (all attempts, `drain.extents`).
+    pub extents: u64,
+    /// Physical bytes the drained node still hosted at the end. Must be 0.
+    pub residual_bytes: u64,
+}
+
+impl DrainStats {
+    /// Bytes moved relative to the minimum required.
+    pub fn overhead(&self) -> f64 {
+        self.bytes as f64 / self.min_bytes.max(1) as f64
+    }
+}
+
+export_fields!(DrainStats: ok, min_bytes, bytes, extents, residual_bytes; overhead());
 
 /// One E15 run across all scales.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -138,12 +145,19 @@ pub struct ElasticityStats {
     pub scales: Vec<ScaleStats>,
 }
 
-impl ScaleStats {
-    /// Bytes-moved overhead of the drain relative to the minimum required.
-    pub fn drain_overhead(&self) -> f64 {
-        self.drain_bytes as f64 / self.drain_min_bytes.max(1) as f64
+impl ElasticityStats {
+    /// Reads of wrong data and abandoned ops, over every scale.
+    pub fn data_errors(&self) -> u64 {
+        self.scales
+            .iter()
+            .map(|x| x.totals.value_errors + x.totals.abandoned)
+            .sum()
     }
+}
 
+export_fields!(ElasticityStats: scales; data_errors());
+
+impl ScaleStats {
     /// Whether the post-episode latency returned near the baseline.
     pub fn p99_bounded(&self) -> bool {
         self.final_p99_us <= 5 * self.pre_p99_us.max(1)
@@ -204,8 +218,7 @@ fn measure_scale(servers: usize) -> ScaleStats {
     sampler.spawn_driver(&sim, &metrics);
 
     // Filled in by the membership hook and the drain-instant snapshot.
-    let drain_result: Rc<RefCell<Option<(u64, u64)>>> = Rc::new(RefCell::new(None));
-    let drain_done: Rc<RefCell<bool>> = Rc::new(RefCell::new(false));
+    let drain_done: Rc<Cell<Option<bool>>> = Rc::new(Cell::new(None));
     let drain_min: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
     let joined: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
 
@@ -214,9 +227,7 @@ fn measure_scale(servers: usize) -> ScaleStats {
         let cluster = cluster.clone();
         let sim2 = sim.clone();
         let m = master_handle.clone();
-        let darks = darks.clone();
         let dark_nodes = dark_nodes.clone();
-        let drain_result = drain_result.clone();
         let drain_done = drain_done.clone();
         let joined = joined.clone();
         fabric.set_membership_hook(Rc::new(move |ev| match ev {
@@ -229,7 +240,6 @@ fn measure_scale(servers: usize) -> ScaleStats {
             }
             MembershipEvent::Drain(n) => {
                 let m = m.clone();
-                let drain_result = drain_result.clone();
                 let drain_done = drain_done.clone();
                 let sim3 = sim2.clone();
                 sim2.spawn(async move {
@@ -237,16 +247,15 @@ fn measure_scale(servers: usize) -> ScaleStats {
                     // cluster churns (say its migration target crashed
                     // under it) is retried; every attempt returns a
                     // structured error, never hangs.
+                    let mut ok = false;
                     for _ in 0..10 {
-                        match m.drain(n).await {
-                            Ok((extents, bytes)) => {
-                                *drain_result.borrow_mut() = Some((extents, bytes));
-                                break;
-                            }
-                            Err(_) => sim3.sleep(Duration::from_millis(50)).await,
+                        ok = m.drain(n).await.is_ok();
+                        if ok {
+                            break;
                         }
+                        sim3.sleep(Duration::from_millis(50)).await;
                     }
-                    *drain_done.borrow_mut() = true;
+                    drain_done.set(Some(ok));
                 });
             }
         }));
@@ -257,29 +266,17 @@ fn measure_scale(servers: usize) -> ScaleStats {
     let drain_done_w = drain_done.clone();
     let (totals_out, plan_ns, drained_residual, healthy, consistent) = sim.block_on(async move {
         let sim = s;
-        let client = RStoreClient::connect_with(
-            &devs[0],
-            master,
-            ClientConfig {
-                // Under the loss window a dropped master response must cost
-                // one short revalidation round, not the 1s control default —
-                // that second would dominate every op latency it touches.
-                ctrl_response_timeout: Duration::from_millis(50),
-                ..ClientConfig::default()
-            },
-        )
-        .await
-        .expect("connect");
-        let client2 = RStoreClient::connect_with(
-            &devs[1],
-            master,
-            ClientConfig {
-                ctrl_response_timeout: Duration::from_millis(50),
-                ..ClientConfig::default()
-            },
-        )
-        .await
-        .expect("c2");
+        // Under the loss window a dropped master response must cost one
+        // short revalidation round, not the 1s control default — that
+        // second would dominate every op latency it touches.
+        let cfg = ClientConfig {
+            ctrl_response_timeout: Duration::from_millis(50),
+            ..ClientConfig::default()
+        };
+        let client = RStoreClient::connect_with(&devs[0], master, cfg);
+        let client = client.await.expect("connect");
+        let client2 = RStoreClient::connect_with(&devs[1], master, cfg);
+        let client2 = client2.await.expect("c2");
         let ks = Keyspace {
             table: "el",
             keys: KEYS,
@@ -343,7 +340,7 @@ fn measure_scale(servers: usize) -> ScaleStats {
             Some(series),
         )
         .await;
-        while !*drain_done_w.borrow() {
+        while drain_done_w.get().is_none() {
             sim.sleep(Duration::from_millis(5)).await;
         }
         while since_start(&sim) < COOLDOWN_END {
@@ -373,53 +370,26 @@ fn measure_scale(servers: usize) -> ScaleStats {
 
     let windows = sampler.windows();
     let episode_start = plan_ns + JOIN_AT.as_nanos() as u64;
-    let first_event_window = windows
-        .iter()
-        .position(|w| w.start_ns <= episode_start && episode_start < w.end_ns)
-        .unwrap_or(0);
-    let latency = |w: &Window| {
-        let h = &w.histograms[LATENCY_SERIES];
-        (h.count, h.p99)
-    };
-    let pre_p99_us = if first_event_window > 0 {
-        latency(&windows[first_event_window - 1]).1
-    } else {
-        0
-    };
-    let spike_p99_us = windows[first_event_window..]
-        .iter()
-        .map(|w| latency(w).1)
-        .max()
-        .unwrap_or(0);
-    let final_p99_us = windows
-        .iter()
-        .rev()
-        .map(latency)
-        .find(|&(count, _)| count > 0)
-        .map_or(0, |(_, p99)| p99);
+    let (_, pre_p99_us, spike_p99_us, final_p99_us) =
+        p99_around(&windows, LATENCY_SERIES, episode_start);
 
-    let drain_ok = drain_result.borrow().is_some();
     // Bytes/extents from the metric counters, not the last attempt's return
     // tuple: a stalled attempt's partial progress is real moved data that
     // the retry no longer has to move (the counters see every attempt).
-    let drain_bytes = metrics.counter("drain.bytes");
-    let drain_extents = metrics.counter("drain.extents");
-    let drain_min_bytes = *drain_min.borrow();
+    let drain = DrainStats {
+        ok: drain_done.get() == Some(true),
+        min_bytes: *drain_min.borrow(),
+        bytes: metrics.counter("drain.bytes"),
+        extents: metrics.counter("drain.extents"),
+        residual_bytes: drained_residual,
+    };
     let joined = *joined.borrow();
     let stats = ScaleStats {
         servers: servers as u64,
         windows,
-        plan_ns,
-        ops_total: totals_out.ops,
-        io_errors: totals_out.io_errors,
-        value_errors: totals_out.value_errors,
-        abandoned: totals_out.abandoned,
+        totals: totals_out,
         joined,
-        drain_min_bytes,
-        drain_bytes,
-        drain_extents,
-        drain_ok,
-        drained_residual_bytes: drained_residual,
+        drain,
         rebalance_bytes: metrics.counter("rebalance.bytes"),
         desc_refreshes: metrics.counter("rstore.desc.refresh"),
         pre_p99_us,
@@ -427,7 +397,7 @@ fn measure_scale(servers: usize) -> ScaleStats {
         final_p99_us,
         healthy_after: healthy,
         consistent,
-        ops: sim::ledger::summarize(&metrics),
+        per_op: sim::ledger::summarize(&metrics),
     };
     // With the numbers taken: joins, a drain, a flap, a crash and a loss
     // window each dropped or rerouted messages, and every one of them must
@@ -441,6 +411,26 @@ pub fn measure() -> ElasticityStats {
     ElasticityStats {
         scales: SCALES.iter().map(|&n| measure_scale(n)).collect(),
     }
+}
+
+/// E15's report entry from one measurement: the `elasticity` block, and
+/// the asserts that no op read wrong data or was abandoned and, per scale,
+/// that the drain moved bytes and emptied its node, that the accounting
+/// held and that p99 came back.
+pub fn entry(s: &ElasticityStats) -> Entry {
+    let mut e = Entry::new(tables(s));
+    e.block("elasticity", s);
+    let a = &mut e.asserts;
+    a.eq("data_errors", s.data_errors(), 0);
+    for x in &s.scales {
+        let at = |name: &str| format!("{name}@{}", x.servers);
+        a.positive(&at("drain.bytes"), x.drain.bytes);
+        a.eq(&at("drain.residual_bytes"), x.drain.residual_bytes, 0);
+        a.holds(&at("consistent"), x.consistent);
+        a.holds(&at("p99_bounded"), x.p99_bounded());
+        a.ops_recorded(&x.per_op);
+    }
+    e
 }
 
 /// Renders E15's tables from one measurement.
@@ -465,12 +455,12 @@ pub fn tables(s: &ElasticityStats) -> Vec<Table> {
     for x in &s.scales {
         t.row(vec![
             x.servers.to_string(),
-            x.ops_total.to_string(),
-            x.io_errors.to_string(),
-            (x.value_errors + x.abandoned).to_string(),
+            x.totals.ops.to_string(),
+            x.totals.io_errors.to_string(),
+            (x.totals.value_errors + x.totals.abandoned).to_string(),
             x.joined.to_string(),
-            format!("{} ({})", x.drain_bytes >> 10, x.drain_min_bytes >> 10),
-            format!("{:.2}x", x.drain_overhead()),
+            format!("{} ({})", x.drain.bytes >> 10, x.drain.min_bytes >> 10),
+            format!("{:.2}x", x.drain.overhead()),
             (x.rebalance_bytes >> 10).to_string(),
             x.pre_p99_us.to_string(),
             x.spike_p99_us.to_string(),
@@ -499,33 +489,42 @@ pub fn tables(s: &ElasticityStats) -> Vec<Table> {
 mod tests {
     use super::*;
 
+    /// One extent of accounting slack (stripe + checksum trailer headroom)
+    /// for the bytes-moved lower bound: a rebalancer migration already in
+    /// flight at the drain instant can legitimately carry one extent off the
+    /// node between the snapshot and the drain's first move.
+    const EXTENT_SLACK: u64 = 2 * STRIPE;
+
     #[test]
     fn elasticity_moves_minimum_bytes_with_zero_data_errors() {
         let a = measure();
         assert_eq!(a.scales.len(), SCALES.len());
         for x in &a.scales {
-            let n = x.servers;
-            assert_eq!(x.value_errors, 0, "{n}: reads must never see wrong data");
-            assert_eq!(x.abandoned, 0, "{n}: every op must eventually succeed");
-            assert_eq!(x.joined, JOINERS as u64, "{n}: both standbys must join");
-            assert!(x.drain_ok, "{n}: the drain must complete");
-            assert!(x.drain_min_bytes > 0, "{n}: drained node must hold data");
+            let (n, d) = (x.servers, &x.drain);
             assert_eq!(
-                x.drained_residual_bytes, 0,
-                "{n}: drained node must end empty"
+                x.totals.value_errors, 0,
+                "{n}: reads must never see wrong data"
             );
+            assert_eq!(
+                x.totals.abandoned, 0,
+                "{n}: every op must eventually succeed"
+            );
+            assert_eq!(x.joined, JOINERS as u64, "{n}: both standbys must join");
+            assert!(d.ok, "{n}: the drain must complete");
+            assert!(d.min_bytes > 0, "{n}: drained node must hold data");
+            assert_eq!(d.residual_bytes, 0, "{n}: drained node must end empty");
             assert!(
-                x.drain_bytes + EXTENT_SLACK >= x.drain_min_bytes,
+                d.bytes + EXTENT_SLACK >= d.min_bytes,
                 "{n}: drain moved {} of the {} the node hosted",
-                x.drain_bytes,
-                x.drain_min_bytes
+                d.bytes,
+                d.min_bytes
             );
             assert!(
-                x.drain_overhead() <= 1.5,
+                d.overhead() <= 1.5,
                 "{n}: drain moved {} for a minimum of {} ({:.2}x)",
-                x.drain_bytes,
-                x.drain_min_bytes,
-                x.drain_overhead()
+                d.bytes,
+                d.min_bytes,
+                d.overhead()
             );
             assert!(x.healthy_after, "{n}: region must end Healthy");
             assert!(x.consistent, "{n}: accounting invariant must hold");
@@ -539,7 +538,7 @@ mod tests {
                 x.desc_refreshes > 0,
                 "{n}: stale clients must revalidate, not fail or remap blindly"
             );
-            let names: Vec<&str> = x.ops.iter().map(|s| s.op.as_str()).collect();
+            let names: Vec<&str> = x.per_op.iter().map(|s| s.op.as_str()).collect();
             assert!(names.contains(&"get") && names.contains(&"put"));
         }
         // The joined servers must have absorbed incumbent load (not just
@@ -549,7 +548,33 @@ mod tests {
             a.scales[0].rebalance_bytes > 0,
             "rebalancer must move extents onto the joined servers"
         );
-        let b = measure();
-        assert_eq!(a, b, "same seed must reproduce identical elasticity stats");
+
+        // The report entry carries the structure `bench check` and the
+        // ledger readers depend on, and every assert in it passes. Its
+        // byte-identity across runs is `trace_determinism`'s.
+        let json = entry(&a).json("e15").render();
+        crate::json::validate(&json).expect("e15 report must be valid JSON");
+        for field in [
+            "\"elasticity\"",
+            "\"scales\"",
+            "\"drain\"",
+            "\"min_bytes\"",
+            "\"residual_bytes\"",
+            "\"overhead\"",
+            "\"rebalance_bytes\"",
+            "\"desc_refreshes\"",
+            "\"name\": \"p99_bounded@16\"",
+            "\"consistent\"",
+            "\"data_errors\"",
+            "\"windows\"",
+            "\"e15.op_latency_us\"",
+            "\"rtts_per_op\"",
+        ] {
+            assert!(json.contains(field), "e15 export must carry {field}");
+        }
+        assert!(
+            !json.contains("\"pass\": false"),
+            "an E15 assert failed:\n{json}"
+        );
     }
 }

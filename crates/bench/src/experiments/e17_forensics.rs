@@ -21,7 +21,8 @@
 
 use sim::{EraNote, Exemplar, FlightRec, ForensicsConfig, Level, Phase};
 
-use crate::episode::{crash_episode, KILL_AT};
+use crate::episode::{crash_episode, Totals, KILL_AT};
+use crate::report::{export_fields, Entry, WithSpans};
 use crate::table::Table;
 
 const SEED: u64 = 0xE17;
@@ -50,14 +51,8 @@ pub struct ForensicsStats {
     pub ring: Vec<FlightRec>,
     /// Cluster-era notes (faults, lease expiries, repairs, seals).
     pub era_notes: Vec<EraNote>,
-    /// Workload operations completed (each op retries until it succeeds).
-    pub ops_total: u64,
-    /// Transient op attempts that surfaced an IO error to the client.
-    pub io_errors: u64,
-    /// Gets whose value did not match the expected pattern. Must be 0.
-    pub value_errors: u64,
-    /// Ops abandoned after exhausting their retry budget. Must be 0.
-    pub abandoned: u64,
+    /// The traffic's op and error counts.
+    pub totals: Totals,
     /// Virtual time of the server kill, ns.
     pub kill_ns: u64,
     /// Exemplar window width, ns.
@@ -78,6 +73,26 @@ impl ForensicsStats {
     /// Index of the exemplar window containing the kill instant.
     pub fn fault_window(&self) -> u64 {
         self.kill_ns / self.window_ns
+    }
+
+    /// Flight-ring records kept at end of run.
+    pub fn ring_len(&self) -> usize {
+        self.ring.len()
+    }
+
+    /// Era notes kept.
+    pub fn era_notes_len(&self) -> usize {
+        self.era_notes.len()
+    }
+
+    /// Exemplars retained.
+    pub fn exemplars_len(&self) -> usize {
+        self.exemplars.len()
+    }
+
+    /// The slowest fault-era exemplar with its full span tree.
+    pub fn slowest_fault(&self) -> WithSpans<'_> {
+        WithSpans(self.slowest_fault_exemplar())
     }
 
     /// The single slowest exemplar at or after the fault window — the op
@@ -124,6 +139,27 @@ impl ForensicsStats {
     }
 }
 
+export_fields!(ForensicsStats: window_ns, kill_ns, totals, healthy_after_repair, finished, failed,
+    bundles, exemplars; fault_window(), ring_len(), era_notes_len(), exemplars_len(),
+    slowest_fault());
+
+/// E17's report entry from one measurement: the `exemplars` block, and the
+/// asserts that the fault-era spike's blame pins on stall phases, that no op
+/// read wrong data or was abandoned, that repair restored health and that
+/// the recorder kept bundles and exemplars.
+pub fn entry(s: &ForensicsStats) -> Entry {
+    let mut e = Entry::new(tables(s));
+    e.block("exemplars", s);
+    let a = &mut e.asserts;
+    a.holds("fault_blame_pins_on_stall", s.fault_blame_pins_on_stall());
+    a.eq("value_errors", s.totals.value_errors, 0);
+    a.eq("abandoned", s.totals.abandoned, 0);
+    a.holds("healthy_after_repair", s.healthy_after_repair);
+    a.positive("bundles", s.bundles);
+    a.positive("exemplars", s.exemplars.len() as u64);
+    e
+}
+
 /// Runs the forensics scenario once and collects exemplars, ring, and notes.
 pub fn measure() -> ForensicsStats {
     let fx_cfg = ForensicsConfig::default();
@@ -137,10 +173,7 @@ pub fn measure() -> ForensicsStats {
         exemplars: recorder.exemplars(),
         ring: recorder.ring(),
         era_notes: recorder.era_notes(),
-        ops_total: ep.totals.ops,
-        io_errors: ep.totals.io_errors,
-        value_errors: ep.totals.value_errors,
-        abandoned: ep.totals.abandoned,
+        totals: ep.totals,
         kill_ns: KILL_AT.as_nanos() as u64,
         window_ns: fx_cfg.window_ns,
         healthy_after_repair: ep.healthy_after_repair,
@@ -216,8 +249,8 @@ pub fn tables(s: &ForensicsStats) -> Vec<Table> {
         s.ring.len(),
         s.era_notes.len(),
         s.bundles,
-        s.ops_total,
-        s.io_errors,
+        s.totals.ops,
+        s.totals.io_errors,
         if s.healthy_after_repair {
             "Healthy"
         } else {
@@ -234,9 +267,12 @@ mod tests {
     #[test]
     fn fault_era_blame_pins_on_stall_phases_and_is_deterministic() {
         let a = measure();
-        assert_eq!(a.value_errors, 0, "KV reads must never return wrong data");
-        assert_eq!(a.abandoned, 0, "every op must eventually succeed");
-        assert!(a.io_errors > 0, "the kill must be client-visible");
+        assert_eq!(
+            a.totals.value_errors, 0,
+            "KV reads must never return wrong data"
+        );
+        assert_eq!(a.totals.abandoned, 0, "every op must eventually succeed");
+        assert!(a.totals.io_errors > 0, "the kill must be client-visible");
         assert!(a.healthy_after_repair, "repair must restore health");
         assert!(a.finished > 0, "forensics must see ops finish");
         assert!(
@@ -269,7 +305,7 @@ mod tests {
 
         // Transient errors are structured (Io) failures: each must have
         // produced a triage bundle, and the last one must be parseable and
-        // self-contained (checked in depth by the report test).
+        // self-contained (checked in depth below).
         assert!(a.failed > 0, "fault-era attempts must fail visibly");
         assert_eq!(a.bundles, a.failed, "one bundle per structured failure");
         assert!(a.last_bundle.is_some());
@@ -295,8 +331,67 @@ mod tests {
             "the repair must be era-noted"
         );
 
+        // The last triage bundle parses back and is self-contained: the
+        // failing op's blame, structured error and span tree, the ring, the
+        // era notes, and a gauge snapshot.
+        let bundle = a
+            .last_bundle
+            .as_deref()
+            .expect("fault era must produce a bundle");
+        let doc = crate::json::parse(bundle).expect("bundle must be valid JSON");
+        let crate::json::Json::Obj(m) = &doc else {
+            panic!("bundle must be an object")
+        };
+        assert_eq!(
+            m.get("schema"),
+            Some(&crate::json::Json::str("rstore-triage-v1"))
+        );
+        let Some(crate::json::Json::Obj(op)) = m.get("op") else {
+            panic!("bundle must embed the failing op")
+        };
+        assert!(op.contains_key("blame"), "op must carry its blame");
+        assert!(
+            matches!(op.get("error"), Some(crate::json::Json::Str(_))),
+            "the failing op must name its structured error"
+        );
+        let Some(crate::json::Json::Arr(spans)) = m.get("spans") else {
+            panic!("bundle must embed the failing op's span tree")
+        };
+        assert!(!spans.is_empty(), "a fault-era op records spans");
+        let Some(crate::json::Json::Arr(ring)) = m.get("ring") else {
+            panic!("bundle must embed the flight ring")
+        };
+        assert!(!ring.is_empty(), "the ring has prior ops by fault time");
+        assert!(m.contains_key("era_notes"), "bundle must carry era notes");
+        let Some(crate::json::Json::Obj(gauges)) = m.get("gauges") else {
+            panic!("bundle must embed a gauge snapshot")
+        };
+        assert!(!gauges.is_empty(), "gauges snapshot the metrics registry");
+
+        // The report entry: every exemplar with its blame, the spike with
+        // its span tree, every assert passing, byte-identical across
+        // seeded runs.
+        let json = entry(&a).json("e17").render();
+        crate::json::validate(&json).expect("e17 report must be valid JSON");
+        for field in [
+            "\"exemplars\"",
+            "\"name\": \"fault_blame_pins_on_stall\"",
+            "\"slowest_fault\"",
+            "\"blame_ns\"",
+            "\"spans\"",
+            "\"value_errors\": 0",
+            "\"abandoned\": 0",
+            "\"healthy_after_repair\": true",
+        ] {
+            assert!(json.contains(field), "e17 export must carry {field}");
+        }
+        assert!(
+            !json.contains("\"pass\": false"),
+            "an E17 assert failed:\n{json}"
+        );
         let b = measure();
         assert_eq!(a, b, "same seed must reproduce identical forensics");
+        assert_eq!(json, entry(&b).json("e17").render(), "the export too");
     }
 
     #[test]

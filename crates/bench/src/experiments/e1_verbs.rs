@@ -10,12 +10,13 @@ use fabric::{Fabric, FabricConfig};
 use rdma::{Access, CompletionQueue, RdmaConfig, RdmaDevice};
 use sim::Sim;
 
+use crate::report::Entry;
 use crate::table::{fmt_bytes, fmt_dur, Table};
 
 const REPS: u64 = 20;
 
-/// Runs E1.
-pub fn run() -> Vec<Table> {
+/// Runs E1: its report entry is its tables.
+pub fn entry() -> Entry {
     let mut table = Table::new(
         "E1: raw one-sided verbs latency vs size (2 machines, RC QP)",
         &["size", "READ mean", "WRITE mean", "READ Gb/s"],
@@ -31,7 +32,7 @@ pub fn run() -> Vec<Table> {
         ]);
     }
     table.note("paper claim C2: small-READ latency ~2us, within 2x of switch+NIC floor");
-    vec![table]
+    Entry::new(vec![table])
 }
 
 fn measure(size: u64) -> (Duration, Duration) {

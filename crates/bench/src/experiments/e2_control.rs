@@ -12,10 +12,11 @@ use std::time::Duration;
 
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
 
+use crate::report::Entry;
 use crate::table::{fmt_bytes, fmt_dur, Table};
 
-/// Runs E2.
-pub fn run() -> Vec<Table> {
+/// Runs E2: its report entry is its tables.
+pub fn entry() -> Entry {
     let mut a = Table::new(
         "E2a: control-path latency vs region size (11 servers, 16MiB stripes)",
         &["region size", "alloc", "map (2nd client)", "per-GiB alloc"],
@@ -42,7 +43,7 @@ pub fn run() -> Vec<Table> {
         b.row(vec![servers.to_string(), fmt_dur(alloc), fmt_dur(map)]);
     }
     b.note("more servers = more extent RPCs + more data connections at map time");
-    vec![a, b]
+    Entry::new(vec![a, b])
 }
 
 fn measure_size(servers: usize, size: u64) -> (Duration, Duration) {

@@ -13,13 +13,16 @@ use rdma::{Access, CompletionQueue, RdmaConfig, RdmaDevice, NIC_DELAY, POST_OVER
 use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, RStoreClient};
 use sim::Sim;
 
+use crate::report::{export_fields, Entry};
 use crate::table::{fmt_bytes, fmt_dur, Table};
 
 const REPS: u64 = 20;
 const SIZES: [u64; 6] = [64, 512, 4096, 32 * 1024, 256 * 1024, 1024 * 1024];
 
-/// Runs E3.
-pub fn run() -> Vec<Table> {
+/// Runs E3: its tables, and the per-layer READ-latency attribution as the
+/// `read_latency_attribution` block.
+pub fn entry() -> Entry {
+    let attribution = attribution();
     let mut table = Table::new(
         "E3: data-path READ latency vs size (4 servers)",
         &["size", "RStore", "raw verbs", "two-sided", "2-sided/RStore"],
@@ -50,7 +53,9 @@ pub fn run() -> Vec<Table> {
     }
     kv_table
         .note("KV facade (extension): GET = 1 one-sided read; PUT = probe walk (home slot, then 1 KiB of chain per READ) + CAS lock + 1 publishing write (2 RTTs once the slot is hinted)");
-    vec![table, wtable, kv_table]
+    let mut e = Entry::new(vec![table, wtable, kv_table]);
+    e.block("read_latency_attribution", &attribution);
+    e
 }
 
 /// One row of E3's per-layer latency attribution (for the JSON export).
@@ -63,7 +68,7 @@ pub fn run() -> Vec<Table> {
 #[derive(Clone, Debug)]
 pub struct LayerStat {
     /// Transfer size in bytes.
-    pub size: u64,
+    pub size_bytes: u64,
     /// Measured mean READ latency (virtual nanoseconds).
     pub total_ns: u64,
     /// Median per-WR latency.
@@ -80,9 +85,12 @@ pub struct LayerStat {
     pub software_ns: u64,
 }
 
+export_fields!(LayerStat: size_bytes, total_ns, p50_ns, p99_ns, doorbell_ns, nic_ns, wire_ns,
+    software_ns);
+
 /// Measures RStore READ latency per size and decomposes it into
 /// doorbell / NIC / wire / software layers.
-pub fn attribution() -> Vec<LayerStat> {
+fn attribution() -> Vec<LayerStat> {
     let doorbell_ns = POST_OVERHEAD.as_nanos() as u64;
     let nic_ns = 2 * NIC_DELAY.as_nanos() as u64;
     // One cut-through switched hop each way: sender host overhead,
@@ -133,7 +141,7 @@ pub fn attribution() -> Vec<LayerStat> {
             let wire_ns = 2 * hop_ns + ser_ns;
             let software_ns = total_ns.saturating_sub(doorbell_ns + nic_ns + wire_ns);
             LayerStat {
-                size,
+                size_bytes: size,
                 total_ns,
                 p50_ns,
                 p99_ns,

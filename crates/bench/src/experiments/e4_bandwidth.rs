@@ -9,12 +9,13 @@
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
 use sim::join_all;
 
+use crate::report::Entry;
 use crate::table::Table;
 
 const SLICE: u64 = 1 << 30;
 
-/// Runs E4.
-pub fn run() -> Vec<Table> {
+/// Runs E4: its report entry is its tables.
+pub fn entry() -> Entry {
     let mut table = Table::new(
         "E4: aggregate read bandwidth vs machines (1 GiB/client, 16MiB stripes)",
         &["machines", "time", "aggregate Gb/s", "per-machine Gb/s"],
@@ -32,7 +33,7 @@ pub fn run() -> Vec<Table> {
     }
     table.note("paper claim C1: 705 Gb/s on 12 machines (58.8 Gb/s per FDR port, raw)");
     table.note("we report goodput on 54.3 Gb/s links; shape (linear scaling) is the result");
-    vec![table]
+    Entry::new(vec![table])
 }
 
 fn measure(m: usize) -> f64 {

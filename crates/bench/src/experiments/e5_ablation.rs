@@ -16,11 +16,12 @@ use rdma::{RdmaConfig, RdmaDevice};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
 use sim::{join_all, Sim};
 
+use crate::report::Entry;
 use crate::table::{fmt_bytes, fmt_dur, Table};
 
-/// Runs E5.
-pub fn run() -> Vec<Table> {
-    vec![stripe_width(), io_size(), amortization()]
+/// Runs E5: its report entry is its tables.
+pub fn entry() -> Entry {
+    Entry::new(vec![stripe_width(), io_size(), amortization()])
 }
 
 fn stripe_width() -> Table {

@@ -17,6 +17,7 @@ use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
 use sim::{Level, OpSummary, Sim};
 use workload::{rmat_graph, uniform_graph, CsrGraph};
 
+use crate::report::{export_fields, op_row, Entry};
 use crate::table::{fmt_dur, Table};
 
 const ITERS: usize = 5;
@@ -31,14 +32,16 @@ pub struct RStoreRun {
     pub rank_errors: u64,
     /// Per-op costs of every worker's region IO; `read_many` is the
     /// supersteps' gathers.
-    pub ops: Vec<OpSummary>,
+    pub per_op: Vec<OpSummary>,
 }
+
+export_fields!(RStoreRun: total, rank_errors, per_op);
 
 /// One graph's row: both systems on the same fabric.
 #[derive(Clone, Debug)]
 pub struct GraphRow {
     /// Row label.
-    pub name: &'static str,
+    pub graph: &'static str,
     /// Vertices.
     pub n: u64,
     /// Edges.
@@ -46,13 +49,15 @@ pub struct GraphRow {
     /// The RStore framework's run.
     pub rstore: RStoreRun,
     /// The message-passing baseline's total.
-    pub msg_total: Duration,
+    pub msg_passing: Duration,
 }
+
+export_fields!(GraphRow: graph, rstore, msg_passing; speedup());
 
 impl GraphRow {
     /// Baseline time over RStore time.
     pub fn speedup(&self) -> f64 {
-        self.msg_total.as_secs_f64() / self.rstore.total.as_secs_f64()
+        self.msg_passing.as_secs_f64() / self.rstore.total.as_secs_f64()
     }
 }
 
@@ -66,12 +71,12 @@ pub fn measure() -> Vec<GraphRow> {
     ];
     graphs
         .into_iter()
-        .map(|(name, g)| GraphRow {
-            name,
+        .map(|(graph, g)| GraphRow {
+            graph,
             n: g.n,
             m: g.m(),
             rstore: run_rstore(&g),
-            msg_total: run_msg(&g),
+            msg_passing: run_msg(&g),
         })
         .collect()
 }
@@ -91,11 +96,11 @@ pub fn tables(rows: &[GraphRow]) -> Vec<Table> {
     );
     for row in rows {
         t.row(vec![
-            row.name.to_string(),
+            row.graph.to_string(),
             row.n.to_string(),
             row.m.to_string(),
             fmt_dur(row.rstore.total),
-            fmt_dur(row.msg_total),
+            fmt_dur(row.msg_passing),
             format!("{:.2}x", row.speedup()),
         ]);
     }
@@ -103,6 +108,22 @@ pub fn tables(rows: &[GraphRow]) -> Vec<Table> {
     t.note("the claim's graphs are power-law (Twitter/web); the uniform row is an");
     t.note("out-of-band control showing the gap narrows without hub-induced skew");
     vec![t]
+}
+
+/// E6's report entry from one measurement: the `graphs` block, and the
+/// asserts that every rank is exact and every gather one round trip.
+pub fn entry(rows: &[GraphRow]) -> Entry {
+    let mut e = Entry::new(tables(rows));
+    e.block("graphs", rows);
+    let rank_errors = rows.iter().map(|r| r.rstore.rank_errors).sum();
+    let a = &mut e.asserts;
+    a.eq("data_errors", rank_errors, 0);
+    for r in rows {
+        let gather = op_row(&r.rstore.per_op, "read_many").map_or(0, |s| s.rtts_p50);
+        a.eq(&format!("gather.rtts_per_op.p50@{}", r.graph), gather, 1);
+        a.ops_recorded(&r.rstore.per_op);
+    }
+    e
 }
 
 /// RStore framework run, with per-op costs recorded.
@@ -135,7 +156,7 @@ pub fn run_rstore(g: &CsrGraph) -> RStoreRun {
         RStoreRun {
             total: out.total,
             rank_errors: wrong.filter(|(a, b)| a.to_bits() != b.to_bits()).count() as u64,
-            ops: sim::ledger::summarize(&metrics),
+            per_op: sim::ledger::summarize(&metrics),
         }
     })
 }

@@ -10,14 +10,17 @@ use rgraph::{reference, GraphStore, Kernel, Outcome};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient};
 use workload::{rmat_graph, uniform_graph, CsrGraph};
 
+use crate::report::Entry;
 use crate::table::{fmt_dur, Table};
 
-/// Runs E7: its two tables, and the vertices whose value differs in any bit
-/// from the single-node reference, summed over every run.
-pub fn run() -> (Vec<Table>, u64) {
+/// Runs E7: its two tables, and the assert that no vertex of any run
+/// differs in any bit from the single-node reference.
+pub fn entry() -> Entry {
     let (a, a_errors) = strong_scaling();
     let (b, b_errors) = algorithm_suite();
-    (vec![a, b], a_errors + b_errors)
+    let mut e = Entry::new(vec![a, b]);
+    e.asserts.eq("data_errors", a_errors + b_errors, 0);
+    e
 }
 
 /// Vertices whose value differs from `expect` in any bit.

@@ -13,10 +13,13 @@ use std::time::Duration;
 
 use baseline::hadoop::{terasort_time, TeraSortEstimate};
 use fabric::FabricConfig;
-use rsort::{distributed, twin, SortConfig, SortMode, SortOutcome, Twin, TWIN_TOLERANCE};
+use rsort::{
+    distributed, twin, PhaseTimes, SortConfig, SortMode, SortOutcome, Twin, TWIN_TOLERANCE,
+};
 use rstore::{AllocOptions, Cluster, ClusterConfig, RStoreClient, ServerConfig};
 use sim::{Level, OpSummary};
 
+use crate::report::{export_fields, op_row, Entry};
 use crate::table::{fmt_dur, Table};
 
 /// Size of E8's real/fluid twin.
@@ -38,6 +41,11 @@ pub struct SortStats {
     pub hadoop: TeraSortEstimate,
 }
 
+export_fields!(Twin: verified, real, fluid);
+export_fields!(SortOutcome: records, total, phases);
+export_fields!(PhaseTimes: sample, partition, shuffle, local_sort);
+export_fields!(TeraSortEstimate: ; total());
+
 /// Measures the three parts once.
 pub fn measure() -> SortStats {
     let machines = 12;
@@ -48,6 +56,26 @@ pub fn measure() -> SortStats {
         ops,
         hadoop: terasort_time(machines as u32, 256 << 30),
     }
+}
+
+/// E8's report entry from one measurement: the `twin`, `sort` and `hadoop`
+/// blocks and the `ops` ledger, and the asserts that the real sort's output
+/// is sorted, that every twin phase agrees within [`TWIN_TOLERANCE`] and
+/// that a shuffle write is one round trip.
+pub fn entry(s: &SortStats) -> Entry {
+    let mut e = Entry::new(tables(s));
+    e.block("twin", &s.twin);
+    e.block("sort", &s.outcome);
+    e.block("hadoop", &s.hadoop);
+    let a = &mut e.asserts;
+    a.eq("data_errors", !s.twin.verified as u64, 0);
+    for (phase, gap) in s.twin.gaps() {
+        a.at_most(&format!("twin.gap@{phase}"), gap, TWIN_TOLERANCE);
+    }
+    let shuffle = op_row(&s.ops, "write_many").map_or(0, |r| r.rtts_p50);
+    a.eq("shuffle.rtts_per_op.p50", shuffle, 1);
+    e.ops(&s.ops);
+    e
 }
 
 /// Renders E8's table from one measurement.

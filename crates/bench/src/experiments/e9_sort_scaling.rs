@@ -4,6 +4,7 @@
 use rsort::SortOutcome;
 
 use crate::experiments::e8_sort::fluid_sort;
+use crate::report::{export_fields, Entry};
 use crate::table::{fmt_bytes, fmt_dur, Table};
 
 /// One size of E9's sweep.
@@ -13,6 +14,24 @@ pub struct ScaleRow {
     pub bytes: u64,
     /// The fluid run at that size.
     pub outcome: SortOutcome,
+}
+
+export_fields!(ScaleRow: bytes, outcome);
+
+/// E9's report entry from one measurement: the `sizes` block, and the
+/// asserts that every size sorted all its records and that its phases fit
+/// in its total.
+pub fn entry(rows: &[ScaleRow]) -> Entry {
+    let mut e = Entry::new(tables(rows));
+    e.block("sizes", rows);
+    let a = &mut e.asserts;
+    for r in rows {
+        let (o, size) = (&r.outcome, format!("{}GiB", r.bytes >> 30));
+        a.eq(&format!("records@{size}"), o.records, r.bytes / 100);
+        let fits = o.phases.total() <= o.total;
+        a.holds(&format!("phases_le_total@{size}"), fits);
+    }
+    e
 }
 
 /// Sorts each size once.

@@ -1,9 +1,10 @@
 //! The seventeen experiments of the reproduction (see `DESIGN.md`'s
-//! per-experiment index). E1–E5, E7 and E9 are a `run` that returns their
-//! [`Table`](crate::Table)s; E6 and E8–E17 are a `measure` that
-//! returns their stats and a `tables` that renders them.
-//! [`crate::report::experiment`] dispatches on the id and renders each
-//! measurement as text and JSON; `EXPERIMENTS.md` records paper-vs-measured.
+//! per-experiment index). Each module builds its own report
+//! [`Entry`](crate::report::Entry): E1–E5 and E7 an `entry()` that runs
+//! them; E6 and E8–E17 a `measure` that returns their stats, a `tables`
+//! that renders them and an `entry(&stats)` that adds the structured blocks
+//! and asserts. [`crate::report::EXPERIMENTS`] lists them in suite order;
+//! `EXPERIMENTS.md` records paper-vs-measured.
 
 pub mod e10_availability;
 pub mod e11_integrity;
@@ -57,12 +58,6 @@ pub fn seed_mix(base: u64) -> u64 {
         }
     }
 }
-
-/// All experiment ids in order.
-pub const ALL: [&str; 17] = [
-    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12", "e13", "e14", "e15",
-    "e16", "e17",
-];
 
 #[cfg(test)]
 mod tests {

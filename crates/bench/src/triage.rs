@@ -4,7 +4,8 @@
 //!
 //! - a `BENCH_*.json` report (`rstore-bench-v1`): every experiment carrying
 //!   an `exemplars` block gets its tail exemplars printed as a ranked blame
-//!   table, worst first;
+//!   table, worst first, with the verdict of its `fault_blame_pins_on_stall`
+//!   assert;
 //! - a flight-recorder triage bundle (`rstore-triage-v1`), as dumped on a
 //!   structured error: the failing op's blame and span tree, the ring, and
 //!   the cluster-era notes;
@@ -72,7 +73,7 @@ fn blame_row(
 }
 
 /// Renders one experiment's `exemplars` block as a ranked blame table.
-fn exemplars_table(exp_id: &str, block: &Json, top: usize) -> Table {
+fn exemplars_table(exp_id: &str, block: &Json, asserts: Option<&Json>, top: usize) -> Table {
     let Json::Obj(m) = block else {
         return Table::new(format!("{exp_id}: malformed exemplars block"), &[]);
     };
@@ -80,7 +81,7 @@ fn exemplars_table(exp_id: &str, block: &Json, top: usize) -> Table {
         format!(
             "{exp_id}: tail exemplars, worst first (fault window {}, {} retained)",
             as_u64(m.get("fault_window")),
-            as_u64(m.get("count")),
+            as_u64(m.get("exemplars_len")),
         ),
         &[
             "kind",
@@ -93,7 +94,7 @@ fn exemplars_table(exp_id: &str, block: &Json, top: usize) -> Table {
             "error",
         ],
     );
-    let mut rows: Vec<&Json> = match m.get("list") {
+    let mut rows: Vec<&Json> = match m.get("exemplars") {
         Some(Json::Arr(list)) => list.iter().collect(),
         _ => Vec::new(),
     };
@@ -116,7 +117,16 @@ fn exemplars_table(exp_id: &str, block: &Json, top: usize) -> Table {
             x.get("blame_ns").unwrap_or(&Json::Null),
         ));
     }
-    if let Some(Json::Bool(pinned)) = m.get("fault_blame_pins_on_stall") {
+    let pins = match asserts {
+        Some(Json::Arr(list)) => list.iter().find_map(|a| match a {
+            Json::Obj(a) if a.get("name") == Some(&Json::str("fault_blame_pins_on_stall")) => {
+                a.get("observed")
+            }
+            _ => None,
+        }),
+        _ => None,
+    };
+    if let Some(Json::Bool(pinned)) = pins {
         t.note(format!(
             "fault-era blame {} on stall phases (retry / lock_wait / failover / seal)",
             if *pinned { "pins" } else { "does NOT pin" }
@@ -295,7 +305,8 @@ pub fn triage_text(doc: &Json, top: usize) -> Result<String, String> {
             for (id, exp) in exps {
                 let Json::Obj(x) = exp else { continue };
                 if let Some(block) = x.get("exemplars") {
-                    let _ = writeln!(out, "{}", exemplars_table(id, block, top));
+                    let table = exemplars_table(id, block, x.get("asserts"), top);
+                    let _ = writeln!(out, "{table}");
                 }
             }
             if out.is_empty() {
@@ -325,11 +336,12 @@ mod tests {
   "experiments": {
     "e17": {
       "id": "e17",
+      "asserts": [{"name": "fault_blame_pins_on_stall", "expected": "true",
+                   "observed": true, "pass": true}],
       "exemplars": {
         "fault_window": 3,
-        "count": 2,
-        "fault_blame_pins_on_stall": true,
-        "list": [
+        "exemplars_len": 2,
+        "exemplars": [
           {"id": 7, "kind": "get", "window": 3, "rank": 0, "start_ns": 151000000,
            "elapsed_ns": 40000000, "span_count": 9, "error": "timeout",
            "blame_ns": {"retry": 38000000, "wire": 1000000, "client": 1000000}},

@@ -1,10 +1,12 @@
 //! A request/response rendezvous must not touch the heap once its table has
 //! grown to the number of requests in flight: opening a cell reuses a freed
 //! one, a ticket is a plain integer, and a waiter that parks keeps its waker
-//! in the cell. This is the only test in the binary so the counting global
-//! allocator sees no concurrent test threads.
+//! in the cell. This is the only test in the binary, and the counting global
+//! allocator counts only on the thread that measures: the test harness's main
+//! thread still allocates while it waits for the test thread.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use sim::{Rendezvous, Sim, Ticket};
@@ -13,9 +15,16 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set on the thread that measures; `const` so reading it never allocates.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        if COUNTING.try_with(Cell::get).unwrap_or(false) {
+            ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        }
         System.alloc(layout)
     }
 
@@ -47,6 +56,9 @@ fn open_fill_await_cycles_do_not_allocate() {
         tx.send(ticket).unwrap();
         assert_eq!(wait.await, Some(u64::from(ticket)));
     };
+    // The sim runs every task on this thread, so counting here sees every
+    // allocation the cycles make.
+    COUNTING.with(|c| c.set(true));
     let allocated = sim.block_on(async move {
         // Warm-up: the table's slab and the channel's queues reach their
         // steady-state sizes, and a waiter dropped unanswered is freed by
