@@ -441,8 +441,9 @@ pub fn run_suite(
     (report, selftime.to_json(run_id))
 }
 
-/// Runs a representative cluster lifecycle (boot, alloc, write, read, grow,
-/// free) with tracing enabled and returns the Chrome trace-event JSON.
+/// Runs a representative cluster lifecycle (boot, alloc, write, read, map
+/// by name — a lookup — write, free) with tracing enabled and returns the
+/// Chrome trace-event JSON.
 ///
 /// The run is fully deterministic: two calls return byte-identical output.
 pub fn trace_cluster_lifecycle() -> String {
@@ -464,8 +465,8 @@ pub fn trace_cluster_lifecycle() -> String {
         let payload: Vec<u8> = (0..4096u32).map(|i| (i % 251) as u8).collect();
         region.write(0, &payload).await.expect("write");
         region.read(0, 4096).await.expect("read");
-        let grown = client.grow("lifecycle", 1 << 20, opts).await.expect("grow");
-        grown.write((1 << 20) + 512, b"tail").await.expect("write2");
+        let mapped = client.map("lifecycle").await.expect("map");
+        mapped.write(1 << 19, b"tail").await.expect("write2");
         client.free("lifecycle").await.expect("free");
     });
     // Surface ring overflow in the metrics namespace next to the export: any

@@ -15,8 +15,8 @@ use sim::{Counter, EventSink, Recorder, Rendezvous, Sim, SimTime, TimerId, Wait}
 
 use crate::error::{RStoreError, Result};
 use crate::proto::{
-    Alloc, AllocOptions, ClusterReport, ClusterStats, Drain, Free, Grow, Lookup, RegionDesc,
-    RegionState, Report, ReportCorruption, Stat,
+    Alloc, AllocOptions, ClusterReport, ClusterStats, Drain, Free, Lookup, RegionDesc, RegionState,
+    Report, ReportCorruption, Stat,
 };
 use crate::region::Region;
 use crate::rpc::Channel;
@@ -335,31 +335,6 @@ impl RStoreClient {
     /// [`RStoreError::NotFound`] if the name is unknown, or transport errors.
     pub async fn map_degraded(&self, name: &str) -> Result<Region> {
         let desc = self.lookup(name).await?;
-        self.region_from_desc(desc).await
-    }
-
-    /// Extends an existing region by `additional` bytes and returns a
-    /// re-mapped [`Region`] covering the new size. Previously returned
-    /// handles remain valid for the old range; existing data is untouched.
-    ///
-    /// The new stripes reuse the region's stripe size; `opts` supplies the
-    /// placement policy and replication for them.
-    ///
-    /// # Errors
-    ///
-    /// [`RStoreError::NotFound`], [`RStoreError::NameExists`] while another
-    /// grow of the region is in flight, [`RStoreError::InsufficientCapacity`],
-    /// [`RStoreError::NotEnoughServers`], [`RStoreError::Protocol`] for a
-    /// zero-sized grow, or transport errors.
-    pub async fn grow(&self, name: &str, additional: u64, opts: AllocOptions) -> Result<Region> {
-        let name = name.to_owned();
-        let desc = self
-            .ctrl_call(Grow {
-                name,
-                additional,
-                opts,
-            })
-            .await?;
         self.region_from_desc(desc).await
     }
 

@@ -996,7 +996,7 @@ impl KvTable {
     fn corrupt_err(&self, data: &Region, slot: u64) -> RStoreError {
         let offset = slot * self.slot_bytes;
         let desc = data.desc();
-        let node = Layout::new(&desc)
+        let node = Layout::of(&desc)
             .pieces(offset, 8)
             .ok()
             .and_then(|p| p.first().map(|p| desc.groups[p.group].replicas[0].node))

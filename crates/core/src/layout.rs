@@ -96,36 +96,57 @@ impl Piece {
     }
 }
 
-/// Precomputed logical-offset index over a region's stripes.
-#[derive(Clone, Debug)]
+/// A region's geometry: `size` bytes cut into stripes of `stripe_size`,
+/// every stripe full except the last. It is fixed at alloc (DESIGN.md,
+/// "RStore design"), so where a byte lives is arithmetic: the master cuts a
+/// new region's stripes by it and a client plans every IO by it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct Layout {
-    /// `starts[i]` is the logical offset where group `i` begins; a final
-    /// sentinel entry holds the region size.
-    starts: Vec<u64>,
+    size: u64,
+    stripe_size: u64,
 }
 
 impl Layout {
-    /// Builds the layout from a descriptor.
+    /// The geometry of `size` bytes in stripes of `stripe_size`.
     ///
     /// # Panics
     ///
-    /// Panics (debug) if the stripe lengths do not sum to the region size —
-    /// that would be a corrupt descriptor.
-    pub fn new(desc: &RegionDesc) -> Layout {
-        let mut starts = Vec::with_capacity(desc.groups.len() + 1);
-        let mut acc = 0u64;
-        for g in &desc.groups {
-            starts.push(acc);
-            acc += g.len();
-        }
-        starts.push(acc);
-        debug_assert_eq!(acc, desc.size, "stripe lengths must sum to region size");
-        Layout { starts }
+    /// Panics if `stripe_size` is zero (the master refuses such an alloc).
+    pub fn new(size: u64, stripe_size: u64) -> Layout {
+        assert!(stripe_size > 0, "zero stripe size");
+        Layout { size, stripe_size }
+    }
+
+    /// The geometry a descriptor declares.
+    ///
+    /// # Panics
+    ///
+    /// Panics (debug) if the descriptor's stripes are not cut by that
+    /// geometry — that would be a corrupt descriptor.
+    pub fn of(desc: &RegionDesc) -> Layout {
+        let layout = Layout::new(desc.size, desc.stripe_size);
+        let cut = (0..layout.stripes()).map(|i| layout.stripe_len(i));
+        debug_assert!(
+            cut.eq(desc.groups.iter().map(|g| g.len())),
+            "corrupt descriptor"
+        );
+        layout
     }
 
     /// Total mapped size.
     pub fn size(&self) -> u64 {
-        *self.starts.last().expect("sentinel always present")
+        self.size
+    }
+
+    /// How many stripes the region has.
+    pub fn stripes(&self) -> usize {
+        self.size.div_ceil(self.stripe_size) as usize
+    }
+
+    /// Length of stripe `group`: the stripe size, or what is left of the
+    /// region for the last stripe.
+    pub fn stripe_len(&self, group: usize) -> u64 {
+        (self.size - group as u64 * self.stripe_size).min(self.stripe_size)
     }
 
     /// Splits the byte range `[offset, offset + len)` into per-stripe pieces
@@ -145,33 +166,24 @@ impl Layout {
     /// # Errors
     ///
     /// As for [`pieces`](Self::pieces).
-    pub fn piece_iter(&self, offset: u64, len: u64) -> Result<impl Iterator<Item = Piece> + '_> {
-        let size = self.size();
+    pub fn piece_iter(&self, offset: u64, len: u64) -> Result<impl Iterator<Item = Piece>> {
+        let Layout { size, stripe_size } = *self;
         let end = offset
             .checked_add(len)
             .filter(|&e| e <= size)
             .ok_or(RStoreError::OutOfRange { offset, len, size })?;
-        // Find the first group containing `offset` (starts is sorted).
-        let mut group = match self.starts.binary_search(&offset) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
         let mut cur = offset;
         Ok(std::iter::from_fn(move || {
-            if cur >= end {
-                return None;
-            }
-            let gstart = self.starts[group];
-            let gend = self.starts[group + 1];
-            let piece = Piece {
-                group,
-                offset_in_stripe: cur - gstart,
-                len: (end - cur).min(gend - cur),
-                buf_offset: cur - offset,
-            };
-            cur += piece.len;
-            group += 1;
-            Some(piece)
+            (cur < end).then(|| {
+                let piece = Piece {
+                    group: (cur / stripe_size) as usize,
+                    offset_in_stripe: cur % stripe_size,
+                    len: (end - cur).min(stripe_size - cur % stripe_size),
+                    buf_offset: cur - offset,
+                };
+                cur += piece.len;
+                piece
+            })
         }))
     }
 
@@ -184,53 +196,17 @@ impl Layout {
     /// [`RStoreError::OutOfRange`] if the range is empty, exceeds the
     /// region, or spans two stripes.
     pub fn piece_at(&self, offset: u64, len: u64) -> Result<Piece> {
-        let size = self.size();
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| len > 0 && e <= size)
-            .ok_or(RStoreError::OutOfRange { offset, len, size })?;
-        let group = match self.starts.binary_search(&offset) {
-            Ok(i) => i,
-            Err(i) => i - 1,
-        };
-        if end > self.starts[group + 1] {
-            return Err(RStoreError::OutOfRange { offset, len, size });
+        let (mut pieces, size) = (self.piece_iter(offset, len)?, self.size);
+        match (pieces.next(), pieces.next()) {
+            (Some(piece), None) => Ok(piece),
+            _ => Err(RStoreError::OutOfRange { offset, len, size }),
         }
-        Ok(Piece {
-            group,
-            offset_in_stripe: offset - self.starts[group],
-            len,
-            buf_offset: 0,
-        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::proto::{Extent, RegionState, StripeGroup};
-
-    fn desc(lens: &[u64]) -> RegionDesc {
-        RegionDesc {
-            name: "t".into(),
-            size: lens.iter().sum(),
-            stripe_size: lens.first().copied().unwrap_or(0),
-            groups: lens
-                .iter()
-                .enumerate()
-                .map(|(i, &len)| StripeGroup {
-                    replicas: vec![Extent {
-                        node: i as u32,
-                        addr: 0,
-                        rkey: 0,
-                        len,
-                    }],
-                })
-                .collect(),
-            state: RegionState::Healthy,
-            checksums: false,
-        }
-    }
 
     fn piece(offset_in_stripe: u64, len: u64) -> Piece {
         Piece {
@@ -323,7 +299,7 @@ mod tests {
 
     #[test]
     fn single_stripe_identity() {
-        let l = Layout::new(&desc(&[100]));
+        let l = Layout::new(100, 100);
         let p = l.pieces(10, 50).unwrap();
         assert_eq!(
             p,
@@ -338,7 +314,7 @@ mod tests {
 
     #[test]
     fn spanning_read_splits_at_boundaries() {
-        let l = Layout::new(&desc(&[64, 64, 36]));
+        let l = Layout::new(164, 64);
         let p = l.pieces(60, 80).unwrap();
         assert_eq!(p.len(), 3);
         assert_eq!(
@@ -372,7 +348,7 @@ mod tests {
 
     #[test]
     fn exact_boundary_starts_next_stripe() {
-        let l = Layout::new(&desc(&[64, 64]));
+        let l = Layout::new(128, 64);
         let p = l.pieces(64, 10).unwrap();
         assert_eq!(p.len(), 1);
         assert_eq!(p[0].group, 1);
@@ -381,22 +357,23 @@ mod tests {
 
     #[test]
     fn full_region_covers_everything() {
-        let l = Layout::new(&desc(&[10, 20, 30]));
+        // Stripes of 25, 25 and 10.
+        let l = Layout::new(60, 25);
         let p = l.pieces(0, 60).unwrap();
-        assert_eq!(p.iter().map(|x| x.len).sum::<u64>(), 60);
-        assert_eq!(p.len(), 3);
+        assert_eq!(p.iter().map(|x| x.len).collect::<Vec<_>>(), [25, 25, 10]);
+        assert_eq!((l.stripes(), l.stripe_len(1), l.stripe_len(2)), (3, 25, 10));
     }
 
     #[test]
     fn zero_length_is_empty() {
-        let l = Layout::new(&desc(&[10]));
+        let l = Layout::new(10, 10);
         assert!(l.pieces(5, 0).unwrap().is_empty());
         assert!(l.pieces(10, 0).unwrap().is_empty());
     }
 
     #[test]
     fn out_of_range_rejected() {
-        let l = Layout::new(&desc(&[10, 10]));
+        let l = Layout::new(20, 10);
         assert!(matches!(
             l.pieces(15, 10),
             Err(RStoreError::OutOfRange { .. })
@@ -409,7 +386,8 @@ mod tests {
 
     #[test]
     fn pieces_are_contiguous_and_ordered() {
-        let l = Layout::new(&desc(&[7, 13, 5, 25]));
+        // Stripes of 13, 13, 13 and 11.
+        let l = Layout::new(50, 13);
         let p = l.pieces(3, 40).unwrap();
         let mut expect_buf = 0;
         for piece in &p {
@@ -421,20 +399,19 @@ mod tests {
 
     #[test]
     fn piece_at_matches_pieces_for_unstraddled_ranges() {
-        let l = Layout::new(&desc(&[16, 16, 8, 24]));
-        for (offset, len) in [(0, 8), (8, 8), (16, 16), (33, 7), (40, 24)] {
+        // Stripes of 16, 16, 16 and 8.
+        let l = Layout::new(56, 16);
+        for (offset, len) in [(0, 8), (8, 8), (16, 16), (33, 7), (48, 8)] {
             let single = l.piece_at(offset, len).unwrap();
             let multi = l.pieces(offset, len).unwrap();
             assert_eq!(multi.len(), 1);
-            assert_eq!(single.group, multi[0].group);
-            assert_eq!(single.offset_in_stripe, multi[0].offset_in_stripe);
-            assert_eq!(single.len, multi[0].len);
+            assert_eq!(single, multi[0]);
         }
     }
 
     #[test]
     fn piece_at_rejects_straddles_and_out_of_range() {
-        let l = Layout::new(&desc(&[16, 16]));
+        let l = Layout::new(32, 16);
         assert!(matches!(
             l.piece_at(12, 8),
             Err(RStoreError::OutOfRange { .. })
@@ -447,5 +424,48 @@ mod tests {
             l.piece_at(8, 0),
             Err(RStoreError::OutOfRange { .. })
         ));
+    }
+
+    #[test]
+    fn pieces_and_piece_at_match_a_prefix_sum_reference() {
+        for stripe in [1, 3, 7, 16] {
+            // Whole stripes only, and every possible partial last stripe.
+            for size in 1..=4 * stripe + 1 {
+                let l = Layout::new(size, stripe);
+                let mut lens = vec![stripe; (size / stripe) as usize];
+                lens.extend(Some(size % stripe).filter(|&t| t > 0));
+                let starts: Vec<u64> = (lens.iter())
+                    .scan(0, |acc, &len| Some(std::mem::replace(acc, *acc + len)))
+                    .collect();
+                assert_eq!(l.stripes(), lens.len(), "size {size} stripe {stripe}");
+                for (g, &len) in lens.iter().enumerate() {
+                    assert_eq!(l.stripe_len(g), len, "size {size} stripe {stripe}");
+                }
+                for offset in 0..=size + 1 {
+                    for len in 0..=size + 1 - offset {
+                        let mut want = Vec::new();
+                        let (mut cur, end) = (offset, offset + len);
+                        while end <= size && cur < end {
+                            let g = starts.iter().rposition(|&s| s <= cur).unwrap();
+                            let take = (end - cur).min(starts[g] + lens[g] - cur);
+                            want.push(Piece {
+                                group: g,
+                                offset_in_stripe: cur - starts[g],
+                                len: take,
+                                buf_offset: cur - offset,
+                            });
+                            cur += take;
+                        }
+                        let at = (want.len() == 1).then(|| want[0]);
+                        if end > size {
+                            assert!(l.pieces(offset, len).is_err());
+                        } else {
+                            assert_eq!(l.pieces(offset, len).unwrap(), want);
+                        }
+                        assert_eq!(l.piece_at(offset, len).ok(), at, "{offset}+{len}");
+                    }
+                }
+            }
+        }
     }
 }

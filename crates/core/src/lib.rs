@@ -258,15 +258,35 @@ mod tests {
         })
         .unwrap();
         let sim = cluster.sim.clone();
-        let err = sim.block_on(async move {
+        sim.block_on(async move {
             let client = cluster.client(0).await.unwrap();
             client
-                .alloc("big", 1 << 30, AllocOptions::default())
+                .alloc("small", 4096, AllocOptions::default())
                 .await
-                .err()
-                .unwrap()
+                .unwrap();
+            let before = client.stats().await.unwrap();
+            let big = client.alloc("big", 1 << 30, AllocOptions::default()).await;
+            assert!(matches!(big, Err(RStoreError::InsufficientCapacity { .. })));
+            // Too many replicas: a structured error from the wire.
+            let opts = AllocOptions {
+                replicas: 5,
+                ..AllocOptions::default()
+            };
+            let wide = client.alloc("big", 4096, opts).await.err();
+            let want = RStoreError::NotEnoughServers {
+                replicas: 5,
+                available: 2,
+            };
+            assert_eq!(wide, Some(want));
+            // Neither failure keeps the name or any capacity.
+            let after = client.stats().await.unwrap();
+            assert!(before.consistent && after.consistent);
+            assert_eq!(after.used, before.used);
+            client
+                .alloc("big", 4096, AllocOptions::default())
+                .await
+                .unwrap();
         });
-        assert!(matches!(err, RStoreError::InsufficientCapacity { .. }));
     }
 
     #[test]
@@ -509,7 +529,7 @@ mod tests {
     }
 
     #[test]
-    fn grow_extends_region_preserving_data() {
+    fn stale_handle_is_not_retargeted_at_a_reallocated_region() {
         let cluster = boot(3);
         let sim = cluster.sim.clone();
         sim.block_on(async move {
@@ -518,65 +538,18 @@ mod tests {
                 stripe_size: 64 * 1024,
                 ..AllocOptions::default()
             };
-            let region = client.alloc("growing", 128 * 1024, opts).await.unwrap();
-            region.write(0, b"before-grow").await.unwrap();
-            region.write(128 * 1024 - 8, b"tail-old").await.unwrap();
-
-            // Old handle cannot reach past the original size.
-            assert!(region.read(128 * 1024, 8).await.is_err());
-
-            let bigger = client.grow("growing", 256 * 1024, opts).await.unwrap();
-            assert_eq!(bigger.size(), 384 * 1024);
-            // Old data intact through the new handle.
-            assert_eq!(bigger.read(0, 11).await.unwrap(), b"before-grow");
-            assert_eq!(bigger.read(128 * 1024 - 8, 8).await.unwrap(), b"tail-old");
-            // New range is writable, spanning the old/new boundary.
-            bigger
-                .write(128 * 1024 - 4, b"straddles-the-boundary")
-                .await
-                .unwrap();
-            assert_eq!(
-                bigger.read(128 * 1024 - 4, 22).await.unwrap(),
-                b"straddles-the-boundary"
-            );
-            // Old handle still serves the old range.
-            assert_eq!(region.read(0, 11).await.unwrap(), b"before-grow");
-            // Capacity accounting includes the growth.
-            assert_eq!(client.stats().await.unwrap().used, 384 * 1024);
-        });
-    }
-
-    #[test]
-    fn grow_unknown_region_fails() {
-        let cluster = boot(2);
-        let sim = cluster.sim.clone();
-        let err = sim.block_on(async move {
-            let client = cluster.client(0).await.unwrap();
-            client
-                .grow("nothing", 4096, AllocOptions::default())
-                .await
-                .err()
-                .unwrap()
-        });
-        assert_eq!(err, RStoreError::NotFound("nothing".into()));
-    }
-
-    #[test]
-    fn grow_then_free_reclaims_everything() {
-        let cluster = boot(2);
-        let sim = cluster.sim.clone();
-        sim.block_on(async move {
-            let client = cluster.client(0).await.unwrap();
-            client
-                .alloc("tmp_grow", 64 * 1024, AllocOptions::default())
-                .await
-                .unwrap();
-            client
-                .grow("tmp_grow", 192 * 1024, AllocOptions::default())
-                .await
-                .unwrap();
-            client.free("tmp_grow").await.unwrap();
-            assert_eq!(client.stats().await.unwrap().used, 0);
+            let old = client.alloc("r", 64 * 1024, opts).await.unwrap();
+            old.write(0, b"OLD-BYTES").await.unwrap();
+            client.free("r").await.unwrap();
+            let new = client.alloc("r", 256 * 1024, opts).await.unwrap();
+            new.write(0, b"NEW-BYTES").await.unwrap();
+            // The old handle names a freed region: another geometry under
+            // its name is not a refreshed descriptor of it.
+            assert!(old.read(0, 9).await.is_err());
+            assert!(old.write(16, b"stale").await.is_err());
+            assert_eq!(old.size(), 64 * 1024);
+            let untouched = [&b"NEW-BYTES"[..], &[0; 23]].concat();
+            assert_eq!(new.read(0, 32).await.unwrap(), untouched);
         });
     }
 

@@ -20,11 +20,12 @@ use sim::{DetRng, Event, Sim, SimTime};
 use crate::client::DataQps;
 use crate::crc::verify_blocks;
 use crate::error::{RStoreError, Result};
+use crate::layout::Layout;
 use crate::proto::{
     error_reply, extent_alloc_len, Alloc, AllocExtents, AllocOptions, ClusterReport, ClusterStats,
-    CtrlReq, Drain, Extent, Free, FreeExtents, Grow, Heartbeat, Lookup, Policy, RegionDesc,
-    RegionState, RegionStats, RegisterServer, Registration, Replicate, Report, ReportCorruption,
-    Request, ServerStats, SetAccess, Stat, StripeGroup, Wire,
+    CtrlReq, Drain, Extent, Free, FreeExtents, Heartbeat, Lookup, Policy, RegionDesc, RegionState,
+    RegionStats, RegisterServer, Registration, Replicate, Report, ReportCorruption, Request,
+    ServerStats, SetAccess, Stat, StripeGroup, Wire,
 };
 use crate::rpc::{spawn_rpc_server, Channel};
 use crate::stats::MasterStats;
@@ -117,7 +118,7 @@ struct ServerInfo {
 struct MState {
     servers: BTreeMap<u32, ServerInfo>,
     regions: HashMap<String, RegionDesc>,
-    /// Names reserved by in-flight allocations and grows.
+    /// Names reserved by in-flight allocations.
     reserved: std::collections::HashSet<String>,
     /// Regions backed by synthetic (sizes-only) memory; repair must
     /// allocate replacement extents of the same kind.
@@ -480,11 +481,6 @@ impl Master {
             CtrlReq::Free(Free { name }) => Free::encode_reply(self.free(name).await),
             CtrlReq::Stat(_) => Stat::encode_reply(Ok(self.local_stats())),
             CtrlReq::Report(_) => Report::encode_reply(Ok(self.local_report())),
-            CtrlReq::Grow(Grow {
-                name,
-                additional,
-                opts,
-            }) => Grow::encode_reply(self.grow(name, additional, opts).await),
             CtrlReq::ReportCorruption(req) => {
                 ReportCorruption::encode_reply(self.report_corruption(req))
             }
@@ -597,11 +593,11 @@ impl Master {
     }
 
     /// Computes the per-stripe replica placement and reserves capacity.
-    /// `stripe_lens` are logical; with `ck` set, the checksum trailer is
-    /// included in every capacity check and reservation.
+    /// `layout`'s stripe lengths are logical; with `ck` set, the checksum
+    /// trailer is included in every capacity check and reservation.
     fn place(
         &self,
-        stripe_lens: &[u64],
+        layout: Layout,
         replicas: usize,
         policy: Policy,
         ck: bool,
@@ -627,18 +623,17 @@ impl Master {
                 .saturating_sub(planned.get(&n).copied().unwrap_or(0))
         };
 
-        let mut placement = Vec::with_capacity(stripe_lens.len());
-        for (i, &logical) in stripe_lens.iter().enumerate() {
-            let len = extent_alloc_len(logical, ck);
+        let requested = layout.size();
+        let mut placement = Vec::with_capacity(layout.stripes());
+        for i in 0..layout.stripes() {
+            let len = extent_alloc_len(layout.stripe_len(i), ck);
             let mut chosen = Vec::with_capacity(replicas);
             match policy {
                 Policy::RoundRobin => {
                     for j in 0..replicas {
                         let n = alive[(i + j) % alive.len()];
                         if free(&st, &planned, n) < len {
-                            return Err(RStoreError::InsufficientCapacity {
-                                requested: stripe_lens.iter().sum(),
-                            });
+                            return Err(RStoreError::InsufficientCapacity { requested });
                         }
                         chosen.push(n);
                     }
@@ -655,9 +650,7 @@ impl Master {
                         }
                     }
                     if chosen.len() < replicas {
-                        return Err(RStoreError::InsufficientCapacity {
-                            requested: stripe_lens.iter().sum(),
-                        });
+                        return Err(RStoreError::InsufficientCapacity { requested });
                     }
                 }
                 Policy::CapacityWeighted => {
@@ -665,9 +658,7 @@ impl Master {
                     pool.sort_by_key(|&n| std::cmp::Reverse(free(&st, &planned, n)));
                     for &n in pool.iter().take(replicas) {
                         if free(&st, &planned, n) < len {
-                            return Err(RStoreError::InsufficientCapacity {
-                                requested: stripe_lens.iter().sum(),
-                            });
+                            return Err(RStoreError::InsufficientCapacity { requested });
                         }
                         chosen.push(n);
                     }
@@ -706,117 +697,51 @@ impl Master {
                 return Err(RStoreError::NameExists(name));
             }
         }
-        let synthetic = opts.synthetic;
-        let result = self.alloc_inner(&name, size, opts).await;
+        let layout = Layout::new(size, opts.stripe_size);
+        let groups = self.allocate_groups(layout, opts).await;
         let mut st = self.state.borrow_mut();
         st.reserved.remove(&name);
-        match result {
-            Ok(desc) => {
-                if synthetic {
-                    st.synthetic.insert(name.clone());
-                }
-                // Publish and commit atomically: the extents enter the
-                // namespace in the same borrow their reservation moves from
-                // `pending` to `used`.
-                commit_groups(&mut st, &desc.groups, desc.checksums);
-                st.regions.insert(name, desc.clone());
-                Ok(desc)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    async fn alloc_inner(&self, name: &str, size: u64, opts: AllocOptions) -> Result<RegionDesc> {
-        let stripe_lens = stripe_lengths(size, opts.stripe_size);
-        let groups = self.allocate_groups(&stripe_lens, opts).await?;
-        Ok(RegionDesc {
-            name: name.to_owned(),
+        let desc = RegionDesc {
+            name: name.clone(),
             size,
             stripe_size: opts.stripe_size,
-            groups,
+            groups: groups?,
             state: RegionState::Healthy,
             // Synthetic regions carry no bytes, hence nothing to checksum.
             checksums: opts.checksums && !opts.synthetic,
-        })
-    }
-
-    /// Extends an existing region by `additional` bytes: new stripes are
-    /// placed and allocated like an alloc, then appended to the descriptor.
-    /// Existing descriptors held by clients stay valid for the old range.
-    async fn grow(&self, name: String, additional: u64, opts: AllocOptions) -> Result<RegionDesc> {
-        if additional == 0 {
-            return Err(RStoreError::Protocol("zero-sized grow".into()));
+        };
+        if opts.synthetic {
+            st.synthetic.insert(name.clone());
         }
-        let (stripe_size, checksums) = {
-            let mut st = self.state.borrow_mut();
-            let Some(d) = st.regions.get(&name) else {
-                return Err(RStoreError::NotFound(name));
-            };
-            let inherited = (d.stripe_size, d.checksums);
-            // Hold the name for the duration of the grow (like `alloc`
-            // does) so a concurrent free + alloc cannot recycle it while we
-            // await the servers, and a concurrent grow cannot interleave.
-            if !st.reserved.insert(name.clone()) {
-                return Err(RStoreError::NameExists(name));
-            }
-            inherited
-        };
-        // New stripes inherit the region's stripe size and checksum mode so
-        // the descriptor stays uniform.
-        let opts = AllocOptions {
-            stripe_size,
-            checksums,
-            ..opts
-        };
-        let stripe_lens = stripe_lengths(additional, stripe_size);
-        let groups = match self.allocate_groups(&stripe_lens, opts).await {
-            Ok(g) => g,
-            Err(e) => {
-                self.state.borrow_mut().reserved.remove(&name);
-                return Err(e);
-            }
-        };
-        let committed = {
-            let mut st = self.state.borrow_mut();
-            st.reserved.remove(&name);
-            match st.regions.get_mut(&name) {
-                Some(desc) => {
-                    desc.groups.extend(groups.iter().cloned());
-                    desc.size += additional;
-                    let desc = desc.clone();
-                    commit_groups(&mut st, &groups, checksums);
-                    Some(desc)
-                }
-                None => None,
-            }
-        };
-        match committed {
-            Some(desc) => Ok(desc),
-            // The region was freed while we were allocating: roll back the
-            // fresh extents and their capacity reservation (still pending —
-            // they never made it into a descriptor).
-            None => {
-                self.release_groups(&groups, checksums, true).await;
-                Err(RStoreError::NotFound(name))
+        // Publish and commit atomically: the extents enter the namespace in
+        // the same borrow their reservation moves from `pending` to `used`,
+        // so the invariant holds at every await point.
+        for x in desc.groups.iter().flat_map(|g| &g.replicas) {
+            let phys = extent_alloc_len(x.len, desc.checksums);
+            if let Some(info) = st.servers.get_mut(&x.node) {
+                info.pending = info.pending.saturating_sub(phys);
+                info.used += phys;
             }
         }
+        st.regions.insert(name, desc.clone());
+        Ok(desc)
     }
 
-    /// Places and allocates one extent group per stripe length, rolling the
-    /// whole batch back on any failure.
+    /// Places and allocates one extent group per stripe of `layout`,
+    /// rolling the whole batch back on any failure.
     async fn allocate_groups(
         &self,
-        stripe_lens: &[u64],
+        layout: Layout,
         opts: AllocOptions,
     ) -> Result<Vec<StripeGroup>> {
         let ck = opts.checksums && !opts.synthetic;
-        let placement = self.place(stripe_lens, opts.replicas as usize, opts.policy, ck)?;
+        let placement = self.place(layout, opts.replicas as usize, opts.policy, ck)?;
 
         // Group requests per (server, extent length).
         let mut wanted: BTreeMap<(u32, u64), u32> = BTreeMap::new();
         for (i, servers) in placement.iter().enumerate() {
             for &n in servers {
-                *wanted.entry((n, stripe_lens[i])).or_default() += 1;
+                *wanted.entry((n, layout.stripe_len(i))).or_default() += 1;
             }
         }
 
@@ -851,7 +776,7 @@ impl Master {
                         if let Some(info) = st.servers.get_mut(&n) {
                             info.pending = info
                                 .pending
-                                .saturating_sub(extent_alloc_len(stripe_lens[i], ck));
+                                .saturating_sub(extent_alloc_len(layout.stripe_len(i), ck));
                         }
                     }
                 }
@@ -863,12 +788,12 @@ impl Master {
         }
 
         // Assemble stripe groups in logical order.
-        let mut groups = Vec::with_capacity(stripe_lens.len());
+        let mut groups = Vec::with_capacity(placement.len());
         for (i, servers) in placement.iter().enumerate() {
             let mut replicas_v = Vec::with_capacity(servers.len());
             for &n in servers {
                 let pool = granted
-                    .get_mut(&(n, stripe_lens[i]))
+                    .get_mut(&(n, layout.stripe_len(i)))
                     .expect("granted for every placed stripe");
                 replicas_v.push(pool.pop().expect("count matched"));
             }
@@ -890,8 +815,7 @@ impl Master {
             st.corrupt.remove(&name);
             desc
         };
-        self.release_groups(&desc.groups, desc.checksums, false)
-            .await;
+        self.release_groups(&desc.groups, desc.checksums).await;
         Ok(())
     }
 
@@ -899,12 +823,10 @@ impl Master {
     /// reserved capacity to the accounting. A server that cannot be told now
     /// — no current lease, or the call failed — is told when it next
     /// registers ([`MState::retired`]). `ck` selects the physical
-    /// (trailer-inclusive) extent length. `from_pending` picks which counter
-    /// the bytes come back from: `pending` for extents that never reached a
-    /// descriptor (grow rollback), `used` for published ones (free). The
-    /// accounting is returned synchronously in one borrow — before any RPC —
-    /// so the invariant holds at every await point.
-    async fn release_groups(&self, groups: &[StripeGroup], ck: bool, from_pending: bool) {
+    /// (trailer-inclusive) extent length. The bytes come back from `used`
+    /// synchronously in one borrow — before any RPC — so the invariant holds
+    /// at every await point.
+    async fn release_groups(&self, groups: &[StripeGroup], ck: bool) {
         let mut per_server: BTreeMap<u32, Vec<Extent>> = BTreeMap::new();
         for x in groups.iter().flat_map(|g| &g.replicas) {
             per_server.entry(x.node).or_default().push(*x);
@@ -914,11 +836,7 @@ impl Master {
             for (&node, extents) in &per_server {
                 let bytes: u64 = extents.iter().map(|x| extent_alloc_len(x.len, ck)).sum();
                 if let Some(info) = st.servers.get_mut(&node) {
-                    if from_pending {
-                        info.pending = info.pending.saturating_sub(bytes);
-                    } else {
-                        info.used = info.used.saturating_sub(bytes);
-                    }
+                    info.used = info.used.saturating_sub(bytes);
                 }
             }
         }
@@ -1513,29 +1431,4 @@ fn accounting_consistent(st: &MState) -> bool {
     st.servers
         .iter()
         .all(|(n, info)| info.used == usage.get(n).copied().unwrap_or(0))
-}
-
-/// Moves the capacity reservation of freshly allocated `groups` from
-/// `pending` to `used`. Must be called in the same borrow that publishes the
-/// extents into a descriptor, so the invariant holds at every await point.
-fn commit_groups(st: &mut MState, groups: &[StripeGroup], ck: bool) {
-    for x in groups.iter().flat_map(|g| &g.replicas) {
-        let phys = extent_alloc_len(x.len, ck);
-        if let Some(info) = st.servers.get_mut(&x.node) {
-            info.pending = info.pending.saturating_sub(phys);
-            info.used += phys;
-        }
-    }
-}
-
-/// Stripe lengths for `size` bytes at `stripe_size`: full stripes plus a
-/// trailing partial.
-fn stripe_lengths(size: u64, stripe_size: u64) -> Vec<u64> {
-    let full = size / stripe_size;
-    let tail = size % stripe_size;
-    let mut lens = vec![stripe_size; full as usize];
-    if tail > 0 {
-        lens.push(tail);
-    }
-    lens
 }

@@ -637,17 +637,7 @@ wire_requests! {
         } -> (),
         /// Cluster statistics (for tooling and tests).
         5 => Stat {} -> ClusterStats,
-        /// Extend an existing region by `additional` bytes (new stripes are
-        /// appended; existing data and descriptors remain valid).
-        6 => Grow {
-            /// Region name.
-            name: String,
-            /// Bytes to append.
-            additional: u64,
-            /// Placement options for the new stripes (stripe size is taken
-            /// from the existing region, not from here).
-            opts: AllocOptions,
-        } -> RegionDesc,
+        // Tag 6 is retired (it grew a region): it decodes as unknown.
         /// A client's verified READ caught a checksum mismatch on one
         /// replica: tell the master so repair can re-replicate the damaged
         /// extent.
@@ -891,7 +881,8 @@ mod tests {
             synthetic: true,
             checksums: false,
         };
-        let grow = AllocOptions {
+        // Every other policy, and checksums on.
+        let ck = AllocOptions {
             policy: Policy::Random,
             checksums: true,
             ..AllocOptions::default()
@@ -913,10 +904,10 @@ mod tests {
             Lookup { name: name() }.encode(),
             Free { name: "y".into() }.encode(),
             Stat {}.encode(),
-            Grow {
+            Alloc {
                 name: "g".into(),
-                additional: 1 << 20,
-                opts: grow,
+                size: 1 << 20,
+                opts: ck,
             }
             .encode(),
             ReportCorruption {
@@ -1017,7 +1008,7 @@ mod tests {
         "030c00000072c3a96769c3b36e2fe5908d",
         "040100000079",
         "05",
-        "0601000000670000100000000000000000010000000001010001",
+        "0201000000670000100000000000000000010000000001010001",
         "0703000000626164030000000100000009000000",
         "08",
         "090b000000",
@@ -1088,11 +1079,6 @@ mod tests {
             CtrlReq::Lookup(Lookup { name: "x".into() }),
             CtrlReq::Free(Free { name: "y".into() }),
             CtrlReq::Stat(Stat {}),
-            CtrlReq::Grow(Grow {
-                name: "g".into(),
-                additional: 1 << 20,
-                opts: AllocOptions::default(),
-            }),
             CtrlReq::ReportCorruption(ReportCorruption {
                 name: "bad/region".into(),
                 group: 3,
@@ -1111,6 +1097,19 @@ mod tests {
         assert_eq!(alone.encode(), CtrlReq::Lookup(alone.clone()).encode());
         assert_eq!(Lookup::decode(&alone.encode()), Ok(alone));
         assert!(Free::decode(&Stat {}.encode()).is_err());
+        // Tag 6 is retired: what a region grow was sent as — an alloc's
+        // fields under it — is an unknown request, like a tag past the last.
+        for tag in [6, 10] {
+            let mut bytes = Alloc {
+                name: "g".into(),
+                size: 1 << 20,
+                opts: AllocOptions::default(),
+            }
+            .encode();
+            bytes[0] = tag;
+            let unknown = RStoreError::Protocol(format!("bad CtrlReq tag {tag}"));
+            assert_eq!(CtrlReq::decode(&bytes), Err(unknown));
+        }
     }
 
     /// `Q`'s answer `answer` decodes back to itself.

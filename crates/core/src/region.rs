@@ -151,8 +151,8 @@ pub struct Region {
     /// IO path discovers the data moved (live migration, drain) and
     /// [`revalidate`](Self::revalidate)s, all clones see the refresh.
     desc: Rc<RefCell<RegionDesc>>,
-    /// Derived from `desc`; refreshed together with it.
-    layout: Rc<RefCell<Layout>>,
+    /// The region's geometry, fixed at alloc: a refresh never changes it.
+    layout: Layout,
     /// The region's name never changes across refreshes; cached outside the
     /// cell so `name()` can hand out a plain `&str`.
     name: Rc<str>,
@@ -170,11 +170,9 @@ pub struct Region {
 
 impl fmt::Debug for Region {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let d = self.desc.borrow();
         f.debug_struct("Region")
-            .field("name", &d.name)
-            .field("size", &d.size)
-            .field("stripes", &d.groups.len())
+            .field("name", &self.name)
+            .field("layout", &self.layout)
             .finish()
     }
 }
@@ -185,7 +183,7 @@ impl Region {
         // `desc` comes before the field that takes it.
         Region {
             client,
-            layout: Rc::new(RefCell::new(Layout::new(&desc))),
+            layout: Layout::of(&desc),
             name: Rc::from(desc.name.as_str()),
             checksums: desc.checksums,
             desc: Rc::new(RefCell::new(desc)),
@@ -204,7 +202,7 @@ impl Region {
 
     /// Logical size in bytes.
     pub fn size(&self) -> u64 {
-        self.desc.borrow().size
+        self.layout.size()
     }
 
     /// The region's name in the master's namespace.
@@ -300,10 +298,10 @@ impl Region {
     /// writes are idempotent, so re-writing replicas that already landed is
     /// safe.
     ///
-    /// A failed lookup (e.g. `NotFound` once the region has been freed)
-    /// keeps the original IO error: layered protocols — the KV generation
-    /// machinery — key their own recovery on `RemoteAccess`, not on
-    /// control-path errors.
+    /// A failed refresh (`NotFound` once the region has been freed, even
+    /// if another region of another geometry took its name) keeps the
+    /// original IO error: layered protocols — the KV generation machinery —
+    /// key their own recovery on `RemoteAccess`, not on control-path errors.
     pub(crate) async fn with_revalidate<T, Fut>(
         &self,
         ledger: &OpLedger,
@@ -341,15 +339,19 @@ impl Region {
     }
 
     /// Re-fetches the descriptor and, if it changed, installs it for every
-    /// clone of this handle. Returns whether it changed.
+    /// clone of this handle. Returns whether it changed. A descriptor of
+    /// another geometry is another region under the same name — this one
+    /// was freed — and is refused with [`RStoreError::NotFound`].
     async fn refresh(&self, attempt: u64) -> Result<bool> {
         let fresh = self.client.lookup(self.name()).await?;
+        if Layout::of(&fresh) != self.layout || fresh.checksums != self.checksums {
+            return Err(RStoreError::NotFound(fresh.name));
+        }
         if fresh == *self.desc.borrow() {
             return Ok(false);
         }
         let s = &self.client.shared;
         s.stats.desc_refresh.fire(s.dev.node().0 as u64, attempt);
-        *self.layout.borrow_mut() = Layout::new(&fresh);
         *self.desc.borrow_mut() = fresh;
         Ok(true)
     }
@@ -412,7 +414,7 @@ impl Region {
         let len = data.len() as u64;
         if !self.checksums
             && len <= dev.config().inline_max
-            && self.layout.borrow().piece_at(offset, len).is_ok()
+            && self.layout.piece_at(offset, len).is_ok()
         {
             // The buffer only carries the length; inline WRs never read it.
             let src = DmaBuf { addr: 0, len };
@@ -540,7 +542,7 @@ impl Region {
         ledger: &OpLedger,
     ) -> Result<u64> {
         let xfer = |buf: DmaBuf| {
-            let piece = self.layout.borrow().piece_at(offset, buf.len);
+            let piece = self.layout.piece_at(offset, buf.len);
             piece.map(|piece| Xfer::new(piece, buf, 0))
         };
         let (word, image) = (xfer(landing)?, read_back.map(xfer).transpose()?);
@@ -687,10 +689,9 @@ impl Region {
     /// against every replica of every touched stripe. An out-of-range pair
     /// fails the whole plan, so nothing has posted yet.
     fn plan(&self, ios: &[(u64, DmaBuf)], all_replicas: bool) -> Result<Vec<Xfer>> {
-        let layout = self.layout.borrow();
         let mut plan = IoPool::take(&self.pool.plans);
         for &(offset, buf) in ios {
-            for piece in layout.piece_iter(offset, buf.len)? {
+            for piece in self.layout.piece_iter(offset, buf.len)? {
                 let replicas = (0..self.replicas(piece.group)).filter(|&r| all_replicas || r == 0);
                 plan.extend(replicas.map(|replica| Xfer::new(piece, buf, replica)));
             }
@@ -700,7 +701,7 @@ impl Region {
 
     /// The frame ([`Piece::ck_frame`]) of `piece` in its stripe.
     fn frame(&self, piece: &Piece) -> [Piece; 2] {
-        piece.ck_frame(self.desc.borrow().groups[piece.group].len())
+        piece.ck_frame(self.layout.stripe_len(piece.group))
     }
 
     /// Lays the frame images of the first round of checksummed `plan` out

@@ -10,8 +10,7 @@ use std::rc::Rc;
 use sim::{Counter, Event, Metrics, NoteArg, OpMetrics, Recorder};
 
 use crate::proto::{
-    Alloc, Drain, Free, Grow, Heartbeat, Lookup, RegisterServer, Report, ReportCorruption, Request,
-    Stat,
+    Alloc, Drain, Free, Heartbeat, Lookup, RegisterServer, Report, ReportCorruption, Request, Stat,
 };
 
 /// The op types a client starts ledgers for; indexes [`ClientStats::op`].
@@ -67,9 +66,8 @@ impl OpKind {
 
 /// `(trace span, latency histogram)` of each control RPC, indexed by
 /// [`CtrlOp::ROW`].
-const CTRL_OPS: [(&str, &str); 10] = [
+const CTRL_OPS: [(&str, &str); 9] = [
     ("rstore.ctrl.alloc", "rstore.ctrl_latency.alloc"),
-    ("rstore.ctrl.grow", "rstore.ctrl_latency.grow"),
     ("rstore.ctrl.lookup", "rstore.ctrl_latency.lookup"),
     ("rstore.ctrl.free", "rstore.ctrl_latency.free"),
     ("rstore.ctrl.stat", "rstore.ctrl_latency.stat"),
@@ -101,15 +99,14 @@ macro_rules! ctrl_rows {
 
 ctrl_rows!(
     Alloc => 0,
-    Grow => 1,
-    Lookup => 2,
-    Free => 3,
-    Stat => 4,
-    Report => 5,
-    RegisterServer => 6,
-    Heartbeat => 7,
-    ReportCorruption => 8,
-    Drain => 9,
+    Lookup => 1,
+    Free => 2,
+    Stat => 3,
+    Report => 4,
+    RegisterServer => 5,
+    Heartbeat => 6,
+    ReportCorruption => 7,
+    Drain => 8,
 );
 
 /// The client's metrics and events, resolved once in
@@ -132,7 +129,7 @@ pub(crate) struct ClientStats {
     pub write_many: Event,
     /// One control RPC per [`CTRL_OPS`] row: its span, timed into its
     /// latency histogram.
-    ctrl: [Event; 10],
+    ctrl: [Event; CTRL_OPS.len()],
     /// What each [`OpKind`] folds into, resolved by its first recorded op:
     /// with recording off (every benchmark workload) a connect resolves no
     /// `ops.*` name.
@@ -297,7 +294,6 @@ mod tests {
             (Lookup::ROW, "lookup"),
             (Free::ROW, "free"),
             (Alloc::ROW, "alloc"),
-            (Grow::ROW, "grow"),
             (ReportCorruption::ROW, "report_corruption"),
         ] {
             let (span, latency) = CTRL_OPS[row];

@@ -16,9 +16,9 @@ use rsort::{choose_splitters, dest_of, partition_records, ShufflePlan};
 use rstore::layout::Layout;
 use rstore::proto::{
     Alloc, AllocExtents, AllocOptions, ClusterReport, ClusterStats, CtrlReq, Drain, Extent, Free,
-    FreeExtents, Grow, Heartbeat, Lookup, Policy, RegionDesc, RegionState, RegionStats,
-    RegisterServer, Registration, Replicate, Report, ReportCorruption, ServerStats, SetAccess,
-    SrvReq, Stat, StripeGroup, Wire,
+    FreeExtents, Heartbeat, Lookup, Policy, RegionDesc, RegionState, RegionStats, RegisterServer,
+    Registration, Replicate, Report, ReportCorruption, ServerStats, SetAccess, SrvReq, Stat,
+    StripeGroup, Wire,
 };
 use rstore::RStoreError;
 use workload::{is_sorted, record_key, sort_records, teragen, KEY_BYTES, RECORD_BYTES};
@@ -280,13 +280,17 @@ fn lazily_backed_blocks_match_an_eager_shadow() {
 
 // --- stripe layout ---------------------------------------------------------------
 
+/// A descriptor an alloc could return: whole stripes, then a last one of
+/// any length up to a whole stripe.
 fn random_desc(rng: &mut DetRng) -> RegionDesc {
+    let stripe_size = rng.range_u64(1, 5000);
     let n = rng.range_u64(1, 40) as usize;
-    let lens: Vec<u64> = (0..n).map(|_| rng.range_u64(1, 5000)).collect();
+    let mut lens = vec![stripe_size; n - 1];
+    lens.push(rng.range_u64(1, stripe_size + 1));
     RegionDesc {
         name: "p".into(),
         size: lens.iter().sum(),
-        stripe_size: lens[0],
+        stripe_size,
         groups: lens
             .iter()
             .map(|&len| StripeGroup {
@@ -309,7 +313,7 @@ fn random_desc(rng: &mut DetRng) -> RegionDesc {
 fn layout_pieces_tile_the_range() {
     cases("layout_pieces_tile_the_range", 128, |rng| {
         let desc = random_desc(rng);
-        let layout = Layout::new(&desc);
+        let layout = Layout::of(&desc);
         let size = layout.size();
         let offset = (rng.f64() * size as f64) as u64;
         let len = ((rng.f64() * (size - offset) as f64) as u64).min(size - offset);
@@ -481,11 +485,6 @@ fn proto_round_trip_fuzzed() {
                 name: random_name(rng),
             }),
             CtrlReq::Stat(Stat {}),
-            CtrlReq::Grow(Grow {
-                name: random_name(rng),
-                additional: rng.next_u64(),
-                opts: random_opts(rng),
-            }),
             CtrlReq::ReportCorruption(ReportCorruption {
                 name: random_name(rng),
                 group: r32(rng),
@@ -894,7 +893,7 @@ fn region_io_matches_model_and_doorbell_rule() {
                         };
                         let region = client.alloc("prop_rule", size, opts).await.expect("alloc");
                         let desc = region.desc();
-                        let layout = Layout::new(&desc);
+                        let layout = Layout::of(&desc);
                         let metrics = client.device().metrics();
                         let last_doorbells = |op: &str| {
                             let h = metrics.histogram(&format!("ops.{op}.doorbells"));

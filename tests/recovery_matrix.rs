@@ -2,7 +2,6 @@
 //! loss, master repair, and the control-path accounting fixes — all driven
 //! through [`FaultPlan`] or direct fabric faults in virtual time.
 
-use std::cell::RefCell;
 use std::rc::Rc;
 use std::time::Duration;
 
@@ -382,93 +381,6 @@ fn kv_handle_survives_a_server_flap_without_reopen() {
             }
             assert_eq!(kv.get(&key(i)).await.unwrap().unwrap(), value);
         }
-    });
-}
-
-#[test]
-fn failed_grow_releases_name_reservation() {
-    let cluster = boot(2, 1);
-    let sim = cluster.sim.clone();
-    let devs = cluster.client_devs.clone();
-    let master = cluster.master_node();
-    sim.block_on(async move {
-        let c = RStoreClient::connect(&devs[0], master).await.unwrap();
-        c.alloc("g", 64 * 1024, AllocOptions::default())
-            .await
-            .unwrap();
-        // Impossible grow: more replicas than live servers. The error must
-        // come back structured (remapped from the wire), and the failed
-        // grow must drop its name reservation.
-        let err = c
-            .grow(
-                "g",
-                64 * 1024,
-                AllocOptions {
-                    replicas: 5,
-                    ..AllocOptions::default()
-                },
-            )
-            .await
-            .err()
-            .unwrap();
-        assert_eq!(
-            err,
-            RStoreError::NotEnoughServers {
-                replicas: 5,
-                available: 2
-            }
-        );
-        // A feasible grow right after must succeed — the name is free.
-        c.grow("g", 64 * 1024, AllocOptions::default())
-            .await
-            .unwrap();
-    });
-}
-
-#[test]
-fn grow_racing_with_free_rolls_back_cleanly() {
-    let cluster = boot(2, 2);
-    let sim = cluster.sim.clone();
-    let devs = cluster.client_devs.clone();
-    let master = cluster.master_node();
-    let s = sim.clone();
-    sim.block_on(async move {
-        let c0 = RStoreClient::connect(&devs[0], master).await.unwrap();
-        let c1 = RStoreClient::connect(&devs[1], master).await.unwrap();
-        c0.alloc("ephemeral", 64 * 1024, AllocOptions::default())
-            .await
-            .unwrap();
-
-        // Start a large grow, then free the region while the master is
-        // still collecting extents from the servers.
-        let grow_result: Rc<RefCell<Option<rstore::Result<()>>>> = Rc::new(RefCell::new(None));
-        {
-            let c0 = c0.clone();
-            let grow_result = grow_result.clone();
-            s.spawn(async move {
-                let r = c0
-                    .grow("ephemeral", 64 * 1024 * 1024, AllocOptions::default())
-                    .await
-                    .map(|_| ());
-                *grow_result.borrow_mut() = Some(r);
-            });
-        }
-        s.sleep(Duration::from_micros(50)).await;
-        c1.free("ephemeral").await.unwrap();
-
-        while grow_result.borrow().is_none() {
-            s.sleep(Duration::from_millis(1)).await;
-        }
-        let r = grow_result.borrow_mut().take().unwrap();
-        assert!(
-            matches!(r, Err(RStoreError::NotFound(_))),
-            "grow over a freed region must report NotFound, got {r:?}"
-        );
-        // The aborted grow must leak neither capacity nor the name.
-        assert_eq!(c0.stats().await.unwrap().used, 0);
-        c1.alloc("ephemeral", 4096, AllocOptions::default())
-            .await
-            .unwrap();
     });
 }
 

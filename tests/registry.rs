@@ -260,7 +260,6 @@ fn emitted() -> BTreeMap<&'static str, BTreeSet<String>> {
                         let _ = c.cluster_stats().await;
                         s.sleep(ms(3)).await;
                     }
-                    let _ = c.grow("reg/plain", 4096, AllocOptions::default()).await;
                     let _ = c.free("reg/ck").await;
                 })
             })
