@@ -99,7 +99,7 @@ check crates/rdma/src/memory.rs 533
 group 'control plane (5)' 1298 crates/core/src/{client,server,rpc,proto,error}.rs
 # The recording spine and the registry it folds into, as one total: a second
 # per-op handle, recorder or ring beside the one would not fit under this.
-group 'sim recording spine (5)' 1454 crates/sim/src/{trace,ledger,optrace,timeseries,metrics}.rs
+group 'sim recording spine (5)' 1452 crates/sim/src/{trace,ledger,optrace,timeseries,metrics}.rs
 # The paced verified-KV driver and the three experiments that run on it, as
 # one total: a second copy of the worker loop would not fit under this.
 group 'fault episodes (4)' 878 crates/bench/src/episode.rs \

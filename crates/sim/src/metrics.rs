@@ -71,13 +71,15 @@ struct Registry {
     histograms: Table<Histogram>,
     /// Reused buffer in which a scoped by-name call spells its full name.
     scratch: String,
+    /// Number of [`Metrics::reset`]s so far.
+    epoch: u64,
 }
 
 /// A clonable handle to a metrics registry.
 ///
-/// Counters are monotonically increasing `u64`s; histograms store raw
-/// nanosecond samples (simulations are short enough that exact percentiles
-/// are affordable and preferable to bucketed approximations).
+/// Counters are monotonically increasing `u64`s; histograms are exact (no
+/// buckets): each stores every distinct value once with its count, so its
+/// memory grows with the distinct values, not with the samples.
 ///
 /// Code that updates a metric repeatedly resolves it once, at construction,
 /// with [`Metrics::counter_handle`] / [`Metrics::hist_handle`] and updates
@@ -222,6 +224,12 @@ impl Metrics {
         self.resolved(name, |reg, full| reg.histograms.find(full).cloned())
     }
 
+    /// Number of resets so far: a reader that keeps an earlier value of a
+    /// metric compares epochs to tell "reset since" from "unchanged".
+    pub(crate) fn reset_epoch(&self) -> u64 {
+        self.inner.borrow().epoch
+    }
+
     /// All counter names written since the last reset, sorted (unscoped:
     /// the full registry, regardless of this handle's prefix).
     pub fn counter_names(&self) -> Vec<String> {
@@ -237,12 +245,16 @@ impl Metrics {
     /// Handles stay valid; their metrics reappear when next written.
     pub fn reset(&self) {
         let mut reg = self.inner.borrow_mut();
+        reg.epoch += 1;
         for slot in &mut reg.counters.slots {
             *slot = Slot::default();
         }
+        // A histogram keeps its buffers, so one refilled after a reset does
+        // not regrow them.
         for slot in &mut reg.histograms.slots {
             slot.live = false;
-            slot.value.clear();
+            slot.value.runs.clear();
+            slot.value.pending.clear();
         }
     }
 }
@@ -314,75 +326,93 @@ impl fmt::Debug for Hist {
     }
 }
 
-/// An exact-sample latency histogram (nanoseconds).
+/// Samples [`Histogram::record`] buffers before folding them into the runs;
+/// a fold waits for `max(FOLD, runs)` of them, so it costs amortized
+/// O(log n) per sample.
+const FOLD: usize = 64;
+
+/// An exact histogram (nanoseconds, or any `u64`) that stores each distinct
+/// value once: its memory grows with the distinct values, not the samples.
 #[derive(Clone, Default, Debug)]
 pub struct Histogram {
-    samples: Vec<u64>,
-    sorted: bool,
+    /// `(value, count)`, ascending by value, each value once, every count > 0.
+    runs: Vec<(u64, u64)>,
+    /// Samples recorded since the last fold, unsorted.
+    pending: Vec<u64>,
 }
 
 impl Histogram {
     /// Records one nanosecond sample.
     pub fn record(&mut self, nanos: u64) {
-        self.samples.push(nanos);
-        self.sorted = false;
+        self.pending.push(nanos);
+        if self.pending.len() >= FOLD.max(self.runs.len()) {
+            self.fold();
+        }
     }
 
-    /// Drops the samples but keeps their buffer, so a histogram refilled
-    /// after a reset does not regrow it.
-    fn clear(&mut self) {
-        self.samples.clear();
-        self.sorted = false;
+    /// Moves `pending` into `runs`, sorted in place (`sort_unstable` takes
+    /// no buffer): allocates only when the runs outgrow their capacity.
+    fn fold(&mut self) {
+        self.runs.extend(self.pending.drain(..).map(|v| (v, 1)));
+        self.runs.sort_unstable_by_key(|r| r.0);
+        self.runs.dedup_by(|next, run| {
+            run.1 += if next.0 == run.0 { next.1 } else { 0 };
+            next.0 == run.0
+        });
+    }
+
+    /// Every sample as `(value, count)`: the runs, then each pending sample.
+    fn counts(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let pending = self.pending.iter().map(|&v| (v, 1));
+        self.runs.iter().copied().chain(pending)
     }
 
     /// Number of samples.
     pub fn len(&self) -> usize {
-        self.samples.len()
+        self.counts().map(|(_, n)| n as usize).sum()
     }
 
     /// True if no samples have been recorded.
     pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
+        self.runs.is_empty() && self.pending.is_empty()
     }
 
     /// Arithmetic mean in nanoseconds (zero if empty).
     pub fn mean(&self) -> f64 {
-        if self.samples.is_empty() {
-            return 0.0;
-        }
-        self.samples.iter().sum::<u64>() as f64 / self.samples.len() as f64
+        self.sum() as f64 / self.len().max(1) as f64
     }
 
-    /// Exact percentile (`p` in `[0, 100]`) in nanoseconds.
+    /// Exact percentile (`p` in `[0, 100]`) in nanoseconds: the sample of
+    /// rank `floor(p / 100 * (len - 1))` in ascending order.
     ///
     /// # Panics
     ///
     /// Panics if the histogram is empty or `p` is out of range.
-    pub fn percentile(&mut self, p: f64) -> u64 {
-        assert!(!self.samples.is_empty(), "percentile of empty histogram");
-        assert!((0.0..=100.0).contains(&p), "percentile out of range");
-        if !self.sorted {
-            self.samples.sort_unstable();
-            self.sorted = true;
-        }
-        let rank = ((p / 100.0) * (self.samples.len() - 1) as f64).floor() as usize;
-        self.samples[rank]
+    pub fn percentile(&self, p: f64) -> u64 {
+        self.try_percentile(p)
+            .expect("percentile of empty histogram, or p out of range")
     }
 
-    /// Exact percentile without mutation or panics: sorts a snapshot of the
-    /// samples if needed. Returns `None` if the histogram is empty or `p`
-    /// is outside `[0, 100]`.
+    /// [`Histogram::percentile`] without panics: `None` if the histogram is
+    /// empty or `p` is outside `[0, 100]`.
     pub fn try_percentile(&self, p: f64) -> Option<u64> {
-        if self.samples.is_empty() || !(0.0..=100.0).contains(&p) {
-            return None;
+        let last = self
+            .len()
+            .checked_sub(1)
+            .filter(|_| (0.0..=100.0).contains(&p))?;
+        let rank = ((p / 100.0) * last as f64).floor() as u64;
+        // The least value with more than `rank` samples at or below it.
+        let (mut lo, mut hi) = (self.min(), self.max());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            let at_or_below: u64 = self.counts().filter(|r| r.0 <= mid).map(|r| r.1).sum();
+            if at_or_below > rank {
+                hi = mid;
+            } else {
+                lo = mid + 1;
+            }
         }
-        let rank = ((p / 100.0) * (self.samples.len() - 1) as f64).floor() as usize;
-        if self.sorted {
-            return Some(self.samples[rank]);
-        }
-        let mut snapshot = self.samples.clone();
-        snapshot.sort_unstable();
-        Some(snapshot[rank])
+        Some(lo)
     }
 
     /// Median in nanoseconds (zero if empty).
@@ -395,18 +425,9 @@ impl Histogram {
         self.try_percentile(99.0).unwrap_or(0)
     }
 
-    /// Raw samples in insertion order (unless [`Histogram::percentile`] has
-    /// sorted this instance in place). Registry-held histograms are only ever
-    /// appended to, so windowed consumers (e.g. `sim::timeseries`) can slice
-    /// `samples()[prev_len..]` to see exactly the samples recorded since a
-    /// previous snapshot.
-    pub fn samples(&self) -> &[u64] {
-        &self.samples
-    }
-
     /// Sum of all samples (zero if empty).
     pub fn sum(&self) -> u64 {
-        self.samples.iter().sum()
+        self.counts().map(|(v, n)| v * n).sum()
     }
 
     /// Minimum sample.
@@ -415,7 +436,7 @@ impl Histogram {
     ///
     /// Panics if empty.
     pub fn min(&self) -> u64 {
-        *self.samples.iter().min().expect("empty histogram")
+        self.counts().map(|r| r.0).min().expect("empty histogram")
     }
 
     /// Maximum sample.
@@ -424,7 +445,25 @@ impl Histogram {
     ///
     /// Panics if empty.
     pub fn max(&self) -> u64 {
-        *self.samples.iter().max().expect("empty histogram")
+        self.counts().map(|r| r.0).max().expect("empty histogram")
+    }
+
+    /// The samples recorded into this histogram after `earlier`, a snapshot
+    /// of it taken since its last reset: each value's count here less its
+    /// count there.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `earlier` holds a sample this histogram does not.
+    pub(crate) fn since(&self, earlier: &Histogram) -> Histogram {
+        let mut diff = self.clone();
+        diff.fold();
+        for (v, n) in earlier.counts() {
+            let i = diff.runs.binary_search_by_key(&v, |r| r.0);
+            diff.runs[i.expect("an earlier snapshot of this histogram")].1 -= n;
+        }
+        diff.runs.retain(|r| r.1 > 0);
+        diff
     }
 }
 
@@ -449,7 +488,7 @@ mod tests {
         for i in 1..=100u64 {
             m.record("lat", Duration::from_nanos(i));
         }
-        let mut h = m.histogram("lat").unwrap();
+        let h = m.histogram("lat").unwrap();
         assert_eq!(h.len(), 100);
         assert_eq!(h.min(), 1);
         assert_eq!(h.max(), 100);
@@ -495,15 +534,11 @@ mod tests {
             m.record("lat", Duration::from_nanos(i));
         }
         let h = m.histogram("lat").unwrap();
-        // Immutable access on an unsorted histogram.
         assert_eq!(h.try_percentile(50.0), Some(50));
         assert_eq!(h.try_percentile(101.0), None);
         assert_eq!(h.p50(), 50);
         assert_eq!(h.p99(), 99);
-        // Agrees with the sorting accessor.
-        let mut hm = h.clone();
-        assert_eq!(hm.percentile(99.0), 99);
-        assert_eq!(hm.try_percentile(99.0), Some(99));
+        assert_eq!(h.percentile(99.0), 99);
     }
 
     #[test]
@@ -575,7 +610,8 @@ mod tests {
             ["fabric.link0.tx_msgs", "fabric.link1.rx_msgs", "zero"]
         );
         assert_eq!(m.histogram_names(), ["depth", "lat"]);
-        assert_eq!(m.histogram("lat").unwrap().samples(), &[7]);
+        let lat_sum = |m: &Metrics| m.histogram("lat").map(|h| (h.len(), h.sum()));
+        assert_eq!(lat_sum(&m), Some((1, 7)));
 
         // A reset hides everything again; handles stay valid and their
         // metrics reappear, from zero, when next written.
@@ -588,19 +624,89 @@ mod tests {
         lat.record(Duration::from_nanos(9));
         assert_eq!(m.counter_names(), ["fabric.link1.rx_msgs"]);
         assert_eq!(m.counter("fabric.link1.rx_msgs"), 5);
-        assert_eq!(m.histogram("lat").unwrap().samples(), &[9]);
+        assert_eq!(lat_sum(&m), Some((1, 9)));
+    }
+
+    /// Every query a `Histogram` answers, against a sorted `Vec` of the
+    /// same samples.
+    fn assert_matches(h: &Histogram, reference: &[u64], what: &str) {
+        let mut sorted = reference.to_vec();
+        sorted.sort_unstable();
+        assert_eq!(h.len(), sorted.len(), "{what}: len");
+        assert_eq!(h.is_empty(), sorted.is_empty(), "{what}: is_empty");
+        assert_eq!(h.sum(), sorted.iter().sum::<u64>(), "{what}: sum");
+        if sorted.is_empty() {
+            assert_eq!((h.mean(), h.p50(), h.p99()), (0.0, 0, 0), "{what}");
+            assert_eq!(h.try_percentile(50.0), None, "{what}");
+            return;
+        }
+        let mean = sorted.iter().sum::<u64>() as f64 / sorted.len() as f64;
+        assert_eq!(h.mean(), mean, "{what}: mean");
+        assert_eq!(h.min(), sorted[0], "{what}: min");
+        assert_eq!(h.max(), *sorted.last().unwrap(), "{what}: max");
+        let rank = |p: f64| sorted[((p / 100.0) * (sorted.len() - 1) as f64).floor() as usize];
+        for p in [0.0, 0.1, 50.0, 99.0, 99.9, 100.0] {
+            assert_eq!(h.percentile(p), rank(p), "{what}: p{p}");
+        }
+        // `percentile` is `try_percentile` unwrapped, and so are these two.
+        assert_eq!((h.p50(), h.p99()), (rank(50.0), rank(99.0)), "{what}");
+        assert_eq!(h.try_percentile(100.5), None, "{what}");
     }
 
     #[test]
-    fn histogram_samples_accessor_preserves_insertion_order() {
-        let m = Metrics::new();
-        for v in [5u64, 1, 9, 3] {
-            m.record_value("depth", v);
+    fn histogram_queries_match_a_sorted_reference() {
+        use crate::rng::DetRng;
+        type Stream = fn(&mut DetRng, u64) -> u64;
+        let streams: [(&str, Stream); 5] = [
+            ("duplicates", |r, _| r.range_u64(0, 8)),
+            ("distinct", |_, i| {
+                i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 24
+            }),
+            ("ascending", |_, i| i),
+            ("descending", |_, i| 1_000_000 - i),
+            ("wide", |r, _| r.range_u64(0, 1 << 40)),
+        ];
+        for (seed, (name, draw)) in streams.into_iter().enumerate() {
+            let mut rng = DetRng::new(seed as u64);
+            let m = Metrics::new();
+            let hist = m.hist_handle("h");
+            let mut reference = Vec::new();
+            let mut fork: Option<(Histogram, Vec<u64>)> = None;
+            // Lengths straddle folds: before the first, at FOLD, long after
+            // (the last round leaves "distinct" with 18k values, as E4 has).
+            for (round, n) in [0u64, 1, 5, 63, 64, 65, 700, 5000, 12_000]
+                .into_iter()
+                .enumerate()
+            {
+                let window_start = hist.read(Histogram::clone);
+                let from = reference.len();
+                for i in 0..n {
+                    let v = draw(&mut rng, reference.len() as u64);
+                    hist.record_value(v);
+                    reference.push(v);
+                    if let Some((f, fref)) = &mut fork {
+                        let w = draw(&mut rng, i) ^ 1;
+                        f.record(w);
+                        fref.push(w);
+                    }
+                }
+                let what = format!("{name} round {round}");
+                hist.read(|h| assert_matches(h, &reference, &what));
+                let window = hist.read(|h| h.since(&window_start));
+                assert_matches(&window, &reference[from..], &format!("{what} window"));
+                if let Some((f, fref)) = &fork {
+                    assert_matches(f, fref, &format!("{what} clone"));
+                }
+                if round == 4 {
+                    // A clone records on its own from here.
+                    fork = Some((hist.read(Histogram::clone), reference.clone()));
+                }
+                if round == 6 {
+                    m.reset();
+                    reference.clear();
+                    hist.read(|h| assert_matches(h, &[], "after reset"));
+                }
+            }
         }
-        let h = m.histogram("depth").unwrap();
-        assert_eq!(h.samples(), &[5, 1, 9, 3]);
-        // try_percentile does not disturb the stored order.
-        assert_eq!(h.try_percentile(100.0), Some(9));
-        assert_eq!(h.samples(), &[5, 1, 9, 3]);
     }
 }

@@ -80,7 +80,7 @@ pub struct Window {
 
 /// One tracked metric: its registry name, the handle it resolves to on
 /// first use (the registry is only known once sampling starts), and the
-/// reading at the previous sample (counter value / histogram length).
+/// reading at the previous sample (counter value / histogram snapshot).
 struct Series<H, P> {
     name: String,
     handle: Option<H>,
@@ -103,13 +103,52 @@ impl<H, P: Default> Series<H, P> {
     }
 }
 
+#[derive(Default)]
 struct State {
     interval: Duration,
     capacity: usize,
     counters: Vec<Series<Counter, u64>>,
-    histograms: Vec<Series<Hist, usize>>,
+    histograms: Vec<Series<Hist, Histogram>>,
+    /// The registry's reset epoch at the previous reading: once it moves,
+    /// every previous reading predates a reset and counts as empty.
+    epoch: u64,
     last_sample_ns: u64,
     windows: Vec<Window>,
+}
+
+impl State {
+    /// Reads every tracked metric at `now` into the window since the previous
+    /// reading (or since the registry's last reset, if one came after it),
+    /// and makes this reading the previous one.
+    fn advance(&mut self, now: SimTime, metrics: &Metrics) -> Window {
+        let end_ns = now.as_nanos();
+        let mut win = Window {
+            index: self.windows.len() as u64,
+            start_ns: std::mem::replace(&mut self.last_sample_ns, end_ns),
+            end_ns,
+            ..Window::default()
+        };
+        let reset = std::mem::replace(&mut self.epoch, metrics.reset_epoch()) != self.epoch;
+        for c in &mut self.counters {
+            let v = c.bind(|n| metrics.counter_handle(n)).get();
+            let prev = std::mem::replace(&mut c.prev, v);
+            win.counters
+                .insert(c.name.clone(), if reset { v } else { v - prev });
+        }
+        for h in &mut self.histograms {
+            let now = h.bind(|n| metrics.hist_handle(n)).read(Histogram::clone);
+            let prev = std::mem::replace(&mut h.prev, now.clone());
+            let w = if reset { now } else { now.since(&prev) };
+            let stats = WindowStats {
+                count: w.len() as u64,
+                p50: w.p50(),
+                p99: w.p99(),
+                max: w.try_percentile(100.0).unwrap_or(0),
+            };
+            win.histograms.insert(h.name.clone(), stats);
+        }
+        win
+    }
 }
 
 /// A deterministic windowed sampler over a shared [`Metrics`] registry.
@@ -135,10 +174,7 @@ impl Sampler {
             shared: Rc::new(RefCell::new(State {
                 interval,
                 capacity,
-                counters: Vec::new(),
-                histograms: Vec::new(),
-                last_sample_ns: 0,
-                windows: Vec::new(),
+                ..State::default()
             })),
         }
     }
@@ -155,66 +191,19 @@ impl Sampler {
         Series::track(&mut self.shared.borrow_mut().histograms, name);
     }
 
-    /// Re-baselines the delta tracking to the registry's current values, so
-    /// the next window measures increments from *now* rather than from the
-    /// registry's whole history. A sampler reads one registry: the tracked
-    /// names resolve to handles in the first `metrics` it is given.
-    pub fn baseline(&self, now: SimTime, metrics: &Metrics) {
-        let mut st = self.shared.borrow_mut();
-        st.last_sample_ns = now.as_nanos();
-        for c in &mut st.counters {
-            c.prev = c.bind(|n| metrics.counter_handle(n)).get();
-        }
-        for h in &mut st.histograms {
-            h.prev = h.bind(|n| metrics.hist_handle(n)).read(Histogram::len);
-        }
-    }
-
-    /// Closes one window ending at `now`: snapshots counter deltas and
-    /// window-local histogram percentiles since the previous sample (or
-    /// baseline). No-op when the series is full.
-    pub fn sample(&self, now: SimTime, metrics: &Metrics) {
-        let mut st = self.shared.borrow_mut();
-        let st = &mut *st;
-        if st.windows.len() >= st.capacity {
-            return;
-        }
-        let end_ns = now.as_nanos();
-        let mut win = Window {
-            index: st.windows.len() as u64,
-            start_ns: st.last_sample_ns,
-            end_ns,
-            ..Window::default()
-        };
-        for c in &mut st.counters {
-            let v = c.bind(|n| metrics.counter_handle(n)).get();
-            win.counters
-                .insert(c.name.clone(), v.saturating_sub(c.prev));
-            c.prev = v;
-        }
-        for h in &mut st.histograms {
-            let prev = h.prev;
-            let (len, stats) = h.bind(|n| metrics.hist_handle(n)).read(|hist| {
-                let len = hist.len();
-                (len, window_stats(&hist.samples()[prev.min(len)..]))
-            });
-            win.histograms.insert(h.name.clone(), stats);
-            h.prev = len;
-        }
-        st.last_sample_ns = end_ns;
-        st.windows.push(win);
-    }
-
     /// Spawns the bounded driver task: starting from the current virtual
-    /// instant it re-baselines, then closes one window per interval until the
-    /// series reaches capacity. The task is finite, so [`Sim::run`] still
-    /// terminates with a driver attached.
+    /// instant, so the first window measures increments from *now* rather
+    /// than from the registry's whole history, it closes one window per
+    /// interval until the series reaches capacity. The task is finite, so
+    /// [`Sim::run`] still terminates with a driver attached. A sampler reads
+    /// one registry: the tracked names resolve to handles in the first
+    /// `metrics` it is given.
     pub fn spawn_driver(&self, sim: &Sim, metrics: &Metrics) {
         let ts = self.clone();
         let sim2 = sim.clone();
         let metrics = metrics.clone();
         sim.spawn(async move {
-            ts.baseline(sim2.now(), &metrics);
+            ts.shared.borrow_mut().advance(sim2.now(), &metrics);
             loop {
                 let interval = {
                     let st = ts.shared.borrow();
@@ -224,7 +213,9 @@ impl Sampler {
                     st.interval
                 };
                 sim2.sleep(interval).await;
-                ts.sample(sim2.now(), &metrics);
+                let mut st = ts.shared.borrow_mut();
+                let win = st.advance(sim2.now(), &metrics);
+                st.windows.push(win);
             }
         });
     }
@@ -242,22 +233,6 @@ impl Sampler {
     /// True if no windows have been recorded.
     pub fn is_empty(&self) -> bool {
         self.shared.borrow().windows.is_empty()
-    }
-}
-
-/// Exact percentiles over one window's samples (order-insensitive).
-fn window_stats(samples: &[u64]) -> WindowStats {
-    if samples.is_empty() {
-        return WindowStats::default();
-    }
-    let mut sorted = samples.to_vec();
-    sorted.sort_unstable();
-    let rank = |p: f64| sorted[((p / 100.0) * (sorted.len() - 1) as f64).floor() as usize];
-    WindowStats {
-        count: sorted.len() as u64,
-        p50: rank(50.0),
-        p99: rank(99.0),
-        max: *sorted.last().expect("non-empty"),
     }
 }
 
@@ -331,6 +306,40 @@ mod tests {
         assert_eq!(w.len(), 2);
         assert_eq!(w[0].counters["ops"], 0);
         assert_eq!(w[0].histograms["lat"], WindowStats::default());
+    }
+
+    #[test]
+    fn a_window_across_a_reset_holds_what_came_after_it() {
+        let sim = Sim::new();
+        let m = Metrics::new();
+        let ts = Sampler::new(Duration::from_millis(1), 2);
+        ts.track_counter("ops");
+        ts.track_histogram("lat");
+        ts.spawn_driver(&sim, &m);
+        let (s, mm) = (sim.clone(), m.clone());
+        sim.spawn(async move {
+            let burst = |n: u64, lat: u64| {
+                for _ in 0..n {
+                    mm.incr("ops");
+                    mm.record_value("lat", lat);
+                }
+            };
+            burst(5, 100);
+            s.sleep(Duration::from_micros(1500)).await;
+            mm.reset();
+            burst(3, 7);
+        });
+        sim.run();
+        let w = ts.windows();
+        assert_eq!(w[0].counters["ops"], 5);
+        assert_eq!(w[1].counters["ops"], 3);
+        let lat = WindowStats {
+            count: 3,
+            p50: 7,
+            p99: 7,
+            max: 7,
+        };
+        assert_eq!(w[1].histograms["lat"], lat);
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! The metric hot path must not touch the heap: an update through a
 //! resolved handle is an index into dense storage, and a by-name update of
-//! an already-interned name resolves without building a `String`.
+//! an already-interned name resolves without building a `String`. A
+//! histogram's memory grows with its distinct values, not its samples.
 //! This is the only test in the binary so the counting global allocator
 //! sees no concurrent test threads.
 
@@ -70,4 +71,27 @@ fn interned_metric_updates_do_not_allocate() {
     assert_eq!(tx_bytes.get(), 64 * N);
     assert_eq!(m.counter("fabric.link3.tx_msgs"), N);
     assert_eq!(delay.read(|h| h.len()), N as usize);
+
+    // Once a histogram has seen its distinct values, recording more samples
+    // of them never grows it.
+    const MANY: u64 = 1_000_000;
+    let chunks = link.hist_handle("tx_queue_chunks");
+    let draw = |i: u64| i.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 60;
+    for i in 0..N {
+        chunks.record_value(draw(i));
+    }
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for i in N..N + MANY {
+        chunks.record_value(draw(i));
+    }
+    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    assert_eq!(
+        after - before,
+        0,
+        "samples of values already seen must not grow a histogram"
+    );
+    assert_eq!(
+        chunks.read(|h| (h.len(), h.max())),
+        ((N + MANY) as usize, 15)
+    );
 }

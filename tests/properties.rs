@@ -895,9 +895,9 @@ fn region_io_matches_model_and_doorbell_rule() {
                         let desc = region.desc();
                         let layout = Layout::of(&desc);
                         let metrics = client.device().metrics();
-                        let last_doorbells = |op: &str| {
+                        let doorbells = |op: &str| {
                             let h = metrics.histogram(&format!("ops.{op}.doorbells"));
-                            *h.expect("ledgered op").samples().last().expect("one op")
+                            h.map_or(0, |h| h.sum())
                         };
                         let mut model = fill.clone();
                         region.write(0, &fill).await.expect("prefill");
@@ -915,17 +915,17 @@ fn region_io_matches_model_and_doorbell_rule() {
                                 fanout
                             };
                             let range = off as usize..(off + len) as usize;
-                            let op = if is_write {
+                            let op = if is_write { "write" } else { "read" };
+                            let before = doorbells(op);
+                            if is_write {
                                 DetRng::new(off ^ len).fill_bytes(&mut model[range.clone()]);
                                 region.write(off, &model[range]).await.expect("write");
-                                "write"
                             } else {
                                 let got = region.read(off, len).await.expect("read");
                                 assert_eq!(got, model[range], "read {off}+{len} vs model");
-                                "read"
-                            };
+                            }
                             assert_eq!(
-                                last_doorbells(op),
+                                doorbells(op) - before,
                                 want as u64,
                                 "{op} {off}+{len}: stripe {stripe}, {replicas} replicas, \
                                  {servers} servers, {} pieces",
