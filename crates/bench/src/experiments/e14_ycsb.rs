@@ -10,17 +10,12 @@
 //! communication cost of the fleet: `rtts_per_op`, doorbells, and bytes
 //! per `get`/`put`, plus the `kv.index.*` hit/miss/invalidation counters.
 //!
-//! Two auxiliary phases make the headline invariants exact rather than
-//! statistical:
-//!
-//! * **warm-probe**: a single client measures one hinted `get`, `put`, and
-//!   `delete` in isolation — the ledger must read exactly 1 RTT / 1
-//!   doorbell for the get and 2 RTTs for the mutations — and, on a cold
-//!   handle, one `get` of a key 6 slots past its home in a side table: the
-//!   home slot, then one READ window for the rest of the chain = 2 RTTs.
-//! * **resize**: a second 2^16-key table grows 4x while eight clients keep
-//!   reading through it — zero reader errors, every entry rehashed, and
-//!   the stale handles revalidate via the epoch/generation word.
+//! An auxiliary **warm-probe** phase makes the headline invariants exact
+//! rather than statistical: a single client measures one hinted `get`,
+//! `put`, and `delete` in isolation — the ledger must read exactly 1 RTT /
+//! 1 doorbell for the get and 2 RTTs for the mutations — and, on a cold
+//! handle, one `get` of a key 6 slots past its home in a side table: the
+//! home slot, then one READ window for the rest of the chain = 2 RTTs.
 //!
 //! Values are a deterministic function of the key, so every read is
 //! verified byte-for-byte (`data_errors` must stay 0), and the whole run
@@ -28,7 +23,6 @@
 
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::time::Duration;
 
 use rstore::kv::hash_key;
 use rstore::{Cluster, ClusterConfig, KvConfig, KvTable};
@@ -59,12 +53,6 @@ const MIXES: [(&str, f64); 3] = [("A", 0.5), ("B", 0.95), ("C", 1.0)];
 /// keys thins out instead of re-CASing every few µs (it took up to 178 RTTs
 /// behind a flat 2 µs backoff, 23 since).
 pub const PUT_RTTS_MAX_A: u64 = 32;
-
-/// Keys in the resize-phase table.
-const GROW_KEYS: u64 = 1 << 16;
-const GROW_BUCKETS: u64 = 1 << 17;
-/// Readers polling through the resize.
-const GROW_READERS: usize = 8;
 
 /// One measured mix.
 #[derive(Clone, Debug, PartialEq)]
@@ -132,23 +120,6 @@ pub struct WarmProbe {
 export_fields!(WarmProbe: get_rtts, get_doorbells, put_rtts, put_doorbells, delete_rtts,
     cold_chain_get_rtts);
 
-/// The online-resize phase.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct ResizeStats {
-    /// Keys loaded before the grow.
-    pub keys: u64,
-    /// Entries rehashed into the new generation.
-    pub moved: u64,
-    /// Reader ops that failed during the resize. Must be 0.
-    pub reader_errors: u64,
-    /// Stale handles that remapped to the new generation.
-    pub refreshes: u64,
-    /// Post-resize full-verification mismatches. Must be 0.
-    pub verify_errors: u64,
-}
-
-export_fields!(ResizeStats: keys, moved, reader_errors, refreshes, verify_errors);
-
 /// Aggregate E14 results.
 #[derive(Clone, Debug, PartialEq)]
 pub struct YcsbStats {
@@ -162,17 +133,15 @@ pub struct YcsbStats {
     pub mixes: Vec<MixStats>,
     /// The exact warm-path costs.
     pub warm_probe: WarmProbe,
-    /// The online-resize phase.
-    pub resize: ResizeStats,
     /// Total verified-read mismatches across all phases. Must be 0.
     pub data_errors: u64,
 }
 
-export_fields!(YcsbStats: keys, clients, ops_per_client, mixes, warm_probe, resize, data_errors);
+export_fields!(YcsbStats: keys, clients, ops_per_client, mixes, warm_probe, data_errors);
 
 /// E14's report entry from one measurement: the `ycsb` block, and the
-/// asserts that every read was exact, that the warm paths cost the paper's
-/// round trips and that the online grow failed no reader.
+/// asserts that every read was exact and that the warm paths cost the
+/// paper's round trips.
 pub fn entry(s: &YcsbStats) -> Entry {
     let mut e = Entry::new(tables(s));
     e.block("ycsb", s);
@@ -183,7 +152,6 @@ pub fn entry(s: &YcsbStats) -> Entry {
     a.eq("cold_chain_get_rtts", s.warm_probe.cold_chain_get_rtts, 2);
     a.eq("warm_put_rtts", s.warm_probe.put_rtts, 2);
     a.eq("warm_delete_rtts", s.warm_probe.delete_rtts, 2);
-    a.eq("resize.reader_errors", s.resize.reader_errors, 0);
     // Readers read through locks: no warmed get waits on a writer. A slot's
     // version moves only when its key changes, and the mixes only update:
     // no warmed hint goes stale, however hot its key.
@@ -330,8 +298,7 @@ pub fn measure() -> YcsbStats {
         drop(tables);
 
         // Warm-probe: one op of each kind, alone on a reset registry, on a
-        // fresh handle (its open seeds the write lease, so no background
-        // meta read can slip into the measured window).
+        // fresh handle.
         let wp = KvTable::open(&creator, "e14", SLOT_BYTES, MAX_PROBE)
             .await
             .expect("open");
@@ -359,77 +326,6 @@ pub fn measure() -> YcsbStats {
         m.reset();
         assert!(wp.delete(b"warmprobe").await.expect("warm delete"));
         let d = one("delete");
-
-        // Resize: readers keep verifying through a 4x grow.
-        let g0 = KvTable::create(
-            &creator,
-            "e14r",
-            KvConfig {
-                buckets: GROW_BUCKETS,
-                slot_bytes: SLOT_BYTES,
-                max_probe: MAX_PROBE,
-                ..KvConfig::default()
-            },
-        )
-        .await
-        .expect("create");
-        g0.bulk_load((0..GROW_KEYS).map(|k| (key(k), value(k))))
-            .await
-            .expect("bulk load");
-        let refreshes_before = m.counter("kv.index.refresh");
-        let reader_errors = Rc::new(RefCell::new(0u64));
-        let mut handles = Vec::new();
-        for r in 0..GROW_READERS {
-            let client = cluster.client(1 + r).await.expect("client");
-            let errors = reader_errors.clone();
-            let rsim = sim.clone();
-            handles.push(sim.spawn(async move {
-                let kv = KvTable::open(&client, "e14r", SLOT_BYTES, MAX_PROBE)
-                    .await
-                    .expect("open");
-                // Spans the grace window, the copy, the flip, and the free.
-                for round in 0..120u64 {
-                    let k = (r as u64 * 8190 + round * 67) % GROW_KEYS;
-                    match kv.get(&key(k)).await {
-                        Ok(got) if got.as_deref() == Some(&value(k)[..]) => {}
-                        _ => *errors.borrow_mut() += 1,
-                    }
-                    rsim.sleep(Duration::from_micros(600)).await;
-                }
-                kv
-            }));
-        }
-        let grower = sim.spawn(async move {
-            // Land the grow inside the readers' polling window.
-            let moved = g0.grow(GROW_BUCKETS * 2).await.expect("grow");
-            (g0, moved)
-        });
-        let readers = sim::join_all(handles).await;
-        let (g0, moved) = grower.await;
-        assert_eq!(g0.buckets(), GROW_BUCKETS * 2);
-        // Full verification against the new generation, batched.
-        let mut verify_errors = 0u64;
-        let keys: Vec<Vec<u8>> = (0..GROW_KEYS).map(key).collect();
-        for chunk in keys.chunks(512) {
-            let refs: Vec<&[u8]> = chunk.iter().map(|k| k.as_slice()).collect();
-            let got = readers[0].multi_get(&refs).await.expect("verify");
-            for (j, v) in got.iter().enumerate() {
-                let k: u64 = std::str::from_utf8(&chunk[j][1..])
-                    .unwrap()
-                    .parse()
-                    .unwrap();
-                if v.as_deref() != Some(&value(k)[..]) {
-                    verify_errors += 1;
-                }
-            }
-        }
-        let resize = ResizeStats {
-            keys: GROW_KEYS,
-            moved,
-            reader_errors: *reader_errors.borrow(),
-            refreshes: m.counter("kv.index.refresh") - refreshes_before,
-            verify_errors,
-        };
 
         // Cold chain: seven keys crafted to share home slot 0 of a side
         // table, so the last one sits 6 slots past its home; a fresh handle
@@ -467,14 +363,13 @@ pub fn measure() -> YcsbStats {
             cold_chain_get_rtts: c.rtts_max,
         };
 
-        let data_errors = mixes.iter().map(|x| x.value_errors).sum::<u64>() + resize.verify_errors;
+        let data_errors = mixes.iter().map(|x| x.value_errors).sum::<u64>();
         YcsbStats {
             keys: KEYS,
             clients: CLIENTS as u64,
             ops_per_client: OPS_PER_CLIENT as u64,
             mixes,
             warm_probe,
-            resize,
             data_errors,
         }
     })
@@ -519,11 +414,6 @@ pub fn tables(s: &YcsbStats) -> Vec<Table> {
         s.warm_probe.delete_rtts,
         s.warm_probe.cold_chain_get_rtts,
         s.data_errors
-    ));
-    t.note(format!(
-        "online grow 2^17 -> 2^18 buckets: {} entries rehashed, {} reader errors during \
-         resize, {} stale handles refreshed, {} verify errors after",
-        s.resize.moved, s.resize.reader_errors, s.resize.refreshes, s.resize.verify_errors
     ));
     vec![t]
 }
@@ -592,15 +482,6 @@ mod tests {
             }
         }
 
-        // The resize phase: non-stop-the-world and complete.
-        assert_eq!(s.resize.moved, GROW_KEYS, "every entry must rehash");
-        assert_eq!(s.resize.reader_errors, 0, "readers never observe the grow");
-        assert_eq!(s.resize.verify_errors, 0);
-        assert!(
-            s.resize.refreshes >= 1,
-            "stale handles must revalidate via the epoch word"
-        );
-
         // The report entry carries the structure `bench check` and the
         // ledger readers depend on, and every assert in it passes. Its
         // byte-identity across runs is CI's exact `bench diff` of the suite
@@ -614,7 +495,6 @@ mod tests {
             "\"get_rtts\"",
             "\"put_rtts\"",
             "\"cold_chain_get_rtts\"",
-            "\"resize\"",
             "\"data_errors\"",
             "\"rtts_per_op\"",
             "\"doorbells_per_op\"",

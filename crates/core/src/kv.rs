@@ -2,29 +2,27 @@
 //!
 //! The table is an open-addressed hash map laid out in a pair of regions:
 //!
-//! * **`{name}`** — a tiny *meta region* holding the table's control word:
-//!   `[magic | epoch | generation | buckets | slot_bytes]`. Even epoch =
-//!   stable; odd = a resize is in flight. The generation names the current
-//!   data region.
-//! * **`{name}@g{generation}`** — the *data region*: `buckets` fixed-size
-//!   slots, linear probing.
+//! * **`{name}`** — a tiny *meta region* holding the table's geometry:
+//!   `[magic | buckets | slot_bytes]`, written once at create.
+//! * **`{name}@g1`** — the *data region*: `buckets` fixed-size slots, linear
+//!   probing. Its size is fixed at create, like any region's geometry.
 //!
 //! All operations are one-sided, in the style of Pilaf/FaRM-era RDMA
 //! stores, with a client-side **cached index** (Outback/HiStore-style) so
 //! the warm path needs no probing at all. A table handle owns **no
-//! connections**: opening (or remapping after a resize) is its only
-//! control-path work, and every READ, WRITE and CAS it issues rides the
-//! owning client's cached data QPs through [`Region`] — so a handle inherits
-//! the client's re-dial after a server flap instead of needing a reopen
-//! (the paper's setup-once / one-sided-IO split, `DESIGN.md` claim C3).
+//! connections**: opening is its only control-path work, and every READ,
+//! WRITE and CAS it issues rides the owning client's cached data QPs
+//! through [`Region`] — so a handle inherits the client's re-dial after a
+//! server flap instead of needing a reopen (the paper's setup-once /
+//! one-sided-IO split, `DESIGN.md` claim C3).
 //!
 //! This module is an *extension* beyond the paper's abstract (flagged in
 //! `DESIGN.md`): the paper presents the memory-like API and two
 //! applications; a KV facade is the natural third.
 //!
-//! # The four pieces
+//! # The three pieces
 //!
-//! Every operation is assembled from the same four parts:
+//! Every operation is assembled from the same three parts:
 //!
 //! 1. **The slot codec** (`SlotHdr`) — the only code that knows the slot
 //!    layout, and the one validation rule every path applies to an image
@@ -41,10 +39,11 @@
 //!    any failure after the CAS, the one unlock (`KvTable::unlock`); a lost
 //!    CAS on a slot known to hold the key chases the word it returned. `put`
 //!    and `delete` call it from both their hinted and their probed path.
-//! 4. **The generation plumbing** — one stale-generation retry wrapper
-//!    (`KvTable::retry_stale`) around every op, one meta poll loop
-//!    (`KvTable::poll_meta`) behind open, the write lease and
-//!    revalidation, one generation constructor (`TableGen::new`).
+//!
+//! Every op runs inside the data region's one revalidation ladder
+//! (`Region::with_revalidate`): an op whose IO found its extent moved,
+//! sealed or fenced re-fetches the descriptor and runs again. Slot hints
+//! survive it — the table's geometry never changes, only the transport.
 //!
 //! On top of them:
 //!
@@ -60,14 +59,6 @@
 //!   for the home slot, then one per 1 KiB of chain past it). Writers from
 //!   any client machine serialize on the CAS; no server CPU is ever
 //!   involved.
-//! * **RESIZE** — [`KvTable::grow`] rehashes into a fresh data region
-//!   without stopping readers: flip the epoch odd (CAS), wait a grace
-//!   period that outlasts every write lease, copy + rehash, publish the new
-//!   generation in the meta block, then free the old region. Clients detect
-//!   the flip cheaply — writers revalidate the epoch via a short-lived
-//!   *write lease* instead of a meta read per op; readers react lazily to
-//!   the `RemoteAccess` faults that reads against a freed generation
-//!   surface, and remap.
 //!
 //! # Slot layout (`slot_bytes` total)
 //!
@@ -80,8 +71,8 @@
 //! A slot's stable version moves only when its key changes — by 2 when an
 //! entry lands in a hole or a tombstone replaces an entry — and an update
 //! of the key's value republishes the version it was locked over. So
-//! versions only grow, a slot never repeats one within a generation, and
-//! each names one key's tenure of the slot — which is what lets a hinted
+//! versions only grow, a slot never repeats one, and each names one key's
+//! tenure of the slot — which is what lets a hinted
 //! put CAS directly on its cached version: success *proves* the slot still
 //! holds the hinted key, whoever updated its value since. Every
 //! image of a live entry is structurally validated (`klen + vlen` against
@@ -139,8 +130,7 @@
 //! Every lock wait is bounded (`LOCK_WAIT_BUDGET` of virtual time per op)
 //! and then surfaces [`RStoreError::Io`] — a healthy writer releases within
 //! microseconds, so exceeding the budget means the holder crashed or the
-//! cluster is degraded, and the caller should retry (possibly after a
-//! remap) rather than spin.
+//! cluster is degraded, and the caller should retry rather than spin.
 //!
 //! A lock that is not released by a publish is released by one rule,
 //! `KvTable::unlock`: CASing the exact tagged word back to the pre-lock
@@ -164,13 +154,12 @@
 //!   soon-freed source. A writer that has watched the *same* tagged word
 //!   for most of its wait budget (`LockWatch`) — orders of magnitude past
 //!   a healthy hold — breaks the lock with the same CAS (`kv.lock.break`).
-//!   Until then readers return the entry under it, and so does `grow`.
+//!   Until then readers return the entry under it.
 
 use rdma::{CqStatus, DmaBuf, RdmaDevice};
 use sim::{Counter, OpLedger, Phase, SimTime};
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
-use std::future::Future;
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -187,10 +176,8 @@ const HDR_BYTES: usize = 16;
 /// First 8 bytes of every meta region: "RSTOREKV".
 const KV_MAGIC: u64 = u64::from_le_bytes(*b"RSTOREKV");
 
-/// Meta block layout: `[magic | epoch | generation | buckets | slot_bytes]`.
-const META_BYTES: u64 = 40;
-/// Byte offset of the epoch word inside the meta block (CAS target).
-const META_EPOCH_OFF: u64 = 8;
+/// Meta block layout: `[magic | buckets | slot_bytes]`.
+const META_BYTES: u64 = 24;
 /// Allocated size of the meta region (one cache line).
 const META_REGION_BYTES: u64 = 64;
 
@@ -199,7 +186,7 @@ const META_REGION_BYTES: u64 = 64;
 /// lock for microseconds; a holder stalled behind a degraded-window RDMA
 /// timeout (or crashed outright) keeps it for tens of milliseconds, and
 /// each wait round costs a remote CAS or re-read — so past this budget the caller
-/// is better served by an error it can react to (remap, back off, retry).
+/// is better served by an error it can react to (back off, retry).
 const LOCK_WAIT_BUDGET: Duration = Duration::from_millis(20);
 
 /// Unit of a writer's lock-wait schedule ([`LockWatch::pause`]): the sleep
@@ -211,34 +198,7 @@ const LOCK_BACKOFF: Duration = Duration::from_micros(2);
 /// failed over has started the descriptor refresh that finds its successor.
 const FAILOVER_BACKOFF: Duration = Duration::from_micros(500);
 
-/// How long one meta read authorizes mutations before the epoch must be
-/// revalidated. Writers piggyback the check on at most one extra read per
-/// lease window instead of one per op; [`RESIZE_GRACE`] is sized so every
-/// lease granted before a resize's epoch flip expires before copying
-/// starts.
-const WRITE_LEASE: Duration = Duration::from_millis(5);
-
-/// How long a resizer waits after flipping the epoch odd before it starts
-/// copying: long enough that every write lease granted under the old epoch
-/// has expired *and* every mutation admitted under one has finished
-/// (bounded by [`LOCK_WAIT_BUDGET`] plus microseconds of healthy IO).
-/// Ops stalled in fault recovery beyond this window are the documented
-/// residual risk of resizing a badly degraded table — see `DESIGN.md`.
-const RESIZE_GRACE: Duration = Duration::from_millis(50);
-
-/// Poll interval while waiting out an in-flight resize.
-const RESIZE_POLL: Duration = Duration::from_micros(500);
-
-/// Total virtual time a blocked writer (or a stale reader) will wait for an
-/// in-flight resize to publish its new generation before erroring out.
-const RESIZE_WAIT_BUDGET: Duration = Duration::from_secs(2);
-
-/// How long a client that hit a stale-generation fault keeps polling the
-/// meta block when the generation has *not* visibly changed, before
-/// concluding the fault has another cause: the region's placement.
-const STALE_GEN_BUDGET: Duration = Duration::from_millis(5);
-
-/// Chunk size for the resize copy and `bulk_load` image upload.
+/// Chunk size for the `bulk_load` image upload.
 const COPY_CHUNK: u64 = 4 << 20;
 
 /// Bytes of consecutive slots one READ of the probe walk lands past the
@@ -351,13 +311,16 @@ impl LockWatch {
     }
 }
 
-/// Name of the data region backing generation `generation`.
-fn gen_name(name: &str, generation: u64) -> String {
-    format!("{name}@g{generation}")
+/// Name of table `name`'s data region. The `@g1` suffix is what the first
+/// data region was called while a table could grow into further ones; it
+/// stays because tools outside this module (the elastic benchmark
+/// workload, E15) and tests look the data region up by this name.
+fn data_name(name: &str) -> String {
+    format!("{name}@g1")
 }
 
 /// Maps `name`, tolerating degraded backing regions if `degraded`.
-async fn map_gen(client: &RStoreClient, name: &str, degraded: bool) -> Result<Region> {
+async fn map_region(client: &RStoreClient, name: &str, degraded: bool) -> Result<Region> {
     if degraded {
         client.map_degraded(name).await
     } else {
@@ -372,7 +335,7 @@ struct CorruptSlot;
 /// The slot codec: the decoded `[version | klen | vlen | pad]` header of a
 /// slot image, and the only code that knows where the header fields, the key
 /// and the value sit. Remote probes, `multi_get`, the publish and tombstone
-/// images and the host images built by `grow` and `bulk_load` all go
+/// images and the host image built by `bulk_load` all go
 /// through it, so they share one validation rule.
 #[derive(Clone, Copy, Debug)]
 struct SlotHdr {
@@ -493,8 +456,6 @@ impl<'a> Image<'a> {
 /// The parsed meta block.
 #[derive(Clone, Copy, Debug)]
 struct TableMeta {
-    epoch: u64,
-    generation: u64,
     buckets: u64,
     slot_bytes: u64,
 }
@@ -503,10 +464,8 @@ impl TableMeta {
     fn encode(&self) -> [u8; META_BYTES as usize] {
         let mut out = [0u8; META_BYTES as usize];
         out[0..8].copy_from_slice(&KV_MAGIC.to_le_bytes());
-        out[8..16].copy_from_slice(&self.epoch.to_le_bytes());
-        out[16..24].copy_from_slice(&self.generation.to_le_bytes());
-        out[24..32].copy_from_slice(&self.buckets.to_le_bytes());
-        out[32..40].copy_from_slice(&self.slot_bytes.to_le_bytes());
+        out[8..16].copy_from_slice(&self.buckets.to_le_bytes());
+        out[16..24].copy_from_slice(&self.slot_bytes.to_le_bytes());
         out
     }
 
@@ -521,46 +480,16 @@ impl TableMeta {
             ));
         }
         Ok(TableMeta {
-            epoch: word(1),
-            generation: word(2),
-            buckets: word(3),
-            slot_bytes: word(4),
-        })
-    }
-}
-
-/// The client-side view of one table generation.
-struct TableGen {
-    generation: u64,
-    buckets: u64,
-    /// `buckets - 1`, hoisted: probe positions are `(start + i) & mask`.
-    mask: u64,
-    data: Region,
-}
-
-impl TableGen {
-    /// The view of the generation `m` describes, backed by `data` — which
-    /// must be exactly the table the meta block says it is.
-    fn new(m: &TableMeta, data: Region) -> Result<TableGen> {
-        if !m.buckets.is_power_of_two() || data.size() != m.buckets * m.slot_bytes {
-            return Err(RStoreError::Protocol(
-                "kv meta block disagrees with the data region size".into(),
-            ));
-        }
-        Ok(TableGen {
-            generation: m.generation,
-            buckets: m.buckets,
-            mask: m.buckets - 1,
-            data,
+            buckets: word(1),
+            slot_bytes: word(2),
         })
     }
 }
 
 /// A cached `key → slot` hint. `version` is the stable slot version the key
-/// was last seen at; generation-scoped so hints die wholesale on resize.
+/// was last seen at.
 #[derive(Clone, Copy, Debug)]
 struct SlotHint {
-    generation: u64,
     slot: u64,
     version: u64,
 }
@@ -681,23 +610,19 @@ impl Default for KvConfig {
 /// A distributed hash table stored in RStore regions, with a client-cached
 /// index.
 ///
-/// Create once with [`KvTable::create`]; open from any client with
-/// [`KvTable::open`]. All clients see the same table; concurrent writers
-/// are safe (per-slot CAS locks), and [`KvTable::grow`] rehashes online —
-/// other handles notice the new generation and remap without reopening.
-/// The handle owns no connections of its own: all its IO, CAS included,
-/// uses the owning client's data QPs and their re-dial.
+/// Create once with [`KvTable::create`], which fixes its bucket count;
+/// open from any client with [`KvTable::open`]. All clients see the same
+/// table, and concurrent writers are safe (per-slot CAS locks). The handle
+/// owns no connections of its own: all its IO, CAS included, uses the
+/// owning client's data QPs and their re-dial.
 pub struct KvTable {
     meta: Region,
+    data: Region,
+    /// `buckets - 1`, hoisted: probe positions are `(start + i) & mask`.
+    mask: u64,
     dev: RdmaDevice,
     slot_bytes: u64,
     max_probe: u64,
-    degraded: bool,
-    /// Current generation mapping; swapped atomically on remap/resize.
-    state: RefCell<TableGen>,
-    /// Mutations are admitted while `now < write_lease`; past it the next
-    /// mutation revalidates the epoch with one meta read.
-    write_lease: Cell<SimTime>,
     hints: RefCell<HintCache>,
     stats: KvStats,
     /// Landing buffer for the prior value of a CAS.
@@ -719,11 +644,9 @@ pub struct KvTable {
 
 impl std::fmt::Debug for KvTable {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let st = self.state.borrow();
         f.debug_struct("KvTable")
             .field("name", &self.meta.name())
-            .field("generation", &st.generation)
-            .field("buckets", &st.buckets)
+            .field("buckets", &self.buckets())
             .field("slot_bytes", &self.slot_bytes)
             .finish()
     }
@@ -731,7 +654,7 @@ impl std::fmt::Debug for KvTable {
 
 impl Drop for KvTable {
     fn drop(&mut self) {
-        // Degraded remaps under chaos open fresh handles every retry; without
+        // Degraded reopens under chaos open fresh handles every retry; without
         // this the per-handle scratch buffers leak arena bytes for the life
         // of the client device. Best-effort: the device may already be gone.
         let _ = self.dev.free(self.scratch);
@@ -778,18 +701,12 @@ pub fn keys_eq(a: &[u8], b: &[u8]) -> bool {
     lanes == 0 && tail == 0
 }
 
-/// True for the completion statuses a read/CAS/write surfaces when its
-/// target region was freed underneath it (the old generation after a
-/// resize): the server dropped the MR, so the rkey no longer resolves.
-fn stale_generation_status(e: &RStoreError) -> bool {
-    matches!(e, RStoreError::Io(CqStatus::RemoteAccess))
-}
-
 impl KvTable {
-    /// Creates a new table named `name` and opens it.
+    /// Creates a new table named `name` and opens it. Its bucket count,
+    /// `cfg.buckets` rounded up to a power of two, is fixed from here on.
     ///
-    /// Allocates the meta region under `name` and the first data region
-    /// under `{name}@g1`.
+    /// Allocates the meta region under `name` and the data region under
+    /// `{name}@g1`.
     ///
     /// # Errors
     ///
@@ -822,7 +739,7 @@ impl KvTable {
         };
         let meta = client.alloc(name, META_REGION_BYTES, meta_opts).await?;
         let data = match client
-            .alloc(&gen_name(name, 1), buckets * cfg.slot_bytes, cfg.opts)
+            .alloc(&data_name(name), buckets * cfg.slot_bytes, cfg.opts)
             .await
         {
             Ok(r) => r,
@@ -832,18 +749,16 @@ impl KvTable {
             }
         };
         let m = TableMeta {
-            epoch: 2,
-            generation: 1,
             buckets,
             slot_bytes: cfg.slot_bytes,
         };
         let none = OpLedger::disabled();
         if let Err(e) = meta.write_l(0, &m.encode(), &none).await {
-            let _ = client.free(&gen_name(name, 1)).await;
+            let _ = client.free(&data_name(name)).await;
             let _ = client.free(name).await;
             return Err(e);
         }
-        Self::from_parts(client, meta, data, m, cfg.max_probe, false)
+        Self::from_parts(client, meta, data, m, cfg.max_probe)
     }
 
     /// Opens an existing table by name. `slot_bytes` and `max_probe` must
@@ -888,32 +803,28 @@ impl KvTable {
         max_probe: u64,
         degraded: bool,
     ) -> Result<KvTable> {
-        let meta = map_gen(client, name, degraded).await?;
-        let none = OpLedger::disabled();
-        // A resize may be publishing a new generation right now: the poll
-        // waits out an odd epoch and retries a map that loses the race with
-        // the flip.
-        let opened = Self::poll_meta(&meta, slot_bytes, &none, |m| {
-            let meta = meta.clone();
-            async move {
-                let data = map_gen(client, &gen_name(name, m.generation), degraded).await?;
-                Self::from_parts(client, meta, data, m, max_probe, degraded).map(Some)
-            }
-        });
-        opened.await?.ok_or(RStoreError::Io(CqStatus::Timeout))
+        let meta = map_region(client, name, degraded).await?;
+        let m = Self::read_meta(&meta, slot_bytes, &OpLedger::disabled()).await?;
+        let data = map_region(client, &data_name(name), degraded).await?;
+        Self::from_parts(client, meta, data, m, max_probe)
     }
 
+    /// The handle over `meta` and `data`, which must be exactly the table
+    /// the meta block `m` says it is.
     fn from_parts(
         client: &RStoreClient,
         meta: Region,
         data: Region,
         m: TableMeta,
         max_probe: u64,
-        degraded: bool,
     ) -> Result<KvTable> {
         let dev = client.device().clone();
-        let state = TableGen::new(&m, data)?;
-        if !state.data.desc().stripe_size.is_multiple_of(m.slot_bytes) {
+        if !m.buckets.is_power_of_two() || data.size() != m.buckets * m.slot_bytes {
+            return Err(RStoreError::Protocol(
+                "kv meta block disagrees with the data region size".into(),
+            ));
+        }
+        if !data.desc().stripe_size.is_multiple_of(m.slot_bytes) {
             return Err(RStoreError::Protocol(
                 "stripe_size must be a multiple of slot_bytes (a slot image must be one WR)".into(),
             ));
@@ -928,18 +839,14 @@ impl KvTable {
             let _ = dev.free(scratch);
         })?;
         let hint_cap = client.shared.cfg.kv_hint_capacity;
-        // The meta block was just read (or written) and its epoch was even:
-        // that read doubles as the first write lease.
-        let lease = dev.sim().now() + WRITE_LEASE;
         Ok(KvTable {
             meta,
+            data,
+            mask: m.buckets - 1,
             stats: KvStats::resolve(&dev.metrics()),
             dev,
             slot_bytes: m.slot_bytes,
             max_probe,
-            degraded,
-            state: RefCell::new(state),
-            write_lease: Cell::new(lease),
             hints: RefCell::new(HintCache::new(hint_cap)),
             scratch,
             probe_buf,
@@ -949,14 +856,9 @@ impl KvTable {
         })
     }
 
-    /// Capacity in buckets (of the current generation).
+    /// Capacity in buckets.
     pub fn buckets(&self) -> u64 {
-        self.state.borrow().buckets
-    }
-
-    /// The table generation this handle is currently mapped to.
-    pub fn generation(&self) -> u64 {
-        self.state.borrow().generation
+        self.mask + 1
     }
 
     /// Largest value length a slot can hold for a key of `klen` bytes.
@@ -964,19 +866,8 @@ impl KvTable {
         (self.slot_bytes - HDR_BYTES as u64).saturating_sub(klen as u64)
     }
 
-    /// `(generation, mask, data)` under the current mapping. The region
-    /// handle is cloned out so ops never hold the state borrow across an
-    /// await.
-    fn snapshot(&self) -> (u64, u64, Region) {
-        let st = self.state.borrow();
-        (st.generation, st.mask, st.data.clone())
-    }
-
-    fn hint_for(&self, generation: u64, key: &[u8]) -> Option<SlotHint> {
-        self.hints
-            .borrow()
-            .lookup(key)
-            .filter(|h| h.generation == generation)
+    fn hint_for(&self, key: &[u8]) -> Option<SlotHint> {
+        self.hints.borrow().lookup(key)
     }
 
     fn install_hint(&self, key: &[u8], hint: SlotHint) {
@@ -1006,29 +897,6 @@ impl KvTable {
             node,
             region: desc.name.clone(),
             stripe: offset / desc.stripe_size,
-        }
-    }
-
-    /// Runs `once`; on the stale-generation signal (`RemoteAccess`) revalidates
-    /// the generation and runs it once more against the refreshed mapping.
-    /// A generation that has not moved leaves the data region's placement:
-    /// its extents were moved within the generation (repair, drain,
-    /// rebalance), or a server is fenced without a lease — the region layer
-    /// reruns `once` as it revalidates that. Slot hints stay: the geometry is
-    /// unchanged, only their transport moved.
-    async fn retry_stale<T, Fut>(&self, ledger: &OpLedger, once: impl Fn() -> Fut) -> Result<T>
-    where
-        Fut: Future<Output = Result<T>>,
-    {
-        match once().await {
-            Err(e) if stale_generation_status(&e) => {
-                if !self.revalidate_generation(ledger).await? {
-                    let data = self.state.borrow().data.clone();
-                    return data.with_revalidate(ledger, once).await;
-                }
-                once().await
-            }
-            r => r,
         }
     }
 
@@ -1224,12 +1092,13 @@ impl KvTable {
     /// fallbacks so chained probes stay attributed to the batch op).
     async fn get_l(&self, key: &[u8], ledger: &OpLedger) -> Result<Option<Vec<u8>>> {
         self.check_key(key)?;
-        self.retry_stale(ledger, || self.get_once(key, ledger))
+        self.data
+            .with_revalidate(ledger, || self.get_once(key, ledger))
             .await
     }
 
     async fn get_once(&self, key: &[u8], ledger: &OpLedger) -> Result<Option<Vec<u8>>> {
-        let (generation, mask, data) = self.snapshot();
+        let data = &self.data;
 
         // Hinted fast path: read the remembered slot directly. The key
         // stored in the slot validates the hint — no version check needed
@@ -1237,9 +1106,9 @@ impl KvTable {
         // secondary that took a failed publish can name a version the
         // primary later gives another key (module docs, "Locks and
         // failures").
-        if let Some(h) = self.hint_for(generation, key) {
-            let primary = self.read_window(&data, h.slot, 1, ledger).await?;
-            let (hdr, matched) = self.decode_landed(&data, h.slot, self.probe_buf.addr, key)?;
+        if let Some(h) = self.hint_for(key) {
+            let primary = self.read_window(data, h.slot, 1, ledger).await?;
+            let (hdr, matched) = self.decode_landed(data, h.slot, self.probe_buf.addr, key)?;
             if matched {
                 self.stats.hit.incr();
                 if primary {
@@ -1255,15 +1124,11 @@ impl KvTable {
             self.stats.miss.incr();
         }
 
-        match self.walk(&data, mask, key, None, ledger).await? {
+        match self.walk(data, self.mask, key, None, ledger).await? {
             Found::Hit(slot, hdr, primary) => {
                 if primary {
-                    let hint = SlotHint {
-                        generation,
-                        slot,
-                        version: hdr.version,
-                    };
-                    self.install_hint(key, hint);
+                    let version = hdr.version;
+                    self.install_hint(key, SlotHint { slot, version });
                 }
                 Ok(Some(self.landed_value(&hdr)))
             }
@@ -1294,7 +1159,8 @@ impl KvTable {
         let ledger = self.meta.op_ledger(OpKind::MultiGet);
         ledger.set_units(keys.len() as u64);
         let result = self
-            .retry_stale(&ledger, || self.multi_get_once(keys, &ledger))
+            .data
+            .with_revalidate(&ledger, || self.multi_get_once(keys, &ledger))
             .await;
         self.meta.finish_ledger_res(&ledger, &result);
         result
@@ -1305,8 +1171,7 @@ impl KvTable {
         keys: &[&[u8]],
         ledger: &OpLedger,
     ) -> Result<Vec<Option<Vec<u8>>>> {
-        let (generation, mask, data) = self.snapshot();
-        let (data, sb) = (&data, self.slot_bytes);
+        let (data, mask, sb) = (&self.data, self.mask, self.slot_bytes);
         // Stage through the data region's buffer pool: a steady-state batch
         // of the same size reuses one arena buffer instead of an alloc/free
         // pair per call.
@@ -1327,12 +1192,8 @@ impl KvTable {
                     let (hdr, matched) = self.decode_landed(data, slot, dst.addr, key)?;
                     out.push(if matched {
                         if primary {
-                            let hint = SlotHint {
-                                generation,
-                                slot,
-                                version: hdr.version,
-                            };
-                            self.install_hint(key, hint);
+                            let version = hdr.version;
+                            self.install_hint(key, SlotHint { slot, version });
                         }
                         Some(self.landed_value(&hdr))
                     } else if hdr.version == 0 {
@@ -1378,9 +1239,10 @@ impl KvTable {
     }
 
     async fn put_l(&self, key: &[u8], value: &[u8], ledger: &OpLedger) -> Result<()> {
-        self.ensure_write_lease(ledger).await?;
         let image = Image::Entry(key, value);
-        let placed = self.retry_stale(ledger, || self.mutate_key(image, ledger));
+        let placed = self
+            .data
+            .with_revalidate(ledger, || self.mutate_key(image, ledger));
         let Some(hint) = placed.await? else {
             return Err(RStoreError::InsufficientCapacity {
                 requested: self.slot_bytes,
@@ -1406,9 +1268,10 @@ impl KvTable {
     }
 
     async fn delete_l(&self, key: &[u8], ledger: &OpLedger) -> Result<bool> {
-        self.ensure_write_lease(ledger).await?;
         let image = Image::Tombstone(key);
-        let tombstoned = self.retry_stale(ledger, || self.mutate_key(image, ledger));
+        let tombstoned = self
+            .data
+            .with_revalidate(ledger, || self.mutate_key(image, ledger));
         let found = tombstoned.await?.is_some();
         if found {
             self.drop_hint(key, &self.stats.invalidate);
@@ -1422,8 +1285,7 @@ impl KvTable {
     /// fresh hint — or `None` if there is no slot to mutate: the key is
     /// absent (tombstone) or its probe window is full (entry).
     async fn mutate_key(&self, image: Image<'_>, ledger: &OpLedger) -> Result<Option<SlotHint>> {
-        let (generation, mask, data) = self.snapshot();
-        let key = image.key();
+        let (data, key) = (&self.data, image.key());
         let mut watch = LockWatch::new(self.dev.sim().now());
 
         // Hinted fast path: CAS directly on the cached stable version. A
@@ -1432,9 +1294,9 @@ impl KvTable {
         // probe read needed, however often other clients updated its value
         // since. A CAS that lost to a held lock waits and re-CASes the same
         // version; the hint is stale only if the version moved on.
-        if let Some(h) = self.hint_for(generation, key) {
+        if let Some(h) = self.hint_for(key) {
             let watch = Some(&mut watch);
-            let mutated = self.mutate(&data, h.slot, h.version, true, image, watch, ledger);
+            let mutated = self.mutate(data, h.slot, h.version, true, image, watch, ledger);
             match mutated.await {
                 Ok(Some((version, moved))) => {
                     if moved {
@@ -1456,7 +1318,7 @@ impl KvTable {
         }
 
         loop {
-            let found = self.walk(&data, mask, key, Some(&mut watch), ledger);
+            let found = self.walk(data, self.mask, key, Some(&mut watch), ledger);
             let (slot, version, hit, proven) = match (found.await?, image) {
                 (Found::Hit(slot, hdr, primary), _) => (slot, hdr.version, true, primary),
                 (Found::Hole(slot, version, primary), Image::Entry(..)) => {
@@ -1465,13 +1327,9 @@ impl KvTable {
                 _ => return Ok(None),
             };
             let chase = hit.then_some(&mut watch);
-            let mutated = self.mutate(&data, slot, version, proven, image, chase, ledger);
+            let mutated = self.mutate(data, slot, version, proven, image, chase, ledger);
             if let Some((version, _)) = mutated.await? {
-                return Ok(Some(SlotHint {
-                    generation,
-                    slot,
-                    version,
-                }));
+                return Ok(Some(SlotHint { slot, version }));
             }
             // Lost the lock race on a hole, or the chase found the key gone:
             // the chain may have changed under the winner, so walk again.
@@ -1670,7 +1528,7 @@ impl KvTable {
         Ok(())
     }
 
-    // --- epoch / generation maintenance --------------------------------------
+    // --- meta block and bulk load ----------------------------------------------
 
     /// Reads and validates the meta block behind `meta`.
     async fn read_meta(meta: &Region, slot_bytes: u64, ledger: &OpLedger) -> Result<TableMeta> {
@@ -1684,282 +1542,7 @@ impl KvTable {
         Ok(m)
     }
 
-    /// The one meta poll loop: reads the meta block every [`RESIZE_POLL`]
-    /// and hands each stable (even-epoch) view to `settle` until it returns
-    /// `Some`, which ends the poll. `settle` returning `None` — or
-    /// `NotFound`, a map that raced a generation flip — keeps polling.
-    /// `Ok(None)` means [`RESIZE_WAIT_BUDGET`] ran out first.
-    async fn poll_meta<T, Fut>(
-        meta: &Region,
-        slot_bytes: u64,
-        ledger: &OpLedger,
-        settle: impl Fn(TableMeta) -> Fut,
-    ) -> Result<Option<T>>
-    where
-        Fut: Future<Output = Result<Option<T>>>,
-    {
-        let sim = meta.client().device().sim();
-        let deadline = sim.now() + RESIZE_WAIT_BUDGET;
-        loop {
-            let m = Self::read_meta(meta, slot_bytes, ledger).await?;
-            if m.epoch % 2 == 0 {
-                match settle(m).await {
-                    Ok(None) | Err(RStoreError::NotFound(_)) => {}
-                    settled => return settled,
-                }
-            }
-            if sim.now() >= deadline {
-                return Ok(None);
-            }
-            sim.sleep(RESIZE_POLL).await;
-        }
-    }
-
-    /// Admits a mutation: cheap no-op while the write lease is fresh; past
-    /// it, one meta read revalidates the epoch (waiting out an in-flight
-    /// resize) and renews the lease.
-    async fn ensure_write_lease(&self, ledger: &OpLedger) -> Result<()> {
-        let sim = self.dev.sim();
-        if sim.now() < self.write_lease.get() {
-            return Ok(());
-        }
-        let admitted = Self::poll_meta(&self.meta, self.slot_bytes, ledger, |m| async move {
-            if m.generation != self.generation() {
-                self.remap(&m).await?;
-            } else {
-                self.write_lease.set(sim.now() + WRITE_LEASE);
-            }
-            Ok(Some(()))
-        });
-        admitted.await?.ok_or(RStoreError::Io(CqStatus::Timeout))
-    }
-
-    /// Reacts to a stale-generation fault (`RemoteAccess`: the data region
-    /// was freed under us). Polls the meta block; if the generation moved,
-    /// remaps and returns `true` (retry the op). `false` means it is
-    /// unchanged after a short budget: whatever faulted is the placement of
-    /// this generation's region, not the generation.
-    async fn revalidate_generation(&self, ledger: &OpLedger) -> Result<bool> {
-        let sim = self.dev.sim();
-        let span = ledger.begin(Phase::Reval, sim.now());
-        let same_gen_deadline = sim.now() + STALE_GEN_BUDGET;
-        let moved = Self::poll_meta(&self.meta, self.slot_bytes, ledger, |m| async move {
-            if m.generation != self.generation() {
-                self.remap(&m).await?;
-                Ok(Some(true))
-            } else if sim.now() >= same_gen_deadline {
-                Ok(Some(false))
-            } else {
-                Ok(None)
-            }
-        })
-        .await;
-        ledger.end(span, sim.now());
-        Ok(moved?.unwrap_or(false))
-    }
-
-    /// Maps the generation named by `m` and swaps it in.
-    async fn remap(&self, m: &TableMeta) -> Result<()> {
-        let name = gen_name(self.meta.name(), m.generation);
-        let data = map_gen(self.meta.client(), &name, self.degraded).await?;
-        self.install(TableGen::new(m, data)?);
-        self.stats.refresh.incr();
-        Ok(())
-    }
-
-    /// Swaps in a generation whose meta block was just seen with an even
-    /// epoch: hints die (they are generation-scoped), the write lease
-    /// renews.
-    fn install(&self, state: TableGen) {
-        *self.state.borrow_mut() = state;
-        self.hints.borrow_mut().clear();
-        self.write_lease.set(self.dev.sim().now() + WRITE_LEASE);
-    }
-
-    // --- resize ---------------------------------------------------------------
-
-    /// Grows the table to `new_buckets` (rounded up to a power of two),
-    /// rehashing every live entry into a fresh data region — without
-    /// stopping readers. Returns the number of entries moved.
-    ///
-    /// The protocol: CAS the meta epoch odd (one resizer wins), wait
-    /// `RESIZE_GRACE` so every admitted mutation finishes, copy + rehash
-    /// into `{name}@g{generation + 1}`, publish the new generation and an
-    /// even epoch in one atomic meta write, then free the old region.
-    /// Readers keep reading the old region until the free lands and then
-    /// revalidate on the resulting `RemoteAccess` fault; writers are
-    /// blocked from lease expiry until the flip (bounded by the grace plus
-    /// copy time).
-    ///
-    /// # Errors
-    ///
-    /// [`RStoreError::Protocol`] if a resize is already in flight, the
-    /// table would shrink, or this handle lost the epoch CAS race;
-    /// allocation and IO failures. On error after the epoch flip, the
-    /// epoch is restored even and the old generation stays live.
-    pub async fn grow(&self, new_buckets: u64) -> Result<u64> {
-        let ledger = self.meta.op_ledger(OpKind::Resize);
-        let result = self.grow_l(new_buckets, &ledger).await;
-        self.meta.finish_ledger_res(&ledger, &result);
-        result
-    }
-
-    async fn grow_l(&self, new_buckets: u64, ledger: &OpLedger) -> Result<u64> {
-        let new_buckets = new_buckets.next_power_of_two();
-        let m = Self::read_meta(&self.meta, self.slot_bytes, ledger).await?;
-        if m.epoch % 2 == 1 {
-            return Err(RStoreError::Protocol("resize already in progress".into()));
-        }
-        if new_buckets <= m.buckets {
-            return Err(RStoreError::Protocol(format!(
-                "grow must increase buckets ({} -> {new_buckets})",
-                m.buckets
-            )));
-        }
-        if m.generation != self.generation() {
-            self.remap(&m).await?;
-        }
-
-        // Claim the resize: CAS the epoch odd. One resizer wins; everyone
-        // else sees "in progress".
-        let odd = m.epoch + 1;
-        let claimed = self.cas_word(&self.meta, META_EPOCH_OFF, m.epoch, odd, None, ledger);
-        if claimed.await? != m.epoch {
-            return Err(RStoreError::Protocol(
-                "lost the resize race to another client".into(),
-            ));
-        }
-        let client = self.meta.client();
-        let flip = async {
-            // Propagate the odd epoch to every meta replica (the CAS hit the
-            // primary only).
-            self.meta
-                .write_l(META_EPOCH_OFF, &odd.to_le_bytes(), ledger)
-                .await?;
-            let (new_data, moved) = self.copy_generation(&m, new_buckets, ledger).await?;
-            let flipped = TableMeta {
-                epoch: m.epoch + 2,
-                generation: m.generation + 1,
-                buckets: new_buckets,
-                slot_bytes: self.slot_bytes,
-            };
-            let state = TableGen::new(&flipped, new_data)?;
-            // Publish: generation and even epoch in one small write —
-            // atomic per replica, so no client can observe a half-flip.
-            if let Err(e) = self.meta.write_l(0, &flipped.encode(), ledger).await {
-                let _ = client
-                    .free(&gen_name(self.meta.name(), flipped.generation))
-                    .await;
-                return Err(e);
-            }
-            Ok((state, moved))
-        };
-        let (state, moved) = match flip.await {
-            Ok(flipped) => flipped,
-            Err(e) => {
-                // Unwind: the old generation is untouched; restore the even
-                // epoch so writers unblock.
-                let _ = self
-                    .meta
-                    .write_l(META_EPOCH_OFF, &m.epoch.to_le_bytes(), ledger)
-                    .await;
-                return Err(e);
-            }
-        };
-        // Retire the old generation. Readers mid-flight fault with
-        // RemoteAccess once this lands and revalidate against the
-        // already-published meta block. A failed free leaks the old
-        // region but is otherwise harmless.
-        if client
-            .free(&gen_name(self.meta.name(), m.generation))
-            .await
-            .is_err()
-        {
-            self.stats.resize_free_failed.incr();
-        }
-        self.install(state);
-        self.stats.resize_count.incr();
-        self.stats.resize_moved.add(moved);
-        Ok(moved)
-    }
-
-    /// The copy phase of a resize: grace wait, bulk read of the old
-    /// generation, rehash into a fresh image, allocate + upload the new
-    /// generation. Returns the mapped new region and the live-entry count.
-    async fn copy_generation(
-        &self,
-        m: &TableMeta,
-        new_buckets: u64,
-        ledger: &OpLedger,
-    ) -> Result<(Region, u64)> {
-        // Every write admitted under a pre-flip lease finishes inside the
-        // grace window (lease + lock-wait budget + healthy IO ≪ grace).
-        self.dev.sim().sleep(RESIZE_GRACE).await;
-
-        let (_, _, old) = self.snapshot();
-        let old_bytes = m.buckets * self.slot_bytes;
-        let mut img_old = vec![0u8; old_bytes as usize];
-        let mut off = 0u64;
-        while off < old_bytes {
-            let n = COPY_CHUNK.min(old_bytes - off);
-            let chunk = old.read_l(off, n, ledger).await?;
-            img_old[off as usize..(off + n) as usize].copy_from_slice(&chunk);
-            off += n;
-        }
-
-        // Rehash the committed view of every live entry into the new image.
-        // A slot still locked after the grace window is an orphaned lock
-        // that no writer broke, and the entry under it is the one readers
-        // have been returning: it moves like any other.
-        let mut img_new = vec![0u8; (new_buckets * self.slot_bytes) as usize];
-        let mut moved = 0u64;
-        let old_slots = img_old.chunks_exact(self.slot_bytes as usize);
-        for (slot, img) in old_slots.enumerate() {
-            let hdr =
-                SlotHdr::decode(img).map_err(|CorruptSlot| self.corrupt_err(&old, slot as u64))?;
-            if hdr.live() {
-                self.place(&mut img_new, new_buckets - 1, hdr.key(img), hdr.value(img))?;
-                moved += 1;
-            }
-        }
-
-        // Allocate the new generation with the old region's shape. A
-        // leftover region from an earlier failed resize is reclaimed first.
-        let client = self.meta.client().clone();
-        let desc = old.desc();
-        let opts = AllocOptions {
-            stripe_size: desc.stripe_size,
-            replicas: desc
-                .groups
-                .first()
-                .map(|g| g.replicas.len() as u8)
-                .unwrap_or(1),
-            synthetic: false,
-            checksums: false,
-            ..AllocOptions::default()
-        };
-        let new_name = gen_name(self.meta.name(), m.generation + 1);
-        let new_data = match client
-            .alloc(&new_name, new_buckets * self.slot_bytes, opts)
-            .await
-        {
-            Ok(r) => r,
-            Err(RStoreError::NameExists(_)) => {
-                client.free(&new_name).await?;
-                client
-                    .alloc(&new_name, new_buckets * self.slot_bytes, opts)
-                    .await?
-            }
-            Err(e) => return Err(e),
-        };
-        if let Err(e) = self.upload(&new_data, &img_new, ledger).await {
-            let _ = client.free(&new_name).await;
-            return Err(e);
-        }
-        Ok((new_data, moved))
-    }
-
-    /// Places `key → value` in `img`, the host image of a whole generation
+    /// Places `key → value` in `img`, the host image of the whole table
     /// with bucket mask `mask`: over the key's own entry if the image
     /// already holds it, else in the first never-used slot of its probe
     /// window. Returns whether it overwrote.
@@ -1983,16 +1566,14 @@ impl KvTable {
         })
     }
 
-    /// Uploads the whole-generation host image `img` to `data` in
-    /// [`COPY_CHUNK`] writes.
+    /// Uploads the whole-table host image `img` to `data` in [`COPY_CHUNK`]
+    /// writes.
     async fn upload(&self, data: &Region, img: &[u8], ledger: &OpLedger) -> Result<()> {
         for (i, chunk) in img.chunks(COPY_CHUNK as usize).enumerate() {
             data.write_l(i as u64 * COPY_CHUNK, chunk, ledger).await?;
         }
         Ok(())
     }
-
-    // --- bulk load ------------------------------------------------------------
 
     /// Loads `entries` into the table by building the full slot image
     /// client-side and uploading it in large chunks — orders of magnitude
@@ -2025,8 +1606,7 @@ impl KvTable {
         K: AsRef<[u8]>,
         V: AsRef<[u8]>,
     {
-        self.ensure_write_lease(ledger).await?;
-        let (_, mask, data) = self.snapshot();
+        let mask = self.mask;
         let mut img = vec![0u8; ((mask + 1) * self.slot_bytes) as usize];
         let mut count = 0u64;
         for (key, value) in entries {
@@ -2037,7 +1617,7 @@ impl KvTable {
             }
         }
         ledger.set_units(count);
-        self.upload(&data, &img, ledger).await?;
+        self.upload(&self.data, &img, ledger).await?;
         self.hints.borrow_mut().clear();
         Ok(count)
     }
@@ -2071,11 +1651,7 @@ mod tests {
     #[test]
     fn hint_cache_evicts_fifo_and_refreshes_in_place() {
         let mut hc = HintCache::new(2);
-        let h = |slot| SlotHint {
-            generation: 1,
-            slot,
-            version: 2,
-        };
+        let h = |slot| SlotHint { slot, version: 2 };
         assert_eq!(hc.insert(b"a", h(1)), 0);
         assert_eq!(hc.insert(b"b", h(2)), 0);
         // Refresh does not re-queue: "a" stays oldest.
@@ -2427,7 +2003,7 @@ mod tests {
             assert_eq!(put.retries, 0);
 
             // Lock position 5 (slot 7) under its intact entry, for good.
-            let raw = client.map(&gen_name("chain", 1)).await.unwrap();
+            let raw = client.map(&data_name("chain")).await.unwrap();
             let none = OpLedger::disabled();
             let word = raw.read_l(7 * 128, 8, &none).await.unwrap();
             let version = u64::from_le_bytes(word.try_into().unwrap());
@@ -2487,7 +2063,7 @@ mod tests {
             assert_eq!(counters(), [0, 1, 0], "a hit, not stale");
             assert_eq!(kv0.get(b"a").await.unwrap().as_deref(), Some(&b"mine"[..]));
             let home = hash_key(b"a") & (cfg.buckets - 1);
-            let hints = [&kv0, &kv1].map(|kv| kv.hint_for(1, b"a").unwrap());
+            let hints = [&kv0, &kv1].map(|kv| kv.hint_for(b"a").unwrap());
             assert!(hints.iter().all(|h| (h.slot, h.version) == (home, 2)));
         });
     }
@@ -2503,7 +2079,7 @@ mod tests {
             let cfg = small_cfg();
             let kv = KvTable::create(&client, "tenure", cfg).await.unwrap();
             let off = (hash_key(b"k") & (cfg.buckets - 1)) * cfg.slot_bytes;
-            let raw = client.map(&gen_name("tenure", 1)).await.unwrap();
+            let raw = client.map(&data_name("tenure")).await.unwrap();
             let word = || async {
                 u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
             };
@@ -2558,7 +2134,7 @@ mod tests {
                 || ["kv.index.stale", "kv.index.hit", "kv.lock.chase"].map(|n| metrics.counter(n));
 
             let mask = cfg.buckets - 1;
-            let raw = c0.map(&gen_name("stale", 1)).await.unwrap();
+            let raw = c0.map(&data_name("stale")).await.unwrap();
             let off = (hash_key(b"a") & mask) * cfg.slot_bytes;
             let word = || async {
                 u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
@@ -2625,8 +2201,8 @@ mod tests {
             let kv = KvTable::create(&client, "unproven", cfg).await.unwrap();
             kv.put(b"j", b"theirs").await.unwrap();
             let slot = hash_key(b"j") & (cfg.buckets - 1);
-            let raw = client.map(&gen_name("unproven", 1)).await.unwrap();
-            let (_, _, data) = kv.snapshot();
+            let raw = client.map(&data_name("unproven")).await.unwrap();
+            let data = &kv.data;
             let metrics = client.device().metrics();
             let ledger = OpLedger::disabled();
             for hit in [true, false] {
@@ -2634,7 +2210,7 @@ mod tests {
                 let chase = hit.then_some(&mut watch);
                 let image = Image::Entry(b"k", b"mine");
                 metrics.reset();
-                let mutated = kv.mutate(&data, slot, 2, false, image, chase, &ledger);
+                let mutated = kv.mutate(data, slot, 2, false, image, chase, &ledger);
                 assert_eq!(mutated.await.unwrap(), None, "hit {hit}");
                 let wrs = metrics.histogram("rdma.doorbell_wrs").unwrap().sum();
                 assert_eq!(wrs, 3, "hit {hit}: CAS and read-back, unlock");
@@ -2676,7 +2252,7 @@ mod tests {
                     kv.put(b"k", b"v1").await.unwrap();
                     let rtt = s.now().saturating_since(t) / 2;
                     let off = (hash_key(b"k") & (cfg.buckets - 1)) * cfg.slot_bytes;
-                    let raw = client.map(&gen_name("held", 1)).await.unwrap();
+                    let raw = client.map(&data_name("held")).await.unwrap();
                     let none = OpLedger::disabled();
                     async fn word(raw: &Region, off: u64) -> u64 {
                         u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
@@ -2761,8 +2337,8 @@ mod tests {
             let kv = KvTable::create(&client, "late", cfg).await.unwrap();
             kv.put(b"k", b"v1").await.unwrap();
             let slot = hash_key(b"k") & (cfg.buckets - 1);
-            let raw = client.map(&gen_name("late", 1)).await.unwrap();
-            let (_, _, data) = kv.snapshot();
+            let raw = client.map(&data_name("late")).await.unwrap();
+            let data = &kv.data;
             let none = OpLedger::disabled();
             let read_word = || async {
                 let word = raw.read(slot * cfg.slot_bytes, 8).await.unwrap();
@@ -2783,7 +2359,7 @@ mod tests {
                 }
                 s.sleep(LOCK_WAIT_BUDGET).await;
                 metrics.reset();
-                let waited = kv.lock_wait_on(&data, &mut watch, slot, lock, &none);
+                let waited = kv.lock_wait_on(data, &mut watch, slot, lock, &none);
                 let wrs = || {
                     metrics
                         .histogram("rdma.doorbell_wrs")
@@ -3026,7 +2602,7 @@ mod tests {
                 // version, impossible lengths. The key bytes stay.
                 let mask = cfg.buckets.next_power_of_two() - 1;
                 let slot = hash_key(b"victim") & mask;
-                let raw = client.map(&gen_name(table, 1)).await.unwrap();
+                let raw = client.map(&data_name(table)).await.unwrap();
                 let hdr = SlotHdr {
                     version: 2,
                     word: 2,
@@ -3062,106 +2638,6 @@ mod tests {
                 let batch = kv2.multi_get(&[b"victim"]).await;
                 check("multi_get", batch.err().unwrap());
             }
-        });
-    }
-
-    #[test]
-    fn grow_rehash_preserves_data_without_stopping_reads() {
-        // Online resize: a reader on another client keeps reading (old
-        // hints, old generation) while the table quadruples; every read
-        // returns the right value, and stale handles revalidate via the
-        // epoch/generation word instead of erroring.
-        let cluster = boot(2);
-        let sim = cluster.sim.clone();
-        sim.block_on(async move {
-            let cfg = small_cfg();
-            let c0 = cluster.client(0).await.unwrap();
-            let kv0 = KvTable::create(&c0, "grow", cfg).await.unwrap();
-            for i in 0..40u32 {
-                kv0.put(format!("g{i}").as_bytes(), &i.to_le_bytes())
-                    .await
-                    .unwrap();
-            }
-            assert!(matches!(
-                kv0.grow(32).await.err().unwrap(),
-                RStoreError::Protocol(_)
-            ));
-
-            let c1 = cluster.client(1).await.unwrap();
-            let kv1 = KvTable::open(&c1, "grow", cfg.slot_bytes, cfg.max_probe)
-                .await
-                .unwrap();
-            // Warm kv1's hints against generation 1.
-            for i in 0..40u32 {
-                assert!(kv1.get(format!("g{i}").as_bytes()).await.unwrap().is_some());
-            }
-
-            let grower = cluster.sim.spawn(async move {
-                let moved = kv0.grow(256).await.unwrap();
-                (kv0, moved)
-            });
-            let rsim = cluster.sim.clone();
-            let reader = cluster.sim.spawn(async move {
-                // Spans the grace window, the copy, the flip, and the free.
-                for round in 0..120u32 {
-                    let i = round % 40;
-                    let got = kv1.get(format!("g{i}").as_bytes()).await.unwrap();
-                    assert_eq!(got.unwrap(), i.to_le_bytes(), "g{i} during resize");
-                    rsim.sleep(std::time::Duration::from_micros(600)).await;
-                }
-                kv1
-            });
-            let (kv0, moved) = grower.await;
-            let kv1 = reader.await;
-            assert_eq!(moved, 40);
-            assert_eq!(kv0.buckets(), 256);
-            assert_eq!(kv0.generation(), 2);
-
-            // The stale handle converges: reads remapped already (or will on
-            // first fault), and a write revalidates through the lease.
-            kv1.put(b"post-resize", b"ok").await.unwrap();
-            assert_eq!(kv1.generation(), 2);
-            for i in 0..40u32 {
-                assert_eq!(
-                    kv1.get(format!("g{i}").as_bytes()).await.unwrap().unwrap(),
-                    i.to_le_bytes()
-                );
-            }
-            assert_eq!(kv0.get(b"post-resize").await.unwrap().unwrap(), b"ok");
-            assert!(c1.device().metrics().counter("kv.index.refresh") >= 1);
-            // A second resize attempt from the now-stale generation count
-            // still works (the handle re-reads the meta block first).
-            let moved = kv0.grow(512).await.unwrap();
-            assert_eq!(moved, 41);
-            assert_eq!(kv0.buckets(), 512);
-        });
-    }
-
-    #[test]
-    fn grow_keeps_the_entry_under_an_orphaned_lock() {
-        // A lock no writer will ever release sits over an entry through the
-        // resize's grace window. Readers return the entry under it, so the
-        // rehash moves that committed view like any other live entry, and
-        // the value readers have seen survives the grow.
-        let cluster = boot(1);
-        let sim = cluster.sim.clone();
-        sim.block_on(async move {
-            let client = cluster.client(0).await.unwrap();
-            let kv = KvTable::create(&client, "orphan", small_cfg())
-                .await
-                .unwrap();
-            kv.put(b"held", b"under").await.unwrap();
-            kv.put(b"free", b"v").await.unwrap();
-            let off = (hash_key(b"held") & 63) * 128;
-            let raw = client.map(&gen_name("orphan", 1)).await.unwrap();
-            let none = OpLedger::disabled();
-            let orphan = lock_word(2, 0x0D).to_le_bytes();
-            raw.write_l(off, &orphan, &none).await.unwrap();
-            assert_eq!(kv.get(b"held").await.unwrap().unwrap(), b"under");
-            assert_eq!(kv.grow(256).await.unwrap(), 2, "both entries moved");
-            assert_eq!(kv.generation(), 2);
-            assert_eq!(kv.get(b"held").await.unwrap().unwrap(), b"under");
-            assert_eq!(kv.get(b"free").await.unwrap().unwrap(), b"v");
         });
     }
 

@@ -545,8 +545,10 @@ mod tests {
             new.write(0, b"NEW-BYTES").await.unwrap();
             // The old handle names a freed region: another geometry under
             // its name is not a refreshed descriptor of it.
-            assert!(old.read(0, 9).await.is_err());
-            assert!(old.write(16, b"stale").await.is_err());
+            // The ladder's `NotFound` branch ends it with the IO's own error.
+            let refused = Some(RStoreError::Io(rdma::CqStatus::RemoteAccess));
+            assert_eq!(old.read(0, 9).await.err(), refused);
+            assert_eq!(old.write(16, b"stale").await.err(), refused);
             assert_eq!(old.size(), 64 * 1024);
             let untouched = [&b"NEW-BYTES"[..], &[0; 23]].concat();
             assert_eq!(new.read(0, 32).await.unwrap(), untouched);

@@ -296,12 +296,16 @@ impl Region {
     /// because a fence that ends leaves the descriptor as it was — only the
     /// IO itself can tell (a bounced round costs microseconds). Region
     /// writes are idempotent, so re-writing replicas that already landed is
-    /// safe.
+    /// safe. Every KV table op runs its whole attempt under this ladder too.
     ///
-    /// A failed refresh (`NotFound` once the region has been freed, even
-    /// if another region of another geometry took its name) keeps the
-    /// original IO error: layered protocols — the KV generation machinery —
-    /// key their own recovery on `RemoteAccess`, not on control-path errors.
+    /// A refresh that fails for any reason but `NotFound` — the master's
+    /// reply was lost, it timed out — counts as an unchanged descriptor:
+    /// back off and retry the round. `NotFound` (the region has been freed,
+    /// even if another region of another geometry took its name) ends the
+    /// ladder with the original `RemoteAccess`. Only an unchanged descriptor
+    /// takes a step of the ladder; a changed one reruns the round at once.
+    /// The worst case is 7 refreshes plus 113 ms of backoff (1 + 2 + 4 + …
+    /// + 32 + 50 ms), and 7 more refreshes that each changed the descriptor.
     pub(crate) async fn with_revalidate<T, Fut>(
         &self,
         ledger: &OpLedger,
@@ -312,9 +316,9 @@ impl Region {
     {
         let s = &self.client.shared;
         let mut result = round().await;
-        let mut backoff = Duration::from_millis(1);
-        for attempt in 0u64..7 {
-            if !matches!(result, Err(RStoreError::Io(CqStatus::RemoteAccess))) {
+        let (mut backoff, mut steps) = (Duration::from_millis(1), 0);
+        for attempt in 0u64..14 {
+            if steps == 7 || !matches!(result, Err(RStoreError::Io(CqStatus::RemoteAccess))) {
                 break;
             }
             if attempt == 0 {
@@ -322,14 +326,14 @@ impl Region {
             }
             let reval = ledger.begin(Phase::Reval, s.sim.now());
             let moved = self.refresh(attempt).await;
-            if let Ok(false) = moved {
+            if !matches!(moved, Ok(true) | Err(RStoreError::NotFound(_))) {
                 let seal = ledger.begin(Phase::Seal, s.sim.now());
                 s.sim.sleep(backoff).await;
                 ledger.end(seal, s.sim.now());
-                backoff = (backoff * 2).min(Duration::from_millis(50));
+                (backoff, steps) = ((backoff * 2).min(Duration::from_millis(50)), steps + 1);
             }
             ledger.end(reval, s.sim.now());
-            if moved.is_err() {
+            if let Err(RStoreError::NotFound(_)) = moved {
                 break;
             }
             ledger.retry();

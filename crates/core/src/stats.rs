@@ -27,14 +27,13 @@ pub(crate) enum OpKind {
     Put,
     Delete,
     Cas,
-    Resize,
     BulkLoad,
 }
 
 impl OpKind {
     /// The `<op>` of each kind's `ops.<op>.*` metrics and flight records, in
     /// declaration order.
-    const NAMES: [&'static str; 13] = [
+    const NAMES: [&'static str; 12] = [
         "read",
         "read_ck",
         "read_many",
@@ -46,7 +45,6 @@ impl OpKind {
         "put",
         "delete",
         "cas",
-        "resize",
         "bulk_load",
     ];
 
@@ -178,13 +176,9 @@ pub(crate) struct KvStats {
     pub stale: Counter,
     pub invalidate: Counter,
     pub evict: Counter,
-    pub refresh: Counter,
     pub slot_corrupt: Counter,
     pub lock_break: Counter,
     pub chase: Counter,
-    pub resize_count: Counter,
-    pub resize_moved: Counter,
-    pub resize_free_failed: Counter,
 }
 
 impl KvStats {
@@ -195,13 +189,9 @@ impl KvStats {
             stale: m.counter_handle("kv.index.stale"),
             invalidate: m.counter_handle("kv.index.invalidate"),
             evict: m.counter_handle("kv.index.evict"),
-            refresh: m.counter_handle("kv.index.refresh"),
             slot_corrupt: m.counter_handle("kv.slot_corrupt"),
             lock_break: m.counter_handle("kv.lock.break"),
             chase: m.counter_handle("kv.lock.chase"),
-            resize_count: m.counter_handle("kv.resize.count"),
-            resize_moved: m.counter_handle("kv.resize.moved"),
-            resize_free_failed: m.counter_handle("kv.resize.free_failed"),
         }
     }
 }

@@ -950,8 +950,7 @@ fn region_io_matches_model_and_doorbell_rule() {
 /// the table, and `InsufficientCapacity`, which the model must predict; one
 /// has stripes of three slots, so the walk's READ windows cross stripes) and
 /// the replica count. Two handles on two clients take turns, so each one's
-/// hints go stale under the other's deletes and re-inserts, and one
-/// mid-sequence `grow` leaves the other handle on a freed generation.
+/// hints go stale under the other's deletes and re-inserts.
 #[test]
 fn kv_table_matches_hashmap_model() {
     use rstore::{AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable};
@@ -965,26 +964,23 @@ fn kv_table_matches_hashmap_model() {
         MultiGet(Vec<u8>),
     }
     const HINT_CAPS: [usize; 3] = [0, 2, 4096];
-    // (buckets, max_probe, buckets after the grow, stripe size). The third
-    // one aims at the walk's READ windows: its chains run past the last
-    // bucket, so a window is clipped at the table end, and its 3-slot
-    // stripes make every 8-slot window straddle stripe boundaries.
-    const GEOMETRIES: [(u64, u64, u64, u64); 3] = [
-        (64, 64, 256, 16 << 20),
-        (16, 16, 64, 16 << 20),
-        (32, 32, 128, 3 * 128),
-    ];
+    // (buckets, max_probe, stripe size). The probe window of each covers
+    // the whole table. The third one aims at the walk's READ windows: its
+    // chains run past the last bucket, so a window is clipped at the table
+    // end, and its 3-slot stripes make every 8-slot window straddle stripe
+    // boundaries.
+    const GEOMETRIES: [(u64, u64, u64); 3] =
+        [(64, 64, 16 << 20), (16, 16, 16 << 20), (32, 32, 3 * 128)];
     let key_of = |id: u8| format!("key-{id}").into_bytes();
 
     let mut case = 0;
     cases("kv_table_matches_hashmap_model", 36, |rng| {
         let kv_hint_capacity = HINT_CAPS[case % 3];
-        let (buckets, max_probe, grown, stripe_size) = GEOMETRIES[case / 3 % 3];
+        let (buckets, max_probe, stripe_size) = GEOMETRIES[case / 3 % 3];
         let replicas = 1 + (case / 9 % 2) as u8;
         case += 1;
 
         let n_ops = rng.range_u64(1, 160);
-        let grow_at = rng.range_u64(0, n_ops);
         let ops: Vec<Op> = (0..n_ops)
             .map(|_| {
                 let key = rng.index(32) as u8;
@@ -1039,22 +1035,14 @@ fn kv_table_matches_hashmap_model() {
             let mut model: HashMap<Vec<u8>, Vec<u8>> = HashMap::new();
             for (i, op) in ops.into_iter().enumerate() {
                 let kv = &handles[i % 2];
-                if i as u64 == grow_at {
-                    let moved = handles[0].grow(grown).await.map_err(|e| e.to_string())?;
-                    if moved != model.len() as u64 {
-                        return Err(format!("grow moved {moved}, model has {}", model.len()));
-                    }
-                }
                 match op {
                     Op::Put(id, value) => {
-                        // The probe window covers the whole table until the
-                        // grow, so a new key fits iff some slot is not live.
-                        let window = max_probe.min(handles[0].buckets());
-                        let whole_table = window == handles[0].buckets();
+                        // The probe window covers the whole table, so a new
+                        // key fits iff some slot is not live.
                         let key = key_of(id);
-                        let room = model.contains_key(&key) || (model.len() as u64) < window;
+                        let room = model.contains_key(&key) || (model.len() as u64) < buckets;
                         match kv.put(&key, &value).await {
-                            Ok(()) if whole_table && !room => {
+                            Ok(()) if !room => {
                                 return Err(format!("put of {key:?} fit a full table"));
                             }
                             Ok(()) => {

@@ -440,6 +440,64 @@ fn stale_descriptor_after_drain_revalidates_and_retries() {
     });
 }
 
+/// A region read and a KV put whose extents were drained away while the
+/// master's replies are lost: the first descriptor refreshes of the
+/// revalidation ladder time out. A refresh that fails for any reason but
+/// `NotFound` counts as an unchanged descriptor, so each IO backs off and
+/// retries until a refresh gets through, and completes. (A failed refresh
+/// used to end the ladder with the `RemoteAccess` that started it.)
+#[test]
+fn an_io_whose_descriptor_refresh_reply_is_lost_retries_until_the_master_answers() {
+    let cluster = boot(3, 1);
+    let sim = cluster.sim.clone();
+    let fabric = cluster.fabric.clone();
+    let devs = cluster.client_devs.clone();
+    let master = cluster.master_node();
+    let cfg = rstore::ClientConfig {
+        ctrl_response_timeout: Duration::from_millis(5),
+        ..rstore::ClientConfig::default()
+    };
+    let kv_cfg = KvConfig {
+        buckets: 64,
+        slot_bytes: 128,
+        max_probe: 16,
+        opts: single_replica(),
+    };
+    sim.block_on(async move {
+        let c = RStoreClient::connect_with(&devs[0], master, cfg)
+            .await
+            .unwrap();
+        let data = payload(64 * 1024);
+        let region = c.alloc("unlit", 64 * 1024, single_replica()).await.unwrap();
+        region.write(0, &data).await.unwrap();
+        let kv = KvTable::create(&c, "unlit_kv", kv_cfg).await.unwrap();
+        kv.put(b"key", b"old").await.unwrap();
+        for name in ["unlit", "unlit_kv@g1"] {
+            let victim = c.lookup(name).await.unwrap().groups[0].replicas[0].node;
+            c.drain(fabric::NodeId(victim)).await.unwrap();
+        }
+        let refreshes = || fabric.metrics().counter("rstore.desc.refresh");
+
+        // Each IO starts with the master cut off for long enough that its
+        // first two refreshes lose their reply (5 ms each).
+        let cut_off = || {
+            FaultPlan::new(1)
+                .flap(Duration::ZERO, master, Duration::from_millis(12))
+                .install(&fabric)
+        };
+        let before = refreshes();
+        cut_off();
+        assert_eq!(region.read(0, 64 * 1024).await.unwrap(), data);
+        assert!(refreshes() > before, "the read installed the moved extent");
+
+        let before = refreshes();
+        cut_off();
+        kv.put(b"key", b"new").await.unwrap();
+        assert!(refreshes() > before, "the put installed the moved extent");
+        assert_eq!(kv.get(b"key").await.unwrap().as_deref(), Some(&b"new"[..]));
+    });
+}
+
 #[test]
 fn stale_checksummed_read_is_not_misdiagnosed_as_corruption() {
     let cluster = boot(3, 1);

@@ -208,7 +208,6 @@ fn emitted() -> BTreeMap<&'static str, BTreeSet<String>> {
             opts,
         };
         let kv = KvTable::create(&a, "reg/kv", kv_cfg).await.unwrap();
-        kv.grow(128).await.unwrap();
         // A hint that another handle's delete and re-insert made stale: its
         // lost CAS chases.
         let other = KvTable::open(&b, "reg/kv", 128, 16).await.unwrap();
