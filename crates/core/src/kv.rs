@@ -198,7 +198,9 @@ const LOCK_BACKOFF: Duration = Duration::from_micros(2);
 /// failed over has started the descriptor refresh that finds its successor.
 const FAILOVER_BACKOFF: Duration = Duration::from_micros(500);
 
-/// Chunk size for the `bulk_load` image upload.
+/// Most bytes of slots one `bulk_load` WRITE carries: the upload renders
+/// that many into one reused buffer, cut down to whole slots so that no
+/// slot straddles two WRITEs (128-byte slots divide it).
 const COPY_CHUNK: u64 = 4 << 20;
 
 /// Bytes of consecutive slots one READ of the probe walk lands past the
@@ -335,8 +337,8 @@ struct CorruptSlot;
 /// The slot codec: the decoded `[version | klen | vlen | pad]` header of a
 /// slot image, and the only code that knows where the header fields, the key
 /// and the value sit. Remote probes, `multi_get`, the publish and tombstone
-/// images and the host image built by `bulk_load` all go
-/// through it, so they share one validation rule.
+/// images and the slots `bulk_load` renders for its upload all go through
+/// it, so they share one validation rule.
 #[derive(Clone, Copy, Debug)]
 struct SlotHdr {
     /// The committed stable version: the word itself, or under a lock the
@@ -1542,52 +1544,29 @@ impl KvTable {
         Ok(m)
     }
 
-    /// Places `key → value` in `img`, the host image of the whole table
-    /// with bucket mask `mask`: over the key's own entry if the image
-    /// already holds it, else in the first never-used slot of its probe
-    /// window. Returns whether it overwrote.
-    fn place(&self, img: &mut [u8], mask: u64, key: &[u8], value: &[u8]) -> Result<bool> {
-        let sb = self.slot_bytes as usize;
-        let home = hash_key(key) & mask;
-        for probe in 0..self.max_probe.min(mask + 1) {
-            let slot = &mut img[((home + probe) & mask) as usize * sb..][..sb];
-            let Ok(hdr) = SlotHdr::decode(slot) else {
-                continue;
-            };
-            let overwrite = hdr.live();
-            if overwrite && !keys_eq(hdr.key(slot), key) {
-                continue;
-            }
-            SlotHdr::write_entry(slot, 2, key, value);
-            return Ok(overwrite);
-        }
-        Err(RStoreError::InsufficientCapacity {
-            requested: self.slot_bytes,
-        })
-    }
-
-    /// Uploads the whole-table host image `img` to `data` in [`COPY_CHUNK`]
-    /// writes.
-    async fn upload(&self, data: &Region, img: &[u8], ledger: &OpLedger) -> Result<()> {
-        for (i, chunk) in img.chunks(COPY_CHUNK as usize).enumerate() {
-            data.write_l(i as u64 * COPY_CHUNK, chunk, ledger).await?;
-        }
-        Ok(())
-    }
-
-    /// Loads `entries` into the table by building the full slot image
-    /// client-side and uploading it in large chunks — orders of magnitude
-    /// fewer round trips than per-key puts. Intended for populating a
-    /// **freshly created** table: existing slots are clobbered, and
-    /// concurrent mutations from other clients are not coordinated with.
-    /// Later entries overwrite earlier ones with the same key. Returns the
-    /// number of distinct keys loaded.
+    /// Loads `entries` into the table with a few large WRITEs — orders of
+    /// magnitude fewer round trips than per-key puts. Intended for
+    /// populating a **freshly created** table: existing slots are
+    /// clobbered, and concurrent mutations from other clients are not
+    /// coordinated with. Later entries overwrite earlier ones with the same
+    /// key. Returns the number of distinct keys loaded.
+    ///
+    /// The load has two phases and iterates `entries` once. *Place* puts
+    /// each entry over its key's entry if an earlier one placed the key,
+    /// else in the first never-used slot of the key's probe window; it
+    /// holds one packed copy of the entries' keys and values (each with a
+    /// 4-byte length word, padded to 4 bytes) and a slot index of 4 bytes
+    /// per slot. *Upload* renders up to 4 MiB of whole slots at a time
+    /// from them into one reused buffer and writes each in one WRITE. The
+    /// host memory a load holds therefore grows with the entries, not with
+    /// the table: their bytes, 4 bytes per slot and one 4 MiB buffer.
+    /// Nothing is written unless every entry was placed.
     ///
     /// # Errors
     ///
     /// [`RStoreError::Protocol`] for invalid keys/values,
-    /// [`RStoreError::InsufficientCapacity`] if some probe window fills,
-    /// and IO failures.
+    /// [`RStoreError::InsufficientCapacity`] if some probe window fills or
+    /// the packed entries outgrow the index's 16 GiB reach, and IO failures.
     pub async fn bulk_load<I, K, V>(&self, entries: I) -> Result<u64>
     where
         I: IntoIterator<Item = (K, V)>,
@@ -1606,27 +1585,62 @@ impl KvTable {
         K: AsRef<[u8]>,
         V: AsRef<[u8]>,
     {
-        let mask = self.mask;
-        let mut img = vec![0u8; ((mask + 1) * self.slot_bytes) as usize];
-        let mut count = 0u64;
+        let full = || RStoreError::InsufficientCapacity {
+            requested: self.slot_bytes,
+        };
+        // Slot → where its record starts in `bytes`, in 4-byte units: a
+        // `[klen << 16 | vlen]` u32 (check_entry bounds both by u16::MAX),
+        // the key and the value, padded to 4 bytes. 0 is the never-used
+        // slot: the empty record `bytes` starts with.
+        let mut slots = vec![0u32; (self.mask + 1) as usize];
+        let (mut bytes, mut count) = (vec![0u8; 4], 0);
         for (key, value) in entries {
             let (key, value) = (key.as_ref(), value.as_ref());
             self.check_entry(key, value)?;
-            if !self.place(&mut img, mask, key, value)? {
-                count += 1; // not an overwrite: a new key
-            }
+            let home = hash_key(key) & self.mask;
+            let slot = (0..self.max_probe.min(self.mask + 1))
+                .map(|probe| ((home + probe) & self.mask) as usize)
+                .find(|&s| slots[s] == 0 || keys_eq(staged(&bytes, slots[s]).0, key))
+                .ok_or_else(full)?;
+            count += u64::from(slots[slot] == 0);
+            slots[slot] = u32::try_from(bytes.len() / 4).map_err(|_| full())?;
+            bytes.extend(((key.len() << 16 | value.len()) as u32).to_le_bytes());
+            bytes.extend(key.iter().chain(value));
+            bytes.resize(bytes.len().next_multiple_of(4), 0);
         }
         ledger.set_units(count);
-        self.upload(&self.data, &img, ledger).await?;
+        // Whole slots per WRITE: no slot straddles two.
+        let sb = self.slot_bytes as usize;
+        let per_write = (COPY_CHUNK as usize / sb).max(1);
+        let mut buf = vec![0u8; per_write.min(slots.len()) * sb];
+        for (i, index) in slots.chunks(per_write).enumerate() {
+            let chunk = &mut buf[..index.len() * sb];
+            for (img, &r) in chunk.chunks_exact_mut(sb).zip(index) {
+                let (key, value) = staged(&bytes, r);
+                SlotHdr::write_entry(img, if r == 0 { 0 } else { 2 }, key, value);
+            }
+            let at = (i * per_write * sb) as u64;
+            self.data.write_l(at, chunk, ledger).await?;
+        }
         self.hints.borrow_mut().clear();
         Ok(count)
     }
+}
+
+/// The key and value of the record that `bulk_load` packed `at` 4-byte
+/// units into `bytes`.
+fn staged(bytes: &[u8], at: u32) -> (&[u8], &[u8]) {
+    let run = &bytes[at as usize * 4..];
+    let lens = u32::from_le_bytes(run[..4].try_into().expect("4-byte header")) as usize;
+    run[4..][..(lens >> 16) + (lens & 0xffff)].split_at(lens >> 16)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig};
+    use std::cell::Cell;
+    use std::collections::HashSet;
 
     fn boot(clients: usize) -> Cluster {
         Cluster::boot(ClusterConfig {
@@ -2668,6 +2682,156 @@ mod tests {
             }
             assert_eq!(kv.get(b"missing").await.unwrap(), None);
         });
+    }
+
+    type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// The whole-table host image the loader used to build, kept as the
+    /// reference for `bulk_load`: each entry goes over its key's entry if
+    /// the image holds the key, else in the first never-used slot of its
+    /// probe window. `Err(i)`: entry `i` found its window full.
+    fn reference_image(cfg: &KvConfig, entries: &Entries) -> std::result::Result<Vec<u8>, usize> {
+        let (sb, mask) = (cfg.slot_bytes as usize, cfg.buckets - 1);
+        let mut img = vec![0u8; (mask + 1) as usize * sb];
+        'entries: for (i, (key, value)) in entries.iter().enumerate() {
+            let home = hash_key(key) & mask;
+            for probe in 0..cfg.max_probe.min(mask + 1) {
+                let slot = &mut img[((home + probe) & mask) as usize * sb..][..sb];
+                let Ok(hdr) = SlotHdr::decode(slot) else {
+                    continue;
+                };
+                if hdr.live() && !keys_eq(hdr.key(slot), key) {
+                    continue;
+                }
+                SlotHdr::write_entry(slot, 2, key, value);
+                continue 'entries;
+            }
+            return Err(i);
+        }
+        Ok(img)
+    }
+
+    /// A seeded stream of `n` entries over `pool` keys, so keys repeat,
+    /// with values of random length (empty included) that fit the slot,
+    /// followed by `wrap` distinct keys whose home is one of the table's
+    /// last two slots, so that their probe windows wrap past the last slot.
+    fn load_stream(seed: u64, cfg: &KvConfig, n: usize, pool: usize, wrap: usize) -> Entries {
+        let mut rng = sim::DetRng::new(seed);
+        let payload = cfg.slot_bytes as usize - HDR_BYTES;
+        let mut entries: Entries = (0..n)
+            .map(|_| {
+                let key = format!("key{}", rng.index(pool)).into_bytes();
+                let mut value = vec![0u8; rng.index(payload - key.len() + 1)];
+                rng.fill_bytes(&mut value);
+                (key, value)
+            })
+            .collect();
+        let tail = (0u64..)
+            .map(|j| format!("wrap{j}").into_bytes())
+            .filter(|k| hash_key(k) & (cfg.buckets - 1) >= cfg.buckets - 2)
+            .take(wrap);
+        entries.extend(tail.map(|k| (k, b"w".to_vec())));
+        entries
+    }
+
+    /// A table created from `cfg` with stripes of 512 slots.
+    async fn load_table(client: &RStoreClient, name: &str, cfg: &KvConfig) -> KvTable {
+        let cfg = KvConfig {
+            opts: AllocOptions {
+                stripe_size: cfg.slot_bytes * 512,
+                ..AllocOptions::default()
+            },
+            ..*cfg
+        };
+        KvTable::create(client, name, cfg).await.unwrap()
+    }
+
+    #[test]
+    fn bulk_load_writes_the_reference_image() {
+        let cluster = boot(1);
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let client = cluster.client(0).await.unwrap();
+            // Small tables with long chains, and tables of 2^16 slots that
+            // take two (128 B) and three (192 B) COPY_CHUNK writes.
+            let cases = [(64, 16, 120, 40), (1 << 16, 32, 6000, 4000)];
+            for (i, (sb, (buckets, max_probe, n, pool))) in [128, 192]
+                .into_iter()
+                .flat_map(|sb| cases.map(|c| (sb, c)))
+                .enumerate()
+            {
+                let cfg = KvConfig {
+                    buckets,
+                    slot_bytes: sb,
+                    max_probe,
+                    ..small_cfg()
+                };
+                let entries = load_stream(0xB01D + i as u64, &cfg, n, pool, 6);
+                let want = reference_image(&cfg, &entries).expect("the stream fits");
+                let distinct: HashSet<&Vec<u8>> = entries.iter().map(|(k, _)| k).collect();
+                // At most two of the six keys homed in the last two slots
+                // fit there; the rest wrap to the table's front.
+                let wrapped = (0..max_probe as usize)
+                    .map(|s| &want[s * sb as usize..][..sb as usize])
+                    .filter(|img| {
+                        SlotHdr::decode(img).is_ok_and(|h| h.key(img).starts_with(b"wrap"))
+                    })
+                    .count();
+                assert!(wrapped >= 4, "case {i}: {wrapped} windows wrapped");
+                let kv = load_table(&client, &format!("ref{i}"), &cfg).await;
+                assert_eq!(
+                    kv.bulk_load(entries.clone()).await.unwrap(),
+                    distinct.len() as u64
+                );
+                let got = kv.data.read(0, buckets * sb).await.unwrap();
+                assert!(
+                    got == want,
+                    "case {i}: slot {:?} differs",
+                    first_diff(&got, &want, sb)
+                );
+            }
+        });
+    }
+
+    #[test]
+    fn bulk_load_fails_where_a_window_fills_and_writes_nothing() {
+        let cluster = boot(1);
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let client = cluster.client(0).await.unwrap();
+            for (i, sb) in [128u64, 192].into_iter().enumerate() {
+                let cfg = KvConfig {
+                    buckets: 64,
+                    slot_bytes: sb,
+                    max_probe: 4,
+                    ..small_cfg()
+                };
+                // 200 entries over 100 keys cannot fit 64 slots.
+                let entries = load_stream(0xF011 + i as u64, &cfg, 200, 100, 0);
+                let fail_at = reference_image(&cfg, &entries).expect_err("the stream overflows");
+                let kv = load_table(&client, &format!("full{i}"), &cfg).await;
+                let taken = Cell::new(0);
+                let stream = entries.iter().inspect(|_| taken.set(taken.get() + 1));
+                let err = kv.bulk_load(stream.map(|(k, v)| (k, v))).await.unwrap_err();
+                assert!(
+                    matches!(err, RStoreError::InsufficientCapacity { .. }),
+                    "{err}"
+                );
+                assert_eq!(taken.get(), fail_at + 1, "sb {sb}: failed at another entry");
+                let region = kv.data.read(0, 64 * sb).await.unwrap();
+                assert!(
+                    region.iter().all(|&b| b == 0),
+                    "sb {sb}: a failed load wrote"
+                );
+            }
+        });
+    }
+
+    /// The first slot at which two table images differ.
+    fn first_diff(a: &[u8], b: &[u8], sb: u64) -> Option<usize> {
+        (0..a.len())
+            .find(|&i| a[i] != b[i])
+            .map(|i| i / sb as usize)
     }
 
     #[test]
