@@ -5,23 +5,29 @@
 //! be cross-checked against any standard implementation. No external crates
 //! (the workspace builds hermetically).
 //!
-//! Two implementations share one set of lookup tables, computed once at
-//! first use:
+//! Three kernels share one set of lookup tables, computed once at first use:
 //!
 //! * [`crc32c_scalar`] — the classic byte-at-a-time table fold. Kept as the
-//!   bit-exact reference the sliced path is property-tested against, and as
-//!   the baseline the E16 µ-bench measures speedup over.
-//! * [`crc32c`] / [`Crc32c`] — slicing-by-16: the head is folded per byte
-//!   until the cursor is 8-byte aligned, then each iteration consumes two
-//!   aligned `u64` lanes with sixteen independent table lookups (no
-//!   loop-carried dependency between them), then the tail is folded per
-//!   byte. This is the software idiom SIMD CRC engines reduce to in safe
-//!   Rust; it runs several times faster than the scalar fold without any
-//!   architecture-specific intrinsics.
+//!   bit-exact reference both fast kernels are property-tested against, and
+//!   as the baseline the E16 µ-bench measures speedup over.
+//! * [`crc32c_sliced`] — slicing-by-16: the head is folded per byte until
+//!   the cursor is 8-byte aligned, then each iteration consumes two aligned
+//!   `u64` lanes with sixteen independent table lookups (no loop-carried
+//!   dependency between them), then the tail is folded per byte. Safe,
+//!   portable Rust; the fast path on any CPU without SSE4.2.
+//! * The SSE4.2 kernel — the `crc32` instruction over three independent
+//!   lanes of `LANE` bytes per `3 × LANE` chunk, so three instructions are
+//!   in flight at once (a 4 KiB block is one chunk and a 16-byte tail). CRC
+//!   is linear, so the lanes are joined by advancing a lane's state over
+//!   `LANE` zero bytes: four lookups into a table built beside the slicing
+//!   tables. The tail after the last whole chunk is folded in one lane.
 //!
-//! The `OnceLock` holding the tables is resolved once per [`Crc32c`] handle
-//! (or once per `crc32c` call), never inside the byte loop; hot call sites
-//! that checksum many buffers hoist a `Crc32c` and pay the atomic load once.
+//! [`crc32c`] / [`Crc32c`] run the SSE4.2 kernel where
+//! `is_x86_feature_detected!("sse4.2")` holds and slicing-by-16 elsewhere;
+//! the choice depends on the CPU only and is resolved once per [`Crc32c`]
+//! handle, together with the `OnceLock` holding the tables (or once per
+//! `crc32c` call), never inside the byte loop. Hot call sites that checksum
+//! many buffers hoist a `Crc32c` and pay both loads once.
 //!
 //! A checksummed stripe is guarded per [`CK_BLOCK`] of its data: its trailer
 //! holds one entry per block, the block's CRC widened to a u64 (high 32 bits
@@ -91,12 +97,38 @@ const POLY: u32 = 0x82F6_3B78;
 /// Number of slicing tables: two u64 lanes per main-loop iteration.
 const SLICES: usize = 16;
 
-type Tables = [[u32; 256]; SLICES];
+/// Bytes per lane of the SSE4.2 kernel, which folds `3 × LANE` bytes per
+/// chunk. A multiple of 8, sized so a 4 KiB block is one chunk and a
+/// 16-byte tail.
+const LANE: usize = 1360;
 
-/// The slicing tables. `tables()[0]` is the classic byte table
-/// (`crc' = (crc >> 8) ^ t0[(crc ^ b) & 0xFF]`); table `k` advances a byte
-/// through `k` additional zero bytes, so sixteen lookups fold two whole
-/// `u64` lanes.
+type Slices = [[u32; 256]; SLICES];
+
+/// The lookup tables, built together at first use.
+struct Tables {
+    /// The slicing tables. `slices[0]` is the classic byte table
+    /// (`crc' = (crc >> 8) ^ t0[(crc ^ b) & 0xFF]`); table `k` advances a
+    /// byte through `k` additional zero bytes, so sixteen lookups fold two
+    /// whole `u64` lanes.
+    slices: Slices,
+    /// `shift[k][b]` is the state `b << 8k` advanced over `LANE` zero
+    /// bytes. The fold over zeros is linear in the state, so four lookups
+    /// advance any state ([`Tables::advance`]).
+    shift: [[u32; 256]; 4],
+}
+
+impl Tables {
+    /// `crc` (a running state) advanced over `LANE` zero bytes.
+    #[inline]
+    fn advance(&self, crc: u32) -> u32 {
+        let s = &self.shift;
+        s[0][(crc & 0xFF) as usize]
+            ^ s[1][((crc >> 8) & 0xFF) as usize]
+            ^ s[2][((crc >> 16) & 0xFF) as usize]
+            ^ s[3][(crc >> 24) as usize]
+    }
+}
+
 fn tables() -> &'static Tables {
     static TABLES: OnceLock<Tables> = OnceLock::new();
     TABLES.get_or_init(|| {
@@ -126,15 +158,26 @@ fn tables() -> &'static Tables {
             }
             k += 1;
         }
-        t
+        // Each single-bit state advanced over LANE zero bytes; any other
+        // state's advance is the xor of its set bits'.
+        let bits: [u32; 32] = std::array::from_fn(|j| {
+            (0..LANE).fold(1 << j, |crc, _| (crc >> 8) ^ t[0][(crc & 0xFF) as usize])
+        });
+        let mut shift = [[0u32; 256]; 4];
+        for (k, row) in shift.iter_mut().enumerate() {
+            for i in 1..256usize {
+                row[i] = row[i & (i - 1)] ^ bits[8 * k + i.trailing_zeros() as usize];
+            }
+        }
+        Tables { slices: t, shift }
     })
 }
 
 /// Byte-at-a-time reference implementation (initial value all-ones, final
-/// xor all-ones). Bit-exact with [`crc32c`]; the sliced path is verified
+/// xor all-ones). Bit-exact with [`crc32c`]; both fast kernels are verified
 /// against this on random lengths, offsets, and alignments.
 pub fn crc32c_scalar(bytes: &[u8]) -> u32 {
-    let t0 = &tables()[0];
+    let t0 = &tables().slices[0];
     let mut crc = !0u32;
     for &b in bytes {
         crc = (crc >> 8) ^ t0[((crc ^ b as u32) & 0xFF) as usize];
@@ -142,15 +185,48 @@ pub fn crc32c_scalar(bytes: &[u8]) -> u32 {
     !crc
 }
 
-/// A CRC32C engine holding a resolved reference to the slicing tables.
+/// CRC32C of `bytes` by slicing-by-16 whatever the CPU: the portable
+/// kernel [`Crc32c`] falls back to, callable directly so it can be
+/// measured and tested where the hardware kernel is what `Crc32c` runs.
+pub fn crc32c_sliced(bytes: &[u8]) -> u32 {
+    let sliced = Crc32c {
+        t: tables(),
+        kernel: Kernel::Sliced,
+    };
+    sliced.checksum(bytes)
+}
+
+/// The kernel a [`Crc32c`] runs.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Kernel {
+    Sliced,
+    #[cfg(target_arch = "x86_64")]
+    Sse42,
+}
+
+impl Kernel {
+    /// The fastest kernel this CPU runs.
+    fn detect() -> Kernel {
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            return Kernel::Sse42;
+        }
+        Kernel::Sliced
+    }
+}
+
+/// A CRC32C engine holding a resolved reference to the lookup tables and
+/// the kernel this CPU runs.
 ///
-/// Construction performs the single `OnceLock` load; [`Crc32c::checksum`]
-/// then runs with no synchronization at all. Call sites that checksum in a
-/// loop (the stripe verifier, the write path's trailer maintenance) hoist
-/// one of these instead of paying the atomic load per buffer.
+/// Construction performs the single `OnceLock` load and the feature check;
+/// [`Crc32c::checksum`] then runs with no synchronization at all. Call
+/// sites that checksum in a loop (the stripe verifier, the write path's
+/// trailer maintenance) hoist one of these instead of paying both per
+/// buffer.
 #[derive(Clone, Copy)]
 pub struct Crc32c {
     t: &'static Tables,
+    kernel: Kernel,
 }
 
 impl Default for Crc32c {
@@ -160,19 +236,30 @@ impl Default for Crc32c {
 }
 
 impl Crc32c {
-    /// Resolves the table set (computing it on first use anywhere).
+    /// Resolves the table set (computing it on first use anywhere) and the
+    /// kernel: SSE4.2 where the CPU has it, slicing-by-16 elsewhere.
     pub fn new() -> Crc32c {
-        Crc32c { t: tables() }
+        Crc32c {
+            t: tables(),
+            kernel: Kernel::detect(),
+        }
     }
 
     /// CRC32C of `bytes` (initial value all-ones, final xor all-ones).
     pub fn checksum(&self, bytes: &[u8]) -> u32 {
-        !self.fold(!0u32, bytes)
+        !match self.kernel {
+            Kernel::Sliced => self.fold_sliced(!0u32, bytes),
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: `Kernel::Sse42` comes only from `Kernel::detect`,
+            // which returns it only where the CPU reports SSE4.2.
+            Kernel::Sse42 => unsafe { fold_sse42(self.t, !0u32, bytes) },
+        }
     }
 
-    /// Folds `bytes` into a running (pre-inverted) CRC state.
-    fn fold(&self, mut crc: u32, bytes: &[u8]) -> u32 {
-        let t = self.t;
+    /// Slicing-by-16: folds `bytes` into a running (pre-inverted) CRC
+    /// state.
+    fn fold_sliced(&self, mut crc: u32, bytes: &[u8]) -> u32 {
+        let t = &self.t.slices;
         // Head: fold per byte until the cursor is 8-byte aligned, so the
         // main loop reads naturally aligned u64 lanes.
         let head = bytes.as_ptr().align_offset(8).min(bytes.len());
@@ -225,6 +312,50 @@ impl Crc32c {
         }
         crc
     }
+}
+
+/// The SSE4.2 kernel: folds `bytes` into a running (pre-inverted) CRC
+/// state with the `crc32` instruction. Each `3 × LANE` chunk runs as three
+/// independent lanes — the first from the running state, the other two
+/// from zero — so their instructions overlap instead of waiting on one
+/// another; the lanes are then joined by advancing over `LANE` zero bytes.
+/// What is left after the last whole chunk is folded in one lane.
+///
+/// # Safety
+///
+/// Callers outside an SSE4.2 context must have checked that the CPU has
+/// SSE4.2 ([`Kernel::detect`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "sse4.2")]
+fn fold_sse42(t: &Tables, mut crc: u32, bytes: &[u8]) -> u32 {
+    use std::arch::x86_64::{_mm_crc32_u64, _mm_crc32_u8};
+    let word = |w: &[u8]| u64::from_le_bytes(w.try_into().expect("8-byte word"));
+    let mut chunks = bytes.chunks_exact(3 * LANE);
+    for chunk in &mut chunks {
+        let (a, rest) = chunk.split_at(LANE);
+        let (b, c) = rest.split_at(LANE);
+        let (mut ca, mut cb, mut cc) = (crc as u64, 0, 0);
+        let lanes = a
+            .chunks_exact(8)
+            .zip(b.chunks_exact(8))
+            .zip(c.chunks_exact(8));
+        for ((wa, wb), wc) in lanes {
+            ca = _mm_crc32_u64(ca, word(wa));
+            cb = _mm_crc32_u64(cb, word(wb));
+            cc = _mm_crc32_u64(cc, word(wc));
+        }
+        crc = t.advance(t.advance(ca as u32) ^ cb as u32) ^ cc as u32;
+    }
+    let mut words = chunks.remainder().chunks_exact(8);
+    let mut lane = crc as u64;
+    for w in &mut words {
+        lane = _mm_crc32_u64(lane, word(w));
+    }
+    crc = lane as u32;
+    for &b in words.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    crc
 }
 
 /// CRC32C of `bytes` (initial value all-ones, final xor all-ones).
@@ -307,7 +438,7 @@ mod tests {
         // stripe verifier uses; make sure chunk boundaries don't matter by
         // comparing against a byte-at-a-time reference fold.
         let data: Vec<u8> = (0..1000u32).map(|i| (i * 31 % 251) as u8).collect();
-        let t0 = &tables()[0];
+        let t0 = &tables().slices[0];
         let mut crc = !0u32;
         for &b in &data {
             crc = (crc >> 8) ^ t0[((crc ^ b as u32) & 0xFF) as usize];
@@ -315,30 +446,74 @@ mod tests {
         assert_eq!(!crc, crc32c(&data));
     }
 
-    /// Property: the sliced implementation is bit-exact with the scalar one
-    /// on random lengths, offsets, and alignments — every head/tail split
-    /// from 0..16 bytes included, since those exercise the pure-scalar and
-    /// single-lane edge paths.
+    type Checksum = fn(&[u8]) -> u32;
+
+    /// The kernels under test, each called directly: slicing-by-16 always,
+    /// and the SSE4.2 kernel where the CPU has it — in which case
+    /// [`Crc32c::new`] must have picked it.
+    fn kernels() -> Vec<(&'static str, Checksum)> {
+        let mut kernels: Vec<(&'static str, Checksum)> = vec![("sliced", crc32c_sliced)];
+        #[cfg(target_arch = "x86_64")]
+        if std::arch::is_x86_feature_detected!("sse4.2") {
+            assert_eq!(Crc32c::new().kernel, Kernel::Sse42, "SSE4.2 not chosen");
+            kernels.push(("sse4.2", |s| Crc32c::new().checksum(s)));
+        }
+        kernels
+    }
+
+    /// Property: every kernel is bit-exact with the scalar fold on every
+    /// start alignment of the tiny lengths (the head/lane/tail splits of
+    /// the sliced loop and the one-lane tail of the SSE4.2 one), on both
+    /// sides of the SSE4.2 kernel's `3 × LANE` chunk, on whole blocks and
+    /// large buffers, and on random slices of a 2 MiB pool.
     #[test]
-    fn sliced_matches_scalar_on_random_slices() {
+    fn every_kernel_matches_scalar_on_random_slices() {
         let mut rng = DetRng::new(0xC7C3_2C16);
-        let mut pool = vec![0u8; 8192];
+        let mut pool = vec![0u8; 2 << 20];
         rng.fill_bytes(&mut pool);
-        let ck = Crc32c::new();
-        // Exhaustive tiny lengths at every alignment 0..8 — covers every
-        // head/mid-lane/tail split of the 16-byte main loop.
+        let chunk = 3 * LANE;
+        let fixed = [
+            chunk - 1,
+            chunk,
+            chunk + 1,
+            chunk + 17,
+            4096,
+            64 << 10,
+            (1 << 20) + 7,
+        ];
+        let mut cases: Vec<(usize, usize)> = Vec::new();
         for start in 0..8usize {
-            for len in 0..=40usize {
-                let s = &pool[start..start + len];
-                assert_eq!(ck.checksum(s), crc32c_scalar(s), "start={start} len={len}");
+            cases.extend((0..=40usize).map(|len| (start, len)));
+            cases.extend(fixed.iter().map(|&len| (start, len)));
+        }
+        for _ in 0..300 {
+            let start = rng.index(pool.len());
+            cases.push((start, rng.index(pool.len() - start + 1)));
+        }
+        let slice = |&(start, len): &(usize, usize)| &pool[start..start + len];
+        let want: Vec<u32> = cases.iter().map(|c| crc32c_scalar(slice(c))).collect();
+        for (name, kernel) in kernels() {
+            for (c, &want) in cases.iter().zip(&want) {
+                assert_eq!(kernel(slice(c)), want, "{name}: (start, len) = {c:?}");
             }
         }
-        // Random offsets/lengths across the pool.
-        for _ in 0..500 {
-            let start = rng.index(pool.len());
-            let len = rng.index(pool.len() - start + 1);
-            let s = &pool[start..start + len];
-            assert_eq!(ck.checksum(s), crc32c_scalar(s), "start={start} len={len}");
+    }
+
+    /// A 64 KiB stripe whose last block is short seals and verifies
+    /// through whichever kernel `Crc32c` runs, and its entries are the
+    /// per-block CRCs of the scalar reference.
+    #[test]
+    fn seal_verify_round_trip_with_a_short_last_block() {
+        let mut data = vec![0u8; (64 << 10) - 1000];
+        DetRng::new(0x5EA1).fill_bytes(&mut data);
+        let mut entries = vec![0u8; trailer_len(data.len() as u64) as usize];
+        seal_blocks(&data, &mut entries);
+        for (block, slot) in data.chunks(CK_BLOCK as usize).zip(entries.chunks_exact(8)) {
+            assert_eq!(slot, (crc32c_scalar(block) as u64).to_le_bytes());
         }
+        assert_eq!(verify_blocks(&data, &entries), None);
+        let last = entries.len() / 8 - 1;
+        *data.last_mut().unwrap() ^= 0x80;
+        assert_eq!(verify_blocks(&data, &entries), Some(last));
     }
 }
