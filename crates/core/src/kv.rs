@@ -915,7 +915,7 @@ impl KvTable {
         key: &[u8],
     ) -> Result<(SlotHdr, bool)> {
         let mut img = self.probe_scratch.borrow_mut();
-        self.dev.read_mem_into(addr, &mut img)?;
+        self.dev.with_mem(|m| m.read_into(addr, &mut img))?;
         let hdr = SlotHdr::decode(&img).map_err(|CorruptSlot| self.corrupt_err(data, slot))?;
         Ok((hdr, hdr.live() && keys_eq(hdr.key(&img), key)))
     }

@@ -360,7 +360,6 @@ impl Master {
                 let mut scrub = Scrubber {
                     qps: DataQps::new(&m.dev),
                     buf: None,
-                    bytes: Vec::new(),
                 };
                 loop {
                     m.sim.sleep(m.cfg.scrub_interval).await;
@@ -1299,7 +1298,7 @@ impl Master {
                 }
             }
         }
-        // The landing buffer lives for one sweep; the host scratch is kept.
+        // The landing buffer lives for one sweep.
         if let Some(buf) = scrub.buf.take() {
             let _ = self.dev.free(buf);
         }
@@ -1336,7 +1335,6 @@ impl Master {
         let Some(buf) = scrub.buf.map(|b| b.slice(0, phys)) else {
             return;
         };
-        scrub.bytes.resize(phys as usize, 0);
         let remote = RemoteAddr {
             addr: extent.addr,
             rkey: RKey(extent.rkey),
@@ -1349,13 +1347,16 @@ impl Master {
             let Ok(done) = scrub.qps.post(extent.node, Wr::read(0, buf, remote), phys) else {
                 break;
             };
-            if done.await != Some(CqStatus::Success)
-                || self.dev.read_mem_into(buf.addr, &mut scrub.bytes).is_err()
-            {
+            // Verified where it landed, with no host copy.
+            let len = extent.len as usize;
+            let mismatch = |image: &[u8]| verify_blocks(&image[..len], &image[len..]).is_some();
+            if done.await != Some(CqStatus::Success) {
                 break;
             }
-            let (data, trailer) = scrub.bytes.split_at(extent.len as usize);
-            bad = verify_blocks(data, trailer).is_some();
+            let Ok(Some(mismatch)) = self.dev.with_mem(|m| m.view(buf.addr, phys, mismatch)) else {
+                break;
+            };
+            bad = mismatch;
             if !bad {
                 break;
             }
@@ -1401,13 +1402,11 @@ impl Master {
     }
 }
 
-/// What the scrubber task keeps between sweeps: its data-QP dialer, the
-/// landing buffer of the sweep in progress and the host scratch extents are
-/// verified in.
+/// What the scrubber task keeps between sweeps: its data-QP dialer and the
+/// landing buffer of the sweep in progress, where extents are verified.
 struct Scrubber {
     qps: Rc<DataQps>,
     buf: Option<DmaBuf>,
-    bytes: Vec<u8>,
 }
 
 /// Per-node sum of physical extent allocation lengths over every region

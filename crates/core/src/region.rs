@@ -77,15 +77,14 @@ type Failed = (Xfer, CqStatus);
 type Posted = (Range<usize>, Wait<CqStatus, TimerId>);
 
 /// Recycled IO scratch shared by all clones of a [`Region`] handle: staging
-/// `DmaBuf`s for checksum-block assembly/verification, a host-side byte
-/// scratch for CRC work, and the plan and posted-WR lists of a round (one of
-/// each per round in flight). Reuse keeps the steady-state op set
+/// `DmaBuf`s for checksum-block assembly/verification (sealed and verified
+/// where they lie), and the plan and posted-WR lists of a round (one of each
+/// per round in flight). Reuse keeps the steady-state op set
 /// allocation-free (arena allocation is zero virtual time, so pooling
 /// changes no wire traffic or timing — only host-heap churn).
 #[derive(Default)]
 struct IoPool {
     staging: RefCell<Vec<DmaBuf>>,
-    scratch: RefCell<Vec<u8>>,
     plans: RefCell<Vec<Vec<Xfer>>>,
     waits: RefCell<Vec<Vec<Posted>>>,
 }
@@ -739,23 +738,21 @@ impl Region {
         (plan.len(), end)
     }
 
-    /// Seals the frame image of checksummed write `x`: its new bytes over
-    /// whatever boundary blocks were fetched into the image, then every
-    /// block's entry — bouncing through the pooled host scratch.
+    /// Seals the frame image of checksummed write `x` where it lies: its
+    /// new bytes are copied over whatever boundary blocks were fetched into
+    /// the image, then every block's entry is written.
     fn seal(&self, x: &Xfer) -> Result<()> {
-        let dev = &self.client.shared.dev;
         let ([data, _], image) = (self.frame(&x.piece), x.image.expect("framed"));
-        let mut scratch = self.pool.scratch.borrow_mut();
-        scratch.resize(image.len as usize, 0);
-        if x.piece.ck_partial(&data).iter().any(|b| b.len > 0) {
-            dev.read_mem_into(image.addr, &mut scratch[..])?;
-        }
-        let (blocks, trailer) = scratch.split_at_mut(data.len as usize);
-        let lo = (x.piece.offset_in_stripe - data.offset_in_stripe) as usize;
-        let new = &mut blocks[lo..lo + x.piece.len as usize];
-        dev.read_mem_into(x.buf.addr + x.piece.buf_offset, new)?;
-        seal_blocks(blocks, trailer);
-        Ok(dev.write_mem(image.addr, &scratch)?)
+        // Where the piece's own bytes sit in the image.
+        let at = image.addr + x.piece.offset_in_stripe - data.offset_in_stripe;
+        let seal = |frame: &mut [u8]| {
+            let (blocks, trailer) = frame.split_at_mut(data.len as usize);
+            seal_blocks(blocks, trailer);
+        };
+        let dev = &self.client.shared.dev;
+        dev.with_mem(|m| m.copy(x.buf.addr + x.piece.buf_offset, at, x.piece.len))?;
+        dev.with_mem(|m| m.view_mut(image.addr, image.len, seal))?;
+        Ok(())
     }
 
     /// Posts a plan without waiting: the posted WRs (each with the transfers
@@ -858,19 +855,19 @@ impl Region {
         let (Dir::Read, Some(image), CqStatus::Success) = (dir, x.image, status) else {
             return Ok(status == CqStatus::Success);
         };
-        let dev = &self.client.shared.dev;
         let [data, _] = self.frame(&x.piece);
-        let mut scratch = self.pool.scratch.borrow_mut();
-        scratch.resize(image.len as usize, 0);
-        dev.read_mem_into(image.addr, &mut scratch[..])?;
-        let (blocks, trailer) = scratch.split_at(data.len as usize);
-        if verify_blocks(blocks, trailer).is_some() {
-            return Ok(false);
+        // Where the piece's own bytes sit in the image.
+        let at = image.addr + x.piece.offset_in_stripe - data.offset_in_stripe;
+        let verified = |frame: &[u8]| {
+            let (blocks, trailer) = frame.split_at(data.len as usize);
+            verify_blocks(blocks, trailer).is_none()
+        };
+        let dev = &self.client.shared.dev;
+        let good = dev.with_mem(|m| m.view(image.addr, image.len, verified))? == Some(true);
+        if good {
+            dev.with_mem(|m| m.copy(at, x.buf.addr + x.piece.buf_offset, x.piece.len))?;
         }
-        let lo = (x.piece.offset_in_stripe - data.offset_in_stripe) as usize;
-        let want = &blocks[lo..lo + x.piece.len as usize];
-        dev.write_mem(x.buf.addr + x.piece.buf_offset, want)?;
-        Ok(true)
+        Ok(good)
     }
 
     /// The replica-failover loop behind every read, plain or checksummed:

@@ -397,14 +397,12 @@ impl RdmaDevice {
         self.inner.borrow().arena.read(addr, len)
     }
 
-    /// Reads local device memory into a caller-owned slice without
-    /// allocating (see [`Arena::read_into`]).
-    ///
-    /// # Errors
-    ///
-    /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
-    pub fn read_mem_into(&self, addr: u64, dst: &mut [u8]) -> Result<()> {
-        self.inner.borrow().arena.read_into(addr, dst)
+    /// Runs `f` on this device's arena: host work on local bytes where they
+    /// lie — [`Arena::view`], [`Arena::view_mut`], [`Arena::copy`] — or a
+    /// copy into a caller-owned slice ([`Arena::read_into`]), with no
+    /// staging `Vec`. `f` must not call back into the device.
+    pub fn with_mem<R>(&self, f: impl FnOnce(&mut Arena) -> R) -> R {
+        f(&mut self.inner.borrow_mut().arena)
     }
 
     /// Writes local device memory.

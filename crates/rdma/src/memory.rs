@@ -7,9 +7,10 @@
 //! backing store — used for fluid-mode experiments at the 256 GB scale where
 //! only sizes and timing matter). A backed block's address range and its
 //! share of [`Arena::used`] are taken when it is allocated, its bytes when
-//! they are written: the `Vec` is reserved at the block's length and is as
-//! long as the highest byte ever written or pinned, and whatever lies above
-//! that reads as zeros without being touched (DESIGN.md "Arena backing").
+//! they are written: the `Vec` starts empty, is as long as the highest byte
+//! ever written or pinned and grows its capacity only to hold that, and
+//! whatever lies above it reads as zeros without being stored (DESIGN.md
+//! "Arena backing").
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -82,9 +83,10 @@ impl MrEntry {
 
 struct Block {
     len: u64,
-    /// `Some` for backed allocations, `None` for synthetic ones. Reserved at
-    /// `len` bytes, so it never reallocates; its length is the *written
-    /// prefix* of the block, and the bytes above it are zeros nobody stored.
+    /// `Some` for backed allocations, `None` for synthetic ones. Empty at
+    /// `alloc`; its length is the *written prefix* of the block, the bytes
+    /// above it are zeros nobody stored, and its capacity grows with the
+    /// prefix, never past `len` ([`Mem::backed_mut`]).
     data: Option<Vec<u8>>,
 }
 
@@ -94,11 +96,21 @@ fn written(data: &[u8], off: usize, len: usize) -> &[u8] {
     &data[off.min(data.len())..(off + len).min(data.len())]
 }
 
+/// Copies `[off, off + dst.len())` of a block whose written prefix is
+/// `data` (`None`: synthetic) into `dst`: the stored bytes, then zeros.
+fn copy_out(data: Option<&Vec<u8>>, off: usize, dst: &mut [u8]) {
+    let stored = data.map_or(&[][..], |data| written(data, off, dst.len()));
+    let (head, tail) = dst.split_at_mut(stored.len());
+    head.copy_from_slice(stored);
+    tail.fill(0);
+}
+
 /// What a [`Pin`] holds on its source arena until the payload is delivered
 /// or dropped.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Default)]
 enum PinState {
     /// Released; the slot is on the free list.
+    #[default]
     Free,
     /// Still reads `[addr, addr + len)` of its block: nothing has written or
     /// freed those bytes since the payload was sampled.
@@ -109,6 +121,7 @@ enum PinState {
     Owned,
 }
 
+#[derive(Default)]
 struct PinSlot {
     /// Bumped on release, so a stale id names nothing (as `sim::TimerId`).
     gen: u32,
@@ -150,11 +163,7 @@ impl Pins {
     /// A slot for a new pin, in `state`.
     fn pin(&mut self, state: PinState) -> (u32, &mut PinSlot) {
         let slot = self.free.pop().unwrap_or_else(|| {
-            self.slots.push(PinSlot {
-                gen: 0,
-                state: PinState::Free,
-                buf: Vec::new(),
-            });
+            self.slots.push(PinSlot::default());
             (self.slots.len() - 1) as u32
         });
         self.held += 1;
@@ -209,8 +218,11 @@ impl Pins {
 /// An arena's bytes and the pins in-flight payloads hold on them — what a
 /// [`Pin`] shares with its source arena. The cell around it is borrowed only
 /// inside the [`Arena`] and [`Pin`] methods below and never across a call
-/// out of this module, so a payload may be dropped anywhere (a fabric loss
-/// window, an early return in the device) without finding it borrowed.
+/// out of this module but the closure a view runs ([`Arena::view`],
+/// [`Arena::view_mut`]), which is handed a slice and must not reach back
+/// into the arena or drop a payload pinned on it. So a payload may be
+/// dropped anywhere else (a fabric loss window, an early return in the
+/// device) without finding it borrowed.
 #[derive(Default)]
 struct Mem {
     /// Live allocations, keyed by start address.
@@ -220,23 +232,25 @@ struct Mem {
 
 impl Mem {
     fn block(&self, addr: u64, len: u64) -> Result<(u64, &Block)> {
-        let (baddr, block) = self
-            .blocks
-            .range(..=addr)
-            .next_back()
-            .ok_or(RdmaError::OutOfBounds { addr, len })?;
-        let end = addr
-            .checked_add(len)
-            .ok_or(RdmaError::OutOfBounds { addr, len })?;
-        if end > baddr + block.len {
-            return Err(RdmaError::OutOfBounds { addr, len });
+        let oob = || RdmaError::OutOfBounds { addr, len };
+        let (&baddr, block) = self.blocks.range(..=addr).next_back().ok_or_else(oob)?;
+        match addr.checked_add(len) {
+            Some(end) if end <= baddr + block.len => Ok((baddr, block)),
+            _ => Err(oob()),
         }
-        Ok((*baddr, block))
     }
 
     /// The backing vector of the block holding `[addr, addr + len)` (`None`
     /// on a synthetic block), with its written prefix extended — zero-filled
     /// — to the end of that range, and the range's offset in it.
+    ///
+    /// The one place a prefix grows. Past the vector's capacity it
+    /// reallocates to twice that capacity or the range's end, whichever is
+    /// more, but never past the block: the capacity doubles, and a
+    /// front-to-back fill copies O(block length) in all. No slice of the
+    /// vector outlives a method of `Mem` or [`Arena`] (a live pin holds an
+    /// address range, not a slice), so a reallocation moves nothing that
+    /// anyone holds.
     fn backed_mut(
         blocks: &mut BTreeMap<u64, Block>,
         addr: u64,
@@ -244,15 +258,16 @@ impl Mem {
     ) -> Result<Option<(usize, &mut Vec<u8>)>> {
         let oob = || RdmaError::OutOfBounds { addr, len };
         let (&baddr, block) = blocks.range_mut(..=addr).next_back().ok_or_else(oob)?;
-        if addr
-            .checked_add(len)
-            .is_none_or(|end| end > baddr + block.len)
-        {
-            return Err(oob());
-        }
-        let off = (addr - baddr) as usize;
+        let block = match addr.checked_add(len) {
+            Some(end) if end <= baddr + block.len => block,
+            _ => return Err(oob()),
+        };
+        let (off, blen) = ((addr - baddr) as usize, block.len as usize);
         let end = off + len as usize;
         Ok(block.data.as_mut().map(|data| {
+            if end > data.capacity() {
+                data.reserve_exact((2 * data.capacity()).max(end).min(blen) - data.len());
+            }
             if data.len() < end {
                 data.resize(end, 0);
             }
@@ -387,10 +402,7 @@ impl fmt::Debug for Arena {
 impl Arena {
     /// Creates an arena covering addresses `[0, capacity)`.
     pub fn new(capacity: u64) -> Self {
-        let mut free = BTreeMap::new();
-        if capacity > 0 {
-            free.insert(0, capacity);
-        }
+        let free = BTreeMap::from_iter((capacity > 0).then_some((0, capacity)));
         Arena {
             capacity,
             used: 0,
@@ -420,8 +432,8 @@ impl Arena {
         backed.map(|data| data.len() as u64).sum()
     }
 
-    /// Allocates `len` bytes of backed memory. It reads as zeros; host
-    /// memory is reserved for it now and touched only as far as it is
+    /// Allocates `len` bytes of backed memory. It reads as zeros and asks
+    /// the host for nothing yet: host memory backs it only as far as it is
     /// written (see [`resident`](Self::resident)).
     ///
     /// # Errors
@@ -475,17 +487,9 @@ impl Arena {
         if tail > 0 {
             self.free.insert(addr + len, tail);
         }
-        let data = if backed {
-            let len =
-                usize::try_from(len).map_err(|_| RdmaError::OutOfMemory { requested: len })?;
-            Some(Vec::with_capacity(len))
-        } else {
-            None
-        };
-        self.mem
-            .borrow_mut()
-            .blocks
-            .insert(addr, Block { len, data });
+        let data = backed.then(Vec::new);
+        let blocks = &mut self.mem.borrow_mut().blocks;
+        blocks.insert(addr, Block { len, data });
         self.used += len;
         Ok(DmaBuf { addr, len })
     }
@@ -610,17 +614,15 @@ impl Arena {
     pub fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>> {
         let mem = self.mem.borrow();
         let (baddr, block) = mem.block(addr, len)?;
-        Ok(match &block.data {
-            Some(data) => {
-                // One allocation of exactly `len`: `Region::read` hands this
-                // vector to its caller.
-                let mut out = Vec::with_capacity(len as usize);
-                out.extend_from_slice(written(data, (addr - baddr) as usize, len as usize));
-                out.resize(len as usize, 0);
-                out
-            }
-            None => vec![0u8; len as usize],
-        })
+        let Some(data) = &block.data else {
+            return Ok(vec![0u8; len as usize]);
+        };
+        // One allocation of exactly `len`: `Region::read` hands this vector
+        // to its caller.
+        let mut out = Vec::with_capacity(len as usize);
+        out.extend_from_slice(written(data, (addr - baddr) as usize, len as usize));
+        out.resize(len as usize, 0);
+        Ok(out)
     }
 
     /// Copies bytes out of the arena into a caller-owned slice — the
@@ -633,13 +635,7 @@ impl Arena {
     pub fn read_into(&self, addr: u64, dst: &mut [u8]) -> Result<()> {
         let mem = self.mem.borrow();
         let (baddr, block) = mem.block(addr, dst.len() as u64)?;
-        let stored = match &block.data {
-            Some(data) => written(data, (addr - baddr) as usize, dst.len()),
-            None => &[],
-        };
-        let (head, tail) = dst.split_at_mut(stored.len());
-        head.copy_from_slice(stored);
-        tail.fill(0);
+        copy_out(block.data.as_ref(), (addr - baddr) as usize, dst);
         Ok(())
     }
 
@@ -650,11 +646,69 @@ impl Arena {
     ///
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
     pub fn write(&mut self, addr: u64, bytes: &[u8]) -> Result<()> {
-        let Mem { blocks, pins } = &mut *self.mem.borrow_mut();
-        if let Some(dst) = Mem::bytes_mut(blocks, pins, addr, bytes.len() as u64)? {
-            dst.copy_from_slice(bytes);
-        }
+        self.view_mut(addr, bytes.len() as u64, |dst| dst.copy_from_slice(bytes))?;
         Ok(())
+    }
+
+    /// Runs `f` on `[addr, addr + len)` where it lies, read only: host work
+    /// on arena bytes without copying them out. The range joins the written
+    /// prefix, as the zeros it reads as, as a pin's does; no pin on it is
+    /// copied out, since nothing changes. `None` on a synthetic block, which
+    /// has no bytes to lend. `f` runs with the arena's bytes borrowed, so it
+    /// must not call back into this arena.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
+    pub fn view<R>(&self, addr: u64, len: u64, f: impl FnOnce(&[u8]) -> R) -> Result<Option<R>> {
+        let blocks = &mut self.mem.borrow_mut().blocks;
+        let backed = Mem::backed_mut(blocks, addr, len)?;
+        Ok(backed.map(|(off, data)| f(&data[off..off + len as usize])))
+    }
+
+    /// Runs `f` on `[addr, addr + len)` where it lies, writable: every live
+    /// pin on it is copied out first, as before any write. `None` on a
+    /// synthetic block, whose writes are discarded.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
+    pub fn view_mut<R>(
+        &mut self,
+        addr: u64,
+        len: u64,
+        f: impl FnOnce(&mut [u8]) -> R,
+    ) -> Result<Option<R>> {
+        let Mem { blocks, pins } = &mut *self.mem.borrow_mut();
+        Ok(Mem::bytes_mut(blocks, pins, addr, len)?.map(f))
+    }
+
+    /// Copies `len` bytes from `src` to `dst` inside the arena, block to
+    /// block with no host buffer between. The source reads as through
+    /// [`read_into`](Self::read_into) and the destination is written as
+    /// through [`write`](Self::write). Two ranges of one block go through
+    /// the host, as no caller needs them faster.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::OutOfBounds`] if either range is not within one
+    /// allocation.
+    pub fn copy(&mut self, src: u64, dst: u64, len: u64) -> Result<()> {
+        let mem = self.mem.borrow();
+        let (sbase, block) = mem.block(src, len)?;
+        let one_block = (sbase..sbase + block.len).contains(&dst);
+        drop(mem);
+        if one_block {
+            return self.write(dst, &self.read(src, len)?);
+        }
+        // The source's bytes leave the map while the destination is
+        // written; nothing reads the source block meanwhile.
+        let Mem { blocks, pins } = &mut *self.mem.borrow_mut();
+        let stored = blocks.get_mut(&sbase).and_then(|b| b.data.take());
+        let copied = Mem::bytes_mut(blocks, pins, dst, len)
+            .map(|out| out.map(|out| copy_out(stored.as_ref(), (src - sbase) as usize, out)));
+        blocks.get_mut(&sbase).expect("source block").data = stored;
+        copied.map(drop)
     }
 
     /// Samples a range as a [`Payload`] without copying it: a backed
@@ -726,11 +780,8 @@ impl Arena {
             }
             Payload::Pinned(pin) => {
                 let src = pin.mem.borrow();
-                let Mem { blocks, pins } = &mut *self.mem.borrow_mut();
-                if let Some(dst) = Mem::bytes_mut(blocks, pins, addr, pin.len)? {
-                    dst.copy_from_slice(src.pinned(pin));
-                }
-                Ok(())
+                let fill = |dst: &mut [u8]| dst.copy_from_slice(src.pinned(pin));
+                self.view_mut(addr, pin.len, fill).map(drop)
             }
         }
     }
@@ -753,36 +804,28 @@ impl Arena {
     /// backed is registered. MR iteration order is the `BTreeMap`'s, so the
     /// same rng state flips the same bits.
     pub fn corrupt_registered(&mut self, rng: &mut sim::DetRng, bits: u32) -> Vec<(u64, u8)> {
-        let ranges: Vec<(u64, u64)> = self
-            .mrs
-            .values()
-            .filter(|mr| {
-                mr.access.allows(Access::REMOTE_READ)
-                    && self
-                        .mem
-                        .borrow()
-                        .block(mr.addr, mr.len)
-                        .is_ok_and(|(_, b)| b.data.is_some())
-            })
-            .map(|mr| (mr.addr, mr.len))
-            .collect();
+        let mem = self.mem.borrow();
+        let mut ranges = Vec::new();
+        for mr in self.mrs.values() {
+            let backed = matches!(mem.block(mr.addr, mr.len), Ok((_, b)) if b.data.is_some());
+            if backed && mr.access.allows(Access::REMOTE_READ) {
+                ranges.push((mr.addr, mr.len));
+            }
+        }
+        drop(mem);
         let total_bits: u64 = ranges.iter().map(|&(_, len)| len * 8).sum();
         let mut flips = Vec::new();
         if total_bits == 0 {
             return flips;
         }
-        let mem = &mut *self.mem.borrow_mut();
         for _ in 0..bits {
             let mut idx = rng.range_u64(0, total_bits);
             for &(addr, len) in &ranges {
                 let range_bits = len * 8;
                 if idx < range_bits {
-                    let byte_addr = addr + idx / 8;
-                    let bit = (idx % 8) as u8;
-                    let byte = Mem::bytes_mut(&mut mem.blocks, &mut mem.pins, byte_addr, 1)
-                        .expect("registered range is live")
-                        .expect("registered range is backed");
-                    byte[0] ^= 1 << bit;
+                    let (byte_addr, bit) = (addr + idx / 8, (idx % 8) as u8);
+                    let flipped = self.view_mut(byte_addr, 1, |byte| byte[0] ^= 1 << bit);
+                    assert_eq!(flipped, Ok(Some(())), "registered and backed");
                     flips.push((byte_addr, bit));
                     break;
                 }
@@ -1185,6 +1228,86 @@ mod tests {
         let top = flips.iter().map(|&(addr, _)| addr).max().unwrap();
         assert_eq!(resident, top + 1, "backed up to the highest flipped byte");
         assert_eq!(flip(7), (flips, image, resident), "same seed, same flips");
+    }
+
+    #[test]
+    fn prefix_capacity_doubles_and_never_passes_the_block() {
+        let mut a = Arena::new(1 << 20);
+        let b = a.alloc(1000).unwrap();
+        let cap = |a: &Arena| {
+            let mem = a.mem.borrow();
+            mem.blocks[&b.addr].data.as_ref().unwrap().capacity()
+        };
+        assert_eq!(cap(&a), 0, "nothing is asked of the host at alloc");
+        a.write(b.addr, &[1; 10]).unwrap();
+        assert_eq!(cap(&a), 10);
+        a.write(b.addr + 10, &[2; 5]).unwrap();
+        assert_eq!(cap(&a), 20, "twice the capacity is past the range's end");
+        a.write(b.addr + 2, &[3; 3]).unwrap();
+        assert_eq!(cap(&a), 20, "a write inside the capacity moves nothing");
+        a.write(b.addr + 400, &[4; 200]).unwrap();
+        assert_eq!(cap(&a), 600, "the range's end is past twice the capacity");
+        a.write(b.addr + 601, &[5]).unwrap();
+        assert_eq!(cap(&a), 1000, "twice the capacity, capped at the block");
+        assert_eq!(a.resident(), 602);
+        let mut want = [[1; 2], [3; 2]].concat();
+        want.extend([3, 1, 1, 1, 1, 1, 2, 2, 2, 2, 2]);
+        want.resize(400, 0);
+        want.extend([4; 200]);
+        want.extend([0, 5, 0]);
+        assert_eq!(a.read(b.addr, 603).unwrap(), want);
+    }
+
+    #[test]
+    fn views_and_copies_work_where_the_bytes_lie() {
+        let mut a = Arena::new(1 << 20);
+        let src = a.alloc(256).unwrap();
+        let dst = a.alloc(256).unwrap();
+        let fluid = a.alloc_synthetic(256).unwrap();
+        a.write(src.addr, &[7; 100]).unwrap();
+        // A read view backs the range it lends, as zeros.
+        let seen = a.view(src.addr + 64, 64, <[u8]>::to_vec).unwrap();
+        assert_eq!(seen, Some([[7; 36].as_slice(), &[0; 28]].concat()));
+        assert_eq!(a.resident(), 128);
+        assert_eq!(
+            a.view_mut(src.addr + 200, 8, |b| b.fill(9)).unwrap(),
+            Some(())
+        );
+        let image = a.read(src.addr, 256).unwrap();
+
+        // Block to block: the source reads as zeros past its prefix, which
+        // the copy leaves where it was; a pin on the target is copied out.
+        let pinned = a.read_payload(dst.addr + 20, 10).unwrap();
+        a.copy(src.addr + 96, dst.addr + 10, 150).unwrap();
+        assert_eq!(a.pin_stats(), (1, 1));
+        let mut want = vec![0; 10];
+        want.extend(&image[96..246]);
+        want.resize(256, 0);
+        assert_eq!(a.read(dst.addr, 256).unwrap(), want);
+        assert_eq!(a.resident(), 208 + 160);
+        let mut land = Arena::new(4096);
+        let l = land.alloc(10).unwrap();
+        land.write_payload(l.addr, &pinned).unwrap();
+        assert_eq!(land.read(l.addr, 10).unwrap(), vec![0; 10]);
+
+        // Within one block, overlapping: as `copy_within`.
+        a.copy(src.addr, src.addr + 50, 100).unwrap();
+        let mut moved = image.clone();
+        moved.copy_within(0..100, 50);
+        assert_eq!(a.read(src.addr, 256).unwrap(), moved);
+
+        // Synthetic blocks lend nothing, read as zeros and drop writes.
+        assert_eq!(a.view(fluid.addr, 8, |_| ()).unwrap(), None);
+        assert_eq!(a.view_mut(fluid.addr, 8, |_| ()).unwrap(), None);
+        a.copy(fluid.addr, dst.addr, 16).unwrap();
+        assert_eq!(a.read(dst.addr, 16).unwrap(), vec![0; 16]);
+        a.copy(src.addr, fluid.addr, 16).unwrap();
+
+        // Both ranges are bounds-checked, and a failed copy loses nothing.
+        assert!(a.copy(src.addr + 200, dst.addr, 100).is_err());
+        assert!(a.copy(src.addr, dst.addr + 200, 100).is_err());
+        assert!(a.view(src.addr + 250, 10, |_| ()).is_err());
+        assert_eq!(a.read(src.addr, 256).unwrap(), moved);
     }
 
     #[test]

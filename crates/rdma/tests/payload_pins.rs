@@ -204,6 +204,29 @@ fn buffer_freed_while_pinned_still_arrives() {
 }
 
 #[test]
+fn pin_survives_its_block_growing_past_its_capacity() {
+    run_default(|p| async move {
+        let posted = pattern(4096, 6);
+        let src = p.a.alloc(1 << 20).unwrap();
+        p.a.write_mem(src.addr, &posted).unwrap();
+        let dst = p.b.alloc(4096).unwrap();
+        let mr = p.b.reg_mr(dst, Access::REMOTE_WRITE).unwrap();
+        p.cqp
+            .post_write(1, src.slice(0, 4096), mr.token().at(0, 4096).unwrap())
+            .unwrap();
+        // Past the pinned range and far past the block's capacity: the
+        // backing vector reallocates while the pin is live.
+        p.a.write_mem(src.addr + (1 << 19), &pattern(4096, 7))
+            .unwrap();
+        assert_eq!(p.a.mem_resident(), (1 << 19) + 4096);
+        assert_eq!(p.a.pin_stats(), (1, 0), "outside the pin: not copied out");
+        assert_eq!(p.ccq.next().await.status, CqStatus::Success);
+        assert_eq!(p.b.read_mem(dst.addr, 4096).unwrap(), posted);
+        assert_eq!(p.a.pin_stats(), (0, 0));
+    });
+}
+
+#[test]
 fn message_dropped_by_the_fabric_releases_its_pin() {
     run_default(|p| async move {
         let src = p.a.alloc_init(&pattern(4096, 6)).unwrap();

@@ -160,7 +160,7 @@ impl PageGather {
     pub async fn fetch(&mut self) -> Result<()> {
         self.region.read_into_many(&self.ios).await?;
         let dev = self.region.client().device();
-        dev.read_mem_into(self.buf.addr, &mut self.bytes)?;
+        dev.with_mem(|m| m.read_into(self.buf.addr, &mut self.bytes))?;
         self.values.clear();
         self.values.extend(
             self.bytes

@@ -30,6 +30,9 @@
 //! benchmark runs; the last KV pins switch the simulation's recorder on and
 //! hold what that costs to one allocation per op handle, at either level.
 //!
+//! The arena's own contract comes first, in heap requests: an arena block
+//! asks the host for nothing at `alloc` and grows only as it is written.
+//!
 //! This is the only test in the binary so the counting global allocator
 //! sees no concurrent test threads.
 
@@ -42,11 +45,16 @@ struct CountingAlloc;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 static BYTES: AtomicU64 = AtomicU64::new(0);
+/// The largest single request since it was last reset.
+static LARGEST: AtomicU64 = AtomicU64::new(0);
 
+// A `realloc` is counted as the `alloc` of its new size: the trait's default
+// `realloc`, which this keeps, allocates, copies and frees through `alloc`.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
         BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
+        LARGEST.fetch_max(layout.size() as u64, Ordering::Relaxed);
         System.alloc(layout)
     }
 
@@ -98,8 +106,59 @@ macro_rules! steady {
     }};
 }
 
+/// A backed arena block asks the heap for nothing when it is allocated, for
+/// little when a few bytes are written, and, filled front to back, grows its
+/// capacity by doubling: at most ⌈log2(len / chunk)⌉ + 1 requests, none
+/// larger than the block.
+fn arena_backs_blocks_as_they_are_written() {
+    const LEN: u64 = 4 << 20;
+    const CHUNK: u64 = 64 * 1024;
+    let mut arena = rdma::Arena::new(1 << 30);
+    // Warm the allocator's own maps (a block, and a free extent after it).
+    arena.alloc(64).unwrap();
+    let first = arena.alloc(LEN).unwrap();
+    arena.free(first).unwrap();
+
+    let before = allocs();
+    let block = arena.alloc(LEN).unwrap();
+    assert_eq!(
+        allocs() - before,
+        0,
+        "a 4 MiB alloc asked the heap for memory"
+    );
+
+    let before = BYTES.load(Ordering::Relaxed);
+    arena.write(block.addr, &[1u8; 64]).unwrap();
+    let asked = BYTES.load(Ordering::Relaxed) - before;
+    assert!(asked < 4096, "a 64 B write asked the heap for {asked} B");
+
+    let chunk = vec![2u8; CHUNK as usize];
+    let (before, bound) = (allocs(), (LEN / CHUNK).ilog2() as u64 + 1);
+    LARGEST.store(0, Ordering::Relaxed);
+    for off in (0..LEN).step_by(CHUNK as usize) {
+        arena.write(block.addr + off, &chunk).unwrap();
+    }
+    let (grew, largest) = (allocs() - before, LARGEST.load(Ordering::Relaxed));
+    assert!(
+        grew <= bound,
+        "a front-to-back fill reallocated {grew} times, over {bound}"
+    );
+    assert!(
+        largest <= LEN,
+        "a fill asked for {largest} B, more than the {LEN} B block"
+    );
+    assert_eq!(
+        arena.resident(),
+        LEN,
+        "the fill, and nothing of the unwritten block"
+    );
+    assert_eq!(arena.read(block.addr + LEN - 8, 8).unwrap(), vec![2u8; 8]);
+}
+
 #[test]
 fn steady_state_ops_hold_allocation_floor() {
+    arena_backs_blocks_as_they_are_written();
+
     let cluster = Cluster::boot(ClusterConfig {
         clients: 1,
         // The raw-speed configuration: inline posting for small slot
