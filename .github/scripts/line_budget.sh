@@ -84,7 +84,7 @@ if [ "$total" -gt 2850 ]; then
 fi
 # Outside the three-file total: a second mover beside `move_extent` would
 # not fit under this.
-check crates/core/src/master.rs 1077
+check crates/core/src/master.rs 1073
 # A region's geometry is (size, stripe size), fixed at alloc: a per-stripe
 # offset table beside it would not fit under this.
 check crates/core/src/layout.rs 122
@@ -96,7 +96,12 @@ check crates/rdma/src/memory.rs 528
 # channel or a second error format beside the one would not fit under this,
 # nor would a second encoder or decoder beside a message's field list (one
 # wire form per message), nor a second reply enum beside a request's `Reply`
-# (one RPC form: DESIGN.md "Control plane").
+# (one RPC form: DESIGN.md "Control plane"). A call allocates nothing:
+# messages decode where they landed, a request is encoded into the one
+# buffer its thread keeps, and a handler's future and its reply run in a
+# call slot its service keeps (DESIGN.md "What a call costs the host"); a
+# boxed future or a fresh message `Vec` per call, beside those kept ones,
+# would not fit.
 group 'control plane (5)' 1298 crates/core/src/{client,server,rpc,proto,error}.rs
 # The recording spine and the registry it folds into, as one total: a second
 # per-op handle, recorder or ring beside the one would not fit under this.
@@ -110,8 +115,8 @@ group 'fault episodes (4)' 878 crates/bench/src/episode.rs \
 # `SortMode` steps that touch a record's bytes (DESIGN.md, the 256 GB
 # TeraSort substitution). A second phase structure for fluid runs would not
 # fit under this, nor would a spawn-and-barrier loop beside the gang.
-check crates/rsort/src/distributed.rs 295
-group 'rsort (2)' 367 crates/rsort/src/{distributed,plan}.rs
+check crates/rsort/src/distributed.rs 294
+group 'rsort (2)' 366 crates/rsort/src/{distributed,plan}.rs
 # The comparison, the self-check and the two binaries that run and gate the
 # suite, as one total: a second comparison mode would not fit under this.
 group 'baseline gate (4)' 370 crates/bench/src/{diff,check}.rs \
@@ -131,7 +136,7 @@ group 'rgraph (7)' 779 crates/rgraph/src/*.rs
 # Every multi-worker job (rgraph, rsort, the message-passing baseline) runs
 # its workers through the one gang in `sim::sync` (DESIGN.md S1): a second
 # spawn-and-barrier loop beside the gang would not fit under these.
-check crates/baseline/src/msg_graph.rs 188
+check crates/baseline/src/msg_graph.rs 180
 check crates/sim/src/sync.rs 285
 # The timing model's calibration, as one total: the fabric and NIC timing
 # and the two analytic baselines' costs are named constants beside the code
@@ -140,6 +145,6 @@ check crates/sim/src/sync.rs 285
 # together with a second caller that sets it, such as a sensitivity arm of
 # the closed-form model or of the co-located topology (ROADMAP.md items 5
 # and 6).
-group 'model calibration (4)' 771 crates/fabric/src/lib.rs crates/rdma/src/config.rs \
+group 'model calibration (4)' 765 crates/fabric/src/lib.rs crates/rdma/src/config.rs \
     crates/baseline/src/{hadoop,twosided}.rs
 exit $status

@@ -28,6 +28,20 @@ mod tests {
     use crate::msg_graph::Contributions;
     use crate::twosided::{Read, Write};
 
+    /// A message encoded into a local buffer, as a sender encodes it.
+    fn encode(msg: &impl Wire) -> Vec<u8> {
+        let mut out = Vec::new();
+        msg.put(&mut out);
+        out
+    }
+
+    /// `Q`'s answer, encoded into a local buffer as a service encodes it.
+    fn reply<Q: Request>(answer: rstore::Result<Q::Reply>) -> Vec<u8> {
+        let mut out = Vec::new();
+        Q::encode_reply(answer, &mut out);
+        out
+    }
+
     /// Every baseline message and reply, and one error reply of each kind,
     /// encoded as it is sent.
     fn corpus() -> Vec<Vec<u8>> {
@@ -37,19 +51,22 @@ mod tests {
             size: 1024,
         };
         vec![
-            Read { offset: 64, len: 3 }.encode(),
-            Read::encode_reply(Ok(vec![1, 2, 3])),
-            Read::encode_reply(Err(out_of_range)),
-            Write {
+            encode(&Read { offset: 64, len: 3 }),
+            reply::<Read>(Ok(vec![1, 2, 3])),
+            reply::<Read>(Err(out_of_range)),
+            encode(&Write {
                 offset: 64,
                 data: vec![7, 8],
-            }
-            .encode(),
-            Write::encode_reply(Ok(())),
-            Write::encode_reply(Err(RStoreError::Protocol("bad".into()))),
-            Contributions(vec![(5, 0.25), (9, -1.5)]).encode(),
-            Contributions::encode_reply(Ok(())),
-            error_reply(RStoreError::Protocol("truncated".into())),
+            }),
+            reply::<Write>(Ok(())),
+            reply::<Write>(Err(RStoreError::Protocol("bad".into()))),
+            encode(&Contributions(vec![(5, 0.25), (9, -1.5)])),
+            reply::<Contributions>(Ok(())),
+            {
+                let mut out = Vec::new();
+                error_reply(RStoreError::Protocol("truncated".into()), &mut out);
+                out
+            },
         ]
     }
 

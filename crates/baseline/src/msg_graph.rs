@@ -15,7 +15,7 @@ use std::time::Duration;
 use fabric::NodeId;
 use rdma::{CqStatus, RdmaDevice};
 use rgraph::{VertexPartition, DAMPING};
-use rstore::proto::{error_reply, Dec, Request, Wire};
+use rstore::proto::{Dec, Request, Wire};
 use rstore::rpc::{spawn_rpc_server, Channel, RESPONSE_TIMEOUT};
 use rstore::{RStoreError, Result};
 use sim::sync::{gang, Gang};
@@ -132,26 +132,18 @@ pub async fn run(
             start: s,
         }));
         accums.push(accum.clone());
-        let sim2 = sim.clone();
-        spawn_rpc_server(
-            dev,
-            MSG_GRAPH_SERVICE,
-            Duration::ZERO,
-            Rc::new(move |_peer, req: Vec<u8>| {
-                let accum = accum.clone();
-                let sim = sim2.clone();
-                Box::pin(async move {
-                    let msgs = match Contributions::decode(&req) {
-                        Ok(Contributions(msgs)) => msgs,
-                        Err(e) => return error_reply(e),
-                    };
-                    let per_message = PER_MESSAGE.as_nanos() as u64 * msgs.len() as u64;
-                    sim.sleep(PER_BATCH + Duration::from_nanos(per_message))
-                        .await;
-                    Contributions::encode_reply(accum.borrow_mut().apply(&msgs))
-                })
-            }),
-        )?;
+        let sim = sim.clone();
+        let serve = move |Contributions(msgs), mut out| {
+            let (accum, sim) = (accum.clone(), sim.clone());
+            async move {
+                let per_message = PER_MESSAGE.as_nanos() as u64 * msgs.len() as u64;
+                sim.sleep(PER_BATCH + Duration::from_nanos(per_message))
+                    .await;
+                Contributions::encode_reply(accum.borrow_mut().apply(&msgs), &mut out);
+                out
+            }
+        };
+        spawn_rpc_server(dev, MSG_GRAPH_SERVICE, Duration::ZERO, serve)?;
     }
 
     let flushed = || RStoreError::Io(CqStatus::Flushed);

@@ -11,7 +11,7 @@ use std::time::Duration;
 
 use fabric::NodeId;
 use rdma::{DmaBuf, RdmaDevice};
-use rstore::proto::{error_reply, Request, Wire};
+use rstore::proto::Request;
 use rstore::rpc::{spawn_rpc_server, Channel, RESPONSE_TIMEOUT};
 use rstore::{RStoreError, Result};
 
@@ -84,13 +84,13 @@ impl Store {
         Ok(self.dev.write_mem(addr, &data)?)
     }
 
-    /// Serves one request, answering with that request's reply.
-    async fn serve(&self, req: &[u8]) -> Vec<u8> {
-        match TwoSidedReq::decode(req) {
-            Ok(TwoSidedReq::Read(req)) => Read::encode_reply(self.read(req).await),
-            Ok(TwoSidedReq::Write(req)) => Write::encode_reply(self.write(req).await),
-            Err(e) => error_reply(e),
+    /// Serves one request: `out` with that request's reply appended.
+    async fn serve(self: Rc<Self>, req: TwoSidedReq, mut out: Vec<u8>) -> Vec<u8> {
+        match req {
+            TwoSidedReq::Read(req) => Read::encode_reply(self.read(req).await, &mut out),
+            TwoSidedReq::Write(req) => Write::encode_reply(self.write(req).await, &mut out),
         }
+        out
     }
 }
 
@@ -104,15 +104,10 @@ pub fn spawn_server(dev: &RdmaDevice, capacity: u64) -> Result<()> {
         dev: dev.clone(),
         backing: dev.alloc(capacity)?,
     });
-    spawn_rpc_server(
-        dev,
-        TWOSIDED_SERVICE,
-        Duration::ZERO, // costs are charged per-op below, size-dependent
-        Rc::new(move |_peer, req: Vec<u8>| {
-            let store = store.clone();
-            Box::pin(async move { store.serve(&req).await })
-        }),
-    )
+    // Costs are charged per op, by size, not per request.
+    spawn_rpc_server(dev, TWOSIDED_SERVICE, Duration::ZERO, move |req, out| {
+        store.clone().serve(req, out)
+    })
 }
 
 /// Client handle to a two-sided store server.

@@ -22,10 +22,10 @@ use crate::crc::verify_blocks;
 use crate::error::{RStoreError, Result};
 use crate::layout::Layout;
 use crate::proto::{
-    error_reply, extent_alloc_len, Alloc, AllocExtents, AllocOptions, ClusterReport, ClusterStats,
-    CtrlReq, Drain, Extent, Free, FreeExtents, Heartbeat, Lookup, Policy, RegionDesc, RegionState,
+    extent_alloc_len, Alloc, AllocExtents, AllocOptions, ClusterReport, ClusterStats, CtrlReq,
+    Drain, Extent, Free, FreeExtents, Heartbeat, Lookup, Policy, RegionDesc, RegionState,
     RegionStats, RegisterServer, Registration, Replicate, Report, ReportCorruption, Request,
-    ServerStats, SetAccess, Stat, StripeGroup, Wire,
+    ServerStats, SetAccess, Stat, StripeGroup,
 };
 use crate::rpc::{spawn_rpc_server, Channel};
 use crate::stats::MasterStats;
@@ -290,20 +290,9 @@ impl Master {
         };
 
         let m = master.clone();
-        spawn_rpc_server(
-            dev,
-            CTRL_SERVICE,
-            RPC_CPU,
-            Rc::new(move |_peer, req| {
-                let m = m.clone();
-                Box::pin(async move {
-                    match CtrlReq::decode(&req) {
-                        Ok(req) => m.handle(req).await,
-                        Err(e) => error_reply(e),
-                    }
-                })
-            }),
-        )?;
+        spawn_rpc_server(dev, CTRL_SERVICE, RPC_CPU, move |req, out| {
+            m.clone().handle(req, out)
+        })?;
 
         // Liveness sweep.
         let m = master.clone();
@@ -468,23 +457,31 @@ impl Master {
         }
     }
 
-    /// Serves one control request, answering with that request's reply.
-    async fn handle(&self, req: CtrlReq) -> Vec<u8> {
+    /// Serves one control request: `out` with that request's reply
+    /// appended.
+    async fn handle(self, req: CtrlReq, mut out: Vec<u8>) -> Vec<u8> {
         match req {
-            CtrlReq::RegisterServer(req) => RegisterServer::encode_reply(Ok(self.register(req))),
-            CtrlReq::Heartbeat(Heartbeat { node }) => Heartbeat::encode_reply(self.heartbeat(node)),
+            CtrlReq::RegisterServer(req) => {
+                RegisterServer::encode_reply(Ok(self.register(req)), &mut out)
+            }
+            CtrlReq::Heartbeat(Heartbeat { node }) => {
+                Heartbeat::encode_reply(self.heartbeat(node), &mut out)
+            }
             CtrlReq::Alloc(Alloc { name, size, opts }) => {
-                Alloc::encode_reply(self.alloc(name, size, opts).await)
+                Alloc::encode_reply(self.alloc(name, size, opts).await, &mut out)
             }
-            CtrlReq::Lookup(Lookup { name }) => Lookup::encode_reply(self.lookup(name)),
-            CtrlReq::Free(Free { name }) => Free::encode_reply(self.free(name).await),
-            CtrlReq::Stat(_) => Stat::encode_reply(Ok(self.local_stats())),
-            CtrlReq::Report(_) => Report::encode_reply(Ok(self.local_report())),
+            CtrlReq::Lookup(Lookup { name }) => Lookup::encode_reply(self.lookup(name), &mut out),
+            CtrlReq::Free(Free { name }) => Free::encode_reply(self.free(name).await, &mut out),
+            CtrlReq::Stat(_) => Stat::encode_reply(Ok(self.local_stats()), &mut out),
+            CtrlReq::Report(_) => Report::encode_reply(Ok(self.local_report()), &mut out),
             CtrlReq::ReportCorruption(req) => {
-                ReportCorruption::encode_reply(self.report_corruption(req))
+                ReportCorruption::encode_reply(self.report_corruption(req), &mut out)
             }
-            CtrlReq::Drain(Drain { node }) => Drain::encode_reply(self.drain(NodeId(node)).await),
+            CtrlReq::Drain(Drain { node }) => {
+                Drain::encode_reply(self.drain(NodeId(node)).await, &mut out)
+            }
         }
+        out
     }
 
     /// A memory server (re-)registers: the terms it serves under, with what

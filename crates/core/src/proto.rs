@@ -74,13 +74,6 @@ pub trait Wire: Sized {
         (0..n).map(|_| Self::take(d)).collect()
     }
 
-    /// Encodes `self` as one message.
-    fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.put(&mut out);
-        out
-    }
-
     /// Decodes one message, which must be exactly one value long.
     ///
     /// # Errors
@@ -425,10 +418,10 @@ pub trait Request: Wire {
     /// The answer to a request of this type that succeeded.
     type Reply: Wire;
 
-    /// Encodes a handler's answer: the reply, or the error the request
-    /// failed with.
-    fn encode_reply(answer: Result<Self::Reply>) -> Vec<u8> {
-        answer.encode()
+    /// Appends a handler's answer to `out`: the reply, or the error the
+    /// request failed with.
+    fn encode_reply(answer: Result<Self::Reply>, out: &mut Vec<u8>) {
+        answer.put(out);
     }
 
     /// Decodes the answer. An error reply is the `Err` it carries.
@@ -441,11 +434,11 @@ pub trait Request: Wire {
     }
 }
 
-/// The error reply, which reads the same whatever was asked: what a service
-/// answers a request that does not decode, or one whose reply outgrows the
-/// RPC buffer.
-pub fn error_reply(e: RStoreError) -> Vec<u8> {
-    Result::<()>::Err(e).encode()
+/// Appends the error reply, which reads the same whatever was asked: what a
+/// serving connection answers a request that does not decode, or one whose
+/// reply outgrows the RPC buffer.
+pub fn error_reply(e: RStoreError, out: &mut Vec<u8>) {
+    Result::<()>::Err(e).put(out);
 }
 
 // --- region descriptors -----------------------------------------------------
@@ -799,6 +792,31 @@ wire_requests! {
 mod tests {
     use super::*;
 
+    /// A message encoded into a local buffer, as a sender encodes it.
+    trait Encode: Wire {
+        fn encode(&self) -> Vec<u8> {
+            let mut out = Vec::new();
+            self.put(&mut out);
+            out
+        }
+    }
+
+    impl<W: Wire> Encode for W {}
+
+    /// `Q`'s answer, encoded into a local buffer as a service encodes it.
+    fn reply<Q: Request>(answer: Result<Q::Reply>) -> Vec<u8> {
+        let mut out = Vec::new();
+        Q::encode_reply(answer, &mut out);
+        out
+    }
+
+    /// The error reply, encoded into a local buffer.
+    fn err_reply(e: RStoreError) -> Vec<u8> {
+        let mut out = Vec::new();
+        error_reply(e, &mut out);
+        out
+    }
+
     fn desc() -> RegionDesc {
         RegionDesc {
             name: "data/matrix".into(),
@@ -919,24 +937,24 @@ mod tests {
             .encode(),
             Report {}.encode(),
             Drain { node: 11 }.encode(),
-            Free::encode_reply(Ok(())),
-            Alloc::encode_reply(Ok(desc())),
-            Lookup::encode_reply(Ok(RegionDesc {
+            reply::<Free>(Ok(())),
+            reply::<Alloc>(Ok(desc())),
+            reply::<Lookup>(Ok(RegionDesc {
                 state: RegionState::Degraded,
                 checksums: false,
                 groups: vec![],
                 ..desc()
             })),
-            Stat::encode_reply(Ok(ClusterStats {
+            reply::<Stat>(Ok(ClusterStats {
                 servers: 12,
                 regions: 3,
                 capacity: 1 << 40,
                 used: 123,
                 consistent: true,
             })),
-            Report::encode_reply(Ok(report())),
-            Drain::encode_reply(Ok((42, 1 << 33))),
-            RegisterServer::encode_reply(Ok(Registration {
+            reply::<Report>(Ok(report())),
+            reply::<Drain>(Ok((42, 1 << 33))),
+            reply::<RegisterServer>(Ok(Registration {
                 lease: Duration::from_millis(50),
                 retire: vec![(0x1000, 7), (0x9000, 12)],
             })),
@@ -964,10 +982,10 @@ mod tests {
                 writable: true,
             }
             .encode(),
-            AllocExtents::encode_reply(Ok(vec![(1, 2, 3), (4, 5, 6)])),
-            FreeExtents::encode_reply(Ok(())),
-            SetAccess::encode_reply(Err(RStoreError::NotFound(name()))),
-            Replicate::encode_reply(Err(RStoreError::Io(rdma::CqStatus::Flushed))),
+            reply::<AllocExtents>(Ok(vec![(1, 2, 3), (4, 5, 6)])),
+            reply::<FreeExtents>(Ok(())),
+            reply::<SetAccess>(Err(RStoreError::NotFound(name()))),
+            reply::<Replicate>(Err(RStoreError::Io(rdma::CqStatus::Flushed))),
         ];
         let errs = [
             RStoreError::NameExists(name()),
@@ -995,7 +1013,7 @@ mod tests {
                 stripe: 5,
             },
         ];
-        out.extend(errs.into_iter().map(|e| Alloc::encode_reply(Err(e))));
+        out.extend(errs.into_iter().map(|e| reply::<Alloc>(Err(e))));
         out
     }
 
@@ -1117,7 +1135,7 @@ mod tests {
     where
         Q::Reply: Clone + PartialEq + std::fmt::Debug,
     {
-        assert_eq!(Q::decode_reply(&Q::encode_reply(answer.clone())), answer);
+        assert_eq!(Q::decode_reply(&reply::<Q>(answer.clone())), answer);
     }
 
     #[test]
@@ -1154,7 +1172,7 @@ mod tests {
 
     #[test]
     fn truncated_report_errors_not_panics() {
-        let bytes = Report::encode_reply(Ok(ClusterReport {
+        let bytes = reply::<Report>(Ok(ClusterReport {
             servers: vec![ServerStats {
                 node: 1,
                 capacity: 2,
@@ -1217,7 +1235,7 @@ mod tests {
 
     #[test]
     fn truncated_messages_error_not_panic() {
-        let bytes = Alloc::encode_reply(Ok(desc()));
+        let bytes = reply::<Alloc>(Ok(desc()));
         for cut in 0..bytes.len() {
             let r = Result::<RegionDesc>::decode(&bytes[..cut]);
             assert!(r.is_err(), "prefix of {cut} bytes must not decode");
@@ -1243,7 +1261,7 @@ mod tests {
             groups: vec![],
             ..desc()
         };
-        let mut region = Alloc::encode_reply(Ok(empty));
+        let mut region = reply::<Alloc>(Ok(empty));
         let at = region.len() - 4;
         region[at..].copy_from_slice(&huge);
         assert!(matches!(
@@ -1289,11 +1307,11 @@ mod tests {
             errs.push(RStoreError::Remote(name.into()));
         }
         for e in errs {
-            let bytes = Alloc::encode_reply(Err(e.clone()));
+            let bytes = reply::<Alloc>(Err(e.clone()));
             assert_eq!(Alloc::decode_reply(&bytes), Err(e.clone()));
             // The error form does not depend on what was asked.
-            assert_eq!(bytes, error_reply(e.clone()));
-            let bytes = FreeExtents::encode_reply(Err(e.clone()));
+            assert_eq!(bytes, err_reply(e.clone()));
+            let bytes = reply::<FreeExtents>(Err(e.clone()));
             assert_eq!(FreeExtents::decode_reply(&bytes), Err(e));
         }
         // What only its observer can construct is told in words: a client
@@ -1304,15 +1322,15 @@ mod tests {
             RStoreError::Degraded("r".into()),
         ];
         for e in own {
-            let bytes = Alloc::encode_reply(Err(e.clone()));
+            let bytes = reply::<Alloc>(Err(e.clone()));
             assert_eq!(
                 Alloc::decode_reply(&bytes),
                 Err(RStoreError::Remote(e.to_string()))
             );
         }
         // An answer that is not an error is the `Ok`.
-        assert_eq!(Free::decode_reply(&Free::encode_reply(Ok(()))), Ok(()));
-        let ok = FreeExtents::encode_reply(Ok(()));
+        assert_eq!(Free::decode_reply(&reply::<Free>(Ok(()))), Ok(()));
+        let ok = reply::<FreeExtents>(Ok(()));
         assert_eq!(FreeExtents::decode_reply(&ok), Ok(()));
     }
 

@@ -1,10 +1,13 @@
 //! Two-sided RPC over SEND/RECV queue pairs.
 //!
 //! RStore's *control path* (client ↔ master, master ↔ memory server) uses
-//! ordinary request/response RPC: every message crosses the server's CPU,
-//! costs a configurable amount of processing time, and involves buffer
-//! copies — exactly the costs the *data path* avoids. The two-sided baseline
-//! store in the `baseline` crate reuses this module to quantify that gap.
+//! ordinary request/response RPC: every message crosses the server's CPU and
+//! costs a configurable amount of processing time — exactly the cost the
+//! *data path* avoids. The two-sided baseline store in the `baseline` crate
+//! reuses this module to quantify that gap. On the host a message is copied
+//! once, from a buffer kept across calls (the thread's for a request, a call
+//! slot's for a reply) into the registered buffer, and is decoded where it
+//! landed: a steady-state call allocates nothing.
 //!
 //! The protocol is deliberately simple: one outstanding request per
 //! connection (callers hold the connection exclusively for the duration of a
@@ -13,11 +16,12 @@
 //! One form for every service: a caller sends a typed [`Request`] through a
 //! [`Channel`] — one call at a time, over a connection that is dialed when
 //! missing and dropped when it fails — and gets back its exact reply or the
-//! error the peer answered with. A service is a [`spawn_rpc_server`] handler that decodes its
-//! request enum and answers each request with that request's reply. The
-//! byte-level connection under a channel is private to this module.
+//! error the peer answered with. A service is a [`spawn_rpc_server`] handler
+//! that takes its decoded request enum and answers each request with that
+//! request's reply. The byte-level connection under a channel is private to
+//! this module.
 
-use std::cell::Cell;
+use std::cell::{Cell, RefCell};
 use std::future::Future;
 use std::pin::{pin, Pin};
 use std::rc::Rc;
@@ -28,7 +32,7 @@ use rdma::{CompletionQueue, CqStatus, CqeOpcode, DmaBuf, Qp, RdmaDevice, RdmaErr
 use sim::sync::Semaphore;
 
 use crate::error::{RStoreError, Result};
-use crate::proto::{error_reply, Request};
+use crate::proto::{error_reply, Request, Wire};
 
 /// Maximum encoded message size (requests and responses). Each end of a
 /// connection books two buffers of this size in its device arena — a
@@ -54,6 +58,15 @@ fn alloc_bufs(dev: &RdmaDevice) -> std::result::Result<(DmaBuf, DmaBuf), RdmaErr
 /// forever. Generous on purpose: control handlers legitimately run long
 /// (a graceful drain migrates extents between its progress passes).
 pub const RESPONSE_TIMEOUT: Duration = Duration::from_secs(1);
+
+thread_local! {
+    /// Where a request is encoded before its one copy into the registered
+    /// send buffer: taken for the encode and put back after the copy.
+    /// Nothing awaits in between, so every connection on the thread shares
+    /// it, and a call allocates nothing once it has held the longest request
+    /// (a call that fails in between drops it, and the next makes another).
+    static REQUEST: Cell<Vec<u8>> = const { Cell::new(Vec::new()) };
+}
 
 /// A connected RPC client endpoint: the connection a [`Channel`] holds.
 ///
@@ -95,7 +108,8 @@ impl RpcClient {
     }
 
     /// Issues one request and waits for the response, bounded by the
-    /// connection's response deadline.
+    /// connection's response deadline, then runs `reply` on the response
+    /// where it landed.
     ///
     /// # Errors
     ///
@@ -105,24 +119,26 @@ impl RpcClient {
     ///   fabric, partitioned or overloaded peer). A timed-out client is
     ///   *broken*: every later call fails the same way, so owners must
     ///   reconnect.
-    async fn call(&mut self, req: &[u8]) -> Result<Vec<u8>> {
+    async fn call<R>(&mut self, req: &impl Wire, reply: impl FnOnce(&[u8]) -> R) -> Result<R> {
         if self.broken {
             return Err(RStoreError::Io(CqStatus::Timeout));
         }
-        if req.len() as u64 > RPC_BUF_BYTES {
-            return Err(RStoreError::Protocol(format!(
-                "request of {} bytes exceeds RPC buffer",
-                req.len()
-            )));
-        }
         let dev = self.qp.device().clone();
-        dev.write_mem(self.send_buf.addr, req)?;
-        let recv_wr = self.next_wr;
-        let send_wr = self.next_wr + 1;
+        let mut out = REQUEST.take();
+        out.clear();
+        req.put(&mut out);
+        let len = out.len() as u64;
+        if len > RPC_BUF_BYTES {
+            let why = format!("request of {len} bytes exceeds RPC buffer");
+            return Err(RStoreError::Protocol(why));
+        }
+        dev.write_mem(self.send_buf.addr, &out)?;
+        REQUEST.set(out);
+        let (recv_wr, send_wr) = (self.next_wr, self.next_wr + 1);
         self.next_wr += 2;
         self.qp.post_recv(recv_wr, self.recv_buf)?;
         self.qp
-            .post_send(send_wr, self.send_buf.slice(0, req.len() as u64), None)?;
+            .post_send(send_wr, self.send_buf.slice(0, len), None)?;
 
         // One deadline over both completions. The timer is drawn at the
         // first poll, right behind the SEND just posted.
@@ -146,11 +162,12 @@ impl RpcClient {
             Ok(resp_len.expect("loop exit implies response"))
         });
         let waited = dev.sim().timeout(self.response_timeout, completions).await;
-        let Some(len) = waited else {
+        let Some(len) = waited.transpose()? else {
             self.broken = true;
             return Err(RStoreError::Io(CqStatus::Timeout));
         };
-        Ok(dev.read_mem(self.recv_buf.addr, len?)?)
+        let landed = dev.with_mem(|mem| mem.view(self.recv_buf.addr, len, reply))?;
+        Ok(landed.expect("RPC buffers are backed"))
     }
 }
 
@@ -270,65 +287,73 @@ impl Admitted<'_> {
     /// * [`RStoreError::Protocol`] if the reply does not decode.
     pub async fn call<Q: Request>(&self, req: &Q) -> Result<Q::Reply> {
         let mut conn = self.0.take().await?;
-        let reply = conn.call(&req.encode()).await?;
+        let reply = conn.call(req, Q::decode_reply).await?;
         self.0.conn.set(Some(conn));
-        Q::decode_reply(&reply)
+        reply
     }
 }
 
-/// Async request handler: `(peer, request bytes) -> response bytes`.
-pub type RpcHandler = Rc<dyn Fn(NodeId, Vec<u8>) -> Pin<Box<dyn Future<Output = Vec<u8>>>>>;
-
-/// Spawns an RPC server for `service` on `dev`.
+/// Spawns an RPC server for `service` on `dev` that answers each request,
+/// decoded as `Q`, with `handler`.
 ///
-/// Every accepted connection gets its own task; each request costs
-/// `cpu_per_req` of simulated server CPU before the handler runs — this is
-/// the "server CPU on the critical path" that one-sided RStore IO avoids. A
-/// reply too long for the RPC buffer is answered with the error reply
-/// (`Protocol`) instead, so the caller hears at once rather than at its
-/// deadline.
+/// Every accepted connection gets its own task, which decodes a request
+/// where it landed. Each request costs `cpu_per_req` of simulated server CPU
+/// before the handler runs — this is the "server CPU on the critical path"
+/// that one-sided RStore IO avoids. The handler is given an empty buffer,
+/// appends its reply and hands the buffer back; the buffer, and the storage
+/// its future runs in, come from the service's call slots, so a call
+/// allocates nothing for either once the service has run as many calls at
+/// once before. A request that does not decode is answered with the error
+/// reply, and so is one whose reply is too long for the RPC buffer
+/// (`Protocol`), so the caller hears at once rather than at its deadline.
 ///
 /// # Errors
 ///
 /// [`RStoreError::Rdma`] if the service id is already in use on this device.
-pub fn spawn_rpc_server(
+pub fn spawn_rpc_server<Q: Wire + 'static, H, F>(
     dev: &RdmaDevice,
     service: u16,
     cpu_per_req: Duration,
-    handler: RpcHandler,
-) -> Result<()> {
+    handler: H,
+) -> Result<()>
+where
+    H: Fn(Q, Vec<u8>) -> F + 'static,
+    F: Future<Output = Vec<u8>> + 'static,
+{
     let mut listener = dev.listen(service)?;
-    let dev = dev.clone();
-    let sim = dev.sim().clone();
+    let (dev, sim) = (dev.clone(), dev.sim().clone());
+    let svc = Rc::new((handler, RefCell::default()));
     sim.clone().spawn(async move {
         loop {
             let cq = CompletionQueue::new();
-            let qp = match listener.accept(&cq).await {
-                Ok(qp) => qp,
-                Err(_) => return, // listener shut down
+            let Ok(qp) = listener.accept(&cq).await else {
+                return; // listener shut down
             };
-            let dev = dev.clone();
-            let handler = handler.clone();
-            let sim2 = sim.clone();
-            sim.spawn(async move {
-                // Peer death mid-request: the connection task just ends.
-                let _ = serve_connection(dev, sim2, qp, cq, cpu_per_req, handler).await;
-            });
+            let conn = serve_connection(dev.clone(), qp, cq, cpu_per_req, svc.clone());
+            sim.spawn(conn);
         }
     });
     Ok(())
 }
 
-async fn serve_connection(
+/// A service's free call slots, each the room a handler's future runs in
+/// and the buffer its reply is encoded into.
+type Slots<F> = RefCell<Vec<(Pin<Box<Option<F>>>, Vec<u8>)>>;
+
+/// Serves one connection to the service `svc`: its handler, and the call
+/// slots every connection to it shares. A call takes a free slot, or makes
+/// one if every slot is busy, and puts it back once its reply is copied
+/// out: a service keeps as many as it ever ran calls at once, and a
+/// connection between calls holds none. Peer death mid-request just ends
+/// the connection task.
+async fn serve_connection<Q: Wire, H: Fn(Q, Vec<u8>) -> F, F: Future<Output = Vec<u8>>>(
     dev: RdmaDevice,
-    sim: sim::Sim,
     qp: Qp,
     cq: CompletionQueue,
     cpu_per_req: Duration,
-    handler: RpcHandler,
+    svc: Rc<(H, Slots<F>)>,
 ) -> std::result::Result<(), RdmaError> {
     let (recv_buf, send_buf) = alloc_bufs(&dev)?;
-    let peer = qp.peer();
     let mut wr = 1u64;
     let result = async {
         qp.post_recv(wr, recv_buf)?;
@@ -339,20 +364,30 @@ async fn serve_connection(
             }
             // Anything else is a SEND's own completion.
             if cqe.opcode == CqeOpcode::Recv {
-                let req = dev.read_mem(recv_buf.addr, cqe.byte_len)?;
+                let req = dev.with_mem(|mem| mem.view(recv_buf.addr, cqe.byte_len, Q::decode))?;
                 // Repost immediately so a back-to-back request can land
                 // while the handler runs.
                 wr += 1;
                 qp.post_recv(wr, recv_buf)?;
-                sim.sleep(cpu_per_req).await;
-                let mut resp = handler(peer, req).await;
-                if resp.len() as u64 > RPC_BUF_BYTES {
-                    let why = format!("reply of {} bytes exceeds RPC buffer", resp.len());
-                    resp = error_reply(RStoreError::Protocol(why));
+                dev.sim().sleep(cpu_per_req).await;
+                let (mut fut, mut out) = svc.1.borrow_mut().pop().unwrap_or_default();
+                out.clear();
+                match req.expect("RPC buffers are backed") {
+                    Ok(req) => {
+                        fut.set(Some((svc.0)(req, out)));
+                        out = fut.as_mut().as_pin_mut().expect("set above").await;
+                    }
+                    Err(e) => error_reply(e, &mut out),
                 }
-                dev.write_mem(send_buf.addr, &resp)?;
+                if out.len() as u64 > RPC_BUF_BYTES {
+                    let why = format!("reply of {} bytes exceeds RPC buffer", out.len());
+                    out.clear();
+                    error_reply(RStoreError::Protocol(why), &mut out);
+                }
+                dev.write_mem(send_buf.addr, &out)?;
                 wr += 1;
-                qp.post_send(wr, send_buf.slice(0, resp.len() as u64), None)?;
+                qp.post_send(wr, send_buf.slice(0, out.len() as u64), None)?;
+                svc.1.borrow_mut().push((fut, out));
             }
         }
     }
@@ -382,23 +417,44 @@ mod tests {
         RpcClient::connect(&Channel::new(dev, peer, 9, RESPONSE_TIMEOUT)).await
     }
 
-    fn echo_handler() -> RpcHandler {
-        Rc::new(|_peer, mut req: Vec<u8>| {
-            Box::pin(async move {
-                req.reverse();
-                req
-            }) as Pin<Box<dyn Future<Output = Vec<u8>>>>
-        })
+    /// A message that is its bytes, unframed: what the echo service takes
+    /// and answers.
+    struct Raw(Vec<u8>);
+
+    impl Wire for Raw {
+        fn put(&self, out: &mut Vec<u8>) {
+            out.extend_from_slice(&self.0);
+        }
+
+        fn take(d: &mut crate::proto::Dec<'_>) -> Result<Self> {
+            let mut bytes = Vec::new();
+            while let Ok(b) = u8::take(d) {
+                bytes.push(b);
+            }
+            Ok(Raw(bytes))
+        }
+    }
+
+    /// Answers a message with its bytes reversed.
+    async fn echo_handler(Raw(mut req): Raw, mut out: Vec<u8>) -> Vec<u8> {
+        req.reverse();
+        out.extend_from_slice(&req);
+        out
+    }
+
+    /// One call to the echo service over `rpc`.
+    async fn echo(rpc: &mut RpcClient, msg: &[u8]) -> Result<Vec<u8>> {
+        rpc.call(&Raw(msg.to_vec()), <[u8]>::to_vec).await
     }
 
     #[test]
     fn call_round_trips() {
         let (sim, _fabric, server, client) = setup();
-        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
+        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler).unwrap();
         let peer = server.node();
         sim.block_on(async move {
             let mut rpc = connect(&client, peer).await.unwrap();
-            assert_eq!(rpc.call(b"abc").await.unwrap(), b"cba");
+            assert_eq!(echo(&mut rpc, b"abc").await.unwrap(), b"cba");
             // Each end books its two buffers in full and backs them as far
             // as the one message each has carried.
             for dev in [&client, &server] {
@@ -419,7 +475,7 @@ mod tests {
         };
         let server = RdmaDevice::new(&fabric, tight.clone());
         let client = RdmaDevice::new(&fabric, tight);
-        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
+        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler).unwrap();
         let (peer, dev) = (server.node(), client.clone());
         let err = sim.block_on(async move { connect(&dev, peer).await.err() });
         assert!(matches!(
@@ -433,13 +489,13 @@ mod tests {
     #[test]
     fn sequential_calls_reuse_connection() {
         let (sim, _fabric, server, client) = setup();
-        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
+        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler).unwrap();
         let peer = server.node();
         let out = sim.block_on(async move {
             let mut rpc = connect(&client, peer).await.unwrap();
             let mut results = Vec::new();
             for i in 0..5u8 {
-                results.push(rpc.call(&[i, i + 1]).await.unwrap());
+                results.push(echo(&mut rpc, &[i, i + 1]).await.unwrap());
             }
             results
         });
@@ -450,7 +506,7 @@ mod tests {
     #[test]
     fn concurrent_clients_are_served() {
         let (sim, fabric, server, _client) = setup();
-        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
+        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler).unwrap();
         let peer = server.node();
         // Three separate client devices hammering the same server.
         let mut handles = Vec::new();
@@ -458,7 +514,7 @@ mod tests {
             let dev = RdmaDevice::new(&fabric, RdmaConfig::default());
             let h = sim.spawn(async move {
                 let mut rpc = connect(&dev, peer).await.unwrap();
-                rpc.call(&[i]).await.unwrap()
+                echo(&mut rpc, &[i]).await.unwrap()
             });
             handles.push(h);
         }
@@ -471,11 +527,11 @@ mod tests {
     #[test]
     fn oversized_request_rejected_locally() {
         let (sim, _fabric, server, client) = setup();
-        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
+        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler).unwrap();
         let peer = server.node();
         let err = sim.block_on(async move {
             let mut rpc = connect(&client, peer).await.unwrap();
-            rpc.call(&vec![0u8; (RPC_BUF_BYTES + 1) as usize])
+            echo(&mut rpc, &vec![0u8; (RPC_BUF_BYTES + 1) as usize])
                 .await
                 .err()
                 .unwrap()
@@ -489,7 +545,7 @@ mod tests {
         // Handler takes 1 ms of server CPU, so the request is delivered
         // before the loss window opens and only the *response* is dropped —
         // the case the verbs-layer send timeout cannot cover.
-        spawn_rpc_server(&server, 9, Duration::from_millis(1), echo_handler()).unwrap();
+        spawn_rpc_server(&server, 9, Duration::from_millis(1), echo_handler).unwrap();
         let peer = server.node();
         fabric::FaultPlan::new(7)
             .loss_window(Duration::from_micros(500), Duration::from_millis(20), 1.0)
@@ -498,11 +554,13 @@ mod tests {
         let (err, err2, waited) = sim.block_on(async move {
             let mut rpc = connect(&client, peer).await.unwrap();
             let t0 = sim2.now();
-            let err = rpc.call(b"hi").await.expect_err("response was dropped");
+            let err = echo(&mut rpc, b"hi")
+                .await
+                .expect_err("response was dropped");
             let waited = sim2.now().saturating_since(t0);
             // The client is now broken: a late response could desync the
             // next request/response pair, so reuse must fail fast.
-            let err2 = rpc.call(b"again").await.expect_err("broken client");
+            let err2 = echo(&mut rpc, b"again").await.expect_err("broken client");
             (err, err2, waited)
         });
         assert!(matches!(err, RStoreError::Io(rdma::CqStatus::Timeout)));
@@ -516,20 +574,19 @@ mod tests {
 
     #[test]
     fn channel_keeps_its_connection_across_an_error_reply_and_redials_after_a_lost_one() {
-        use crate::proto::{CtrlReq, Free, Lookup, Wire};
+        use crate::proto::{CtrlReq, Free, Lookup};
         let (sim, fabric, server, client) = setup();
         // Answers a lookup with an error and a free with `Ok`, after 1 ms of
         // CPU — so a loss window can drop a response alone.
-        let handler: RpcHandler = Rc::new(|_peer, req| {
-            Box::pin(async move {
-                match CtrlReq::decode(&req) {
-                    Ok(CtrlReq::Lookup(Lookup { name })) => {
-                        error_reply(RStoreError::NotFound(name))
-                    }
-                    _ => Free::encode_reply(Ok(())),
+        let handler = |req, mut out: Vec<u8>| async move {
+            match req {
+                CtrlReq::Lookup(Lookup { name }) => {
+                    error_reply(RStoreError::NotFound(name), &mut out)
                 }
-            })
-        });
+                _ => Free::encode_reply(Ok(()), &mut out),
+            }
+            out
+        };
         spawn_rpc_server(&server, 9, Duration::from_millis(1), handler).unwrap();
         fabric::FaultPlan::new(7)
             .loss_window(Duration::from_micros(3500), Duration::from_millis(20), 1.0)
@@ -559,18 +616,50 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_too_long_for_the_buffer_is_refused_at_once_on_the_same_connection() {
+        use crate::proto::{CtrlReq, Free, Lookup};
+        let (sim, _fabric, server, client) = setup();
+        // Answers a lookup with one byte more than the buffer holds.
+        let handler = |req, mut out: Vec<u8>| async move {
+            match req {
+                CtrlReq::Lookup(_) => out.resize(RPC_BUF_BYTES as usize + 1, 0),
+                _ => Free::encode_reply(Ok(()), &mut out),
+            }
+            out
+        };
+        spawn_rpc_server(&server, 9, Duration::from_micros(1), handler).unwrap();
+        let peer = server.node();
+        let dials = move || server.mem_used() / (2 * RPC_BUF_BYTES);
+        let sim2 = sim.clone();
+        sim.block_on(async move {
+            let ch = Channel::new(&client, peer, 9, RESPONSE_TIMEOUT);
+            let t0 = sim2.now();
+            let refused = ch.call(&Lookup { name: "x".into() }).await;
+            let waited = sim2.now().saturating_since(t0);
+            let why = format!("reply of {} bytes exceeds RPC buffer", RPC_BUF_BYTES + 1);
+            assert_eq!(refused, Err(RStoreError::Protocol(why)));
+            assert!(
+                waited < RESPONSE_TIMEOUT / 100,
+                "the refusal must come at once, not at the deadline (waited {waited:?})"
+            );
+            assert_eq!(ch.call(&Free { name: "y".into() }).await, Ok(()));
+            assert_eq!(dials(), 1, "an error reply is an answer: same connection");
+        });
+    }
+
+    #[test]
     fn call_to_dead_server_fails_with_io_error() {
         let sim = Sim::new();
         let fabric = Fabric::new(sim.clone(), FabricConfig::default());
         let server = RdmaDevice::new(&fabric, RdmaConfig::default());
         let client = RdmaDevice::new(&fabric, RdmaConfig::default());
-        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler()).unwrap();
+        spawn_rpc_server(&server, 9, Duration::from_micros(1), echo_handler).unwrap();
         let peer = server.node();
         let fabric2 = fabric.clone();
         let err = sim.block_on(async move {
             let mut rpc = connect(&client, peer).await.unwrap();
             fabric2.set_node_up(peer, false);
-            rpc.call(b"hi").await.err().unwrap()
+            echo(&mut rpc, b"hi").await.err().unwrap()
         });
         assert!(matches!(err, RStoreError::Io(_)));
     }

@@ -19,8 +19,8 @@ use crate::client::DataQps;
 use crate::crc::zero_trailer;
 use crate::error::{RStoreError, Result};
 use crate::proto::{
-    error_reply, extent_alloc_len, AllocExtents, FreeExtents, Heartbeat, RegisterServer,
-    Registration, Replicate, Request, SetAccess, SrvReq, Wire,
+    extent_alloc_len, AllocExtents, FreeExtents, Heartbeat, RegisterServer, Registration,
+    Replicate, Request, SetAccess, SrvReq,
 };
 use crate::rpc::{spawn_rpc_server, Channel};
 use crate::{CTRL_SERVICE, DATA_SERVICE, SRV_SERVICE};
@@ -177,20 +177,9 @@ impl MemServer {
 
         // Extent allocation service (master -> server).
         let sv = served.clone();
-        spawn_rpc_server(
-            dev,
-            SRV_SERVICE,
-            cfg.rpc_cpu,
-            Rc::new(move |_peer, req| {
-                let sv = sv.clone();
-                Box::pin(async move {
-                    match SrvReq::decode(&req) {
-                        Ok(req) => handle_srv_req(&sv, req).await,
-                        Err(e) => error_reply(e),
-                    }
-                })
-            }),
-        )?;
+        spawn_rpc_server(dev, SRV_SERVICE, cfg.rpc_cpu, move |req, out| {
+            handle_srv_req(sv.clone(), req, out)
+        })?;
 
         // Data-path listener: accept QPs. No receive processing — the QPs
         // exist purely as targets of one-sided IO, and the device keeps
@@ -269,20 +258,24 @@ impl MemServer {
     }
 }
 
-/// Serves one request from the master, answering with that request's reply.
-async fn handle_srv_req(sv: &Served, req: SrvReq) -> Vec<u8> {
+/// Serves one request from the master: `out` with that request's reply
+/// appended.
+async fn handle_srv_req(sv: Rc<Served>, req: SrvReq, mut out: Vec<u8>) -> Vec<u8> {
     match req {
-        SrvReq::AllocExtents(req) => AllocExtents::encode_reply(alloc_extents(sv, req).await),
+        SrvReq::AllocExtents(req) => {
+            AllocExtents::encode_reply(alloc_extents(&sv, req).await, &mut out)
+        }
         SrvReq::FreeExtents(FreeExtents { extents }) => {
             for (addr, len) in extents {
                 sv.grants.borrow_mut().remove(&addr);
                 let _ = sv.dev.free(DmaBuf { addr, len });
             }
-            FreeExtents::encode_reply(Ok(()))
+            FreeExtents::encode_reply(Ok(()), &mut out)
         }
-        SrvReq::SetAccess(req) => SetAccess::encode_reply(set_access(sv, req)),
-        SrvReq::Replicate(req) => Replicate::encode_reply(replicate(sv, req).await),
+        SrvReq::SetAccess(req) => SetAccess::encode_reply(set_access(&sv, req), &mut out),
+        SrvReq::Replicate(req) => Replicate::encode_reply(replicate(&sv, req).await, &mut out),
     }
+    out
 }
 
 async fn alloc_extents(sv: &Served, req: AllocExtents) -> Result<Vec<(u64, u64, u64)>> {

@@ -81,17 +81,19 @@ impl SortMode {
         }
     }
 
-    /// (3) Appends the records of the chunk in `staging` to their buckets.
+    /// (3) Appends the records of a staged chunk to their buckets, read
+    /// where they lie.
     fn bucket(
         self,
         dev: &RdmaDevice,
-        staging: DmaBuf,
+        DmaBuf { addr, len }: DmaBuf,
         splitters: &[Key],
         buckets: &mut [Vec<u8>],
     ) -> Result<()> {
         if self == SortMode::Real {
-            let bytes = dev.read_mem(staging.addr, staging.len)?;
-            for (bucket, part) in buckets.iter_mut().zip(partition_records(&bytes, splitters)) {
+            let parts =
+                dev.with_mem(|mem| mem.view(addr, len, |recs| partition_records(recs, splitters)))?;
+            for (bucket, part) in buckets.iter_mut().zip(parts.into_iter().flatten()) {
                 bucket.extend_from_slice(&part);
             }
         }
@@ -106,12 +108,10 @@ impl SortMode {
         Ok(())
     }
 
-    /// (5) Sorts the records in `staging` in place (the host sort).
-    fn sort(self, dev: &RdmaDevice, staging: DmaBuf) -> Result<()> {
+    /// (5) Sorts the staged records where they lie (the host sort).
+    fn sort(self, dev: &RdmaDevice, DmaBuf { addr, len }: DmaBuf) -> Result<()> {
         if self == SortMode::Real {
-            let mut data = dev.read_mem(staging.addr, staging.len)?;
-            sort_records(&mut data);
-            dev.write_mem(staging.addr, &data)?;
+            dev.with_mem(|mem| mem.view_mut(addr, len, sort_records))?;
         }
         Ok(())
     }

@@ -13,7 +13,13 @@
 //! back or keeps: a warm `kv.get` is 1, the returned value, and a
 //! `kv.multi_get` one per key plus its result list; a warm `kv.put` is 0,
 //! and a `kv.delete` then `kv.put` of a key is 1, the hint the put caches
-//! again. Payloads are not part of the floor: a READ response, a
+//! again. A control call allocates nothing of its own: a heartbeat-shaped
+//! call is 0 at both ends, its request encoded into a buffer the thread
+//! keeps, its handler's future and reply in a call slot its service keeps,
+//! each message decoded where it landed (it was five per call: an encode
+//! `Vec` at each end, a copy out of each receive buffer and a boxed handler
+//! future); a lookup is what its descriptor needs at both ends. Payloads are
+//! not part of the floor: a READ response, a
 //! WRITE and a SEND travel as a pin on the arena they were sampled from and
 //! are copied once, block to block, at delivery (`rdma::memory`), an inline
 //! WRITE copies into a buffer its pin slot keeps, and an atomic's word
@@ -39,7 +45,9 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable};
+use rstore::proto::{Heartbeat, Request};
+use rstore::rpc::{spawn_rpc_server, Channel, RESPONSE_TIMEOUT};
+use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, CTRL_SERVICE};
 
 struct CountingAlloc;
 
@@ -299,5 +307,32 @@ fn steady_state_ops_hold_allocation_floor() {
             "a 1 MiB striped IO asked the heap for {lo} bytes (rounds: {per_io:?})"
         );
         dev.free(mib).unwrap();
+
+        // Control calls, both ends in this process. A heartbeat-shaped call
+        // (a small request answered with `()`) allocates nothing at either
+        // end once warm.
+        let peer = rdma::RdmaDevice::new(&cluster.fabric, rdma::RdmaConfig::default());
+        let beat = |_: Heartbeat, mut out: Vec<u8>| async move {
+            Heartbeat::encode_reply(Ok(()), &mut out);
+            out
+        };
+        let cpu = std::time::Duration::from_micros(2);
+        spawn_rpc_server(&peer, CTRL_SERVICE, cpu, beat).unwrap();
+        let ch = Channel::new(&dev, peer.node(), CTRL_SERVICE, RESPONSE_TIMEOUT);
+        steady!(
+            "ctrl.call",
+            0,
+            ch.call(&Heartbeat { node: 1 }).await.unwrap()
+        );
+        // A lookup is what its descriptor needs, twice: the master's copy
+        // and the client's decode each build the region name, the group
+        // list and one replica list per group (16 here) — the decode's group
+        // list in three steps, as a list reserves nothing from a count off
+        // the wire — and the request's name is one more at each end:
+        // 19 + 21 = 40.
+        steady!("client.lookup", 40, {
+            let desc = client.lookup("raw/one").await.unwrap();
+            assert_eq!(desc.groups.len(), 16);
+        });
     });
 }

@@ -388,7 +388,8 @@ fn random_error(rng: &mut DetRng) -> RStoreError {
 /// Each message decodes back to itself, and no strict prefix of it decodes.
 fn round_trips<M: Wire + PartialEq + std::fmt::Debug>(msgs: &[M]) {
     for m in msgs {
-        let bytes = m.encode();
+        let mut bytes = Vec::new();
+        m.put(&mut bytes);
         assert_eq!(&M::decode(&bytes).unwrap(), m);
         for cut in 0..bytes.len() {
             assert!(
