@@ -32,7 +32,10 @@ pub struct ClientConfig {
     /// [`KvTable`](crate::kv::KvTable) handles opened through this client
     /// keep, in entries. A warm hint turns a `get` into a single one-sided
     /// READ and a `put` into CAS + WRITE regardless of probe-chain depth.
-    /// `0` disables the cache (every op probes from the home slot).
+    /// `0` disables the cache (every op probes from the home slot). Each
+    /// cached entry costs the host about 64–72 B plus its key's heap
+    /// buffer: 56 B of entry and 8–16 B of index. That storage grows with
+    /// the entries, not with this number, and is reused once full.
     pub kv_hint_capacity: usize,
     /// How long a control RPC to the master waits for its response before
     /// the connection is declared broken and redialed. The default matches

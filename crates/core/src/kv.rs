@@ -159,13 +159,12 @@
 use rdma::{CqStatus, DmaBuf, RdmaDevice};
 use sim::{Counter, OpLedger, Phase, SimTime};
 use std::cell::RefCell;
-use std::collections::{HashMap, VecDeque};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 use crate::client::RStoreClient;
 use crate::error::{RStoreError, Result};
+use crate::hint::{HintCache, SlotHint};
 use crate::layout::Layout;
 use crate::proto::AllocOptions;
 use crate::region::Region;
@@ -485,100 +484,6 @@ impl TableMeta {
             buckets: word(1),
             slot_bytes: word(2),
         })
-    }
-}
-
-/// A cached `key → slot` hint. `version` is the stable slot version the key
-/// was last seen at.
-#[derive(Clone, Copy, Debug)]
-struct SlotHint {
-    slot: u64,
-    version: u64,
-}
-
-/// FIFO-evicting hint cache. Deterministic: eviction order is insertion
-/// order, never `HashMap` iteration order. Re-inserting a present key
-/// refreshes its hint in place without re-queueing; removed keys leave a
-/// stale queue entry behind that eviction skips (and a periodic compaction
-/// sweeps, so the queue stays O(capacity)).
-struct HintCache {
-    cap: usize,
-    /// Each key's bytes live once, shared with its queue entries.
-    map: HashMap<Rc<[u8]>, CachedHint>,
-    fifo: VecDeque<Rc<[u8]>>,
-    /// Compactions so far; see [`CachedHint::sweep`].
-    sweeps: u64,
-}
-
-struct CachedHint {
-    hint: SlotHint,
-    /// The compaction that last kept a queue entry for this key.
-    sweep: u64,
-}
-
-impl HintCache {
-    fn new(cap: usize) -> HintCache {
-        HintCache {
-            cap,
-            map: HashMap::new(),
-            fifo: VecDeque::new(),
-            sweeps: 0,
-        }
-    }
-
-    fn lookup(&self, key: &[u8]) -> Option<SlotHint> {
-        self.map.get(key).map(|e| e.hint)
-    }
-
-    /// Inserts or refreshes a hint; returns how many entries were evicted.
-    fn insert(&mut self, key: &[u8], hint: SlotHint) -> u64 {
-        if self.cap == 0 {
-            return 0;
-        }
-        if let Some(existing) = self.map.get_mut(key) {
-            existing.hint = hint;
-            return 0;
-        }
-        let mut evicted = 0;
-        while self.map.len() >= self.cap {
-            let Some(old) = self.fifo.pop_front() else {
-                break;
-            };
-            if self.map.remove(&old).is_some() {
-                evicted += 1;
-            }
-        }
-        let key: Rc<[u8]> = key.into();
-        let sweep = self.sweeps;
-        self.map.insert(key.clone(), CachedHint { hint, sweep });
-        self.fifo.push_back(key);
-        if self.fifo.len() >= self.cap * 2 + 8 {
-            self.compact();
-        }
-        evicted
-    }
-
-    fn remove(&mut self, key: &[u8]) -> bool {
-        self.map.remove(key).is_some()
-    }
-
-    fn clear(&mut self) {
-        self.map.clear();
-        self.fifo.clear();
-    }
-
-    /// Drops queue entries whose key is gone or duplicated (keeping each
-    /// live key's earliest position, preserving FIFO age).
-    fn compact(&mut self) {
-        self.sweeps += 1;
-        let (map, sweep) = (&mut self.map, self.sweeps);
-        self.fifo.retain(|k| match map.get_mut(k) {
-            Some(e) if e.sweep != sweep => {
-                e.sweep = sweep;
-                true
-            }
-            _ => false,
-        });
     }
 }
 
@@ -1660,36 +1565,6 @@ mod tests {
                 ..AllocOptions::default()
             },
         }
-    }
-
-    #[test]
-    fn hint_cache_evicts_fifo_and_refreshes_in_place() {
-        let mut hc = HintCache::new(2);
-        let h = |slot| SlotHint { slot, version: 2 };
-        assert_eq!(hc.insert(b"a", h(1)), 0);
-        assert_eq!(hc.insert(b"b", h(2)), 0);
-        // Refresh does not re-queue: "a" stays oldest.
-        assert_eq!(hc.insert(b"a", h(9)), 0);
-        assert_eq!(hc.lookup(b"a").unwrap().slot, 9);
-        // Third key evicts the oldest ("a"), not the refreshed position.
-        assert_eq!(hc.insert(b"c", h(3)), 1);
-        assert!(hc.lookup(b"a").is_none());
-        assert!(hc.lookup(b"b").is_some());
-        assert!(hc.lookup(b"c").is_some());
-        // Removal leaves a stale queue entry that eviction skips.
-        assert!(hc.remove(b"b"));
-        assert_eq!(hc.insert(b"d", h(4)), 0);
-        assert_eq!(hc.insert(b"e", h(5)), 1); // evicts "c"
-        assert!(hc.lookup(b"d").is_some() && hc.lookup(b"e").is_some());
-        // The queue never grows without bound under churn.
-        for i in 0..100u32 {
-            hc.insert(format!("k{i}").as_bytes(), h(i as u64));
-        }
-        assert!(hc.fifo.len() <= hc.cap * 2 + 8);
-        // Capacity 0 disables caching entirely.
-        let mut off = HintCache::new(0);
-        off.insert(b"x", h(1));
-        assert!(off.lookup(b"x").is_none());
     }
 
     #[test]

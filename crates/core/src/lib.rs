@@ -55,6 +55,7 @@ pub mod client;
 pub mod cluster;
 pub mod crc;
 pub mod error;
+mod hint;
 pub mod kv;
 pub mod layout;
 pub mod master;

@@ -12,8 +12,11 @@
 //! IO while it spawned a task per stripe). What is left is what an op hands
 //! back or keeps: a warm `kv.get` is 1, the returned value, and a
 //! `kv.multi_get` one per key plus its result list; a warm `kv.put` is 0,
-//! and a `kv.delete` then `kv.put` of a key is 1, the hint the put caches
-//! again. A control call allocates nothing of its own: a heartbeat-shaped
+//! and so is a `kv.delete` then `kv.put` of a key, whose hint reuses the
+//! cache entry the delete freed. Past the hint cache's capacity, where
+//! every op misses, walks and evicts, a `kv.get` is still 1 and a `kv.put`
+//! 0: the new hint takes over the evicted entry and its key buffer (it was
+//! one more per op while each cached hint allocated its key). A control call allocates nothing of its own: a heartbeat-shaped
 //! call is 0 at both ends, its request encoded into a buffer the thread
 //! keeps, its handler's future and reply in a call slot its service keeps,
 //! each message decoded where it landed (it was five per call: an encode
@@ -47,7 +50,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use rstore::proto::{Heartbeat, Request};
 use rstore::rpc::{spawn_rpc_server, Channel, RESPONSE_TIMEOUT};
-use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable, CTRL_SERVICE};
+use rstore::{
+    AllocOptions, ClientConfig, Cluster, ClusterConfig, KvConfig, KvTable, RStoreClient,
+    CTRL_SERVICE,
+};
 
 struct CountingAlloc;
 
@@ -236,9 +242,41 @@ fn steady_state_ops_hold_allocation_floor() {
             let vals = kv.multi_get(&key_refs).await.unwrap();
             assert!(vals.iter().all(Option::is_some));
         });
-        steady!("kv.delete+put", 1, {
+        steady!("kv.delete+put", 0, {
             assert!(kv.delete(&keys[1]).await.unwrap());
             kv.put(&keys[1], &[9u8; 32]).await.unwrap();
+        });
+
+        // Past capacity: a handle that caches 4 hints, cycling through 16
+        // keys, so every op misses, walks and evicts the oldest hint, whose
+        // entry the new hint reuses.
+        let cfg = ClientConfig {
+            kv_hint_capacity: 4,
+            ..ClientConfig::default()
+        };
+        let small = RStoreClient::connect_with(&cluster.client_devs[0], cluster.master_node(), cfg)
+            .await
+            .unwrap();
+        let KvConfig {
+            slot_bytes,
+            max_probe,
+            ..
+        } = KvConfig::default();
+        let evicting = KvTable::open(&small, "raw/kv", slot_bytes, max_probe)
+            .await
+            .unwrap();
+        let many: Vec<Vec<u8>> = (0..16).map(|i| format!("cold-{i}").into_bytes()).collect();
+        for k in &many {
+            kv.put(k, &[9u8; 32]).await.unwrap();
+        }
+        let mut next = many.iter().cycle();
+        steady!("kv.get past capacity", 1, {
+            let k = next.next().expect("cycle");
+            assert!(evicting.get(k).await.unwrap().is_some());
+        });
+        steady!("kv.put past capacity", 0, {
+            let k = next.next().expect("cycle");
+            evicting.put(k, &[9u8; 32]).await.unwrap();
         });
 
         // Recording on: what the switch costs per op, at either level, is
