@@ -1,19 +1,16 @@
-//! E16 — the raw-speed per-op software path: what scatter-gather WRs,
-//! inline small WRITEs, and the sliced checksum/hash kernels buy.
+//! E16 — the raw-speed per-op software path: what scatter-gather WRs and
+//! the sliced checksum/hash kernels buy.
 //!
-//! Three deterministic arms plus one wall-clock µ-bench:
+//! Two deterministic arms plus one wall-clock µ-bench:
 //!
 //! * **scatter-gather**: a 16-piece striped IO posts one multi-element WR
 //!   per QP, not one WR per piece — doorbells per IO equal the QP count,
 //!   and so does the number of [`rdma::POST_OVERHEAD`] charges the ledger
 //!   attributes to posting.
-//! * **inline WRITEs** (`RdmaConfig::inline_max` 0 vs 256): a warm KV put's
-//!   slot publish rides in the WQE instead of a staged DMA buffer, paying
-//!   [`rdma::INLINE_POST_OVERHEAD`] instead of `POST_OVERHEAD` per WR.
 //! * **per-op cost ledger**: the full op set (`get`/`put`/`delete`/CAS/
-//!   `multi_get`/region read/write/read_ck/write_ck/read_many) run under
-//!   the raw-speed configuration with the [`sim::OpLedger`] enabled — the
-//!   E3/E12-shaped attribution the baseline gate pins exactly.
+//!   `multi_get`/region read/write/read_ck/write_ck/read_many) run on four
+//!   servers with the [`sim::OpLedger`] enabled — the E3/E12-shaped
+//!   attribution the baseline gate pins exactly.
 //!
 //! The checksum/hash µ-bench ([`selftime_extras`]) measures *host* MB/s of
 //! each CRC32C kernel by name — the one [`Crc32c`] runs on this CPU, the
@@ -25,10 +22,9 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use rdma::RdmaConfig;
 use rstore::crc::{crc32c_scalar, crc32c_sliced, Crc32c};
 use rstore::kv::{hash_key, keys_eq};
-use rstore::{AllocOptions, Cluster, ClusterConfig, KvConfig, KvTable};
+use rstore::{AllocOptions, Cluster, ClusterConfig};
 use sim::{DetRng, Level, OpSummary};
 
 use super::e12_smallio::{ops_profile, pattern, verify, IoShape};
@@ -43,8 +39,6 @@ const STRIPE: u64 = 4 << 10;
 const SERVERS: usize = 4;
 /// Timed ops per direction in the scatter-gather arm.
 const OPS: u64 = 32;
-/// Warm puts timed in the inline arms.
-const PUTS: u64 = 64;
 
 /// The scatter-gather arm's measurements (per striped 16-piece IO).
 ///
@@ -89,48 +83,21 @@ pub struct SgeStats {
 
 export_fields!(SgeStats: pieces_per_io, qps, scatter_gather, sge_entries_max);
 
-/// The inline arms: warm KV puts with the slot publish staged, then inline.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct InlineStats {
-    /// Virtual ns per warm KV put, staged publish (`inline_max` 0).
-    pub staged_put_ns: u64,
-    /// Virtual ns per warm KV put, inline publish (`inline_max` 256).
-    pub inline_put_ns: u64,
-    /// Inline slot publishes posted in the timed inline window.
-    pub writes: u64,
-    /// Payload bytes those publishes carried in their WQEs.
-    pub bytes: u64,
-}
-
-impl InlineStats {
-    /// Virtual-ns saving per warm put from inline posting (expected:
-    /// `POST_OVERHEAD - INLINE_POST_OVERHEAD` per publish WR); negative
-    /// when the inline path is the slower one.
-    pub fn delta_ns_per_put(&self) -> i64 {
-        self.staged_put_ns as i64 - self.inline_put_ns as i64
-    }
-}
-
-export_fields!(InlineStats: staged_put_ns, inline_put_ns, writes, bytes; delta_ns_per_put());
-
 /// Aggregate E16 results. All-integer virtual-time and counter facts, so
 /// two seeded runs must be identical.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RawSpeedStats {
     /// The scatter-gather arm.
     pub sge: SgeStats,
-    /// The inline arms.
-    pub inline: InlineStats,
     /// [`rdma::POST_OVERHEAD`], in ns.
     pub post_overhead_ns: u64,
     /// Read-backs that did not match the written pattern (must be 0).
     pub data_errors: u64,
-    /// The full op set's per-op cost profile, under the raw-speed
-    /// configuration (inline publishes on).
+    /// The full op set's per-op cost profile, on four servers.
     pub ops: Vec<OpSummary>,
 }
 
-export_fields!(RawSpeedStats: sge, inline, data_errors);
+export_fields!(RawSpeedStats: sge, data_errors);
 
 impl RawSpeedStats {
     /// Whether a striped IO rang exactly one doorbell per QP in both
@@ -154,20 +121,9 @@ impl RawSpeedStats {
 
 /// Runs all deterministic arms and collects the stats.
 pub fn measure() -> RawSpeedStats {
-    let (sge, mut data_errors) = measure_sge();
-    let (staged_put_ns, _, _, errs) = measure_inline(0);
-    data_errors += errs;
-    let (inline_put_ns, writes, bytes, errs) = measure_inline(256);
-    data_errors += errs;
-    let inline = InlineStats {
-        staged_put_ns,
-        inline_put_ns,
-        writes,
-        bytes,
-    };
+    let (sge, data_errors) = measure_sge();
     RawSpeedStats {
         sge,
-        inline,
         post_overhead_ns: rdma::POST_OVERHEAD.as_nanos() as u64,
         data_errors,
         ops: profile(),
@@ -185,8 +141,6 @@ pub fn entry(s: &RawSpeedStats) -> Entry {
     a.holds("one_doorbell_per_qp", s.sge_one_doorbell_per_qp());
     a.holds("read_doorbells_le_qps", s.read_doorbells_le_qps());
     e.ops(&s.ops);
-    let cheaper = s.inline.delta_ns_per_put() > 0;
-    e.asserts.holds("inline_put_cheaper", cheaper);
     e.selftime(|| selftime_extras().export());
     e
 }
@@ -281,72 +235,10 @@ fn measure_sge() -> (SgeStats, u64) {
     })
 }
 
-/// One inline arm: warm KV overwrites with `inline_max` as given. Returns
-/// `(put_ns, inline_writes, inline_bytes, data_errors)` where the inline
-/// counters are deltas over the timed window only.
-fn measure_inline(inline_max: u64) -> (u64, u64, u64, u64) {
-    let cluster = Cluster::boot(ClusterConfig {
-        clients: 1,
-        rdma: RdmaConfig {
-            inline_max,
-            ..RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(3)
-    })
-    .expect("boot");
-    let sim = cluster.sim.clone();
-    sim.block_on({
-        let sim = sim.clone();
-        async move {
-            let client = cluster.client(0).await.expect("client");
-            let dev = client.device().clone();
-            let table = KvTable::create(&client, "e16kv", KvConfig::default())
-                .await
-                .expect("create");
-            let keys: Vec<Vec<u8>> = (0..8).map(|k| format!("e16-{k:02}").into_bytes()).collect();
-            // Cold inserts, then one warm round so hint caches are primed.
-            for key in &keys {
-                table.put(key, &[0xA5; 32]).await.expect("cold put");
-            }
-            for key in &keys {
-                table.put(key, &[0x5A; 32]).await.expect("warm-up put");
-            }
-
-            let m = dev.metrics();
-            let iw0 = m.counter("rstore.inline.writes");
-            let ib0 = m.counter("rstore.inline.bytes");
-            let t0 = sim.now();
-            for round in 0..(PUTS / keys.len() as u64) {
-                for key in &keys {
-                    table.put(key, &[round as u8; 32]).await.expect("put");
-                }
-            }
-            let put_ns = (sim.now() - t0).as_nanos() as u64 / PUTS;
-            let inline_writes = m.counter("rstore.inline.writes") - iw0;
-            let inline_bytes = m.counter("rstore.inline.bytes") - ib0;
-
-            let last = (PUTS / keys.len() as u64 - 1) as u8;
-            let mut errs = 0u64;
-            for key in &keys {
-                let got = table.get(key).await.expect("get");
-                errs += u64::from(got.as_deref() != Some(&[last; 32][..]));
-            }
-            (put_ns, inline_writes, inline_bytes, errs)
-        }
-    })
-}
-
-/// E16's ops profile: the raw-speed configuration (inline publishes on),
-/// four reads of the whole 16-piece striped region.
+/// E16's ops profile: one client, `SERVERS` servers, four reads of the
+/// whole 16-piece striped region.
 fn profile() -> Vec<OpSummary> {
-    let cluster = ClusterConfig {
-        clients: 1,
-        rdma: RdmaConfig {
-            inline_max: 256,
-            ..RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(SERVERS)
-    };
+    let cluster = ClusterConfig::with_servers(SERVERS);
     let io = IoShape {
         region: IO_BYTES,
         stripe: STRIPE,
@@ -446,33 +338,11 @@ pub fn tables(stats: &RawSpeedStats) -> Vec<Table> {
     );
 
     let mut t2 = Table::new(
-        format!("E16b: inline small WRITEs, {PUTS} warm KV puts (32 B values)"),
-        &["publish", "ns/put", "inline WRs", "inline bytes"],
-    );
-    t2.row(vec![
-        "staged".to_string(),
-        stats.inline.staged_put_ns.to_string(),
-        "0".to_string(),
-        "0".to_string(),
-    ]);
-    t2.row(vec![
-        "inline".to_string(),
-        stats.inline.inline_put_ns.to_string(),
-        stats.inline.writes.to_string(),
-        stats.inline.bytes.to_string(),
-    ]);
-    t2.note(format!(
-        "inline saves {} ns/put (post_overhead - inline_post_overhead per publish WR); data errors across all arms: {}",
-        stats.inline.delta_ns_per_put(),
-        stats.data_errors
-    ));
-
-    let mut t3 = Table::new(
-        "E16c: raw-path per-op cost (inline + ledger, 4 servers)",
+        "E16b: raw-path per-op cost (ledger, 4 servers)",
         &["op", "count", "RTTs p50", "db p50", "bytes p50", "retries"],
     );
     for s in &stats.ops {
-        t3.row(vec![
+        t2.row(vec![
             s.op.clone(),
             s.count.to_string(),
             s.rtts_p50.to_string(),
@@ -481,8 +351,8 @@ pub fn tables(stats: &RawSpeedStats) -> Vec<Table> {
             s.retries.to_string(),
         ]);
     }
-    t3.note("full attribution (p99/max, per-layer time) in the BENCH JSON rawspeed block");
-    vec![t1, t2, t3]
+    t2.note("full attribution (p99/max, per-layer time) in the BENCH JSON rawspeed block");
+    vec![t1, t2]
 }
 
 #[cfg(test)]
@@ -490,7 +360,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scatter_gather_and_inline_pay_off_without_data_errors() {
+    fn scatter_gather_pays_off_without_data_errors() {
         let stats = measure();
         let (sge, arm) = (&stats.sge, &stats.sge.scatter_gather);
         assert_eq!(stats.data_errors, 0, "read-back verification failed");
@@ -506,15 +376,6 @@ mod tests {
         assert_eq!(arm.read_post_ns, sge.qps * stats.post_overhead_ns);
         assert_eq!(arm.write_post_ns, sge.qps * stats.post_overhead_ns);
         assert!(stats.sge_one_doorbell_per_qp());
-        // Inline publishes: every timed put posts its publish inline,
-        // saving post overhead per op.
-        assert_eq!(stats.inline.writes, PUTS);
-        assert!(
-            stats.inline.delta_ns_per_put() > 0,
-            "inline put {} ns not cheaper than staged {} ns",
-            stats.inline.inline_put_ns,
-            stats.inline.staged_put_ns
-        );
 
         // The report entry carries the structure `bench check` and the
         // ledger readers depend on, and every assert in it passes. Its
@@ -528,9 +389,6 @@ mod tests {
             "\"scatter_gather\"",
             "\"read_doorbells\"",
             "\"name\": \"one_doorbell_per_qp\"",
-            "\"name\": \"inline_put_cheaper\"",
-            "\"inline\"",
-            "\"delta_ns_per_put\"",
             "\"data_errors\": 0",
             "\"rtts_per_op\"",
             "\"doorbells_per_op\"",

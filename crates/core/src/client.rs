@@ -182,7 +182,7 @@ impl DataQps {
     pub(crate) fn post(
         self: &Rc<Self>,
         node: u32,
-        mut wr: Wr<'_>,
+        mut wr: Wr,
         bytes: u64,
     ) -> Result<Wait<CqStatus, TimerId>> {
         let conns = self.conns.borrow();

@@ -1354,8 +1354,7 @@ impl KvTable {
     /// The image is assembled in the table-lifetime `img_scratch` buffer
     /// (taken for the duration of the WRITE, restored after — a concurrent
     /// publish on the same handle just allocates a fresh one);
-    /// [`Region::write_l`] posts it inline when the device's `inline_max`
-    /// covers it.
+    /// [`Region::write_l`] stages it like any other region write.
     async fn publish(
         &self,
         data: &Region,
@@ -2818,68 +2817,5 @@ mod tests {
             let b = &pool[b_off..b_off + b_len];
             assert_eq!(keys_eq(a, b), a == b, "len {a_len}/{b_len}");
         }
-    }
-
-    #[test]
-    fn inline_publish_preserves_kv_semantics_and_cost() {
-        // With inline posting enabled, puts/deletes publish their slot
-        // images straight from the WQE — same results, same RTT shape, and
-        // the inline counters prove the path was taken.
-        let cluster = Cluster::boot(ClusterConfig {
-            clients: 1,
-            rdma: rdma::RdmaConfig {
-                inline_max: 256,
-                ..rdma::RdmaConfig::default()
-            },
-            ..ClusterConfig::with_servers(3)
-        })
-        .expect("boot");
-        let sim = cluster.sim.clone();
-        sim.block_on(async move {
-            let client = cluster.client(0).await.unwrap();
-            let kv = KvTable::create(&client, "inl", small_cfg()).await.unwrap();
-            let metrics = client.device().metrics();
-            kv.put(b"alpha", b"one").await.unwrap();
-            kv.put(b"alpha", b"uno").await.unwrap();
-            assert_eq!(kv.get(b"alpha").await.unwrap().unwrap(), b"uno");
-            assert!(kv.delete(b"alpha").await.unwrap());
-            assert_eq!(kv.get(b"alpha").await.unwrap(), None);
-            assert!(
-                metrics.counter("rstore.inline.writes") >= 3,
-                "slot publishes did not take the inline path"
-            );
-        });
-    }
-
-    #[test]
-    fn oversized_publish_falls_back_to_staged_write() {
-        // inline_max below the slot image size: the publish takes the
-        // staged path and the op still succeeds.
-        let cluster = Cluster::boot(ClusterConfig {
-            clients: 1,
-            rdma: rdma::RdmaConfig {
-                inline_max: 16,
-                ..rdma::RdmaConfig::default()
-            },
-            ..ClusterConfig::with_servers(3)
-        })
-        .expect("boot");
-        let sim = cluster.sim.clone();
-        sim.block_on(async move {
-            let client = cluster.client(0).await.unwrap();
-            let kv = KvTable::create(&client, "inl2", small_cfg()).await.unwrap();
-            let metrics = client.device().metrics();
-            let before = metrics.counter("rstore.inline.writes");
-            kv.put(b"alpha", b"one").await.unwrap();
-            assert_eq!(kv.get(b"alpha").await.unwrap().unwrap(), b"one");
-            assert_eq!(
-                metrics.counter("rstore.inline.writes"),
-                before,
-                "a 128-byte slot image must not post inline under inline_max=16"
-            );
-            // The 16-byte tombstone of a delete *does* fit.
-            assert!(kv.delete(b"alpha").await.unwrap());
-            assert!(metrics.counter("rstore.inline.writes") > before);
-        });
     }
 }

@@ -406,29 +406,12 @@ impl Region {
         result
     }
 
-    /// [`write`](Self::write) charging an existing ledger. An image that
-    /// fits the device's [`inline_max`](rdma::RdmaConfig::inline_max) (0,
-    /// the default, fits nothing) and one stripe of a plain region posts as
-    /// *inline* WRITEs — the payload rides in the WQE, so no staging buffer
-    /// is filled and the doorbell is cheaper; anything else is staged.
+    /// [`write`](Self::write) charging an existing ledger: `data` is staged
+    /// in a pooled buffer and written from there.
     pub(crate) async fn write_l(&self, offset: u64, data: &[u8], ledger: &OpLedger) -> Result<()> {
-        let s = &self.client.shared;
-        let dev = &s.dev;
-        let len = data.len() as u64;
-        if !self.checksums
-            && len <= dev.config().inline_max
-            && self.layout.piece_at(offset, len).is_ok()
-        {
-            // The buffer only carries the length; inline WRs never read it.
-            let src = DmaBuf { addr: 0, len };
-            self.write_src(&[(offset, src)], Some(data), ledger).await?;
-            s.stats.inline_writes.incr();
-            s.stats.inline_bytes.add(len);
-            return Ok(());
-        }
-        self.with_staging(len, |staging| async move {
-            dev.write_mem(staging.addr, data)?;
-            self.write_src(&[(offset, staging)], None, ledger).await
+        self.with_staging(data.len() as u64, |staging| async move {
+            self.client.shared.dev.write_mem(staging.addr, data)?;
+            self.write_src(&[(offset, staging)], ledger).await
         })
         .await
     }
@@ -495,7 +478,7 @@ impl Region {
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn write_from(&self, offset: u64, src: DmaBuf) -> Result<()> {
         let ledger = self.op_ledger(OpKind::Write);
-        let result = self.write_src(&[(offset, src)], None, &ledger).await;
+        let result = self.write_src(&[(offset, src)], &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
     }
@@ -517,7 +500,7 @@ impl Region {
     pub async fn write_from_many(&self, ios: &[(u64, DmaBuf)]) -> Result<()> {
         let ledger = self.op_ledger(OpKind::WriteMany);
         ledger.set_units(ios.len() as u64);
-        let result = self.write_src(ios, None, &ledger).await;
+        let result = self.write_src(ios, &ledger).await;
         self.finish_ledger_res(&ledger, &result);
         result
     }
@@ -551,8 +534,8 @@ impl Region {
         let (word, image) = (xfer(landing)?, read_back.map(xfer).transpose()?);
         let node = self.extent(word.piece.group, 0).node;
         self.client.shared.qps.dial(node, true).await?;
-        let rx = self.post(Dir::Cas { expect, swap }, &[word], None, ledger)?;
-        let image = image.map(|x| self.post(Dir::Read, &[x], None, ledger));
+        let rx = self.post(Dir::Cas { expect, swap }, &[word], ledger)?;
+        let image = image.map(|x| self.post(Dir::Read, &[x], ledger));
         ledger.rtt();
         let status = rx.await.unwrap_or(CqStatus::Flushed);
         let image = match image {
@@ -583,11 +566,11 @@ impl Region {
     /// verified and copied out once it has landed.
     async fn read_plan(&self, plan: Vec<Xfer>, ledger: &OpLedger) -> Result<()> {
         if !self.checksums {
-            let failed = self.post_round(Dir::Read, plan, None, ledger).await?;
+            let failed = self.post_round(Dir::Read, plan, ledger).await?;
             return self.drain_reads(failed, ledger).await;
         }
         self.ck_rounds(plan, false, |round| async move {
-            let failed = self.post_round(Dir::Read, round, None, ledger).await?;
+            let failed = self.post_round(Dir::Read, round, ledger).await?;
             self.drain_reads(failed, ledger).await
         })
         .await
@@ -624,33 +607,21 @@ impl Region {
         result
     }
 
-    /// Writes `ios` (or, for an inline write, the host bytes `inline` in
-    /// place of the one pair's buffer): one write round under
-    /// stale-descriptor revalidation.
-    async fn write_src(
-        &self,
-        ios: &[(u64, DmaBuf)],
-        inline: Option<&[u8]>,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        self.with_revalidate(ledger, || self.write_round(ios, inline, ledger))
+    /// Writes `ios`: one write round under stale-descriptor revalidation.
+    async fn write_src(&self, ios: &[(u64, DmaBuf)], ledger: &OpLedger) -> Result<()> {
+        self.with_revalidate(ledger, || self.write_round(ios, ledger))
             .await
     }
 
     /// One write round: plan every (piece, replica) of every pair, post,
     /// then run the recovery round over whatever failed. A checksummed plan
     /// runs as [`write_ck`](Self::write_ck) rounds.
-    async fn write_round(
-        &self,
-        ios: &[(u64, DmaBuf)],
-        inline: Option<&[u8]>,
-        ledger: &OpLedger,
-    ) -> Result<()> {
+    async fn write_round(&self, ios: &[(u64, DmaBuf)], ledger: &OpLedger) -> Result<()> {
         let s = &self.client.shared;
         let _span = self.round_span(ios, &s.stats.write, &s.stats.write_many);
         let plan = self.plan(ios, true)?;
         if !self.checksums {
-            return self.write_xfers(plan, inline, ledger).await;
+            return self.write_xfers(plan, ledger).await;
         }
         let racing = ios.len() > 1;
         self.ck_rounds(plan, racing, |round| self.write_ck(round, ledger))
@@ -674,7 +645,7 @@ impl Region {
         for x in round.iter().filter(|x| x.replica == 0) {
             self.seal(x)?;
         }
-        self.write_xfers(round, None, ledger).await
+        self.write_xfers(round, ledger).await
     }
 
     /// The trace span of one round over `ios`: `one`'s (arg = bytes) for a
@@ -766,12 +737,11 @@ impl Region {
     /// never share a server, so there is nothing to group) and checksummed
     /// IO post one WR per (stripe, replica), in plan order: grouping a
     /// checksummed round into one WR per server measured slower (DESIGN.md,
-    /// "Inline and scatter-gather WRs").
+    /// "Scatter-gather WRs").
     fn post_plan(
         &self,
         dir: Dir,
         plan: &mut [Xfer],
-        inline: Option<&[u8]>,
         ledger: &OpLedger,
         waits: &mut Vec<Posted>,
     ) -> Vec<Failed> {
@@ -785,7 +755,7 @@ impl Region {
         for run in plan.chunk_by(|a, b| grouped && node(a) == node(b)) {
             for xfers in run.chunks(MAX_SGE) {
                 end += xfers.len();
-                match self.post(dir, xfers, inline, ledger) {
+                match self.post(dir, xfers, ledger) {
                     Ok(rx) => waits.push((end - xfers.len()..end, rx)),
                     // Nothing posted; the failover/recovery pass grants the
                     // usual re-dial retry.
@@ -803,11 +773,10 @@ impl Region {
         &self,
         dir: Dir,
         mut plan: Vec<Xfer>,
-        inline: Option<&[u8]>,
         ledger: &OpLedger,
     ) -> Result<Vec<Failed>> {
         let mut waits = IoPool::take(&self.pool.waits);
-        let mut failed = self.post_plan(dir, &mut plan, inline, ledger, &mut waits);
+        let mut failed = self.post_plan(dir, &mut plan, ledger, &mut waits);
         let landed = self
             .await_round(dir, &plan, &mut waits, &mut failed, ledger)
             .await;
@@ -942,7 +911,7 @@ impl Region {
                     ledger.failover(s.sim.now());
                     self.failovers.set(self.failovers.get() + 1);
                 }
-                match self.post(Dir::Read, &[x], None, ledger) {
+                match self.post(Dir::Read, &[x], ledger) {
                     Ok(rx) => {
                         if retry {
                             ledger.retry();
@@ -1008,13 +977,8 @@ impl Region {
     /// leaves its repost unpostable, or its repost failed — fails the IO
     /// with the first such status, and only once every repost has
     /// completed: no WRITE of a failed IO lands after it returns.
-    async fn write_xfers(
-        &self,
-        plan: Vec<Xfer>,
-        inline: Option<&[u8]>,
-        ledger: &OpLedger,
-    ) -> Result<()> {
-        let failed = self.post_round(Dir::Write, plan, inline, ledger).await?;
+    async fn write_xfers(&self, plan: Vec<Xfer>, ledger: &OpLedger) -> Result<()> {
+        let failed = self.post_round(Dir::Write, plan, ledger).await?;
         if failed.is_empty() {
             return Ok(());
         }
@@ -1027,7 +991,7 @@ impl Region {
             ledger.retry();
             retry.push(x);
         }
-        let lost = self.post_round(Dir::Write, retry, inline, ledger).await;
+        let lost = self.post_round(Dir::Write, retry, ledger).await;
         ledger.end(span, s.sim.now());
         match lost?.first() {
             Some(&(_, status)) => Err(RStoreError::Io(status)),
@@ -1053,16 +1017,9 @@ impl Region {
     /// Posts one WR covering the [`elements`](Self::elements) of `xfers` —
     /// the caller guarantees they all resolve to the same memory server —
     /// through the client's [`DataQps`](crate::client::DataQps) and returns
-    /// the waiter of its completion: one wr_id, one doorbell. With `inline`, a
-    /// lone WRITE carries those host bytes in the WQE instead of reading its
-    /// buffer. A [`Dir::Cas`] is one atomic on its one transfer's word.
-    fn post(
-        &self,
-        dir: Dir,
-        xfers: &[Xfer],
-        inline: Option<&[u8]>,
-        ledger: &OpLedger,
-    ) -> Result<Wait<CqStatus, TimerId>> {
+    /// the waiter of its completion: one wr_id, one doorbell. A
+    /// [`Dir::Cas`] is one atomic on its one transfer's word.
+    fn post(&self, dir: Dir, xfers: &[Xfer], ledger: &OpLedger) -> Result<Wait<CqStatus, TimerId>> {
         let s = &self.client.shared;
         let node = self.extent(xfers[0].piece.group, xfers[0].replica).node;
         let sge = |x: &Xfer, (piece, buf): (Piece, DmaBuf)| {
@@ -1086,14 +1043,10 @@ impl Region {
                 n += 1;
             }
         }
-        let op = match (dir, inline) {
-            (Dir::Read, _) => WrOp::Read(SgeList::new(&elems[..n])?),
-            (Dir::Write, None) => WrOp::Write(SgeList::new(&elems[..n])?),
-            (Dir::Write, Some(bytes)) => WrOp::WriteInline {
-                bytes,
-                remote: elems[0].remote,
-            },
-            (Dir::Cas { expect, swap }, _) => WrOp::Atomic {
+        let op = match dir {
+            Dir::Read => WrOp::Read(SgeList::new(&elems[..n])?),
+            Dir::Write => WrOp::Write(SgeList::new(&elems[..n])?),
+            Dir::Cas { expect, swap } => WrOp::Atomic {
                 result: elems[0].local,
                 remote: elems[0].remote,
                 op: AtomicOp::CompareSwap { expect, swap },

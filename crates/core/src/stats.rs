@@ -113,8 +113,6 @@ pub(crate) struct ClientStats {
     pub desc_stale: Counter,
     /// A revalidation installed a changed descriptor (arg = attempt).
     pub desc_refresh: Event,
-    pub inline_writes: Counter,
-    pub inline_bytes: Counter,
     /// A stripe failed verification (track = its node, arg = its group).
     pub read_corrupt: Event,
     pub read_bytes: Counter,
@@ -142,8 +140,6 @@ impl ClientStats {
             desc_stale: m.counter_handle("rstore.desc.stale"),
             desc_refresh: event("rstore.desc.refresh")
                 .counting(m.counter_handle("rstore.desc.refresh")),
-            inline_writes: m.counter_handle("rstore.inline.writes"),
-            inline_bytes: m.counter_handle("rstore.inline.bytes"),
             read_corrupt: event("rstore.read.corrupt")
                 .counting(m.counter_handle("integrity.read_mismatch")),
             read_bytes: m.counter_handle("rstore.read_bytes"),

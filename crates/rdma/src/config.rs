@@ -16,12 +16,6 @@ pub const MAX_BATCH: usize = 16;
 /// Models verbs `ibv_post_send` with a chained WR list, where WQE build cost
 /// is paid per WR but the doorbell (MMIO) is rung once.
 pub const BATCH_WR_OVERHEAD: Duration = Duration::from_nanos(40);
-/// CPU cost to build + ring a doorbell for a chain headed by an *inline*
-/// WRITE. Cheaper than [`POST_OVERHEAD`] because the NIC never fetches the
-/// payload by DMA and the lkey/translation checks on the local buffer are
-/// skipped — the memcpy into the WQE rides the same cache lines the CPU
-/// just wrote.
-pub const INLINE_POST_OVERHEAD: Duration = Duration::from_nanos(100);
 
 /// The settable parameters of a NIC; its fixed timing is the constants
 /// above.
@@ -37,11 +31,6 @@ pub struct RdmaConfig {
     pub base_timeout: Duration,
     /// Device arena capacity in bytes.
     pub mem_capacity: u64,
-    /// Largest payload (bytes) an inline WRITE may carry. `0` (the default)
-    /// disables inline posting entirely. Models verbs
-    /// `max_inline_data`: the payload is copied into the WQE at post time,
-    /// so no local DMA buffer is registered or read back by the NIC.
-    pub inline_max: u64,
 }
 
 impl Default for RdmaConfig {
@@ -49,7 +38,6 @@ impl Default for RdmaConfig {
         RdmaConfig {
             base_timeout: Duration::from_secs(2),
             mem_capacity: 64 * 1024 * 1024 * 1024, // addresses are cheap; data is lazy
-            inline_max: 0,
         }
     }
 }

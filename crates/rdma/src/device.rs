@@ -10,9 +10,7 @@ use fabric::{Delivery, Fabric, NodeId};
 use sim::channel::{channel, Receiver, Rendezvous, Sender};
 use sim::{Completion, EventSink, Metrics, OpLedger, Sim, SimTime, TimerId};
 
-use crate::config::{
-    RdmaConfig, BATCH_WR_OVERHEAD, INLINE_POST_OVERHEAD, MAX_BATCH, NIC_DELAY, POST_OVERHEAD,
-};
+use crate::config::{RdmaConfig, BATCH_WR_OVERHEAD, MAX_BATCH, NIC_DELAY, POST_OVERHEAD};
 use crate::cq::{CompletionQueue, CqStatus, Cqe, CqeOpcode};
 use crate::doorbell::Doorbells;
 use crate::memory::{Arena, DmaBuf, MrEntry};
@@ -297,11 +295,6 @@ impl RdmaDevice {
     /// Shared metrics (same registry as the fabric's).
     pub fn metrics(&self) -> Metrics {
         self.fabric.metrics().clone()
-    }
-
-    /// The device's timing configuration.
-    pub fn config(&self) -> &RdmaConfig {
-        &self.cfg
     }
 
     /// Makes `ledger` the cost ledger charged by every work request posted
@@ -1225,8 +1218,7 @@ impl Qp {
     /// Posts a linked list of work requests — the one way anything enters
     /// the send queue; a lone READ is a chain of one. Verbs
     /// `ibv_post_send`-style, each chunk of [`MAX_BATCH`] WRs rings **one
-    /// doorbell**: its first WR pays [`POST_OVERHEAD`]
-    /// ([`INLINE_POST_OVERHEAD`] when it is an inline WRITE), each linked
+    /// doorbell**: its first WR pays [`POST_OVERHEAD`], each linked
     /// successor only the amortized [`BATCH_WR_OVERHEAD`]. Combined with unsignaled WRs (see
     /// [`Wr::unsignaled`]) this is the Storm-style small-IO batching recipe:
     /// ring once, reap one CQE.
@@ -1239,10 +1231,8 @@ impl Qp {
     ///
     /// * [`RdmaError::InvalidHandle`] — empty chain (nothing to ring for).
     /// * [`RdmaError::QpError`] — QP already in the error state.
-    /// * [`RdmaError::OutOfBounds`] — a WR's local buffer is invalid, or an
-    ///   inline payload exceeds [`RdmaConfig::inline_max`] (`0`, the
-    ///   default, disables inlining entirely).
-    pub fn post_batch(&self, wrs: &[Wr<'_>]) -> Result<()> {
+    /// * [`RdmaError::OutOfBounds`] — a WR's local buffer is invalid.
+    pub fn post_batch(&self, wrs: &[Wr]) -> Result<()> {
         if wrs.is_empty() {
             return Err(RdmaError::InvalidHandle);
         }
@@ -1258,15 +1248,6 @@ impl Qp {
                     WrOp::Read(sges) | WrOp::Write(sges) => {
                         for e in sges.entries() {
                             inner.arena.check_range(e.local.addr, e.local.len)?;
-                        }
-                    }
-                    WrOp::WriteInline { bytes, remote } => {
-                        let len = bytes.len() as u64;
-                        if cfg.inline_max == 0 || len > cfg.inline_max {
-                            return Err(RdmaError::OutOfBounds {
-                                addr: remote.addr,
-                                len,
-                            });
                         }
                     }
                     WrOp::Atomic { result: buf, .. } | WrOp::Send { src: buf, .. } => {
@@ -1295,10 +1276,10 @@ impl Qp {
             let mut chunk_post_ns = 0u64;
             for (i, wr) in chunk.iter().enumerate() {
                 let (opcode, byte_len, subs) = wr.op.shape();
-                let post_cost = match (i, &wr.op) {
-                    (0, WrOp::WriteInline { .. }) => INLINE_POST_OVERHEAD,
-                    (0, _) => POST_OVERHEAD,
-                    _ => BATCH_WR_OVERHEAD,
+                let post_cost = if i == 0 {
+                    POST_OVERHEAD
+                } else {
+                    BATCH_WR_OVERHEAD
                 };
                 let post_cost_ns = post_cost.as_nanos() as u64;
                 chunk_post_ns += post_cost_ns;
@@ -1343,12 +1324,6 @@ impl Qp {
                             });
                         }
                     }
-                    WrOp::WriteInline { bytes, remote } => emit(QpMsg::WriteReq {
-                        req_id: base,
-                        raddr: remote.addr,
-                        rkey: remote.rkey,
-                        payload: inner.arena.inline_payload(bytes),
-                    }),
                     WrOp::Atomic { result, remote, op } => {
                         dsts[0] = *result;
                         emit(QpMsg::AtomicReq {
@@ -1418,15 +1393,13 @@ impl Qp {
     }
 }
 
-/// One send-queue work request: what [`Qp::post_batch`] chains. The
-/// lifetime is that of an inline payload's host bytes; every other WR is a
-/// [`BatchWr`].
+/// One send-queue work request: what [`Qp::post_batch`] chains.
 #[derive(Clone, Copy, Debug)]
-pub struct Wr<'a> {
+pub struct Wr {
     /// Caller's completion correlation id.
     pub wr_id: u64,
     /// The operation to perform.
-    pub op: WrOp<'a>,
+    pub op: WrOp,
     /// Whether a *successful* completion generates a CQE. Error and flush
     /// completions are always delivered regardless. The canonical batch
     /// signals only its last WR: post-order completion release then makes
@@ -1434,11 +1407,12 @@ pub struct Wr<'a> {
     pub signaled: bool,
 }
 
-/// A [`Wr`] that borrows no host bytes — anything but an inline WRITE.
-pub type BatchWr = Wr<'static>;
+/// The old name of [`Wr`]. It is kept only because `benchmark/src/ladder.rs`
+/// uses it; ROADMAP item 10 deletes it together with that use.
+pub type BatchWr = Wr;
 
-impl<'a> Wr<'a> {
-    fn new(wr_id: u64, op: WrOp<'a>) -> Wr<'a> {
+impl Wr {
+    fn new(wr_id: u64, op: WrOp) -> Wr {
         Wr {
             wr_id,
             op,
@@ -1447,43 +1421,38 @@ impl<'a> Wr<'a> {
     }
 
     /// A signaled RDMA READ of `dst.len` bytes from `remote` into `dst`.
-    pub fn read(wr_id: u64, dst: DmaBuf, remote: RemoteAddr) -> Wr<'a> {
+    pub fn read(wr_id: u64, dst: DmaBuf, remote: RemoteAddr) -> Wr {
         Wr::read_sge(wr_id, SgeList::one(dst, remote))
     }
 
     /// A signaled RDMA WRITE of `src` to `remote`.
-    pub fn write(wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> Wr<'a> {
+    pub fn write(wr_id: u64, src: DmaBuf, remote: RemoteAddr) -> Wr {
         Wr::write_sge(wr_id, SgeList::one(src, remote))
     }
 
     /// A signaled scatter-gather READ: one WR/CQE covering every element.
-    pub fn read_sge(wr_id: u64, sges: SgeList) -> Wr<'a> {
+    pub fn read_sge(wr_id: u64, sges: SgeList) -> Wr {
         Wr::new(wr_id, WrOp::Read(sges))
     }
 
     /// A signaled scatter-gather WRITE: one WR/CQE covering every element.
-    pub fn write_sge(wr_id: u64, sges: SgeList) -> Wr<'a> {
+    pub fn write_sge(wr_id: u64, sges: SgeList) -> Wr {
         Wr::new(wr_id, WrOp::Write(sges))
-    }
-
-    /// A signaled inline RDMA WRITE of the host slice `bytes` to `remote`.
-    pub fn write_inline(wr_id: u64, bytes: &'a [u8], remote: RemoteAddr) -> Wr<'a> {
-        Wr::new(wr_id, WrOp::WriteInline { bytes, remote })
     }
 
     /// A signaled atomic on the remote u64 at `remote`; the prior value
     /// lands in `result` (8 bytes).
-    pub fn atomic(wr_id: u64, result: DmaBuf, remote: RemoteAddr, op: AtomicOp) -> Wr<'a> {
+    pub fn atomic(wr_id: u64, result: DmaBuf, remote: RemoteAddr, op: AtomicOp) -> Wr {
         Wr::new(wr_id, WrOp::Atomic { result, remote, op })
     }
 
     /// A signaled two-sided SEND of `src`, optionally with an immediate.
-    pub fn send(wr_id: u64, src: DmaBuf, imm: Option<u32>) -> Wr<'a> {
+    pub fn send(wr_id: u64, src: DmaBuf, imm: Option<u32>) -> Wr {
         Wr::new(wr_id, WrOp::Send { src, imm })
     }
 
     /// Suppresses the success CQE for this WR.
-    pub fn unsignaled(mut self) -> Wr<'a> {
+    pub fn unsignaled(mut self) -> Wr {
         self.signaled = false;
         self
     }
@@ -1491,24 +1460,13 @@ impl<'a> Wr<'a> {
 
 /// Operation carried by a [`Wr`].
 #[derive(Clone, Copy, Debug)]
-pub enum WrOp<'a> {
+pub enum WrOp {
     /// RDMA READ: one CQE, each element's remote extent lands in its own
     /// local buffer (whose length is the element's read size).
     Read(SgeList),
     /// RDMA WRITE: one CQE, each element's local buffer (snapshotted at post
     /// time) goes to its remote extent.
     Write(SgeList),
-    /// RDMA WRITE whose payload is copied from host memory into the WQE at
-    /// post time, verbs `IBV_SEND_INLINE` style: no local DmaBuf is staged
-    /// or registered — the data travels with the work request — and a
-    /// doorbell rung for it costs the cheaper [`INLINE_POST_OVERHEAD`] (no
-    /// lkey check or DMA readback of the source buffer).
-    WriteInline {
-        /// The payload, at most [`RdmaConfig::inline_max`] bytes.
-        bytes: &'a [u8],
-        /// Remote destination.
-        remote: RemoteAddr,
-    },
     /// Atomic on a remote u64, executed by the responder NIC.
     Atomic {
         /// Local 8-byte buffer receiving the prior value.
@@ -1527,13 +1485,12 @@ pub enum WrOp<'a> {
     },
 }
 
-impl WrOp<'_> {
+impl WrOp {
     /// `(completion opcode, logical byte count, wire sub-requests)`.
     fn shape(&self) -> (CqeOpcode, u64, u64) {
         match self {
             WrOp::Read(sges) => (CqeOpcode::Read, sges.total_bytes(), sges.len() as u64),
             WrOp::Write(sges) => (CqeOpcode::Write, sges.total_bytes(), sges.len() as u64),
-            WrOp::WriteInline { bytes, .. } => (CqeOpcode::Write, bytes.len() as u64, 1),
             WrOp::Atomic { op, .. } => match op {
                 AtomicOp::CompareSwap { .. } => (CqeOpcode::CompSwap, 8, 1),
                 AtomicOp::FetchAdd { .. } => (CqeOpcode::FetchAdd, 8, 1),
@@ -1980,7 +1937,7 @@ mod tests {
             assert_eq!(err, Err(RdmaError::QpError));
             // The flush released both WRs' bytes, and the rejected post
             // added none: the device backlog is empty again.
-            assert_eq!(a.op_deadline(0), a.config().op_timeout(0));
+            assert_eq!(a.op_deadline(0), a.cfg.op_timeout(0));
         });
     }
 
@@ -2248,7 +2205,7 @@ mod tests {
                     remote: mr.token().at(i as u64 * 4, 4).unwrap(),
                 })
                 .collect();
-            cqp.post_batch(&[BatchWr::read_sge(7, SgeList::new(&elems).unwrap())])
+            cqp.post_batch(&[Wr::read_sge(7, SgeList::new(&elems).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 7);
@@ -2280,7 +2237,7 @@ mod tests {
                     remote: mr.token().at(i as u64 * 4, 4).unwrap(),
                 })
                 .collect();
-            cqp.post_batch(&[BatchWr::write_sge(8, SgeList::new(&elems).unwrap())])
+            cqp.post_batch(&[Wr::write_sge(8, SgeList::new(&elems).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(
@@ -2338,7 +2295,7 @@ mod tests {
                     },
                 },
             ];
-            cqp.post_batch(&[BatchWr::read_sge(9, SgeList::new(&elems).unwrap())])
+            cqp.post_batch(&[Wr::read_sge(9, SgeList::new(&elems).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 9);
@@ -2364,8 +2321,8 @@ mod tests {
                 })
                 .collect();
             cqp.post_batch(&[
-                BatchWr::read(1, plain, mr.token().at(0, 4).unwrap()).unsignaled(),
-                BatchWr::read_sge(2, SgeList::new(&elems).unwrap()),
+                Wr::read(1, plain, mr.token().at(0, 4).unwrap()).unsignaled(),
+                Wr::read_sge(2, SgeList::new(&elems).unwrap()),
             ])
             .unwrap();
             let cqe = ccq.next().await;
@@ -2378,117 +2335,6 @@ mod tests {
         });
     }
 
-    fn connected_cfg<F, Fut, T>(cfg: RdmaConfig, f: F) -> T
-    where
-        F: FnOnce(RdmaDevice, RdmaDevice, Qp, CompletionQueue, Qp, CompletionQueue) -> Fut
-            + 'static,
-        Fut: std::future::Future<Output = T> + 'static,
-        T: 'static,
-    {
-        let sim = Sim::new();
-        let fabric = Fabric::new(sim.clone(), FabricConfig::default());
-        let a = RdmaDevice::new(&fabric, cfg.clone());
-        let b = RdmaDevice::new(&fabric, cfg);
-        sim.block_on(async move {
-            let mut listener = b.listen(7).unwrap();
-            let scq = CompletionQueue::new();
-            let ccq = CompletionQueue::new();
-            let b2 = b.clone();
-            let scq2 = scq.clone();
-            let accept = b
-                .sim()
-                .spawn(async move { listener.accept(&scq2).await.unwrap() });
-            let cqp = a.connect(b2.node(), 7, &ccq).await.unwrap();
-            let sqp = accept.await;
-            f(a, b2, cqp, ccq, sqp, scq).await
-        })
-    }
-
-    #[test]
-    fn inline_write_lands_and_posts_cheaper() {
-        let cfg = RdmaConfig {
-            inline_max: 64,
-            ..RdmaConfig::default()
-        };
-        connected_cfg(cfg, |a, b, cqp, ccq, _sqp, _scq| async move {
-            let server_buf = b.alloc(32).unwrap();
-            let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
-
-            // Inline write straight from a host slice: no DmaBuf involved.
-            let t0 = a.sim().now();
-            cqp.post_batch(&[Wr::write_inline(
-                1,
-                b"inline-hello",
-                mr.token().at(0, 12).unwrap(),
-            )])
-            .unwrap();
-            let cqe = ccq.next().await;
-            let inline_rtt = a.sim().now() - t0;
-            assert_eq!(
-                (cqe.wr_id, cqe.status, cqe.byte_len),
-                (1, CqStatus::Success, 12)
-            );
-            assert_eq!(b.read_mem(server_buf.addr, 12).unwrap(), b"inline-hello");
-
-            // The same write via the registered-buffer path takes longer:
-            // the full `POST_OVERHEAD` is charged instead of the inline cost.
-            let src = a.alloc_init(b"regular-hullo").unwrap();
-            let t1 = a.sim().now();
-            cqp.post_write(2, src, mr.token().at(0, 13).unwrap())
-                .unwrap();
-            ccq.next().await;
-            let regular_rtt = a.sim().now() - t1;
-            assert_eq!(
-                regular_rtt - inline_rtt,
-                POST_OVERHEAD - INLINE_POST_OVERHEAD,
-                "inline saves exactly the WQE-build delta \
-                 (inline {inline_rtt:?} vs regular {regular_rtt:?})"
-            );
-        });
-    }
-
-    #[test]
-    fn inline_write_rejected_when_disabled_or_oversized() {
-        // Default config: inline posting disabled outright.
-        connected(|_a, b, cqp, _ccq, _sqp, _scq| async move {
-            let server_buf = b.alloc(8).unwrap();
-            let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
-            let err = cqp
-                .post_batch(&[Wr::write_inline(1, b"x", mr.token().at(0, 1).unwrap())])
-                .unwrap_err();
-            assert!(matches!(err, RdmaError::OutOfBounds { .. }));
-        });
-        // Enabled with a cap: payloads over inline_max are rejected at post
-        // time (verbs returns EINVAL from ibv_post_send the same way).
-        let cfg = RdmaConfig {
-            inline_max: 8,
-            ..RdmaConfig::default()
-        };
-        connected_cfg(cfg, |a, b, cqp, ccq, _sqp, _scq| async move {
-            let server_buf = b.alloc(16).unwrap();
-            let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
-            let err = cqp
-                .post_batch(&[Wr::write_inline(
-                    1,
-                    b"nine-bytes",
-                    mr.token().at(0, 10).unwrap(),
-                )])
-                .unwrap_err();
-            assert!(matches!(err, RdmaError::OutOfBounds { len: 10, .. }));
-            a.sim().sleep(Duration::from_micros(20)).await;
-            assert!(ccq.is_empty());
-            assert_eq!(a.metrics().counter("rdma.doorbells"), 0);
-            // At the cap it goes through.
-            cqp.post_batch(&[Wr::write_inline(
-                2,
-                b"88888888",
-                mr.token().at(0, 8).unwrap(),
-            )])
-            .unwrap();
-            assert_eq!(ccq.next().await.status, CqStatus::Success);
-        });
-    }
-
     #[test]
     fn batch_of_one_matches_single_post() {
         // A batch of one signaled WR must be observationally identical to
@@ -2497,7 +2343,7 @@ mod tests {
             let server_buf = b.alloc_init(b"batch-of-1!!").unwrap();
             let mr = b.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
             let dst = a.alloc(12).unwrap();
-            cqp.post_batch(&[BatchWr::read(9, dst, mr.token().at(0, 12).unwrap())])
+            cqp.post_batch(&[Wr::read(9, dst, mr.token().at(0, 12).unwrap())])
                 .unwrap();
             let cqe = ccq.next().await;
             assert_eq!(cqe.wr_id, 9);
@@ -2517,10 +2363,10 @@ mod tests {
             let mr = b.reg_mr(server_buf, Access::REMOTE_WRITE).unwrap();
             // 8 writes, only the last signaled: fabric side effects for all,
             // exactly one CQE, one doorbell.
-            let wrs: Vec<BatchWr> = (0..8u64)
+            let wrs: Vec<Wr> = (0..8u64)
                 .map(|i| {
                     let src = a.alloc_init(&[i as u8; 8]).unwrap();
-                    let wr = BatchWr::write(i, src, mr.token().at(i * 8, 8).unwrap());
+                    let wr = Wr::write(i, src, mr.token().at(i * 8, 8).unwrap());
                     if i == 7 {
                         wr
                     } else {
@@ -2565,10 +2411,10 @@ mod tests {
             // `MAX_BATCH` is 16: 20 reads ring exactly two doorbells.
             let server_buf = b2.alloc(20 * 4).unwrap();
             let mr = b2.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
-            let wrs: Vec<BatchWr> = (0..20u64)
+            let wrs: Vec<Wr> = (0..20u64)
                 .map(|i| {
                     let dst = a.alloc(4).unwrap();
-                    BatchWr::read(i, dst, mr.token().at(i * 4, 4).unwrap())
+                    Wr::read(i, dst, mr.token().at(i * 4, 4).unwrap())
                 })
                 .collect();
             let t0 = a.sim().now();
@@ -2602,8 +2448,8 @@ mod tests {
                 len: 8,
             };
             let err = cqp.post_batch(&[
-                BatchWr::read(1, good, mr.token().at(0, 8).unwrap()),
-                BatchWr::read(2, bogus, mr.token().at(8, 8).unwrap()),
+                Wr::read(1, good, mr.token().at(0, 8).unwrap()),
+                Wr::read(2, bogus, mr.token().at(8, 8).unwrap()),
             ]);
             assert!(matches!(err, Err(RdmaError::OutOfBounds { .. })));
             // Pre-validation: the good WR must not have been posted either.
@@ -2624,10 +2470,10 @@ mod tests {
             // suppressed).
             let fabric_down = b.clone();
             fabric_down.fabric.set_node_up(b.node(), false);
-            let wrs: Vec<BatchWr> = (0..4u64)
+            let wrs: Vec<Wr> = (0..4u64)
                 .map(|i| {
                     let dst = a.alloc(8).unwrap();
-                    let wr = BatchWr::read(i, dst, mr.token().at(i * 8, 8).unwrap());
+                    let wr = Wr::read(i, dst, mr.token().at(i * 8, 8).unwrap());
                     if i == 3 {
                         wr
                     } else {
@@ -2650,7 +2496,7 @@ mod tests {
             assert!(cqp.is_errored());
             // Posting to the errored QP is rejected batch-wide.
             let dst = a.alloc(8).unwrap();
-            let err = cqp.post_batch(&[BatchWr::read(9, dst, mr.token().at(0, 8).unwrap())]);
+            let err = cqp.post_batch(&[Wr::read(9, dst, mr.token().at(0, 8).unwrap())]);
             assert_eq!(err, Err(RdmaError::QpError));
         });
     }
@@ -2665,10 +2511,10 @@ mod tests {
                 let server_buf = b.alloc(16 * 64).unwrap();
                 let mr = b.reg_mr(server_buf, Access::REMOTE_READ).unwrap();
                 let t0 = a.sim().now();
-                let wrs: Vec<BatchWr> = (0..16u64)
+                let wrs: Vec<Wr> = (0..16u64)
                     .map(|i| {
                         let dst = a.alloc(64).unwrap();
-                        BatchWr::read(i, dst, mr.token().at(i * 64, 64).unwrap())
+                        Wr::read(i, dst, mr.token().at(i * 64, 64).unwrap())
                     })
                     .collect();
                 if batched {

@@ -66,9 +66,7 @@ mod stats;
 pub mod types;
 pub mod wire;
 
-pub use config::{
-    RdmaConfig, BATCH_WR_OVERHEAD, INLINE_POST_OVERHEAD, MAX_BATCH, NIC_DELAY, POST_OVERHEAD,
-};
+pub use config::{RdmaConfig, BATCH_WR_OVERHEAD, MAX_BATCH, NIC_DELAY, POST_OVERHEAD};
 pub use cq::{CompletionQueue, CqStatus, Cqe, CqeOpcode};
 pub use device::{
     BatchWr, Listener, Mr, Qp, RdmaDevice, RemoteAddr, RemoteMr, Sge, SgeList, Wr, WrOp, MAX_SGE,

@@ -116,8 +116,7 @@ enum PinState {
     /// freed those bytes since the payload was sampled.
     Live { addr: u64, len: u64 },
     /// The bytes are in the slot's own buffer: a pin *materialised* just
-    /// before the first write to (or free of) its range, or an inline
-    /// WRITE's copy in its WQE.
+    /// before the first write to (or free of) its range.
     Owned,
 }
 
@@ -139,10 +138,13 @@ impl PinSlot {
     }
 }
 
-/// The largest snapshot buffer a released slot keeps: the `max_inline_data`
-/// of HCAs of the modelled era, so an inline WRITE copies into its WQE
-/// without allocating once the table has warmed up, while a materialised
-/// stripe goes back to the heap.
+/// The largest snapshot buffer a released slot keeps. Most materialised pins
+/// are slot-sized READ responses on a KV memory server whose slot was CASed
+/// or rewritten while the response travelled (DESIGN.md "Payload sampling
+/// model"); 1 KiB holds one, so those copies reuse a kept buffer, while a
+/// materialised stripe goes back to the heap. With `0` here the `kv_update`
+/// benchmark workload asked the heap for 1.606 instead of 1.591 allocations
+/// and 119.6 instead of 117.7 bytes per op; the other four did not move.
 const KEEP_BYTES: usize = 1024;
 
 /// The pin table of one arena: a slab, so pinning allocates nothing once the
@@ -160,17 +162,17 @@ struct Pins {
 }
 
 impl Pins {
-    /// A slot for a new pin, in `state`.
-    fn pin(&mut self, state: PinState) -> (u32, &mut PinSlot) {
+    /// A slot for a new live pin on `[addr, addr + len)`: its `(slot, gen)`.
+    fn pin(&mut self, addr: u64, len: u64) -> (u32, u32) {
         let slot = self.free.pop().unwrap_or_else(|| {
             self.slots.push(PinSlot::default());
             (self.slots.len() - 1) as u32
         });
         self.held += 1;
-        self.live += usize::from(matches!(state, PinState::Live { .. }));
+        self.live += 1;
         let s = &mut self.slots[slot as usize];
-        s.state = state;
-        (slot, s)
+        s.state = PinState::Live { addr, len };
+        (slot, s.gen)
     }
 
     fn release(&mut self, slot: u32, gen: u32) {
@@ -731,28 +733,13 @@ impl Arena {
             // Nothing to pin: an empty range overlaps no write.
             return Ok(Payload::Synthetic(0));
         }
-        let (slot, s) = mem.pins.pin(PinState::Live { addr, len });
-        Ok(self.pinned(slot, s.gen, len))
-    }
-
-    fn pinned(&self, slot: u32, gen: u32, len: u64) -> Payload {
-        let mem = self.mem.clone();
-        Payload::Pinned(Pin {
-            mem,
+        let (slot, gen) = mem.pins.pin(addr, len);
+        Ok(Payload::Pinned(Pin {
+            mem: self.mem.clone(),
             slot,
             gen,
             len,
-        })
-    }
-
-    /// An inline WRITE's payload: `bytes` copied into the work request, as a
-    /// pin that owns them from the start. It rides this arena's pin table so
-    /// that the copy reuses a slot's buffer instead of the heap.
-    pub fn inline_payload(&self, bytes: &[u8]) -> Payload {
-        let mut mem = self.mem.borrow_mut();
-        let (slot, s) = mem.pins.pin(PinState::Owned);
-        s.own(bytes);
-        self.pinned(slot, s.gen, bytes.len() as u64)
+        }))
     }
 
     /// Writes a payload into the arena — the one copy a payload's bytes

@@ -20,8 +20,7 @@ pub const HEADER_BYTES: u64 = 42;
 /// DESIGN.md, "Payload sampling model").
 #[derive(Debug)]
 pub enum Payload {
-    /// A pinned range of the source device's arena, or an inline WRITE's
-    /// copy in its WQE (a pin that owns its bytes from the start).
+    /// A pinned range of the source device's arena.
     Pinned(Pin),
     /// An atomic's prior value, eight little-endian bytes carried by value.
     Word(u64),
@@ -225,8 +224,12 @@ mod tests {
         assert_eq!(Payload::Word(7).len(), 8);
         assert_eq!(Payload::Synthetic(1 << 40).len(), 1 << 40);
         assert!(Payload::Synthetic(0).is_empty());
-        let arena = crate::memory::Arena::new(64);
-        assert_eq!(arena.inline_payload(&[1, 2, 3]).len(), 3);
+        let mut arena = crate::memory::Arena::new(64);
+        let buf = arena.alloc(3).unwrap();
+        arena.write(buf.addr, &[1, 2, 3]).unwrap();
+        let pinned = arena.read_payload(buf.addr, 3).unwrap();
+        assert!(matches!(pinned, Payload::Pinned(_)));
+        assert_eq!(pinned.len(), 3);
     }
 
     #[test]

@@ -89,7 +89,7 @@ pub struct PageGather {
     /// pages stay separate READs on purpose: merged into one large READ
     /// each, every worker's gather completes at the end of the round
     /// instead of spread over it, and E6's RMAT rows measured 6-29 % slower
-    /// (DESIGN.md, "Inline and scatter-gather WRs").
+    /// (DESIGN.md, "Scatter-gather WRs").
     ios: Vec<(u64, DmaBuf)>,
     buf: DmaBuf,
     /// Host image of `buf` and its decoded elements, kept across supersteps.

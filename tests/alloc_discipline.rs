@@ -24,9 +24,8 @@
 //! future); a lookup is what its descriptor needs at both ends. Payloads are
 //! not part of the floor: a READ response, a
 //! WRITE and a SEND travel as a pin on the arena they were sampled from and
-//! are copied once, block to block, at delivery (`rdma::memory`), an inline
-//! WRITE copies into a buffer its pin slot keeps, and an atomic's word
-//! travels by value — so a payload `Vec` per wire message coming back lifts
+//! are copied once, block to block, at delivery (`rdma::memory`), and an
+//! atomic's word travels by value — so a payload `Vec` per wire message coming back lifts
 //! every pin here by one per message, and the byte pin at the end (a 1 MiB
 //! striped IO asks the heap for under 4 KiB) by the IO size. Neither metric
 //! updates nor events are part of the floor either: every layer updates
@@ -173,17 +172,9 @@ fn arena_backs_blocks_as_they_are_written() {
 fn steady_state_ops_hold_allocation_floor() {
     arena_backs_blocks_as_they_are_written();
 
-    let cluster = Cluster::boot(ClusterConfig {
-        clients: 1,
-        // The raw-speed configuration: inline posting for small slot
-        // publishes (striped IO groups into multi-element WRs by itself).
-        rdma: rdma::RdmaConfig {
-            inline_max: 256,
-            ..rdma::RdmaConfig::default()
-        },
-        ..ClusterConfig::with_servers(3)
-    })
-    .expect("boot");
+    // The benchmark's configuration: the default `RdmaConfig` (striped IO
+    // groups into multi-element WRs by itself).
+    let cluster = Cluster::boot(ClusterConfig::with_servers(3)).expect("boot");
     let sim = cluster.sim.clone();
     sim.block_on(async move {
         let client = cluster.client(0).await.unwrap();
@@ -232,8 +223,9 @@ fn steady_state_ops_hold_allocation_floor() {
         steady!("region.write_ck", 0, ck.write_from(0, io).await.unwrap());
         steady!("region.read_ck", 0, ck.read_into(0, io).await.unwrap());
 
-        // KV ops. A warm put is CAS + inline WRITE, so this also pins the
-        // one-sided CAS path's allocation floor.
+        // KV ops. A warm put is a CAS plus one WRITE staged in a pooled
+        // buffer, so this also pins the one-sided CAS path's allocation
+        // floor.
         steady!("kv.get", 1, {
             assert!(kv.get(&keys[0]).await.unwrap().is_some());
         });

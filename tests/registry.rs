@@ -128,10 +128,6 @@ fn emitted() -> BTreeMap<&'static str, BTreeSet<String>> {
                 donate: 256 << 10,
                 ..fast.server
             },
-            rdma: rdma::RdmaConfig {
-                inline_max: 256,
-                ..fast.rdma
-            },
             ..fast
         },
     )

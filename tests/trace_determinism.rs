@@ -118,7 +118,7 @@ fn e15_elasticity_export_is_byte_identical_across_runs() {
     validate(&a).expect("E15 export must be well-formed JSON");
 }
 
-/// Same for the raw-speed experiment (E16: scatter-gather, inline writes):
+/// Same for the raw-speed experiment (E16: scatter-gather WRs):
 /// its doorbell/posting counts are design invariants, so the export must
 /// not wander between runs.
 #[test]
