@@ -79,10 +79,10 @@ check crates/rdma/src/device.rs 1128
 # region.rs +6 and kv.rs +28 for that rule. A writer's lock waits are paced
 # by the one schedule on `LockWatch` (`pause`, by locked words seen): kv.rs
 # +9 for it, and a second wait schedule beside it would not fit.
-check crates/core/src/region.rs 683
+check crates/core/src/region.rs 678
 check crates/core/src/kv.rs 898
-printf '%-28s %5d  (ceiling %d)\n' total "$total" 2709
-if [ "$total" -gt 2709 ]; then
+printf '%-28s %5d  (ceiling %d)\n' total "$total" 2704
+if [ "$total" -gt 2704 ]; then
     echo "FAIL: the three files together are over their line budget" >&2
     status=1
 fi
@@ -91,6 +91,10 @@ fi
 # the cache fills and then reused. A hint cache that allocates per insert,
 # or a second index beside this one, would not fit.
 check crates/core/src/hint.rs 178
+# The bytes a region read lends, outside the three-file total (DESIGN.md
+# "Arena backing"): one buffer that holds its staging block's backing and
+# gives both back when it drops. A copy of the bytes beside it would not fit.
+check crates/core/src/readbuf.rs 63
 # Outside the three-file total: a second mover beside `move_extent` would
 # not fit under this.
 check crates/core/src/master.rs 1073

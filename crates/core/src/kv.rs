@@ -1894,7 +1894,7 @@ mod tests {
             let raw = client.map(&data_name("chain")).await.unwrap();
             let none = OpLedger::disabled();
             let word = raw.read_l(7 * 128, 8, &none).await.unwrap();
-            let version = u64::from_le_bytes(word.try_into().unwrap());
+            let version = u64::from_le_bytes(word[..].try_into().unwrap());
             let locked = lock_word(version, 0x55).to_le_bytes();
             raw.write_l(7 * 128, &locked, &none).await.unwrap();
             let kv = cold().await.unwrap();
@@ -1969,7 +1969,7 @@ mod tests {
             let off = (hash_key(b"k") & (cfg.buckets - 1)) * cfg.slot_bytes;
             let raw = client.map(&data_name("tenure")).await.unwrap();
             let word = || async {
-                u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
+                u64::from_le_bytes(raw.read(off, 8).await.unwrap()[..].try_into().unwrap())
             };
             let steps = [
                 ("insert", Some(&b"v1"[..]), 2),
@@ -2025,7 +2025,7 @@ mod tests {
             let raw = c0.map(&data_name("stale")).await.unwrap();
             let off = (hash_key(b"a") & mask) * cfg.slot_bytes;
             let word = || async {
-                u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
+                u64::from_le_bytes(raw.read(off, 8).await.unwrap()[..].try_into().unwrap())
             };
             kv0.put(b"a", b"v1").await.unwrap();
             assert_eq!(kv1.get(b"a").await.unwrap().as_deref(), Some(&b"v1"[..]));
@@ -2103,7 +2103,7 @@ mod tests {
                 let wrs = metrics.histogram("rdma.doorbell_wrs").unwrap().sum();
                 assert_eq!(wrs, 3, "hit {hit}: CAS and read-back, unlock");
                 let word = raw.read(slot * cfg.slot_bytes, 8).await.unwrap();
-                assert_eq!(u64::from_le_bytes(word.try_into().unwrap()), 2);
+                assert_eq!(u64::from_le_bytes(word[..].try_into().unwrap()), 2);
                 assert_eq!(kv.get(b"j").await.unwrap().as_deref(), Some(&b"theirs"[..]));
             }
         });
@@ -2143,7 +2143,7 @@ mod tests {
                     let raw = client.map(&data_name("held")).await.unwrap();
                     let none = OpLedger::disabled();
                     async fn word(raw: &Region, off: u64) -> u64 {
-                        u64::from_le_bytes(raw.read(off, 8).await.unwrap().try_into().unwrap())
+                        u64::from_le_bytes(raw.read(off, 8).await.unwrap()[..].try_into().unwrap())
                     }
                     let version = word(&raw, off).await;
                     let locked = lock_word(version, 0x77).to_le_bytes();
@@ -2230,7 +2230,7 @@ mod tests {
             let none = OpLedger::disabled();
             let read_word = || async {
                 let word = raw.read(slot * cfg.slot_bytes, 8).await.unwrap();
-                u64::from_le_bytes(word.try_into().unwrap())
+                u64::from_le_bytes(word[..].try_into().unwrap())
             };
             let version = read_word().await;
             let lock = lock_word(version, 0x55);

@@ -60,6 +60,7 @@ pub mod kv;
 pub mod layout;
 pub mod master;
 pub mod proto;
+mod readbuf;
 pub mod region;
 pub mod rpc;
 pub mod server;
@@ -74,6 +75,7 @@ pub use proto::{
     AllocOptions, ClusterReport, ClusterStats, Extent, Policy, RegionDesc, RegionState,
     RegionStats, ServerStats,
 };
+pub use readbuf::ReadBuf;
 pub use region::Region;
 pub use server::{MemServer, ServerConfig};
 

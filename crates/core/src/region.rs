@@ -19,6 +19,7 @@ use crate::crc::{seal_blocks, verify_blocks};
 use crate::error::{RStoreError, Result};
 use crate::layout::{Layout, Piece};
 use crate::proto::{Extent, RegionDesc};
+use crate::readbuf::ReadBuf;
 use crate::stats::OpKind;
 
 /// What a posted WR does with its transfers.
@@ -77,13 +78,15 @@ type Failed = (Xfer, CqStatus);
 type Posted = (Range<usize>, Wait<CqStatus, TimerId>);
 
 /// Recycled IO scratch shared by all clones of a [`Region`] handle: staging
-/// `DmaBuf`s for checksum-block assembly/verification (sealed and verified
-/// where they lie), and the plan and posted-WR lists of a round (one of each
-/// per round in flight). Reuse keeps the steady-state op set
-/// allocation-free (arena allocation is zero virtual time, so pooling
-/// changes no wire traffic or timing — only host-heap churn).
+/// `DmaBuf`s for the bytes of [`read`](Region::read) and
+/// [`write`](Region::write) and for checksum-block assembly/verification
+/// (sealed and verified where they lie), and the plan and posted-WR lists
+/// of a round (one of each per round in flight). Reuse keeps the
+/// steady-state op set allocation-free (arena allocation is zero virtual
+/// time, so pooling changes no wire traffic or timing — only host-heap
+/// churn). A block a [`ReadBuf`] lends is out of the pool until it drops.
 #[derive(Default)]
-struct IoPool {
+pub(crate) struct IoPool {
     staging: RefCell<Vec<DmaBuf>>,
     plans: RefCell<Vec<Vec<Xfer>>>,
     waits: RefCell<Vec<Vec<Posted>>>,
@@ -103,6 +106,31 @@ impl IoPool {
             spares.push(list);
         }
     }
+
+    /// A staging block of exactly `len` bytes: one of the pool's, or a
+    /// fresh one whose backing is reserved at `len` at once, so that its
+    /// first landing, in however many pieces, grows it no further.
+    fn stage(&self, dev: &rdma::RdmaDevice, len: u64) -> Result<DmaBuf> {
+        let mut pool = self.staging.borrow_mut();
+        if let Some(i) = pool.iter().rposition(|b| b.len == len.max(1)) {
+            return Ok(pool.swap_remove(i));
+        }
+        let buf = dev.alloc(len.max(1))?;
+        dev.with_mem(|m| m.swap_backing(buf, Vec::with_capacity(len as usize)))?;
+        Ok(buf)
+    }
+
+    /// Returns a block taken with [`stage`](Self::stage), or frees it when
+    /// the pool is full. Only once nothing can land in it any more: a block
+    /// whose IO was given up in flight is never returned.
+    pub(crate) fn unstage(&self, dev: &rdma::RdmaDevice, buf: DmaBuf) {
+        let mut pool = self.staging.borrow_mut();
+        if pool.len() < POOL_CAP {
+            pool.push(buf);
+        } else {
+            let _ = dev.free(buf);
+        }
+    }
 }
 
 /// Staging buffers (and spare lists) kept for reuse; beyond this the excess
@@ -120,8 +148,9 @@ const STAGING_MAX: u64 = 4 << 20;
 /// Obtained from [`RStoreClient::alloc`] or [`RStoreClient::map`]. Offsets
 /// are region-relative; striping and replication are transparent.
 ///
-/// One IO form, at two levels of convenience: [`read`](Self::read) /
-/// [`write`](Self::write) move `Vec<u8>`s through a pooled staging buffer;
+/// One IO form, at two levels of convenience: [`read`](Self::read) lends
+/// the bytes it landed in a pooled staging buffer ([`ReadBuf`]) and
+/// [`write`](Self::write) stages a slice in one;
 /// [`read_into`](Self::read_into) / [`write_from`](Self::write_from) and
 /// their `_many` twins move bytes directly between caller-owned [`DmaBuf`]s
 /// and the region. Every call resolves when its IO is complete, and all of
@@ -253,35 +282,23 @@ impl Region {
         ledger.finish(self.client.shared.sim.now(), reason);
     }
 
-    /// Runs `io` on a staging buffer of exactly `len` bytes: one of the
-    /// pool's, or a fresh one, which goes back to the pool (or is freed
-    /// when the pool is full).
-    pub(crate) async fn with_staging<T, Fut>(
-        &self,
-        len: u64,
-        io: impl FnOnce(DmaBuf) -> Fut,
-    ) -> Result<T>
+    /// [`finish_ledger_res`](Self::finish_ledger_res), passing `result` on.
+    fn finished<T>(&self, ledger: &OpLedger, result: Result<T>) -> Result<T> {
+        self.finish_ledger_res(ledger, &result);
+        result
+    }
+
+    /// Runs `io` on a staging buffer of exactly `len` bytes from the pool
+    /// ([`IoPool::stage`]), which goes back to it once `io` is done.
+    pub(crate) async fn with_staging<T, Fut, F>(&self, len: u64, io: F) -> Result<T>
     where
+        F: FnOnce(DmaBuf) -> Fut,
         Fut: Future<Output = Result<T>>,
     {
-        let (dev, size) = (&self.client.shared.dev, len.max(1));
-        let pooled = self
-            .pool
-            .staging
-            .borrow()
-            .iter()
-            .rposition(|b| b.len == size);
-        let staging = match pooled {
-            Some(i) => self.pool.staging.borrow_mut().swap_remove(i),
-            None => dev.alloc(size)?,
-        };
+        let dev = &self.client.shared.dev;
+        let staging = self.pool.stage(dev, len)?;
         let result = io(staging.slice(0, len)).await;
-        let mut pool = self.pool.staging.borrow_mut();
-        if pool.len() < POOL_CAP {
-            pool.push(staging);
-        } else {
-            let _ = dev.free(staging);
-        }
+        self.pool.unstage(dev, staging);
         result
     }
 
@@ -361,32 +378,41 @@ impl Region {
 
     // --- public IO API ----------------------------------------------------------
 
-    /// Reads `len` bytes at `offset` into a fresh `Vec`, with replica
-    /// failover: if the primary read of a stripe fails, the next replica is
-    /// tried. On a checksummed region every returned byte lies under a
-    /// verified block CRC: the read fetches the checksum blocks covering the
-    /// range with their entries — a 4 KiB read moves 4 KiB and 8 bytes.
+    /// Reads `len` bytes at `offset`, with replica failover: if the primary
+    /// read of a stripe fails, the next replica is tried. On a checksummed
+    /// region every returned byte lies under a verified block CRC: the read
+    /// fetches the checksum blocks covering the range with their entries —
+    /// a 4 KiB read moves 4 KiB and 8 bytes.
+    ///
+    /// The bytes are lent, not copied: the [`ReadBuf`] holds the pooled
+    /// staging block they landed in, so a warm read asks the heap for
+    /// nothing. They go back to this handle's pool when it drops; a caller
+    /// that keeps them takes them with [`ReadBuf::into_vec`], for one
+    /// allocation.
     ///
     /// # Errors
     ///
     /// [`RStoreError::OutOfRange`], [`RStoreError::Io`] when all replicas
     /// of some stripe fail, or [`RStoreError::CorruptionDetected`] when a
     /// touched block verifies on none.
-    pub async fn read(&self, offset: u64, len: u64) -> Result<Vec<u8>> {
+    pub async fn read(&self, offset: u64, len: u64) -> Result<ReadBuf> {
         let ledger = self.op_ledger(OpKind::Read);
-        let result = self.read_l(offset, len, &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        self.finished(&ledger, self.read_l(offset, len, &ledger).await)
     }
 
     /// [`read`](Self::read) charging an existing ledger instead of opening
     /// a fresh one — for callers (the KV layer) that own the logical op.
-    pub(crate) async fn read_l(&self, offset: u64, len: u64, ledger: &OpLedger) -> Result<Vec<u8>> {
-        self.with_staging(len, |staging| async move {
-            self.read_into_l(offset, staging, ledger).await?;
-            Ok(self.client.shared.dev.read_mem(staging.addr, len)?)
-        })
-        .await
+    /// The staging block is lent once the read has landed and goes back to
+    /// the pool once it has failed — never while a WR may still land in it,
+    /// so a read given up in flight keeps its block out of the pool.
+    pub(crate) async fn read_l(&self, offset: u64, len: u64, ledger: &OpLedger) -> Result<ReadBuf> {
+        let (dev, pool) = (&self.client.shared.dev, &self.pool);
+        let block = pool.stage(dev, len)?;
+        if let Err(e) = self.read_into_l(offset, block.slice(0, len), ledger).await {
+            pool.unstage(dev, block);
+            return Err(e);
+        }
+        ReadBuf::lend(&self.client, pool, block, len)
     }
 
     /// Writes `data` at `offset` (to **all** replicas). On a checksummed
@@ -401,9 +427,7 @@ impl Region {
     /// region also what [`read`](Self::read) returns, for a boundary block.
     pub async fn write(&self, offset: u64, data: &[u8]) -> Result<()> {
         let ledger = self.op_ledger(OpKind::Write);
-        let result = self.write_l(offset, data, &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        self.finished(&ledger, self.write_l(offset, data, &ledger).await)
     }
 
     /// [`write`](Self::write) charging an existing ledger: `data` is staged
@@ -424,9 +448,7 @@ impl Region {
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn read_into(&self, offset: u64, dst: DmaBuf) -> Result<()> {
         let ledger = self.op_ledger(OpKind::Read);
-        let result = self.read_into_l(offset, dst, &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        self.finished(&ledger, self.read_into_l(offset, dst, &ledger).await)
     }
 
     /// [`read_into`](Self::read_into) charging an existing ledger: a
@@ -454,9 +476,7 @@ impl Region {
     pub async fn read_into_many(&self, ios: &[(u64, DmaBuf)]) -> Result<()> {
         let ledger = self.op_ledger(OpKind::ReadMany);
         ledger.set_units(ios.len() as u64);
-        let result = self.read_into_many_l(ios, &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        self.finished(&ledger, self.read_into_many_l(ios, &ledger).await)
     }
 
     /// [`read_into_many`](Self::read_into_many) charging an existing ledger.
@@ -478,9 +498,7 @@ impl Region {
     /// [`RStoreError::OutOfRange`] or [`RStoreError::Io`].
     pub async fn write_from(&self, offset: u64, src: DmaBuf) -> Result<()> {
         let ledger = self.op_ledger(OpKind::Write);
-        let result = self.write_src(&[(offset, src)], &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        self.finished(&ledger, self.write_src(&[(offset, src)], &ledger).await)
     }
 
     /// Writes many `(offset, src)` pairs as one posting round, the twin of
@@ -500,9 +518,7 @@ impl Region {
     pub async fn write_from_many(&self, ios: &[(u64, DmaBuf)]) -> Result<()> {
         let ledger = self.op_ledger(OpKind::WriteMany);
         ledger.set_units(ios.len() as u64);
-        let result = self.write_src(ios, &ledger).await;
-        self.finish_ledger_res(&ledger, &result);
-        result
+        self.finished(&ledger, self.write_src(ios, &ledger).await)
     }
 
     /// One-sided compare-and-swap on the 8-byte word at `offset` of the
@@ -1072,13 +1088,225 @@ impl Region {
 
 #[cfg(test)]
 mod tests {
+    use std::rc::Rc;
     use std::time::Duration;
 
     use fabric::{FaultPlan, NodeId};
 
+    use super::Region;
     use crate::cluster::{Cluster, ClusterConfig};
     use crate::error::RStoreError;
     use crate::proto::AllocOptions;
+
+    /// Staging blocks of `len` bytes in `region`'s pool.
+    fn pooled(region: &Region, len: u64) -> usize {
+        let staging = region.pool.staging.borrow();
+        staging.iter().filter(|b| b.len == len).count()
+    }
+
+    #[test]
+    fn a_lent_read_keeps_its_bytes_while_the_handle_and_a_clone_reuse_the_pool() {
+        let cluster = Cluster::boot(ClusterConfig {
+            clients: 1,
+            ..ClusterConfig::with_servers(3)
+        })
+        .expect("boot");
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let c = cluster.client(0).await.unwrap();
+            let len = 8192u64;
+            let fill = |b: u8| vec![b; len as usize];
+            for checksums in [false, true] {
+                let opts = AllocOptions {
+                    stripe_size: 4096,
+                    checksums,
+                    ..AllocOptions::default()
+                };
+                let name = format!("lent-{checksums}");
+                let region = c.alloc(&name, 8 * len, opts).await.unwrap();
+                let clone = region.clone();
+                region.write(0, &fill(1)).await.unwrap();
+                let held = region.read(0, len).await.unwrap();
+                let kept = region.read(0, len).await.unwrap().into_vec();
+                // Same-sized IO through both handles, the held bytes'
+                // own range included: every one stages in the shared pool.
+                for b in 2..12u8 {
+                    let at = len * u64::from(b % 8);
+                    let (writer, reader) = if b % 2 == 0 {
+                        (&region, &clone)
+                    } else {
+                        (&clone, &region)
+                    };
+                    writer.write(at, &fill(b)).await.unwrap();
+                    assert_eq!(reader.read(at, len).await.unwrap(), fill(b));
+                    assert_eq!(held, fill(1), "checksums {checksums}, round {b}");
+                }
+                assert_eq!(kept, fill(1));
+                assert_ne!(region.read(0, len).await.unwrap(), held);
+                // Back in the pool once dropped: one block for `held`, one
+                // fresh one for `kept`'s, which it gave away.
+                let before = pooled(&region, len);
+                drop(held);
+                assert_eq!(pooled(&region, len), before + 1);
+            }
+        });
+    }
+
+    #[test]
+    fn a_kept_read_survives_later_reads_and_costs_its_block_nothing() {
+        let cluster = Cluster::boot(ClusterConfig {
+            clients: 1,
+            ..ClusterConfig::with_servers(3)
+        })
+        .expect("boot");
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let c = cluster.client(0).await.unwrap();
+            let region = c
+                .alloc("kept", 1 << 20, AllocOptions::default())
+                .await
+                .unwrap();
+            let mut kept = Vec::new();
+            for b in 0..4u8 {
+                region.write(0, &[b; 4096]).await.unwrap();
+                kept.push(region.read(0, 4096).await.unwrap().into_vec());
+            }
+            // Every kept vector is its own; the one block they landed in
+            // went back to the pool each time.
+            for (b, bytes) in kept.iter().enumerate() {
+                assert_eq!(*bytes, vec![b as u8; 4096]);
+            }
+            assert_eq!(pooled(&region, 4096), 1);
+            assert_eq!(region.read(0, 4096).await.unwrap(), [3u8; 4096]);
+        });
+    }
+
+    #[test]
+    fn a_read_dropped_after_its_region_and_its_cluster_returns_quietly() {
+        let cluster = Rc::new(
+            Cluster::boot(ClusterConfig {
+                clients: 1,
+                ..ClusterConfig::with_servers(2)
+            })
+            .expect("boot"),
+        );
+        let sim = cluster.sim.clone();
+        let booted = cluster.clone();
+        let outlives = sim.block_on(async move {
+            let c = booted.client(0).await.unwrap();
+            let region = c
+                .alloc("orphan", 4096, AllocOptions::default())
+                .await
+                .unwrap();
+            region.write(0, &[5u8; 4096]).await.unwrap();
+            let (first, second) = (region.read(0, 4096).await, region.read(0, 4096).await);
+            drop((region, c));
+            drop(first.unwrap());
+            second.unwrap()
+        });
+        let cluster = Rc::try_unwrap(cluster).expect("the only handle left");
+        drop(cluster);
+        assert_eq!(outlives, [5u8; 4096]);
+        drop(outlives);
+    }
+
+    #[test]
+    fn failed_reads_lend_nothing_and_leave_the_arena_as_it_was() {
+        let cluster = Cluster::boot(ClusterConfig {
+            clients: 1,
+            ..ClusterConfig::fast_detection(2)
+        })
+        .expect("boot");
+        let sim = cluster.sim.clone();
+        let fabric = cluster.fabric.clone();
+        sim.block_on(async move {
+            let c = cluster.client(0).await.unwrap();
+            let opts = AllocOptions {
+                stripe_size: 4096,
+                replicas: 2,
+                ..AllocOptions::default()
+            };
+            let region = c.alloc("dark", 4096, opts).await.unwrap();
+            region.write(0, &[6u8; 4096]).await.unwrap();
+            let ck = AllocOptions {
+                stripe_size: 4096,
+                replicas: 1,
+                checksums: true,
+                ..AllocOptions::default()
+            };
+            let fragile = c.alloc("fragile", 4096, ck).await.unwrap();
+            fragile.write(0, &[7u8; 4096]).await.unwrap();
+            // Warm: each handle's pool holds a block of the read's size.
+            drop(region.read(0, 4096).await.unwrap());
+            drop(fragile.read(0, 4096).await.unwrap());
+            let used = c.shared.dev.mem_used();
+
+            // Every bit of the checksummed block's one replica is fair game:
+            // some flip lands in the block.
+            let victim = fragile.desc().groups[0].replicas[0].node;
+            FaultPlan::new(0xF1)
+                .corrupt_at(Duration::from_millis(1), NodeId(victim), 64)
+                .install(&fabric);
+            c.shared.sim.sleep(Duration::from_millis(5)).await;
+            for _ in 0..100 {
+                let err = fragile.read(0, 4096).await.unwrap_err();
+                assert!(
+                    matches!(err, RStoreError::CorruptionDetected { .. }),
+                    "{err:?}"
+                );
+            }
+            for replica in &region.desc().groups[0].replicas {
+                fabric.set_node_up(NodeId(replica.node), false);
+            }
+            for _ in 0..100 {
+                assert!(region.read(0, 4096).await.is_err());
+            }
+            assert_eq!(c.shared.dev.mem_used(), used);
+            assert_eq!((pooled(&region, 4096), pooled(&fragile, 4096)), (1, 1));
+            assert!(
+                c.shared.qps.pending.is_empty(),
+                "a failed read left a WR in flight"
+            );
+        });
+    }
+
+    #[test]
+    fn a_read_given_up_in_flight_keeps_its_block_out_of_the_pool() {
+        let cluster = Cluster::boot(ClusterConfig {
+            clients: 1,
+            ..ClusterConfig::with_servers(2)
+        })
+        .expect("boot");
+        let sim = cluster.sim.clone();
+        sim.block_on(async move {
+            let c = cluster.client(0).await.unwrap();
+            let opts = AllocOptions {
+                stripe_size: 4096,
+                ..AllocOptions::default()
+            };
+            let region = c.alloc("given-up", 8192, opts).await.unwrap();
+            region.write(0, &[1u8; 4096]).await.unwrap();
+            region.write(4096, &[2u8; 4096]).await.unwrap();
+            drop(region.read(0, 4096).await.unwrap());
+            assert_eq!(pooled(&region, 4096), 1);
+
+            // Given up a nanosecond in: the pooled block it took stays out
+            // of the pool while its READ is in flight, and after it landed.
+            let (sim, qps) = (&c.shared.sim, &c.shared.qps);
+            let read = Box::pin(region.read(0, 4096));
+            assert!(sim.timeout(Duration::from_nanos(1), read).await.is_none());
+            assert_eq!(qps.pending.len(), 1, "the READ is still in flight");
+            assert_eq!(pooled(&region, 4096), 0);
+            let next = region.read(4096, 4096).await.unwrap();
+            sim.sleep(Duration::from_millis(1)).await;
+            assert!(qps.pending.is_empty(), "the given-up READ landed");
+            assert_eq!(next, [2u8; 4096]);
+            drop(next);
+            assert_eq!(pooled(&region, 4096), 1);
+            assert_eq!(region.read(4096, 4096).await.unwrap(), [2u8; 4096]);
+            assert_eq!(region.read(0, 4096).await.unwrap(), [1u8; 4096]);
+        });
+    }
 
     #[test]
     fn a_read_given_up_before_its_completion_frees_its_waiter_cell() {

@@ -10,7 +10,9 @@
 //! they are written: the `Vec` starts empty, is as long as the highest byte
 //! ever written or pinned and grows its capacity only to hold that, and
 //! whatever lies above it reads as zeros without being stored (DESIGN.md
-//! "Arena backing").
+//! "Arena backing"). The whole `Vec` can also change hands
+//! ([`Arena::swap_backing`]): a landed read lends it out and takes it back,
+//! and a staging block is reserved at its IO's length before it lands.
 
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -90,16 +92,11 @@ struct Block {
     data: Option<Vec<u8>>,
 }
 
-/// The part of `[off, off + len)` that lies inside the written prefix
-/// `data`; the rest of the range reads as zeros.
-fn written(data: &[u8], off: usize, len: usize) -> &[u8] {
-    &data[off.min(data.len())..(off + len).min(data.len())]
-}
-
 /// Copies `[off, off + dst.len())` of a block whose written prefix is
 /// `data` (`None`: synthetic) into `dst`: the stored bytes, then zeros.
 fn copy_out(data: Option<&Vec<u8>>, off: usize, dst: &mut [u8]) {
-    let stored = data.map_or(&[][..], |data| written(data, off, dst.len()));
+    let data = data.map_or(&[][..], Vec::as_slice);
+    let stored = &data[off.min(data.len())..(off + dst.len()).min(data.len())];
     let (head, tail) = dst.split_at_mut(stored.len());
     head.copy_from_slice(stored);
     tail.fill(0);
@@ -614,16 +611,8 @@ impl Arena {
     ///
     /// [`RdmaError::OutOfBounds`] if the range is not within one allocation.
     pub fn read(&self, addr: u64, len: u64) -> Result<Vec<u8>> {
-        let mem = self.mem.borrow();
-        let (baddr, block) = mem.block(addr, len)?;
-        let Some(data) = &block.data else {
-            return Ok(vec![0u8; len as usize]);
-        };
-        // One allocation of exactly `len`: `Region::read` hands this vector
-        // to its caller.
-        let mut out = Vec::with_capacity(len as usize);
-        out.extend_from_slice(written(data, (addr - baddr) as usize, len as usize));
-        out.resize(len as usize, 0);
+        let mut out = vec![0; len as usize];
+        self.read_into(addr, &mut out)?;
         Ok(out)
     }
 
@@ -696,10 +685,8 @@ impl Arena {
     /// [`RdmaError::OutOfBounds`] if either range is not within one
     /// allocation.
     pub fn copy(&mut self, src: u64, dst: u64, len: u64) -> Result<()> {
-        let mem = self.mem.borrow();
-        let (sbase, block) = mem.block(src, len)?;
-        let one_block = (sbase..sbase + block.len).contains(&dst);
-        drop(mem);
+        let (sbase, slen) = self.mem.borrow().block(src, len).map(|(a, b)| (a, b.len))?;
+        let one_block = (sbase..sbase + slen).contains(&dst);
         if one_block {
             return self.write(dst, &self.read(src, len)?);
         }
@@ -711,6 +698,28 @@ impl Arena {
             .map(|out| out.map(|out| copy_out(stored.as_ref(), (src - sbase) as usize, out)));
         blocks.get_mut(&sbase).expect("source block").data = stored;
         copied.map(drop)
+    }
+
+    /// Swaps `data` in as the written prefix of the block `buf` and returns
+    /// the prefix it held: with `Vec::new()` it hands a landed block's bytes
+    /// over without copying them, with the vector it handed over it takes
+    /// them back, and with an empty vector of some capacity it reserves the
+    /// block's backing ahead of its first write. Every live pin on the block
+    /// is copied out first, as before a write. A synthetic block keeps
+    /// nothing and hands over an empty prefix.
+    ///
+    /// # Errors
+    ///
+    /// [`RdmaError::InvalidHandle`] if `buf` is not a live allocation.
+    pub fn swap_backing(&mut self, buf: DmaBuf, data: Vec<u8>) -> Result<Vec<u8>> {
+        let Mem { blocks, pins } = &mut *self.mem.borrow_mut();
+        let block = blocks.get_mut(&buf.addr).filter(|b| b.len == buf.len);
+        let Some(old) = block.ok_or(RdmaError::InvalidHandle)?.data.as_mut() else {
+            return Ok(Vec::new());
+        };
+        assert!(data.len() as u64 <= buf.len, "a prefix past its block");
+        pins.snapshot(buf.addr, buf.len, buf.addr, old);
+        Ok(std::mem::replace(old, data))
     }
 
     /// Samples a range as a [`Payload`] without copying it: a backed
@@ -1295,6 +1304,60 @@ mod tests {
         assert!(a.copy(src.addr, dst.addr + 200, 100).is_err());
         assert!(a.view(src.addr + 250, 10, |_| ()).is_err());
         assert_eq!(a.read(src.addr, 256).unwrap(), moved);
+    }
+
+    #[test]
+    fn swap_backing_lends_a_block_and_takes_it_back() {
+        let mut a = Arena::new(1 << 20);
+        let b = a.alloc(64).unwrap();
+        let cap = |a: &Arena| {
+            a.mem.borrow().blocks[&b.addr]
+                .data
+                .as_ref()
+                .unwrap()
+                .capacity()
+        };
+        // Reserved ahead of its first write, which then grows nothing.
+        assert!(a
+            .swap_backing(b, Vec::with_capacity(64))
+            .unwrap()
+            .is_empty());
+        a.write(b.addr + 60, &[3; 4]).unwrap();
+        a.write(b.addr, &[3; 60]).unwrap();
+        assert_eq!(cap(&a), 64);
+
+        // Lent: the block reads as unwritten, and a pin on it keeps what it
+        // sampled.
+        let pinned = a.read_payload(b.addr + 8, 8).unwrap();
+        let lent = a.swap_backing(b, Vec::new()).unwrap();
+        assert_eq!(lent, vec![3; 64]);
+        assert_eq!((a.pin_stats(), a.resident()), ((1, 1), 0));
+        assert_eq!(a.read(b.addr, 64).unwrap(), vec![0; 64]);
+        let mut dst = Arena::new(4096);
+        let land = dst.alloc(8).unwrap();
+        dst.write_payload(land.addr, &pinned).unwrap();
+        assert_eq!(dst.read(land.addr, 8).unwrap(), vec![3; 8]);
+
+        // Taken back: the bytes and their capacity are where they were.
+        assert_eq!(a.swap_backing(b, lent).unwrap().capacity(), 0);
+        assert_eq!(a.read(b.addr, 64).unwrap(), vec![3; 64]);
+        assert_eq!((cap(&a), a.resident()), (64, 64));
+
+        // A synthetic block keeps nothing; a range that is not a block is
+        // refused.
+        let fluid = a.alloc_synthetic(64).unwrap();
+        assert!(a.swap_backing(fluid, vec![1; 8]).unwrap().is_empty());
+        assert_eq!(a.read(fluid.addr, 8).unwrap(), vec![0; 8]);
+        let inner = b.slice(8, 8);
+        assert_eq!(
+            a.swap_backing(inner, Vec::new()),
+            Err(RdmaError::InvalidHandle)
+        );
+        let short = b.slice(0, 32);
+        assert_eq!(
+            a.swap_backing(short, Vec::new()),
+            Err(RdmaError::InvalidHandle)
+        );
     }
 
     #[test]

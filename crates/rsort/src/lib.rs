@@ -107,7 +107,7 @@ mod tests {
                 .unwrap();
             let outcome = distributed::run(&devs, master, cfg).await.unwrap();
             let out = loader.map("sort/output").await.unwrap();
-            let bytes = out.read(0, out.size()).await.unwrap();
+            let bytes = out.read(0, out.size()).await.unwrap().into_vec();
             let s = loader.map("sort/splitters").await.unwrap();
             let splitters = s.read(0, s.size()).await.unwrap();
             let splitters = splitters

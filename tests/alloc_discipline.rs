@@ -10,7 +10,10 @@
 //! is 0, plain or checksummed, on one stripe or four (it was one per WR
 //! while each WR had a oneshot channel of its own, and 28 on a checksummed
 //! IO while it spawned a task per stripe). What is left is what an op hands
-//! back or keeps: a warm `kv.get` is 1, the returned value, and a
+//! back or keeps: a warm `region.read` is 0, plain or checksummed, at 4 KiB,
+//! 64 KiB and 1 MiB, since it lends the pooled staging block its bytes
+//! landed in and takes it back when the result drops (it was 1, a `Vec`
+//! of the IO's size); a warm `kv.get` is 1, the returned value, and a
 //! `kv.multi_get` one per key plus its result list; a warm `kv.put` is 0,
 //! and so is a `kv.delete` then `kv.put` of a key, whose hint reuses the
 //! cache entry the delete freed. Past the hint cache's capacity, where
@@ -337,6 +340,26 @@ fn steady_state_ops_hold_allocation_floor() {
             "a 1 MiB striped IO asked the heap for {lo} bytes (rounds: {per_io:?})"
         );
         dev.free(mib).unwrap();
+
+        // A region read lends the pooled staging block its bytes landed in
+        // and takes it back when the result drops: warm, plain or
+        // checksummed, at each size the benchmark reads, it asks the heap
+        // for nothing (it was one `Vec` of the IO's size per read).
+        let opts = AllocOptions {
+            checksums: true,
+            ..opts
+        };
+        let wide_ck = client.alloc("raw/wide_ck", 1 << 20, opts).await.unwrap();
+        wide_ck.write(0, &vec![3u8; 1 << 20]).await.unwrap();
+        for (name, region) in [("region.read", &wide), ("region.read_ck", &wide_ck)] {
+            for len in [4096, 64 * 1024, 1 << 20] {
+                steady!(
+                    format!("{name} {} KiB", len >> 10),
+                    0,
+                    drop(region.read(0, len).await.unwrap())
+                );
+            }
+        }
 
         // Control calls, both ends in this process. A heartbeat-shaped call
         // (a small request answered with `()`) allocates nothing at either

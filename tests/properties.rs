@@ -786,7 +786,7 @@ fn run_small_io(
                 for (off, data) in &writes {
                     region.write(*off, data).await?;
                 }
-                out.push(region.read(0, size).await?);
+                out.push(region.read(0, size).await?.into_vec());
             }
             Ok(out)
         }

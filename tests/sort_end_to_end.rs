@@ -42,7 +42,7 @@ async fn sort_and_fetch(
         .expect("load");
     let outcome = distributed::run(&devs, master, cfg).await.expect("sort");
     let out = loader.map(&format!("{job}/output")).await.expect("map");
-    let bytes = out.read(0, out.size()).await.expect("read");
+    let bytes = out.read(0, out.size()).await.expect("read").into_vec();
     (bytes, outcome)
 }
 
